@@ -22,6 +22,7 @@
 
 pub mod bootstrap;
 pub mod client;
+mod committee;
 pub mod gateway;
 pub mod loadgen;
 pub mod modes;

@@ -4,36 +4,32 @@
 //! runs the identical standard contracts (data / analytics / trial —
 //! Fig. 4); each site's off-chain control code makes those identical
 //! contracts drive *different* local computation (Fig. 1). The network
-//! object owns the simulated consensus cluster, the sites with their
-//! locally resident data, transaction submission with nonce tracking,
+//! object is a shell over one `Committee` (the consensus cluster with
+//! its nonce tracking and serve loop, shared with every shard of a
+//! [`crate::sharded::ShardedNetwork`]); its own are the sites with their
+//! locally resident data, the standard contracts, the dataset anchors
 //! and the control-plane cycle.
 
-use crate::bootstrap::{stream_into, BootstrapSource, SnapshotPeer};
 use crate::client::PendingTx;
+use crate::committee::{self, Committee, CommitteeSpec};
 use crate::gateway::{GatewayBackend, GatewayConfig, GatewayServer, PumpReport};
 use crate::site::Site;
-use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
-use medchain_chain::consensus::{Application, Cluster, RunReport};
+use medchain_chain::consensus::RunReport;
 use medchain_chain::ledger::contract_address;
-use medchain_chain::net::{SimTransport, TcpTransport, Transport};
-use medchain_chain::node::{ChainApp, SubmitOutcome};
+use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::{
     Address, AuthorityKey, Block, Hash256, KeyRegistry, Lane, LeafKey, Receipt, ShardId,
-    StateCacheConfig, StateProof, Transaction, TxPayload,
+    StateProof, Transaction, TxPayload,
 };
 use medchain_contracts::native::native_manifest;
 use medchain_contracts::policy::Purpose;
-use medchain_contracts::runtime::{call_data, Runtime};
+use medchain_contracts::runtime::call_data;
 use medchain_contracts::value::Value;
 use medchain_data::PatientRecord;
 use medchain_offchain::ActionIntent;
 use medchain_runtime::metrics::Metrics;
-use medchain_storage::{
-    stream, DiskStore, LatestState, PageStore, PagedAccounts, PagedNodes, SnapshotChunk,
-    SnapshotManifest, StorageConfig, ACCOUNTS_PER_PAGE,
-};
-use std::collections::HashMap;
+use medchain_storage::{stream, LatestState, SnapshotChunk, SnapshotManifest, StorageConfig};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -122,6 +118,13 @@ pub enum NetworkError {
     ReceiptProof(Hash256),
     /// The ingress gateway could not be started or is not configured.
     Gateway(String),
+    /// `serve_until`'s tail drain gave up: blocks keep committing but
+    /// take nothing out of the mempools, which is what a transaction
+    /// admitted above its sender's next nonce does to them.
+    DrainStalled {
+        /// Transactions still pooled.
+        pending: usize,
+    },
 }
 
 impl fmt::Display for NetworkError {
@@ -145,6 +148,9 @@ impl fmt::Display for NetworkError {
                 write!(f, "receipt proof for {id:?} fails against the committed root")
             }
             NetworkError::Gateway(e) => write!(f, "gateway: {e}"),
+            NetworkError::DrainStalled { pending } => {
+                write!(f, "drain stalled: {pending} pooled transaction(s) no block can take")
+            }
         }
     }
 }
@@ -228,9 +234,7 @@ impl NetworkBuilder {
     /// in on demand, so total state may exceed RAM. Committed roots are
     /// byte-identical to a fully-resident node. Requires
     /// [`NetworkBuilder::storage`] (the page file lives in the site's
-    /// data directory); without storage the setting is ignored. The
-    /// `MEDCHAIN_STATE_CACHE_PAGES` environment variable sets the same
-    /// budget when this method was not called.
+    /// data directory); without storage the setting is ignored.
     #[must_use]
     pub fn state_cache(mut self, pages: usize) -> NetworkBuilder {
         assert!(pages > 0, "a page cache needs at least one page slot");
@@ -377,185 +381,53 @@ impl NetworkBuilder {
         if self.with_fda {
             self.sites.push(("fda".to_string(), Vec::new()));
         }
-        let with_fda = self.with_fda;
-        let n = self.sites.len();
-        let (engines, mut registry, _validators) =
-            PoaEngine::make_validators(n, self.block_interval_ms);
-        // Gateway client keys are consortium members too: enroll them
-        // BEFORE the apps clone the registry, so client signatures
-        // verify on every replica. (The engines' clones lack them, but
-        // engines only check validator seals.)
-        let client_keys = client_keys_for(self.gateway.as_ref());
-        for key in &client_keys {
-            registry.enroll(key);
-        }
-        let mut apps: Vec<ChainApp> = (0..n)
-            .map(|i| {
-                let mut app = ChainApp::with_runtime(
-                    "medchain",
-                    registry.clone(),
-                    Box::new(Runtime::standard()),
-                );
-                // Quantize block timestamps to the tick grid so the
-                // committed chain is byte-identical whether consensus
-                // runs on the logical-clock simulator or wall-clock
-                // sockets.
-                app.set_timestamp_quantum_ms(self.block_interval_ms);
-                app.ledger_mut().set_parallel_exec(self.parallel_exec);
-                // Only replica 0 reports, so counters reflect one node's
-                // view rather than summing all replicas' identical work.
-                if i == 0 {
-                    app.set_metrics(self.metrics.clone());
-                }
-                app
-            })
-            .collect();
-        // The latest_state projection feeds off replica 0's committed
-        // deltas; install the observer before recovery so replayed
-        // blocks populate it too.
+        let (keys, client_keys, registry) = self.enroll();
         let latest_state = self.track_latest.then(|| Arc::new(LatestState::new()));
-        if let Some(latest) = &latest_state {
-            let sink = Arc::clone(latest);
-            apps[0].ledger_mut().set_commit_observer(Box::new(move |block, updates| {
-                sink.record(block, updates);
-            }));
-        }
-        // Durable storage: recover each site's ledger from its data dir
-        // (replaying the persisted chain), stream a snapshot into any
-        // site that recovered behind the cohort (a wiped or stale data
-        // directory), then attach the stores so every later commit is
-        // persisted write-ahead.
-        let mut resumed_height = 0u64;
-        if let Some((root, config)) = &self.storage {
-            let mut stores = Vec::with_capacity(n);
-            let mut dirs = Vec::with_capacity(n);
-            for (i, app) in apps.iter_mut().enumerate() {
-                let dir = root.join(format!("site-{i}"));
-                // Replica-0 convention: only site 0's store reports.
-                let metrics =
-                    if i == 0 { self.metrics.clone() } else { Metrics::noop() };
-                let store_metrics = metrics.clone();
-                let mut store =
-                    DiskStore::open_with_metrics(dir.clone(), *config, store_metrics)
-                        .map_err(|e| NetworkError::Storage(e.to_string()))?;
-                store
-                    .recover_into(app.ledger_mut())
-                    .map_err(|e| NetworkError::Storage(format!("site {i}: {e}")))?;
-                stores.push(store);
-                dirs.push(dir);
-            }
-            let build_metrics = self.metrics.clone();
-            let interval = self.block_interval_ms;
-            let parallel = self.parallel_exec;
-            let fresh_registry = registry.clone();
-            let fresh_latest = latest_state.clone();
-            let fresh_app = move |i: usize| {
-                let mut app = ChainApp::with_runtime(
-                    "medchain",
-                    fresh_registry.clone(),
-                    Box::new(Runtime::standard()),
-                );
-                app.set_timestamp_quantum_ms(interval);
-                app.ledger_mut().set_parallel_exec(parallel);
-                if i == 0 {
-                    app.set_metrics(build_metrics.clone());
-                    if let Some(latest) = &fresh_latest {
-                        let sink = Arc::clone(latest);
-                        app.ledger_mut().set_commit_observer(Box::new(
-                            move |block, updates| sink.record(block, updates),
-                        ));
-                    }
-                }
-                app
-            };
-            bootstrap_lagging(
-                &mut apps,
-                &mut stores,
-                &dirs,
-                *config,
-                &self.metrics,
-                &fresh_app,
-                "network",
-            )?;
-            // A resumed consortium must agree before consensus restarts:
-            // local recovery and the streamed rejoin above both end at
-            // the cohort tip, so a surviving mismatch is real divergence.
-            let tip0 = apps[0].ledger().tip().id();
-            if let Some(i) = (1..n).find(|&i| apps[i].ledger().tip().id() != tip0) {
-                return Err(NetworkError::Storage(format!(
-                    "site {i} recovered height {} (tip {:?}) but site 0 \
-                     recovered height {} (tip {tip0:?})",
-                    apps[i].ledger().height(),
-                    apps[i].ledger().tip().id(),
-                    apps[0].ledger().height()
-                )));
-            }
-            resumed_height = apps[0].ledger().height();
-            let cache_pages = effective_cache_pages(self.state_cache_pages);
-            for (i, (app, store)) in apps.iter_mut().zip(stores).enumerate() {
-                let metrics =
-                    if i == 0 { self.metrics.clone() } else { Metrics::noop() };
-                attach_site_store(app, store, cache_pages, metrics)?;
-            }
-        }
-        let resumed = resumed_height > 0;
-        let net: Box<dyn Transport<PoaMsg>> = match self.transport {
-            TransportKind::Sim => {
-                let mut sim = SimTransport::new(n, self.seed);
-                sim.set_metrics(self.metrics.clone());
-                Box::new(sim)
-            }
-            TransportKind::Tcp => {
-                // bind_from_env honors MEDCHAIN_TCP_ADDRS for explicit /
-                // multi-host addressing, defaulting to loopback.
-                let mut tcp = TcpTransport::bind_from_env(n)
-                    .map_err(|e| NetworkError::TransportInit(e.to_string()))?;
-                tcp.set_metrics(self.metrics.clone());
-                Box::new(tcp)
-            }
+        let spec = CommitteeSpec {
+            chain_id: "medchain".into(),
+            shard: ShardId(0),
+            shard_count: 1,
+            sites: (0..keys.len()).collect(),
+            dir: self.storage.as_ref().map(|(root, _)| root.clone()),
+            seed: self.seed,
+            metrics: self.metrics.clone(),
+            bind_from_env: true,
+            latest_state: latest_state.clone(),
         };
-        let mut cluster = Cluster::with_transport(engines, apps, net);
-        cluster.set_metrics(self.metrics.clone());
+        let committee = Committee::build(&self, &keys, &registry, spec)?;
+        let resumed = committee.ledger().height() > 0;
+        let gateway = self.start_gateway()?;
+        // Site 0 deploys the standard contracts with its first three
+        // nonces, so their addresses are known before (and after) the
+        // chain holds them.
+        let deployer = keys[0].address();
+        let contracts = ContractAddresses {
+            data: contract_address(&deployer, 0),
+            analytics: contract_address(&deployer, 1),
+            trial: contract_address(&deployer, 2),
+        };
         let sites: Vec<Site> = self
             .sites
             .into_iter()
-            .enumerate()
-            .map(|(i, (name, records))| Site::new(&name, AuthorityKey::from_seed(i as u64), records))
+            .zip(keys)
+            .map(|((name, records), key)| Site::new(&name, key, records))
             .collect();
         let mut network = MedicalNetwork {
-            cluster,
+            committee,
             sites,
-            contracts: ContractAddresses {
-                data: Address::from_seed(0),
-                analytics: Address::from_seed(0),
-                trial: Address::from_seed(0),
-            },
-            nonces: HashMap::new(),
-            block_interval_ms: self.block_interval_ms,
+            contracts,
             registry,
             transport: self.transport,
             metrics: self.metrics,
             resumed,
-            gateway: None,
+            gateway,
             client_keys,
             latest_state,
             stream_cache: None,
         };
-        if let Some(cfg) = self.gateway {
-            let server = GatewayServer::start(cfg, network.metrics.clone())
-                .map_err(|e| NetworkError::Gateway(e.to_string()))?;
-            network.gateway = Some(server);
-        }
         if resumed {
             // The persisted chain already holds the one-time setup;
-            // re-derive the deterministic contract addresses (site 0
-            // deployed with nonces 0/1/2) and verify the code is there.
-            let deployer = network.site(0).address();
-            let contracts = ContractAddresses {
-                data: contract_address(&deployer, 0),
-                analytics: contract_address(&deployer, 1),
-                trial: contract_address(&deployer, 2),
-            };
+            // verify the code is where site 0's deploys put it.
             let state = network.ledger().state();
             for (name, addr) in [
                 ("data", contracts.data),
@@ -564,137 +436,57 @@ impl NetworkBuilder {
             ] {
                 if state.code(&addr).is_none() {
                     return Err(NetworkError::Storage(format!(
-                        "resumed chain at height {resumed_height} has no \
-                         {name} contract at {addr:?}"
+                        "resumed chain at height {} has no {name} contract at {addr:?}",
+                        network.height()
                     )));
                 }
             }
-            network.contracts = contracts;
         } else {
             network.deploy_standard_contracts()?;
             network.register_all_datasets()?;
-            if with_fda {
-                let fda = network
-                    .fda_index()
-                    .expect("fda site appended above");
+            if self.with_fda {
+                let fda = network.fda_index().expect("fda site appended above");
                 let fda_address = network.site(fda).address();
                 network.grant_all(fda_address, Purpose::RegulatoryAudit)?;
             }
         }
         Ok(network)
     }
-}
 
-/// Derives the gateway's client keys (disjoint from validator seeds).
-pub(crate) fn client_keys_for(cfg: Option<&GatewayConfig>) -> Vec<AuthorityKey> {
-    let clients = cfg.map(|c| c.clients).unwrap_or(0);
-    (0..clients).map(|i| AuthorityKey::from_seed(0x1000_0000 + i as u64)).collect()
-}
-
-/// Resolves the paged-state budget: an explicit
-/// [`NetworkBuilder::state_cache`] wins, else the
-/// `MEDCHAIN_STATE_CACHE_PAGES` environment variable (a positive page
-/// count) enables paging for every site.
-pub(crate) fn effective_cache_pages(explicit: Option<usize>) -> Option<usize> {
-    explicit.or_else(|| {
-        std::env::var("MEDCHAIN_STATE_CACHE_PAGES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&pages| pages > 0)
-    })
-}
-
-/// Brings every site that recovered behind the cohort tip back in step
-/// by streaming the most advanced site's snapshot + WAL tail into it
-/// (DESIGN.md §14) — the wiped-site rejoin path. Call before stores are
-/// attached; `fresh_app` rebuilds a genesis app for a site whose
-/// partial local prefix has to be discarded (its chain is derived data,
-/// re-obtainable from any honest peer, so the stale directory is wiped
-/// and re-seeded from the stream).
-pub(crate) fn bootstrap_lagging(
-    apps: &mut [ChainApp],
-    stores: &mut [DiskStore],
-    dirs: &[PathBuf],
-    config: StorageConfig,
-    metrics: &Metrics,
-    fresh_app: &dyn Fn(usize) -> ChainApp,
-    label: &str,
-) -> Result<(), NetworkError> {
-    let best = (0..apps.len())
-        .max_by_key(|&i| apps[i].ledger().height())
-        .expect("at least one site");
-    let best_height = apps[best].ledger().height();
-    if best_height == 0 {
-        return Ok(()); // Nothing persisted anywhere: a first boot.
-    }
-    let lagging: Vec<usize> =
-        (0..apps.len()).filter(|&i| apps[i].ledger().height() < best_height).collect();
-    if lagging.is_empty() {
-        return Ok(());
-    }
-    let shard = apps[best].ledger().shard();
-    let source = BootstrapSource::capture(apps[best].ledger(), Some(&stores[best]))
-        .ok_or_else(|| {
-            NetworkError::Storage(format!(
-                "{label}: site {best} has no snapshot to serve rejoining peers"
-            ))
-        })?;
-    let peer = SnapshotPeer::serve(source)
-        .map_err(|e| NetworkError::Storage(format!("{label}: snapshot peer: {e}")))?;
-    for i in lagging {
-        if apps[i].ledger().height() > 0 {
-            // A partial prefix cannot take a streamed snapshot above it
-            // (the WAL would hold a gap): discard and re-seed.
-            std::fs::remove_dir_all(&dirs[i])
-                .map_err(|e| NetworkError::Storage(format!("{label}: reset site {i}: {e}")))?;
-            let site_metrics = if i == 0 { metrics.clone() } else { Metrics::noop() };
-            stores[i] = DiskStore::open_with_metrics(dirs[i].clone(), config, site_metrics)
-                .map_err(|e| NetworkError::Storage(format!("{label}: reopen site {i}: {e}")))?;
-            apps[i] = fresh_app(i);
+    /// The consortium's identities: one validator key per site (seed =
+    /// site index), the gateway's client keys (seeds `0x1000_0000..`,
+    /// disjoint from the validators'), and the registry holding both.
+    /// Clients enroll before any replica clones the registry, so their
+    /// signatures verify on every chain.
+    pub(crate) fn enroll(&self) -> (Vec<AuthorityKey>, Vec<AuthorityKey>, KeyRegistry) {
+        let seeded = |base: u64, n: usize| -> Vec<AuthorityKey> {
+            (0..n as u64).map(|i| AuthorityKey::from_seed(base + i)).collect()
+        };
+        let keys = seeded(0, self.sites.len());
+        let client_keys = seeded(0x1000_0000, self.gateway.map_or(0, |cfg| cfg.clients));
+        let mut registry = KeyRegistry::new();
+        for key in keys.iter().chain(&client_keys) {
+            registry.enroll(key);
         }
-        stream_into(peer.addr(), shard, apps[i].ledger_mut(), &mut stores[i]).map_err(|e| {
-            NetworkError::Storage(format!(
-                "{label}: site {i} failed to bootstrap from site {best}: {e}"
-            ))
-        })?;
+        (keys, client_keys, registry)
     }
-    Ok(())
-}
 
-/// Finishes a site's storage wiring: opens the paged-state cache when a
-/// budget is set (cold accounts and tree nodes spill to
-/// `<site-dir>/pages.bin`, bounded to `pages` cached slots), then
-/// attaches the store so every later commit is persisted write-ahead.
-pub(crate) fn attach_site_store(
-    app: &mut ChainApp,
-    mut store: DiskStore,
-    cache_pages: Option<usize>,
-    metrics: Metrics,
-) -> Result<(), NetworkError> {
-    if let Some(budget) = cache_pages {
-        let path = store.dir().join("pages.bin");
-        let pages = Arc::new(PageStore::open(&path, budget, metrics).map_err(|e| {
-            NetworkError::Storage(format!("page store {}: {e}", path.display()))
-        })?);
-        store.attach_pages(Arc::clone(&pages));
-        app.ledger_mut().attach_state_cache(StateCacheConfig {
-            accounts: Arc::new(PagedAccounts::new(Arc::clone(&pages))),
-            nodes: Arc::new(PagedNodes::new(pages)),
-            max_hot_accounts: budget * ACCOUNTS_PER_PAGE,
-            node_budget: budget * 32,
-        });
+    /// Starts the ingress gateway when one is configured. Its handle is
+    /// unscoped: ingress reports the same `gateway.*` keys whether it
+    /// fronts a flat chain or a sharded one.
+    pub(crate) fn start_gateway(&self) -> Result<Option<GatewayServer>, NetworkError> {
+        self.gateway
+            .map(|cfg| GatewayServer::start(cfg, self.metrics.clone()))
+            .transpose()
+            .map_err(|e| NetworkError::Gateway(e.to_string()))
     }
-    app.attach_store(Box::new(store));
-    Ok(())
 }
 
 /// The running consortium.
 pub struct MedicalNetwork {
-    cluster: Cluster<PoaEngine, ChainApp, Box<dyn Transport<PoaMsg>>>,
+    committee: Committee,
     sites: Vec<Site>,
     contracts: ContractAddresses,
-    nonces: HashMap<Address, u64>,
-    block_interval_ms: u64,
     registry: KeyRegistry,
     transport: TransportKind,
     metrics: Metrics,
@@ -756,17 +548,17 @@ impl MedicalNetwork {
 
     /// Current committed height (replica 0's view).
     pub fn height(&self) -> u64 {
-        self.cluster.replicas[0].app.height()
+        self.ledger().height()
     }
 
     /// Replica 0's ledger (all replicas agree under PoA).
     pub fn ledger(&self) -> &medchain_chain::Ledger {
-        self.cluster.replicas[0].app.ledger()
+        self.committee.ledger()
     }
 
     /// The ledger of a specific replica (for control-plane polling).
     pub fn ledger_of(&self, site: usize) -> &medchain_chain::Ledger {
-        self.cluster.replicas[site].app.ledger()
+        self.committee.ledger_of(site)
     }
 
     /// Out-of-band funding for tests and experiments: credits `addr` on
@@ -774,9 +566,7 @@ impl MedicalNetwork {
     /// `ShardedNetwork::fund`), so state proofs only cover it after the
     /// next committed block re-roots the headers.
     pub fn fund(&mut self, addr: Address, amount: u64) {
-        for replica in &mut self.cluster.replicas {
-            replica.app.ledger_mut().state_mut().credit(addr, amount);
-        }
+        self.committee.fund(addr, amount);
     }
 
     /// The consortium membership registry.
@@ -786,7 +576,7 @@ impl MedicalNetwork {
 
     /// Consensus network statistics.
     pub fn net_stats(&self) -> medchain_chain::net::NetStats {
-        self.cluster.net.stats()
+        committee::total_net_stats([&self.committee])
     }
 
     /// Which transport carries this network's consensus traffic.
@@ -822,7 +612,7 @@ impl MedicalNetwork {
         if let Some(gateway) = self.gateway.as_mut() {
             gateway.shutdown();
         }
-        self.cluster.shutdown();
+        self.committee.shutdown();
     }
 
     /// The ingress gateway's TCP address, when built with
@@ -852,71 +642,25 @@ impl MedicalNetwork {
     /// # Errors
     ///
     /// Returns [`NetworkError::ConsensusStalled`] if a commit round
-    /// times out.
+    /// times out, and [`NetworkError::DrainStalled`] if the tail cannot
+    /// drain because a pooled transaction sits above a nonce gap.
     pub fn serve_until(
         &mut self,
         stop: &std::sync::atomic::AtomicBool,
     ) -> Result<(), NetworkError> {
-        use std::sync::atomic::Ordering;
-        while !stop.load(Ordering::Relaxed) {
-            self.pump_gateway();
-            if self.cluster.replicas[0].app.mempool_len() > 0 {
-                self.advance(1)?;
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        // Drain the tail: requests buffered before the stop, and
-        // anything already admitted but not yet committed.
-        self.pump_gateway();
-        while self.cluster.replicas[0].app.mempool_len() > 0 {
-            self.advance(1)?;
-            self.pump_gateway();
-        }
-        Ok(())
+        committee::serve_until(
+            self,
+            stop,
+            Self::pump_gateway,
+            |net| std::slice::from_mut(&mut net.committee),
+            |_| Ok(()),
+        )
     }
 
     /// Aggregate ledger statistics across all replicas (the duplicated
     /// execution cost).
     pub fn total_ledger_stats(&self) -> medchain_chain::ledger::LedgerStats {
-        let mut total = medchain_chain::ledger::LedgerStats::default();
-        for replica in &self.cluster.replicas {
-            let stats = replica.app.stats();
-            total.blocks += stats.blocks;
-            total.transactions += stats.transactions;
-            total.gas_used += stats.gas_used;
-            total.failed += stats.failed;
-        }
-        total
-    }
-
-    fn next_nonce(&mut self, sender: Address) -> u64 {
-        let on_chain = self.cluster.replicas[0].app.ledger().state().account(&sender).nonce;
-        let tracked = self.nonces.entry(sender).or_insert(on_chain);
-        if *tracked < on_chain {
-            *tracked = on_chain;
-        }
-        let nonce = *tracked;
-        *tracked += 1;
-        nonce
-    }
-
-    /// Verifies `tx` once against the consortium registry, then fans it
-    /// out to every replica's mempool on `lane` via the verified-path
-    /// admission API (gossip shortcut: duplicate ids are deduplicated by
-    /// the pools). Returns replica 0's outcome.
-    fn submit_verified_all(&mut self, tx: Transaction, lane: Lane) -> SubmitOutcome {
-        if !tx.verify(&self.registry) {
-            return SubmitOutcome::Inadmissible;
-        }
-        let mut first: Option<SubmitOutcome> = None;
-        for replica in &mut self.cluster.replicas {
-            let outcome = replica.app.submit_verified(tx.clone(), lane);
-            if first.is_none() {
-                first = Some(outcome);
-            }
-        }
-        first.unwrap_or(SubmitOutcome::Inadmissible)
+        committee::total_ledger_stats([&self.committee])
     }
 
     /// Submits a transaction from `site` on the normal lane — the
@@ -948,30 +692,8 @@ impl MedicalNetwork {
         gas_limit: u64,
         lane: Lane,
     ) -> Result<PendingTx, NetworkError> {
-        if site >= self.sites.len() {
-            return Err(NetworkError::NoSuchSite(site));
-        }
-        let key = self.sites[site].key().clone();
-        let nonce = self.next_nonce(key.address());
-        let tx = Transaction::new(key.address(), nonce, payload, gas_limit).signed(&key);
-        let tx_id = tx.id();
-        let shard = self.ledger().shard();
-        match self.submit_verified_all(tx, lane) {
-            SubmitOutcome::Admitted { lane, .. } => Ok(PendingTx { tx_id, shard, lane }),
-            SubmitOutcome::Duplicate => Ok(PendingTx { tx_id, shard, lane: Lane::Normal }),
-            outcome @ (SubmitOutcome::Full | SubmitOutcome::Inadmissible) => {
-                // Give the burned nonce back so the next submission is
-                // not stuck behind a gap forever.
-                if let Some(tracked) = self.nonces.get_mut(&key.address()) {
-                    *tracked = tracked.saturating_sub(1);
-                }
-                let reason = match outcome {
-                    SubmitOutcome::Full => "mempool full",
-                    _ => "inadmissible",
-                };
-                Err(NetworkError::Rejected { tx_id, reason: reason.into() })
-            }
-        }
+        let site = self.sites.get(site).ok_or(NetworkError::NoSuchSite(site))?;
+        self.committee.sign_and_submit(site.key(), payload, gas_limit, lane)
     }
 
     /// Builds, signs, and submits a transaction from `site`, returning
@@ -1038,34 +760,7 @@ impl MedicalNetwork {
     /// Returns [`NetworkError`] on stall, missing receipt, proof
     /// failure, or failed execution.
     pub fn confirm(&mut self, pending: &PendingTx) -> Result<TxReceipt, NetworkError> {
-        self.advance(1)?;
-        // The transaction may land a block later if it raced the proposer.
-        if self.cluster.replicas[0].app.tx_receipt(&pending.tx_id).is_none() {
-            self.advance(1)?;
-        }
-        let receipt = self
-            .cluster
-            .replicas[0]
-            .app
-            .tx_receipt(&pending.tx_id)
-            .ok_or(NetworkError::MissingReceipt(pending.tx_id))?;
-        // Check the proof against the root from the committed header,
-        // not the root the receipt carries.
-        let root = self
-            .ledger()
-            .block(receipt.height)
-            .map(|b| b.header.tx_root)
-            .ok_or(NetworkError::ReceiptProof(pending.tx_id))?;
-        if !receipt.verify_against(&root) {
-            return Err(NetworkError::ReceiptProof(pending.tx_id));
-        }
-        if !receipt.ok {
-            return Err(NetworkError::TxFailed {
-                tx_id: pending.tx_id,
-                error: receipt.error.clone().unwrap_or_default(),
-            });
-        }
-        Ok(receipt)
+        self.committee.confirm(pending)
     }
 
     /// Runs consensus until `blocks` more blocks commit on all replicas.
@@ -1074,20 +769,12 @@ impl MedicalNetwork {
     ///
     /// Returns [`NetworkError::ConsensusStalled`] on timeout.
     pub fn advance(&mut self, blocks: u64) -> Result<RunReport, NetworkError> {
-        let target = self.height() + blocks;
-        let budget = self.cluster.net.now_ms()
-            + blocks * self.block_interval_ms * 40
-            + 20 * self.block_interval_ms * self.sites.len() as u64;
-        let report = self.cluster.run_until_height(target, budget);
-        if !report.reached {
-            return Err(NetworkError::ConsensusStalled { target, reached: self.height() });
-        }
-        Ok(report)
+        self.committee.advance(blocks)
     }
 
     /// Receipt lookup (replica 0).
     pub fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
-        self.cluster.replicas[0].app.receipt(tx_id)
+        self.committee.app().receipt(tx_id)
     }
 
     /// Commits pending transactions and returns the receipt of `tx_id`,
@@ -1098,54 +785,19 @@ impl MedicalNetwork {
     /// Returns [`NetworkError`] on stall, missing receipt, or failed
     /// execution.
     pub fn commit_and_check(&mut self, tx_id: Hash256) -> Result<Receipt, NetworkError> {
-        self.advance(1)?;
-        // The transaction may land a block later if it raced the proposer.
-        if self.receipt(&tx_id).is_none() {
-            self.advance(1)?;
-        }
-        let receipt =
-            self.receipt(&tx_id).cloned().ok_or(NetworkError::MissingReceipt(tx_id))?;
-        if !receipt.ok {
-            return Err(NetworkError::TxFailed {
-                tx_id,
-                error: receipt.error.clone().unwrap_or_default(),
-            });
-        }
-        Ok(receipt)
+        self.committee.settle(&tx_id)?;
+        self.committee.expect_ok(&[tx_id])?;
+        self.receipt(&tx_id).cloned().ok_or(NetworkError::MissingReceipt(tx_id))
     }
 
     fn deploy_standard_contracts(&mut self) -> Result<(), NetworkError> {
-        let deployer = 0usize;
-        let names = ["data_contract", "analytics_contract", "trial_contract"];
         let mut ids = Vec::new();
-        let deployer_addr = self.sites[deployer].address();
-        let mut addresses = Vec::new();
-        for name in names {
-            let nonce_before = self.nonces.get(&deployer_addr).copied().unwrap_or(0);
-            let id = self.submit_as(
-                deployer,
-                TxPayload::Deploy { code: native_manifest(name), init: Vec::new() },
-                100_000,
-            )?;
-            ids.push(id);
-            addresses.push(contract_address(&deployer_addr, nonce_before));
+        for name in ["data_contract", "analytics_contract", "trial_contract"] {
+            let code = native_manifest(name);
+            ids.push(self.submit_as(0, TxPayload::Deploy { code, init: Vec::new() }, 100_000)?);
         }
         self.advance(2)?;
-        for id in ids {
-            let receipt = self.receipt(&id).ok_or(NetworkError::MissingReceipt(id))?;
-            if !receipt.ok {
-                return Err(NetworkError::TxFailed {
-                    tx_id: id,
-                    error: receipt.error.clone().unwrap_or_default(),
-                });
-            }
-        }
-        self.contracts = ContractAddresses {
-            data: addresses[0],
-            analytics: addresses[1],
-            trial: addresses[2],
-        };
-        Ok(())
+        self.committee.expect_ok(&ids)
     }
 
     fn register_all_datasets(&mut self) -> Result<(), NetworkError> {
@@ -1171,16 +823,7 @@ impl MedicalNetwork {
             ids.push(self.submit_as(i, TxPayload::Anchor { root, label }, 1_000)?);
         }
         self.advance(2 + self.sites.len() as u64 / 32)?;
-        for id in ids {
-            let receipt = self.receipt(&id).ok_or(NetworkError::MissingReceipt(id))?;
-            if !receipt.ok {
-                return Err(NetworkError::TxFailed {
-                    tx_id: id,
-                    error: receipt.error.clone().unwrap_or_default(),
-                });
-            }
-        }
-        Ok(())
+        self.committee.expect_ok(&ids)
     }
 
     /// Grants `purpose` access on every site's dataset to `grantee` —
@@ -1208,16 +851,7 @@ impl MedicalNetwork {
             )?);
         }
         self.advance(2)?;
-        for id in ids {
-            let receipt = self.receipt(&id).ok_or(NetworkError::MissingReceipt(id))?;
-            if !receipt.ok {
-                return Err(NetworkError::TxFailed {
-                    tx_id: id,
-                    error: receipt.error.clone().unwrap_or_default(),
-                });
-            }
-        }
-        Ok(())
+        self.committee.expect_ok(&ids)
     }
 
     /// One control-plane cycle (Fig. 1): every site's control code
@@ -1234,8 +868,7 @@ impl MedicalNetwork {
         for i in 0..self.sites.len() {
             // Disjoint-field borrow: replica ledger (read) + site control
             // code (write).
-            let ledger = self.cluster.replicas[i].app.ledger();
-            let intents = self.sites[i].control_mut().step(ledger);
+            let intents = self.sites[i].control_mut().step(self.committee.ledger_of(i));
             for intent in intents {
                 actions.push((i, intent));
             }
@@ -1263,23 +896,15 @@ impl GatewayBackend for MedicalNetwork {
     }
 
     fn admit_verified(&mut self, tx: Transaction, lane: Lane) -> (ShardId, SubmitOutcome) {
-        let shard = self.ledger().shard();
-        let mut first: Option<SubmitOutcome> = None;
-        for replica in &mut self.cluster.replicas {
-            let outcome = replica.app.submit_verified(tx.clone(), lane);
-            if first.is_none() {
-                first = Some(outcome);
-            }
-        }
-        (shard, first.unwrap_or(SubmitOutcome::Inadmissible))
+        (self.ledger().shard(), self.committee.admit_verified(tx, lane))
     }
 
     fn find_receipt(&self, tx_id: &Hash256) -> Option<TxReceipt> {
-        self.cluster.replicas[0].app.tx_receipt(tx_id)
+        self.committee.app().tx_receipt(tx_id)
     }
 
     fn is_pending(&self, tx_id: &Hash256) -> bool {
-        self.cluster.replicas[0].app.mempool_contains(tx_id)
+        self.committee.app().mempool_contains(tx_id)
     }
 
     fn query_state(&self, key: &LeafKey, shard: Option<ShardId>) -> Option<StateProof> {
@@ -1517,63 +1142,6 @@ mod tests {
         let receipt = net.commit_and_check(id).unwrap();
         assert_eq!(receipt.events[0].topic, events::DATA_REQUESTED);
         assert!(net.height() > height);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn wiped_site_rejoins_via_streamed_snapshot() {
-        let root = std::env::temp_dir()
-            .join(format!("medchain-net-rejoin-{}", std::process::id()));
-        if root.exists() {
-            std::fs::remove_dir_all(&root).unwrap();
-        }
-        let build = |root: &std::path::Path| {
-            MedicalNetwork::builder()
-                .site("hospital-0", records(0, 40))
-                .site("hospital-1", records(1, 40))
-                .site("hospital-2", records(2, 40))
-                .storage_with(root, StorageConfig { snapshot_every: 4, ..Default::default() })
-                .build()
-                .unwrap()
-        };
-
-        // First life: commit work beyond the one-time setup.
-        let mut net = build(&root);
-        net.grant_all(net.site(1).address(), Purpose::Research).unwrap();
-        let height = net.height();
-        let tip = net.ledger().tip().id();
-        drop(net);
-
-        // Site 2 loses its entire data directory.
-        std::fs::remove_dir_all(root.join("site-2")).unwrap();
-
-        // Second life: the wiped site must stream a peer's snapshot +
-        // WAL tail and come back agreeing with the cohort, and the
-        // consortium must keep committing.
-        let mut net = build(&root);
-        assert!(net.resumed());
-        assert_eq!(net.height(), height);
-        for site in 0..3 {
-            assert_eq!(net.ledger_of(site).tip().id(), tip, "site {site} disagrees");
-        }
-        let id = net
-            .invoke_as(
-                1,
-                net.contracts().data,
-                "request",
-                &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
-                50_000,
-            )
-            .unwrap();
-        net.commit_and_check(id).unwrap();
-        assert!(net.height() > height);
-        // Third life: the rejoined site's adopted snapshot + appended
-        // tail must now recover natively, with no peer involved.
-        drop(net);
-        let net = build(&root);
-        assert!(net.resumed());
-        let tips: Vec<Hash256> = (0..3).map(|i| net.ledger_of(i).tip().id()).collect();
-        assert!(tips.windows(2).all(|w| w[0] == w[1]));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -22,41 +22,19 @@
 //! routes invokes back to the sub-chain that holds the code.
 
 use crate::client::PendingTx;
+use crate::committee::{self, Committee, CommitteeSpec};
 use crate::gateway::{GatewayBackend, GatewayServer, PumpReport};
-use crate::network::{client_keys_for, NetworkBuilder, NetworkError, TransportKind};
-use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
-use medchain_chain::consensus::{Application, Cluster};
-use medchain_chain::ledger::NullRuntime;
-use medchain_chain::net::{NodeId, SimTransport, TcpTransport, Transport};
-use medchain_chain::node::{ChainApp, SubmitOutcome};
+use crate::network::{NetworkBuilder, NetworkError, TransportKind};
+use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::shard::{shard_for_key, shard_for_tx, CrossLink, ShardId};
 use medchain_chain::{
-    Address, AuthorityKey, Hash256, KeyRegistry, Lane, LeafKey, Receipt, StateProof, Transaction,
-    TxPayload, XsLeg, XsLock,
+    Address, AuthorityKey, Hash256, KeyRegistry, Lane, LeafKey, Ledger, Receipt, StateProof,
+    Transaction, TxPayload, XsLeg, XsLock,
 };
-use medchain_contracts::runtime::Runtime;
 use medchain_runtime::metrics::Metrics;
-use medchain_storage::{DiskStore, RecoveryReport};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-
-type PoaCluster = Cluster<PoaEngine, ChainApp, Box<dyn Transport<PoaMsg>>>;
-
-/// One committee and the sub-chain it drives: either a data shard
-/// (subset of sites, contract runtime installed) or the coordinator
-/// (every site, cross-links only).
-struct Committee {
-    /// Global site indices; the local replica index is the position.
-    sites: Vec<usize>,
-    cluster: PoaCluster,
-}
-
-impl Committee {
-    fn ledger(&self) -> &medchain_chain::Ledger {
-        self.cluster.replicas[0].app.ledger()
-    }
-}
 
 /// Handle to an in-flight cross-shard transfer: two prepare legs under
 /// one transaction id, resolved by the coordinator chain
@@ -86,13 +64,11 @@ pub struct XsResolution {
 /// chain. Built with [`NetworkBuilder::shards`] +
 /// [`NetworkBuilder::build_sharded`].
 pub struct ShardedNetwork {
-    committees: Vec<Committee>,
-    coordinator: Committee,
+    /// The `k` data-shard committees by shard index, then the
+    /// coordinator's (every site) last.
+    chains: Vec<Committee>,
     keys: Vec<AuthorityKey>,
     site_names: Vec<String>,
-    /// Account nonces are per-ledger, so track them per (chain, sender).
-    nonces: HashMap<(u16, Address), u64>,
-    block_interval_ms: u64,
     registry: KeyRegistry,
     transport: TransportKind,
     metrics: Metrics,
@@ -108,167 +84,10 @@ impl fmt::Debug for ShardedNetwork {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedNetwork")
             .field("sites", &self.keys.len())
-            .field("shards", &self.committees.len())
-            .field("coordinator_height", &self.coordinator.ledger().height())
+            .field("shards", &self.shard_count())
+            .field("coordinator_height", &self.coordinator_ledger().height())
             .finish()
     }
-}
-
-fn make_transport(
-    kind: TransportKind,
-    n: usize,
-    seed: u64,
-    metrics: &Metrics,
-) -> Result<Box<dyn Transport<PoaMsg>>, NetworkError> {
-    Ok(match kind {
-        TransportKind::Sim => {
-            let mut sim = SimTransport::new(n, seed);
-            sim.set_metrics(metrics.clone());
-            Box::new(sim)
-        }
-        TransportKind::Tcp => {
-            // Each committee binds its own loopback listeners on
-            // OS-assigned ports; MEDCHAIN_TCP_ADDRS addresses one flat
-            // cluster and does not apply to a sharded topology.
-            let mut tcp = TcpTransport::bind(n)
-                .map_err(|e| NetworkError::TransportInit(e.to_string()))?;
-            tcp.set_metrics(metrics.clone());
-            Box::new(tcp)
-        }
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn make_committee(
-    shard: ShardId,
-    sites: Vec<usize>,
-    shard_count: u16,
-    keys: &[AuthorityKey],
-    registry: &KeyRegistry,
-    builder: &NetworkBuilder,
-    seed: u64,
-    metrics: Metrics,
-) -> Result<(Committee, Vec<RecoveryReport>), NetworkError> {
-    let chain_id =
-        if shard.is_coordinator() { "medchain/coordinator".to_string() } else { format!("medchain/{shard}") };
-    let validators: Vec<Address> = sites.iter().map(|&g| keys[g].address()).collect();
-    let engines: Vec<PoaEngine> = sites
-        .iter()
-        .enumerate()
-        .map(|(local, &g)| {
-            PoaEngine::new(
-                NodeId(local),
-                keys[g].clone(),
-                validators.clone(),
-                registry.clone(),
-                builder.block_interval_ms,
-            )
-        })
-        .collect();
-    let mut apps: Vec<ChainApp> = sites
-        .iter()
-        .enumerate()
-        .map(|(local, _)| {
-            let runtime: Box<dyn medchain_chain::ContractRuntime> = if shard.is_coordinator() {
-                // The coordinator holds cross-links only; no contracts.
-                Box::new(NullRuntime)
-            } else {
-                Box::new(Runtime::standard())
-            };
-            let mut app =
-                ChainApp::sharded(&chain_id, shard, shard_count, registry.clone(), runtime);
-            app.set_timestamp_quantum_ms(builder.block_interval_ms);
-            app.ledger_mut().set_parallel_exec(builder.parallel_exec);
-            if local == 0 {
-                app.set_metrics(metrics.clone());
-            }
-            app
-        })
-        .collect();
-    // Durable per-shard storage: `<root>/<shard>/site-<local>`, recovered
-    // before consensus restarts (cross-link agreement is re-checked by
-    // the caller once the coordinator is recovered too).
-    let mut reports = Vec::new();
-    if let Some((root, config)) = &builder.storage {
-        let mut stores = Vec::with_capacity(apps.len());
-        let mut dirs = Vec::with_capacity(apps.len());
-        for (local, app) in apps.iter_mut().enumerate() {
-            let dir = root.join(shard.to_string()).join(format!("site-{local}"));
-            let store_metrics = if local == 0 { metrics.clone() } else { Metrics::noop() };
-            let mut store = DiskStore::open_with_metrics(dir.clone(), *config, store_metrics)
-                .map_err(|e| NetworkError::Storage(format!("{shard}: {e}")))?;
-            let report = store
-                .recover_into(app.ledger_mut())
-                .map_err(|e| NetworkError::Storage(format!("{shard} site {local}: {e}")))?;
-            stores.push(store);
-            dirs.push(dir);
-            reports.push(report);
-        }
-        // The kill-and-restart path: a committee member whose data
-        // directory was wiped (or stalled behind the cohort) rejoins by
-        // streaming the best member's snapshot + WAL tail (DESIGN.md
-        // §14) instead of failing the whole restart.
-        let fresh_chain_id = chain_id.clone();
-        let fresh_metrics = metrics.clone();
-        let fresh_registry = registry.clone();
-        let interval = builder.block_interval_ms;
-        let parallel = builder.parallel_exec;
-        let fresh_app = move |local: usize| {
-            let runtime: Box<dyn medchain_chain::ContractRuntime> = if shard.is_coordinator() {
-                Box::new(NullRuntime)
-            } else {
-                Box::new(Runtime::standard())
-            };
-            let mut app = ChainApp::sharded(
-                &fresh_chain_id,
-                shard,
-                shard_count,
-                fresh_registry.clone(),
-                runtime,
-            );
-            app.set_timestamp_quantum_ms(interval);
-            app.ledger_mut().set_parallel_exec(parallel);
-            if local == 0 {
-                app.set_metrics(fresh_metrics.clone());
-            }
-            app
-        };
-        crate::network::bootstrap_lagging(
-            &mut apps,
-            &mut stores,
-            &dirs,
-            *config,
-            &metrics,
-            &fresh_app,
-            &shard.to_string(),
-        )?;
-        // Reports describe the state consensus restarts from, so fold
-        // any streamed rejoin back in before the caller's cross-link
-        // agreement check.
-        for (local, report) in reports.iter_mut().enumerate() {
-            report.height = apps[local].ledger().height();
-            report.tip_id = apps[local].ledger().tip().id();
-        }
-        // All replicas of one committee live in this process, so after
-        // local recovery plus streamed rejoin they must agree before
-        // consensus restarts.
-        let tip0 = reports[0].tip_id;
-        if let Some((local, r)) = reports.iter().enumerate().find(|(_, r)| r.tip_id != tip0) {
-            return Err(NetworkError::Storage(format!(
-                "{shard}: site {local} recovered tip {:?} but site 0 recovered {tip0:?}",
-                r.tip_id
-            )));
-        }
-        let cache_pages = crate::network::effective_cache_pages(builder.state_cache_pages);
-        for (local, (app, store)) in apps.iter_mut().zip(stores).enumerate() {
-            let store_metrics = if local == 0 { metrics.clone() } else { Metrics::noop() };
-            crate::network::attach_site_store(app, store, cache_pages, store_metrics)?;
-        }
-    }
-    let net = make_transport(builder.transport, sites.len(), seed, &metrics)?;
-    let mut cluster = Cluster::with_transport(engines, apps, net);
-    cluster.set_metrics(metrics);
-    Ok((Committee { sites, cluster }, reports))
 }
 
 impl NetworkBuilder {
@@ -302,58 +121,36 @@ impl NetworkBuilder {
             n >= k as usize,
             "{n} sites cannot fill {k} shard committees"
         );
-        let keys: Vec<AuthorityKey> =
-            (0..n).map(|i| AuthorityKey::from_seed(i as u64)).collect();
-        let mut registry = KeyRegistry::new();
-        for key in &keys {
-            registry.enroll(key);
-        }
-        // Gateway clients enroll before committees clone the registry,
-        // so their signatures verify on every shard.
-        let client_keys = client_keys_for(self.gateway.as_ref());
-        for key in &client_keys {
-            registry.enroll(key);
-        }
-        let site_names: Vec<String> = self.sites.iter().map(|(name, _)| name.clone()).collect();
-
-        let mut committees = Vec::with_capacity(k as usize);
-        let mut shard_reports = Vec::with_capacity(k as usize);
-        for s in 0..k {
-            let members: Vec<usize> = (0..n).filter(|i| i % k as usize == s as usize).collect();
-            let shard = ShardId(s);
-            let (committee, reports) = make_committee(
+        let (keys, client_keys, registry) = self.enroll();
+        // Each committee keeps its own chain id, `<root>/<shard>/site-<local>`
+        // directories, sim seed and metrics scope (`shard-0.*`,
+        // `coordinator.*`).
+        let build = |shard: ShardId, sites: Vec<usize>, seed: u64| {
+            let spec = CommitteeSpec {
+                chain_id: format!("medchain/{shard}"),
                 shard,
-                members,
-                k,
-                &keys,
-                &registry,
-                &self,
-                self.seed.wrapping_add(1 + u64::from(s)),
-                self.metrics.scoped(&shard.to_string()),
-            )?;
-            committees.push(committee);
-            shard_reports.push(reports);
+                shard_count: k,
+                sites,
+                dir: self.storage.as_ref().map(|(root, _)| root.join(shard.to_string())),
+                seed,
+                metrics: self.metrics.scoped(&shard.to_string()),
+                bind_from_env: false,
+                latest_state: None,
+            };
+            Committee::build(&self, &keys, &registry, spec)
+        };
+        let mut chains = Vec::with_capacity(k as usize + 1);
+        for s in 0..k {
+            let members = (0..n).filter(|i| i % k as usize == s as usize).collect();
+            chains.push(build(ShardId(s), members, self.seed.wrapping_add(1 + u64::from(s)))?);
         }
-        let (coordinator, coordinator_reports) = make_committee(
-            ShardId::COORDINATOR,
-            (0..n).collect(),
-            k,
-            &keys,
-            &registry,
-            &self,
-            self.seed,
-            self.metrics.scoped("coordinator"),
-        )?;
+        chains.push(build(ShardId::COORDINATOR, (0..n).collect(), self.seed)?);
 
-        let resumed = coordinator_reports.first().map(|r| r.height > 0).unwrap_or(false)
-            || shard_reports.iter().any(|r| r.first().map(|r| r.height > 0).unwrap_or(false));
+        let resumed = chains.iter().any(|chain| chain.ledger().height() > 0);
         let mut network = ShardedNetwork {
-            committees,
-            coordinator,
+            chains,
             keys,
-            site_names,
-            nonces: HashMap::new(),
-            block_interval_ms: self.block_interval_ms,
+            site_names: self.sites.iter().map(|(name, _)| name.clone()).collect(),
             registry,
             transport: self.transport,
             metrics: self.metrics.clone(),
@@ -365,13 +162,7 @@ impl NetworkBuilder {
         if resumed {
             network.check_recovery_against_cross_links()?;
         }
-        if let Some(cfg) = self.gateway {
-            // Unscoped handle: ingress reports the same `gateway.*` keys
-            // whether it fronts a flat chain or a sharded one.
-            let server = GatewayServer::start(cfg, self.metrics.clone())
-                .map_err(|e| NetworkError::Gateway(e.to_string()))?;
-            network.gateway = Some(server);
-        }
+        network.gateway = self.start_gateway()?;
         Ok(network)
     }
 }
@@ -379,7 +170,7 @@ impl NetworkBuilder {
 impl ShardedNetwork {
     /// Number of data shards.
     pub fn shard_count(&self) -> u16 {
-        self.committees.len() as u16
+        self.chains.len() as u16 - 1
     }
 
     /// Number of sites (every site is a validator of exactly one data
@@ -399,7 +190,7 @@ impl ShardedNetwork {
     ///
     /// Panics if `shard` is out of range.
     pub fn committee_sites(&self, shard: ShardId) -> &[usize] {
-        &self.committees[shard.0 as usize].sites
+        self.shards()[shard.0 as usize].sites()
     }
 
     /// The sub-chain ledger of `shard` (committee replica 0's view).
@@ -407,14 +198,14 @@ impl ShardedNetwork {
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn ledger_of_shard(&self, shard: ShardId) -> &medchain_chain::Ledger {
-        self.committees[shard.0 as usize].ledger()
+    pub fn ledger_of_shard(&self, shard: ShardId) -> &Ledger {
+        self.shards()[shard.0 as usize].ledger()
     }
 
     /// The coordinator chain's ledger (its world state holds the newest
     /// [`medchain_chain::CrossLinkRecord`] per shard).
-    pub fn coordinator_ledger(&self) -> &medchain_chain::Ledger {
-        self.coordinator.ledger()
+    pub fn coordinator_ledger(&self) -> &Ledger {
+        self.committee(ShardId::COORDINATOR).ledger()
     }
 
     /// The consortium membership registry.
@@ -441,7 +232,7 @@ impl ShardedNetwork {
 
     /// Committed height of every data sub-chain, indexed by shard.
     pub fn shard_heights(&self) -> Vec<u64> {
-        self.committees.iter().map(|c| c.ledger().height()).collect()
+        self.shards().iter().map(|c| c.ledger().height()).collect()
     }
 
     /// Deterministic routing of a payload submitted by `site` — the rule
@@ -451,71 +242,38 @@ impl ShardedNetwork {
         shard_for_tx(&tx, self.shard_count())
     }
 
-    fn chain_key(shard: ShardId) -> u16 {
-        shard.0
+    /// The data-shard committees, indexed by shard.
+    fn shards(&self) -> &[Committee] {
+        &self.chains[..self.chains.len() - 1]
     }
 
-    fn next_nonce(&mut self, shard: ShardId, sender: Address) -> u64 {
-        let on_chain = if shard.is_coordinator() {
-            self.coordinator.ledger().state().account(&sender).nonce
-        } else {
-            self.committees[shard.0 as usize].ledger().state().account(&sender).nonce
-        };
-        let tracked = self.nonces.entry((Self::chain_key(shard), sender)).or_insert(on_chain);
-        if *tracked < on_chain {
-            *tracked = on_chain;
-        }
-        let nonce = *tracked;
-        *tracked += 1;
-        nonce
+    /// Position of `shard`'s committee in `chains` (coordinator last).
+    fn index_of(&self, shard: ShardId) -> usize {
+        if shard.is_coordinator() { self.chains.len() - 1 } else { shard.0 as usize }
     }
 
     fn committee(&self, shard: ShardId) -> &Committee {
-        if shard.is_coordinator() {
-            &self.coordinator
-        } else {
-            &self.committees[shard.0 as usize]
-        }
+        &self.chains[self.index_of(shard)]
     }
 
-    /// Fans an already-verified transaction out to every replica of the
-    /// target committee; the reported outcome is replica 0's (replicas
-    /// share deterministic state, so they agree).
-    fn submit_verified_to_committee(
+    fn committee_mut(&mut self, shard: ShardId) -> &mut Committee {
+        let index = self.index_of(shard);
+        &mut self.chains[index]
+    }
+
+    /// Signs `payload` with `site`'s key at its next nonce on `shard`'s
+    /// chain and submits it there.
+    fn submit_on(
         &mut self,
         shard: ShardId,
-        tx: Transaction,
+        site: usize,
+        payload: TxPayload,
+        gas_limit: u64,
         lane: Lane,
-    ) -> SubmitOutcome {
-        let committee = if shard.is_coordinator() {
-            &mut self.coordinator
-        } else {
-            &mut self.committees[shard.0 as usize]
-        };
-        let mut first: Option<SubmitOutcome> = None;
-        for replica in &mut committee.cluster.replicas {
-            let outcome = replica.app.submit_verified(tx.clone(), lane);
-            if first.is_none() {
-                first = Some(outcome);
-            }
-        }
-        first.unwrap_or(SubmitOutcome::Inadmissible)
-    }
-
-    /// Verifies the signature once, then fans out to the committee.
-    fn submit_to_committee(&mut self, shard: ShardId, tx: Transaction, lane: Lane) -> SubmitOutcome {
-        if !tx.verify(&self.registry) {
-            return SubmitOutcome::Inadmissible;
-        }
-        self.submit_verified_to_committee(shard, tx, lane)
-    }
-
-    /// Rolls back a client-side nonce reservation after a rejected
-    /// submission, so the next attempt does not leave a gap.
-    fn unreserve_nonce(&mut self, shard: ShardId, sender: Address) {
-        if let Some(tracked) = self.nonces.get_mut(&(Self::chain_key(shard), sender)) {
-            *tracked = tracked.saturating_sub(1);
-        }
+    ) -> Result<PendingTx, NetworkError> {
+        let key = self.keys.get(site).ok_or(NetworkError::NoSuchSite(site))?;
+        let index = self.index_of(shard);
+        self.chains[index].sign_and_submit(key, payload, gas_limit, lane)
     }
 
     /// Builds, signs, routes, and submits a transaction from `site`,
@@ -580,23 +338,7 @@ impl ShardedNetwork {
             ));
         }
         let shard = self.route(site, &payload);
-        let key = self.keys[site].clone();
-        let sender = key.address();
-        let nonce = self.next_nonce(shard, sender);
-        let tx = Transaction::new(sender, nonce, payload, gas_limit).signed(&key);
-        let tx_id = tx.id();
-        match self.submit_to_committee(shard, tx, lane) {
-            SubmitOutcome::Admitted { lane, .. } => Ok(PendingTx { tx_id, shard, lane }),
-            SubmitOutcome::Duplicate => Ok(PendingTx { tx_id, shard, lane }),
-            SubmitOutcome::Full => {
-                self.unreserve_nonce(shard, sender);
-                Err(NetworkError::Rejected { tx_id, reason: "mempool full".into() })
-            }
-            SubmitOutcome::Inadmissible => {
-                self.unreserve_nonce(shard, sender);
-                Err(NetworkError::Rejected { tx_id, reason: "inadmissible".into() })
-            }
-        }
+        self.submit_on(shard, site, payload, gas_limit, lane)
     }
 
     /// Commits pending work on the transaction's sub-chain and returns
@@ -610,40 +352,7 @@ impl ShardedNetwork {
     /// [`NetworkError::ReceiptProof`] if the inclusion proof does not
     /// check out, and [`NetworkError::TxFailed`] if execution failed.
     pub fn confirm(&mut self, pending: &PendingTx) -> Result<TxReceipt, NetworkError> {
-        let shard = pending.shard;
-        let mut receipt = None;
-        for _ in 0..2 {
-            if shard.is_coordinator() {
-                self.advance_coordinator(1)?;
-            } else {
-                Self::advance_committee(
-                    &mut self.committees[shard.0 as usize],
-                    1,
-                    self.block_interval_ms,
-                )?;
-            }
-            receipt = self.committee(shard).cluster.replicas[0].app.tx_receipt(&pending.tx_id);
-            if receipt.is_some() {
-                break;
-            }
-        }
-        let receipt = receipt.ok_or(NetworkError::MissingReceipt(pending.tx_id))?;
-        let root = self
-            .committee(shard)
-            .ledger()
-            .block(receipt.height)
-            .map(|b| b.header.tx_root)
-            .ok_or(NetworkError::ReceiptProof(pending.tx_id))?;
-        if !receipt.verify_against(&root) {
-            return Err(NetworkError::ReceiptProof(pending.tx_id));
-        }
-        if !receipt.ok {
-            return Err(NetworkError::TxFailed {
-                tx_id: pending.tx_id,
-                error: receipt.error.clone().unwrap_or_else(|| "execution failed".into()),
-            });
-        }
-        Ok(receipt)
+        self.committee_mut(pending.shard).confirm(pending)
     }
 
     /// Operator-directed contract placement: submits a deploy from
@@ -665,44 +374,13 @@ impl ShardedNetwork {
         init: Vec<u8>,
         gas_limit: u64,
     ) -> Result<Hash256, NetworkError> {
-        if site >= self.keys.len() {
-            return Err(NetworkError::NoSuchSite(site));
-        }
-        if shard.0 as usize >= self.committees.len() {
+        if shard.0 >= self.shard_count() {
             return Err(NetworkError::CrossLink(format!(
                 "cannot deploy to {shard}: not a data shard"
             )));
         }
-        let key = self.keys[site].clone();
-        let sender = key.address();
-        let nonce = self.next_nonce(shard, sender);
-        let tx = Transaction::new(sender, nonce, TxPayload::Deploy { code, init }, gas_limit)
-            .signed(&key);
-        let id = tx.id();
-        if !self.submit_to_committee(shard, tx, Lane::Normal).is_admitted() {
-            self.unreserve_nonce(shard, sender);
-            return Err(NetworkError::Rejected { tx_id: id, reason: "deploy not admitted".into() });
-        }
-        Ok(id)
-    }
-
-    fn advance_committee(
-        committee: &mut Committee,
-        blocks: u64,
-        block_interval_ms: u64,
-    ) -> Result<(), NetworkError> {
-        let target = committee.cluster.replicas[0].app.height() + blocks;
-        let budget = committee.cluster.net.now_ms()
-            + blocks * block_interval_ms * 40
-            + 20 * block_interval_ms * committee.sites.len() as u64;
-        let report = committee.cluster.run_until_height(target, budget);
-        if !report.reached {
-            return Err(NetworkError::ConsensusStalled {
-                target,
-                reached: committee.cluster.replicas[0].app.height(),
-            });
-        }
-        Ok(())
+        let deploy = TxPayload::Deploy { code, init };
+        Ok(self.submit_on(shard, site, deploy, gas_limit, Lane::Normal)?.tx_id)
     }
 
     /// Runs every data-shard committee until `blocks` more blocks commit
@@ -714,8 +392,9 @@ impl ShardedNetwork {
     /// Returns [`NetworkError::ConsensusStalled`] if any committee times
     /// out.
     pub fn advance(&mut self, blocks: u64) -> Result<(), NetworkError> {
-        for committee in &mut self.committees {
-            Self::advance_committee(committee, blocks, self.block_interval_ms)?;
+        let k = self.shard_count() as usize;
+        for committee in &mut self.chains[..k] {
+            committee.advance(blocks)?;
         }
         Ok(())
     }
@@ -726,7 +405,7 @@ impl ShardedNetwork {
     ///
     /// Returns [`NetworkError::ConsensusStalled`] on timeout.
     pub fn advance_coordinator(&mut self, blocks: u64) -> Result<(), NetworkError> {
-        Self::advance_committee(&mut self.coordinator, blocks, self.block_interval_ms)
+        self.committee_mut(ShardId::COORDINATOR).advance(blocks).map(drop)
     }
 
     /// The current tip of `shard`'s sub-chain as a [`CrossLink`] claim.
@@ -749,7 +428,7 @@ impl ShardedNetwork {
     ///
     /// Returns [`NetworkError::CrossLink`] describing the violation.
     pub fn verify_link(&self, link: &CrossLink) -> Result<(), NetworkError> {
-        let Some(committee) = self.committees.get(link.shard.0 as usize) else {
+        let Some(committee) = self.shards().get(link.shard.0 as usize) else {
             return Err(NetworkError::CrossLink(format!(
                 "cross-link names unknown shard {}",
                 link.shard
@@ -787,27 +466,11 @@ impl ShardedNetwork {
     /// Returns [`NetworkError::CrossLink`] if verification fails.
     pub fn submit_cross_link(&mut self, link: CrossLink) -> Result<Hash256, NetworkError> {
         self.verify_link(&link)?;
-        let key = self.keys[0].clone();
-        let sender = key.address();
-        let nonce = self.next_nonce(ShardId::COORDINATOR, sender);
-        let tx = Transaction::new(
-            sender,
-            nonce,
-            TxPayload::CrossLink { shard: link.shard, height: link.height, tip: link.tip },
-            1_000,
-        )
-        .signed(&key);
-        let id = tx.id();
+        let payload =
+            TxPayload::CrossLink { shard: link.shard, height: link.height, tip: link.tip };
         // Control-plane traffic rides the priority lane: a cross-link
         // must land even when data shards saturate the normal lane.
-        if !self.submit_to_committee(ShardId::COORDINATOR, tx, Lane::Priority).is_admitted() {
-            self.unreserve_nonce(ShardId::COORDINATOR, sender);
-            return Err(NetworkError::Rejected {
-                tx_id: id,
-                reason: "coordinator mempool refused the cross-link".into(),
-            });
-        }
-        Ok(id)
+        Ok(self.submit_on(ShardId::COORDINATOR, 0, payload, 1_000, Lane::Priority)?.tx_id)
     }
 
     /// One cross-link round: for every shard whose sub-chain advanced
@@ -821,8 +484,7 @@ impl ShardedNetwork {
     /// fails.
     pub fn cross_link(&mut self) -> Result<Vec<CrossLink>, NetworkError> {
         let recorded: HashMap<u16, u64> = self
-            .coordinator
-            .ledger()
+            .coordinator_ledger()
             .state()
             .cross_links()
             .map(|(shard, record)| (shard.0, record.height))
@@ -839,65 +501,32 @@ impl ShardedNetwork {
             ids.push(self.submit_cross_link(*link)?);
         }
         self.advance_coordinator(2)?;
-        for (id, link) in ids.iter().zip(&links) {
-            match self.coordinator.cluster.replicas[0].app.receipt(id) {
-                None => return Err(NetworkError::MissingReceipt(*id)),
-                Some(receipt) if !receipt.ok => {
-                    return Err(NetworkError::TxFailed {
-                        tx_id: *id,
-                        error: receipt
-                            .error
-                            .clone()
-                            .unwrap_or_else(|| format!("cross-link for {} failed", link.shard)),
-                    });
-                }
-                Some(_) => {}
-            }
-        }
+        self.committee(ShardId::COORDINATOR).expect_ok(&ids)?;
         Ok(links)
     }
 
     /// Receipt lookup on `shard`'s sub-chain (replica 0).
     pub fn receipt_on(&self, shard: ShardId, tx_id: &Hash256) -> Option<&Receipt> {
-        self.committee(shard).cluster.replicas[0].app.receipt(tx_id)
+        self.committee(shard).app().receipt(tx_id)
     }
 
     /// Aggregate ledger statistics across every replica of every
     /// committee (data shards and coordinator) — the total duplicated
     /// execution cost of the sharded topology.
     pub fn total_ledger_stats(&self) -> medchain_chain::ledger::LedgerStats {
-        let mut total = medchain_chain::ledger::LedgerStats::default();
-        for committee in self.committees.iter().chain(std::iter::once(&self.coordinator)) {
-            for replica in &committee.cluster.replicas {
-                let stats = replica.app.stats();
-                total.blocks += stats.blocks;
-                total.transactions += stats.transactions;
-                total.gas_used += stats.gas_used;
-                total.failed += stats.failed;
-            }
-        }
-        total
+        committee::total_ledger_stats(&self.chains)
     }
 
     /// Per-shard gas executed on one replica of each sub-chain — the
     /// per-committee slice of the workload (index = shard).
     pub fn shard_gas(&self) -> Vec<u64> {
-        self.committees.iter().map(|c| c.ledger().stats().gas_used).collect()
+        self.shards().iter().map(|c| c.ledger().stats().gas_used).collect()
     }
 
     /// Aggregate transport statistics over all committees and the
     /// coordinator.
     pub fn net_stats(&self) -> medchain_chain::net::NetStats {
-        let mut total = medchain_chain::net::NetStats::default();
-        for committee in self.committees.iter().chain(std::iter::once(&self.coordinator)) {
-            let stats = committee.cluster.net.stats();
-            total.sent += stats.sent;
-            total.delivered += stats.delivered;
-            total.dropped += stats.dropped;
-            total.bytes += stats.bytes;
-            total.backpressure += stats.backpressure;
-        }
-        total
+        committee::total_net_stats(&self.chains)
     }
 
     /// The ingress gateway's listen address, when one was configured
@@ -921,52 +550,28 @@ impl ShardedNetwork {
         report
     }
 
-    /// Advances every chain (data shards and coordinator) that has
-    /// pending transactions by one block. Returns whether any advanced.
-    fn advance_pending(&mut self) -> Result<bool, NetworkError> {
-        let mut advanced = false;
-        for committee in &mut self.committees {
-            if committee.cluster.replicas[0].app.mempool_len() > 0 {
-                Self::advance_committee(committee, 1, self.block_interval_ms)?;
-                advanced = true;
-            }
-        }
-        if self.coordinator.cluster.replicas[0].app.mempool_len() > 0 {
-            Self::advance_committee(&mut self.coordinator, 1, self.block_interval_ms)?;
-            advanced = true;
-        }
-        Ok(advanced)
-    }
-
     /// Serves gateway traffic until `stop` is raised: pump admissions,
-    /// commit blocks on whichever sub-chains have pending work, then
-    /// drain the in-flight tail so every accepted transaction commits.
+    /// commit blocks on whichever sub-chains have pending work and drive
+    /// in-flight 2PC transfers (commit fully-locked ones, timeout-abort
+    /// stragglers; cheap when no locks are held), then drain the
+    /// in-flight tail so every accepted transaction commits.
     ///
     /// # Errors
     ///
     /// Returns [`NetworkError::ConsensusStalled`] if a commit round
-    /// times out.
+    /// times out, and [`NetworkError::DrainStalled`] if the tail cannot
+    /// drain because a pooled transaction sits above a nonce gap.
     pub fn serve_until(
         &mut self,
         stop: &std::sync::atomic::AtomicBool,
     ) -> Result<(), NetworkError> {
-        use std::sync::atomic::Ordering;
-        while !stop.load(Ordering::Relaxed) {
-            self.pump_gateway();
-            let advanced = self.advance_pending()?;
-            // Drive in-flight 2PC transfers: commit fully-locked ones,
-            // timeout-abort stragglers. Cheap when no locks are held.
-            self.resolve_cross_shard()?;
-            if !advanced {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        self.pump_gateway();
-        while self.advance_pending()? {
-            self.pump_gateway();
-        }
-        self.resolve_cross_shard()?;
-        Ok(())
+        committee::serve_until(
+            self,
+            stop,
+            Self::pump_gateway,
+            |net| &mut net.chains,
+            |net| net.resolve_cross_shard().map(drop),
+        )
     }
 
     /// Gracefully releases the gateway and every committee's transport.
@@ -974,10 +579,7 @@ impl ShardedNetwork {
         if let Some(mut gateway) = self.gateway.take() {
             gateway.shutdown();
         }
-        for committee in &mut self.committees {
-            committee.cluster.shutdown();
-        }
-        self.coordinator.cluster.shutdown();
+        self.chains.iter_mut().for_each(Committee::shutdown);
     }
 
     // ------------------------------------------------------------------
@@ -988,7 +590,7 @@ impl ShardedNetwork {
     /// Wall/sim clock of the coordinator committee, the reference clock
     /// for 2PC prepare deadlines.
     pub fn now_ms(&self) -> u64 {
-        self.coordinator.cluster.net.now_ms()
+        self.committee(ShardId::COORDINATOR).now_ms()
     }
 
     /// Out-of-band funding for tests and experiments: credits `addr` on
@@ -998,21 +600,19 @@ impl ShardedNetwork {
     /// `snapshot_every: 1`, or fund again on resume).
     pub fn fund(&mut self, addr: Address, amount: u64) {
         let shard = shard_for_key(&addr.0, self.shard_count());
-        for replica in &mut self.committees[shard.0 as usize].cluster.replicas {
-            replica.app.ledger_mut().state_mut().credit(addr, amount);
-        }
+        self.committee_mut(shard).fund(addr, amount);
     }
 
     /// Spendable balance of `addr` on its home sub-chain.
     pub fn balance_of(&self, addr: &Address) -> u64 {
         let shard = shard_for_key(&addr.0, self.shard_count());
-        self.committees[shard.0 as usize].ledger().state().account(addr).balance
+        self.ledger_of_shard(shard).state().account(addr).balance
     }
 
     /// The 2PC lock held on `addr`'s home sub-chain, if any.
     pub fn lock_of(&self, addr: &Address) -> Option<XsLock> {
         let shard = shard_for_key(&addr.0, self.shard_count());
-        self.committees[shard.0 as usize].ledger().state().lock(addr)
+        self.ledger_of_shard(shard).state().lock(addr)
     }
 
     /// Submits one 2PC prepare leg from `site`: lock `account` on its
@@ -1091,7 +691,7 @@ impl ShardedNetwork {
     /// cross-shard transaction id.
     fn collect_locks(&self) -> BTreeMap<Hash256, Vec<(ShardId, Address, XsLock)>> {
         let mut groups: BTreeMap<Hash256, Vec<(ShardId, Address, XsLock)>> = BTreeMap::new();
-        for (s, committee) in self.committees.iter().enumerate() {
+        for (s, committee) in self.shards().iter().enumerate() {
             for (addr, lock) in committee.ledger().state().locks() {
                 groups.entry(lock.xid).or_default().push((ShardId(s as u16), addr, lock));
             }
@@ -1132,7 +732,7 @@ impl ShardedNetwork {
         let groups = self.collect_locks();
         let mut decides: Vec<(Hash256, bool)> = Vec::new();
         for (xid, legs) in &groups {
-            if self.coordinator.ledger().state().xs_decision(xid).is_some() {
+            if self.coordinator_ledger().state().xs_decision(xid).is_some() {
                 continue;
             }
             // Conservation gate: a commit pays out every credit lock and
@@ -1179,7 +779,7 @@ impl ShardedNetwork {
         // Phase 2: finalize every lock the coordinator has decided.
         let mut touched: BTreeSet<u16> = BTreeSet::new();
         for (xid, legs) in self.collect_locks() {
-            let Some(decision) = self.coordinator.ledger().state().xs_decision(&xid) else {
+            let Some(decision) = self.coordinator_ledger().state().xs_decision(&xid) else {
                 continue;
             };
             for (shard, account, _) in legs {
@@ -1195,7 +795,7 @@ impl ShardedNetwork {
             }
         }
         for s in touched {
-            Self::advance_committee(&mut self.committees[s as usize], 2, self.block_interval_ms)?;
+            self.committee_mut(ShardId(s)).advance(2)?;
         }
         Ok(resolution)
     }
@@ -1220,8 +820,7 @@ impl ShardedNetwork {
         self.confirm(&transfer.credit)?;
         self.resolve_cross_shard()?;
         let committed = self
-            .coordinator
-            .ledger()
+            .coordinator_ledger()
             .state()
             .xs_decision(&transfer.xid)
             .map(|d| d.commit)
@@ -1234,8 +833,8 @@ impl ShardedNetwork {
     /// at least as high, and hash-equal where the linked block is still
     /// retained.
     fn check_recovery_against_cross_links(&self) -> Result<(), NetworkError> {
-        for (shard, record) in self.coordinator.ledger().state().cross_links() {
-            let Some(committee) = self.committees.get(shard.0 as usize) else {
+        for (shard, record) in self.coordinator_ledger().state().cross_links() {
+            let Some(committee) = self.shards().get(shard.0 as usize) else {
                 return Err(NetworkError::CrossLink(format!(
                     "coordinator holds a cross-link for unknown shard {shard}"
                 )));
@@ -1284,27 +883,21 @@ impl GatewayBackend for ShardedNetwork {
             return (ShardId::COORDINATOR, SubmitOutcome::Inadmissible);
         }
         let shard = shard_for_tx(&tx, self.shard_count());
-        let outcome = self.submit_verified_to_committee(shard, tx, lane);
-        (shard, outcome)
+        (shard, self.committee_mut(shard).admit_verified(tx, lane))
     }
 
     fn find_receipt(&self, tx_id: &Hash256) -> Option<TxReceipt> {
-        self.committees
-            .iter()
-            .chain(std::iter::once(&self.coordinator))
-            .find_map(|c| c.cluster.replicas[0].app.tx_receipt(tx_id))
+        self.chains.iter().find_map(|c| c.app().tx_receipt(tx_id))
     }
 
     fn is_pending(&self, tx_id: &Hash256) -> bool {
-        self.committees
-            .iter()
-            .chain(std::iter::once(&self.coordinator))
-            .any(|c| c.cluster.replicas[0].app.mempool_contains(tx_id))
+        self.chains.iter().any(|c| c.app().mempool_contains(tx_id))
     }
 
     fn xs_status(&self, xid: &Hash256) -> Option<(bool, Option<TxReceipt>)> {
-        let decision = self.coordinator.ledger().state().xs_decision(xid)?;
-        let receipt = self.coordinator.cluster.replicas[0].app.tx_receipt(&decision.tx_id);
+        let coordinator = self.committee(ShardId::COORDINATOR);
+        let decision = coordinator.ledger().state().xs_decision(xid)?;
+        let receipt = coordinator.app().tx_receipt(&decision.tx_id);
         Some((decision.commit, receipt))
     }
 
@@ -1312,14 +905,8 @@ impl GatewayBackend for ShardedNetwork {
         // Route like transactions: the key's home shard unless the
         // client pins one (e.g. for a cross-shard absence proof).
         let target = shard.unwrap_or_else(|| key.home_shard(self.shard_count()));
-        let ledger = if target.is_coordinator() {
-            self.coordinator_ledger()
-        } else if (target.0 as usize) < self.committees.len() {
-            self.ledger_of_shard(target)
-        } else {
-            return None;
-        };
-        Some(ledger.prove_state(key))
+        let known = target.is_coordinator() || target.0 < self.shard_count();
+        known.then(|| self.committee(target).ledger().prove_state(key))
     }
 }
 

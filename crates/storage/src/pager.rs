@@ -7,8 +7,8 @@
 //! out of the resident tree — without saying *where* cold data
 //! lives. This module supplies the disk-resident answer (DESIGN.md
 //! §14): both pagers write CRC-framed extents through one shared
-//! [`PageStore`], so a single `MEDCHAIN_STATE_CACHE_PAGES`-style budget
-//! caps the hot working set for accounts and tree nodes together.
+//! [`PageStore`], so the one `.state_cache(pages)` budget caps the hot
+//! working set for accounts and tree nodes together.
 //!
 //! # Implementor rules (mirroring the `store.rs` precedent)
 //!

@@ -21,9 +21,27 @@
 //! `<data-dir>/coordinator/site-<i>`, and a restart re-checks every
 //! recovered sub-chain against the newest committed cross-links before
 //! consensus resumes.
+//!
+//! With `MEDCHAIN_STATE_CACHE_PAGES=n` either flow caps every site's
+//! resident state at `n` page slots (DESIGN.md §14). The library has one
+//! knob for that, `.state_cache(pages)`; reading the variable is this
+//! binary's business.
 
+use medchain::NetworkBuilder;
 use medchain_repro::prelude::*;
 use std::path::PathBuf;
+
+/// Applies `MEDCHAIN_STATE_CACHE_PAGES` (a positive page count) to the
+/// builder when it is set.
+fn with_page_budget(builder: NetworkBuilder) -> Result<NetworkBuilder, String> {
+    match std::env::var("MEDCHAIN_STATE_CACHE_PAGES") {
+        Err(_) => Ok(builder),
+        Ok(v) => match v.parse::<usize>() {
+            Ok(pages) if pages > 0 => Ok(builder.state_cache(pages)),
+            _ => Err(format!("bad MEDCHAIN_STATE_CACHE_PAGES={v}")),
+        },
+    }
+}
 
 /// The sharded variant: anchors routed across sub-chains, a cross-link
 /// round on the coordinator, and a restart audited against those links.
@@ -39,7 +57,7 @@ fn run_sharded_flow(
     for i in 0..sites {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    let mut net = builder.build_sharded()?;
+    let mut net = with_page_budget(builder)?.build_sharded()?;
 
     if net.resumed() {
         println!(
@@ -104,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .cohort((i * 100_000) as u64, 120, &DiseaseModel::stroke());
         builder = builder.site(&format!("hospital-{i}"), records);
     }
-    let mut net = builder.build()?;
+    let mut net = with_page_budget(builder)?.build()?;
 
     if net.resumed() {
         println!(

@@ -40,6 +40,15 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+# tier-1 runs only the root package's integration suites; the unit and
+# property tests inside crates/* and medbench's own contract tests are
+# gated here. Wall-clock guarded like every suite that opens sockets.
+echo "== workspace: every crate's tests (wall-clock guarded) =="
+timeout 600 cargo test -q --workspace --offline
+
+echo "== medbench: the benchmark's own tests (wall-clock guarded) =="
+timeout 300 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # The transport suites involve real sockets and wall-clock waits, so they
 # get an explicit wall-clock ceiling: a hung listener/reader thread must
 # fail the gate instead of wedging it.
@@ -292,6 +301,26 @@ if grep -rn "adopt_payload(" crates/*/src src examples tests --include="*.rs" \
     exit 1
 fi
 echo "ok: snapshots install only through the root-verified restore path"
+
+# One committee life cycle (DESIGN.md §3, §14): recovering a store,
+# streaming into a lagging member, attaching a store and driving
+# consensus to a height are decisions `core::committee` makes once for
+# the flat network and every shard. A second caller in the core crate is
+# a second copy of the build/rejoin/advance path growing back.
+# (`bootstrap.rs` defines `stream_into` and unit-tests it against
+# `recover_into`.)
+echo "== core: one-copy committee guard =="
+if grep -rn "recover_into(\|stream_into(\|attach_store(\|run_until_height(" \
+    crates/core/src --include="*.rs" \
+    | grep -v "^crates/core/src/committee.rs\|^crates/core/src/bootstrap.rs"; then
+    echo "ERROR: committee life-cycle call outside crates/core/src/committee.rs." >&2
+    exit 1
+fi
+if grep -n "attach_store(\|run_until_height(" crates/core/src/bootstrap.rs; then
+    echo "ERROR: bootstrap.rs streams into a ledger; attaching and advancing are the committee's." >&2
+    exit 1
+fi
+echo "ok: recover, stream-in, attach and advance are called from the committee only"
 
 # Light-client query path (DESIGN.md §13): anchor a record over the TCP
 # gateway, read it back with a sparse-Merkle proof, verify client-side,

@@ -9,7 +9,7 @@
 //! gateway traffic onto the right sub-chains.
 
 use medchain::gateway::{GatewayBackend, GatewayServer};
-use medchain::{Client, GatewayConfig, MedicalNetwork, TransportKind};
+use medchain::{Client, GatewayConfig, MedicalNetwork, NetworkError, TransportKind};
 use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::shard::{shard_for_key, ShardId};
@@ -112,6 +112,44 @@ fn resubmission_never_reverifies_a_signature() {
     // of the same submission (Lamport safety).
     assert_eq!(registry.counter_value("gateway.sig_checks"), 1);
     assert!(registry.counter_value("gateway.dedup_hits") >= 2);
+    net.shutdown();
+}
+
+/// Drain regression: a transaction admitted above its sender's next
+/// nonce stays pooled (blocks take gap-free runs only) while PoA keeps
+/// committing empty blocks, so an unbounded "drain until the pool is
+/// empty" tail never returns once `stop` is raised. The serve loop must
+/// give up after a few fruitless blocks and say why.
+#[test]
+fn tail_drain_ends_on_a_nonce_gap() {
+    let mut builder = MedicalNetwork::builder()
+        .block_interval_ms(20)
+        .gateway(GatewayConfig { clients: 1, ..GatewayConfig::default() });
+    for i in 0..3 {
+        builder = builder.site(&format!("h{i}"), Vec::new());
+    }
+    let mut net = builder.build().expect("network builds");
+    let addr = net.gateway_addr().expect("gateway listening");
+    let key = net.client_keys()[0].clone();
+    // Nonce 1; nonce 0 is never sent.
+    let tx = Transaction::new(key.address(), 1, anchor("gap/doc"), 1_000).signed(&key);
+
+    let stop = AtomicBool::new(false);
+    let served = std::thread::scope(|scope| {
+        let client_side = scope.spawn(|| {
+            let mut client = Client::connect(addr).expect("connects");
+            client.submit(&tx, false).expect("a future nonce is admissible");
+            stop.store(true, Ordering::Relaxed);
+        });
+        let served = net.serve_until(&stop);
+        client_side.join().expect("client thread");
+        served
+    });
+
+    assert_eq!(served, Err(NetworkError::DrainStalled { pending: 1 }));
+    // Given up on, not lost: the transaction is still pooled.
+    assert!(net.is_pending(&tx.id()));
+    assert!(net.find_receipt(&tx.id()).is_none());
     net.shutdown();
 }
 

@@ -442,6 +442,165 @@ fn medical_network_restart_resumes_at_persisted_height() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A 3-site flat consortium persisted under `root`, snapshotting every
+/// 4 blocks so a rejoining site streams a snapshot *and* a WAL tail.
+fn flat_net(root: &std::path::Path) -> MedicalNetwork {
+    let mut builder = MedicalNetwork::builder()
+        .storage_with(root, StorageConfig { snapshot_every: 4, ..StorageConfig::default() });
+    for i in 0..3 {
+        let records = CohortGenerator::new(&format!("h{i}"), SiteProfile::varied(i), 900 + i as u64)
+            .cohort((i * 10_000) as u64, 40, &DiseaseModel::stroke());
+        builder = builder.site(&format!("hospital-{i}"), records);
+    }
+    builder.build().expect("flat network builds")
+}
+
+/// Asserts every replica sits on `tip`, then commits one more data
+/// request so the rejoined consortium is shown to keep growing.
+fn assert_agreed_and_growing(net: &mut MedicalNetwork, height: u64, tip: Hash256) {
+    assert!(net.resumed());
+    assert_eq!(net.height(), height);
+    for site in 0..net.site_count() {
+        assert_eq!(net.ledger_of(site).tip().id(), tip, "site {site} disagrees");
+    }
+    let pending = net
+        .invoke(
+            1,
+            net.contracts().data,
+            "request",
+            &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
+            50_000,
+        )
+        .unwrap();
+    net.confirm(&pending).unwrap();
+    assert!(net.height() > height);
+}
+
+/// The rejoin path on the flat chain (DESIGN.md §14): a site that lost
+/// its whole data directory streams a peer's snapshot + WAL tail at the
+/// next build and comes back agreeing with the cohort; one life later
+/// its adopted snapshot and appended tail recover natively.
+#[test]
+fn wiped_site_rejoins_via_streamed_snapshot() {
+    let root = test_dir("net-rejoin");
+
+    // First life: commit work beyond the one-time setup.
+    let mut net = flat_net(&root);
+    net.grant_all(net.site(1).address(), Purpose::Research).unwrap();
+    let height = net.height();
+    let tip = net.ledger().tip().id();
+    drop(net);
+
+    // Site 2 loses its entire data directory.
+    std::fs::remove_dir_all(root.join("site-2")).unwrap();
+
+    // Second life: streamed rejoin, then the consortium keeps committing.
+    let mut net = flat_net(&root);
+    assert_agreed_and_growing(&mut net, height, tip);
+    drop(net);
+
+    // Third life: no peer involved any more.
+    let net = flat_net(&root);
+    assert!(net.resumed());
+    let tips: Vec<Hash256> = (0..3).map(|i| net.ledger_of(i).tip().id()).collect();
+    assert!(tips.windows(2).all(|w| w[0] == w[1]));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// A site left with a *partial prefix* of the chain — here the data
+/// directory of a shorter, earlier life copied back over it, as a
+/// restore from a stale backup would — cannot take a streamed snapshot
+/// above its own WAL (the log would hold a height gap). The rejoin path
+/// resets the directory and re-seeds it from the stream instead of
+/// refusing to start.
+#[test]
+fn stale_prefix_site_is_reset_and_reseeded() {
+    let root = test_dir("net-stale-prefix");
+    let backup = test_dir("net-stale-prefix-backup");
+
+    // First life ends at the set-up height; back site 2 up there.
+    let net = flat_net(&root);
+    let short = net.height();
+    drop(net);
+    copy_dir(&root.join("site-2"), &backup);
+
+    // Second life moves the cohort past the backup.
+    let mut net = flat_net(&root);
+    net.grant_all(net.site(1).address(), Purpose::Research).unwrap();
+    let height = net.height();
+    let tip = net.ledger().tip().id();
+    assert!(height > short);
+    drop(net);
+
+    // Site 2 is restored from the stale backup: a valid chain, but short.
+    std::fs::remove_dir_all(root.join("site-2")).unwrap();
+    copy_dir(&backup, &root.join("site-2"));
+
+    let mut net = flat_net(&root);
+    assert_agreed_and_growing(&mut net, height, tip);
+    std::fs::remove_dir_all(&root).unwrap();
+    std::fs::remove_dir_all(&backup).unwrap();
+}
+
+/// The same rejoin path inside a shard committee: one member of shard 1
+/// loses its data directory, streams back from its committee peer, and
+/// the recovered consortium still passes the cross-link audit (a shard
+/// that came back *behind* its cross-link would be refused, see
+/// `sharded_restart_rejects_subchain_rolled_back_behind_cross_link`).
+#[test]
+fn wiped_shard_member_rejoins_and_passes_cross_link_audit() {
+    let root = test_dir("sharded-member-rejoin");
+
+    let mut net = sharded_net(&root, 4, 2);
+    for i in 0..4 {
+        let label = format!("hospital-{i}/emr");
+        net.submit_as(i, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
+            .unwrap();
+    }
+    net.advance(2).unwrap();
+    assert_eq!(net.cross_link().unwrap().len(), 2);
+    let heights = net.shard_heights();
+    let tip = net.ledger_of_shard(ShardId(1)).tip().id();
+    drop(net);
+
+    // Local member 0 of shard 1 (global site 1) loses everything; its
+    // committee peer (local member 1) still holds the sub-chain.
+    std::fs::remove_dir_all(root.join("shard-1").join("site-0")).unwrap();
+
+    // `ledger_of_shard` reads member 0 — the one that was wiped.
+    let mut net = sharded_net(&root, 4, 2);
+    assert!(net.resumed());
+    assert_eq!(net.shard_heights(), heights);
+    assert_eq!(net.ledger_of_shard(ShardId(1)).tip().id(), tip);
+    // Consensus needs both members: the shard only commits again if the
+    // rejoined one is really in step.
+    net.submit_as(1, TxPayload::Anchor { root: Hash256::ZERO, label: "post-rejoin".into() }, 1_000)
+        .unwrap();
+    net.advance(1).unwrap();
+    assert!(!net.cross_link().unwrap().is_empty());
+    let heights = net.shard_heights();
+    drop(net);
+
+    // The streamed member now recovers from its own disk.
+    let net = sharded_net(&root, 4, 2);
+    assert!(net.resumed());
+    assert_eq!(net.shard_heights(), heights);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// Paged reads ≡ fully-resident reads (DESIGN.md §14): one seeded
 /// random block sequence — transfers across a 64-account universe plus
 /// anchors — committed by a fully-resident ledger and by page-capped

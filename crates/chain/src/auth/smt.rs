@@ -25,6 +25,7 @@
 //! is fully resident or mostly cold. Spilling is representation only,
 //! never semantics.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use super::leaf::{self, LeafKey, EMPTY_SUBTREE};
@@ -57,6 +58,10 @@ pub trait NodePager: Send + Sync {
     fn store_node(&self, bytes: &[u8]) -> u64;
     /// Loads the bytes previously stored under `page`.
     fn load_node(&self, page: u64) -> Vec<u8>;
+    /// Gives `page` back for reuse. The tree calls this only for a page
+    /// no tree version can reach: one a [`StateTree::spill_to_budget`]
+    /// call stored and then folded into a larger page before returning.
+    fn free_node(&self, page: u64);
 }
 
 /// One node of the tree. Hashes are computed eagerly on construction and
@@ -125,9 +130,9 @@ pub struct StateTree {
     root: Arc<Node>,
     len: usize,
     /// Backing store for [`Node::Paged`] subtrees. `None` means the tree
-    /// is (and stays) fully resident. Clones share the pager; spilled
-    /// pages are never freed mid-run precisely because an older clone
-    /// may still reference them (see [`NodePager`]).
+    /// is (and stays) fully resident. Clones share the pager; a page a
+    /// tree was ever returned holding is never freed mid-run precisely
+    /// because an older clone may still reference it (see [`NodePager`]).
     pager: Option<Arc<dyn NodePager>>,
 }
 
@@ -176,14 +181,42 @@ impl StateTree {
         self.pager.clone()
     }
 
-    /// Builds the tree for an entire world state from scratch. This is
-    /// the O(total state) reference path — the ledger calls it once per
-    /// process (on construction or recovery), then maintains the tree
-    /// incrementally via [`with_delta`](StateTree::with_delta).
+    /// Builds the tree for an entire world state in one bottom-up pass:
+    /// hash every leaf, sort by key hash (O(n log n) comparisons), then
+    /// hash each internal node exactly once — about four SHA-256 calls a
+    /// leaf. The ledger needs it only where it starts from a bare state
+    /// (restore, or after [`Ledger::state_mut`]); per block it maintains
+    /// the tree incrementally via [`with_delta`](StateTree::with_delta),
+    /// which must land on the same nodes (property-tested).
+    ///
+    /// [`Ledger::state_mut`]: crate::ledger::Ledger::state_mut
     pub fn from_state(state: &WorldState) -> StateTree {
-        let mut tree = StateTree::new();
-        state.for_each_leaf(&mut |key, value| tree.update(&key, Some(value)));
-        tree
+        StateTree::from_state_with(state, &StateDelta::default())
+    }
+
+    /// [`from_state`](StateTree::from_state) of `state` as if `delta`
+    /// were already committed: the state's leaves overridden by the
+    /// delta's upserts and deletions, built in the same single pass.
+    pub(crate) fn from_state_with(state: &WorldState, delta: &StateDelta) -> StateTree {
+        let overrides: BTreeMap<Hash256, Option<Hash256>> = delta_updates(delta)
+            .iter()
+            .map(|(key, value)| (leaf::key_hash(key), value.as_deref().map(leaf::value_hash)))
+            .collect();
+        let mut leaves = Vec::with_capacity(state.leaf_count() + overrides.len());
+        state.for_each_leaf(&mut |key, value| {
+            let key_hash = leaf::key_hash(&key);
+            if !overrides.contains_key(&key_hash) {
+                leaves.push((key_hash, leaf::value_hash(value)));
+            }
+        });
+        leaves.extend(overrides.into_iter().filter_map(|(kh, vh)| Some((kh, vh?))));
+        // Byte order of the key hash is its MSB-first path order.
+        leaves.sort_unstable_by_key(|(key_hash, _)| *key_hash);
+        StateTree {
+            root: build(&leaves, 0),
+            len: leaves.len(),
+            pager: None,
+        }
     }
 
     /// Number of leaves.
@@ -335,10 +368,15 @@ impl StateTree {
         let budget = budget.max(1);
         // Grow the spill unit until the tree fits: larger units collapse
         // bigger subtrees into one stub each, trading colder reads for
-        // a smaller resident spine.
+        // a smaller resident spine. A pass folds the stubs of the pass
+        // before it into its own pages; `fresh` holds the pages this call
+        // stored, so the folded ones go back to the pager instead of
+        // piling up in the page file (no clone of the tree can have seen
+        // them).
         let mut unit = 8usize;
+        let mut fresh = BTreeSet::new();
         while self.resident_nodes() > budget {
-            let (root, _, _) = spill_node(&self.root, unit, pager.as_ref());
+            let (root, _, _) = spill_node(&self.root, unit, pager.as_ref(), &mut fresh);
             self.root = root;
             if unit > self.len.saturating_mul(2).max(8) {
                 break; // spine alone exceeds the budget; nothing left to spill
@@ -374,15 +412,21 @@ fn resolve(node: &Arc<Node>, pager: Option<&dyn NodePager>) -> Arc<Node> {
 /// footprint is ≤ `unit` nodes (and which holds ≥ 2 leaves — single
 /// leaves are cheaper resident than paged) with a [`Node::Paged`] stub.
 /// Returns the rebuilt node, its resident node count, and its leaf
-/// count. Hashes are carried, never recomputed.
-fn spill_node(node: &Arc<Node>, unit: usize, pager: &dyn NodePager) -> (Arc<Node>, usize, u64) {
+/// count. Hashes are carried, never recomputed. `fresh` is the set of
+/// pages stored since [`StateTree::spill_to_budget`] was entered.
+fn spill_node(
+    node: &Arc<Node>,
+    unit: usize,
+    pager: &dyn NodePager,
+    fresh: &mut BTreeSet<u64>,
+) -> (Arc<Node>, usize, u64) {
     match &**node {
         Node::Empty => (node.clone(), 1, 0),
         Node::Leaf { .. } => (node.clone(), 1, 1),
         Node::Paged { leaves, .. } => (node.clone(), 1, *leaves),
         Node::Internal { hash, left, right } => {
-            let (left, l_res, l_leaves) = spill_node(left, unit, pager);
-            let (right, r_res, r_leaves) = spill_node(right, unit, pager);
+            let (left, l_res, l_leaves) = spill_node(left, unit, pager, fresh);
+            let (right, r_res, r_leaves) = spill_node(right, unit, pager, fresh);
             let resident = 1 + l_res + r_res;
             let leaves = l_leaves + r_leaves;
             if resident <= unit && leaves >= 2 {
@@ -391,11 +435,47 @@ fn spill_node(node: &Arc<Node>, unit: usize, pager: &dyn NodePager) -> (Arc<Node
                 let rebuilt = Node::Internal { hash: *hash, left, right };
                 let mut bytes = Vec::new();
                 encode_node(&rebuilt, &mut bytes, Some(pager));
+                free_fresh_stubs(&rebuilt, pager, fresh);
                 let page = pager.store_node(&bytes);
+                fresh.insert(page);
                 (Arc::new(Node::Paged { hash: *hash, leaves, page }), 1, leaves)
             } else {
                 (Arc::new(Node::Internal { hash: *hash, left, right }), resident, leaves)
             }
+        }
+    }
+}
+
+/// Frees the pages of the stubs under `node` that are in `fresh`: their
+/// bytes were just spliced into the page that replaces `node`.
+fn free_fresh_stubs(node: &Node, pager: &dyn NodePager, fresh: &mut BTreeSet<u64>) {
+    match node {
+        Node::Internal { left, right, .. } => {
+            free_fresh_stubs(left, pager, fresh);
+            free_fresh_stubs(right, pager, fresh);
+        }
+        Node::Paged { page, .. } => {
+            if fresh.remove(page) {
+                pager.free_node(*page);
+            }
+        }
+        Node::Empty | Node::Leaf { .. } => {}
+    }
+}
+
+/// The canonical subtree over `leaves` — distinct `(key_hash,
+/// value_hash)` pairs sorted by key hash, all sharing their first
+/// `depth` path bits: the shape `insert_at`/`split_leaves`/`remove_at`
+/// maintain, with every node hashed once.
+fn build(leaves: &[(Hash256, Hash256)], depth: usize) -> Arc<Node> {
+    match leaves {
+        [] => Arc::new(Node::Empty),
+        [(key_hash, value_hash)] => Arc::new(Node::leaf(*key_hash, *value_hash)),
+        _ => {
+            assert!(depth < MAX_DEPTH, "distinct leaf keys share all 256 path bits");
+            let split = leaves.partition_point(|(key_hash, _)| !leaf::key_bit(key_hash, depth));
+            let (left, right) = leaves.split_at(split);
+            Arc::new(Node::internal(build(left, depth + 1), build(right, depth + 1)))
         }
     }
 }

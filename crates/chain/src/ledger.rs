@@ -583,10 +583,10 @@ impl WorldState {
     /// Deterministic commitment to the entire state: the versioned root
     /// of the sparse Merkle tree over every leaf (DESIGN.md §13).
     ///
-    /// This rebuilds the tree from scratch — O(total state) — and exists
-    /// as the reference path for tests, recovery checks, and ad-hoc
-    /// callers. The ledger itself never rebuilds per block: it maintains
-    /// a [`StateTree`] incrementally and pays O(keys changed).
+    /// This builds the tree from scratch — O(total state), one pass — and
+    /// exists as the reference path for tests, recovery checks, and
+    /// ad-hoc callers. The ledger itself never rebuilds per block: it
+    /// maintains a [`StateTree`] incrementally and pays O(keys changed).
     pub fn state_root(&self) -> Hash256 {
         StateTree::from_state(self).versioned_root()
     }
@@ -594,10 +594,10 @@ impl WorldState {
     /// [`WorldState::state_root`] as if `delta` were already committed,
     /// without mutating the state. Identical to committing the delta and
     /// hashing (property-tested below); still O(total state) because it
-    /// rebuilds the tree — the ledger's cached-tree path is the fast
-    /// equivalent.
+    /// builds the tree over the merged leaves — the ledger's cached-tree
+    /// path is the fast equivalent.
     pub fn state_root_with(&self, delta: &StateDelta) -> Hash256 {
-        StateTree::from_state(self).with_delta(delta).versioned_root()
+        StateTree::from_state_with(self, delta).versioned_root()
     }
 
     /// Feeds every state entry to `emit` as its canonical
@@ -1608,6 +1608,16 @@ impl Ledger {
         if let Some(observer) = self.commit_observer.as_mut() {
             let updates = observer_updates.as_deref().expect("captured before commit");
             observer(self.blocks.last().expect("just pushed"), updates);
+        }
+        // The commit is final: offer the store this block's tree to
+        // snapshot from, before demotion pages any of the state out. A
+        // snapshot is an optimisation (store contract 3) — a failed one
+        // is the store's to report and retry, never a reason to lose a
+        // block that is already durable.
+        if let Some(store) = self.store.as_mut() {
+            let tree = self.tree.get_mut().expect("state tree cache poisoned");
+            let tree = tree.as_ref().expect("set by this commit");
+            let _ = store.checkpoint(block, &self.state, tree);
         }
         // Paged state cache: after the commit is final, push cold
         // accounts and cold tree subtrees back under budget. Addresses

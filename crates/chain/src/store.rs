@@ -2,7 +2,10 @@
 //!
 //! The ledger calls [`BlockStore::append`] *before* committing a block
 //! to memory (write-ahead ordering): a block is either on disk and in
-//! memory, or in neither. Implementations decide what "on disk" means —
+//! memory, or in neither. Once the commit is final it calls
+//! [`BlockStore::checkpoint`] with the authenticated tree that commit
+//! built, so a store that snapshots never rehashes the state.
+//! Implementations decide what "on disk" means —
 //! [`MemStore`] keeps everything in memory (the default behaviour of a
 //! ledger with no store attached is unchanged: no store, no overhead),
 //! while `medchain-storage`'s `DiskStore` runs a segmented CRC-framed
@@ -31,8 +34,13 @@
 //!    implementations reject gaps with [`StoreError::HeightGap`].
 //! 3. **Snapshots are an optimization, not a source of truth.** A
 //!    snapshot may only replace replay for the prefix it covers;
-//!    everything after it is re-validated block by block.
+//!    everything after it is re-validated block by block. They are
+//!    written in [`BlockStore::checkpoint`], after the block is durable
+//!    and committed, so a failed snapshot costs replay length and never
+//!    a block: the implementation reports the failure, leaves no partial
+//!    file behind, and tries again at its next boundary.
 
+use crate::auth::StateTree;
 use crate::block::Block;
 use crate::ledger::WorldState;
 use std::fmt;
@@ -90,8 +98,10 @@ impl From<std::io::Error> for StoreError {
 
 /// Durable persistence hook for the ledger commit path.
 ///
-/// `append` receives the block *and* the post-execution world state, so
-/// implementations can write periodic state snapshots without replaying.
+/// `append` makes the block durable; `checkpoint` then receives the
+/// committed tip with its world state *and* authenticated tree, so
+/// implementations can write periodic state snapshots without replaying
+/// or rehashing.
 pub trait BlockStore: Send {
     /// Persists `block` (post-execution state `post_state`).
     ///
@@ -103,6 +113,26 @@ pub trait BlockStore: Send {
     ///
     /// Returns [`StoreError`] if the block could not be made durable.
     fn append(&mut self, block: &Block, post_state: &WorldState) -> Result<(), StoreError>;
+
+    /// Offers the store the committed `tip`, its post-execution `state`
+    /// and `tree` — the tree of exactly that state, as the commit built
+    /// it — to snapshot from at whatever cadence it keeps.
+    ///
+    /// Called by [`crate::ledger::Ledger::apply`] once `tip` is appended
+    /// and committed in memory. The default keeps no snapshots.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if a snapshot was due and could not be
+    /// written. The block stays committed (contract 3): callers carry on.
+    fn checkpoint(
+        &mut self,
+        _tip: &Block,
+        _state: &WorldState,
+        _tree: &StateTree,
+    ) -> Result<(), StoreError> {
+        Ok(())
+    }
 
     /// Forces buffered data to durable storage.
     ///

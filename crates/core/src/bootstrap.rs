@@ -362,6 +362,9 @@ pub fn stream_into(
             store
                 .append(block, ledger.state())
                 .map_err(|e| BootstrapError::Storage(e.to_string()))?;
+            // Same seam as `Ledger::apply`: the block is durable, a
+            // snapshot that fails is reported by the store and retried.
+            let _ = store.checkpoint(block, ledger.state(), &ledger.state_tree());
             tail_blocks += 1;
         }
         next = ledger.height() + 1;

@@ -11,13 +11,15 @@
 //!    tip hash and state root are *verified* against what was stored,
 //!    not assumed.
 //! 3. `ledger.attach_store(Box::new(store))` — every later commit is
-//!    persisted write-ahead.
+//!    persisted write-ahead ([`BlockStore::append`]), then offered back
+//!    with its authenticated tree ([`BlockStore::checkpoint`]), which
+//!    is where the periodic snapshot is written.
 
 use crate::pages::PageStore;
 use crate::snapshot::SnapshotStore;
 use crate::wal::SegmentedLog;
 use medchain_chain::store::{BlockStore, StoreError};
-use medchain_chain::{Block, Hash256, Ledger, WorldState};
+use medchain_chain::{Block, Hash256, Ledger, StateTree, WorldState};
 use medchain_runtime::codec::Encode;
 use medchain_runtime::metrics::Metrics;
 use std::path::{Path, PathBuf};
@@ -316,12 +318,15 @@ impl DiskStore {
         })
     }
 
-    fn maybe_snapshot(&mut self, block: &Block, state: &WorldState) -> Result<(), StoreError> {
-        let every = self.config.snapshot_every;
-        if every == 0 || block.header.height % every != 0 {
-            return Ok(());
-        }
-        let bytes = self.snaps.write(block, state)?;
+    /// Writes the snapshot due at `tip`, prunes older ones, and writes
+    /// back the page cache.
+    fn snapshot(
+        &mut self,
+        tip: &Block,
+        state: &WorldState,
+        tree: &StateTree,
+    ) -> Result<(), StoreError> {
+        let bytes = self.snaps.write(tip, state, tree)?;
         self.snaps.prune(self.config.retain_snapshots)?;
         // Snapshot boundaries are the page cache's write-back points:
         // the cold state this snapshot summarizes becomes durable in
@@ -338,7 +343,7 @@ impl DiskStore {
 }
 
 impl BlockStore for DiskStore {
-    fn append(&mut self, block: &Block, post_state: &WorldState) -> Result<(), StoreError> {
+    fn append(&mut self, block: &Block, _post_state: &WorldState) -> Result<(), StoreError> {
         // Stale scan results are meaningless once new blocks land.
         self.scanned = None;
         let payload = block.encoded();
@@ -365,7 +370,29 @@ impl BlockStore for DiskStore {
             self.appends_since_sync = 0;
             self.metrics.counter("storage.fsyncs", 1);
         }
-        self.maybe_snapshot(block, post_state)
+        Ok(())
+    }
+
+    fn checkpoint(
+        &mut self,
+        tip: &Block,
+        state: &WorldState,
+        tree: &StateTree,
+    ) -> Result<(), StoreError> {
+        let every = self.config.snapshot_every;
+        if every == 0 || tip.header.height % every != 0 {
+            return Ok(());
+        }
+        let written = self.snapshot(tip, state, tree);
+        if let Err(e) = &written {
+            self.metrics.counter("storage.snapshot_failures", 1);
+            self.metrics.event(
+                "storage",
+                "snapshot_failed",
+                &[("height", tip.header.height.to_string()), ("error", e.to_string())],
+            );
+        }
+        written
     }
 
     fn flush(&mut self) -> Result<(), StoreError> {
@@ -518,7 +545,7 @@ mod tests {
         let mut other = fresh_ledger(&AuthorityKey::from_seed(2));
         grow(&mut other, &AuthorityKey::from_seed(2), 4);
         let foreign_fourth = other.block(4).unwrap();
-        other_snaps.write(foreign_fourth, other.state()).unwrap();
+        other_snaps.write(foreign_fourth, other.state(), &other.state_tree()).unwrap();
 
         let mut ledger = fresh_ledger(&key);
         let mut store = DiskStore::open(&dir, config).unwrap();

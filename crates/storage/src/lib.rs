@@ -9,9 +9,10 @@
 //!   records of canonical-codec `Block` bytes, rolled into
 //!   `seg-<height>.wal` files, with a configurable fsync policy.
 //! - **State snapshots** ([`snapshot`]): periodic `snap-<height>.bin`
-//!   files carrying the tip block plus the full canonical `WorldState`,
-//!   written atomically (tmp + rename), so recovery replays a bounded
-//!   tail instead of the whole chain.
+//!   files carrying the tip block, the full canonical `WorldState` and
+//!   the authenticated tree the commit at that height built (written
+//!   as-is, never rehashed), atomically (tmp + rename), so recovery
+//!   replays a bounded tail instead of the whole chain.
 //! - **Crash recovery** ([`DiskStore::recover_into`]): truncate a torn
 //!   tail record, restore from the newest snapshot that *agrees with
 //!   the log*, re-execute the tail through `Ledger::apply`, and verify
@@ -19,7 +20,9 @@
 //!
 //! [`DiskStore`] implements `medchain_chain::store::BlockStore`, so the
 //! ledger persists every block write-ahead: a block is on disk and in
-//! memory, or in neither. A [`StorageFault`] knob tears an append
+//! memory, or in neither; snapshots follow the commit
+//! (`BlockStore::checkpoint`), so one that fails is counted and retried,
+//! never a lost block. A [`StorageFault`] knob tears an append
 //! mid-record so the recovery path is tested, not assumed.
 //!
 //! ```no_run

@@ -36,9 +36,11 @@
 //! frees the page once its last member is promoted (stale bytes on a
 //! partially-evacuated page are unreachable — lookups only go through
 //! the index). Tree nodes arrive pre-packed: a spilled subtree's
-//! preorder encoding is written verbatim as one extent, and
-//! [`PagedNodes`] never frees mid-run — old tree clones may still
-//! reference a spilled page, so reclamation is truncate-on-open.
+//! preorder encoding is written verbatim as one extent. [`PagedNodes`]
+//! frees only what the tree hands back — pages one spill call stored
+//! and folded into a larger page before any clone could see them; old
+//! tree clones may still reference every other spilled page, so the
+//! rest is reclaimed by truncate-on-open.
 
 use crate::pages::{PageId, PageStore};
 use medchain_chain::ledger::{Account, AccountPager};
@@ -208,10 +210,12 @@ impl AccountPager for PagedAccounts {
 /// Disk-backed [`NodePager`]: each spilled subtree's preorder encoding
 /// is one CRC-framed extent.
 ///
-/// Pages are never freed mid-run — structurally-shared tree clones
-/// (proof servers, in-flight `with_delta` bases) may still reference a
-/// stub long after the live tree re-spilled the region — so stale
-/// extents accumulate until the next process start truncates the file.
+/// Pages a tree came out of a spill holding are never freed mid-run —
+/// structurally-shared tree clones (proof servers, in-flight
+/// `with_delta` bases) may still reference a stub long after the live
+/// tree re-spilled the region — so stale extents accumulate until the
+/// next process start truncates the file. Pages a spill wrote and
+/// folded away within the same call come back through `free_node`.
 pub struct PagedNodes {
     pages: Arc<PageStore>,
 }
@@ -234,6 +238,10 @@ impl NodePager for PagedNodes {
         self.pages.read(page).unwrap_or_else(|e| {
             panic!("node pager: lost spilled subtree page {page}: {e}")
         })
+    }
+
+    fn free_node(&self, page: u64) {
+        self.pages.free(page);
     }
 }
 
@@ -319,5 +327,37 @@ mod tests {
         }
         // A one-page cache over multi-page extents forces misses.
         assert!(registry.counter_value("storage.page_misses") > 0);
+    }
+
+    /// A spill folds the stubs it writes into ever larger pages; only the
+    /// pages the spilled tree still points at may stay live, or the page
+    /// file grows by the whole tree several times over on every commit.
+    #[test]
+    fn spill_leaves_no_page_the_tree_does_not_reference() {
+        use medchain_chain::{StateTree, WorldState};
+        let registry = Registry::new();
+        let dir = crate::testutil::test_dir("nodes-spill");
+        let pages = Arc::new(
+            PageStore::open(&dir.join("pages.bin"), 2, registry.handle()).unwrap(),
+        );
+        let mut state = WorldState::new();
+        for n in 0..500u64 {
+            state.credit(Address::from_seed(n), n + 1);
+        }
+        let resident = StateTree::from_state(&state);
+        let mut spilled = resident.clone();
+        spilled.attach_pager(Arc::new(PagedNodes::new(Arc::clone(&pages))));
+        spilled.spill_to_budget(16);
+        assert!(registry.counter_value("storage.page_frees") > 0, "no stub was ever folded");
+        // Every stub is one resident node holding one page.
+        assert!(pages.live() >= 1);
+        assert!(
+            pages.live() <= spilled.resident_nodes(),
+            "{} live pages under {} resident nodes",
+            pages.live(),
+            spilled.resident_nodes()
+        );
+        assert!(spilled.audit());
+        assert_eq!(spilled.encoded(), resident.encoded());
     }
 }

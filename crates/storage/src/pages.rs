@@ -28,9 +28,10 @@
 //!   insertion.
 //! - [`PageStore::free`] returns an extent to the free list for reuse
 //!   by later writes. Freeing is the caller's business: the account
-//!   pager frees on promotion, while spilled tree pages are never freed
-//!   mid-run (old tree versions may still reference them) and are
-//!   reclaimed by the truncate-on-open rule instead.
+//!   pager frees on promotion; the node pager frees the pages a single
+//!   spill wrote and folded away again, while every tree page a spill
+//!   left in place is never freed mid-run (old tree versions may still
+//!   reference it) and is reclaimed by the truncate-on-open rule.
 //!
 //! Metrics (under the owning store's `Metrics` scope):
 //! `storage.page_hits`, `storage.page_misses`, `storage.page_evictions`,

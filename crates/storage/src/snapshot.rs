@@ -11,7 +11,9 @@
 //! trusting it. Carrying the tree lets recovery rebuild the
 //! authenticated root by *decoding* rather than rehashing: loading
 //! checks the decoded tree's cached root against the tip header — O(1)
-//! after decode — instead of the old O(total state) full rehash.
+//! after decode — instead of the old O(total state) full rehash. The
+//! writer does not hash either: [`SnapshotStore::write`] is handed the
+//! tree the ledger's commit already built.
 //! Integrity against disk corruption rests on the record CRC, the same
 //! trust the block log itself gets; the root-vs-header check then binds
 //! tree and block together.
@@ -21,7 +23,7 @@
 //! a half-written file that parses.
 
 use crate::crc::crc32;
-use crate::wal::{frame, RECORD_HEADER_BYTES};
+use crate::wal::RECORD_HEADER_BYTES;
 use medchain_chain::store::StoreError;
 use medchain_chain::{Block, StateTree, WorldState};
 use medchain_runtime::codec::{Decode, Encode, Reader};
@@ -62,6 +64,51 @@ fn snap_height(name: &str) -> Option<u64> {
     name.strip_prefix(SNAP_PREFIX)?.strip_suffix(SNAP_SUFFIX)?.parse().ok()
 }
 
+/// Writes `payload` to `path` as one CRC-framed record (the block log's
+/// framing: `u32` length, `u32` CRC, payload) through a `.tmp` sibling
+/// renamed into place. Returns the bytes written.
+fn write_record(path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
+    let len = u32::try_from(payload.len())
+        .map_err(|_| StoreError::Io("snapshot payload exceeds the record length field".into()))?;
+    let tmp_path = path.with_extension("bin.tmp");
+    let written = (|| {
+        let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp_path)?;
+        file.write_all(&len.to_le_bytes())?;
+        file.write_all(&crc32(payload).to_le_bytes())?;
+        file.write_all(payload)?;
+        file.sync_data()?;
+        drop(file);
+        fs::rename(&tmp_path, path)
+    })();
+    if let Err(e) = written {
+        let _ = fs::remove_file(&tmp_path);
+        return Err(e.into());
+    }
+    Ok(RECORD_HEADER_BYTES + u64::from(len))
+}
+
+/// The CRC-verified payload of the record file at `path`; `None` if the
+/// file is missing, torn, or fails its CRC.
+fn read_record(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+    let mut bytes = match fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let header = RECORD_HEADER_BYTES as usize;
+    if bytes.len() < header {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    bytes.drain(..header);
+    if bytes.len() < len {
+        return Ok(None);
+    }
+    bytes.truncate(len);
+    Ok((crc32(&bytes) == crc).then_some(bytes))
+}
+
 impl SnapshotStore {
     /// Opens (creating if absent) the snapshot directory.
     ///
@@ -73,28 +120,25 @@ impl SnapshotStore {
         Ok(SnapshotStore { dir: dir.to_path_buf() })
     }
 
-    /// Writes a snapshot at `tip`'s height. Returns the bytes written.
+    /// Writes a snapshot at `tip`'s height: `tip`, `state` and `tree` —
+    /// which must be the authenticated tree of `state` (the ledger hands
+    /// over the one its commit built; [`SnapshotStore::load`] rejects a
+    /// file whose tree does not match its tip). Returns the bytes written.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on write failure.
-    pub fn write(&self, tip: &Block, state: &WorldState) -> Result<u64, StoreError> {
+    /// Returns [`StoreError::Io`] on write failure; no partial file is
+    /// left behind.
+    pub fn write(
+        &self,
+        tip: &Block,
+        state: &WorldState,
+        tree: &StateTree,
+    ) -> Result<u64, StoreError> {
         let mut payload = tip.encoded();
         state.encode(&mut payload);
-        // Persist the authenticated tree's node pages alongside the
-        // state. Building it here is O(state) but amortized over the
-        // snapshot cadence; what it buys is the recovery path never
-        // rehashing.
-        StateTree::from_state(state).encode(&mut payload);
-        let record = frame(&payload);
-        let final_path = self.dir.join(snap_name(tip.header.height));
-        let tmp_path = final_path.with_extension("bin.tmp");
-        let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp_path)?;
-        file.write_all(&record)?;
-        file.sync_data()?;
-        drop(file);
-        fs::rename(&tmp_path, &final_path)?;
-        Ok(record.len() as u64)
+        tree.encode(&mut payload);
+        write_record(&self.dir.join(snap_name(tip.header.height)), &payload)
     }
 
     /// Adopts a snapshot payload assembled from a peer's stream
@@ -112,15 +156,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on write failure.
     pub fn adopt_payload(&self, height: u64, payload: &[u8]) -> Result<(), StoreError> {
-        let record = frame(payload);
-        let final_path = self.dir.join(snap_name(height));
-        let tmp_path = final_path.with_extension("bin.tmp");
-        let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp_path)?;
-        file.write_all(&record)?;
-        file.sync_data()?;
-        drop(file);
-        fs::rename(&tmp_path, &final_path)?;
-        Ok(())
+        write_record(&self.dir.join(snap_name(height)), payload).map(|_| ())
     }
 
     /// The CRC-verified raw payload of the snapshot at `height` — the
@@ -132,22 +168,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on read failure (other than absence).
     pub fn raw_payload(&self, height: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        let path = self.dir.join(snap_name(height));
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let header = RECORD_HEADER_BYTES as usize;
-        if bytes.len() < header {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if bytes.len() < header + len || crc32(&bytes[header..header + len]) != crc {
-            return Ok(None);
-        }
-        Ok(Some(bytes[header..header + len].to_vec()))
+        read_record(&self.dir.join(snap_name(height)))
     }
 
     /// Heights of all snapshot files, ascending (validity unchecked).
@@ -195,26 +216,10 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on read failure (other than absence).
     pub fn load(&self, height: u64) -> Result<Option<Snapshot>, StoreError> {
-        let path = self.dir.join(snap_name(height));
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(payload) = read_record(&self.dir.join(snap_name(height)))? else {
+            return Ok(None);
         };
-        let header = RECORD_HEADER_BYTES as usize;
-        if bytes.len() < header {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if bytes.len() < header + len {
-            return Ok(None);
-        }
-        let payload = &bytes[header..header + len];
-        if crc32(payload) != crc {
-            return Ok(None);
-        }
-        let mut reader = Reader::new(payload);
+        let mut reader = Reader::new(&payload);
         let (Ok(tip), Ok(state), Ok(tree)) = (
             Block::decode(&mut reader),
             WorldState::decode(&mut reader),
@@ -258,13 +263,14 @@ mod tests {
     use super::*;
     use crate::testutil::test_dir;
 
-    fn tip_and_state(height: u64) -> (Block, WorldState) {
+    fn tip_and_state(height: u64) -> (Block, WorldState, StateTree) {
         let mut state = WorldState::new();
         state.set_code(medchain_chain::Address::from_seed(height), vec![height as u8; 4]);
+        let tree = StateTree::from_state(&state);
         let mut tip = Block::genesis("snap-test");
         tip.header.height = height;
-        tip.header.state_root = state.state_root();
-        (tip, state)
+        tip.header.state_root = tree.versioned_root();
+        (tip, state, tree)
     }
 
     #[test]
@@ -272,8 +278,8 @@ mod tests {
         let dir = test_dir("snap-roundtrip");
         let store = SnapshotStore::open(&dir).unwrap();
         for h in [4u64, 8, 12] {
-            let (tip, state) = tip_and_state(h);
-            store.write(&tip, &state).unwrap();
+            let (tip, state, tree) = tip_and_state(h);
+            store.write(&tip, &state, &tree).unwrap();
         }
         let snap = store.latest_valid(u64::MAX).unwrap().unwrap();
         assert_eq!(snap.height, 12);
@@ -293,10 +299,10 @@ mod tests {
     fn corrupt_snapshot_is_skipped_for_older_valid_one() {
         let dir = test_dir("snap-corrupt");
         let store = SnapshotStore::open(&dir).unwrap();
-        let (tip4, state4) = tip_and_state(4);
-        let (tip8, state8) = tip_and_state(8);
-        store.write(&tip4, &state4).unwrap();
-        store.write(&tip8, &state8).unwrap();
+        for h in [4u64, 8] {
+            let (tip, state, tree) = tip_and_state(h);
+            store.write(&tip, &state, &tree).unwrap();
+        }
         // Flip one byte in the newest snapshot's payload.
         let path = dir.join(snap_name(8));
         let mut bytes = fs::read(&path).unwrap();
@@ -311,11 +317,11 @@ mod tests {
     fn snapshot_with_mismatched_header_root_is_rejected() {
         let dir = test_dir("snap-root-mismatch");
         let store = SnapshotStore::open(&dir).unwrap();
-        let (mut tip, state) = tip_and_state(4);
+        let (mut tip, state, tree) = tip_and_state(4);
         // A tip whose header root disagrees with its state must never
         // load — the tree-vs-header check is what recovery trusts.
         tip.header.state_root = medchain_chain::Hash256::digest(b"someone else's root");
-        store.write(&tip, &state).unwrap();
+        store.write(&tip, &state, &tree).unwrap();
         assert!(store.load(4).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -302,6 +302,36 @@ if grep -rn "adopt_payload(" crates/*/src src examples tests --include="*.rs" \
 fi
 echo "ok: snapshots install only through the root-verified restore path"
 
+# No hot path rehashes the whole state (DESIGN.md §8, §13): snapshots
+# are written from the tree the commit built (BlockStore::checkpoint),
+# so outside test modules nothing in the storage or core crates builds a
+# tree from a bare state, and the chain crate does so only where it
+# really starts from one: the builder itself (auth/smt.rs) and the
+# ledger's state_root, restore and lazy rebuild after state_mut.
+echo "== auth: no-full-rehash guard =="
+# Lines naming from_state( outside comments and trailing test modules.
+from_state_uses() {
+    find "$@" -name "*.rs" -print0 | xargs -0 awk '
+        FNR == 1 { in_test = 0; prev = "" }
+        prev ~ /^#\[cfg\(test\)\]/ && /^mod [a-z_]+ \{/ { in_test = 1 }
+        { prev = $0 }
+        !in_test && /from_state\(/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
+    '
+}
+if from_state_uses crates/storage/src crates/core/src | grep .; then
+    echo "ERROR: StateTree::from_state outside tests in crates/storage or crates/core — use the ledger's tree." >&2
+    exit 1
+fi
+if from_state_uses crates/chain/src \
+    | grep -v "^crates/chain/src/auth/smt.rs:" \
+    | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *StateTree::from_state(self).versioned_root()$" \
+    | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *let tree = StateTree::from_state(&state);$" \
+    | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *let mut tree = StateTree::from_state(&self.state);$"; then
+    echo "ERROR: a new full-state tree build in crates/chain — maintain the tree with with_delta." >&2
+    exit 1
+fi
+echo "ok: only state_root, restore and the post-state_mut rebuild build a tree from a bare state"
+
 # One committee life cycle (DESIGN.md §3, §14): recovering a store,
 # streaming into a lagging member, attaching a store and driving
 # consensus to a height are decisions `core::committee` makes once for
@@ -363,5 +393,22 @@ if ! grep -q "wiped site rejoined from streamed snapshot" "$paged_log"; then
     exit 1
 fi
 echo "ok: page-capped node matched the resident tip and the wiped site streamed back in"
+
+# Benchmark smoke: two seconds of the durable gateway workload — TCP
+# ingress, WAL, a snapshot boundary, restart and receipt re-serve — must
+# end with a result the benchmark itself judges correct. Built first so
+# the wall-clock guard times the run, not the compile.
+echo "== medbench: 2-second gateway_wal smoke (wall-clock guarded) =="
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+smoke_log="$(mktemp)"
+trap 'rm -f "$metrics_tsv" "$restart_log" "$shard_log" "$gateway_log" "$exec_log" "$light_log" "$paged_log" "$smoke_log"; rm -rf "$restart_dir" "$shard_dir" "$paged_dir"' EXIT
+timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload gateway_wal --seed 1 --seconds 2 --trace 0 > "$smoke_log"
+if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
+    echo "ERROR: medbench gateway_wal smoke did not report a correct run" >&2
+    cat "$smoke_log" >&2
+    exit 1
+fi
+echo "ok: medbench gateway_wal ran end to end and checked its own outputs"
 
 echo "verify: OK"

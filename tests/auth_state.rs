@@ -5,7 +5,8 @@
 //! Covered: (1) seeded property — incremental root maintenance over
 //! random delta sequences (credits, storage writes *and deletes*, code,
 //! anchors, lock set/clear, coordinator records) always lands on the
-//! full-rehash root; (2) tampering any byte of a serialized proof makes
+//! full-rehash root, and on the same encoded nodes as the one-pass
+//! build (which `state_root_with` also predicts); (2) tampering any byte of a serialized proof makes
 //! it fail; (3) absence proofs for never-written and written-then-
 //! deleted keys; (4) the pinned micro-bench — maintaining the root for
 //! a 100-write block must cost ≤ 0.1× a full rehash at 20k accounts;
@@ -85,14 +86,20 @@ fn incremental_root_tracks_full_rehash_over_random_deltas() {
             let mut tree = StateTree::from_state(&state);
             for round in 0..g.usize_in(2, 6) {
                 let delta = random_delta(g, &state);
+                let predicted = state.state_root_with(&delta);
                 tree = tree.with_delta(&delta);
                 delta.apply_to(&mut state);
-                ensure_eq!(
-                    tree.versioned_root(),
-                    StateTree::from_state(&state).versioned_root()
-                );
+                // Two independent constructions — path-copying inserts
+                // and deletes in delta order vs one sorted bottom-up
+                // build — must agree node for node, not just at the root.
+                let built = StateTree::from_state(&state);
+                ensure_eq!(tree.versioned_root(), built.versioned_root());
+                ensure_eq!(predicted, built.versioned_root());
                 ensure_eq!(tree.len(), state.leaf_count());
+                ensure_eq!(built.len(), state.leaf_count());
                 ensure!(tree.audit(), "tree failed its structural audit at round {round}");
+                ensure!(built.audit(), "built tree failed its structural audit at round {round}");
+                ensure_eq!(built.encoded(), tree.encoded());
             }
             Ok(())
         },

@@ -11,11 +11,13 @@
 use medchain_chain::ledger::NullRuntime;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::{Transaction, TxPayload};
-use medchain_chain::{Hash256, KeyRegistry, Ledger};
+use medchain_chain::{Hash256, KeyRegistry, Ledger, StateCacheConfig, StateTree};
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::wal::RECORD_HEADER_BYTES;
+use medchain_storage::{PagedAccounts, PagedNodes, SnapshotStore};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("medchain-itest-{}-{tag}", std::process::id()));
@@ -601,6 +603,41 @@ fn wiped_shard_member_rejoins_and_passes_cross_link_audit() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// Proposes the next block on `ledger`: four transactions from `key`,
+/// each a transfer into a 64-account universe or a fresh anchor.
+fn random_block(rng: &mut DetRng, ledger: &Ledger, key: &AuthorityKey) -> medchain_chain::Block {
+    let height = ledger.height() + 1;
+    let nonce_base = ledger.state().account(&key.address()).nonce;
+    let txs: Vec<Transaction> = (0..4)
+        .map(|k| {
+            let payload = if rng.next_u64() % 2 == 0 {
+                let mut to = [0u8; 20];
+                to[..8].copy_from_slice(&(rng.next_u64() % 64).to_le_bytes());
+                TxPayload::Transfer {
+                    to: medchain_chain::Address(to),
+                    amount: 1 + rng.next_u64() % 50,
+                }
+            } else {
+                let label = format!("scan-{height}-{k}");
+                TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }
+            };
+            Transaction::new(key.address(), nonce_base + k, payload, 100).signed(key)
+        })
+        .collect();
+    ledger.propose(key.address(), height * 50, txs)
+}
+
+/// A page-capped state cache over `pages`, budgets far below the
+/// 64-account working set of [`random_block`].
+fn tiny_state_cache(pages: Arc<PageStore>) -> StateCacheConfig {
+    StateCacheConfig {
+        accounts: Arc::new(PagedAccounts::new(Arc::clone(&pages))),
+        nodes: Arc::new(PagedNodes::new(pages)),
+        max_hot_accounts: 8, // « the 64-account universe: constant churn
+        node_budget: 16,     // forces subtree spills on every commit
+    }
+}
+
 /// Paged reads ≡ fully-resident reads (DESIGN.md §14): one seeded
 /// random block sequence — transfers across a 64-account universe plus
 /// anchors — committed by a fully-resident ledger and by page-capped
@@ -611,10 +648,6 @@ fn wiped_shard_member_rejoins_and_passes_cross_link_audit() {
 /// every height.
 #[test]
 fn paged_ledger_matches_resident_ledger_under_random_blocks() {
-    use medchain_chain::StateCacheConfig;
-    use medchain_storage::{PageStore, PagedAccounts, PagedNodes};
-    use std::sync::Arc;
-
     for cache_pages in 1..=4usize {
         let dir = test_dir(&format!("paged-equiv-{cache_pages}"));
         std::fs::create_dir_all(&dir).unwrap();
@@ -629,33 +662,11 @@ fn paged_ledger_matches_resident_ledger_under_random_blocks() {
         let pages = Arc::new(
             PageStore::open(&dir.join("pages.bin"), cache_pages, registry.handle()).unwrap(),
         );
-        paged.attach_state_cache(StateCacheConfig {
-            accounts: Arc::new(PagedAccounts::new(Arc::clone(&pages))),
-            nodes: Arc::new(PagedNodes::new(pages)),
-            max_hot_accounts: 8, // « the 64-account universe: constant churn
-            node_budget: 16,     // forces subtree spills on every commit
-        });
+        paged.attach_state_cache(tiny_state_cache(pages));
 
         let mut rng = DetRng::from_seed(0xD15C_0000 + cache_pages as u64);
         for step in 0..30u64 {
-            let nonce_base = resident.state().account(&key.address()).nonce;
-            let txs: Vec<Transaction> = (0..4)
-                .map(|k| {
-                    let payload = if rng.next_u64() % 2 == 0 {
-                        let mut to = [0u8; 20];
-                        to[..8].copy_from_slice(&(rng.next_u64() % 64).to_le_bytes());
-                        TxPayload::Transfer {
-                            to: medchain_chain::Address(to),
-                            amount: 1 + rng.next_u64() % 50,
-                        }
-                    } else {
-                        let label = format!("scan-{step}-{k}");
-                        TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }
-                    };
-                    Transaction::new(key.address(), nonce_base + k, payload, 100).signed(&key)
-                })
-                .collect();
-            let block = resident.propose(key.address(), (resident.height() + 1) * 50, txs);
+            let block = random_block(&mut rng, &resident, &key);
             resident.apply(&block).unwrap();
             paged.apply(&block).unwrap();
             assert_eq!(
@@ -679,4 +690,108 @@ fn paged_ledger_matches_resident_ledger_under_random_blocks() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Snapshots are written from the tree the commit built, never from a
+/// rebuild — so every `snap-*.bin` a ledger's store writes, with the
+/// state resident or paged (spilled subtrees spliced from their pages),
+/// must be byte-identical to a snapshot of the same tip and state over a
+/// tree built from scratch, and must be what a restart recovers from.
+#[test]
+fn snapshots_from_the_commit_tree_match_a_from_scratch_build() {
+    for paged in [false, true] {
+        let dir = test_dir(&format!("snap-live-tree-{paged}"));
+        let reference_dir = test_dir(&format!("snap-live-tree-{paged}-reference"));
+        let reference = SnapshotStore::open(&reference_dir).unwrap();
+        let key = AuthorityKey::from_seed(13);
+        let config = StorageConfig { snapshot_every: 4, ..StorageConfig::default() };
+
+        let mut ledger = fresh_ledger(&key);
+        let mut store = DiskStore::open(&dir, config).unwrap();
+        store.recover_into(&mut ledger).unwrap();
+        ledger.state_mut().credit(key.address(), 1_000_000);
+        let registry = Registry::new();
+        if paged {
+            let pages =
+                Arc::new(PageStore::open(&dir.join("pages.bin"), 4, registry.handle()).unwrap());
+            store.attach_pages(Arc::clone(&pages));
+            ledger.attach_state_cache(tiny_state_cache(pages));
+        }
+        ledger.attach_store(Box::new(store));
+
+        let mut rng = DetRng::from_seed(0x5A47 + paged as u64);
+        for _ in 0..14 {
+            let block = random_block(&mut rng, &ledger, &key);
+            ledger.apply(&block).unwrap();
+            let height = ledger.height();
+            if height % 4 != 0 {
+                continue;
+            }
+            let name = format!("snap-{height:020}.bin");
+            let state = ledger.state();
+            reference.write(ledger.tip(), state, &StateTree::from_state(state)).unwrap();
+            assert_eq!(
+                std::fs::read(dir.join(&name)).unwrap(),
+                std::fs::read(reference_dir.join(&name)).unwrap(),
+                "paged={paged}: {name} differs from a from-scratch build"
+            );
+        }
+        assert_eq!(registry.counter_value("storage.page_writes") > 0, paged);
+        let (tip_id, state_root) = (ledger.tip().id(), ledger.state().state_root());
+        drop(ledger);
+
+        // The funding above never went through a block, so only the
+        // snapshot can have carried it into the second life.
+        let mut ledger = fresh_ledger(&key);
+        let mut store = DiskStore::open(&dir, config).unwrap();
+        let report = store.recover_into(&mut ledger).unwrap();
+        assert_eq!(report.from_snapshot, Some(12));
+        assert_eq!(report.replayed_blocks, 2);
+        assert_eq!(ledger.tip().id(), tip_id);
+        assert_eq!(ledger.state().state_root(), state_root);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&reference_dir).unwrap();
+    }
+}
+
+/// A snapshot is an optimisation (`BlockStore` contract 3): one that
+/// cannot be written must not un-commit the block it follows, which is
+/// already durable in the log. Here a directory squats on the height-2
+/// snapshot's `.tmp` path so its open fails; the chain keeps committing,
+/// the failure is counted and reported once, and the next boundary
+/// writes the snapshot a restart then recovers from.
+#[test]
+fn failed_snapshot_keeps_the_durable_block_and_retries_at_next_boundary() {
+    let dir = test_dir("snap-write-fails");
+    let key = AuthorityKey::from_seed(17);
+    let config = StorageConfig { snapshot_every: 2, ..StorageConfig::default() };
+    std::fs::create_dir_all(dir.join(format!("snap-{:020}.bin.tmp", 2))).unwrap();
+
+    let registry = Registry::new();
+    let mut ledger = fresh_ledger(&key);
+    let mut store = DiskStore::open_with_metrics(&dir, config, registry.handle()).unwrap();
+    store.recover_into(&mut ledger).unwrap();
+    ledger.attach_store(Box::new(store));
+    grow(&mut ledger, &key, 4);
+    assert_eq!(ledger.height(), 4);
+    let tip_id = ledger.tip().id();
+    drop(ledger);
+
+    assert_eq!(registry.counter_value("storage.snapshot_failures"), 1);
+    assert_eq!(registry.counter_value("storage.snapshots"), 1);
+    let failures: Vec<_> =
+        registry.events().into_iter().filter(|e| e.name == "snapshot_failed").collect();
+    assert_eq!(failures.len(), 1);
+    assert_eq!(failures[0].scope, "storage");
+    assert_eq!(failures[0].fields[0], ("height".to_string(), "2".to_string()));
+    assert!(!dir.join(format!("snap-{:020}.bin", 2)).exists());
+    assert!(dir.join(format!("snap-{:020}.bin", 4)).exists());
+
+    let mut ledger = fresh_ledger(&key);
+    let mut store = DiskStore::open(&dir, config).unwrap();
+    let report = store.recover_into(&mut ledger).unwrap();
+    assert_eq!(report.height, 4);
+    assert_eq!(report.from_snapshot, Some(4));
+    assert_eq!(report.tip_id, tip_id);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

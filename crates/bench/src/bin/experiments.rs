@@ -6,11 +6,11 @@
 //! cargo run --release -p medchain-bench --bin experiments -- e1 e8  # subset
 //! ```
 //!
-//! Set `MEDCHAIN_METRICS_TSV=<path>` to install a metrics registry on
-//! every metered layer and dump its counters/gauges/histograms as TSV
-//! to `<path>` when the run finishes.
+//! Every layer reports to one metrics registry; set
+//! `MEDCHAIN_METRICS_TSV=<path>` to dump its counters/gauges/histograms
+//! as TSV to `<path>` when the run finishes.
 
-use medchain_bench::{run_experiment, run_experiment_metered, ALL_EXPERIMENTS};
+use medchain_bench::{run_experiment, EXPERIMENTS};
 use medchain_runtime::metrics::{GaugeSnapshotter, Registry};
 
 fn main() {
@@ -21,14 +21,12 @@ fn main() {
         .filter(|a| !a.starts_with('-'))
         .map(String::as_str)
         .collect();
+    let all: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     let to_run: Vec<&str> = if selected.is_empty() {
-        ALL_EXPERIMENTS.to_vec()
+        all
     } else {
         for id in &selected {
-            assert!(
-                ALL_EXPERIMENTS.contains(id),
-                "unknown experiment {id:?}; valid: {ALL_EXPERIMENTS:?}"
-            );
+            assert!(all.contains(id), "unknown experiment {id:?}; valid: {all:?}");
         }
         selected
     };
@@ -44,15 +42,8 @@ fn main() {
     // last-written values.
     let mut snapshotter = GaugeSnapshotter::new(registry.clone(), 1);
     for id in to_run {
-        let table = if tsv_path.is_some() {
-            run_experiment_metered(id, quick, registry.handle())
-        } else {
-            run_experiment(id, quick)
-        };
-        println!("{table}");
-        if tsv_path.is_some() {
-            snapshotter.tick();
-        }
+        println!("{}", run_experiment(id, quick, registry.handle()));
+        snapshotter.tick();
     }
     if let Some(path) = tsv_path {
         std::fs::write(&path, registry.to_tsv())

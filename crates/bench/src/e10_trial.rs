@@ -10,15 +10,10 @@ use medchain_trial::{
     simulate_sites, COMPARE_CORRECT_RATE, REPORTED_FALSIFICATION_RATE,
 };
 
-/// Runs E10.
-pub fn run_e10(quick: bool) -> Table {
-    run_e10_metered(quick, Metrics::noop())
-}
-
-/// [`run_e10`] reporting `trial.*` counters to `metrics` (audited
+/// Runs E10 reporting `trial.*` counters to `metrics` (audited
 /// populations, violations present, and what each auditor detected —
 /// the trial layer itself is pure, so the runner meters).
-pub fn run_e10_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e10(quick: bool, metrics: Metrics) -> Table {
     let trials = if quick { 201 } else { 670 };
     let sites = if quick { 60 } else { 300 };
 
@@ -95,7 +90,7 @@ mod tests {
     #[test]
     fn e10_metered_reports_trial_counters() {
         let registry = Registry::new();
-        let table = run_e10_metered(true, registry.handle());
+        let table = run_e10(true, registry.handle());
         assert_eq!(registry.counter_value("trial.trials_audited"), 201);
         assert_eq!(registry.counter_value("trial.sites_audited"), 60);
         // The anchored auditor catches every falsifying site; the
@@ -112,7 +107,7 @@ mod tests {
 
     #[test]
     fn e10_anchored_beats_registry_only() {
-        let table = run_e10(true);
+        let table = run_e10(true, Metrics::noop());
         let anchored_recall: f64 = table.rows[1][4].parse().unwrap();
         let registry_recall: f64 = table.rows[2][4].parse().unwrap();
         assert_eq!(anchored_recall, 1.0);

@@ -8,16 +8,11 @@ use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 use medchain_data::PatientRecord;
 use medchain_runtime::metrics::Metrics;
 
-/// Runs E11.
-pub fn run_e11(quick: bool) -> Table {
-    run_e11_metered(quick, Metrics::noop())
-}
-
-/// [`run_e11`] reporting `paradigms.*` to `metrics`: one
+/// Runs E11 reporting `paradigms.*` to `metrics`: one
 /// `paradigms.compared` tick, per-paradigm `bytes_moved` /
 /// `raw_records_exposed` counters, and the modeled total wall as a
 /// `paradigms.total_ms` histogram.
-pub fn run_e11_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e11(quick: bool, metrics: Metrics) -> Table {
     let sites = if quick { 4 } else { 8 };
     let per_site = if quick { 500 } else { 3_000 };
     let passes = if quick { 50 } else { 200 };
@@ -84,7 +79,7 @@ mod tests {
     #[test]
     fn e11_metered_reports_paradigm_counters() {
         let registry = Registry::new();
-        let table = run_e11_metered(true, registry.handle());
+        let table = run_e11(true, registry.handle());
         assert_eq!(registry.counter_value("paradigms.compared"), table.rows.len() as u64);
         // Compute-to-data: the blockchain paradigm exposes no raw
         // records while hadoop ships them all to the central cluster.
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn e11_blockchain_parallel_is_private_and_cheap_to_move() {
-        let table = run_e11(true);
+        let table = run_e11(true, Metrics::noop());
         let bc_row = table
             .rows
             .iter()

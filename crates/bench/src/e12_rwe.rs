@@ -7,16 +7,11 @@ use crate::report::{f, Table};
 use medchain_runtime::metrics::Metrics;
 use medchain_trial::{batched_detection_day, simulate_stream, RweMonitor};
 
-/// Runs E12.
-pub fn run_e12(quick: bool) -> Table {
-    run_e12_metered(quick, Metrics::noop())
-}
-
-/// [`run_e12`] reporting `rwe.*` to `metrics`: events streamed into the
+/// Runs E12 reporting `rwe.*` to `metrics`: events streamed into the
 /// monitor, signals raised, total review days saved versus the batch
 /// baseline, and the stream detection day as an `rwe.detect_day`
 /// histogram.
-pub fn run_e12_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e12(quick: bool, metrics: Metrics) -> Table {
     let sites = if quick { 4 } else { 10 };
     let events_per_day = if quick { 20 } else { 60 };
     let days = if quick { 400 } else { 720 };
@@ -93,7 +88,7 @@ mod tests {
     #[test]
     fn e12_metered_reports_rwe_counters() {
         let registry = Registry::new();
-        let table = run_e12_metered(true, registry.handle());
+        let table = run_e12(true, registry.handle());
         // Quick mode sweeps two effect sizes; both must signal.
         assert_eq!(registry.counter_value("rwe.signals_detected"), table.rows.len() as u64);
         assert!(registry.counter_value("rwe.events_streamed") > 0);
@@ -104,7 +99,7 @@ mod tests {
 
     #[test]
     fn e12_stream_beats_batch() {
-        let table = run_e12(true);
+        let table = run_e12(true, Metrics::noop());
         for row in &table.rows {
             let saved: i64 = row[3].parse().unwrap_or(0);
             assert!(saved > 0, "no days saved for rate {}", row[0]);

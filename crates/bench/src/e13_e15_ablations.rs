@@ -19,15 +19,11 @@ use medchain_query::QueryVector;
 use medchain_runtime::metrics::Metrics;
 use std::time::Instant;
 
-/// E13: duplicated vs transformed-sequential vs transformed-parallel.
-pub fn run_e13(quick: bool) -> Table {
-    run_e13_metered(quick, Metrics::noop())
-}
-
-/// [`run_e13`] reporting `ablation.*` to `metrics`: one `variants_run`
-/// tick per variant timed, the work-unit budget, and the observed
+/// E13: duplicated vs transformed-sequential vs transformed-parallel,
+/// reporting `ablation.*` to `metrics`: one `variants_run` tick per
+/// variant timed, the work-unit budget, and the observed
 /// parallel-over-duplicated speedup.
-pub fn run_e13_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e13(quick: bool, metrics: Metrics) -> Table {
     let work: u64 = if quick { 300_000 } else { 1_500_000 };
     let nodes = if quick { 4 } else { 8 };
     let mut table = Table::new(
@@ -87,14 +83,10 @@ pub fn run_e13_metered(quick: bool, metrics: Metrics) -> Table {
     table
 }
 
-/// E14: FedAvg local epochs vs rounds at fixed total compute.
-pub fn run_e14(quick: bool) -> Table {
-    run_e14_metered(quick, Metrics::noop())
-}
-
-/// [`run_e14`] reporting `fedavg.*` to `metrics`: configurations tried,
-/// rounds run, model bytes moved, and every final AUC observed.
-pub fn run_e14_metered(quick: bool, metrics: Metrics) -> Table {
+/// E14: FedAvg local epochs vs rounds at fixed total compute, reporting
+/// `fedavg.*` to `metrics`: configurations tried, rounds run, model
+/// bytes moved, and every final AUC observed.
+pub fn run_e14(quick: bool, metrics: Metrics) -> Table {
     let per_site = if quick { 400 } else { 800 };
     let sites = if quick { 4 } else { 8 };
     let total_epochs = 24usize;
@@ -142,15 +134,10 @@ pub fn run_e14_metered(quick: bool, metrics: Metrics) -> Table {
     table
 }
 
-/// E15: query-vector optimizer on/off.
-pub fn run_e15(quick: bool) -> Table {
-    run_e15_metered(quick, Metrics::noop())
-}
-
-/// [`run_e15`] reporting `query_opt.*` to `metrics`: records scanned,
-/// predicate evaluations per variant, and the evaluations the optimizer
-/// saved.
-pub fn run_e15_metered(quick: bool, metrics: Metrics) -> Table {
+/// E15: query-vector optimizer on/off, reporting `query_opt.*` to
+/// `metrics`: records scanned, predicate evaluations per variant, and
+/// the evaluations the optimizer saved.
+pub fn run_e15(quick: bool, metrics: Metrics) -> Table {
     let n = if quick { 4_000 } else { 20_000 };
     let records = CohortGenerator::new("opt", SiteProfile::default(), 15).cohort(
         0,
@@ -204,7 +191,7 @@ mod tests {
     #[test]
     fn e13_metered_reports_ablation_counters() {
         let registry = Registry::new();
-        run_e13_metered(true, registry.handle());
+        run_e13(true, registry.handle());
         assert_eq!(registry.counter_value("ablation.variants_run"), 3);
         assert!(registry.counter_value("ablation.work_units") >= 300_000);
     }
@@ -212,7 +199,7 @@ mod tests {
     #[test]
     fn e14_metered_reports_fedavg_counters() {
         let registry = Registry::new();
-        run_e14_metered(true, registry.handle());
+        run_e14(true, registry.handle());
         assert_eq!(registry.counter_value("fedavg.configs"), 4);
         assert!(registry.counter_value("fedavg.rounds") > 0);
         assert!(registry.counter_value("fedavg.bytes_moved") > 0);
@@ -221,7 +208,7 @@ mod tests {
     #[test]
     fn e15_metered_reports_saved_evals() {
         let registry = Registry::new();
-        let table = run_e15_metered(true, registry.handle());
+        let table = run_e15(true, registry.handle());
         let evals = |row: usize| table.rows[row][1].parse::<u64>().unwrap();
         assert!(registry.counter_value("query_opt.records") > 0);
         assert_eq!(registry.counter_value("query_opt.predicate_evals"), evals(0) + evals(1));
@@ -235,7 +222,7 @@ mod tests {
         // ordering broken.
         let mut walls = (0.0, 0.0, 0.0);
         for _ in 0..3 {
-            let table = run_e13(true);
+            let table = run_e13(true, Metrics::noop());
             let wall = |row: usize| {
                 table.rows[row][1].trim_end_matches("ms").parse::<f64>().unwrap()
             };
@@ -252,7 +239,7 @@ mod tests {
 
     #[test]
     fn e14_communication_falls_with_local_epochs() {
-        let table = run_e14(true);
+        let table = run_e14(true, Metrics::noop());
         let bytes = |row: usize| table.rows[row][3].parse::<u64>().unwrap();
         assert!(bytes(3) < bytes(0), "12-epoch bytes {} vs 1-epoch {}", bytes(3), bytes(0));
         // Accuracy stays usable in every configuration.
@@ -264,7 +251,7 @@ mod tests {
 
     #[test]
     fn e15_optimizer_cuts_work_same_answer() {
-        let table = run_e15(true);
+        let table = run_e15(true, Metrics::noop());
         let evals = |row: usize| table.rows[row][1].parse::<u64>().unwrap();
         let matched = |row: usize| table.rows[row][2].parse::<u64>().unwrap();
         assert_eq!(matched(0), matched(1), "results must not change");

@@ -19,15 +19,10 @@ fn population(n: usize, seed: u64) -> Vec<PatientRecord> {
     CohortGenerator::new("rx", profile, seed).cohort(0, n, &DiseaseModel::stroke())
 }
 
-/// Runs E16.
-pub fn run_e16(quick: bool) -> Table {
-    run_e16_metered(quick, Metrics::noop())
-}
-
-/// [`run_e16`] reporting `precision.*` to `metrics`: deployment
+/// Runs E16 reporting `precision.*` to `metrics`: deployment
 /// population, benefited counts per strategy, and the observed benefit
 /// lift of the learned policy.
-pub fn run_e16_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e16(quick: bool, metrics: Metrics) -> Table {
     let n = if quick { 5_000 } else { 20_000 };
     let drug = DrugModel::default();
 
@@ -95,7 +90,7 @@ mod tests {
     #[test]
     fn e16_metered_reports_precision_counters() {
         let registry = medchain_runtime::metrics::Registry::new();
-        run_e16_metered(true, registry.handle());
+        run_e16(true, registry.handle());
         assert_eq!(registry.counter_value("precision.patients"), 5_000);
         assert!(registry.counter_value("precision.blanket_benefited") > 0);
         assert!(registry.counter_value("precision.targeted_benefited") > 0);
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn e16_precision_beats_blanket_within_band() {
-        let table = run_e16(true);
+        let table = run_e16(true, Metrics::noop());
         let blanket_rate: f64 = table.rows[0][3].parse().unwrap();
         let targeted_rate: f64 = table.rows[1][3].parse().unwrap();
         assert!((0.04..=0.25).contains(&blanket_rate), "blanket {blanket_rate}");

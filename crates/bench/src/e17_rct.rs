@@ -11,14 +11,9 @@ use medchain_trial::{
     intention_to_treat, observational_estimate, simulate_rct_and_observational,
 };
 
-/// Runs E17.
-pub fn run_e17(quick: bool) -> Table {
-    run_e17_metered(quick, Metrics::noop())
-}
-
-/// [`run_e17`] reporting `rct.*` to `metrics`: estimates produced and
-/// how many covered / missed the true effect.
-pub fn run_e17_metered(quick: bool, metrics: Metrics) -> Table {
+/// Runs E17 reporting `rct.*` to `metrics`: estimates produced and how
+/// many covered / missed the true effect.
+pub fn run_e17(quick: bool, metrics: Metrics) -> Table {
     let n = if quick { 20_000 } else { 80_000 };
     let cohort = CohortGenerator::new("e17", SiteProfile::default(), 17).cohort(
         0,
@@ -68,7 +63,7 @@ mod tests {
     #[test]
     fn e17_metered_reports_bias_counters() {
         let registry = medchain_runtime::metrics::Registry::new();
-        run_e17_metered(true, registry.handle());
+        run_e17(true, registry.handle());
         assert_eq!(registry.counter_value("rct.estimates"), 4);
         assert_eq!(
             registry.counter_value("rct.unbiased") + registry.counter_value("rct.biased"),
@@ -79,7 +74,7 @@ mod tests {
 
     #[test]
     fn e17_rct_unbiased_observational_biased_for_null() {
-        let table = run_e17(true);
+        let table = run_e17(true, Metrics::noop());
         // Row 0: null drug, RCT → unbiased. Row 1: null, observational → biased.
         assert_eq!(table.rows[0][4], "unbiased");
         assert_eq!(table.rows[1][4], "BIASED");

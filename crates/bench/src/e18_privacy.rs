@@ -11,14 +11,9 @@ use medchain_data::Dataset;
 use medchain_learning::{DpConfig, FedAvg, FedLogistic};
 use medchain_runtime::metrics::Metrics;
 
-/// Runs E18.
-pub fn run_e18(quick: bool) -> Table {
-    run_e18_metered(quick, Metrics::noop())
-}
-
-/// [`run_e18`] reporting `dp.*` to `metrics`: noise levels swept,
-/// private rounds run, and every private final AUC observed.
-pub fn run_e18_metered(quick: bool, metrics: Metrics) -> Table {
+/// Runs E18 reporting `dp.*` to `metrics`: noise levels swept, private
+/// rounds run, and every private final AUC observed.
+pub fn run_e18(quick: bool, metrics: Metrics) -> Table {
     let sites = if quick { 4 } else { 8 };
     let per_site = if quick { 500 } else { 1_000 };
     let rounds = if quick { 10 } else { 20 };
@@ -70,14 +65,14 @@ mod tests {
     #[test]
     fn e18_metered_reports_dp_counters() {
         let registry = medchain_runtime::metrics::Registry::new();
-        run_e18_metered(true, registry.handle());
+        run_e18(true, registry.handle());
         assert_eq!(registry.counter_value("dp.noise_levels"), 5);
         assert_eq!(registry.counter_value("dp.private_rounds"), 5 * 10);
     }
 
     #[test]
     fn e18_utility_decays_with_noise() {
-        let table = run_e18(true);
+        let table = run_e18(true, Metrics::noop());
         let auc = |row: usize| table.rows[row][1].parse::<f64>().unwrap();
         let baseline = auc(0);
         let mild = auc(1);

@@ -9,34 +9,17 @@
 
 use crate::report::{f, ms, Table};
 use medchain::modes::{
-    run_duplicated_metered, run_sharded_consensus_metered, run_sharded_metered,
-    run_transformed_metered, ModeReport,
+    run_duplicated_metered, run_sharded_consensus, run_transformed_metered, ModeReport,
 };
 use medchain::TransportKind;
 use medchain_runtime::metrics::Metrics;
 
-/// By default the tables print the deterministic wall-time model
-/// ([`ModeReport::modeled_wall`]) so that a fixed seed reproduces the
-/// output bit-for-bit across runs. Set `MEDCHAIN_REAL_WALL=1` to print
-/// measured thread wall time instead (machine- and run-dependent).
-fn real_wall() -> bool {
-    std::env::var("MEDCHAIN_REAL_WALL").is_ok_and(|v| v == "1")
-}
-
+/// The tables print the deterministic wall-time model
+/// ([`ModeReport::modeled_wall`]): a pure function of code and seed, so
+/// the output reproduces bit-for-bit. Measured wall time is medbench's
+/// (`modes.onchain_ms_per_job`, `modes.duplicated_job_ms`).
 fn wall_secs(report: &ModeReport) -> f64 {
-    if real_wall() {
-        report.wall.as_secs_f64()
-    } else {
-        report.modeled_wall().as_secs_f64()
-    }
-}
-
-fn wall_header() -> &'static str {
-    if real_wall() {
-        "wall (measured)"
-    } else {
-        "wall (model)"
-    }
+    report.modeled_wall().as_secs_f64()
 }
 
 fn node_counts(quick: bool) -> Vec<usize> {
@@ -61,13 +44,9 @@ fn work_units(quick: bool) -> u64 {
 /// `MEDCHAIN_TRANSPORT` (`tcp` = real loopback sockets; default = the
 /// deterministic simulator); the trailing byte column reports the
 /// canonical encoded bytes the chosen transport actually carried.
-pub fn run_e1(quick: bool) -> Table {
-    run_e1_metered(quick, Metrics::noop())
-}
-
-/// [`run_e1`] with every layer reporting to `metrics`; tests assert on
-/// the sink's counters rather than parsing the printed table.
-pub fn run_e1_metered(quick: bool, metrics: Metrics) -> Table {
+/// Every layer reports to `metrics`; tests assert on the sink's
+/// counters rather than parsing the printed table.
+pub fn run_e1(quick: bool, metrics: Metrics) -> Table {
     let work = work_units(quick);
     let transport = TransportKind::from_env();
     let mut table = Table::new(
@@ -78,7 +57,7 @@ pub fn run_e1_metered(quick: bool, metrics: Metrics) -> Table {
         ),
         &[
             "nodes",
-            wall_header(),
+            "wall (model)",
             "total work (gas)",
             "duplication ×",
             "jobs/s",
@@ -112,33 +91,26 @@ pub fn run_e1_metered(quick: bool, metrics: Metrics) -> Table {
     table
 }
 
-/// Runs E2: duplicated vs transformed across node counts.
-pub fn run_e2(quick: bool) -> Table {
-    run_e2_metered(quick, Metrics::noop())
-}
-
-/// [`run_e2`] with every layer reporting to `metrics` (including the
+/// Runs E2: duplicated vs chain-sharded vs transformed across node
+/// counts, every layer reporting to `metrics` (including the
 /// transformed mode's off-chain executors).
-pub fn run_e2_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e2(quick: bool, metrics: Metrics) -> Table {
     let work = work_units(quick);
     let transport = TransportKind::from_env();
     let mut table = Table::new(
         "E2",
         &format!(
-            "transformed distributed-parallel architecture, job = {work} work units, {}, \
-             transport = {}",
-            wall_header(),
+            "transformed distributed-parallel architecture, job = {work} work units, \
+             wall (model), transport = {}",
             transport.label()
         ),
         &[
             "nodes",
             "duplicated wall",
-            "sharded wall",
             "chain-shard wall",
             "transformed wall",
             "speedup ×",
             "dup work",
-            "shard work",
             "chain-shard work",
             "trans work",
             "dup net bytes",
@@ -148,15 +120,12 @@ pub fn run_e2_metered(quick: bool, metrics: Metrics) -> Table {
     for nodes in node_counts(quick) {
         let duplicated =
             run_duplicated_metered(nodes, work, 22, metrics.clone()).expect("duplicated run");
-        // Sharding (paper §I's partial fix): √N-ish groups.
+        // Sharding (paper §I's partial fix): √N-ish groups, enforced at
+        // the chain layer — real sub-chains with committees and
+        // cross-links (DESIGN.md §9).
         let shards = (nodes / 2).max(1);
-        let sharded = run_sharded_metered(nodes, shards, work, 22, metrics.clone())
-            .expect("sharded run");
-        // The same split enforced at the chain layer: real sub-chains
-        // with committees and cross-links (DESIGN.md §9).
-        let chain_sharded =
-            run_sharded_consensus_metered(nodes, shards, work, 22, metrics.clone())
-                .expect("sharded-consensus run");
+        let chain_sharded = run_sharded_consensus(nodes, shards, work, 22, metrics.clone())
+            .expect("sharded-consensus run");
         let transformed =
             run_transformed_metered(nodes, work, 22, metrics.clone()).expect("transformed run");
         let speedup = wall_secs(&duplicated) / wall_secs(&transformed);
@@ -164,12 +133,10 @@ pub fn run_e2_metered(quick: bool, metrics: Metrics) -> Table {
         table.row(vec![
             nodes.to_string(),
             ms(wall_secs(&duplicated) * 1000.0),
-            ms(wall_secs(&sharded) * 1000.0),
             ms(wall_secs(&chain_sharded) * 1000.0),
             ms(wall_secs(&transformed) * 1000.0),
             f(speedup),
             duplicated.total_gas.to_string(),
-            sharded.total_gas.to_string(),
             chain_sharded.total_gas.to_string(),
             transformed.total_gas.to_string(),
             duplicated.bytes.to_string(),
@@ -177,8 +144,8 @@ pub fn run_e2_metered(quick: bool, metrics: Metrics) -> Table {
     }
     table.finding(
         "sharding (paper §I) cuts duplication to group size but still re-executes within each \
-         shard; consensus-level sharding (chain-shard, DESIGN.md §9) confirms the same \
-         N/k asymptote with real sub-chains and cross-links; only the transformed \
+         shard: consensus-level sharding (chain-shard, DESIGN.md §9) lands on the N/k \
+         asymptote with real sub-chains and cross-links; only the transformed \
          architecture reaches ~1× total work for arbitrary computation"
             .to_string(),
     );
@@ -219,7 +186,7 @@ mod tests {
     #[test]
     fn e1_asserts_on_sink_counters() {
         let registry = Registry::default();
-        let table = run_e1_metered(true, registry.handle());
+        let table = run_e1(true, registry.handle());
         assert_eq!(table.rows.len(), 3);
         // The whole stack reported through the sink while the table ran.
         assert!(registry.counter_value("consensus.rounds") > 0);
@@ -232,9 +199,7 @@ mod tests {
     fn e2_transformed_wins_at_four_nodes() {
         let work = work_units(true);
         let duplicated = run_duplicated_metered(4, work, 22, Metrics::noop()).unwrap();
-        let sharded = run_sharded_metered(4, 2, work, 22, Metrics::noop()).unwrap();
-        let chain_sharded =
-            run_sharded_consensus_metered(4, 2, work, 22, Metrics::noop()).unwrap();
+        let chain_sharded = run_sharded_consensus(4, 2, work, 22, Metrics::noop()).unwrap();
         let transformed = run_transformed_metered(4, work, 22, Metrics::noop()).unwrap();
         assert!(
             duplicated.modeled_wall() > transformed.modeled_wall(),
@@ -242,16 +207,8 @@ mod tests {
             duplicated.modeled_wall(),
             transformed.modeled_wall()
         );
-        // Ordering of total work: duplicated > sharded > transformed,
-        // and the chain-level sharding lands at the same N/k asymptote
-        // as the modeled split (within cross-link/deploy overhead).
-        assert!(
-            duplicated.total_gas > sharded.total_gas && sharded.total_gas > transformed.total_gas,
-            "work ordering {} {} {}",
-            duplicated.total_gas,
-            sharded.total_gas,
-            transformed.total_gas
-        );
+        // Ordering of total work: duplicated > chain-sharded >
+        // transformed.
         assert!(
             duplicated.total_gas > chain_sharded.total_gas
                 && chain_sharded.total_gas > transformed.total_gas,
@@ -265,7 +222,7 @@ mod tests {
     #[test]
     fn e2_asserts_on_sink_counters() {
         let registry = Registry::default();
-        let table = run_e2_metered(true, registry.handle());
+        let table = run_e2(true, registry.handle());
         assert_eq!(table.rows.len(), 3);
         // Transformed mode fans out one off-chain shard per site.
         assert!(registry.counter_value("offchain.tasks") >= (1 + 2 + 4));

@@ -9,13 +9,13 @@
 //! by `Ledger::apply`'s state-root equality) that the parallel schedule
 //! commits byte-identical state.
 //!
-//! Default output is the deterministic critical-path model — wave
+//! The table prints the deterministic critical-path model — wave
 //! widths are fixed by the schedule, so `Σ ceil(width/threads)` tx-slots
 //! reproduce bit-for-bit across runs and are honest on single-core CI
-//! containers. Set `MEDCHAIN_REAL_WALL=1` to print measured apply walls
-//! instead (machine-dependent; speedup requires real cores).
+//! containers. The measured speedup is medbench's
+//! `exec.parallel_speedup_2` (machine-dependent; needs real cores).
 
-use crate::report::{f, ms, Table};
+use crate::report::{f, Table};
 use medchain_chain::exec::{infer_rw_set, schedule, Schedule};
 use medchain_chain::ledger::NullRuntime;
 use medchain_chain::sig::AuthorityKey;
@@ -23,14 +23,9 @@ use medchain_chain::{
     shard_for_key, Address, KeyRegistry, Ledger, RwSet, ShardId, Transaction, TxPayload,
 };
 use medchain_runtime::metrics::Metrics;
-use std::time::Instant;
 
 /// Worker-lane counts swept per workload.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-fn real_wall() -> bool {
-    std::env::var("MEDCHAIN_REAL_WALL").is_ok_and(|v| v == "1")
-}
 
 /// One E20 workload: a funded consortium and a single large block.
 struct Workload {
@@ -116,27 +111,21 @@ fn modeled_slots(sched: &Schedule, threads: usize) -> u64 {
     sched.waves.iter().map(|wave| wave.len().div_ceil(threads.max(1)) as u64).sum()
 }
 
-/// Runs E20.
-pub fn run_e20(quick: bool) -> Table {
-    run_e20_metered(quick, Metrics::noop())
-}
-
-/// [`run_e20`] with the applying ledgers reporting the `exec.*` family
+/// Runs E20 with the applying ledgers reporting the `exec.*` family
 /// (waves/block, conflict rate, wave-width histogram, per-wave wall) to
 /// `metrics`.
-pub fn run_e20_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e20(quick: bool, metrics: Metrics) -> Table {
     let n = if quick { 2_000 } else { 10_000 };
     let workloads = [
         transfers("flat transfers (conflict-light)", n, ShardId::default(), 1, None),
         transfers("flat transfers (hot-key 1/4)", n, ShardId::default(), 1, Some(4)),
         transfers("sharded transfers (shard 0 of 2)", n, ShardId(0), 2, None),
     ];
-    let wall_label = if real_wall() { "measured" } else { "model" };
     let mut table = Table::new(
         "E20",
         &format!(
             "parallel block execution: one {n}-tx block per workload, \
-             lanes ∈ {THREAD_SWEEP:?}, walls = {wall_label}"
+             lanes ∈ {THREAD_SWEEP:?}, walls = model"
         ),
         &[
             "workload",
@@ -155,29 +144,19 @@ pub fn run_e20_metered(quick: bool, metrics: Metrics) -> Table {
         let block = workload.ledger().propose(proposer, 10, workload.txs.clone());
         let sched = schedule(&workload.rw_sets());
 
-        let mut measured = Vec::new();
         for &threads in &THREAD_SWEEP {
             let mut ledger = workload.ledger();
             ledger.set_parallel_exec(threads);
             ledger.set_metrics(metrics.clone());
-            let started = Instant::now();
             // `apply` enforces state-root equality against the header
             // the sequential `propose` computed — a failed equivalence
             // would surface here as StateRootMismatch.
             let receipts = ledger.apply(&block).expect("parallel apply diverged");
-            measured.push(started.elapsed());
             assert_eq!(receipts.len(), workload.txs.len());
             assert_eq!(ledger.state().state_root(), block.header.state_root);
         }
 
-        let walls: Vec<String> = if real_wall() {
-            measured.iter().map(|d| ms(d.as_secs_f64() * 1000.0)).collect()
-        } else {
-            THREAD_SWEEP
-                .iter()
-                .map(|&t| format!("{} slots", modeled_slots(&sched, t)))
-                .collect()
-        };
+        let walls = THREAD_SWEEP.iter().map(|&t| format!("{} slots", modeled_slots(&sched, t)));
         let speedup4 = workload.txs.len() as f64 / modeled_slots(&sched, 4) as f64;
         let mut row = vec![
             workload.label.clone(),
@@ -215,7 +194,7 @@ mod tests {
 
     #[test]
     fn e20_modeled_speedup_exceeds_claim_at_four_lanes() {
-        let table = run_e20(true);
+        let table = run_e20(true, Metrics::noop());
         // Flat and sharded rows must clear the 1.8× bar at 4 lanes; the
         // hot-key row documents the conflict tax but still parallelizes
         // its conflict-free remainder.
@@ -233,7 +212,7 @@ mod tests {
     #[test]
     fn e20_metered_reports_exec_counters() {
         let registry = Registry::new();
-        let table = run_e20_metered(true, registry.handle());
+        let table = run_e20(true, registry.handle());
         assert_eq!(table.rows.len(), 3);
         // 3 workloads × 4 lane counts, of which t>1 runs are parallel.
         assert_eq!(registry.counter_value("exec.blocks"), 12);

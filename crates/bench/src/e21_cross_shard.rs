@@ -37,15 +37,10 @@ fn receiver_for(from: Address, i: usize) -> Address {
         .unwrap()
 }
 
-/// Runs E21.
-pub fn run_e21(quick: bool) -> Table {
-    run_e21_metered(quick, Metrics::noop())
-}
-
-/// [`run_e21`] with `metrics` installed on the consortium, so the
+/// Runs E21 with `metrics` installed on the consortium, so the
 /// resolver's `xs.transfers` / `xs.committed` / `xs.aborted` /
 /// `xs.finalized` counters land on the caller's sink.
-pub fn run_e21_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e21(quick: bool, metrics: Metrics) -> Table {
     let transfers = if quick { 12 } else { 48 };
     let crash_every = 4; // every 4th participant "crashes" mid-prepare
     let mut net = build(metrics);
@@ -145,7 +140,7 @@ mod tests {
     #[test]
     fn e21_commits_and_aborts_the_expected_split() {
         let registry = Registry::new();
-        let table = run_e21_metered(true, registry.handle());
+        let table = run_e21(true, registry.handle());
         let value = |row: usize| table.rows[row][1].parse::<u64>().unwrap();
         assert_eq!(value(0), 12, "transfers begun");
         assert_eq!(value(1), 9, "healthy transfers commit");

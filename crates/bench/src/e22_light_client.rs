@@ -300,14 +300,9 @@ fn drive_sharded(metrics: Metrics) -> QueryStats {
     stats
 }
 
-/// Runs E22.
-pub fn run_e22(quick: bool) -> Table {
-    run_e22_metered(quick, Metrics::noop())
-}
-
-/// [`run_e22`] with `metrics` installed, so `auth.root_update_us` and
+/// Runs E22 with `metrics` installed, so `auth.root_update_us` and
 /// `gateway.state_queries` land on the caller's sink.
-pub fn run_e22_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e22(quick: bool, metrics: Metrics) -> Table {
     let accounts: u64 = if quick { 2_000 } else { 100_000 };
     let queries: u64 = if quick { 8 } else { 32 };
 
@@ -372,7 +367,7 @@ mod tests {
     #[test]
     fn e22_proves_and_verifies_with_zero_failures() {
         let registry = Registry::new();
-        let table = run_e22_metered(true, registry.handle());
+        let table = run_e22(true, registry.handle());
         let cell = |label: &str| {
             table
                 .rows

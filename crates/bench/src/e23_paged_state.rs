@@ -1,25 +1,24 @@
 //! **E23** — disk-resident state pages and streamed bootstrap
-//! (DESIGN.md §14). Two measurements:
+//! (DESIGN.md §14). Two equivalence checks (wall time for either
+//! path is medbench's: `paged_blocks` end to end, `bootstrap.rejoin_ms`):
 //!
 //! 1. **State-larger-than-cache sweep**: the same committed workload —
 //!    a funded account population far bigger than any page budget,
 //!    plus rounds of transfers and anchors — runs on a fully-resident
 //!    consortium and on consortiums capped at a handful of 4 KiB page
 //!    slots. Every run must land the *byte-identical* tip; the sweep
-//!    reports commit wall and the `storage.page_*` traffic each budget
-//!    paid for it.
+//!    reports the `storage.page_*` traffic each budget paid for it.
 //! 2. **Streamed bootstrap vs local replay**: after a source chain
 //!    commits its history, a joining site either re-executes every
 //!    block (`Ledger::apply` from genesis) or streams the peer's
 //!    chunked snapshot + tail over TCP (`stream_into`, root-verified
-//!    before install). Both must land on the source tip; the table
-//!    reports both walls and their ratio.
+//!    before install). Both must land on the source tip.
 //!
-//! The metered variant lands the tightest budget's aggregate
-//! `storage.page_writes` / `storage.page_misses` / `storage.page_evictions`
-//! on the caller's sink, plus `bootstrap.stream_us` / `bootstrap.replay_us`.
+//! The tightest budget's aggregate `storage.page_writes` /
+//! `storage.page_misses` / `storage.page_evictions` land on the caller's
+//! sink.
 
-use crate::report::{f, ms, Table};
+use crate::report::Table;
 use medchain::bootstrap::{stream_into, BootstrapSource, SnapshotPeer};
 use medchain::MedicalNetwork;
 use medchain_chain::ledger::Ledger;
@@ -28,7 +27,6 @@ use medchain_contracts::runtime::Runtime;
 use medchain_runtime::metrics::{Metrics, Registry};
 use medchain_storage::{DiskStore, StorageConfig};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 /// Transfers queued per committed block in the sweep workload.
 const TRANSFERS_PER_BLOCK: u64 = 8;
@@ -46,7 +44,6 @@ struct SweepRun {
     budget: Option<usize>,
     tip: Hash256,
     height: u64,
-    commit_wall: Duration,
     page_writes: u64,
     page_misses: u64,
     page_evictions: u64,
@@ -88,7 +85,6 @@ fn sweep_run(budget: Option<usize>, accounts: u64, blocks: u64) -> SweepRun {
         net.fund(Address::from_seed(i), 1 + i);
     }
 
-    let started = Instant::now();
     for block in 0..blocks {
         // Stride across the population so later rounds fault earlier
         // rounds' victims back in off disk.
@@ -107,13 +103,11 @@ fn sweep_run(budget: Option<usize>, accounts: u64, blocks: u64) -> SweepRun {
         .expect("anchor accepted");
         net.advance(1).expect("block commits");
     }
-    let commit_wall = started.elapsed();
 
     let run = SweepRun {
         budget,
         tip: net.ledger().tip().id(),
         height: net.height(),
-        commit_wall,
         page_writes: registry.counter_value("storage.page_writes"),
         page_misses: registry.counter_value("storage.page_misses"),
         page_evictions: registry.counter_value("storage.page_evictions"),
@@ -125,15 +119,13 @@ fn sweep_run(budget: Option<usize>, accounts: u64, blocks: u64) -> SweepRun {
 }
 
 /// Streamed-bootstrap vs local-replay comparison over one source chain.
-struct BootstrapBench {
+struct BootstrapCheck {
     blocks: u64,
-    replay_wall: Duration,
-    stream_wall: Duration,
     tail_blocks: u64,
     agree: bool,
 }
 
-fn bench_bootstrap(blocks: u64) -> BootstrapBench {
+fn check_bootstrap(blocks: u64) -> BootstrapCheck {
     // In-memory source so the full history stays resident and the
     // replay side really re-executes from genesis.
     let mut builder = MedicalNetwork::builder().seed(0xe23).block_interval_ms(20);
@@ -159,11 +151,9 @@ fn bench_bootstrap(blocks: u64) -> BootstrapBench {
 
     // Local replay: re-execute every committed block above genesis.
     let mut replayed = fresh();
-    let started = Instant::now();
     for block in net.ledger().blocks_from(1) {
         replayed.apply(block).expect("replay applies committed block");
     }
-    let replay_wall = started.elapsed();
 
     // Streamed bootstrap: snapshot + tail over TCP, root-verified
     // against the committed header before install.
@@ -173,26 +163,19 @@ fn bench_bootstrap(blocks: u64) -> BootstrapBench {
     let mut store =
         DiskStore::open(&dir, StorageConfig::default()).expect("bootstrap store opens");
     let mut streamed = fresh();
-    let started = Instant::now();
     let report = stream_into(peer.addr(), net.ledger().shard(), &mut streamed, &mut store)
         .expect("streamed bootstrap succeeds");
-    let stream_wall = started.elapsed();
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 
     let agree = replayed.tip().id() == source_tip && streamed.tip().id() == source_tip;
     net.shutdown();
-    BootstrapBench { blocks, replay_wall, stream_wall, tail_blocks: report.tail_blocks, agree }
+    BootstrapCheck { blocks, tail_blocks: report.tail_blocks, agree }
 }
 
-/// Runs E23 (unmetered).
-pub fn run_e23(quick: bool) -> Table {
-    run_e23_metered(quick, Metrics::noop())
-}
-
-/// Runs E23, landing page-traffic and bootstrap-wall aggregates on the
-/// caller's sink.
-pub fn run_e23_metered(quick: bool, metrics: Metrics) -> Table {
+/// Runs E23, landing the tightest budget's page-traffic aggregates on
+/// the caller's sink.
+pub fn run_e23(quick: bool, metrics: Metrics) -> Table {
     let accounts: u64 = if quick { 512 } else { 4_096 };
     let blocks: u64 = if quick { 6 } else { 24 };
     let budgets: &[Option<usize>] =
@@ -210,9 +193,7 @@ pub fn run_e23_metered(quick: bool, metrics: Metrics) -> Table {
         metrics.counter("storage.page_evictions", tightest.page_evictions);
     }
 
-    let boot = bench_bootstrap(chain_blocks);
-    metrics.counter("bootstrap.replay_us", boot.replay_wall.as_micros() as u64);
-    metrics.counter("bootstrap.stream_us", boot.stream_wall.as_micros() as u64);
+    let boot = check_bootstrap(chain_blocks);
 
     let mut table = Table::new(
         "E23",
@@ -222,10 +203,6 @@ pub fn run_e23_metered(quick: bool, metrics: Metrics) -> Table {
     table.row(vec!["funded accounts".into(), accounts.to_string()]);
     table.row(vec!["committed blocks (sweep)".into(), blocks.to_string()]);
     for run in &runs {
-        table.row(vec![
-            format!("{} commit wall", run.label()),
-            ms(run.commit_wall.as_secs_f64() * 1000.0),
-        ]);
         if run.budget.is_some() {
             table.row(vec![
                 format!("{} page writes/misses/evictions", run.label()),
@@ -235,16 +212,6 @@ pub fn run_e23_metered(quick: bool, metrics: Metrics) -> Table {
     }
     table.row(vec!["paged tips == resident tip".into(), tips_identical.to_string()]);
     table.row(vec!["chain blocks (bootstrap)".into(), boot.blocks.to_string()]);
-    table.row(vec![
-        "local replay wall".into(),
-        ms(boot.replay_wall.as_secs_f64() * 1000.0),
-    ]);
-    table.row(vec![
-        "streamed bootstrap wall".into(),
-        ms(boot.stream_wall.as_secs_f64() * 1000.0),
-    ]);
-    let ratio = boot.stream_wall.as_secs_f64() / boot.replay_wall.as_secs_f64().max(1e-9);
-    table.row(vec!["stream / replay ratio".into(), f(ratio)]);
     table.row(vec!["streamed tail blocks".into(), boot.tail_blocks.to_string()]);
     table.row(vec!["bootstrap tips == source tip".into(), boot.agree.to_string()]);
 
@@ -252,13 +219,11 @@ pub fn run_e23_metered(quick: bool, metrics: Metrics) -> Table {
     table.finding(format!(
         "A {} budget commits the byte-identical tip as the fully-resident run \
          ({} page writes, {} faults along the way), and a joining site lands on \
-         the same tip by streaming a snapshot instead of replaying {} blocks \
-         (stream/replay wall ratio {}).",
+         the same tip by streaming a snapshot instead of replaying {} blocks.",
         tightest.label(),
         tightest.page_writes,
         tightest.page_misses,
         boot.blocks,
-        f(ratio),
     ));
     table
 }
@@ -270,7 +235,7 @@ mod tests {
     #[test]
     fn e23_pages_and_bootstraps_with_identical_tips() {
         let registry = Registry::new();
-        let table = run_e23_metered(true, registry.handle());
+        let table = run_e23(true, registry.handle());
         let cell = |label: &str| {
             table
                 .rows
@@ -285,7 +250,5 @@ mod tests {
         // the sink, so the sweep exercised the disk path, not just RAM.
         assert!(registry.counter_value("storage.page_writes") > 0);
         assert!(registry.counter_value("storage.page_misses") > 0);
-        assert!(registry.counter_value("bootstrap.stream_us") > 0);
-        assert!(registry.counter_value("bootstrap.replay_us") > 0);
     }
 }

@@ -84,14 +84,10 @@ where
     EngineRun { name, report, per_replica_stats, model }
 }
 
-/// Runs E3 over all four engines.
-pub fn run_e3(quick: bool) -> Table {
-    run_e3_metered(quick, Metrics::noop())
-}
-
-/// [`run_e3`] with every engine's cluster reporting to `metrics`
-/// (`consensus.*` work counters plus replica-0 `mempool.*`/`chain.*`).
-pub fn run_e3_metered(quick: bool, metrics: Metrics) -> Table {
+/// Runs E3 over all four engines, every engine's cluster reporting to
+/// `metrics` (`consensus.*` work counters plus replica-0
+/// `mempool.*`/`chain.*`).
+pub fn run_e3(quick: bool, metrics: Metrics) -> Table {
     // Same hardware model (hospital CPUs) for all engines so the
     // comparison isolates the consensus mechanism; the ASIC/Digiconomist
     // extrapolation is reported separately below.
@@ -249,7 +245,7 @@ mod tests {
     #[test]
     fn e3_asserts_on_sink_counters() {
         let registry = Registry::default();
-        let table = run_e3_metered(true, registry.handle());
+        let table = run_e3(true, registry.handle());
         assert_eq!(table.rows.len(), 4);
         assert!(registry.counter_value("consensus.hashes") > 0);
         assert!(registry.counter_value("consensus.signatures") > 0);

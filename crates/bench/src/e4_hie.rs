@@ -92,14 +92,9 @@ fn drive_email(exchanges: usize, fail_rate: f64, seed: u64) -> TransportOutcome 
     outcome
 }
 
-/// Runs E4.
-pub fn run_e4(quick: bool) -> Table {
-    run_e4_metered(quick, Metrics::noop())
-}
-
 /// Runs E4 with the HIE network reporting `hie.*` counters (requests,
 /// completed, denied, disputed, bytes_moved) into `metrics`.
-pub fn run_e4_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e4(quick: bool, metrics: Metrics) -> Table {
     let exchanges = if quick { 60 } else { 400 };
     let fail_rate = 0.2;
     let hie = drive_hie(exchanges, fail_rate, 44, &metrics);
@@ -147,7 +142,7 @@ mod tests {
 
     #[test]
     fn e4_blame_gap() {
-        let table = run_e4(true);
+        let table = run_e4(true, Metrics::noop());
         let hie_blamed: usize = table.rows[0][3].parse().unwrap();
         let email_blamed: usize = table.rows[1][3].parse().unwrap();
         let hie_disputes: usize = table.rows[0][2].parse().unwrap();
@@ -159,7 +154,7 @@ mod tests {
     #[test]
     fn e4_metered_reports_hie_counters() {
         let registry = medchain_runtime::metrics::Registry::new();
-        let table = run_e4_metered(true, registry.handle());
+        let table = run_e4(true, registry.handle());
         assert_eq!(registry.counter_value("hie.requests"), 60);
         let completed: u64 = table.rows[0][1].parse().unwrap();
         let disputed: u64 = table.rows[0][2].parse().unwrap();

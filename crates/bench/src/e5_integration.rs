@@ -12,14 +12,9 @@ use medchain_data::FormatRegistry;
 use medchain_runtime::metrics::Metrics;
 use std::time::Instant;
 
-/// Runs E5.
-pub fn run_e5(quick: bool) -> Table {
-    run_e5_metered(quick, Metrics::noop())
-}
-
 /// Runs E5 with the integration batch reporting `integration.*`
 /// counters (converted, failed, unknown_format) into `metrics`.
-pub fn run_e5_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e5(quick: bool, metrics: Metrics) -> Table {
     let sites = if quick { 4 } else { 12 };
     let per_site = if quick { 400 } else { 2_000 };
     let registry = FormatRegistry::standard();
@@ -87,7 +82,7 @@ mod tests {
     #[test]
     fn e5_metered_reports_integration_counters() {
         let sink = medchain_runtime::metrics::Registry::new();
-        let table = run_e5_metered(true, sink.handle());
+        let table = run_e5(true, sink.handle());
         let converted: u64 =
             table.rows.iter().map(|r| r[1].parse::<u64>().unwrap()).sum();
         assert_eq!(sink.counter_value("integration.converted"), converted);
@@ -96,7 +91,7 @@ mod tests {
 
     #[test]
     fn e5_converts_most_records() {
-        let table = run_e5(true);
+        let table = run_e5(true, Metrics::noop());
         let converted: u64 =
             table.rows.iter().map(|r| r[1].parse::<u64>().unwrap()).sum();
         let failed: u64 = table.rows.iter().map(|r| r[2].parse::<u64>().unwrap()).sum();

@@ -12,14 +12,9 @@ use medchain_chain::Hash256;
 use medchain_runtime::metrics::Metrics;
 use std::time::Instant;
 
-/// Runs E6.
-pub fn run_e6(quick: bool) -> Table {
-    run_e6_metered(quick, Metrics::noop())
-}
-
 /// Runs E6 with `metrics` installed on every layer of the network
 /// (`chain.*`, `mempool.*`, `consensus.*`, `transport.*`).
-pub fn run_e6_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
     let sites = 3;
     let rounds = if quick { 8 } else { 40 };
     let mut builder = MedicalNetwork::builder().seed(66).metrics(metrics);
@@ -156,7 +151,7 @@ mod tests {
     #[test]
     fn e6_metered_reports_chain_counters() {
         let sink = medchain_runtime::metrics::Registry::new();
-        run_e6_metered(true, sink.handle());
+        run_e6(true, sink.handle());
         // The workload's 24 contract requests all committed on-chain.
         assert!(sink.counter_value("chain.txs_committed") >= 24);
         assert!(sink.counter_value("chain.blocks_committed") > 0);
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn e6_processes_all_categories() {
-        let table = run_e6(true);
+        let table = run_e6(true, Metrics::noop());
         assert_eq!(table.rows.len(), 3);
         for row in &table.rows {
             assert!(row[1].parse::<u64>().unwrap() >= 8);

@@ -22,15 +22,10 @@ fn site_records(i: usize, n: usize) -> Vec<PatientRecord> {
     )
 }
 
-/// Runs E7.
-pub fn run_e7(quick: bool) -> Table {
-    run_e7_metered(quick, Metrics::noop())
-}
-
 /// Runs E7 with `metrics` installed on the network and the query
 /// pipeline (`query.*` counters: pipeline_runs, site_tasks,
 /// bytes_returned).
-pub fn run_e7_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e7(quick: bool, metrics: Metrics) -> Table {
     let per_site = if quick { 150 } else { 600 };
     let site_counts: Vec<usize> = if quick { vec![2, 4] } else { vec![2, 4, 8, 12] };
     let request = "count smokers over 55 for public health";
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn e7_metered_reports_query_counters() {
         let sink = medchain_runtime::metrics::Registry::new();
-        let table = run_e7_metered(true, sink.handle());
+        let table = run_e7(true, sink.handle());
         // One pipeline run per site-count row.
         assert_eq!(
             sink.counter_value("query.pipeline_runs"),
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn e7_exactness_at_every_size() {
-        let table = run_e7(true);
+        let table = run_e7(true, Metrics::noop());
         for row in &table.rows {
             assert_eq!(row[6], "true", "inexact at {} sites", row[0]);
         }

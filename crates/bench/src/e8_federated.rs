@@ -29,14 +29,9 @@ fn shards_and_eval(sites: usize, per_site: usize) -> (Vec<Dataset>, Dataset) {
     (shards, Dataset::from_records(&eval_records, STROKE_CODE))
 }
 
-/// Runs E8.
-pub fn run_e8(quick: bool) -> Table {
-    run_e8_metered(quick, Metrics::noop())
-}
-
-/// [`run_e8`] with the FedAvg loop reporting `learning.*` counters
+/// Runs E8 with the FedAvg loop reporting `learning.*` counters
 /// (rounds, uplink/downlink parameter bytes) to `metrics`.
-pub fn run_e8_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e8(quick: bool, metrics: Metrics) -> Table {
     let per_site = if quick { 400 } else { 800 };
     let rounds = if quick { 10 } else { 20 };
     let site_counts: Vec<usize> = if quick { vec![2, 6] } else { vec![2, 4, 8, 16] };
@@ -101,7 +96,7 @@ mod tests {
     #[test]
     fn e8_asserts_on_sink_counters() {
         let registry = medchain_runtime::metrics::Registry::default();
-        let table = run_e8_metered(true, registry.handle());
+        let table = run_e8(true, registry.handle());
         // Quick mode: 10 rounds for each of the 2- and 6-site runs.
         assert_eq!(registry.counter_value("learning.rounds"), 20);
         assert!(registry.counter_value("learning.bytes_uplink") > 0);
@@ -114,7 +109,7 @@ mod tests {
 
     #[test]
     fn e8_federated_between_local_and_centralized() {
-        let table = run_e8(true);
+        let table = run_e8(true, Metrics::noop());
         for row in &table.rows {
             let fed: f64 = row[1].parse().unwrap();
             let central: f64 = row[2].parse().unwrap();

@@ -16,15 +16,10 @@ fn cohort(code: &str, n: usize, seed: u64) -> Dataset {
     Dataset::from_records(&records, code)
 }
 
-/// Runs E9.
-pub fn run_e9(quick: bool) -> Table {
-    run_e9_metered(quick, Metrics::noop())
-}
-
-/// [`run_e9`] with the federated pretraining phase reporting
+/// Runs E9 with the federated pretraining phase reporting
 /// `learning.*` counters to `metrics` (the centralized pretrain and the
 /// fine-tunes are local work with nothing to meter).
-pub fn run_e9_metered(quick: bool, metrics: Metrics) -> Table {
+pub fn run_e9(quick: bool, metrics: Metrics) -> Table {
     let source_n = if quick { 3_000 } else { 10_000 };
     let sizes: Vec<usize> =
         if quick { vec![50, 150, 600] } else { vec![50, 100, 250, 500, 1_000, 3_000] };
@@ -85,7 +80,7 @@ mod tests {
     #[test]
     fn e9_asserts_on_sink_counters() {
         let registry = medchain_runtime::metrics::Registry::default();
-        let table = run_e9_metered(true, registry.handle());
+        let table = run_e9(true, registry.handle());
         // Quick mode: 5 federated pretraining rounds over 4 shards.
         assert_eq!(registry.counter_value("learning.rounds"), 5);
         assert!(registry.counter_value("learning.bytes_uplink") > 0);
@@ -95,7 +90,7 @@ mod tests {
 
     #[test]
     fn e9_transfer_helps_at_small_n() {
-        let table = run_e9(true);
+        let table = run_e9(true, Metrics::noop());
         let first_gap: f64 = table.rows[0][4].parse().unwrap();
         let last_gap: f64 = table.rows.last().unwrap()[4].parse().unwrap();
         // Jump-start at the smallest target; gap not growing with n.

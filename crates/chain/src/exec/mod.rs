@@ -32,7 +32,6 @@ pub use overlay::{StateAccess, StateDelta, WorldStateOverlay};
 pub use read_write_set::{infer_rw_set, ExecScope, RwSet, StateKey};
 pub use scheduler::{schedule, Schedule};
 
-use crate::block::Block;
 use crate::ledger::{
     contract_address, ContractRuntime, ExecError, ExecOutcome, LedgerError, Receipt, WorldState,
 };
@@ -500,17 +499,6 @@ pub(crate) fn run_block_parallel(
             fell_back: false,
         },
     })
-}
-
-/// Parallel apply of a full pre-checked block — used by `Ledger::apply`.
-#[allow(dead_code)] // kept for symmetry; Ledger calls run_block_parallel directly
-pub(crate) fn run_block(
-    ctx: &ExecCtx<'_>,
-    base: &WorldState,
-    block: &Block,
-    threads: usize,
-) -> Result<BlockRun, LedgerError> {
-    run_block_parallel(ctx, base, &block.transactions, block.header.timestamp_ms, threads)
 }
 
 #[cfg(test)]

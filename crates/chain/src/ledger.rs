@@ -1135,7 +1135,9 @@ impl Ledger {
 
     /// Installs the post-commit observer: after every successful
     /// [`Ledger::apply`] it receives the block and its flattened
-    /// `(leaf key, new value)` updates. Used by the `latest_state`
+    /// `(leaf key, new value)` updates, and after a snapshot install
+    /// ([`Ledger::restore_with_tree`]) the installed tip with every leaf
+    /// of the installed state as one batch. Used by the `latest_state`
     /// projection; at most one observer is held (setting replaces).
     pub fn set_commit_observer(&mut self, observer: CommitObserver) {
         self.commit_observer = Some(observer);
@@ -1305,6 +1307,13 @@ impl Ledger {
         // entries for the replaced state — drop the cache rather than
         // let stale pages shadow it. Wiring re-attaches a fresh cache.
         self.state_cache = None;
+        // No block carries the installed state's writes, so an observer
+        // learns them here: everything the state holds, as of the tip.
+        if let Some(observer) = self.commit_observer.as_mut() {
+            let mut leaves = Vec::with_capacity(self.state.leaf_count());
+            self.state.for_each_leaf(&mut |key, value| leaves.push((key, Some(value.to_vec()))));
+            observer(&self.blocks[0], &leaves);
+        }
         Ok(())
     }
 

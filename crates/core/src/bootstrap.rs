@@ -31,14 +31,16 @@
 //! peer can serve garbage; it cannot make the joiner commit to it.
 
 use crate::client::{Client, ClientError};
-use crate::gateway::{write_frame, FrameBuffer, GatewayRequest, GatewayResponse, MAX_FRAME};
+use crate::gateway::{
+    read_requests, write_frame, GatewayRequest, GatewayResponse, GatewayServer,
+};
 use medchain_chain::{Block, Ledger, ShardId};
-use medchain_runtime::codec::{Decode, Encode};
+use medchain_runtime::codec::Encode;
 use medchain_storage::stream::{
     chunk_at, manifest_for, snapshot_payload, SnapshotAssembler, SnapshotManifest,
 };
 use medchain_storage::{BlockStore, DiskStore};
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -112,17 +114,8 @@ impl BootstrapSource {
             }
             GatewayRequest::BlocksFrom { shard, height } if *shard == self.shard => {
                 let skip = height.saturating_sub(self.manifest.height + 1) as usize;
-                let mut blocks: Vec<Block> =
-                    self.tail.iter().skip(skip).cloned().collect();
-                // Bound the page to the frame cap, like the gateway.
-                let envelope = 1 + 8 + 4;
-                let mut size =
-                    envelope + blocks.iter().map(|b| b.encoded().len()).sum::<usize>();
-                while size > MAX_FRAME {
-                    let dropped = blocks.pop().expect("envelope fits");
-                    size -= dropped.encoded().len();
-                }
-                GatewayResponse::Blocks { tip_height: self.tip_height, blocks }
+                let blocks: Vec<Block> = self.tail.iter().skip(skip).cloned().collect();
+                GatewayServer::bounded_blocks(self.tip_height, blocks)
             }
             _ => GatewayResponse::SnapshotOffer { manifest: None },
         }
@@ -192,38 +185,12 @@ impl Drop for SnapshotPeer {
 }
 
 /// One connection's request/response loop against a captured source.
-fn serve_conn(mut stream: TcpStream, source: &BootstrapSource, stop: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 8192];
-    while !stop.load(Ordering::Relaxed) {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                frames.extend(&chunk[..n]);
-                loop {
-                    match frames.next_frame() {
-                        Ok(Some(payload)) => {
-                            let Ok(request) = GatewayRequest::decoded(&payload) else { return };
-                            let response = source.answer(&request);
-                            if write_frame(&mut stream, &response.encoded()).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => return,
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => break,
-        }
-    }
+fn serve_conn(stream: TcpStream, source: &BootstrapSource, stop: &AtomicBool) {
+    let _ = stream.set_nodelay(true);
+    let Ok(mut writer) = stream.try_clone() else { return };
+    read_requests(stream, stop, |request| {
+        write_frame(&mut writer, &source.answer(&request).encoded()).is_ok()
+    });
 }
 
 /// Why a streamed bootstrap failed.
@@ -455,26 +422,13 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut frames = FrameBuffer::new();
-            let mut buf = [0u8; 8192];
-            loop {
-                let n = match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => return,
-                    Ok(n) => n,
-                };
-                frames.extend(&buf[..n]);
-                while let Ok(Some(payload)) = frames.next_frame() {
-                    let Ok(request) = GatewayRequest::decoded(&payload) else { return };
-                    let response = source.answer(&request);
-                    if write_frame(&mut stream, &response.encoded()).is_err() {
-                        return;
-                    }
-                    if matches!(request, GatewayRequest::SnapshotInfo { .. }) {
-                        return; // crash right after serving the manifest
-                    }
-                }
-            }
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            read_requests(stream, &AtomicBool::new(false), |request| {
+                // Crash right after serving the manifest.
+                write_frame(&mut writer, &source.answer(&request).encoded()).is_ok()
+                    && !matches!(request, GatewayRequest::SnapshotInfo { .. })
+            });
         });
         (addr, handle)
     }

@@ -38,7 +38,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -296,34 +296,29 @@ impl FrameBuffer {
     }
 }
 
-/// Reads frames from `stream` into `out` until EOF/error, polling `stop`.
-fn reader_loop(
-    conn: u64,
+/// Reads request frames from `stream` until EOF, a read error, `stop`,
+/// or `handle` returning `false` (its consumer is gone). A frame over
+/// [`MAX_FRAME`] or a payload that does not decode ends the connection:
+/// the peer is not speaking the protocol.
+pub(crate) fn read_requests(
     mut stream: TcpStream,
-    out: Sender<(u64, GatewayRequest)>,
-    stop: Arc<AtomicBool>,
+    stop: &AtomicBool,
+    mut handle: impl FnMut(GatewayRequest) -> bool,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 8192];
     while !stop.load(Ordering::Relaxed) {
         match stream.read(&mut chunk) {
-            Ok(0) => break, // client hung up
+            Ok(0) => break, // peer hung up
             Ok(n) => {
                 frames.extend(&chunk[..n]);
                 loop {
                     match frames.next_frame() {
                         Ok(Some(payload)) => {
-                            match GatewayRequest::decoded(&payload) {
-                                Ok(req) => {
-                                    if out.send((conn, req)).is_err() {
-                                        return; // server dropped
-                                    }
-                                }
-                                // Undecodable request: the stream is
-                                // framed correctly but the payload is
-                                // garbage — drop the connection.
-                                Err(_) => return,
+                            let Ok(request) = GatewayRequest::decoded(&payload) else { return };
+                            if !handle(request) {
+                                return;
                             }
                         }
                         Ok(None) => break,
@@ -531,13 +526,16 @@ impl GatewayServer {
                         Ok((stream, _)) => {
                             let conn = next_conn;
                             next_conn += 1;
+                            // Responses are single small frames: send
+                            // them now, not when Nagle's timer fires.
+                            let _ = stream.set_nodelay(true);
                             if let Ok(write_half) = stream.try_clone() {
                                 writers.lock().expect("writer map").insert(conn, write_half);
                             }
                             let tx = tx.clone();
                             let stop = Arc::clone(&stop);
                             readers.push(std::thread::spawn(move || {
-                                reader_loop(conn, stream, tx, stop)
+                                read_requests(stream, &stop, |req| tx.send((conn, req)).is_ok())
                             }));
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -799,7 +797,7 @@ impl GatewayServer {
     /// than the frame cannot exist: block bodies are bounded well below
     /// [`MAX_FRAME`] by consensus batch limits, but an empty page is
     /// still returned rather than an oversized frame).
-    fn bounded_blocks(tip_height: u64, mut blocks: Vec<Block>) -> GatewayResponse {
+    pub(crate) fn bounded_blocks(tip_height: u64, mut blocks: Vec<Block>) -> GatewayResponse {
         // Envelope: tag byte + tip_height u64 + vec length prefix.
         let envelope = 1 + 8 + 4;
         let mut size = envelope + blocks.iter().map(|b| b.encoded().len()).sum::<usize>();
@@ -870,6 +868,23 @@ mod tests {
             }
         }
         assert!(frames.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn accepted_sockets_have_nodelay_set() {
+        let server = GatewayServer::start(GatewayConfig::default(), Metrics::noop()).unwrap();
+        let _client = TcpStream::connect(server.addr()).unwrap();
+        // The acceptor polls its non-blocking listener; wait for it to
+        // register the connection's write half.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(write_half) = server.writers.lock().unwrap().get(&0) {
+                assert!(write_half.nodelay().unwrap());
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "connection never accepted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -39,8 +39,7 @@ pub use gateway::{
 };
 pub use loadgen::{run_sessions, LoadConfig, LoadReport};
 pub use modes::{
-    run_duplicated, run_duplicated_metered, run_sharded, run_sharded_consensus,
-    run_sharded_consensus_metered, run_sharded_metered, run_transformed,
+    run_duplicated, run_duplicated_metered, run_sharded_consensus, run_transformed,
     run_transformed_metered, ExecutionMode, ModeReport,
 };
 pub use network::{

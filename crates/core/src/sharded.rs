@@ -1,10 +1,11 @@
 //! Consensus-level sharding: per-shard sub-chains with cross-links
 //! (DESIGN.md §9).
 //!
-//! [`crate::modes::run_sharded`] partitions the *workload* above one
-//! monolithic chain — every committee member still re-validates a shared
-//! ledger, so the paper's duplication factor only drops in the numerator.
-//! A [`ShardedNetwork`] pushes the partition into consensus itself: the
+//! Partitioning only the *workload* above one monolithic chain leaves
+//! every committee member re-validating a shared ledger, so the paper's
+//! duplication factor only drops in the numerator. A [`ShardedNetwork`]
+//! pushes the partition into consensus itself
+//! ([`crate::modes::run_sharded_consensus`] measures the result): the
 //! consortium's sites split into `k` committees (site *i* serves shard
 //! `i % k`), each committee drives its own [`medchain_chain::Ledger`]
 //! sub-chain under its own PoA instance, and a **coordinator chain** —

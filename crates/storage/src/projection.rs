@@ -7,19 +7,23 @@
 //! `latest_state` table (SNIPPETS.md §2), this module maintains a
 //! derived key → newest-value index fed by the ledger's commit
 //! observer: every committed block hands over its flattened
-//! `(leaf key, new value)` updates, and the projection records each
-//! value together with the block that wrote it.
+//! `(leaf key, new value)` updates, a snapshot install hands over every
+//! leaf of the installed state, and the projection records each value
+//! together with the block that delivered it.
 //!
 //! # Contract
 //!
 //! - **Derived, never authoritative.** The projection is rebuilt by
-//!   replay (it starts empty and is fed only committed deltas); it is
-//!   not persisted, not hashed, and never consulted by consensus or
-//!   proof paths. A reader who needs authentication asks the ledger for
+//!   recovery (it starts empty and is fed the installed snapshot's
+//!   leaves, then the replayed tail's committed deltas); it is not
+//!   persisted, not hashed, and never consulted by consensus or proof
+//!   paths. A reader who needs authentication asks the ledger for
 //!   a [`StateProof`](medchain_chain::StateProof) instead.
 //! - **Exactly the committed sequence.** Entries carry the height and
-//!   block id that last wrote them, so a reader can cross-check a
-//!   projected value against a proof at the same height.
+//!   id of the block that last wrote them — or, for keys last written
+//!   below the snapshot a restart installed, of that snapshot's tip — so
+//!   a reader can cross-check a projected value against a proof at the
+//!   same height.
 //! - **Thread-safe.** The ledger commits under `&mut self` while HIE
 //!   readers query concurrently; the map sits behind a `Mutex` shared
 //!   via `Arc`.

@@ -352,6 +352,37 @@ if grep -n "attach_store(\|run_until_height(" crates/core/src/bootstrap.rs; then
 fi
 echo "ok: recover, stream-in, attach and advance are called from the committee only"
 
+# One clock, one harness: medbench owns wall-clock time, so the
+# experiment crate has one function per experiment and one sharded mode,
+# and nothing offers a second answer behind a switch. A twin or the
+# switch growing back fails here.
+echo "== bench: no-twins guard =="
+if grep -rnE 'fn run_e[0-9]+_metered|run_experiment_metered|run_sharded_metered|fn run_sharded\(|MEDCHAIN_REAL_WALL|experiments_full' \
+    crates src examples README.md DESIGN.md EXPERIMENTS.md; then
+    echo "ERROR: a metered twin, the modeled sharded mode or the measured/modeled switch is back." >&2
+    exit 1
+fi
+echo "ok: one run_eN per experiment, one sharded mode, no measured/modeled switch"
+
+# Every environment variable is an option tests and benchmarks must
+# cover. The files that read one are listed here, so a new knob has to
+# edit this list to land.
+echo "== options: environment-knob census =="
+env_readers="$(grep -rln 'env::var' --include='*.rs' crates src examples | LC_ALL=C sort)"
+env_allowed="crates/bench/src/bin/experiments.rs
+crates/core/src/network.rs
+crates/runtime/src/check.rs
+crates/runtime/src/timing.rs
+crates/transport/src/tcp.rs
+examples/restart_node.rs
+examples/socket_cluster.rs"
+if [ "$env_readers" != "$env_allowed" ]; then
+    echo "ERROR: the set of files reading env::var changed:" >&2
+    diff <(echo "$env_allowed") <(echo "$env_readers") >&2 || true
+    exit 1
+fi
+echo "ok: env::var is read in the 7 listed files only"
+
 # Light-client query path (DESIGN.md §13): anchor a record over the TCP
 # gateway, read it back with a sparse-Merkle proof, verify client-side,
 # and re-verify against an independently read committed header root —

@@ -19,7 +19,7 @@ pub mod prelude {
 
     // Network simulation and the paper's execution modes/pipelines.
     pub use medchain::modes::{
-        run_duplicated, run_sharded, run_sharded_consensus, run_transformed, ModeReport,
+        run_duplicated, run_sharded_consensus, run_transformed, ModeReport,
     };
     pub use medchain::paradigms::{run_paradigm, Paradigm};
     pub use medchain::pipeline::{run_gwas, run_query, train_federated};

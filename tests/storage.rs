@@ -11,7 +11,7 @@
 use medchain_chain::ledger::NullRuntime;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::{Transaction, TxPayload};
-use medchain_chain::{Hash256, KeyRegistry, Ledger, StateCacheConfig, StateTree};
+use medchain_chain::{Hash256, KeyRegistry, LeafKey, Ledger, StateCacheConfig, StateTree};
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::wal::RECORD_HEADER_BYTES;
@@ -506,6 +506,68 @@ fn wiped_site_rejoins_via_streamed_snapshot() {
     assert!(net.resumed());
     let tips: Vec<Hash256> = (0..3).map(|i| net.ledger_of(i).tip().id()).collect();
     assert!(tips.windows(2).all(|w| w[0] == w[1]));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The `latest_state` projection is derived data a restart has to
+/// rebuild whole: recovery installs the newest snapshot and replays only
+/// the tail above it, so keys last written below the snapshot reach the
+/// projection through the install, not through a replayed block.
+#[test]
+fn latest_state_projection_survives_restart_past_a_snapshot() {
+    let root = test_dir("net-latest-state");
+    let tracked = |root: &std::path::Path| {
+        let mut builder = MedicalNetwork::builder().track_latest_state().storage_with(
+            root,
+            StorageConfig { snapshot_every: 4, ..StorageConfig::default() },
+        );
+        for i in 0..3 {
+            builder = builder.site(&format!("hospital-{i}"), Vec::new());
+        }
+        builder.build().expect("tracked network builds")
+    };
+    let anchor_a = LeafKey::Anchor("cohort-a".into());
+
+    // First life: anchor A, then move the chain past two more snapshot
+    // boundaries so A's block lies below the snapshot recovery installs.
+    let mut net = tracked(&root);
+    net.submit_as(
+        0,
+        TxPayload::Anchor { root: Hash256::digest(b"cohort-a"), label: "cohort-a".into() },
+        1_000,
+    )
+    .unwrap();
+    net.advance(1).unwrap();
+    let anchored_at = net.height();
+    while net.height() < anchored_at.next_multiple_of(4) + 5 {
+        let label = format!("filler-{}", net.height());
+        net.submit_as(1, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
+            .unwrap();
+        net.advance(1).unwrap();
+    }
+    assert!(net.height() > 8);
+    net.shutdown();
+    drop(net);
+
+    let net = tracked(&root);
+    assert!(net.resumed());
+    let state = net.ledger().state();
+    let latest = net.latest_state().expect("projection tracked");
+    let expected = state.leaf_value(&anchor_a).expect("A is committed state");
+    assert_eq!(
+        latest.get(&anchor_a).map(|entry| entry.value),
+        Some(expected),
+        "anchor A fell out of the projection across the restart"
+    );
+    // Every leaf is projected, and each projected value is the ledger's.
+    assert_eq!(latest.len(), state.leaf_count());
+    let mut keys: Vec<LeafKey> =
+        (0..3).map(|i| LeafKey::Account(net.site(i).address())).collect();
+    keys.extend((anchored_at..net.height()).map(|h| LeafKey::Anchor(format!("filler-{h}"))));
+    for key in keys {
+        let entry = latest.get(&key).unwrap_or_else(|| panic!("{key:?} not projected"));
+        assert_eq!(Some(entry.value), state.leaf_value(&key), "{key:?}");
+    }
     std::fs::remove_dir_all(&root).unwrap();
 }
 

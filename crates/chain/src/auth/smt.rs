@@ -26,7 +26,7 @@
 //! never semantics.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use super::leaf::{self, LeafKey, EMPTY_SUBTREE};
 use super::{ProofTerminal, SmtProof};
@@ -92,6 +92,14 @@ enum Node {
 }
 
 impl Node {
+    /// The empty subtree: one allocation for the whole process. Nodes
+    /// are immutable, so every empty child of every tree version can be
+    /// this one (≈0.44 empty children per leaf of a random-key tree).
+    fn empty() -> Arc<Node> {
+        static EMPTY: OnceLock<Arc<Node>> = OnceLock::new();
+        Arc::clone(EMPTY.get_or_init(|| Arc::new(Node::Empty)))
+    }
+
     fn hash(&self) -> Hash256 {
         match self {
             Node::Empty => EMPTY_SUBTREE,
@@ -163,7 +171,7 @@ impl StateTree {
     /// The empty tree (root commits to zero leaves).
     pub fn new() -> StateTree {
         StateTree {
-            root: Arc::new(Node::Empty),
+            root: Node::empty(),
             len: 0,
             pager: None,
         }
@@ -469,7 +477,7 @@ fn free_fresh_stubs(node: &Node, pager: &dyn NodePager, fresh: &mut BTreeSet<u64
 /// maintain, with every node hashed once.
 fn build(leaves: &[(Hash256, Hash256)], depth: usize) -> Arc<Node> {
     match leaves {
-        [] => Arc::new(Node::Empty),
+        [] => Node::empty(),
         [(key_hash, value_hash)] => Arc::new(Node::leaf(*key_hash, *value_hash)),
         _ => {
             assert!(depth < MAX_DEPTH, "distinct leaf keys share all 256 path bits");
@@ -555,9 +563,9 @@ fn split_leaves(
     let mut node = Arc::new(Node::internal(left, right));
     for level in (depth..fork).rev() {
         node = Arc::new(if leaf::key_bit(&key_hash, level) {
-            Node::internal(Arc::new(Node::Empty), node)
+            Node::internal(Node::empty(), node)
         } else {
-            Node::internal(node, Arc::new(Node::Empty))
+            Node::internal(node, Node::empty())
         });
     }
     node
@@ -577,7 +585,7 @@ fn remove_at(
         Node::Empty => (node.clone(), false),
         Node::Leaf { key_hash: leaf_kh, .. } => {
             if leaf_kh == key_hash {
-                (Arc::new(Node::Empty), true)
+                (Node::empty(), true)
             } else {
                 (node.clone(), false)
             }
@@ -599,7 +607,7 @@ fn remove_at(
             let collapsed = match (&*new_left, &*new_right) {
                 (Node::Empty, Node::Leaf { .. }) => new_right,
                 (Node::Leaf { .. }, Node::Empty) => new_left,
-                (Node::Empty, Node::Empty) => Arc::new(Node::Empty),
+                (Node::Empty, Node::Empty) => Node::empty(),
                 _ => Arc::new(Node::internal(new_left, new_right)),
             };
             (collapsed, true)
@@ -741,7 +749,7 @@ fn encode_node(node: &Node, out: &mut Vec<u8>, pager: Option<&dyn NodePager>) {
 
 fn decode_node(r: &mut Reader<'_>, depth: usize) -> Result<Arc<Node>, CodecError> {
     match u8::decode(r)? {
-        TAG_EMPTY => Ok(Arc::new(Node::Empty)),
+        TAG_EMPTY => Ok(Node::empty()),
         TAG_LEAF => Ok(Arc::new(Node::Leaf {
             hash: Hash256::decode(r)?,
             key_hash: Hash256::decode(r)?,

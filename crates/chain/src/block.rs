@@ -4,7 +4,8 @@ use crate::hash::Hash256;
 use crate::merkle::MerkleTree;
 use crate::shard::ShardId;
 use crate::sig::{Address, AuthoritySignature};
-use crate::tx::Transaction;
+use crate::tx::SealedTx;
+use std::sync::{Arc, OnceLock};
 
 /// How a block was sealed by its consensus engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,13 +86,96 @@ impl Header {
     }
 }
 
+/// A block's header with its digest kept once computed. Reads go
+/// through `Deref`; taking the header mutably forgets the kept digest,
+/// so [`Block::id`] is memoised and can still never be stale.
+#[derive(Debug, Clone)]
+pub struct KeptHeader {
+    header: Header,
+    digest: OnceLock<Hash256>,
+}
+
+impl KeptHeader {
+    /// [`Header::digest`], computed on first use.
+    pub fn digest(&self) -> Hash256 {
+        *self.digest.get_or_init(|| self.header.digest())
+    }
+}
+
+impl From<Header> for KeptHeader {
+    fn from(header: Header) -> KeptHeader {
+        KeptHeader { header, digest: OnceLock::new() }
+    }
+}
+
+impl std::ops::Deref for KeptHeader {
+    type Target = Header;
+    fn deref(&self) -> &Header {
+        &self.header
+    }
+}
+
+impl std::ops::DerefMut for KeptHeader {
+    fn deref_mut(&mut self) -> &mut Header {
+        self.digest = OnceLock::new();
+        &mut self.header
+    }
+}
+
+impl PartialEq for KeptHeader {
+    fn eq(&self, other: &KeptHeader) -> bool {
+        self.header == other.header
+    }
+}
+
+impl Eq for KeptHeader {}
+
+/// A block's ordered transactions together with the Merkle tree over
+/// their ids. The tree is built once, when the body is assembled, and
+/// the whole is shared: every copy of a block in the process — pooled
+/// proposals, votes in flight, each in-process replica's ledger — holds
+/// the same allocation, and receipts are cut from this tree rather than
+/// from a rebuilt one. Reads as a slice of [`SealedTx`].
+#[derive(Debug, Clone)]
+pub struct Body(Arc<(Vec<SealedTx>, MerkleTree)>);
+
+impl Body {
+    /// The Merkle tree over the transaction ids, in body order.
+    pub fn tree(&self) -> &MerkleTree {
+        &self.0 .1
+    }
+}
+
+impl<T: Into<SealedTx>> From<Vec<T>> for Body {
+    fn from(txs: Vec<T>) -> Body {
+        let txs: Vec<SealedTx> = txs.into_iter().map(Into::into).collect();
+        let tree = MerkleTree::from_leaves(txs.iter().map(SealedTx::id).collect());
+        Body(Arc::new((txs, tree)))
+    }
+}
+
+impl std::ops::Deref for Body {
+    type Target = [SealedTx];
+    fn deref(&self) -> &[SealedTx] {
+        &self.0 .0
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Body) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self[..] == other[..]
+    }
+}
+
+impl Eq for Body {}
+
 /// A sealed block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
-    /// Header.
-    pub header: Header,
-    /// Ordered transactions.
-    pub transactions: Vec<Transaction>,
+    /// Header (with its memoised digest, the block id).
+    pub header: KeptHeader,
+    /// Ordered transactions (shared, with their Merkle tree).
+    pub transactions: Body,
     /// Consensus seal.
     pub seal: Seal,
 }
@@ -106,16 +190,17 @@ impl Block {
     /// Distinct shards get distinct genesis ids even under one
     /// `chain_id`, because the header commits to the shard.
     pub fn genesis_sharded(chain_id: &str, shard: ShardId) -> Block {
+        let transactions: Body = Vec::<SealedTx>::new().into();
         let header = Header {
             height: 0,
             parent: Hash256::ZERO,
-            tx_root: MerkleTree::from_leaves(Vec::new()).root(),
+            tx_root: transactions.tree().root(),
             state_root: Hash256::digest(chain_id.as_bytes()),
             timestamp_ms: 0,
             proposer: Address::from_seed(0),
             shard,
         };
-        Block { header, transactions: Vec::new(), seal: Seal::Genesis }
+        Block { header: header.into(), transactions, seal: Seal::Genesis }
     }
 
     /// Block id: the header digest.
@@ -123,9 +208,9 @@ impl Block {
         self.header.digest()
     }
 
-    /// Recomputes the transaction Merkle root from the body.
+    /// The transaction Merkle root the body actually hashes to.
     pub fn computed_tx_root(&self) -> Hash256 {
-        MerkleTree::from_leaves(self.transactions.iter().map(Transaction::id).collect()).root()
+        self.transactions.tree().root()
     }
 
     /// Checks internal consistency: the header's `tx_root` must commit to
@@ -138,7 +223,10 @@ impl Block {
     /// length, which is what a socket transport actually frames.
     pub fn wire_size(&self) -> usize {
         use medchain_runtime::codec::Encode;
-        self.encoded().len()
+        // Header and seal are small; the body is summed from the lengths
+        // its transactions were sealed with (4 = the count prefix).
+        let body: usize = self.transactions.iter().map(SealedTx::wire_size).sum();
+        self.header.encoded().len() + 4 + body + self.seal.encoded().len()
     }
 }
 
@@ -146,7 +234,7 @@ impl Block {
 mod tests {
     use super::*;
     use crate::sig::AuthorityKey;
-    use crate::tx::TxPayload;
+    use crate::tx::{Transaction, TxPayload};
 
     fn sample_block() -> Block {
         let key = AuthorityKey::from_seed(1);
@@ -170,7 +258,7 @@ mod tests {
             proposer: key.address(),
             shard: ShardId::default(),
         };
-        Block { header, transactions: txs, seal: Seal::Genesis }
+        Block { header: header.into(), transactions: txs.into(), seal: Seal::Genesis }
     }
 
     #[test]
@@ -193,9 +281,33 @@ mod tests {
     fn body_consistency_detects_tampering() {
         let mut block = sample_block();
         assert!(block.is_body_consistent());
-        block.transactions[1].payload =
-            TxPayload::Transfer { to: Address::from_seed(2), amount: 9_999 };
+        let mut txs: Vec<Transaction> = block.transactions.iter().map(|tx| (**tx).clone()).collect();
+        txs[1].payload = TxPayload::Transfer { to: Address::from_seed(2), amount: 9_999 };
+        block.transactions = txs.into();
         assert!(!block.is_body_consistent());
+    }
+
+    #[test]
+    fn id_is_kept_but_follows_a_header_mutation() {
+        let mut block = sample_block();
+        let id = block.id();
+        assert_eq!(block.clone().id(), id);
+        block.header.timestamp_ms += 1;
+        assert_ne!(block.id(), id, "a mutable borrow of the header forgets the kept digest");
+        assert_eq!(block.id(), block.header.clone().digest());
+    }
+
+    #[test]
+    fn wire_size_and_tree_come_from_the_sealed_body() {
+        use medchain_runtime::codec::{Decode, Encode};
+        let block = sample_block();
+        assert_eq!(block.wire_size(), block.encoded().len());
+        let ids: Vec<Hash256> = block.transactions.iter().map(|tx| tx.id()).collect();
+        assert_eq!(block.transactions.tree(), &MerkleTree::from_leaves(ids));
+        let decoded = Block::decoded(&block.encoded()).unwrap();
+        assert_eq!(decoded, block);
+        assert_eq!(decoded.computed_tx_root(), block.header.tx_root);
+        assert_eq!(Block::genesis("med").wire_size(), Block::genesis("med").encoded().len());
     }
 
     #[test]
@@ -233,8 +345,34 @@ mod tests {
 }
 
 mod codec_impls {
-    use super::{Block, Header, Seal};
+    use super::{Block, Body, Header, KeptHeader, Seal};
+    use crate::tx::SealedTx;
+    use medchain_runtime::codec::{CodecError, Decode, Encode, Reader};
     use medchain_runtime::{impl_codec_enum, impl_codec_struct};
+
+    impl Encode for KeptHeader {
+        fn encode(&self, out: &mut Vec<u8>) {
+            Header::encode(self, out);
+        }
+    }
+
+    impl Decode for KeptHeader {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Header::decode(r)?.into())
+        }
+    }
+
+    impl Encode for Body {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self[..].encode(out);
+        }
+    }
+
+    impl Decode for Body {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Vec::<SealedTx>::decode(r)?.into())
+        }
+    }
 
     impl_codec_enum!(Seal {
         0 => Genesis,

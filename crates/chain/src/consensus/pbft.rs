@@ -15,6 +15,9 @@ use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
 use std::collections::{BTreeMap, HashMap};
 
 /// Wire messages of the PBFT protocol.
+// A proposal is moved once per hop and its body is already behind an
+// `Arc`; boxing the block would add an allocation to save a memcpy.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum PbftMsg {
     /// Primary's proposal for a height.
@@ -81,7 +84,16 @@ medchain_runtime::impl_codec_enum!(PbftMsg {
 impl Wire for PbftMsg {
     fn wire_size(&self) -> usize {
         use medchain_runtime::codec::Encode;
-        self.encoded().len()
+        // As for `PoaMsg`: blocks are counted from their kept lengths.
+        match self {
+            PbftMsg::PrePrepare { block, sig, .. } => {
+                1 + 8 + block.wire_size() + sig.encoded().len()
+            }
+            PbftMsg::SyncResponse { blocks } => {
+                1 + 4 + blocks.iter().map(Block::wire_size).sum::<usize>()
+            }
+            _ => self.encoded().len(),
+        }
     }
 }
 
@@ -519,6 +531,17 @@ mod tests {
         let mut c = cluster(4);
         c.run_until_height(1, 120_000);
         let block = c.replicas[1].app.ledger().block(1).unwrap().clone();
+        // Block-carrying messages count their bytes from kept lengths;
+        // the count must still be the encoded length.
+        use medchain_runtime::codec::Encode;
+        let sig = AuthorityKey::from_seed(0).sign(&block.id().0);
+        for msg in [
+            PbftMsg::PrePrepare { view: 3, block: block.clone(), sig },
+            PbftMsg::SyncResponse { blocks: vec![block.clone(), block.clone()] },
+            PbftMsg::SyncRequest { have: 9 },
+        ] {
+            assert_eq!(msg.wire_size(), msg.encoded().len());
+        }
         match block.seal {
             Seal::Pbft { commits, .. } => assert!(commits.len() >= 3),
             other => panic!("expected pbft seal, got {other:?}"),

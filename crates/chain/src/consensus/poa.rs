@@ -16,6 +16,9 @@ use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
 use std::collections::{BTreeMap, HashMap};
 
 /// Wire messages of the PoA protocol.
+// A proposal is moved once per hop and its body is already behind an
+// `Arc`; boxing the block would add an allocation to save a memcpy.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum PoaMsg {
     /// A signed block proposal for `height`.
@@ -57,7 +60,16 @@ medchain_runtime::impl_codec_enum!(PoaMsg {
 impl Wire for PoaMsg {
     fn wire_size(&self) -> usize {
         use medchain_runtime::codec::Encode;
-        self.encoded().len()
+        // A block knows its length from the lengths its transactions
+        // were sealed with; only block-free messages are encoded to be
+        // counted (1 = the variant tag, 4 = a list's count prefix).
+        match self {
+            PoaMsg::Proposal { block, sig } => 1 + block.wire_size() + sig.encoded().len(),
+            PoaMsg::SyncResponse { blocks } => {
+                1 + 4 + blocks.iter().map(Block::wire_size).sum::<usize>()
+            }
+            PoaMsg::Vote { .. } | PoaMsg::SyncRequest { .. } => self.encoded().len(),
+        }
     }
 }
 
@@ -187,7 +199,7 @@ impl PoaEngine {
         if entry.block.is_some() {
             return; // first valid proposal wins within a height
         }
-        entry.block = Some(block.clone());
+        entry.block = Some(block);
         entry.proposer_sig = Some(sig);
         self.try_vote(height, app, out);
         self.try_commit(app, out);

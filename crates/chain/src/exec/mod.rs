@@ -37,7 +37,7 @@ use crate::ledger::{
 };
 use crate::shard::{sharded_contract_address, ShardId};
 use crate::sig::KeyRegistry;
-use crate::tx::{Transaction, TxPayload};
+use crate::tx::{SealedTx, TxPayload};
 use medchain_runtime::sync::scoped_map;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -71,7 +71,7 @@ pub(crate) struct BlockRun {
 pub(crate) fn admission_check(
     registry: &KeyRegistry,
     state: &dyn StateAccess,
-    tx: &Transaction,
+    tx: &SealedTx,
 ) -> Result<(), LedgerError> {
     if !tx.verify(registry) {
         return Err(LedgerError::BadSignature(tx.id()));
@@ -95,7 +95,7 @@ pub(crate) fn admission_check(
 pub(crate) fn execute_tx(
     ctx: &ExecCtx<'_>,
     state: &mut WorldStateOverlay<'_>,
-    tx: &Transaction,
+    tx: &SealedTx,
     now_ms: u64,
 ) -> Receipt {
     // Bump nonce first: failed transactions still consume it.
@@ -331,7 +331,7 @@ pub(crate) fn execute_tx(
 pub(crate) fn run_block_sequential(
     ctx: &ExecCtx<'_>,
     base: &WorldState,
-    txs: &[Transaction],
+    txs: &[SealedTx],
     now_ms: u64,
 ) -> Result<(Vec<Receipt>, StateDelta), LedgerError> {
     let mut overlay = WorldStateOverlay::new(base);
@@ -355,7 +355,7 @@ struct TxRun {
 fn run_speculative(
     ctx: &ExecCtx<'_>,
     base: &dyn StateAccess,
-    txs: &[Transaction],
+    txs: &[SealedTx],
     index: usize,
     now_ms: u64,
 ) -> TxRun {
@@ -395,7 +395,7 @@ fn round_robin(wave: &[usize], lanes: usize) -> Vec<Vec<usize>> {
 pub(crate) fn run_block_parallel(
     ctx: &ExecCtx<'_>,
     base: &WorldState,
-    txs: &[Transaction],
+    txs: &[SealedTx],
     now_ms: u64,
     threads: usize,
 ) -> Result<BlockRun, LedgerError> {
@@ -504,6 +504,7 @@ pub(crate) fn run_block_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use crate::ledger::{ExecError, ExecOutcome, WorldState};
     use crate::sig::{Address, AuthorityKey};
 
@@ -520,14 +521,16 @@ mod tests {
         (keys, registry)
     }
 
-    fn transfer(key: &AuthorityKey, nonce: u64, to: Address, amount: u64) -> Transaction {
-        Transaction::new(key.address(), nonce, TxPayload::Transfer { to, amount }, 100).signed(key)
+    fn transfer(key: &AuthorityKey, nonce: u64, to: Address, amount: u64) -> SealedTx {
+        Transaction::new(key.address(), nonce, TxPayload::Transfer { to, amount }, 100)
+            .signed(key)
+            .into()
     }
 
     fn assert_equivalent(
         ctx: &ExecCtx<'_>,
         base: &WorldState,
-        txs: &[Transaction],
+        txs: &[SealedTx],
         threads: usize,
     ) {
         let sequential = run_block_sequential(ctx, base, txs, 10);
@@ -553,7 +556,7 @@ mod tests {
         for k in &keys {
             base.credit(k.address(), 1_000);
         }
-        let txs: Vec<Transaction> = keys
+        let txs: Vec<SealedTx> = keys
             .iter()
             .enumerate()
             .map(|(i, k)| transfer(k, 0, Address::from_seed(100 + i as u64), 10))
@@ -570,7 +573,7 @@ mod tests {
         let (keys, registry) = enrolled(1);
         let mut base = WorldState::new();
         base.credit(keys[0].address(), 1_000);
-        let txs: Vec<Transaction> =
+        let txs: Vec<SealedTx> =
             (0..6).map(|n| transfer(&keys[0], n, Address::from_seed(50), 10)).collect();
         let runtime = crate::ledger::NullRuntime;
         let ctx = ctx(&runtime, &registry);
@@ -652,21 +655,23 @@ mod tests {
         base.set_code(c1, b"a".to_vec());
         base.set_code(c2, b"b".to_vec());
         // Two "independent" invokes that actually race on escape_to.
-        let txs = vec![
+        let txs: Vec<SealedTx> = vec![
             Transaction::new(
                 keys[0].address(),
                 0,
                 TxPayload::Invoke { contract: c1, input: Vec::new() },
                 100,
             )
-            .signed(&keys[0]),
+            .signed(&keys[0])
+            .into(),
             Transaction::new(
                 keys[1].address(),
                 0,
                 TxPayload::Invoke { contract: c2, input: Vec::new() },
                 100,
             )
-            .signed(&keys[1]),
+            .signed(&keys[1])
+            .into(),
         ];
         let ctx = ctx(&runtime, &registry);
         let run = run_block_parallel(&ctx, &base, &txs, 10, 4).unwrap();
@@ -691,6 +696,7 @@ mod tests {
 #[cfg(test)]
 mod inference_props {
     use super::*;
+    use crate::tx::Transaction;
     use crate::hash::Hash256;
     use crate::ledger::{ExecError, ExecOutcome, WorldState};
     use crate::sig::{Address, AuthorityKey};
@@ -848,13 +854,14 @@ mod inference_props {
             for _ in 0..8 {
                 let key = &keys[g.usize_in(0, keys.len())];
                 let nonce = state.account(&key.address()).nonce;
-                let tx = Transaction::new(
+                let tx: SealedTx = Transaction::new(
                     key.address(),
                     nonce,
                     random_payload(g, &contracts),
                     1_000,
                 )
-                .signed(key);
+                .signed(key)
+                .into();
                 let set = infer_rw_set(&tx, shard, shard_count, &state, &runtime);
                 let mut overlay = WorldStateOverlay::new(&state).recording();
                 execute_tx(&ctx, &mut overlay, &tx, 10);
@@ -918,7 +925,7 @@ mod inference_props {
                     },
                 );
             }
-            let tx = Transaction::new(
+            let tx: SealedTx = Transaction::new(
                 key.address(),
                 state.account(&key.address()).nonce,
                 TxPayload::XsPrepare {
@@ -933,7 +940,8 @@ mod inference_props {
                 },
                 1_000,
             )
-            .signed(&key);
+            .signed(&key)
+            .into();
             let set = infer_rw_set(&tx, shard, shard_count, &state, &runtime);
             ensure!(!set.global, "a prepare is account-keyed, never global");
             let mut overlay = WorldStateOverlay::new(&state).recording();

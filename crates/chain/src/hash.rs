@@ -7,6 +7,7 @@
 //! pulling a crypto dependency (see DESIGN.md §2).
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Initial hash values: first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes.
@@ -55,6 +56,16 @@ impl Default for Sha256 {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Process-wide count of [`Sha256`] block compressions: a statistic,
+/// never a synchronisation point, hence `Relaxed`.
+static COMPRESSIONS: AtomicU64 = AtomicU64::new(0);
+
+/// SHA-256 compressions this process has run so far — the unit every
+/// id, Merkle node, state-tree node and MAC is paid in.
+pub fn sha256_compressions() -> u64 {
+    COMPRESSIONS.load(Ordering::Relaxed)
 }
 
 impl Sha256 {
@@ -111,6 +122,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        COMPRESSIONS.fetch_add(1, Ordering::Relaxed);
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([

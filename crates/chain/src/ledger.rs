@@ -8,14 +8,13 @@
 //! exploit and then reform.
 
 use crate::auth::{LeafKey, StateProof, StateTree};
-use crate::block::{Block, Header};
+use crate::block::{Block, Body, Header};
 use crate::exec::{self, ExecScope, StateAccess, StateDelta, WorldStateOverlay};
 use crate::hash::Hash256;
-use crate::merkle::MerkleTree;
 use crate::shard::ShardId;
 use crate::sig::{Address, KeyRegistry};
 use crate::store::BlockStore;
-use crate::tx::Transaction;
+use crate::tx::SealedTx;
 use medchain_runtime::codec::Encode;
 use medchain_runtime::metrics::Metrics;
 use std::collections::{BTreeMap, BTreeSet};
@@ -1391,10 +1390,10 @@ impl Ledger {
     /// nodes can still serve old blocks from the block log, but this
     /// fast path only proves against retained blocks.
     pub fn tx_receipt(&self, tx_id: &Hash256) -> Option<crate::receipt::TxReceipt> {
-        let (height, _) = self.locate_tx(tx_id)?;
+        let (height, index) = self.locate_tx(tx_id)?;
         let block = self.block(height)?;
         let exec = self.receipt(tx_id)?;
-        crate::receipt::TxReceipt::for_block(block, *tx_id, exec)
+        crate::receipt::TxReceipt::for_block(block, index, exec)
     }
 
     /// Work counters.
@@ -1413,19 +1412,11 @@ impl Ledger {
     /// # Errors
     ///
     /// Returns the specific [`LedgerError`] that admission failed with.
-    pub fn check_admissible(&self, tx: &Transaction) -> Result<(), LedgerError> {
+    pub fn check_admissible(&self, tx: &SealedTx) -> Result<(), LedgerError> {
         if !tx.verify(&self.registry) {
             return Err(LedgerError::BadSignature(tx.id()));
         }
-        let account = self.state.account(&tx.sender);
-        if tx.nonce < account.nonce {
-            return Err(LedgerError::BadNonce {
-                tx_id: tx.id(),
-                expected: account.nonce,
-                got: tx.nonce,
-            });
-        }
-        self.check_locks(tx)
+        self.check_nonce(tx)
     }
 
     /// Lock-aware admission (DESIGN.md §12): while a 2PC lock is held
@@ -1433,7 +1424,7 @@ impl Ledger {
     /// deferred instead of queueing work that is guaranteed to fail
     /// execution. `XsFinalize` stays admissible — it is what releases
     /// the lock.
-    fn check_locks(&self, tx: &Transaction) -> Result<(), LedgerError> {
+    fn check_locks(&self, tx: &SealedTx) -> Result<(), LedgerError> {
         let touched: &[&Address] = match &tx.payload {
             crate::tx::TxPayload::Transfer { to, .. } => &[&tx.sender, to],
             crate::tx::TxPayload::XsPrepare { leg, .. } => {
@@ -1467,7 +1458,7 @@ impl Ledger {
     /// # Errors
     ///
     /// Returns [`LedgerError::BadNonce`] for an already-used nonce.
-    pub fn check_nonce(&self, tx: &Transaction) -> Result<(), LedgerError> {
+    pub fn check_nonce(&self, tx: &SealedTx) -> Result<(), LedgerError> {
         let account = self.state.account(&tx.sender);
         if tx.nonce < account.nonce {
             return Err(LedgerError::BadNonce {
@@ -1486,22 +1477,31 @@ impl Ledger {
     /// Transactions that fail admission are dropped; transactions that
     /// fail execution are included with failure receipts (as real chains
     /// do), so their gas is still accounted.
-    pub fn propose(&self, proposer: Address, timestamp_ms: u64, txs: Vec<Transaction>) -> Block {
+    pub fn propose<T: Into<SealedTx>>(
+        &self,
+        proposer: Address,
+        timestamp_ms: u64,
+        txs: Vec<T>,
+    ) -> Block {
         let ctx = self.exec_ctx();
         let mut overlay = WorldStateOverlay::new(&self.state);
         let mut included = Vec::with_capacity(txs.len());
         for tx in txs {
+            let tx: SealedTx = tx.into();
             if exec::admission_check(&self.registry, &overlay, &tx).is_ok() {
                 let _ = exec::execute_tx(&ctx, &mut overlay, &tx, timestamp_ms);
                 included.push(tx);
             }
         }
         let delta = overlay.into_delta();
+        // The body hashes its transaction tree here, once; every replica
+        // that is handed this block reads the root and cuts receipts
+        // from the same tree.
+        let transactions = Body::from(included);
         let header = Header {
             height: self.height() + 1,
             parent: self.tip().id(),
-            tx_root: MerkleTree::from_leaves(included.iter().map(Transaction::id).collect())
-                .root(),
+            tx_root: transactions.tree().root(),
             // Incremental: delta applied to the cached tree, O(keys
             // changed), without touching committed state.
             state_root: self.state_tree().with_delta(&delta).versioned_root(),
@@ -1509,7 +1509,7 @@ impl Ledger {
             proposer,
             shard: self.shard,
         };
-        Block { header, transactions: included, seal: crate::block::Seal::Genesis }
+        Block { header: header.into(), transactions, seal: crate::block::Seal::Genesis }
     }
 
     /// Validates and applies a sealed block, executing all transactions.
@@ -1694,6 +1694,7 @@ pub fn contract_address(sender: &Address, nonce: u64) -> Address {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use crate::shard::sharded_contract_address;
     use crate::sig::AuthorityKey;
     use crate::tx::TxPayload;
@@ -1791,7 +1792,7 @@ mod tests {
     fn apply_rejects_wrong_parent() {
         let alice = AuthorityKey::from_seed(1);
         let mut ledger = funded_ledger(std::slice::from_ref(&alice));
-        let mut block = ledger.propose(alice.address(), 10, Vec::new());
+        let mut block = ledger.propose(alice.address(), 10, Vec::<Transaction>::new());
         block.header.parent = Hash256::digest(b"bogus");
         // Recompute nothing: parent check fires first.
         assert_eq!(ledger.apply(&block), Err(LedgerError::WrongParent));
@@ -1804,8 +1805,9 @@ mod tests {
         let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
         let mut block =
             ledger.propose(alice.address(), 10, vec![transfer(&alice, 0, bob.address(), 1)]);
-        block.transactions[0].payload =
-            TxPayload::Transfer { to: bob.address(), amount: 999 };
+        let mut tampered = Transaction::clone(&block.transactions[0]);
+        tampered.payload = TxPayload::Transfer { to: bob.address(), amount: 999 };
+        block.transactions = vec![tampered].into();
         assert_eq!(ledger.apply(&block), Err(LedgerError::BodyMismatch));
     }
 
@@ -1813,7 +1815,7 @@ mod tests {
     fn apply_rejects_state_root_mismatch() {
         let alice = AuthorityKey::from_seed(1);
         let mut ledger = funded_ledger(std::slice::from_ref(&alice));
-        let mut block = ledger.propose(alice.address(), 10, Vec::new());
+        let mut block = ledger.propose(alice.address(), 10, Vec::<Transaction>::new());
         block.header.state_root = Hash256::digest(b"wrong");
         assert_eq!(ledger.apply(&block), Err(LedgerError::StateRootMismatch));
     }
@@ -2045,7 +2047,7 @@ mod tests {
         let alice = AuthorityKey::from_seed(1);
         let mut shard0 = sharded_ledger(ShardId(0), 2, std::slice::from_ref(&alice));
         let mut shard1 = sharded_ledger(ShardId(1), 2, std::slice::from_ref(&alice));
-        let foreign = shard1.propose(alice.address(), 10, Vec::new());
+        let foreign = shard1.propose(alice.address(), 10, Vec::<Transaction>::new());
         assert_eq!(
             shard0.apply(&foreign),
             Err(LedgerError::WrongShard { expected: ShardId(0), got: ShardId(1) })
@@ -2139,6 +2141,7 @@ mod tests {
             1_000,
         )
         .signed(&mallory);
+        let forged = SealedTx::from(forged);
         // Admission refuses the forged escrow outright…
         assert!(matches!(
             ledger.check_admissible(&forged),
@@ -2177,7 +2180,7 @@ mod tests {
             1_000,
         )
         .signed(&mallory);
-        assert!(ledger.check_admissible(&credit).is_ok());
+        assert!(ledger.check_admissible(&credit.into()).is_ok());
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub mod store;
 pub mod tx;
 
 pub use auth::{LeafKey, NodePager, ProofTerminal, SmtProof, StateProof, StateTree};
-pub use block::{Block, Header, Seal};
+pub use block::{Block, Body, Header, KeptHeader, Seal};
 pub use exec::{ExecScope, RwSet, StateAccess, StateDelta, StateKey, WorldStateOverlay};
-pub use hash::{Hash256, Sha256};
+pub use hash::{sha256_compressions, Hash256, Sha256};
 pub use ledger::{
     Account, AccountPager, CommitObserver, ContractRuntime, CrossLinkRecord, Event, ExecError,
     ExecOutcome, Ledger, Receipt, StateCacheConfig, WorldState, XsDecisionRecord, XsLock,
@@ -60,6 +60,6 @@ pub use net::{NodeId, SimNetwork, SimTransport, TcpTransport, Transport, Wire};
 pub use node::SubmitOutcome;
 pub use receipt::TxReceipt;
 pub use shard::{shard_for_key, shard_for_tx, sharded_contract_address, CrossLink, ShardId};
-pub use sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
+pub use sig::{registry_verifications, Address, AuthorityKey, AuthoritySignature, KeyRegistry};
 pub use store::{BlockStore, MemStore, StoreError};
-pub use tx::{Transaction, TxPayload, XsLeg};
+pub use tx::{SealedTx, Transaction, TxPayload, XsLeg};

@@ -12,7 +12,7 @@
 
 use crate::hash::Hash256;
 use crate::sig::Address;
-use crate::tx::Transaction;
+use crate::tx::SealedTx;
 use medchain_runtime::metrics::Metrics;
 use std::collections::{BTreeMap, HashSet};
 
@@ -59,7 +59,7 @@ pub enum InsertOutcome {
     /// nonce)` slot; the evicted transaction is returned so callers can
     /// surface or re-gossip it, and its id is forgotten so it may be
     /// re-submitted.
-    Replaced(Transaction),
+    Replaced(SealedTx),
     /// The exact transaction id is already pending or was gossiped.
     DuplicateId,
     /// The pool (or, for normal-lane inserts, the unreserved slice of
@@ -75,7 +75,7 @@ pub enum InsertOutcome {
 /// missing.
 #[derive(Debug, Default, Clone)]
 pub struct Mempool {
-    by_sender: BTreeMap<Address, BTreeMap<u64, Transaction>>,
+    by_sender: BTreeMap<Address, BTreeMap<u64, SealedTx>>,
     /// Sticky lane per sender with queued transactions.
     lane_of: BTreeMap<Address, Lane>,
     seen: HashSet<Hash256>,
@@ -124,7 +124,8 @@ impl Mempool {
         self.size == 0
     }
 
-    /// Whether a transaction id has been seen (pending or gossiped).
+    /// Whether a transaction id is pending here, or left in a batch
+    /// whose block has not committed yet.
     pub fn contains(&self, id: &Hash256) -> bool {
         self.seen.contains(id)
     }
@@ -149,12 +150,18 @@ impl Mempool {
         self.by_sender.values().map(|queue| queue.len()).sum()
     }
 
+    /// Ids the pool currently remembers (test observability).
+    #[cfg(test)]
+    pub(crate) fn seen_len(&self) -> usize {
+        self.seen.len()
+    }
+
     /// Inserts a transaction on the normal lane (test convenience).
     /// Returns `false` if it was a duplicate or the pool is full; a
     /// replacement of an existing `(sender, nonce)` slot counts as
     /// success.
     #[cfg(test)]
-    pub(crate) fn insert(&mut self, tx: Transaction) -> bool {
+    pub(crate) fn insert(&mut self, tx: impl Into<SealedTx>) -> bool {
         matches!(
             self.try_insert(tx),
             InsertOutcome::Inserted(_) | InsertOutcome::Replaced(_)
@@ -163,7 +170,7 @@ impl Mempool {
 
     /// Normal-lane [`Mempool::try_insert_in`] (test convenience).
     #[cfg(test)]
-    pub(crate) fn try_insert(&mut self, tx: Transaction) -> InsertOutcome {
+    pub(crate) fn try_insert(&mut self, tx: impl Into<SealedTx>) -> InsertOutcome {
         self.try_insert_in(tx, Lane::Normal)
     }
 
@@ -176,7 +183,8 @@ impl Mempool {
     /// does not grow. Normal-lane inserts are rejected once the pool
     /// reaches `capacity - priority_reserve`, keeping the reserved slice
     /// available for priority traffic under backpressure.
-    pub(crate) fn try_insert_in(&mut self, tx: Transaction, lane: Lane) -> InsertOutcome {
+    pub(crate) fn try_insert_in(&mut self, tx: impl Into<SealedTx>, lane: Lane) -> InsertOutcome {
+        let tx: SealedTx = tx.into();
         if self.seen.contains(&tx.id()) {
             self.metrics.counter("mempool.dedup_hits", 1);
             return InsertOutcome::DuplicateId;
@@ -243,7 +251,7 @@ impl Mempool {
         &mut self,
         max: usize,
         mut next_nonce: impl FnMut(&Address) -> u64,
-    ) -> Vec<Transaction> {
+    ) -> Vec<SealedTx> {
         let mut batch = Vec::new();
         let mut senders: Vec<Address> = self.by_sender.keys().copied().collect();
         // Stable partition: priority senders first, address order within
@@ -280,16 +288,21 @@ impl Mempool {
     }
 
     /// Removes transactions already included in a committed block and
-    /// stale nonces below each sender's account nonce.
+    /// stale nonces below each sender's account nonce, and forgets their
+    /// ids: a committed id is answered from the ledger
+    /// ([`crate::ledger::Ledger::locate_tx`]), so `seen` holds what is
+    /// pending or proposed and never grows with the chain.
     pub(crate) fn prune(
         &mut self,
-        committed: &[Transaction],
+        committed: &[SealedTx],
         account_nonce: impl Fn(&Address) -> u64,
     ) {
         let before = self.size;
         for tx in committed {
+            self.seen.remove(&tx.id());
             if let Some(queue) = self.by_sender.get_mut(&tx.sender) {
-                if queue.remove(&tx.nonce).is_some() {
+                if let Some(pooled) = queue.remove(&tx.nonce) {
+                    self.seen.remove(&pooled.id());
                     self.size -= 1;
                 }
             }
@@ -298,9 +311,9 @@ impl Mempool {
         for sender in senders {
             let floor = account_nonce(&sender);
             let queue = self.by_sender.get_mut(&sender).expect("sender present");
-            let stale: Vec<u64> = queue.range(..floor).map(|(n, _)| *n).collect();
-            for n in stale {
-                queue.remove(&n);
+            let live = queue.split_off(&floor);
+            for stale in std::mem::replace(queue, live).into_values() {
+                self.seen.remove(&stale.id());
                 self.size -= 1;
             }
             if queue.is_empty() {
@@ -342,6 +355,7 @@ mod codec_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use crate::sig::AuthorityKey;
     use crate::tx::TxPayload;
 
@@ -416,11 +430,39 @@ mod tests {
         pool.insert(committed.clone());
         pool.insert(tx(&a, 1));
         pool.insert(tx(&b, 0)); // stale: account nonce already 2
-        pool.prune(&[committed], |addr| if *addr == b.address() { 2 } else { 1 });
+        pool.prune(&[committed.into()], |addr| if *addr == b.address() { 2 } else { 1 });
         assert_eq!(pool.len(), 1);
         let batch = pool.take_batch(10, |_| 1);
         assert_eq!(batch[0].nonce, 1);
         assert_eq!(batch[0].sender, a.address());
+    }
+
+    /// The bug this pins: `seen` used to gain an id on every insert and
+    /// lose one only on replacement, so a replica kept every id it had
+    /// ever pooled. Committed, displaced and stale ids all leave it now.
+    #[test]
+    fn prune_forgets_committed_displaced_and_stale_ids() {
+        let a = AuthorityKey::from_seed(1);
+        let b = AuthorityKey::from_seed(2);
+        let mut pool = Mempool::new(10);
+        // Proposer's view: the batch left the queue, its ids stayed.
+        pool.insert(tx(&a, 0));
+        let batch = pool.take_batch(10, |_| 0);
+        assert_eq!((pool.len(), pool.seen_len()), (0, 1));
+        pool.prune(&batch, |_| 1);
+        assert_eq!(pool.seen_len(), 0);
+        // Follower's view: still queued when the block commits; and a
+        // different transaction in a committed slot is displaced.
+        pool.insert(tx(&a, 1));
+        pool.insert(tx_with_amount(&b, 0, 7));
+        pool.insert(tx(&b, 3)); // stays pending
+        let committed: Vec<SealedTx> = vec![tx(&a, 1).into(), tx_with_amount(&b, 0, 9).into()];
+        pool.prune(&committed, |addr| if *addr == b.address() { 1 } else { 2 });
+        assert_eq!((pool.len(), pool.seen_len()), (1, 1));
+        assert!(pool.contains(&tx(&b, 3).id()));
+        // Stale: the account nonce moved past a queued transaction.
+        pool.prune(&[], |_| 4);
+        assert_eq!((pool.len(), pool.seen_len()), (0, 0));
     }
 
     /// Same `(sender, nonce)` slot, different payload → different id.
@@ -442,13 +484,13 @@ mod tests {
         let replacement = tx_with_amount(&key, 0, 2);
         assert_eq!(pool.try_insert(original.clone()), InsertOutcome::Inserted(Lane::Normal));
         // The replacement evicts the original and hands it back.
-        assert_eq!(pool.try_insert(replacement.clone()), InsertOutcome::Replaced(original.clone()));
+        assert_eq!(pool.try_insert(replacement.clone()), InsertOutcome::Replaced(original.clone().into()));
         assert_eq!(pool.len(), 1);
         // Regression: the evicted id must leave the seen-set so the
         // original can be re-submitted (it used to be banned forever).
         assert!(!pool.contains(&original.id()));
         assert!(pool.contains(&replacement.id()));
-        assert_eq!(pool.try_insert(original.clone()), InsertOutcome::Replaced(replacement));
+        assert_eq!(pool.try_insert(original.clone()), InsertOutcome::Replaced(replacement.into()));
         assert!(pool.contains(&original.id()));
         assert_eq!(pool.len(), 1);
     }

@@ -8,7 +8,7 @@ use crate::ledger::{ContractRuntime, Ledger, LedgerStats, NullRuntime, Receipt};
 use crate::mempool::{InsertOutcome, Lane, Mempool};
 use crate::receipt::TxReceipt;
 use crate::sig::{Address, KeyRegistry};
-use crate::tx::Transaction;
+use crate::tx::SealedTx;
 
 /// Default mempool capacity.
 pub const DEFAULT_MEMPOOL_CAPACITY: usize = 4096;
@@ -28,9 +28,9 @@ pub enum SubmitOutcome {
         /// Whether a prior transaction in the same slot was evicted.
         replaced: bool,
     },
-    /// The exact transaction id is already pending — detected *before*
-    /// any signature work, so re-submission of a duplicate never
-    /// re-verifies a one-time signature.
+    /// The exact transaction id is already pending or committed —
+    /// detected *before* any signature work, so re-submission of a
+    /// duplicate never re-verifies a one-time signature.
     Duplicate,
     /// The pool (or the normal lane's unreserved slice) is full.
     Full,
@@ -135,27 +135,20 @@ impl ChainApp {
     /// Submits a client transaction to the local mempool.
     ///
     /// Returns `false` if the transaction is inadmissible or a duplicate.
-    pub fn submit(&mut self, tx: Transaction) -> bool {
+    pub fn submit(&mut self, tx: impl Into<SealedTx>) -> bool {
         self.submit_in(tx, Lane::Normal).is_admitted()
     }
 
     /// Lane-aware submission with full signature verification.
     ///
-    /// Dedup by transaction id runs **before** the signature check: a
+    /// Dedup by transaction id — against the pool, then against the
+    /// committed chain — runs **before** the signature check: a
     /// one-time (Lamport-style) signature scheme consumes key state on
     /// signing, so a client retrying a submission must get a cheap
     /// idempotent answer rather than a second verification pass that
     /// could misread key-reuse bookkeeping.
-    pub fn submit_in(&mut self, tx: Transaction, lane: Lane) -> SubmitOutcome {
-        if self.mempool.contains(&tx.id()) {
-            self.metrics.counter("mempool.dedup_hits", 1);
-            return SubmitOutcome::Duplicate;
-        }
-        if self.ledger.check_admissible(&tx).is_err() {
-            self.metrics.counter("mempool.inadmissible", 1);
-            return SubmitOutcome::Inadmissible;
-        }
-        self.insert_checked(tx, lane)
+    pub fn submit_in(&mut self, tx: impl Into<SealedTx>, lane: Lane) -> SubmitOutcome {
+        self.admit(tx.into(), lane, Ledger::check_admissible)
     }
 
     /// Lane-aware submission for transactions whose signature was
@@ -163,22 +156,29 @@ impl ChainApp {
     /// path. Only the nonce is re-checked against current state.
     ///
     /// Trust boundary: callers must have run `tx.verify(registry)` (or
-    /// equivalent) on this exact transaction; passing unverified
-    /// transactions here would let unsigned data into blocks, which
-    /// honest replicas then reject at proposal time.
-    pub fn submit_verified(&mut self, tx: Transaction, lane: Lane) -> SubmitOutcome {
-        if self.mempool.contains(&tx.id()) {
+    /// equivalent) on this exact transaction. The pool takes their word;
+    /// the chain does not — a transaction this process never verified is
+    /// still checked, once, when it is proposed (and by every replica
+    /// that is handed other bytes than the ones checked), so unsigned
+    /// data is dropped there rather than committed.
+    pub fn submit_verified(&mut self, tx: impl Into<SealedTx>, lane: Lane) -> SubmitOutcome {
+        self.admit(tx.into(), lane, Ledger::check_nonce)
+    }
+
+    fn admit(
+        &mut self,
+        tx: SealedTx,
+        lane: Lane,
+        check: fn(&Ledger, &SealedTx) -> Result<(), crate::ledger::LedgerError>,
+    ) -> SubmitOutcome {
+        if self.mempool.contains(&tx.id()) || self.ledger.locate_tx(&tx.id()).is_some() {
             self.metrics.counter("mempool.dedup_hits", 1);
             return SubmitOutcome::Duplicate;
         }
-        if self.ledger.check_nonce(&tx).is_err() {
+        if check(&self.ledger, &tx).is_err() {
             self.metrics.counter("mempool.inadmissible", 1);
             return SubmitOutcome::Inadmissible;
         }
-        self.insert_checked(tx, lane)
-    }
-
-    fn insert_checked(&mut self, tx: Transaction, lane: Lane) -> SubmitOutcome {
         let sender = tx.sender;
         match self.mempool.try_insert_in(tx, lane) {
             InsertOutcome::Inserted(lane) => SubmitOutcome::Admitted { lane, replaced: false },
@@ -304,6 +304,7 @@ impl Application for ChainApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use crate::sig::AuthorityKey;
     use crate::tx::TxPayload;
 
@@ -365,6 +366,37 @@ mod tests {
         let block = app.make_block(alice.address(), 10);
         assert_eq!(block.transactions.len(), 3);
         assert_eq!(app.mempool_len(), 7);
+    }
+
+    /// A replica's memory of ids is bounded by what is pending, not by
+    /// the length of the chain, and a committed transaction coming back
+    /// is answered from the ledger before any signature work — shown by
+    /// resubmitting it with its signature stripped (the id does not
+    /// cover the signature): a path that verified would say
+    /// `Inadmissible`.
+    #[test]
+    fn committed_ids_leave_the_pool_and_resubmission_is_a_duplicate() {
+        let (mut app, alice, bob) = setup();
+        let mut committed = Vec::new();
+        for n in 0..1_000 {
+            let tx = transfer(&alice, n, bob.address(), 1);
+            assert!(app.submit(tx.clone()));
+            let block = app.make_block(alice.address(), 50 + n);
+            assert!(app.commit_block(&block));
+            committed.push(tx);
+        }
+        let pending = transfer(&alice, 1_000, bob.address(), 1);
+        assert!(app.submit(pending.clone()));
+        assert_eq!(app.mempool.seen_len(), 1, "only the pending id is remembered");
+        assert!(app.mempool_contains(&pending.id()));
+
+        let mut unsigned = committed[500].clone();
+        unsigned.signature = None;
+        for tx in [committed[0].clone(), committed[999].clone(), unsigned] {
+            assert_eq!(app.submit_in(tx.clone(), Lane::Normal), SubmitOutcome::Duplicate);
+            assert_eq!(app.submit_verified(tx, Lane::Priority), SubmitOutcome::Duplicate);
+        }
+        assert_eq!(app.mempool_len(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::block::Block;
 use crate::hash::Hash256;
 use crate::ledger::Receipt;
-use crate::merkle::{MerkleProof, MerkleTree};
+use crate::merkle::MerkleProof;
 use crate::shard::ShardId;
 
 /// Proof-carrying commit receipt returned to clients.
@@ -42,14 +42,14 @@ pub struct TxReceipt {
 }
 
 impl TxReceipt {
-    /// Builds the receipt for `tx_id` inside a committed `block`,
-    /// pairing the inclusion proof with the execution outcome `exec`.
+    /// Builds the receipt of the transaction at `tx_index` of a
+    /// committed `block`, pairing its execution outcome `exec` with an
+    /// inclusion proof cut from the tree the block body already holds.
     ///
-    /// Returns `None` if the block does not contain the transaction.
-    pub fn for_block(block: &Block, tx_id: Hash256, exec: &Receipt) -> Option<TxReceipt> {
-        let tx_index = block.transactions.iter().position(|tx| tx.id() == tx_id)?;
-        let tree = MerkleTree::from_leaves(block.transactions.iter().map(|tx| tx.id()).collect());
-        let proof = tree.prove(tx_index)?;
+    /// Returns `None` if the body has no transaction at that index.
+    pub fn for_block(block: &Block, tx_index: usize, exec: &Receipt) -> Option<TxReceipt> {
+        let tx_id = block.transactions.get(tx_index)?.id();
+        let proof = block.transactions.tree().prove(tx_index)?;
         Some(TxReceipt {
             tx_id,
             block_id: block.id(),
@@ -136,9 +136,10 @@ mod tests {
     #[test]
     fn receipt_verifies_against_committed_root() {
         let (ledger, block) = committed_block(5);
-        for tx in &block.transactions {
+        for (index, tx) in block.transactions.iter().enumerate() {
             let exec = ledger.receipt(&tx.id()).expect("executed").clone();
-            let receipt = TxReceipt::for_block(&block, tx.id(), &exec).expect("included");
+            let receipt = TxReceipt::for_block(&block, index, &exec).expect("included");
+            assert_eq!(receipt.tx_id, tx.id());
             assert!(receipt.verify());
             assert!(receipt.verify_against(&block.header.tx_root));
             assert_eq!(receipt.block_id, block.id());
@@ -151,7 +152,8 @@ mod tests {
     fn missing_tx_yields_no_receipt() {
         let (ledger, block) = committed_block(3);
         let exec = ledger.receipt(&block.transactions[0].id()).unwrap().clone();
-        assert!(TxReceipt::for_block(&block, Hash256::digest(b"absent"), &exec).is_none());
+        assert!(TxReceipt::for_block(&block, 3, &exec).is_none());
+        assert!(ledger.tx_receipt(&Hash256::digest(b"absent")).is_none());
     }
 
     #[test]
@@ -160,7 +162,7 @@ mod tests {
         let (ledger, block) = committed_block(4);
         let tx = &block.transactions[2];
         let exec = ledger.receipt(&tx.id()).unwrap().clone();
-        let receipt = TxReceipt::for_block(&block, tx.id(), &exec).unwrap();
+        let receipt = TxReceipt::for_block(&block, 2, &exec).unwrap();
         let bytes = receipt.encoded();
         let decoded = TxReceipt::decoded(&bytes).expect("decodes");
         assert_eq!(decoded, receipt);
@@ -172,7 +174,7 @@ mod tests {
         let (ledger, block) = committed_block(4);
         let tx = &block.transactions[0];
         let exec = ledger.receipt(&tx.id()).unwrap().clone();
-        let receipt = TxReceipt::for_block(&block, tx.id(), &exec).unwrap();
+        let receipt = TxReceipt::for_block(&block, 0, &exec).unwrap();
         assert!(!receipt.verify_against(&Hash256::digest(b"other root")));
     }
 }

@@ -16,6 +16,7 @@ use crate::hash::{hmac_sha256, Hash256};
 use medchain_runtime::DetRng;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identity of a participant (hospital, provider, patient, FDA node).
 ///
@@ -230,6 +231,16 @@ impl AuthorityKey {
     }
 }
 
+/// Process-wide count of [`KeyRegistry::verify`] calls (a statistic,
+/// hence `Relaxed`).
+static VERIFICATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Signature checks every registry in this process has run so far —
+/// transactions, proposals, votes and seals alike.
+pub fn registry_verifications() -> u64 {
+    VERIFICATIONS.load(Ordering::Relaxed)
+}
+
 /// Consortium membership service: maps enrolled addresses to key material
 /// so any node can verify any member's signature.
 #[derive(Debug, Default, Clone)]
@@ -265,6 +276,7 @@ impl KeyRegistry {
 
     /// Verifies `sig` over `message` against the enrolled key material.
     pub fn verify(&self, message: &[u8], sig: &AuthoritySignature) -> bool {
+        VERIFICATIONS.fetch_add(1, Ordering::Relaxed);
         match self.keys.get(&sig.signer) {
             Some(secret) => hmac_sha256(secret, message) == sig.tag,
             None => false,

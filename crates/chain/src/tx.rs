@@ -8,6 +8,8 @@
 
 use crate::hash::Hash256;
 use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// What a transaction asks the chain to do.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,6 +233,83 @@ impl Transaction {
     }
 }
 
+/// A transaction in its immutable, shared form: hashed once when it is
+/// decoded or first admitted, and carried as one allocation through
+/// every pool, proposal, block and ledger of the process (DESIGN.md
+/// §10). Cloning bumps a reference count; the fields read through
+/// `Deref`; `id` and `wire_size` are the kept values.
+#[derive(Debug, Clone)]
+pub struct SealedTx(Arc<Sealed>);
+
+#[derive(Debug)]
+struct Sealed {
+    tx: Transaction,
+    id: Hash256,
+    wire_size: usize,
+    /// Set once [`Transaction::verify`] has accepted these exact bytes.
+    verified: AtomicBool,
+}
+
+impl SealedTx {
+    fn seal(tx: Transaction, wire_size: usize) -> SealedTx {
+        let id = tx.id();
+        SealedTx(Arc::new(Sealed { tx, id, wire_size, verified: AtomicBool::new(false) }))
+    }
+
+    /// The transaction id, as computed when the transaction was sealed.
+    pub fn id(&self) -> Hash256 {
+        self.0.id
+    }
+
+    /// The canonical encoded length, as measured at sealing.
+    pub fn wire_size(&self) -> usize {
+        self.0.wire_size
+    }
+
+    /// [`Transaction::verify`], run at most once per allocation that
+    /// passes it. The MAC is a function of bytes that can no longer
+    /// change and of the sender's secret, which the sender's address
+    /// commits to (an address is the hash of its secret) — so a later
+    /// check, against this or any other registry of the process, could
+    /// differ only in whether the sender is enrolled, and that is
+    /// still looked up every time. A transaction decoded from a peer,
+    /// a log or a client is a fresh allocation and is checked in full,
+    /// whatever its id.
+    pub fn verify(&self, registry: &KeyRegistry) -> bool {
+        if self.0.verified.load(Ordering::Relaxed) {
+            return registry.is_enrolled(&self.sender);
+        }
+        let ok = self.0.tx.verify(registry);
+        if ok {
+            // A statistic-grade flag: it publishes no other data.
+            self.0.verified.store(true, Ordering::Relaxed);
+        }
+        ok
+    }
+}
+
+impl From<Transaction> for SealedTx {
+    fn from(tx: Transaction) -> SealedTx {
+        let wire_size = tx.wire_size();
+        SealedTx::seal(tx, wire_size)
+    }
+}
+
+impl std::ops::Deref for SealedTx {
+    type Target = Transaction;
+    fn deref(&self) -> &Transaction {
+        &self.0.tx
+    }
+}
+
+impl PartialEq for SealedTx {
+    fn eq(&self, other: &SealedTx) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.tx == other.0.tx
+    }
+}
+
+impl Eq for SealedTx {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +423,41 @@ mod tests {
     }
 
     #[test]
+    fn sealed_keeps_id_and_length_and_verifies_each_allocation_once() {
+        use medchain_runtime::codec::{Decode, Encode};
+        let key = AuthorityKey::from_seed(1);
+        let registry = registry_with(&key);
+        let tx = Transaction::new(
+            key.address(),
+            3,
+            TxPayload::Anchor { root: Hash256::digest(b"r"), label: "site/emr".into() },
+            1_000,
+        )
+        .signed(&key);
+        let sealed = SealedTx::from(tx.clone());
+        assert_eq!((sealed.id(), sealed.wire_size()), (tx.id(), tx.encoded().len()));
+        assert_eq!(sealed.encoded(), tx.encoded());
+        let decoded = SealedTx::decoded(&tx.encoded()).unwrap();
+        assert_eq!((decoded.id(), decoded.wire_size()), (tx.id(), tx.encoded().len()));
+        assert_eq!(decoded, sealed);
+
+        let before = crate::sig::registry_verifications();
+        assert!(sealed.verify(&registry) && sealed.clone().verify(&registry));
+        // Other tests verify concurrently, so only a lower bound holds
+        // here; `tests/hash_once.rs` counts exactly.
+        assert!(crate::sig::registry_verifications() > before);
+        // Enrollment is still looked up on every call...
+        assert!(!sealed.verify(&KeyRegistry::new()));
+        // ...and a twin with the same id is its own allocation: the
+        // original's check never covers it.
+        let mut twin = tx.clone();
+        twin.signature = None;
+        assert_eq!(twin.id(), sealed.id());
+        assert!(!SealedTx::from(twin).verify(&registry));
+        assert!(decoded.verify(&registry), "fresh bytes are checked, and pass on their own");
+    }
+
+    #[test]
     fn wire_size_tracks_payload() {
         let small = TxPayload::Invoke { contract: Address::from_seed(0), input: vec![0; 4] };
         let large = TxPayload::Invoke { contract: Address::from_seed(0), input: vec![0; 400] };
@@ -352,8 +466,23 @@ mod tests {
 }
 
 mod codec_impls {
-    use super::{Transaction, TxPayload, XsLeg};
+    use super::{SealedTx, Transaction, TxPayload, XsLeg};
+    use medchain_runtime::codec::{CodecError, Decode, Encode, Reader};
     use medchain_runtime::{impl_codec_enum, impl_codec_struct};
+
+    impl Encode for SealedTx {
+        fn encode(&self, out: &mut Vec<u8>) {
+            Transaction::encode(self, out);
+        }
+    }
+
+    impl Decode for SealedTx {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            let before = r.remaining();
+            let tx = Transaction::decode(r)?;
+            Ok(SealedTx::seal(tx, before - r.remaining()))
+        }
+    }
 
     impl_codec_enum!(TxPayload {
         0 => Transfer { to, amount },

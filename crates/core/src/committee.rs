@@ -21,7 +21,7 @@ use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::{
     Address, AuthorityKey, ContractRuntime, Hash256, KeyRegistry, Lane, Ledger, ShardId,
-    StateCacheConfig, Transaction, TxPayload,
+    SealedTx, StateCacheConfig, Transaction, TxPayload,
 };
 use medchain_contracts::runtime::Runtime;
 use medchain_runtime::metrics::Metrics;
@@ -209,10 +209,11 @@ impl Committee {
     }
 
     /// Fans an already-verified transaction out to every replica's
-    /// mempool (gossip shortcut: the pools deduplicate by id). The
-    /// reported outcome is replica 0's; replicas share deterministic
-    /// state, so they agree.
-    pub(crate) fn admit_verified(&mut self, tx: Transaction, lane: Lane) -> SubmitOutcome {
+    /// mempool (gossip shortcut: the pools deduplicate by id) — one
+    /// sealed allocation, a reference to it in each pool. The reported
+    /// outcome is replica 0's; replicas share deterministic state, so
+    /// they agree.
+    pub(crate) fn admit_verified(&mut self, tx: SealedTx, lane: Lane) -> SubmitOutcome {
         let mut first = None;
         for replica in &mut self.cluster.replicas {
             let outcome = replica.app.submit_verified(tx.clone(), lane);
@@ -237,7 +238,7 @@ impl Committee {
         let tracked = self.nonces.entry(sender).or_insert(on_chain);
         let nonce = (*tracked).max(on_chain);
         *tracked = nonce + 1;
-        let tx = Transaction::new(sender, nonce, payload, gas_limit).signed(key);
+        let tx = SealedTx::from(Transaction::new(sender, nonce, payload, gas_limit).signed(key));
         let (tx_id, shard) = (tx.id(), self.ledger().shard());
         let outcome = if tx.verify(self.ledger().registry()) {
             self.admit_verified(tx, lane)

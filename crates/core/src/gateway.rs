@@ -29,7 +29,9 @@
 
 use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
-use medchain_chain::{Block, Hash256, KeyRegistry, Lane, LeafKey, ShardId, StateProof, Transaction};
+use medchain_chain::{
+    Block, Hash256, KeyRegistry, Lane, LeafKey, SealedTx, ShardId, StateProof, Transaction,
+};
 use medchain_storage::{SnapshotChunk, SnapshotManifest};
 use medchain_runtime::codec::{Decode, Encode};
 use medchain_runtime::metrics::Metrics;
@@ -344,10 +346,17 @@ pub trait GatewayBackend {
     /// The consortium registry used for batched signature verification.
     fn registry(&self) -> &KeyRegistry;
 
-    /// Admits a transaction whose signature the gateway already
+    /// Admits a sealed transaction whose signature the caller already
     /// verified, returning the sub-chain it was routed to and the
-    /// admission outcome.
-    fn admit_verified(&mut self, tx: Transaction, lane: Lane) -> (ShardId, SubmitOutcome);
+    /// admission outcome. The allocation handed in is the one every
+    /// replica's pool, the proposal and the ledgers will share.
+    fn admit(&mut self, tx: SealedTx, lane: Lane) -> (ShardId, SubmitOutcome);
+
+    /// [`GatewayBackend::admit`] for a caller holding a plain
+    /// [`Transaction`]: sealing it here is the one time it is hashed.
+    fn admit_verified(&mut self, tx: Transaction, lane: Lane) -> (ShardId, SubmitOutcome) {
+        self.admit(tx.into(), lane)
+    }
 
     /// The proof-carrying receipt of a committed transaction, if any.
     fn find_receipt(&self, tx_id: &Hash256) -> Option<TxReceipt>;
@@ -453,7 +462,7 @@ impl SeenWindow {
 /// [`SeenWindow`]; an evicted entry simply costs the client one fresh
 /// verification on its next retry.
 struct VerifiedCache {
-    entries: HashMap<Hash256, Transaction>,
+    entries: HashMap<Hash256, SealedTx>,
     order: VecDeque<Hash256>,
     capacity: usize,
 }
@@ -463,7 +472,7 @@ impl VerifiedCache {
         VerifiedCache { entries: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) }
     }
 
-    fn insert(&mut self, id: Hash256, tx: Transaction) {
+    fn insert(&mut self, id: Hash256, tx: SealedTx) {
         if self.entries.insert(id, tx).is_none() {
             self.order.push_back(id);
             while self.order.len() > self.capacity {
@@ -473,10 +482,28 @@ impl VerifiedCache {
         }
     }
 
-    fn take(&mut self, id: &Hash256) -> Option<Transaction> {
+    fn take(&mut self, id: &Hash256) -> Option<SealedTx> {
         // The id stays in `order` until an eviction sweep pops it;
         // removing an already-taken id there is a no-op.
         self.entries.remove(id)
+    }
+}
+
+/// What a connection's reader thread hands the serve thread: a
+/// submission sealed where it was decoded — its one id hash is paid on
+/// the reader thread, so [`GatewayServer::pump`] never hashes a
+/// transaction — or any other request as it arrived.
+enum Inbound {
+    Submit { tx: SealedTx, priority: bool },
+    Other(GatewayRequest),
+}
+
+impl From<GatewayRequest> for Inbound {
+    fn from(request: GatewayRequest) -> Inbound {
+        match request {
+            GatewayRequest::Submit { tx, priority } => Inbound::Submit { tx: tx.into(), priority },
+            other => Inbound::Other(other),
+        }
     }
 }
 
@@ -486,7 +513,7 @@ impl VerifiedCache {
 pub struct GatewayServer {
     config: GatewayConfig,
     addr: SocketAddr,
-    inbox: Receiver<(u64, GatewayRequest)>,
+    inbox: Receiver<(u64, Inbound)>,
     writers: Arc<Mutex<HashMap<u64, TcpStream>>>,
     stop: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
@@ -535,7 +562,7 @@ impl GatewayServer {
                             let tx = tx.clone();
                             let stop = Arc::clone(&stop);
                             readers.push(std::thread::spawn(move || {
-                                read_requests(stream, &stop, |req| tx.send((conn, req)).is_ok())
+                                read_requests(stream, &stop, |req| tx.send((conn, req.into())).is_ok())
                             }));
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -581,100 +608,45 @@ impl GatewayServer {
         let mut report = PumpReport::default();
         let mut responses: Vec<(u64, GatewayResponse)> = Vec::new();
         // (conn, tx, priority-requested) for fresh submissions.
-        let mut fresh: Vec<(u64, Transaction, bool)> = Vec::new();
+        let mut fresh: Vec<(u64, SealedTx, bool)> = Vec::new();
         while fresh.len() < self.config.max_batch {
-            let Ok((conn, request)) = self.inbox.try_recv() else { break };
+            let Ok((conn, inbound)) = self.inbox.try_recv() else { break };
             self.metrics.counter("gateway.requests", 1);
-            match request {
-                GatewayRequest::Status { tx_id } => {
+            let (tx, priority) = match inbound {
+                Inbound::Submit { tx, priority } => (tx, priority),
+                Inbound::Other(request) => {
                     report.status_queries += 1;
-                    responses.push((conn, Self::status_of(backend, &self.seen, tx_id)));
+                    responses.push((conn, self.answer(backend, request)));
+                    continue;
                 }
-                GatewayRequest::XsStatus { xid } => {
-                    report.status_queries += 1;
-                    let response = match backend.xs_status(&xid) {
-                        Some((commit, receipt)) => {
-                            GatewayResponse::XsDecision { xid, decided: true, commit, receipt }
-                        }
-                        None => GatewayResponse::XsDecision {
-                            xid,
-                            decided: false,
-                            commit: false,
-                            receipt: None,
-                        },
-                    };
-                    responses.push((conn, response));
-                }
-                GatewayRequest::Query { key, shard } => {
-                    report.status_queries += 1;
-                    self.metrics.counter("gateway.state_queries", 1);
-                    let response = match backend.query_state(&key, shard) {
-                        Some(proof) => GatewayResponse::Proven { proof },
-                        // No tx id is in play for a state read; the
-                        // zero id marks the rejection as non-tx-scoped.
-                        None => GatewayResponse::Rejected {
-                            tx_id: Hash256::ZERO,
-                            reason: "state query unsupported or shard unknown".into(),
-                        },
-                    };
-                    responses.push((conn, response));
-                }
-                GatewayRequest::SnapshotInfo { shard } => {
-                    report.status_queries += 1;
-                    self.metrics.counter("gateway.snapshot_info", 1);
-                    let manifest = backend.snapshot_manifest(shard);
-                    responses.push((conn, GatewayResponse::SnapshotOffer { manifest }));
-                }
-                GatewayRequest::SnapshotChunk { shard, height, index } => {
-                    report.status_queries += 1;
-                    self.metrics.counter("gateway.snapshot_chunks", 1);
-                    let chunk = backend.snapshot_chunk(shard, height, index);
-                    responses.push((conn, GatewayResponse::SnapshotPiece { chunk }));
-                }
-                GatewayRequest::BlocksFrom { shard, height } => {
-                    report.status_queries += 1;
-                    self.metrics.counter("gateway.block_pages", 1);
-                    let response = match backend.blocks_from(shard, height) {
-                        Some((tip_height, blocks)) => {
-                            Self::bounded_blocks(tip_height, blocks)
-                        }
-                        None => GatewayResponse::Rejected {
-                            tx_id: Hash256::ZERO,
-                            reason: "block streaming unsupported or shard unknown".into(),
-                        },
-                    };
-                    responses.push((conn, response));
-                }
-                GatewayRequest::Submit { tx, priority } => {
-                    let tx_id = tx.id();
-                    // Dedup BEFORE signature work: a retried submission
-                    // gets its current status, and a one-time signature
-                    // is never verified twice (see `ChainApp::submit_in`).
-                    if self.seen.contains(&tx_id) {
-                        report.dedup_hits += 1;
-                        self.metrics.counter("gateway.dedup_hits", 1);
-                        responses.push((conn, Self::status_of(backend, &self.seen, tx_id)));
-                    } else if let Some(cached) = self.verified.take(&tx_id) {
-                        // Verified earlier but bounced off a full pool:
-                        // retry admission on the cached copy — the
-                        // one-time signature is NOT re-verified, but the
-                        // lane is re-derived from *this* request's
-                        // priority flag (plus the gas-floor policy in
-                        // `admit_verified_tx`), exactly as if fresh.
-                        report.submitted += 1;
-                        self.metrics.counter("gateway.cached_retries", 1);
-                        self.admit_verified_tx(
-                            backend,
-                            conn,
-                            cached,
-                            priority,
-                            &mut report,
-                            &mut responses,
-                        );
-                    } else {
-                        fresh.push((conn, tx, priority));
-                    }
-                }
+            };
+            let tx_id = tx.id();
+            // Dedup BEFORE signature work: a retried submission
+            // gets its current status, and a one-time signature
+            // is never verified twice (see `ChainApp::submit_in`).
+            if self.seen.contains(&tx_id) {
+                report.dedup_hits += 1;
+                self.metrics.counter("gateway.dedup_hits", 1);
+                responses.push((conn, Self::status_of(backend, &self.seen, tx_id)));
+            } else if let Some(cached) = self.verified.take(&tx_id) {
+                // Verified earlier but bounced off a full pool:
+                // retry admission on the cached copy — the
+                // one-time signature is NOT re-verified, but the
+                // lane is re-derived from *this* request's
+                // priority flag (plus the gas-floor policy in
+                // `admit_verified_tx`), exactly as if fresh.
+                report.submitted += 1;
+                self.metrics.counter("gateway.cached_retries", 1);
+                self.admit_verified_tx(
+                    backend,
+                    conn,
+                    cached,
+                    priority,
+                    &mut report,
+                    &mut responses,
+                );
+            } else {
+                fresh.push((conn, tx, priority));
             }
         }
 
@@ -685,28 +657,27 @@ impl GatewayServer {
             self.metrics.counter("gateway.sig_batches", 1);
             // Batched verification: chunk the batch across the worker
             // pool; each worker verifies its slice against the shared
-            // registry.
-            let registry = backend.registry().clone();
+            // registry. The handles are shared, not copied, and a
+            // transaction that passes is marked so no replica checks
+            // that allocation again.
+            let registry = backend.registry();
             let workers = self.config.verify_workers.max(1);
             let chunk_size = fresh.len().div_ceil(workers);
-            let txs: Vec<Transaction> = fresh.iter().map(|(_, tx, _)| tx.clone()).collect();
-            let verdicts: Vec<bool> = scoped_map(
-                txs.chunks(chunk_size).map(<[Transaction]>::to_vec).collect(),
-                |chunk| chunk.iter().map(|tx| tx.verify(&registry)).collect::<Vec<bool>>(),
-            )
+            let verdicts: Vec<bool> = scoped_map(fresh.chunks(chunk_size).collect(), |chunk| {
+                chunk.iter().map(|(_, tx, _)| tx.verify(registry)).collect::<Vec<bool>>()
+            })
             .into_iter()
             .flatten()
             .collect();
             self.metrics.counter("gateway.sig_checks", fresh.len() as u64);
 
             for ((conn, tx, priority), verified) in fresh.into_iter().zip(verdicts) {
-                let tx_id = tx.id();
                 if !verified {
                     report.rejected += 1;
                     self.metrics.counter("gateway.sig_rejects", 1);
                     responses.push((
                         conn,
-                        GatewayResponse::Rejected { tx_id, reason: "bad signature".into() },
+                        GatewayResponse::Rejected { tx_id: tx.id(), reason: "bad signature".into() },
                     ));
                     continue;
                 }
@@ -726,6 +697,61 @@ impl GatewayServer {
         report
     }
 
+    /// Answers a request that is not a submission.
+    fn answer(&self, backend: &mut dyn GatewayBackend, request: GatewayRequest) -> GatewayResponse {
+        match request {
+            GatewayRequest::Status { tx_id } => Self::status_of(backend, &self.seen, tx_id),
+            GatewayRequest::XsStatus { xid } => match backend.xs_status(&xid) {
+                Some((commit, receipt)) => {
+                    GatewayResponse::XsDecision { xid, decided: true, commit, receipt }
+                }
+                None => GatewayResponse::XsDecision {
+                    xid,
+                    decided: false,
+                    commit: false,
+                    receipt: None,
+                },
+            },
+            GatewayRequest::Query { key, shard } => {
+                self.metrics.counter("gateway.state_queries", 1);
+                match backend.query_state(&key, shard) {
+                    Some(proof) => GatewayResponse::Proven { proof },
+                    // No tx id is in play for a state read; the
+                    // zero id marks the rejection as non-tx-scoped.
+                    None => GatewayResponse::Rejected {
+                        tx_id: Hash256::ZERO,
+                        reason: "state query unsupported or shard unknown".into(),
+                    },
+                }
+            }
+            GatewayRequest::SnapshotInfo { shard } => {
+                self.metrics.counter("gateway.snapshot_info", 1);
+                GatewayResponse::SnapshotOffer { manifest: backend.snapshot_manifest(shard) }
+            }
+            GatewayRequest::SnapshotChunk { shard, height, index } => {
+                self.metrics.counter("gateway.snapshot_chunks", 1);
+                GatewayResponse::SnapshotPiece { chunk: backend.snapshot_chunk(shard, height, index) }
+            }
+            GatewayRequest::BlocksFrom { shard, height } => {
+                self.metrics.counter("gateway.block_pages", 1);
+                match backend.blocks_from(shard, height) {
+                    Some((tip_height, blocks)) => Self::bounded_blocks(tip_height, blocks),
+                    None => GatewayResponse::Rejected {
+                        tx_id: Hash256::ZERO,
+                        reason: "block streaming unsupported or shard unknown".into(),
+                    },
+                }
+            }
+            // `Inbound::from` seals every `Submit` a reader decodes, so
+            // none arrives here; one that did is refused, not admitted
+            // around the dedup and verification above.
+            GatewayRequest::Submit { .. } => GatewayResponse::Rejected {
+                tx_id: Hash256::ZERO,
+                reason: "submission outside the admission path".into(),
+            },
+        }
+    }
+
     /// Routes one verified transaction through the lane policy and
     /// backend admission, recording the outcome. Shared by the fresh
     /// batch path and the verified-cache retry path; a `Full` outcome
@@ -735,7 +761,7 @@ impl GatewayServer {
         &mut self,
         backend: &mut dyn GatewayBackend,
         conn: u64,
-        tx: Transaction,
+        tx: SealedTx,
         priority: bool,
         report: &mut PumpReport,
         responses: &mut Vec<(u64, GatewayResponse)>,
@@ -748,7 +774,7 @@ impl GatewayServer {
         } else {
             Lane::Normal
         };
-        let (shard, outcome) = backend.admit_verified(tx.clone(), lane);
+        let (shard, outcome) = backend.admit(tx.clone(), lane);
         match outcome {
             SubmitOutcome::Admitted { lane, .. } => {
                 report.accepted += 1;
@@ -800,10 +826,10 @@ impl GatewayServer {
     pub(crate) fn bounded_blocks(tip_height: u64, mut blocks: Vec<Block>) -> GatewayResponse {
         // Envelope: tag byte + tip_height u64 + vec length prefix.
         let envelope = 1 + 8 + 4;
-        let mut size = envelope + blocks.iter().map(|b| b.encoded().len()).sum::<usize>();
+        let mut size = envelope + blocks.iter().map(Block::wire_size).sum::<usize>();
         while size > MAX_FRAME {
             let dropped = blocks.pop().expect("envelope alone fits a frame");
-            size -= dropped.encoded().len();
+            size -= dropped.wire_size();
         }
         GatewayResponse::Blocks { tip_height, blocks }
     }
@@ -968,7 +994,7 @@ mod tests {
             .signed(&key)
         };
         let mut cache = VerifiedCache::new(2);
-        let txs: Vec<Transaction> = (0..3).map(mk).collect();
+        let txs: Vec<SealedTx> = (0..3).map(|n| mk(n).into()).collect();
         cache.insert(txs[0].id(), txs[0].clone());
         cache.insert(txs[1].id(), txs[1].clone());
         cache.insert(txs[2].id(), txs[2].clone()); // evicts txs[0]

@@ -19,8 +19,8 @@ use medchain_chain::ledger::contract_address;
 use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::{
-    Address, AuthorityKey, Block, Hash256, KeyRegistry, Lane, LeafKey, Receipt, ShardId,
-    StateProof, Transaction, TxPayload,
+    Address, AuthorityKey, Block, Hash256, KeyRegistry, Lane, LeafKey, Receipt, SealedTx,
+    ShardId, StateProof, TxPayload,
 };
 use medchain_contracts::native::native_manifest;
 use medchain_contracts::policy::Purpose;
@@ -895,7 +895,7 @@ impl GatewayBackend for MedicalNetwork {
         &self.registry
     }
 
-    fn admit_verified(&mut self, tx: Transaction, lane: Lane) -> (ShardId, SubmitOutcome) {
+    fn admit(&mut self, tx: SealedTx, lane: Lane) -> (ShardId, SubmitOutcome) {
         (self.ledger().shard(), self.committee.admit_verified(tx, lane))
     }
 

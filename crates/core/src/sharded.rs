@@ -30,8 +30,8 @@ use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::shard::{shard_for_key, shard_for_tx, CrossLink, ShardId};
 use medchain_chain::{
-    Address, AuthorityKey, Hash256, KeyRegistry, Lane, LeafKey, Ledger, Receipt, StateProof,
-    Transaction, TxPayload, XsLeg, XsLock,
+    Address, AuthorityKey, Hash256, KeyRegistry, Lane, LeafKey, Ledger, Receipt, SealedTx,
+    StateProof, Transaction, TxPayload, XsLeg, XsLock,
 };
 use medchain_runtime::metrics::Metrics;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -870,7 +870,7 @@ impl GatewayBackend for ShardedNetwork {
         &self.registry
     }
 
-    fn admit_verified(&mut self, tx: Transaction, lane: Lane) -> (ShardId, SubmitOutcome) {
+    fn admit(&mut self, tx: SealedTx, lane: Lane) -> (ShardId, SubmitOutcome) {
         // External clients may not mint control-plane records: cross-links
         // carry consortium attestations (enter via `submit_cross_link`'s
         // verification path), and 2PC decisions/finalizes are the

@@ -82,7 +82,7 @@ impl MonitorNode {
         while self.cursor < tip {
             let height = self.cursor + 1;
             let block = ledger.block(height).expect("height below tip");
-            for tx in &block.transactions {
+            for tx in block.transactions.iter() {
                 let Some(receipt) = ledger.receipt(&tx.id()) else { continue };
                 for event in &receipt.events {
                     let item = CapturedEvent {

@@ -309,20 +309,23 @@ echo "ok: snapshots install only through the root-verified restore path"
 # really starts from one: the builder itself (auth/smt.rs) and the
 # ledger's state_root, restore and lazy rebuild after state_mut.
 echo "== auth: no-full-rehash guard =="
-# Lines naming from_state( outside comments and trailing test modules.
-from_state_uses() {
-    find "$@" -name "*.rs" -print0 | xargs -0 awk '
+# Lines containing the literal text $1 outside comments and trailing
+# test modules, in the *.rs files under the remaining arguments.
+uses_outside_tests() {
+    local needle="$1"
+    shift
+    find "$@" -name "*.rs" -print0 | xargs -0 awk -v needle="$needle" '
         FNR == 1 { in_test = 0; prev = "" }
         prev ~ /^#\[cfg\(test\)\]/ && /^mod [a-z_]+ \{/ { in_test = 1 }
         { prev = $0 }
-        !in_test && /from_state\(/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
+        !in_test && index($0, needle) && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
     '
 }
-if from_state_uses crates/storage/src crates/core/src | grep .; then
+if uses_outside_tests "from_state(" crates/storage/src crates/core/src | grep .; then
     echo "ERROR: StateTree::from_state outside tests in crates/storage or crates/core — use the ledger's tree." >&2
     exit 1
 fi
-if from_state_uses crates/chain/src \
+if uses_outside_tests "from_state(" crates/chain/src \
     | grep -v "^crates/chain/src/auth/smt.rs:" \
     | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *StateTree::from_state(self).versioned_root()$" \
     | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *let tree = StateTree::from_state(&state);$" \
@@ -331,6 +334,32 @@ if from_state_uses crates/chain/src \
     exit 1
 fi
 echo "ok: only state_root, restore and the post-state_mut rebuild build a tree from a bare state"
+
+# Hash once (DESIGN.md §10): a transaction's id is computed in one
+# function — `Transaction::id`, which `SealedTx` calls when it seals —
+# and a block's transaction tree is built in one place, when its body is
+# assembled; receipts, `tx_locations`, `computed_tx_root` and the wire
+# accounting all read the kept values. A second hashing site is how the
+# 414 id hashes per committed transaction grew the first time.
+echo "== chain: hash-once guard =="
+id_sites="$(grep -rn 'Hash256::digest(&self.signing_bytes())' crates/chain/src --include="*.rs" || true)"
+echo "$id_sites"
+if [ "$(echo "$id_sites" | grep -c .)" -ne 1 ]; then
+    echo "ERROR: the transaction id must be computed in exactly one place (Transaction::id)." >&2
+    exit 1
+fi
+tree_sites="$(uses_outside_tests "MerkleTree::from_leaves(" crates/chain/src crates/core/src crates/storage/src \
+    | grep -v "^crates/chain/src/merkle.rs:" || true)"
+echo "$tree_sites"
+if [ "$(echo "$tree_sites" | grep -c .)" -ne 1 ] \
+    || ! echo "$tree_sites" | grep -q "^crates/chain/src/block.rs:[0-9]*: *let tree = MerkleTree::from_leaves(txs.iter().map(SealedTx::id).collect());$"; then
+    echo "ERROR: a block's transaction tree is built once, in Body::from — cut proofs from Body::tree()." >&2
+    exit 1
+fi
+echo "ok: one id hash site, one block-tree build site"
+# Trend line for the next reviewer (105 at PR 23, most of them then a
+# fresh encode + SHA-256; a call on a SealedTx or a Block is now a read).
+echo "census: $(grep -rn '\.id()' crates/chain/src crates/core/src crates/storage/src --include="*.rs" | wc -l) .id() call sites in crates/{chain,core,storage}/src"
 
 # One committee life cycle (DESIGN.md §3, §14): recovering a store,
 # streaming into a lagging member, attaching a store and driving
@@ -441,5 +470,18 @@ if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
     exit 1
 fi
 echo "ok: medbench gateway_wal ran end to end and checked its own outputs"
+
+# And two seconds of the fat-block workload: 256-transaction blocks
+# through the in-process admission seam, every receipt cut from its
+# block's tree and verified against the committed header.
+echo "== medbench: 2-second bulk_blocks smoke (wall-clock guarded) =="
+timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload bulk_blocks --seed 1 --seconds 2 --trace 0 > "$smoke_log"
+if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
+    echo "ERROR: medbench bulk_blocks smoke did not report a correct run" >&2
+    cat "$smoke_log" >&2
+    exit 1
+fi
+echo "ok: medbench bulk_blocks ran end to end and checked its own outputs"
 
 echo "verify: OK"

@@ -3,11 +3,11 @@
 //! transaction workload.
 
 use medchain_chain::consensus::pbft::PbftEngine;
-use medchain_chain::consensus::poa::PoaEngine;
+use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
 use medchain_chain::consensus::pos::PosEngine;
 use medchain_chain::consensus::{Application, Cluster, Engine};
 use medchain_chain::net::{LatencyModel, NodeId};
-use medchain_chain::node::ChainApp;
+use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::TxPayload;
 use medchain_chain::{Hash256, KeyRegistry, Transaction};
@@ -257,4 +257,169 @@ fn pbft_healed_replica_syncs_missed_blocks() {
     );
     assert!(caught_up.reached, "healed PBFT replica failed to sync: {caught_up:?}");
     assert_agreement(&cluster, 3, &[0, 1, 2, 3]);
+}
+
+/// A replica whose application, when `forged` is set, proposes that
+/// block instead of an honest one and approves whatever it is shown —
+/// a hostile proposer running the real engine over the real transport.
+struct MaybeHostile {
+    app: ChainApp,
+    forged: Option<medchain_chain::Block>,
+    hostile: bool,
+}
+
+impl Application for MaybeHostile {
+    fn height(&self) -> u64 {
+        self.app.height()
+    }
+    fn tip_id(&self) -> Hash256 {
+        self.app.tip_id()
+    }
+    fn make_block(&mut self, proposer: medchain_chain::Address, now_ms: u64) -> medchain_chain::Block {
+        self.forged.take().unwrap_or_else(|| self.app.make_block(proposer, now_ms))
+    }
+    fn validate_block(&self, block: &medchain_chain::Block) -> bool {
+        self.hostile || self.app.validate_block(block)
+    }
+    fn commit_block(&mut self, block: &medchain_chain::Block) -> bool {
+        self.app.commit_block(block)
+    }
+    fn sealed_block(&self, height: u64) -> Option<medchain_chain::Block> {
+        self.app.sealed_block(height)
+    }
+}
+
+/// The verify-once rule's adversary. Every honest replica has verified
+/// and pooled a transaction — as one shared allocation, so no replica
+/// will check *that allocation* again. The proposer of height 1 then
+/// proposes a block carrying its twin: same signing bytes, hence the
+/// same id, the same `tx_root` and (execution never reads the
+/// signature) the same state root as the honest block, under a valid
+/// proposer signature — with the transaction's own signature forged or
+/// stripped. Only a signature check of the bytes actually proposed
+/// stops it. Over the simulator the replicas are handed the hostile
+/// allocation itself; over TCP they decode fresh ones.
+fn hostile_twin_is_rejected<T: medchain_chain::net::Transport<PoaMsg>>(
+    net: T,
+    strip_signature: bool,
+    budget_ms: u64,
+) {
+    use medchain_chain::{Block, SealedTx};
+    let n = 4;
+    let (ks, registry) = keys(n);
+    let (engines, _, _) = PoaEngine::make_validators(n, 50);
+    let mut apps: Vec<ChainApp> =
+        (0..n).map(|_| ChainApp::new("hostile-test", registry.clone())).collect();
+    let mut hostile = ChainApp::new("hostile-test", registry.clone());
+    for app in apps.iter_mut().chain(std::iter::once(&mut hostile)) {
+        app.ledger_mut().state_mut().credit(ks[0].address(), 1_000);
+    }
+    let good = SealedTx::from(
+        Transaction::new(
+            ks[0].address(),
+            0,
+            TxPayload::Transfer { to: ks[2].address(), amount: 5 },
+            1_000,
+        )
+        .signed(&ks[0]),
+    );
+    for app in apps.iter_mut().chain(std::iter::once(&mut hostile)) {
+        assert!(app.submit(good.clone()), "the honest transaction is verified and pooled");
+    }
+
+    // Height 1 is proposed by validator 1.
+    let honest = hostile.make_block(ks[1].address(), 50);
+    assert_eq!(honest.transactions.len(), 1);
+    let mut twin = Transaction::clone(&good);
+    match twin.signature.as_mut() {
+        Some(_) if strip_signature => twin.signature = None,
+        Some(sig) => sig.tag.0[0] ^= 1,
+        None => unreachable!("signed above"),
+    }
+    assert_eq!(twin.id(), good.id(), "the id does not cover the signature");
+    let forged = Block { transactions: vec![twin.clone()].into(), ..honest.clone() };
+    assert_eq!(forged.id(), honest.id());
+    assert!(forged.is_body_consistent(), "same ids, same transaction root");
+    assert!(apps[0].validate_block(&honest), "the honest block would have passed");
+
+    // Every replica refuses it outright, to vote on and to commit.
+    for app in &mut apps {
+        assert!(!app.validate_block(&forged));
+        assert!(!app.commit_block(&forged));
+        assert_eq!(app.height(), 0);
+        assert_eq!(app.submit_in(twin.clone(), medchain_chain::Lane::Normal), SubmitOutcome::Duplicate);
+    }
+
+    // And through consensus: the hostile proposer votes for its own
+    // block, nobody else does, and height 1 never commits anywhere.
+    let replicas: Vec<MaybeHostile> = apps
+        .into_iter()
+        .enumerate()
+        .map(|(i, app)| MaybeHostile {
+            app,
+            forged: (i == 1).then(|| forged.clone()),
+            hostile: i == 1,
+        })
+        .collect();
+    let mut cluster = Cluster::with_transport(engines, replicas, net);
+    let budget = cluster.net.now_ms() + budget_ms;
+    let report = cluster.run_until_height(1, budget);
+    assert!(!report.reached, "a block with a forged transaction signature committed");
+    assert!(cluster.net.stats().delivered > 0, "the proposal was never delivered");
+    for replica in &cluster.replicas {
+        assert_eq!(replica.app.height(), 0);
+        assert!(replica.app.app.receipt(&good.id()).is_none());
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn hostile_proposer_cannot_commit_a_forged_twin_of_a_verified_transaction() {
+    use medchain_chain::net::{SimTransport, TcpTransport};
+    for strip_signature in [false, true] {
+        hostile_twin_is_rejected(SimTransport::new(4, 21), strip_signature, 5_000);
+        let tcp = TcpTransport::bind(4).expect("loopback bind");
+        hostile_twin_is_rejected(tcp, strip_signature, 1_500);
+    }
+}
+
+/// A forged transaction never commits, whichever door it is pushed
+/// through: full-verification admission refuses it; the trusted
+/// `admit_verified` door (the path `sign_and_submit` takes after its
+/// own check) pools it on the caller's word, and the proposer's one
+/// signature check then drops it instead of including it.
+#[test]
+fn forged_transactions_never_commit_through_any_admission_path() {
+    use medchain::{GatewayBackend, MedicalNetwork};
+    let mut builder = MedicalNetwork::builder().block_interval_ms(20).seed(3);
+    for i in 0..4 {
+        builder = builder.site(&format!("hospital-{i}"), Vec::new());
+    }
+    let mut net = builder.build().expect("network builds");
+    let key = AuthorityKey::from_seed(0); // site 0's enrolled key
+    let nonce = net.ledger().state().account(&key.address()).nonce;
+    let mut forged = Transaction::new(
+        key.address(),
+        nonce,
+        TxPayload::Anchor { root: Hash256::digest(b"forged"), label: "forged/anchor".into() },
+        1_000,
+    )
+    .signed(&key);
+    forged.signature.as_mut().expect("signed").tag.0[7] ^= 0x10;
+    assert!(!forged.verify(net.registry()));
+
+    let mut app = ChainApp::new("forged-test", net.registry().clone());
+    assert_eq!(
+        app.submit_in(forged.clone(), medchain_chain::Lane::Normal),
+        SubmitOutcome::Inadmissible
+    );
+
+    let (_, outcome) = net.admit_verified(forged.clone(), medchain_chain::Lane::Normal);
+    assert!(outcome.is_admitted(), "admit_verified takes the caller's word");
+    net.advance(4).expect("blocks keep committing");
+    assert!(net.find_receipt(&forged.id()).is_none());
+    for site in 0..4 {
+        assert!(net.ledger_of(site).locate_tx(&forged.id()).is_none());
+    }
+    net.shutdown();
 }

@@ -13,7 +13,7 @@ use medchain::{Client, GatewayConfig, MedicalNetwork, NetworkError, TransportKin
 use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::shard::{shard_for_key, ShardId};
-use medchain_chain::{AuthorityKey, Hash256, KeyRegistry, Lane, Transaction, TxPayload};
+use medchain_chain::{AuthorityKey, Hash256, KeyRegistry, Lane, SealedTx, Transaction, TxPayload};
 use medchain_runtime::metrics::Registry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -167,7 +167,7 @@ impl GatewayBackend for FlakyPool {
         &self.registry
     }
 
-    fn admit_verified(&mut self, tx: Transaction, lane: Lane) -> (ShardId, SubmitOutcome) {
+    fn admit(&mut self, tx: SealedTx, lane: Lane) -> (ShardId, SubmitOutcome) {
         self.attempts += 1;
         if self.attempts <= self.full_answers {
             (ShardId::default(), SubmitOutcome::Full)

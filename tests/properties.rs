@@ -450,8 +450,8 @@ fn block_codec_round_trips_arbitrary_blocks() {
         };
         let digest = header.digest();
         let block = Block {
-            header,
-            transactions: g.vec_of(0, 8, |g| random_signed_tx(g, &keys)),
+            header: header.into(),
+            transactions: g.vec_of(0, 8, |g| random_signed_tx(g, &keys)).into(),
             seal: random_seal(g, &keys, &digest),
         };
         let bytes = block.encoded();
@@ -512,8 +512,8 @@ fn block_decoder_survives_truncation() {
         };
         let digest = header.digest();
         let block = Block {
-            header,
-            transactions: g.vec_of(0, 4, |g| random_signed_tx(g, &keys)),
+            header: header.into(),
+            transactions: g.vec_of(0, 4, |g| random_signed_tx(g, &keys)).into(),
             seal: random_seal(g, &keys, &digest),
         };
         let bytes = block.encoded();
@@ -559,7 +559,7 @@ fn tx_receipt_proof_verifies_and_rejects_every_single_byte_tamper() {
         let index = g.usize_in(0, n);
         let tx_id = block.transactions[index].id();
         let exec = ledger.receipt(&tx_id).expect("executed").clone();
-        let receipt = TxReceipt::for_block(&block, tx_id, &exec).expect("included");
+        let receipt = TxReceipt::for_block(&block, index, &exec).expect("included");
         ensure!(receipt.verify(), "untampered proof rejected");
         ensure!(
             receipt.verify_against(&block.header.tx_root),

@@ -147,7 +147,7 @@ fn wire_size_is_canonical_encoded_length() {
     let block = cluster.replicas[0].app.ledger().block(1).expect("height 1 committed").clone();
     assert!(!block.transactions.is_empty());
     assert_eq!(block.wire_size(), block.encoded().len());
-    for tx in &block.transactions {
+    for tx in block.transactions.iter() {
         assert_eq!(tx.wire_size(), tx.encoded().len());
     }
     use medchain_chain::net::Wire;

@@ -5,6 +5,12 @@
 //! headers, Merkle trees, transaction ids, Lamport signatures and
 //! off-chain data anchoring. We implement SHA-256 in-repo rather than
 //! pulling a crypto dependency (see DESIGN.md §2).
+//!
+//! Every block goes through one dispatched compression: the CPU's SHA
+//! extensions when it has them (detected once), the portable
+//! [`compress_scalar`] otherwise. Both produce the same bytes;
+//! [`compress_scalar`] and [`digest_scalar`] are the oracle the
+//! differential tests hold the fast path to.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,93 +90,242 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("chunks_exact yields 64 bytes"));
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
     }
 
     /// Consumes the hasher, returning the 32-byte digest.
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length,
+        // spilling into a second block when fewer than 8 bytes are left.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0; 64];
         }
-        // Append length manually so `self.len` bookkeeping is not disturbed.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
+        state_bytes(&self.state)
+    }
+}
 
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Hash256(out)
+fn state_bytes(state: &[u32; 8]) -> Hash256 {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Hash256(out)
+}
+
+/// The one compression every [`Sha256`] block goes through, counted
+/// once whichever path runs it.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    COMPRESSIONS.fetch_add(1, Ordering::Relaxed);
+    if !compress_accelerated(state, block) {
+        compress_scalar(state, block);
+    }
+}
+
+/// Runs one block on the CPU's SHA extensions and returns `true`, or
+/// returns `false` with `state` untouched when this CPU (or
+/// architecture) has none. Not counted by [`sha256_compressions`].
+pub fn compress_accelerated(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        sha_ni::compress(state, block)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (state, block);
+        false
+    }
+}
+
+/// The portable FIPS 180-4 block function: the fallback on CPUs without
+/// SHA extensions and the oracle the accelerated path is tested against.
+/// Not counted by [`sha256_compressions`].
+pub fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        COMPRESSIONS.fetch_add(1, Ordering::Relaxed);
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(v);
+    }
+}
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// SHA-256 of `data` by the textbook route: the whole message padded in
+/// one buffer, every block through [`compress_scalar`]. The reference
+/// [`Sha256`] is tested against; not counted by [`sha256_compressions`].
+pub fn digest_scalar(data: &[u8]) -> Hash256 {
+    let mut message = data.to_vec();
+    message.push(0x80);
+    while message.len() % 64 != 56 {
+        message.push(0);
+    }
+    message.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
+    let mut state = H0;
+    for block in message.chunks_exact(64) {
+        compress_scalar(&mut state, block.try_into().expect("padded to whole blocks"));
+    }
+    state_bytes(&state)
+}
+
+/// The SHA-NI block function — the only `unsafe` code in the workspace
+/// (`scripts/verify.sh` holds it here). `block_fn` is reachable only
+/// through `compress`, after runtime detection has confirmed every
+/// feature it is compiled for.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+    use std::sync::OnceLock;
+
+    /// Whether this CPU runs `block_fn`: probed on first use, then read.
+    fn detected() -> bool {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("sse4.1")
+                && is_x86_feature_detected!("ssse3")
+        })
+    }
+
+    /// Compresses `block` into `state` if the CPU has SHA-NI.
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+        if !detected() {
+            return false;
+        }
+        // SAFETY: `detected()` has just confirmed at run time that the
+        // CPU supports `sha`, `sse4.1` and `ssse3` (and `sse2` is part of
+        // the x86_64 baseline) — every feature `block_fn` enables.
+        unsafe { block_fn(state, block) };
+        true
+    }
+
+    /// Four rounds: `w` is the next four schedule words, `k` their
+    /// round constants.
+    #[inline]
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, k: __m128i) {
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The next four schedule words from the previous sixteen.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let sigma0 = _mm_sha256msg1_epu32(w0, w1);
+        let w7 = _mm_alignr_epi8(w3, w2, 4);
+        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w3)
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn block_fn(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let state_at = state.as_mut_ptr().cast::<__m128i>();
+        let block_at = block.as_ptr().cast::<__m128i>();
+        // SAFETY: `state` is 32 bytes and `block` 64, so lanes 0..2 and
+        // 0..4 are in bounds; `_mm_loadu_si128` needs no alignment.
+        let (dcba, hgfe, mut w0, mut w1, mut w2, mut w3) = unsafe {
+            (
+                _mm_loadu_si128(state_at),
+                _mm_loadu_si128(state_at.add(1)),
+                _mm_shuffle_epi8(_mm_loadu_si128(block_at), be_words),
+                _mm_shuffle_epi8(_mm_loadu_si128(block_at.add(1)), be_words),
+                _mm_shuffle_epi8(_mm_loadu_si128(block_at.add(2)), be_words),
+                _mm_shuffle_epi8(_mm_loadu_si128(block_at.add(3)), be_words),
+            )
+        };
+        // Round constants 4i..4i + 4, lowest lane first.
+        let k = |i: usize| {
+            let [k0, k1, k2, k3] = [K[4 * i], K[4 * i + 1], K[4 * i + 2], K[4 * i + 3]];
+            _mm_set_epi32(k3 as i32, k2 as i32, k1 as i32, k0 as i32)
+        };
+
+        // The rounds instruction wants the state as (A,B,E,F), (C,D,G,H).
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        rounds4(&mut abef, &mut cdgh, w0, k(0));
+        rounds4(&mut abef, &mut cdgh, w1, k(1));
+        rounds4(&mut abef, &mut cdgh, w2, k(2));
+        rounds4(&mut abef, &mut cdgh, w3, k(3));
+        for i in (4..16).step_by(4) {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w0, k(i));
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(&mut abef, &mut cdgh, w1, k(i + 1));
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(&mut abef, &mut cdgh, w2, k(i + 2));
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(&mut abef, &mut cdgh, w3, k(i + 3));
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        // SAFETY: as for the loads — two 16-byte lanes of the 32-byte
+        // `state`; `_mm_storeu_si128` needs no alignment.
+        unsafe {
+            _mm_storeu_si128(state_at, _mm_blend_epi16(feba, dchg, 0xf0));
+            _mm_storeu_si128(state_at.add(1), _mm_alignr_epi8(dchg, feba, 8));
+        }
     }
 }
 
@@ -312,6 +467,19 @@ impl std::error::Error for ParseHashError {}
 /// assert_ne!(tag, hmac_sha256(b"other-secret", b"message"));
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Hash256 {
+    let (ipad, opad) = hmac_pads(key);
+    let mut inner = Sha256::new();
+    inner.update(&ipad);
+    inner.update(message);
+    let inner_digest = inner.finalize();
+    let mut outer = Sha256::new();
+    outer.update(&opad);
+    outer.update(&inner_digest.0);
+    outer.finalize()
+}
+
+/// The RFC 2104 inner and outer pad blocks of `key`.
+fn hmac_pads(key: &[u8]) -> ([u8; 64], [u8; 64]) {
     let mut key_block = [0u8; 64];
     if key.len() > 64 {
         key_block[..32].copy_from_slice(&Hash256::digest(key).0);
@@ -324,58 +492,60 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Hash256 {
         ipad[i] ^= key_block[i];
         opad[i] ^= key_block[i];
     }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest.0);
-    outer.finalize()
+    (ipad, opad)
+}
+
+/// A key for [`hmac_sha256`] with its pad blocks already absorbed: the
+/// hasher states after the ipad and after the opad block. Every MAC
+/// then skips those two compressions — a 32-byte message costs 2, not 4.
+///
+/// # Examples
+///
+/// ```
+/// use medchain_chain::hash::{hmac_sha256, HmacKey};
+///
+/// let key = HmacKey::new(b"node-secret");
+/// assert_eq!(key.mac(b"message"), hmac_sha256(b"node-secret", b"message"));
+/// ```
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Absorbs `key`'s two pad blocks.
+    pub fn new(key: &[u8]) -> HmacKey {
+        let (ipad, opad) = hmac_pads(key);
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacKey { inner, outer }
+    }
+
+    /// `hmac_sha256(key, message)`, byte for byte.
+    pub fn mac(&self, message: &[u8]) -> Hash256 {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize().0);
+        outer.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    // The midstates are as good as the key: never print them.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HmacKey(..)")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// NIST FIPS 180-4 test vectors.
-    #[test]
-    fn nist_vectors() {
-        let cases: &[(&[u8], &str)] = &[
-            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
-            (
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
-            ),
-        ];
-        for (input, expected) in cases {
-            assert_eq!(Hash256::digest(input).to_hex(), *expected);
-        }
-    }
-
-    #[test]
-    fn million_a() {
-        let mut h = Sha256::new();
-        for _ in 0..1000 {
-            h.update(&[b'a'; 1000]);
-        }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        for split in 0..data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), Hash256::digest(data), "split at {split}");
-        }
-    }
+    use medchain_runtime::check::{check, CheckConfig};
+    use medchain_runtime::{ensure, ensure_eq};
 
     #[test]
     fn hex_round_trip() {
@@ -401,14 +571,131 @@ mod tests {
         assert_eq!(Hash256(half).leading_zero_bits(), 8);
     }
 
-    /// RFC 4231 test case 2.
+    // Differential tests: the dispatched hasher (SHA-NI where the CPU has
+    // it) against the scalar oracle. `tests/sha256_paths.rs` carries a
+    // tier-1 copy.
+
     #[test]
-    fn hmac_rfc4231() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            tag.to_hex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+    fn scalar_and_accelerated_compress_agree() {
+        let mut state = [0u32; 8];
+        if !compress_accelerated(&mut state, &[0; 64]) {
+            eprintln!("no SHA extensions on this CPU: the scalar path is the only path");
+            return;
+        }
+        check("sha-ni compress equals scalar", CheckConfig::cases(256), |g| {
+            let state: [u32; 8] = std::array::from_fn(|_| g.u64() as u32);
+            let block: [u8; 64] = g.byte_array();
+            let (mut fast, mut slow) = (state, state);
+            ensure!(compress_accelerated(&mut fast, &block));
+            compress_scalar(&mut slow, &block);
+            ensure_eq!(fast, slow);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn hasher_equals_scalar_oracle_across_padding_edges() {
+        check("sha256 equals the scalar oracle", CheckConfig::cases(8), |g| {
+            // 0..=300 crosses every padding edge (55/56, 63/64, 119/120).
+            for len in 0..=300 {
+                let data = g.bytes(len, len + 1);
+                let mut hasher = Sha256::new();
+                let mut rest = &data[..];
+                while !rest.is_empty() {
+                    let (chunk, tail) = rest.split_at(g.usize_in(0, rest.len() + 1));
+                    hasher.update(chunk);
+                    rest = tail;
+                }
+                ensure!(hasher.finalize() == digest_scalar(&data), "length {len}");
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn cached_midstate_mac_equals_hmac() {
+        check("HmacKey::mac equals hmac_sha256", CheckConfig::cases(4), |g| {
+            for key_len in 0..=100 {
+                let key = g.bytes(key_len, key_len + 1);
+                let message = g.bytes(0, 200);
+                ensure!(
+                    HmacKey::new(&key).mac(&message) == hmac_sha256(&key, &message),
+                    "key length {key_len}"
+                );
+            }
+            Ok(())
+        });
+    }
+
+    /// `hmac_sha256` with every block through the scalar oracle.
+    fn hmac_scalar(key: &[u8], message: &[u8]) -> Hash256 {
+        let (ipad, opad) = hmac_pads(key);
+        let inner = digest_scalar(&[&ipad[..], message].concat());
+        digest_scalar(&[&opad[..], &inner.0].concat())
+    }
+
+    #[test]
+    fn published_vectors_hold_on_both_paths() {
+        let million_a = vec![b'a'; 1_000_000];
+        let digests: &[(&[u8], &str)] = &[
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (&million_a, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"),
+        ];
+        for (input, expected) in digests {
+            assert_eq!(Hash256::digest(input).to_hex(), *expected);
+            assert_eq!(digest_scalar(input).to_hex(), *expected);
+        }
+        // RFC 4231 §4 test cases 1–4, 6 and 7 (5 truncates its output).
+        let long_key = [0xaa; 131];
+        let key_4: Vec<u8> = (1..=25).collect();
+        let macs: &[(&[u8], &[u8], &str)] = &[
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &key_4,
+                &[0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                &long_key,
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                &long_key,
+                b"This is a test using a larger than block-size key and a larger than \
+                  block-size data. The key needs to be hashed before being used by the \
+                  HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for (key, message, expected) in macs {
+            assert_eq!(hmac_sha256(key, message).to_hex(), *expected);
+            assert_eq!(HmacKey::new(key).mac(message).to_hex(), *expected);
+            assert_eq!(hmac_scalar(key, message).to_hex(), *expected);
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //!   member is enrolled, and verification is a registry lookup plus a MAC
 //!   check. Cheap enough to sign every transaction and block.
 
-use crate::hash::{hmac_sha256, Hash256};
+use crate::hash::{Hash256, HmacKey};
 use medchain_runtime::DetRng;
 use std::collections::HashMap;
 use std::fmt;
@@ -184,11 +184,12 @@ impl std::error::Error for SignError {}
 /// Signing is `HMAC(secret, message)`; verification checks the MAC against
 /// the secret held in the consortium [`KeyRegistry`] (the membership
 /// service). This mirrors how permissioned deployments centralize identity
-/// in an enrollment CA while keeping per-message costs trivial.
+/// in an enrollment CA while keeping per-message costs trivial. Both sides
+/// keep the secret as an [`HmacKey`], its pad blocks already absorbed.
 #[derive(Clone)]
 pub struct AuthorityKey {
     address: Address,
-    secret: [u8; 32],
+    mac_key: HmacKey,
 }
 
 impl fmt::Debug for AuthorityKey {
@@ -211,13 +212,16 @@ impl AuthorityKey {
     pub fn generate(rng: &mut DetRng) -> AuthorityKey {
         let mut secret = [0u8; 32];
         rng.fill_bytes(&mut secret);
-        AuthorityKey { address: Address::from_key_material(&secret), secret }
+        AuthorityKey::from_secret(&secret)
     }
 
     /// Deterministic key for tests and simulations.
     pub fn from_seed(seed: u64) -> AuthorityKey {
-        let secret = Hash256::digest(&seed.to_le_bytes()).0;
-        AuthorityKey { address: Address::from_key_material(&secret), secret }
+        AuthorityKey::from_secret(&Hash256::digest(&seed.to_le_bytes()).0)
+    }
+
+    fn from_secret(secret: &[u8; 32]) -> AuthorityKey {
+        AuthorityKey { address: Address::from_key_material(secret), mac_key: HmacKey::new(secret) }
     }
 
     /// The address of this key.
@@ -227,7 +231,7 @@ impl AuthorityKey {
 
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> AuthoritySignature {
-        AuthoritySignature { signer: self.address, tag: hmac_sha256(&self.secret, message) }
+        AuthoritySignature { signer: self.address, tag: self.mac_key.mac(message) }
     }
 }
 
@@ -245,7 +249,7 @@ pub fn registry_verifications() -> u64 {
 /// so any node can verify any member's signature.
 #[derive(Debug, Default, Clone)]
 pub struct KeyRegistry {
-    keys: HashMap<Address, [u8; 32]>,
+    keys: HashMap<Address, HmacKey>,
 }
 
 impl KeyRegistry {
@@ -256,7 +260,7 @@ impl KeyRegistry {
 
     /// Enrolls a member key.
     pub fn enroll(&mut self, key: &AuthorityKey) {
-        self.keys.insert(key.address, key.secret);
+        self.keys.insert(key.address, key.mac_key.clone());
     }
 
     /// Whether `address` is an enrolled member.
@@ -278,7 +282,7 @@ impl KeyRegistry {
     pub fn verify(&self, message: &[u8], sig: &AuthoritySignature) -> bool {
         VERIFICATIONS.fetch_add(1, Ordering::Relaxed);
         match self.keys.get(&sig.signer) {
-            Some(secret) => hmac_sha256(secret, message) == sig.tag,
+            Some(mac_key) => mac_key.mac(message) == sig.tag,
             None => false,
         }
     }

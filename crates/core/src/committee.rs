@@ -268,11 +268,11 @@ impl Committee {
         Ok(report)
     }
 
-    /// Commits until `tx_id` has a receipt: one block, or two when the
-    /// transaction raced the proposer and lands a block later.
-    pub(crate) fn settle(&mut self, tx_id: &Hash256) -> Result<(), NetworkError> {
+    /// Commits until every one of `ids` has a receipt: one block, or two
+    /// when one raced the proposer and lands a block later.
+    pub(crate) fn settle(&mut self, ids: &[Hash256]) -> Result<(), NetworkError> {
         self.advance(1)?;
-        if self.app().receipt(tx_id).is_none() {
+        if ids.iter().any(|id| self.app().receipt(id).is_none()) {
             self.advance(1)?;
         }
         Ok(())
@@ -295,7 +295,7 @@ impl Committee {
     /// the committed header (not the root the receipt carries).
     pub(crate) fn confirm(&mut self, pending: &PendingTx) -> Result<TxReceipt, NetworkError> {
         let id = pending.tx_id;
-        self.settle(&id)?;
+        self.settle(&[id])?;
         let receipt = self.app().tx_receipt(&id).ok_or(NetworkError::MissingReceipt(id))?;
         let root = self.ledger().block(receipt.height).map(|b| b.header.tx_root);
         if !root.is_some_and(|root| receipt.verify_against(&root)) {

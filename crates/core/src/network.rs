@@ -785,7 +785,7 @@ impl MedicalNetwork {
     /// Returns [`NetworkError`] on stall, missing receipt, or failed
     /// execution.
     pub fn commit_and_check(&mut self, tx_id: Hash256) -> Result<Receipt, NetworkError> {
-        self.committee.settle(&tx_id)?;
+        self.committee.settle(&[tx_id])?;
         self.committee.expect_ok(&[tx_id])?;
         self.receipt(&tx_id).cloned().ok_or(NetworkError::MissingReceipt(tx_id))
     }

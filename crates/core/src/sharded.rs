@@ -34,7 +34,7 @@ use medchain_chain::{
     StateProof, Transaction, TxPayload, XsLeg, XsLock,
 };
 use medchain_runtime::metrics::Metrics;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Handle to an in-flight cross-shard transfer: two prepare legs under
@@ -765,8 +765,10 @@ impl ShardedNetwork {
             }
         }
         if !decides.is_empty() {
+            let mut ids = Vec::with_capacity(decides.len());
             for &(xid, commit) in &decides {
-                self.submit_lane(0, TxPayload::XsDecide { xid, commit }, 1_000, Lane::Priority)?;
+                let payload = TxPayload::XsDecide { xid, commit };
+                ids.push(self.submit_lane(0, payload, 1_000, Lane::Priority)?.tx_id);
                 if commit {
                     resolution.committed += 1;
                     self.metrics.counter("xs.committed", 1);
@@ -775,28 +777,28 @@ impl ShardedNetwork {
                     self.metrics.counter("xs.aborted", 1);
                 }
             }
-            self.advance_coordinator(2)?;
+            self.committee_mut(ShardId::COORDINATOR).settle(&ids)?;
         }
         // Phase 2: finalize every lock the coordinator has decided.
-        let mut touched: BTreeSet<u16> = BTreeSet::new();
+        let mut finalizes: BTreeMap<ShardId, Vec<Hash256>> = BTreeMap::new();
         for (xid, legs) in self.collect_locks() {
             let Some(decision) = self.coordinator_ledger().state().xs_decision(&xid) else {
                 continue;
             };
-            for (shard, account, _) in legs {
-                self.submit_lane(
+            for (_, account, _) in legs {
+                let pending = self.submit_lane(
                     0,
                     TxPayload::XsFinalize { xid, account, commit: decision.commit },
                     1_000,
                     Lane::Priority,
                 )?;
-                touched.insert(shard.0);
+                finalizes.entry(pending.shard).or_default().push(pending.tx_id);
                 resolution.finalized += 1;
                 self.metrics.counter("xs.finalized", 1);
             }
         }
-        for s in touched {
-            self.committee_mut(ShardId(s)).advance(2)?;
+        for (shard, ids) in finalizes {
+            self.committee_mut(shard).settle(&ids)?;
         }
         Ok(resolution)
     }

@@ -19,8 +19,11 @@ pub use std::hint::black_box;
 pub struct Measurement {
     /// Benchmark id (`suite/name`).
     pub id: String,
-    /// Median time per iteration.
+    /// Median time per iteration (whole nanoseconds: reads zero for a
+    /// closure faster than 1 ns — throughput comes from `batch`).
     pub per_iter: Duration,
+    /// The median batch's wall time.
+    pub batch: Duration,
     /// Iterations per measured batch.
     pub iters: u64,
     /// Optional processed-bytes-per-iteration for throughput.
@@ -28,10 +31,11 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Throughput in MiB/s, if byte accounting was requested.
+    /// Throughput in MiB/s, if byte accounting was requested and the
+    /// median batch took measurable time.
     pub fn mib_per_s(&self) -> Option<f64> {
-        let bytes = self.bytes? as f64;
-        let secs = self.per_iter.as_secs_f64();
+        let bytes = self.bytes? as f64 * self.iters as f64;
+        let secs = self.batch.as_secs_f64();
         if secs == 0.0 {
             return None;
         }
@@ -138,11 +142,12 @@ impl Bench {
             }
         }
         batches.sort_unstable();
-        let median = batches[batches.len() / 2];
-        let per_iter = median / u32::try_from(iters).unwrap_or(u32::MAX).max(1);
+        let batch = batches[batches.len() / 2];
+        let per_iter_ns = batch.as_nanos() / u128::from(iters.max(1));
         let m = Measurement {
             id: format!("{}/{}", self.suite, name),
-            per_iter,
+            per_iter: Duration::from_nanos(u64::try_from(per_iter_ns).unwrap_or(u64::MAX)),
+            batch,
             iters,
             bytes,
         };

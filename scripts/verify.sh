@@ -393,6 +393,38 @@ if grep -rnE 'fn run_e[0-9]+_metered|run_experiment_metered|run_sharded_metered|
 fi
 echo "ok: one run_eN per experiment, one sharded mode, no measured/modeled switch"
 
+# Unsafe census (DESIGN.md §2): the SHA-NI block function in
+# crates/chain/src/hash.rs is the only `unsafe` code in the workspace,
+# each occurrence directly under a comment holding `// SAFETY:`, and it
+# is the only code that detects CPU features or enables them, so the
+# `#[target_feature]` function stays reachable only through detection.
+echo "== unsafe: census =="
+rust_sources=(crates src examples tests benchmark/src)
+code_lines() {
+    grep -rnE --include='*.rs' "$1" "${rust_sources[@]}" | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true
+}
+if code_lines '\bunsafe\b' | grep -v "^crates/chain/src/hash.rs:"; then
+    echo "ERROR: unsafe code outside the SHA-NI module in crates/chain/src/hash.rs." >&2
+    exit 1
+fi
+if code_lines 'is_x86_feature_detected|target_feature' | grep -v "^crates/chain/src/hash.rs:"; then
+    echo "ERROR: CPU-feature detection or target_feature outside crates/chain/src/hash.rs." >&2
+    exit 1
+fi
+if ! awk '
+    /^[[:space:]]*\/\// { if ($0 ~ /SAFETY:/) safety = 1; next }
+    /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
+        sites++
+        if (!safety) { print FILENAME ":" FNR ": " $0; bad = 1 }
+    }
+    { safety = 0 }
+    END { print "census: " sites " unsafe sites in crates/chain/src/hash.rs"; exit bad }
+' crates/chain/src/hash.rs; then
+    echo "ERROR: an unsafe site without a // SAFETY: comment directly above it." >&2
+    exit 1
+fi
+echo "ok: unsafe, feature detection and target_feature live in the SHA-NI module only"
+
 # Every environment variable is an option tests and benchmarks must
 # cover. The files that read one are listed here, so a new knob has to
 # edit this list to land.
@@ -483,5 +515,17 @@ if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
     exit 1
 fi
 echo "ok: medbench bulk_blocks ran end to end and checked its own outputs"
+
+# And two seconds of the sharded workload: routed TCP writes, proven
+# reads and in-process 2PC transfers, so the resolver's settle path runs.
+echo "== medbench: 2-second sharded_mixed smoke (wall-clock guarded) =="
+timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload sharded_mixed --seed 1 --seconds 2 --trace 0 > "$smoke_log"
+if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
+    echo "ERROR: medbench sharded_mixed smoke did not report a correct run" >&2
+    cat "$smoke_log" >&2
+    exit 1
+fi
+echo "ok: medbench sharded_mixed ran end to end and checked its own outputs"
 
 echo "verify: OK"

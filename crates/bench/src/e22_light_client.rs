@@ -23,7 +23,8 @@ use crate::report::{f, ms, Table};
 use medchain::{Client, GatewayConfig, MedicalNetwork};
 use medchain_chain::shard::{shard_for_key, ShardId};
 use medchain_chain::{
-    Address, LeafKey, StateProof, StateTree, Transaction, TxPayload, WorldState,
+    Address, LeafKey, StateAccess, StateProof, StateTree, Transaction, TxPayload, WorldState,
+    WorldStateOverlay,
 };
 use medchain_runtime::codec::Encode;
 use medchain_runtime::metrics::Metrics;
@@ -64,19 +65,18 @@ fn bench_root_maintenance(accounts: u64) -> RootBench {
     let stride = (accounts / BLOCK_WRITES).max(1);
     let touched: Vec<Address> =
         (0..BLOCK_WRITES).map(|i| Address::from_seed((i * stride) % accounts)).collect();
+    let mut overlay = WorldStateOverlay::new(&state);
     let mut mutated = state.clone();
     for addr in &touched {
+        overlay.credit(*addr, 7);
         mutated.credit(*addr, 7);
     }
+    let delta = overlay.into_delta();
 
+    // The path `Ledger::apply` runs: the block's delta merged in one
+    // descent.
     let started = Instant::now();
-    let mut incremental = tree.clone();
-    for addr in &touched {
-        let key = LeafKey::Account(*addr);
-        let value = mutated.leaf_value(&key);
-        incremental.update(&key, value.as_deref());
-    }
-    let incremental_root = incremental.versioned_root();
+    let incremental_root = tree.with_delta(&delta).versioned_root();
     let incremental_wall = started.elapsed();
 
     RootBench {

@@ -14,7 +14,7 @@
 //! per slot. [`LeafKey::scheduling_key`] gives the mapping.
 
 use crate::exec::StateKey;
-use crate::hash::{Hash256, Sha256};
+use crate::hash::{digest_tagged_pair, Hash256, Sha256};
 use crate::shard::{shard_for_key, ShardId};
 use crate::sig::Address;
 use medchain_runtime::codec::Encode;
@@ -119,20 +119,12 @@ pub fn value_hash(value: &[u8]) -> Hash256 {
 
 /// Hash of a leaf node: `H(0x00 ‖ key_hash ‖ value_hash)`.
 pub fn leaf_hash(key_hash: &Hash256, value_hash: &Hash256) -> Hash256 {
-    let mut hasher = Sha256::new();
-    hasher.update(&[LEAF_TAG]);
-    hasher.update(&key_hash.0);
-    hasher.update(&value_hash.0);
-    hasher.finalize()
+    digest_tagged_pair(LEAF_TAG, key_hash, value_hash)
 }
 
 /// Hash of an internal node: `H(0x01 ‖ left ‖ right)`.
 pub fn node_hash(left: &Hash256, right: &Hash256) -> Hash256 {
-    let mut hasher = Sha256::new();
-    hasher.update(&[NODE_TAG]);
-    hasher.update(&left.0);
-    hasher.update(&right.0);
-    hasher.finalize()
+    digest_tagged_pair(NODE_TAG, left, right)
 }
 
 /// The root that goes into `Header.state_root`: the tree root wrapped in

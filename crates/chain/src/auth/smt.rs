@@ -3,10 +3,11 @@
 //! The tree is the compact variant: an empty subtree hashes to
 //! [`EMPTY_SUBTREE`] and a subtree holding a
 //! single leaf hashes to the leaf itself, so depth is O(log n) in the
-//! number of leaves rather than a fixed 256. Nodes are `Arc`-shared:
-//! updating one leaf clones only the path from the root to that leaf
-//! (~log n allocations), which is what makes per-block root maintenance
-//! O(keys changed) while older tree versions stay readable for free.
+//! number of leaves rather than a fixed 256. Nodes are `Arc`-shared: a
+//! block's writes, sorted by key hash, are merged in one descent that
+//! rebuilds (and hashes once) only the union of their root-to-leaf
+//! paths, which is what makes per-block root maintenance O(keys changed)
+//! while older tree versions stay readable for free.
 //!
 //! Canonical-form invariant: an internal node never has an empty child
 //! paired with a leaf child (such a node collapses to the leaf) and never
@@ -247,39 +248,34 @@ impl StateTree {
         leaf::versioned_root(&self.root())
     }
 
-    /// Sets (`Some`) or deletes (`None`) one leaf, rebuilding only the
-    /// root-to-leaf path.
+    /// Sets (`Some`) or deletes (`None`) one leaf: a batch of one,
+    /// rebuilding only the root-to-leaf path.
     pub fn update(&mut self, key: &LeafKey, value: Option<&[u8]>) {
-        let key_hash = leaf::key_hash(key);
-        let pager = self.pager.as_deref();
-        match value {
-            Some(value) => {
-                let value_hash = leaf::value_hash(value);
-                let (root, was_present) = insert_at(&self.root, 0, key_hash, value_hash, pager);
-                self.root = root;
-                if !was_present {
-                    self.len += 1;
-                }
-            }
-            None => {
-                let (root, removed) = remove_at(&self.root, 0, &key_hash, pager);
-                self.root = root;
-                if removed {
-                    self.len -= 1;
-                }
-            }
-        }
+        let batch = [(leaf::key_hash(key), value.map(leaf::value_hash))];
+        self.root = merge(&self.root, 0, &batch, self.pager.as_deref(), &mut self.len);
     }
 
     /// The tree after applying a committed block's [`StateDelta`]:
     /// tombstoned storage slots and cleared locks become deletions,
-    /// everything else an upsert. Cost is O(keys changed · log n); the
-    /// receiver is untouched.
+    /// everything else an upsert. The receiver is untouched.
     pub fn with_delta(&self, delta: &StateDelta) -> StateTree {
+        self.with_updates(&delta_updates(delta))
+    }
+
+    /// The tree after applying already-flattened
+    /// [`delta_updates`] (each leaf key at most once), in one descent:
+    /// the batch is sorted by key hash and merged into the tree, so every
+    /// touched node is rebuilt and hashed once however many of the
+    /// batch's keys lie under it.
+    pub(crate) fn with_updates(&self, updates: &[(LeafKey, Option<Vec<u8>>)]) -> StateTree {
+        let mut batch: Vec<LeafUpdate> = updates
+            .iter()
+            .map(|(key, value)| (leaf::key_hash(key), value.as_deref().map(leaf::value_hash)))
+            .collect();
+        batch.sort_unstable_by_key(|(key_hash, _)| *key_hash);
+        debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0), "a leaf key written twice");
         let mut tree = self.clone();
-        for (key, value) in delta_updates(delta) {
-            tree.update(&key, value.as_deref());
-        }
+        tree.root = merge(&self.root, 0, &batch, self.pager.as_deref(), &mut tree.len);
         tree
     }
 
@@ -473,8 +469,8 @@ fn free_fresh_stubs(node: &Node, pager: &dyn NodePager, fresh: &mut BTreeSet<u64
 
 /// The canonical subtree over `leaves` — distinct `(key_hash,
 /// value_hash)` pairs sorted by key hash, all sharing their first
-/// `depth` path bits: the shape `insert_at`/`split_leaves`/`remove_at`
-/// maintain, with every node hashed once.
+/// `depth` path bits — with every node hashed once. [`merge`] hands it
+/// every position where a batch meets an empty or single-leaf subtree.
 fn build(leaves: &[(Hash256, Hash256)], depth: usize) -> Arc<Node> {
     match leaves {
         [] => Node::empty(),
@@ -488,132 +484,69 @@ fn build(leaves: &[(Hash256, Hash256)], depth: usize) -> Arc<Node> {
     }
 }
 
-/// Returns the updated subtree and whether the key was already present.
-fn insert_at(
+/// One pending leaf write, by key hash: `Some(value_hash)` upserts,
+/// `None` deletes.
+type LeafUpdate = (Hash256, Option<Hash256>);
+
+/// Merges `batch` — distinct key hashes, sorted, all sharing `node`'s
+/// first `depth` path bits — into `node`, adjusting `len` by the leaves
+/// gained or lost. An untouched subtree (empty sub-batch, or writes that
+/// change nothing) comes back as the very same `Arc`, unhashed and, if
+/// spilled, still a stub; a touched internal node is hashed once, after
+/// both children. Deletions restore canonical form on the way back up:
+/// an internal node left with a single leaf child collapses to that
+/// leaf, one left with two empty children to the empty subtree.
+fn merge(
     node: &Arc<Node>,
     depth: usize,
-    key_hash: Hash256,
-    value_hash: Hash256,
+    batch: &[LeafUpdate],
     pager: Option<&dyn NodePager>,
-) -> (Arc<Node>, bool) {
-    let node = resolve(node, pager);
-    match &*node {
-        Node::Empty => (Arc::new(Node::leaf(key_hash, value_hash)), false),
-        Node::Leaf {
-            key_hash: leaf_kh,
-            value_hash: leaf_vh,
-            ..
-        } => {
-            if *leaf_kh == key_hash {
-                if *leaf_vh == value_hash {
-                    (node.clone(), true)
-                } else {
-                    (Arc::new(Node::leaf(key_hash, value_hash)), true)
-                }
-            } else {
-                (
-                    split_leaves(depth, node.clone(), *leaf_kh, key_hash, value_hash),
-                    false,
-                )
-            }
-        }
-        Node::Internal { left, right, .. } => {
-            if leaf::key_bit(&key_hash, depth) {
-                let (new_right, present) =
-                    insert_at(right, depth + 1, key_hash, value_hash, pager);
-                (
-                    Arc::new(Node::internal(left.clone(), new_right)),
-                    present,
-                )
-            } else {
-                let (new_left, present) =
-                    insert_at(left, depth + 1, key_hash, value_hash, pager);
-                (
-                    Arc::new(Node::internal(new_left, right.clone())),
-                    present,
-                )
-            }
-        }
-        Node::Paged { .. } => unreachable!("resolved above"),
-    }
-}
-
-/// Replaces a single-leaf subtree at `depth` with the minimal internal
-/// chain separating the existing leaf from a new one: internals with an
-/// empty sibling down to the first differing key-hash bit, then a node
-/// with both leaves as children.
-fn split_leaves(
-    depth: usize,
-    existing: Arc<Node>,
-    existing_kh: Hash256,
-    key_hash: Hash256,
-    value_hash: Hash256,
+    len: &mut usize,
 ) -> Arc<Node> {
-    let mut fork = depth;
-    while leaf::key_bit(&existing_kh, fork) == leaf::key_bit(&key_hash, fork) {
-        fork += 1;
-        assert!(fork < MAX_DEPTH, "distinct leaf keys share all 256 path bits");
+    if batch.is_empty() {
+        return node.clone();
     }
-    let new_leaf = Arc::new(Node::leaf(key_hash, value_hash));
-    let (left, right) = if leaf::key_bit(&key_hash, fork) {
-        (existing, new_leaf)
-    } else {
-        (new_leaf, existing)
-    };
-    let mut node = Arc::new(Node::internal(left, right));
-    for level in (depth..fork).rev() {
-        node = Arc::new(if leaf::key_bit(&key_hash, level) {
-            Node::internal(Node::empty(), node)
-        } else {
-            Node::internal(node, Node::empty())
-        });
-    }
-    node
-}
-
-/// Returns the updated subtree and whether a leaf was removed. Restores
-/// canonical form on the way back up: an internal node left with a
-/// single leaf child collapses to that leaf.
-fn remove_at(
-    node: &Arc<Node>,
-    depth: usize,
-    key_hash: &Hash256,
-    pager: Option<&dyn NodePager>,
-) -> (Arc<Node>, bool) {
-    let node = resolve(node, pager);
-    match &*node {
-        Node::Empty => (node.clone(), false),
-        Node::Leaf { key_hash: leaf_kh, .. } => {
-            if leaf_kh == key_hash {
-                (Node::empty(), true)
-            } else {
-                (node.clone(), false)
-            }
-        }
+    let resolved = resolve(node, pager);
+    let existing = match &*resolved {
         Node::Internal { left, right, .. } => {
-            let (new_left, new_right, removed) = if leaf::key_bit(key_hash, depth) {
-                let (nr, removed) = remove_at(right, depth + 1, key_hash, pager);
-                (left.clone(), nr, removed)
-            } else {
-                let (nl, removed) = remove_at(left, depth + 1, key_hash, pager);
-                (nl, right.clone(), removed)
-            };
-            if !removed {
-                return (node.clone(), false);
+            let split = batch.partition_point(|(key_hash, _)| !leaf::key_bit(key_hash, depth));
+            let (left_batch, right_batch) = batch.split_at(split);
+            let new_left = merge(left, depth + 1, left_batch, pager, len);
+            let new_right = merge(right, depth + 1, right_batch, pager, len);
+            if Arc::ptr_eq(&new_left, left) && Arc::ptr_eq(&new_right, right) {
+                return node.clone();
             }
-            // A `Paged` sibling always holds ≥ 2 leaves (spill policy),
-            // so it can only appear in the no-collapse arm — same as the
+            // A `Paged` child always holds ≥ 2 leaves (spill policy), so
+            // it can only land in the no-collapse arm — same as the
             // internal node it stands for.
-            let collapsed = match (&*new_left, &*new_right) {
+            return match (&*new_left, &*new_right) {
                 (Node::Empty, Node::Leaf { .. }) => new_right,
                 (Node::Leaf { .. }, Node::Empty) => new_left,
                 (Node::Empty, Node::Empty) => Node::empty(),
                 _ => Arc::new(Node::internal(new_left, new_right)),
             };
-            (collapsed, true)
         }
-        Node::Paged { .. } => unreachable!("resolved above"),
+        Node::Empty => None,
+        Node::Leaf { key_hash, value_hash, .. } => Some((*key_hash, *value_hash)),
+        Node::Paged { .. } => unreachable!("resolve never returns a stub"),
+    };
+    // An empty or single-leaf position: the existing leaf, unless the
+    // batch writes its key, interleaved with the batch's upserts.
+    let upsert = |(key_hash, value_hash): &LeafUpdate| Some((*key_hash, (*value_hash)?));
+    let at = existing.map_or(0, |(key_hash, _)| batch.partition_point(|(k, _)| *k < key_hash));
+    let kept = existing.filter(|(key_hash, _)| batch.get(at).is_none_or(|(k, _)| k != key_hash));
+    let (below, above) = batch.split_at(at);
+    let leaves: Vec<(Hash256, Hash256)> = below
+        .iter()
+        .filter_map(upsert)
+        .chain(kept)
+        .chain(above.iter().filter_map(upsert))
+        .collect();
+    if leaves.as_slice() == existing.as_slice() {
+        return node.clone();
     }
+    *len = *len + leaves.len() - usize::from(existing.is_some());
+    build(&leaves, depth)
 }
 
 /// Flattens a committed [`StateDelta`] into `(leaf key, new value)`

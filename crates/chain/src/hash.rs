@@ -134,9 +134,36 @@ fn state_bytes(state: &[u32; 8]) -> Hash256 {
 /// once whichever path runs it.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     COMPRESSIONS.fetch_add(1, Ordering::Relaxed);
+    compress_dispatched(state, block);
+}
+
+/// One block on the CPU's SHA extensions if it has them, else on the
+/// scalar loop. Uncounted: callers count.
+fn compress_dispatched(state: &mut [u32; 8], block: &[u8; 64]) {
     if !compress_accelerated(state, block) {
         compress_scalar(state, block);
     }
+}
+
+/// SHA-256 of the 65-byte message `tag ‖ left ‖ right`, the preimage of
+/// every sparse-Merkle leaf and internal node. Its two padded blocks are
+/// laid out on the stack and compressed directly — no streaming buffer,
+/// one counter bump for both — so it equals [`Sha256`] over the same
+/// bytes, two compressions counted, at less cost.
+pub fn digest_tagged_pair(tag: u8, left: &Hash256, right: &Hash256) -> Hash256 {
+    let mut first = [0u8; 64];
+    first[0] = tag;
+    first[1..33].copy_from_slice(&left.0);
+    first[33..].copy_from_slice(&right.0[..31]);
+    let mut second = [0u8; 64];
+    second[0] = right.0[31];
+    second[1] = 0x80;
+    second[56..].copy_from_slice(&(65u64 * 8).to_be_bytes());
+    COMPRESSIONS.fetch_add(2, Ordering::Relaxed);
+    let mut state = H0;
+    compress_dispatched(&mut state, &first);
+    compress_dispatched(&mut state, &second);
+    state_bytes(&state)
 }
 
 /// Runs one block on the CPU's SHA extensions and returns `true`, or

@@ -1565,22 +1565,20 @@ impl Ledger {
             }
         };
         // Incremental root check before any mutation: the committed
-        // delta folds into the cached authenticated tree at O(keys
+        // delta merges into the cached authenticated tree at O(keys
         // changed · log n) — per-block root cost no longer scales with
-        // total state size.
+        // total state size. The flat leaf updates are made once and
+        // serve the commit observer too.
         let root_started = Instant::now();
-        let updated_tree = self.state_tree().with_delta(&delta);
+        let updates = crate::auth::delta_updates(&delta);
+        let updated_tree = self.state_tree().with_updates(&updates);
         let root_wall_us = root_started.elapsed().as_secs_f64() * 1e6;
         if updated_tree.versioned_root() != block.header.state_root {
             return Err(LedgerError::StateRootMismatch);
         }
-        // Captured before `apply_delta` consumes the delta: the flat
-        // leaf updates for the commit observer, and the written account
-        // addresses that must stay hot through this commit's demotion.
-        let observer_updates = self
-            .commit_observer
-            .as_ref()
-            .map(|_| crate::auth::delta_updates(&delta));
+        // Captured before `apply_delta` consumes the delta: the written
+        // account addresses that must stay hot through this commit's
+        // demotion.
         let written_accounts: Option<BTreeSet<Address>> = self
             .state_cache
             .as_ref()
@@ -1615,8 +1613,7 @@ impl Ledger {
         self.stats.blocks += 1;
         self.blocks.push(block.clone());
         if let Some(observer) = self.commit_observer.as_mut() {
-            let updates = observer_updates.as_deref().expect("captured before commit");
-            observer(self.blocks.last().expect("just pushed"), updates);
+            observer(self.blocks.last().expect("just pushed"), &updates);
         }
         // The commit is final: offer the store this block's tree to
         // snapshot from, before demotion pages any of the state out. A

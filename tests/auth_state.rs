@@ -6,25 +6,30 @@
 //! random delta sequences (credits, storage writes *and deletes*, code,
 //! anchors, lock set/clear, coordinator records) always lands on the
 //! full-rehash root, and on the same encoded nodes as the one-pass
-//! build (which `state_root_with` also predicts); (2) tampering any byte of a serialized proof makes
-//! it fail; (3) absence proofs for never-written and written-then-
-//! deleted keys; (4) the pinned micro-bench — maintaining the root for
+//! build (which `state_root_with` also predicts); (2) seeded property —
+//! one large batch merged in one descent, with deletes that empty whole
+//! subtrees, equals a fresh build and the same batch split up and
+//! reordered; (3) tampering any byte of a serialized proof makes
+//! it fail; (4) absence proofs for never-written and written-then-
+//! deleted keys; (5) the pinned micro-bench — maintaining the root for
 //! a 100-write block must cost ≤ 0.1× a full rehash at 20k accounts;
-//! (5) sharded E2E — prove a record on its home sub-chain and its
+//! (6) sharded E2E — prove a record on its home sub-chain and its
 //! absence on the other one, each against an independently read
 //! committed header root.
 
 use medchain::{Client, GatewayConfig, MedicalNetwork};
-use medchain_chain::auth::key_hash;
+use medchain_chain::auth::leaf::key_bit;
+use medchain_chain::auth::{key_hash, EMPTY_SUBTREE};
 use medchain_chain::ledger::{CrossLinkRecord, WorldState, XsDecisionRecord, XsLock};
 use medchain_chain::shard::{shard_for_key, ShardId};
 use medchain_chain::{
-    Address, Hash256, LeafKey, SmtProof, StateAccess, StateTree, Transaction, TxPayload,
-    WorldStateOverlay,
+    Address, Hash256, LeafKey, SmtProof, StateAccess, StateDelta, StateTree, Transaction,
+    TxPayload, WorldStateOverlay,
 };
 use medchain_runtime::check::{check, CheckConfig, Gen};
 use medchain_runtime::codec::{Decode, Encode};
 use medchain_runtime::{ensure, ensure_eq};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -104,6 +109,108 @@ fn incremental_root_tracks_full_rehash_over_random_deltas() {
             Ok(())
         },
     );
+}
+
+/// Storage slot `i`, spread over four contracts: slots are a leaf family
+/// a delta can both write and delete.
+fn slot(i: u64) -> (Address, Vec<u8>) {
+    (Address::from_seed(i % 4), format!("slot/{i}").into_bytes())
+}
+
+/// The delta that writes `writes` to storage slots (`None` deletes).
+fn slot_delta(state: &WorldState, writes: &[(u64, Option<Vec<u8>>)]) -> StateDelta {
+    let mut overlay = WorldStateOverlay::new(state);
+    for (i, value) in writes {
+        let (contract, key) = slot(*i);
+        overlay.set_storage(contract, key, value.clone().unwrap_or_default());
+    }
+    overlay.into_delta()
+}
+
+/// `with_delta` merges a whole batch in one descent. Over trees of
+/// 0–2,000 leaves and batches of 1–400 keys — at least a third of them
+/// deletes, some emptying a whole subtree or the whole tree, plus
+/// rewrites of an unchanged value and deletes of absent keys — the
+/// merged tree must equal a fresh bottom-up build of the resulting
+/// state node for node, and must equal the same writes applied as
+/// random sub-batches in random order (roots are history-independent).
+#[test]
+fn batched_merge_equals_a_fresh_build_and_any_split_of_the_batch() {
+    check("batched merge ≡ fresh build ≡ split batches", CheckConfig::cases(24), |g| {
+        let leaves = g.usize_in(0, 2_001) as u64;
+        let value = |i: u64, version: u64| format!("value/{i}/{version}").into_bytes();
+        let mut state = WorldState::new();
+        for i in 0..leaves {
+            let (contract, key) = slot(i);
+            state.set_storage(contract, key, value(i, 0));
+        }
+        let tree = StateTree::from_state(&state);
+
+        // One final write per slot, so any order of any split means the
+        // same thing.
+        let mut writes: BTreeMap<u64, Option<Vec<u8>>> = BTreeMap::new();
+        let empty_all = (1..=400).contains(&leaves) && g.usize_in(0, 4) == 0;
+        if empty_all {
+            writes.extend((0..leaves).map(|i| (i, None)));
+        } else if leaves > 0 && g.bool() {
+            // Every slot under some leaf's first `depth` path bits, at
+            // the shallowest depth holding at most 300 of them.
+            let hashes: Vec<Hash256> = (0..leaves)
+                .map(|i| {
+                    let (contract, key) = slot(i);
+                    key_hash(&LeafKey::Storage(contract, key))
+                })
+                .collect();
+            let pivot = hashes[(g.u64() % leaves) as usize];
+            let hashes = &hashes;
+            let under = |depth: usize| {
+                (0..leaves).filter(move |&i| {
+                    (0..depth).all(|d| key_bit(&hashes[i as usize], d) == key_bit(&pivot, d))
+                })
+            };
+            let depth = (0..).find(|&depth| under(depth).count() <= 300).expect("keys differ");
+            writes.extend(under(depth).map(|i| (i, None)));
+        }
+        let target = if empty_all { 0 } else { g.usize_in(1, 401) };
+        while writes.len() < target {
+            let existing = if leaves > 0 { g.u64() % leaves } else { 0 };
+            let fresh = leaves + g.u64() % 1_000;
+            let (i, write) = match g.u64() % 6 {
+                0 | 1 if leaves > 0 => (existing, None),
+                2 => (fresh, None), // absent
+                4 if leaves > 0 => (existing, Some(value(existing, 1))),
+                5 if leaves > 0 => (existing, Some(value(existing, 0))), // unchanged
+                _ => (fresh, Some(value(fresh, 1))),
+            };
+            writes.insert(i, write);
+        }
+        let mut writes: Vec<(u64, Option<Vec<u8>>)> = writes.into_iter().collect();
+
+        let merged = tree.with_delta(&slot_delta(&state, &writes));
+        let mut after = state.clone();
+        slot_delta(&state, &writes).apply_to(&mut after);
+        let built = StateTree::from_state(&after);
+        ensure_eq!(merged.root(), built.root());
+        ensure_eq!(merged.encoded(), built.encoded());
+        ensure!(merged.audit(), "merged tree failed its structural audit");
+        ensure_eq!(merged.len(), after.leaf_count());
+        if empty_all {
+            ensure_eq!(merged.root(), EMPTY_SUBTREE);
+            ensure_eq!(merged.len(), 0);
+        }
+
+        g.rng().shuffle(&mut writes);
+        let mut split = tree.clone();
+        let mut rest = &writes[..];
+        while !rest.is_empty() {
+            let (batch, tail) = rest.split_at(g.usize_in(1, rest.len() + 1));
+            split = split.with_delta(&slot_delta(&state, batch));
+            rest = tail;
+        }
+        ensure_eq!(split.encoded(), merged.encoded());
+        ensure_eq!(split.len(), merged.len());
+        Ok(())
+    });
 }
 
 #[test]

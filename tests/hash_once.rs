@@ -117,13 +117,20 @@ fn a_committed_transaction_is_hashed_and_verified_a_counted_number_of_times() {
     assert_eq!(first, second, "same seed, same counts");
     assert_eq!(first.committed, ROUNDS * SENDERS as u64 * PER_SENDER);
     let txs = first.committed;
-    // 228.4 compressions per committed transaction (PR 24: 232.6, i.e.
-    // 238,132; before it 1,558.6 as that issue counted it, 1,628.8 on
-    // exactly this drive). Keeping each key's HMAC midstates saves two
-    // compressions per MAC, and this window runs 2,116 of them: the 2,096
-    // registry checks asserted below plus 20 consensus signatures (one
-    // proposal and four votes per block) — 2 × 2,116 = 4,232 fewer.
-    assert_eq!(first.compressions, 233_900);
+    // 125.4 compressions per committed transaction (before the batched
+    // state-tree merge: 228.4, i.e. 233,900; before per-key HMAC
+    // midstates: 232.6, i.e. 238,132; before sealed transactions: 1,628.8
+    // on exactly this drive). The window makes 20 `with_delta` calls — the proposer's and
+    // four replicas' per block — and each now merges its block's whole
+    // delta in one descent, so the upper levels the block's ≈320 leaf
+    // writes (64 senders, 256 recipients) share are hashed once per call
+    // instead of once per leaf: 105,490
+    // fewer compressions, i.e. 52,745 fewer two-block node hashes. The
+    // fixed-length tree hash is cheaper per call but counts the same 2.
+    // Keeping each key's HMAC midstates saved two compressions per MAC
+    // (2 × 2,116 = 4,232 over this window's 2,096 registry checks plus
+    // 20 consensus signatures).
+    assert_eq!(first.compressions, 128_410);
     assert!(first.compressions <= 350 * txs);
     // Two signature checks per committed transaction — the caller's and
     // the proposer's — net of the 12 consensus checks an empty block

@@ -6,13 +6,45 @@
 //! the dispatched hasher, the SHA-NI block function and the cached-key
 //! MAC to the scalar oracle (`compress_scalar`, `digest_scalar`) and to
 //! the published vectors. The same properties live beside the code in
-//! `crates/chain/src/hash.rs`.
+//! `crates/chain/src/hash.rs`. The fixed-length two-block tree hash is
+//! held to both the oracle and the streaming hasher, and to its count.
 
 use medchain_chain::hash::{
-    compress_accelerated, compress_scalar, digest_scalar, hmac_sha256, Hash256, HmacKey, Sha256,
+    compress_accelerated, compress_scalar, digest_scalar, digest_tagged_pair, hmac_sha256,
+    Hash256, HmacKey, Sha256,
 };
+use medchain_chain::sha256_compressions;
 use medchain_runtime::check::{check, CheckConfig};
 use medchain_runtime::{ensure, ensure_eq};
+use std::sync::{Mutex, MutexGuard};
+
+/// `sha256_compressions` is process-wide and the tests of one binary
+/// run in parallel: every test here that hashes through the counted
+/// path holds this, so the counting test sees only its own blocks.
+fn counted_section() -> MutexGuard<'static, ()> {
+    static COUNTED: Mutex<()> = Mutex::new(());
+    COUNTED.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+#[test]
+fn two_block_tree_hash_equals_the_oracle_and_counts_two_compressions() {
+    let _counted = counted_section();
+    check("tagged pair equals scalar and streaming", CheckConfig::cases(256), |g| {
+        let (left, right) = (Hash256(g.byte_array()), Hash256(g.byte_array()));
+        for tag in [0x00, 0x01] {
+            let message = [&[tag][..], &left.0, &right.0].concat();
+            let oracle = digest_scalar(&message);
+            let mut streaming = Sha256::new();
+            streaming.update(&message);
+            ensure_eq!(streaming.finalize(), oracle);
+            let before = sha256_compressions();
+            let fixed = digest_tagged_pair(tag, &left, &right);
+            ensure_eq!(sha256_compressions() - before, 2);
+            ensure_eq!(fixed, oracle);
+        }
+        Ok(())
+    });
+}
 
 #[test]
 fn sha_ni_compress_equals_scalar_on_random_states_and_blocks() {
@@ -33,6 +65,7 @@ fn sha_ni_compress_equals_scalar_on_random_states_and_blocks() {
 
 #[test]
 fn hasher_equals_scalar_oracle_over_every_length_and_chunking() {
+    let _counted = counted_section();
     check("sha256 equals the scalar oracle", CheckConfig::cases(8), |g| {
         // 0..=300 crosses every padding edge (55/56, 63/64, 119/120)
         // several times over.
@@ -53,6 +86,7 @@ fn hasher_equals_scalar_oracle_over_every_length_and_chunking() {
 
 #[test]
 fn cached_midstate_mac_equals_hmac_for_every_key_length() {
+    let _counted = counted_section();
     check("HmacKey::mac equals hmac_sha256", CheckConfig::cases(4), |g| {
         for key_len in 0..=100 {
             let key = g.bytes(key_len, key_len + 1);
@@ -81,6 +115,7 @@ fn hmac_scalar(key: &[u8], message: &[u8]) -> Hash256 {
 
 #[test]
 fn nist_and_rfc4231_vectors_hold_on_both_paths() {
+    let _counted = counted_section();
     let million_a = vec![b'a'; 1_000_000];
     let digests: &[(&[u8], &str)] = &[
         (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -11,7 +11,11 @@
 use medchain_chain::ledger::NullRuntime;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::{Transaction, TxPayload};
-use medchain_chain::{Hash256, KeyRegistry, LeafKey, Ledger, StateCacheConfig, StateTree};
+use medchain_chain::ledger::WorldState;
+use medchain_chain::{
+    Hash256, KeyRegistry, LeafKey, Ledger, StateAccess, StateCacheConfig, StateDelta, StateTree,
+    WorldStateOverlay,
+};
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::wal::RECORD_HEADER_BYTES;
@@ -752,6 +756,64 @@ fn paged_ledger_matches_resident_ledger_under_random_blocks() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The one-descent merge through spilled subtrees: a tree spilled to a
+/// 16-node budget takes a batch that deletes two slots in three (so
+/// subtrees collapse inside the stubs the merge resolves), rewrites
+/// others and adds new ones, and must land on the resident tree's root
+/// and bytes. The paged ≡ resident ledger property above commits only
+/// transfers and anchors, so no delete reaches a paged subtree there.
+/// An empty batch resolves nothing: same resident nodes, no page read.
+#[test]
+fn paged_merge_collapses_inside_resolved_stubs_like_the_resident_tree() {
+    let dir = test_dir("paged-merge");
+    std::fs::create_dir_all(&dir).unwrap();
+    let registry = Registry::new();
+    let pages = Arc::new(PageStore::open(&dir.join("pages.bin"), 1, registry.handle()).unwrap());
+    let contract = Address::from_seed(3);
+    let slot = |i: u64| format!("slot/{i}").into_bytes();
+    let mut state = WorldState::new();
+    for i in 0..600 {
+        state.set_storage(contract, slot(i), vec![1; 8]);
+    }
+    let resident = StateTree::from_state(&state);
+    let mut paged = resident.clone();
+    paged.attach_pager(Arc::new(PagedNodes::new(pages)));
+    paged.spill_to_budget(16);
+    assert!(paged.resident_nodes() < resident.resident_nodes() / 10, "the budget spilled");
+
+    let page_reads = || {
+        registry.counter_value("storage.page_misses") + registry.counter_value("storage.page_hits")
+    };
+    let reads = page_reads();
+    let untouched = paged.with_delta(&StateDelta::default());
+    assert_eq!(untouched.resident_nodes(), paged.resident_nodes());
+    assert_eq!(untouched.root(), paged.root());
+    assert_eq!(page_reads(), reads, "an empty batch read a page");
+
+    let mut overlay = WorldStateOverlay::new(&state);
+    for i in 0..600 {
+        match i % 6 {
+            0 => overlay.set_storage(contract, slot(i), vec![2; 8]),
+            3 => {} // untouched
+            _ => overlay.set_storage(contract, slot(i), Vec::new()),
+        }
+    }
+    for i in 600..650 {
+        overlay.set_storage(contract, slot(i), vec![3; 8]);
+    }
+    let delta = overlay.into_delta();
+    let merged = paged.with_delta(&delta);
+    let expected = resident.with_delta(&delta);
+    assert!(page_reads() > reads, "no stub was resolved");
+    assert_eq!(merged.root(), expected.root());
+    assert_eq!(merged.len(), expected.len());
+    assert_eq!(merged.encoded(), expected.encoded());
+    assert!(merged.audit());
+    delta.apply_to(&mut state);
+    assert_eq!(expected.encoded(), StateTree::from_state(&state).encoded());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Snapshots are written from the tree the commit built, never from a

@@ -2,83 +2,61 @@
 //!
 //! * **E13** — where does the transformed speedup come from? Decompose
 //!   the E2 gain into *move-compute-to-data* (no N× duplication) versus
-//!   *parallel site execution*, by running the off-chain phase
+//!   *parallel site execution*, by modeling the off-chain phase run
 //!   sequentially.
 //! * **E14** — FedAvg communication/accuracy trade-off: local epochs per
 //!   round versus rounds at fixed total compute.
 //! * **E15** — the §V query-vector optimizer: predicate ordering on/off.
 
 use crate::report::{f, ms, Table};
-use medchain::modes::{burn_tool, run_duplicated, run_transformed};
+use medchain::modes::{run_duplicated, run_transformed, ModeReport};
 use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile, STROKE_CODE};
 use medchain_data::{Dataset, Field, Predicate, RecordQuery};
 use medchain_learning::{FedAvg, FedLogistic};
-use medchain_offchain::TaskExecutor;
 use medchain_query::optimizer::{optimize, run_counted};
 use medchain_query::QueryVector;
 use medchain_runtime::metrics::Metrics;
-use std::time::Instant;
 
 /// E13: duplicated vs transformed-sequential vs transformed-parallel,
 /// reporting `ablation.*` to `metrics`: one `variants_run` tick per
-/// variant timed, the work-unit budget, and the observed
-/// parallel-over-duplicated speedup.
+/// variant, the work-unit budget, and the modeled parallel-over-
+/// duplicated speedup. Walls are [`ModeReport::modeled_wall`], the model
+/// E1/E2 print, so the table reproduces bit-for-bit.
 pub fn run_e13(quick: bool, metrics: Metrics) -> Table {
     let work: u64 = if quick { 300_000 } else { 1_500_000 };
     let nodes = if quick { 4 } else { 8 };
     let mut table = Table::new(
         "E13",
         &format!("ablation: where the speedup comes from ({nodes} nodes, {work} work units)"),
-        &["variant", "wall", "total work", "vs duplicated"],
+        &["variant", "wall (model)", "total work", "vs duplicated"],
     );
     let duplicated = run_duplicated(nodes, work, 31).expect("duplicated");
-    metrics.counter("ablation.work_units", work);
-
-    // Transformed but *sequential*: shards executed one after another on
-    // a single executor — isolates the no-duplication saving.
-    let sequential_wall = {
-        let mut executor = TaskExecutor::new();
-        executor.install(burn_tool());
-        let shard = work / nodes as u64;
-        let start = Instant::now();
-        for _ in 0..nodes {
-            executor
-                .run(
-                    "burn-kernel",
-                    &[medchain_contracts::value::Value::Int(shard as i64)],
-                    None,
-                )
-                .expect("burn");
-        }
-        start.elapsed()
-    };
     let parallel = run_transformed(nodes, work, 31).expect("transformed");
+    // Transformed but *sequential*: every shard on the serial path —
+    // isolates the no-duplication saving.
+    let sequential = ModeReport { critical_path_gas: parallel.total_gas, ..parallel.clone() };
+    metrics.counter("ablation.work_units", work);
     metrics.counter("ablation.variants_run", 3);
 
-    let dup_wall = duplicated.wall.as_secs_f64();
-    metrics.observe("ablation.parallel_speedup", dup_wall / parallel.wall.as_secs_f64());
-    table.row(vec![
-        "duplicated (on-chain, every replica)".into(),
-        ms(dup_wall * 1000.0),
-        duplicated.total_gas.to_string(),
-        "1.0×".into(),
-    ]);
-    table.row(vec![
-        "transformed, sequential off-chain".into(),
-        ms(sequential_wall.as_secs_f64() * 1000.0),
-        work.to_string(),
-        format!("{:.1}×", dup_wall / sequential_wall.as_secs_f64()),
-    ]);
-    table.row(vec![
-        "transformed, parallel off-chain".into(),
-        ms(parallel.wall.as_secs_f64() * 1000.0),
-        parallel.total_gas.to_string(),
-        format!("{:.1}×", dup_wall / parallel.wall.as_secs_f64()),
-    ]);
+    let wall = |report: &ModeReport| report.modeled_wall().as_secs_f64();
+    let dup_wall = wall(&duplicated);
+    metrics.observe("ablation.parallel_speedup", dup_wall / wall(&parallel));
+    for (name, report, total_work) in [
+        ("duplicated (on-chain, every replica)", &duplicated, duplicated.total_gas),
+        ("transformed, sequential off-chain", &sequential, work),
+        ("transformed, parallel off-chain", &parallel, parallel.total_gas),
+    ] {
+        table.row(vec![
+            name.into(),
+            ms(wall(report) * 1000.0),
+            total_work.to_string(),
+            format!("{:.1}×", dup_wall / wall(report)),
+        ]);
+    }
     table.finding(format!(
-        "eliminating duplication alone wins ~{nodes}× in total work; parallel site execution \
-         adds up to another {nodes}× in wall time once shard compute outweighs the fixed \
-         consensus overhead (visible in the full profile's larger jobs)"
+        "eliminating duplication alone cuts total work ~{nodes}×; parallel site execution \
+         shortens the critical path up to another {nodes}× once shard compute outweighs the \
+         fixed consensus overhead (visible in the full profile's larger jobs)"
     ));
     table
 }
@@ -157,21 +135,18 @@ pub fn run_e15(quick: bool, metrics: Metrics) -> Table {
     let mut table = Table::new(
         "E15",
         &format!("ablation: §V query-vector optimization over {n} records"),
-        &["variant", "predicate evals", "matched", "wall"],
+        &["variant", "predicate evals", "matched"],
     );
     metrics.counter("query_opt.records", n as u64);
     let mut evals = Vec::new();
     for (name, q) in [("as written", &query), ("optimized order", &optimized)] {
-        let start = Instant::now();
         let stats = run_counted(q, &records);
-        let wall = start.elapsed();
         metrics.counter("query_opt.predicate_evals", stats.predicate_evals);
         evals.push(stats.predicate_evals);
         table.row(vec![
             name.to_string(),
             stats.predicate_evals.to_string(),
             stats.matched.to_string(),
-            ms(wall.as_secs_f64() * 1000.0),
         ]);
     }
     table.finding(
@@ -217,23 +192,13 @@ mod tests {
 
     #[test]
     fn e13_parallel_beats_sequential_beats_duplicated() {
-        // E13 always times real threads, so sibling tests on the same
-        // machine can skew one run — retry before declaring the
-        // ordering broken.
-        let mut walls = (0.0, 0.0, 0.0);
-        for _ in 0..3 {
-            let table = run_e13(true, Metrics::noop());
-            let wall = |row: usize| {
-                table.rows[row][1].trim_end_matches("ms").parse::<f64>().unwrap()
-            };
-            walls = (wall(0), wall(1), wall(2));
-            if walls.1 < walls.0 && walls.2 <= walls.1 * 1.1 {
-                return;
-            }
-        }
-        panic!(
-            "duplicated {} / sequential {} / parallel {} ordering did not hold in 3 runs",
-            walls.0, walls.1, walls.2
+        let table = run_e13(true, Metrics::noop());
+        let wall =
+            |row: usize| table.rows[row][1].trim_end_matches("ms").parse::<f64>().unwrap();
+        let (duplicated, sequential, parallel) = (wall(0), wall(1), wall(2));
+        assert!(
+            parallel < sequential && sequential < duplicated,
+            "duplicated {duplicated} / sequential {sequential} / parallel {parallel}"
         );
     }
 

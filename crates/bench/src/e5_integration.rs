@@ -1,16 +1,15 @@
 //! **E5** — heterogeneous data integration (paper Fig. 3, §III-A):
-//! building a large core dataset from legacy silos. Measures conversion
-//! throughput and correctness per format, field losses, and the size of
+//! building a large core dataset from legacy silos. Counts conversions
+//! and failures per format, field losses, and the size of
 //! the integrated cohort versus the TCGA-alone baseline the paper calls
 //! "far from sufficient".
 
-use crate::report::{f, Table};
+use crate::report::Table;
 use medchain_data::formats::common::SourceDocument;
 use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 use medchain_data::tcga::TCGA_PATIENT_COUNT;
 use medchain_data::FormatRegistry;
 use medchain_runtime::metrics::Metrics;
-use std::time::Instant;
 
 /// Runs E5 with the integration batch reporting `integration.*`
 /// counters (converted, failed, unknown_format) into `metrics`.
@@ -40,9 +39,7 @@ pub fn run_e5(quick: bool, metrics: Metrics) -> Table {
         documents[k * 97 % total].text.truncate(20);
     }
 
-    let start = Instant::now();
     let (integrated, report) = registry.integrate_metered(&documents, &metrics);
-    let elapsed = start.elapsed();
 
     let mut table = Table::new(
         "E5",
@@ -57,13 +54,9 @@ pub fn run_e5(quick: bool, metrics: Metrics) -> Table {
             tally.fields_lost.to_string(),
         ]);
     }
-    let rate = integrated.len() as f64 / elapsed.as_secs_f64().max(1e-9);
     table.finding(format!(
-        "integrated {} records in {:.1}ms ({} rec/s); {} malformed feeds isolated without \
-         aborting the batch",
+        "integrated {} records; {} malformed feeds isolated without aborting the batch",
         integrated.len(),
-        elapsed.as_secs_f64() * 1000.0,
-        f(rate),
         report.failed(),
     ));
     table.finding(format!(

@@ -3,14 +3,13 @@
 //! clinical-trial) flowing through validation, execution, event
 //! emission, and the oracle bridge.
 
-use crate::report::{f, Table};
+use crate::report::Table;
 use medchain::MedicalNetwork;
 use medchain_contracts::policy::Purpose;
 use medchain_contracts::value::Value;
 use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 use medchain_chain::Hash256;
 use medchain_runtime::metrics::Metrics;
-use std::time::Instant;
 
 /// Runs E6 with `metrics` installed on every layer of the network
 /// (`chain.*`, `mempool.*`, `consensus.*`, `transport.*`).
@@ -56,7 +55,6 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
 
     let mut counts = [0u64; 3]; // data, analytics, trial
     let mut ids = Vec::new();
-    let start = Instant::now();
     for k in 0..rounds {
         // Data contract request.
         ids.push(
@@ -106,7 +104,6 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
         }
     }
     net.advance(3).unwrap();
-    let elapsed = start.elapsed();
 
     let mut ok = 0u64;
     let mut events = 0u64;
@@ -129,12 +126,9 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
     table.row(vec!["analytics contract".into(), counts[1].to_string()]);
     table.row(vec!["clinical-trial contract".into(), counts[2].to_string()]);
     table.finding(format!(
-        "{ok}/{} requests validated+executed ({} events emitted, {gas} gas) in {:.1}ms — {} req/s \
-         through full consensus",
+        "{ok}/{} requests validated+executed through full consensus ({events} events emitted, \
+         {gas} gas)",
         ids.len(),
-        events,
-        elapsed.as_secs_f64() * 1000.0,
-        f(ids.len() as f64 / elapsed.as_secs_f64()),
     ));
     table.finding(
         "every request was validated on-chain before execution and produced an auditable event \

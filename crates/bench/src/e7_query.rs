@@ -1,9 +1,10 @@
 //! **E7** — the Figs. 5/6 query pipeline: NL request → query vector →
 //! per-site smart-contract gating → decomposed local execution →
-//! composition. Measures end-to-end latency against site count and
-//! verifies completeness (distributed answer = centralized answer).
+//! composition. Reports the simulated chain latency and result bytes
+//! against site count and verifies completeness (distributed answer =
+//! centralized answer).
 
-use crate::report::{bytes, f, ms, Table};
+use crate::report::{bytes, f, Table};
 use medchain::pipeline::run_query;
 use medchain::MedicalNetwork;
 use medchain_contracts::policy::Purpose;
@@ -12,7 +13,6 @@ use medchain_data::PatientRecord;
 use medchain_learning::AggregateValue;
 use medchain_query::{parse_request, Computation, QueryAnswer};
 use medchain_runtime::metrics::Metrics;
-use std::time::Instant;
 
 fn site_records(i: usize, n: usize) -> Vec<PatientRecord> {
     CohortGenerator::new(&format!("h{i}"), SiteProfile::varied(i), 70 + i as u64).cohort(
@@ -32,7 +32,7 @@ pub fn run_e7(quick: bool, metrics: Metrics) -> Table {
     let mut table = Table::new(
         "E7",
         &format!("query pipeline: {request:?}, {per_site} records/site"),
-        &["sites", "permitted", "wall", "chain latency", "result bytes", "count", "exact?"],
+        &["sites", "permitted", "chain latency", "result bytes", "count", "exact?"],
     );
     for sites in site_counts {
         let mut builder = MedicalNetwork::builder().seed(77).metrics(metrics.clone());
@@ -47,9 +47,7 @@ pub fn run_e7(quick: bool, metrics: Metrics) -> Table {
         net.grant_all(researcher, Purpose::PublicHealth).expect("grants");
 
         let query = parse_request(request).expect("request maps");
-        let start = Instant::now();
         let (answer, report) = run_query(&mut net, 0, &query).expect("pipeline");
-        let wall = start.elapsed();
 
         // Ground truth computed centrally.
         let expected = match &query.computation {
@@ -73,7 +71,6 @@ pub fn run_e7(quick: bool, metrics: Metrics) -> Table {
         table.row(vec![
             sites.to_string(),
             report.permitted.to_string(),
-            ms(wall.as_secs_f64() * 1000.0),
             format!("{}ms", report.chain_latency_ms),
             bytes(report.bytes_returned),
             f(got),
@@ -116,7 +113,7 @@ mod tests {
     fn e7_exactness_at_every_size() {
         let table = run_e7(true, Metrics::noop());
         for row in &table.rows {
-            assert_eq!(row[6], "true", "inexact at {} sites", row[0]);
+            assert_eq!(row[5], "true", "inexact at {} sites", row[0]);
         }
     }
 }

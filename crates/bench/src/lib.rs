@@ -4,10 +4,10 @@
 //! `run_eN(quick, metrics)` returns a printable [`report::Table`] whose
 //! findings restate the paper claim being checked, every layer
 //! reporting to `metrics` (pass [`Metrics::noop`] for none). The
-//! `experiments` binary runs them; the `runtime::timing::Bench`
-//! programs in `benches/` time the hot kernels. Tables hold counts,
-//! deterministic models and equivalence checks — wall-clock performance
-//! is measured by medbench (`benchmark/`, `BENCHMARK.json`) only.
+//! `experiments` binary runs them. Tables hold counts, deterministic
+//! models and equivalence checks, and read no clock — wall-clock
+//! performance is measured by medbench (`benchmark/`, `BENCHMARK.json`)
+//! only.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -95,7 +95,10 @@ mod tests {
     /// seed. The rows below were recorded at the commit before the
     /// measured/modeled switch and the modeled sharded mode were
     /// removed (default environment; E2 without its two modeled-shard
-    /// columns): the surviving columns must not have moved.
+    /// columns): the surviving columns must not have moved. E7, E11,
+    /// E13 and E21 print counts, the simulated clock and the same wall
+    /// model; their count cells were recorded before their measured
+    /// wall cells were dropped, the model cells after.
     #[test]
     fn deterministic_tables_reproduce_their_recorded_rows() {
         assert_rows(
@@ -115,6 +118,25 @@ mod tests {
             "flat transfers (conflict-light)|2000|1|0.000|2000 slots|1000 slots|500 slots|250 slots|4.000\n\
              flat transfers (hot-key 1/4)|2000|500|0.249|2000 slots|1250 slots|875 slots|687 slots|2.286\n\
              sharded transfers (shard 0 of 2)|2000|1|0.000|2000 slots|1000 slots|500 slots|250 slots|4.000",
+        );
+        assert_rows("e7", "2|2|150ms|64B|14.0|true\n4|4|150ms|128B|56.0|true");
+        assert_rows(
+            "e11",
+            "hadoop-centralized|17ms|496ms|513ms|108.1KiB|2000\n\
+             grid|35ms|496ms|531ms|108.1KiB|2000\n\
+             cloud-elastic|8ms|496ms|504ms|108.1KiB|2000\n\
+             blockchain-parallel|17ms|64ms|81ms|128B|0",
+        );
+        assert_rows(
+            "e13",
+            "duplicated (on-chain, every replica)|860.0ms|1200016|1.0×\n\
+             transformed, sequential off-chain|250.6ms|300000|3.4×\n\
+             transformed, parallel off-chain|93.1ms|300800|9.2×",
+        );
+        assert_rows(
+            "e21",
+            "transfers begun|12\ncommitted|9\ntimeout-aborted|3\nabort rate|0.250\n\
+             simulated span|247ms",
         );
     }
 }

@@ -499,10 +499,10 @@ mod tests {
         let duplicated = run_duplicated(4, 400_000, 3).unwrap();
         let transformed = run_transformed(4, 400_000, 3).unwrap();
         assert!(
-            transformed.wall < duplicated.wall,
+            transformed.modeled_wall() < duplicated.modeled_wall(),
             "transformed {:?} should beat duplicated {:?}",
-            transformed.wall,
-            duplicated.wall
+            transformed.modeled_wall(),
+            duplicated.modeled_wall()
         );
         assert!(transformed.total_gas < duplicated.total_gas / 2);
     }

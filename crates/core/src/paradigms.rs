@@ -3,17 +3,17 @@
 //! architecture — experiment E11.
 //!
 //! All four paradigms execute the *same* analytics job (a real SHA-256
-//! kernel over every record) so wall-clock is comparable; what differs
-//! is **where the data goes**: the three classical paradigms
-//! "architecturally treat the computing engines and data sets separately
-//! … assume that they own all the data sets" — raw records must move to
-//! the compute. The blockchain-parallel paradigm moves compute to data;
+//! kernel over every record) and count the hashes on its critical path,
+//! priced by the same model as E1/E2; what differs is **where the data
+//! goes**: the three classical paradigms "architecturally treat the
+//! computing engines and data sets separately … assume that they own all
+//! the data sets" — raw records must move to the compute. The blockchain-parallel paradigm moves compute to data;
 //! only sufficient statistics travel.
 
+use crate::modes::MODEL_NS_PER_WORK_UNIT;
 use medchain_chain::net::LatencyModel;
 use medchain_chain::Hash256;
 use medchain_data::PatientRecord;
-use std::time::{Duration, Instant};
 
 /// The compared paradigms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +49,9 @@ impl std::fmt::Display for Paradigm {
 pub struct ParadigmReport {
     /// Paradigm measured.
     pub paradigm: Paradigm,
-    /// Measured compute wall time (real threads, real hashing).
-    pub compute_wall: Duration,
+    /// Hashes on the compute critical path: the largest shard's
+    /// `records × passes × slowdown` (shards run in parallel).
+    pub critical_path_hashes: u64,
     /// Modeled data-transfer time (WAN latency model over bytes moved).
     pub modeled_transfer_ms: u64,
     /// Bytes of data moved off their owner's premises.
@@ -63,9 +64,15 @@ pub struct ParadigmReport {
 }
 
 impl ParadigmReport {
+    /// Modeled compute time: the critical path's hashes at
+    /// [`MODEL_NS_PER_WORK_UNIT`] each.
+    pub fn modeled_compute_ms(&self) -> u64 {
+        self.critical_path_hashes * MODEL_NS_PER_WORK_UNIT / 1_000_000
+    }
+
     /// Total modeled completion time: transfer + compute.
     pub fn total_ms(&self) -> u64 {
-        self.modeled_transfer_ms + self.compute_wall.as_millis() as u64
+        self.modeled_transfer_ms + self.modeled_compute_ms()
     }
 }
 
@@ -103,13 +110,14 @@ fn fold_results(parts: Vec<[u8; 32]>) -> Hash256 {
     Hash256(fold)
 }
 
-fn parallel_compute(shards: &[&[PatientRecord]], passes: u32, slowdown: u32) -> (Hash256, Duration) {
-    let start = Instant::now();
+/// Runs every shard on its own thread; returns the folded result and
+/// the critical-path hash count.
+fn parallel_compute(shards: &[&[PatientRecord]], passes: u32, slowdown: u32) -> (Hash256, u64) {
     let parts = medchain_runtime::sync::scoped_map(shards.to_vec(), |shard| {
         compute_shard(shard, passes, slowdown)
     });
-    let result = fold_results(parts);
-    (result, start.elapsed())
+    let largest = shards.iter().map(|shard| shard.len() as u64).max().unwrap_or(0);
+    (fold_results(parts), largest * u64::from(passes) * u64::from(slowdown))
 }
 
 fn transfer_ms(bytes: u64, model: &LatencyModel) -> u64 {
@@ -138,10 +146,10 @@ pub fn run_paradigm(
             // computes with full parallelism (one worker per shard).
             let shards: Vec<&[PatientRecord]> =
                 site_records.iter().map(Vec::as_slice).collect();
-            let (result, compute_wall) = parallel_compute(&shards, passes, 1);
+            let (result, critical_path_hashes) = parallel_compute(&shards, passes, 1);
             ParadigmReport {
                 paradigm,
-                compute_wall,
+                critical_path_hashes,
                 modeled_transfer_ms: transfer_ms(all_bytes, &wan),
                 bytes_moved: all_bytes,
                 raw_records_moved: all_count,
@@ -153,10 +161,10 @@ pub fn run_paradigm(
             // task; volunteer hardware is heterogeneous (2× slower).
             let shards: Vec<&[PatientRecord]> =
                 site_records.iter().map(Vec::as_slice).collect();
-            let (result, compute_wall) = parallel_compute(&shards, passes, 2);
+            let (result, critical_path_hashes) = parallel_compute(&shards, passes, 2);
             ParadigmReport {
                 paradigm,
-                compute_wall,
+                critical_path_hashes,
                 modeled_transfer_ms: transfer_ms(all_bytes, &wan),
                 bytes_moved: all_bytes,
                 raw_records_moved: all_count,
@@ -172,10 +180,10 @@ pub fn run_paradigm(
                 shards.push(&site[..mid]);
                 shards.push(&site[mid..]);
             }
-            let (result, compute_wall) = parallel_compute(&shards, passes, 1);
+            let (result, critical_path_hashes) = parallel_compute(&shards, passes, 1);
             ParadigmReport {
                 paradigm,
-                compute_wall,
+                critical_path_hashes,
                 modeled_transfer_ms: transfer_ms(all_bytes, &wan),
                 bytes_moved: all_bytes,
                 raw_records_moved: all_count,
@@ -187,11 +195,11 @@ pub fn run_paradigm(
             // only the 32-byte partials travel.
             let shards: Vec<&[PatientRecord]> =
                 site_records.iter().map(Vec::as_slice).collect();
-            let (result, compute_wall) = parallel_compute(&shards, passes, 1);
+            let (result, critical_path_hashes) = parallel_compute(&shards, passes, 1);
             let partial_bytes = (site_records.len() * 32) as u64;
             ParadigmReport {
                 paradigm,
-                compute_wall,
+                critical_path_hashes,
                 modeled_transfer_ms: transfer_ms(partial_bytes, &wan),
                 bytes_moved: partial_bytes,
                 raw_records_moved: 0,
@@ -276,6 +284,6 @@ mod tests {
         let data = sites(3, 200);
         let hadoop = run_paradigm(Paradigm::HadoopCentralized, &data, 20);
         let grid = run_paradigm(Paradigm::GridComputing, &data, 20);
-        assert!(grid.compute_wall >= hadoop.compute_wall);
+        assert_eq!(grid.critical_path_hashes, 2 * hadoop.critical_path_hashes);
     }
 }

@@ -13,8 +13,6 @@
 //!   replacing `crossbeam::thread::scope`.
 //! - [`check`] — a minimal seeded property-test harness replacing
 //!   `proptest` for the workspace's invariant tests.
-//! - [`timing`] — an `Instant`-based micro-benchmark harness replacing
-//!   `criterion` for the `crates/bench` targets.
 //! - [`metrics`] — structured counter/gauge/histogram/event sink behind
 //!   the [`MetricsSink`] trait with a lock-cheap [`Registry`] and TSV
 //!   exporter, so experiments assert on internals instead of stdout.
@@ -26,11 +24,9 @@ pub mod codec;
 pub mod metrics;
 pub mod rng;
 pub mod sync;
-pub mod timing;
 
 pub use check::{check, CheckConfig, Gen};
 pub use codec::{CodecError, Decode, Encode, Reader};
 pub use metrics::{Metrics, MetricsSink, Registry};
 pub use rng::DetRng;
 pub use sync::scoped_map;
-pub use timing::{black_box, Bench};

@@ -254,7 +254,7 @@ echo "ok: 2- and 4-lane wave schedules committed byte-identical state roots"
 # StateDelta — only the ledger apply path and the exec subsystem itself
 # may materialize or apply deltas.
 echo "== exec: overlay commit-path guard =="
-# E22 builds one block's delta only to time the tree merge the ledger
+# E22 builds one block's delta only to count the tree merge the ledger
 # runs on it; it never applies the delta to a state.
 if grep -rn "\.into_delta(\|\.apply_to(" crates/*/src --include="*.rs" \
     | grep -v "^crates/chain/src/exec/\|^crates/chain/src/ledger.rs" \
@@ -394,7 +394,16 @@ if grep -rnE 'fn run_e[0-9]+_metered|run_experiment_metered|run_sharded_metered|
     echo "ERROR: a metered twin, the modeled sharded mode or the measured/modeled switch is back." >&2
     exit 1
 fi
-echo "ok: one run_eN per experiment, one sharded mode, no measured/modeled switch"
+# ...and medbench is the only stopwatch: no clock in the experiment crate
+# or the paradigm model, and no micro-bench harness beside it.
+if grep -rnE 'Instant|SystemTime' crates/bench crates/core/src/paradigms.rs \
+    || find crates src examples tests benchmark/src -type d -name benches | grep . \
+    || grep -n '^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml \
+    || grep -rn 'mod timing' crates/runtime; then
+    echo "ERROR: a clock or bench harness outside medbench — count it, or measure it in benchmark/." >&2
+    exit 1
+fi
+echo "ok: one run_eN per experiment, one sharded mode, no measured/modeled switch, no second clock"
 
 # Unsafe census (DESIGN.md §2): the SHA-NI block function in
 # crates/chain/src/hash.rs is the only `unsafe` code in the workspace,
@@ -436,7 +445,6 @@ env_readers="$(grep -rln 'env::var' --include='*.rs' crates src examples | LC_AL
 env_allowed="crates/bench/src/bin/experiments.rs
 crates/core/src/network.rs
 crates/runtime/src/check.rs
-crates/runtime/src/timing.rs
 crates/transport/src/tcp.rs
 examples/restart_node.rs
 examples/socket_cluster.rs"
@@ -445,7 +453,7 @@ if [ "$env_readers" != "$env_allowed" ]; then
     diff <(echo "$env_allowed") <(echo "$env_readers") >&2 || true
     exit 1
 fi
-echo "ok: env::var is read in the 7 listed files only"
+echo "ok: env::var is read in the 6 listed files only"
 
 # Light-client query path (DESIGN.md §13): anchor a record over the TCP
 # gateway, read it back with a sparse-Merkle proof, verify client-side,
@@ -489,59 +497,33 @@ if ! grep -q "wiped site rejoined from streamed snapshot" "$paged_log"; then
 fi
 echo "ok: page-capped node matched the resident tip and the wiped site streamed back in"
 
-# Benchmark smoke: two seconds of the durable gateway workload — TCP
-# ingress, WAL, a snapshot boundary, restart and receipt re-serve — must
-# end with a result the benchmark itself judges correct. Built first so
-# the wall-clock guard times the run, not the compile.
-echo "== medbench: 2-second gateway_wal smoke (wall-clock guarded) =="
+# Benchmark smokes: two seconds of every medbench workload must end with
+# a result the benchmark itself judges correct. Built first so the
+# wall-clock guard times the run, not the compile.
+# - gateway_mem: TCP ingress on one-transaction blocks, storage off — the
+#   serve loop alone;
+# - gateway_wal: the same plus WAL, a snapshot boundary, restart and
+#   receipt re-serve;
+# - bulk_blocks: 256-transaction blocks through the in-process admission
+#   seam, every receipt cut from its block's tree and verified against
+#   the committed header;
+# - sharded_mixed: routed TCP writes, proven reads and in-process 2PC
+#   transfers, so the resolver's settle path runs;
+# - paged_blocks: state-tree merges through spilled subtree stubs, with a
+#   page cache far below the working set.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 smoke_log="$(mktemp)"
 trap 'rm -f "$metrics_tsv" "$restart_log" "$shard_log" "$gateway_log" "$exec_log" "$light_log" "$paged_log" "$smoke_log"; rm -rf "$restart_dir" "$shard_dir" "$paged_dir"' EXIT
-timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload gateway_wal --seed 1 --seconds 2 --trace 0 > "$smoke_log"
-if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
-    echo "ERROR: medbench gateway_wal smoke did not report a correct run" >&2
-    cat "$smoke_log" >&2
-    exit 1
-fi
-echo "ok: medbench gateway_wal ran end to end and checked its own outputs"
-
-# And two seconds of the fat-block workload: 256-transaction blocks
-# through the in-process admission seam, every receipt cut from its
-# block's tree and verified against the committed header.
-echo "== medbench: 2-second bulk_blocks smoke (wall-clock guarded) =="
-timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload bulk_blocks --seed 1 --seconds 2 --trace 0 > "$smoke_log"
-if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
-    echo "ERROR: medbench bulk_blocks smoke did not report a correct run" >&2
-    cat "$smoke_log" >&2
-    exit 1
-fi
-echo "ok: medbench bulk_blocks ran end to end and checked its own outputs"
-
-# And two seconds of the sharded workload: routed TCP writes, proven
-# reads and in-process 2PC transfers, so the resolver's settle path runs.
-echo "== medbench: 2-second sharded_mixed smoke (wall-clock guarded) =="
-timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload sharded_mixed --seed 1 --seconds 2 --trace 0 > "$smoke_log"
-if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
-    echo "ERROR: medbench sharded_mixed smoke did not report a correct run" >&2
-    cat "$smoke_log" >&2
-    exit 1
-fi
-echo "ok: medbench sharded_mixed ran end to end and checked its own outputs"
-
-# And two seconds of the paged workload: the only one whose state-tree
-# merges descend through spilled subtree stubs, with a page cache far
-# below the working set.
-echo "== medbench: 2-second paged_blocks smoke (wall-clock guarded) =="
-timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload paged_blocks --seed 1 --seconds 2 --trace 0 > "$smoke_log"
-if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
-    echo "ERROR: medbench paged_blocks smoke did not report a correct run" >&2
-    cat "$smoke_log" >&2
-    exit 1
-fi
-echo "ok: medbench paged_blocks ran end to end and checked its own outputs"
+for workload in gateway_mem gateway_wal bulk_blocks sharded_mixed paged_blocks; do
+    echo "== medbench: 2-second ${workload} smoke (wall-clock guarded) =="
+    timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 > "$smoke_log"
+    if ! tail -n 1 "$smoke_log" | grep -q '"correct": true'; then
+        echo "ERROR: medbench ${workload} smoke did not report a correct run" >&2
+        cat "$smoke_log" >&2
+        exit 1
+    fi
+    echo "ok: medbench ${workload} ran end to end and checked its own outputs"
+done
 
 echo "verify: OK"

@@ -14,9 +14,11 @@
 //! Engines are message-driven state machines running over any
 //! [`Transport`] — the deterministic [`SimTransport`] simulator by
 //! default, or real TCP sockets via
-//! [`TcpTransport`](crate::net::TcpTransport); the [`Cluster`] harness
-//! drives any engine to a target height and reports traffic, latency,
-//! and work counters.
+//! [`TcpTransport`](medchain_transport::TcpTransport), either one
+//! optionally wrapped in a
+//! [`FaultyTransport`](medchain_transport::FaultyTransport) for crashes,
+//! partitions and loss; the [`Cluster`] harness drives any engine to a
+//! target height and reports traffic, latency, and work counters.
 
 pub mod pbft;
 pub mod poa;
@@ -25,8 +27,8 @@ pub mod pow;
 
 use crate::block::Block;
 use crate::hash::Hash256;
-use crate::net::{NodeId, SimEvent, SimTransport, Transport, Wire};
 use crate::sig::Address;
+use medchain_transport::{Event, NodeId, SimTransport, Transport, Wire};
 use std::fmt;
 
 /// The ledger-facing side of a consensus node: the engine decides *when*
@@ -167,7 +169,7 @@ pub struct RunReport {
 /// `Cluster<PoaEngine, ChainApp>` and [`Cluster::new`] keep their
 /// historical meaning: logical time, seeded latency, bit-reproducible
 /// runs. [`Cluster::with_transport`] accepts any other transport — real
-/// TCP sockets, or a fault-injecting wrapper around them — and the
+/// TCP sockets, or the fault-injecting wrapper around either — and the
 /// harness drives the same engines unchanged.
 pub struct Cluster<E: Engine, A, T = SimTransport<<E as Engine>::Msg>> {
     /// The network fabric (public for latency/fault configuration).
@@ -260,9 +262,9 @@ where
     }
 
     /// Re-invokes `start` on one replica's engine. Timers owned by a
-    /// failed node are suppressed by the simulator, so a node healed with
-    /// [`SimNetwork::heal_node`](crate::net::SimNetwork::heal_node) must
-    /// be kicked to resume participating.
+    /// failed node are suppressed by the fault layer, so a node healed
+    /// with [`FaultyTransport::heal_node`](medchain_transport::FaultyTransport::heal_node)
+    /// must be kicked to resume participating.
     pub fn kick(&mut self, node: NodeId) {
         let replica = &mut self.replicas[node.0];
         let mut out = Outbox::new(self.net.now_ms());
@@ -294,14 +296,14 @@ where
                 break;
             }
             match event {
-                SimEvent::Message { from, to, msg } => {
+                Event::Message { from, to, msg } => {
                     messages += 1;
                     let replica = &mut self.replicas[to.0];
                     let mut out = Outbox::new(at);
                     replica.engine.on_message(from, msg, &mut replica.app, &mut out);
                     Self::flush(&mut self.net, to, out);
                 }
-                SimEvent::Timer { node, token } => {
+                Event::Timer { node, token } => {
                     timers += 1;
                     let replica = &mut self.replicas[node.0];
                     let mut out = Outbox::new(at);

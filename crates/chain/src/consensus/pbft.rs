@@ -10,8 +10,8 @@
 use crate::block::{Block, Seal};
 use crate::consensus::{Application, Engine, Outbox, WorkCounters};
 use crate::hash::Hash256;
-use crate::net::{NodeId, Wire};
 use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
+use medchain_transport::{NodeId, Wire};
 use std::collections::{BTreeMap, HashMap};
 
 /// Wire messages of the PBFT protocol.
@@ -504,6 +504,7 @@ mod tests {
     use super::*;
     use crate::consensus::Cluster;
     use crate::node::ChainApp;
+    use medchain_transport::{FaultyTransport, SimTransport, Transport};
 
     fn cluster(n: usize) -> Cluster<PbftEngine, ChainApp> {
         let (engines, registry, _) = PbftEngine::make_replicas(n, 50, 2_000);
@@ -550,7 +551,10 @@ mod tests {
 
     #[test]
     fn view_change_survives_primary_crash() {
-        let mut c = cluster(4);
+        let (engines, registry, _) = PbftEngine::make_replicas(4, 50, 2_000);
+        let apps = (0..4).map(|_| ChainApp::new("pbft-test", registry.clone())).collect();
+        let net = FaultyTransport::new(SimTransport::new(4, 7), 7);
+        let mut c = Cluster::with_transport(engines, apps, net);
         c.run_until_height(2, 120_000);
         // Crash the view-0 primary (node 0). Progress stalls, replicas
         // vote a view change, node 1 takes over.

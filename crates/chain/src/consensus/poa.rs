@@ -11,8 +11,8 @@
 use crate::block::{Block, Seal};
 use crate::consensus::{two_thirds_quorum, Application, Engine, Outbox, WorkCounters};
 use crate::hash::Hash256;
-use crate::net::{NodeId, Wire};
 use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
+use medchain_transport::{NodeId, Wire};
 use std::collections::{BTreeMap, HashMap};
 
 /// Wire messages of the PoA protocol.
@@ -394,6 +394,7 @@ mod tests {
     use super::*;
     use crate::consensus::Cluster;
     use crate::node::ChainApp;
+    use medchain_transport::{FaultyTransport, SimTransport};
 
     fn cluster(n: usize) -> Cluster<PoaEngine, ChainApp> {
         let (engines, registry, validators) = PoaEngine::make_validators(n, 50);
@@ -455,7 +456,10 @@ mod tests {
 
     #[test]
     fn survives_minority_node_failure() {
-        let mut c = cluster(4);
+        let (engines, registry, _) = PoaEngine::make_validators(4, 50);
+        let apps = (0..4).map(|_| ChainApp::new("poa-test", registry.clone())).collect();
+        let net = FaultyTransport::new(SimTransport::new(4, 99), 99);
+        let mut c = Cluster::with_transport(engines, apps, net);
         c.run_until_height(1, 60_000);
         // Fail one non-essential validator: quorum of 3 of 4 remains
         // reachable, but round-robin skips stall when the failed node is

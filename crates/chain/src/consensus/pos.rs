@@ -15,8 +15,8 @@
 use crate::block::{Block, Seal};
 use crate::consensus::{Application, Engine, Outbox, WorkCounters};
 use crate::hash::Hash256;
-use crate::net::{NodeId, Wire};
 use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
+use medchain_transport::{NodeId, Wire};
 use std::collections::HashMap;
 
 /// Wire messages of the PoS protocol.

@@ -13,8 +13,8 @@
 
 use crate::block::{Block, Seal};
 use crate::consensus::{Application, Engine, Outbox, WorkCounters};
-use crate::net::{NodeId, Wire};
 use crate::sig::AuthorityKey;
+use medchain_transport::{NodeId, Wire};
 use std::collections::HashMap;
 
 /// Wire messages of the PoW protocol.

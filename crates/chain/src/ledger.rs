@@ -991,9 +991,9 @@ pub struct LedgerStats {
 ///
 /// The ledger retains a suffix of the chain in memory (`base_height` is
 /// the height of the oldest retained block — 0 until
-/// [`Ledger::prune_below`] or [`Ledger::restore`] is used) and, when a
-/// [`BlockStore`] is attached, persists every block write-ahead before
-/// the in-memory commit.
+/// [`Ledger::prune_below`] or [`Ledger::restore_with_tree`] is used)
+/// and, when a [`BlockStore`] is attached, persists every block
+/// write-ahead before the in-memory commit.
 pub struct Ledger {
     /// Retained blocks; `blocks[0]` has height `base_height`.
     blocks: Vec<Block>,
@@ -1113,10 +1113,10 @@ impl Ledger {
     /// after every commit, keeping the resident footprint bounded while
     /// state roots stay byte-identical to a fully-resident node.
     ///
-    /// Attach **after** any recovery replay or [`Ledger::restore`]: both
-    /// pagers must be empty (the page file is derived data, truncated on
-    /// open), and a restore drops the cache so a stale pager can never
-    /// shadow the restored state.
+    /// Attach **after** any recovery replay or
+    /// [`Ledger::restore_with_tree`]: both pagers must be empty (the page
+    /// file is derived data, truncated on open), and a restore drops the
+    /// cache so a stale pager can never shadow the restored state.
     pub fn attach_state_cache(&mut self, cache: StateCacheConfig) {
         self.state.attach_account_pager(Arc::clone(&cache.accounts));
         if let Some(tree) = self.tree.get_mut().expect("state tree cache poisoned").as_mut() {
@@ -1220,8 +1220,8 @@ impl Ledger {
 
     /// The retained blocks, oldest first. Before any pruning this is the
     /// whole chain, genesis first; after [`Ledger::prune_below`] or a
-    /// snapshot [`Ledger::restore`] it is the retained suffix starting
-    /// at [`Ledger::base_height`].
+    /// snapshot [`Ledger::restore_with_tree`] it is the retained suffix
+    /// starting at [`Ledger::base_height`].
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
     }
@@ -1253,24 +1253,13 @@ impl Ledger {
         drop
     }
 
-    /// Fast-sync restore: installs a snapshot (`state` at `tip`) as the
-    /// new chain suffix, replacing all retained history. Subsequent
-    /// [`Ledger::apply`] calls replay blocks above `tip`'s height.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LedgerError::StateRootMismatch`] if `state` does not
-    /// hash to `tip.header.state_root` — a snapshot that disagrees with
-    /// its block is never installed.
-    pub fn restore(&mut self, state: WorldState, tip: Block) -> Result<(), LedgerError> {
-        let tree = StateTree::from_state(&state);
-        self.restore_with_tree(state, tip, tree)
-    }
-
-    /// [`Ledger::restore`] with a pre-built authenticated tree (fast
-    /// recovery: snapshots persist the tree, so installing it skips the
-    /// O(total state) rehash entirely — the tree's cached root is
-    /// checked against the tip header instead).
+    /// Fast-sync restore, the one snapshot install path: installs a
+    /// snapshot (`state` at `tip`, with its persisted authenticated
+    /// `tree`) as the new chain suffix, replacing all retained history.
+    /// Subsequent [`Ledger::apply`] calls replay blocks above `tip`'s
+    /// height. Snapshots persist the tree, so installing it skips the
+    /// O(total state) rehash entirely — the tree's cached root is checked
+    /// against the tip header instead.
     ///
     /// The tree must be the tree *of* `state`: the root check binds its
     /// hashes to the block header, and the leaf-count check rejects a

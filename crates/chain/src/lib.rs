@@ -38,7 +38,6 @@ pub mod hash;
 pub mod ledger;
 pub mod mempool;
 pub mod merkle;
-pub mod net;
 pub mod node;
 pub mod receipt;
 pub mod shard;
@@ -56,7 +55,6 @@ pub use ledger::{
 };
 pub use mempool::Lane;
 pub use merkle::{MerkleProof, MerkleTree};
-pub use net::{NodeId, SimNetwork, SimTransport, TcpTransport, Transport, Wire};
 pub use node::SubmitOutcome;
 pub use receipt::TxReceipt;
 pub use shard::{shard_for_key, shard_for_tx, sharded_contract_address, CrossLink, ShardId};

@@ -29,8 +29,8 @@ pub enum SubmitOutcome {
         replaced: bool,
     },
     /// The exact transaction id is already pending or committed —
-    /// detected *before* any signature work, so re-submission of a
-    /// duplicate never re-verifies a one-time signature.
+    /// detected *before* any signature work, so re-submitting a
+    /// duplicate costs no MAC check.
     Duplicate,
     /// The pool (or the normal lane's unreserved slice) is full.
     Full,
@@ -142,11 +142,9 @@ impl ChainApp {
     /// Lane-aware submission with full signature verification.
     ///
     /// Dedup by transaction id — against the pool, then against the
-    /// committed chain — runs **before** the signature check: a
-    /// one-time (Lamport-style) signature scheme consumes key state on
-    /// signing, so a client retrying a submission must get a cheap
-    /// idempotent answer rather than a second verification pass that
-    /// could misread key-reuse bookkeeping.
+    /// committed chain — runs **before** the signature check, so a
+    /// client retrying a submission gets a cheap idempotent answer: no
+    /// second HMAC verification and no second nonce or admission check.
     pub fn submit_in(&mut self, tx: impl Into<SealedTx>, lane: Lane) -> SubmitOutcome {
         self.admit(tx.into(), lane, Ledger::check_admissible)
     }

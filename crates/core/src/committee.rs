@@ -16,7 +16,6 @@ use crate::network::{NetworkBuilder, NetworkError, TransportKind};
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
 use medchain_chain::consensus::{Application, Cluster, RunReport};
 use medchain_chain::ledger::{LedgerStats, NullRuntime};
-use medchain_chain::net::{NetStats, NodeId, SimTransport, TcpTransport, Transport};
 use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::{
@@ -28,6 +27,7 @@ use medchain_runtime::metrics::Metrics;
 use medchain_storage::{
     DiskStore, LatestState, PageStore, PagedAccounts, PagedNodes, ACCOUNTS_PER_PAGE,
 };
+use medchain_transport::{NetStats, NodeId, SimTransport, TcpTransport, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};

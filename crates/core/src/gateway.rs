@@ -8,8 +8,9 @@
 //!
 //! 1. **Dedup before signature work** — a re-submitted transaction id is
 //!    answered from the gateway's bounded seen-window (or with its
-//!    committed receipt) without touching signature state, so one-time
-//!    signature schemes are never double-verified.
+//!    committed receipt) before any signature check, so a retry costs no
+//!    HMAC verification and no admission work (`gateway.sig_checks`
+//!    counts one check per distinct transaction).
 //! 2. **Batched verification** — fresh transactions are verified in
 //!    parallel chunks across a worker pool
 //!    ([`medchain_runtime::sync::scoped_map`]), amortizing per-batch
@@ -454,8 +455,8 @@ impl SeenWindow {
 
 /// Bounded holding pen for transactions that passed signature
 /// verification but bounced off a full mempool. A resubmission of a
-/// held id retries admission directly — the (one-time) signature is
-/// never re-verified. Only the verified bytes are cached: the lane is
+/// held id retries admission directly — the signature is never
+/// re-verified. Only the verified bytes are cached: the lane is
 /// re-derived from the *retry* request's priority flag through the same
 /// gas-floor policy as a fresh submission, so a retry can neither
 /// escalate nor inherit a stale priority grant. FIFO-bounded like
@@ -622,8 +623,8 @@ impl GatewayServer {
             };
             let tx_id = tx.id();
             // Dedup BEFORE signature work: a retried submission
-            // gets its current status, and a one-time signature
-            // is never verified twice (see `ChainApp::submit_in`).
+            // gets its current status and costs no MAC check and no
+            // admission work (see `ChainApp::submit_in`).
             if self.seen.contains(&tx_id) {
                 report.dedup_hits += 1;
                 self.metrics.counter("gateway.dedup_hits", 1);
@@ -631,7 +632,7 @@ impl GatewayServer {
             } else if let Some(cached) = self.verified.take(&tx_id) {
                 // Verified earlier but bounced off a full pool:
                 // retry admission on the cached copy — the
-                // one-time signature is NOT re-verified, but the
+                // signature is NOT re-verified, but the
                 // lane is re-derived from *this* request's
                 // priority flag (plus the gas-floor policy in
                 // `admit_verified_tx`), exactly as if fresh.
@@ -798,8 +799,7 @@ impl GatewayServer {
                 self.metrics.counter("gateway.full_rejects", 1);
                 // The signature work is already spent: park the
                 // verified transaction so a resubmission retries
-                // admission without re-verifying (one-time signatures
-                // must never be checked twice).
+                // admission without paying for a second MAC check.
                 self.verified.insert(tx_id, tx);
                 responses.push((
                     conn,

@@ -575,7 +575,7 @@ impl MedicalNetwork {
     }
 
     /// Consensus network statistics.
-    pub fn net_stats(&self) -> medchain_chain::net::NetStats {
+    pub fn net_stats(&self) -> medchain_transport::NetStats {
         committee::total_net_stats([&self.committee])
     }
 

@@ -11,9 +11,9 @@
 //! only sufficient statistics travel.
 
 use crate::modes::MODEL_NS_PER_WORK_UNIT;
-use medchain_chain::net::LatencyModel;
 use medchain_chain::Hash256;
 use medchain_data::PatientRecord;
+use medchain_transport::LatencyModel;
 
 /// The compared paradigms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

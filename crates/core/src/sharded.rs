@@ -526,7 +526,7 @@ impl ShardedNetwork {
 
     /// Aggregate transport statistics over all committees and the
     /// coordinator.
-    pub fn net_stats(&self) -> medchain_chain::net::NetStats {
+    pub fn net_stats(&self) -> medchain_transport::NetStats {
         committee::total_net_stats(&self.chains)
     }
 

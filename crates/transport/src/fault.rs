@@ -1,14 +1,13 @@
-//! Fault injection over any transport.
+//! Fault injection over any transport — the one fault model.
 //!
-//! [`FaultyTransport`] wraps an inner [`Transport`] and injects the same
-//! seeded fault model the simulator uses — a [`LatencyModel`], an
-//! independent per-message drop rate, and node/link failures — so the
-//! paper's fault experiments run unchanged whether the traffic rides the
-//! deterministic simulator or real sockets. The random decisions are
-//! drawn in exactly the order [`SimNetwork`](crate::SimNetwork) draws
-//! them (drop first; latency only for forwarded messages), so a
-//! `FaultyTransport` over a zero-latency simulator reproduces the
-//! simulator's behavior draw-for-draw under the same seed.
+//! [`FaultyTransport`] wraps an inner [`Transport`] and injects seeded
+//! faults — an optional [`LatencyModel`], an independent per-message drop
+//! rate, and node/link failures — so the paper's fault experiments run
+//! unchanged whether the traffic rides the deterministic
+//! [`SimTransport`](crate::SimTransport) or real sockets. Neither inner
+//! transport models faults of its own; crash × partition × loss compose
+//! here, in one layer. With nothing configured the wrapper draws no
+//! random number and forwards every call, so it is transparent.
 
 use crate::{Event, LatencyModel, NetStats, NodeId, Transport, Wire};
 use medchain_runtime::DetRng;
@@ -48,13 +47,13 @@ impl<M> Ord for Delayed<M> {
 /// Injects seeded latency, loss, and node/link failures into any inner
 /// transport.
 ///
-/// Fault decisions are made at *send* time, mirroring the simulator:
-/// a message is charged to the stats, then dropped if the seeded coin
-/// or a failed node/link says so, then — if a [`LatencyModel`] is
-/// configured — held back until its release time and only then handed to
-/// the inner transport. Timers owned by failed nodes are suppressed on
-/// delivery. When no latency model is set, forwarded messages go
-/// straight to the inner transport (which may add its own real delay).
+/// Fault decisions are made at *send* time: a message is charged to the
+/// stats, then dropped if the seeded coin or a failed node/link says so,
+/// then — if a [`LatencyModel`] is configured — held back until its
+/// release time and only then handed to the inner transport. Timers
+/// owned by failed nodes are suppressed on delivery. When no latency
+/// model is set, forwarded messages go straight to the inner transport
+/// (which adds its own simulated or real delay).
 pub struct FaultyTransport<M, T> {
     inner: T,
     rng: DetRng,
@@ -180,8 +179,8 @@ impl<M: Wire + Clone, T: Transport<M>> Transport<M> for FaultyTransport<M, T> {
         let bytes = msg.wire_size();
         self.sent += 1;
         self.bytes += bytes as u64;
-        // Same draw order as SimNetwork: the drop coin is flipped first,
-        // and latency is sampled only for messages actually forwarded.
+        // The drop coin is flipped only when a drop rate is set, and
+        // latency is sampled only for messages actually forwarded.
         let lossy = self.drop_rate > 0.0 && self.rng.gen_bool(self.drop_rate);
         if lossy
             || self.failed_nodes.contains(&from)
@@ -243,10 +242,6 @@ impl<M: Wire + Clone, T: Transport<M>> Transport<M> for FaultyTransport<M, T> {
         }
     }
 
-    fn has_pending(&self) -> bool {
-        !self.delayed.is_empty() || self.inner.has_pending()
-    }
-
     fn is_failed(&self, node: NodeId) -> bool {
         self.failed_nodes.contains(&node) || self.inner.is_failed(node)
     }
@@ -259,9 +254,9 @@ impl<M: Wire + Clone, T: Transport<M>> Transport<M> for FaultyTransport<M, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{SimNetwork, SimTransport};
+    use crate::SimTransport;
 
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Msg(u64, usize);
     impl Wire for Msg {
         fn wire_size(&self) -> usize {
@@ -269,46 +264,48 @@ mod tests {
         }
     }
 
-    /// A zero-latency simulator: its own RNG is never consulted, so the
-    /// fault wrapper's seeded draws line up with a bare SimNetwork's.
+    /// A zero-latency simulator, so delivery times are the fault
+    /// layer's alone.
     fn quiet_inner(nodes: usize) -> SimTransport<Msg> {
         let mut inner = SimTransport::new(nodes, 999);
         inner.set_latency(LatencyModel::zero());
         inner
     }
 
-    fn workload<T: Transport<Msg>>(t: &mut T) -> (Vec<(u64, usize, Msg)>, NetStats) {
+    /// Drives `t` through broadcasts, timers, and replies sent from
+    /// inside the event loop; returns the raw `(time, event)` stream.
+    fn workload<T: Transport<Msg>>(t: &mut T) -> (Vec<(u64, Event<Msg>)>, NetStats) {
         for i in 0..25u64 {
             t.broadcast(NodeId((i % 4) as usize), Msg(i, 100 + (i as usize % 5) * 301));
+            t.set_timer(NodeId((i % 3) as usize), i * 2, i);
         }
-        let mut delivered = Vec::new();
+        let mut stream = Vec::new();
         while let Some((at, event)) = t.next() {
-            if let Event::Message { to, msg, .. } = event {
-                delivered.push((at, to.0, msg));
+            if let Event::Message { from, to, msg: Msg(id, size) } = &event {
+                if *id < 10 {
+                    t.send(*to, *from, Msg(id + 100, *size));
+                }
             }
+            stream.push((at, event));
         }
-        delivered.sort();
-        (delivered, t.stats())
+        (stream, t.stats())
     }
 
     #[test]
-    fn matches_sim_network_draw_for_draw() {
+    fn unconfigured_wrapper_is_transparent_over_sim() {
         let model = LatencyModel { base_ms: 3, per_kib_ms: 2, jitter_ms: 7 };
+        let sim = || {
+            let mut sim = SimTransport::<Msg>::new(4, 42);
+            sim.set_latency(model);
+            sim
+        };
+        let (bare, bare_stats) = workload(&mut sim());
+        let (wrapped, wrapped_stats) = workload(&mut FaultyTransport::new(sim(), 42));
 
-        let mut sim = SimTransport::<Msg>::new(4, 42);
-        sim.set_latency(model);
-        sim.set_drop_rate(0.3);
-        let (sim_delivered, sim_stats) = workload(&mut sim);
-
-        let mut faulty = FaultyTransport::new(quiet_inner(4), 42);
-        faulty.set_latency(model);
-        faulty.set_drop_rate(0.3);
-        let (faulty_delivered, faulty_stats) = workload(&mut faulty);
-
-        assert!(!sim_delivered.is_empty());
-        assert!(sim_stats.dropped > 0, "drop rate 0.3 over 75 sends must drop something");
-        assert_eq!(faulty_delivered, sim_delivered, "same seed ⇒ same deliveries at same times");
-        assert_eq!(faulty_stats, sim_stats);
+        assert_eq!(bare.len(), 25 + 105, "every timer and every message arrives");
+        assert_eq!((bare_stats.sent, bare_stats.delivered, bare_stats.dropped), (105, 105, 0));
+        assert_eq!(wrapped, bare, "no faults ⇒ the same events at the same times");
+        assert_eq!(wrapped_stats, bare_stats);
     }
 
     #[test]
@@ -393,30 +390,5 @@ mod tests {
         t.send(NodeId(0), NodeId(1), Msg(1, 10));
         // The inner transport's own latency applies: delivery at 5.
         assert!(matches!(t.next(), Some((5, Event::Message { .. }))));
-    }
-
-    #[test]
-    fn sim_and_bare_network_agree_on_pure_loss() {
-        // Loss-only configuration (no latency layer): the wrapper must
-        // still drop the same messages a bare SimNetwork drops.
-        let mut bare = SimNetwork::<Msg>::new(3, 77);
-        bare.set_latency(LatencyModel::zero());
-        bare.set_drop_rate(0.5);
-        let mut wrapped = FaultyTransport::new(quiet_inner(3), 77);
-        wrapped.set_drop_rate(0.5);
-        for i in 0..40u64 {
-            bare.send(NodeId(0), NodeId((1 + i as usize % 2) as usize), Msg(i, 64));
-            wrapped.send(NodeId(0), NodeId((1 + i as usize % 2) as usize), Msg(i, 64));
-        }
-        let mut bare_ids = Vec::new();
-        while let Some((_, Event::Message { msg, .. })) = bare.next() {
-            bare_ids.push(msg.0);
-        }
-        let mut wrapped_ids = Vec::new();
-        while let Some((_, Event::Message { msg, .. })) = wrapped.next() {
-            wrapped_ids.push(msg.0);
-        }
-        assert_eq!(wrapped_ids, bare_ids);
-        assert_eq!(wrapped.stats().dropped, bare.stats().dropped);
     }
 }

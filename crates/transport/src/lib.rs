@@ -7,16 +7,16 @@
 //! (unicast, broadcast, timers, metered stats, an event pump), and three
 //! implementations cover the whole experimental range:
 //!
-//! * [`SimTransport`] — a thin adapter over the deterministic
-//!   discrete-event [`SimNetwork`] simulator (logical time, seeded
-//!   latency and loss; bit-reproducible runs).
+//! * [`SimTransport`] — the deterministic discrete-event simulator
+//!   (logical time, a seeded [`LatencyModel`]; bit-reproducible runs).
 //! * [`TcpTransport`] — real `std::net` sockets on loopback or a LAN:
 //!   length-prefixed frames of canonically encoded messages, one writer
 //!   thread per directed peer link with reconnect-and-backoff, and
 //!   graceful shutdown. Wall-clock time, real bytes.
-//! * [`FaultyTransport`] — wraps *any* transport and injects the same
-//!   seeded [`LatencyModel`], drop-rate, and node/link failures the
-//!   simulator models, so fault experiments run unchanged on sockets.
+//! * [`FaultyTransport`] — the one fault model: wraps *any* transport
+//!   and injects a seeded [`LatencyModel`], drop rate, and node/link
+//!   failures, so fault experiments run unchanged on the simulator or
+//!   on sockets.
 //!
 //! The crate is std-only (no registry dependencies): sockets come from
 //! `std::net`, threads from `std::thread`, and the canonical byte codec
@@ -30,7 +30,7 @@ pub mod sim;
 pub mod tcp;
 
 pub use fault::{FaultyTransport, FAULT_WAKE_TOKEN};
-pub use sim::{SimNetwork, SimTransport};
+pub use sim::SimTransport;
 pub use tcp::{
     parse_addr_list, TcpTransport, DEFAULT_WRITER_QUEUE_CAP, FRAME_OVERHEAD, TCP_ADDRS_ENV,
 };
@@ -177,14 +177,9 @@ pub trait Transport<M: Wire + Clone> {
     /// window).
     fn next(&mut self) -> Option<(u64, Event<M>)>;
 
-    /// Whether any deliverable events are known to be pending. Socket
-    /// transports answer conservatively (in-flight frames are invisible
-    /// until they arrive).
-    fn has_pending(&self) -> bool;
-
     /// Whether `node` is currently failed. Plain transports have no
-    /// fault model and always answer `false`; [`SimTransport`] and
-    /// [`FaultyTransport`] override this.
+    /// fault model and always answer `false`; [`FaultyTransport`]
+    /// overrides this.
     fn is_failed(&self, _node: NodeId) -> bool {
         false
     }
@@ -216,9 +211,6 @@ impl<M: Wire + Clone, T: Transport<M> + ?Sized> Transport<M> for Box<T> {
     }
     fn next(&mut self) -> Option<(u64, Event<M>)> {
         (**self).next()
-    }
-    fn has_pending(&self) -> bool {
-        (**self).has_pending()
     }
     fn is_failed(&self, node: NodeId) -> bool {
         (**self).is_failed(node)

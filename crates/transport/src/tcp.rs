@@ -548,12 +548,6 @@ impl<M: Wire + Clone + Encode + Decode> Transport<M> for TcpTransport<M> {
         }
     }
 
-    fn has_pending(&self) -> bool {
-        // Frames in flight are invisible until they land in the inbox;
-        // outstanding timers are the only pending work we can see.
-        !self.timers.is_empty()
-    }
-
     fn shutdown(&mut self) {
         if self.down {
             return;
@@ -659,13 +653,11 @@ mod tests {
         let now = Transport::<Ping>::now_ms(&t);
         t.set_timer(NodeId(0), now + 30, 2);
         t.set_timer(NodeId(0), now + 5, 1);
-        assert!(Transport::<Ping>::has_pending(&t));
         let (at1, e1) = t.next().unwrap();
         let (at2, e2) = t.next().unwrap();
         assert!(matches!(e1, Event::Timer { token: 1, .. }));
         assert!(matches!(e2, Event::Timer { token: 2, .. }));
         assert!(at1 <= at2);
-        assert!(!Transport::<Ping>::has_pending(&t));
         t.shutdown();
     }
 

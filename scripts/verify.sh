@@ -58,6 +58,28 @@ timeout 180 cargo test -q -p medchain-transport
 echo "== transport: loopback TCP integration tests (wall-clock guarded) =="
 timeout 240 cargo test -q --test transport
 
+# One fault model (DESIGN.md §6): loss, crashes and partitions live in
+# FaultyTransport alone, over a simulator that models latency only. The
+# seam has no pending-work query (`next()` returning `None` is the one
+# quiescence signal), and code names the transport crate directly, not
+# through a chain-crate re-export.
+echo "== transport: one-fault-model guard =="
+if grep -rnE 'fail_node|heal_node|fail_link|heal_link|set_drop_rate|failed_nodes' crates/transport/src \
+    | grep -v "^crates/transport/src/fault.rs:"; then
+    echo "ERROR: fault injection outside crates/transport/src/fault.rs — wrap the transport in FaultyTransport." >&2
+    exit 1
+fi
+if grep -rn "has_pending" crates/transport crates/chain; then
+    echo "ERROR: Transport::has_pending is back; a transport is quiet when next() returns None." >&2
+    exit 1
+fi
+if [ -e crates/chain/src/net.rs ] \
+    || grep -rnE 'chain::net\b|crate::net::' crates tests examples --include="*.rs"; then
+    echo "ERROR: the chain::net re-export shim is back — import medchain_transport directly." >&2
+    exit 1
+fi
+echo "ok: faults live in FaultyTransport only; no has_pending, no chain::net shim"
+
 # Metrics spine: run one quick experiment with the TSV exporter and check
 # the required counter keys landed in the dump (DESIGN.md §Observability).
 echo "== metrics: E1 quick run with TSV exporter =="
@@ -310,7 +332,7 @@ echo "ok: snapshots install only through the root-verified restore path"
 # so outside test modules nothing in the storage or core crates builds a
 # tree from a bare state, and the chain crate does so only where it
 # really starts from one: the builder itself (auth/smt.rs) and the
-# ledger's state_root, restore and lazy rebuild after state_mut.
+# ledger's state_root and lazy rebuild after state_mut.
 echo "== auth: no-full-rehash guard =="
 # Lines containing the literal text $1 outside comments and trailing
 # test modules, in the *.rs files under the remaining arguments.
@@ -331,12 +353,11 @@ fi
 if uses_outside_tests "from_state(" crates/chain/src \
     | grep -v "^crates/chain/src/auth/smt.rs:" \
     | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *StateTree::from_state(self).versioned_root()$" \
-    | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *let tree = StateTree::from_state(&state);$" \
     | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *let mut tree = StateTree::from_state(&self.state);$"; then
     echo "ERROR: a new full-state tree build in crates/chain — maintain the tree with with_delta." >&2
     exit 1
 fi
-echo "ok: only state_root, restore and the post-state_mut rebuild build a tree from a bare state"
+echo "ok: only state_root and the post-state_mut rebuild build a tree from a bare state"
 
 # Hash once (DESIGN.md §10): a transaction's id is computed in one
 # function — `Transaction::id`, which `SealedTx` calls when it seals —

@@ -6,11 +6,13 @@ use medchain_chain::consensus::pbft::PbftEngine;
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
 use medchain_chain::consensus::pos::PosEngine;
 use medchain_chain::consensus::{Application, Cluster, Engine};
-use medchain_chain::net::{LatencyModel, NodeId};
 use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::TxPayload;
 use medchain_chain::{Hash256, KeyRegistry, Transaction};
+use medchain_transport::{
+    FaultyTransport, LatencyModel, NetStats, NodeId, SimTransport, TcpTransport, Transport, Wire,
+};
 
 fn fund_and_submit(apps: &mut [ChainApp], keys: &[AuthorityKey], txs: u64) {
     for key in keys {
@@ -43,7 +45,14 @@ fn keys(n: usize) -> (Vec<AuthorityKey>, KeyRegistry) {
     (keys, registry)
 }
 
-fn assert_agreement<E: Engine>(cluster: &Cluster<E, ChainApp>, height: u64, live: &[usize]) {
+/// The simulator under the fault layer, both seeded with `seed`. With no
+/// latency model the layer forwards at once and draws nothing for node
+/// failures, so a crash scenario replays exactly as on a bare simulator.
+fn faulty_sim<M: Wire + Clone>(n: usize, seed: u64) -> FaultyTransport<M, SimTransport<M>> {
+    FaultyTransport::new(SimTransport::new(n, seed), seed)
+}
+
+fn assert_agreement<E: Engine, T>(cluster: &Cluster<E, ChainApp, T>, height: u64, live: &[usize]) {
     let ids: Vec<Hash256> =
         live.iter().map(|&i| cluster.replicas[i].app.tip_at(height)).collect();
     assert!(ids.windows(2).all(|w| w[0] == w[1]), "divergence at height {height}");
@@ -80,7 +89,10 @@ fn poa_tolerates_moderate_message_loss() {
     let (engines, _, _) = PoaEngine::make_validators(n, 60);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("lossy-test", registry.clone())).collect();
-    let mut cluster = Cluster::new(engines, apps, 10);
+    // Three heights take about 50 messages, so at 5% roughly one seed in
+    // ten drops none; under seed 18 the fault layer's coins drop three,
+    // and the losses cost the cluster a round.
+    let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 18));
     cluster.net.set_drop_rate(0.05);
     let report = cluster.run_until_height(3, 3_600_000);
     assert!(report.reached, "stalled under 5% loss: {report:?}");
@@ -95,7 +107,7 @@ fn pbft_recovers_from_cascading_primary_failures() {
     let (engines, _, _) = PbftEngine::make_replicas(n, 40, 1_500);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("cascade-test", registry.clone())).collect();
-    let mut cluster = Cluster::new(engines, apps, 11);
+    let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 11));
     cluster.run_until_height(1, 600_000);
     // Crash the view-0 primary, wait for recovery, then crash the next.
     cluster.net.fail_node(NodeId(0));
@@ -105,6 +117,17 @@ fn pbft_recovers_from_cascading_primary_failures() {
     let report = cluster.run_until_height(3, 7_200_000);
     assert!(report.reached, "no recovery from second crash");
     assert_agreement(&cluster, 3, &[2, 3, 4, 5, 6]);
+    // Recorded when the simulator itself carried the faults: the fault
+    // layer must replay a crash scenario event for event.
+    assert_eq!(report.elapsed_ms, 3_016);
+    assert_eq!(
+        cluster.net.stats(),
+        NetStats { sent: 366, delivered: 299, dropped: 67, bytes: 30_564, backpressure: 0 }
+    );
+    assert_eq!(
+        cluster.replicas[2].app.tip_at(3).to_hex(),
+        "01dbd715db5dddfa25f51028f2de0b63e2de4b7783d52fe5f5bf2821f076fed0"
+    );
 }
 
 #[test]
@@ -114,7 +137,7 @@ fn pos_progresses_with_crashed_minority_stake() {
     let (engines, _) = PosEngine::make_stakers(n, Some(vec![100, 100, 100, 100, 100]), 100);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("pos-fault", registry.clone())).collect();
-    let mut cluster = Cluster::new(engines, apps, 12);
+    let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 12));
     cluster.run_until_height(1, 1_200_000);
     cluster.net.fail_node(NodeId(4));
     let report = cluster.run_until_height(3, 3_600_000);
@@ -129,14 +152,14 @@ fn healed_node_rejoins_poa_progress() {
     let (engines, _, _) = PoaEngine::make_validators(n, 60);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("heal-test", registry.clone())).collect();
-    let mut cluster = Cluster::new(engines, apps, 13);
+    let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 13));
     cluster.run_until_height(1, 600_000);
     // Fail the proposer of height 2 (validators rotate round-robin, so
     // height 2 belongs to node 2): progress stalls at height 1.
     cluster.net.fail_node(NodeId(2));
     let stalled = cluster.run_until_height(2, cluster.net.now_ms() + 5_000);
     assert!(!stalled.reached, "height 2 should stall without its proposer");
-    // Heal and kick: the simulator dropped the node's timers while it
+    // Heal and kick: the fault layer dropped the node's timers while it
     // was failed, so it must be restarted to resume ticking.
     cluster.net.heal_node(NodeId(2));
     cluster.kick(NodeId(2));
@@ -181,7 +204,7 @@ fn lagging_healed_node_syncs_missed_blocks() {
     let (engines, _, _) = PoaEngine::make_validators(n, 60);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("sync-test", registry.clone())).collect();
-    let mut cluster = Cluster::new(engines, apps, 15);
+    let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 15));
     cluster.run_until_height(1, 600_000);
     cluster.net.fail_node(NodeId(3));
     // Heights 2 (proposer 2) commits while node 3 is down; the run stops
@@ -198,6 +221,16 @@ fn lagging_healed_node_syncs_missed_blocks() {
     assert!(report.reached, "healed node should sync and unblock: {report:?}");
     assert_eq!(cluster.replicas[3].app.height(), 3, "node 3 caught up");
     assert_agreement(&cluster, 3, &[0, 1, 2, 3]);
+    // Recorded when the simulator itself carried the faults.
+    assert_eq!(report.elapsed_ms, 253);
+    assert_eq!(
+        cluster.net.stats(),
+        NetStats { sent: 66, delivered: 58, dropped: 4, bytes: 6_054, backpressure: 0 }
+    );
+    assert_eq!(
+        cluster.replicas[0].app.tip_at(3).to_hex(),
+        "bbaaf96ea4bc8e7bad33ea471c1443690e6c631be5a4f7965aea71870ed4e8bd"
+    );
 }
 
 #[test]
@@ -240,7 +273,7 @@ fn pbft_healed_replica_syncs_missed_blocks() {
     let (engines, _, _) = PbftEngine::make_replicas(n, 40, 800);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("pbft-sync", registry.clone())).collect();
-    let mut cluster = Cluster::new(engines, apps, 16);
+    let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 16));
     cluster.run_until_height(1, 600_000);
     // Crash a non-primary replica; the cluster keeps committing.
     cluster.net.fail_node(NodeId(3));
@@ -299,7 +332,7 @@ impl Application for MaybeHostile {
 /// stripped. Only a signature check of the bytes actually proposed
 /// stops it. Over the simulator the replicas are handed the hostile
 /// allocation itself; over TCP they decode fresh ones.
-fn hostile_twin_is_rejected<T: medchain_chain::net::Transport<PoaMsg>>(
+fn hostile_twin_is_rejected<T: Transport<PoaMsg>>(
     net: T,
     strip_signature: bool,
     budget_ms: u64,
@@ -375,7 +408,6 @@ fn hostile_twin_is_rejected<T: medchain_chain::net::Transport<PoaMsg>>(
 
 #[test]
 fn hostile_proposer_cannot_commit_a_forged_twin_of_a_verified_transaction() {
-    use medchain_chain::net::{SimTransport, TcpTransport};
     for strip_signature in [false, true] {
         hostile_twin_is_rejected(SimTransport::new(4, 21), strip_signature, 5_000);
         let tcp = TcpTransport::bind(4).expect("loopback bind");

@@ -12,12 +12,12 @@
 
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
 use medchain_chain::consensus::Cluster;
-use medchain_chain::net::{SimTransport, TcpTransport, Transport};
 use medchain_chain::node::ChainApp;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::TxPayload;
 use medchain_chain::Transaction;
 use medchain_runtime::metrics::{Metrics, Registry};
+use medchain_transport::{SimTransport, TcpTransport, Transport};
 
 const INTERVAL_MS: u64 = 100;
 

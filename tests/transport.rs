@@ -5,19 +5,20 @@
 //! commits blocks, (2) both transports produce the *identical* committed
 //! chain for the same seed and workload, (3) simulated bandwidth
 //! accounting equals the bytes actually framed onto sockets, and (4) the
-//! fault-injection wrapper reproduces the simulator's partition
-//! semantics on top of TCP.
+//! fault-injection wrapper gives the same partition outcome over the
+//! simulator and over TCP.
 
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
 use medchain_chain::consensus::{Application, Cluster};
-use medchain_chain::net::{
-    FaultyTransport, NodeId, SimTransport, TcpTransport, Transport, FRAME_OVERHEAD,
-};
 use medchain_chain::node::ChainApp;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::TxPayload;
 use medchain_chain::{Hash256, Transaction};
 use medchain_runtime::codec::Encode;
+use medchain_transport::{
+    FaultyTransport, LatencyModel, NodeId, SimTransport, TcpTransport, Transport, Wire,
+    FRAME_OVERHEAD,
+};
 
 const INTERVAL_MS: u64 = 100;
 
@@ -150,7 +151,6 @@ fn wire_size_is_canonical_encoded_length() {
     for tx in block.transactions.iter() {
         assert_eq!(tx.wire_size(), tx.encoded().len());
     }
-    use medchain_chain::net::Wire;
     let proposal = PoaMsg::Proposal {
         sig: AuthorityKey::from_seed(0).sign(&block.id().0),
         block: block.clone(),
@@ -185,7 +185,7 @@ fn partition_scenario<T: Transport<PoaMsg>>(inner: T, budget_ms: u64) -> (Hash25
 #[test]
 fn faulty_partition_matches_sim_semantics_over_tcp() {
     let mut sim_inner = SimTransport::new(4, 99);
-    sim_inner.set_latency(medchain_chain::net::LatencyModel::zero());
+    sim_inner.set_latency(LatencyModel::zero());
     let (sim_tip, sim_isolated) = partition_scenario(sim_inner, 3_600_000);
 
     let tcp_inner = TcpTransport::bind(4).expect("loopback bind");
@@ -199,7 +199,7 @@ fn faulty_partition_matches_sim_semantics_over_tcp() {
 #[test]
 fn faulty_full_loss_stalls_cluster() {
     let mut inner = SimTransport::new(4, 1);
-    inner.set_latency(medchain_chain::net::LatencyModel::zero());
+    inner.set_latency(LatencyModel::zero());
     let mut faulty = FaultyTransport::new(inner, 1);
     faulty.set_drop_rate(1.0);
     let mut cluster = poa_cluster(faulty, 50, 0);

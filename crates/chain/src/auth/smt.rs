@@ -16,17 +16,25 @@
 //!
 //! ## Disk-resident cold subtrees (DESIGN.md §14)
 //!
-//! With a [`NodePager`] attached, [`StateTree::spill_to_budget`] swaps
-//! cold subtrees for single-node `Node::Paged` stubs holding only the
-//! subtree hash, leaf count, and page id; the subtree's preorder bytes
-//! move to disk. Every traversal resolves stubs on descent (mutating
-//! paths promote them back into the rebuilt path; read-only paths decode
+//! With a [`NodePager`] attached, [`StateTree::spill_to_budget`] cuts the
+//! tree at one depth fixed by the budget and swaps each resident subtree
+//! at the cut for a single-node `Node::Paged` stub holding only the
+//! subtree hash and a page handle; the subtree's preorder bytes move to
+//! disk. Every traversal resolves stubs on descent (mutating paths
+//! promote them back into the rebuilt path; read-only paths decode
 //! transiently), and the serialized form splices page bytes verbatim —
 //! so roots, proofs, and snapshot bytes are identical whether the tree
 //! is fully resident or mostly cold. Spilling is representation only,
 //! never semantics.
+//!
+//! A stub is never folded into a bigger page, so a spill after a commit
+//! writes only the subtrees that commit's merge resolved. Tree versions
+//! share nodes by `Arc`, and a stub's page handle frees its page on
+//! drop: a page goes back to the pager exactly when the last version
+//! naming it — the live tree, a proof's clone, a `with_delta` base, a
+//! snapshot being encoded — is gone.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use super::leaf::{self, LeafKey, EMPTY_SUBTREE};
@@ -59,10 +67,31 @@ pub trait NodePager: Send + Sync {
     fn store_node(&self, bytes: &[u8]) -> u64;
     /// Loads the bytes previously stored under `page`.
     fn load_node(&self, page: u64) -> Vec<u8>;
-    /// Gives `page` back for reuse. The tree calls this only for a page
-    /// no tree version can reach: one a [`StateTree::spill_to_budget`]
-    /// call stored and then folded into a larger page before returning.
+    /// Gives `page` back for reuse. The tree calls this once per stored
+    /// page, when nothing can reach it any more: the last tree version
+    /// holding its stub has dropped. It runs inside `Drop`, so it must
+    /// not panic.
     fn free_node(&self, page: u64);
+}
+
+/// One stored page and the pager holding it. Stubs own their handle, so
+/// reads need no pager of the tree's, and dropping the last stub that
+/// names a page frees it.
+struct Page {
+    id: u64,
+    pager: Arc<dyn NodePager>,
+}
+
+impl Page {
+    fn load(&self) -> Vec<u8> {
+        self.pager.load_node(self.id)
+    }
+}
+
+impl Drop for Page {
+    fn drop(&mut self) {
+        self.pager.free_node(self.id);
+    }
 }
 
 /// One node of the tree. Hashes are computed eagerly on construction and
@@ -82,14 +111,11 @@ enum Node {
         left: Arc<Node>,
         right: Arc<Node>,
     },
-    /// A cold subtree spilled to the node pager: only its hash and leaf
-    /// count stay resident. Never produced by `Decode` — it exists only
-    /// in memory, as the residue of [`StateTree::spill_to_budget`].
-    Paged {
-        hash: Hash256,
-        leaves: u64,
-        page: u64,
-    },
+    /// A cold subtree (two or more leaves) spilled to the node pager:
+    /// only its hash and page handle stay resident. Never produced by
+    /// `Decode` — it exists only in memory, as the residue of
+    /// [`StateTree::spill_to_budget`].
+    Paged { hash: Hash256, page: Page },
 }
 
 impl Node {
@@ -138,10 +164,8 @@ impl Node {
 pub struct StateTree {
     root: Arc<Node>,
     len: usize,
-    /// Backing store for [`Node::Paged`] subtrees. `None` means the tree
-    /// is (and stays) fully resident. Clones share the pager; a page a
-    /// tree was ever returned holding is never freed mid-run precisely
-    /// because an older clone may still reference it (see [`NodePager`]).
+    /// Where [`spill_to_budget`](StateTree::spill_to_budget) stores
+    /// pages. `None` means the tree is (and stays) fully resident.
     pager: Option<Arc<dyn NodePager>>,
 }
 
@@ -252,7 +276,7 @@ impl StateTree {
     /// rebuilding only the root-to-leaf path.
     pub fn update(&mut self, key: &LeafKey, value: Option<&[u8]>) {
         let batch = [(leaf::key_hash(key), value.map(leaf::value_hash))];
-        self.root = merge(&self.root, 0, &batch, self.pager.as_deref(), &mut self.len);
+        self.root = merge(&self.root, 0, &batch, &mut self.len);
     }
 
     /// The tree after applying a committed block's [`StateDelta`]:
@@ -275,7 +299,7 @@ impl StateTree {
         batch.sort_unstable_by_key(|(key_hash, _)| *key_hash);
         debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0), "a leaf key written twice");
         let mut tree = self.clone();
-        tree.root = merge(&self.root, 0, &batch, self.pager.as_deref(), &mut tree.len);
+        tree.root = merge(&self.root, 0, &batch, &mut tree.len);
         tree
     }
 
@@ -289,7 +313,7 @@ impl StateTree {
         // Owned cursor: descending into a spilled subtree resolves a
         // transient copy without touching the tree (`&self`); siblings
         // that stay cold contribute only their resident hash.
-        let mut node = resolve(&self.root, self.pager.as_deref());
+        let mut node = resolve(&self.root);
         let mut depth = 0;
         loop {
             let next = match &*node {
@@ -321,10 +345,10 @@ impl StateTree {
                 Node::Internal { left, right, .. } => {
                     if leaf::key_bit(&key_hash, depth) {
                         siblings.push(left.hash());
-                        resolve(right, self.pager.as_deref())
+                        resolve(right)
                     } else {
                         siblings.push(right.hash());
-                        resolve(left, self.pager.as_deref())
+                        resolve(left)
                     }
                 }
                 Node::Paged { .. } => unreachable!("cursor is always resolved"),
@@ -341,8 +365,7 @@ impl StateTree {
     /// only.
     pub fn audit(&self) -> bool {
         let mut leaves = 0usize;
-        audit_node(&self.root, 0, &mut Vec::new(), &mut leaves, self.pager.as_deref())
-            && leaves == self.len
+        audit_node(&self.root, 0, &mut Vec::new(), &mut leaves) && leaves == self.len
     }
 
     /// Nodes currently held in memory, counting each spilled subtree as
@@ -357,36 +380,31 @@ impl StateTree {
         count(&self.root)
     }
 
-    /// Spills cold subtrees to the attached pager until at most `budget`
-    /// nodes stay resident (best effort: the root-to-spill paths
-    /// themselves stay resident, so very small budgets floor out at the
-    /// tree's spine). No hash is recomputed — a spilled subtree is
-    /// replaced by a stub carrying the hash it already had — so the root
+    /// Spills cold subtrees to the attached pager so that at most
+    /// `budget` nodes stay resident. The tree is cut at depth `cut =
+    /// ⌊log₂(budget + 1)⌋ − 1`: the spine above it (at most 2^cut − 1
+    /// nodes) stays resident, and every resident internal node at the
+    /// cut becomes a stub over one freshly stored page, so the 2^cut
+    /// positions there fit the rest of the budget. Stubs, leaves and
+    /// empties pass through, so a page is written once and never folded
+    /// into a bigger one; after a commit only the subtrees its merge
+    /// resolved are written again. No hash is recomputed, so the root
     /// is bit-identical before and after.
     ///
-    /// No-op without a pager. Subtrees the next block touches are
-    /// resolved (promoted) back on demand by `update`/`with_delta`;
-    /// the ledger re-spills after each commit.
+    /// The cut is fixed by the budget alone, so a page covers about
+    /// `len / 2^cut` leaves: with a fixed budget the number of pages
+    /// stays put and each page grows with the state.
+    ///
+    /// No-op without a pager, or when the tree already fits. Subtrees
+    /// the next block touches are resolved (promoted) back on demand by
+    /// `update`/`with_delta`; the ledger re-spills after each commit.
     pub fn spill_to_budget(&mut self, budget: usize) {
-        let Some(pager) = self.pager.clone() else { return };
-        let budget = budget.max(1);
-        // Grow the spill unit until the tree fits: larger units collapse
-        // bigger subtrees into one stub each, trading colder reads for
-        // a smaller resident spine. A pass folds the stubs of the pass
-        // before it into its own pages; `fresh` holds the pages this call
-        // stored, so the folded ones go back to the pager instead of
-        // piling up in the page file (no clone of the tree can have seen
-        // them).
-        let mut unit = 8usize;
-        let mut fresh = BTreeSet::new();
-        while self.resident_nodes() > budget {
-            let (root, _, _) = spill_node(&self.root, unit, pager.as_ref(), &mut fresh);
-            self.root = root;
-            if unit > self.len.saturating_mul(2).max(8) {
-                break; // spine alone exceeds the budget; nothing left to spill
-            }
-            unit = unit.saturating_mul(4);
+        let Some(pager) = &self.pager else { return };
+        if self.resident_nodes() <= budget {
+            return;
         }
+        let cut = (budget.max(1) + 1).ilog2() as usize - 1;
+        self.root = spill(&self.root, cut, pager);
     }
 }
 
@@ -395,15 +413,14 @@ impl StateTree {
 /// descending, so a touched cold subtree is naturally promoted into the
 /// rebuilt path while untouched siblings stay spilled.
 ///
-/// Panics on a missing pager, an undecodable page, or a hash mismatch:
-/// spill pages are derived data with no second copy, so all three are
-/// unrecoverable data loss (see [`NodePager`]).
-fn resolve(node: &Arc<Node>, pager: Option<&dyn NodePager>) -> Arc<Node> {
-    let Node::Paged { hash, page, .. } = &**node else {
+/// Panics on an undecodable page or a hash mismatch: spill pages are
+/// derived data with no second copy, so both are unrecoverable data
+/// loss (see [`NodePager`]).
+fn resolve(node: &Arc<Node>) -> Arc<Node> {
+    let Node::Paged { hash, page } = &**node else {
         return node.clone();
     };
-    let pager = pager.expect("paged subtree reached without an attached node pager");
-    let bytes = pager.load_node(*page);
+    let bytes = page.load();
     let mut r = Reader::new(&bytes);
     let resolved =
         decode_node(&mut r, 0).expect("spilled subtree page holds a valid node encoding");
@@ -412,59 +429,25 @@ fn resolve(node: &Arc<Node>, pager: Option<&dyn NodePager>) -> Arc<Node> {
     resolved
 }
 
-/// Post-order spill pass: replaces every maximal subtree whose resident
-/// footprint is ≤ `unit` nodes (and which holds ≥ 2 leaves — single
-/// leaves are cheaper resident than paged) with a [`Node::Paged`] stub.
-/// Returns the rebuilt node, its resident node count, and its leaf
-/// count. Hashes are carried, never recomputed. `fresh` is the set of
-/// pages stored since [`StateTree::spill_to_budget`] was entered.
-fn spill_node(
-    node: &Arc<Node>,
-    unit: usize,
-    pager: &dyn NodePager,
-    fresh: &mut BTreeSet<u64>,
-) -> (Arc<Node>, usize, u64) {
-    match &**node {
-        Node::Empty => (node.clone(), 1, 0),
-        Node::Leaf { .. } => (node.clone(), 1, 1),
-        Node::Paged { leaves, .. } => (node.clone(), 1, *leaves),
-        Node::Internal { hash, left, right } => {
-            let (left, l_res, l_leaves) = spill_node(left, unit, pager, fresh);
-            let (right, r_res, r_leaves) = spill_node(right, unit, pager, fresh);
-            let resident = 1 + l_res + r_res;
-            let leaves = l_leaves + r_leaves;
-            if resident <= unit && leaves >= 2 {
-                // Encode the whole subtree (splicing any already-spilled
-                // children) and push it down to one page.
-                let rebuilt = Node::Internal { hash: *hash, left, right };
-                let mut bytes = Vec::new();
-                encode_node(&rebuilt, &mut bytes, Some(pager));
-                free_fresh_stubs(&rebuilt, pager, fresh);
-                let page = pager.store_node(&bytes);
-                fresh.insert(page);
-                (Arc::new(Node::Paged { hash: *hash, leaves, page }), 1, leaves)
-            } else {
-                (Arc::new(Node::Internal { hash: *hash, left, right }), resident, leaves)
-            }
-        }
+/// Replaces each resident internal node `depth` levels below `node` with
+/// a stub over one stored page. Hashes are carried, never recomputed; a
+/// subtree with nothing to spill comes back as the very same `Arc`.
+fn spill(node: &Arc<Node>, depth: usize, pager: &Arc<dyn NodePager>) -> Arc<Node> {
+    let Node::Internal { hash, left, right } = &**node else {
+        return node.clone();
+    };
+    if depth == 0 {
+        let mut bytes = Vec::new();
+        encode_node(node, &mut bytes);
+        let page = Page { id: pager.store_node(&bytes), pager: Arc::clone(pager) };
+        return Arc::new(Node::Paged { hash: *hash, page });
     }
-}
-
-/// Frees the pages of the stubs under `node` that are in `fresh`: their
-/// bytes were just spliced into the page that replaces `node`.
-fn free_fresh_stubs(node: &Node, pager: &dyn NodePager, fresh: &mut BTreeSet<u64>) {
-    match node {
-        Node::Internal { left, right, .. } => {
-            free_fresh_stubs(left, pager, fresh);
-            free_fresh_stubs(right, pager, fresh);
-        }
-        Node::Paged { page, .. } => {
-            if fresh.remove(page) {
-                pager.free_node(*page);
-            }
-        }
-        Node::Empty | Node::Leaf { .. } => {}
+    let new_left = spill(left, depth - 1, pager);
+    let new_right = spill(right, depth - 1, pager);
+    if Arc::ptr_eq(&new_left, left) && Arc::ptr_eq(&new_right, right) {
+        return node.clone();
     }
+    Arc::new(Node::Internal { hash: *hash, left: new_left, right: new_right })
 }
 
 /// The canonical subtree over `leaves` — distinct `(key_hash,
@@ -496,29 +479,22 @@ type LeafUpdate = (Hash256, Option<Hash256>);
 /// both children. Deletions restore canonical form on the way back up:
 /// an internal node left with a single leaf child collapses to that
 /// leaf, one left with two empty children to the empty subtree.
-fn merge(
-    node: &Arc<Node>,
-    depth: usize,
-    batch: &[LeafUpdate],
-    pager: Option<&dyn NodePager>,
-    len: &mut usize,
-) -> Arc<Node> {
+fn merge(node: &Arc<Node>, depth: usize, batch: &[LeafUpdate], len: &mut usize) -> Arc<Node> {
     if batch.is_empty() {
         return node.clone();
     }
-    let resolved = resolve(node, pager);
+    let resolved = resolve(node);
     let existing = match &*resolved {
         Node::Internal { left, right, .. } => {
             let split = batch.partition_point(|(key_hash, _)| !leaf::key_bit(key_hash, depth));
             let (left_batch, right_batch) = batch.split_at(split);
-            let new_left = merge(left, depth + 1, left_batch, pager, len);
-            let new_right = merge(right, depth + 1, right_batch, pager, len);
+            let new_left = merge(left, depth + 1, left_batch, len);
+            let new_right = merge(right, depth + 1, right_batch, len);
             if Arc::ptr_eq(&new_left, left) && Arc::ptr_eq(&new_right, right) {
                 return node.clone();
             }
-            // A `Paged` child always holds ≥ 2 leaves (spill policy), so
-            // it can only land in the no-collapse arm — same as the
-            // internal node it stands for.
+            // A `Paged` child stands for an internal node, so it holds
+            // ≥ 2 leaves and can only land in the no-collapse arm.
             return match (&*new_left, &*new_right) {
                 (Node::Empty, Node::Leaf { .. }) => new_right,
                 (Node::Leaf { .. }, Node::Empty) => new_left,
@@ -581,19 +557,13 @@ pub fn delta_updates(delta: &StateDelta) -> Vec<(LeafKey, Option<Vec<u8>>)> {
     updates
 }
 
-fn audit_node(
-    node: &Arc<Node>,
-    depth: usize,
-    path: &mut Vec<u8>,
-    leaves: &mut usize,
-    pager: Option<&dyn NodePager>,
-) -> bool {
+fn audit_node(node: &Arc<Node>, depth: usize, path: &mut Vec<u8>, leaves: &mut usize) -> bool {
     if depth > MAX_DEPTH {
         return false;
     }
     // Resolve a spilled subtree transiently; `resolve` itself asserts
     // the decoded subtree hashes to the resident stub's hash.
-    let node = resolve(node, pager);
+    let node = resolve(node);
     match &*node {
         Node::Paged { .. } => unreachable!("resolved above"),
         Node::Empty => depth == 0, // non-root empties violate canonical form
@@ -627,15 +597,15 @@ fn audit_node(
             }
             let ok_left = {
                 path.push(0);
-                let ok = matches!(&**left, Node::Empty)
-                    || audit_node(left, depth + 1, path, leaves, pager);
+                let ok =
+                    matches!(&**left, Node::Empty) || audit_node(left, depth + 1, path, leaves);
                 path.pop();
                 ok
             };
             let ok_right = {
                 path.push(1);
-                let ok = matches!(&**right, Node::Empty)
-                    || audit_node(right, depth + 1, path, leaves, pager);
+                let ok =
+                    matches!(&**right, Node::Empty) || audit_node(right, depth + 1, path, leaves);
                 path.pop();
                 ok
             };
@@ -651,7 +621,7 @@ const TAG_EMPTY: u8 = 0;
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
-fn encode_node(node: &Node, out: &mut Vec<u8>, pager: Option<&dyn NodePager>) {
+fn encode_node(node: &Node, out: &mut Vec<u8>) {
     match node {
         Node::Empty => out.push(TAG_EMPTY),
         Node::Leaf {
@@ -667,16 +637,13 @@ fn encode_node(node: &Node, out: &mut Vec<u8>, pager: Option<&dyn NodePager>) {
         Node::Internal { hash, left, right } => {
             out.push(TAG_INTERNAL);
             hash.encode(out);
-            encode_node(left, out, pager);
-            encode_node(right, out, pager);
+            encode_node(left, out);
+            encode_node(right, out);
         }
         // A spilled page *is* the subtree's preorder encoding: splice it
         // verbatim, so a paged tree serializes byte-identically to a
         // fully resident one (there is no on-disk `Paged` tag).
-        Node::Paged { page, .. } => {
-            let pager = pager.expect("paged subtree encoded without an attached node pager");
-            out.extend_from_slice(&pager.load_node(*page));
-        }
+        Node::Paged { page, .. } => out.extend_from_slice(&page.load()),
     }
 }
 
@@ -710,7 +677,7 @@ fn decode_node(r: &mut Reader<'_>, depth: usize) -> Result<Arc<Node>, CodecError
 impl Encode for StateTree {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len as u64).encode(out);
-        encode_node(&self.root, out, self.pager.as_deref());
+        encode_node(&self.root, out);
     }
 }
 

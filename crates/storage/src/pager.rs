@@ -37,10 +37,8 @@
 //! partially-evacuated page are unreachable — lookups only go through
 //! the index). Tree nodes arrive pre-packed: a spilled subtree's
 //! preorder encoding is written verbatim as one extent. [`PagedNodes`]
-//! frees only what the tree hands back — pages one spill call stored
-//! and folded into a larger page before any clone could see them; old
-//! tree clones may still reference every other spilled page, so the
-//! rest is reclaimed by truncate-on-open.
+//! frees a tree page when the tree hands it back, which it does once
+//! the last tree version naming the page has dropped.
 
 use crate::pages::{PageId, PageStore};
 use medchain_chain::ledger::{Account, AccountPager};
@@ -210,12 +208,12 @@ impl AccountPager for PagedAccounts {
 /// Disk-backed [`NodePager`]: each spilled subtree's preorder encoding
 /// is one CRC-framed extent.
 ///
-/// Pages a tree came out of a spill holding are never freed mid-run —
-/// structurally-shared tree clones (proof servers, in-flight
-/// `with_delta` bases) may still reference a stub long after the live
-/// tree re-spilled the region — so stale extents accumulate until the
-/// next process start truncates the file. Pages a spill wrote and
-/// folded away within the same call come back through `free_node`.
+/// A page comes back through `free_node` when no tree version can reach
+/// it: structurally-shared clones (proof servers, in-flight `with_delta`
+/// bases, a snapshot being encoded) keep a stub — and so its page —
+/// alive after the live tree has replaced it, and the last of them to
+/// drop frees it. The page file therefore holds about one tree's pages,
+/// not one per commit.
 pub struct PagedNodes {
     pages: Arc<PageStore>,
 }
@@ -329,35 +327,47 @@ mod tests {
         assert!(registry.counter_value("storage.page_misses") > 0);
     }
 
-    /// A spill folds the stubs it writes into ever larger pages; only the
-    /// pages the spilled tree still points at may stay live, or the page
-    /// file grows by the whole tree several times over on every commit.
+    /// A spill stores one page per stub and nothing else — no page is
+    /// written and then folded into a bigger one — a second spill of the
+    /// unchanged tree writes nothing, and once the tree drops every page
+    /// is back in the store.
     #[test]
     fn spill_leaves_no_page_the_tree_does_not_reference() {
-        use medchain_chain::{StateTree, WorldState};
+        use medchain_chain::auth::leaf::{key_bit, key_hash};
+        use medchain_chain::{LeafKey, StateTree, WorldState};
         let registry = Registry::new();
         let dir = crate::testutil::test_dir("nodes-spill");
         let pages = Arc::new(
             PageStore::open(&dir.join("pages.bin"), 2, registry.handle()).unwrap(),
         );
+        let addrs: Vec<Address> = (0..500u64).map(Address::from_seed).collect();
         let mut state = WorldState::new();
-        for n in 0..500u64 {
-            state.credit(Address::from_seed(n), n + 1);
+        for (n, addr) in (1..).zip(&addrs) {
+            state.credit(*addr, n);
         }
         let resident = StateTree::from_state(&state);
         let mut spilled = resident.clone();
         spilled.attach_pager(Arc::new(PagedNodes::new(Arc::clone(&pages))));
         spilled.spill_to_budget(16);
-        assert!(registry.counter_value("storage.page_frees") > 0, "no stub was ever folded");
-        // Every stub is one resident node holding one page.
-        assert!(pages.live() >= 1);
-        assert!(
-            pages.live() <= spilled.resident_nodes(),
-            "{} live pages under {} resident nodes",
-            pages.live(),
-            spilled.resident_nodes()
-        );
+
+        // A 16-node budget cuts at depth 3: one stub stands at each 3-bit
+        // key prefix that two or more accounts share.
+        let mut per_prefix = [0usize; 8];
+        for addr in &addrs {
+            let kh = key_hash(&LeafKey::Account(*addr));
+            per_prefix[(0..3).fold(0, |p, d| 2 * p + usize::from(key_bit(&kh, d)))] += 1;
+        }
+        let stubs = per_prefix.iter().filter(|&&n| n >= 2).count();
+        assert_eq!(pages.live(), stubs);
+        assert_eq!(registry.counter_value("storage.page_frees"), 0, "a page was folded");
+        assert!(spilled.resident_nodes() <= 16, "{} resident", spilled.resident_nodes());
+
+        let writes = registry.counter_value("storage.page_writes");
+        spilled.spill_to_budget(16);
+        assert_eq!(registry.counter_value("storage.page_writes"), writes, "a re-spill wrote");
         assert!(spilled.audit());
         assert_eq!(spilled.encoded(), resident.encoded());
+        drop(spilled);
+        assert_eq!(pages.live(), 0, "pages outlived the only tree naming them");
     }
 }

@@ -28,10 +28,9 @@
 //!   insertion.
 //! - [`PageStore::free`] returns an extent to the free list for reuse
 //!   by later writes. Freeing is the caller's business: the account
-//!   pager frees on promotion; the node pager frees the pages a single
-//!   spill wrote and folded away again, while every tree page a spill
-//!   left in place is never freed mid-run (old tree versions may still
-//!   reference it) and is reclaimed by the truncate-on-open rule.
+//!   pager frees a page when its last member promotes; the node pager
+//!   frees a tree page when the last tree version naming it drops. It
+//!   runs from that `Drop`, so it never panics.
 //!
 //! Metrics (under the owning store's `Metrics` scope):
 //! `storage.page_hits`, `storage.page_misses`, `storage.page_evictions`,
@@ -44,7 +43,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// On-disk slot size. Records smaller than one slot still occupy a full
 /// slot; larger records span a contiguous extent of slots.
@@ -190,8 +189,11 @@ impl PageStore {
 
     /// Returns the extent at `page` to the free list and drops any
     /// cached copy (dirty or not — a freed record needs no write-back).
+    /// Never panics, because a dropped tree page calls it from `Drop`: a
+    /// poisoned lock is taken as is, since nothing that can panic under
+    /// it runs between the halves of an update to the maps and counts.
     pub fn free(&self, page: PageId) {
-        let mut inner = self.inner.lock().expect("page store poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(slots) = inner.extents.remove(&page) else { return };
         if let Some(entry) = inner.cache.remove(&page) {
             inner.cached_slots -= entry.slots;

@@ -359,6 +359,18 @@ if uses_outside_tests "from_state(" crates/chain/src \
 fi
 echo "ok: only state_root and the post-state_mut rebuild build a tree from a bare state"
 
+# One cut, no fold (DESIGN.md §14): a spill stubs each resident subtree at
+# the depth the budget fixes, once, and never re-encodes a stub into a
+# bigger page; pages free themselves when the last tree version naming
+# them drops. The growing-unit fold and its per-call page set must not
+# come back.
+echo "== auth: no-fold spill guard =="
+if grep -nwE 'spill_node|free_fresh_stubs|fresh' crates/chain/src/auth/smt.rs; then
+    echo "ERROR: the folding spill (spill_node, free_fresh_stubs or a fresh page set) is back in auth/smt.rs." >&2
+    exit 1
+fi
+echo "ok: auth/smt.rs spills at one cut and folds no page"
+
 # Hash once (DESIGN.md §10): a transaction's id is computed in one
 # function — `Transaction::id`, which `SealedTx` calls when it seals —
 # and a block's transaction tree is built in one place, when its body is
@@ -546,5 +558,21 @@ for workload in gateway_mem gateway_wal bulk_blocks sharded_mixed paged_blocks; 
     fi
     echo "ok: medbench ${workload} ran end to end and checked its own outputs"
 done
+
+# A paged commit rewrites only the pages it touched (DESIGN.md §14): the
+# traced smoke reads ≈1.3 page writes per transaction; a spill that
+# rewrites the whole tree every commit reads ≈51.
+echo "== medbench: 2-second traced paged_blocks page-write guard (wall-clock guarded) =="
+timeout 120 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload paged_blocks --seed 1 --seconds 2 --trace 1 > "$smoke_log"
+page_writes="$(tail -n 1 "$smoke_log" \
+    | sed -n 's/.*"storage.page_writes_per_tx": {"value": \([0-9.eE+-]*\).*/\1/p')"
+if ! tail -n 1 "$smoke_log" | grep -q '"correct": true' || [ -z "$page_writes" ] \
+    || ! awk -v w="$page_writes" 'BEGIN { exit !(w <= 4) }'; then
+    echo "ERROR: traced paged_blocks was not correct or wrote ${page_writes:-?} pages per transaction (limit 4)" >&2
+    tail -n 1 "$smoke_log" >&2
+    exit 1
+fi
+echo "ok: paged_blocks wrote ${page_writes} pages per transaction (limit 4)"
 
 echo "verify: OK"

@@ -8,6 +8,7 @@
 //! pre-crash values. `storage.*` counters on the metrics sink make the
 //! recovery observable, not just survivable.
 
+use medchain_chain::auth::leaf::{key_bit, key_hash};
 use medchain_chain::ledger::NullRuntime;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::{Transaction, TxPayload};
@@ -20,8 +21,9 @@ use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::wal::RECORD_HEADER_BYTES;
 use medchain_storage::{PagedAccounts, PagedNodes, SnapshotStore};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("medchain-itest-{}-{tag}", std::process::id()));
@@ -672,11 +674,26 @@ fn wiped_shard_member_rejoins_and_passes_cross_link_audit() {
 /// Proposes the next block on `ledger`: four transactions from `key`,
 /// each a transfer into a 64-account universe or a fresh anchor.
 fn random_block(rng: &mut DetRng, ledger: &Ledger, key: &AuthorityKey) -> medchain_chain::Block {
+    propose_random(rng, ledger, key, true)
+}
+
+/// [`random_block`] without anchors: once every account of the universe
+/// exists, the state stops growing.
+fn transfer_block(rng: &mut DetRng, ledger: &Ledger, key: &AuthorityKey) -> medchain_chain::Block {
+    propose_random(rng, ledger, key, false)
+}
+
+fn propose_random(
+    rng: &mut DetRng,
+    ledger: &Ledger,
+    key: &AuthorityKey,
+    anchors: bool,
+) -> medchain_chain::Block {
     let height = ledger.height() + 1;
     let nonce_base = ledger.state().account(&key.address()).nonce;
     let txs: Vec<Transaction> = (0..4)
         .map(|k| {
-            let payload = if rng.next_u64() % 2 == 0 {
+            let payload = if !anchors || rng.next_u64().is_multiple_of(2) {
                 let mut to = [0u8; 20];
                 to[..8].copy_from_slice(&(rng.next_u64() % 64).to_le_bytes());
                 TxPayload::Transfer {
@@ -813,6 +830,156 @@ fn paged_merge_collapses_inside_resolved_stubs_like_the_resident_tree() {
     assert!(merged.audit());
     delta.apply_to(&mut state);
     assert_eq!(expected.encoded(), StateTree::from_state(&state).encoded());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The first `cut` path bits of `key`'s hash: which page at the cut
+/// holds it.
+fn cut_prefix(key: &LeafKey, cut: usize) -> u64 {
+    let kh = key_hash(key);
+    (0..cut).fold(0, |prefix, depth| 2 * prefix + u64::from(key_bit(&kh, depth)))
+}
+
+/// Installs a commit observer on `ledger` that records the cut prefix of
+/// every leaf each commit writes — the keys of `auth::delta_updates`.
+fn watch_prefixes(ledger: &mut Ledger, cut: usize) -> Arc<Mutex<BTreeSet<u64>>> {
+    let touched = Arc::new(Mutex::new(BTreeSet::new()));
+    let sink = Arc::clone(&touched);
+    ledger.set_commit_observer(Box::new(move |_, updates| {
+        sink.lock().unwrap().extend(updates.iter().map(|(key, _)| cut_prefix(key, cut)));
+    }));
+    touched
+}
+
+/// One cut, fixed by the budget (DESIGN.md §14): after every commit the
+/// resident tree fits the node budget, and the commit's spill writes at
+/// most one page per cut-depth key prefix the block wrote — the pages
+/// its merge resolved — never the whole tree again. Tree pages go to a
+/// store of their own, so its counters see no account page.
+#[test]
+fn a_commit_rewrites_only_the_pages_it_touched() {
+    let dir = test_dir("paged-touched");
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = AuthorityKey::from_seed(19);
+    let mut ledger = fresh_ledger(&key);
+    ledger.state_mut().credit(key.address(), 1_000_000);
+    for n in 0..512 {
+        ledger.state_mut().credit(Address::from_seed(n), 1);
+    }
+    let open = |name: &str, registry: &Registry| {
+        Arc::new(PageStore::open(&dir.join(name), 4, registry.handle()).unwrap())
+    };
+    let registry = Registry::new();
+    let node_budget = 64; // cut = ⌊log₂ 65⌋ − 1 = 5: 31 spine nodes, 32 pages
+    ledger.attach_state_cache(StateCacheConfig {
+        accounts: Arc::new(PagedAccounts::new(open("accounts.bin", &Registry::new()))),
+        nodes: Arc::new(PagedNodes::new(open("nodes.bin", &registry))),
+        max_hot_accounts: 64,
+        node_budget,
+    });
+    let touched = watch_prefixes(&mut ledger, 5);
+
+    let mut rng = DetRng::from_seed(0x70C4);
+    let mut total = 0;
+    for step in 0..40 {
+        let block = random_block(&mut rng, &ledger, &key);
+        let before = registry.counter_value("storage.page_writes");
+        ledger.apply(&block).unwrap();
+        let writes = registry.counter_value("storage.page_writes") - before;
+        let prefixes = std::mem::take(&mut *touched.lock().unwrap()).len() as u64;
+        assert!(writes <= prefixes, "step {step}: {writes} page writes for {prefixes} prefixes");
+        let resident = ledger.state_tree().resident_nodes();
+        assert!(resident <= node_budget, "step {step}: {resident} resident nodes");
+        total += writes;
+    }
+    assert!(total > 0, "no commit ever spilled");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Reclamation (DESIGN.md §14): a page goes back to the store when the
+/// last tree version naming it drops, so 300 commits over a fixed
+/// account universe leave the page file as 50 left it — live pages and
+/// the file's slot high-water stay flat instead of growing per commit.
+#[test]
+fn page_file_stays_flat_across_300_paged_commits() {
+    let dir = test_dir("paged-flat");
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = AuthorityKey::from_seed(23);
+    let mut ledger = fresh_ledger(&key);
+    ledger.state_mut().credit(key.address(), 1_000_000);
+    let registry = Registry::new();
+    let pages = Arc::new(PageStore::open(&dir.join("pages.bin"), 2, registry.handle()).unwrap());
+    ledger.attach_state_cache(tiny_state_cache(Arc::clone(&pages)));
+
+    let mut rng = DetRng::from_seed(0xF1A7);
+    let mut footprint = || {
+        let block = transfer_block(&mut rng, &ledger, &key);
+        ledger.apply(&block).unwrap();
+        (pages.live(), registry.gauge_value("storage.page_file_slots").unwrap())
+    };
+    let (live_50, slots_50) = (1..=50).map(|_| footprint()).last().unwrap();
+    let (live_300, slots_300) = (51..=300).map(|_| footprint()).last().unwrap();
+    assert!(live_300 <= live_50 + 2, "live pages: {live_50} at commit 50, {live_300} at 300");
+    assert!(slots_300 <= slots_50 + 2, "file slots: {slots_50} at commit 50, {slots_300} at 300");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Freeing never pulls a page from under a live version: a tree cloned
+/// at height h — as a proof server or a snapshot writer holds one —
+/// still resolves every stub after 20 more commits have replaced all of
+/// the live tree's pages, and matches a from-scratch build of the
+/// height-h state byte for byte and proof for proof. Once the clone
+/// drops, its pages go back to the store.
+#[test]
+fn a_retained_tree_version_keeps_its_pages() {
+    let dir = test_dir("paged-retained");
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = AuthorityKey::from_seed(29);
+    let mut resident = fresh_ledger(&key);
+    let mut paged = fresh_ledger(&key);
+    resident.state_mut().credit(key.address(), 1_000_000);
+    paged.state_mut().credit(key.address(), 1_000_000);
+    let registry = Registry::new();
+    let pages = Arc::new(PageStore::open(&dir.join("pages.bin"), 1, registry.handle()).unwrap());
+    paged.attach_state_cache(tiny_state_cache(Arc::clone(&pages)));
+
+    let mut rng = DetRng::from_seed(0x2E7A);
+    for _ in 0..10 {
+        let block = random_block(&mut rng, &resident, &key);
+        resident.apply(&block).unwrap();
+        paged.apply(&block).unwrap();
+    }
+    let retained = paged.state_tree();
+    let reference = StateTree::from_state(resident.state());
+
+    // A 16-node budget cuts at depth 3: eight pages.
+    let touched = watch_prefixes(&mut paged, 3);
+    let frees = registry.counter_value("storage.page_frees");
+    for _ in 0..20 {
+        let block = random_block(&mut rng, &paged, &key);
+        paged.apply(&block).unwrap();
+    }
+    assert_eq!(touched.lock().unwrap().len(), 8, "the commits left a page untouched");
+    assert!(registry.counter_value("storage.page_frees") > frees, "no page was reclaimed");
+
+    assert_eq!(retained.encoded(), reference.encoded());
+    let mut keys = vec![LeafKey::Account(key.address())];
+    for n in 0..64u64 {
+        let mut to = [0u8; 20];
+        to[..8].copy_from_slice(&n.to_le_bytes());
+        keys.push(LeafKey::Account(Address(to)));
+    }
+    for height in 1..=30 {
+        keys.extend((0..4).map(|k| LeafKey::Anchor(format!("scan-{height}-{k}"))));
+    }
+    for leaf in &keys {
+        assert_eq!(retained.prove(leaf), reference.prove(leaf), "{leaf:?}");
+    }
+    assert!(retained.audit());
+
+    let live = pages.live();
+    drop(retained);
+    assert!(pages.live() < live, "the clone's pages outlived it");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -16,7 +16,7 @@
 //!
 //! ## Disk-resident cold subtrees (DESIGN.md §14)
 //!
-//! With a [`NodePager`] attached, [`StateTree::spill_to_budget`] cuts the
+//! Handed a [`NodePager`], [`StateTree::spill_to_budget`] cuts the
 //! tree at one depth fixed by the budget and swaps each resident subtree
 //! at the cut for a single-node `Node::Paged` stub holding only the
 //! subtree hash and a page handle; the subtree's preorder bytes move to
@@ -164,9 +164,6 @@ impl Node {
 pub struct StateTree {
     root: Arc<Node>,
     len: usize,
-    /// Where [`spill_to_budget`](StateTree::spill_to_budget) stores
-    /// pages. `None` means the tree is (and stays) fully resident.
-    pager: Option<Arc<dyn NodePager>>,
 }
 
 impl Default for StateTree {
@@ -198,20 +195,7 @@ impl StateTree {
         StateTree {
             root: Node::empty(),
             len: 0,
-            pager: None,
         }
-    }
-
-    /// Attaches the disk pager cold subtrees spill to. Attaching never
-    /// moves anything by itself — spilling happens only at explicit
-    /// [`spill_to_budget`](StateTree::spill_to_budget) calls.
-    pub fn attach_pager(&mut self, pager: Arc<dyn NodePager>) {
-        self.pager = Some(pager);
-    }
-
-    /// The attached node pager, if any.
-    pub fn pager(&self) -> Option<Arc<dyn NodePager>> {
-        self.pager.clone()
     }
 
     /// Builds the tree for an entire world state in one bottom-up pass:
@@ -248,7 +232,6 @@ impl StateTree {
         StateTree {
             root: build(&leaves, 0),
             len: leaves.len(),
-            pager: None,
         }
     }
 
@@ -380,8 +363,11 @@ impl StateTree {
         count(&self.root)
     }
 
-    /// Spills cold subtrees to the attached pager so that at most
-    /// `budget` nodes stay resident. The tree is cut at depth `cut =
+    /// Spills cold subtrees to `pager` so that at most `budget` nodes
+    /// stay resident. The tree holds no pager of its own: each stub
+    /// keeps the handle of the pager that stored it, so later reads and
+    /// frees need none, and the caller names the pager at every spill.
+    /// The tree is cut at depth `cut =
     /// ⌊log₂(budget + 1)⌋ − 1`: the spine above it (at most 2^cut − 1
     /// nodes) stays resident, and every resident internal node at the
     /// cut becomes a stub over one freshly stored page, so the 2^cut
@@ -395,11 +381,10 @@ impl StateTree {
     /// `len / 2^cut` leaves: with a fixed budget the number of pages
     /// stays put and each page grows with the state.
     ///
-    /// No-op without a pager, or when the tree already fits. Subtrees
-    /// the next block touches are resolved (promoted) back on demand by
-    /// `update`/`with_delta`; the ledger re-spills after each commit.
-    pub fn spill_to_budget(&mut self, budget: usize) {
-        let Some(pager) = &self.pager else { return };
+    /// No-op when the tree already fits. Subtrees the next block touches
+    /// are resolved (promoted) back on demand by `update`/`with_delta`;
+    /// the ledger re-spills after each commit.
+    pub fn spill_to_budget(&mut self, pager: &Arc<dyn NodePager>, budget: usize) {
         if self.resident_nodes() <= budget {
             return;
         }
@@ -685,8 +670,8 @@ impl Decode for StateTree {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = u64::decode(r)? as usize;
         let root = decode_node(r, 0)?;
-        // Decoded trees start fully resident and unpaged; recovery
-        // re-attaches a pager (and re-spills) after install.
-        Ok(StateTree { root, len, pager: None })
+        // Decoded trees start fully resident; a paged ledger re-spills
+        // after install.
+        Ok(StateTree { root, len })
     }
 }

@@ -367,6 +367,22 @@ pub fn two_thirds_quorum(n: usize) -> usize {
     2 * n / 3 + 1
 }
 
+/// Most sealed blocks one catch-up response carries.
+const SYNC_PAGE_BLOCKS: u64 = 16;
+
+/// The catch-up page for a lagging peer that holds `have` blocks: the
+/// sealed blocks above `have`, at most [`SYNC_PAGE_BLOCKS`] of them, or
+/// `None` when there is nothing to send. Each engine wraps the page in
+/// its own response message.
+fn sync_page(have: u64, app: &dyn Application) -> Option<Vec<Block>> {
+    if have >= app.height() {
+        return None;
+    }
+    let to = (have + SYNC_PAGE_BLOCKS).min(app.height());
+    let blocks: Vec<Block> = (have + 1..=to).filter_map(|h| app.sealed_block(h)).collect();
+    (!blocks.is_empty()).then_some(blocks)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

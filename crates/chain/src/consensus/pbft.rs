@@ -349,23 +349,6 @@ impl PbftEngine {
         signers.len() >= self.quorum()
     }
 
-    fn handle_sync_request(
-        &mut self,
-        from: NodeId,
-        have: u64,
-        app: &mut dyn Application,
-        out: &mut Outbox<PbftMsg>,
-    ) {
-        if have >= app.height() {
-            return;
-        }
-        let to = (have + 16).min(app.height());
-        let blocks: Vec<Block> = (have + 1..=to).filter_map(|h| app.sealed_block(h)).collect();
-        if !blocks.is_empty() {
-            out.send(from, PbftMsg::SyncResponse { blocks });
-        }
-    }
-
     fn handle_sync_response(&mut self, blocks: Vec<Block>, app: &mut dyn Application) {
         for block in blocks {
             if block.header.height != app.height() + 1 {
@@ -446,7 +429,11 @@ impl Engine for PbftEngine {
                     .insert(sig.signer, sig);
                 self.advance(height, app, out);
             }
-            PbftMsg::SyncRequest { have } => self.handle_sync_request(from, have, app, out),
+            PbftMsg::SyncRequest { have } => {
+                if let Some(blocks) = super::sync_page(have, app) {
+                    out.send(from, PbftMsg::SyncResponse { blocks });
+                }
+            }
             PbftMsg::SyncResponse { blocks } => self.handle_sync_response(blocks, app),
             PbftMsg::ViewChange { new_view, sig, .. } => {
                 if new_view <= self.view {

@@ -289,25 +289,6 @@ impl PoaEngine {
         signers.len() >= self.quorum()
     }
 
-    /// Serves a lagging peer with up to 16 sealed blocks.
-    fn handle_sync_request(
-        &mut self,
-        from: NodeId,
-        have: u64,
-        app: &mut dyn Application,
-        out: &mut Outbox<PoaMsg>,
-    ) {
-        if have >= app.height() {
-            return;
-        }
-        let to = (have + 16).min(app.height());
-        let blocks: Vec<Block> =
-            (have + 1..=to).filter_map(|h| app.sealed_block(h)).collect();
-        if !blocks.is_empty() {
-            out.send(from, PoaMsg::SyncResponse { blocks });
-        }
-    }
-
     /// Applies synced blocks in order, verifying each seal.
     fn handle_sync_response(
         &mut self,
@@ -365,7 +346,11 @@ impl Engine for PoaEngine {
                 self.record_vote(height, block_id, sig);
                 self.try_commit(app, out);
             }
-            PoaMsg::SyncRequest { have } => self.handle_sync_request(from, have, app, out),
+            PoaMsg::SyncRequest { have } => {
+                if let Some(blocks) = super::sync_page(have, app) {
+                    out.send(from, PoaMsg::SyncResponse { blocks });
+                }
+            }
             PoaMsg::SyncResponse { blocks } => self.handle_sync_response(blocks, app, out),
         }
     }

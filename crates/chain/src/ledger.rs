@@ -17,9 +17,10 @@ use crate::store::BlockStore;
 use crate::tx::SealedTx;
 use medchain_runtime::codec::Encode;
 use medchain_runtime::metrics::Metrics;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The newest cross-link the coordinator chain holds for one shard:
@@ -491,21 +492,19 @@ impl WorldState {
         }
     }
 
-    /// Inserts one slot, returning the prior value.
-    fn storage_insert(&mut self, contract: Address, key: Vec<u8>, value: Vec<u8>) -> Option<Vec<u8>> {
-        self.storage.entry(contract).or_default().insert(key, value)
+    /// Inserts one slot.
+    fn storage_insert(&mut self, contract: Address, key: Vec<u8>, value: Vec<u8>) {
+        self.storage.entry(contract).or_default().insert(key, value);
     }
 
-    /// Removes one slot, returning the prior value and pruning the
-    /// contract's slot map if it becomes empty (canonical-form
-    /// invariant).
-    fn storage_remove(&mut self, contract: &Address, key: &[u8]) -> Option<Vec<u8>> {
-        let slots = self.storage.get_mut(contract)?;
-        let prior = slots.remove(key);
+    /// Removes one slot, pruning the contract's slot map if it becomes
+    /// empty (canonical-form invariant).
+    fn storage_remove(&mut self, contract: &Address, key: &[u8]) {
+        let Some(slots) = self.storage.get_mut(contract) else { return };
+        slots.remove(key);
         if slots.is_empty() {
             self.storage.remove(contract);
         }
-        prior
     }
 
     /// Iterates over the storage slots of one contract.
@@ -693,95 +692,32 @@ impl WorldState {
         self.locks.len()
     }
 
-    /// Commits `delta` into the state, returning the undo log that
-    /// [`WorldState::revert`] uses if the write-ahead store append fails
-    /// after the in-memory mutation.
-    pub(crate) fn apply_delta(&mut self, delta: StateDelta) -> StateUndo {
-        let mut undo = StateUndo::default();
+    /// Commits `delta` into the state, moving its keys and values in.
+    /// The ledger calls it only once the block is durable, so a commit
+    /// is never undone.
+    pub(crate) fn apply_delta(&mut self, delta: StateDelta) {
         let StateDelta { accounts, storage, code, anchors, crosslinks, locks, xs_decisions } =
             delta;
         for (addr, account) in accounts {
-            // The undo records the *merged* prior value: a delta write to
-            // a cold address removes its pager record (disjointness), so
-            // revert must be able to re-materialize it hot.
-            let cold = self.pager.as_ref().and_then(|p| p.take(&addr));
-            let prior = self.accounts.insert(addr, account).or(cold);
-            undo.accounts.push((addr, prior));
+            // Drops any cold copy: a write re-homes the record hot.
+            StateAccess::set_account(self, addr, account);
         }
         for ((contract, key), value) in storage {
-            let prior = match value {
-                Some(value) => self.storage_insert(contract, key.clone(), value),
-                None => self.storage_remove(&contract, &key),
-            };
-            undo.storage.push(((contract, key), prior));
-        }
-        for (addr, code) in code {
-            undo.code.push((addr, self.code.insert(addr, code)));
-        }
-        for (label, root) in anchors {
-            let prior = self.anchors.insert(label.clone(), root);
-            undo.anchors.push((label, prior));
-        }
-        for (shard, link) in crosslinks {
-            undo.crosslinks.push((shard, self.crosslinks.insert(shard, link)));
-        }
-        for (addr, lock) in locks {
-            let prior = match lock {
-                Some(lock) => self.locks.insert(addr, lock),
-                None => self.locks.remove(&addr),
-            };
-            undo.locks.push((addr, prior));
-        }
-        for (xid, decision) in xs_decisions {
-            undo.xs_decisions.push((xid, self.xs_decisions.insert(xid, decision)));
-        }
-        undo
-    }
-
-    /// Rolls back a [`WorldState::apply_delta`] exactly.
-    pub(crate) fn revert(&mut self, undo: StateUndo) {
-        for (addr, prior) in undo.accounts {
-            match prior {
-                Some(account) => self.accounts.insert(addr, account),
-                None => self.accounts.remove(&addr),
-            };
-        }
-        for ((contract, key), prior) in undo.storage {
-            match prior {
+            match value {
                 Some(value) => self.storage_insert(contract, key, value),
                 None => self.storage_remove(&contract, &key),
-            };
+            }
         }
-        for (addr, prior) in undo.code {
-            match prior {
-                Some(code) => self.code.insert(addr, code),
-                None => self.code.remove(&addr),
-            };
-        }
-        for (label, prior) in undo.anchors {
-            match prior {
-                Some(root) => self.anchors.insert(label, root),
-                None => self.anchors.remove(&label),
-            };
-        }
-        for (shard, prior) in undo.crosslinks {
-            match prior {
-                Some(link) => self.crosslinks.insert(shard, link),
-                None => self.crosslinks.remove(&shard),
-            };
-        }
-        for (addr, prior) in undo.locks {
-            match prior {
+        self.code.extend(code);
+        self.anchors.extend(anchors);
+        self.crosslinks.extend(crosslinks);
+        for (addr, lock) in locks {
+            match lock {
                 Some(lock) => self.locks.insert(addr, lock),
                 None => self.locks.remove(&addr),
             };
         }
-        for (xid, prior) in undo.xs_decisions {
-            match prior {
-                Some(decision) => self.xs_decisions.insert(xid, decision),
-                None => self.xs_decisions.remove(&xid),
-            };
-        }
+        self.xs_decisions.extend(xs_decisions);
     }
 }
 
@@ -853,19 +789,6 @@ impl StateAccess for WorldState {
     }
 }
 
-/// Prior values captured by [`WorldState::apply_delta`], `None` meaning
-/// the key was absent.
-#[derive(Debug, Default)]
-pub(crate) struct StateUndo {
-    accounts: Vec<(Address, Option<Account>)>,
-    storage: Vec<((Address, Vec<u8>), Option<Vec<u8>>)>,
-    code: Vec<(Address, Option<Vec<u8>>)>,
-    anchors: Vec<(String, Option<Hash256>)>,
-    crosslinks: Vec<(u16, Option<CrossLinkRecord>)>,
-    locks: Vec<(Address, Option<XsLock>)>,
-    xs_decisions: Vec<(Hash256, Option<XsDecisionRecord>)>,
-}
-
 /// Errors raised while validating or applying blocks and transactions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LedgerError {
@@ -928,8 +851,8 @@ pub enum LedgerError {
         /// The account the debit leg tried to escrow.
         account: Address,
     },
-    /// The attached [`BlockStore`] failed to persist the block; the
-    /// in-memory commit was aborted (write-ahead ordering).
+    /// The attached [`BlockStore`] failed to persist the block. The
+    /// block is logged before the state changes, so nothing committed.
     Storage(String),
 }
 
@@ -999,10 +922,9 @@ pub struct Ledger {
     blocks: Vec<Block>,
     base_height: u64,
     state: WorldState,
-    receipts: BTreeMap<Hash256, Receipt>,
-    /// `tx id → (block height, index in body)` for every committed
-    /// transaction, feeding [`Ledger::tx_receipt`] proofs.
-    tx_locations: BTreeMap<Hash256, (u64, usize)>,
+    /// `tx id → (block height, index in body, receipt)` for every
+    /// committed transaction, feeding [`Ledger::tx_receipt`] proofs.
+    receipts: BTreeMap<Hash256, (u64, usize, Receipt)>,
     registry: KeyRegistry,
     runtime: Box<dyn ContractRuntime>,
     stats: LedgerStats,
@@ -1013,11 +935,11 @@ pub struct Ledger {
     exec_threads: usize,
     metrics: Metrics,
     /// Incrementally maintained authenticated state tree, always in sync
-    /// with `state` at the committed tip. `None` after a direct
+    /// with `state` at the committed tip. Empty after a direct
     /// [`Ledger::state_mut`] mutation (genesis funding); lazily rebuilt
-    /// by [`Ledger::state_tree`]. The `Mutex` exists only for that lazy
-    /// rebuild from `&self` paths (`propose`, `prove_state`).
-    tree: Mutex<Option<StateTree>>,
+    /// by [`Ledger::state_tree`], which `&self` paths (`propose`,
+    /// `prove_state`) call.
+    tree: OnceCell<StateTree>,
     /// Paged-state configuration (DESIGN.md §14); `None` = fully
     /// resident. When set, every commit demotes cold accounts past
     /// `max_hot_accounts` and spills cold tree subtrees past
@@ -1093,7 +1015,6 @@ impl Ledger {
             base_height: 0,
             state: WorldState::new(),
             receipts: BTreeMap::new(),
-            tx_locations: BTreeMap::new(),
             registry,
             runtime,
             stats: LedgerStats::default(),
@@ -1102,7 +1023,7 @@ impl Ledger {
             shard_count,
             exec_threads: 1,
             metrics: Metrics::noop(),
-            tree: Mutex::new(Some(StateTree::new())),
+            tree: OnceCell::from(StateTree::new()),
             state_cache: None,
             commit_observer: None,
         }
@@ -1119,9 +1040,8 @@ impl Ledger {
     /// cache so a stale pager can never shadow the restored state.
     pub fn attach_state_cache(&mut self, cache: StateCacheConfig) {
         self.state.attach_account_pager(Arc::clone(&cache.accounts));
-        if let Some(tree) = self.tree.get_mut().expect("state tree cache poisoned").as_mut() {
-            tree.attach_pager(Arc::clone(&cache.nodes));
-            tree.spill_to_budget(cache.node_budget);
+        if let Some(tree) = self.tree.get_mut() {
+            tree.spill_to_budget(&cache.nodes, cache.node_budget);
         }
         self.state.demote_accounts(cache.max_hot_accounts, &BTreeSet::new());
         self.state_cache = Some(cache);
@@ -1285,12 +1205,11 @@ impl Ledger {
         self.base_height = tip.header.height;
         self.blocks = vec![tip];
         self.state = state;
+        // Receipts only cover blocks applied after the snapshot: a
+        // restored node re-learns them as it replays.
         self.receipts.clear();
-        // Like receipts, locations only cover blocks applied after the
-        // snapshot: a restored node re-learns them as it replays.
-        self.tx_locations.clear();
         self.stats = LedgerStats::default();
-        *self.tree.get_mut().expect("state tree cache poisoned") = Some(tree);
+        self.tree = OnceCell::from(tree);
         // A restored state is fully resident and the old pagers may hold
         // entries for the replaced state — drop the cache rather than
         // let stale pages shadow it. Wiring re-attaches a fresh cache.
@@ -1316,7 +1235,7 @@ impl Ledger {
     /// maintained from, so the cached tree is dropped here and lazily
     /// rebuilt (O(total state), once) on the next root or proof request.
     pub fn state_mut(&mut self) -> &mut WorldState {
-        *self.tree.get_mut().expect("state tree cache poisoned") = None;
+        self.tree.take();
         &mut self.state
     }
 
@@ -1326,16 +1245,15 @@ impl Ledger {
     ///
     /// [`state_mut`]: Ledger::state_mut
     pub fn state_tree(&self) -> StateTree {
-        let mut cached = self.tree.lock().expect("state tree cache poisoned");
-        if cached.is_none() {
-            let mut tree = StateTree::from_state(&self.state);
-            if let Some(cache) = &self.state_cache {
-                tree.attach_pager(Arc::clone(&cache.nodes));
-                tree.spill_to_budget(cache.node_budget);
-            }
-            *cached = Some(tree);
-        }
-        cached.as_ref().expect("cache just filled").clone()
+        self.tree
+            .get_or_init(|| {
+                let mut tree = StateTree::from_state(&self.state);
+                if let Some(cache) = &self.state_cache {
+                    tree.spill_to_budget(&cache.nodes, cache.node_budget);
+                }
+                tree
+            })
+            .clone()
     }
 
     /// Builds the proof-carrying response for a light-client state query
@@ -1363,12 +1281,12 @@ impl Ledger {
 
     /// Receipt for a transaction, if executed.
     pub fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
-        self.receipts.get(tx_id)
+        self.receipts.get(tx_id).map(|(_, _, receipt)| receipt)
     }
 
     /// `(block height, index in body)` of a committed transaction.
     pub fn locate_tx(&self, tx_id: &Hash256) -> Option<(u64, usize)> {
-        self.tx_locations.get(tx_id).copied()
+        self.receipts.get(tx_id).map(|(height, index, _)| (*height, *index))
     }
 
     /// Builds the proof-carrying client receipt for a committed
@@ -1379,10 +1297,8 @@ impl Ledger {
     /// nodes can still serve old blocks from the block log, but this
     /// fast path only proves against retained blocks.
     pub fn tx_receipt(&self, tx_id: &Hash256) -> Option<crate::receipt::TxReceipt> {
-        let (height, index) = self.locate_tx(tx_id)?;
-        let block = self.block(height)?;
-        let exec = self.receipt(tx_id)?;
-        crate::receipt::TxReceipt::for_block(block, index, exec)
+        let (height, index, exec) = self.receipts.get(tx_id)?;
+        crate::receipt::TxReceipt::for_block(self.block(*height)?, *index, exec)
     }
 
     /// Work counters.
@@ -1560,10 +1476,17 @@ impl Ledger {
         // serve the commit observer too.
         let root_started = Instant::now();
         let updates = crate::auth::delta_updates(&delta);
-        let updated_tree = self.state_tree().with_updates(&updates);
+        let mut updated_tree = self.state_tree().with_updates(&updates);
         let root_wall_us = root_started.elapsed().as_secs_f64() * 1e6;
         if updated_tree.versioned_root() != block.header.state_root {
             return Err(LedgerError::StateRootMismatch);
+        }
+        // Write-ahead: the block is logged before the state changes, so
+        // a failed append leaves nothing to undo, and a crash leaves disk
+        // and memory agreeing (disk may carry a torn tail record, which
+        // recovery truncates).
+        if let Some(store) = self.store.as_mut() {
+            store.append(block, &self.state).map_err(|e| LedgerError::Storage(e.to_string()))?;
         }
         // Captured before `apply_delta` consumes the delta: the written
         // account addresses that must stay hot through this commit's
@@ -1572,32 +1495,18 @@ impl Ledger {
             .state_cache
             .as_ref()
             .map(|_| delta.accounts.keys().copied().collect());
-        // Write-ahead: the block must be durable before the in-memory
-        // commit, so a crash leaves disk and memory agreeing (disk may
-        // carry a torn tail record, which recovery truncates). The store
-        // needs the post-state, so the delta commits first and is
-        // reverted exactly if the append fails.
-        let undo = self.state.apply_delta(delta);
-        if let Some(store) = self.store.as_mut() {
-            if let Err(e) = store.append(block, &self.state) {
-                self.state.revert(undo);
-                return Err(LedgerError::Storage(e.to_string()));
-            }
-        }
-        // State and tree now advance together (the revert path above
-        // leaves the old cache in place, matching the reverted state).
-        *self.tree.get_mut().expect("state tree cache poisoned") = Some(updated_tree);
-        // Commit.
-        for receipt in &receipts {
+        // Commit. The old tree drops here, so pages only it names are
+        // free before the spill below stores new ones; the new tree is
+        // installed once spilled.
+        self.state.apply_delta(delta);
+        self.tree.take();
+        for (index, receipt) in receipts.iter().enumerate() {
             self.stats.transactions += 1;
             self.stats.gas_used += receipt.gas_used;
             if !receipt.ok {
                 self.stats.failed += 1;
             }
-            self.receipts.insert(receipt.tx_id, receipt.clone());
-        }
-        for (index, tx) in block.transactions.iter().enumerate() {
-            self.tx_locations.insert(tx.id(), (block.header.height, index));
+            self.receipts.insert(receipt.tx_id, (block.header.height, index, receipt.clone()));
         }
         self.stats.blocks += 1;
         self.blocks.push(block.clone());
@@ -1610,9 +1519,7 @@ impl Ledger {
         // is the store's to report and retry, never a reason to lose a
         // block that is already durable.
         if let Some(store) = self.store.as_mut() {
-            let tree = self.tree.get_mut().expect("state tree cache poisoned");
-            let tree = tree.as_ref().expect("set by this commit");
-            let _ = store.checkpoint(block, &self.state, tree);
+            let _ = store.checkpoint(block, &self.state, &updated_tree);
         }
         // Paged state cache: after the commit is final, push cold
         // accounts and cold tree subtrees back under budget. Addresses
@@ -1620,24 +1527,17 @@ impl Ledger {
         if let Some(cache) = &self.state_cache {
             let keep = written_accounts.as_ref().expect("captured before commit");
             let demoted = self.state.demote_accounts(cache.max_hot_accounts, keep);
-            let tree_guard = self.tree.get_mut().expect("state tree cache poisoned");
-            if let Some(tree) = tree_guard.as_mut() {
-                if tree.pager().is_none() {
-                    tree.attach_pager(Arc::clone(&cache.nodes));
-                }
-                tree.spill_to_budget(cache.node_budget);
-            }
+            updated_tree.spill_to_budget(&cache.nodes, cache.node_budget);
             if self.metrics.enabled() {
                 if demoted > 0 {
                     self.metrics.counter("state.accounts_demoted", demoted as u64);
                 }
                 self.metrics
                     .gauge("state.paged_accounts", self.state.paged_account_count() as i64);
-                if let Some(tree) = tree_guard.as_ref() {
-                    self.metrics.gauge("auth.resident_nodes", tree.resident_nodes() as i64);
-                }
+                self.metrics.gauge("auth.resident_nodes", updated_tree.resident_nodes() as i64);
             }
         }
+        self.tree = OnceCell::from(updated_tree);
         if self.metrics.enabled() {
             self.metrics.counter("exec.blocks", 1);
             self.metrics.counter("exec.txs", tx_count as u64);
@@ -1917,14 +1817,9 @@ mod tests {
 
         let merged_root = base.state_root_with(&delta);
         let mut materialized = base.clone();
-        let undo = materialized.apply_delta(delta);
+        materialized.apply_delta(delta);
         assert_eq!(merged_root, materialized.state_root(), "merge-join root must match commit");
         assert_ne!(merged_root, base.state_root());
-
-        // Revert restores the base exactly (write-ahead failure path).
-        materialized.revert(undo);
-        assert_eq!(materialized.state_root(), base.state_root());
-        assert_eq!(materialized, base);
     }
 
     #[test]

@@ -59,5 +59,5 @@ pub use node::SubmitOutcome;
 pub use receipt::TxReceipt;
 pub use shard::{shard_for_key, shard_for_tx, sharded_contract_address, CrossLink, ShardId};
 pub use sig::{registry_verifications, Address, AuthorityKey, AuthoritySignature, KeyRegistry};
-pub use store::{BlockStore, MemStore, StoreError};
+pub use store::{BlockStore, StoreError};
 pub use tx::{SealedTx, Transaction, TxPayload, XsLeg};

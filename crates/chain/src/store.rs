@@ -1,16 +1,15 @@
 //! The [`BlockStore`] trait — the ledger's durable-persistence hook.
 //!
-//! The ledger calls [`BlockStore::append`] *before* committing a block
-//! to memory (write-ahead ordering): a block is either on disk and in
-//! memory, or in neither. Once the commit is final it calls
-//! [`BlockStore::checkpoint`] with the authenticated tree that commit
-//! built, so a store that snapshots never rehashes the state.
-//! Implementations decide what "on disk" means —
-//! [`MemStore`] keeps everything in memory (the default behaviour of a
-//! ledger with no store attached is unchanged: no store, no overhead),
-//! while `medchain-storage`'s `DiskStore` runs a segmented CRC-framed
-//! write-ahead log with periodic world-state snapshots and crash
-//! recovery.
+//! The ledger calls [`BlockStore::append`] once a block has validated
+//! and *before* its state changes (write-ahead ordering): a block is
+//! either on disk and in memory, or in neither, and a failed append
+//! leaves the ledger nothing to undo. Once the commit is final it calls
+//! [`BlockStore::checkpoint`] with the state and authenticated tree that
+//! commit built, so a store that snapshots never rehashes the state.
+//! `medchain-storage`'s `DiskStore` is the implementation: a segmented
+//! CRC-framed write-ahead log with periodic world-state snapshots and
+//! crash recovery. A ledger with no store attached keeps its chain in
+//! memory only, at no cost.
 //!
 //! One store persists *one* sub-chain: the trait knows nothing about
 //! sharding. A sharded consortium (DESIGN.md §9) simply opens one store
@@ -103,16 +102,19 @@ impl From<std::io::Error> for StoreError {
 /// implementations can write periodic state snapshots without replaying
 /// or rehashing.
 pub trait BlockStore: Send {
-    /// Persists `block` (post-execution state `post_state`).
+    /// Persists `block`. From `Ledger::apply`, `state` is the state the
+    /// block was validated against, not yet changed by it. No store in
+    /// this repository reads it: stores that need state get it in
+    /// [`checkpoint`](BlockStore::checkpoint).
     ///
     /// Called by [`crate::ledger::Ledger::apply`] after validation and
-    /// execution but **before** the in-memory commit; returning an error
+    /// execution but **before** the state changes; returning an error
     /// aborts the commit, leaving the ledger unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError`] if the block could not be made durable.
-    fn append(&mut self, block: &Block, post_state: &WorldState) -> Result<(), StoreError>;
+    fn append(&mut self, block: &Block, state: &WorldState) -> Result<(), StoreError>;
 
     /// Offers the store the committed `tip`, its post-execution `state`
     /// and `tree` — the tree of exactly that state, as the commit built
@@ -142,84 +144,9 @@ pub trait BlockStore: Send {
     fn flush(&mut self) -> Result<(), StoreError>;
 }
 
-/// In-memory [`BlockStore`]: retains appended blocks (and the latest
-/// state) without touching disk. Preserves today's default semantics
-/// while letting tests and simulations exercise the store wiring.
-#[derive(Debug, Default)]
-pub struct MemStore {
-    blocks: Vec<Block>,
-    latest_state: Option<WorldState>,
-}
-
-impl MemStore {
-    /// Creates an empty store.
-    pub fn new() -> MemStore {
-        MemStore::default()
-    }
-
-    /// Blocks appended so far, oldest first.
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    /// Number of appended blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether no block has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// The world state after the most recent append.
-    pub fn latest_state(&self) -> Option<&WorldState> {
-        self.latest_state.as_ref()
-    }
-}
-
-impl BlockStore for MemStore {
-    fn append(&mut self, block: &Block, post_state: &WorldState) -> Result<(), StoreError> {
-        if let Some(last) = self.blocks.last() {
-            let expected = last.header.height + 1;
-            if block.header.height != expected {
-                return Err(StoreError::HeightGap { expected, got: block.header.height });
-            }
-        }
-        self.blocks.push(block.clone());
-        self.latest_state = Some(post_state.clone());
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mem_store_tracks_appends_in_order() {
-        let mut store = MemStore::new();
-        assert!(store.is_empty());
-        let genesis = Block::genesis("t");
-        let mut b1 = Block::genesis("t");
-        b1.header.height = 1;
-        b1.header.parent = genesis.id();
-        store.append(&b1, &WorldState::new()).unwrap();
-        assert_eq!(store.len(), 1);
-        assert!(store.latest_state().is_some());
-        // A height gap is rejected.
-        let mut b3 = b1.clone();
-        b3.header.height = 3;
-        assert_eq!(
-            store.append(&b3, &WorldState::new()),
-            Err(StoreError::HeightGap { expected: 2, got: 3 })
-        );
-        store.flush().unwrap();
-    }
 
     #[test]
     fn store_error_display_is_informative() {

@@ -343,7 +343,7 @@ impl DiskStore {
 }
 
 impl BlockStore for DiskStore {
-    fn append(&mut self, block: &Block, _post_state: &WorldState) -> Result<(), StoreError> {
+    fn append(&mut self, block: &Block, _state: &WorldState) -> Result<(), StoreError> {
         // Stale scan results are meaningless once new blocks land.
         self.scanned = None;
         let payload = block.encoded();

@@ -60,7 +60,7 @@ pub use wal::{ScanResult, SegmentedLog};
 
 // Re-export the trait and error the store implements, so callers can
 // depend on this crate alone for persistence wiring.
-pub use medchain_chain::store::{BlockStore, MemStore, StoreError};
+pub use medchain_chain::store::{BlockStore, StoreError};
 
 #[cfg(test)]
 pub(crate) mod testutil {

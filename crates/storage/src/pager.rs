@@ -347,8 +347,8 @@ mod tests {
         }
         let resident = StateTree::from_state(&state);
         let mut spilled = resident.clone();
-        spilled.attach_pager(Arc::new(PagedNodes::new(Arc::clone(&pages))));
-        spilled.spill_to_budget(16);
+        let pager: Arc<dyn NodePager> = Arc::new(PagedNodes::new(Arc::clone(&pages)));
+        spilled.spill_to_budget(&pager, 16);
 
         // A 16-node budget cuts at depth 3: one stub stands at each 3-bit
         // key prefix that two or more accounts share.
@@ -363,7 +363,7 @@ mod tests {
         assert!(spilled.resident_nodes() <= 16, "{} resident", spilled.resident_nodes());
 
         let writes = registry.counter_value("storage.page_writes");
-        spilled.spill_to_budget(16);
+        spilled.spill_to_budget(&pager, 16);
         assert_eq!(registry.counter_value("storage.page_writes"), writes, "a re-spill wrote");
         assert!(spilled.audit());
         assert_eq!(spilled.encoded(), resident.encoded());

@@ -307,6 +307,37 @@ if grep -rn "\.apply_delta(" crates/*/src src examples tests --include="*.rs" \
 fi
 echo "ok: every state mutation flows through the ledger's delta/tree path"
 
+# Write-ahead, literally (DESIGN.md §8): Ledger::apply logs the block
+# before the state changes, so a failed append leaves nothing to undo.
+# The undo log, the revert path, the state-cloning MemStore, the tree's
+# own pager handle and the tree mutex existed only to reverse or re-wire
+# a half-done commit; none may come back, and inside `fn apply` the
+# store's `.append(` must come before `.apply_delta(`.
+echo "== ledger: write-ahead order guard =="
+if grep -rnE 'StateUndo|fn revert\b|MemStore|attach_pager|tree cache poisoned' \
+    crates/*/src src tests examples --include="*.rs"; then
+    echo "ERROR: an undo path, MemStore, the tree's pager handle or the tree mutex is back." >&2
+    exit 1
+fi
+if ! awk '
+    /^    pub fn apply\(/ { in_apply = 1; next }
+    !in_apply || /^[[:space:]]*\/\// { next }
+    /^    }$/ { exit }
+    index($0, ".append(") && !append { append = FNR }
+    index($0, ".apply_delta(") && !delta { delta = FNR }
+    END {
+        if (!append || !delta || delta < append) {
+            print "crates/chain/src/ledger.rs: fn apply has .append( at line " append + 0 \
+                ", .apply_delta( at line " delta + 0
+            exit 1
+        }
+    }
+' crates/chain/src/ledger.rs; then
+    echo "ERROR: Ledger::apply must append the block before it applies the delta." >&2
+    exit 1
+fi
+echo "ok: Ledger::apply logs the block before it changes the state; no undo path"
+
 # Root-verified snapshot install (DESIGN.md §14): a snapshot — local or
 # streamed from a peer — may enter a ledger ONLY through
 # Ledger::restore_with_tree, which rejects any state whose tree root
@@ -331,8 +362,9 @@ echo "ok: snapshots install only through the root-verified restore path"
 # are written from the tree the commit built (BlockStore::checkpoint),
 # so outside test modules nothing in the storage or core crates builds a
 # tree from a bare state, and the chain crate does so only where it
-# really starts from one: the builder itself (auth/smt.rs) and the
-# ledger's state_root and lazy rebuild after state_mut.
+# really starts from one: the builder itself (auth/smt.rs), the ledger's
+# state_root, and the lazy rebuild after state_mut (the `get_or_init`
+# closure in Ledger::state_tree).
 echo "== auth: no-full-rehash guard =="
 # Lines containing the literal text $1 outside comments and trailing
 # test modules, in the *.rs files under the remaining arguments.
@@ -374,7 +406,7 @@ echo "ok: auth/smt.rs spills at one cut and folds no page"
 # Hash once (DESIGN.md §10): a transaction's id is computed in one
 # function — `Transaction::id`, which `SealedTx` calls when it seals —
 # and a block's transaction tree is built in one place, when its body is
-# assembled; receipts, `tx_locations`, `computed_tx_root` and the wire
+# assembled; receipts, the receipt index, `computed_tx_root` and the wire
 # accounting all read the kept values. A second hashing site is how the
 # 414 id hashes per committed transaction grew the first time.
 echo "== chain: hash-once guard =="

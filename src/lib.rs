@@ -54,7 +54,7 @@ pub mod prelude {
     // Durable persistence: block store trait plus the disk-backed
     // segmented-WAL / snapshot implementation, state paging, snapshot
     // streaming, and the latest_state projection (DESIGN.md §14).
-    pub use medchain_chain::store::{BlockStore, MemStore, StoreError};
+    pub use medchain_chain::store::{BlockStore, StoreError};
     pub use medchain_storage::{
         DiskStore, FsyncPolicy, LatestState, PageStore, RecoveryReport, SnapshotChunk,
         SnapshotManifest, StorageConfig, StorageFault,

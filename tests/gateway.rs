@@ -5,16 +5,22 @@
 //! proof checked against an **independently read** committed block
 //! root, (2) the Lamport-safety regression — re-submitting a signed
 //! transaction never re-runs signature verification, (3) fee-gated
-//! priority-lane admission, and (4) the sharded topology routing
-//! gateway traffic onto the right sub-chains.
+//! priority-lane admission, (4) the sharded topology routing
+//! gateway traffic onto the right sub-chains, and (5) the snapshot
+//! stream a wiped site rejoins through.
 
+use medchain::bootstrap::stream_into;
 use medchain::gateway::{GatewayBackend, GatewayServer};
 use medchain::{Client, GatewayConfig, MedicalNetwork, NetworkError, TransportKind};
 use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::shard::{shard_for_key, ShardId};
-use medchain_chain::{AuthorityKey, Hash256, KeyRegistry, Lane, SealedTx, Transaction, TxPayload};
+use medchain_chain::{
+    AuthorityKey, Hash256, KeyRegistry, Lane, Ledger, SealedTx, Transaction, TxPayload,
+};
+use medchain_contracts::runtime::Runtime;
 use medchain_runtime::metrics::Registry;
+use medchain_storage::{DiskStore, StorageConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -312,6 +318,61 @@ fn priority_is_fee_gated() {
         client_side.join().expect("client thread");
     });
     net.shutdown();
+}
+
+/// The public gateway serves the snapshot stream, not only the transient
+/// `SnapshotPeer` every in-process rejoin uses: on a second thread, a
+/// genesis ledger fetches the manifest and chunks from a serving
+/// network's gateway and asks it for the block tail above them, lands on
+/// the network's tip, and the joiner's directory then recovers natively
+/// with no peer at all.
+#[test]
+fn wiped_ledger_streams_from_the_public_gateway() {
+    let dir = std::env::temp_dir()
+        .join(format!("medchain-itest-{}-gateway-stream", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).expect("clear stale test dir");
+    }
+    let mut builder = MedicalNetwork::builder()
+        .block_interval_ms(20)
+        .gateway(GatewayConfig { clients: 1, ..GatewayConfig::default() });
+    for i in 0..3 {
+        builder = builder.site(&format!("h{i}"), Vec::new());
+    }
+    let mut net = builder.build().expect("network builds");
+    let addr = net.gateway_addr().expect("gateway listening");
+    let shard = net.ledger().shard();
+    // A wiped site: the cohort's chain id, registry and runtime, at genesis.
+    let registry = net.registry().clone();
+    let joiner = || Ledger::new("medchain", registry.clone(), Box::new(Runtime::standard()));
+    let mut ledger = joiner();
+    let mut store = DiskStore::open(&dir, StorageConfig::default()).expect("store opens");
+
+    let stop = AtomicBool::new(false);
+    let report = std::thread::scope(|scope| {
+        let joiner_side = scope.spawn(|| {
+            let report = stream_into(addr, shard, &mut ledger, &mut store);
+            stop.store(true, Ordering::Relaxed);
+            report
+        });
+        net.serve_until(&stop).expect("serving succeeds");
+        joiner_side.join().expect("joiner thread")
+    })
+    .expect("streams from the public gateway");
+
+    let tip = net.ledger().tip().id();
+    assert_eq!(report.height, net.height());
+    assert!(report.chunks_fetched > 0);
+    assert_eq!(ledger.tip().id(), tip, "streamed tip differs from the network's");
+    drop(store);
+
+    let mut store = DiskStore::open(&dir, StorageConfig::default()).expect("store reopens");
+    let mut recovered = joiner();
+    let recovery = store.recover_into(&mut recovered).expect("joiner recovers natively");
+    assert_eq!(recovery.tip_id, tip);
+    assert_eq!(recovered.tip().id(), tip);
+    net.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -14,8 +14,8 @@ use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::{Transaction, TxPayload};
 use medchain_chain::ledger::WorldState;
 use medchain_chain::{
-    Hash256, KeyRegistry, LeafKey, Ledger, StateAccess, StateCacheConfig, StateDelta, StateTree,
-    WorldStateOverlay,
+    Hash256, KeyRegistry, LeafKey, Ledger, NodePager, StateAccess, StateCacheConfig, StateDelta,
+    StateTree, WorldStateOverlay,
 };
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
@@ -96,6 +96,9 @@ fn torn_tail_crash_recovers_pre_crash_tip_and_state_root() {
     // Write-ahead ordering: the failed block never reached memory either.
     assert_eq!(ledger.height(), 10);
     assert_eq!(ledger.tip().id(), tip_id);
+    let tip_root = ledger.tip().header.state_root;
+    assert_eq!(ledger.state().state_root(), tip_root, "state moved past the tip");
+    assert_eq!(ledger.state_tree().versioned_root(), tip_root, "tree moved past the tip");
     drop(ledger);
 
     // Second life: recovery truncates the torn record and replays.
@@ -796,8 +799,8 @@ fn paged_merge_collapses_inside_resolved_stubs_like_the_resident_tree() {
     }
     let resident = StateTree::from_state(&state);
     let mut paged = resident.clone();
-    paged.attach_pager(Arc::new(PagedNodes::new(pages)));
-    paged.spill_to_budget(16);
+    let pager: Arc<dyn NodePager> = Arc::new(PagedNodes::new(pages));
+    paged.spill_to_budget(&pager, 16);
     assert!(paged.resident_nodes() < resident.resident_nodes() / 10, "the budget spilled");
 
     let page_reads = || {
@@ -980,6 +983,66 @@ fn a_retained_tree_version_keeps_its_pages() {
     let live = pages.live();
     drop(retained);
     assert!(pages.live() < live, "the clone's pages outlived it");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Write-ahead on a paged ledger: the block is logged before the state
+/// changes, so a torn append that would have written a cold account
+/// leaves that account cold — the pager still holds the same record, no
+/// more and no fewer accounts are paged — and the state, the tree and
+/// the tip agree with a resident twin that never saw the block.
+#[test]
+fn torn_append_on_a_paged_ledger_leaves_cold_accounts_cold() {
+    let dir = test_dir("paged-torn");
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = AuthorityKey::from_seed(31);
+    let torn_at = 11;
+    let fault = Some(StorageFault::TornAppend { at: torn_at });
+    let config = StorageConfig { fault, ..StorageConfig::default() };
+
+    let mut resident = fresh_ledger(&key);
+    let mut paged = fresh_ledger(&key);
+    let mut store = DiskStore::open(&dir, config).unwrap();
+    store.recover_into(&mut paged).unwrap();
+    resident.state_mut().credit(key.address(), 1_000_000);
+    paged.state_mut().credit(key.address(), 1_000_000);
+    let pages =
+        Arc::new(PageStore::open(&dir.join("pages.bin"), 2, Registry::new().handle()).unwrap());
+    let cache = tiny_state_cache(pages);
+    let cold = Arc::clone(&cache.accounts);
+    paged.attach_state_cache(cache);
+    paged.attach_store(Box::new(store));
+
+    let mut rng = DetRng::from_seed(0x7042);
+    while paged.height() + 1 < torn_at {
+        let block = random_block(&mut rng, &resident, &key);
+        resident.apply(&block).unwrap();
+        paged.apply(&block).unwrap();
+    }
+    let target = (0..64u64)
+        .map(|n| {
+            let mut to = [0u8; 20];
+            to[..8].copy_from_slice(&n.to_le_bytes());
+            Address(to)
+        })
+        .find(|addr| cold.load(addr).is_some())
+        .expect("some account of the universe is cold");
+    let record = cold.load(&target);
+    let paged_accounts = paged.state().paged_account_count();
+
+    let nonce = paged.state().account(&key.address()).nonce;
+    let transfer =
+        Transaction::new(key.address(), nonce, TxPayload::Transfer { to: target, amount: 7 }, 100)
+            .signed(&key);
+    let block = paged.propose(key.address(), torn_at * 50, vec![transfer]);
+    let err = paged.apply(&block).expect_err("append is torn");
+    assert!(err.to_string().contains("simulated crash"), "got: {err}");
+
+    assert_eq!(cold.load(&target), record, "the torn block moved a cold record");
+    assert_eq!(paged.state().paged_account_count(), paged_accounts);
+    assert!(paged.state() == resident.state(), "the torn block changed the state");
+    assert_eq!(paged.tip().id(), resident.tip().id());
+    assert_eq!(paged.state_tree().versioned_root(), paged.tip().header.state_root);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -13,8 +13,8 @@
 //! needs contract-level conflict granularity, while proofs need one leaf
 //! per slot. [`LeafKey::scheduling_key`] gives the mapping.
 
-use crate::exec::StateKey;
-use crate::hash::{digest_tagged_pair, Hash256, Sha256};
+use crate::exec::{StateDelta, StateKey};
+use crate::hash::{digest_tagged_pair, digest_tagged_pairs, digest_two, Hash256, Sha256};
 use crate::shard::{shard_for_key, ShardId};
 use crate::sig::Address;
 use medchain_runtime::codec::Encode;
@@ -100,13 +100,174 @@ impl LeafKey {
     }
 }
 
+/// A [`LeafKey`] borrowed from the state or the delta that holds its
+/// parts, so naming and hashing a key copies nothing to the heap. It
+/// encodes to the owned key's codec bytes exactly (unit-tested), which
+/// is what its hash is taken over.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KeyRef<'a> {
+    Account(&'a Address),
+    Storage(&'a Address, &'a [u8]),
+    Code(&'a Address),
+    Anchor(&'a str),
+    CrossLink(u16),
+    Lock(&'a Address),
+    XsDecision(&'a Hash256),
+}
+
+impl KeyRef<'_> {
+    /// The owned key.
+    pub(crate) fn to_key(self) -> LeafKey {
+        match self {
+            KeyRef::Account(addr) => LeafKey::Account(*addr),
+            KeyRef::Storage(contract, slot) => LeafKey::Storage(*contract, slot.to_vec()),
+            KeyRef::Code(addr) => LeafKey::Code(*addr),
+            KeyRef::Anchor(label) => LeafKey::Anchor(label.to_owned()),
+            KeyRef::CrossLink(shard) => LeafKey::CrossLink(shard),
+            KeyRef::Lock(addr) => LeafKey::Lock(*addr),
+            KeyRef::XsDecision(xid) => LeafKey::XsDecision(*xid),
+        }
+    }
+
+    /// Appends the bytes `LeafKey`'s codec writes for this key.
+    fn encode(self, out: &mut Vec<u8>) {
+        match self {
+            KeyRef::Account(addr) => (0u8, addr).encode(out),
+            KeyRef::Storage(contract, slot) => {
+                (1u8, contract).encode(out);
+                slot.encode(out);
+            }
+            KeyRef::Code(addr) => (2u8, addr).encode(out),
+            KeyRef::Anchor(label) => {
+                out.push(3);
+                label.encode(out);
+            }
+            KeyRef::CrossLink(shard) => (4u8, shard).encode(out),
+            KeyRef::Lock(addr) => (5u8, addr).encode(out),
+            KeyRef::XsDecision(xid) => (6u8, xid).encode(out),
+        }
+    }
+}
+
+impl LeafKey {
+    /// This key, borrowed.
+    pub(crate) fn borrowed(&self) -> KeyRef<'_> {
+        match self {
+            LeafKey::Account(addr) => KeyRef::Account(addr),
+            LeafKey::Storage(contract, slot) => KeyRef::Storage(contract, slot),
+            LeafKey::Code(addr) => KeyRef::Code(addr),
+            LeafKey::Anchor(label) => KeyRef::Anchor(label),
+            LeafKey::CrossLink(shard) => KeyRef::CrossLink(*shard),
+            LeafKey::Lock(addr) => KeyRef::Lock(addr),
+            LeafKey::XsDecision(xid) => KeyRef::XsDecision(xid),
+        }
+    }
+}
+
+/// One pending leaf write, by key hash: `Some(value_hash)` upserts,
+/// `None` deletes.
+pub(crate) type LeafUpdate = (Hash256, Option<Hash256>);
+
+/// The one place leaves are hashed: every build, merge and single update
+/// of the tree turns its `(key, value)` writes into [`LeafUpdate`]s
+/// here. Two scratch buffers, each its domain tag followed by the key's
+/// or the value's bytes, are reused for a whole pass, so a leaf costs no
+/// allocation, and a write's key and value hash side by side.
+pub(crate) struct LeafHasher {
+    key: Vec<u8>,
+    value: Vec<u8>,
+}
+
+impl LeafHasher {
+    pub(crate) fn new() -> LeafHasher {
+        LeafHasher { key: KEY_TAG.to_vec(), value: VALUE_TAG.to_vec() }
+    }
+
+    /// `key`'s hash and, unless the write deletes, `value`'s.
+    pub(crate) fn hash(&mut self, key: KeyRef<'_>, value: Option<&[u8]>) -> LeafUpdate {
+        self.key.truncate(KEY_TAG.len());
+        key.encode(&mut self.key);
+        let Some(value) = value else {
+            return (Hash256::digest(&self.key), None);
+        };
+        self.value.truncate(VALUE_TAG.len());
+        self.value.extend_from_slice(value);
+        let [key_hash, value_hash] = digest_two(&self.key, &self.value);
+        (key_hash, Some(value_hash))
+    }
+}
+
+/// Feeds every write of a committed [`StateDelta`] to `emit` as its
+/// leaf key and new value bytes, `None` deleting the leaf. This is the
+/// single bridge between the execution layer's delta vocabulary and the
+/// tree: storage tombstones and cleared locks delete, every other
+/// component upserts (accounts, code, anchors, cross-links, and
+/// decisions are never removed from state).
+fn for_each_write(delta: &StateDelta, emit: &mut dyn FnMut(KeyRef<'_>, Option<&[u8]>)) {
+    let mut scratch = Vec::new();
+    for (addr, account) in &delta.accounts {
+        scratch.clear();
+        account.encode(&mut scratch);
+        emit(KeyRef::Account(addr), Some(&scratch));
+    }
+    for ((contract, slot), value) in &delta.storage {
+        emit(KeyRef::Storage(contract, slot), value.as_deref());
+    }
+    for (contract, code) in &delta.code {
+        emit(KeyRef::Code(contract), Some(code));
+    }
+    for (label, root) in &delta.anchors {
+        emit(KeyRef::Anchor(label), Some(&root.0));
+    }
+    for (shard, link) in &delta.crosslinks {
+        scratch.clear();
+        link.encode(&mut scratch);
+        emit(KeyRef::CrossLink(*shard), Some(&scratch));
+    }
+    for (addr, lock) in &delta.locks {
+        match lock {
+            Some(lock) => {
+                scratch.clear();
+                lock.encode(&mut scratch);
+                emit(KeyRef::Lock(addr), Some(&scratch));
+            }
+            None => emit(KeyRef::Lock(addr), None),
+        }
+    }
+    for (xid, decision) in &delta.xs_decisions {
+        scratch.clear();
+        decision.encode(&mut scratch);
+        emit(KeyRef::XsDecision(xid), Some(&scratch));
+    }
+}
+
+/// Flattens a committed [`StateDelta`] into owned `(leaf key, new
+/// value)` updates, where `None` deletes the leaf — what a commit
+/// observer is handed. The tree never needs this list: it hashes the
+/// same writes straight from the delta ([`hashed_writes`]).
+pub fn delta_updates(delta: &StateDelta) -> Vec<(LeafKey, Option<Vec<u8>>)> {
+    let mut updates = Vec::with_capacity(delta.len());
+    for_each_write(delta, &mut |key, value| {
+        updates.push((key.to_key(), value.map(<[u8]>::to_vec)))
+    });
+    updates
+}
+
+/// Every write of `delta` hashed to a [`LeafUpdate`], sorted by key hash:
+/// the batch a merge descends with.
+pub(crate) fn hashed_writes(delta: &StateDelta) -> Vec<LeafUpdate> {
+    let mut hasher = LeafHasher::new();
+    let mut batch = Vec::with_capacity(delta.len());
+    for_each_write(delta, &mut |key, value| batch.push(hasher.hash(key, value)));
+    batch.sort_unstable_by_key(|(key_hash, _)| *key_hash);
+    debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0), "a leaf key written twice");
+    batch
+}
+
 /// Position-defining hash of a leaf key. The 256 bits, consumed
 /// MSB-first, are the leaf's path from the root.
 pub fn key_hash(key: &LeafKey) -> Hash256 {
-    let mut hasher = Sha256::new();
-    hasher.update(KEY_TAG);
-    hasher.update(&key.encoded());
-    hasher.finalize()
+    LeafHasher::new().hash(key.borrowed(), None).0
 }
 
 /// Hash of a leaf's canonical value bytes.
@@ -125,6 +286,34 @@ pub fn leaf_hash(key_hash: &Hash256, value_hash: &Hash256) -> Hash256 {
 /// Hash of an internal node: `H(0x01 ‖ left ‖ right)`.
 pub fn node_hash(left: &Hash256, right: &Hash256) -> Hash256 {
     digest_tagged_pair(NODE_TAG, left, right)
+}
+
+/// What a tree node's hash is taken over: a leaf's key and value hashes
+/// ([`leaf_hash`]), or an internal node's children's hashes
+/// ([`node_hash`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Preimage<'a> {
+    Leaf(&'a Hash256, &'a Hash256),
+    Node(&'a Hash256, &'a Hash256),
+}
+
+impl<'a> Preimage<'a> {
+    fn tagged(self) -> (u8, &'a Hash256, &'a Hash256) {
+        match self {
+            Preimage::Leaf(key_hash, value_hash) => (LEAF_TAG, key_hash, value_hash),
+            Preimage::Node(left, right) => (NODE_TAG, left, right),
+        }
+    }
+
+    pub(crate) fn hash(self) -> Hash256 {
+        let (tag, left, right) = self.tagged();
+        digest_tagged_pair(tag, left, right)
+    }
+
+    /// Two independent nodes' hashes, computed side by side.
+    pub(crate) fn hash_pair(a: Self, b: Self) -> [Hash256; 2] {
+        digest_tagged_pairs([a.tagged(), b.tagged()])
+    }
 }
 
 /// The root that goes into `Header.state_root`: the tree root wrapped in
@@ -148,9 +337,9 @@ mod tests {
     use super::*;
     use medchain_runtime::codec::Decode;
 
-    #[test]
-    fn leaf_key_codec_round_trips() {
-        let keys = [
+    /// One key of every family.
+    fn sample_keys() -> [LeafKey; 7] {
+        [
             LeafKey::Account(Address::from_seed(1)),
             LeafKey::Storage(Address::from_seed(2), b"slot".to_vec()),
             LeafKey::Code(Address::from_seed(2)),
@@ -158,9 +347,29 @@ mod tests {
             LeafKey::CrossLink(3),
             LeafKey::Lock(Address::from_seed(3)),
             LeafKey::XsDecision(Hash256::digest(b"x")),
-        ];
-        for key in &keys {
+        ]
+    }
+
+    #[test]
+    fn leaf_key_codec_round_trips() {
+        for key in &sample_keys() {
             assert_eq!(&LeafKey::decoded(&key.encoded()).unwrap(), key);
+        }
+    }
+
+    /// Key hashes are taken over the borrowed key's bytes: they must be
+    /// the owned key's codec bytes, or every root would move.
+    #[test]
+    fn borrowed_keys_encode_like_owned_keys() {
+        for key in &sample_keys() {
+            let mut bytes = Vec::new();
+            key.borrowed().encode(&mut bytes);
+            assert_eq!(bytes, key.encoded(), "{key:?}");
+            assert_eq!(&key.borrowed().to_key(), key);
+            let mut hasher = Sha256::new();
+            hasher.update(KEY_TAG);
+            hasher.update(&key.encoded());
+            assert_eq!(key_hash(key), hasher.finalize(), "{key:?}");
         }
     }
 

@@ -14,11 +14,29 @@
 //! has two empty children. Deleting a key therefore restores the exact
 //! root the tree had before the key was inserted.
 //!
+//! ## Layout
+//!
+//! A node is its hash and a tagged pointer, 48 bytes, held by value in
+//! its parent: an internal node's two children share one `Arc`'d pair,
+//! and a leaf points at its key and value hashes. A pair holds both
+//! children's hashes side by side, which is all its parent reads to hash
+//! itself, and it fits the allocator's 128-byte class with its reference
+//! counts.
+//!
+//! The merge rewrites nodes where they stand. A pair or leaf that no
+//! other tree version shares is changed in place; one that is shared is
+//! copied first (`Arc::make_mut`), so older versions never see a change.
+//! A ledger that owns its tree alone therefore updates it without
+//! allocating or freeing a node on the paths it touches, while
+//! [`StateTree::with_delta`], merging into an O(1) clone, copies exactly
+//! the touched paths. A changed node's hash is left stale for its
+//! parent, which hashes both children at once, two digests side by side.
+//!
 //! ## Disk-resident cold subtrees (DESIGN.md §14)
 //!
 //! Handed a [`NodePager`], [`StateTree::spill_to_budget`] cuts the
 //! tree at one depth fixed by the budget and swaps each resident subtree
-//! at the cut for a single-node `Node::Paged` stub holding only the
+//! at the cut for a single-node `Kind::Paged` stub holding only the
 //! subtree hash and a page handle; the subtree's preorder bytes move to
 //! disk. Every traversal resolves stubs on descent (mutating paths
 //! promote them back into the rebuilt path; read-only paths decode
@@ -34,10 +52,10 @@
 //! naming it — the live tree, a proof's clone, a `with_delta` base, a
 //! snapshot being encoded — is gone.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::borrow::Cow;
+use std::sync::Arc;
 
-use super::leaf::{self, LeafKey, EMPTY_SUBTREE};
+use super::leaf::{self, LeafHasher, LeafKey, LeafUpdate, Preimage, EMPTY_SUBTREE};
 use super::{ProofTerminal, SmtProof};
 use crate::exec::StateDelta;
 use crate::hash::Hash256;
@@ -94,62 +112,69 @@ impl Drop for Page {
     }
 }
 
-/// One node of the tree. Hashes are computed eagerly on construction and
-/// cached, so reads never hash.
-enum Node {
+/// One node of the tree, held by value in its parent's pair: its hash
+/// and what lies under it. Hashes are computed once, before a node is
+/// built, and cached, so reads never hash.
+#[derive(Clone)]
+struct Node {
+    hash: Hash256,
+    kind: Kind,
+}
+
+#[derive(Clone)]
+enum Kind {
     /// An empty subtree (hash [`EMPTY_SUBTREE`]).
     Empty,
     /// A subtree holding exactly one leaf; hashes as the leaf itself.
-    Leaf {
-        hash: Hash256,
-        key_hash: Hash256,
-        value_hash: Hash256,
-    },
-    /// A subtree holding two or more leaves.
-    Internal {
-        hash: Hash256,
-        left: Arc<Node>,
-        right: Arc<Node>,
-    },
+    Leaf(Arc<LeafKeys>),
+    /// A subtree holding two or more leaves: its two children.
+    Internal(Arc<[Node; 2]>),
     /// A cold subtree (two or more leaves) spilled to the node pager:
     /// only its hash and page handle stay resident. Never produced by
     /// `Decode` — it exists only in memory, as the residue of
     /// [`StateTree::spill_to_budget`].
-    Paged { hash: Hash256, page: Page },
+    Paged(Arc<Page>),
+}
+
+/// What a leaf's hash is taken over.
+#[derive(Clone)]
+struct LeafKeys {
+    key_hash: Hash256,
+    value_hash: Hash256,
 }
 
 impl Node {
-    /// The empty subtree: one allocation for the whole process. Nodes
-    /// are immutable, so every empty child of every tree version can be
-    /// this one (≈0.44 empty children per leaf of a random-key tree).
-    fn empty() -> Arc<Node> {
-        static EMPTY: OnceLock<Arc<Node>> = OnceLock::new();
-        Arc::clone(EMPTY.get_or_init(|| Arc::new(Node::Empty)))
+    const EMPTY: Node = Node { hash: EMPTY_SUBTREE, kind: Kind::Empty };
+
+    /// A node whose hash is still to be computed from its [`preimage`].
+    ///
+    /// [`preimage`]: Node::preimage
+    fn unhashed(kind: Kind) -> Node {
+        Node { hash: Hash256::ZERO, kind }
     }
 
-    fn hash(&self) -> Hash256 {
-        match self {
-            Node::Empty => EMPTY_SUBTREE,
-            Node::Leaf { hash, .. } | Node::Internal { hash, .. } | Node::Paged { hash, .. } => {
-                *hash
-            }
+    /// What this leaf or internal node hashes. Empty subtrees and stubs
+    /// carry their hash from the start and never need one.
+    fn preimage(&self) -> Preimage<'_> {
+        match &self.kind {
+            Kind::Leaf(leaf) => Preimage::Leaf(&leaf.key_hash, &leaf.value_hash),
+            Kind::Internal(kids) => Preimage::Node(&kids[0].hash, &kids[1].hash),
+            Kind::Empty | Kind::Paged(_) => unreachable!("empties and stubs are never rehashed"),
         }
     }
+}
 
-    fn leaf(key_hash: Hash256, value_hash: Hash256) -> Node {
-        Node::Leaf {
-            hash: leaf::leaf_hash(&key_hash, &value_hash),
-            key_hash,
-            value_hash,
+/// Hashes whichever of two siblings is `stale`, side by side when both
+/// are.
+fn settle([left, right]: [&mut Node; 2], stale: [bool; 2]) {
+    match stale {
+        [true, true] => {
+            let [l, r] = Preimage::hash_pair(left.preimage(), right.preimage());
+            (left.hash, right.hash) = (l, r);
         }
-    }
-
-    fn internal(left: Arc<Node>, right: Arc<Node>) -> Node {
-        Node::Internal {
-            hash: leaf::node_hash(&left.hash(), &right.hash()),
-            left,
-            right,
-        }
+        [true, false] => left.hash = left.preimage().hash(),
+        [false, true] => right.hash = right.preimage().hash(),
+        [false, false] => {}
     }
 }
 
@@ -162,7 +187,7 @@ impl Node {
 /// copy.
 #[derive(Clone)]
 pub struct StateTree {
-    root: Arc<Node>,
+    root: Node,
     len: usize,
 }
 
@@ -176,14 +201,14 @@ impl std::fmt::Debug for StateTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StateTree")
             .field("len", &self.len)
-            .field("root", &self.root.hash())
+            .field("root", &self.root.hash)
             .finish()
     }
 }
 
 impl PartialEq for StateTree {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.root.hash() == other.root.hash()
+        self.len == other.len && self.root.hash == other.root.hash
     }
 }
 
@@ -193,7 +218,7 @@ impl StateTree {
     /// The empty tree (root commits to zero leaves).
     pub fn new() -> StateTree {
         StateTree {
-            root: Node::empty(),
+            root: Node::EMPTY,
             len: 0,
         }
     }
@@ -215,24 +240,30 @@ impl StateTree {
     /// were already committed: the state's leaves overridden by the
     /// delta's upserts and deletions, built in the same single pass.
     pub(crate) fn from_state_with(state: &WorldState, delta: &StateDelta) -> StateTree {
-        let overrides: BTreeMap<Hash256, Option<Hash256>> = delta_updates(delta)
-            .iter()
-            .map(|(key, value)| (leaf::key_hash(key), value.as_deref().map(leaf::value_hash)))
-            .collect();
+        let overrides = leaf::hashed_writes(delta);
+        let mut hasher = LeafHasher::new();
         let mut leaves = Vec::with_capacity(state.leaf_count() + overrides.len());
         state.for_each_leaf(&mut |key, value| {
-            let key_hash = leaf::key_hash(&key);
-            if !overrides.contains_key(&key_hash) {
-                leaves.push((key_hash, leaf::value_hash(value)));
-            }
+            let (key_hash, value_hash) = if overrides.is_empty() {
+                hasher.hash(key, Some(value))
+            } else {
+                // An overridden leaf's old value is never hashed.
+                let (key_hash, _) = hasher.hash(key, None);
+                if overrides.binary_search_by_key(&key_hash, |(k, _)| *k).is_ok() {
+                    return;
+                }
+                (key_hash, Some(leaf::value_hash(value)))
+            };
+            leaves.push((key_hash, value_hash.expect("a state leaf has a value")));
         });
-        leaves.extend(overrides.into_iter().filter_map(|(kh, vh)| Some((kh, vh?))));
+        leaves.extend(overrides.iter().filter_map(|(kh, vh)| Some((*kh, (*vh)?))));
         // Byte order of the key hash is its MSB-first path order.
         leaves.sort_unstable_by_key(|(key_hash, _)| *key_hash);
-        StateTree {
-            root: build(&leaves, 0),
-            len: leaves.len(),
+        let (mut root, stale) = build(&leaves, 0);
+        if stale {
+            root.hash = root.preimage().hash();
         }
+        StateTree { root, len: leaves.len() }
     }
 
     /// Number of leaves.
@@ -247,7 +278,7 @@ impl StateTree {
 
     /// The raw sparse-Merkle-tree root.
     pub fn root(&self) -> Hash256 {
-        self.root.hash()
+        self.root.hash
     }
 
     /// The version-tagged root committed into `Header.state_root`.
@@ -258,32 +289,37 @@ impl StateTree {
     /// Sets (`Some`) or deletes (`None`) one leaf: a batch of one,
     /// rebuilding only the root-to-leaf path.
     pub fn update(&mut self, key: &LeafKey, value: Option<&[u8]>) {
-        let batch = [(leaf::key_hash(key), value.map(leaf::value_hash))];
-        self.root = merge(&self.root, 0, &batch, &mut self.len);
+        self.merge_batch(&[LeafHasher::new().hash(key.borrowed(), value)]);
     }
 
-    /// The tree after applying a committed block's [`StateDelta`]:
+    /// Applies a committed block's [`StateDelta`] in one descent:
     /// tombstoned storage slots and cleared locks become deletions,
-    /// everything else an upsert. The receiver is untouched.
-    pub fn with_delta(&self, delta: &StateDelta) -> StateTree {
-        self.with_updates(&delta_updates(delta))
+    /// everything else an upsert, hashed straight from the delta and
+    /// sorted by key hash, so every touched node is rewritten and hashed
+    /// once however many of the batch's keys lie under it. Nodes this
+    /// tree alone holds change in place; shared ones are copied first,
+    /// so every clone keeps the version it had.
+    pub fn merge_delta(&mut self, delta: &StateDelta) {
+        self.merge_batch(&leaf::hashed_writes(delta));
     }
 
-    /// The tree after applying already-flattened
-    /// [`delta_updates`] (each leaf key at most once), in one descent:
-    /// the batch is sorted by key hash and merged into the tree, so every
-    /// touched node is rebuilt and hashed once however many of the
-    /// batch's keys lie under it.
-    pub(crate) fn with_updates(&self, updates: &[(LeafKey, Option<Vec<u8>>)]) -> StateTree {
-        let mut batch: Vec<LeafUpdate> = updates
-            .iter()
-            .map(|(key, value)| (leaf::key_hash(key), value.as_deref().map(leaf::value_hash)))
-            .collect();
-        batch.sort_unstable_by_key(|(key_hash, _)| *key_hash);
-        debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0), "a leaf key written twice");
+    /// The tree after applying `delta`, as [`merge_delta`] into an O(1)
+    /// clone: the touched paths are copied, and the receiver is
+    /// untouched.
+    ///
+    /// [`merge_delta`]: StateTree::merge_delta
+    pub fn with_delta(&self, delta: &StateDelta) -> StateTree {
         let mut tree = self.clone();
-        tree.root = merge(&self.root, 0, &batch, &mut tree.len);
+        tree.merge_delta(delta);
         tree
+    }
+
+    /// Merges a sorted batch of distinct key hashes into the tree.
+    fn merge_batch(&mut self, batch: &[LeafUpdate]) {
+        warm(&self.root, batch);
+        if merge(&mut self.root, 0, batch, &mut self.len) == Some(true) {
+            self.root.hash = self.root.preimage().hash();
+        }
     }
 
     /// Merkle path for `key` against the current root, usable both to
@@ -296,45 +332,37 @@ impl StateTree {
         // Owned cursor: descending into a spilled subtree resolves a
         // transient copy without touching the tree (`&self`); siblings
         // that stay cold contribute only their resident hash.
-        let mut node = resolve(&self.root);
+        let mut node = resolve(&self.root).into_owned();
         let mut depth = 0;
         loop {
-            let next = match &*node {
-                Node::Empty => {
+            let next = match &node.kind {
+                Kind::Empty => {
                     return SmtProof {
                         siblings,
                         terminal: ProofTerminal::Empty,
                     }
                 }
-                Node::Leaf {
-                    key_hash: leaf_kh,
-                    value_hash,
-                    ..
-                } => {
-                    let terminal = if *leaf_kh == key_hash {
+                Kind::Leaf(leaf) => {
+                    let terminal = if leaf.key_hash == key_hash {
                         ProofTerminal::Leaf {
-                            value_hash: *value_hash,
+                            value_hash: leaf.value_hash,
                         }
                     } else {
                         // A different leaf occupies the queried key's
                         // path prefix: proof of absence.
                         ProofTerminal::OtherLeaf {
-                            key_hash: *leaf_kh,
-                            value_hash: *value_hash,
+                            key_hash: leaf.key_hash,
+                            value_hash: leaf.value_hash,
                         }
                     };
                     return SmtProof { siblings, terminal };
                 }
-                Node::Internal { left, right, .. } => {
-                    if leaf::key_bit(&key_hash, depth) {
-                        siblings.push(left.hash());
-                        resolve(right)
-                    } else {
-                        siblings.push(right.hash());
-                        resolve(left)
-                    }
+                Kind::Internal(kids) => {
+                    let bit = usize::from(leaf::key_bit(&key_hash, depth));
+                    siblings.push(kids[1 - bit].hash);
+                    resolve(&kids[bit]).into_owned()
                 }
-                Node::Paged { .. } => unreachable!("cursor is always resolved"),
+                Kind::Paged(_) => unreachable!("cursor is always resolved"),
             };
             node = next;
             depth += 1;
@@ -352,11 +380,11 @@ impl StateTree {
     }
 
     /// Nodes currently held in memory, counting each spilled subtree as
-    /// the single `Node::Paged` stub that represents it.
+    /// the single `Kind::Paged` stub that represents it.
     pub fn resident_nodes(&self) -> usize {
         fn count(node: &Node) -> usize {
-            match node {
-                Node::Internal { left, right, .. } => 1 + count(left) + count(right),
+            match &node.kind {
+                Kind::Internal(kids) => 1 + count(&kids[0]) + count(&kids[1]),
                 _ => 1,
             }
         }
@@ -370,7 +398,7 @@ impl StateTree {
     /// The tree is cut at depth `cut =
     /// ⌊log₂(budget + 1)⌋ − 1`: the spine above it (at most 2^cut − 1
     /// nodes) stays resident, and every resident internal node at the
-    /// cut becomes a stub over one freshly stored page, so the 2^cut
+    /// cut becomes a stub over one newly stored page, so the 2^cut
     /// positions there fit the rest of the budget. Stubs, leaves and
     /// empties pass through, so a page is written once and never folded
     /// into a bigger one; after a commit only the subtrees its merge
@@ -389,212 +417,256 @@ impl StateTree {
             return;
         }
         let cut = (budget.max(1) + 1).ilog2() as usize - 1;
-        self.root = spill(&self.root, cut, pager);
+        if let Some(root) = spill(&self.root, cut, pager) {
+            self.root = root;
+        }
     }
 }
 
-/// Materializes a [`Node::Paged`] stub by decoding its page; any other
-/// node passes through untouched. Mutating paths call this before
+/// Materializes a [`Kind::Paged`] stub by decoding its page; any other
+/// node is borrowed as it is. Mutating paths call this before
 /// descending, so a touched cold subtree is naturally promoted into the
 /// rebuilt path while untouched siblings stay spilled.
 ///
 /// Panics on an undecodable page or a hash mismatch: spill pages are
 /// derived data with no second copy, so both are unrecoverable data
 /// loss (see [`NodePager`]).
-fn resolve(node: &Arc<Node>) -> Arc<Node> {
-    let Node::Paged { hash, page } = &**node else {
-        return node.clone();
+fn resolve(node: &Node) -> Cow<'_, Node> {
+    let Kind::Paged(page) = &node.kind else {
+        return Cow::Borrowed(node);
     };
     let bytes = page.load();
     let mut r = Reader::new(&bytes);
     let resolved =
         decode_node(&mut r, 0).expect("spilled subtree page holds a valid node encoding");
     assert_eq!(r.remaining(), 0, "spilled subtree page has trailing bytes");
-    assert_eq!(resolved.hash(), *hash, "spilled subtree page hash mismatch (data loss)");
-    resolved
+    assert_eq!(resolved.hash, node.hash, "spilled subtree page hash mismatch (data loss)");
+    Cow::Owned(resolved)
 }
 
 /// Replaces each resident internal node `depth` levels below `node` with
-/// a stub over one stored page. Hashes are carried, never recomputed; a
-/// subtree with nothing to spill comes back as the very same `Arc`.
-fn spill(node: &Arc<Node>, depth: usize, pager: &Arc<dyn NodePager>) -> Arc<Node> {
-    let Node::Internal { hash, left, right } = &**node else {
-        return node.clone();
+/// a stub over one stored page. Hashes are carried, never recomputed;
+/// `None` when nothing under `node` was spilled.
+fn spill(node: &Node, depth: usize, pager: &Arc<dyn NodePager>) -> Option<Node> {
+    let Kind::Internal(kids) = &node.kind else {
+        return None;
     };
     if depth == 0 {
         let mut bytes = Vec::new();
         encode_node(node, &mut bytes);
         let page = Page { id: pager.store_node(&bytes), pager: Arc::clone(pager) };
-        return Arc::new(Node::Paged { hash: *hash, page });
+        return Some(Node { hash: node.hash, kind: Kind::Paged(Arc::new(page)) });
     }
-    let new_left = spill(left, depth - 1, pager);
-    let new_right = spill(right, depth - 1, pager);
-    if Arc::ptr_eq(&new_left, left) && Arc::ptr_eq(&new_right, right) {
-        return node.clone();
+    let left = spill(&kids[0], depth - 1, pager);
+    let right = spill(&kids[1], depth - 1, pager);
+    if left.is_none() && right.is_none() {
+        return None;
     }
-    Arc::new(Node::Internal { hash: *hash, left: new_left, right: new_right })
+    let kids = [left.unwrap_or_else(|| kids[0].clone()), right.unwrap_or_else(|| kids[1].clone())];
+    Some(Node { hash: node.hash, kind: Kind::Internal(Arc::new(kids)) })
+}
+
+/// Reads, one depth at a time, what [`merge`] will touch for `batch`:
+/// the reference counts of the pairs and leaves on its paths, which the
+/// merge's uniqueness check takes exclusively, and both children's
+/// hashes in each pair, which it hashes. Here the loads of different
+/// paths are independent, so their cache misses overlap; the
+/// depth-first merge would wait out each one in turn. Spilled subtrees
+/// are left to the merge to resolve.
+fn warm(root: &Node, batch: &[LeafUpdate]) {
+    // Each node a level holds has its own non-empty slice of the batch.
+    let (mut level, mut next) = (Vec::with_capacity(batch.len()), Vec::with_capacity(batch.len()));
+    level.push((root, batch));
+    let mut depth = 0;
+    let mut read = 0usize;
+    while !level.is_empty() {
+        for (node, batch) in level.drain(..) {
+            match &node.kind {
+                Kind::Internal(kids) => {
+                    read ^= Arc::strong_count(kids)
+                        ^ usize::from(kids[0].hash.0[0] ^ kids[1].hash.0[31]);
+                    let split =
+                        batch.partition_point(|(key_hash, _)| !leaf::key_bit(key_hash, depth));
+                    let (left, right) = batch.split_at(split);
+                    next.extend(
+                        kids.iter().zip([left, right]).filter(|(_, part)| !part.is_empty()),
+                    );
+                }
+                Kind::Leaf(leaf) => {
+                    read ^= Arc::strong_count(leaf) ^ usize::from(leaf.key_hash.0[0]);
+                }
+                Kind::Empty | Kind::Paged(_) => {}
+            }
+        }
+        std::mem::swap(&mut level, &mut next);
+        depth += 1;
+    }
+    // Keeps the loads: nothing else uses what they read.
+    std::hint::black_box(read);
 }
 
 /// The canonical subtree over `leaves` — distinct `(key_hash,
 /// value_hash)` pairs sorted by key hash, all sharing their first
-/// `depth` path bits — with every node hashed once. [`merge`] hands it
-/// every position where a batch meets an empty or single-leaf subtree.
-fn build(leaves: &[(Hash256, Hash256)], depth: usize) -> Arc<Node> {
+/// `depth` path bits — with every node hashed once, and whether its
+/// root's hash is still stale: that one is left to the caller, to hash
+/// beside its sibling. [`merge`] hands it every position where a batch
+/// meets an empty or single-leaf subtree.
+fn build(leaves: &[(Hash256, Hash256)], depth: usize) -> (Node, bool) {
     match leaves {
-        [] => Node::empty(),
-        [(key_hash, value_hash)] => Arc::new(Node::leaf(*key_hash, *value_hash)),
+        [] => (Node::EMPTY, false),
+        [(key_hash, value_hash)] => {
+            let leaf = LeafKeys { key_hash: *key_hash, value_hash: *value_hash };
+            (Node::unhashed(Kind::Leaf(Arc::new(leaf))), true)
+        }
         _ => {
             assert!(depth < MAX_DEPTH, "distinct leaf keys share all 256 path bits");
             let split = leaves.partition_point(|(key_hash, _)| !leaf::key_bit(key_hash, depth));
             let (left, right) = leaves.split_at(split);
-            Arc::new(Node::internal(build(left, depth + 1), build(right, depth + 1)))
+            let ((mut left, left_stale), (mut right, right_stale)) =
+                (build(left, depth + 1), build(right, depth + 1));
+            settle([&mut left, &mut right], [left_stale, right_stale]);
+            (Node::unhashed(Kind::Internal(Arc::new([left, right]))), true)
         }
     }
 }
 
-/// One pending leaf write, by key hash: `Some(value_hash)` upserts,
-/// `None` deletes.
-type LeafUpdate = (Hash256, Option<Hash256>);
-
 /// Merges `batch` — distinct key hashes, sorted, all sharing `node`'s
-/// first `depth` path bits — into `node`, adjusting `len` by the leaves
-/// gained or lost. An untouched subtree (empty sub-batch, or writes that
-/// change nothing) comes back as the very same `Arc`, unhashed and, if
-/// spilled, still a stub; a touched internal node is hashed once, after
-/// both children. Deletions restore canonical form on the way back up:
-/// an internal node left with a single leaf child collapses to that
-/// leaf, one left with two empty children to the empty subtree.
-fn merge(node: &Arc<Node>, depth: usize, batch: &[LeafUpdate], len: &mut usize) -> Arc<Node> {
+/// first `depth` path bits — into `node` where it stands, adjusting
+/// `len` by the leaves gained or lost. A pair or leaf another tree
+/// version shares is copied before it changes; one this tree alone holds
+/// changes in place. `None` means nothing changed (an empty sub-batch, or
+/// writes that change nothing): the node is untouched, unhashed and, if
+/// spilled, still a stub. Otherwise `Some(stale)` says whether the node's
+/// hash must still be computed — left to the caller, which hashes two
+/// changed siblings at once. Deletions restore canonical form on the way
+/// back up: an internal node left with a single leaf child collapses to
+/// that leaf, one left with two empty children to the empty subtree.
+fn merge(node: &mut Node, depth: usize, batch: &[LeafUpdate], len: &mut usize) -> Option<bool> {
     if batch.is_empty() {
-        return node.clone();
+        return None;
     }
-    let resolved = resolve(node);
-    let existing = match &*resolved {
-        Node::Internal { left, right, .. } => {
+    if let Kind::Paged(_) = node.kind {
+        // A touched cold subtree is promoted into the tree; an untouched
+        // one stays a stub.
+        let mut resolved = resolve(node).into_owned();
+        let stale = merge(&mut resolved, depth, batch, len)?;
+        *node = resolved;
+        return Some(stale);
+    }
+    let existing = match &mut node.kind {
+        Kind::Internal(kids) => {
             let split = batch.partition_point(|(key_hash, _)| !leaf::key_bit(key_hash, depth));
             let (left_batch, right_batch) = batch.split_at(split);
-            let new_left = merge(left, depth + 1, left_batch, len);
-            let new_right = merge(right, depth + 1, right_batch, len);
-            if Arc::ptr_eq(&new_left, left) && Arc::ptr_eq(&new_right, right) {
-                return node.clone();
+            let [left, right] = Arc::make_mut(kids);
+            let left_merged = merge(left, depth + 1, left_batch, len);
+            let right_merged = merge(right, depth + 1, right_batch, len);
+            if left_merged.is_none() && right_merged.is_none() {
+                return None;
             }
+            let stale = [left_merged == Some(true), right_merged == Some(true)];
             // A `Paged` child stands for an internal node, so it holds
             // ≥ 2 leaves and can only land in the no-collapse arm.
-            return match (&*new_left, &*new_right) {
-                (Node::Empty, Node::Leaf { .. }) => new_right,
-                (Node::Leaf { .. }, Node::Empty) => new_left,
-                (Node::Empty, Node::Empty) => Node::empty(),
-                _ => Arc::new(Node::internal(new_left, new_right)),
+            let (survivor, survivor_stale) = match (&left.kind, &right.kind) {
+                (Kind::Empty, Kind::Empty | Kind::Leaf(_)) => (right, stale[1]),
+                (Kind::Leaf(_), Kind::Empty) => (left, stale[0]),
+                _ => {
+                    settle([left, right], stale);
+                    return Some(true);
+                }
             };
+            *node = std::mem::replace(survivor, Node::EMPTY);
+            return Some(survivor_stale);
         }
-        Node::Empty => None,
-        Node::Leaf { key_hash, value_hash, .. } => Some((*key_hash, *value_hash)),
-        Node::Paged { .. } => unreachable!("resolve never returns a stub"),
+        Kind::Empty => None,
+        Kind::Leaf(leaf) => Some((leaf.key_hash, leaf.value_hash)),
+        Kind::Paged(_) => unreachable!("resolved above"),
     };
     // An empty or single-leaf position: the existing leaf, unless the
-    // batch writes its key, interleaved with the batch's upserts.
+    // batch writes its key, interleaved with the batch's upserts. Up to
+    // two leaves — one upsert over an empty or a same-key leaf, or two
+    // leaves side by side — are gathered on the stack.
     let upsert = |(key_hash, value_hash): &LeafUpdate| Some((*key_hash, (*value_hash)?));
     let at = existing.map_or(0, |(key_hash, _)| batch.partition_point(|(k, _)| *k < key_hash));
     let kept = existing.filter(|(key_hash, _)| batch.get(at).is_none_or(|(k, _)| k != key_hash));
     let (below, above) = batch.split_at(at);
-    let leaves: Vec<(Hash256, Hash256)> = below
-        .iter()
-        .filter_map(upsert)
-        .chain(kept)
-        .chain(above.iter().filter_map(upsert))
-        .collect();
-    if leaves.as_slice() == existing.as_slice() {
-        return node.clone();
+    let mut merged =
+        below.iter().filter_map(upsert).chain(kept).chain(above.iter().filter_map(upsert));
+    let mut few = [(Hash256::ZERO, Hash256::ZERO); 2];
+    let many: Vec<(Hash256, Hash256)>;
+    let leaves = if batch.len() + usize::from(existing.is_some()) <= few.len() {
+        let mut count = 0;
+        for (slot, leaf) in few.iter_mut().zip(&mut merged) {
+            *slot = leaf;
+            count += 1;
+        }
+        &few[..count]
+    } else {
+        many = merged.collect();
+        &many[..]
+    };
+    if leaves == existing.as_slice() {
+        return None;
     }
     *len = *len + leaves.len() - usize::from(existing.is_some());
-    build(&leaves, depth)
+    // The common write, a new value under the leaf's own key, rewrites
+    // the leaf where it is.
+    if let (Kind::Leaf(leaf), [(key_hash, value_hash)]) = (&mut node.kind, leaves) {
+        if leaf.key_hash == *key_hash {
+            Arc::make_mut(leaf).value_hash = *value_hash;
+            return Some(true);
+        }
+    }
+    let (built, stale) = build(leaves, depth);
+    *node = built;
+    Some(stale)
 }
 
-/// Flattens a committed [`StateDelta`] into `(leaf key, new value)`
-/// updates, where `None` deletes the leaf. This is the single bridge
-/// between the execution layer's delta vocabulary and the tree: storage
-/// tombstones and cleared locks delete, every other component upserts
-/// (accounts, code, anchors, cross-links, and decisions are never
-/// removed from state).
-pub fn delta_updates(delta: &StateDelta) -> Vec<(LeafKey, Option<Vec<u8>>)> {
-    let mut updates = Vec::new();
-    for (addr, account) in &delta.accounts {
-        updates.push((LeafKey::Account(*addr), Some(account.encoded())));
-    }
-    for ((contract, key), value) in &delta.storage {
-        updates.push((LeafKey::Storage(*contract, key.clone()), value.clone()));
-    }
-    for (contract, code) in &delta.code {
-        updates.push((LeafKey::Code(*contract), Some(code.clone())));
-    }
-    for (label, root) in &delta.anchors {
-        updates.push((LeafKey::Anchor(label.clone()), Some(root.0.to_vec())));
-    }
-    for (shard, link) in &delta.crosslinks {
-        updates.push((LeafKey::CrossLink(*shard), Some(link.encoded())));
-    }
-    for (addr, lock) in &delta.locks {
-        updates.push((LeafKey::Lock(*addr), lock.as_ref().map(|l| l.encoded())));
-    }
-    for (xid, decision) in &delta.xs_decisions {
-        updates.push((LeafKey::XsDecision(*xid), Some(decision.encoded())));
-    }
-    updates
-}
-
-fn audit_node(node: &Arc<Node>, depth: usize, path: &mut Vec<u8>, leaves: &mut usize) -> bool {
+fn audit_node(node: &Node, depth: usize, path: &mut Vec<u8>, leaves: &mut usize) -> bool {
     if depth > MAX_DEPTH {
         return false;
     }
     // Resolve a spilled subtree transiently; `resolve` itself asserts
     // the decoded subtree hashes to the resident stub's hash.
     let node = resolve(node);
-    match &*node {
-        Node::Paged { .. } => unreachable!("resolved above"),
-        Node::Empty => depth == 0, // non-root empties violate canonical form
-        Node::Leaf {
-            hash,
-            key_hash,
-            value_hash,
-        } => {
+    match &node.kind {
+        Kind::Paged(_) => unreachable!("resolved above"),
+        // Non-root empties violate canonical form.
+        Kind::Empty => depth == 0 && node.hash == EMPTY_SUBTREE,
+        Kind::Leaf(leaf) => {
             // Hash integrity + the leaf actually lives under its path.
-            if *hash != leaf::leaf_hash(key_hash, value_hash) {
+            if node.hash != leaf::leaf_hash(&leaf.key_hash, &leaf.value_hash) {
                 return false;
             }
             for (level, bit) in path.iter().enumerate() {
-                if leaf::key_bit(key_hash, level) != (*bit == 1) {
+                if leaf::key_bit(&leaf.key_hash, level) != (*bit == 1) {
                     return false;
                 }
             }
             *leaves += 1;
             true
         }
-        Node::Internal { hash, left, right } => {
-            if *hash != leaf::node_hash(&left.hash(), &right.hash()) {
+        Kind::Internal(kids) => {
+            let [left, right] = &**kids;
+            if node.hash != leaf::node_hash(&left.hash, &right.hash) {
                 return false;
             }
             // Canonical form: no empty+leaf pairs, no empty+empty.
-            match (&**left, &**right) {
-                (Node::Empty, Node::Empty)
-                | (Node::Empty, Node::Leaf { .. })
-                | (Node::Leaf { .. }, Node::Empty) => return false,
+            match (&left.kind, &right.kind) {
+                (Kind::Empty, Kind::Empty)
+                | (Kind::Empty, Kind::Leaf(_))
+                | (Kind::Leaf(_), Kind::Empty) => return false,
                 _ => {}
             }
-            let ok_left = {
-                path.push(0);
-                let ok =
-                    matches!(&**left, Node::Empty) || audit_node(left, depth + 1, path, leaves);
+            let mut ok = true;
+            for (bit, child) in [left, right].into_iter().enumerate() {
+                path.push(bit as u8);
+                ok &= match child.kind {
+                    Kind::Empty => child.hash == EMPTY_SUBTREE,
+                    _ => audit_node(child, depth + 1, path, leaves),
+                };
                 path.pop();
-                ok
-            };
-            let ok_right = {
-                path.push(1);
-                let ok =
-                    matches!(&**right, Node::Empty) || audit_node(right, depth + 1, path, leaves);
-                path.pop();
-                ok
-            };
-            ok_left && ok_right
+            }
+            ok
         }
     }
 }
@@ -607,39 +679,35 @@ const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
 fn encode_node(node: &Node, out: &mut Vec<u8>) {
-    match node {
-        Node::Empty => out.push(TAG_EMPTY),
-        Node::Leaf {
-            hash,
-            key_hash,
-            value_hash,
-        } => {
+    match &node.kind {
+        Kind::Empty => out.push(TAG_EMPTY),
+        Kind::Leaf(leaf) => {
             out.push(TAG_LEAF);
-            hash.encode(out);
-            key_hash.encode(out);
-            value_hash.encode(out);
+            node.hash.encode(out);
+            leaf.key_hash.encode(out);
+            leaf.value_hash.encode(out);
         }
-        Node::Internal { hash, left, right } => {
+        Kind::Internal(kids) => {
             out.push(TAG_INTERNAL);
-            hash.encode(out);
-            encode_node(left, out);
-            encode_node(right, out);
+            node.hash.encode(out);
+            encode_node(&kids[0], out);
+            encode_node(&kids[1], out);
         }
         // A spilled page *is* the subtree's preorder encoding: splice it
         // verbatim, so a paged tree serializes byte-identically to a
         // fully resident one (there is no on-disk `Paged` tag).
-        Node::Paged { page, .. } => out.extend_from_slice(&page.load()),
+        Kind::Paged(page) => out.extend_from_slice(&page.load()),
     }
 }
 
-fn decode_node(r: &mut Reader<'_>, depth: usize) -> Result<Arc<Node>, CodecError> {
+fn decode_node(r: &mut Reader<'_>, depth: usize) -> Result<Node, CodecError> {
     match u8::decode(r)? {
-        TAG_EMPTY => Ok(Node::empty()),
-        TAG_LEAF => Ok(Arc::new(Node::Leaf {
-            hash: Hash256::decode(r)?,
-            key_hash: Hash256::decode(r)?,
-            value_hash: Hash256::decode(r)?,
-        })),
+        TAG_EMPTY => Ok(Node::EMPTY),
+        TAG_LEAF => {
+            let hash = Hash256::decode(r)?;
+            let leaf = LeafKeys { key_hash: Hash256::decode(r)?, value_hash: Hash256::decode(r)? };
+            Ok(Node { hash, kind: Kind::Leaf(Arc::new(leaf)) })
+        }
         // Deeper than the key width means corrupt input; erroring here
         // also bounds decode recursion against hostile bytes.
         TAG_INTERNAL if depth >= MAX_DEPTH => Err(CodecError::InvalidTag {
@@ -650,7 +718,7 @@ fn decode_node(r: &mut Reader<'_>, depth: usize) -> Result<Arc<Node>, CodecError
             let hash = Hash256::decode(r)?;
             let left = decode_node(r, depth + 1)?;
             let right = decode_node(r, depth + 1)?;
-            Ok(Arc::new(Node::Internal { hash, left, right }))
+            Ok(Node { hash, kind: Kind::Internal(Arc::new([left, right])) })
         }
         tag => Err(CodecError::InvalidTag {
             ty: "StateTree",

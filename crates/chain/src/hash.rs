@@ -145,25 +145,112 @@ fn compress_dispatched(state: &mut [u32; 8], block: &[u8; 64]) {
     }
 }
 
+/// Two independent blocks into two states, side by side on the CPU's SHA
+/// extensions if it has them, else one after the other on the scalar
+/// loop. Uncounted: callers count.
+fn compress_pair_dispatched(
+    a: &mut [u32; 8],
+    block_a: &[u8; 64],
+    b: &mut [u32; 8],
+    block_b: &[u8; 64],
+) {
+    if !compress_accelerated_pair(a, block_a, b, block_b) {
+        compress_scalar(a, block_a);
+        compress_scalar(b, block_b);
+    }
+}
+
+/// The two padded blocks of the 65-byte message `tag ‖ left ‖ right`.
+fn tagged_pair_blocks(tag: u8, left: &Hash256, right: &Hash256) -> [[u8; 64]; 2] {
+    let mut blocks = [[0u8; 64]; 2];
+    blocks[0][0] = tag;
+    blocks[0][1..33].copy_from_slice(&left.0);
+    blocks[0][33..].copy_from_slice(&right.0[..31]);
+    blocks[1][0] = right.0[31];
+    blocks[1][1] = 0x80;
+    blocks[1][56..].copy_from_slice(&(65u64 * 8).to_be_bytes());
+    blocks
+}
+
 /// SHA-256 of the 65-byte message `tag ‖ left ‖ right`, the preimage of
 /// every sparse-Merkle leaf and internal node. Its two padded blocks are
 /// laid out on the stack and compressed directly — no streaming buffer,
 /// one counter bump for both — so it equals [`Sha256`] over the same
 /// bytes, two compressions counted, at less cost.
 pub fn digest_tagged_pair(tag: u8, left: &Hash256, right: &Hash256) -> Hash256 {
-    let mut first = [0u8; 64];
-    first[0] = tag;
-    first[1..33].copy_from_slice(&left.0);
-    first[33..].copy_from_slice(&right.0[..31]);
-    let mut second = [0u8; 64];
-    second[0] = right.0[31];
-    second[1] = 0x80;
-    second[56..].copy_from_slice(&(65u64 * 8).to_be_bytes());
+    let [first, second] = tagged_pair_blocks(tag, left, right);
     COMPRESSIONS.fetch_add(2, Ordering::Relaxed);
     let mut state = H0;
     compress_dispatched(&mut state, &first);
     compress_dispatched(&mut state, &second);
     state_bytes(&state)
+}
+
+/// Two [`digest_tagged_pair`]s at once, each `(tag, left, right)`: the
+/// two messages' blocks run side by side, four compressions counted.
+pub fn digest_tagged_pairs(pairs: [(u8, &Hash256, &Hash256); 2]) -> [Hash256; 2] {
+    let [(tag_a, left_a, right_a), (tag_b, left_b, right_b)] = pairs;
+    let [a0, a1] = tagged_pair_blocks(tag_a, left_a, right_a);
+    let [b0, b1] = tagged_pair_blocks(tag_b, left_b, right_b);
+    COMPRESSIONS.fetch_add(4, Ordering::Relaxed);
+    let (mut a, mut b) = (H0, H0);
+    compress_pair_dispatched(&mut a, &a0, &mut b, &b0);
+    compress_pair_dispatched(&mut a, &a1, &mut b, &b1);
+    [state_bytes(&a), state_bytes(&b)]
+}
+
+/// A message cut into padded SHA-256 blocks without copying it: whole
+/// blocks are read in place, and the padded tail (one block, or two when
+/// fewer than 8 bytes are left for the length) sits on the stack.
+struct Padded<'a> {
+    whole: &'a [u8],
+    tail: [u8; 128],
+    tail_blocks: usize,
+}
+
+impl<'a> Padded<'a> {
+    fn new(message: &'a [u8]) -> Padded<'a> {
+        let (whole, rest) = message.split_at(message.len() - message.len() % 64);
+        let mut tail = [0u8; 128];
+        tail[..rest.len()].copy_from_slice(rest);
+        tail[rest.len()] = 0x80;
+        let tail_blocks = if rest.len() < 56 { 1 } else { 2 };
+        let end = tail_blocks * 64;
+        tail[end - 8..end].copy_from_slice(&(message.len() as u64).wrapping_mul(8).to_be_bytes());
+        Padded { whole, tail, tail_blocks }
+    }
+
+    fn blocks(&self) -> usize {
+        self.whole.len() / 64 + self.tail_blocks
+    }
+
+    fn block(&self, i: usize) -> &[u8; 64] {
+        let (bytes, at) = match i.checked_sub(self.whole.len() / 64) {
+            None => (self.whole, i * 64),
+            Some(t) => (&self.tail[..], t * 64),
+        };
+        bytes[at..at + 64].try_into().expect("a 64-byte block")
+    }
+}
+
+/// SHA-256 of two independent messages, equal to two [`Hash256::digest`]
+/// calls and counted as theirs: while both have a block left the two run
+/// side by side, then the longer one finishes alone.
+pub fn digest_two(a: &[u8], b: &[u8]) -> [Hash256; 2] {
+    let (a, b) = (Padded::new(a), Padded::new(b));
+    COMPRESSIONS.fetch_add((a.blocks() + b.blocks()) as u64, Ordering::Relaxed);
+    let (mut state_a, mut state_b) = (H0, H0);
+    let both = a.blocks().min(b.blocks());
+    for i in 0..both {
+        compress_pair_dispatched(&mut state_a, a.block(i), &mut state_b, b.block(i));
+    }
+    for i in both..a.blocks() {
+        compress_dispatched(&mut state_a, a.block(i));
+    }
+    for i in both..b.blocks() {
+        compress_dispatched(&mut state_b, b.block(i));
+    }
+    [state_bytes(&state_a), state_bytes(&state_b)]
 }
 
 /// Runs one block on the CPU's SHA extensions and returns `true`, or
@@ -172,11 +259,32 @@ pub fn digest_tagged_pair(tag: u8, left: &Hash256, right: &Hash256) -> Hash256 {
 pub fn compress_accelerated(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        sha_ni::compress(state, block)
+        sha_ni::compress([state], [block])
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (state, block);
+        false
+    }
+}
+
+/// [`compress_accelerated`] on two independent blocks at once, their
+/// rounds interleaved: `block_a` into `a` and `block_b` into `b`, or
+/// `false` with both states untouched. Not counted by
+/// [`sha256_compressions`].
+pub fn compress_accelerated_pair(
+    a: &mut [u32; 8],
+    block_a: &[u8; 64],
+    b: &mut [u32; 8],
+    block_b: &[u8; 64],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        sha_ni::compress([a, b], [block_a, block_b])
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (a, block_a, b, block_b);
         false
     }
 }
@@ -246,13 +354,18 @@ pub fn digest_scalar(data: &[u8]) -> Hash256 {
 /// (`scripts/verify.sh` holds it here). `block_fn` is reachable only
 /// through `compress`, after runtime detection has confirmed every
 /// feature it is compiled for.
+///
+/// It runs one block per lane, for one lane or two. Each round depends
+/// on the one before, so a lone block leaves the SHA unit waiting out
+/// every instruction's latency; two independent blocks interleaved fill
+/// those waits with the other's rounds.
 #[cfg(target_arch = "x86_64")]
 mod sha_ni {
     use super::K;
     use std::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
-        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+        _mm_set_epi64x, _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32,
+        _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
     };
     use std::sync::OnceLock;
 
@@ -266,92 +379,120 @@ mod sha_ni {
         })
     }
 
-    /// Compresses `block` into `state` if the CPU has SHA-NI.
-    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    /// Compresses `blocks[i]` into `states[i]`, for every lane `i`, if
+    /// the CPU has SHA-NI.
+    pub(super) fn compress<const N: usize>(
+        states: [&mut [u32; 8]; N],
+        blocks: [&[u8; 64]; N],
+    ) -> bool {
         if !detected() {
             return false;
         }
         // SAFETY: `detected()` has just confirmed at run time that the
         // CPU supports `sha`, `sse4.1` and `ssse3` (and `sse2` is part of
         // the x86_64 baseline) — every feature `block_fn` enables.
-        unsafe { block_fn(state, block) };
+        unsafe { block_fn(states, blocks) };
         true
     }
 
-    /// Four rounds: `w` is the next four schedule words, `k` their
-    /// round constants.
+    /// Four rounds on every lane: `w` is each lane's next four schedule
+    /// words, `k` their round constants.
     #[inline]
     #[target_feature(enable = "sha,sse2")]
-    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, k: __m128i) {
-        let wk = _mm_add_epi32(w, k);
-        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
-        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    fn rounds4<const N: usize>(
+        abef: &mut [__m128i; N],
+        cdgh: &mut [__m128i; N],
+        w: &[__m128i; N],
+        k: __m128i,
+    ) {
+        for lane in 0..N {
+            let wk = _mm_add_epi32(w[lane], k);
+            cdgh[lane] = _mm_sha256rnds2_epu32(cdgh[lane], abef[lane], wk);
+            abef[lane] = _mm_sha256rnds2_epu32(abef[lane], cdgh[lane], _mm_shuffle_epi32(wk, 0x0E));
+        }
     }
 
-    /// The next four schedule words from the previous sixteen.
+    /// Replaces every lane's `w0` with its next four schedule words,
+    /// computed from the previous sixteen.
     #[inline]
     #[target_feature(enable = "sha,sse2,ssse3")]
-    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
-        let sigma0 = _mm_sha256msg1_epu32(w0, w1);
-        let w7 = _mm_alignr_epi8(w3, w2, 4);
-        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w3)
+    fn schedule<const N: usize>(
+        w0: &mut [__m128i; N],
+        w1: &[__m128i; N],
+        w2: &[__m128i; N],
+        w3: &[__m128i; N],
+    ) {
+        for lane in 0..N {
+            let sigma0 = _mm_sha256msg1_epu32(w0[lane], w1[lane]);
+            let w7 = _mm_alignr_epi8(w3[lane], w2[lane], 4);
+            w0[lane] = _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w3[lane]);
+        }
     }
 
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn block_fn(state: &mut [u32; 8], block: &[u8; 64]) {
+    fn block_fn<const N: usize>(states: [&mut [u32; 8]; N], blocks: [&[u8; 64]; N]) {
         // Byte-swaps each 32-bit lane: message words are big-endian.
         let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        let state_at = state.as_mut_ptr().cast::<__m128i>();
-        let block_at = block.as_ptr().cast::<__m128i>();
-        // SAFETY: `state` is 32 bytes and `block` 64, so lanes 0..2 and
-        // 0..4 are in bounds; `_mm_loadu_si128` needs no alignment.
-        let (dcba, hgfe, mut w0, mut w1, mut w2, mut w3) = unsafe {
-            (
-                _mm_loadu_si128(state_at),
-                _mm_loadu_si128(state_at.add(1)),
-                _mm_shuffle_epi8(_mm_loadu_si128(block_at), be_words),
-                _mm_shuffle_epi8(_mm_loadu_si128(block_at.add(1)), be_words),
-                _mm_shuffle_epi8(_mm_loadu_si128(block_at.add(2)), be_words),
-                _mm_shuffle_epi8(_mm_loadu_si128(block_at.add(3)), be_words),
-            )
-        };
+        let zero = _mm_setzero_si128();
+        let (mut abef, mut cdgh) = ([zero; N], [zero; N]);
+        let mut w = [[zero; N]; 4];
+        for lane in 0..N {
+            let state_at = states[lane].as_ptr().cast::<__m128i>();
+            let block_at = blocks[lane].as_ptr().cast::<__m128i>();
+            // SAFETY: a state is 32 bytes and a block 64, so 16-byte
+            // lanes 0..2 and 0..4 are in bounds; `_mm_loadu_si128` needs
+            // no alignment.
+            let (dcba, hgfe, words) = unsafe {
+                (
+                    _mm_loadu_si128(state_at),
+                    _mm_loadu_si128(state_at.add(1)),
+                    [0, 1, 2, 3].map(|i| _mm_loadu_si128(block_at.add(i))),
+                )
+            };
+            for (i, word) in words.into_iter().enumerate() {
+                w[i][lane] = _mm_shuffle_epi8(word, be_words);
+            }
+            // The rounds instruction wants the state as (A,B,E,F), (C,D,G,H).
+            let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+            let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+            abef[lane] = _mm_alignr_epi8(cdab, efgh, 8);
+            cdgh[lane] = _mm_blend_epi16(efgh, cdab, 0xf0);
+        }
+        let [mut w0, mut w1, mut w2, mut w3] = w;
         // Round constants 4i..4i + 4, lowest lane first.
         let k = |i: usize| {
             let [k0, k1, k2, k3] = [K[4 * i], K[4 * i + 1], K[4 * i + 2], K[4 * i + 3]];
             _mm_set_epi32(k3 as i32, k2 as i32, k1 as i32, k0 as i32)
         };
-
-        // The rounds instruction wants the state as (A,B,E,F), (C,D,G,H).
-        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
-        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
         let (abef_in, cdgh_in) = (abef, cdgh);
 
-        rounds4(&mut abef, &mut cdgh, w0, k(0));
-        rounds4(&mut abef, &mut cdgh, w1, k(1));
-        rounds4(&mut abef, &mut cdgh, w2, k(2));
-        rounds4(&mut abef, &mut cdgh, w3, k(3));
+        rounds4(&mut abef, &mut cdgh, &w0, k(0));
+        rounds4(&mut abef, &mut cdgh, &w1, k(1));
+        rounds4(&mut abef, &mut cdgh, &w2, k(2));
+        rounds4(&mut abef, &mut cdgh, &w3, k(3));
         for i in (4..16).step_by(4) {
-            w0 = schedule(w0, w1, w2, w3);
-            rounds4(&mut abef, &mut cdgh, w0, k(i));
-            w1 = schedule(w1, w2, w3, w0);
-            rounds4(&mut abef, &mut cdgh, w1, k(i + 1));
-            w2 = schedule(w2, w3, w0, w1);
-            rounds4(&mut abef, &mut cdgh, w2, k(i + 2));
-            w3 = schedule(w3, w0, w1, w2);
-            rounds4(&mut abef, &mut cdgh, w3, k(i + 3));
+            schedule(&mut w0, &w1, &w2, &w3);
+            rounds4(&mut abef, &mut cdgh, &w0, k(i));
+            schedule(&mut w1, &w2, &w3, &w0);
+            rounds4(&mut abef, &mut cdgh, &w1, k(i + 1));
+            schedule(&mut w2, &w3, &w0, &w1);
+            rounds4(&mut abef, &mut cdgh, &w2, k(i + 2));
+            schedule(&mut w3, &w0, &w1, &w2);
+            rounds4(&mut abef, &mut cdgh, &w3, k(i + 3));
         }
-        abef = _mm_add_epi32(abef, abef_in);
-        cdgh = _mm_add_epi32(cdgh, cdgh_in);
 
-        let feba = _mm_shuffle_epi32(abef, 0x1b);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-        // SAFETY: as for the loads — two 16-byte lanes of the 32-byte
-        // `state`; `_mm_storeu_si128` needs no alignment.
-        unsafe {
-            _mm_storeu_si128(state_at, _mm_blend_epi16(feba, dchg, 0xf0));
-            _mm_storeu_si128(state_at.add(1), _mm_alignr_epi8(dchg, feba, 8));
+        for (lane, state) in states.into_iter().enumerate() {
+            let abef = _mm_add_epi32(abef[lane], abef_in[lane]);
+            let cdgh = _mm_add_epi32(cdgh[lane], cdgh_in[lane]);
+            let feba = _mm_shuffle_epi32(abef, 0x1b);
+            let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+            let state_at = state.as_mut_ptr().cast::<__m128i>();
+            // SAFETY: as for the loads — two 16-byte lanes of the 32-byte
+            // state; `_mm_storeu_si128` needs no alignment.
+            unsafe {
+                _mm_storeu_si128(state_at, _mm_blend_epi16(feba, dchg, 0xf0));
+                _mm_storeu_si128(state_at.add(1), _mm_alignr_epi8(dchg, feba, 8));
+            }
         }
     }
 }
@@ -609,13 +750,19 @@ mod tests {
             eprintln!("no SHA extensions on this CPU: the scalar path is the only path");
             return;
         }
-        check("sha-ni compress equals scalar", CheckConfig::cases(256), |g| {
-            let state: [u32; 8] = std::array::from_fn(|_| g.u64() as u32);
-            let block: [u8; 64] = g.byte_array();
-            let (mut fast, mut slow) = (state, state);
-            ensure!(compress_accelerated(&mut fast, &block));
-            compress_scalar(&mut slow, &block);
+        check("sha-ni compress, one lane and two, equals scalar", CheckConfig::cases(256), |g| {
+            let [a, b]: [[u32; 8]; 2] =
+                std::array::from_fn(|_| std::array::from_fn(|_| g.u64() as u32));
+            let [block_a, block_b]: [[u8; 64]; 2] = [g.byte_array(), g.byte_array()];
+            let (mut fast, mut slow) = (a, a);
+            ensure!(compress_accelerated(&mut fast, &block_a));
+            compress_scalar(&mut slow, &block_a);
             ensure_eq!(fast, slow);
+            let ([mut fast_a, mut fast_b], [mut slow_a, mut slow_b]) = ([a, b], [a, b]);
+            ensure!(compress_accelerated_pair(&mut fast_a, &block_a, &mut fast_b, &block_b));
+            compress_scalar(&mut slow_a, &block_a);
+            compress_scalar(&mut slow_b, &block_b);
+            ensure_eq!([fast_a, fast_b], [slow_a, slow_b]);
             Ok(())
         });
     }
@@ -634,7 +781,16 @@ mod tests {
                     rest = tail;
                 }
                 ensure!(hasher.finalize() == digest_scalar(&data), "length {len}");
+                let other = g.bytes(0, 300);
+                let paired = digest_two(&data, &other);
+                ensure!(paired == [digest_scalar(&data), digest_scalar(&other)], "length {len}");
             }
+            let [left, right, other]: [Hash256; 3] =
+                std::array::from_fn(|_| Hash256(g.byte_array()));
+            ensure_eq!(
+                digest_tagged_pairs([(0x00, &left, &right), (0x01, &other, &left)]),
+                [digest_tagged_pair(0x00, &left, &right), digest_tagged_pair(0x01, &other, &left)]
+            );
             Ok(())
         });
     }

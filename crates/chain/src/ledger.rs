@@ -7,6 +7,7 @@
 //! precisely the duplicated-computing property the paper sets out to
 //! exploit and then reform.
 
+use crate::auth::leaf::KeyRef;
 use crate::auth::{LeafKey, StateProof, StateTree};
 use crate::block::{Block, Body, Header};
 use crate::exec::{self, ExecScope, StateAccess, StateDelta, WorldStateOverlay};
@@ -601,38 +602,38 @@ impl WorldState {
     /// Feeds every state entry to `emit` as its canonical
     /// (leaf key, value bytes) pair — the single enumeration the
     /// authenticated tree builds from.
-    pub(crate) fn for_each_leaf(&self, emit: &mut dyn FnMut(LeafKey, &[u8])) {
+    pub(crate) fn for_each_leaf(&self, emit: &mut dyn FnMut(KeyRef<'_>, &[u8])) {
         let mut scratch = Vec::new();
         self.for_each_account(&mut |addr, account| {
             scratch.clear();
             account.encode(&mut scratch);
-            emit(LeafKey::Account(*addr), &scratch);
+            emit(KeyRef::Account(addr), &scratch);
         });
         for (contract, slots) in &self.storage {
             for (key, value) in slots {
-                emit(LeafKey::Storage(*contract, key.clone()), value);
+                emit(KeyRef::Storage(contract, key), value);
             }
         }
         for (addr, code) in &self.code {
-            emit(LeafKey::Code(*addr), code);
+            emit(KeyRef::Code(addr), code);
         }
         for (label, root) in &self.anchors {
-            emit(LeafKey::Anchor(label.clone()), &root.0);
+            emit(KeyRef::Anchor(label), &root.0);
         }
         for (shard, link) in &self.crosslinks {
             scratch.clear();
             link.encode(&mut scratch);
-            emit(LeafKey::CrossLink(*shard), &scratch);
+            emit(KeyRef::CrossLink(*shard), &scratch);
         }
         for (addr, lock) in &self.locks {
             scratch.clear();
             lock.encode(&mut scratch);
-            emit(LeafKey::Lock(*addr), &scratch);
+            emit(KeyRef::Lock(addr), &scratch);
         }
         for (xid, decision) in &self.xs_decisions {
             scratch.clear();
             decision.encode(&mut scratch);
-            emit(LeafKey::XsDecision(*xid), &scratch);
+            emit(KeyRef::XsDecision(xid), &scratch);
         }
     }
 
@@ -936,9 +937,10 @@ pub struct Ledger {
     metrics: Metrics,
     /// Incrementally maintained authenticated state tree, always in sync
     /// with `state` at the committed tip. Empty after a direct
-    /// [`Ledger::state_mut`] mutation (genesis funding); lazily rebuilt
-    /// by [`Ledger::state_tree`], which `&self` paths (`propose`,
-    /// `prove_state`) call.
+    /// [`Ledger::state_mut`] mutation (genesis funding), and after an
+    /// [`Ledger::apply`] that failed once its in-place merge had begun;
+    /// lazily rebuilt by [`Ledger::state_tree`], which `&self` paths
+    /// (`propose`, `prove_state`) call.
     tree: OnceCell<StateTree>,
     /// Paged-state configuration (DESIGN.md §14); `None` = fully
     /// resident. When set, every commit demotes cold accounts past
@@ -1218,7 +1220,8 @@ impl Ledger {
         // learns them here: everything the state holds, as of the tip.
         if let Some(observer) = self.commit_observer.as_mut() {
             let mut leaves = Vec::with_capacity(self.state.leaf_count());
-            self.state.for_each_leaf(&mut |key, value| leaves.push((key, Some(value.to_vec()))));
+            self.state
+                .for_each_leaf(&mut |key, value| leaves.push((key.to_key(), Some(value.to_vec()))));
             observer(&self.blocks[0], &leaves);
         }
         Ok(())
@@ -1403,17 +1406,24 @@ impl Ledger {
         // that is handed this block reads the root and cuts receipts
         // from the same tree.
         let transactions = Body::from(included);
+        // Incremental: delta applied to a copy of the touched paths of the
+        // cached tree, O(keys changed), without touching committed state.
+        let proposed = self.state_tree().with_delta(&delta);
         let header = Header {
             height: self.height() + 1,
             parent: self.tip().id(),
             tx_root: transactions.tree().root(),
-            // Incremental: delta applied to the cached tree, O(keys
-            // changed), without touching committed state.
-            state_root: self.state_tree().with_delta(&delta).versioned_root(),
+            state_root: proposed.versioned_root(),
             timestamp_ms,
             proposer,
             shard: self.shard,
         };
+        // The copied paths are the one tree version a block releases.
+        let release_started = self.metrics.enabled().then(Instant::now);
+        drop(proposed);
+        if let Some(started) = release_started {
+            self.metrics.observe("auth.tree_release_us", started.elapsed().as_secs_f64() * 1e6);
+        }
         Block { header: header.into(), transactions, seal: crate::block::Seal::Genesis }
     }
 
@@ -1469,14 +1479,18 @@ impl Ledger {
                 (receipts, delta, None)
             }
         };
-        // Incremental root check before any mutation: the committed
-        // delta merges into the cached authenticated tree at O(keys
-        // changed · log n) — per-block root cost no longer scales with
-        // total state size. The flat leaf updates are made once and
-        // serve the commit observer too.
+        // Incremental root check before the state changes: the committed
+        // delta merges into the authenticated tree at O(keys changed ·
+        // log n) — per-block root cost no longer scales with total state
+        // size. The cache lets go of the tree first, so the merge finds
+        // the nodes this ledger alone holds unshared and rewrites them in
+        // place: the replaced version is never built, nor released. On
+        // any failure below, the cache stays empty and is rebuilt from
+        // the untouched state when next asked for.
         let root_started = Instant::now();
-        let updates = crate::auth::delta_updates(&delta);
-        let mut updated_tree = self.state_tree().with_updates(&updates);
+        let mut updated_tree = self.state_tree();
+        self.tree.take();
+        updated_tree.merge_delta(&delta);
         let root_wall_us = root_started.elapsed().as_secs_f64() * 1e6;
         if updated_tree.versioned_root() != block.header.state_root {
             return Err(LedgerError::StateRootMismatch);
@@ -1495,11 +1509,12 @@ impl Ledger {
             .state_cache
             .as_ref()
             .map(|_| delta.accounts.keys().copied().collect());
-        // Commit. The old tree drops here, so pages only it names are
-        // free before the spill below stores new ones; the new tree is
+        // Only an observer is handed the writes as an owned list.
+        let observed = self.commit_observer.as_ref().map(|_| crate::auth::delta_updates(&delta));
+        // Commit. Pages only the replaced nodes named were freed by the
+        // merge, before the spill below stores new ones; the new tree is
         // installed once spilled.
         self.state.apply_delta(delta);
-        self.tree.take();
         for (index, receipt) in receipts.iter().enumerate() {
             self.stats.transactions += 1;
             self.stats.gas_used += receipt.gas_used;
@@ -1510,7 +1525,7 @@ impl Ledger {
         }
         self.stats.blocks += 1;
         self.blocks.push(block.clone());
-        if let Some(observer) = self.commit_observer.as_mut() {
+        if let (Some(observer), Some(updates)) = (self.commit_observer.as_mut(), observed) {
             observer(self.blocks.last().expect("just pushed"), &updates);
         }
         // The commit is final: offer the store this block's tree to

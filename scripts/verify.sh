@@ -403,6 +403,24 @@ if grep -nwE 'spill_node|free_fresh_stubs|fresh' crates/chain/src/auth/smt.rs; t
 fi
 echo "ok: auth/smt.rs spills at one cut and folds no page"
 
+# Leaves hashed from scratch buffers (DESIGN.md §13): the tree hashes a
+# block's writes straight from the delta through one reused key buffer
+# and one value buffer, so neither an owned encoding (`.encoded()`) nor
+# the flattened (key, value) list (`delta_updates(`) belongs in the tree.
+# That list is built for a commit observer only, so in ledger.rs every
+# call sits on a line that consults `commit_observer`.
+echo "== auth: scratch-buffer leaf-hashing guard =="
+if uses_outside_tests ".encoded()" crates/chain/src/auth/smt.rs | grep . \
+    || uses_outside_tests "delta_updates(" crates/chain/src/auth/smt.rs | grep .; then
+    echo "ERROR: the state tree encodes an owned buffer or flattens the delta — hash leaves through LeafHasher." >&2
+    exit 1
+fi
+if uses_outside_tests "delta_updates(" crates/chain/src/ledger.rs | grep -v "commit_observer"; then
+    echo "ERROR: Ledger builds delta_updates outside the commit_observer branch — only an observer needs the list." >&2
+    exit 1
+fi
+echo "ok: the tree hashes leaves from scratch buffers; the flat list is built for an observer only"
+
 # Hash once (DESIGN.md §10): a transaction's id is computed in one
 # function — `Transaction::id`, which `SealedTx` calls when it seals —
 # and a block's transaction tree is built in one place, when its body is
@@ -471,17 +489,19 @@ fi
 echo "ok: one run_eN per experiment, one sharded mode, no measured/modeled switch, no second clock"
 
 # Unsafe census (DESIGN.md §2): the SHA-NI block function in
-# crates/chain/src/hash.rs is the only `unsafe` code in the workspace,
-# each occurrence directly under a comment holding `// SAFETY:`, and it
-# is the only code that detects CPU features or enables them, so the
+# crates/chain/src/hash.rs is the only `unsafe` code in the program, and
+# tests/alloc_count.rs's counting allocator (a `GlobalAlloc` that hands
+# every call to `System`) the only `unsafe` in a test; each occurrence
+# sits directly under a comment holding `// SAFETY:`. hash.rs is the
+# only code that detects CPU features or enables them, so the
 # `#[target_feature]` function stays reachable only through detection.
 echo "== unsafe: census =="
 rust_sources=(crates src examples tests benchmark/src)
 code_lines() {
     grep -rnE --include='*.rs' "$1" "${rust_sources[@]}" | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true
 }
-if code_lines '\bunsafe\b' | grep -v "^crates/chain/src/hash.rs:"; then
-    echo "ERROR: unsafe code outside the SHA-NI module in crates/chain/src/hash.rs." >&2
+if code_lines '\bunsafe\b' | grep -v "^crates/chain/src/hash.rs:\|^tests/alloc_count.rs:"; then
+    echo "ERROR: unsafe code outside the SHA-NI module in crates/chain/src/hash.rs and the counting allocator in tests/alloc_count.rs." >&2
     exit 1
 fi
 if code_lines 'is_x86_feature_detected|target_feature' | grep -v "^crates/chain/src/hash.rs:"; then
@@ -495,12 +515,12 @@ if ! awk '
         if (!safety) { print FILENAME ":" FNR ": " $0; bad = 1 }
     }
     { safety = 0 }
-    END { print "census: " sites " unsafe sites in crates/chain/src/hash.rs"; exit bad }
-' crates/chain/src/hash.rs; then
+    END { print "census: " sites " unsafe sites in crates/chain/src/hash.rs and tests/alloc_count.rs"; exit bad }
+' crates/chain/src/hash.rs tests/alloc_count.rs; then
     echo "ERROR: an unsafe site without a // SAFETY: comment directly above it." >&2
     exit 1
 fi
-echo "ok: unsafe, feature detection and target_feature live in the SHA-NI module only"
+echo "ok: unsafe lives in the SHA-NI module and the counting allocator only; feature detection and target_feature in the SHA-NI module only"
 
 # Every environment variable is an option tests and benchmarks must
 # cover. The files that read one are listed here, so a new knob has to

@@ -524,6 +524,40 @@ fn block_decoder_survives_truncation() {
     });
 }
 
+/// Hostile-input property for the state tree's node encoding, which
+/// snapshot trees and spilled subtree pages both decode through: the
+/// encoding of a random tree cut at any point or with any byte flipped,
+/// and internal nodes nested past the 256-bit key width, make
+/// `StateTree::decode` return an error or a tree — never panic, and
+/// never recurse past the key width.
+#[test]
+fn state_tree_decoder_survives_hostile_bytes() {
+    use medchain_chain::StateTree;
+    check("state tree decoder survives hostile bytes", CheckConfig::cases(256), |g| {
+        let mut state = WorldState::new();
+        for _ in 0..g.usize_in(0, 40) {
+            state.credit(Address::from_seed(g.u64() % 64), 1 + g.u64() % 1_000);
+        }
+        let bytes = StateTree::from_state(&state).encoded();
+        let cut = g.usize_in(0, bytes.len());
+        let _ = StateTree::decode(&mut Reader::new(&bytes[..cut]));
+        let mut flipped = bytes.clone();
+        let at = g.usize_in(0, flipped.len());
+        flipped[at] ^= 1 << (g.u64() % 8);
+        if let Ok(tree) = StateTree::decode(&mut Reader::new(&flipped)) {
+            let _ = (tree.root(), tree.audit(), tree.resident_nodes());
+        }
+        Ok(())
+    });
+    const TAG_INTERNAL: u8 = 2;
+    let mut nested = 3u64.encoded();
+    for _ in 0..300 {
+        nested.push(TAG_INTERNAL);
+        nested.extend_from_slice(&[0xab; 32]);
+    }
+    assert!(StateTree::decode(&mut Reader::new(&nested)).is_err(), "nesting past 256 levels");
+}
+
 /// Receipts-as-API property (DESIGN.md §10): a [`TxReceipt`]'s Merkle
 /// inclusion proof verifies for any block size and transaction index —
 /// and **any** single-byte tamper of the leaf (the tx id), of any

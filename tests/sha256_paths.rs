@@ -7,11 +7,13 @@
 //! MAC to the scalar oracle (`compress_scalar`, `digest_scalar`) and to
 //! the published vectors. The same properties live beside the code in
 //! `crates/chain/src/hash.rs`. The fixed-length two-block tree hash is
-//! held to both the oracle and the streaming hasher, and to its count.
+//! held to both the oracle and the streaming hasher, and to its count;
+//! the two-lane block function and the digests that run two messages
+//! side by side are held to the single-lane ones and to the same counts.
 
 use medchain_chain::hash::{
-    compress_accelerated, compress_scalar, digest_scalar, digest_tagged_pair, hmac_sha256,
-    Hash256, HmacKey, Sha256,
+    compress_accelerated, compress_accelerated_pair, compress_scalar, digest_scalar,
+    digest_tagged_pair, digest_tagged_pairs, digest_two, hmac_sha256, Hash256, HmacKey, Sha256,
 };
 use medchain_chain::sha256_compressions;
 use medchain_runtime::check::{check, CheckConfig};
@@ -42,6 +44,15 @@ fn two_block_tree_hash_equals_the_oracle_and_counts_two_compressions() {
             ensure_eq!(sha256_compressions() - before, 2);
             ensure_eq!(fixed, oracle);
         }
+        // Two tree hashes side by side: the same two digests, counted as
+        // the same four compressions.
+        let other = Hash256(g.byte_array());
+        let singles =
+            [digest_tagged_pair(0x00, &left, &right), digest_tagged_pair(0x01, &other, &left)];
+        let before = sha256_compressions();
+        let paired = digest_tagged_pairs([(0x00, &left, &right), (0x01, &other, &left)]);
+        ensure_eq!(sha256_compressions() - before, 4);
+        ensure_eq!(paired, singles);
         Ok(())
     });
 }
@@ -52,13 +63,19 @@ fn sha_ni_compress_equals_scalar_on_random_states_and_blocks() {
         eprintln!("no SHA extensions on this CPU: the scalar path is the only path");
         return;
     }
-    check("sha-ni compress equals scalar", CheckConfig::cases(256), |g| {
-        let state: [u32; 8] = std::array::from_fn(|_| g.u64() as u32);
-        let block: [u8; 64] = g.byte_array();
-        let (mut fast, mut slow) = (state, state);
-        ensure!(compress_accelerated(&mut fast, &block));
-        compress_scalar(&mut slow, &block);
+    check("sha-ni compress, one lane and two, equals scalar", CheckConfig::cases(256), |g| {
+        let [a, b]: [[u32; 8]; 2] =
+            std::array::from_fn(|_| std::array::from_fn(|_| g.u64() as u32));
+        let [block_a, block_b]: [[u8; 64]; 2] = [g.byte_array(), g.byte_array()];
+        let (mut fast, mut slow) = (a, a);
+        ensure!(compress_accelerated(&mut fast, &block_a));
+        compress_scalar(&mut slow, &block_a);
         ensure_eq!(fast, slow);
+        let ([mut fast_a, mut fast_b], [mut slow_a, mut slow_b]) = ([a, b], [a, b]);
+        ensure!(compress_accelerated_pair(&mut fast_a, &block_a, &mut fast_b, &block_b));
+        compress_scalar(&mut slow_a, &block_a);
+        compress_scalar(&mut slow_b, &block_b);
+        ensure_eq!([fast_a, fast_b], [slow_a, slow_b]);
         Ok(())
     });
 }
@@ -79,6 +96,14 @@ fn hasher_equals_scalar_oracle_over_every_length_and_chunking() {
                 rest = tail;
             }
             ensure!(hasher.finalize() == digest_scalar(&data), "length {len}");
+            // Two messages side by side, whatever their lengths: the
+            // oracle's digests, and each one's padded blocks counted.
+            let other = g.bytes(0, 300);
+            let blocks = |bytes: &[u8]| (bytes.len() as u64 + 9).div_ceil(64);
+            let before = sha256_compressions();
+            let paired = digest_two(&data, &other);
+            ensure_eq!(sha256_compressions() - before, blocks(&data) + blocks(&other));
+            ensure!(paired == [digest_scalar(&data), digest_scalar(&other)], "length {len}");
         }
         Ok(())
     });

@@ -12,7 +12,7 @@
 
 use crate::report::Table;
 use medchain::loadgen::{run_sessions, LoadConfig, LoadReport};
-use medchain::{GatewayConfig, MedicalNetwork, NetworkBuilder};
+use medchain::{GatewayConfig, Network, NetworkBuilder};
 use medchain_chain::sig::AuthorityKey;
 use medchain_runtime::metrics::Metrics;
 use std::net::SocketAddr;
@@ -64,7 +64,7 @@ fn serve_load(
 /// to the session count and its seed the load's.
 fn builder(cfg: &LoadConfig, metrics: Metrics) -> NetworkBuilder {
     let gateway = GatewayConfig { clients: cfg.sessions, ..GatewayConfig::default() };
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .seed(cfg.seed)
         .block_interval_ms(20)
         .metrics(metrics)

@@ -8,7 +8,7 @@
 //! aborted ones leave every balance untouched.
 
 use crate::report::{f, Table};
-use medchain::{MedicalNetwork, ShardedNetwork};
+use medchain::Network;
 use medchain_chain::shard::shard_for_key;
 use medchain_chain::{Address, AuthorityKey, Hash256};
 use medchain_runtime::metrics::Metrics;
@@ -16,8 +16,8 @@ use medchain_runtime::metrics::Metrics;
 const SHARDS: u16 = 2;
 const AMOUNT: u64 = 10;
 
-fn build(metrics: Metrics) -> ShardedNetwork {
-    let mut builder = MedicalNetwork::builder()
+fn build(metrics: Metrics) -> Network {
+    let mut builder = Network::builder()
         .shards(SHARDS)
         .block_interval_ms(20)
         .metrics(metrics);

@@ -22,7 +22,7 @@
 //! latency is medbench's (`auth.prove_us`, `client.*`).
 
 use crate::report::{f, Table};
-use medchain::{Client, GatewayConfig, MedicalNetwork};
+use medchain::{Client, GatewayConfig, Network};
 use medchain_chain::shard::{shard_for_key, ShardId};
 use medchain_chain::{
     sha256_compressions, Address, LeafKey, StateAccess, StateProof, StateTree, Transaction,
@@ -118,7 +118,7 @@ impl QueryStats {
 /// Flat topology: fund `accounts`, commit one block, then run verified
 /// inclusion + absence queries through the gateway.
 fn drive_flat(accounts: u64, queries: u64, metrics: Metrics) -> QueryStats {
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .seed(0xe22)
         .block_interval_ms(20)
         .metrics(metrics)
@@ -191,7 +191,7 @@ fn drive_flat(accounts: u64, queries: u64, metrics: Metrics) -> QueryStats {
 /// absence on the other one.
 fn drive_sharded(metrics: Metrics) -> QueryStats {
     let shards = 2u16;
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .seed(0xe22)
         .block_interval_ms(20)
         .shards(shards)

@@ -20,7 +20,7 @@
 
 use crate::report::Table;
 use medchain::bootstrap::{stream_into, BootstrapSource, SnapshotPeer};
-use medchain::MedicalNetwork;
+use medchain::Network;
 use medchain_chain::ledger::Ledger;
 use medchain_chain::{Address, Hash256, TxPayload};
 use medchain_contracts::runtime::Runtime;
@@ -66,7 +66,7 @@ fn sweep_run(budget: Option<usize>, accounts: u64, blocks: u64) -> SweepRun {
         "sweep-{}",
         budget.map_or("resident".into(), |p| p.to_string())
     ));
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .seed(0xe23)
         .block_interval_ms(20)
         .storage_with(&dir, StorageConfig { snapshot_every: 16, ..StorageConfig::default() })
@@ -91,11 +91,11 @@ fn sweep_run(budget: Option<usize>, accounts: u64, blocks: u64) -> SweepRun {
         let stride = (accounts / TRANSFERS_PER_BLOCK).max(1);
         for k in 0..TRANSFERS_PER_BLOCK {
             let to = Address::from_seed((block + k * stride) % accounts);
-            net.submit_as(0, TxPayload::Transfer { to, amount: 1 }, 1_000)
+            net.submit(0, TxPayload::Transfer { to, amount: 1 }, 1_000)
                 .expect("transfer accepted");
         }
         let label = format!("e23/round-{block}");
-        net.submit_as(
+        net.submit(
             1,
             TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label },
             1_000,
@@ -128,7 +128,7 @@ struct BootstrapCheck {
 fn check_bootstrap(blocks: u64) -> BootstrapCheck {
     // In-memory source so the full history stays resident and the
     // replay side really re-executes from genesis.
-    let mut builder = MedicalNetwork::builder().seed(0xe23).block_interval_ms(20);
+    let mut builder = Network::builder().seed(0xe23).block_interval_ms(20);
     for i in 0..2 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
@@ -136,7 +136,7 @@ fn check_bootstrap(blocks: u64) -> BootstrapCheck {
     for block in 0..blocks {
         for site in 0..net.site_count() {
             let label = format!("e23/site-{site}/block-{block}");
-            net.submit_as(
+            net.submit(
                 site,
                 TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label },
                 1_000,

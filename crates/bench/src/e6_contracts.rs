@@ -4,7 +4,7 @@
 //! emission, and the oracle bridge.
 
 use crate::report::Table;
-use medchain::MedicalNetwork;
+use medchain::Network;
 use medchain_contracts::policy::Purpose;
 use medchain_contracts::value::Value;
 use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
@@ -16,7 +16,7 @@ use medchain_runtime::metrics::Metrics;
 pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
     let sites = 3;
     let rounds = if quick { 8 } else { 40 };
-    let mut builder = MedicalNetwork::builder().seed(66).metrics(metrics);
+    let mut builder = Network::builder().seed(66).metrics(metrics);
     for i in 0..sites {
         let records = CohortGenerator::new(&format!("h{i}"), SiteProfile::varied(i), 60 + i as u64)
             .cohort((i * 1_000) as u64, 30, &DiseaseModel::stroke());
@@ -29,17 +29,17 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
     // Register a tool and a trial once.
     let tool_hash = Hash256::digest(b"cox-regression v3");
     let id = net
-        .invoke_as(
+        .invoke(
             0,
             contracts.analytics,
             "register_tool",
             &[Value::str("cox"), Value::Bytes(tool_hash.0.to_vec())],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     net.commit_and_check(id).unwrap();
     let id = net
-        .invoke_as(
+        .invoke(
             0,
             contracts.trial,
             "register",
@@ -50,7 +50,7 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
             ],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     net.commit_and_check(id).unwrap();
 
     let mut counts = [0u64; 3]; // data, analytics, trial
@@ -58,7 +58,7 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
     for k in 0..rounds {
         // Data contract request.
         ids.push(
-            net.invoke_as(
+            net.invoke(
                 1,
                 contracts.data,
                 "request",
@@ -68,12 +68,12 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
                 ],
                 50_000,
             )
-            .unwrap(),
+            .unwrap().tx_id,
         );
         counts[0] += 1;
         // Analytics contract request.
         ids.push(
-            net.invoke_as(
+            net.invoke(
                 1,
                 contracts.analytics,
                 "request_run",
@@ -84,19 +84,19 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
                 ],
                 50_000,
             )
-            .unwrap(),
+            .unwrap().tx_id,
         );
         counts[1] += 1;
         // Trial contract request.
         ids.push(
-            net.invoke_as(
+            net.invoke(
                 0,
                 contracts.trial,
                 "enroll",
                 &[Value::str("NCT-E6"), Value::Bytes(vec![k as u8, 1])],
                 50_000,
             )
-            .unwrap(),
+            .unwrap().tx_id,
         );
         counts[2] += 1;
         if k % 8 == 7 {

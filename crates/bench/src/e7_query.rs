@@ -6,7 +6,7 @@
 
 use crate::report::{bytes, f, Table};
 use medchain::pipeline::run_query;
-use medchain::MedicalNetwork;
+use medchain::Network;
 use medchain_contracts::policy::Purpose;
 use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 use medchain_data::PatientRecord;
@@ -35,7 +35,7 @@ pub fn run_e7(quick: bool, metrics: Metrics) -> Table {
         &["sites", "permitted", "chain latency", "result bytes", "count", "exact?"],
     );
     for sites in site_counts {
-        let mut builder = MedicalNetwork::builder().seed(77).metrics(metrics.clone());
+        let mut builder = Network::builder().seed(77).metrics(metrics.clone());
         let mut all_records = Vec::new();
         for i in 0..sites {
             let records = site_records(i, per_site);

@@ -17,7 +17,7 @@
 //! `root/coordinator/site-<i>` for the coordinator chain — and each
 //! recovers independently through the same replay-and-validate path as
 //! a single chain. Cross-shard consistency is re-established *above*
-//! this layer: after every store has recovered, `ShardedNetwork` audits
+//! this layer: after every store has recovered, a sharded `Network` audits
 //! each sub-chain tip against the newest cross-link records replayed
 //! from the coordinator's own store, so a rolled-back or forked
 //! sub-chain fails the restart instead of silently rejoining consensus.

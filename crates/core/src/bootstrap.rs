@@ -350,7 +350,7 @@ pub fn stream_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MedicalNetwork;
+    use crate::Network;
     use medchain_chain::{Hash256, TxPayload};
     use medchain_contracts::runtime::Runtime;
     use medchain_storage::StorageConfig;
@@ -365,15 +365,15 @@ mod tests {
     }
 
     /// A small consortium with a few committed anchors past the setup.
-    fn source_network() -> MedicalNetwork {
-        let mut builder = MedicalNetwork::builder();
+    fn source_network() -> Network {
+        let mut builder = Network::builder();
         for i in 0..2 {
             builder = builder.site(&format!("hospital-{i}"), Vec::new());
         }
         let mut net = builder.build().unwrap();
         for round in 0..3 {
             let label = format!("hospital-0/scan-{round}");
-            net.submit_as(
+            net.submit(
                 0,
                 TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label },
                 1_000,
@@ -386,7 +386,7 @@ mod tests {
 
     /// A joiner's empty ledger: same chain id, registry, and runtime as
     /// the cohort, nothing replayed — exactly what a wiped site has.
-    fn fresh_target(net: &MedicalNetwork) -> Ledger {
+    fn fresh_target(net: &Network) -> Ledger {
         Ledger::new("medchain", net.registry().clone(), Box::new(Runtime::standard()))
     }
 

@@ -1,20 +1,19 @@
 //! One proof-of-authority committee and the chain it drives — the unit
-//! both network shapes are made of (DESIGN.md §3).
+//! every network is made of (DESIGN.md §3).
 //!
 //! The paper's Fig. 2 consortium is one set of sites running one chain;
 //! a sharded consortium (DESIGN.md §9) is that same thing k + 1 times
-//! over. [`crate::network::MedicalNetwork`] is a shell over one
-//! [`Committee`], [`crate::sharded::ShardedNetwork`] routes between
-//! k + 1 of them, and the whole committee life cycle lives here once:
-//! build (engines, replicas, recover, rejoin, attach, transport), sign
-//! and submit with nonce tracking, advance, confirm, and the serve loop.
+//! over. A [`crate::network::Network`] holds one [`Committee`] per data
+//! chain plus, when sharded, the coordinator's, and the whole committee
+//! life cycle lives here once: build (engines, replicas, recover,
+//! rejoin, attach, transport), sign and submit with nonce tracking,
+//! advance, settle and confirm.
 
 use crate::bootstrap::{stream_into, BootstrapSource, SnapshotPeer};
 use crate::client::PendingTx;
-use crate::gateway::PumpReport;
 use crate::network::{NetworkBuilder, NetworkError, TransportKind};
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
-use medchain_chain::consensus::{Application, Cluster, RunReport};
+use medchain_chain::consensus::{Application, Cluster};
 use medchain_chain::ledger::{LedgerStats, NullRuntime};
 use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::receipt::TxReceipt;
@@ -30,7 +29,6 @@ use medchain_storage::{
 use medchain_transport::{NetStats, NodeId, SimTransport, TcpTransport, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// What tells one committee of a network from another. Everything else
@@ -256,16 +254,15 @@ impl Committee {
     }
 
     /// Runs consensus until `blocks` more blocks commit on all replicas.
-    pub(crate) fn advance(&mut self, blocks: u64) -> Result<RunReport, NetworkError> {
+    pub(crate) fn advance(&mut self, blocks: u64) -> Result<(), NetworkError> {
         let target = self.app().height() + blocks;
         let budget = self.now_ms()
             + blocks * self.block_interval_ms * 40
             + 20 * self.block_interval_ms * self.sites.len() as u64;
-        let report = self.cluster.run_until_height(target, budget);
-        if !report.reached {
+        if !self.cluster.run_until_height(target, budget).reached {
             return Err(NetworkError::ConsensusStalled { target, reached: self.app().height() });
         }
-        Ok(report)
+        Ok(())
     }
 
     /// Commits until every one of `ids` has a receipt: one block, or two
@@ -347,59 +344,6 @@ pub(crate) fn total_net_stats<'a>(chains: impl IntoIterator<Item = &'a Committee
         total.backpressure += stats.backpressure;
     }
     total
-}
-
-/// The serve loop of both networks. Until `stop` is raised: pump the
-/// gateway, commit one block on every chain with pending work, run the
-/// network's per-round hook, and sleep only when nothing advanced. Then
-/// drain the tail — requests buffered before the stop and anything
-/// admitted but not yet committed — and run the hook once more.
-///
-/// The drain is bounded: a transaction admitted above its sender's next
-/// nonce stays pooled (blocks take gap-free runs only) while PoA keeps
-/// committing empty blocks. Three consecutive rounds that commit without
-/// taking anything out of the pools end it with
-/// [`NetworkError::DrainStalled`]; one or two can be a block proposed
-/// before the transaction arrived.
-pub(crate) fn serve_until<N>(
-    net: &mut N,
-    stop: &AtomicBool,
-    pump: fn(&mut N) -> PumpReport,
-    chains: fn(&mut N) -> &mut [Committee],
-    after_round: fn(&mut N) -> Result<(), NetworkError>,
-) -> Result<(), NetworkError> {
-    let advance_pending = |net: &mut N| -> Result<bool, NetworkError> {
-        let mut advanced = false;
-        for chain in chains(net).iter_mut().filter(|chain| chain.has_pending()) {
-            chain.advance(1)?;
-            advanced = true;
-        }
-        Ok(advanced)
-    };
-    let pending =
-        |net: &mut N| chains(net).iter().map(|chain| chain.app().mempool_len()).sum::<usize>();
-    while !stop.load(Ordering::Relaxed) {
-        pump(net);
-        let advanced = advance_pending(net)?;
-        after_round(net)?;
-        if !advanced {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-    pump(net);
-    let mut fruitless = 0;
-    loop {
-        let before = pending(net);
-        if !advance_pending(net)? {
-            break;
-        }
-        fruitless = if pending(net) == before { fruitless + 1 } else { 0 };
-        if fruitless == 3 {
-            return Err(NetworkError::DrainStalled { pending: before });
-        }
-        pump(net);
-    }
-    after_round(net)
 }
 
 fn make_transport(

@@ -341,8 +341,12 @@ pub(crate) fn read_requests(
 }
 
 /// What a network must provide for the gateway to admit traffic and
-/// answer status queries. Implemented by `MedicalNetwork` (single chain)
-/// and `ShardedNetwork` (routes by [`medchain_chain::shard_for_tx`]).
+/// answer status queries. Implemented once, by [`crate::Network`], for
+/// both topologies: a flat network admits onto its one chain, a sharded
+/// one routes by [`medchain_chain::shard_for_tx`]. On either, a client's
+/// `CrossLink`, `XsDecide` or `XsFinalize` is refused outright, and so
+/// is an `XsPrepare` on a flat network, which has no coordinator to
+/// resolve it.
 pub trait GatewayBackend {
     /// The consortium registry used for batched signature verification.
     fn registry(&self) -> &KeyRegistry;

@@ -2,7 +2,8 @@
 //! architecture for precision medicine
 //!
 //! The core crate of the reproduction of Shae & Tsai (ICDCS 2018): a
-//! permissioned medical consortium ([`network::MedicalNetwork`], Fig. 2)
+//! permissioned medical consortium ([`network::Network`], Fig. 2 — one
+//! chain, or `k` shard chains plus a coordinator, DESIGN.md §9)
 //! whose on-chain smart contracts are light-weight access-policy control
 //! points, with per-site off-chain control code ([`site::Site`],
 //! Figs. 1/6) moving computation to locally resident data. The
@@ -12,7 +13,8 @@
 //! Hadoop/Grid/Cloud comparison of §III.
 //!
 //! Client-facing ingress (DESIGN.md §10) lives in [`gateway`] (the TCP
-//! front-end with batched signature verification and priority lanes),
+//! front-end with batched signature verification and priority lanes,
+//! whose one backend is [`network::Network`], flat or sharded),
 //! [`client`] (the `submit → PendingTx → TxReceipt` surface with local
 //! proof verification), and [`loadgen`] (the open-loop million-user
 //! load generator).
@@ -43,7 +45,7 @@ pub use modes::{
     run_transformed_metered, ExecutionMode, ModeReport,
 };
 pub use network::{
-    ContractAddresses, MedicalNetwork, NetworkBuilder, NetworkError, TransportKind,
+    ContractAddresses, MedicalNetwork, Network, NetworkBuilder, NetworkError, TransportKind,
 };
 pub use paradigms::{compare_all, run_paradigm, Paradigm, ParadigmReport};
 pub use pipeline::{

@@ -231,8 +231,7 @@ fn client_poll(client: &mut Client, pending: &PendingTx) -> Result<Poll, ClientE
 /// Runs `cfg.sessions` concurrent client sessions against the gateway
 /// at `addr`, one OS thread and one key per session. `keys` must hold
 /// at least `cfg.sessions` enrolled keys (use
-/// [`crate::network::MedicalNetwork::client_keys`] /
-/// [`crate::sharded::ShardedNetwork::client_keys`]).
+/// [`crate::network::Network::client_keys`]).
 ///
 /// Sessions that fail on I/O are dropped from the aggregate (their
 /// error is counted as every remaining transaction rejected); the

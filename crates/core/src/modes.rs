@@ -16,7 +16,7 @@
 //!   returns on-chain. Total CPU work is ~1 × job and wall time falls
 //!   with N.
 
-use crate::network::{MedicalNetwork, NetworkError};
+use crate::network::{Network, NetworkError};
 use medchain_chain::{Hash256, TxPayload};
 use medchain_contracts::asm::assemble;
 use medchain_contracts::opcode::encode_program;
@@ -96,9 +96,9 @@ impl ModeReport {
     }
 }
 
-fn tiny_network(nodes: usize, seed: u64, metrics: Metrics) -> Result<MedicalNetwork, NetworkError> {
+fn tiny_network(nodes: usize, seed: u64, metrics: Metrics) -> Result<Network, NetworkError> {
     use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .seed(seed)
         .block_interval_ms(20)
         .metrics(metrics)
@@ -307,7 +307,7 @@ pub fn run_transformed_metered(
 }
 
 /// Runs the job under **sharding** (paper §I's partial fix, DESIGN.md
-/// §9): a real [`crate::sharded::ShardedNetwork`] with `shard_count`
+/// §9): a real sharded [`crate::network::Network`] with `shard_count`
 /// sub-chains (site *i* on committee `i % k`), the burn kernel deployed
 /// to every sub-chain with a shard-ground address, `work/k` invoked on
 /// each, and a cross-link round committing every shard tip on the
@@ -336,7 +336,7 @@ pub fn run_sharded_consensus(
     use medchain_chain::shard::ShardId;
     assert!(shard_count > 0 && shard_count <= nodes, "1 ≤ shards ≤ nodes");
     let k = shard_count as u16;
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .seed(seed)
         .block_interval_ms(20)
         .shards(k)
@@ -358,7 +358,7 @@ pub fn run_sharded_consensus(
     let mut contracts = Vec::with_capacity(shard_count);
     for (shard, id) in &deploys {
         let receipt =
-            net.receipt_on(*shard, id).ok_or(NetworkError::MissingReceipt(*id))?;
+            net.ledger_of_shard(*shard).receipt(id).ok_or(NetworkError::MissingReceipt(*id))?;
         if !receipt.ok {
             return Err(NetworkError::TxFailed {
                 tx_id: *id,

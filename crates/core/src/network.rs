@@ -3,24 +3,28 @@
 //! N hospital sites form a proof-of-authority consortium. Every node
 //! runs the identical standard contracts (data / analytics / trial —
 //! Fig. 4); each site's off-chain control code makes those identical
-//! contracts drive *different* local computation (Fig. 1). The network
-//! object is a shell over one `Committee` (the consensus cluster with
-//! its nonce tracking and serve loop, shared with every shard of a
-//! [`crate::sharded::ShardedNetwork`]); its own are the sites with their
-//! locally resident data, the standard contracts, the dataset anchors
-//! and the control-plane cycle.
+//! contracts drive *different* local computation (Fig. 1).
+//!
+//! There is one network type, [`Network`]: data chains, indexed by
+//! shard, plus an optional coordinator chain, each a `Committee` (the
+//! consensus cluster with its nonce tracking). A flat consortium
+//! ([`NetworkBuilder::build`]) is one data chain and no coordinator; a
+//! sharded one ([`NetworkBuilder::build_sharded`], DESIGN.md §9) is `k`
+//! data chains plus the coordinator. Submit and route, confirm, advance,
+//! fund, the stats, the gateway backend and the serve loop exist once,
+//! here; cross-links and two-phase commit live in [`crate::sharded`].
 
 use crate::client::PendingTx;
 use crate::committee::{self, Committee, CommitteeSpec};
 use crate::gateway::{GatewayBackend, GatewayConfig, GatewayServer, PumpReport};
 use crate::site::Site;
-use medchain_chain::consensus::RunReport;
 use medchain_chain::ledger::contract_address;
 use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
+use medchain_chain::shard::{shard_for_key, shard_for_tx, CrossLink};
 use medchain_chain::{
-    Address, AuthorityKey, Block, Hash256, KeyRegistry, Lane, LeafKey, Receipt, SealedTx,
-    ShardId, StateProof, TxPayload,
+    Address, AuthorityKey, Block, Hash256, KeyRegistry, Lane, LeafKey, Ledger, Receipt,
+    SealedTx, ShardId, StateProof, Transaction, TxPayload, XsLock,
 };
 use medchain_contracts::native::native_manifest;
 use medchain_contracts::policy::Purpose;
@@ -32,6 +36,7 @@ use medchain_runtime::metrics::Metrics;
 use medchain_storage::{stream, LatestState, SnapshotChunk, SnapshotManifest, StorageConfig};
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Addresses of the three standard contracts after deployment.
@@ -104,6 +109,11 @@ pub enum NetworkError {
     /// A cross-link failed verification against the shard's actual
     /// sub-chain, or a sharding invariant was violated (DESIGN.md §9).
     CrossLink(String),
+    /// The operation needs a chain this network does not run: a
+    /// coordinator (cross-links, two-phase commit) on a flat network,
+    /// the flat setup (standard contracts, datasets) on a sharded one,
+    /// or a shard out of range.
+    Topology(String),
     /// Admission refused a transaction (full pool, bad nonce, bad
     /// signature).
     Rejected {
@@ -141,6 +151,7 @@ impl fmt::Display for NetworkError {
             NetworkError::TransportInit(e) => write!(f, "transport init failed: {e}"),
             NetworkError::Storage(e) => write!(f, "storage failed: {e}"),
             NetworkError::CrossLink(e) => write!(f, "cross-link violation: {e}"),
+            NetworkError::Topology(e) => write!(f, "topology: {e}"),
             NetworkError::Rejected { tx_id, reason } => {
                 write!(f, "admission rejected {tx_id:?}: {reason}")
             }
@@ -157,10 +168,8 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
-/// The one builder for both network shapes — a monolithic
-/// [`MedicalNetwork`] ([`NetworkBuilder::build`]) or a
-/// [`crate::sharded::ShardedNetwork`]
-/// ([`NetworkBuilder::build_sharded`]).
+/// The one builder of a [`Network`], flat ([`NetworkBuilder::build`]) or
+/// sharded ([`NetworkBuilder::build_sharded`]).
 ///
 /// Every option composes with every other, in any order:
 ///
@@ -178,8 +187,8 @@ impl std::error::Error for NetworkError {}
 ///   transport and topology knobs
 ///
 /// ```no_run
-/// use medchain::{GatewayConfig, MedicalNetwork};
-/// let net = MedicalNetwork::builder()
+/// use medchain::{GatewayConfig, Network};
+/// let net = Network::builder()
 ///     .site("hospital-0", Vec::new())
 ///     .site("hospital-1", Vec::new())
 ///     .shards(2)
@@ -189,18 +198,18 @@ impl std::error::Error for NetworkError {}
 /// ```
 #[derive(Default)]
 pub struct NetworkBuilder {
-    pub(crate) sites: Vec<(String, Vec<PatientRecord>)>,
+    sites: Vec<(String, Vec<PatientRecord>)>,
     pub(crate) block_interval_ms: u64,
-    pub(crate) seed: u64,
+    seed: u64,
     with_fda: bool,
     pub(crate) transport: TransportKind,
-    pub(crate) metrics: Metrics,
+    metrics: Metrics,
     pub(crate) storage: Option<(PathBuf, StorageConfig)>,
-    pub(crate) shards: u16,
-    pub(crate) gateway: Option<GatewayConfig>,
+    shards: u16,
+    gateway: Option<GatewayConfig>,
     pub(crate) parallel_exec: usize,
     pub(crate) state_cache_pages: Option<usize>,
-    pub(crate) track_latest: bool,
+    track_latest: bool,
 }
 
 impl fmt::Debug for NetworkBuilder {
@@ -246,7 +255,8 @@ impl NetworkBuilder {
     /// replica 0: a key → newest-committed-value map updated from each
     /// committed block's state delta, giving HIE-style point reads O(1)
     /// lookups without touching the authenticated tree. Fetch it with
-    /// [`MedicalNetwork::latest_state`].
+    /// [`Network::latest_state`]. Only [`NetworkBuilder::build`] honors
+    /// it.
     #[must_use]
     pub fn track_latest_state(mut self) -> NetworkBuilder {
         self.track_latest = true;
@@ -358,16 +368,17 @@ impl NetworkBuilder {
     /// Adds the regulator's special node (paper Fig. 2): a compute-only
     /// consortium member named `"fda"` hosting no patient data, enrolled
     /// as a validator, and granted [`Purpose::RegulatoryAudit`] on every
-    /// hospital dataset at build time.
+    /// hospital dataset at build time. Only [`NetworkBuilder::build`]
+    /// honors it.
     #[must_use]
     pub fn with_fda(mut self) -> NetworkBuilder {
         self.with_fda = true;
         self
     }
 
-    /// Builds the network: starts the consortium, deploys the three
-    /// standard contracts, registers and Merkle-anchors every site's
-    /// dataset.
+    /// Builds the flat network — one chain, every site a validator, no
+    /// coordinator: starts the consortium, deploys the three standard
+    /// contracts, registers and Merkle-anchors every site's dataset.
     ///
     /// # Errors
     ///
@@ -376,56 +387,35 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics if no sites were added.
-    pub fn build(mut self) -> Result<MedicalNetwork, NetworkError> {
+    pub fn build(mut self) -> Result<Network, NetworkError> {
         assert!(!self.sites.is_empty(), "a network needs at least one site");
         if self.with_fda {
             self.sites.push(("fda".to_string(), Vec::new()));
         }
-        let (keys, client_keys, registry) = self.enroll();
-        let latest_state = self.track_latest.then(|| Arc::new(LatestState::new()));
+        let with_fda = self.with_fda;
         let spec = CommitteeSpec {
             chain_id: "medchain".into(),
             shard: ShardId(0),
             shard_count: 1,
-            sites: (0..keys.len()).collect(),
+            sites: (0..self.sites.len()).collect(),
             dir: self.storage.as_ref().map(|(root, _)| root.clone()),
             seed: self.seed,
             metrics: self.metrics.clone(),
             bind_from_env: true,
-            latest_state: latest_state.clone(),
+            latest_state: self.track_latest.then(|| Arc::new(LatestState::new())),
         };
-        let committee = Committee::build(&self, &keys, &registry, spec)?;
-        let resumed = committee.ledger().height() > 0;
-        let gateway = self.start_gateway()?;
+        let mut network = self.start(vec![spec], None)?;
         // Site 0 deploys the standard contracts with its first three
         // nonces, so their addresses are known before (and after) the
         // chain holds them.
-        let deployer = keys[0].address();
+        let deployer = network.sites[0].address();
         let contracts = ContractAddresses {
             data: contract_address(&deployer, 0),
             analytics: contract_address(&deployer, 1),
             trial: contract_address(&deployer, 2),
         };
-        let sites: Vec<Site> = self
-            .sites
-            .into_iter()
-            .zip(keys)
-            .map(|((name, records), key)| Site::new(&name, key, records))
-            .collect();
-        let mut network = MedicalNetwork {
-            committee,
-            sites,
-            contracts,
-            registry,
-            transport: self.transport,
-            metrics: self.metrics,
-            resumed,
-            gateway,
-            client_keys,
-            latest_state,
-            stream_cache: None,
-        };
-        if resumed {
+        network.contracts = Some(contracts);
+        if network.resumed {
             // The persisted chain already holds the one-time setup;
             // verify the code is where site 0's deploys put it.
             let state = network.ledger().state();
@@ -444,7 +434,7 @@ impl NetworkBuilder {
         } else {
             network.deploy_standard_contracts()?;
             network.register_all_datasets()?;
-            if self.with_fda {
+            if with_fda {
                 let fda = network.fda_index().expect("fda site appended above");
                 let fda_address = network.site(fda).address();
                 network.grant_all(fda_address, Purpose::RegulatoryAudit)?;
@@ -453,12 +443,78 @@ impl NetworkBuilder {
         Ok(network)
     }
 
-    /// The consortium's identities: one validator key per site (seed =
-    /// site index), the gateway's client keys (seeds `0x1000_0000..`,
-    /// disjoint from the validators'), and the registry holding both.
-    /// Clients enroll before any replica clones the registry, so their
-    /// signatures verify on every chain.
-    pub(crate) fn enroll(&self) -> (Vec<AuthorityKey>, Vec<AuthorityKey>, KeyRegistry) {
+    /// Builds the sharded network configured with
+    /// [`NetworkBuilder::shards`]: one PoA committee and sub-chain per
+    /// shard (site *i* serves shard `i % k`) plus the coordinator chain
+    /// run by all sites. Unlike [`NetworkBuilder::build`] this performs
+    /// no contract deployment or dataset registration — the sub-chains
+    /// start empty and the caller routes work with [`Network::submit`].
+    ///
+    /// With storage configured, building against a directory holding a
+    /// persisted sharded topology *resumes* it, re-checking that every
+    /// recovered sub-chain agrees with the newest cross-link on the
+    /// recovered coordinator chain.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetworkError`] on transport or storage failure, or when
+    /// recovery contradicts a cross-link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no sites were added or there are fewer sites than
+    /// shards.
+    pub fn build_sharded(self) -> Result<Network, NetworkError> {
+        assert!(!self.sites.is_empty(), "a network needs at least one site");
+        let (n, k) = (self.sites.len(), self.shards);
+        assert!(n >= k as usize, "{n} sites cannot fill {k} shard committees");
+        // Each committee keeps its own chain id, `<root>/<shard>/site-<local>`
+        // directories, sim seed and metrics scope (`shard-0.*`,
+        // `coordinator.*`).
+        let spec = |shard: ShardId, sites: Vec<usize>, seed: u64| CommitteeSpec {
+            chain_id: format!("medchain/{shard}"),
+            shard,
+            shard_count: k,
+            sites,
+            dir: self.storage.as_ref().map(|(root, _)| root.join(shard.to_string())),
+            seed,
+            metrics: self.metrics.scoped(&shard.to_string()),
+            bind_from_env: false,
+            latest_state: None,
+        };
+        let data = (0..k)
+            .map(|s| {
+                let members = (0..n).filter(|i| i % k as usize == s as usize).collect();
+                spec(ShardId(s), members, self.seed.wrapping_add(1 + u64::from(s)))
+            })
+            .collect();
+        let coordinator = spec(ShardId::COORDINATOR, (0..n).collect(), self.seed);
+        let network = self.start(data, Some(coordinator))?;
+        if network.resumed {
+            // Recovery invariant (DESIGN.md §9): every recovered
+            // sub-chain agrees with the newest cross-link the recovered
+            // coordinator holds.
+            for (shard, record) in network.coordinator_ledger().state().cross_links() {
+                network.verify_link(&CrossLink { shard, height: record.height, tip: record.tip })?;
+            }
+        }
+        Ok(network)
+    }
+
+    /// Enrolls the consortium's identities, starts the committees the
+    /// specs describe (data chains in shard order, then the
+    /// coordinator) and the gateway, and assembles the network around
+    /// them.
+    ///
+    /// Identities: one validator key per site (seed = site index) and
+    /// the gateway's client keys (seeds `0x1000_0000..`, disjoint from
+    /// the validators'). Clients enroll before any replica clones the
+    /// registry, so their signatures verify on every chain.
+    fn start(
+        self,
+        data: Vec<CommitteeSpec>,
+        coordinator: Option<CommitteeSpec>,
+    ) -> Result<Network, NetworkError> {
         let seeded = |base: u64, n: usize| -> Vec<AuthorityKey> {
             (0..n as u64).map(|i| AuthorityKey::from_seed(base + i)).collect()
         };
@@ -468,25 +524,62 @@ impl NetworkBuilder {
         for key in keys.iter().chain(&client_keys) {
             registry.enroll(key);
         }
-        (keys, client_keys, registry)
-    }
-
-    /// Starts the ingress gateway when one is configured. Its handle is
-    /// unscoped: ingress reports the same `gateway.*` keys whether it
-    /// fronts a flat chain or a sharded one.
-    pub(crate) fn start_gateway(&self) -> Result<Option<GatewayServer>, NetworkError> {
-        self.gateway
+        let latest_state = data[0].latest_state.clone();
+        let build = |spec| Committee::build(&self, &keys, &registry, spec);
+        let chains = data.into_iter().map(build).collect::<Result<Vec<_>, _>>()?;
+        let coordinator = coordinator.map(build).transpose()?;
+        let resumed = chains.iter().chain(&coordinator).any(|c| c.ledger().height() > 0);
+        // The gateway's handle is unscoped: ingress reports the same
+        // `gateway.*` keys whether it fronts a flat chain or a sharded one.
+        let gateway = self
+            .gateway
             .map(|cfg| GatewayServer::start(cfg, self.metrics.clone()))
             .transpose()
-            .map_err(|e| NetworkError::Gateway(e.to_string()))
+            .map_err(|e| NetworkError::Gateway(e.to_string()))?;
+        let sites = self
+            .sites
+            .into_iter()
+            .zip(keys)
+            .map(|((name, records), key)| Site::new(&name, key, records))
+            .collect();
+        Ok(Network {
+            chains,
+            coordinator,
+            sites,
+            contracts: None,
+            registry,
+            transport: self.transport,
+            metrics: self.metrics,
+            resumed,
+            gateway,
+            client_keys,
+            latest_state,
+            stream_cache: None,
+            xs_seq: 0,
+        })
     }
 }
 
-/// The running consortium.
-pub struct MedicalNetwork {
-    committee: Committee,
-    sites: Vec<Site>,
-    contracts: ContractAddresses,
+/// The running consortium: one data chain for a flat network, `k` plus
+/// the coordinator chain for a sharded one. Built with
+/// [`NetworkBuilder::build`] or [`NetworkBuilder::build_sharded`].
+///
+/// Chain 0 is the flat chain: [`Network::ledger`] and
+/// [`Network::height`] read it on either topology. Operations that need
+/// a chain the topology lacks — cross-links and two-phase commit on a
+/// flat network, the standard contracts on a sharded one — return
+/// [`NetworkError::Topology`]; accessors that hand out a reference panic
+/// instead, as documented on each.
+pub struct Network {
+    /// Data chains, indexed by shard.
+    pub(crate) chains: Vec<Committee>,
+    /// Every site's coordinator chain (cross-links, 2PC decisions);
+    /// `None` on a flat network.
+    pub(crate) coordinator: Option<Committee>,
+    pub(crate) sites: Vec<Site>,
+    /// The standard contracts — `None` on a sharded network, which runs
+    /// no flat setup.
+    contracts: Option<ContractAddresses>,
     registry: KeyRegistry,
     transport: TransportKind,
     metrics: Metrics,
@@ -494,28 +587,39 @@ pub struct MedicalNetwork {
     gateway: Option<GatewayServer>,
     client_keys: Vec<AuthorityKey>,
     latest_state: Option<Arc<LatestState>>,
-    // One chunked snapshot materialized per tip for the streaming
-    // protocol; invalidated (rebuilt) when a manifest is requested at a
-    // newer tip.
-    stream_cache: Option<(SnapshotManifest, Vec<u8>)>,
+    // One chunked snapshot materialized per (chain, tip) for the
+    // streaming protocol; rebuilt when a manifest is requested for
+    // another chain or a newer tip. The shard is kept beside it because
+    // a manifest does not name its chain.
+    stream_cache: Option<(ShardId, SnapshotManifest, Vec<u8>)>,
+    /// Uniquifies locally-minted cross-shard transaction ids (two-phase
+    /// commit, DESIGN.md §12).
+    pub(crate) xs_seq: u64,
 }
 
-impl fmt::Debug for MedicalNetwork {
+/// The flat network's historical name: a [`Network`] built with
+/// [`NetworkBuilder::build`].
+pub type MedicalNetwork = Network;
+
+impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MedicalNetwork")
+        f.debug_struct("Network")
             .field("sites", &self.sites.len())
+            .field("shards", &self.shard_count())
+            .field("coordinator", &self.coordinator.is_some())
             .field("height", &self.height())
             .finish()
     }
 }
 
-impl MedicalNetwork {
+impl Network {
     /// Starts building a network.
     pub fn builder() -> NetworkBuilder {
         NetworkBuilder::new()
     }
 
-    /// Number of sites (= consortium validators).
+    /// Number of sites (= consortium validators; on a sharded network
+    /// every site validates exactly one data chain and the coordinator).
     pub fn site_count(&self) -> usize {
         self.sites.len()
     }
@@ -536,8 +640,12 @@ impl MedicalNetwork {
     }
 
     /// Standard contract addresses.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sharded network, which deploys no standard contracts.
     pub fn contracts(&self) -> ContractAddresses {
-        self.contracts
+        self.contracts.expect("a sharded network deploys no standard contracts")
     }
 
     /// Index of the regulator's special node, when the network was built
@@ -546,27 +654,126 @@ impl MedicalNetwork {
         self.sites.iter().position(|s| s.name() == "fda")
     }
 
-    /// Current committed height (replica 0's view).
+    /// Number of data chains: 1 on a flat network.
+    pub fn shard_count(&self) -> u16 {
+        self.chains.len() as u16
+    }
+
+    /// Current committed height of chain 0 (replica 0's view).
     pub fn height(&self) -> u64 {
         self.ledger().height()
     }
 
-    /// Replica 0's ledger (all replicas agree under PoA).
-    pub fn ledger(&self) -> &medchain_chain::Ledger {
-        self.committee.ledger()
+    /// Chain 0's ledger, replica 0 (all replicas agree under PoA).
+    pub fn ledger(&self) -> &Ledger {
+        self.chains[0].ledger()
     }
 
-    /// The ledger of a specific replica (for control-plane polling).
-    pub fn ledger_of(&self, site: usize) -> &medchain_chain::Ledger {
-        self.committee.ledger_of(site)
+    /// Site `site`'s replica of its data chain (for control-plane
+    /// polling): chain `site % k`, member `site / k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is out of range.
+    pub fn ledger_of(&self, site: usize) -> &Ledger {
+        let k = self.chains.len();
+        self.chains[site % k].ledger_of(site / k)
+    }
+
+    /// The sub-chain ledger of `shard` (committee replica 0's view).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not a data chain.
+    pub fn ledger_of_shard(&self, shard: ShardId) -> &Ledger {
+        self.chains[shard.0 as usize].ledger()
+    }
+
+    /// Global site indices serving `shard`'s committee.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not a data chain.
+    pub fn committee_sites(&self, shard: ShardId) -> &[usize] {
+        self.chains[shard.0 as usize].sites()
+    }
+
+    /// Committed height of every data chain, indexed by shard.
+    pub fn shard_heights(&self) -> Vec<u64> {
+        self.chains.iter().map(|c| c.ledger().height()).collect()
+    }
+
+    /// Gas executed on one replica of each data chain — the
+    /// per-committee slice of the workload (index = shard).
+    pub fn shard_gas(&self) -> Vec<u64> {
+        self.chains.iter().map(|c| c.ledger().stats().gas_used).collect()
+    }
+
+    /// The data chain `addr` lives on: chain 0 on a flat network, its
+    /// [`shard_for_key`] shard otherwise.
+    fn home(&self, addr: &Address) -> usize {
+        match self.coordinator {
+            None => 0,
+            Some(_) => shard_for_key(&addr.0, self.shard_count()).0 as usize,
+        }
+    }
+
+    /// The chain `tx` goes to — the rule every honest node applies
+    /// ([`shard_for_tx`]); chain 0, without hashing, on a flat network.
+    fn route_tx(&self, tx: &Transaction) -> ShardId {
+        match self.coordinator {
+            None => ShardId(0),
+            Some(_) => shard_for_tx(tx, self.shard_count()),
+        }
+    }
+
+    /// Deterministic routing of a payload submitted by `site`.
+    pub fn route(&self, site: usize, payload: &TxPayload) -> ShardId {
+        if self.coordinator.is_none() {
+            return ShardId(0);
+        }
+        self.route_tx(&Transaction::new(self.sites[site].address(), 0, payload.clone(), 0))
+    }
+
+    /// The committee driving `shard`'s chain, data or coordinator.
+    fn committee(&self, shard: ShardId) -> Option<&Committee> {
+        if shard.is_coordinator() { self.coordinator.as_ref() } else { self.chains.get(shard.0 as usize) }
+    }
+
+    /// [`Network::committee`], mutable, or [`NetworkError::Topology`].
+    pub(crate) fn committee_mut(&mut self, shard: ShardId) -> Result<&mut Committee, NetworkError> {
+        let chain = if shard.is_coordinator() {
+            self.coordinator.as_mut()
+        } else {
+            self.chains.get_mut(shard.0 as usize)
+        };
+        chain.ok_or_else(|| NetworkError::Topology(format!("this network runs no {shard} chain")))
+    }
+
+    /// Every committee: data chains in shard order, then the coordinator.
+    fn committees(&self) -> impl Iterator<Item = &Committee> {
+        self.chains.iter().chain(&self.coordinator)
     }
 
     /// Out-of-band funding for tests and experiments: credits `addr` on
-    /// every replica. Bypasses the block pipeline (like
-    /// `ShardedNetwork::fund`), so state proofs only cover it after the
-    /// next committed block re-roots the headers.
+    /// every replica of its home data chain. Bypasses the block
+    /// pipeline, so state proofs only cover it after the next committed
+    /// block re-roots the headers, and with storage configured it only
+    /// survives restart through a snapshot taken *after* it (commit a
+    /// block with `snapshot_every: 1`, or fund again on resume).
     pub fn fund(&mut self, addr: Address, amount: u64) {
-        self.committee.fund(addr, amount);
+        let home = self.home(&addr);
+        self.chains[home].fund(addr, amount);
+    }
+
+    /// Spendable balance of `addr` on its home data chain.
+    pub fn balance_of(&self, addr: &Address) -> u64 {
+        self.chains[self.home(addr)].ledger().state().account(addr).balance
+    }
+
+    /// The 2PC lock held on `addr`'s home data chain, if any.
+    pub fn lock_of(&self, addr: &Address) -> Option<XsLock> {
+        self.chains[self.home(addr)].ledger().state().lock(addr)
     }
 
     /// The consortium membership registry.
@@ -574,9 +781,15 @@ impl MedicalNetwork {
         &self.registry
     }
 
-    /// Consensus network statistics.
+    /// Consensus transport statistics summed over every committee.
     pub fn net_stats(&self) -> medchain_transport::NetStats {
-        committee::total_net_stats([&self.committee])
+        committee::total_net_stats(self.committees())
+    }
+
+    /// Aggregate ledger statistics across every replica of every
+    /// committee — the total duplicated execution cost.
+    pub fn total_ledger_stats(&self) -> medchain_chain::ledger::LedgerStats {
+        committee::total_ledger_stats(self.committees())
     }
 
     /// Which transport carries this network's consensus traffic.
@@ -585,13 +798,15 @@ impl MedicalNetwork {
     }
 
     /// The metrics handle installed at build time (noop by default) —
-    /// higher layers (query pipeline, experiments) emit through it.
+    /// higher layers (query pipeline, experiments) emit through it. On a
+    /// sharded network per-committee subsystems report under scoped
+    /// keys: `shard-0.consensus.rounds`, `coordinator.transport.bytes`, …
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
 
     /// Whether this network resumed a persisted chain from disk instead
-    /// of running the one-time setup.
+    /// of starting from genesis.
     pub fn resumed(&self) -> bool {
         self.resumed
     }
@@ -606,13 +821,13 @@ impl MedicalNetwork {
         self.latest_state.as_ref()
     }
 
-    /// Gracefully releases the transport (socket transports join their
-    /// threads; the simulator is a no-op) and stops the gateway.
+    /// Gracefully releases the gateway and every committee's transport
+    /// (socket transports join their threads; the simulator is a no-op).
     pub fn shutdown(&mut self) {
         if let Some(gateway) = self.gateway.as_mut() {
             gateway.shutdown();
         }
-        self.committee.shutdown();
+        self.chains.iter_mut().chain(&mut self.coordinator).for_each(Committee::shutdown);
     }
 
     /// The ingress gateway's TCP address, when built with
@@ -626,8 +841,9 @@ impl MedicalNetwork {
         &self.client_keys
     }
 
-    /// Drains buffered gateway requests through admission and answers
-    /// status queries. No-op without a gateway.
+    /// Drains buffered gateway requests through admission — each
+    /// transaction routed to its chain — and answers status queries.
+    /// No-op without a gateway.
     pub fn pump_gateway(&mut self) -> PumpReport {
         let Some(mut gateway) = self.gateway.take() else { return PumpReport::default() };
         let report = gateway.pump(self);
@@ -636,31 +852,69 @@ impl MedicalNetwork {
     }
 
     /// Serves gateway traffic until `stop` is raised: pump admissions,
-    /// commit blocks whenever transactions are pending, then drain the
-    /// in-flight tail so every accepted transaction commits.
+    /// commit one block on every chain with pending work (data chains,
+    /// then the coordinator), drive in-flight 2PC transfers when there
+    /// is a coordinator (commit fully-locked ones, timeout-abort
+    /// stragglers; cheap when no locks are held), and sleep only when
+    /// nothing advanced. Then drain the tail — requests buffered before
+    /// the stop and anything admitted but not yet committed — and
+    /// resolve once more, so every accepted transaction commits.
+    ///
+    /// The drain is bounded: a transaction admitted above its sender's
+    /// next nonce stays pooled (blocks take gap-free runs only) while
+    /// PoA keeps committing empty blocks. Three consecutive rounds that
+    /// commit without taking anything out of the pools end it; one or
+    /// two can be a block proposed before the transaction arrived.
     ///
     /// # Errors
     ///
     /// Returns [`NetworkError::ConsensusStalled`] if a commit round
     /// times out, and [`NetworkError::DrainStalled`] if the tail cannot
     /// drain because a pooled transaction sits above a nonce gap.
-    pub fn serve_until(
-        &mut self,
-        stop: &std::sync::atomic::AtomicBool,
-    ) -> Result<(), NetworkError> {
-        committee::serve_until(
-            self,
-            stop,
-            Self::pump_gateway,
-            |net| std::slice::from_mut(&mut net.committee),
-            |_| Ok(()),
-        )
+    pub fn serve_until(&mut self, stop: &AtomicBool) -> Result<(), NetworkError> {
+        while !stop.load(Ordering::Relaxed) {
+            self.pump_gateway();
+            let advanced = self.advance_pending()?;
+            self.resolve_if_coordinated()?;
+            if !advanced {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        self.pump_gateway();
+        let pooled = |net: &Network| -> usize { net.committees().map(|c| c.app().mempool_len()).sum() };
+        let mut fruitless = 0;
+        loop {
+            let before = pooled(self);
+            if !self.advance_pending()? {
+                break;
+            }
+            fruitless = if pooled(self) == before { fruitless + 1 } else { 0 };
+            if fruitless == 3 {
+                return Err(NetworkError::DrainStalled { pending: before });
+            }
+            self.pump_gateway();
+        }
+        self.resolve_if_coordinated()
     }
 
-    /// Aggregate ledger statistics across all replicas (the duplicated
-    /// execution cost).
-    pub fn total_ledger_stats(&self) -> medchain_chain::ledger::LedgerStats {
-        committee::total_ledger_stats([&self.committee])
+    /// Commits one block on every chain holding uncommitted
+    /// transactions; reports whether any did.
+    fn advance_pending(&mut self) -> Result<bool, NetworkError> {
+        let mut advanced = false;
+        for chain in self.chains.iter_mut().chain(&mut self.coordinator) {
+            if chain.has_pending() {
+                chain.advance(1)?;
+                advanced = true;
+            }
+        }
+        Ok(advanced)
+    }
+
+    fn resolve_if_coordinated(&mut self) -> Result<(), NetworkError> {
+        if self.coordinator.is_some() {
+            self.resolve_cross_shard()?;
+        }
+        Ok(())
     }
 
     /// Submits a transaction from `site` on the normal lane — the
@@ -668,9 +922,7 @@ impl MedicalNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::NoSuchSite`] for bad indices and
-    /// [`NetworkError::Rejected`] when admission refuses the
-    /// transaction.
+    /// See [`Network::submit_lane`].
     pub fn submit(
         &mut self,
         site: usize,
@@ -680,11 +932,18 @@ impl MedicalNetwork {
         self.submit_lane(site, payload, gas_limit, Lane::Normal)
     }
 
-    /// [`MedicalNetwork::submit`] with an explicit mempool lane.
+    /// Builds, signs, routes, and submits a transaction from `site` on
+    /// the requested mempool lane, returning a [`PendingTx`] (which
+    /// names the chain it went to) to confirm later.
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::NoSuchSite`] / [`NetworkError::Rejected`].
+    /// Returns [`NetworkError::NoSuchSite`] for bad indices,
+    /// [`NetworkError::CrossLink`] for cross-link payloads (those go
+    /// through [`Network::submit_cross_link`], which verifies the
+    /// claimed tip first), and [`NetworkError::Rejected`] when the
+    /// target committee's admission refuses the transaction (the
+    /// reserved nonce is rolled back).
     pub fn submit_lane(
         &mut self,
         site: usize,
@@ -692,28 +951,34 @@ impl MedicalNetwork {
         gas_limit: u64,
         lane: Lane,
     ) -> Result<PendingTx, NetworkError> {
-        let site = self.sites.get(site).ok_or(NetworkError::NoSuchSite(site))?;
-        self.committee.sign_and_submit(site.key(), payload, gas_limit, lane)
+        if site >= self.sites.len() {
+            return Err(NetworkError::NoSuchSite(site));
+        }
+        if matches!(payload, TxPayload::CrossLink { .. }) {
+            return Err(NetworkError::CrossLink(
+                "cross-links must be submitted via submit_cross_link".into(),
+            ));
+        }
+        let shard = self.route(site, &payload);
+        self.submit_on(shard, site, payload, gas_limit, lane)
     }
 
-    /// Builds, signs, and submits a transaction from `site`, returning
-    /// only its id (legacy surface; prefer [`MedicalNetwork::submit`],
-    /// whose [`PendingTx`] pairs with proof-carrying confirmation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError::NoSuchSite`] for bad indices.
-    pub fn submit_as(
+    /// Signs `payload` with `site`'s key at its next nonce on `shard`'s
+    /// chain and submits it there.
+    pub(crate) fn submit_on(
         &mut self,
+        shard: ShardId,
         site: usize,
         payload: TxPayload,
         gas_limit: u64,
-    ) -> Result<Hash256, NetworkError> {
-        Ok(self.submit(site, payload, gas_limit)?.tx_id)
+        lane: Lane,
+    ) -> Result<PendingTx, NetworkError> {
+        let key = self.sites.get(site).ok_or(NetworkError::NoSuchSite(site))?.key().clone();
+        self.committee_mut(shard)?.sign_and_submit(&key, payload, gas_limit, lane)
     }
 
     /// Convenience: invoke a standard contract method from `site`,
-    /// through the [`MedicalNetwork::submit`] API.
+    /// through the [`Network::submit`] API.
     ///
     /// # Errors
     ///
@@ -733,97 +998,126 @@ impl MedicalNetwork {
         )
     }
 
-    /// Convenience: invoke a standard contract method from `site`,
-    /// returning only the transaction id (legacy surface; prefer
-    /// [`MedicalNetwork::invoke`]).
+    /// Operator-directed contract placement: submits a deploy from
+    /// `site` straight to `shard`'s data chain instead of routing by the
+    /// site key. On a sharded network the derived address is ground to
+    /// `shard` ([`medchain_chain::sharded_contract_address`]), so
+    /// invokes still route to the chain that holds the code — placement
+    /// is free, routing stays canonical.
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::NoSuchSite`] for bad indices.
-    pub fn invoke_as(
+    /// Returns [`NetworkError::NoSuchSite`] on a bad site and
+    /// [`NetworkError::Topology`] when `shard` is not a data chain.
+    pub fn deploy_to(
         &mut self,
+        shard: ShardId,
         site: usize,
-        contract: Address,
-        selector: &str,
-        args: &[Value],
+        code: Vec<u8>,
+        init: Vec<u8>,
         gas_limit: u64,
     ) -> Result<Hash256, NetworkError> {
-        Ok(self.invoke(site, contract, selector, args, gas_limit)?.tx_id)
+        if shard.0 >= self.shard_count() {
+            return Err(NetworkError::Topology(format!("cannot deploy to {shard}: not a data chain")));
+        }
+        let deploy = TxPayload::Deploy { code, init };
+        Ok(self.submit_on(shard, site, deploy, gas_limit, Lane::Normal)?.tx_id)
     }
 
-    /// Commits pending work and returns the proof-carrying receipt of a
-    /// submitted transaction, verified against the **independently
-    /// read** committed block root before it is handed back.
+    /// Commits pending work on the transaction's chain and returns its
+    /// proof-carrying receipt, verified against the tx root of the
+    /// committed block read **independently** from the ledger before it
+    /// is handed back.
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] on stall, missing receipt, proof
-    /// failure, or failed execution.
+    /// Returns [`NetworkError::MissingReceipt`] if the transaction still
+    /// has not committed after two rounds,
+    /// [`NetworkError::ReceiptProof`] if the inclusion proof does not
+    /// check out, and [`NetworkError::TxFailed`] if execution failed.
     pub fn confirm(&mut self, pending: &PendingTx) -> Result<TxReceipt, NetworkError> {
-        self.committee.confirm(pending)
+        self.committee_mut(pending.shard)?.confirm(pending)
     }
 
-    /// Runs consensus until `blocks` more blocks commit on all replicas.
+    /// Runs every data chain's committee until `blocks` more blocks
+    /// commit on its chain. On a sharded network the committees run
+    /// independently — the (N/k)-duplication regime the mode harness
+    /// measures — and the coordinator advances with
+    /// [`Network::advance_coordinator`].
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::ConsensusStalled`] on timeout.
-    pub fn advance(&mut self, blocks: u64) -> Result<RunReport, NetworkError> {
-        self.committee.advance(blocks)
+    /// Returns [`NetworkError::ConsensusStalled`] if any committee times
+    /// out.
+    pub fn advance(&mut self, blocks: u64) -> Result<(), NetworkError> {
+        for chain in &mut self.chains {
+            chain.advance(blocks)?;
+        }
+        Ok(())
     }
 
-    /// Receipt lookup (replica 0).
+    /// Receipt lookup on replica 0 of every chain in turn (data chains,
+    /// then the coordinator); the first that holds `tx_id` answers.
+    /// Account nonces are per chain, so one signed transaction can
+    /// commit on two chains — read a specific chain's receipt through
+    /// [`Network::ledger_of_shard`].
     pub fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
-        self.committee.app().receipt(tx_id)
+        self.committees().find_map(|c| c.app().receipt(tx_id))
     }
 
-    /// Commits pending transactions and returns the receipt of `tx_id`,
-    /// erroring if it failed.
+    /// Commits pending transactions on chain 0 — the flat chain — and
+    /// returns the receipt of `tx_id`, erroring if it failed. A routed
+    /// transaction on a sharded network is confirmed with
+    /// [`Network::confirm`].
     ///
     /// # Errors
     ///
     /// Returns [`NetworkError`] on stall, missing receipt, or failed
     /// execution.
     pub fn commit_and_check(&mut self, tx_id: Hash256) -> Result<Receipt, NetworkError> {
-        self.committee.settle(&[tx_id])?;
-        self.committee.expect_ok(&[tx_id])?;
-        self.receipt(&tx_id).cloned().ok_or(NetworkError::MissingReceipt(tx_id))
+        let chain = &mut self.chains[0];
+        chain.settle(&[tx_id])?;
+        chain.expect_ok(&[tx_id])?;
+        chain.app().receipt(&tx_id).cloned().ok_or(NetworkError::MissingReceipt(tx_id))
+    }
+
+    /// The standard contracts, or [`NetworkError::Topology`] on a
+    /// sharded network.
+    fn flat_setup(&self) -> Result<ContractAddresses, NetworkError> {
+        self.contracts.ok_or_else(|| {
+            NetworkError::Topology("a sharded network runs no standard contracts".into())
+        })
     }
 
     fn deploy_standard_contracts(&mut self) -> Result<(), NetworkError> {
         let mut ids = Vec::new();
         for name in ["data_contract", "analytics_contract", "trial_contract"] {
             let code = native_manifest(name);
-            ids.push(self.submit_as(0, TxPayload::Deploy { code, init: Vec::new() }, 100_000)?);
+            ids.push(self.submit(0, TxPayload::Deploy { code, init: Vec::new() }, 100_000)?.tx_id);
         }
         self.advance(2)?;
-        self.committee.expect_ok(&ids)
+        self.chains[0].expect_ok(&ids)
     }
 
     fn register_all_datasets(&mut self) -> Result<(), NetworkError> {
-        let data_contract = self.contracts.data;
+        let data_contract = self.flat_setup()?.data;
         let mut ids = Vec::new();
         for i in 0..self.sites.len() {
             let artifact = self.sites[i].anchor_artifact();
             let label = artifact.label().to_string();
             let root = artifact.root();
             // On-chain registration in the data contract…
-            ids.push(self.invoke_as(
-                i,
-                data_contract,
-                "register",
-                &[
-                    Value::str(&label),
-                    Value::Bytes(root.0.to_vec()),
-                    Value::str("medchain-canonical-v1"),
-                ],
-                50_000,
-            )?);
+            let args = [
+                Value::str(&label),
+                Value::Bytes(root.0.to_vec()),
+                Value::str("medchain-canonical-v1"),
+            ];
+            ids.push(self.invoke(i, data_contract, "register", &args, 50_000)?.tx_id);
             // …plus the Merkle anchor for record-level integrity.
-            ids.push(self.submit_as(i, TxPayload::Anchor { root, label }, 1_000)?);
+            ids.push(self.submit(i, TxPayload::Anchor { root, label }, 1_000)?.tx_id);
         }
         self.advance(2 + self.sites.len() as u64 / 32)?;
-        self.committee.expect_ok(&ids)
+        self.chains[0].expect_ok(&ids)
     }
 
     /// Grants `purpose` access on every site's dataset to `grantee` —
@@ -831,27 +1125,23 @@ impl MedicalNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if any grant transaction fails.
+    /// Returns [`NetworkError::Topology`] on a sharded network, and
+    /// [`NetworkError`] if any grant transaction fails.
     pub fn grant_all(&mut self, grantee: Address, purpose: Purpose) -> Result<(), NetworkError> {
-        let data_contract = self.contracts.data;
+        let data_contract = self.flat_setup()?.data;
         let mut ids = Vec::new();
         for i in 0..self.sites.len() {
             let label = self.sites[i].hosted_label().to_string();
-            ids.push(self.invoke_as(
-                i,
-                data_contract,
-                "grant",
-                &[
-                    Value::str(&label),
-                    Value::address(&grantee),
-                    Value::Int(purpose.code()),
-                    Value::Int(-1),
-                ],
-                50_000,
-            )?);
+            let args = [
+                Value::str(&label),
+                Value::address(&grantee),
+                Value::Int(purpose.code()),
+                Value::Int(-1),
+            ];
+            ids.push(self.invoke(i, data_contract, "grant", &args, 50_000)?.tx_id);
         }
         self.advance(2)?;
-        self.committee.expect_ok(&ids)
+        self.chains[0].expect_ok(&ids)
     }
 
     /// One control-plane cycle (Fig. 1): every site's control code
@@ -861,14 +1151,15 @@ impl MedicalNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if intent submission fails.
+    /// Returns [`NetworkError::Topology`] on a sharded network, and
+    /// [`NetworkError`] if intent submission fails.
     pub fn control_cycle(&mut self) -> Result<usize, NetworkError> {
-        let analytics = self.contracts.analytics;
+        let analytics = self.flat_setup()?.analytics;
         let mut actions = Vec::new();
         for i in 0..self.sites.len() {
             // Disjoint-field borrow: replica ledger (read) + site control
             // code (write).
-            let intents = self.sites[i].control_mut().step(self.committee.ledger_of(i));
+            let intents = self.sites[i].control_mut().step(self.chains[0].ledger_of(i));
             for intent in intents {
                 actions.push((i, intent));
             }
@@ -876,13 +1167,8 @@ impl MedicalNetwork {
         let count = actions.len();
         for (site, intent) in actions {
             if let ActionIntent::PostResult { task_id, result_hash, .. } = intent {
-                let id = self.invoke_as(
-                    site,
-                    analytics,
-                    "post_result",
-                    &[Value::Int(task_id), Value::Bytes(result_hash.0.to_vec())],
-                    50_000,
-                )?;
+                let args = [Value::Int(task_id), Value::Bytes(result_hash.0.to_vec())];
+                let id = self.invoke(site, analytics, "post_result", &args, 50_000)?.tx_id;
                 self.commit_and_check(id)?;
             }
         }
@@ -890,72 +1176,94 @@ impl MedicalNetwork {
     }
 }
 
-impl GatewayBackend for MedicalNetwork {
+impl GatewayBackend for Network {
     fn registry(&self) -> &KeyRegistry {
         &self.registry
     }
 
     fn admit(&mut self, tx: SealedTx, lane: Lane) -> (ShardId, SubmitOutcome) {
-        (self.ledger().shard(), self.committee.admit_verified(tx, lane))
+        // External clients may not mint control-plane records: cross-links
+        // carry consortium attestations (enter via `submit_cross_link`'s
+        // verification path), and 2PC decisions/finalizes are the
+        // resolver's alone — a client forging a finalize could release
+        // locks it never held, or pay out its own credit prepare. Prepares
+        // are fine where a coordinator resolves them; on a flat network
+        // nothing ever would, so a prepare could only freeze an account.
+        let refused = match tx.payload {
+            TxPayload::CrossLink { .. } | TxPayload::XsDecide { .. } | TxPayload::XsFinalize { .. } => {
+                true
+            }
+            TxPayload::XsPrepare { .. } => self.coordinator.is_none(),
+            _ => false,
+        };
+        if refused {
+            return (ShardId::COORDINATOR, SubmitOutcome::Inadmissible);
+        }
+        let shard = self.route_tx(&tx);
+        match self.committee_mut(shard) {
+            Ok(chain) => (shard, chain.admit_verified(tx, lane)),
+            // A prepare naming a shard this network does not run.
+            Err(_) => (shard, SubmitOutcome::Inadmissible),
+        }
     }
 
     fn find_receipt(&self, tx_id: &Hash256) -> Option<TxReceipt> {
-        self.committee.app().tx_receipt(tx_id)
+        self.committees().find_map(|c| c.app().tx_receipt(tx_id))
     }
 
     fn is_pending(&self, tx_id: &Hash256) -> bool {
-        self.committee.app().mempool_contains(tx_id)
+        self.committees().any(|c| c.app().mempool_contains(tx_id))
+    }
+
+    fn xs_status(&self, xid: &Hash256) -> Option<(bool, Option<TxReceipt>)> {
+        let coordinator = self.coordinator.as_ref()?;
+        let decision = coordinator.ledger().state().xs_decision(xid)?;
+        let receipt = coordinator.app().tx_receipt(&decision.tx_id);
+        Some((decision.commit, receipt))
     }
 
     fn query_state(&self, key: &LeafKey, shard: Option<ShardId>) -> Option<StateProof> {
-        // Single chain: every key lives here (including absence of
-        // coordinator-homed keys), but a pin to some *other* shard is
-        // unanswerable.
-        if shard.is_some_and(|s| s != self.ledger().shard()) {
-            return None;
-        }
-        Some(self.ledger().prove_state(key))
+        // Route like transactions: the key's home shard unless the client
+        // pins one (e.g. for a cross-shard absence proof). A flat chain
+        // answers every unpinned key, coordinator-homed ones included.
+        let target = match (shard, &self.coordinator) {
+            (Some(shard), _) => shard,
+            (None, None) => ShardId(0),
+            (None, Some(_)) => key.home_shard(self.shard_count()),
+        };
+        Some(self.committee(target)?.ledger().prove_state(key))
     }
 
     fn snapshot_manifest(&mut self, shard: ShardId) -> Option<SnapshotManifest> {
-        if shard != self.ledger().shard() {
-            return None;
-        }
-        let tip_id = self.ledger().tip().id();
-        if let Some((manifest, _)) = &self.stream_cache {
-            if manifest.tip_id == tip_id {
+        let ledger = self.committee(shard)?.ledger();
+        if let Some((cached, manifest, _)) = &self.stream_cache {
+            if *cached == shard && manifest.tip_id == ledger.tip().id() {
                 return Some(manifest.clone());
             }
         }
         // Materialize one chunked snapshot at the current tip. The
         // payload is byte-identical to a local `snap-<height>.bin`
         // record, so the receiver adopts it and recovers natively.
-        let ledger = self.ledger();
         let tip = ledger.tip().clone();
         let payload = stream::snapshot_payload(&tip, ledger.state(), &ledger.state_tree());
         let manifest = stream::manifest_for(&tip, &payload);
-        self.stream_cache = Some((manifest.clone(), payload));
+        self.stream_cache = Some((shard, manifest.clone(), payload));
         Some(manifest)
     }
 
     fn snapshot_chunk(&mut self, shard: ShardId, height: u64, index: u32) -> Option<SnapshotChunk> {
-        if shard != self.ledger().shard() {
-            return None;
-        }
         // Chunks are only served for the manifest currently materialized;
-        // a stale height tells the client to re-request the manifest.
-        let (manifest, payload) = self.stream_cache.as_ref()?;
-        if manifest.height != height {
+        // another chain or a stale height tells the client to re-request
+        // the manifest.
+        let (cached, manifest, payload) = self.stream_cache.as_ref()?;
+        if *cached != shard || manifest.height != height {
             return None;
         }
         stream::chunk_at(height, payload, index)
     }
 
     fn blocks_from(&mut self, shard: ShardId, height: u64) -> Option<(u64, Vec<Block>)> {
-        if shard != self.ledger().shard() {
-            return None;
-        }
-        let ledger = self.ledger();
+        let ledger = self.committee(shard)?.ledger();
         Some((ledger.height(), ledger.blocks_from(height).to_vec()))
     }
 }
@@ -974,8 +1282,8 @@ mod tests {
         )
     }
 
-    fn network(sites: usize) -> MedicalNetwork {
-        let mut builder = MedicalNetwork::builder();
+    fn network(sites: usize) -> Network {
+        let mut builder = Network::builder();
         for i in 0..sites {
             builder = builder.site(&format!("hospital-{i}"), records(i, 60));
         }
@@ -1011,7 +1319,7 @@ mod tests {
         net.grant_all(researcher, Purpose::Research).unwrap();
         let data = net.contracts().data;
         let id = net
-            .invoke_as(
+            .invoke(
                 2,
                 data,
                 "request",
@@ -1021,7 +1329,7 @@ mod tests {
                 ],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         let receipt = net.commit_and_check(id).unwrap();
         assert_eq!(receipt.events[0].topic, events::DATA_REQUESTED);
     }
@@ -1031,7 +1339,7 @@ mod tests {
         let mut net = network(2);
         let data = net.contracts().data;
         let id = net
-            .invoke_as(
+            .invoke(
                 1,
                 data,
                 "request",
@@ -1041,7 +1349,7 @@ mod tests {
                 ],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         let receipt = net.commit_and_check(id).unwrap();
         assert_eq!(receipt.events[0].topic, events::DATA_DENIED);
     }
@@ -1057,18 +1365,18 @@ mod tests {
         net.site_mut(0).install_tool(tool);
         let analytics = net.contracts().analytics;
         let id = net
-            .invoke_as(
+            .invoke(
                 0,
                 analytics,
                 "register_tool",
                 &[Value::str("count"), Value::Bytes(code_hash.0.to_vec())],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         net.commit_and_check(id).unwrap();
         // Request a run against site 0's data.
         let id = net
-            .invoke_as(
+            .invoke(
                 1,
                 analytics,
                 "request_run",
@@ -1079,15 +1387,15 @@ mod tests {
                 ],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         net.commit_and_check(id).unwrap();
         // Control cycle: site 0 notices, executes, posts the result.
         let handled = net.control_cycle().unwrap();
         assert!(handled >= 1, "site 0 should have handled the task");
         // Task 0 should now be completed on-chain.
         let id = net
-            .invoke_as(1, analytics, "result", &[Value::Int(0)], 50_000)
-            .unwrap();
+            .invoke(1, analytics, "result", &[Value::Int(0)], 50_000)
+            .unwrap().tx_id;
         let receipt = net.commit_and_check(id).unwrap();
         let values = medchain_contracts::decode_args(&receipt.output).unwrap();
         assert_eq!(values[4], Value::Int(1), "task should be marked done");
@@ -1103,7 +1411,7 @@ mod tests {
 
         // First life: build, do some work beyond the setup, remember the
         // chain tip.
-        let mut net = MedicalNetwork::builder()
+        let mut net = Network::builder()
             .site("hospital-0", records(0, 40))
             .site("hospital-1", records(1, 40))
             .storage(&root)
@@ -1118,7 +1426,7 @@ mod tests {
         drop(net);
 
         // Second life: same directory, same sites — resume, not re-setup.
-        let mut net = MedicalNetwork::builder()
+        let mut net = Network::builder()
             .site("hospital-0", records(0, 40))
             .site("hospital-1", records(1, 40))
             .storage(&root)
@@ -1131,14 +1439,14 @@ mod tests {
         // The recovered state still enforces the pre-crash grants, and
         // the chain keeps growing.
         let id = net
-            .invoke_as(
+            .invoke(
                 1,
                 contracts.data,
                 "request",
                 &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         let receipt = net.commit_and_check(id).unwrap();
         assert_eq!(receipt.events[0].topic, events::DATA_REQUESTED);
         assert!(net.height() > height);
@@ -1152,14 +1460,14 @@ mod tests {
         let mut ids = Vec::new();
         for k in 0..5 {
             ids.push(
-                net.invoke_as(
+                net.invoke(
                     0,
                     data,
                     "meta",
                     &[Value::str(&format!("hospital-{}/emr", k % 2))],
                     50_000,
                 )
-                .unwrap(),
+                .unwrap().tx_id,
             );
         }
         net.advance(2).unwrap();
@@ -1181,16 +1489,16 @@ mod error_tests {
             10,
             &DiseaseModel::stroke(),
         );
-        let mut net = MedicalNetwork::builder()
+        let mut net = Network::builder()
             .site("only", records)
             .build()
             .unwrap();
-        let result = net.submit_as(
+        let result = net.submit(
             5,
             TxPayload::Anchor { root: Hash256::ZERO, label: "x".into() },
             100,
         );
-        assert_eq!(result, Err(NetworkError::NoSuchSite(5)));
+        assert_eq!(result.unwrap_err(), NetworkError::NoSuchSite(5));
         // Error text is informative.
         assert!(NetworkError::NoSuchSite(5).to_string().contains("5"));
     }
@@ -1202,7 +1510,7 @@ mod error_tests {
             5,
             &DiseaseModel::stroke(),
         );
-        let net = MedicalNetwork::builder().site("h0", records).build().unwrap();
+        let net = Network::builder().site("h0", records).build().unwrap();
         assert_eq!(net.fda_index(), None);
     }
 }

@@ -2,7 +2,7 @@
 //! flow (on-chain policy gate → decompose → local execution → compose),
 //! on-chain-audited federated training, and clinical-trial operations.
 
-use crate::network::{MedicalNetwork, NetworkError};
+use crate::network::{Network, NetworkError};
 use medchain_chain::{Hash256, TxPayload};
 use medchain_contracts::decode_args;
 use medchain_contracts::value::Value;
@@ -69,7 +69,7 @@ impl From<NetworkError> for PipelineError {
 /// Returns [`PipelineError`] on network failure, universal denial, or
 /// composition mismatch.
 pub fn run_query(
-    net: &mut MedicalNetwork,
+    net: &mut Network,
     requester_site: usize,
     query: &QueryVector,
 ) -> Result<(QueryAnswer, QueryPipelineReport), PipelineError> {
@@ -80,13 +80,13 @@ pub fn run_query(
     let mut request_ids = Vec::new();
     for i in 0..net.site_count() {
         let label = net.site(i).hosted_label().to_string();
-        let id = net.invoke_as(
+        let id = net.invoke(
             requester_site,
             data_contract,
             "request",
             &[Value::str(&label), Value::Int(query.purpose.code())],
             50_000,
-        )?;
+        )?.tx_id;
         request_ids.push((i, id));
     }
     net.advance(2).map_err(PipelineError::Network)?;
@@ -124,14 +124,14 @@ pub fn run_query(
     let answer =
         compose(query, outputs).map_err(|e| PipelineError::Compose(e.to_string()))?;
     let answer_hash = Hash256::digest(format!("{answer:?}").as_bytes());
-    let anchor = net.submit_as(
+    let anchor = net.submit(
         requester_site,
         TxPayload::Anchor {
             root: answer_hash,
             label: format!("answers/{}", net.ledger().tip().header.height),
         },
         1_000,
-    )?;
+    )?.tx_id;
     net.commit_and_check(anchor)?;
 
     let report = QueryPipelineReport {
@@ -186,7 +186,7 @@ pub struct FederatedPipelineReport {
 ///
 /// Returns [`PipelineError`] if anchoring fails.
 pub fn train_federated(
-    net: &mut MedicalNetwork,
+    net: &mut Network,
     requester_site: usize,
     outcome_code: &str,
     rounds: usize,
@@ -233,14 +233,14 @@ pub fn train_federated(
         let params_hash = Hash256::digest(
             &global.iter().flat_map(|f| f.to_le_bytes()).collect::<Vec<u8>>(),
         );
-        let anchor = net.submit_as(
+        let anchor = net.submit(
             requester_site,
             TxPayload::Anchor {
                 root: params_hash,
                 label: format!("fedavg/{outcome_code}/round-{round}"),
             },
             1_000,
-        )?;
+        )?.tx_id;
         net.commit_and_check(anchor)?;
         let eval_auc = eval.map(|test| {
             let mut model = LogisticRegression::new(dim);
@@ -262,8 +262,8 @@ mod tests {
     use medchain_learning::Aggregate;
     use medchain_query::cohorts;
 
-    fn network(sites: usize, per_site: usize) -> MedicalNetwork {
-        let mut builder = MedicalNetwork::builder().seed(7);
+    fn network(sites: usize, per_site: usize) -> Network {
+        let mut builder = Network::builder().seed(7);
         for i in 0..sites {
             let records =
                 CohortGenerator::new(&format!("h{i}"), SiteProfile::varied(i), 40 + i as u64)
@@ -351,7 +351,7 @@ pub struct FdaSweepReport {
 /// against its Merkle anchor and walks the block hash chain. Read-only —
 /// the regulator needs no cooperation from the sites beyond the data
 /// they already present for audit.
-pub fn fda_integrity_sweep(net: &MedicalNetwork) -> FdaSweepReport {
+pub fn fda_integrity_sweep(net: &Network) -> FdaSweepReport {
     let state = net.ledger().state();
     let mut report = FdaSweepReport {
         datasets_intact: 0,
@@ -409,7 +409,7 @@ pub struct GwasPipelineReport {
 ///
 /// Returns [`PipelineError`] on network failure or universal denial.
 pub fn run_gwas(
-    net: &mut MedicalNetwork,
+    net: &mut Network,
     requester_site: usize,
     outcome_code: &str,
     purpose: medchain_contracts::policy::Purpose,
@@ -421,13 +421,13 @@ pub fn run_gwas(
     let mut request_ids = Vec::new();
     for i in 0..net.site_count() {
         let label = net.site(i).hosted_label().to_string();
-        let id = net.invoke_as(
+        let id = net.invoke(
             requester_site,
             data_contract,
             "request",
             &[Value::str(&label), Value::Int(purpose.code())],
             50_000,
-        )?;
+        )?.tx_id;
         request_ids.push((i, id));
     }
     net.advance(2).map_err(PipelineError::Network)?;
@@ -466,14 +466,14 @@ pub fn run_gwas(
         digest_material.extend_from_slice(&(a.snp as u64).to_le_bytes());
         digest_material.extend_from_slice(&a.chi_square.to_le_bytes());
     }
-    let anchor = net.submit_as(
+    let anchor = net.submit(
         requester_site,
         TxPayload::Anchor {
             root: Hash256::digest(&digest_material),
             label: format!("gwas/{outcome_code}/{}", net.ledger().tip().header.height),
         },
         1_000,
-    )?;
+    )?.tx_id;
     net.commit_and_check(anchor)?;
 
     let report = GwasPipelineReport {

@@ -48,7 +48,7 @@ pub struct ProjectedEntry {
 /// The `latest_state` projection: leaf key → newest committed value.
 ///
 /// Feed it from a ledger commit observer (wired by
-/// `MedicalNetwork`); read it from anywhere via `Arc`.
+/// `Network`); read it from anywhere via `Arc`.
 #[derive(Debug, Default)]
 pub struct LatestState {
     entries: Mutex<BTreeMap<LeafKey, ProjectedEntry>>,

@@ -13,7 +13,7 @@ use medchain_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A consortium of five hospitals.
-    let mut builder = MedicalNetwork::builder();
+    let mut builder = Network::builder();
     for i in 0..5 {
         let records = CohortGenerator::new(&format!("hospital-{i}"), SiteProfile::varied(i), i as u64)
             .cohort((i * 100_000) as u64, 600, &DiseaseModel::stroke());
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .filter(Predicate::Flag { field: Field::Diabetic, value: false }),
         target_enrollment: 120,
     };
-    let id = net.invoke_as(
+    let id = net.invoke(
         0,
         trial_contract,
         "register",
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Value::str(&protocol.primary_outcome),
         ],
         50_000,
-    )?;
+    )?.tx_id;
     net.commit_and_check(id)?;
     println!(
         "▸ trial {} registered on-chain, protocol hash {}",
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Enroll each participant on-chain (pseudonymous ids only).
     for p in participants.iter().take(10) {
-        let id = net.invoke_as(
+        let id = net.invoke(
             0,
             trial_contract,
             "enroll",
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Value::Bytes(p.patient_id.to_le_bytes().to_vec()),
             ],
             50_000,
-        )?;
+        )?.tx_id;
         net.commit_and_check(id)?;
     }
     println!("▸ first 10 participants enrolled on-chain");
@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("stroke-free-survival-1y", "pre-specified primary — accepted"),
         ("quality-of-life-subscore", "NOT pre-specified — flagged as switched"),
     ] {
-        let id = net.invoke_as(
+        let id = net.invoke(
             0,
             trial_contract,
             "report_outcome",
@@ -103,20 +103,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Value::Bytes(Hash256::digest(outcome.as_bytes()).0.to_vec()),
             ],
             50_000,
-        )?;
+        )?.tx_id;
         let receipt = net.commit_and_check(id)?;
         let switched = medchain_contracts::decode_args(&receipt.output)?[0]
             .as_int()
             .unwrap_or(0);
         println!("  report {outcome:?}: switched={switched} ({note})");
     }
-    let id = net.invoke_as(
+    let id = net.invoke(
         1,
         trial_contract,
         "audit",
         &[Value::str(&protocol.trial_id)],
         50_000,
-    )?;
+    )?.tx_id;
     let receipt = net.commit_and_check(id)?;
     let audit = medchain_contracts::decode_args(&receipt.output)?;
     println!(

@@ -20,11 +20,11 @@ use medchain_repro::prelude::*;
 
 const SHARDS: u16 = 2;
 
-fn build(data_dir: &std::path::Path) -> Result<ShardedNetwork, Box<dyn std::error::Error>> {
+fn build(data_dir: &std::path::Path) -> Result<Network, Box<dyn std::error::Error>> {
     // Snapshot every block so held 2PC locks and test funding survive a
     // kill-and-restart (recovery restores the newest agreeing snapshot).
     let config = StorageConfig { snapshot_every: 1, ..StorageConfig::default() };
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .shards(SHARDS)
         .block_interval_ms(20)
         .storage_with(data_dir, config);

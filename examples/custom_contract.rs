@@ -83,7 +83,7 @@ tally_present:
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 2-hospital consortium.
-    let mut builder = MedicalNetwork::builder();
+    let mut builder = Network::builder();
     for i in 0..2 {
         let records = CohortGenerator::new(&format!("hospital-{i}"), SiteProfile::default(), i as u64)
             .cohort((i * 1_000) as u64, 25, &DiseaseModel::stroke());
@@ -96,11 +96,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("assembled {} instructions:\n{}\n", program.len(), disassemble(&program));
 
     // Deploy: the bytecode replicates to every node's ledger.
-    let deploy = net.submit_as(
+    let deploy = net.submit(
         0,
         TxPayload::Deploy { code: encode_program(&program), init: Vec::new() },
         100_000,
-    )?;
+    )?.tx_id;
     let receipt = net.commit_and_check(deploy)?;
     let mut addr = [0u8; 20];
     addr.copy_from_slice(&receipt.output);
@@ -110,14 +110,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Record consents from both hospitals — every node executes the same
     // bytecode at commit (the duplicated computing the paper reforms).
     for (site, patient) in [(0usize, "patient-007"), (1, "patient-042"), (0, "patient-007")] {
-        let invoke = net.submit_as(
+        let invoke = net.submit(
             site,
             TxPayload::Invoke {
                 contract,
                 input: encode_args(&[Value::Int(0), Value::str(patient)]),
             },
             10_000,
-        )?;
+        )?.tx_id;
         let receipt = net.commit_and_check(invoke)?;
         println!(
             "consent from {patient} via hospital-{site}: event {:?}, gas {}",
@@ -126,11 +126,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Read the tally.
-    let query = net.submit_as(
+    let query = net.submit(
         1,
         TxPayload::Invoke { contract, input: encode_args(&[Value::Int(1)]) },
         10_000,
-    )?;
+    )?.tx_id;
     let receipt = net.commit_and_check(query)?;
     let tally = decode_args(&receipt.output)?[0].as_int()?;
     println!("\nglobal consent tally on-chain: {tally} (expected 3)");

@@ -13,7 +13,7 @@ use medchain_repro::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Six hospitals with systematically different populations
     //    (age, smoking, diabetes, device coverage) — non-IID shards.
-    let mut builder = MedicalNetwork::builder();
+    let mut builder = Network::builder();
     let mut shards = Vec::new();
     for i in 0..6 {
         let records = CohortGenerator::new(&format!("hospital-{i}"), SiteProfile::varied(i), i as u64)

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    committee.
     let sessions = 6;
     println!("▸ building a 4-hospital, 2-shard consortium with a TCP ingress gateway…");
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .block_interval_ms(20)
         .shards(2)
         .gateway(GatewayConfig { clients: sessions, ..GatewayConfig::default() });

@@ -18,7 +18,7 @@ use std::time::Duration;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A 3-hospital consortium with the ingress gateway on loopback.
     println!("▸ building a 3-hospital consortium with a TCP ingress gateway…");
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .block_interval_ms(20)
         .gateway(GatewayConfig { clients: 1, ..GatewayConfig::default() });
     for i in 0..3 {

@@ -27,25 +27,25 @@ use std::path::{Path, PathBuf};
 
 /// Anchors, grants, and purpose-gated requests — enough distinct
 /// writers to push accounts and tree nodes past a tiny page budget.
-fn do_work(net: &mut MedicalNetwork, rounds: usize) -> Result<(), Box<dyn std::error::Error>> {
+fn do_work(net: &mut Network, rounds: usize) -> Result<(), Box<dyn std::error::Error>> {
     net.grant_all(net.site(2).address(), Purpose::Research)?;
     let data = net.contracts().data;
     for round in 0..rounds {
         for site in 0..net.site_count() {
             let label = format!("hospital-{site}/scan-{round}");
-            net.submit_as(
+            net.submit(
                 site,
                 TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label },
                 1_000,
             )?;
         }
-        let id = net.invoke_as(
+        let id = net.invoke(
             2,
             data,
             "request",
             &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
             50_000,
-        )?;
+        )?.tx_id;
         net.commit_and_check(id)?;
     }
     Ok(())
@@ -55,11 +55,11 @@ fn build(
     dir: &Path,
     pages: Option<usize>,
     registry: &Registry,
-) -> Result<MedicalNetwork, Box<dyn std::error::Error>> {
+) -> Result<Network, Box<dyn std::error::Error>> {
     // Frequent snapshots so a wiped site always finds a recent one to
     // stream; small segments exercise log rolling along the way.
     let config = StorageConfig { snapshot_every: 8, ..StorageConfig::default() };
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .storage_with(dir, config)
         .metrics(registry.handle());
     if let Some(pages) = pages {

@@ -12,7 +12,7 @@ use medchain_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A consortium of four hospitals with sequenced cohorts.
-    let mut builder = MedicalNetwork::builder().with_fda();
+    let mut builder = Network::builder().with_fda();
     let mut populations = Vec::new();
     for i in 0..4 {
         let profile = SiteProfile { genomic_coverage: 0.9, ..SiteProfile::varied(i) };

@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    Building the network deploys the standard contracts and
     //    Merkle-anchors every dataset on-chain.
     println!("▸ building a 3-hospital consortium…");
-    let mut builder = MedicalNetwork::builder();
+    let mut builder = Network::builder();
     for i in 0..3 {
         let records = CohortGenerator::new(&format!("hospital-{i}"), SiteProfile::varied(i), i as u64)
             .cohort((i * 100_000) as u64, 400, &DiseaseModel::stroke());

@@ -50,7 +50,7 @@ fn run_sharded_flow(
     shards: u16,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let sites = 4usize.max(shards as usize);
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .shards(shards)
         .storage(data_dir)
         .transport(TransportKind::from_env());
@@ -77,11 +77,13 @@ fn run_sharded_flow(
     // Either life does real work on every sub-chain…
     for i in 0..sites {
         let label = format!("hospital-{i}/emr-{}", net.shard_heights().iter().sum::<u64>());
-        let (shard, _) = net.submit_as(
-            i,
-            TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label: label.clone() },
-            1_000,
-        )?;
+        let shard = net
+            .submit(
+                i,
+                TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label: label.clone() },
+                1_000,
+            )?
+            .shard;
         println!("▸ anchor {label:?} routed to {shard}");
     }
     net.advance(2)?;
@@ -115,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Site datasets are generated deterministically, so a restarted
     // process re-derives the same local data its anchors commit to.
-    let mut builder = MedicalNetwork::builder().storage(&data_dir);
+    let mut builder = Network::builder().storage(&data_dir);
     for i in 0..3 {
         let records =
             CohortGenerator::new(&format!("hospital-{i}"), SiteProfile::varied(i), i as u64)
@@ -141,13 +143,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Either life does real work: a purpose-gated access request that
     // relies on grants persisted in the previous life.
     let data = net.contracts().data;
-    let id = net.invoke_as(
+    let id = net.invoke(
         2,
         data,
         "request",
         &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
         50_000,
-    )?;
+    )?.tx_id;
     let receipt = net.commit_and_check(id)?;
     println!(
         "▸ access request committed (event {:?}); chain now at height {}",

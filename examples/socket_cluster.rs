@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         _ => TransportKind::Tcp,
     };
     println!("▸ building a 3-hospital consortium over {}…", kind.label());
-    let mut builder = MedicalNetwork::builder().transport(kind);
+    let mut builder = Network::builder().transport(kind);
     for i in 0..3 {
         let records =
             CohortGenerator::new(&format!("hospital-{i}"), SiteProfile::varied(i), i as u64)

@@ -447,6 +447,35 @@ echo "ok: one id hash site, one block-tree build site"
 # fresh encode + SHA-256; a call on a SealedTx or a Block is now a read).
 echo "census: $(grep -rn '\.id()' crates/chain/src crates/core/src crates/storage/src --include="*.rs" | wc -l) .id() call sites in crates/{chain,core,storage}/src"
 
+# One network type (DESIGN.md §9): a flat chain is a consortium of one
+# committee. `Network` is the only network struct — one gateway backend,
+# one builder block, one serve loop — and `MedicalNetwork` /
+# `ShardedNetwork` live on only as type aliases. Two copies drifted once
+# (only the sharded backend refused client-minted finalizes).
+echo "== core: one network type guard =="
+backends="$(grep -rn "impl GatewayBackend for" crates/core/src --include="*.rs" || true)"
+builders="$(grep -rn "^impl NetworkBuilder" crates/core/src --include="*.rs" || true)"
+echo "$backends"
+echo "$builders"
+if [ "$(echo "$backends" | grep -c .)" -ne 1 ] || [ "$(echo "$builders" | grep -c .)" -ne 1 ]; then
+    echo "ERROR: one GatewayBackend impl and one impl NetworkBuilder block in crates/core/src — extend Network instead." >&2
+    exit 1
+fi
+if grep -rnE "pub struct (MedicalNetwork|ShardedNetwork)\b|fn (submit_as|invoke_as)\b" crates/core/src --include="*.rs"; then
+    echo "ERROR: a second network type or the legacy submit_as/invoke_as surface is back." >&2
+    exit 1
+fi
+if grep -nE "\bfn\(" crates/core/src/committee.rs; then
+    echo "ERROR: committee.rs takes a function pointer again — the serve loop is Network::serve_until." >&2
+    exit 1
+fi
+echo "ok: one Network, one gateway backend, one builder block, one serve loop"
+# Trend line (3,583 at PR 31, before the two network types merged):
+# non-blank lines that are not // comments, above each file's first
+# #[cfg(test)].
+core_lines="$(awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next } { n++ } END { print n }' crates/core/src/*.rs)"
+echo "census: $core_lines non-comment lines outside tests in crates/core/src"
+
 # One committee life cycle (DESIGN.md §3, §14): recovering a store,
 # streaming into a lagging member, attaching a store and driving
 # consensus to a height are decisions `core::committee` makes once for

@@ -23,7 +23,9 @@ pub mod prelude {
     };
     pub use medchain::paradigms::{run_paradigm, Paradigm};
     pub use medchain::pipeline::{run_gwas, run_query, train_federated};
-    pub use medchain::{MedicalNetwork, ShardedNetwork, TransportKind, XsResolution, XsTransfer};
+    pub use medchain::{
+        MedicalNetwork, Network, ShardedNetwork, TransportKind, XsResolution, XsTransfer,
+    };
 
     // Ingress: client gateway, trustless receipts, open-loop load
     // generation (DESIGN.md §10).

@@ -17,7 +17,7 @@
 //! a record on its home sub-chain and its absence on the other one, each
 //! against an independently read committed header root.
 
-use medchain::{Client, GatewayConfig, MedicalNetwork};
+use medchain::{Client, GatewayConfig, Network};
 use medchain_chain::auth::leaf::key_bit;
 use medchain_chain::auth::{key_hash, EMPTY_SUBTREE};
 use medchain_chain::ledger::{CrossLinkRecord, WorldState, XsDecisionRecord, XsLock};
@@ -338,7 +338,7 @@ fn root_maintenance_is_at_most_a_tenth_of_full_rehash() {
 fn sharded_gateway_proves_presence_home_and_absence_away() {
     let _counted = counted_section();
     let shards = 2u16;
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .block_interval_ms(20)
         .shards(shards)
         .gateway(GatewayConfig { clients: 1, ..GatewayConfig::default() });

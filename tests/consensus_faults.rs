@@ -422,8 +422,8 @@ fn hostile_proposer_cannot_commit_a_forged_twin_of_a_verified_transaction() {
 /// signature check then drops it instead of including it.
 #[test]
 fn forged_transactions_never_commit_through_any_admission_path() {
-    use medchain::{GatewayBackend, MedicalNetwork};
-    let mut builder = MedicalNetwork::builder().block_interval_ms(20).seed(3);
+    use medchain::{GatewayBackend, Network};
+    let mut builder = Network::builder().block_interval_ms(20).seed(3);
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }

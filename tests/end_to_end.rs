@@ -3,7 +3,7 @@
 //! learning, and trial layers.
 
 use medchain::pipeline::{run_query, train_federated};
-use medchain::MedicalNetwork;
+use medchain::Network;
 use medchain_chain::Hash256;
 use medchain_contracts::policy::Purpose;
 use medchain_contracts::value::Value;
@@ -18,8 +18,8 @@ fn site_records(i: usize, n: usize) -> Vec<PatientRecord> {
         .cohort((i * 1_000_000) as u64, n, &DiseaseModel::stroke())
 }
 
-fn build_network(sites: usize, per_site: usize) -> MedicalNetwork {
-    let mut builder = MedicalNetwork::builder().seed(2026);
+fn build_network(sites: usize, per_site: usize) -> Network {
+    let mut builder = Network::builder().seed(2026);
     for i in 0..sites {
         builder = builder.site(&format!("hospital-{i}"), site_records(i, per_site));
     }
@@ -59,14 +59,14 @@ fn policy_revocation_takes_effect_on_chain() {
 
     // Permitted while granted.
     let id = net
-        .invoke_as(
+        .invoke(
             1,
             data,
             "request",
             &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     let receipt = net.commit_and_check(id).unwrap();
     let permit = medchain_contracts::decode_args(&receipt.output).unwrap()[0]
         .as_int()
@@ -75,24 +75,24 @@ fn policy_revocation_takes_effect_on_chain() {
 
     // Owner revokes; next request is denied and auditable.
     let id = net
-        .invoke_as(
+        .invoke(
             0,
             data,
             "revoke",
             &[Value::str("hospital-0/emr"), Value::address(&researcher)],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     net.commit_and_check(id).unwrap();
     let id = net
-        .invoke_as(
+        .invoke(
             1,
             data,
             "request",
             &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     let receipt = net.commit_and_check(id).unwrap();
     let permit = medchain_contracts::decode_args(&receipt.output).unwrap()[0]
         .as_int()
@@ -146,7 +146,7 @@ fn trial_lifecycle_on_chain() {
     let mut net = build_network(2, 50);
     let trial = net.contracts().trial;
     let id = net
-        .invoke_as(
+        .invoke(
             0,
             trial,
             "register",
@@ -157,25 +157,25 @@ fn trial_lifecycle_on_chain() {
             ],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     net.commit_and_check(id).unwrap();
 
     for k in 0..4u8 {
         let id = net
-            .invoke_as(
+            .invoke(
                 0,
                 trial,
                 "enroll",
                 &[Value::str("NCT-INT-1"), Value::Bytes(vec![k])],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         net.commit_and_check(id).unwrap();
     }
     // Honest + switched outcome.
     for outcome in ["mortality", "surrogate-endpoint"] {
         let id = net
-            .invoke_as(
+            .invoke(
                 1,
                 trial,
                 "report_outcome",
@@ -186,20 +186,20 @@ fn trial_lifecycle_on_chain() {
                 ],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         net.commit_and_check(id).unwrap();
     }
     let id = net
-        .invoke_as(0, trial, "audit", &[Value::str("NCT-INT-1")], 50_000)
-        .unwrap();
+        .invoke(0, trial, "audit", &[Value::str("NCT-INT-1")], 50_000)
+        .unwrap().tx_id;
     let receipt = net.commit_and_check(id).unwrap();
     let audit = medchain_contracts::decode_args(&receipt.output).unwrap();
     assert_eq!(audit[0], Value::Int(2));
     assert_eq!(audit[1], Value::Int(1));
 
     let id = net
-        .invoke_as(0, trial, "enrollment", &[Value::str("NCT-INT-1")], 50_000)
-        .unwrap();
+        .invoke(0, trial, "enrollment", &[Value::str("NCT-INT-1")], 50_000)
+        .unwrap().tx_id;
     let receipt = net.commit_and_check(id).unwrap();
     assert_eq!(
         medchain_contracts::decode_args(&receipt.output).unwrap()[0],
@@ -213,7 +213,7 @@ fn replicas_converge_after_heavy_mixed_load() {
     let contracts = net.contracts();
     net.grant_all(net.site(2).address(), Purpose::Research).unwrap();
     for k in 0..12 {
-        net.invoke_as(
+        net.invoke(
             2,
             contracts.data,
             "request",
@@ -223,7 +223,7 @@ fn replicas_converge_after_heavy_mixed_load() {
             ],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     }
     net.advance(4).unwrap();
     let tips: Vec<Hash256> = (0..3).map(|i| net.ledger_of(i).tip().id()).collect();
@@ -240,7 +240,7 @@ fn time_limited_grants_expire_on_chain() {
     let data = net.contracts().data;
     // Grant research access that expires at logical time 10 000 ms.
     let id = net
-        .invoke_as(
+        .invoke(
             0,
             data,
             "grant",
@@ -252,19 +252,19 @@ fn time_limited_grants_expire_on_chain() {
             ],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     net.commit_and_check(id).unwrap();
 
-    let request = |net: &mut MedicalNetwork| {
+    let request = |net: &mut Network| {
         let id = net
-            .invoke_as(
+            .invoke(
                 1,
                 data,
                 "request",
                 &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         let receipt = net.commit_and_check(id).unwrap();
         medchain_contracts::decode_args(&receipt.output).unwrap()[0]
             .as_int()
@@ -286,7 +286,7 @@ fn time_limited_grants_expire_on_chain() {
 #[test]
 fn fda_special_node_audits_the_consortium() {
     use medchain::pipeline::fda_integrity_sweep;
-    let mut builder = MedicalNetwork::builder().seed(99).with_fda();
+    let mut builder = Network::builder().seed(99).with_fda();
     for i in 0..3 {
         builder = builder.site(&format!("hospital-{i}"), site_records(i, 60));
     }
@@ -302,7 +302,7 @@ fn fda_special_node_audits_the_consortium() {
     let data = net.contracts().data;
     for i in 0..3 {
         let id = net
-            .invoke_as(
+            .invoke(
                 fda,
                 data,
                 "request",
@@ -312,7 +312,7 @@ fn fda_special_node_audits_the_consortium() {
                 ],
                 50_000,
             )
-            .unwrap();
+            .unwrap().tx_id;
         let receipt = net.commit_and_check(id).unwrap();
         let permit = medchain_contracts::decode_args(&receipt.output).unwrap()[0]
             .as_int()
@@ -321,14 +321,14 @@ fn fda_special_node_audits_the_consortium() {
     }
     // But research purpose was never granted to the FDA.
     let id = net
-        .invoke_as(
+        .invoke(
             fda,
             data,
             "request",
             &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
             50_000,
         )
-        .unwrap();
+        .unwrap().tx_id;
     let receipt = net.commit_and_check(id).unwrap();
     assert_eq!(
         medchain_contracts::decode_args(&receipt.output).unwrap()[0].as_int().unwrap(),
@@ -357,7 +357,7 @@ fn distributed_gwas_through_policy_gate_matches_centralized() {
             &DiseaseModel::stroke(),
         )
     };
-    let mut builder = MedicalNetwork::builder().seed(4242);
+    let mut builder = Network::builder().seed(4242);
     let mut all = Vec::new();
     for i in 0..3 {
         let records = rich_records(i);

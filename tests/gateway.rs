@@ -432,3 +432,29 @@ fn sharded_gateway_routes_and_proves_on_the_right_sub_chain() {
     assert!(shards_hit.iter().all(|&h| h), "labels should spread over both sub-chains");
     net.shutdown();
 }
+
+/// The gateway's one-slot snapshot cache remembers which chain it holds:
+/// after serving shard 1's manifest, a chunk request for shard 0 at the
+/// same height is refused instead of being answered from shard 1's
+/// payload, and shard 0's own manifest replaces the slot.
+#[test]
+fn snapshot_stream_cache_is_keyed_by_chain() {
+    let mut builder = MedicalNetwork::builder().block_interval_ms(20).shards(2);
+    for i in 0..2 {
+        builder = builder.site(&format!("hospital-{i}"), Vec::new());
+    }
+    let mut net = builder.build_sharded().expect("sharded network builds");
+    net.advance(1).expect("both shards commit");
+    let manifest = net.snapshot_manifest(ShardId(1)).expect("shard 1 offers a snapshot");
+    assert_eq!(net.ledger_of_shard(ShardId(0)).height(), manifest.height);
+    assert!(net.snapshot_chunk(ShardId(1), manifest.height, 0).is_some());
+    assert!(net.snapshot_chunk(ShardId(0), manifest.height, 0).is_none());
+
+    let other = net.snapshot_manifest(ShardId(0)).expect("shard 0 offers a snapshot");
+    assert_eq!(other.height, manifest.height);
+    assert_ne!(other.tip_id, manifest.tip_id, "each shard snapshots its own chain");
+    assert_eq!(other.tip_id, net.ledger_of_shard(ShardId(0)).tip().id());
+    assert!(net.snapshot_chunk(ShardId(0), other.height, 0).is_some());
+    assert!(net.snapshot_chunk(ShardId(1), manifest.height, 0).is_none());
+    net.shutdown();
+}

@@ -5,7 +5,7 @@
 //! Covered here: (1) the simulator and the TCP transport report the
 //! *identical* `transport.bytes` counter for the same seed and workload
 //! (the sink-level restatement of the byte-parity invariant in
-//! `tests/transport.rs`), and (2) an end-to-end [`MedicalNetwork`] run
+//! `tests/transport.rs`), and (2) an end-to-end [`Network`] run
 //! populates consensus, chain, mempool, and transport counters and the
 //! TSV export carries them. (Mempool-level sink tests live with the
 //! mempool itself in `crates/chain/src/mempool.rs`.)
@@ -23,7 +23,7 @@ const INTERVAL_MS: u64 = 100;
 
 /// PoA cluster over `net` with a pre-submitted transfer workload and
 /// `metrics` installed on the cluster and replica 0's app (the same
-/// replica-0 convention `MedicalNetwork` uses).
+/// replica-0 convention `Network` uses).
 fn metered_poa_cluster<T: Transport<PoaMsg>>(
     net: T,
     txs_per_key: u64,
@@ -109,7 +109,7 @@ fn medical_network_populates_the_sink_end_to_end() {
     use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 
     let registry = Registry::default();
-    let mut builder = medchain::MedicalNetwork::builder().metrics(registry.handle());
+    let mut builder = medchain::Network::builder().metrics(registry.handle());
     for i in 0..3 {
         let records = CohortGenerator::new(&format!("h{i}"), SiteProfile::default(), i as u64)
             .cohort((i * 100) as u64, 3, &DiseaseModel::stroke());

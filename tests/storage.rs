@@ -184,9 +184,9 @@ fn flipped_byte_in_log_record_stops_recovery_at_prior_record() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-fn sharded_net(root: &std::path::Path, sites: usize, shards: u16) -> ShardedNetwork {
+fn sharded_net(root: &std::path::Path, sites: usize, shards: u16) -> Network {
     let mut builder =
-        MedicalNetwork::builder().shards(shards).block_interval_ms(20).storage(root);
+        Network::builder().shards(shards).block_interval_ms(20).storage(root);
     for i in 0..sites {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
@@ -207,7 +207,7 @@ fn sharded_network_restart_recovers_subchains_agreeing_with_cross_links() {
     assert!(!net.resumed());
     for i in 0..4 {
         let label = format!("hospital-{i}/emr");
-        net.submit_as(i, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
+        net.submit(i, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
             .unwrap();
     }
     net.advance(2).unwrap();
@@ -235,7 +235,7 @@ fn sharded_network_restart_recovers_subchains_agreeing_with_cross_links() {
     }
     // The resumed consortium keeps growing and cross-links past the old
     // tips.
-    net.submit_as(0, TxPayload::Anchor { root: Hash256::ZERO, label: "post-restart".into() }, 1_000)
+    net.submit(0, TxPayload::Anchor { root: Hash256::ZERO, label: "post-restart".into() }, 1_000)
         .unwrap();
     net.advance(1).unwrap();
     let new_links = net.cross_link().unwrap();
@@ -257,7 +257,7 @@ fn sharded_restart_rejects_subchain_rolled_back_behind_cross_link() {
     let mut net = sharded_net(&root, 4, 2);
     for i in 0..4 {
         let label = format!("hospital-{i}/emr");
-        net.submit_as(i, TxPayload::Anchor { root: Hash256::ZERO, label }, 1_000).unwrap();
+        net.submit(i, TxPayload::Anchor { root: Hash256::ZERO, label }, 1_000).unwrap();
     }
     net.advance(2).unwrap();
     assert_eq!(net.cross_link().unwrap().len(), 2);
@@ -266,7 +266,7 @@ fn sharded_restart_rejects_subchain_rolled_back_behind_cross_link() {
     // Roll shard-0 back to genesis by wiping its data directories.
     std::fs::remove_dir_all(root.join("shard-0")).unwrap();
     let mut builder =
-        MedicalNetwork::builder().shards(2).block_interval_ms(20).storage(&root);
+        Network::builder().shards(2).block_interval_ms(20).storage(&root);
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
@@ -282,9 +282,9 @@ fn sharded_restart_rejects_subchain_rolled_back_behind_cross_link() {
 /// Builds a sharded net whose world state (balances *and* 2PC locks)
 /// snapshots on every block, so out-of-band test funding and held locks
 /// survive a kill-and-restart.
-fn sharded_net_2pc(root: &std::path::Path, sites: usize, shards: u16) -> ShardedNetwork {
+fn sharded_net_2pc(root: &std::path::Path, sites: usize, shards: u16) -> Network {
     let config = StorageConfig { snapshot_every: 1, ..StorageConfig::default() };
-    let mut builder = MedicalNetwork::builder()
+    let mut builder = Network::builder()
         .shards(shards)
         .block_interval_ms(20)
         .storage_with(root, config);
@@ -397,7 +397,7 @@ fn kill_mid_prepare_timeout_aborts_after_restart_and_refunds() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// Restarting a `MedicalNetwork` from its data directory resumes at the
+/// Restarting a `Network` from its data directory resumes at the
 /// persisted height with the identical tip hash, and the storage
 /// counters on the sink show the persistence actually happening.
 #[test]
@@ -410,7 +410,7 @@ fn medical_network_restart_resumes_at_persisted_height() {
 
     // First life: bootstrap and do some work; count appends on the sink.
     let registry = Registry::new();
-    let mut net = MedicalNetwork::builder()
+    let mut net = Network::builder()
         .site("hospital-0", records(0))
         .site("hospital-1", records(1))
         .site("hospital-2", records(2))
@@ -434,7 +434,7 @@ fn medical_network_restart_resumes_at_persisted_height() {
     // Second life: resume from disk; the chain replays instead of
     // re-running setup.
     let registry = Registry::new();
-    let net = MedicalNetwork::builder()
+    let net = Network::builder()
         .site("hospital-0", records(0))
         .site("hospital-1", records(1))
         .site("hospital-2", records(2))
@@ -455,8 +455,8 @@ fn medical_network_restart_resumes_at_persisted_height() {
 
 /// A 3-site flat consortium persisted under `root`, snapshotting every
 /// 4 blocks so a rejoining site streams a snapshot *and* a WAL tail.
-fn flat_net(root: &std::path::Path) -> MedicalNetwork {
-    let mut builder = MedicalNetwork::builder()
+fn flat_net(root: &std::path::Path) -> Network {
+    let mut builder = Network::builder()
         .storage_with(root, StorageConfig { snapshot_every: 4, ..StorageConfig::default() });
     for i in 0..3 {
         let records = CohortGenerator::new(&format!("h{i}"), SiteProfile::varied(i), 900 + i as u64)
@@ -468,7 +468,7 @@ fn flat_net(root: &std::path::Path) -> MedicalNetwork {
 
 /// Asserts every replica sits on `tip`, then commits one more data
 /// request so the rejoined consortium is shown to keep growing.
-fn assert_agreed_and_growing(net: &mut MedicalNetwork, height: u64, tip: Hash256) {
+fn assert_agreed_and_growing(net: &mut Network, height: u64, tip: Hash256) {
     assert!(net.resumed());
     assert_eq!(net.height(), height);
     for site in 0..net.site_count() {
@@ -526,7 +526,7 @@ fn wiped_site_rejoins_via_streamed_snapshot() {
 fn latest_state_projection_survives_restart_past_a_snapshot() {
     let root = test_dir("net-latest-state");
     let tracked = |root: &std::path::Path| {
-        let mut builder = MedicalNetwork::builder().track_latest_state().storage_with(
+        let mut builder = Network::builder().track_latest_state().storage_with(
             root,
             StorageConfig { snapshot_every: 4, ..StorageConfig::default() },
         );
@@ -540,7 +540,7 @@ fn latest_state_projection_survives_restart_past_a_snapshot() {
     // First life: anchor A, then move the chain past two more snapshot
     // boundaries so A's block lies below the snapshot recovery installs.
     let mut net = tracked(&root);
-    net.submit_as(
+    net.submit(
         0,
         TxPayload::Anchor { root: Hash256::digest(b"cohort-a"), label: "cohort-a".into() },
         1_000,
@@ -550,7 +550,7 @@ fn latest_state_projection_survives_restart_past_a_snapshot() {
     let anchored_at = net.height();
     while net.height() < anchored_at.next_multiple_of(4) + 5 {
         let label = format!("filler-{}", net.height());
-        net.submit_as(1, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
+        net.submit(1, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
             .unwrap();
         net.advance(1).unwrap();
     }
@@ -640,7 +640,7 @@ fn wiped_shard_member_rejoins_and_passes_cross_link_audit() {
     let mut net = sharded_net(&root, 4, 2);
     for i in 0..4 {
         let label = format!("hospital-{i}/emr");
-        net.submit_as(i, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
+        net.submit(i, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
             .unwrap();
     }
     net.advance(2).unwrap();
@@ -660,7 +660,7 @@ fn wiped_shard_member_rejoins_and_passes_cross_link_audit() {
     assert_eq!(net.ledger_of_shard(ShardId(1)).tip().id(), tip);
     // Consensus needs both members: the shard only commits again if the
     // rejoined one is really in step.
-    net.submit_as(1, TxPayload::Anchor { root: Hash256::ZERO, label: "post-rejoin".into() }, 1_000)
+    net.submit(1, TxPayload::Anchor { root: Hash256::ZERO, label: "post-rejoin".into() }, 1_000)
         .unwrap();
     net.advance(1).unwrap();
     assert!(!net.cross_link().unwrap().is_empty());

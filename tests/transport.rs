@@ -217,7 +217,7 @@ fn medical_network_runs_over_tcp() {
     use medchain::TransportKind;
     use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 
-    let mut builder = medchain::MedicalNetwork::builder().transport(TransportKind::Tcp);
+    let mut builder = medchain::Network::builder().transport(TransportKind::Tcp);
     for i in 0..3 {
         let records = CohortGenerator::new(&format!("h{i}"), SiteProfile::default(), i as u64)
             .cohort((i * 100) as u64, 2, &DiseaseModel::stroke());

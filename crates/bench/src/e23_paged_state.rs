@@ -11,15 +11,16 @@
 //! 2. **Streamed bootstrap vs local replay**: after a source chain
 //!    commits its history, a joining site either re-executes every
 //!    block (`Ledger::apply` from genesis) or streams the peer's
-//!    chunked snapshot + tail over TCP (`stream_into`, root-verified
-//!    before install). Both must land on the source tip.
+//!    chunked snapshot + tail (`stream_into` over the captured source,
+//!    installed through local recovery). Both must land on the source
+//!    tip.
 //!
 //! The tightest budget's aggregate `storage.page_writes` /
 //! `storage.page_misses` / `storage.page_evictions` land on the caller's
 //! sink.
 
 use crate::report::Table;
-use medchain::bootstrap::{stream_into, BootstrapSource, SnapshotPeer};
+use medchain::bootstrap::{stream_into, BootstrapSource};
 use medchain::Network;
 use medchain_chain::ledger::Ledger;
 use medchain_chain::{Address, Hash256, TxPayload};
@@ -155,15 +156,14 @@ fn check_bootstrap(blocks: u64) -> BootstrapCheck {
         replayed.apply(block).expect("replay applies committed block");
     }
 
-    // Streamed bootstrap: snapshot + tail over TCP, root-verified
-    // against the committed header before install.
+    // Streamed bootstrap: snapshot + tail fetched from the captured
+    // source, installed through local recovery.
     let source = BootstrapSource::capture(net.ledger(), None).expect("source captures snapshot");
-    let peer = SnapshotPeer::serve(source).expect("snapshot peer serves");
     let dir = scratch_dir("bootstrap");
     let mut store =
         DiskStore::open(&dir, StorageConfig::default()).expect("bootstrap store opens");
     let mut streamed = fresh();
-    let report = stream_into(peer.addr(), net.ledger().shard(), &mut streamed, &mut store)
+    let report = stream_into(|request| Ok(source.answer(request)), &mut streamed, &mut store)
         .expect("streamed bootstrap succeeds");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

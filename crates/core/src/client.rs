@@ -11,7 +11,6 @@ use medchain_chain::auth::key_hash;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::{Hash256, Lane, LeafKey, ShardId, StateProof, Transaction};
 use medchain_runtime::codec::{Decode, Encode};
-use medchain_storage::{SnapshotChunk, SnapshotManifest};
 use std::fmt;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
@@ -101,13 +100,17 @@ impl Client {
         Ok(Client { stream, frames: FrameBuffer::new() })
     }
 
-    /// Sends one request and reads its response frame (bounded by
-    /// `deadline`).
-    fn request(
-        &mut self,
-        request: &GatewayRequest,
-        deadline: Instant,
-    ) -> Result<GatewayResponse, ClientError> {
+    /// Sends one request and reads its response frame, waiting at most
+    /// 10 s for it. The typed calls below are built on this; it is also
+    /// the fetch a remote joiner hands to
+    /// [`crate::bootstrap::stream_into`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClientError::Io`] on socket trouble or a missed
+    /// deadline, [`ClientError::Protocol`] on an undecodable frame.
+    pub fn call(&mut self, request: &GatewayRequest) -> Result<GatewayResponse, ClientError> {
+        let deadline = Instant::now() + Duration::from_secs(10);
         write_frame(&mut self.stream, &request.encoded())?;
         let mut chunk = [0u8; 8192];
         loop {
@@ -139,7 +142,7 @@ impl Client {
     pub fn submit(&mut self, tx: &Transaction, priority: bool) -> Result<PendingTx, ClientError> {
         let tx_id = tx.id();
         let request = GatewayRequest::Submit { tx: tx.clone(), priority };
-        match self.request(&request, Instant::now() + Duration::from_secs(10))? {
+        match self.call(&request)? {
             GatewayResponse::Accepted { tx_id, shard, lane } => {
                 Ok(PendingTx { tx_id, shard, lane })
             }
@@ -159,83 +162,6 @@ impl Client {
         }
     }
 
-    /// Asks the gateway for its newest streamable snapshot of `shard`
-    /// (bootstrap-from-peer, DESIGN.md §14). `None` means the peer has
-    /// nothing to offer — fall back to block-by-block catch-up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Io`] / [`ClientError::Protocol`] on
-    /// transport trouble or a non-offer reply.
-    pub fn snapshot_manifest(
-        &mut self,
-        shard: ShardId,
-    ) -> Result<Option<SnapshotManifest>, ClientError> {
-        match self.request(
-            &GatewayRequest::SnapshotInfo { shard },
-            Instant::now() + Duration::from_secs(10),
-        )? {
-            GatewayResponse::SnapshotOffer { manifest } => Ok(manifest),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected SnapshotInfo reply: {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches one chunk of an advertised snapshot. `None` means the
-    /// peer no longer serves that height — re-request the manifest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Io`] / [`ClientError::Protocol`] on
-    /// transport trouble or a non-chunk reply.
-    pub fn snapshot_chunk(
-        &mut self,
-        shard: ShardId,
-        height: u64,
-        index: u32,
-    ) -> Result<Option<SnapshotChunk>, ClientError> {
-        match self.request(
-            &GatewayRequest::SnapshotChunk { shard, height, index },
-            Instant::now() + Duration::from_secs(10),
-        )? {
-            GatewayResponse::SnapshotPiece { chunk } => Ok(chunk),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected SnapshotChunk reply: {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches a frame-bounded page of committed blocks of `shard` at
-    /// and above `height`, plus the peer's tip height (the WAL-tail
-    /// catch-up feed; keep paging from the next height until caught
-    /// up).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Rejected`] when the peer does not serve
-    /// block streaming, [`ClientError::Io`] / [`ClientError::Protocol`]
-    /// on transport trouble.
-    pub fn blocks_from(
-        &mut self,
-        shard: ShardId,
-        height: u64,
-    ) -> Result<(u64, Vec<medchain_chain::Block>), ClientError> {
-        match self.request(
-            &GatewayRequest::BlocksFrom { shard, height },
-            Instant::now() + Duration::from_secs(10),
-        )? {
-            GatewayResponse::Blocks { tip_height, blocks } => Ok((tip_height, blocks)),
-            GatewayResponse::Rejected { reason, .. } => Err(ClientError::Rejected {
-                tx_id: Hash256::ZERO,
-                reason,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected BlocksFrom reply: {other:?}"
-            ))),
-        }
-    }
-
     /// One coordinator-decision query for cross-shard transaction `xid`
     /// (two-phase commit, DESIGN.md §12). Returns
     /// `Some((commit, decision_receipt))` once decided, `None` while
@@ -249,10 +175,7 @@ impl Client {
         &mut self,
         xid: Hash256,
     ) -> Result<Option<(bool, Option<TxReceipt>)>, ClientError> {
-        match self.request(
-            &GatewayRequest::XsStatus { xid },
-            Instant::now() + Duration::from_secs(10),
-        )? {
+        match self.call(&GatewayRequest::XsStatus { xid })? {
             GatewayResponse::XsDecision { decided: false, .. } => Ok(None),
             GatewayResponse::XsDecision { commit, receipt, .. } => Ok(Some((commit, receipt))),
             other => Err(ClientError::Protocol(format!(
@@ -325,7 +248,7 @@ impl Client {
         shard: Option<ShardId>,
     ) -> Result<StateProof, ClientError> {
         let request = GatewayRequest::Query { key: key.clone(), shard };
-        match self.request(&request, Instant::now() + Duration::from_secs(10))? {
+        match self.call(&request)? {
             GatewayResponse::Proven { proof } => {
                 // Trustless checks: the proof must speak about the key
                 // we asked for, come from the shard we pinned (if any),
@@ -354,10 +277,7 @@ impl Client {
     /// Returns [`ClientError::Io`] / [`ClientError::Protocol`] on
     /// transport trouble.
     pub fn status(&mut self, tx_id: Hash256) -> Result<GatewayResponse, ClientError> {
-        self.request(
-            &GatewayRequest::Status { tx_id },
-            Instant::now() + Duration::from_secs(10),
-        )
+        self.call(&GatewayRequest::Status { tx_id })
     }
 
     /// Polls until the transaction commits and returns its receipt,

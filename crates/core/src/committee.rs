@@ -9,7 +9,7 @@
 //! rejoin, attach, transport), sign and submit with nonce tracking,
 //! advance, settle and confirm.
 
-use crate::bootstrap::{stream_into, BootstrapSource, SnapshotPeer};
+use crate::bootstrap::{stream_into, BootstrapSource};
 use crate::client::PendingTx;
 use crate::network::{NetworkBuilder, NetworkError, TransportKind};
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
@@ -23,9 +23,7 @@ use medchain_chain::{
 };
 use medchain_contracts::runtime::Runtime;
 use medchain_runtime::metrics::Metrics;
-use medchain_storage::{
-    DiskStore, LatestState, PageStore, PagedAccounts, PagedNodes, ACCOUNTS_PER_PAGE,
-};
+use medchain_storage::{DiskStore, LatestState, PageStore, PagedAccounts, ACCOUNTS_PER_PAGE};
 use medchain_transport::{NetStats, NodeId, SimTransport, TcpTransport, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -372,11 +370,12 @@ fn make_transport(
 /// Brings every member that recovered behind the cohort tip back in
 /// step by streaming the most advanced member's snapshot + WAL tail into
 /// it (DESIGN.md §14) — the wiped-site rejoin path, run before stores
-/// are attached. A member holding a partial prefix cannot take a
-/// streamed snapshot above it (its WAL would hold a height gap); its
-/// chain is derived data, re-obtainable from any honest peer, so the
-/// stale directory is wiped, reopened with `open_store` and re-seeded
-/// into a genesis app from `make_app`.
+/// are attached. Both replicas live in this process, so the joiner
+/// fetches straight from the captured source. A member holding a
+/// partial prefix cannot take a streamed snapshot above it (its WAL
+/// would hold a height gap); its chain is derived data, re-obtainable
+/// from any honest peer, so the stale directory is wiped, reopened with
+/// `open_store` and re-seeded into a genesis app from `make_app`.
 fn bootstrap_lagging(
     chain_id: &str,
     apps: &mut [ChainApp],
@@ -393,13 +392,10 @@ fn bootstrap_lagging(
     if lagging.is_empty() {
         return Ok(()); // A first boot, or everyone recovered to the same height.
     }
-    let shard = apps[best].ledger().shard();
     let source = BootstrapSource::capture(apps[best].ledger(), Some(&stores[best]))
         .ok_or_else(|| {
             storage_err(chain_id, format!("site {best} has no snapshot to serve rejoining peers"))
         })?;
-    let peer = SnapshotPeer::serve(source)
-        .map_err(|e| storage_err(chain_id, format!("snapshot peer: {e}")))?;
     for i in lagging {
         if apps[i].ledger().height() > 0 {
             std::fs::remove_dir_all(stores[i].dir())
@@ -407,7 +403,8 @@ fn bootstrap_lagging(
             stores[i] = open_store(i)?;
             apps[i] = make_app(i);
         }
-        stream_into(peer.addr(), shard, apps[i].ledger_mut(), &mut stores[i]).map_err(|e| {
+        let fetch = |request: &_| Ok(source.answer(request));
+        stream_into(fetch, apps[i].ledger_mut(), &mut stores[i]).map_err(|e| {
             storage_err(chain_id, format!("site {i} failed to bootstrap from site {best}: {e}"))
         })?;
     }
@@ -432,7 +429,7 @@ fn attach_site_store(
         store.attach_pages(Arc::clone(&pages));
         app.ledger_mut().attach_state_cache(StateCacheConfig {
             accounts: Arc::new(PagedAccounts::new(Arc::clone(&pages))),
-            nodes: Arc::new(PagedNodes::new(pages)),
+            nodes: pages,
             max_hot_accounts: budget * ACCOUNTS_PER_PAGE,
             node_budget: budget * 32,
         });

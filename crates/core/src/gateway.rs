@@ -303,7 +303,7 @@ impl FrameBuffer {
 /// or `handle` returning `false` (its consumer is gone). A frame over
 /// [`MAX_FRAME`] or a payload that does not decode ends the connection:
 /// the peer is not speaking the protocol.
-pub(crate) fn read_requests(
+fn read_requests(
     mut stream: TcpStream,
     stop: &AtomicBool,
     mut handle: impl FnMut(GatewayRequest) -> bool,

@@ -34,7 +34,7 @@ pub mod pipeline;
 pub mod sharded;
 pub mod site;
 
-pub use bootstrap::{BootstrapError, BootstrapReport, BootstrapSource, SnapshotPeer};
+pub use bootstrap::{BootstrapError, BootstrapReport, BootstrapSource};
 pub use client::{Client, ClientError, PendingTx};
 pub use gateway::{
     GatewayBackend, GatewayConfig, GatewayRequest, GatewayResponse, GatewayServer, PumpReport,

@@ -14,6 +14,7 @@
 //! fund, the stats, the gateway backend and the serve loop exist once,
 //! here; cross-links and two-phase commit live in [`crate::sharded`].
 
+use crate::bootstrap::BootstrapSource;
 use crate::client::PendingTx;
 use crate::committee::{self, Committee, CommitteeSpec};
 use crate::gateway::{GatewayBackend, GatewayConfig, GatewayServer, PumpReport};
@@ -33,7 +34,7 @@ use medchain_contracts::value::Value;
 use medchain_data::PatientRecord;
 use medchain_offchain::ActionIntent;
 use medchain_runtime::metrics::Metrics;
-use medchain_storage::{stream, LatestState, SnapshotChunk, SnapshotManifest, StorageConfig};
+use medchain_storage::{LatestState, SnapshotChunk, SnapshotManifest, StorageConfig};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -587,11 +588,10 @@ pub struct Network {
     gateway: Option<GatewayServer>,
     client_keys: Vec<AuthorityKey>,
     latest_state: Option<Arc<LatestState>>,
-    // One chunked snapshot materialized per (chain, tip) for the
-    // streaming protocol; rebuilt when a manifest is requested for
-    // another chain or a newer tip. The shard is kept beside it because
-    // a manifest does not name its chain.
-    stream_cache: Option<(ShardId, SnapshotManifest, Vec<u8>)>,
+    // One snapshot captured per (chain, tip) for the streaming
+    // protocol; recaptured when a manifest is requested for another
+    // chain or a newer tip.
+    stream_cache: Option<BootstrapSource>,
     /// Uniquifies locally-minted cross-shard transaction ids (two-phase
     /// commit, DESIGN.md §12).
     pub(crate) xs_seq: u64,
@@ -1236,30 +1236,18 @@ impl GatewayBackend for Network {
 
     fn snapshot_manifest(&mut self, shard: ShardId) -> Option<SnapshotManifest> {
         let ledger = self.committee(shard)?.ledger();
-        if let Some((cached, manifest, _)) = &self.stream_cache {
-            if *cached == shard && manifest.tip_id == ledger.tip().id() {
-                return Some(manifest.clone());
-            }
+        if !self.stream_cache.as_ref().is_some_and(|source| source.is_tip_of(ledger)) {
+            // The payload is byte-identical to a local `snap-<height>.bin`
+            // record, so the receiver adopts it and recovers natively.
+            self.stream_cache = BootstrapSource::capture(ledger, None);
         }
-        // Materialize one chunked snapshot at the current tip. The
-        // payload is byte-identical to a local `snap-<height>.bin`
-        // record, so the receiver adopts it and recovers natively.
-        let tip = ledger.tip().clone();
-        let payload = stream::snapshot_payload(&tip, ledger.state(), &ledger.state_tree());
-        let manifest = stream::manifest_for(&tip, &payload);
-        self.stream_cache = Some((shard, manifest.clone(), payload));
-        Some(manifest)
+        self.stream_cache.as_ref().map(|source| source.manifest().clone())
     }
 
     fn snapshot_chunk(&mut self, shard: ShardId, height: u64, index: u32) -> Option<SnapshotChunk> {
-        // Chunks are only served for the manifest currently materialized;
-        // another chain or a stale height tells the client to re-request
+        // Another chain or a stale height tells the client to re-request
         // the manifest.
-        let (cached, manifest, payload) = self.stream_cache.as_ref()?;
-        if *cached != shard || manifest.height != height {
-            return None;
-        }
-        stream::chunk_at(height, payload, index)
+        self.stream_cache.as_ref()?.chunk(shard, height, index)
     }
 
     fn blocks_from(&mut self, shard: ShardId, height: u64) -> Option<(u64, Vec<Block>)> {

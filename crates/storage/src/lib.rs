@@ -51,7 +51,7 @@ pub mod wal;
 
 pub use crc::crc32;
 pub use disk::{DiskStore, FsyncPolicy, RecoveryReport, StorageConfig, StorageFault};
-pub use pager::{PagedAccounts, PagedNodes, ACCOUNTS_PER_PAGE};
+pub use pager::{PagedAccounts, ACCOUNTS_PER_PAGE};
 pub use pages::{PageId, PageStore, PAGE_BYTES};
 pub use projection::{LatestState, ProjectedEntry};
 pub use snapshot::{Snapshot, SnapshotStore};

@@ -36,7 +36,7 @@
 //! frees the page once its last member is promoted (stale bytes on a
 //! partially-evacuated page are unreachable — lookups only go through
 //! the index). Tree nodes arrive pre-packed: a spilled subtree's
-//! preorder encoding is written verbatim as one extent. [`PagedNodes`]
+//! preorder encoding is written verbatim as one extent. [`PageStore`]
 //! frees a tree page when the tree hands it back, which it does once
 //! the last tree version naming the page has dropped.
 
@@ -205,8 +205,8 @@ impl AccountPager for PagedAccounts {
     }
 }
 
-/// Disk-backed [`NodePager`]: each spilled subtree's preorder encoding
-/// is one CRC-framed extent.
+/// The page store is the disk-backed [`NodePager`]: each spilled
+/// subtree's preorder encoding is one CRC-framed extent.
 ///
 /// A page comes back through `free_node` when no tree version can reach
 /// it: structurally-shared clones (proof servers, in-flight `with_delta`
@@ -214,32 +214,21 @@ impl AccountPager for PagedAccounts {
 /// alive after the live tree has replaced it, and the last of them to
 /// drop frees it. The page file therefore holds about one tree's pages,
 /// not one per commit.
-pub struct PagedNodes {
-    pages: Arc<PageStore>,
-}
-
-impl PagedNodes {
-    /// Wraps a page store (freshly opened, like [`PagedAccounts::new`]).
-    pub fn new(pages: Arc<PageStore>) -> PagedNodes {
-        PagedNodes { pages }
-    }
-}
-
-impl NodePager for PagedNodes {
+impl NodePager for PageStore {
     fn store_node(&self, bytes: &[u8]) -> u64 {
-        self.pages.write(bytes).unwrap_or_else(|e| {
+        self.write(bytes).unwrap_or_else(|e| {
             panic!("node pager: page write failed ({e}); spilled subtree would be lost")
         })
     }
 
     fn load_node(&self, page: u64) -> Vec<u8> {
-        self.pages.read(page).unwrap_or_else(|e| {
+        self.read(page).unwrap_or_else(|e| {
             panic!("node pager: lost spilled subtree page {page}: {e}")
         })
     }
 
     fn free_node(&self, page: u64) {
-        self.pages.free(page);
+        self.free(page);
     }
 }
 
@@ -313,10 +302,9 @@ mod tests {
     fn node_pager_round_trips_with_tiny_cache() {
         let registry = Registry::new();
         let dir = crate::testutil::test_dir("nodes");
-        let pages = Arc::new(
+        let pager = Arc::new(
             PageStore::open(&dir.join("pages.bin"), 1, registry.handle()).unwrap(),
         );
-        let pager = PagedNodes::new(pages);
         let blobs: Vec<Vec<u8>> =
             (0u8..8).map(|i| vec![i; 100 + i as usize * 997]).collect();
         let ids: Vec<u64> = blobs.iter().map(|b| pager.store_node(b)).collect();
@@ -347,7 +335,7 @@ mod tests {
         }
         let resident = StateTree::from_state(&state);
         let mut spilled = resident.clone();
-        let pager: Arc<dyn NodePager> = Arc::new(PagedNodes::new(Arc::clone(&pages)));
+        let pager = Arc::clone(&pages) as Arc<dyn NodePager>;
         spilled.spill_to_budget(&pager, 16);
 
         // A 16-node budget cuts at depth 3: one stub stands at each 3-bit

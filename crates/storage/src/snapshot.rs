@@ -147,16 +147,25 @@ impl SnapshotStore {
     /// tmp + rename, so a crash mid-adopt never leaves a torn file.
     ///
     /// Adopting performs **no validation**: the payload stays untrusted
-    /// until [`SnapshotStore::load`] decodes it and
-    /// `Ledger::restore_with_tree` checks its root against the
-    /// committed header. A payload failing either simply never
-    /// installs.
+    /// until local recovery loads it through [`SnapshotStore::load`].
+    /// One that fails there must be [`discard`](Self::discard)ed, or
+    /// the CRC-valid file would be served on to the next joiner.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on write failure.
     pub fn adopt_payload(&self, height: u64, payload: &[u8]) -> Result<(), StoreError> {
         write_record(&self.dir.join(snap_name(height)), payload).map(|_| ())
+    }
+
+    /// Deletes the snapshot file at `height` — an adopted payload that
+    /// failed to install.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on filesystem failure.
+    pub fn discard(&self, height: u64) -> Result<(), StoreError> {
+        Ok(fs::remove_file(self.dir.join(snap_name(height)))?)
     }
 
     /// The CRC-verified raw payload of the snapshot at `height` — the

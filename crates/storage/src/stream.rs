@@ -16,13 +16,15 @@
 //! A streamed snapshot is **untrusted bytes** until installed. The CRCs
 //! here (per-chunk and whole-payload) catch transport truncation and
 //! reordering — they are integrity against accident, not authenticity.
-//! Authenticity comes only at install time: the assembled payload is
-//! adopted as a local snapshot file and loaded through the same
-//! validation as any disk snapshot, and the decoded state enters the
-//! ledger exclusively via `Ledger::restore_with_tree`, which rejects
-//! any state whose authenticated root does not match the committed tip
-//! header the cohort signed. A malicious peer can waste the joiner's
-//! bandwidth; it cannot install divergent state.
+//! The manifest is untrusted too: [`SnapshotAssembler::new`] refuses one
+//! whose chunk count does not match its length, and the assembler holds
+//! only chunks that actually arrived, so a hostile manifest costs
+//! nothing until the bytes it promises are delivered. The assembled
+//! payload is then adopted as a local snapshot file and installed by
+//! local recovery, whose checks are self-consistency only: the tree's
+//! root must match the payload's *own* tip header and its leaf count
+//! the decoded state. Nothing here checks that tip's seal, or that the
+//! state values hash to the tree (DESIGN.md §14).
 //!
 //! # Resumability
 //!
@@ -30,14 +32,15 @@
 //! assembler accepts them in any order, ignores duplicates, and reports
 //! [`missing`](SnapshotAssembler::missing) indices for re-request after
 //! an interrupted transfer. A joiner that crashes mid-stream simply
-//! re-requests: installs are atomic (tmp + rename on adopt, root check
-//! before the ledger accepts), so a torn install cannot exist.
+//! re-requests: adopting is tmp + rename and a rejected payload is
+//! removed again, so a torn install cannot exist.
 
 use crate::crc::crc32;
 use medchain_chain::hash::Hash256;
 use medchain_chain::{Block, StateTree, WorldState};
 use medchain_runtime::codec::Encode;
 use medchain_runtime::impl_codec_struct;
+use std::collections::BTreeMap;
 
 /// Chunk payload size. Small enough that a chunk response fits the
 /// gateway's 1 MiB frame cap with headroom; large enough that a
@@ -132,6 +135,8 @@ pub fn chunk_at(height: u64, payload: &[u8], index: u32) -> Option<SnapshotChunk
 /// Why an assembler rejected a chunk or refused to finish.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
+    /// The manifest's chunk count does not match its total length.
+    BadManifest,
     /// Chunk's height or index does not belong to the manifest.
     WrongChunk,
     /// Chunk bytes fail their own CRC, or have the wrong length for
@@ -147,6 +152,7 @@ pub enum StreamError {
 impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            StreamError::BadManifest => write!(f, "manifest chunk count does not fit its length"),
             StreamError::WrongChunk => write!(f, "chunk does not belong to this manifest"),
             StreamError::CorruptChunk => write!(f, "chunk failed CRC or length check"),
             StreamError::CorruptPayload => write!(f, "assembled payload failed manifest check"),
@@ -166,19 +172,25 @@ impl std::error::Error for StreamError {}
 #[derive(Debug)]
 pub struct SnapshotAssembler {
     manifest: SnapshotManifest,
-    chunks: Vec<Option<Vec<u8>>>,
+    /// Chunks received so far, by index: memory follows the bytes that
+    /// arrived, never the count a manifest claims.
+    chunks: BTreeMap<u32, Vec<u8>>,
 }
 
 impl SnapshotAssembler {
     /// Starts an empty assembly for `manifest`.
-    pub fn new(manifest: SnapshotManifest) -> SnapshotAssembler {
-        let slots = manifest.chunk_count as usize;
-        SnapshotAssembler { manifest, chunks: vec![None; slots] }
-    }
-
-    /// The manifest this assembly targets.
-    pub fn manifest(&self) -> &SnapshotManifest {
-        &self.manifest
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::BadManifest`] unless `chunk_count` is the number
+    /// of [`CHUNK_BYTES`] chunks `total_len` needs (one for an empty
+    /// payload), as [`manifest_for`] computes it.
+    pub fn new(manifest: SnapshotManifest) -> Result<SnapshotAssembler, StreamError> {
+        let needed = manifest.total_len.div_ceil(CHUNK_BYTES as u64).max(1);
+        if u64::from(manifest.chunk_count) != needed {
+            return Err(StreamError::BadManifest);
+        }
+        Ok(SnapshotAssembler { manifest, chunks: BTreeMap::new() })
     }
 
     /// Accepts one chunk. Duplicates of an already-accepted index are
@@ -196,35 +208,26 @@ impl SnapshotAssembler {
         if crc32(&chunk.bytes) != chunk.crc {
             return Err(StreamError::CorruptChunk);
         }
-        let last = chunk.index + 1 == self.manifest.chunk_count;
-        let expected_len = if last {
-            self.manifest.total_len as usize - (chunk.index as usize) * CHUNK_BYTES
-        } else {
-            CHUNK_BYTES
-        };
-        if chunk.bytes.len() != expected_len {
+        // `new` checked the count against the length, so every index in
+        // range starts inside the payload.
+        let start = u64::from(chunk.index) * CHUNK_BYTES as u64;
+        let expected_len = (self.manifest.total_len - start).min(CHUNK_BYTES as u64);
+        if chunk.bytes.len() as u64 != expected_len {
             return Err(StreamError::CorruptChunk);
         }
-        let slot = &mut self.chunks[chunk.index as usize];
-        if slot.is_none() {
-            *slot = Some(chunk.bytes);
-        }
+        self.chunks.entry(chunk.index).or_insert(chunk.bytes);
         Ok(())
     }
 
-    /// Indices not yet received — the resume set to re-request.
-    pub fn missing(&self) -> Vec<u32> {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| i as u32)
-            .collect()
+    /// Indices not yet received, ascending — the resume set to
+    /// re-request. Lazy: it allocates nothing.
+    pub fn missing(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.manifest.chunk_count).filter(|index| !self.chunks.contains_key(index))
     }
 
     /// Whether every chunk has arrived.
     pub fn is_complete(&self) -> bool {
-        self.chunks.iter().all(Option::is_some)
+        self.chunks.len() == self.manifest.chunk_count as usize
     }
 
     /// Consumes the assembler, yielding the verified payload.
@@ -233,17 +236,15 @@ impl SnapshotAssembler {
     ///
     /// [`StreamError::Incomplete`] if chunks are missing;
     /// [`StreamError::CorruptPayload`] if the concatenation fails the
-    /// manifest's length or CRC commitment.
+    /// manifest's CRC commitment.
     pub fn finish(self) -> Result<Vec<u8>, StreamError> {
         if !self.is_complete() {
             return Err(StreamError::Incomplete);
         }
-        let mut payload = Vec::with_capacity(self.manifest.total_len as usize);
-        for chunk in self.chunks {
-            payload.extend_from_slice(&chunk.expect("completeness checked"));
-        }
-        if payload.len() as u64 != self.manifest.total_len || crc32(&payload) != self.manifest.crc
-        {
+        // Every chunk was length-checked on arrival, so the pieces add
+        // up to exactly `total_len`.
+        let payload = self.chunks.into_values().collect::<Vec<_>>().concat();
+        if crc32(&payload) != self.manifest.crc {
             return Err(StreamError::CorruptPayload);
         }
         Ok(payload)
@@ -266,7 +267,7 @@ mod tests {
         let (tip, payload) = payload_and_tip(CHUNK_BYTES * 2 + 1234);
         let manifest = manifest_for(&tip, &payload);
         assert_eq!(manifest.chunk_count, 3);
-        let mut asm = SnapshotAssembler::new(manifest.clone());
+        let mut asm = SnapshotAssembler::new(manifest.clone()).unwrap();
         for index in [2u32, 0, 2, 1] {
             asm.accept(chunk_at(manifest.height, &payload, index).unwrap()).unwrap();
         }
@@ -278,11 +279,11 @@ mod tests {
     fn interrupted_transfer_reports_missing_and_resumes() {
         let (tip, payload) = payload_and_tip(CHUNK_BYTES * 4);
         let manifest = manifest_for(&tip, &payload);
-        let mut asm = SnapshotAssembler::new(manifest.clone());
+        let mut asm = SnapshotAssembler::new(manifest.clone()).unwrap();
         asm.accept(chunk_at(manifest.height, &payload, 1).unwrap()).unwrap();
         asm.accept(chunk_at(manifest.height, &payload, 3).unwrap()).unwrap();
-        assert_eq!(asm.missing(), vec![0, 2]);
-        for index in asm.missing() {
+        assert_eq!(asm.missing().collect::<Vec<_>>(), vec![0, 2]);
+        for index in [0, 2] {
             asm.accept(chunk_at(manifest.height, &payload, index).unwrap()).unwrap();
         }
         assert_eq!(asm.finish().unwrap(), payload);
@@ -292,7 +293,7 @@ mod tests {
     fn corrupt_and_foreign_chunks_are_rejected() {
         let (tip, payload) = payload_and_tip(CHUNK_BYTES + 9);
         let manifest = manifest_for(&tip, &payload);
-        let mut asm = SnapshotAssembler::new(manifest.clone());
+        let mut asm = SnapshotAssembler::new(manifest.clone()).unwrap();
         let mut bad = chunk_at(manifest.height, &payload, 0).unwrap();
         bad.bytes[0] ^= 0xFF;
         assert_eq!(asm.accept(bad), Err(StreamError::CorruptChunk));
@@ -301,14 +302,14 @@ mod tests {
         assert_eq!(asm.accept(foreign), Err(StreamError::WrongChunk));
         let out_of_range = SnapshotChunk { height: manifest.height, index: 7, bytes: vec![], crc: crc32(&[]) };
         assert_eq!(asm.accept(out_of_range), Err(StreamError::WrongChunk));
-        assert_eq!(asm.missing(), vec![0, 1]);
+        assert_eq!(asm.missing().collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
     fn truncated_last_chunk_is_rejected_not_installed() {
         let (tip, payload) = payload_and_tip(CHUNK_BYTES + 500);
         let manifest = manifest_for(&tip, &payload);
-        let mut asm = SnapshotAssembler::new(manifest.clone());
+        let mut asm = SnapshotAssembler::new(manifest.clone()).unwrap();
         // A "last" chunk torn short of its declared remainder must be
         // refused even with a self-consistent CRC.
         let torn = &payload[CHUNK_BYTES..CHUNK_BYTES + 100];
@@ -319,6 +320,35 @@ mod tests {
             crc: crc32(torn),
         };
         assert_eq!(asm.accept(chunk), Err(StreamError::CorruptChunk));
+        assert_eq!(asm.finish().unwrap_err(), StreamError::Incomplete);
+    }
+
+    /// A manifest is untrusted input: one whose chunk count does not fit
+    /// its length is refused up front (a count too large for the length
+    /// used to underflow the last chunk's expected size), and one that
+    /// is consistent but enormous costs nothing until its chunks arrive.
+    #[test]
+    fn hostile_manifests_are_refused_or_cost_nothing() {
+        let (tip, payload) = payload_and_tip(CHUNK_BYTES + 9);
+        let honest = manifest_for(&tip, &payload);
+        let full = honest.total_len;
+        for (chunk_count, total_len) in
+            [(0, full), (3, full), (2, 1), (2, 0), (u32::MAX, full), (2, u64::MAX)]
+        {
+            let manifest = SnapshotManifest { chunk_count, total_len, ..honest.clone() };
+            let refused = SnapshotAssembler::new(manifest).unwrap_err();
+            assert_eq!(refused, StreamError::BadManifest, "{chunk_count} chunks of {total_len}");
+        }
+        let huge = SnapshotManifest {
+            chunk_count: u32::MAX,
+            total_len: u64::from(u32::MAX) * CHUNK_BYTES as u64,
+            ..honest.clone()
+        };
+        let mut asm = SnapshotAssembler::new(huge).unwrap();
+        assert_eq!(asm.missing().next(), Some(0));
+        // The honest payload's short tail is no full chunk of the huge one.
+        let tail = chunk_at(honest.height, &payload, 1).unwrap();
+        assert_eq!(asm.accept(tail), Err(StreamError::CorruptChunk));
         assert_eq!(asm.finish().unwrap_err(), StreamError::Incomplete);
     }
 }

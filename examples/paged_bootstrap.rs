@@ -12,8 +12,9 @@
 //! 2. **A wiped site rejoins by streaming, not replaying.** After the
 //!    paged consortium shuts down, one site's data directory is
 //!    deleted outright. On restart that site bootstraps from a peer's
-//!    chunked snapshot + WAL tail (root-verified against the committed
-//!    header before install) and comes back agreeing with the cohort.
+//!    chunked snapshot + WAL tail (installed through local recovery,
+//!    then checked against the cohort's tip) and comes back agreeing
+//!    with the cohort.
 //!
 //! ```text
 //! cargo run --release --example paged_bootstrap [data-dir]

@@ -338,15 +338,17 @@ if ! awk '
 fi
 echo "ok: Ledger::apply logs the block before it changes the state; no undo path"
 
-# Root-verified snapshot install (DESIGN.md §14): a snapshot — local or
-# streamed from a peer — may enter a ledger ONLY through
-# Ledger::restore_with_tree, which rejects any state whose tree root
-# does not match the committed header. A second install path would let
-# unauthenticated bytes become world state.
-echo "== snapshot: root-verified install-path guard =="
+# One snapshot install (DESIGN.md §14): a snapshot — local or streamed
+# from a peer — enters a ledger ONLY through local recovery
+# (DiskStore::recover_into), which loads it through SnapshotStore::load
+# and installs it with Ledger::restore_with_tree, which rejects a tree
+# whose root does not match the payload's tip header. bootstrap.rs
+# adopts a streamed payload and calls recover_into; a second caller of
+# restore_with_tree would be a second install path.
+echo "== snapshot: one install-path guard =="
 if grep -rn "restore_with_tree(" crates/*/src src examples tests --include="*.rs" \
-    | grep -v "^crates/chain/src/ledger.rs\|^crates/storage/src/disk.rs\|^crates/core/src/bootstrap.rs"; then
-    echo "ERROR: snapshot state installed outside the root-verified restore path." >&2
+    | grep -v "^crates/chain/src/ledger.rs\|^crates/storage/src/disk.rs"; then
+    echo "ERROR: snapshot state installed outside local recovery." >&2
     exit 1
 fi
 # A streamed payload is untrusted bytes until SnapshotStore::load
@@ -356,7 +358,23 @@ if grep -rn "adopt_payload(" crates/*/src src examples tests --include="*.rs" \
     echo "ERROR: raw snapshot payload adopted outside the streamed-bootstrap path." >&2
     exit 1
 fi
-echo "ok: snapshots install only through the root-verified restore path"
+echo "ok: snapshots install only through local recovery"
+
+# One snapshot server, one fetch (DESIGN.md §14): the public gateway is
+# the only thing that serves snapshots over a socket; an in-process
+# rejoin hands stream_into a captured BootstrapSource's answer, and a
+# remote joiner hands it Client::call. A loopback server in bootstrap.rs
+# or typed snapshot calls on the client are the second path growing back.
+echo "== snapshot: one-server guard =="
+if grep -nE "SnapshotPeer|TcpListener" crates/core/src/bootstrap.rs; then
+    echo "ERROR: bootstrap.rs serves snapshots itself; the gateway is the only snapshot server." >&2
+    exit 1
+fi
+if grep -nE "fn (snapshot_manifest|snapshot_chunk)\b" crates/core/src/client.rs; then
+    echo "ERROR: client.rs grew typed snapshot calls; stream_into matches the replies once." >&2
+    exit 1
+fi
+echo "ok: one snapshot server, one fetch path"
 
 # No hot path rehashes the whole state (DESIGN.md §8, §13): snapshots
 # are written from the tree the commit built (BlockStore::checkpoint),
@@ -470,7 +488,8 @@ if grep -nE "\bfn\(" crates/core/src/committee.rs; then
     exit 1
 fi
 echo "ok: one Network, one gateway backend, one builder block, one serve loop"
-# Trend line (3,583 at PR 31, before the two network types merged):
+# Trend line (3,583 at PR 31, before the two network types merged;
+# 3,381 after; 3,273 once rejoin stopped running its own loopback server):
 # non-blank lines that are not // comments, above each file's first
 # #[cfg(test)].
 core_lines="$(awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next } { n++ } END { print n }' crates/core/src/*.rs)"
@@ -481,8 +500,8 @@ echo "census: $core_lines non-comment lines outside tests in crates/core/src"
 # consensus to a height are decisions `core::committee` makes once for
 # the flat network and every shard. A second caller in the core crate is
 # a second copy of the build/rejoin/advance path growing back.
-# (`bootstrap.rs` defines `stream_into` and unit-tests it against
-# `recover_into`.)
+# (`bootstrap.rs` defines `stream_into`, which installs a streamed
+# snapshot through `recover_into`.)
 echo "== core: one-copy committee guard =="
 if grep -rn "recover_into(\|stream_into(\|attach_store(\|run_until_height(" \
     crates/core/src --include="*.rs" \

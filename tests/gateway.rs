@@ -320,12 +320,12 @@ fn priority_is_fee_gated() {
     net.shutdown();
 }
 
-/// The public gateway serves the snapshot stream, not only the transient
-/// `SnapshotPeer` every in-process rejoin uses: on a second thread, a
-/// genesis ledger fetches the manifest and chunks from a serving
-/// network's gateway and asks it for the block tail above them, lands on
-/// the network's tip, and the joiner's directory then recovers natively
-/// with no peer at all.
+/// The public gateway is the one snapshot server, and this is the one
+/// stream that crosses a socket: on a second thread, a genesis ledger
+/// fetches the manifest and chunks from a serving network's gateway
+/// through `Client::call` and asks it for the block tail above them,
+/// lands on the network's tip, and the joiner's directory then recovers
+/// natively with no peer at all.
 #[test]
 fn wiped_ledger_streams_from_the_public_gateway() {
     let dir = std::env::temp_dir()
@@ -341,7 +341,6 @@ fn wiped_ledger_streams_from_the_public_gateway() {
     }
     let mut net = builder.build().expect("network builds");
     let addr = net.gateway_addr().expect("gateway listening");
-    let shard = net.ledger().shard();
     // A wiped site: the cohort's chain id, registry and runtime, at genesis.
     let registry = net.registry().clone();
     let joiner = || Ledger::new("medchain", registry.clone(), Box::new(Runtime::standard()));
@@ -351,7 +350,9 @@ fn wiped_ledger_streams_from_the_public_gateway() {
     let stop = AtomicBool::new(false);
     let report = std::thread::scope(|scope| {
         let joiner_side = scope.spawn(|| {
-            let report = stream_into(addr, shard, &mut ledger, &mut store);
+            let report = Client::connect(addr).map_err(Into::into).and_then(|mut client| {
+                stream_into(|request| client.call(request), &mut ledger, &mut store)
+            });
             stop.store(true, Ordering::Relaxed);
             report
         });

@@ -20,7 +20,7 @@ use medchain_chain::{
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::wal::RECORD_HEADER_BYTES;
-use medchain_storage::{PagedAccounts, PagedNodes, SnapshotStore};
+use medchain_storage::{PagedAccounts, SnapshotStore};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -718,7 +718,7 @@ fn propose_random(
 fn tiny_state_cache(pages: Arc<PageStore>) -> StateCacheConfig {
     StateCacheConfig {
         accounts: Arc::new(PagedAccounts::new(Arc::clone(&pages))),
-        nodes: Arc::new(PagedNodes::new(pages)),
+        nodes: pages,
         max_hot_accounts: 8, // « the 64-account universe: constant churn
         node_budget: 16,     // forces subtree spills on every commit
     }
@@ -799,7 +799,7 @@ fn paged_merge_collapses_inside_resolved_stubs_like_the_resident_tree() {
     }
     let resident = StateTree::from_state(&state);
     let mut paged = resident.clone();
-    let pager: Arc<dyn NodePager> = Arc::new(PagedNodes::new(pages));
+    let pager: Arc<dyn NodePager> = pages;
     paged.spill_to_budget(&pager, 16);
     assert!(paged.resident_nodes() < resident.resident_nodes() / 10, "the budget spilled");
 
@@ -876,7 +876,7 @@ fn a_commit_rewrites_only_the_pages_it_touched() {
     let node_budget = 64; // cut = ⌊log₂ 65⌋ − 1 = 5: 31 spine nodes, 32 pages
     ledger.attach_state_cache(StateCacheConfig {
         accounts: Arc::new(PagedAccounts::new(open("accounts.bin", &Registry::new()))),
-        nodes: Arc::new(PagedNodes::new(open("nodes.bin", &registry))),
+        nodes: open("nodes.bin", &registry),
         max_hot_accounts: 64,
         node_budget,
     });

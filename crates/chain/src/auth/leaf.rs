@@ -15,6 +15,7 @@
 
 use crate::exec::{StateDelta, StateKey};
 use crate::hash::{digest_tagged_pair, digest_tagged_pairs, digest_two, Hash256, Sha256};
+use crate::ledger::WorldState;
 use crate::shard::{shard_for_key, ShardId};
 use crate::sig::Address;
 use medchain_runtime::codec::Encode;
@@ -261,6 +262,25 @@ pub(crate) fn hashed_writes(delta: &StateDelta) -> Vec<LeafUpdate> {
     for_each_write(delta, &mut |key, value| batch.push(hasher.hash(key, value)));
     batch.sort_unstable_by_key(|(key_hash, _)| *key_hash);
     debug_assert!(batch.windows(2).all(|w| w[0].0 < w[1].0), "a leaf key written twice");
+    batch
+}
+
+/// The batch that pulls a merge of `delta` back out of a tree: every
+/// key `delta` writes, hashed with the value `committed` holds for it,
+/// `None` (deleting the leaf) where it holds none. Merged into a tree
+/// that `delta` was merged into, it leaves exactly the tree of
+/// `committed`, since a root does not depend on the order of writes.
+/// Keys stay borrowed and values are read through a reused scratch
+/// buffer, so a leaf costs no allocation here either.
+pub(crate) fn committed_writes(delta: &StateDelta, committed: &WorldState) -> Vec<LeafUpdate> {
+    let mut hasher = LeafHasher::new();
+    let mut scratch = Vec::new();
+    let mut batch = Vec::with_capacity(delta.len());
+    for_each_write(delta, &mut |key, _| {
+        let value = committed.leaf_bytes(key, &mut scratch);
+        batch.push(hasher.hash(key, value));
+    });
+    batch.sort_unstable_by_key(|(key_hash, _)| *key_hash);
     batch
 }
 

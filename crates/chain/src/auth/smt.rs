@@ -314,6 +314,14 @@ impl StateTree {
         tree
     }
 
+    /// Pulls a merge of `delta` back out: re-merges every key `delta`
+    /// writes with its value in `committed`, the state this tree stood
+    /// for before the merge. One pass the size of the merge it undoes;
+    /// in place where the tree alone holds the nodes, like any merge.
+    pub(crate) fn pull_back(&mut self, delta: &StateDelta, committed: &WorldState) {
+        self.merge_batch(&leaf::committed_writes(delta, committed));
+    }
+
     /// Merges a sorted batch of distinct key hashes into the tree.
     fn merge_batch(&mut self, batch: &[LeafUpdate]) {
         warm(&self.root, batch);

@@ -38,6 +38,7 @@ use crate::ledger::{
 use crate::shard::{sharded_contract_address, ShardId};
 use crate::sig::KeyRegistry;
 use crate::tx::{SealedTx, TxPayload};
+use medchain_runtime::metrics::Metrics;
 use medchain_runtime::sync::scoped_map;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -49,6 +50,8 @@ pub(crate) struct ExecCtx<'a> {
     pub registry: &'a KeyRegistry,
     pub shard: ShardId,
     pub shard_count: u16,
+    /// Where `exec.txs` counts every transaction executed.
+    pub metrics: &'a Metrics,
 }
 
 /// Per-block scheduling/execution telemetry, surfaced as `exec.*`.
@@ -336,10 +339,13 @@ pub(crate) fn run_block_sequential(
 ) -> Result<(Vec<Receipt>, StateDelta), LedgerError> {
     let mut overlay = WorldStateOverlay::new(base);
     let mut receipts = Vec::with_capacity(txs.len());
-    for tx in txs {
+    let admitted = txs.iter().try_for_each(|tx| {
         admission_check(ctx.registry, &overlay, tx)?;
         receipts.push(execute_tx(ctx, &mut overlay, tx, now_ms));
-    }
+        Ok(())
+    });
+    ctx.metrics.counter("exec.txs", receipts.len() as u64);
+    admitted?;
     Ok((receipts, overlay.into_delta()))
 }
 
@@ -415,6 +421,8 @@ pub(crate) fn run_block_parallel(
     };
     let mut wave_widths = Vec::with_capacity(sched.waves.len());
     let mut wave_walls_us = Vec::with_capacity(sched.waves.len());
+    // Speculative runs are executions too, kept or discarded.
+    let mut executed = 0;
 
     for wave in &sched.waves {
         let started = Instant::now();
@@ -425,7 +433,10 @@ pub(crate) fn run_block_parallel(
             let index = wave[0];
             match admission_check(ctx.registry, &overlay, &txs[index]) {
                 Err(err) => note_failure(&mut first_failure, index, err),
-                Ok(()) => receipts[index] = Some(execute_tx(ctx, &mut overlay, &txs[index], now_ms)),
+                Ok(()) => {
+                    receipts[index] = Some(execute_tx(ctx, &mut overlay, &txs[index], now_ms));
+                    executed += 1;
+                }
             }
         } else {
             let runs: Vec<TxRun> = if wave.len() >= 2 && threads >= 2 {
@@ -442,6 +453,7 @@ pub(crate) fn run_block_parallel(
             } else {
                 wave.iter().map(|&i| run_speculative(ctx, &overlay, txs, i, now_ms)).collect()
             };
+            executed += runs.iter().filter(|run| run.admission.is_none()).count() as u64;
 
             // Footprint audit: every actual access must be declared. A
             // violation means the static sets lied (e.g. a runtime whose
@@ -454,6 +466,7 @@ pub(crate) fn run_block_parallel(
                 }
             });
             if violated {
+                ctx.metrics.counter("exec.txs", executed);
                 let (receipts, delta) = run_block_sequential(ctx, base, txs, now_ms)?;
                 return Ok(BlockRun {
                     receipts,
@@ -482,6 +495,7 @@ pub(crate) fn run_block_parallel(
         }
         wave_walls_us.push(started.elapsed().as_secs_f64() * 1e6);
     }
+    ctx.metrics.counter("exec.txs", executed);
 
     if let Some((_, err)) = first_failure {
         return Err(err);
@@ -508,8 +522,16 @@ mod tests {
     use crate::ledger::{ExecError, ExecOutcome, WorldState};
     use crate::sig::{Address, AuthorityKey};
 
+    static NOOP_METRICS: Metrics = Metrics::noop();
+
     fn ctx<'a>(runtime: &'a dyn ContractRuntime, registry: &'a KeyRegistry) -> ExecCtx<'a> {
-        ExecCtx { runtime, registry, shard: ShardId::default(), shard_count: 1 }
+        ExecCtx {
+            runtime,
+            registry,
+            shard: ShardId::default(),
+            shard_count: 1,
+            metrics: &NOOP_METRICS,
+        }
     }
 
     fn enrolled(n: u64) -> (Vec<AuthorityKey>, KeyRegistry) {
@@ -839,7 +861,13 @@ mod inference_props {
                 _ => (ShardId(0), 2),
             };
             let runtime = ScribbleRuntime;
-            let ctx = ExecCtx { runtime: &runtime, registry: &registry, shard, shard_count };
+            let ctx = ExecCtx {
+                runtime: &runtime,
+                registry: &registry,
+                shard,
+                shard_count,
+                metrics: &Metrics::noop(),
+            };
             let mut state = WorldState::new();
             for k in &keys {
                 state.credit(k.address(), 1_000);
@@ -905,7 +933,13 @@ mod inference_props {
                 _ => (ShardId(g.usize_in(0, 2) as u16), 2),
             };
             let runtime = ScribbleRuntime;
-            let ctx = ExecCtx { runtime: &runtime, registry: &registry, shard, shard_count };
+            let ctx = ExecCtx {
+                runtime: &runtime,
+                registry: &registry,
+                shard,
+                shard_count,
+                metrics: &Metrics::noop(),
+            };
             let mut state = WorldState::new();
             state.credit(key.address(), 1_000);
             let account = Address::from_seed(200 + g.usize_in(0, 3) as u64);

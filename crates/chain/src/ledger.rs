@@ -19,7 +19,7 @@ use crate::tx::SealedTx;
 use medchain_runtime::codec::Encode;
 use medchain_runtime::metrics::Metrics;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -641,24 +641,33 @@ impl WorldState {
     /// `None` when the entry is absent. This is the byte string a
     /// [`StateProof`] for `key` commits to.
     pub fn leaf_value(&self, key: &LeafKey) -> Option<Vec<u8>> {
+        self.leaf_bytes(key.borrowed(), &mut Vec::new()).map(<[u8]>::to_vec)
+    }
+
+    /// [`WorldState::leaf_value`] of a borrowed key without allocating:
+    /// stored bytes are borrowed, and encoded records are written to
+    /// `scratch` (cleared first). Cold accounts are read, not promoted.
+    pub(crate) fn leaf_bytes<'s>(
+        &'s self,
+        key: KeyRef<'_>,
+        scratch: &'s mut Vec<u8>,
+    ) -> Option<&'s [u8]> {
+        scratch.clear();
         match key {
-            LeafKey::Account(addr) => self
+            KeyRef::Account(addr) => self
                 .accounts
                 .get(addr)
                 .copied()
-                .or_else(|| self.pager.as_ref().and_then(|p| p.load(addr)))
-                .map(|a| a.encoded()),
-            LeafKey::Storage(contract, slot) => {
-                self.storage(contract, slot).map(|v| v.to_vec())
-            }
-            LeafKey::Code(addr) => self.code(addr).map(|c| c.to_vec()),
-            LeafKey::Anchor(label) => self.anchor(label).map(|root| root.0.to_vec()),
-            LeafKey::CrossLink(shard) => {
-                self.cross_link(ShardId(*shard)).map(|link| link.encoded())
-            }
-            LeafKey::Lock(addr) => self.lock(addr).map(|lock| lock.encoded()),
-            LeafKey::XsDecision(xid) => self.xs_decision(xid).map(|d| d.encoded()),
+                .or_else(|| self.pager.as_ref().and_then(|p| p.load(addr)))?
+                .encode(scratch),
+            KeyRef::Storage(contract, slot) => return self.storage(contract, slot),
+            KeyRef::Code(addr) => return self.code(addr),
+            KeyRef::Anchor(label) => return self.anchors.get(label).map(|root| &root.0[..]),
+            KeyRef::CrossLink(shard) => self.crosslinks.get(&shard)?.encode(scratch),
+            KeyRef::Lock(addr) => self.locks.get(addr)?.encode(scratch),
+            KeyRef::XsDecision(xid) => self.xs_decisions.get(xid)?.encode(scratch),
         }
+        Some(scratch)
     }
 
     /// Total number of authenticated leaves (equals
@@ -923,9 +932,15 @@ pub struct Ledger {
     blocks: Vec<Block>,
     base_height: u64,
     state: WorldState,
-    /// `tx id → (block height, index in body, receipt)` for every
-    /// committed transaction, feeding [`Ledger::tx_receipt`] proofs.
-    receipts: BTreeMap<Hash256, (u64, usize, Receipt)>,
+    /// The receipts of every block applied since genesis or the last
+    /// restore, one entry per block, oldest first, moved in by
+    /// [`Ledger::apply`] and kept through [`Ledger::prune_below`]. Each
+    /// entry carries the commit-order position of its first receipt.
+    receipts: Vec<(u64, Vec<Receipt>)>,
+    /// `tx id → commit-order position` of every receipt in `receipts`,
+    /// 40 bytes an entry. Ids come from clients, so the map keeps std's
+    /// keyed hasher.
+    tx_index: HashMap<Hash256, u64>,
     registry: KeyRegistry,
     runtime: Box<dyn ContractRuntime>,
     stats: LedgerStats,
@@ -935,13 +950,15 @@ pub struct Ledger {
     /// Worker lanes for parallel block execution; 0 or 1 = sequential.
     exec_threads: usize,
     metrics: Metrics,
-    /// Incrementally maintained authenticated state tree, always in sync
-    /// with `state` at the committed tip. Empty after a direct
-    /// [`Ledger::state_mut`] mutation (genesis funding), and after an
-    /// [`Ledger::apply`] that failed once its in-place merge had begun;
-    /// lazily rebuilt by [`Ledger::state_tree`], which `&self` paths
-    /// (`propose`, `prove_state`) call.
+    /// Incrementally maintained authenticated state tree: the tree of
+    /// `state` at the committed tip or, while `proposal` is set, that
+    /// tree with the proposal's delta merged in (the tree runs ahead).
+    /// Empty after a direct [`Ledger::state_mut`] mutation (genesis
+    /// funding); lazily rebuilt by [`Ledger::state_tree`].
     tree: OnceCell<StateTree>,
+    /// What [`Ledger::propose`] computed for the block it built last,
+    /// until that block or another one is applied, or the state changes.
+    proposal: Option<Proposal>,
     /// Paged-state configuration (DESIGN.md §14); `None` = fully
     /// resident. When set, every commit demotes cold accounts past
     /// `max_hot_accounts` and spills cold tree subtrees past
@@ -951,6 +968,18 @@ pub struct Ledger {
     /// how derived projections (`latest_state`) stay current without a
     /// second delta pass through public API.
     commit_observer: Option<CommitObserver>,
+}
+
+/// A block this ledger proposed and has not committed: its id (which
+/// commits to the parent, height, timestamp and transaction ids), its
+/// body (the ids leave the signatures out, so the body is kept to match
+/// on them too) and the receipts and delta executing it produced. The
+/// delta is already merged into the ledger's tree.
+struct Proposal {
+    id: Hash256,
+    body: Body,
+    receipts: Vec<Receipt>,
+    delta: StateDelta,
 }
 
 /// Post-commit callback: the committed block plus its state changes as
@@ -1016,7 +1045,8 @@ impl Ledger {
             blocks: vec![Block::genesis_sharded(chain_id, shard)],
             base_height: 0,
             state: WorldState::new(),
-            receipts: BTreeMap::new(),
+            receipts: Vec::new(),
+            tx_index: HashMap::new(),
             registry,
             runtime,
             stats: LedgerStats::default(),
@@ -1026,6 +1056,7 @@ impl Ledger {
             exec_threads: 1,
             metrics: Metrics::noop(),
             tree: OnceCell::from(StateTree::new()),
+            proposal: None,
             state_cache: None,
             commit_observer: None,
         }
@@ -1090,6 +1121,7 @@ impl Ledger {
             registry: &self.registry,
             shard: self.shard,
             shard_count: self.shard_count,
+            metrics: &self.metrics,
         }
     }
 
@@ -1210,8 +1242,10 @@ impl Ledger {
         // Receipts only cover blocks applied after the snapshot: a
         // restored node re-learns them as it replays.
         self.receipts.clear();
+        self.tx_index.clear();
         self.stats = LedgerStats::default();
         self.tree = OnceCell::from(tree);
+        self.proposal = None;
         // A restored state is fully resident and the old pagers may hold
         // entries for the replaced state — drop the cache rather than
         // let stale pages shadow it. Wiring re-attaches a fresh cache.
@@ -1237,26 +1271,76 @@ impl Ledger {
     /// Direct mutation bypasses the delta path the authenticated tree is
     /// maintained from, so the cached tree is dropped here and lazily
     /// rebuilt (O(total state), once) on the next root or proof request.
+    /// A pending proposal was computed against the old state and goes too.
     pub fn state_mut(&mut self) -> &mut WorldState {
         self.tree.take();
+        self.proposal = None;
         &mut self.state
     }
 
     /// The authenticated tree over the committed state (clone is O(1) —
     /// nodes are shared). Rebuilds the cache first if a [`state_mut`]
-    /// mutation invalidated it.
+    /// mutation invalidated it. While a proposal is pending the cached
+    /// tree is ahead of the state; the clone is pulled back, and the
+    /// cache stays ahead for the commit.
     ///
     /// [`state_mut`]: Ledger::state_mut
     pub fn state_tree(&self) -> StateTree {
-        self.tree
-            .get_or_init(|| {
-                let mut tree = StateTree::from_state(&self.state);
-                if let Some(cache) = &self.state_cache {
-                    tree.spill_to_budget(&cache.nodes, cache.node_budget);
-                }
-                tree
-            })
-            .clone()
+        let mut tree = self.tree.get_or_init(|| self.built_tree()).clone();
+        if let Some(proposal) = &self.proposal {
+            self.pull_back(&mut tree, &proposal.delta);
+        }
+        tree
+    }
+
+    /// The tree of the committed state, built from scratch and spilled
+    /// to the page budget.
+    fn built_tree(&self) -> StateTree {
+        let mut tree = StateTree::from_state(&self.state);
+        if let Some(cache) = &self.state_cache {
+            tree.spill_to_budget(&cache.nodes, cache.node_budget);
+        }
+        tree
+    }
+
+    /// Takes the tree out of its cache, building it if a
+    /// [`Ledger::state_mut`] dropped it, so a merge finds the nodes this
+    /// ledger alone holds unshared and rewrites them in place.
+    fn take_tree(&mut self) -> StateTree {
+        match self.tree.take() {
+            Some(tree) => tree,
+            None => self.built_tree(),
+        }
+    }
+
+    /// The one way back for a tree that ran ahead of the state: re-merges
+    /// every key `delta` writes with its committed value, read from the
+    /// untouched state (cold accounts without promoting them).
+    fn pull_back(&self, tree: &mut StateTree, delta: &StateDelta) {
+        tree_pass(&self.metrics, || tree.pull_back(delta, &self.state));
+        self.metrics.counter("auth.tree_pullbacks", 1);
+    }
+
+    /// Drops the pending proposal, if any, pulling the tree back in place.
+    fn drop_proposal(&mut self) {
+        if let Some(proposal) = self.proposal.take() {
+            let mut tree = self.tree.take().expect("a pending proposal keeps its tree");
+            self.pull_back(&mut tree, &proposal.delta);
+            self.tree = OnceCell::from(tree);
+        }
+    }
+
+    /// A commit that failed after its merge: pulls the tree back in place
+    /// and puts it back in the cache, then hands `err` on.
+    fn fail_commit(
+        &mut self,
+        mut tree: StateTree,
+        delta: &StateDelta,
+        err: LedgerError,
+    ) -> LedgerError {
+        self.pull_back(&mut tree, delta);
+        self.tree = OnceCell::from(tree);
+        err
     }
 
     /// Builds the proof-carrying response for a light-client state query
@@ -1284,12 +1368,30 @@ impl Ledger {
 
     /// Receipt for a transaction, if executed.
     pub fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
-        self.receipts.get(tx_id).map(|(_, _, receipt)| receipt)
+        let (height, index) = self.locate_tx(tx_id)?;
+        self.block_receipts(height)?.get(index)
     }
 
     /// `(block height, index in body)` of a committed transaction.
     pub fn locate_tx(&self, tx_id: &Hash256) -> Option<(u64, usize)> {
-        self.receipts.get(tx_id).map(|(height, index, _)| (*height, *index))
+        let position = *self.tx_index.get(tx_id)?;
+        // The last block starting at or before the position holds it.
+        let block = self.receipts.partition_point(|(first, _)| *first <= position) - 1;
+        let index = position - self.receipts[block].0;
+        Some((self.first_receipt_height() + block as u64, index as usize))
+    }
+
+    /// The receipts of the block at `height`, if it was applied since
+    /// genesis or the last restore.
+    fn block_receipts(&self, height: u64) -> Option<&[Receipt]> {
+        let block = height.checked_sub(self.first_receipt_height())?;
+        self.receipts.get(usize::try_from(block).ok()?).map(|(_, receipts)| receipts.as_slice())
+    }
+
+    /// Height of the block `receipts` starts with: one entry per block
+    /// applied since genesis or the last restore, the newest at the tip.
+    fn first_receipt_height(&self) -> u64 {
+        self.height() + 1 - self.receipts.len() as u64
     }
 
     /// Builds the proof-carrying client receipt for a committed
@@ -1300,8 +1402,9 @@ impl Ledger {
     /// nodes can still serve old blocks from the block log, but this
     /// fast path only proves against retained blocks.
     pub fn tx_receipt(&self, tx_id: &Hash256) -> Option<crate::receipt::TxReceipt> {
-        let (height, index, exec) = self.receipts.get(tx_id)?;
-        crate::receipt::TxReceipt::for_block(self.block(*height)?, *index, exec)
+        let (height, index) = self.locate_tx(tx_id)?;
+        let exec = self.block_receipts(height)?.get(index)?;
+        crate::receipt::TxReceipt::for_block(self.block(height)?, index, exec)
     }
 
     /// Work counters.
@@ -1385,55 +1488,70 @@ impl Ledger {
     /// Transactions that fail admission are dropped; transactions that
     /// fail execution are included with failure receipts (as real chains
     /// do), so their gas is still accounted.
+    ///
+    /// The ledger keeps what it computed as its pending proposal: the
+    /// receipts, the delta, and its own tree with the delta merged in
+    /// place. [`Ledger::apply`] of this same block then commits them
+    /// without executing or merging again. Until then the tree runs
+    /// ahead of the state; readers still see the committed tree
+    /// ([`Ledger::state_tree`]). A proposal still pending from an earlier
+    /// call is dropped first.
     pub fn propose<T: Into<SealedTx>>(
-        &self,
+        &mut self,
         proposer: Address,
         timestamp_ms: u64,
         txs: Vec<T>,
     ) -> Block {
+        self.drop_proposal();
         let ctx = self.exec_ctx();
         let mut overlay = WorldStateOverlay::new(&self.state);
         let mut included = Vec::with_capacity(txs.len());
+        let mut receipts = Vec::with_capacity(txs.len());
         for tx in txs {
             let tx: SealedTx = tx.into();
             if exec::admission_check(&self.registry, &overlay, &tx).is_ok() {
-                let _ = exec::execute_tx(&ctx, &mut overlay, &tx, timestamp_ms);
+                receipts.push(exec::execute_tx(&ctx, &mut overlay, &tx, timestamp_ms));
                 included.push(tx);
             }
         }
+        self.metrics.counter("exec.txs", receipts.len() as u64);
         let delta = overlay.into_delta();
         // The body hashes its transaction tree here, once; every replica
         // that is handed this block reads the root and cuts receipts
         // from the same tree.
         let transactions = Body::from(included);
-        // Incremental: delta applied to a copy of the touched paths of the
-        // cached tree, O(keys changed), without touching committed state.
-        let proposed = self.state_tree().with_delta(&delta);
+        // Incremental, O(keys changed), and in place: the tree runs ahead
+        // of the state until this block commits or is superseded.
+        let mut tree = self.take_tree();
+        tree_pass(&self.metrics, || tree.merge_delta(&delta));
         let header = Header {
             height: self.height() + 1,
             parent: self.tip().id(),
             tx_root: transactions.tree().root(),
-            state_root: proposed.versioned_root(),
+            state_root: tree.versioned_root(),
             timestamp_ms,
             proposer,
             shard: self.shard,
         };
-        // The copied paths are the one tree version a block releases.
-        let release_started = self.metrics.enabled().then(Instant::now);
-        drop(proposed);
-        if let Some(started) = release_started {
-            self.metrics.observe("auth.tree_release_us", started.elapsed().as_secs_f64() * 1e6);
-        }
-        Block { header: header.into(), transactions, seal: crate::block::Seal::Genesis }
+        self.tree = OnceCell::from(tree);
+        let seal = crate::block::Seal::Genesis;
+        let block = Block { header: header.into(), transactions, seal };
+        let body = block.transactions.clone();
+        self.proposal = Some(Proposal { id: block.id(), body, receipts, delta });
+        block
     }
 
-    /// Validates and applies a sealed block, executing all transactions.
+    /// Validates and applies a sealed block and returns its receipts,
+    /// which the ledger keeps. Every transaction is executed, except in
+    /// the block this ledger proposed itself: that one commits the
+    /// receipts and delta [`Ledger::propose`] kept, once the same
+    /// structural checks pass.
     ///
     /// # Errors
     ///
     /// Returns a [`LedgerError`] and leaves the ledger unchanged if any
     /// structural or execution-commitment check fails.
-    pub fn apply(&mut self, block: &Block) -> Result<Vec<Receipt>, LedgerError> {
+    pub fn apply(&mut self, block: &Block) -> Result<&[Receipt], LedgerError> {
         if block.header.shard != self.shard {
             return Err(LedgerError::WrongShard {
                 expected: self.shard,
@@ -1454,29 +1572,44 @@ impl Ledger {
         }
         let started = Instant::now();
         let tx_count = block.transactions.len();
+        // This ledger's own proposal is already executed and merged. A
+        // different block at the same height (a view change, or an
+        // equivocating leader) pulls the tree back before executing. So
+        // does the same block id over a body whose signatures differ from
+        // the proposed one (an id leaves them out): it executes, and its
+        // admission checks refuse a stripped or forged signature. The
+        // proposer's own body is the same allocation, one pointer compare.
+        let kept = self.proposal.take_if(|proposal| {
+            proposal.id == block.id() && proposal.body == block.transactions
+        });
+        self.drop_proposal();
+        let merged = kept.is_some();
         // Execute against an overlay — sequentially, or wave-parallel
         // when enabled (exec::run_block_parallel guarantees identical
         // receipts and delta, falling back to sequential on any audited
         // footprint violation).
-        let (receipts, delta, parallel_stats) = {
-            let ctx = self.exec_ctx();
-            if self.exec_threads > 1 && tx_count > 1 {
-                let run = exec::run_block_parallel(
-                    &ctx,
-                    &self.state,
-                    &block.transactions,
-                    block.header.timestamp_ms,
-                    self.exec_threads,
-                )?;
-                (run.receipts, run.delta, Some(run.stats))
-            } else {
-                let (receipts, delta) = exec::run_block_sequential(
-                    &ctx,
-                    &self.state,
-                    &block.transactions,
-                    block.header.timestamp_ms,
-                )?;
-                (receipts, delta, None)
+        let (receipts, delta, parallel_stats) = match kept {
+            Some(Proposal { receipts, delta, .. }) => (receipts, delta, None),
+            None => {
+                let ctx = self.exec_ctx();
+                if self.exec_threads > 1 && tx_count > 1 {
+                    let run = exec::run_block_parallel(
+                        &ctx,
+                        &self.state,
+                        &block.transactions,
+                        block.header.timestamp_ms,
+                        self.exec_threads,
+                    )?;
+                    (run.receipts, run.delta, Some(run.stats))
+                } else {
+                    let (receipts, delta) = exec::run_block_sequential(
+                        &ctx,
+                        &self.state,
+                        &block.transactions,
+                        block.header.timestamp_ms,
+                    )?;
+                    (receipts, delta, None)
+                }
             }
         };
         // Incremental root check before the state changes: the committed
@@ -1484,23 +1617,24 @@ impl Ledger {
         // log n) — per-block root cost no longer scales with total state
         // size. The cache lets go of the tree first, so the merge finds
         // the nodes this ledger alone holds unshared and rewrites them in
-        // place: the replaced version is never built, nor released. On
-        // any failure below, the cache stays empty and is rebuilt from
-        // the untouched state when next asked for.
-        let root_started = Instant::now();
-        let mut updated_tree = self.state_tree();
-        self.tree.take();
-        updated_tree.merge_delta(&delta);
-        let root_wall_us = root_started.elapsed().as_secs_f64() * 1e6;
+        // place: the replaced version is never built, nor released. Any
+        // failure below pulls the tree back in place.
+        let mut updated_tree = self.take_tree();
+        if !merged {
+            tree_pass(&self.metrics, || updated_tree.merge_delta(&delta));
+        }
         if updated_tree.versioned_root() != block.header.state_root {
-            return Err(LedgerError::StateRootMismatch);
+            return Err(self.fail_commit(updated_tree, &delta, LedgerError::StateRootMismatch));
         }
         // Write-ahead: the block is logged before the state changes, so
         // a failed append leaves nothing to undo, and a crash leaves disk
         // and memory agreeing (disk may carry a torn tail record, which
         // recovery truncates).
         if let Some(store) = self.store.as_mut() {
-            store.append(block, &self.state).map_err(|e| LedgerError::Storage(e.to_string()))?;
+            if let Err(e) = store.append(block, &self.state) {
+                let err = LedgerError::Storage(e.to_string());
+                return Err(self.fail_commit(updated_tree, &delta, err));
+            }
         }
         // Captured before `apply_delta` consumes the delta: the written
         // account addresses that must stay hot through this commit's
@@ -1513,16 +1647,19 @@ impl Ledger {
         let observed = self.commit_observer.as_ref().map(|_| crate::auth::delta_updates(&delta));
         // Commit. Pages only the replaced nodes named were freed by the
         // merge, before the spill below stores new ones; the new tree is
-        // installed once spilled.
+        // installed once spilled. The receipts move into the ledger.
         self.state.apply_delta(delta);
-        for (index, receipt) in receipts.iter().enumerate() {
+        let first = self.receipts.last().map_or(0, |(first, kept)| first + kept.len() as u64);
+        self.tx_index.reserve(receipts.len());
+        for (position, receipt) in (first..).zip(&receipts) {
             self.stats.transactions += 1;
             self.stats.gas_used += receipt.gas_used;
             if !receipt.ok {
                 self.stats.failed += 1;
             }
-            self.receipts.insert(receipt.tx_id, (block.header.height, index, receipt.clone()));
+            self.tx_index.insert(receipt.tx_id, position);
         }
+        self.receipts.push((first, receipts));
         self.stats.blocks += 1;
         self.blocks.push(block.clone());
         if let (Some(observer), Some(updates)) = (self.commit_observer.as_mut(), observed) {
@@ -1555,9 +1692,7 @@ impl Ledger {
         self.tree = OnceCell::from(updated_tree);
         if self.metrics.enabled() {
             self.metrics.counter("exec.blocks", 1);
-            self.metrics.counter("exec.txs", tx_count as u64);
             self.metrics.observe("exec.block_apply_us", started.elapsed().as_secs_f64() * 1e6);
-            self.metrics.observe("auth.root_update_us", root_wall_us);
             self.metrics.gauge("state.accounts", self.state.account_count() as i64);
             self.metrics.gauge("state.storage_slots", self.state.storage_slot_count() as i64);
             self.metrics.gauge("state.code_entries", self.state.code_count() as i64);
@@ -1581,7 +1716,17 @@ impl Ledger {
                 }
             }
         }
-        Ok(receipts)
+        Ok(&self.receipts.last().expect("just pushed").1)
+    }
+}
+
+/// Runs one pass over the state tree — a merge or a pull-back — timed
+/// into `auth.root_update_us`.
+fn tree_pass(metrics: &Metrics, pass: impl FnOnce()) {
+    let started = metrics.enabled().then(Instant::now);
+    pass();
+    if let Some(started) = started {
+        metrics.observe("auth.root_update_us", started.elapsed().as_secs_f64() * 1e6);
     }
 }
 
@@ -1660,6 +1805,109 @@ mod tests {
         assert_eq!(ledger.block(6).unwrap().header.height, 6);
     }
 
+    /// `exec.txs` counts executions where they happen: the proposer runs
+    /// a block once, in `propose`, and commits what it kept; a replica
+    /// runs it once, in `apply`.
+    #[test]
+    fn a_block_executes_once_on_its_proposer_and_once_on_a_replica() {
+        use medchain_runtime::metrics::Registry;
+        let keys: Vec<AuthorityKey> = (1..=64).map(AuthorityKey::from_seed).collect();
+        let sink = |ledger: &mut Ledger| {
+            let registry = Registry::new();
+            ledger.set_metrics(registry.handle());
+            registry
+        };
+        let mut proposer = funded_ledger(&keys);
+        let mut replica = funded_ledger(&keys);
+        let (at_proposer, at_replica) = (sink(&mut proposer), sink(&mut replica));
+        let txs: Vec<Transaction> = keys
+            .iter()
+            .flat_map(|k| (0..4).map(move |n| transfer(k, n, Address::from_seed(900 + n), 1)))
+            .collect();
+        let block = proposer.propose(keys[0].address(), 10, txs);
+        assert_eq!(block.transactions.len(), 256);
+        assert_eq!(at_proposer.counter_value("exec.txs"), 256);
+        assert_eq!(proposer.apply(&block).unwrap().len(), 256);
+        assert_eq!(at_proposer.counter_value("exec.txs"), 256, "the proposer ran its block twice");
+        assert_eq!(replica.apply(&block).unwrap().len(), 256);
+        assert_eq!(at_replica.counter_value("exec.txs"), 256);
+        assert_eq!(proposer.state(), replica.state());
+        assert_eq!(at_proposer.counter_value("auth.tree_pullbacks"), 0);
+        for tx in block.transactions.iter() {
+            assert_eq!(proposer.receipt(&tx.id()), replica.receipt(&tx.id()));
+        }
+    }
+
+    /// A proposal that does not commit is pulled back out of the tree:
+    /// by a read while it is pending (on a clone), by another block at
+    /// its height, and by a commit that fails after the merge.
+    #[test]
+    fn a_tree_that_ran_ahead_is_pulled_back() {
+        use medchain_runtime::metrics::Registry;
+        let alice = AuthorityKey::from_seed(1);
+        let bob = AuthorityKey::from_seed(2);
+        let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
+        let mut other = funded_ledger(&[alice.clone(), bob.clone()]);
+        let registry = Registry::new();
+        ledger.set_metrics(registry.handle());
+        let committed = ledger.state_tree();
+
+        let own = ledger.propose(alice.address(), 10, vec![transfer(&alice, 0, bob.address(), 5)]);
+        assert_eq!(ledger.state_tree(), committed, "a reader saw the pending proposal");
+        let foreign =
+            other.propose(alice.address(), 10, vec![transfer(&alice, 0, bob.address(), 7)]);
+        assert_ne!(own.id(), foreign.id());
+        ledger.apply(&foreign).unwrap();
+        other.apply(&foreign).unwrap();
+        assert_eq!(ledger.state_tree(), other.state_tree());
+        assert_eq!(ledger.state().account(&bob.address()).balance, 1_007);
+        assert_eq!(ledger.apply(&own), Err(LedgerError::WrongParent));
+
+        let mut forged =
+            ledger.propose(alice.address(), 20, vec![transfer(&alice, 1, bob.address(), 5)]);
+        forged.header.state_root = Hash256::digest(b"forged");
+        assert_eq!(ledger.apply(&forged), Err(LedgerError::StateRootMismatch));
+        assert_eq!(ledger.state_tree(), other.state_tree());
+        assert_eq!(ledger.state_tree().versioned_root(), ledger.tip().header.state_root);
+        assert_eq!(registry.counter_value("auth.tree_pullbacks"), 4);
+    }
+
+    /// Receipts live with the ledger: pruning keeps them (their block's
+    /// proof goes), a restore starts them afresh.
+    #[test]
+    fn receipts_outlive_pruning_and_restart_at_a_restore() {
+        let alice = AuthorityKey::from_seed(1);
+        let bob = AuthorityKey::from_seed(2);
+        let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
+        let first = transfer(&alice, 0, bob.address(), 1);
+        let block = ledger.propose(alice.address(), 10, vec![first.clone()]);
+        ledger.apply(&block).unwrap();
+        let empty = ledger.propose(alice.address(), 20, Vec::<Transaction>::new());
+        ledger.apply(&empty).unwrap();
+        grow_by_transfers(&mut ledger, &alice, bob.address(), 2);
+        let id = first.id();
+        assert_eq!(ledger.locate_tx(&id), Some((1, 0)));
+        assert!(ledger.tx_receipt(&id).is_some());
+        let after_empty = ledger.block(3).unwrap().transactions[0].id();
+        assert_eq!(ledger.locate_tx(&after_empty), Some((3, 0)));
+        assert_eq!(ledger.receipt(&after_empty).map(|r| r.tx_id), Some(after_empty));
+
+        ledger.prune_below(3);
+        assert_eq!(ledger.locate_tx(&id), Some((1, 0)));
+        assert!(ledger.receipt(&id).is_some_and(|r| r.ok && r.tx_id == id));
+        assert!(ledger.tx_receipt(&id).is_none(), "the proof's block is pruned");
+
+        let (state, tip) = (ledger.state().clone(), ledger.tip().clone());
+        ledger.restore_with_tree(state, tip, ledger.state_tree()).unwrap();
+        assert_eq!(ledger.locate_tx(&id), None);
+        assert!(ledger.receipt(&id).is_none());
+        let next = transfer(&alice, 3, bob.address(), 1);
+        let block = ledger.propose(alice.address(), 60, vec![next.clone()]);
+        ledger.apply(&block).unwrap();
+        assert_eq!(ledger.locate_tx(&next.id()), Some((5, 0)));
+        assert!(ledger.tx_receipt(&next.id()).is_some());
+    }
+
     #[test]
     fn propose_and_apply_transfer() {
         let alice = AuthorityKey::from_seed(1);
@@ -1713,6 +1961,30 @@ mod tests {
     }
 
     #[test]
+    fn apply_of_its_own_block_id_still_checks_every_signature() {
+        let alice = AuthorityKey::from_seed(1);
+        let bob = AuthorityKey::from_seed(2);
+        let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
+        let mut block =
+            ledger.propose(alice.address(), 10, vec![transfer(&alice, 0, bob.address(), 1)]);
+        let before = (ledger.tip().id(), ledger.state().clone(), ledger.state_tree());
+        // Same id and a consistent body: the tx root hashes ids, which
+        // leave the signature out.
+        let mut stripped = Transaction::clone(&block.transactions[0]);
+        stripped.signature = None;
+        let id = block.id();
+        block.transactions = vec![stripped].into();
+        assert_eq!(block.id(), id);
+        assert!(block.is_body_consistent());
+        let tx_id = block.transactions[0].id();
+        assert_eq!(ledger.apply(&block), Err(LedgerError::BadSignature(tx_id)));
+        assert_eq!((ledger.tip().id(), ledger.state().clone(), ledger.state_tree()), before);
+        assert_eq!(ledger.height(), 0);
+        assert!(ledger.receipt(&tx_id).is_none());
+        assert_eq!(ledger.state_tree().root(), StateTree::from_state(ledger.state()).root());
+    }
+
+    #[test]
     fn apply_rejects_state_root_mismatch() {
         let alice = AuthorityKey::from_seed(1);
         let mut ledger = funded_ledger(std::slice::from_ref(&alice));
@@ -1725,7 +1997,7 @@ mod tests {
     fn propose_drops_bad_nonce_and_unsigned() {
         let alice = AuthorityKey::from_seed(1);
         let bob = AuthorityKey::from_seed(2);
-        let ledger = funded_ledger(&[alice.clone(), bob.clone()]);
+        let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
         let bad_nonce = transfer(&alice, 5, bob.address(), 1);
         let unsigned = Transaction::new(
             alice.address(),

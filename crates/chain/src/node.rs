@@ -280,13 +280,7 @@ impl Application for ChainApp {
         match self.ledger.apply(block) {
             Ok(_) => {
                 let state = self.ledger.state();
-                let nonces: std::collections::HashMap<Address, u64> = block
-                    .transactions
-                    .iter()
-                    .map(|tx| (tx.sender, state.account(&tx.sender).nonce))
-                    .collect();
-                self.mempool
-                    .prune(&block.transactions, |addr| nonces.get(addr).copied().unwrap_or(0));
+                self.mempool.prune(&block.transactions, |addr| state.account(addr).nonce);
                 self.metrics.counter("chain.blocks_committed", 1);
                 self.metrics.counter("chain.txs_committed", block.transactions.len() as u64);
                 true

@@ -72,7 +72,9 @@ impl BootstrapSource {
         let (height, payload) = match on_disk {
             Some((height, payload)) if height >= ledger.base_height() => (height, payload),
             // No snapshot on disk (or its tail is gone): snapshot the
-            // live tip from memory. state_tree() is O(1) here (cached).
+            // live tip from memory. state_tree() is an O(1) clone of the
+            // cached tree, unless a proposal is pending: then it costs one
+            // pull-back pass the size of that block's writes (DESIGN §13).
             _ => {
                 let tip = ledger.tip();
                 let payload = snapshot_payload(tip, ledger.state(), &ledger.state_tree());

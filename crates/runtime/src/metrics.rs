@@ -62,7 +62,7 @@ impl fmt::Debug for Metrics {
 
 impl Metrics {
     /// The disabled handle: every emission is one branch and no work.
-    pub fn noop() -> Metrics {
+    pub const fn noop() -> Metrics {
         Metrics { sink: None }
     }
 

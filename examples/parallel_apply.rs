@@ -48,7 +48,7 @@ fn main() {
         })
         .collect();
 
-    let base = fresh_ledger(&keys);
+    let mut base = fresh_ledger(&keys);
     let block = base.propose(keys[0].address(), 10, txs);
     let sets: Vec<_> = block
         .transactions
@@ -66,12 +66,12 @@ fn main() {
     for threads in [1usize, 2, 4] {
         let mut ledger = fresh_ledger(&keys);
         ledger.set_parallel_exec(threads);
-        let receipts = ledger.apply(&block).expect("apply");
-        assert_eq!(receipts.len(), block.transactions.len());
+        let receipts = ledger.apply(&block).expect("apply").len();
+        assert_eq!(receipts, block.transactions.len());
         assert_eq!(ledger.state().state_root(), block.header.state_root);
         println!(
-            "parallel apply OK at {threads} thread(s): {} receipts, state root matches sequential",
-            receipts.len()
+            "parallel apply OK at {threads} thread(s): {receipts} receipts, \
+             state root matches sequential"
         );
     }
 }

@@ -381,8 +381,7 @@ echo "ok: one snapshot server, one fetch path"
 # so outside test modules nothing in the storage or core crates builds a
 # tree from a bare state, and the chain crate does so only where it
 # really starts from one: the builder itself (auth/smt.rs), the ledger's
-# state_root, and the lazy rebuild after state_mut (the `get_or_init`
-# closure in Ledger::state_tree).
+# state_root, and the lazy rebuild after state_mut (Ledger::built_tree).
 echo "== auth: no-full-rehash guard =="
 # Lines containing the literal text $1 outside comments and trailing
 # test modules, in the *.rs files under the remaining arguments.
@@ -438,6 +437,29 @@ if uses_outside_tests "delta_updates(" crates/chain/src/ledger.rs | grep -v "com
     exit 1
 fi
 echo "ok: the tree hashes leaves from scratch buffers; the flat list is built for an observer only"
+
+# Execute once, merge once, store once (DESIGN.md §8, §13): the ledger
+# merges every delta into its own tree in place — in propose and in
+# apply — and pulls a tree that ran ahead back with one re-merge, so the
+# copying merge (`with_delta(`) has no caller in ledger.rs outside its
+# tests. Ledger::apply moves each block's receipts into the ledger and
+# hands back a borrow, so no receipt is cloned inside it.
+echo "== ledger: merge-once, store-once guard =="
+if uses_outside_tests "with_delta(" crates/chain/src/ledger.rs | grep .; then
+    echo "ERROR: ledger.rs merges a delta into a copy of its tree — merge in place and pull back." >&2
+    exit 1
+fi
+if ! awk '
+    /^    pub fn apply\(/ { in_apply = 1; next }
+    !in_apply || /^[[:space:]]*\/\// { next }
+    /^    }$/ { exit }
+    /receipts?\.clone\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit bad }
+' crates/chain/src/ledger.rs; then
+    echo "ERROR: Ledger::apply clones receipts — move them into the ledger." >&2
+    exit 1
+fi
+echo "ok: ledger.rs merges in place only; Ledger::apply clones no receipt"
 
 # Hash once (DESIGN.md §10): a transaction's id is computed in one
 # function — `Transaction::id`, which `SealedTx` calls when it seals —

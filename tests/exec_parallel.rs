@@ -146,7 +146,7 @@ fn random_tx(g: &mut Gen, i: usize, nonces: &mut HashMap<Address, u64>, adder: &
 #[test]
 fn parallel_apply_matches_sequential_on_random_mixed_blocks() {
     check("parallel apply ≡ sequential apply", CheckConfig::cases(3), |g| {
-        let (seq_ledger, adder, caller) = fresh_ledger();
+        let (mut seq_ledger, adder, caller) = fresh_ledger();
         let mut nonces: HashMap<Address, u64> = HashMap::new();
         for key in keys().iter().take(2) {
             nonces.insert(key.address(), 1); // setup deploys consumed nonce 0
@@ -163,7 +163,8 @@ fn parallel_apply_matches_sequential_on_random_mixed_blocks() {
             ledger.set_parallel_exec(threads);
             let receipts = ledger
                 .apply(&block)
-                .map_err(|e| format!("apply at {threads} threads: {e:?}"))?;
+                .map_err(|e| format!("apply at {threads} threads: {e:?}"))?
+                .to_vec();
             // `apply` itself enforces root equality against the header,
             // but re-check explicitly: this is the PR's hard invariant.
             ensure!(

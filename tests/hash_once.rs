@@ -117,20 +117,25 @@ fn a_committed_transaction_is_hashed_and_verified_a_counted_number_of_times() {
     assert_eq!(first, second, "same seed, same counts");
     assert_eq!(first.committed, ROUNDS * SENDERS as u64 * PER_SENDER);
     let txs = first.committed;
-    // 125.4 compressions per committed transaction (before the batched
+    // 102.4 compressions per committed transaction (before the proposer
+    // committed its own proposal: 125.4, i.e. 128,410; before the batched
     // state-tree merge: 228.4, i.e. 233,900; before per-key HMAC
     // midstates: 232.6, i.e. 238,132; before sealed transactions: 1,628.8
-    // on exactly this drive). The window makes 20 `with_delta` calls — the proposer's and
-    // four replicas' per block — and each now merges its block's whole
-    // delta in one descent, so the upper levels the block's ≈320 leaf
-    // writes (64 senders, 256 recipients) share are hashed once per call
-    // instead of once per leaf: 105,490
-    // fewer compressions, i.e. 52,745 fewer two-block node hashes. The
-    // fixed-length tree hash is cheaper per call but counts the same 2.
-    // Keeping each key's HMAC midstates saved two compressions per MAC
-    // (2 × 2,116 = 4,232 over this window's 2,096 registry checks plus
-    // 20 consensus signatures).
-    assert_eq!(first.compressions, 128_410);
+    // on exactly this drive). The window makes 16 tree passes, one per
+    // site per block: the proposer merges its block into its own tree
+    // when it proposes and commits that tree without a second pass, and
+    // the three other replicas merge it once each. The parent made 20:
+    // the proposer passed twice, over a copy in `propose` and again in
+    // its own `apply`. The four passes dropped, one per block, cost
+    // 23,602 compressions, ≈5,900 a pass. Each pass merges its block's whole delta in one
+    // descent, so the upper levels the block's ≈320 leaf writes (64
+    // senders, 256 recipients) share are hashed once per pass instead of
+    // once per leaf (105,490 fewer compressions over 20 passes, i.e.
+    // 52,745 fewer two-block node hashes). The fixed-length tree hash is
+    // cheaper per call but counts the same 2. Keeping each key's HMAC
+    // midstates saved two compressions per MAC (2 × 2,116 = 4,232 over
+    // this window's 2,096 registry checks plus 20 consensus signatures).
+    assert_eq!(first.compressions, 104_808);
     assert!(first.compressions <= 350 * txs);
     // Two signature checks per committed transaction — the caller's and
     // the proposer's — net of the 12 consensus checks an empty block

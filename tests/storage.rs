@@ -21,8 +21,13 @@ use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::wal::RECORD_HEADER_BYTES;
 use medchain_storage::{PagedAccounts, SnapshotStore};
+use medchain_chain::ledger::LedgerError;
+use medchain_chain::{Block, BlockStore, StoreError};
+use medchain_runtime::check::{check, CheckConfig, PropResult};
+use medchain_runtime::{ensure, ensure_eq};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -676,19 +681,27 @@ fn wiped_shard_member_rejoins_and_passes_cross_link_audit() {
 
 /// Proposes the next block on `ledger`: four transactions from `key`,
 /// each a transfer into a 64-account universe or a fresh anchor.
-fn random_block(rng: &mut DetRng, ledger: &Ledger, key: &AuthorityKey) -> medchain_chain::Block {
+fn random_block(
+    rng: &mut DetRng,
+    ledger: &mut Ledger,
+    key: &AuthorityKey,
+) -> medchain_chain::Block {
     propose_random(rng, ledger, key, true)
 }
 
 /// [`random_block`] without anchors: once every account of the universe
 /// exists, the state stops growing.
-fn transfer_block(rng: &mut DetRng, ledger: &Ledger, key: &AuthorityKey) -> medchain_chain::Block {
+fn transfer_block(
+    rng: &mut DetRng,
+    ledger: &mut Ledger,
+    key: &AuthorityKey,
+) -> medchain_chain::Block {
     propose_random(rng, ledger, key, false)
 }
 
 fn propose_random(
     rng: &mut DetRng,
-    ledger: &Ledger,
+    ledger: &mut Ledger,
     key: &AuthorityKey,
     anchors: bool,
 ) -> medchain_chain::Block {
@@ -752,7 +765,7 @@ fn paged_ledger_matches_resident_ledger_under_random_blocks() {
 
         let mut rng = DetRng::from_seed(0xD15C_0000 + cache_pages as u64);
         for step in 0..30u64 {
-            let block = random_block(&mut rng, &resident, &key);
+            let block = random_block(&mut rng, &mut resident, &key);
             resident.apply(&block).unwrap();
             paged.apply(&block).unwrap();
             assert_eq!(
@@ -885,7 +898,7 @@ fn a_commit_rewrites_only_the_pages_it_touched() {
     let mut rng = DetRng::from_seed(0x70C4);
     let mut total = 0;
     for step in 0..40 {
-        let block = random_block(&mut rng, &ledger, &key);
+        let block = random_block(&mut rng, &mut ledger, &key);
         let before = registry.counter_value("storage.page_writes");
         ledger.apply(&block).unwrap();
         let writes = registry.counter_value("storage.page_writes") - before;
@@ -916,7 +929,7 @@ fn page_file_stays_flat_across_300_paged_commits() {
 
     let mut rng = DetRng::from_seed(0xF1A7);
     let mut footprint = || {
-        let block = transfer_block(&mut rng, &ledger, &key);
+        let block = transfer_block(&mut rng, &mut ledger, &key);
         ledger.apply(&block).unwrap();
         (pages.live(), registry.gauge_value("storage.page_file_slots").unwrap())
     };
@@ -948,7 +961,7 @@ fn a_retained_tree_version_keeps_its_pages() {
 
     let mut rng = DetRng::from_seed(0x2E7A);
     for _ in 0..10 {
-        let block = random_block(&mut rng, &resident, &key);
+        let block = random_block(&mut rng, &mut resident, &key);
         resident.apply(&block).unwrap();
         paged.apply(&block).unwrap();
     }
@@ -959,7 +972,7 @@ fn a_retained_tree_version_keeps_its_pages() {
     let touched = watch_prefixes(&mut paged, 3);
     let frees = registry.counter_value("storage.page_frees");
     for _ in 0..20 {
-        let block = random_block(&mut rng, &paged, &key);
+        let block = random_block(&mut rng, &mut paged, &key);
         paged.apply(&block).unwrap();
     }
     assert_eq!(touched.lock().unwrap().len(), 8, "the commits left a page untouched");
@@ -1015,7 +1028,7 @@ fn torn_append_on_a_paged_ledger_leaves_cold_accounts_cold() {
 
     let mut rng = DetRng::from_seed(0x7042);
     while paged.height() + 1 < torn_at {
-        let block = random_block(&mut rng, &resident, &key);
+        let block = random_block(&mut rng, &mut resident, &key);
         resident.apply(&block).unwrap();
         paged.apply(&block).unwrap();
     }
@@ -1075,7 +1088,7 @@ fn snapshots_from_the_commit_tree_match_a_from_scratch_build() {
 
         let mut rng = DetRng::from_seed(0x5A47 + paged as u64);
         for _ in 0..14 {
-            let block = random_block(&mut rng, &ledger, &key);
+            let block = random_block(&mut rng, &mut ledger, &key);
             ledger.apply(&block).unwrap();
             let height = ledger.height();
             if height % 4 != 0 {
@@ -1147,5 +1160,161 @@ fn failed_snapshot_keeps_the_durable_block_and_retries_at_next_boundary() {
     assert_eq!(report.height, 4);
     assert_eq!(report.from_snapshot, Some(4));
     assert_eq!(report.tip_id, tip_id);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A block store whose next append tears when armed — a crash
+/// mid-append, without a disk.
+struct TearableStore(Arc<AtomicBool>);
+
+impl BlockStore for TearableStore {
+    fn append(&mut self, _block: &Block, _state: &WorldState) -> Result<(), StoreError> {
+        if self.0.swap(false, Ordering::SeqCst) {
+            return Err(StoreError::InjectedCrash);
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), StoreError> {
+        Ok(())
+    }
+}
+
+/// Checks `ledger` against `twin` after a step: same tip, state,
+/// receipts and receipt proofs; a tree whose root is a from-scratch
+/// build's; and, unless the state was funded since the last commit
+/// (the window in which no proof can match the tip), state proofs equal
+/// to the twin's that verify against the committed header.
+fn ensure_twins(
+    ledger: &Ledger,
+    twin: &Ledger,
+    committed: &[Hash256],
+    keys: &[LeafKey],
+    funded: bool,
+) -> PropResult {
+    ensure_eq!(ledger.tip().id(), twin.tip().id());
+    ensure!(ledger.state() == twin.state(), "states diverged");
+    let rebuilt = StateTree::from_state(ledger.state()).versioned_root();
+    ensure_eq!(ledger.state_tree().versioned_root(), rebuilt);
+    for id in committed {
+        ensure_eq!(ledger.receipt(id), twin.receipt(id));
+        ensure_eq!(ledger.locate_tx(id), twin.locate_tx(id));
+        let proof = ledger.tx_receipt(id);
+        ensure_eq!(proof, twin.tx_receipt(id));
+        let proof = proof.ok_or("a committed transaction has no receipt proof")?;
+        let root = ledger.block(proof.height).ok_or("receipt block pruned")?.header.tx_root;
+        ensure!(proof.verify_against(&root), "receipt proof for {id:?} failed");
+    }
+    if !funded {
+        for key in keys {
+            let proof = ledger.prove_state(key);
+            ensure_eq!(proof, twin.prove_state(key));
+            ensure!(proof.verify(), "state proof for {key:?} failed");
+            ensure_eq!(proof.state_root, ledger.tip().header.state_root);
+        }
+    }
+    Ok(())
+}
+
+/// The tree that runs ahead (DESIGN.md §13): a proposing ledger keeps
+/// its proposal merged into its own tree, so every way a proposal can
+/// end — committed, superseded by another leader's block at its height,
+/// torn mid-append, or invalidated by direct funding — and every read
+/// while it is pending must leave that ledger indistinguishable from a
+/// twin that only applies blocks. A third ledger leads the foreign
+/// blocks. Half the cases page the proposer's state under a tiny cache,
+/// so pull-backs read cold accounts and resolve spilled subtrees.
+#[test]
+fn a_proposing_ledger_stays_the_twin_of_one_that_only_applies() {
+    let dir = test_dir("ahead-tree");
+    std::fs::create_dir_all(&dir).unwrap();
+    check("ahead tree pulls back", CheckConfig::cases(24), |g| {
+        let key = AuthorityKey::from_seed(37);
+        let mut ledger = fresh_ledger(&key);
+        let mut twin = fresh_ledger(&key);
+        let mut leader = fresh_ledger(&key);
+        for l in [&mut ledger, &mut twin, &mut leader] {
+            l.state_mut().credit(key.address(), 1_000_000);
+        }
+        if g.bool() {
+            let pages = PageStore::open(&dir.join("pages.bin"), 2, Registry::new().handle())
+                .map_err(|e| e.to_string())?;
+            ledger.attach_state_cache(tiny_state_cache(Arc::new(pages)));
+        }
+        let tear = Arc::new(AtomicBool::new(false));
+        ledger.attach_store(Box::new(TearableStore(Arc::clone(&tear))));
+
+        let mut keys: Vec<LeafKey> = (0..64u64)
+            .map(|n| {
+                let mut to = [0u8; 20];
+                to[..8].copy_from_slice(&n.to_le_bytes());
+                LeafKey::Account(Address(to))
+            })
+            .collect();
+        keys.push(LeafKey::Account(key.address()));
+        keys.push(LeafKey::Anchor("never-written".into()));
+        let mut committed: Vec<Hash256> = Vec::new();
+        let mut funded = true; // genesis funding: no block covers it yet
+        for _ in 0..12 {
+            let own = random_block(g.rng(), &mut ledger, &key);
+            if g.bool() {
+                // Read while the proposal is pending.
+                ensure_twins(&ledger, &twin, &committed, &keys, funded)?;
+            }
+            let block = match g.usize_in(0, 4) {
+                0 => random_block(g.rng(), &mut leader, &key),
+                1 => {
+                    // Funding between propose and commit: the kept result
+                    // goes, and the block no longer matches the state.
+                    let to = Address::from_seed(g.u64() % 8);
+                    for l in [&mut ledger, &mut twin, &mut leader] {
+                        l.state_mut().credit(to, 5);
+                    }
+                    funded = true;
+                    ensure!(ledger.apply(&own).is_err(), "a stale proposal committed");
+                    ensure!(twin.apply(&own).is_err(), "the twin committed a stale block");
+                    ensure_twins(&ledger, &twin, &committed, &keys, funded)?;
+                    continue;
+                }
+                _ => own,
+            };
+            if g.bool() && !block.transactions.is_empty() {
+                // The same block id over a body with one signature
+                // stripped (ids, and so the tx root, leave it out): the
+                // kept result must not commit it.
+                let mut txs: Vec<Transaction> =
+                    block.transactions.iter().map(|tx| Transaction::clone(tx)).collect();
+                let stripped = g.usize_in(0, txs.len());
+                txs[stripped].signature = None;
+                let mut forged = block.clone();
+                forged.transactions = txs.into();
+                ensure!(forged.id() == block.id(), "the signature moved the block id");
+                let refused = |r: Result<&[_], LedgerError>| {
+                    matches!(r, Err(LedgerError::BadSignature(_)))
+                };
+                ensure!(refused(ledger.apply(&forged)), "a stripped signature committed");
+                ensure!(refused(twin.apply(&forged)), "the twin took a stripped signature");
+                ensure_twins(&ledger, &twin, &committed, &keys, funded)?;
+            }
+            if g.bool() {
+                tear.store(true, Ordering::SeqCst);
+                let torn = ledger.apply(&block).err();
+                ensure!(matches!(torn, Some(LedgerError::Storage(_))), "not torn: {torn:?}");
+                ensure_twins(&ledger, &twin, &committed, &keys, funded)?;
+            }
+            ledger.apply(&block).map_err(|e| format!("commit: {e}"))?;
+            twin.apply(&block).map_err(|e| format!("twin: {e}"))?;
+            leader.apply(&block).map_err(|e| format!("leader: {e}"))?;
+            funded = false;
+            committed.extend(block.transactions.iter().map(|tx| tx.id()));
+            for tx in block.transactions.iter() {
+                if let TxPayload::Anchor { label, .. } = &tx.payload {
+                    keys.push(LeafKey::Anchor(label.clone()));
+                }
+            }
+            ensure_twins(&ledger, &twin, &committed, &keys, funded)?;
+        }
+        Ok(())
+    });
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -71,7 +71,8 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
             .unwrap().tx_id,
         );
         counts[0] += 1;
-        // Analytics contract request.
+        // Analytics contract request, naming the dataset's host as the
+        // one site to run it.
         ids.push(
             net.invoke(
                 1,
@@ -80,6 +81,7 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
                 &[
                     Value::str("cox"),
                     Value::str(&format!("hospital-{}/emr", k % sites)),
+                    Value::address(&net.site(k % sites).address()),
                     Value::Bytes(vec![k as u8]),
                 ],
                 50_000,

@@ -98,7 +98,11 @@ mod tests {
     /// columns): the surviving columns must not have moved. E7, E11,
     /// E13 and E21 print counts, the simulated clock and the same wall
     /// model; their count cells were recorded before their measured
-    /// wall cells were dropped, the model cells after.
+    /// wall cells were dropped, the model cells after. E2's transformed
+    /// wall, speed-up and work cells at 2 and 4 nodes, and E13's two
+    /// transformed rows, were re-recorded when every named site began
+    /// posting its own result: each extra post adds 90 gas on every
+    /// replica.
     #[test]
     fn deterministic_tables_reproduce_their_recorded_rows() {
         assert_rows(
@@ -110,8 +114,8 @@ mod tests {
         assert_rows(
             "e2",
             "1|160.0ms|180.0ms|180.1ms|0.888|200004|200044|200200|0\n\
-             2|300.0ms|320.1ms|110.3ms|2.720|400008|400088|200400|505\n\
-             4|580.0ms|180.2ms|75.6ms|7.676|800016|400336|200800|2073",
+             2|300.0ms|320.1ms|110.4ms|2.717|400008|400088|200580|505\n\
+             4|580.0ms|180.2ms|76.3ms|7.600|800016|400336|201880|2073",
         );
         assert_rows(
             "e20",
@@ -130,8 +134,8 @@ mod tests {
         assert_rows(
             "e13",
             "duplicated (on-chain, every replica)|860.0ms|1200016|1.0×\n\
-             transformed, sequential off-chain|250.6ms|300000|3.4×\n\
-             transformed, parallel off-chain|93.1ms|300800|9.2×",
+             transformed, sequential off-chain|251.3ms|300000|3.4×\n\
+             transformed, parallel off-chain|93.8ms|301880|9.2×",
         );
         assert_rows(
             "e21",

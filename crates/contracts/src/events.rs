@@ -15,9 +15,11 @@ pub const DATA_REQUESTED: &str = "DataRequested";
 pub const DATA_DENIED: &str = "DataDenied";
 /// An analytics tool was registered with its code hash.
 pub const TOOL_REGISTERED: &str = "ToolRegistered";
-/// An analytics run was requested; the off-chain executor picks this up.
+/// An analytics run was requested; each site it names picks its shard
+/// up from its own replica (payload: task id, tool, registered code hash,
+/// dataset, requester, then `(site, shard params)` pairs).
 pub const ANALYTICS_REQUESTED: &str = "AnalyticsRequested";
-/// An analytics result hash was posted.
+/// The last named site posted; payload carries the composed hash.
 pub const ANALYTICS_COMPLETED: &str = "AnalyticsCompleted";
 /// A clinical trial was registered with its protocol hash.
 pub const TRIAL_REGISTERED: &str = "TrialRegistered";

@@ -10,8 +10,8 @@
 use crate::events;
 use crate::native::{Cell, NativeContract, NativeCtx, NativeError, NativeOutcome};
 use crate::policy::{AccessPolicy, Decision, Purpose};
-use crate::value::{encode_args, Args, Value};
-use medchain_chain::{Event, ExecScope, Hash256, StateAccess};
+use crate::value::{decode_args, encode_args, Args, Value};
+use medchain_chain::{Address, Event, ExecScope, Hash256, StateAccess, WorldState};
 
 fn emit(ctx: &NativeCtx, topic: &str, payload: &[Value]) -> Event {
     Event { contract: ctx.contract, topic: topic.to_string(), data: encode_args(payload) }
@@ -223,15 +223,35 @@ impl NativeContract for DataContract {
 }
 
 /// **Analytics contract** — registers analytics tools with code-integrity
-/// hashes and coordinates off-chain runs (request → event → off-chain
-/// execution → result posting).
+/// hashes and coordinates off-chain runs (paper Fig. 1): a request names
+/// the sites that run it, each named site runs its shard next to its own
+/// data, and only the per-site result hashes come back on-chain.
 ///
 /// Methods: `register_tool(name, code_hash)`,
-/// `request_run(tool, dataset_label, params)`,
-/// `post_result(task_id, result_hash)`, `result(task_id)`,
-/// `tool(name)`.
+/// `request_run(tool, dataset_label, site₁, params₁, …, siteₙ, paramsₙ)`,
+/// `post_result(task_id, result_hash)`, `result(task_id)`, `tool(name)`.
+///
+/// A task record is `[tool, dataset, requester, status, composed hash,
+/// site₁, hash₁, …, siteₙ, hashₙ]`. Each named site may post once, under
+/// its own key; the caller's address picks its shard. When the last one
+/// posts, status turns 1 and the composed hash becomes the SHA-256 of the
+/// per-site hashes in shard order. The contract checks *who* posts, not
+/// whether a hash is right: a forged hash stands next to the site that
+/// posted it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AnalyticsContract;
+
+/// Index of the first `(site, hash)` pair in a task record.
+const TASK_SHARDS: usize = 5;
+
+impl AnalyticsContract {
+    /// Task `id`'s record as committed in `state`, read without a
+    /// transaction: `record[3] == Value::Int(1)` once every named site
+    /// posted.
+    pub fn task(state: &WorldState, contract: &Address, id: i64) -> Option<Vec<Value>> {
+        decode_args(state.storage(contract, format!("task/{id}").as_bytes())?).ok()
+    }
+}
 
 impl NativeContract for AnalyticsContract {
     fn name(&self) -> &'static str {
@@ -272,36 +292,47 @@ impl NativeContract for AnalyticsContract {
             "request_run" => {
                 let tool = args.str(1)?;
                 let dataset = args.str(2)?;
-                let params = args.bytes(3)?.to_vec();
+                let shards = &args.0[3..];
                 require(
-                    Cell::at(state, ctx.contract, &["tool", tool]).exists(),
-                    "unknown analytics tool",
+                    !shards.is_empty() && shards.len().is_multiple_of(2),
+                    "a run names (site, params) shards",
                 )?;
+                let mut record = vec![
+                    Value::str(tool),
+                    Value::str(dataset),
+                    Value::address(&ctx.caller),
+                    Value::Int(0), // status: pending
+                    Value::Bytes(Vec::new()),
+                ];
+                for pair in shards.chunks(2) {
+                    let site = Value::address(&pair[0].as_address()?);
+                    pair[1].as_bytes()?;
+                    require(!record[TASK_SHARDS..].contains(&site), "site named twice")?;
+                    record.extend([site, Value::Bytes(Vec::new())]);
+                }
+                // The registered code hash rides the event, so every site
+                // checks its installed build before running.
+                let code_hash = Cell::at(state, ctx.contract, &["tool", tool])
+                    .read()
+                    .and_then(|cell| cell.into_iter().next())
+                    .ok_or_else(|| NativeError::Refused("unknown analytics tool".into()))?;
                 let mut counter = Cell::at(state, ctx.contract, &["taskctr"]);
                 let id = counter
                     .read()
                     .and_then(|v| v.first().and_then(|x| x.as_int().ok()))
                     .unwrap_or(0);
                 counter.write(&[Value::Int(id + 1)]);
-                Cell::at(state, ctx.contract, &["task", &id.to_string()]).write(&[
-                    Value::str(tool),
-                    Value::str(dataset),
-                    Value::Bytes(params.clone()),
-                    Value::address(&ctx.caller),
-                    Value::Int(0), // status: pending
-                ]);
+                Cell::at(state, ctx.contract, &["task", &id.to_string()]).write(&record);
                 outcome.gas_used += 60;
-                outcome.events.push(emit(
-                    ctx,
-                    events::ANALYTICS_REQUESTED,
-                    &[
-                        Value::Int(id),
-                        Value::str(tool),
-                        Value::str(dataset),
-                        Value::Bytes(params),
-                        Value::address(&ctx.caller),
-                    ],
-                ));
+                let mut payload = vec![
+                    Value::Int(id),
+                    Value::str(tool),
+                    code_hash,
+                    Value::str(dataset),
+                    Value::address(&ctx.caller),
+                ];
+                payload.extend_from_slice(shards);
+                outcome.events.push(emit(ctx, events::ANALYTICS_REQUESTED, &payload));
                 outcome.returned.push(Value::Int(id));
             }
             "post_result" => {
@@ -312,17 +343,31 @@ impl NativeContract for AnalyticsContract {
                 let mut task = cell
                     .read()
                     .ok_or_else(|| NativeError::Refused(format!("unknown task {id}")))?;
-                require(task.get(4).and_then(|v| v.as_int().ok()) == Some(0), "task not pending")?;
-                task[4] = Value::Int(1);
-                task.push(Value::Bytes(result_hash.0.to_vec()));
-                task.push(Value::address(&ctx.caller));
+                let caller = Value::address(&ctx.caller);
+                let slot = (TASK_SHARDS..task.len())
+                    .step_by(2)
+                    .find(|&i| task[i] == caller)
+                    .map(|i| i + 1)
+                    .ok_or_else(|| NativeError::Refused("caller is not a named site".into()))?;
+                require(task[slot].as_bytes()?.is_empty(), "site already posted")?;
+                task[slot] = Value::Bytes(result_hash.0.to_vec());
+                let mut posted = Vec::new();
+                for hash in task[TASK_SHARDS + 1..].iter().step_by(2) {
+                    posted.extend_from_slice(hash.as_bytes()?);
+                }
+                if posted.len() == 32 * (task.len() - TASK_SHARDS) / 2 {
+                    // The last named site: compose and complete.
+                    let composed = Hash256::digest(&posted);
+                    task[3] = Value::Int(1);
+                    task[4] = Value::Bytes(composed.0.to_vec());
+                    outcome.events.push(emit(
+                        ctx,
+                        events::ANALYTICS_COMPLETED,
+                        &[Value::Int(id), Value::Bytes(composed.0.to_vec())],
+                    ));
+                }
                 cell.write(&task);
                 outcome.gas_used += 40;
-                outcome.events.push(emit(
-                    ctx,
-                    events::ANALYTICS_COMPLETED,
-                    &[Value::Int(id), Value::Bytes(result_hash.0.to_vec())],
-                ));
                 outcome.returned.push(Value::Int(1));
             }
             "result" => {
@@ -481,7 +526,6 @@ impl NativeContract for TrialContract {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medchain_chain::{Address, WorldState};
 
     fn ctx(caller_seed: u64) -> NativeCtx {
         NativeCtx {
@@ -679,93 +723,127 @@ mod tests {
         assert_eq!(permitted.returned[0], Value::Int(1));
     }
 
-    #[test]
-    fn analytics_task_lifecycle() {
-        let mut state = WorldState::new();
-        let code_hash = Value::Bytes(Hash256::digest(b"logreg v1").0.to_vec());
+    /// Registers tool `t` and requests a run naming sites 2, 3 and 4 (in
+    /// that shard order); returns the task id.
+    fn three_site_task(state: &mut WorldState) -> i64 {
+        let code_hash = Value::Bytes(Hash256::digest(b"t v1").0.to_vec());
         call(
             &AnalyticsContract,
             1,
-            vec![Value::str("register_tool"), Value::str("logreg"), code_hash],
-            &mut state,
+            vec![Value::str("register_tool"), Value::str("t"), code_hash.clone()],
+            state,
         )
         .unwrap();
-        let out = call(
-            &AnalyticsContract,
-            2,
-            vec![
-                Value::str("request_run"),
-                Value::str("logreg"),
-                Value::str("emr-2018"),
-                Value::Bytes(vec![1, 2, 3]),
-            ],
-            &mut state,
-        )
-        .unwrap();
-        let id = out.returned[0].as_int().unwrap();
+        let mut args = vec![Value::str("request_run"), Value::str("t"), Value::str("d")];
+        for site in [2, 3, 4] {
+            let named = Value::address(&Address::from_seed(site));
+            args.extend([named, Value::Bytes(vec![site as u8])]);
+        }
+        let out = call(&AnalyticsContract, 1, args, state).unwrap();
         assert_eq!(out.events[0].topic, events::ANALYTICS_REQUESTED);
+        // The event carries the registered code hash for the sites' check.
+        let payload = crate::value::decode_args(&out.events[0].data).unwrap();
+        assert_eq!(payload[2], code_hash);
+        out.returned[0].as_int().unwrap()
+    }
 
-        let result_hash = Value::Bytes(Hash256::digest(b"model weights").0.to_vec());
-        let posted = call(
-            &AnalyticsContract,
-            3,
-            vec![Value::str("post_result"), Value::Int(id), result_hash.clone()],
-            &mut state,
-        )
-        .unwrap();
-        assert_eq!(posted.events[0].topic, events::ANALYTICS_COMPLETED);
+    fn post(
+        state: &mut WorldState,
+        site: u64,
+        id: i64,
+        hash: Hash256,
+    ) -> Result<NativeOutcome, NativeError> {
+        let args = vec![Value::str("post_result"), Value::Int(id), Value::Bytes(hash.0.to_vec())];
+        call(&AnalyticsContract, site, args, state)
+    }
 
-        let stored = call(
-            &AnalyticsContract,
-            4,
-            vec![Value::str("result"), Value::Int(id)],
-            &mut state,
-        )
-        .unwrap();
-        assert_eq!(stored.returned[4], Value::Int(1)); // status done
-        assert_eq!(stored.returned[5], result_hash);
+    fn record(state: &mut WorldState, id: i64) -> Vec<Value> {
+        call(&AnalyticsContract, 9, vec![Value::str("result"), Value::Int(id)], state)
+            .unwrap()
+            .returned
+    }
+
+    fn site_hash(site: u64) -> Hash256 {
+        Hash256::digest(&[site as u8])
+    }
+
+    #[test]
+    fn analytics_task_lifecycle() {
+        let mut state = WorldState::new();
+        let id = three_site_task(&mut state);
+        // Posts arrive out of shard order; the task stays pending until
+        // the last named site posts.
+        for site in [4, 2] {
+            let out = post(&mut state, site, id, site_hash(site)).unwrap();
+            assert!(out.events.is_empty());
+            assert_eq!(record(&mut state, id)[3], Value::Int(0), "pending after site {site}");
+        }
+        let out = post(&mut state, 3, id, site_hash(3)).unwrap();
+        assert_eq!(out.events[0].topic, events::ANALYTICS_COMPLETED);
+        let stored = record(&mut state, id);
+        assert_eq!(stored[3], Value::Int(1)); // status done
+        // Composed = SHA-256 of the per-site hashes in shard order.
+        let mut material = Vec::new();
+        for site in [2, 3, 4] {
+            material.extend_from_slice(&site_hash(site).0);
+        }
+        assert_eq!(stored[4], Value::Bytes(Hash256::digest(&material).0.to_vec()));
     }
 
     #[test]
     fn double_result_posting_refused() {
         let mut state = WorldState::new();
-        let code_hash = Value::Bytes(Hash256::digest(b"t").0.to_vec());
-        call(
-            &AnalyticsContract,
-            1,
-            vec![Value::str("register_tool"), Value::str("t"), code_hash],
-            &mut state,
-        )
-        .unwrap();
-        call(
-            &AnalyticsContract,
-            1,
-            vec![
-                Value::str("request_run"),
-                Value::str("t"),
-                Value::str("d"),
-                Value::Bytes(vec![]),
-            ],
-            &mut state,
-        )
-        .unwrap();
-        let rh = Value::Bytes(Hash256::digest(b"r").0.to_vec());
-        call(
-            &AnalyticsContract,
-            1,
-            vec![Value::str("post_result"), Value::Int(0), rh.clone()],
-            &mut state,
-        )
-        .unwrap();
-        assert!(matches!(
-            call(
-                &AnalyticsContract,
-                1,
-                vec![Value::str("post_result"), Value::Int(0), rh],
-                &mut state,
-            ),
-            Err(NativeError::Refused(_))
-        ));
+        let id = three_site_task(&mut state);
+        post(&mut state, 2, id, site_hash(2)).unwrap();
+        for (site, task, why) in [
+            (2, id, "a second post from one site"),
+            (1, id, "the requester, not a named site"),
+            (7, id, "a key outside the named sites"),
+            (3, id + 1, "an unknown task"),
+        ] {
+            let refused = post(&mut state, site, task, site_hash(site));
+            assert!(matches!(refused, Err(NativeError::Refused(_))), "{why} was accepted");
+        }
+        // A request must name at least one site, and each site once.
+        let site = Value::address(&Address::from_seed(2));
+        for shards in [
+            vec![],
+            vec![site.clone()],
+            vec![site.clone(), Value::Bytes(vec![1]), site, Value::Bytes(vec![2])],
+        ] {
+            let mut args = vec![Value::str("request_run"), Value::str("t"), Value::str("d")];
+            args.extend(shards);
+            assert!(matches!(
+                call(&AnalyticsContract, 1, args, &mut state),
+                Err(NativeError::Refused(_) | NativeError::BadArgs(_))
+            ));
+        }
+        // The refusals left the task record as the one good post made it.
+        let stored = record(&mut state, id);
+        assert_eq!(stored[3], Value::Int(0));
+        assert_eq!(stored[6], Value::Bytes(site_hash(2).0.to_vec()));
+    }
+
+    #[test]
+    fn the_task_record_names_a_site_that_posts_a_forged_hash() {
+        let mut state = WorldState::new();
+        let id = three_site_task(&mut state);
+        post(&mut state, 2, id, site_hash(2)).unwrap();
+        post(&mut state, 3, id, Hash256::digest(b"forged")).unwrap();
+        post(&mut state, 4, id, site_hash(4)).unwrap();
+        // The requester recomputes each site's hash off-chain and reads
+        // who posted what from the record alone.
+        let stored = record(&mut state, id);
+        assert_eq!(stored[3], Value::Int(1), "the contract cannot tell a forged hash");
+        let forgers: Vec<u64> = [2, 3, 4]
+            .into_iter()
+            .filter(|&site| {
+                let named = Value::address(&Address::from_seed(site));
+                let pair = stored[TASK_SHARDS..].chunks(2).find(|p| p[0] == named).unwrap();
+                pair[1] != Value::Bytes(site_hash(site).0.to_vec())
+            })
+            .collect();
+        assert_eq!(forgers, vec![3]);
     }
 
     #[test]
@@ -779,6 +857,7 @@ mod tests {
                     Value::str("request_run"),
                     Value::str("ghost"),
                     Value::str("d"),
+                    Value::address(&Address::from_seed(2)),
                     Value::Bytes(vec![]),
                 ],
                 &mut state,

@@ -346,7 +346,8 @@ fn read_requests(
 /// one routes by [`medchain_chain::shard_for_tx`]. On either, a client's
 /// `CrossLink`, `XsDecide` or `XsFinalize` is refused outright, and so
 /// is an `XsPrepare` on a flat network, which has no coordinator to
-/// resolve it.
+/// resolve it, or one whose deadline lies more than a fixed window past
+/// the coordinator clock.
 pub trait GatewayBackend {
     /// The consortium registry used for batched signature verification.
     fn registry(&self) -> &KeyRegistry;

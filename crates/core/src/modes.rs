@@ -10,18 +10,19 @@
 //!   the full job at commit, exactly as Ethereum-style chains do. Total
 //!   CPU work is N × job; adding nodes makes the system *slower*.
 //! * **Transformed parallel** — the on-chain contract is only the
-//!   access-policy control point: a cheap `request_run` that emits an
-//!   event. The job is decomposed into per-site shards executed
-//!   *off-chain, in parallel, next to the data*; only the result hash
-//!   returns on-chain. Total CPU work is ~1 × job and wall time falls
-//!   with N.
+//!   access-policy control point: a cheap `request_run` that names each
+//!   site's shard of the job. Every named site picks its shard up from
+//!   its own replica and runs it *off-chain, in parallel, next to the
+//!   data*; only the per-site result hashes return on-chain. Total CPU
+//!   work is ~1 × job and wall time falls with N.
 
 use crate::network::{Network, NetworkError};
 use medchain_chain::{Hash256, TxPayload};
 use medchain_contracts::asm::assemble;
 use medchain_contracts::opcode::encode_program;
-use medchain_contracts::value::Value;
-use medchain_offchain::{run_parallel, TaskExecutor, Tool};
+use medchain_contracts::standard::AnalyticsContract;
+use medchain_contracts::value::{decode_args, Value};
+use medchain_offchain::Tool;
 use medchain_runtime::metrics::Metrics;
 use std::time::{Duration, Instant};
 
@@ -186,8 +187,8 @@ pub fn run_duplicated_metered(
 }
 
 /// Runs the job in **transformed parallel** mode: thin on-chain request,
-/// off-chain sharded execution on real threads, result hash back
-/// on-chain.
+/// each site's shard executed off-chain on its own thread, each site's
+/// result hash back on-chain.
 ///
 /// # Errors
 ///
@@ -201,21 +202,33 @@ pub fn run_transformed(
 }
 
 /// [`run_transformed`] with every layer reporting to `metrics`,
-/// including the off-chain executors (`offchain.*`).
+/// including the sites' off-chain executors (`offchain.*`).
+///
+/// A driver of the Fig. 1 path, [`Network::control_cycle`]: every site
+/// installs the burn kernel, site 0 registers its hash and requests a
+/// run naming each site's shard of units, and each site picks its shard
+/// up from its own replica, runs it and posts its own result hash. The
+/// task record then holds the composed hash.
 ///
 /// # Errors
 ///
-/// Returns [`NetworkError`] on consensus or contract failure.
+/// Returns [`NetworkError`] on consensus or contract failure, and
+/// [`NetworkError::TxFailed`] for the request when a named site did not
+/// post.
 pub fn run_transformed_metered(
     nodes: usize,
     work_units: u64,
     seed: u64,
     metrics: Metrics,
 ) -> Result<ModeReport, NetworkError> {
-    let mut net = tiny_network(nodes, seed, metrics.clone())?;
+    let mut net = tiny_network(nodes, seed, metrics)?;
     let analytics = net.contracts().analytics;
-    // Register the burn tool on-chain (integrity anchor).
+    // Register the burn tool on-chain (integrity anchor); every site
+    // installs the same build.
     let tool_hash = burn_tool().code_hash();
+    for site in 0..nodes {
+        net.site_mut(site).install_tool(burn_tool());
+    }
     let register = net.invoke(
         0,
         analytics,
@@ -230,63 +243,33 @@ pub fn run_transformed_metered(
     let sim_before = net.ledger().tip().header.timestamp_ms;
 
     let start = Instant::now();
-    // 1. Thin on-chain request (the access-policy control point).
-    let request = net.invoke(
-        0,
-        analytics,
-        "request_run",
-        &[
-            Value::str("burn-kernel"),
-            Value::str("consortium/union"),
-            Value::Bytes(work_units.to_le_bytes().to_vec()),
-        ],
-        50_000,
-    )?;
-    net.confirm(&request)?;
-
-    // 2. Off-chain decomposed execution: each site burns its shard in
-    //    parallel on real OS threads.
+    // 1. Thin on-chain request (the access-policy control point) naming
+    //    each site's shard of the job.
     let shard = work_units / nodes as u64;
     let remainder = work_units % nodes as u64;
-    let mut executors: Vec<TaskExecutor> = (0..nodes)
-        .map(|_| {
-            let mut e = TaskExecutor::new();
-            // Unlike replicated on-chain work, each executor runs a
-            // *distinct* shard, so all of them report: offchain.tasks
-            // counts real fan-out, not duplication.
-            e.set_metrics(metrics.clone());
-            e.install(burn_tool());
-            e
-        })
-        .collect();
-    let tasks: Vec<(String, Vec<Value>)> = (0..nodes)
-        .map(|i| {
-            let units = shard + if (i as u64) < remainder { 1 } else { 0 };
-            ("burn-kernel".to_string(), vec![Value::Int(units as i64)])
-        })
-        .collect();
-    let results = run_parallel(&mut executors, &tasks);
-    let mut digest_material = Vec::new();
-    for result in results {
-        let outcome = result.expect("burn tool cannot fail");
-        for value in outcome.output {
-            if let Value::Bytes(b) = value {
-                digest_material.extend_from_slice(&b);
-            }
-        }
+    let mut args = vec![Value::str("burn-kernel"), Value::str("consortium/union")];
+    for site in 0..nodes {
+        let units = shard + u64::from((site as u64) < remainder);
+        args.push(Value::address(&net.site(site).address()));
+        args.push(Value::Bytes(units.to_le_bytes().to_vec()));
     }
-    let result_hash = Hash256::digest(&digest_material);
-
-    // 3. Result hash back on-chain (task id 0 on this fresh network).
-    let post = net.invoke(
-        0,
-        analytics,
-        "post_result",
-        &[Value::Int(0), Value::Bytes(result_hash.0.to_vec())],
-        50_000,
-    )?;
-    net.confirm(&post)?;
+    let request = net.invoke(0, analytics, "request_run", &args, 50_000)?;
+    let receipt = net.confirm(&request)?;
+    // 2. Each site picks its shard up, burns it in parallel with the
+    //    others and posts its own result hash.
+    net.control_cycle()?;
     let wall = start.elapsed();
+
+    // 3. The task record: done once every named site posted. A request
+    //    whose output names no task fails here too.
+    let task = decode_args(&receipt.output).ok().and_then(|v| v.first()?.as_int().ok());
+    let record = task.and_then(|t| AnalyticsContract::task(net.ledger().state(), &analytics, t));
+    if record.and_then(|r| r.get(3).cloned()) != Some(Value::Int(1)) {
+        return Err(NetworkError::TxFailed {
+            tx_id: request.tx_id,
+            error: format!("task {task:?} not done after the control cycle"),
+        });
+    }
 
     let stats_after = net.net_stats();
     let chain_gas = net.total_ledger_stats().gas_used - gas_before;
@@ -453,15 +436,23 @@ pub fn run_sharded_consensus(
     })
 }
 
+/// The most units one site burns for one shard. A request naming more
+/// fails at that site instead of stalling every site's control cycle.
+pub const MAX_BURN_UNITS: u64 = 10_000_000;
+
 /// The real-work kernel both modes execute: `units` iterated SHA-256
-/// evaluations, identical to the VM's `Burn` instruction.
+/// evaluations, identical to the VM's `Burn` instruction. A site's
+/// control code calls it with `[dataset, shard params, local data…]`;
+/// the shard params are `units` (at most [`MAX_BURN_UNITS`]) as 8
+/// little-endian bytes.
 pub fn burn_tool() -> Tool {
     Tool::new("burn-kernel", "v1", |params| {
         let units = params
-            .first()
-            .and_then(|v| v.as_int().ok())
-            .unwrap_or(0)
-            .max(0) as u64;
+            .get(1)
+            .and_then(|v| v.as_bytes().ok()?.try_into().ok())
+            .map(u64::from_le_bytes)
+            .filter(|units| *units <= MAX_BURN_UNITS)
+            .ok_or("burn-kernel shard params must be ≤ MAX_BURN_UNITS as 8 little-endian bytes")?;
         let mut acc = Hash256::digest(b"burn");
         for _ in 0..units {
             acc = Hash256::digest(&acc.0);
@@ -516,6 +507,17 @@ mod tests {
     }
 
     #[test]
+    fn transformed_counts_repeat_for_a_seed() {
+        let counts = |r: ModeReport| {
+            (r.total_gas, r.messages, r.bytes, r.sim_latency_ms, r.critical_path_gas)
+        };
+        let first = counts(run_transformed(3, WORK, 6).unwrap());
+        assert_eq!(first, counts(run_transformed(3, WORK, 6).unwrap()));
+        // One request (110 gas) and three posts (90 each) on 3 replicas.
+        assert_eq!(first.0, WORK + 3 * (110 + 3 * 90));
+    }
+
+    #[test]
     fn metered_transformed_reports_every_layer() {
         let registry = medchain_runtime::metrics::Registry::default();
         run_transformed_metered(3, 10_000, 5, registry.handle()).unwrap();
@@ -525,6 +527,29 @@ mod tests {
         assert!(registry.counter_value("transport.bytes") > 0);
         // One off-chain shard per site ran in parallel.
         assert_eq!(registry.counter_value("offchain.tasks"), 3);
+    }
+
+    #[test]
+    fn a_shard_past_the_burn_bound_fails_at_its_site() {
+        let mut net = tiny_network(2, 7, Metrics::noop()).unwrap();
+        let analytics = net.contracts().analytics;
+        for site in 0..2 {
+            net.site_mut(site).install_tool(burn_tool());
+        }
+        let hash = Value::Bytes(burn_tool().code_hash().0.to_vec());
+        let args = [Value::str("burn-kernel"), hash];
+        let register = net.invoke(0, analytics, "register_tool", &args, 50_000).unwrap();
+        net.confirm(&register).unwrap();
+        let mut args = vec![Value::str("burn-kernel"), Value::str("consortium/union")];
+        for (site, units) in [(0, 1), (1, MAX_BURN_UNITS + 1)] {
+            args.push(Value::address(&net.site(site).address()));
+            args.push(Value::Bytes(u64::to_le_bytes(units).to_vec()));
+        }
+        let request = net.invoke(0, analytics, "request_run", &args, 50_000).unwrap();
+        net.confirm(&request).unwrap();
+        // Site 1 refuses its shard at once and posts nothing.
+        assert_eq!(net.control_cycle().unwrap(), 1);
+        assert_eq!(net.site(1).control().stats().failures, 1);
     }
 }
 

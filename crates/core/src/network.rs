@@ -32,13 +32,18 @@ use medchain_contracts::policy::Purpose;
 use medchain_contracts::runtime::call_data;
 use medchain_contracts::value::Value;
 use medchain_data::PatientRecord;
-use medchain_offchain::ActionIntent;
 use medchain_runtime::metrics::Metrics;
+use medchain_runtime::sync::scoped_map;
 use medchain_storage::{LatestState, SnapshotChunk, SnapshotManifest, StorageConfig};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// How far past the coordinator clock a client's two-phase-commit
+/// prepare may set its deadline: a leg whose partner never arrives keeps
+/// its account locked until then (one day).
+const XS_DEADLINE_WINDOW_MS: u64 = 86_400_000;
 
 /// Addresses of the three standard contracts after deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -541,7 +546,11 @@ impl NetworkBuilder {
             .sites
             .into_iter()
             .zip(keys)
-            .map(|((name, records), key)| Site::new(&name, key, records))
+            .map(|((name, records), key)| {
+                let mut site = Site::new(&name, key, records);
+                site.control_mut().executor_mut().set_metrics(self.metrics.clone());
+                site
+            })
             .collect();
         Ok(Network {
             chains,
@@ -1144,35 +1153,44 @@ impl Network {
         self.chains[0].expect_ok(&ids)
     }
 
-    /// One control-plane cycle (Fig. 1): every site's control code
-    /// observes new contract events on its own replica and the resulting
-    /// intents are submitted back on-chain. Returns the number of
-    /// intents processed.
+    /// One control-plane cycle (Fig. 1), the one way an off-chain job
+    /// runs: every site polls its own replica for analytics requests that
+    /// name it, the sites then run their picked-up shards concurrently on
+    /// their own executors, and each posts `post_result(task, hash)` under
+    /// its own key. All posts settle in one round. Returns the number of
+    /// results posted.
     ///
     /// # Errors
     ///
     /// Returns [`NetworkError::Topology`] on a sharded network, and
-    /// [`NetworkError`] if intent submission fails.
+    /// [`NetworkError`] if a post fails to commit.
     pub fn control_cycle(&mut self) -> Result<usize, NetworkError> {
         let analytics = self.flat_setup()?.analytics;
-        let mut actions = Vec::new();
-        for i in 0..self.sites.len() {
-            // Disjoint-field borrow: replica ledger (read) + site control
-            // code (write).
-            let intents = self.sites[i].control_mut().step(self.chains[0].ledger_of(i));
-            for intent in intents {
-                actions.push((i, intent));
+        // A `Ledger` is not `Sync`, so the sites poll one after another.
+        let mut picked = Vec::new();
+        for (i, site) in self.sites.iter_mut().enumerate() {
+            let control = site.control_mut();
+            let jobs = control.pick_up(self.chains[0].ledger_of(i), &analytics);
+            if !jobs.is_empty() {
+                picked.push((i, control, jobs));
             }
         }
-        let count = actions.len();
-        for (site, intent) in actions {
-            if let ActionIntent::PostResult { task_id, result_hash, .. } = intent {
+        let ran = scoped_map(picked, |(i, control, jobs)| {
+            let hashes = jobs.iter().filter_map(|job| Some((job.task_id, control.run(job)?)));
+            (i, hashes.collect::<Vec<_>>())
+        });
+        let mut ids = Vec::new();
+        for (site, outcomes) in ran {
+            for (task_id, result_hash) in outcomes {
                 let args = [Value::Int(task_id), Value::Bytes(result_hash.0.to_vec())];
-                let id = self.invoke(site, analytics, "post_result", &args, 50_000)?.tx_id;
-                self.commit_and_check(id)?;
+                ids.push(self.invoke(site, analytics, "post_result", &args, 50_000)?.tx_id);
             }
         }
-        Ok(count)
+        if !ids.is_empty() {
+            self.chains[0].settle(&ids)?;
+            self.chains[0].expect_ok(&ids)?;
+        }
+        Ok(ids.len())
     }
 }
 
@@ -1189,11 +1207,16 @@ impl GatewayBackend for Network {
         // locks it never held, or pay out its own credit prepare. Prepares
         // are fine where a coordinator resolves them; on a flat network
         // nothing ever would, so a prepare could only freeze an account.
+        // Where one does, a lone leg holds its lock until its deadline,
+        // so the deadline may lie at most a fixed window ahead.
         let refused = match tx.payload {
             TxPayload::CrossLink { .. } | TxPayload::XsDecide { .. } | TxPayload::XsFinalize { .. } => {
                 true
             }
-            TxPayload::XsPrepare { .. } => self.coordinator.is_none(),
+            TxPayload::XsPrepare { deadline_ms, .. } => {
+                self.coordinator.is_none()
+                    || deadline_ms > self.now_ms().saturating_add(XS_DEADLINE_WINDOW_MS)
+            }
             _ => false,
         };
         if refused {
@@ -1260,6 +1283,7 @@ impl GatewayBackend for Network {
 mod tests {
     use super::*;
     use medchain_contracts::events;
+    use medchain_contracts::standard::AnalyticsContract;
     use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 
     fn records(i: usize, n: usize) -> Vec<PatientRecord> {
@@ -1342,51 +1366,94 @@ mod tests {
         assert_eq!(receipt.events[0].topic, events::DATA_DENIED);
     }
 
-    #[test]
-    fn control_cycle_posts_analytics_results() {
-        let mut net = network(2);
-        // Install a trivial tool at site 0 and register it on-chain.
-        let tool = medchain_offchain::Tool::new("count", "v1", |_params| {
-            Ok(vec![Value::Int(1)])
-        });
-        let code_hash = tool.code_hash();
-        net.site_mut(0).install_tool(tool);
+    /// A tool echoing its shard params, as built at `version`.
+    fn echo(version: &str) -> medchain_offchain::Tool {
+        medchain_offchain::Tool::new("echo", version, |params| Ok(vec![params[1].clone()]))
+    }
+
+    /// Site 0 registers `echo` v1; each site installs the build `builds`
+    /// gives it; the last site requests a run naming `named` in that
+    /// shard order, site `i`'s params being `[i]`.
+    fn request_echo(net: &mut Network, builds: &[&str], named: &[usize]) {
+        for (i, version) in builds.iter().enumerate() {
+            net.site_mut(i).install_tool(echo(version));
+        }
         let analytics = net.contracts().analytics;
-        let id = net
-            .invoke(
-                0,
-                analytics,
-                "register_tool",
-                &[Value::str("count"), Value::Bytes(code_hash.0.to_vec())],
-                50_000,
-            )
-            .unwrap().tx_id;
+        let hash = Value::Bytes(echo("v1").code_hash().0.to_vec());
+        let id = net.invoke(0, analytics, "register_tool", &[Value::str("echo"), hash], 50_000);
+        net.commit_and_check(id.unwrap().tx_id).unwrap();
+        let mut args = vec![Value::str("echo"), Value::str("hospital-0/emr")];
+        for &i in named {
+            args.extend([Value::address(&net.site(i).address()), Value::Bytes(vec![i as u8])]);
+        }
+        let requester = net.site_count() - 1;
+        let id = net.invoke(requester, analytics, "request_run", &args, 50_000).unwrap().tx_id;
         net.commit_and_check(id).unwrap();
-        // Request a run against site 0's data.
-        let id = net
-            .invoke(
-                1,
-                analytics,
-                "request_run",
-                &[
-                    Value::str("count"),
-                    Value::str("hospital-0/emr"),
-                    Value::Bytes(vec![]),
-                ],
-                50_000,
-            )
-            .unwrap().tx_id;
-        net.commit_and_check(id).unwrap();
-        // Control cycle: site 0 notices, executes, posts the result.
-        let handled = net.control_cycle().unwrap();
-        assert!(handled >= 1, "site 0 should have handled the task");
-        // Task 0 should now be completed on-chain.
-        let id = net
-            .invoke(1, analytics, "result", &[Value::Int(0)], 50_000)
-            .unwrap().tx_id;
-        let receipt = net.commit_and_check(id).unwrap();
-        let values = medchain_contracts::decode_args(&receipt.output).unwrap();
-        assert_eq!(values[4], Value::Int(1), "task should be marked done");
+    }
+
+    fn task_record(net: &Network, id: i64) -> Vec<Value> {
+        let analytics = net.contracts().analytics;
+        AnalyticsContract::task(net.ledger().state(), &analytics, id).expect("task recorded")
+    }
+
+    /// Site `i`'s result hash for its `[i]` shard params.
+    fn echo_hash(i: u8) -> Hash256 {
+        Hash256::digest(&medchain_contracts::encode_args(&[Value::Bytes(vec![i])]))
+    }
+
+    #[test]
+    fn control_cycle_completes_a_task_once_every_named_site_posts() {
+        let mut net = network(3);
+        request_echo(&mut net, &["v1", "v1", "v1"], &[1, 0]);
+        // Sites 1 and 0 run their shards and post; site 2 is not named.
+        assert_eq!(net.control_cycle().unwrap(), 2);
+        assert_eq!(net.site(2).control().stats().tasks_skipped, 1);
+        let record = task_record(&net, 0);
+        assert_eq!(record[3], Value::Int(1), "task should be marked done");
+        let mut material = echo_hash(1).0.to_vec();
+        material.extend_from_slice(&echo_hash(0).0);
+        assert_eq!(record[4], Value::Bytes(Hash256::digest(&material).0.to_vec()));
+        // Nothing is picked up twice.
+        assert_eq!(net.control_cycle().unwrap(), 0);
+    }
+
+    #[test]
+    fn a_site_running_another_build_of_the_tool_posts_nothing() {
+        let mut net = network(2);
+        request_echo(&mut net, &["v1", "v2"], &[0, 1]);
+        assert_eq!(net.control_cycle().unwrap(), 1);
+        assert_eq!(net.site(1).control().stats().failures, 1);
+        let record = task_record(&net, 0);
+        assert_eq!(record[3], Value::Int(0), "site 1 never posted");
+        assert_eq!(record[8], Value::Bytes(Vec::new()));
+    }
+
+    #[test]
+    fn control_cycle_runs_the_picked_up_shards_concurrently() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
+        const SITES: usize = 4;
+        let mut net = network(SITES);
+        request_echo(&mut net, &["v1"; SITES], &[0, 1, 2, 3]);
+        // Each site's build of `echo` v1 waits until every site's shard
+        // has started; run one after another, the first would wait alone.
+        let arrived = Arc::new(AtomicUsize::new(0));
+        for i in 0..SITES {
+            let arrived = Arc::clone(&arrived);
+            net.site_mut(i).install_tool(medchain_offchain::Tool::new("echo", "v1", move |params| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let start = Instant::now();
+                while arrived.load(Ordering::SeqCst) < SITES {
+                    if start.elapsed() > Duration::from_secs(5) {
+                        return Err(medchain_offchain::ToolError::new("ran alone"));
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(vec![params[1].clone()])
+            }));
+        }
+        assert_eq!(net.control_cycle().unwrap(), SITES, "every shard ran side by side");
+        assert_eq!(task_record(&net, 0)[3], Value::Int(1));
     }
 
     #[test]

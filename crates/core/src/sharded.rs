@@ -647,7 +647,8 @@ mod tests {
             // The mint sequence: credit myself a million, then finalize.
             let home = shard_for_key(&me.0, net.shard_count());
             let leg = XsLeg { shard: home, account: me, amount: 1_000_000, debit: false };
-            let prepare = TxPayload::XsPrepare { xid, leg, deadline_ms: u64::MAX };
+            let deadline_ms = net.now_ms() + 60_000;
+            let prepare = TxPayload::XsPrepare { xid, leg, deadline_ms };
             let outcome = send(&mut net, prepare);
             assert_eq!(outcome.is_admitted(), !flat, "flat: {flat}, got {outcome:?}");
             let finalize = TxPayload::XsFinalize { xid, account: me, commit: true };
@@ -668,12 +669,42 @@ mod tests {
                 for shard in [ShardId(2), ShardId(9)] {
                     let account = Address::from_seed(77);
                     let leg = XsLeg { shard, account, amount: 1, debit: false };
-                    let prepare = TxPayload::XsPrepare { xid, leg, deadline_ms: u64::MAX };
+                    let deadline_ms = net.now_ms() + 60_000;
+                    let prepare = TxPayload::XsPrepare { xid, leg, deadline_ms };
                     assert_eq!(send(&mut net, prepare), SubmitOutcome::Inadmissible);
                 }
             }
             net.shutdown();
         }
+    }
+
+    /// A lone prepare leg keeps its account locked until its deadline
+    /// passes, so a client's zero-amount credit prepare with a deadline
+    /// at the end of time would freeze a victim's account for good. The
+    /// gateway refuses deadlines beyond a fixed window past the
+    /// coordinator clock.
+    #[test]
+    fn gateway_refuses_prepares_with_far_deadlines() {
+        let mut builder = Network::builder().shards(2).block_interval_ms(20);
+        for i in 0..4 {
+            builder = builder.site(&format!("hospital-{i}"), Vec::new());
+        }
+        let client = GatewayConfig { clients: 1, ..GatewayConfig::default() };
+        let mut net = builder.gateway(client).build_sharded().unwrap();
+        let key = net.client_keys()[0].clone();
+        let victim = net.site(1).address();
+        let shard = shard_for_key(&victim.0, net.shard_count());
+        let leg = XsLeg { shard, account: victim, amount: 0, debit: false };
+        let admit = |net: &mut Network, deadline_ms| {
+            let xid = Hash256::digest(b"freeze");
+            let payload = TxPayload::XsPrepare { xid, leg, deadline_ms };
+            let tx = Transaction::new(key.address(), 0, payload, 1_000).signed(&key);
+            GatewayBackend::admit_verified(net, tx, Lane::Normal).1
+        };
+        assert_eq!(admit(&mut net, u64::MAX), SubmitOutcome::Inadmissible);
+        let in_window = net.now_ms() + 60_000;
+        assert!(admit(&mut net, in_window).is_admitted());
+        net.shutdown();
     }
 
     #[test]

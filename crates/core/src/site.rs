@@ -34,8 +34,7 @@ impl Site {
     /// Creates a site hosting `records` under `<name>/emr`.
     pub fn new(name: &str, key: AuthorityKey, records: Vec<PatientRecord>) -> Site {
         let hosted_label = format!("{name}/emr");
-        let mut control = ControlNode::new(name);
-        control.host_dataset(&hosted_label);
+        let mut control = ControlNode::new(name, key.address());
         let records = Arc::new(records);
         // Local-data oracle backend: serves record count + canonical bytes
         // length so control-plane handlers can respond without the records
@@ -142,7 +141,6 @@ mod tests {
     fn site_hosts_its_label() {
         let s = site();
         assert_eq!(s.hosted_label(), "hospital-a/emr");
-        assert!(s.control().hosts("hospital-a/emr"));
         assert_eq!(s.records().len(), 150);
     }
 

@@ -5,66 +5,58 @@
 //! feed different data to the smart contract. As a result, each smart
 //! contract on each node will effectively behave differently" (§III).
 //!
-//! [`ControlNode`] is that per-site brain: it watches contract events via
-//! its [`MonitorNode`], decides which requests concern data hosted at
-//! *this* site, runs the requested analytics locally through its
-//! [`TaskExecutor`], and emits [`ActionIntent`]s — follow-up on-chain
-//! transactions for the surrounding node to sign and submit. The same
+//! [`ControlNode`] is that per-site brain. [`ControlNode::pick_up`] polls
+//! the site's own replica through its [`MonitorNode`] and keeps the
+//! analytics requests that name *this* site; [`ControlNode::run`] runs
+//! the site's shard on its own [`TaskExecutor`], next to its own data,
+//! after checking the installed tool against the code hash registered
+//! on-chain. Only the result hash leaves the site, for the surrounding
+//! node to post under its own key. The same
 //! on-chain contract code thus drives *different* computation at every
 //! site, which is exactly the transformation the paper proposes.
 
 use crate::executor::{TaskExecutor, Tool};
 use crate::monitor::{CapturedEvent, MonitorNode};
-use crate::oracle::DataOracle;
-use medchain_chain::{Hash256, Ledger};
+use crate::oracle::{DataOracle, OracleRequest};
+use medchain_chain::{Address, Hash256, Ledger};
 use medchain_contracts::events;
-use medchain_contracts::value::{decode_args, Value};
-use std::collections::HashSet;
+use medchain_contracts::value::{decode_args, encode_args, Value};
 use std::fmt;
 
-/// A follow-up action the control code wants performed on-chain.
+/// One site's shard of an analytics request, picked up from its replica.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ActionIntent {
-    /// Post an analytics result hash for a completed task.
-    PostResult {
-        /// Task id assigned by the analytics contract.
-        task_id: i64,
-        /// Hash of the locally computed result.
-        result_hash: Hash256,
-        /// The raw result values (kept off-chain; only the hash goes on).
-        result: Vec<Value>,
-    },
-    /// A permitted data request was served off-chain to the requester.
-    DataServed {
-        /// Dataset label.
-        label: String,
-        /// Access token from the data contract.
-        token: Vec<u8>,
-        /// Number of records delivered.
-        records: usize,
-    },
+pub struct ShardJob {
+    /// Task id assigned by the analytics contract.
+    pub task_id: i64,
+    /// Tool to run.
+    pub tool: String,
+    /// The tool's code hash as registered on-chain.
+    pub code_hash: Hash256,
+    /// Dataset label the request names.
+    pub dataset: String,
+    /// This site's shard parameters.
+    pub params: Vec<u8>,
 }
 
 /// Work statistics for one control node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlStats {
-    /// Analytics tasks executed locally.
+    /// Shards executed locally.
     pub tasks_run: u64,
-    /// Analytics tasks skipped (data not hosted here).
+    /// Analytics requests that named other sites only.
     pub tasks_skipped: u64,
-    /// Data requests served.
-    pub data_served: u64,
-    /// Task failures.
+    /// Shards that failed: tool missing, built differently from the
+    /// registered code, or erroring.
     pub failures: u64,
 }
 
 /// One site's off-chain control code.
 pub struct ControlNode {
     site: String,
+    address: Address,
     monitor: MonitorNode,
     executor: TaskExecutor,
     oracle: DataOracle,
-    hosted_datasets: HashSet<String>,
     stats: ControlStats,
 }
 
@@ -72,21 +64,21 @@ impl fmt::Debug for ControlNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ControlNode")
             .field("site", &self.site)
-            .field("hosted_datasets", &self.hosted_datasets.len())
+            .field("address", &self.address)
             .field("stats", &self.stats)
             .finish()
     }
 }
 
 impl ControlNode {
-    /// Creates the control code for `site`.
-    pub fn new(site: &str) -> ControlNode {
+    /// Creates the control code for `site`, which signs as `address`.
+    pub fn new(site: &str, address: Address) -> ControlNode {
         ControlNode {
             site: site.to_string(),
+            address,
             monitor: MonitorNode::new(),
             executor: TaskExecutor::new(),
             oracle: DataOracle::new(),
-            hosted_datasets: HashSet::new(),
             stats: ControlStats::default(),
         }
     }
@@ -99,16 +91,6 @@ impl ControlNode {
     /// Installs an analytics tool at this site.
     pub fn install_tool(&mut self, tool: Tool) {
         self.executor.install(tool);
-    }
-
-    /// Declares that `label` is hosted (physically resident) here.
-    pub fn host_dataset(&mut self, label: &str) {
-        self.hosted_datasets.insert(label.to_string());
-    }
-
-    /// Whether `label` is hosted here.
-    pub fn hosts(&self, label: &str) -> bool {
-        self.hosted_datasets.contains(label)
     }
 
     /// The site's oracle bridge (register data backends here).
@@ -126,86 +108,60 @@ impl ControlNode {
         self.stats
     }
 
-    /// One control cycle: observe new contract events, run any analytics
-    /// addressed to data hosted at this site, serve permitted data
-    /// requests, and return the on-chain follow-ups.
-    pub fn step(&mut self, ledger: &Ledger) -> Vec<ActionIntent> {
-        let mut intents = Vec::new();
+    /// Polls the site's own replica for new blocks and returns the shards
+    /// of the requests to the `analytics` contract that name this site.
+    /// Any contract can emit an event under the same topic; only the
+    /// analytics contract's count.
+    pub fn pick_up(&mut self, ledger: &Ledger, analytics: &Address) -> Vec<ShardJob> {
+        let mut jobs = Vec::new();
         for captured in self.monitor.poll(ledger) {
-            match captured.event.topic.as_str() {
-                events::ANALYTICS_REQUESTED => {
-                    if let Some(intent) = self.handle_analytics_request(&captured) {
-                        intents.push(intent);
-                    }
-                }
-                events::DATA_REQUESTED => {
-                    if let Some(intent) = self.handle_data_request(&captured) {
-                        intents.push(intent);
-                    }
-                }
-                _ => {}
+            let event = &captured.event;
+            if event.topic != events::ANALYTICS_REQUESTED || event.contract != *analytics {
+                continue;
+            }
+            match self.shard_of(&captured) {
+                Some(job) => jobs.push(job),
+                None => self.stats.tasks_skipped += 1,
             }
         }
-        intents
+        jobs
     }
 
-    /// Payload: `[task_id, tool, dataset, params, requester]`.
-    fn handle_analytics_request(&mut self, captured: &CapturedEvent) -> Option<ActionIntent> {
+    /// Payload: `[task_id, tool, code_hash, dataset, requester,
+    /// (site, params)…]`.
+    fn shard_of(&self, captured: &CapturedEvent) -> Option<ShardJob> {
         let values = decode_args(&captured.event.data).ok()?;
-        let task_id = values.first()?.as_int().ok()?;
-        let tool = values.get(1)?.as_str().ok()?.to_string();
-        let dataset = values.get(2)?.as_str().ok()?.to_string();
-        let params_blob = values.get(3)?.as_bytes().ok()?.to_vec();
-        if !self.hosts(&dataset) {
-            self.stats.tasks_skipped += 1;
-            return None;
-        }
-        // Move compute to data: fetch the locally resident dataset through
-        // the site oracle, then run the tool against it.
-        let mut params = vec![Value::str(&dataset), Value::Bytes(params_blob)];
-        if let Ok(local) = self.oracle.call(&crate::oracle::OracleRequest::new(
-            "local-data",
-            "fetch",
-            vec![Value::str(&dataset)],
-        )) {
+        let me = Value::address(&self.address);
+        let params = values.get(5..)?.chunks(2).find(|pair| pair[0] == me)?.get(1)?;
+        Some(ShardJob {
+            task_id: values.first()?.as_int().ok()?,
+            tool: values.get(1)?.as_str().ok()?.to_string(),
+            code_hash: Hash256(values.get(2)?.as_bytes().ok()?.try_into().ok()?),
+            dataset: values.get(3)?.as_str().ok()?.to_string(),
+            params: params.as_bytes().ok()?.to_vec(),
+        })
+    }
+
+    /// Runs one shard next to the site's data: the tool sees `[dataset,
+    /// shard params, local data…]`, and runs only if its build matches
+    /// the registered code hash. Returns the hash of the result, the
+    /// only part of it that leaves the site.
+    pub fn run(&mut self, job: &ShardJob) -> Option<Hash256> {
+        let mut params = vec![Value::str(&job.dataset), Value::Bytes(job.params.clone())];
+        let fetch = OracleRequest::new("local-data", "fetch", vec![Value::str(&job.dataset)]);
+        if let Ok(local) = self.oracle.call(&fetch) {
             params.extend(local);
         }
-        match self.executor.run(&tool, &params, None) {
+        match self.executor.run(&job.tool, &params, Some(job.code_hash)) {
             Ok(result) => {
                 self.stats.tasks_run += 1;
-                let encoded = medchain_contracts::value::encode_args(&result.output);
-                Some(ActionIntent::PostResult {
-                    task_id,
-                    result_hash: Hash256::digest(&encoded),
-                    result: result.output,
-                })
+                Some(Hash256::digest(&encode_args(&result.output)))
             }
             Err(_) => {
                 self.stats.failures += 1;
                 None
             }
         }
-    }
-
-    /// Payload: `[label, requester, purpose, token]`.
-    fn handle_data_request(&mut self, captured: &CapturedEvent) -> Option<ActionIntent> {
-        let values = decode_args(&captured.event.data).ok()?;
-        let label = values.first()?.as_str().ok()?.to_string();
-        let token = values.get(3)?.as_bytes().ok()?.to_vec();
-        if !self.hosts(&label) {
-            return None;
-        }
-        let records = self
-            .oracle
-            .call(&crate::oracle::OracleRequest::new(
-                "local-data",
-                "fetch",
-                vec![Value::str(&label)],
-            ))
-            .map(|v| v.len())
-            .unwrap_or(0);
-        self.stats.data_served += 1;
-        Some(ActionIntent::DataServed { label, token, records })
     }
 }
 
@@ -273,7 +229,7 @@ mod tests {
     }
 
     fn mean_tool() -> Tool {
-        // params: [dataset_label, params_blob, x1, x2, ...]
+        // params: [dataset_label, shard params, x1, x2, ...]
         Tool::new("mean", "v1", |params| {
             let values: Vec<i64> =
                 params.iter().skip(2).filter_map(|v| v.as_int().ok()).collect();
@@ -293,76 +249,82 @@ mod tests {
         })
     }
 
-    #[test]
-    fn analytics_request_runs_locally_and_posts_result() {
-        let mut setup = Setup::new();
-        let tool = mean_tool();
+    /// Registers `registered`, requests a run of it on `site-a/emr` naming
+    /// `site`, and returns site-a's control node with `installed` and the
+    /// local data backend.
+    fn requested(
+        setup: &mut Setup,
+        registered: &Tool,
+        installed: Tool,
+        site: Address,
+    ) -> ControlNode {
         setup.invoke(
             "register_tool",
-            &[Value::str("mean"), Value::Bytes(tool.code_hash().0.to_vec())],
+            &[Value::str("mean"), Value::Bytes(registered.code_hash().0.to_vec())],
         );
         setup.invoke(
             "request_run",
-            &[Value::str("mean"), Value::str("site-a/emr"), Value::Bytes(vec![])],
+            &[
+                Value::str("mean"),
+                Value::str("site-a/emr"),
+                Value::address(&site),
+                Value::Bytes(vec![7]),
+            ],
         );
-
-        let mut control = ControlNode::new("site-a");
-        control.install_tool(tool);
-        control.host_dataset("site-a/emr");
+        let mut control = ControlNode::new("site-a", setup.key.address());
+        control.install_tool(installed);
         control.oracle_mut().register("local-data", local_data_backend());
+        control
+    }
 
-        let intents = control.step(setup.app.ledger());
-        assert_eq!(intents.len(), 1);
-        match &intents[0] {
-            ActionIntent::PostResult { task_id, result, .. } => {
-                assert_eq!(*task_id, 0);
-                assert_eq!(result, &vec![Value::Int(20)]);
-            }
-            other => panic!("unexpected intent {other:?}"),
-        }
+    #[test]
+    fn named_site_picks_up_its_shard_and_runs_it_locally() {
+        let mut setup = Setup::new();
+        let me = setup.key.address();
+        let mut control = requested(&mut setup, &mean_tool(), mean_tool(), me);
+        let jobs = control.pick_up(setup.app.ledger(), &setup.analytics);
+        assert_eq!(jobs.len(), 1);
+        assert_eq!((jobs[0].task_id, jobs[0].params.as_slice()), (0, &[7u8][..]));
+        let result_hash = control.run(&jobs[0]).expect("the shard runs");
+        assert_eq!(result_hash, Hash256::digest(&encode_args(&[Value::Int(20)])));
         assert_eq!(control.stats().tasks_run, 1);
-        // Nothing new on a second cycle.
-        assert!(control.step(setup.app.ledger()).is_empty());
+        // Nothing new on a second poll.
+        assert!(control.pick_up(setup.app.ledger(), &setup.analytics).is_empty());
+    }
+
+    #[test]
+    fn requests_from_another_contract_are_ignored() {
+        let mut setup = Setup::new();
+        let me = setup.key.address();
+        let mut control = requested(&mut setup, &mean_tool(), mean_tool(), me);
+        let forger = Address::from_seed(99);
+        assert!(control.pick_up(setup.app.ledger(), &forger).is_empty());
+        assert_eq!(control.stats(), ControlStats::default());
     }
 
     #[test]
     fn requests_for_other_sites_are_skipped() {
         let mut setup = Setup::new();
-        let tool = mean_tool();
-        setup.invoke(
-            "register_tool",
-            &[Value::str("mean"), Value::Bytes(tool.code_hash().0.to_vec())],
-        );
-        setup.invoke(
-            "request_run",
-            &[Value::str("mean"), Value::str("site-b/emr"), Value::Bytes(vec![])],
-        );
-
-        let mut control = ControlNode::new("site-a");
-        control.install_tool(tool);
-        control.host_dataset("site-a/emr");
-        let intents = control.step(setup.app.ledger());
-        assert!(intents.is_empty());
+        let mut control =
+            requested(&mut setup, &mean_tool(), mean_tool(), Address::from_seed(2));
+        assert!(control.pick_up(setup.app.ledger(), &setup.analytics).is_empty());
         assert_eq!(control.stats().tasks_skipped, 1);
     }
 
     #[test]
     fn tool_failure_is_counted() {
-        let mut setup = Setup::new();
-        let bad = Tool::new("mean", "broken", |_| Err(ToolError::new("crash")));
-        setup.invoke(
-            "register_tool",
-            &[Value::str("mean"), Value::Bytes(bad.code_hash().0.to_vec())],
-        );
-        setup.invoke(
-            "request_run",
-            &[Value::str("mean"), Value::str("site-a/emr"), Value::Bytes(vec![])],
-        );
-        let mut control = ControlNode::new("site-a");
-        control.install_tool(bad);
-        control.host_dataset("site-a/emr");
-        control.oracle_mut().register("local-data", local_data_backend());
-        assert!(control.step(setup.app.ledger()).is_empty());
-        assert_eq!(control.stats().failures, 1);
+        // A tool that errors, and a build other than the registered one:
+        // neither yields an outcome to post.
+        let crash = Tool::new("mean", "broken", |_| Err(ToolError::new("crash")));
+        let v2 = Tool::new("mean", "v2", |_| Ok(vec![Value::Int(1)]));
+        for (registered, installed) in [(crash.clone(), crash), (mean_tool(), v2)] {
+            let mut setup = Setup::new();
+            let me = setup.key.address();
+            let mut control = requested(&mut setup, &registered, installed, me);
+            let jobs = control.pick_up(setup.app.ledger(), &setup.analytics);
+            assert_eq!(jobs[0].code_hash, registered.code_hash());
+            assert!(control.run(&jobs[0]).is_none());
+            assert_eq!((control.stats().tasks_run, control.stats().failures), (0, 1));
+        }
     }
 }

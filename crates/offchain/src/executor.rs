@@ -5,9 +5,8 @@
 //! data (§III). [`TaskExecutor`] is one site's compute engine: a registry
 //! of analytics *tools* (arbitrary Rust closures keyed by name, with
 //! code-integrity hashes matching the on-chain `ToolRegistered` anchors)
-//! executed against locally resident data. [`run_parallel`] fans a batch
-//! of tasks across OS threads, so wall-clock measurements in the
-//! experiments reflect genuine parallel execution.
+//! executed against locally resident data. `Network::control_cycle` runs
+//! every site's executor on its own OS thread.
 
 use medchain_chain::Hash256;
 use medchain_contracts::value::Value;
@@ -234,29 +233,6 @@ impl TaskExecutor {
     }
 }
 
-/// A task to fan out: `(tool name, parameters)`.
-pub type TaskSpec = (String, Vec<Value>);
-
-/// Runs a batch of tasks across OS threads, one thread per task (the
-/// per-site fan-out of the transformed architecture). Results come back
-/// in task order.
-pub fn run_parallel(
-    executors: &mut [TaskExecutor],
-    tasks: &[TaskSpec],
-) -> Vec<Result<TaskResult, ExecutorError>> {
-    assert_eq!(
-        executors.len(),
-        tasks.len(),
-        "one executor (site) per task; got {} executors, {} tasks",
-        executors.len(),
-        tasks.len()
-    );
-    medchain_runtime::sync::scoped_map(
-        executors.iter_mut().zip(tasks).collect(),
-        |(executor, task)| executor.run(&task.0, &task.1, None),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,44 +296,5 @@ mod tests {
             executor.run("bad", &[], None),
             Err(ExecutorError::ToolFailed(ToolError::new("boom")))
         );
-    }
-
-    #[test]
-    fn parallel_fan_out_preserves_order() {
-        let mut executors: Vec<TaskExecutor> = (0..4)
-            .map(|_| {
-                let mut e = TaskExecutor::new();
-                e.install(sum_tool());
-                e
-            })
-            .collect();
-        let tasks: Vec<TaskSpec> = (0..4)
-            .map(|i| ("sum".to_string(), vec![Value::Int(i), Value::Int(i)]))
-            .collect();
-        let results = run_parallel(&mut executors, &tasks);
-        for (i, result) in results.iter().enumerate() {
-            assert_eq!(result.as_ref().unwrap().output, vec![Value::Int(2 * i as i64)]);
-        }
-    }
-
-    #[test]
-    fn parallel_fan_out_is_actually_concurrent() {
-        // Each task sleeps 30 ms; 8 tasks serially would take 240 ms.
-        let mut executors: Vec<TaskExecutor> = (0..8)
-            .map(|_| {
-                let mut e = TaskExecutor::new();
-                e.install(Tool::new("sleep", "v1", |_| {
-                    std::thread::sleep(Duration::from_millis(30));
-                    Ok(vec![Value::Int(1)])
-                }));
-                e
-            })
-            .collect();
-        let tasks: Vec<TaskSpec> = (0..8).map(|_| ("sleep".to_string(), vec![])).collect();
-        let start = Instant::now();
-        let results = run_parallel(&mut executors, &tasks);
-        let elapsed = start.elapsed();
-        assert!(results.iter().all(Result::is_ok));
-        assert!(elapsed < Duration::from_millis(200), "not parallel: {elapsed:?}");
     }
 }

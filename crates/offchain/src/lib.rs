@@ -19,8 +19,8 @@ pub mod oracle;
 pub mod pipeline;
 pub mod registry;
 
-pub use control::{ActionIntent, ControlNode, ControlStats};
-pub use executor::{run_parallel, ExecutorError, TaskExecutor, TaskResult, Tool, ToolError};
+pub use control::{ControlNode, ControlStats, ShardJob};
+pub use executor::{ExecutorError, TaskExecutor, TaskResult, Tool, ToolError};
 pub use monitor::{CapturedEvent, MonitorNode};
 pub use oracle::{DataOracle, OracleBackend, OracleError, OracleRequest};
 pub use pipeline::{DynamicPipeline, PipelineCtx, PipelineStep, Route};

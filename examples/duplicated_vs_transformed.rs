@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nduplicated: total work grows ~N× and wall time grows with consortium size —\n\
          the paper's §I observation that 'the performance of a single node is better than\n\
          multiple nodes'. transformed: work stays ~1×, wall time falls with N, and only\n\
-         the policy check and the result hash ever touch the chain."
+         the policy check and the per-site result hashes ever touch the chain."
     );
     Ok(())
 }

@@ -511,11 +511,41 @@ if grep -nE "\bfn\(" crates/core/src/committee.rs; then
 fi
 echo "ok: one Network, one gateway backend, one builder block, one serve loop"
 # Trend line (3,583 at PR 31, before the two network types merged;
-# 3,381 after; 3,273 once rejoin stopped running its own loopback server):
+# 3,381 after; 3,273 once rejoin stopped running its own loopback server;
+# 3,266 once an off-chain job had one path, when
+# crates/{core,offchain,contracts}/src went 5,953 → 5,915):
 # non-blank lines that are not // comments, above each file's first
 # #[cfg(test)].
-core_lines="$(awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next } { n++ } END { print n }' crates/core/src/*.rs)"
-echo "census: $core_lines non-comment lines outside tests in crates/core/src"
+census() {
+    awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next } { n++ } END { print n }' "$@"
+}
+echo "census: $(census crates/core/src/*.rs) non-comment lines outside tests in crates/core/src"
+echo "census: $(census crates/{core,offchain,contracts}/src/*.rs) in crates/{core,offchain,contracts}/src"
+
+# One way to run an off-chain job (DESIGN.md §4, Fig. 1): each site a
+# request names picks its shard up from its own replica, runs it on its
+# own executor and posts its own hash, all inside
+# `Network::control_cycle`. A second `"post_result"` call site, or an
+# executor built by the mode harness, is a second path growing back.
+# (`standard.rs` defines the method and unit-tests it directly.)
+echo "== offchain: one job path guard =="
+if grep -rn '"post_result"' crates/*/src src tests examples benchmark/src --include="*.rs" \
+    | grep -v "^crates/contracts/src/standard.rs:\|^crates/core/src/network.rs:"; then
+    echo "ERROR: post_result invoked outside Network::control_cycle." >&2
+    exit 1
+fi
+if ! awk '/^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ { cycle = /fn control_cycle\(/ }
+    /"post_result"/ { if (cycle) n++; else { print FILENAME ":" FNR ": " $0; bad = 1 } }
+    END { if (n != 1) { print "control_cycle invokes post_result " n + 0 " times"; bad = 1 }; exit bad }' \
+    crates/core/src/network.rs; then
+    echo "ERROR: post_result is invoked once, from Network::control_cycle only." >&2
+    exit 1
+fi
+if grep -nE '\b(TaskExecutor|run_parallel)\b' crates/core/src/modes.rs; then
+    echo "ERROR: modes.rs runs executors itself — drive Network::control_cycle instead." >&2
+    exit 1
+fi
+echo "ok: one off-chain job path (post_result only from Network::control_cycle)"
 
 # One committee life cycle (DESIGN.md §3, §14): recovering a store,
 # streaming into a lagging member, attaching a store and driving

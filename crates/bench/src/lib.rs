@@ -102,7 +102,10 @@ mod tests {
     /// wall, speed-up and work cells at 2 and 4 nodes, and E13's two
     /// transformed rows, were re-recorded when every named site began
     /// posting its own result: each extra post adds 90 gas on every
-    /// replica.
+    /// replica. E23 prints the page traffic of a seeded paged workload;
+    /// its rows were recorded while cold account records still paged
+    /// through storage's own account pager, so a move of the packing
+    /// code must leave them standing.
     #[test]
     fn deterministic_tables_reproduce_their_recorded_rows() {
         assert_rows(
@@ -141,6 +144,17 @@ mod tests {
             "e21",
             "transfers begun|12\ncommitted|9\ntimeout-aborted|3\nabort rate|0.250\n\
              simulated span|247ms",
+        );
+        assert_rows(
+            "e23",
+            "funded accounts|512\n\
+             committed blocks (sweep)|6\n\
+             4-page page writes/misses/evictions|85/7/71\n\
+             1-page page writes/misses/evictions|43/16/41\n\
+             paged tips == resident tip|true\n\
+             chain blocks (bootstrap)|12\n\
+             streamed tail blocks|0\n\
+             bootstrap tips == source tip|true",
         );
     }
 }

@@ -117,19 +117,6 @@ pub(crate) enum KeyRef<'a> {
 }
 
 impl KeyRef<'_> {
-    /// The owned key.
-    pub(crate) fn to_key(self) -> LeafKey {
-        match self {
-            KeyRef::Account(addr) => LeafKey::Account(*addr),
-            KeyRef::Storage(contract, slot) => LeafKey::Storage(*contract, slot.to_vec()),
-            KeyRef::Code(addr) => LeafKey::Code(*addr),
-            KeyRef::Anchor(label) => LeafKey::Anchor(label.to_owned()),
-            KeyRef::CrossLink(shard) => LeafKey::CrossLink(shard),
-            KeyRef::Lock(addr) => LeafKey::Lock(*addr),
-            KeyRef::XsDecision(xid) => LeafKey::XsDecision(*xid),
-        }
-    }
-
     /// Appends the bytes `LeafKey`'s codec writes for this key.
     fn encode(self, out: &mut Vec<u8>) {
         match self {
@@ -240,18 +227,6 @@ fn for_each_write(delta: &StateDelta, emit: &mut dyn FnMut(KeyRef<'_>, Option<&[
         decision.encode(&mut scratch);
         emit(KeyRef::XsDecision(xid), Some(&scratch));
     }
-}
-
-/// Flattens a committed [`StateDelta`] into owned `(leaf key, new
-/// value)` updates, where `None` deletes the leaf — what a commit
-/// observer is handed. The tree never needs this list: it hashes the
-/// same writes straight from the delta ([`hashed_writes`]).
-pub fn delta_updates(delta: &StateDelta) -> Vec<(LeafKey, Option<Vec<u8>>)> {
-    let mut updates = Vec::with_capacity(delta.len());
-    for_each_write(delta, &mut |key, value| {
-        updates.push((key.to_key(), value.map(<[u8]>::to_vec)))
-    });
-    updates
 }
 
 /// Every write of `delta` hashed to a [`LeafUpdate`], sorted by key hash:
@@ -385,7 +360,6 @@ mod tests {
             let mut bytes = Vec::new();
             key.borrowed().encode(&mut bytes);
             assert_eq!(bytes, key.encoded(), "{key:?}");
-            assert_eq!(&key.borrowed().to_key(), key);
             let mut hasher = Sha256::new();
             hasher.update(KEY_TAG);
             hasher.update(&key.encoded());

@@ -23,8 +23,8 @@
 pub mod leaf;
 pub mod smt;
 
-pub use leaf::{delta_updates, key_hash, value_hash, versioned_root, LeafKey, EMPTY_SUBTREE};
-pub use smt::{NodePager, StateTree};
+pub use leaf::{key_hash, value_hash, versioned_root, LeafKey, EMPTY_SUBTREE};
+pub use smt::StateTree;
 
 use crate::hash::Hash256;
 use crate::shard::ShardId;

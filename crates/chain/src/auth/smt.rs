@@ -34,7 +34,7 @@
 //!
 //! ## Disk-resident cold subtrees (DESIGN.md §14)
 //!
-//! Handed a [`NodePager`], [`StateTree::spill_to_budget`] cuts the
+//! Handed a [`Pager`], [`StateTree::spill_to_budget`] cuts the
 //! tree at one depth fixed by the budget and swaps each resident subtree
 //! at the cut for a single-node `Kind::Paged` stub holding only the
 //! subtree hash and a page handle; the subtree's preorder bytes move to
@@ -60,55 +60,30 @@ use super::{ProofTerminal, SmtProof};
 use crate::exec::StateDelta;
 use crate::hash::Hash256;
 use crate::ledger::WorldState;
+use crate::pager::Pager;
 use medchain_runtime::codec::{CodecError, Decode, Encode, Reader};
 
 /// Hard ceiling on node depth: key hashes are 256 bits, so two distinct
 /// keys must diverge by depth 256; anything deeper is corrupt data.
 const MAX_DEPTH: usize = 256;
 
-/// Disk backing for spilled (cold) subtrees — implemented by
-/// `medchain-storage`'s page cache (DESIGN.md §14).
-///
-/// The stored bytes are the subtree's preorder encoding (the exact bytes
-/// [`StateTree`]'s `Encode` impl would emit for it), which is what lets
-/// the tree's snapshot encoding splice a spilled page verbatim: a tree
-/// with cold subtrees serializes byte-identically to a fully resident
-/// one.
-///
-/// Spill pages are *derived* data — everything in them is recomputable
-/// from the snapshot + WAL — so implementors may discard them across
-/// restarts, but a load failure **mid-run** is unrecoverable data loss
-/// and implementors should panic with context rather than return
-/// garbage.
-pub trait NodePager: Send + Sync {
-    /// Persists one encoded subtree, returning its page handle.
-    fn store_node(&self, bytes: &[u8]) -> u64;
-    /// Loads the bytes previously stored under `page`.
-    fn load_node(&self, page: u64) -> Vec<u8>;
-    /// Gives `page` back for reuse. The tree calls this once per stored
-    /// page, when nothing can reach it any more: the last tree version
-    /// holding its stub has dropped. It runs inside `Drop`, so it must
-    /// not panic.
-    fn free_node(&self, page: u64);
-}
-
 /// One stored page and the pager holding it. Stubs own their handle, so
 /// reads need no pager of the tree's, and dropping the last stub that
 /// names a page frees it.
 struct Page {
     id: u64,
-    pager: Arc<dyn NodePager>,
+    pager: Arc<dyn Pager>,
 }
 
 impl Page {
     fn load(&self) -> Vec<u8> {
-        self.pager.load_node(self.id)
+        self.pager.load(self.id)
     }
 }
 
 impl Drop for Page {
     fn drop(&mut self) {
-        self.pager.free_node(self.id);
+        self.pager.free(self.id);
     }
 }
 
@@ -129,7 +104,7 @@ enum Kind {
     Leaf(Arc<LeafKeys>),
     /// A subtree holding two or more leaves: its two children.
     Internal(Arc<[Node; 2]>),
-    /// A cold subtree (two or more leaves) spilled to the node pager:
+    /// A cold subtree (two or more leaves) spilled to the pager:
     /// only its hash and page handle stay resident. Never produced by
     /// `Decode` — it exists only in memory, as the residue of
     /// [`StateTree::spill_to_budget`].
@@ -420,7 +395,7 @@ impl StateTree {
     /// No-op when the tree already fits. Subtrees the next block touches
     /// are resolved (promoted) back on demand by `update`/`with_delta`;
     /// the ledger re-spills after each commit.
-    pub fn spill_to_budget(&mut self, pager: &Arc<dyn NodePager>, budget: usize) {
+    pub fn spill_to_budget(&mut self, pager: &Arc<dyn Pager>, budget: usize) {
         if self.resident_nodes() <= budget {
             return;
         }
@@ -438,7 +413,7 @@ impl StateTree {
 ///
 /// Panics on an undecodable page or a hash mismatch: spill pages are
 /// derived data with no second copy, so both are unrecoverable data
-/// loss (see [`NodePager`]).
+/// loss (see [`Pager`]).
 fn resolve(node: &Node) -> Cow<'_, Node> {
     let Kind::Paged(page) = &node.kind else {
         return Cow::Borrowed(node);
@@ -455,14 +430,14 @@ fn resolve(node: &Node) -> Cow<'_, Node> {
 /// Replaces each resident internal node `depth` levels below `node` with
 /// a stub over one stored page. Hashes are carried, never recomputed;
 /// `None` when nothing under `node` was spilled.
-fn spill(node: &Node, depth: usize, pager: &Arc<dyn NodePager>) -> Option<Node> {
+fn spill(node: &Node, depth: usize, pager: &Arc<dyn Pager>) -> Option<Node> {
     let Kind::Internal(kids) = &node.kind else {
         return None;
     };
     if depth == 0 {
         let mut bytes = Vec::new();
         encode_node(node, &mut bytes);
-        let page = Page { id: pager.store_node(&bytes), pager: Arc::clone(pager) };
+        let page = Page { id: pager.store(&bytes), pager: Arc::clone(pager) };
         return Some(Node { hash: node.hash, kind: Kind::Paged(Arc::new(page)) });
     }
     let left = spill(&kids[0], depth - 1, pager);

@@ -12,6 +12,7 @@ use crate::auth::{LeafKey, StateProof, StateTree};
 use crate::block::{Block, Body, Header};
 use crate::exec::{self, ExecScope, StateAccess, StateDelta, WorldStateOverlay};
 use crate::hash::Hash256;
+use crate::pager::{ColdAccounts, Pager};
 use crate::shard::ShardId;
 use crate::sig::{Address, KeyRegistry};
 use crate::store::BlockStore;
@@ -219,49 +220,6 @@ impl ContractRuntime for NullRuntime {
     }
 }
 
-/// Disk backing for cold account records (DESIGN.md §14) — implemented
-/// by `medchain-storage`'s page cache.
-///
-/// The ledger's invariant is **hot/cold disjointness**: an address lives
-/// in the resident map *or* in the pager, never both. Every write path
-/// promotes (takes) the cold record first, and
-/// [`WorldState::demote_accounts`] moves records the other way, so the
-/// merged view — reads, iteration, counts, equality, and the canonical
-/// encoding — is identical to a fully resident state. Paging is
-/// representation, never semantics.
-///
-/// Only accounts page out. `storage`/`code` reads hand back borrowed
-/// slices (`Option<&[u8]>`), which a disk fall-through behind `&self`
-/// cannot produce without changing the `StateAccess` contract, so those
-/// components stay resident; accounts are the patient-scale component
-/// the paper's consortium actually grows by the million.
-///
-/// Implementors must tolerate `&self` mutation (interior mutability) and
-/// concurrent readers: parallel block execution reads accounts from
-/// worker lanes. Cold-record load failure is unrecoverable data loss —
-/// panic with context, don't return a default (see the page-store
-/// contract in `medchain-storage`).
-pub trait AccountPager: Send + Sync {
-    /// Reads the cold record for `addr` without promoting it.
-    fn load(&self, addr: &Address) -> Option<Account>;
-    /// Removes and returns the cold record for `addr` (promotion).
-    fn take(&self, addr: &Address) -> Option<Account>;
-    /// Demotes one record to cold storage (the address must not already
-    /// be cold — the ledger only demotes hot records).
-    fn store(&self, addr: &Address, account: &Account);
-    /// Number of cold records.
-    fn len(&self) -> usize;
-    /// Whether no records are cold.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Every cold record in ascending address order — the merge feed for
-    /// iteration and the canonical encoding.
-    fn entries(&self) -> Vec<(Address, Account)>;
-    /// Writes buffered pages to disk (called at snapshot boundaries).
-    fn flush(&self);
-}
-
 /// The replicated world state.
 ///
 /// Storage nests per-contract so hot-path slot reads resolve with two
@@ -269,10 +227,11 @@ pub trait AccountPager: Send + Sync {
 /// tuple per read. Invariant: no contract maps to an empty slot map
 /// (deletes prune it), keeping equality and the codec canonical.
 ///
-/// With an [`AccountPager`] attached, cold account records live on disk
-/// and `accounts` holds only the hot set (see the trait's disjointness
-/// contract). Everything observable — reads, deltas, roots, encoded
-/// bytes — is independent of which records happen to be resident.
+/// With a [`Pager`] attached, cold account records live on its pages
+/// and `accounts` holds only the hot set (see `crate::pager` for the
+/// disjointness invariant). Everything observable — reads, deltas,
+/// roots, encoded bytes — is independent of which records happen to be
+/// resident.
 #[derive(Default)]
 pub struct WorldState {
     accounts: BTreeMap<Address, Account>,
@@ -282,10 +241,10 @@ pub struct WorldState {
     crosslinks: BTreeMap<u16, CrossLinkRecord>,
     locks: BTreeMap<Address, XsLock>,
     xs_decisions: BTreeMap<Hash256, XsDecisionRecord>,
-    /// Cold-account backing; `None` = fully resident. Not part of the
+    /// Cold account records; `None` = fully resident. Not part of the
     /// value: excluded from `Clone`/`PartialEq`/codec (clones
     /// materialize, equality and bytes compare the merged view).
-    pager: Option<Arc<dyn AccountPager>>,
+    cold: Option<ColdAccounts>,
 }
 
 impl fmt::Debug for WorldState {
@@ -305,12 +264,12 @@ impl fmt::Debug for WorldState {
 
 impl Clone for WorldState {
     /// Clones materialize: the copy is fully resident and detached from
-    /// the pager (two states mutating one spill file would corrupt each
-    /// other's cold sets).
+    /// the pager (two states mutating one page set would corrupt each
+    /// other's cold records).
     fn clone(&self) -> Self {
         let mut accounts = self.accounts.clone();
-        if let Some(pager) = &self.pager {
-            accounts.extend(pager.entries());
+        if let Some(cold) = &self.cold {
+            accounts.extend(cold.entries());
         }
         WorldState {
             accounts,
@@ -320,14 +279,14 @@ impl Clone for WorldState {
             crosslinks: self.crosslinks.clone(),
             locks: self.locks.clone(),
             xs_decisions: self.xs_decisions.clone(),
-            pager: None,
+            cold: None,
         }
     }
 }
 
 impl PartialEq for WorldState {
     fn eq(&self, other: &Self) -> bool {
-        let accounts_eq = if self.pager.is_none() && other.pager.is_none() {
+        let accounts_eq = if self.cold.is_none() && other.cold.is_none() {
             self.accounts == other.accounts
         } else {
             // Merged-view comparison: residency is representation, not
@@ -362,25 +321,31 @@ impl WorldState {
         WorldState::default()
     }
 
-    /// Attaches the cold-account store. The pager must start empty; the
-    /// resident map is the entire state at that moment, and only
+    /// Starts paging cold account records to `pager`. The resident map
+    /// is the entire state at that moment, and only
     /// [`WorldState::demote_accounts`] moves records cold.
-    pub fn attach_account_pager(&mut self, pager: Arc<dyn AccountPager>) {
-        debug_assert!(pager.is_empty(), "account pager must be attached empty");
-        self.pager = Some(pager);
+    pub(crate) fn attach_cold_pager(&mut self, pager: Arc<dyn Pager>) {
+        debug_assert_eq!(self.paged_account_count(), 0, "cold records would be lost");
+        self.cold = Some(ColdAccounts::new(pager));
     }
 
     /// Number of account records currently cold.
     pub fn paged_account_count(&self) -> usize {
-        self.pager.as_ref().map_or(0, |p| p.len())
+        self.cold.as_ref().map_or(0, ColdAccounts::len)
+    }
+
+    /// Whether `addr`'s record is cold: demoted out of the resident map
+    /// and held by the pager.
+    pub fn account_is_cold(&self, addr: &Address) -> bool {
+        self.cold.as_ref().is_some_and(|cold| cold.contains(addr))
     }
 
     /// Moves hot accounts (outside `keep`) to the pager until at most
     /// `max_hot` stay resident; returns how many were demoted. Lowest
     /// addresses demote first — the ledger passes the block's written
     /// addresses as `keep`, so the write-hot set stays resident.
-    pub fn demote_accounts(&mut self, max_hot: usize, keep: &BTreeSet<Address>) -> usize {
-        let Some(pager) = self.pager.clone() else { return 0 };
+    pub(crate) fn demote_accounts(&mut self, max_hot: usize, keep: &BTreeSet<Address>) -> usize {
+        let Some(cold) = self.cold.as_mut() else { return 0 };
         let excess = self.accounts.len().saturating_sub(max_hot);
         if excess == 0 {
             return 0;
@@ -389,7 +354,7 @@ impl WorldState {
             self.accounts.keys().filter(|a| !keep.contains(a)).take(excess).copied().collect();
         for addr in &victims {
             let account = self.accounts.remove(addr).expect("victim is hot");
-            pager.store(addr, &account);
+            cold.store(*addr, account);
         }
         victims.len()
     }
@@ -401,22 +366,22 @@ impl WorldState {
         if self.accounts.contains_key(addr) {
             return;
         }
-        if let Some(account) = self.pager.as_ref().and_then(|p| p.take(addr)) {
+        if let Some(account) = self.cold.as_mut().and_then(|cold| cold.take(addr)) {
             self.accounts.insert(*addr, account);
         }
     }
 
     /// Feeds every account to `emit` in ascending address order, merging
-    /// the resident map with the pager's cold records (disjoint by
-    /// invariant, so the merge is a plain ordered zip).
+    /// the resident map with the cold records (disjoint by invariant, so
+    /// the merge is a plain ordered zip).
     fn for_each_account(&self, emit: &mut dyn FnMut(&Address, &Account)) {
-        let Some(pager) = &self.pager else {
+        let Some(cold) = &self.cold else {
             for (addr, account) in &self.accounts {
                 emit(addr, account);
             }
             return;
         };
-        let cold = pager.entries();
+        let cold = cold.entries();
         let mut hot = self.accounts.iter().peekable();
         let mut cold = cold.iter().peekable();
         loop {
@@ -450,7 +415,7 @@ impl WorldState {
         if let Some(account) = self.accounts.get(addr) {
             return *account;
         }
-        self.pager.as_ref().and_then(|p| p.load(addr)).unwrap_or_default()
+        self.cold.as_ref().and_then(|cold| cold.load(addr)).unwrap_or_default()
     }
 
     /// Credits `amount` to `addr`.
@@ -658,7 +623,7 @@ impl WorldState {
                 .accounts
                 .get(addr)
                 .copied()
-                .or_else(|| self.pager.as_ref().and_then(|p| p.load(addr)))?
+                .or_else(|| self.cold.as_ref().and_then(|cold| cold.load(addr)))?
                 .encode(scratch),
             KeyRef::Storage(contract, slot) => return self.storage(contract, slot),
             KeyRef::Code(addr) => return self.code(addr),
@@ -740,8 +705,8 @@ impl StateAccess for WorldState {
 
     fn set_account(&mut self, addr: Address, account: Account) {
         // Drop any cold copy first: a write re-homes the record hot.
-        if let Some(pager) = &self.pager {
-            pager.take(&addr);
+        if let Some(cold) = &mut self.cold {
+            cold.take(&addr);
         }
         self.accounts.insert(addr, account);
     }
@@ -964,10 +929,6 @@ pub struct Ledger {
     /// `max_hot_accounts` and spills cold tree subtrees past
     /// `node_budget`.
     state_cache: Option<StateCacheConfig>,
-    /// Post-commit hook fed the block and its flattened leaf updates —
-    /// how derived projections (`latest_state`) stay current without a
-    /// second delta pass through public API.
-    commit_observer: Option<CommitObserver>,
 }
 
 /// A block this ledger proposed and has not committed: its id (which
@@ -982,18 +943,12 @@ struct Proposal {
     delta: StateDelta,
 }
 
-/// Post-commit callback: the committed block plus its state changes as
-/// `(leaf key, new value)` pairs (`None` = deleted), in
-/// [`delta_updates`](crate::auth::delta_updates) order.
-pub type CommitObserver = Box<dyn FnMut(&Block, &[(LeafKey, Option<Vec<u8>>)]) + Send>;
-
-/// Wiring for the paged state cache (DESIGN.md §14): where cold account
-/// records and cold tree subtrees go, and how much stays resident.
+/// Wiring for the paged state cache (DESIGN.md §14): the pager cold
+/// account records and cold tree subtrees go to, and how much stays
+/// resident.
 pub struct StateCacheConfig {
-    /// Disk store for cold account records.
-    pub accounts: Arc<dyn AccountPager>,
-    /// Disk store for spilled state-tree subtrees.
-    pub nodes: Arc<dyn crate::auth::NodePager>,
+    /// Disk store for cold account pages and spilled tree subtrees.
+    pub pager: Arc<dyn Pager>,
     /// Account records kept resident; the rest demote after each commit
     /// (the block's written addresses always stay hot).
     pub max_hot_accounts: usize,
@@ -1058,41 +1013,25 @@ impl Ledger {
             tree: OnceCell::from(StateTree::new()),
             proposal: None,
             state_cache: None,
-            commit_observer: None,
         }
     }
 
     /// Attaches the paged state cache (DESIGN.md §14): cold accounts and
-    /// cold tree subtrees past the configured budgets move to the pagers
+    /// cold tree subtrees past the configured budgets move to the pager
     /// after every commit, keeping the resident footprint bounded while
     /// state roots stay byte-identical to a fully-resident node.
     ///
     /// Attach **after** any recovery replay or
-    /// [`Ledger::restore_with_tree`]: both pagers must be empty (the page
+    /// [`Ledger::restore_with_tree`]: the pager must be empty (the page
     /// file is derived data, truncated on open), and a restore drops the
     /// cache so a stale pager can never shadow the restored state.
     pub fn attach_state_cache(&mut self, cache: StateCacheConfig) {
-        self.state.attach_account_pager(Arc::clone(&cache.accounts));
+        self.state.attach_cold_pager(Arc::clone(&cache.pager));
         if let Some(tree) = self.tree.get_mut() {
-            tree.spill_to_budget(&cache.nodes, cache.node_budget);
+            tree.spill_to_budget(&cache.pager, cache.node_budget);
         }
         self.state.demote_accounts(cache.max_hot_accounts, &BTreeSet::new());
         self.state_cache = Some(cache);
-    }
-
-    /// Whether a paged state cache is attached.
-    pub fn has_state_cache(&self) -> bool {
-        self.state_cache.is_some()
-    }
-
-    /// Installs the post-commit observer: after every successful
-    /// [`Ledger::apply`] it receives the block and its flattened
-    /// `(leaf key, new value)` updates, and after a snapshot install
-    /// ([`Ledger::restore_with_tree`]) the installed tip with every leaf
-    /// of the installed state as one batch. Used by the `latest_state`
-    /// projection; at most one observer is held (setting replaces).
-    pub fn set_commit_observer(&mut self, observer: CommitObserver) {
-        self.commit_observer = Some(observer);
     }
 
     /// Enables wave-parallel block execution over `threads` worker
@@ -1142,16 +1081,6 @@ impl Ledger {
     /// not re-appended.
     pub fn attach_store(&mut self, store: Box<dyn BlockStore>) {
         self.store = Some(store);
-    }
-
-    /// Whether a durable store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// Mutable access to the attached store (diagnostics, flushing).
-    pub fn store_mut(&mut self) -> Option<&mut (dyn BlockStore + 'static)> {
-        self.store.as_deref_mut()
     }
 
     /// Current chain height (genesis = 0).
@@ -1246,18 +1175,10 @@ impl Ledger {
         self.stats = LedgerStats::default();
         self.tree = OnceCell::from(tree);
         self.proposal = None;
-        // A restored state is fully resident and the old pagers may hold
-        // entries for the replaced state — drop the cache rather than
-        // let stale pages shadow it. Wiring re-attaches a fresh cache.
+        // A restored state is fully resident and the old pager may hold
+        // pages of the replaced state — drop the cache rather than let
+        // stale pages shadow it. Wiring re-attaches a fresh cache.
         self.state_cache = None;
-        // No block carries the installed state's writes, so an observer
-        // learns them here: everything the state holds, as of the tip.
-        if let Some(observer) = self.commit_observer.as_mut() {
-            let mut leaves = Vec::with_capacity(self.state.leaf_count());
-            self.state
-                .for_each_leaf(&mut |key, value| leaves.push((key.to_key(), Some(value.to_vec()))));
-            observer(&self.blocks[0], &leaves);
-        }
         Ok(())
     }
 
@@ -1298,7 +1219,7 @@ impl Ledger {
     fn built_tree(&self) -> StateTree {
         let mut tree = StateTree::from_state(&self.state);
         if let Some(cache) = &self.state_cache {
-            tree.spill_to_budget(&cache.nodes, cache.node_budget);
+            tree.spill_to_budget(&cache.pager, cache.node_budget);
         }
         tree
     }
@@ -1643,8 +1564,6 @@ impl Ledger {
             .state_cache
             .as_ref()
             .map(|_| delta.accounts.keys().copied().collect());
-        // Only an observer is handed the writes as an owned list.
-        let observed = self.commit_observer.as_ref().map(|_| crate::auth::delta_updates(&delta));
         // Commit. Pages only the replaced nodes named were freed by the
         // merge, before the spill below stores new ones; the new tree is
         // installed once spilled. The receipts move into the ledger.
@@ -1662,9 +1581,6 @@ impl Ledger {
         self.receipts.push((first, receipts));
         self.stats.blocks += 1;
         self.blocks.push(block.clone());
-        if let (Some(observer), Some(updates)) = (self.commit_observer.as_mut(), observed) {
-            observer(self.blocks.last().expect("just pushed"), &updates);
-        }
         // The commit is final: offer the store this block's tree to
         // snapshot from, before demotion pages any of the state out. A
         // snapshot is an optimisation (store contract 3) — a failed one
@@ -1679,7 +1595,7 @@ impl Ledger {
         if let Some(cache) = &self.state_cache {
             let keep = written_accounts.as_ref().expect("captured before commit");
             let demoted = self.state.demote_accounts(cache.max_hot_accounts, keep);
-            updated_tree.spill_to_budget(&cache.nodes, cache.node_budget);
+            updated_tree.spill_to_budget(&cache.pager, cache.node_budget);
             if self.metrics.enabled() {
                 if demoted > 0 {
                     self.metrics.counter("state.accounts_demoted", demoted as u64);
@@ -2393,7 +2309,7 @@ mod codec_impls {
     // Hand-rolled (not `impl_codec_struct!`) because the account
     // component streams the *merged* hot+cold view: byte-identical to a
     // fully resident `BTreeMap` encoding (u32 count, ascending pairs),
-    // regardless of which records the pager holds. The remaining fields
+    // regardless of which records are cold. The remaining fields
     // follow declaration order exactly as the macro would emit them.
     impl Encode for WorldState {
         fn encode(&self, out: &mut Vec<u8>) {
@@ -2425,7 +2341,7 @@ mod codec_impls {
                 crosslinks: Decode::decode(r)?,
                 locks: Decode::decode(r)?,
                 xs_decisions: Decode::decode(r)?,
-                pager: None,
+                cold: None,
             })
         }
     }

@@ -39,23 +39,25 @@ pub mod ledger;
 pub mod mempool;
 pub mod merkle;
 pub mod node;
+mod pager;
 pub mod receipt;
 pub mod shard;
 pub mod sig;
 pub mod store;
 pub mod tx;
 
-pub use auth::{LeafKey, NodePager, ProofTerminal, SmtProof, StateProof, StateTree};
+pub use auth::{LeafKey, ProofTerminal, SmtProof, StateProof, StateTree};
 pub use block::{Block, Body, Header, KeptHeader, Seal};
 pub use exec::{ExecScope, RwSet, StateAccess, StateDelta, StateKey, WorldStateOverlay};
 pub use hash::{sha256_compressions, Hash256, Sha256};
 pub use ledger::{
-    Account, AccountPager, CommitObserver, ContractRuntime, CrossLinkRecord, Event, ExecError,
-    ExecOutcome, Ledger, Receipt, StateCacheConfig, WorldState, XsDecisionRecord, XsLock,
+    Account, ContractRuntime, CrossLinkRecord, Event, ExecError, ExecOutcome, Ledger, Receipt,
+    StateCacheConfig, WorldState, XsDecisionRecord, XsLock,
 };
 pub use mempool::Lane;
 pub use merkle::{MerkleProof, MerkleTree};
 pub use node::SubmitOutcome;
+pub use pager::{Pager, ACCOUNTS_PER_PAGE};
 pub use receipt::TxReceipt;
 pub use shard::{shard_for_key, shard_for_tx, sharded_contract_address, CrossLink, ShardId};
 pub use sig::{registry_verifications, Address, AuthorityKey, AuthoritySignature, KeyRegistry};

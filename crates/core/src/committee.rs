@@ -19,18 +19,18 @@ use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::{
     Address, AuthorityKey, ContractRuntime, Hash256, KeyRegistry, Lane, Ledger, ShardId,
-    SealedTx, StateCacheConfig, Transaction, TxPayload,
+    SealedTx, StateCacheConfig, Transaction, TxPayload, ACCOUNTS_PER_PAGE,
 };
 use medchain_contracts::runtime::Runtime;
 use medchain_runtime::metrics::Metrics;
-use medchain_storage::{DiskStore, LatestState, PageStore, PagedAccounts, ACCOUNTS_PER_PAGE};
+use medchain_storage::{DiskStore, PageStore};
 use medchain_transport::{NetStats, NodeId, SimTransport, TcpTransport, Transport};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// What tells one committee of a network from another. Everything else
-/// (block interval, execution lanes, storage config, page budget,
+/// (block interval, storage config, page budget,
 /// transport kind) is the builder's and the same for all of them.
 pub(crate) struct CommitteeSpec {
     /// Genesis chain id: `medchain`, `medchain/shard-0`, …
@@ -49,8 +49,6 @@ pub(crate) struct CommitteeSpec {
     /// `MEDCHAIN_TCP_ADDRS` addresses one flat cluster; committees of a
     /// sharded topology bind OS-assigned loopback ports instead.
     pub bind_from_env: bool,
-    /// Projection fed from replica 0's committed state deltas.
-    pub latest_state: Option<Arc<LatestState>>,
 }
 
 /// One committee and the chain it drives: the flat consortium, a data
@@ -90,7 +88,6 @@ impl Committee {
             seed,
             metrics,
             bind_from_env,
-            latest_state,
         } = spec;
         let interval = builder.block_interval_ms;
         let validators: Vec<Address> = sites.iter().map(|&g| keys[g].address()).collect();
@@ -119,15 +116,7 @@ impl Committee {
             // chain is byte-identical whether consensus runs on the
             // logical-clock simulator or wall-clock sockets.
             app.set_timestamp_quantum_ms(interval);
-            app.ledger_mut().set_parallel_exec(builder.parallel_exec);
             app.set_metrics(metrics_of(local));
-            // Installed before recovery so replayed blocks feed it too.
-            if let (0, Some(latest)) = (local, &latest_state) {
-                let sink = Arc::clone(latest);
-                app.ledger_mut().set_commit_observer(Box::new(move |block, updates| {
-                    sink.record(block, updates);
-                }));
-            }
             app
         };
         let mut apps: Vec<ChainApp> = (0..sites.len()).map(&make_app).collect();
@@ -428,8 +417,7 @@ fn attach_site_store(
         })?);
         store.attach_pages(Arc::clone(&pages));
         app.ledger_mut().attach_state_cache(StateCacheConfig {
-            accounts: Arc::new(PagedAccounts::new(Arc::clone(&pages))),
-            nodes: pages,
+            pager: pages,
             max_hot_accounts: budget * ACCOUNTS_PER_PAGE,
             node_budget: budget * 32,
         });

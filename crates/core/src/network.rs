@@ -34,11 +34,10 @@ use medchain_contracts::value::Value;
 use medchain_data::PatientRecord;
 use medchain_runtime::metrics::Metrics;
 use medchain_runtime::sync::scoped_map;
-use medchain_storage::{LatestState, SnapshotChunk, SnapshotManifest, StorageConfig};
+use medchain_storage::{SnapshotChunk, SnapshotManifest, StorageConfig};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// How far past the coordinator clock a client's two-phase-commit
 /// prepare may set its deadline: a leg whose partner never arrives keeps
@@ -213,9 +212,7 @@ pub struct NetworkBuilder {
     pub(crate) storage: Option<(PathBuf, StorageConfig)>,
     shards: u16,
     gateway: Option<GatewayConfig>,
-    pub(crate) parallel_exec: usize,
     pub(crate) state_cache_pages: Option<usize>,
-    track_latest: bool,
 }
 
 impl fmt::Debug for NetworkBuilder {
@@ -237,9 +234,7 @@ impl NetworkBuilder {
             storage: None,
             shards: 1,
             gateway: None,
-            parallel_exec: 1,
             state_cache_pages: None,
-            track_latest: false,
         }
     }
 
@@ -249,35 +244,12 @@ impl NetworkBuilder {
     /// in on demand, so total state may exceed RAM. Committed roots are
     /// byte-identical to a fully-resident node. Requires
     /// [`NetworkBuilder::storage`] (the page file lives in the site's
-    /// data directory); without storage the setting is ignored.
+    /// data directory): without it, building returns
+    /// [`NetworkError::Storage`].
     #[must_use]
     pub fn state_cache(mut self, pages: usize) -> NetworkBuilder {
         assert!(pages > 0, "a page cache needs at least one page slot");
         self.state_cache_pages = Some(pages);
-        self
-    }
-
-    /// Maintains the `latest_state` projection (DESIGN.md §14) on
-    /// replica 0: a key → newest-committed-value map updated from each
-    /// committed block's state delta, giving HIE-style point reads O(1)
-    /// lookups without touching the authenticated tree. Fetch it with
-    /// [`Network::latest_state`]. Only [`NetworkBuilder::build`] honors
-    /// it.
-    #[must_use]
-    pub fn track_latest_state(mut self) -> NetworkBuilder {
-        self.track_latest = true;
-        self
-    }
-
-    /// Executes committed blocks on `threads` worker threads via the
-    /// conflict-free wave scheduler (DESIGN.md §11). Transactions are
-    /// partitioned by inferred read/write sets; the parallel schedule is
-    /// guaranteed byte-identical to sequential apply, so any replica may
-    /// enable this independently. `1` (the default) keeps the classic
-    /// sequential path.
-    #[must_use]
-    pub fn parallel_exec(mut self, threads: usize) -> NetworkBuilder {
-        self.parallel_exec = threads.max(1);
         self
     }
 
@@ -408,7 +380,6 @@ impl NetworkBuilder {
             seed: self.seed,
             metrics: self.metrics.clone(),
             bind_from_env: true,
-            latest_state: self.track_latest.then(|| Arc::new(LatestState::new())),
         };
         let mut network = self.start(vec![spec], None)?;
         // Site 0 deploys the standard contracts with its first three
@@ -486,7 +457,6 @@ impl NetworkBuilder {
             seed,
             metrics: self.metrics.scoped(&shard.to_string()),
             bind_from_env: false,
-            latest_state: None,
         };
         let data = (0..k)
             .map(|s| {
@@ -510,7 +480,8 @@ impl NetworkBuilder {
     /// Enrolls the consortium's identities, starts the committees the
     /// specs describe (data chains in shard order, then the
     /// coordinator) and the gateway, and assembles the network around
-    /// them.
+    /// them. A page budget without storage is refused: its page file
+    /// would have no directory to live in.
     ///
     /// Identities: one validator key per site (seed = site index) and
     /// the gateway's client keys (seeds `0x1000_0000..`, disjoint from
@@ -521,6 +492,13 @@ impl NetworkBuilder {
         data: Vec<CommitteeSpec>,
         coordinator: Option<CommitteeSpec>,
     ) -> Result<Network, NetworkError> {
+        if self.state_cache_pages.is_some() && self.storage.is_none() {
+            return Err(NetworkError::Storage(
+                "state_cache(pages) needs storage(..): the page file lives in each site's data \
+                 directory"
+                    .into(),
+            ));
+        }
         let seeded = |base: u64, n: usize| -> Vec<AuthorityKey> {
             (0..n as u64).map(|i| AuthorityKey::from_seed(base + i)).collect()
         };
@@ -530,7 +508,6 @@ impl NetworkBuilder {
         for key in keys.iter().chain(&client_keys) {
             registry.enroll(key);
         }
-        let latest_state = data[0].latest_state.clone();
         let build = |spec| Committee::build(&self, &keys, &registry, spec);
         let chains = data.into_iter().map(build).collect::<Result<Vec<_>, _>>()?;
         let coordinator = coordinator.map(build).transpose()?;
@@ -563,7 +540,6 @@ impl NetworkBuilder {
             resumed,
             gateway,
             client_keys,
-            latest_state,
             stream_cache: None,
             xs_seq: 0,
         })
@@ -596,7 +572,6 @@ pub struct Network {
     resumed: bool,
     gateway: Option<GatewayServer>,
     client_keys: Vec<AuthorityKey>,
-    latest_state: Option<Arc<LatestState>>,
     // One snapshot captured per (chain, tip) for the streaming
     // protocol; recaptured when a manifest is requested for another
     // chain or a newer tip.
@@ -818,16 +793,6 @@ impl Network {
     /// of starting from genesis.
     pub fn resumed(&self) -> bool {
         self.resumed
-    }
-
-    /// The `latest_state` projection when enabled with
-    /// [`NetworkBuilder::track_latest_state`]: O(1) point reads of the
-    /// newest committed value per key, maintained from replica 0's
-    /// committed state deltas (DESIGN.md §14). Covers every block this
-    /// process replayed, streamed, or committed; a snapshot-restored
-    /// baseline is not back-filled.
-    pub fn latest_state(&self) -> Option<&Arc<LatestState>> {
-        self.latest_state.as_ref()
     }
 
     /// Gracefully releases the gateway and every committee's transport
@@ -1431,6 +1396,7 @@ mod tests {
     #[test]
     fn control_cycle_runs_the_picked_up_shards_concurrently() {
         use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
         use std::time::{Duration, Instant};
         const SITES: usize = 4;
         let mut net = network(SITES);

@@ -42,18 +42,14 @@
 
 pub mod crc;
 pub mod disk;
-pub mod pager;
 pub mod pages;
-pub mod projection;
 pub mod snapshot;
 pub mod stream;
 pub mod wal;
 
 pub use crc::crc32;
 pub use disk::{DiskStore, FsyncPolicy, RecoveryReport, StorageConfig, StorageFault};
-pub use pager::{PagedAccounts, ACCOUNTS_PER_PAGE};
 pub use pages::{PageId, PageStore, PAGE_BYTES};
-pub use projection::{LatestState, ProjectedEntry};
 pub use snapshot::{Snapshot, SnapshotStore};
 pub use stream::{SnapshotChunk, SnapshotManifest, CHUNK_BYTES};
 pub use wal::{ScanResult, SegmentedLog};

@@ -27,10 +27,13 @@
 //!   the most recently touched record is never evicted by its own
 //!   insertion.
 //! - [`PageStore::free`] returns an extent to the free list for reuse
-//!   by later writes. Freeing is the caller's business: the account
-//!   pager frees a page when its last member promotes; the node pager
-//!   frees a tree page when the last tree version naming it drops. It
-//!   runs from that `Drop`, so it never panics.
+//!   by later writes. Freeing is the caller's business: the ledger's
+//!   cold account set frees a page when its last member promotes; the
+//!   state tree frees a page when the last tree version naming it
+//!   drops. It runs from that `Drop`, so it never panics.
+//! - The store holds opaque bytes: it is the ledger's one [`Pager`], and
+//!   the ledger owns both formats written through it (packed account
+//!   records, spilled subtrees).
 //!
 //! Metrics (under the owning store's `Metrics` scope):
 //! `storage.page_hits`, `storage.page_misses`, `storage.page_evictions`,
@@ -38,6 +41,7 @@
 //! and a `storage.page_file_slots` gauge for the file's high-water mark.
 
 use crate::crc::crc32;
+use medchain_chain::Pager;
 use medchain_runtime::metrics::Metrics;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -77,8 +81,8 @@ struct Inner {
 }
 
 /// A slotted page file with an LRU write-back cache. All methods take
-/// `&self` (interior mutability), so an `Arc<PageStore>` can back the
-/// ledger's account pager and the state tree's node pager at once.
+/// `&self` (interior mutability), so one `Arc<PageStore>` backs a
+/// ledger's cold accounts and its state tree's spilled subtrees at once.
 pub struct PageStore {
     inner: Mutex<Inner>,
     cache_slots: u64,
@@ -310,6 +314,32 @@ impl PageStore {
     }
 }
 
+/// The page store is the ledger's [`Pager`]: cold account pages and
+/// spilled subtrees are each one CRC-framed extent. A failed write or
+/// read loses the only copy of cold state, so both panic with context.
+///
+/// A tree page comes back through `free` when no tree version can reach
+/// it: structurally-shared clones (proof servers, in-flight `with_delta`
+/// bases, a snapshot being encoded) keep a stub — and so its page —
+/// alive after the live tree has replaced it, and the last of them to
+/// drop frees it. The page file therefore holds about one tree's pages,
+/// not one per commit.
+impl Pager for PageStore {
+    fn store(&self, bytes: &[u8]) -> u64 {
+        self.write(bytes).unwrap_or_else(|e| {
+            panic!("pager: page write failed ({e}); cold state would be lost")
+        })
+    }
+
+    fn load(&self, page: u64) -> Vec<u8> {
+        self.read(page).unwrap_or_else(|e| panic!("pager: lost page {page}: {e}"))
+    }
+
+    fn free(&self, page: u64) {
+        PageStore::free(self, page);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,6 +438,66 @@ mod tests {
         let misses_before = metrics.counter_value("storage.page_misses");
         store.read(cold).unwrap();
         assert_eq!(metrics.counter_value("storage.page_misses"), misses_before + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pager_round_trips_with_tiny_cache() {
+        let (store, registry, dir) = open("pages-pager", 1);
+        let pager: &dyn Pager = &store;
+        let blobs: Vec<Vec<u8>> =
+            (0u8..8).map(|i| vec![i; 100 + i as usize * 997]).collect();
+        let ids: Vec<u64> = blobs.iter().map(|b| pager.store(b)).collect();
+        for (id, blob) in ids.iter().zip(&blobs) {
+            assert_eq!(pager.load(*id), *blob);
+        }
+        // A one-page cache over multi-page extents forces misses.
+        assert!(registry.counter_value("storage.page_misses") > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A spill stores one page per stub and nothing else — no page is
+    /// written and then folded into a bigger one — a second spill of the
+    /// unchanged tree writes nothing, and once the tree drops every page
+    /// is back in the store.
+    #[test]
+    fn spill_leaves_no_page_the_tree_does_not_reference() {
+        use medchain_chain::auth::leaf::{key_bit, key_hash};
+        use medchain_chain::sig::Address;
+        use medchain_chain::{LeafKey, StateTree, WorldState};
+        use medchain_runtime::codec::Encode;
+        use std::sync::Arc;
+        let (store, registry, dir) = open("pages-spill", 2);
+        let pages = Arc::new(store);
+        let addrs: Vec<Address> = (0..500u64).map(Address::from_seed).collect();
+        let mut state = WorldState::new();
+        for (n, addr) in (1..).zip(&addrs) {
+            state.credit(*addr, n);
+        }
+        let resident = StateTree::from_state(&state);
+        let mut spilled = resident.clone();
+        let pager = Arc::clone(&pages) as Arc<dyn Pager>;
+        spilled.spill_to_budget(&pager, 16);
+
+        // A 16-node budget cuts at depth 3: one stub stands at each 3-bit
+        // key prefix that two or more accounts share.
+        let mut per_prefix = [0usize; 8];
+        for addr in &addrs {
+            let kh = key_hash(&LeafKey::Account(*addr));
+            per_prefix[(0..3).fold(0, |p, d| 2 * p + usize::from(key_bit(&kh, d)))] += 1;
+        }
+        let stubs = per_prefix.iter().filter(|&&n| n >= 2).count();
+        assert_eq!(pages.live(), stubs);
+        assert_eq!(registry.counter_value("storage.page_frees"), 0, "a page was folded");
+        assert!(spilled.resident_nodes() <= 16, "{} resident", spilled.resident_nodes());
+
+        let writes = registry.counter_value("storage.page_writes");
+        spilled.spill_to_budget(&pager, 16);
+        assert_eq!(registry.counter_value("storage.page_writes"), writes, "a re-spill wrote");
+        assert!(spilled.audit());
+        assert_eq!(spilled.encoded(), resident.encoded());
+        drop(spilled);
+        assert_eq!(pages.live(), 0, "pages outlived the only tree naming them");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -422,21 +422,35 @@ echo "ok: auth/smt.rs spills at one cut and folds no page"
 
 # Leaves hashed from scratch buffers (DESIGN.md §13): the tree hashes a
 # block's writes straight from the delta through one reused key buffer
-# and one value buffer, so neither an owned encoding (`.encoded()`) nor
-# the flattened (key, value) list (`delta_updates(`) belongs in the tree.
-# That list is built for a commit observer only, so in ledger.rs every
-# call sits on a line that consults `commit_observer`.
+# and one value buffer, so no owned encoding (`.encoded()`) belongs in
+# the tree.
 echo "== auth: scratch-buffer leaf-hashing guard =="
-if uses_outside_tests ".encoded()" crates/chain/src/auth/smt.rs | grep . \
-    || uses_outside_tests "delta_updates(" crates/chain/src/auth/smt.rs | grep .; then
-    echo "ERROR: the state tree encodes an owned buffer or flattens the delta — hash leaves through LeafHasher." >&2
+if uses_outside_tests ".encoded()" crates/chain/src/auth/smt.rs | grep .; then
+    echo "ERROR: the state tree encodes an owned buffer — hash leaves through LeafHasher." >&2
     exit 1
 fi
-if uses_outside_tests "delta_updates(" crates/chain/src/ledger.rs | grep -v "commit_observer"; then
-    echo "ERROR: Ledger builds delta_updates outside the commit_observer branch — only an observer needs the list." >&2
+echo "ok: the tree hashes leaves from scratch buffers"
+
+# One pager for cold state (DESIGN.md §14): cold account pages and
+# spilled subtrees both go through the ledger's `Pager` trait, whose one
+# implementor is the page store; the ledger owns both page formats and
+# storage holds opaque pages. The second paging trait, storage's account
+# pager and the unread `latest_state` projection with its commit
+# observer must not come back.
+echo "== storage: one-pager guard =="
+if grep -rnE 'AccountPager|PagedAccounts|LatestState|set_commit_observer' \
+    crates src tests examples --include="*.rs"; then
+    echo "ERROR: a second pager, storage's account pager or the commit-observer projection is back." >&2
     exit 1
 fi
-echo "ok: the tree hashes leaves from scratch buffers; the flat list is built for an observer only"
+pager_impls="$(grep -rn "impl Pager for" crates src tests examples --include="*.rs" || true)"
+echo "$pager_impls"
+if [ "$(echo "$pager_impls" | grep -c .)" -ne 1 ] \
+    || ! echo "$pager_impls" | grep -q "^crates/storage/src/pages.rs:"; then
+    echo "ERROR: \`impl Pager for\` must appear exactly once, in crates/storage/src/pages.rs." >&2
+    exit 1
+fi
+echo "ok: one Pager, implemented once by the page store"
 
 # Execute once, merge once, store once (DESIGN.md §8, §13): the ledger
 # merges every delta into its own tree in place — in propose and in
@@ -513,7 +527,10 @@ echo "ok: one Network, one gateway backend, one builder block, one serve loop"
 # Trend line (3,583 at PR 31, before the two network types merged;
 # 3,381 after; 3,273 once rejoin stopped running its own loopback server;
 # 3,266 once an off-chain job had one path, when
-# crates/{core,offchain,contracts}/src went 5,953 → 5,915):
+# crates/{core,offchain,contracts}/src went 5,953 → 5,915; 3,240 once
+# the latest_state projection and the unused builder options went, when
+# every .rs file under crates/{chain,storage}/src went 7,063 → 6,937
+# with one pager for cold state):
 # non-blank lines that are not // comments, above each file's first
 # #[cfg(test)].
 census() {
@@ -521,6 +538,7 @@ census() {
 }
 echo "census: $(census crates/core/src/*.rs) non-comment lines outside tests in crates/core/src"
 echo "census: $(census crates/{core,offchain,contracts}/src/*.rs) in crates/{core,offchain,contracts}/src"
+echo "census: $(census $(find crates/chain/src crates/storage/src -name "*.rs")) in crates/{chain,storage}/src"
 
 # One way to run an off-chain job (DESIGN.md §4, Fig. 1): each site a
 # request names picks its shard up from its own replica, runs it on its

@@ -54,12 +54,12 @@ pub mod prelude {
     pub use medchain_chain::{LeafKey, SmtProof, StateProof, StateTree};
 
     // Durable persistence: block store trait plus the disk-backed
-    // segmented-WAL / snapshot implementation, state paging, snapshot
-    // streaming, and the latest_state projection (DESIGN.md §14).
+    // segmented-WAL / snapshot implementation, state paging and snapshot
+    // streaming (DESIGN.md §14).
     pub use medchain_chain::store::{BlockStore, StoreError};
     pub use medchain_storage::{
-        DiskStore, FsyncPolicy, LatestState, PageStore, RecoveryReport, SnapshotChunk,
-        SnapshotManifest, StorageConfig, StorageFault,
+        DiskStore, FsyncPolicy, PageStore, RecoveryReport, SnapshotChunk, SnapshotManifest,
+        StorageConfig, StorageFault,
     };
 
     // Contracts: assembler, bytecode, values, access policy.

@@ -14,13 +14,14 @@ use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::{Transaction, TxPayload};
 use medchain_chain::ledger::WorldState;
 use medchain_chain::{
-    Hash256, KeyRegistry, LeafKey, Ledger, NodePager, StateAccess, StateCacheConfig, StateDelta,
-    StateTree, WorldStateOverlay,
+    Hash256, KeyRegistry, LeafKey, Ledger, Pager, StateAccess, StateCacheConfig, StateDelta,
+    StateTree, WorldStateOverlay, ACCOUNTS_PER_PAGE,
 };
+use medchain::NetworkError;
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::wal::RECORD_HEADER_BYTES;
-use medchain_storage::{PagedAccounts, SnapshotStore};
+use medchain_storage::SnapshotStore;
 use medchain_chain::ledger::LedgerError;
 use medchain_chain::{Block, BlockStore, StoreError};
 use medchain_runtime::check::{check, CheckConfig, PropResult};
@@ -28,7 +29,7 @@ use medchain_runtime::{ensure, ensure_eq};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("medchain-itest-{}-{tag}", std::process::id()));
@@ -523,68 +524,6 @@ fn wiped_site_rejoins_via_streamed_snapshot() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// The `latest_state` projection is derived data a restart has to
-/// rebuild whole: recovery installs the newest snapshot and replays only
-/// the tail above it, so keys last written below the snapshot reach the
-/// projection through the install, not through a replayed block.
-#[test]
-fn latest_state_projection_survives_restart_past_a_snapshot() {
-    let root = test_dir("net-latest-state");
-    let tracked = |root: &std::path::Path| {
-        let mut builder = Network::builder().track_latest_state().storage_with(
-            root,
-            StorageConfig { snapshot_every: 4, ..StorageConfig::default() },
-        );
-        for i in 0..3 {
-            builder = builder.site(&format!("hospital-{i}"), Vec::new());
-        }
-        builder.build().expect("tracked network builds")
-    };
-    let anchor_a = LeafKey::Anchor("cohort-a".into());
-
-    // First life: anchor A, then move the chain past two more snapshot
-    // boundaries so A's block lies below the snapshot recovery installs.
-    let mut net = tracked(&root);
-    net.submit(
-        0,
-        TxPayload::Anchor { root: Hash256::digest(b"cohort-a"), label: "cohort-a".into() },
-        1_000,
-    )
-    .unwrap();
-    net.advance(1).unwrap();
-    let anchored_at = net.height();
-    while net.height() < anchored_at.next_multiple_of(4) + 5 {
-        let label = format!("filler-{}", net.height());
-        net.submit(1, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
-            .unwrap();
-        net.advance(1).unwrap();
-    }
-    assert!(net.height() > 8);
-    net.shutdown();
-    drop(net);
-
-    let net = tracked(&root);
-    assert!(net.resumed());
-    let state = net.ledger().state();
-    let latest = net.latest_state().expect("projection tracked");
-    let expected = state.leaf_value(&anchor_a).expect("A is committed state");
-    assert_eq!(
-        latest.get(&anchor_a).map(|entry| entry.value),
-        Some(expected),
-        "anchor A fell out of the projection across the restart"
-    );
-    // Every leaf is projected, and each projected value is the ledger's.
-    assert_eq!(latest.len(), state.leaf_count());
-    let mut keys: Vec<LeafKey> =
-        (0..3).map(|i| LeafKey::Account(net.site(i).address())).collect();
-    keys.extend((anchored_at..net.height()).map(|h| LeafKey::Anchor(format!("filler-{h}"))));
-    for key in keys {
-        let entry = latest.get(&key).unwrap_or_else(|| panic!("{key:?} not projected"));
-        assert_eq!(Some(entry.value), state.leaf_value(&key), "{key:?}");
-    }
-    std::fs::remove_dir_all(&root).unwrap();
-}
-
 fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {
@@ -726,12 +665,33 @@ fn propose_random(
     ledger.propose(key.address(), height * 50, txs)
 }
 
+/// A page budget needs a data directory for its page file: a builder
+/// given `.state_cache(pages)` without `.storage(..)` is refused on
+/// either topology instead of silently running fully resident.
+#[test]
+fn a_page_budget_without_storage_is_refused() {
+    let builder = || {
+        Network::builder()
+            .state_cache(4)
+            .site("hospital-0", Vec::new())
+            .site("hospital-1", Vec::new())
+    };
+    for built in [builder().build(), builder().shards(2).build_sharded()] {
+        match built {
+            Err(NetworkError::Storage(reason)) => {
+                assert!(reason.contains("storage"), "unclear refusal: {reason}")
+            }
+            Err(other) => panic!("refused for the wrong reason: {other}"),
+            Ok(_) => panic!("a page budget without storage was accepted"),
+        }
+    }
+}
+
 /// A page-capped state cache over `pages`, budgets far below the
 /// 64-account working set of [`random_block`].
 fn tiny_state_cache(pages: Arc<PageStore>) -> StateCacheConfig {
     StateCacheConfig {
-        accounts: Arc::new(PagedAccounts::new(Arc::clone(&pages))),
-        nodes: pages,
+        pager: pages,
         max_hot_accounts: 8, // « the 64-account universe: constant churn
         node_budget: 16,     // forces subtree spills on every commit
     }
@@ -791,6 +751,47 @@ fn paged_ledger_matches_resident_ledger_under_random_blocks() {
     }
 }
 
+/// The cold set (DESIGN.md §14) packs demoted records
+/// `ACCOUNTS_PER_PAGE` to a page and stages the remainder; a page is
+/// freed with the last of its members to be promoted, and the merged
+/// view — reads, equality, the canonical bytes — never moves.
+#[test]
+fn cold_accounts_pack_by_the_page_and_free_it_with_its_last_member() {
+    let dir = test_dir("cold-packing");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut ledger = fresh_ledger(&AuthorityKey::from_seed(37));
+    let n = ACCOUNTS_PER_PAGE as u64 * 2 + 7;
+    let addrs: Vec<Address> = (0..n).map(Address::from_seed).collect();
+    for (balance, addr) in (1..).zip(&addrs) {
+        ledger.state_mut().credit(*addr, balance);
+    }
+    let resident = ledger.state().clone();
+    let pages =
+        Arc::new(PageStore::open(&dir.join("pages.bin"), 1, Registry::new().handle()).unwrap());
+    ledger.attach_state_cache(StateCacheConfig {
+        pager: Arc::clone(&pages) as Arc<dyn Pager>,
+        max_hot_accounts: 0, // every record demotes at attach
+        node_budget: usize::MAX,
+    });
+
+    // Two full batches packed, the remainder staged.
+    assert_eq!(pages.live(), 2);
+    assert_eq!(ledger.state().paged_account_count(), n as usize);
+    assert!(addrs.iter().all(|addr| ledger.state().account_is_cold(addr)));
+    assert!(*ledger.state() == resident, "paging changed the merged view");
+    assert_eq!(ledger.state().encoded(), resident.encoded());
+
+    for (balance, addr) in (1..).zip(&addrs) {
+        assert_eq!(ledger.state().account(addr).balance, balance, "cold read of {addr:?}");
+        ledger.state_mut().credit(*addr, 1);
+        assert!(!ledger.state().account_is_cold(addr), "a write left {addr:?} cold");
+    }
+    // Fully evacuated pages were freed.
+    assert_eq!(pages.live(), 0);
+    assert_eq!(ledger.state().paged_account_count(), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The one-descent merge through spilled subtrees: a tree spilled to a
 /// 16-node budget takes a batch that deletes two slots in three (so
 /// subtrees collapse inside the stubs the merge resolves), rewrites
@@ -812,7 +813,7 @@ fn paged_merge_collapses_inside_resolved_stubs_like_the_resident_tree() {
     }
     let resident = StateTree::from_state(&state);
     let mut paged = resident.clone();
-    let pager: Arc<dyn NodePager> = pages;
+    let pager: Arc<dyn Pager> = pages;
     paged.spill_to_budget(&pager, 16);
     assert!(paged.resident_nodes() < resident.resident_nodes() / 10, "the budget spilled");
 
@@ -856,22 +857,28 @@ fn cut_prefix(key: &LeafKey, cut: usize) -> u64 {
     (0..cut).fold(0, |prefix, depth| 2 * prefix + u64::from(key_bit(&kh, depth)))
 }
 
-/// Installs a commit observer on `ledger` that records the cut prefix of
-/// every leaf each commit writes — the keys of `auth::delta_updates`.
-fn watch_prefixes(ledger: &mut Ledger, cut: usize) -> Arc<Mutex<BTreeSet<u64>>> {
-    let touched = Arc::new(Mutex::new(BTreeSet::new()));
-    let sink = Arc::clone(&touched);
-    ledger.set_commit_observer(Box::new(move |_, updates| {
-        sink.lock().unwrap().extend(updates.iter().map(|(key, _)| cut_prefix(key, cut)));
-    }));
-    touched
+/// The cut prefixes of the leaves `block` writes when every transaction
+/// in it succeeds: each sender's account, each transfer's recipient and
+/// each anchor's label.
+fn written_prefixes(block: &medchain_chain::Block, cut: usize) -> BTreeSet<u64> {
+    let mut keys = Vec::new();
+    for tx in block.transactions.iter() {
+        keys.push(LeafKey::Account(tx.sender));
+        match &tx.payload {
+            TxPayload::Transfer { to, .. } => keys.push(LeafKey::Account(*to)),
+            TxPayload::Anchor { label, .. } => keys.push(LeafKey::Anchor(label.clone())),
+            other => panic!("random blocks carry transfers and anchors only, not {other:?}"),
+        }
+    }
+    keys.iter().map(|key| cut_prefix(key, cut)).collect()
 }
 
 /// One cut, fixed by the budget (DESIGN.md §14): after every commit the
 /// resident tree fits the node budget, and the commit's spill writes at
 /// most one page per cut-depth key prefix the block wrote — the pages
-/// its merge resolved — never the whole tree again. Tree pages go to a
-/// store of their own, so its counters see no account page.
+/// its merge resolved — never the whole tree again. Accounts share the
+/// pager, but the hot set holds every account the test funds or pays,
+/// so every page write counted is a tree page.
 #[test]
 fn a_commit_rewrites_only_the_pages_it_touched() {
     let dir = test_dir("paged-touched");
@@ -882,18 +889,14 @@ fn a_commit_rewrites_only_the_pages_it_touched() {
     for n in 0..512 {
         ledger.state_mut().credit(Address::from_seed(n), 1);
     }
-    let open = |name: &str, registry: &Registry| {
-        Arc::new(PageStore::open(&dir.join(name), 4, registry.handle()).unwrap())
-    };
     let registry = Registry::new();
     let node_budget = 64; // cut = ⌊log₂ 65⌋ − 1 = 5: 31 spine nodes, 32 pages
     ledger.attach_state_cache(StateCacheConfig {
-        accounts: Arc::new(PagedAccounts::new(open("accounts.bin", &Registry::new()))),
-        nodes: open("nodes.bin", &registry),
-        max_hot_accounts: 64,
+        pager: Arc::new(PageStore::open(&dir.join("pages.bin"), 4, registry.handle()).unwrap()),
+        // Above the 1 + 512 funded and 64 paid accounts: none demotes.
+        max_hot_accounts: 1_024,
         node_budget,
     });
-    let touched = watch_prefixes(&mut ledger, 5);
 
     let mut rng = DetRng::from_seed(0x70C4);
     let mut total = 0;
@@ -902,7 +905,7 @@ fn a_commit_rewrites_only_the_pages_it_touched() {
         let before = registry.counter_value("storage.page_writes");
         ledger.apply(&block).unwrap();
         let writes = registry.counter_value("storage.page_writes") - before;
-        let prefixes = std::mem::take(&mut *touched.lock().unwrap()).len() as u64;
+        let prefixes = written_prefixes(&block, 5).len() as u64;
         assert!(writes <= prefixes, "step {step}: {writes} page writes for {prefixes} prefixes");
         let resident = ledger.state_tree().resident_nodes();
         assert!(resident <= node_budget, "step {step}: {resident} resident nodes");
@@ -969,13 +972,14 @@ fn a_retained_tree_version_keeps_its_pages() {
     let reference = StateTree::from_state(resident.state());
 
     // A 16-node budget cuts at depth 3: eight pages.
-    let touched = watch_prefixes(&mut paged, 3);
+    let mut touched = BTreeSet::new();
     let frees = registry.counter_value("storage.page_frees");
     for _ in 0..20 {
         let block = random_block(&mut rng, &mut paged, &key);
         paged.apply(&block).unwrap();
+        touched.extend(written_prefixes(&block, 3));
     }
-    assert_eq!(touched.lock().unwrap().len(), 8, "the commits left a page untouched");
+    assert_eq!(touched.len(), 8, "the commits left a page untouched");
     assert!(registry.counter_value("storage.page_frees") > frees, "no page was reclaimed");
 
     assert_eq!(retained.encoded(), reference.encoded());
@@ -1021,9 +1025,7 @@ fn torn_append_on_a_paged_ledger_leaves_cold_accounts_cold() {
     paged.state_mut().credit(key.address(), 1_000_000);
     let pages =
         Arc::new(PageStore::open(&dir.join("pages.bin"), 2, Registry::new().handle()).unwrap());
-    let cache = tiny_state_cache(pages);
-    let cold = Arc::clone(&cache.accounts);
-    paged.attach_state_cache(cache);
+    paged.attach_state_cache(tiny_state_cache(pages));
     paged.attach_store(Box::new(store));
 
     let mut rng = DetRng::from_seed(0x7042);
@@ -1038,9 +1040,9 @@ fn torn_append_on_a_paged_ledger_leaves_cold_accounts_cold() {
             to[..8].copy_from_slice(&n.to_le_bytes());
             Address(to)
         })
-        .find(|addr| cold.load(addr).is_some())
+        .find(|addr| paged.state().account_is_cold(addr))
         .expect("some account of the universe is cold");
-    let record = cold.load(&target);
+    let record = paged.state().account(&target);
     let paged_accounts = paged.state().paged_account_count();
 
     let nonce = paged.state().account(&key.address()).nonce;
@@ -1051,7 +1053,8 @@ fn torn_append_on_a_paged_ledger_leaves_cold_accounts_cold() {
     let err = paged.apply(&block).expect_err("append is torn");
     assert!(err.to_string().contains("simulated crash"), "got: {err}");
 
-    assert_eq!(cold.load(&target), record, "the torn block moved a cold record");
+    assert!(paged.state().account_is_cold(&target), "the torn block promoted a cold record");
+    assert_eq!(paged.state().account(&target), record, "the torn block moved a cold record");
     assert_eq!(paged.state().paged_account_count(), paged_accounts);
     assert!(paged.state() == resident.state(), "the torn block changed the state");
     assert_eq!(paged.tip().id(), resident.tip().id());

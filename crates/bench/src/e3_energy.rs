@@ -12,13 +12,13 @@ use medchain_chain::consensus::pbft::PbftEngine;
 use medchain_chain::consensus::poa::PoaEngine;
 use medchain_chain::consensus::pos::PosEngine;
 use medchain_chain::consensus::pow::PowEngine;
-use medchain_chain::consensus::{Cluster, Engine, RunReport, WorkCounters};
+use medchain_chain::consensus::{seeded_consortium, Cluster, Engine, RunReport, WorkCounters};
 use medchain_chain::energy::{EnergyModel, EnergyReport};
 use medchain_chain::ledger::LedgerStats;
 use medchain_chain::node::ChainApp;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::TxPayload;
-use medchain_chain::{KeyRegistry, Transaction};
+use medchain_chain::Transaction;
 use medchain_runtime::metrics::Metrics;
 
 const SITES: usize = 5;
@@ -53,24 +53,15 @@ struct EngineRun {
     model: EnergyModel,
 }
 
-fn run_engine<E, F>(
+fn run_engine<E: Engine>(
     name: &'static str,
     quick: bool,
     model: EnergyModel,
-    make: F,
+    engines: Vec<E>,
     metrics: Metrics,
-) -> EngineRun
-where
-    E: Engine,
-    F: FnOnce(&KeyRegistry) -> Vec<E>,
-{
+) -> EngineRun {
     let height = if quick { 4 } else { 10 };
-    let keys: Vec<AuthorityKey> = (0..SITES).map(|i| AuthorityKey::from_seed(i as u64)).collect();
-    let mut registry = KeyRegistry::new();
-    for k in &keys {
-        registry.enroll(k);
-    }
-    let engines = make(&registry);
+    let (keys, registry) = seeded_consortium(SITES);
     let mut apps: Vec<ChainApp> =
         (0..SITES).map(|_| ChainApp::new("energy-bench", registry.clone())).collect();
     // Replica 0 reports app-level counters; the cluster reports
@@ -96,31 +87,28 @@ pub fn run_e3(quick: bool, metrics: Metrics) -> Table {
             "pow",
             quick,
             EnergyModel::cpu(),
-            |registry| {
-                let _ = registry;
-                PowEngine::make_miners(SITES, if quick { 14 } else { 16 }, 2_000_000, 100)
-            },
+            PowEngine::make_miners(SITES, if quick { 14 } else { 16 }, 2_000_000, 100),
             metrics.clone(),
         ),
         run_engine(
             "poa",
             quick,
             EnergyModel::cpu(),
-            |_registry| PoaEngine::make_validators(SITES, 50).0,
+            PoaEngine::make_validators(SITES, 50).0,
             metrics.clone(),
         ),
         run_engine(
             "pbft",
             quick,
             EnergyModel::cpu(),
-            |_registry| PbftEngine::make_replicas(SITES, 50, 5_000).0,
+            PbftEngine::make_replicas(SITES, 50, 5_000).0,
             metrics.clone(),
         ),
         run_engine(
             "pos (virtual mining)",
             quick,
             EnergyModel::cpu(),
-            |_registry| PosEngine::make_stakers(SITES, None, 100).0,
+            PosEngine::make_stakers(SITES, None, 100).0,
             metrics,
         ),
     ];
@@ -187,7 +175,7 @@ pub fn pow_work(quick: bool) -> WorkCounters {
         "pow",
         quick,
         EnergyModel::asic_calibrated(),
-        |_| PowEngine::make_miners(SITES, 12, 500_000, 100),
+        PowEngine::make_miners(SITES, 12, 500_000, 100),
         Metrics::noop(),
     )
     .report
@@ -208,7 +196,7 @@ mod tests {
             "pow",
             true,
             EnergyModel::cpu(),
-            |_| PowEngine::make_miners(SITES, 14, 2_000_000, 100),
+            PowEngine::make_miners(SITES, 14, 2_000_000, 100),
             pow.handle(),
         );
         let poa = Registry::default();
@@ -216,7 +204,7 @@ mod tests {
             "poa",
             true,
             EnergyModel::cpu(),
-            |_| PoaEngine::make_validators(SITES, 50).0,
+            PoaEngine::make_validators(SITES, 50).0,
             poa.handle(),
         );
         let pos = Registry::default();
@@ -224,7 +212,7 @@ mod tests {
             "pos",
             true,
             EnergyModel::cpu(),
-            |_| PosEngine::make_stakers(SITES, None, 100).0,
+            PosEngine::make_stakers(SITES, None, 100).0,
             pos.handle(),
         );
         let hashes = |r: &Registry| r.counter_value("consensus.hashes");

@@ -105,7 +105,11 @@ mod tests {
     /// replica. E23 prints the page traffic of a seeded paged workload;
     /// its rows were recorded while cold account records still paged
     /// through storage's own account pager, so a move of the packing
-    /// code must leave them standing.
+    /// code must leave them standing. E3's rows were recorded before
+    /// PoA and PBFT shared one quorum; its pbft row was re-recorded when
+    /// PBFT's threshold became `n − f`: at E3's `n = 5` a commit waits
+    /// for 4 of 5 replicas, not 3, so each replica verifies more votes
+    /// before a height closes (consensus J 3.680e-5 → 4.080e-5).
     #[test]
     fn deterministic_tables_reproduce_their_recorded_rows() {
         assert_rows(
@@ -125,6 +129,13 @@ mod tests {
             "flat transfers (conflict-light)|2000|1|0.000|2000 slots|1000 slots|500 slots|250 slots|4.000\n\
              flat transfers (hot-key 1/4)|2000|500|0.249|2000 slots|1250 slots|875 slots|687 slots|2.286\n\
              sharded transfers (shard 0 of 2)|2000|1|0.000|2000 slots|1000 slots|500 slots|250 slots|4.000",
+        );
+        assert_rows(
+            "e3",
+            "pow|412430|0|4.124e-2|5.250e-4|0.003\n\
+             poa|4|24|2.120e-5|5.250e-4|0.192\n\
+             pbft|0|44|4.080e-5|5.250e-4|0.186\n\
+             pos (virtual mining)|77|8|1.570e-5|5.250e-4|0.194",
         );
         assert_rows("e7", "2|2|150ms|64B|14.0|true\n4|4|150ms|128B|56.0|true");
         assert_rows(

@@ -13,7 +13,7 @@ pub enum Seal {
     /// Genesis block has no seal.
     Genesis,
     /// Proof-of-authority: proposer signature plus validator vote
-    /// signatures (> 2/3 of the validator set).
+    /// signatures (a quorum: > 2/3 of the validator set).
     Authority {
         /// The round-robin proposer's signature over the header digest.
         proposer: AuthoritySignature,
@@ -24,7 +24,8 @@ pub enum Seal {
     Pbft {
         /// View in which the block committed.
         view: u64,
-        /// Commit signatures from 2f+1 replicas.
+        /// Commit signatures from a quorum of replicas
+        /// ([`two_thirds_quorum`](crate::consensus::two_thirds_quorum)).
         commits: Vec<AuthoritySignature>,
     },
     /// Proof-of-work: nonce achieving the difficulty target.

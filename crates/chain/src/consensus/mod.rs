@@ -11,6 +11,10 @@
 //! * [`pos::PosEngine`] — "proof of stake" virtual-mining lottery
 //!   (paper §I's energy fix that is *still* duplicated computing).
 //!
+//! The two voting engines, PoA and PBFT, share one [`Quorum`]: the
+//! committee's members, one threshold rule and one certificate check,
+//! so a signature counts only if a member made it.
+//!
 //! Engines are message-driven state machines running over any
 //! [`Transport`] — the deterministic [`SimTransport`] simulator by
 //! default, or real TCP sockets via
@@ -25,11 +29,13 @@ pub mod poa;
 pub mod pos;
 pub mod pow;
 
-use crate::block::Block;
+use crate::block::{Block, Seal};
 use crate::hash::Hash256;
-use crate::sig::Address;
+use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
 use medchain_transport::{Event, NodeId, SimTransport, Transport, Wire};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::Hash;
 
 /// The ledger-facing side of a consensus node: the engine decides *when*
 /// to produce and commit blocks, the application decides *what* they
@@ -361,10 +367,150 @@ where
     }
 }
 
-/// Simple quorum rule used by PoA and vote-counting engines: strictly
-/// more than two thirds of `n`.
+/// The one threshold rule of the voting engines: strictly more than two
+/// thirds of `n`, which is `n − f` for the `f = (n − 1) / 3` faults `n`
+/// members tolerate (PBFT's `2f + 1` when `n = 3f + 1`).
 pub fn two_thirds_quorum(n: usize) -> usize {
     2 * n / 3 + 1
+}
+
+/// `n` members keyed from seeds `0..n`, all enrolled in one registry:
+/// the consortium the engines' `make_*` builders, the experiments and
+/// the tests run.
+pub fn seeded_consortium(n: usize) -> (Vec<AuthorityKey>, KeyRegistry) {
+    let keys: Vec<AuthorityKey> = (0..n).map(|i| AuthorityKey::from_seed(i as u64)).collect();
+    let mut registry = KeyRegistry::new();
+    for key in &keys {
+        registry.enroll(key);
+    }
+    (keys, registry)
+}
+
+/// The voting members of a PoA or PBFT committee: who they are, in
+/// leader order, their keys, and how many of them make a quorum. A
+/// signature counts only if its signer is a member, so an enrolled
+/// non-member (a gateway client, say) can neither vote nor seal.
+#[derive(Debug, Clone)]
+pub struct Quorum {
+    members: Vec<Address>,
+    registry: KeyRegistry,
+    threshold: usize,
+}
+
+impl Quorum {
+    /// The quorum of `members`, whose keys `registry` holds (anyone else
+    /// it enrolls is not a member).
+    pub fn new(members: Vec<Address>, registry: KeyRegistry) -> Quorum {
+        let threshold = two_thirds_quorum(members.len());
+        Quorum { members, registry, threshold }
+    }
+
+    /// The members, in leader order.
+    pub(crate) fn members(&self) -> &[Address] {
+        &self.members
+    }
+
+    /// Distinct member signatures a decision needs: [`two_thirds_quorum`].
+    pub(crate) fn threshold(&self) -> usize {
+        self.threshold
+    }
+
+    /// The leader of `round` (a PoA height, a PBFT view).
+    pub(crate) fn leader(&self, round: u64) -> Address {
+        self.members[(round % self.members.len() as u64) as usize]
+    }
+
+    /// Whether `sig` is a member's valid signature over `digest`.
+    pub fn admits(&self, digest: &[u8], sig: &AuthoritySignature) -> bool {
+        self.members.contains(&sig.signer) && self.registry.verify(digest, sig)
+    }
+
+    /// Whether at least [`two_thirds_quorum`] of the members, each
+    /// counted once, signed `digest` validly among `sigs` — the check
+    /// every reader of a commit certificate makes.
+    pub fn certifies(&self, digest: &[u8], sigs: &[AuthoritySignature]) -> bool {
+        let signers: BTreeSet<Address> =
+            sigs.iter().filter(|sig| self.admits(digest, sig)).map(|sig| sig.signer).collect();
+        signers.len() >= self.threshold
+    }
+
+    /// Whether `block`'s seal proves this quorum committed it: a PoA
+    /// seal's proposer is the height's leader and its votes certify the
+    /// block id; a PBFT seal's commits do.
+    fn seals(&self, block: &Block, work: &mut WorkCounters) -> bool {
+        let id = block.id();
+        let sigs = match &block.seal {
+            Seal::Authority { proposer, votes } => {
+                work.verifications += 1;
+                if proposer.signer != self.leader(block.header.height)
+                    || !self.admits(&id.0, proposer)
+                {
+                    return false;
+                }
+                votes
+            }
+            Seal::Pbft { commits, .. } => commits,
+            _ => return false,
+        };
+        work.verifications += sigs.len() as u64;
+        self.certifies(&id.0, sigs)
+    }
+
+    /// Commits the synced `blocks` that extend the tip, in order, each
+    /// only if `kind` is the engine's own seal and the quorum
+    /// [seals](Quorum::seals) it; stops at the first that fails. Returns
+    /// whether any block committed.
+    fn commit_synced(
+        &self,
+        blocks: Vec<Block>,
+        kind: fn(&Seal) -> bool,
+        app: &mut dyn Application,
+        work: &mut WorkCounters,
+    ) -> bool {
+        let from = app.height();
+        for block in blocks {
+            if block.header.height != app.height() + 1 {
+                continue;
+            }
+            if !kind(&block.seal) || !self.seals(&block, work) || !app.commit_block(&block) {
+                break;
+            }
+        }
+        app.height() > from
+    }
+}
+
+/// Member signatures gathered toward a quorum, at most one per signer
+/// for each thing signed (a block id, a view).
+#[derive(Debug)]
+pub(crate) struct Tally<K> {
+    sigs: HashMap<K, BTreeMap<Address, AuthoritySignature>>,
+}
+
+impl<K> Default for Tally<K> {
+    fn default() -> Tally<K> {
+        Tally { sigs: HashMap::new() }
+    }
+}
+
+impl<K: Eq + Hash> Tally<K> {
+    /// Records `sig` for `key` (a signer's repeat replaces its earlier
+    /// signature) and returns how many signers `key` now has.
+    pub(crate) fn add(&mut self, key: K, sig: AuthoritySignature) -> usize {
+        let signers = self.sigs.entry(key).or_default();
+        signers.insert(sig.signer, sig);
+        signers.len()
+    }
+
+    /// How many signers `key` has.
+    pub(crate) fn count(&self, key: &K) -> usize {
+        self.sigs.get(key).map_or(0, BTreeMap::len)
+    }
+
+    /// `key`'s signatures in signer order: a seal's certificate.
+    pub(crate) fn signatures(&self, key: &K) -> Vec<AuthoritySignature> {
+        self.sigs.get(key).map_or_else(Vec::new, |signers| signers.values().copied().collect())
+    }
 }
 
 /// Most sealed blocks one catch-up response carries.
@@ -394,5 +540,36 @@ mod tests {
         assert_eq!(two_thirds_quorum(4), 3);
         assert_eq!(two_thirds_quorum(7), 5);
         assert_eq!(two_thirds_quorum(10), 7);
+        for n in 1..=31 {
+            assert_eq!(two_thirds_quorum(n), n - (n - 1) / 3, "n − f at n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_quorum_counts_distinct_members_only() {
+        let (keys, mut registry) = seeded_consortium(4);
+        let outsider = AuthorityKey::from_seed(0x1000_0000);
+        registry.enroll(&outsider);
+        let quorum = Quorum::new(keys.iter().map(AuthorityKey::address).collect(), registry);
+        assert_eq!((quorum.threshold(), quorum.leader(5)), (3, keys[1].address()));
+        let digest = Hash256::digest(b"block").0;
+        let sig = |key: &AuthorityKey| key.sign(&digest);
+        assert!(quorum.admits(&digest, &sig(&keys[0])));
+        assert!(!quorum.admits(&digest, &sig(&outsider)), "enrolled, but not a member");
+        assert!(!quorum.admits(b"other", &sig(&keys[0])));
+        // A repeated member or an outsider does not make up the third.
+        let two = [sig(&keys[0]), sig(&keys[1])];
+        assert!(!quorum.certifies(&digest, &[two[0], two[1], two[1], sig(&outsider)]));
+        assert!(quorum.certifies(&digest, &[two[0], two[1], sig(&keys[3])]));
+
+        let mut tally = Tally::default();
+        assert_eq!(tally.add(7u64, two[1]), 1);
+        assert_eq!(tally.add(7, two[0]), 2);
+        assert_eq!(tally.add(7, two[1]), 2, "a signer counts once");
+        assert_eq!((tally.count(&7), tally.count(&8)), (2, 0));
+        let signers: Vec<Address> = tally.signatures(&7).iter().map(|s| s.signer).collect();
+        let mut sorted = signers.clone();
+        sorted.sort();
+        assert_eq!(signers, sorted, "a certificate lists its signers in address order");
     }
 }

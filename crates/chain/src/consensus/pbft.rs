@@ -1,18 +1,21 @@
 //! Practical Byzantine Fault Tolerance (three-phase) consensus.
 //!
-//! Classic PBFT over the simulated network: the view-`v` primary
-//! (`v mod n`) pre-prepares a block for the next height, replicas
-//! broadcast signed prepares then commits, and a block is applied once a
-//! `2f+1` commit quorum accumulates (`f = (n-1)/3`). A progress timeout
+//! Classic PBFT over the simulated network: the view-`v` primary (the
+//! [`Quorum`]'s leader of round `v`) pre-prepares a block for the next
+//! height, replicas broadcast signed prepares then commits, and a block
+//! is applied once an `n − f` commit quorum of members accumulates
+//! (`f = (n-1)/3`; `2f + 1` when `n = 3f + 1`). A progress timeout
 //! triggers a view change so the cluster survives primary crashes — the
 //! crash-fault-tolerance property PoA's fixed rotation lacks.
 
 use crate::block::{Block, Seal};
-use crate::consensus::{Application, Engine, Outbox, WorkCounters};
+use crate::consensus::{
+    seeded_consortium, Application, Engine, Outbox, Quorum, Tally, WorkCounters,
+};
 use crate::hash::Hash256;
-use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
+use crate::sig::{AuthorityKey, AuthoritySignature, KeyRegistry};
 use medchain_transport::{NodeId, Wire};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Wire messages of the PBFT protocol.
 // A proposal is moved once per hop and its body is already behind an
@@ -103,8 +106,8 @@ const PROGRESS: u64 = 1;
 #[derive(Debug, Default)]
 struct HeightState {
     block: Option<Block>,
-    prepares: HashMap<Hash256, BTreeMap<Address, AuthoritySignature>>,
-    commits: HashMap<Hash256, BTreeMap<Address, AuthoritySignature>>,
+    prepares: Tally<Hash256>,
+    commits: Tally<Hash256>,
     sent_prepare: bool,
     sent_commit: bool,
 }
@@ -114,13 +117,12 @@ struct HeightState {
 pub struct PbftEngine {
     node: NodeId,
     key: AuthorityKey,
-    replicas: Vec<Address>,
-    registry: KeyRegistry,
+    quorum: Quorum,
     view: u64,
     block_interval_ms: u64,
     view_timeout_ms: u64,
     heights: HashMap<u64, HeightState>,
-    view_votes: HashMap<u64, BTreeMap<Address, AuthoritySignature>>,
+    view_votes: Tally<u64>,
     proposed_height: u64,
     last_proposal: Option<(u64, Block, AuthoritySignature)>,
     last_progress_height: u64,
@@ -128,8 +130,8 @@ pub struct PbftEngine {
 }
 
 impl PbftEngine {
-    /// Creates a replica engine. `replicas[node.0]` must equal the key's
-    /// address.
+    /// Creates a replica engine. The quorum's member `node.0` must equal
+    /// the key's address.
     ///
     /// # Panics
     ///
@@ -137,22 +139,20 @@ impl PbftEngine {
     pub fn new(
         node: NodeId,
         key: AuthorityKey,
-        replicas: Vec<Address>,
-        registry: KeyRegistry,
+        quorum: Quorum,
         block_interval_ms: u64,
         view_timeout_ms: u64,
     ) -> PbftEngine {
-        assert_eq!(replicas[node.0], key.address(), "replica slot mismatch");
+        assert_eq!(quorum.members()[node.0], key.address(), "replica slot mismatch");
         PbftEngine {
             node,
             key,
-            replicas,
-            registry,
+            quorum,
             view: 0,
             block_interval_ms,
             view_timeout_ms,
             heights: HashMap::new(),
-            view_votes: HashMap::new(),
+            view_votes: Tally::default(),
             proposed_height: 0,
             last_proposal: None,
             last_progress_height: 0,
@@ -160,51 +160,28 @@ impl PbftEngine {
         }
     }
 
-    /// Builds `n` replica engines with a shared registry.
+    /// Builds `n` replica engines over [`seeded_consortium`]; returns
+    /// the engines and the registry.
     pub fn make_replicas(
         n: usize,
         block_interval_ms: u64,
         view_timeout_ms: u64,
-    ) -> (Vec<PbftEngine>, KeyRegistry, Vec<Address>) {
-        let keys: Vec<AuthorityKey> = (0..n).map(|i| AuthorityKey::from_seed(i as u64)).collect();
-        let mut registry = KeyRegistry::new();
-        for k in &keys {
-            registry.enroll(k);
-        }
-        let replicas: Vec<Address> = keys.iter().map(AuthorityKey::address).collect();
+    ) -> (Vec<PbftEngine>, KeyRegistry) {
+        let (keys, registry) = seeded_consortium(n);
+        let quorum =
+            Quorum::new(keys.iter().map(AuthorityKey::address).collect(), registry.clone());
         let engines = keys
             .into_iter()
             .enumerate()
             .map(|(i, key)| {
-                PbftEngine::new(
-                    NodeId(i),
-                    key,
-                    replicas.clone(),
-                    registry.clone(),
-                    block_interval_ms,
-                    view_timeout_ms,
-                )
+                PbftEngine::new(NodeId(i), key, quorum.clone(), block_interval_ms, view_timeout_ms)
             })
             .collect();
-        (engines, registry, replicas)
-    }
-
-    fn n(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Byzantine quorum: `2f + 1` with `f = (n-1)/3`.
-    fn quorum(&self) -> usize {
-        let f = (self.n() - 1) / 3;
-        2 * f + 1
-    }
-
-    fn primary(&self, view: u64) -> Address {
-        self.replicas[(view % self.n() as u64) as usize]
+        (engines, registry)
     }
 
     fn is_primary(&self) -> bool {
-        self.primary(self.view) == self.key.address()
+        self.quorum.leader(self.view) == self.key.address()
     }
 
     fn maybe_propose(&mut self, app: &mut dyn Application, out: &mut Outbox<PbftMsg>) {
@@ -248,7 +225,7 @@ impl PbftEngine {
             return;
         }
         self.work.verifications += 1;
-        if sig.signer != self.primary(view) || !self.registry.verify(&block.id().0, &sig) {
+        if sig.signer != self.quorum.leader(view) || !self.quorum.admits(&block.id().0, &sig) {
             return;
         }
         let entry = self.heights.entry(height).or_default();
@@ -282,20 +259,20 @@ impl PbftEngine {
                     let view = self.view;
                     let entry = self.heights.get_mut(&height).expect("present");
                     entry.sent_prepare = true;
-                    entry.prepares.entry(digest).or_default().insert(sig.signer, sig);
+                    entry.prepares.add(digest, sig);
                     out.broadcast(PbftMsg::Prepare { view, height, digest, sig });
                 }
             }
         }
 
         // Phase 3: commit once prepared with a quorum.
-        let quorum = self.quorum();
+        let quorum = self.quorum.threshold();
         let commit_digest = self.heights.get(&height).and_then(|entry| {
             if entry.sent_commit || !entry.sent_prepare {
                 return None;
             }
             let digest = entry.block.as_ref()?.id();
-            (entry.prepares.get(&digest).map_or(0, BTreeMap::len) >= quorum).then_some(digest)
+            (entry.prepares.count(&digest) >= quorum).then_some(digest)
         });
         if let Some(digest) = commit_digest {
             let sig = self.key.sign(&digest.0);
@@ -303,7 +280,7 @@ impl PbftEngine {
             let view = self.view;
             let entry = self.heights.get_mut(&height).expect("present");
             entry.sent_commit = true;
-            entry.commits.entry(digest).or_default().insert(sig.signer, sig);
+            entry.commits.add(digest, sig);
             out.broadcast(PbftMsg::Commit { view, height, digest, sig });
         }
 
@@ -311,13 +288,10 @@ impl PbftEngine {
         let apply = self.heights.get(&height).and_then(|entry| {
             let block = entry.block.as_ref()?;
             let digest = block.id();
-            let commits = entry.commits.get(&digest)?;
-            (commits.len() >= quorum && height == app.height() + 1).then(|| {
+            (entry.commits.count(&digest) >= quorum && height == app.height() + 1).then(|| {
                 let mut sealed = block.clone();
-                sealed.seal = Seal::Pbft {
-                    view: self.view,
-                    commits: commits.values().copied().collect(),
-                };
+                sealed.seal =
+                    Seal::Pbft { view: self.view, commits: entry.commits.signatures(&digest) };
                 sealed
             })
         });
@@ -332,33 +306,6 @@ impl PbftEngine {
                     self.advance(height + 1, app, out);
                 }
             }
-        }
-    }
-
-    /// Verifies a PBFT commit-quorum seal over a synced block.
-    fn verify_seal(&mut self, block: &Block) -> bool {
-        let Seal::Pbft { commits, .. } = &block.seal else { return false };
-        let id = block.id();
-        let mut signers = std::collections::BTreeSet::new();
-        for commit in commits {
-            self.work.verifications += 1;
-            if self.registry.verify(&id.0, commit) {
-                signers.insert(commit.signer);
-            }
-        }
-        signers.len() >= self.quorum()
-    }
-
-    fn handle_sync_response(&mut self, blocks: Vec<Block>, app: &mut dyn Application) {
-        for block in blocks {
-            if block.header.height != app.height() + 1 {
-                continue;
-            }
-            if !self.verify_seal(&block) || !app.commit_block(&block) {
-                break;
-            }
-            self.heights.remove(&block.header.height);
-            self.last_progress_height = app.height();
         }
     }
 
@@ -391,42 +338,22 @@ impl Engine for PbftEngine {
         app: &mut dyn Application,
         out: &mut Outbox<PbftMsg>,
     ) {
+        let is_commit = matches!(msg, PbftMsg::Commit { .. });
         match msg {
             PbftMsg::PrePrepare { view, block, sig } => {
                 self.handle_preprepare(view, block, sig, app, out)
             }
-            PbftMsg::Prepare { view, height, digest, sig } => {
+            PbftMsg::Prepare { view, height, digest, sig }
+            | PbftMsg::Commit { view, height, digest, sig } => {
                 if view != self.view || height <= app.height() {
                     return;
                 }
                 self.work.verifications += 1;
-                if !self.registry.verify(&digest.0, &sig) {
+                if !self.quorum.admits(&digest.0, &sig) {
                     return;
                 }
-                self.heights
-                    .entry(height)
-                    .or_default()
-                    .prepares
-                    .entry(digest)
-                    .or_default()
-                    .insert(sig.signer, sig);
-                self.advance(height, app, out);
-            }
-            PbftMsg::Commit { view, height, digest, sig } => {
-                if view != self.view || height <= app.height() {
-                    return;
-                }
-                self.work.verifications += 1;
-                if !self.registry.verify(&digest.0, &sig) {
-                    return;
-                }
-                self.heights
-                    .entry(height)
-                    .or_default()
-                    .commits
-                    .entry(digest)
-                    .or_default()
-                    .insert(sig.signer, sig);
+                let entry = self.heights.entry(height).or_default();
+                if is_commit { &mut entry.commits } else { &mut entry.prepares }.add(digest, sig);
                 self.advance(height, app, out);
             }
             PbftMsg::SyncRequest { have } => {
@@ -434,17 +361,22 @@ impl Engine for PbftEngine {
                     out.send(from, PbftMsg::SyncResponse { blocks });
                 }
             }
-            PbftMsg::SyncResponse { blocks } => self.handle_sync_response(blocks, app),
+            PbftMsg::SyncResponse { blocks } => {
+                let kind = |seal: &Seal| matches!(seal, Seal::Pbft { .. });
+                if self.quorum.commit_synced(blocks, kind, app, &mut self.work) {
+                    self.heights.retain(|&height, _| height > app.height());
+                    self.last_progress_height = app.height();
+                }
+            }
             PbftMsg::ViewChange { new_view, sig, .. } => {
                 if new_view <= self.view {
                     return;
                 }
                 self.work.verifications += 1;
-                if !self.registry.verify(&new_view.to_le_bytes(), &sig) {
+                if !self.quorum.admits(&new_view.to_le_bytes(), &sig) {
                     return;
                 }
-                self.view_votes.entry(new_view).or_default().insert(sig.signer, sig);
-                if self.view_votes.get(&new_view).map_or(0, BTreeMap::len) >= self.quorum() {
+                if self.view_votes.add(new_view, sig) >= self.quorum.threshold() {
                     self.enter_view(new_view, app, out);
                 }
             }
@@ -467,7 +399,7 @@ impl Engine for PbftEngine {
                     let new_view = self.view + 1;
                     let sig = self.key.sign(&new_view.to_le_bytes());
                     self.work.signatures += 1;
-                    self.view_votes.entry(new_view).or_default().insert(sig.signer, sig);
+                    self.view_votes.add(new_view, sig);
                     out.broadcast(PbftMsg::ViewChange {
                         new_view,
                         height: app.height(),
@@ -494,7 +426,7 @@ mod tests {
     use medchain_transport::{FaultyTransport, SimTransport, Transport};
 
     fn cluster(n: usize) -> Cluster<PbftEngine, ChainApp> {
-        let (engines, registry, _) = PbftEngine::make_replicas(n, 50, 2_000);
+        let (engines, registry) = PbftEngine::make_replicas(n, 50, 2_000);
         let apps = (0..n).map(|_| ChainApp::new("pbft-test", registry.clone())).collect();
         Cluster::new(engines, apps, 7)
     }
@@ -538,7 +470,7 @@ mod tests {
 
     #[test]
     fn view_change_survives_primary_crash() {
-        let (engines, registry, _) = PbftEngine::make_replicas(4, 50, 2_000);
+        let (engines, registry) = PbftEngine::make_replicas(4, 50, 2_000);
         let apps = (0..4).map(|_| ChainApp::new("pbft-test", registry.clone())).collect();
         let net = FaultyTransport::new(SimTransport::new(4, 7), 7);
         let mut c = Cluster::with_transport(engines, apps, net);

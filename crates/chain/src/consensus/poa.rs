@@ -1,19 +1,21 @@
 //! Round-robin proof-of-authority consensus.
 //!
-//! The proposer for height `h` is `validators[h % n]`. The proposer
-//! builds a candidate from its mempool, signs and broadcasts it; every
-//! validator checks the proposal, broadcasts a vote, and commits once a
-//! two-thirds quorum of votes for the same block id accumulates. This is
-//! the consortium-chain model (cf. Hyperledger Fabric / EEA private
-//! chains in paper §I) used as the default substrate everywhere else in
-//! the reproduction.
+//! The proposer for height `h` is the [`Quorum`]'s leader of round `h`.
+//! The proposer builds a candidate from its mempool, signs and
+//! broadcasts it; every validator checks the proposal, broadcasts a
+//! vote, and commits once a quorum of member votes for the same block id
+//! accumulates. This is the consortium-chain model (cf. Hyperledger
+//! Fabric / EEA private chains in paper §I) used as the default
+//! substrate everywhere else in the reproduction.
 
 use crate::block::{Block, Seal};
-use crate::consensus::{two_thirds_quorum, Application, Engine, Outbox, WorkCounters};
+use crate::consensus::{
+    seeded_consortium, Application, Engine, Outbox, Quorum, Tally, WorkCounters,
+};
 use crate::hash::Hash256;
-use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
+use crate::sig::{AuthorityKey, AuthoritySignature, KeyRegistry};
 use medchain_transport::{NodeId, Wire};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Wire messages of the PoA protocol.
 // A proposal is moved once per hop and its body is already behind an
@@ -79,7 +81,7 @@ const TICK: u64 = 0;
 struct HeightState {
     block: Option<Block>,
     proposer_sig: Option<AuthoritySignature>,
-    votes: HashMap<Hash256, BTreeMap<Address, AuthoritySignature>>,
+    votes: Tally<Hash256>,
     voted: bool,
 }
 
@@ -88,8 +90,7 @@ struct HeightState {
 pub struct PoaEngine {
     node: NodeId,
     key: AuthorityKey,
-    validators: Vec<Address>,
-    registry: KeyRegistry,
+    quorum: Quorum,
     block_interval_ms: u64,
     heights: HashMap<u64, HeightState>,
     proposed_at: Option<u64>,
@@ -98,8 +99,8 @@ pub struct PoaEngine {
 }
 
 impl PoaEngine {
-    /// Creates the engine for `node`, whose key must be
-    /// `validators[node.0]`.
+    /// Creates the engine for `node`, whose key must be the quorum's
+    /// member `node.0`.
     ///
     /// # Panics
     ///
@@ -107,16 +108,14 @@ impl PoaEngine {
     pub fn new(
         node: NodeId,
         key: AuthorityKey,
-        validators: Vec<Address>,
-        registry: KeyRegistry,
+        quorum: Quorum,
         block_interval_ms: u64,
     ) -> PoaEngine {
-        assert_eq!(validators[node.0], key.address(), "validator slot mismatch");
+        assert_eq!(quorum.members()[node.0], key.address(), "validator slot mismatch");
         PoaEngine {
             node,
             key,
-            validators,
-            registry,
+            quorum,
             block_interval_ms,
             heights: HashMap::new(),
             proposed_at: None,
@@ -125,46 +124,23 @@ impl PoaEngine {
         }
     }
 
-    fn proposer_for(&self, height: u64) -> Address {
-        self.validators[(height % self.validators.len() as u64) as usize]
-    }
-
-    fn quorum(&self) -> usize {
-        two_thirds_quorum(self.validators.len())
-    }
-
-    /// Builds a convenience cluster of `n` PoA validators.
-    ///
-    /// Returns the engines plus the shared registry and validator set.
-    pub fn make_validators(
-        n: usize,
-        block_interval_ms: u64,
-    ) -> (Vec<PoaEngine>, KeyRegistry, Vec<Address>) {
-        let keys: Vec<AuthorityKey> = (0..n).map(|i| AuthorityKey::from_seed(i as u64)).collect();
-        let mut registry = KeyRegistry::new();
-        for k in &keys {
-            registry.enroll(k);
-        }
-        let validators: Vec<Address> = keys.iter().map(AuthorityKey::address).collect();
+    /// Builds a convenience cluster of `n` PoA validators over
+    /// [`seeded_consortium`]; returns the engines and the registry.
+    pub fn make_validators(n: usize, block_interval_ms: u64) -> (Vec<PoaEngine>, KeyRegistry) {
+        let (keys, registry) = seeded_consortium(n);
+        let quorum =
+            Quorum::new(keys.iter().map(AuthorityKey::address).collect(), registry.clone());
         let engines = keys
             .into_iter()
             .enumerate()
-            .map(|(i, key)| {
-                PoaEngine::new(
-                    NodeId(i),
-                    key,
-                    validators.clone(),
-                    registry.clone(),
-                    block_interval_ms,
-                )
-            })
+            .map(|(i, key)| PoaEngine::new(NodeId(i), key, quorum.clone(), block_interval_ms))
             .collect();
-        (engines, registry, validators)
+        (engines, registry)
     }
 
     fn maybe_propose(&mut self, app: &mut dyn Application, out: &mut Outbox<PoaMsg>) {
         let next = app.height() + 1;
-        if self.proposer_for(next) != self.key.address() || self.proposed_at == Some(next) {
+        if self.quorum.leader(next) != self.key.address() || self.proposed_at == Some(next) {
             return;
         }
         self.proposed_at = Some(next);
@@ -189,9 +165,9 @@ impl PoaEngine {
             return; // stale
         }
         self.work.verifications += 1;
-        if sig.signer != self.proposer_for(height)
+        if sig.signer != self.quorum.leader(height)
             || block.header.proposer != sig.signer
-            || !self.registry.verify(&block.id().0, &sig)
+            || !self.quorum.admits(&block.id().0, &sig)
         {
             return; // wrong or forged proposer
         }
@@ -221,37 +197,24 @@ impl PoaEngine {
         let block_id = block.id();
         let sig = self.key.sign(&block_id.0);
         self.work.signatures += 1;
-        let vote = PoaMsg::Vote { height, block_id, sig };
         // Record own vote locally, then broadcast it.
-        self.record_vote(height, block_id, sig);
-        out.broadcast(vote);
-    }
-
-    fn record_vote(&mut self, height: u64, block_id: Hash256, sig: AuthoritySignature) {
-        self.heights
-            .entry(height)
-            .or_default()
-            .votes
-            .entry(block_id)
-            .or_default()
-            .insert(sig.signer, sig);
+        entry.votes.add(block_id, sig);
+        out.broadcast(PoaMsg::Vote { height, block_id, sig });
     }
 
     fn try_commit(&mut self, app: &mut dyn Application, out: &mut Outbox<PoaMsg>) {
         loop {
             let next = app.height() + 1;
-            let quorum = self.quorum();
             let Some(entry) = self.heights.get(&next) else { return };
             let Some(block) = entry.block.clone() else { return };
             let id = block.id();
-            let Some(votes) = entry.votes.get(&id) else { return };
-            if votes.len() < quorum {
+            if entry.votes.count(&id) < self.quorum.threshold() {
                 return;
             }
             let mut sealed = block;
             sealed.seal = Seal::Authority {
                 proposer: entry.proposer_sig.expect("proposal recorded with signature"),
-                votes: votes.values().copied().collect(),
+                votes: entry.votes.signatures(&id),
             };
             if !app.commit_block(&sealed) {
                 return;
@@ -262,52 +225,6 @@ impl PoaEngine {
             // stack: no propose→commit recursion within one event).
             self.try_vote(app.height() + 1, app, out);
         }
-    }
-}
-
-impl PoaEngine {
-    /// Verifies an authority seal: correct proposer signature and a
-    /// two-thirds vote quorum from enrolled validators, all over the
-    /// block id. Used when committing synced blocks, whose quorum
-    /// evidence arrives in the seal rather than as live votes.
-    fn verify_seal(&mut self, block: &Block) -> bool {
-        let Seal::Authority { proposer, votes } = &block.seal else { return false };
-        let id = block.id();
-        self.work.verifications += 1;
-        if proposer.signer != self.proposer_for(block.header.height)
-            || !self.registry.verify(&id.0, proposer)
-        {
-            return false;
-        }
-        let mut signers = std::collections::BTreeSet::new();
-        for vote in votes {
-            self.work.verifications += 1;
-            if self.registry.verify(&id.0, vote) {
-                signers.insert(vote.signer);
-            }
-        }
-        signers.len() >= self.quorum()
-    }
-
-    /// Applies synced blocks in order, verifying each seal.
-    fn handle_sync_response(
-        &mut self,
-        blocks: Vec<Block>,
-        app: &mut dyn Application,
-        out: &mut Outbox<PoaMsg>,
-    ) {
-        for block in blocks {
-            if block.header.height != app.height() + 1 {
-                continue;
-            }
-            if !self.verify_seal(&block) || !app.commit_block(&block) {
-                break;
-            }
-            self.heights.remove(&block.header.height);
-        }
-        // Fresh evidence may already be buffered for the next height.
-        self.try_vote(app.height() + 1, app, out);
-        self.try_commit(app, out);
     }
 }
 
@@ -340,10 +257,10 @@ impl Engine for PoaEngine {
                     return;
                 }
                 self.work.verifications += 1;
-                if !self.registry.verify(&block_id.0, &sig) {
+                if !self.quorum.admits(&block_id.0, &sig) {
                     return;
                 }
-                self.record_vote(height, block_id, sig);
+                self.heights.entry(height).or_default().votes.add(block_id, sig);
                 self.try_commit(app, out);
             }
             PoaMsg::SyncRequest { have } => {
@@ -351,7 +268,17 @@ impl Engine for PoaEngine {
                     out.send(from, PoaMsg::SyncResponse { blocks });
                 }
             }
-            PoaMsg::SyncResponse { blocks } => self.handle_sync_response(blocks, app, out),
+            PoaMsg::SyncResponse { blocks } => {
+                // A synced block's quorum evidence arrives in its seal
+                // rather than as live votes.
+                let kind = |seal: &Seal| matches!(seal, Seal::Authority { .. });
+                if self.quorum.commit_synced(blocks, kind, app, &mut self.work) {
+                    self.heights.retain(|&height, _| height > app.height());
+                }
+                // Fresh evidence may already be buffered for the next height.
+                self.try_vote(app.height() + 1, app, out);
+                self.try_commit(app, out);
+            }
         }
     }
 
@@ -379,14 +306,12 @@ mod tests {
     use super::*;
     use crate::consensus::Cluster;
     use crate::node::ChainApp;
+    use crate::sig::Address;
     use medchain_transport::{FaultyTransport, SimTransport};
 
     fn cluster(n: usize) -> Cluster<PoaEngine, ChainApp> {
-        let (engines, registry, validators) = PoaEngine::make_validators(n, 50);
-        let apps = validators
-            .iter()
-            .map(|_| ChainApp::new("poa-test", registry.clone()))
-            .collect();
+        let (engines, registry) = PoaEngine::make_validators(n, 50);
+        let apps = (0..n).map(|_| ChainApp::new("poa-test", registry.clone())).collect();
         Cluster::new(engines, apps, 99)
     }
 
@@ -434,14 +359,16 @@ mod tests {
         c.run_until_height(2, 60_000);
         let block = c.replicas[0].app.ledger().block(1).unwrap().clone();
         match block.seal {
-            Seal::Authority { votes, .. } => assert!(votes.len() >= two_thirds_quorum(4)),
+            Seal::Authority { votes, .. } => {
+                assert!(votes.len() >= crate::consensus::two_thirds_quorum(4))
+            }
             other => panic!("expected authority seal, got {other:?}"),
         }
     }
 
     #[test]
     fn survives_minority_node_failure() {
-        let (engines, registry, _) = PoaEngine::make_validators(4, 50);
+        let (engines, registry) = PoaEngine::make_validators(4, 50);
         let apps = (0..4).map(|_| ChainApp::new("poa-test", registry.clone())).collect();
         let net = FaultyTransport::new(SimTransport::new(4, 99), 99);
         let mut c = Cluster::with_transport(engines, apps, net);

@@ -13,7 +13,7 @@
 //! the lowest draw, which makes tie-breaking deterministic network-wide.
 
 use crate::block::{Block, Seal};
-use crate::consensus::{Application, Engine, Outbox, WorkCounters};
+use crate::consensus::{seeded_consortium, Application, Engine, Outbox, WorkCounters};
 use crate::hash::Hash256;
 use crate::sig::{Address, AuthorityKey, AuthoritySignature, KeyRegistry};
 use medchain_transport::{NodeId, Wire};
@@ -93,18 +93,15 @@ impl PosEngine {
         }
     }
 
-    /// Builds `n` stakers with the given stake distribution (uniform if
-    /// `stakes` is `None`).
+    /// Builds `n` stakers over [`seeded_consortium`] with the given
+    /// stake distribution (uniform if `stakes` is `None`); returns the
+    /// engines and the registry.
     pub fn make_stakers(
         n: usize,
         stakes: Option<Vec<u64>>,
         slot_ms: u64,
     ) -> (Vec<PosEngine>, KeyRegistry) {
-        let keys: Vec<AuthorityKey> = (0..n).map(|i| AuthorityKey::from_seed(i as u64)).collect();
-        let mut registry = KeyRegistry::new();
-        for k in &keys {
-            registry.enroll(k);
-        }
+        let (keys, registry) = seeded_consortium(n);
         let stake_values = stakes.unwrap_or_else(|| vec![100; n]);
         let stake_map: HashMap<Address, u64> = keys
             .iter()

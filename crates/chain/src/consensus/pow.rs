@@ -223,16 +223,12 @@ impl Engine for PowEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consensus::Cluster;
+    use crate::consensus::{seeded_consortium, Cluster};
     use crate::node::ChainApp;
-    use crate::sig::KeyRegistry;
 
     fn cluster(n: usize, difficulty_bits: u32) -> Cluster<PowEngine, ChainApp> {
         let engines = PowEngine::make_miners(n, difficulty_bits, 200_000, 100);
-        let mut registry = KeyRegistry::new();
-        for i in 0..n {
-            registry.enroll(&AuthorityKey::from_seed(i as u64));
-        }
+        let (_, registry) = seeded_consortium(n);
         let apps = (0..n).map(|_| ChainApp::new("pow-test", registry.clone())).collect();
         Cluster::new(engines, apps, 21)
     }

@@ -19,7 +19,7 @@
 //! use medchain_chain::consensus::{poa::PoaEngine, Cluster};
 //! use medchain_chain::node::ChainApp;
 //!
-//! let (engines, registry, _) = PoaEngine::make_validators(4, 50);
+//! let (engines, registry) = PoaEngine::make_validators(4, 50);
 //! let apps = (0..4).map(|_| ChainApp::new("demo", registry.clone())).collect();
 //! let mut cluster = Cluster::new(engines, apps, 42);
 //! let report = cluster.run_until_height(3, 60_000);

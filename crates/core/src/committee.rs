@@ -13,7 +13,7 @@ use crate::bootstrap::{stream_into, BootstrapSource};
 use crate::client::PendingTx;
 use crate::network::{NetworkBuilder, NetworkError, TransportKind};
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
-use medchain_chain::consensus::{Application, Cluster};
+use medchain_chain::consensus::{Application, Cluster, Quorum};
 use medchain_chain::ledger::{LedgerStats, NullRuntime};
 use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::receipt::TxReceipt;
@@ -90,13 +90,15 @@ impl Committee {
             bind_from_env,
         } = spec;
         let interval = builder.block_interval_ms;
-        let validators: Vec<Address> = sites.iter().map(|&g| keys[g].address()).collect();
+        // The committee's own sites are its quorum: the registry also
+        // enrolls other committees' sites and the gateway's clients.
+        let quorum =
+            Quorum::new(sites.iter().map(|&g| keys[g].address()).collect(), registry.clone());
         let engines: Vec<PoaEngine> = sites
             .iter()
             .enumerate()
             .map(|(local, &g)| {
-                let key = keys[g].clone();
-                PoaEngine::new(NodeId(local), key, validators.clone(), registry.clone(), interval)
+                PoaEngine::new(NodeId(local), keys[g].clone(), quorum.clone(), interval)
             })
             .collect();
         // Only replica 0 reports, so counters reflect one node's view

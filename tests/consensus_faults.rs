@@ -2,10 +2,10 @@
 //! message loss, WAN latency, and cross-engine agreement under a real
 //! transaction workload.
 
-use medchain_chain::consensus::pbft::PbftEngine;
+use medchain_chain::consensus::pbft::{PbftEngine, PbftMsg};
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
 use medchain_chain::consensus::pos::PosEngine;
-use medchain_chain::consensus::{Application, Cluster, Engine};
+use medchain_chain::consensus::{seeded_consortium, Application, Cluster, Engine, Quorum};
 use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::TxPayload;
@@ -36,15 +36,6 @@ fn fund_and_submit(apps: &mut [ChainApp], keys: &[AuthorityKey], txs: u64) {
     }
 }
 
-fn keys(n: usize) -> (Vec<AuthorityKey>, KeyRegistry) {
-    let keys: Vec<AuthorityKey> = (0..n).map(|i| AuthorityKey::from_seed(i as u64)).collect();
-    let mut registry = KeyRegistry::new();
-    for k in &keys {
-        registry.enroll(k);
-    }
-    (keys, registry)
-}
-
 /// The simulator under the fault layer, both seeded with `seed`. With no
 /// latency model the layer forwards at once and draws nothing for node
 /// failures, so a crash scenario replays exactly as on a bare simulator.
@@ -61,8 +52,8 @@ fn assert_agreement<E: Engine, T>(cluster: &Cluster<E, ChainApp, T>, height: u64
 #[test]
 fn poa_commits_transfer_workload_under_wan_latency() {
     let n = 5;
-    let (ks, registry) = keys(n);
-    let (engines, _, _) = PoaEngine::make_validators(n, 80);
+    let (ks, registry) = seeded_consortium(n);
+    let (engines, _) = PoaEngine::make_validators(n, 80);
     let mut apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("fault-test", registry.clone())).collect();
     fund_and_submit(&mut apps, &ks, 20);
@@ -85,8 +76,8 @@ fn poa_commits_transfer_workload_under_wan_latency() {
 #[test]
 fn poa_tolerates_moderate_message_loss() {
     let n = 4;
-    let (_, registry) = keys(n);
-    let (engines, _, _) = PoaEngine::make_validators(n, 60);
+    let (_, registry) = seeded_consortium(n);
+    let (engines, _) = PoaEngine::make_validators(n, 60);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("lossy-test", registry.clone())).collect();
     // Three heights take about 50 messages, so at 5% roughly one seed in
@@ -103,8 +94,8 @@ fn poa_tolerates_moderate_message_loss() {
 #[test]
 fn pbft_recovers_from_cascading_primary_failures() {
     let n = 7; // f = 2: survives two crashed primaries
-    let (_, registry) = keys(n);
-    let (engines, _, _) = PbftEngine::make_replicas(n, 40, 1_500);
+    let (_, registry) = seeded_consortium(n);
+    let (engines, _) = PbftEngine::make_replicas(n, 40, 1_500);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("cascade-test", registry.clone())).collect();
     let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 11));
@@ -133,7 +124,7 @@ fn pbft_recovers_from_cascading_primary_failures() {
 #[test]
 fn pos_progresses_with_crashed_minority_stake() {
     let n = 5;
-    let (_, registry) = keys(n);
+    let (_, registry) = seeded_consortium(n);
     let (engines, _) = PosEngine::make_stakers(n, Some(vec![100, 100, 100, 100, 100]), 100);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("pos-fault", registry.clone())).collect();
@@ -148,8 +139,8 @@ fn pos_progresses_with_crashed_minority_stake() {
 #[test]
 fn healed_node_rejoins_poa_progress() {
     let n = 4;
-    let (_, registry) = keys(n);
-    let (engines, _, _) = PoaEngine::make_validators(n, 60);
+    let (_, registry) = seeded_consortium(n);
+    let (engines, _) = PoaEngine::make_validators(n, 60);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("heal-test", registry.clone())).collect();
     let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 13));
@@ -174,8 +165,8 @@ fn all_engines_reject_foreign_blocks() {
     // covered at the ledger layer — exercise via a PoA cluster receiving
     // transactions signed by a non-enrolled key.
     let n = 3;
-    let (_, registry) = keys(n);
-    let (engines, _, _) = PoaEngine::make_validators(n, 50);
+    let (_, registry) = seeded_consortium(n);
+    let (engines, _) = PoaEngine::make_validators(n, 50);
     let mut apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("foreign-test", registry.clone())).collect();
     let intruder = AuthorityKey::from_seed(999);
@@ -200,8 +191,8 @@ fn lagging_healed_node_syncs_missed_blocks() {
     // protocol must deliver the sealed blocks it missed so it catches up
     // and the chain can pass its proposer turn.
     let n = 4;
-    let (_, registry) = keys(n);
-    let (engines, _, _) = PoaEngine::make_validators(n, 60);
+    let (_, registry) = seeded_consortium(n);
+    let (engines, _) = PoaEngine::make_validators(n, 60);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("sync-test", registry.clone())).collect();
     let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 15));
@@ -240,8 +231,8 @@ fn sync_responses_with_forged_seals_are_rejected() {
     // Craft a sync response whose seal lacks a quorum; the lagging node
     // must refuse to commit it.
     let n = 4;
-    let (ks, registry) = keys(n);
-    let (mut engines, _, _) = PoaEngine::make_validators(n, 60);
+    let (ks, registry) = seeded_consortium(n);
+    let (mut engines, _) = PoaEngine::make_validators(n, 60);
     let mut apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("forge-test", registry.clone())).collect();
 
@@ -266,11 +257,164 @@ fn sync_responses_with_forged_seals_are_rejected() {
     assert_eq!(apps[0].height(), 0, "under-quorum seal must not commit");
 }
 
+/// `n` members' keys plus three outsiders (the gateway's client-key
+/// seeds), all enrolled in one registry, as a network enrolls every
+/// site and every client key in the registry its engines share.
+fn members_and_outsiders(n: usize) -> (Vec<AuthorityKey>, Vec<AuthorityKey>, KeyRegistry) {
+    let (members, mut registry) = seeded_consortium(n);
+    let outsiders: Vec<AuthorityKey> =
+        (0..3).map(|i| AuthorityKey::from_seed(0x1000_0000 + i)).collect();
+    for key in &outsiders {
+        registry.enroll(key);
+    }
+    (members, outsiders, registry)
+}
+
+fn quorum(members: &[AuthorityKey], registry: &KeyRegistry) -> Quorum {
+    Quorum::new(members.iter().map(AuthorityKey::address).collect(), registry.clone())
+}
+
+fn poa_engines(members: &[AuthorityKey], registry: &KeyRegistry) -> Vec<PoaEngine> {
+    let quorum = quorum(members, registry);
+    let node = |(i, key): (usize, &AuthorityKey)| {
+        PoaEngine::new(NodeId(i), key.clone(), quorum.clone(), 60)
+    };
+    members.iter().enumerate().map(node).collect()
+}
+
+fn pbft_engines(members: &[AuthorityKey], registry: &KeyRegistry) -> Vec<PbftEngine> {
+    let quorum = quorum(members, registry);
+    let node = |(i, key): (usize, &AuthorityKey)| {
+        PbftEngine::new(NodeId(i), key.clone(), quorum.clone(), 40, 800)
+    };
+    members.iter().enumerate().map(node).collect()
+}
+
+/// Hands `msg` from `from` to `engine` over `app`.
+fn deliver<E: Engine>(engine: &mut E, from: usize, msg: E::Msg, app: &mut ChainApp) {
+    let mut out = medchain_chain::consensus::Outbox::new(0);
+    engine.on_message(NodeId(from), msg, app, &mut out);
+}
+
+#[test]
+fn poa_sync_responses_sealed_by_outsiders_are_rejected() {
+    use medchain_chain::block::Seal;
+    let (ks, outsiders, registry) = members_and_outsiders(4);
+    let mut engines = poa_engines(&ks, &registry);
+    let mut apps: Vec<ChainApp> =
+        (0..4).map(|_| ChainApp::new("outsider-seal", registry.clone())).collect();
+    // The right proposer, but every vote from an enrolled non-member.
+    let block = apps[1].make_block(ks[1].address(), 10);
+    let id = block.id();
+    let sealed = medchain_chain::Block {
+        seal: Seal::Authority {
+            proposer: ks[1].sign(&id.0),
+            votes: outsiders.iter().map(|k| k.sign(&id.0)).collect(),
+        },
+        ..block
+    };
+    deliver(&mut engines[0], 1, PoaMsg::SyncResponse { blocks: vec![sealed] }, &mut apps[0]);
+    assert_eq!(apps[0].height(), 0, "outsider votes must not seal a block");
+}
+
+#[test]
+fn pbft_sync_responses_sealed_by_outsiders_are_rejected() {
+    use medchain_chain::block::Seal;
+    let (ks, outsiders, registry) = members_and_outsiders(4);
+    let mut engines = pbft_engines(&ks, &registry);
+    let mut apps: Vec<ChainApp> =
+        (0..4).map(|_| ChainApp::new("outsider-seal", registry.clone())).collect();
+    let block = apps[0].make_block(ks[0].address(), 10);
+    let id = block.id();
+    let sealed = medchain_chain::Block {
+        seal: Seal::Pbft { view: 0, commits: outsiders.iter().map(|k| k.sign(&id.0)).collect() },
+        ..block
+    };
+    deliver(&mut engines[1], 0, PbftMsg::SyncResponse { blocks: vec![sealed] }, &mut apps[1]);
+    assert_eq!(apps[1].height(), 0, "outsider commits must not seal a block");
+}
+
+#[test]
+fn outsider_votes_never_complete_a_poa_height() {
+    let (ks, outsiders, registry) = members_and_outsiders(4);
+    let mut engines = poa_engines(&ks, &registry);
+    let mut apps: Vec<ChainApp> =
+        (0..4).map(|_| ChainApp::new("outsider-vote", registry.clone())).collect();
+    // Node 0 takes validator 1's proposal for height 1 and votes for it:
+    // one member vote of the three a height needs.
+    let block = apps[1].make_block(ks[1].address(), 10);
+    let block_id = block.id();
+    let sig = ks[1].sign(&block_id.0);
+    deliver(&mut engines[0], 1, PoaMsg::Proposal { block, sig }, &mut apps[0]);
+    for key in &outsiders {
+        let vote = PoaMsg::Vote { height: 1, block_id, sig: key.sign(&block_id.0) };
+        deliver(&mut engines[0], 1, vote, &mut apps[0]);
+    }
+    assert_eq!(apps[0].height(), 0, "outsider votes must not complete a height");
+    // Two member votes do.
+    for i in [1, 2] {
+        let vote = PoaMsg::Vote { height: 1, block_id, sig: ks[i].sign(&block_id.0) };
+        deliver(&mut engines[0], i, vote, &mut apps[0]);
+    }
+    assert_eq!(apps[0].height(), 1);
+}
+
+#[test]
+fn outsider_view_changes_never_move_a_pbft_view() {
+    let (ks, outsiders, registry) = members_and_outsiders(4);
+    let mut engines = pbft_engines(&ks, &registry);
+    let mut apps: Vec<ChainApp> =
+        (0..4).map(|_| ChainApp::new("outsider-view", registry.clone())).collect();
+    let new_view = 1u64;
+    for key in &outsiders {
+        let sig = key.sign(&new_view.to_le_bytes());
+        deliver(&mut engines[2], 0, PbftMsg::ViewChange { new_view, height: 0, sig }, &mut apps[2]);
+    }
+    // Still in view 0: replica 2 takes view 0's pre-prepare and commits
+    // it on view-0 prepares and commits from two other members.
+    let block = apps[0].make_block(ks[0].address(), 10);
+    let digest = block.id();
+    let sig = ks[0].sign(&digest.0);
+    deliver(&mut engines[2], 0, PbftMsg::PrePrepare { view: 0, block, sig }, &mut apps[2]);
+    for i in [0, 1] {
+        let sig = ks[i].sign(&digest.0);
+        let prepare = PbftMsg::Prepare { view: 0, height: 1, digest, sig };
+        deliver(&mut engines[2], i, prepare, &mut apps[2]);
+    }
+    for i in [0, 1] {
+        let sig = ks[i].sign(&digest.0);
+        let commit = PbftMsg::Commit { view: 0, height: 1, digest, sig };
+        deliver(&mut engines[2], i, commit, &mut apps[2]);
+    }
+    assert_eq!(apps[2].height(), 1, "outsider view changes moved the view");
+}
+
+#[test]
+fn pbft_seal_needs_four_of_five_commits() {
+    use medchain_chain::block::Seal;
+    let (ks, _, registry) = members_and_outsiders(5);
+    let mut engines = pbft_engines(&ks, &registry);
+    let mut apps: Vec<ChainApp> =
+        (0..5).map(|_| ChainApp::new("five-seal", registry.clone())).collect();
+    let block = apps[0].make_block(ks[0].address(), 10);
+    let id = block.id();
+    let synced = |signers: &[AuthorityKey]| {
+        let commits = signers.iter().map(|k| k.sign(&id.0)).collect();
+        let seal = Seal::Pbft { view: 0, commits };
+        PbftMsg::SyncResponse { blocks: vec![medchain_chain::Block { seal, ..block.clone() }] }
+    };
+    // n = 5 tolerates f = 1: 3 commits is not n - f.
+    deliver(&mut engines[4], 0, synced(&ks[..3]), &mut apps[4]);
+    assert_eq!(apps[4].height(), 0, "3 of 5 commits must not seal a block");
+    deliver(&mut engines[4], 0, synced(&ks[..4]), &mut apps[4]);
+    assert_eq!(apps[4].height(), 1);
+}
+
 #[test]
 fn pbft_healed_replica_syncs_missed_blocks() {
     let n = 4;
-    let (_, registry) = keys(n);
-    let (engines, _, _) = PbftEngine::make_replicas(n, 40, 800);
+    let (_, registry) = seeded_consortium(n);
+    let (engines, _) = PbftEngine::make_replicas(n, 40, 800);
     let apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("pbft-sync", registry.clone())).collect();
     let mut cluster = Cluster::with_transport(engines, apps, faulty_sim(n, 16));
@@ -339,8 +483,8 @@ fn hostile_twin_is_rejected<T: Transport<PoaMsg>>(
 ) {
     use medchain_chain::{Block, SealedTx};
     let n = 4;
-    let (ks, registry) = keys(n);
-    let (engines, _, _) = PoaEngine::make_validators(n, 50);
+    let (ks, registry) = seeded_consortium(n);
+    let (engines, _) = PoaEngine::make_validators(n, 50);
     let mut apps: Vec<ChainApp> =
         (0..n).map(|_| ChainApp::new("hostile-test", registry.clone())).collect();
     let mut hostile = ChainApp::new("hostile-test", registry.clone());

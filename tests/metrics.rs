@@ -11,9 +11,8 @@
 //! mempool itself in `crates/chain/src/mempool.rs`.)
 
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
-use medchain_chain::consensus::Cluster;
+use medchain_chain::consensus::{seeded_consortium, Cluster};
 use medchain_chain::node::ChainApp;
-use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::TxPayload;
 use medchain_chain::Transaction;
 use medchain_runtime::metrics::{Metrics, Registry};
@@ -30,8 +29,8 @@ fn metered_poa_cluster<T: Transport<PoaMsg>>(
     metrics: Metrics,
 ) -> Cluster<PoaEngine, ChainApp, T> {
     let n = net.node_count();
-    let (engines, registry, _) = PoaEngine::make_validators(n, INTERVAL_MS);
-    let keys: Vec<AuthorityKey> = (0..n).map(|i| AuthorityKey::from_seed(i as u64)).collect();
+    let (engines, registry) = PoaEngine::make_validators(n, INTERVAL_MS);
+    let (keys, _) = seeded_consortium(n);
     let mut apps: Vec<ChainApp> = (0..n)
         .map(|i| {
             let mut app = ChainApp::new("metrics-test", registry.clone());

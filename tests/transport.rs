@@ -9,7 +9,7 @@
 //! simulator and over TCP.
 
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
-use medchain_chain::consensus::{Application, Cluster};
+use medchain_chain::consensus::{seeded_consortium, Application, Cluster};
 use medchain_chain::node::ChainApp;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::TxPayload;
@@ -32,8 +32,8 @@ fn poa_cluster<T: Transport<PoaMsg>>(
     txs_per_key: u64,
 ) -> Cluster<PoaEngine, ChainApp, T> {
     let n = net.node_count();
-    let (engines, registry, _) = PoaEngine::make_validators(n, interval_ms);
-    let keys: Vec<AuthorityKey> = (0..n).map(|i| AuthorityKey::from_seed(i as u64)).collect();
+    let (engines, registry) = PoaEngine::make_validators(n, interval_ms);
+    let (keys, _) = seeded_consortium(n);
     let mut apps: Vec<ChainApp> = (0..n)
         .map(|_| {
             let mut app = ChainApp::new("transport-test", registry.clone());

@@ -11,6 +11,11 @@
 //! [`compress_scalar`] otherwise. Both produce the same bytes;
 //! [`compress_scalar`] and [`digest_scalar`] are the oracle the
 //! differential tests hold the fast path to.
+//!
+//! The same file holds [`crc32`], the record checksum of every storage
+//! format, on the same plan: a carry-less-multiply kernel when the CPU
+//! has `pclmulqdq` (detected once), the portable [`crc32_scalar`]
+//! otherwise and as its oracle.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -350,10 +355,10 @@ pub fn digest_scalar(data: &[u8]) -> Hash256 {
     state_bytes(&state)
 }
 
-/// The SHA-NI block function — the only `unsafe` code in the workspace
-/// (`scripts/verify.sh` holds it here). `block_fn` is reachable only
-/// through `compress`, after runtime detection has confirmed every
-/// feature it is compiled for.
+/// The SHA-NI block function — with [`clmul`], the only `unsafe` code in
+/// the program (`scripts/verify.sh` holds it here). `block_fn` is
+/// reachable only through `compress`, after runtime detection has
+/// confirmed every feature it is compiled for.
 ///
 /// It runs one block per lane, for one lane or two. Each round depends
 /// on the one before, so a lone block leaves the SHA unit waiting out
@@ -709,6 +714,219 @@ impl fmt::Debug for HmacKey {
     }
 }
 
+/// CRC32 (IEEE 802.3, bit-reflected polynomial `0xEDB88320`) of `data`:
+/// the record checksum of the block log, snapshot files, page extents
+/// and snapshot-stream chunks. Runs the carry-less-multiply kernel when
+/// the CPU has `pclmulqdq` (detected once), [`crc32_scalar`] otherwise;
+/// both give the same value.
+///
+/// # Examples
+///
+/// ```
+/// use medchain_chain::hash::crc32;
+///
+/// assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+/// ```
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_accelerated(data).unwrap_or_else(|| crc32_scalar(data))
+}
+
+/// [`crc32`] on the carry-less-multiply kernel, or `None` when this CPU
+/// (or architecture) has no `pclmulqdq`.
+pub fn crc32_accelerated(data: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        clmul::update(!0, data).map(|c| !c)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = data;
+        None
+    }
+}
+
+/// [`crc32`] on the portable slicing-by-8 loop: the fallback on CPUs
+/// without `pclmulqdq` and the oracle the kernel is tested against.
+pub fn crc32_scalar(data: &[u8]) -> u32 {
+    !crc32_sliced(!0, data)
+}
+
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight input bytes fold into the register with eight independent
+/// lookups instead of eight dependent ones.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// The CRC register `c` carried over `data` (no pre- or post-inversion),
+/// eight bytes a step: the whole of [`crc32_scalar`] and the tail of the
+/// kernel.
+fn crc32_sliced(mut c: u32, data: &[u8]) -> u32 {
+    let (words, tail) = data.as_chunks::<8>();
+    for word in words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        c = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][word[4] as usize]
+            ^ CRC_TABLES[2][word[5] as usize]
+            ^ CRC_TABLES[1][word[6] as usize]
+            ^ CRC_TABLES[0][word[7] as usize];
+    }
+    for &byte in tail {
+        c = CRC_TABLES[0][((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// The PCLMULQDQ CRC32 kernel, after Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in
+/// its bit-reflected form. With [`sha_ni`] it is the only `unsafe` code
+/// in the program (`scripts/verify.sh` holds it here); `fold` is
+/// reachable only through `update`, after runtime detection has
+/// confirmed the one feature it is compiled for.
+///
+/// Four 128-bit lanes fold forward over 64-byte strides, then into one
+/// lane, which folds over 16-byte blocks. The lane reduces 128 → 64
+/// bits, and a Barrett step takes it to the 32-bit register. Fewer than
+/// 16 bytes left over, and inputs under one stride, run through the
+/// tables.
+///
+/// Every constant is a polynomial bit-reflected as a 33-bit value, the
+/// form in which a carry-less product of reflected operands lines up
+/// with its reflected input. All but the last two are a power of `x`
+/// modulo `P`; `tests::crc_constants_are_powers_of_x_mod_p` recomputes
+/// each one.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+    use std::sync::OnceLock;
+
+    /// `x^(4·128+32) mod P`: carries a lane's low half one 64-byte stride.
+    pub(super) const K1: u64 = 0x1_5444_2bd4;
+    /// `x^(4·128−32) mod P`: carries a lane's high half one 64-byte stride.
+    pub(super) const K2: u64 = 0x1_c6e4_1596;
+    /// `x^(128+32) mod P`: carries a lane's low half one 16-byte block.
+    pub(super) const K3: u64 = 0x1_7519_97d0;
+    /// `x^(128−32) mod P`: carries a lane's high half one 16-byte block,
+    /// and reduces 128 bits to 96.
+    pub(super) const K4: u64 = 0x0_ccaa_009e;
+    /// `x^64 mod P`: reduces 96 bits to 64.
+    pub(super) const K5: u64 = 0x1_63cd_6124;
+    /// `P` itself, its `x^32` term included: the Barrett divisor.
+    pub(super) const P: u64 = 0x1_db71_0641;
+    /// `⌊x^64 / P⌋`: the Barrett quotient.
+    pub(super) const MU: u64 = 0x1_f701_1641;
+
+    /// Whether this CPU runs `fold`: probed on first use, then read.
+    fn detected() -> bool {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        *DETECTED.get_or_init(|| is_x86_feature_detected!("pclmulqdq"))
+    }
+
+    /// The CRC register `crc` carried over `data`, if the CPU has
+    /// `pclmulqdq`.
+    pub(super) fn update(crc: u32, data: &[u8]) -> Option<u32> {
+        if !detected() {
+            return None;
+        }
+        // SAFETY: `detected()` has just confirmed at run time that the
+        // CPU supports `pclmulqdq` (and `sse2` is part of the x86_64
+        // baseline) — every feature `fold` enables.
+        Some(unsafe { fold(crc, data) })
+    }
+
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes, and `_mm_loadu_si128`
+        // needs no alignment.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// The four 16-byte lanes of a stride.
+    fn lanes(stride: &[u8; 64]) -> [__m128i; 4] {
+        let (blocks, _) = stride.as_chunks::<16>();
+        [load(&blocks[0]), load(&blocks[1]), load(&blocks[2]), load(&blocks[3])]
+    }
+
+    /// `acc` carried forward by `keys` (low half × low key, high half ×
+    /// high key) and added to `next`, the data that distance ahead.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let low = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let high = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(next, _mm_xor_si128(low, high))
+    }
+
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(crc: u32, data: &[u8]) -> u32 {
+        let (strides, rest) = data.as_chunks::<64>();
+        let Some((first, strides)) = strides.split_first() else {
+            return super::crc32_sliced(crc, data);
+        };
+        let [mut x0, mut x1, mut x2, mut x3] = lanes(first);
+        x0 = _mm_xor_si128(x0, _mm_cvtsi32_si128(crc as i32));
+        let by_stride = _mm_set_epi64x(K2 as i64, K1 as i64);
+        for stride in strides {
+            let [n0, n1, n2, n3] = lanes(stride);
+            x0 = fold_into(x0, n0, by_stride);
+            x1 = fold_into(x1, n1, by_stride);
+            x2 = fold_into(x2, n2, by_stride);
+            x3 = fold_into(x3, n3, by_stride);
+        }
+        let by_block = _mm_set_epi64x(K4 as i64, K3 as i64);
+        let mut x = fold_into(fold_into(fold_into(x0, x1, by_block), x2, by_block), x3, by_block);
+        let (blocks, tail) = rest.as_chunks::<16>();
+        for block in blocks {
+            x = fold_into(x, load(block), by_block);
+        }
+        // 128 → 96 bits: the low half × K4, plus the high half.
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, by_block, 0x10), _mm_srli_si128(x, 8));
+        // 96 → 64 bits: the low 32 × K5, plus the upper 64.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let k5 = _mm_set_epi64x(0, K5 as i64);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett, 64 → 32 bits: T1 = (R mod x^32)·μ, T2 = (T1 mod
+        // x^32)·P, and the register is the upper half of R + T2.
+        let p_mu = _mm_set_epi64x(MU as i64, P as i64);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), p_mu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), p_mu, 0x00);
+        let c = _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x, t2), 4)) as u32;
+        super::crc32_sliced(c, tail)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,6 +1026,43 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc_constants_are_powers_of_x_mod_p() {
+        use super::clmul::{K1, K2, K3, K4, K5, MU, P};
+        /// `x^n mod P` in the reflected domain, built one multiplication
+        /// by `x` at a time: multiplying by `x` is a right shift, and a
+        /// bit falling off bit 0 is the `x^32` term, reduced by adding `P`.
+        fn x_pow_mod_p(n: u32) -> u32 {
+            let mut r = 0x8000_0000u32; // x^0
+            for _ in 0..n {
+                r = if r & 1 != 0 { (r >> 1) ^ 0xEDB8_8320 } else { r >> 1 };
+            }
+            r
+        }
+        /// A reflected 32-bit polynomial as the kernel's 33-bit constant.
+        fn as_33_bits(reflected: u32) -> u64 {
+            u64::from(reflected) << 1
+        }
+        assert_eq!(K1, as_33_bits(x_pow_mod_p(4 * 128 + 32)));
+        assert_eq!(K2, as_33_bits(x_pow_mod_p(4 * 128 - 32)));
+        assert_eq!(K3, as_33_bits(x_pow_mod_p(128 + 32)));
+        assert_eq!(K4, as_33_bits(x_pow_mod_p(128 - 32)));
+        assert_eq!(K5, as_33_bits(x_pow_mod_p(64)));
+        // P reflected over 33 bits: the x^32 term lands on bit 0.
+        assert_eq!(P, as_33_bits(0xEDB8_8320) | 1);
+        // ⌊x^64 / P⌋ by long division in the normal domain (P =
+        // 0x1_04C1_1DB7), then reflected over its 33 bits.
+        let (divisor, mut rest, mut quotient) = (0x1_04C1_1DB7u128, 1u128 << 64, 0u64);
+        for shift in (0..=32).rev() {
+            if rest & (1 << (32 + shift)) != 0 {
+                rest ^= divisor << shift;
+                quotient |= 1 << shift;
+            }
+        }
+        assert_eq!(MU, quotient.reverse_bits() >> (64 - 33));
     }
 
     /// `hmac_sha256` with every block through the scalar oracle.

@@ -324,6 +324,7 @@ pub fn stream_into(
 mod tests {
     use super::*;
     use crate::Network;
+    use medchain_chain::hash::crc32;
     use medchain_chain::TxPayload;
     use medchain_contracts::runtime::Runtime;
     use medchain_runtime::check::{check, CheckConfig, Gen};
@@ -583,7 +584,7 @@ mod tests {
                             &GatewayRequest::SnapshotChunk { height, index, .. },
                         ) => {
                             let bytes = vec![0xA5; 1 + index as usize % 7];
-                            let crc = medchain_storage::crc32(&bytes);
+                            let crc = crc32(&bytes);
                             let chunk = SnapshotChunk { height, index, bytes, crc };
                             GatewayResponse::SnapshotPiece { chunk: Some(chunk) }
                         }
@@ -610,7 +611,7 @@ mod tests {
                             // Resized, with a CRC that matches the new bytes.
                             let len = skewed(&mut g, c.bytes.len() as u64, &[0]) as usize;
                             c.bytes.resize(len.min(CHUNK_BYTES + 1), 0xA5);
-                            c.crc = medchain_storage::crc32(&c.bytes);
+                            c.crc = crc32(&c.bytes);
                         }
                         _ => {
                             // Flipped, with a CRC that matches the new bytes.
@@ -619,7 +620,7 @@ mod tests {
                                 Some(byte) => *byte ^= 1 + g.byte() % 255,
                                 None => c.bytes.push(0),
                             }
-                            c.crc = medchain_storage::crc32(&c.bytes);
+                            c.crc = crc32(&c.bytes);
                         }
                     }
                     GatewayResponse::SnapshotPiece { chunk: Some(c) }
@@ -679,7 +680,7 @@ mod tests {
                         manifest: SnapshotManifest {
                             chunk_count: 1,
                             total_len: garbage.len() as u64,
-                            crc: medchain_storage::crc32(&garbage),
+                            crc: crc32(&garbage),
                             ..honest.clone()
                         },
                         payload: garbage.clone(),

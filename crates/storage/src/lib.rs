@@ -40,14 +40,12 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod crc;
 pub mod disk;
 pub mod pages;
 pub mod snapshot;
 pub mod stream;
 pub mod wal;
 
-pub use crc::crc32;
 pub use disk::{DiskStore, FsyncPolicy, RecoveryReport, StorageConfig, StorageFault};
 pub use pages::{PageId, PageStore, PAGE_BYTES};
 pub use snapshot::{Snapshot, SnapshotStore};

@@ -40,7 +40,7 @@
 //! `storage.page_flushes`, `storage.page_writes`, `storage.page_frees`,
 //! and a `storage.page_file_slots` gauge for the file's high-water mark.
 
-use crate::crc::crc32;
+use medchain_chain::hash::crc32;
 use medchain_chain::Pager;
 use medchain_runtime::metrics::Metrics;
 use std::collections::HashMap;
@@ -215,20 +215,15 @@ impl PageStore {
     /// Returns the first write or sync error.
     pub fn flush(&self) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("page store poisoned");
-        let dirty: Vec<u64> = inner
-            .cache
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(start, _)| *start)
-            .collect();
-        let flushed = dirty.len() as u64;
-        for start in dirty {
-            let bytes = inner.cache[&start].bytes.clone();
-            Self::write_extent(&mut inner, start, &bytes)?;
-            inner.cache.get_mut(&start).expect("present").dirty = false;
+        let Inner { file, cache, .. } = &mut *inner;
+        let mut flushed = 0;
+        for (&start, entry) in cache.iter_mut().filter(|(_, e)| e.dirty) {
+            Self::write_extent(file, start, &entry.bytes)?;
+            entry.dirty = false;
+            flushed += 1;
         }
         if flushed > 0 {
-            inner.file.sync_data()?;
+            file.sync_data()?;
             self.metrics.counter("storage.page_flushes", flushed);
         }
         Ok(())
@@ -273,7 +268,7 @@ impl PageStore {
             let entry = inner.cache.remove(&victim).expect("present");
             inner.cached_slots -= entry.slots;
             if entry.dirty {
-                Self::write_extent(inner, victim, &entry.bytes)?;
+                Self::write_extent(&mut inner.file, victim, &entry.bytes)?;
                 self.metrics.counter("storage.page_flushes", 1);
             }
             self.metrics.counter("storage.page_evictions", 1);
@@ -281,13 +276,13 @@ impl PageStore {
         Ok(())
     }
 
-    fn write_extent(inner: &mut Inner, start: u64, payload: &[u8]) -> io::Result<()> {
+    fn write_extent(file: &mut File, start: u64, payload: &[u8]) -> io::Result<()> {
         let mut record = Vec::with_capacity(EXTENT_HEADER + payload.len());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         record.extend_from_slice(&crc32(payload).to_le_bytes());
         record.extend_from_slice(payload);
-        inner.file.seek(SeekFrom::Start(start * PAGE_BYTES as u64))?;
-        inner.file.write_all(&record)
+        file.seek(SeekFrom::Start(start * PAGE_BYTES as u64))?;
+        file.write_all(&record)
     }
 
     fn read_extent(inner: &mut Inner, start: u64, slots: u64) -> io::Result<Vec<u8>> {

@@ -22,13 +22,13 @@
 //! crash mid-snapshot leaves either the old set or the new set — never
 //! a half-written file that parses.
 
-use crate::crc::crc32;
+use medchain_chain::hash::crc32;
 use crate::wal::RECORD_HEADER_BYTES;
 use medchain_chain::store::StoreError;
 use medchain_chain::{Block, StateTree, WorldState};
 use medchain_runtime::codec::{Decode, Encode, Reader};
-use std::fs::{self, OpenOptions};
-use std::io::Write;
+use std::fs::{self, File, OpenOptions};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 const SNAP_PREFIX: &str = "snap-";
@@ -88,25 +88,30 @@ fn write_record(path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
 }
 
 /// The CRC-verified payload of the record file at `path`; `None` if the
-/// file is missing, torn, or fails its CRC.
+/// file is missing, torn, or fails its CRC. The header is read on its
+/// own and the payload straight into its buffer, so a multi-megabyte
+/// snapshot is neither copied nor moved after the read.
 fn read_record(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
-    let mut bytes = match fs::read(path) {
-        Ok(b) => b,
+    let mut file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let header = RECORD_HEADER_BYTES as usize;
-    if bytes.len() < header {
+    let file_len = file.metadata()?.len();
+    if file_len < RECORD_HEADER_BYTES {
         return Ok(None);
     }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    bytes.drain(..header);
-    if bytes.len() < len {
+    let mut header = [0u8; RECORD_HEADER_BYTES as usize];
+    file.read_exact(&mut header)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    // The length is bounded by the file before anything is allocated.
+    if file_len - RECORD_HEADER_BYTES < u64::from(len) {
         return Ok(None);
     }
-    bytes.truncate(len);
-    Ok((crc32(&bytes) == crc).then_some(bytes))
+    let mut payload = vec![0u8; len as usize];
+    file.read_exact(&mut payload)?;
+    Ok((crc32(&payload) == crc).then_some(payload))
 }
 
 impl SnapshotStore {

@@ -35,7 +35,7 @@
 //! re-requests: adopting is tmp + rename and a rejected payload is
 //! removed again, so a torn install cannot exist.
 
-use crate::crc::crc32;
+use medchain_chain::hash::crc32;
 use medchain_chain::hash::Hash256;
 use medchain_chain::{Block, StateTree, WorldState};
 use medchain_runtime::codec::Encode;

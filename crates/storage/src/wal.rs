@@ -15,7 +15,7 @@
 //! contiguity) and truncates the file at the first invalid one — a torn
 //! tail from a crash mid-append recovers to the last durable block.
 
-use crate::crc::crc32;
+use medchain_chain::hash::crc32;
 use medchain_chain::store::StoreError;
 use medchain_chain::Block;
 use medchain_runtime::codec::{Decode, Reader};

@@ -530,7 +530,8 @@ echo "ok: one Network, one gateway backend, one builder block, one serve loop"
 # crates/{core,offchain,contracts}/src went 5,953 → 5,915; 3,240 once
 # the latest_state projection and the unused builder options went, when
 # every .rs file under crates/{chain,storage}/src went 7,063 → 6,937
-# with one pager for cold state, then → 6,903 with one quorum):
+# with one pager for cold state, then → 6,903 with one quorum, then
+# → 6,988 with the CRC32 kernel beside SHA-NI and storage's crc.rs gone):
 # non-blank lines that are not // comments, above each file's first
 # #[cfg(test)].
 census() {
@@ -627,20 +628,21 @@ if grep -rnE 'Instant|SystemTime' crates/bench crates/core/src/paradigms.rs \
 fi
 echo "ok: one run_eN per experiment, one sharded mode, no measured/modeled switch, no second clock"
 
-# Unsafe census (DESIGN.md §2): the SHA-NI block function in
-# crates/chain/src/hash.rs is the only `unsafe` code in the program, and
-# tests/alloc_count.rs's counting allocator (a `GlobalAlloc` that hands
-# every call to `System`) the only `unsafe` in a test; each occurrence
-# sits directly under a comment holding `// SAFETY:`. hash.rs is the
-# only code that detects CPU features or enables them, so the
-# `#[target_feature]` function stays reachable only through detection.
+# Unsafe census (DESIGN.md §2): the SHA-NI block function and the
+# PCLMULQDQ CRC32 kernel in crates/chain/src/hash.rs are the only
+# `unsafe` code in the program, and tests/alloc_count.rs's counting
+# allocator (a `GlobalAlloc` that hands every call to `System`) the only
+# `unsafe` in a test; each occurrence sits directly under a comment
+# holding `// SAFETY:`. hash.rs is the only code that detects CPU
+# features or enables them, so each `#[target_feature]` function stays
+# reachable only through detection.
 echo "== unsafe: census =="
 rust_sources=(crates src examples tests benchmark/src)
 code_lines() {
     grep -rnE --include='*.rs' "$1" "${rust_sources[@]}" | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true
 }
 if code_lines '\bunsafe\b' | grep -v "^crates/chain/src/hash.rs:\|^tests/alloc_count.rs:"; then
-    echo "ERROR: unsafe code outside the SHA-NI module in crates/chain/src/hash.rs and the counting allocator in tests/alloc_count.rs." >&2
+    echo "ERROR: unsafe code outside the SHA-NI and CRC32 kernels in crates/chain/src/hash.rs and the counting allocator in tests/alloc_count.rs." >&2
     exit 1
 fi
 if code_lines 'is_x86_feature_detected|target_feature' | grep -v "^crates/chain/src/hash.rs:"; then
@@ -659,7 +661,20 @@ if ! awk '
     echo "ERROR: an unsafe site without a // SAFETY: comment directly above it." >&2
     exit 1
 fi
-echo "ok: unsafe lives in the SHA-NI module and the counting allocator only; feature detection and target_feature in the SHA-NI module only"
+echo "ok: unsafe lives in the SHA-NI and CRC32 kernels and the counting allocator only; feature detection and target_feature in hash.rs only"
+
+# One CRC (DESIGN.md §2): every WAL record, snapshot file, page extent
+# and snapshot-stream chunk is checksummed by the one dispatched
+# `crc32` in crates/chain/src/hash.rs. A second definition (a storage
+# copy, a test's private twin) fails here.
+echo "== crc: one definition =="
+crc_defs="$(grep -rnE --include='*.rs' '\bfn crc32\b' crates src examples tests || true)"
+if [ "$(printf '%s\n' "$crc_defs" | grep -c .)" != 1 ] || ! printf '%s\n' "$crc_defs" | grep -q '^crates/chain/src/hash.rs:'; then
+    echo "ERROR: \`fn crc32\` must be defined exactly once, in crates/chain/src/hash.rs; found:" >&2
+    printf '%s\n' "$crc_defs" >&2
+    exit 1
+fi
+echo "ok: fn crc32 is defined once, in crates/chain/src/hash.rs"
 
 # Every environment variable is an option tests and benchmarks must
 # cover. The files that read one are listed here, so a new knob has to

@@ -17,11 +17,12 @@ use medchain_chain::{
     Hash256, KeyRegistry, LeafKey, Ledger, Pager, StateAccess, StateCacheConfig, StateDelta,
     StateTree, WorldStateOverlay, ACCOUNTS_PER_PAGE,
 };
+use medchain::gateway::GatewayBackend;
 use medchain::NetworkError;
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::wal::RECORD_HEADER_BYTES;
-use medchain_storage::SnapshotStore;
+use medchain_storage::{SegmentedLog, SnapshotStore, PAGE_BYTES};
 use medchain_chain::ledger::LedgerError;
 use medchain_chain::{Block, BlockStore, StoreError};
 use medchain_runtime::check::{check, CheckConfig, PropResult};
@@ -1317,6 +1318,185 @@ fn a_proposing_ledger_stays_the_twin_of_one_that_only_applies() {
             }
             ensure_twins(&ledger, &twin, &committed, &keys, funded)?;
         }
+        Ok(())
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The files of `dir` whose names start with `prefix`, sorted.
+fn files_named(dir: &std::path::Path, prefix: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.file_name().unwrap().to_str().unwrap().starts_with(prefix))
+        .collect();
+    files.sort();
+    files
+}
+
+/// The bytes a durable site puts on disk and on the wire, pinned. A
+/// seeded 4-site chain with shipped storage defaults commits one
+/// transfer a block up to its first snapshot, serves the manifest for
+/// it, and commits three more. The SHA-256 of site 0's WAL segment, of
+/// its `snap-<height>.bin` and of the served manifest's CRC must not
+/// move when the CRC code, the framing or the block format is reworked:
+/// a change that alters them breaks every existing data directory.
+#[test]
+fn durable_bytes_are_pinned() {
+    let root = test_dir("pinned-bytes");
+    let mut builder = Network::builder().seed(11).storage(&root);
+    for i in 0..4 {
+        builder = builder.site(&format!("hospital-{i}"), Vec::new());
+    }
+    let mut net = builder.build().expect("durable network builds");
+    let payer = net.site(0).address();
+    net.fund(payer, 1_000_000);
+    let every = StorageConfig::default().snapshot_every;
+    let transfer = |net: &mut Network, n: u64| {
+        let to = Address::from_seed(100 + n);
+        let pending = net.submit(0, TxPayload::Transfer { to, amount: 1 + n }, 10_000).unwrap();
+        net.confirm(&pending).unwrap();
+    };
+    let mut n = 0;
+    while net.height() < every {
+        transfer(&mut net, n);
+        n += 1;
+    }
+    assert_eq!(net.height(), every, "one block per transfer lands on the snapshot height");
+    let manifest = net.snapshot_manifest(ShardId(0)).expect("site 0 serves its tip");
+    assert_eq!(manifest.height, every);
+    for _ in 0..3 {
+        transfer(&mut net, n);
+        n += 1;
+    }
+    net.shutdown();
+    drop(net);
+
+    let site = root.join("site-0");
+    let segments = files_named(&site, "seg-");
+    let snapshots = files_named(&site, "snap-");
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    assert_eq!(snapshots.len(), 1, "{snapshots:?}");
+    let snapshot = std::fs::read(&snapshots[0]).unwrap();
+    // The served manifest describes the snapshot file's own record.
+    assert_eq!(manifest.total_len + RECORD_HEADER_BYTES, snapshot.len() as u64);
+    assert_eq!(manifest.crc.to_le_bytes(), snapshot[4..8]);
+    let digests = [
+        Hash256::digest(&std::fs::read(&segments[0]).unwrap()).to_hex(),
+        Hash256::digest(&snapshot).to_hex(),
+        Hash256::digest(&manifest.crc.to_le_bytes()).to_hex(),
+    ];
+    assert_eq!(
+        digests,
+        [
+            "69160a77c2cb0e89c84ebe0230f1a511238382f6bb3c1c3aa38deaf728551d0f",
+            "5db5efff449f1fb889eed562df57e49fe51ff8796032e00999a149d08c96e329",
+            "bf431e3005342de6ae35214785d3f9e89b5b5b59a956fe778669ff6956e58102",
+        ],
+        "the WAL segment, the snapshot file or the served CRC changed"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// One hostile edit inside `bytes[region]`: a run of random bytes
+/// overwritten (each one changed), one to eight bits flipped, or the
+/// file cut short before the region ends. Returns what it did.
+fn corrupt(
+    g: &mut medchain_runtime::check::Gen,
+    bytes: &mut Vec<u8>,
+    region: std::ops::Range<usize>,
+) -> String {
+    match g.usize_in(0, 3) {
+        0 => {
+            let at = g.usize_in(region.start, region.end);
+            let run = g.usize_in(1, 65).min(region.end - at);
+            for byte in &mut bytes[at..at + run] {
+                *byte ^= g.usize_in(1, 256) as u8;
+            }
+            format!("{run} random bytes at {at}")
+        }
+        1 => {
+            let mut flipped = BTreeSet::new();
+            for _ in 0..g.usize_in(1, 9) {
+                flipped.insert(g.usize_in(region.start * 8, region.end * 8));
+            }
+            for &bit in &flipped {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            format!("bits {flipped:?} flipped")
+        }
+        _ => {
+            let len = g.usize_in(0, region.end);
+            bytes.truncate(len);
+            format!("cut to {len} bytes")
+        }
+    }
+}
+
+/// Hostile bytes in the three CRC-framed files never panic the reader:
+/// a corrupted WAL segment is truncated back to a prefix of the blocks
+/// written (or refused with `Err`), a corrupted `snap-*.bin` loads as
+/// `None`, and a corrupted spilled extent in `pages.bin` reads as `Err`.
+#[test]
+fn corrupt_wal_snapshot_and_page_files_never_panic_the_reader() {
+    let dir = test_dir("hostile-frames");
+    let key = AuthorityKey::from_seed(7);
+    let mut ledger = fresh_ledger(&key);
+    grow(&mut ledger, &key, 12);
+    let blocks = ledger.blocks_from(1).to_vec();
+    let height = ledger.height();
+
+    check("a corrupt WAL segment truncates or errs", CheckConfig::cases(64), |g| {
+        let wal = dir.join("wal");
+        let _ = std::fs::remove_dir_all(&wal);
+        let (mut log, _) = SegmentedLog::open(&wal, 2048).map_err(|e| e.to_string())?;
+        for block in &blocks {
+            log.append(block.header.height, &block.encoded()).map_err(|e| e.to_string())?;
+        }
+        drop(log);
+        let segments = files_named(&wal, "seg-");
+        let segment = &segments[g.usize_in(0, segments.len())];
+        let mut bytes = std::fs::read(segment).unwrap();
+        let len = bytes.len();
+        let edit = corrupt(g, &mut bytes, 0..len);
+        std::fs::write(segment, &bytes).unwrap();
+        let Ok((_, scan)) = SegmentedLog::open(&wal, 2048) else { return Ok(()) };
+        ensure!(scan.blocks.len() < blocks.len(), "{edit}: every block survived");
+        ensure!(scan.blocks[..] == blocks[..scan.blocks.len()], "{edit}: not a prefix");
+        let (_, again) = SegmentedLog::open(&wal, 2048).map_err(|e| e.to_string())?;
+        ensure_eq!(again.truncated_records, 0);
+        ensure!(again.blocks == scan.blocks, "{edit}: the repair did not hold");
+        Ok(())
+    });
+
+    let snapshots = SnapshotStore::open(&dir.join("snap")).unwrap();
+    snapshots.write(ledger.tip(), ledger.state(), &ledger.state_tree()).unwrap();
+    let snap_file = files_named(&dir.join("snap"), "snap-").remove(0);
+    let clean = std::fs::read(&snap_file).unwrap();
+    assert!(snapshots.load(height).unwrap().is_some());
+    check("a corrupt snapshot loads as None", CheckConfig::cases(64), |g| {
+        let mut bytes = clean.clone();
+        let edit = corrupt(g, &mut bytes, 0..clean.len());
+        std::fs::write(&snap_file, &bytes).unwrap();
+        let loaded = snapshots.load(height);
+        ensure!(matches!(loaded, Ok(None)), "{edit}: {loaded:?}");
+        Ok(())
+    });
+
+    check("a corrupt page extent reads as Err", CheckConfig::cases(64), |g| {
+        let path = dir.join("pages.bin");
+        let pages = PageStore::open(&path, 1, Registry::new().handle()).unwrap();
+        pages.write(&g.bytes(0, 3 * PAGE_BYTES)).unwrap();
+        let payload = g.bytes(0, 3 * PAGE_BYTES);
+        let page = pages.write(&payload).unwrap();
+        // A third write evicts the extent under test to disk.
+        pages.write(b"evictor").unwrap();
+        let start = page as usize * PAGE_BYTES;
+        let mut bytes = std::fs::read(&path).unwrap();
+        let record = start..start + RECORD_HEADER_BYTES as usize + payload.len();
+        let edit = corrupt(g, &mut bytes, record);
+        std::fs::write(&path, &bytes).unwrap();
+        ensure!(pages.read(page).is_err(), "{edit}: the extent still read");
         Ok(())
     });
     std::fs::remove_dir_all(&dir).unwrap();

@@ -63,7 +63,7 @@ fn serve_load(
 /// The 4-site consortium both topologies build from, its gateway sized
 /// to the session count and its seed the load's.
 fn builder(cfg: &LoadConfig, metrics: Metrics) -> NetworkBuilder {
-    let gateway = GatewayConfig { clients: cfg.sessions, ..GatewayConfig::default() };
+    let gateway = GatewayConfig { clients: cfg.sessions };
     let mut builder = Network::builder()
         .seed(cfg.seed)
         .block_interval_ms(20)

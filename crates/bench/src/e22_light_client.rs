@@ -122,7 +122,7 @@ fn drive_flat(accounts: u64, queries: u64, metrics: Metrics) -> QueryStats {
         .seed(0xe22)
         .block_interval_ms(20)
         .metrics(metrics)
-        .gateway(GatewayConfig { clients: 1, ..GatewayConfig::default() });
+        .gateway(GatewayConfig { clients: 1 });
     for i in 0..3 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
@@ -196,7 +196,7 @@ fn drive_sharded(metrics: Metrics) -> QueryStats {
         .block_interval_ms(20)
         .shards(shards)
         .metrics(metrics)
-        .gateway(GatewayConfig { clients: 1, ..GatewayConfig::default() });
+        .gateway(GatewayConfig { clients: 1 });
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }

@@ -1385,7 +1385,7 @@ impl Ledger {
 
     /// Nonce-only admission check against current state, for callers
     /// that have **already verified the signature** (the gateway's
-    /// batch-verify path, see `ChainApp::submit_verified`).
+    /// inline check, see `ChainApp::submit_verified`).
     ///
     /// # Errors
     ///

@@ -150,8 +150,8 @@ impl ChainApp {
     }
 
     /// Lane-aware submission for transactions whose signature was
-    /// **already verified by the caller** — the gateway's batch-verify
-    /// path. Only the nonce is re-checked against current state.
+    /// **already verified by the caller** — the gateway's inline
+    /// check. Only the nonce is re-checked against current state.
     ///
     /// Trust boundary: callers must have run `tx.verify(registry)` (or
     /// equivalent) on this exact transaction. The pool takes their word;
@@ -193,11 +193,6 @@ impl ChainApp {
     /// Whether a transaction id is currently pending in the mempool.
     pub fn mempool_contains(&self, tx_id: &Hash256) -> bool {
         self.mempool.contains(tx_id)
-    }
-
-    /// Sets the mempool capacity slice reserved for the priority lane.
-    pub fn set_priority_reserve(&mut self, reserve: usize) {
-        self.mempool.set_priority_reserve(reserve);
     }
 
     /// Proof-carrying client receipt for a committed transaction

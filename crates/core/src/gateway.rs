@@ -6,19 +6,18 @@
 //! [`MAX_FRAME`]. The gateway owns the admission path the paper's
 //! million-user population needs:
 //!
-//! 1. **Dedup before signature work** — a re-submitted transaction id is
-//!    answered from the gateway's bounded seen-window (or with its
-//!    committed receipt) before any signature check, so a retry costs no
-//!    HMAC verification and no admission work (`gateway.sig_checks`
-//!    counts one check per distinct transaction).
-//! 2. **Batched verification** — fresh transactions are verified in
-//!    parallel chunks across a worker pool
-//!    ([`medchain_runtime::sync::scoped_map`]), amortizing per-batch
-//!    overhead.
+//! 1. **Dedup before signature work** — the gateway keeps no memory of
+//!    transactions: a submission whose id the chain already knows (a
+//!    committed receipt, or the id pending in a pool) is answered with
+//!    that status before any signature check, so a retry costs no HMAC
+//!    verification and no admission work (`gateway.sig_checks` counts
+//!    one check per submission the chain did not know).
+//! 2. **Verification on the serve thread** — an unknown submission's
+//!    signature is checked inline, then the transaction is admitted.
 //! 3. **Lane routing** — a client may request priority; the gateway
 //!    grants it only when the transaction's gas limit clears
-//!    [`GatewayConfig::priority_gas_floor`] (the fee-style policy), and
-//!    admission goes through the mempool's lane-aware API.
+//!    [`PRIORITY_GAS_FLOOR`] (the fee-style policy), and admission goes
+//!    through the mempool's lane-aware API.
 //! 4. **Receipts as API** — a `Status` query for a committed
 //!    transaction returns a [`TxReceipt`] whose Merkle proof the client
 //!    verifies against the committed transaction root, so the gateway
@@ -36,8 +35,7 @@ use medchain_chain::{
 use medchain_storage::{SnapshotChunk, SnapshotManifest};
 use medchain_runtime::codec::{Decode, Encode};
 use medchain_runtime::metrics::Metrics;
-use medchain_runtime::sync::scoped_map;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,34 +46,25 @@ use std::time::Duration;
 /// Maximum gateway frame payload (1 MiB).
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Gateway tuning knobs.
+/// Most submissions one [`GatewayServer::pump`] call takes in.
+pub const MAX_BATCH: usize = 256;
+
+/// Lowest gas limit at which a requested priority lane is granted (the
+/// fee-style lane policy).
+pub const PRIORITY_GAS_FLOOR: u64 = 10_000;
+
+/// What the network builder sets up for a gateway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayConfig {
     /// Client keys the builder enrolls into the consortium registry
     /// (seeds `0x1000_0000..`), retrievable via the network's
     /// `client_keys()` accessor.
     pub clients: usize,
-    /// Worker threads for batched signature verification.
-    pub verify_workers: usize,
-    /// Maximum submissions processed per [`GatewayServer::pump`] call.
-    pub max_batch: usize,
-    /// Size of the bounded recently-seen tx-id window used for dedup
-    /// before signature work.
-    pub dedup_capacity: usize,
-    /// Minimum gas limit for a requested priority upgrade to be granted
-    /// (the fee-based lane policy).
-    pub priority_gas_floor: u64,
 }
 
 impl Default for GatewayConfig {
     fn default() -> GatewayConfig {
-        GatewayConfig {
-            clients: 64,
-            verify_workers: 4,
-            max_batch: 256,
-            dedup_capacity: 8_192,
-            priority_gas_floor: 10_000,
-        }
+        GatewayConfig { clients: 64 }
     }
 }
 
@@ -167,7 +156,8 @@ pub enum GatewayResponse {
         /// The receipt with its Merkle inclusion proof.
         receipt: TxReceipt,
     },
-    /// The gateway has never seen this transaction id.
+    /// The chain knows nothing of this transaction id: it is neither
+    /// committed nor pending.
     Unknown {
         /// The transaction id.
         tx_id: Hash256,
@@ -349,7 +339,8 @@ fn read_requests(
 /// resolve it, or one whose deadline lies more than a fixed window past
 /// the coordinator clock.
 pub trait GatewayBackend {
-    /// The consortium registry used for batched signature verification.
+    /// The consortium registry submissions' signatures are checked
+    /// against.
     fn registry(&self) -> &KeyRegistry;
 
     /// Admits a sealed transaction whose signature the caller already
@@ -416,85 +407,6 @@ pub trait GatewayBackend {
     }
 }
 
-/// Per-pump summary, for callers that drive the serve loop themselves.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PumpReport {
-    /// Submissions processed (after dedup).
-    pub submitted: usize,
-    /// Transactions admitted into a mempool.
-    pub accepted: usize,
-    /// Transactions rejected (bad signature, full pool, bad nonce).
-    pub rejected: usize,
-    /// Re-submissions answered without signature work.
-    pub dedup_hits: usize,
-    /// Status queries answered.
-    pub status_queries: usize,
-}
-
-/// Bounded recently-seen window: O(1) membership plus FIFO eviction.
-struct SeenWindow {
-    set: HashSet<Hash256>,
-    order: VecDeque<Hash256>,
-    capacity: usize,
-}
-
-impl SeenWindow {
-    fn new(capacity: usize) -> SeenWindow {
-        SeenWindow { set: HashSet::new(), order: VecDeque::new(), capacity: capacity.max(1) }
-    }
-
-    fn contains(&self, id: &Hash256) -> bool {
-        self.set.contains(id)
-    }
-
-    fn insert(&mut self, id: Hash256) {
-        if self.set.insert(id) {
-            self.order.push_back(id);
-            while self.order.len() > self.capacity {
-                let evicted = self.order.pop_front().expect("non-empty");
-                self.set.remove(&evicted);
-            }
-        }
-    }
-}
-
-/// Bounded holding pen for transactions that passed signature
-/// verification but bounced off a full mempool. A resubmission of a
-/// held id retries admission directly — the signature is never
-/// re-verified. Only the verified bytes are cached: the lane is
-/// re-derived from the *retry* request's priority flag through the same
-/// gas-floor policy as a fresh submission, so a retry can neither
-/// escalate nor inherit a stale priority grant. FIFO-bounded like
-/// [`SeenWindow`]; an evicted entry simply costs the client one fresh
-/// verification on its next retry.
-struct VerifiedCache {
-    entries: HashMap<Hash256, SealedTx>,
-    order: VecDeque<Hash256>,
-    capacity: usize,
-}
-
-impl VerifiedCache {
-    fn new(capacity: usize) -> VerifiedCache {
-        VerifiedCache { entries: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) }
-    }
-
-    fn insert(&mut self, id: Hash256, tx: SealedTx) {
-        if self.entries.insert(id, tx).is_none() {
-            self.order.push_back(id);
-            while self.order.len() > self.capacity {
-                let evicted = self.order.pop_front().expect("non-empty");
-                self.entries.remove(&evicted);
-            }
-        }
-    }
-
-    fn take(&mut self, id: &Hash256) -> Option<SealedTx> {
-        // The id stays in `order` until an eviction sweep pops it;
-        // removing an already-taken id there is a no-op.
-        self.entries.remove(id)
-    }
-}
-
 /// What a connection's reader thread hands the serve thread: a
 /// submission sealed where it was decoded — its one id hash is paid on
 /// the reader thread, so [`GatewayServer::pump`] never hashes a
@@ -513,18 +425,15 @@ impl From<GatewayRequest> for Inbound {
     }
 }
 
-/// The TCP ingress server. Owns the listener, per-connection reader
-/// threads, and the dedup window; admission happens when the owning
-/// network calls [`GatewayServer::pump`].
+/// The TCP ingress server. Owns the listener and the per-connection
+/// reader threads; admission happens when the owning network calls
+/// [`GatewayServer::pump`].
 pub struct GatewayServer {
-    config: GatewayConfig,
     addr: SocketAddr,
     inbox: Receiver<(u64, Inbound)>,
     writers: Arc<Mutex<HashMap<u64, TcpStream>>>,
     stop: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    seen: SeenWindow,
-    verified: VerifiedCache,
     metrics: Metrics,
 }
 
@@ -541,7 +450,7 @@ impl GatewayServer {
     /// # Errors
     ///
     /// Returns the bind error if the loopback listener cannot start.
-    pub fn start(config: GatewayConfig, metrics: Metrics) -> io::Result<GatewayServer> {
+    pub fn start(metrics: Metrics) -> io::Result<GatewayServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -582,19 +491,7 @@ impl GatewayServer {
                 }
             })
         };
-        let seen = SeenWindow::new(config.dedup_capacity);
-        let verified = VerifiedCache::new(config.dedup_capacity);
-        Ok(GatewayServer {
-            config,
-            addr,
-            inbox: rx,
-            writers,
-            stop,
-            acceptor: Some(acceptor),
-            seen,
-            verified,
-            metrics,
-        })
+        Ok(GatewayServer { addr, inbox: rx, writers, stop, acceptor: Some(acceptor), metrics })
     }
 
     /// The address clients connect to.
@@ -602,93 +499,24 @@ impl GatewayServer {
         self.addr
     }
 
-    /// The gateway's configuration.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
-    /// Drains buffered client requests (up to `max_batch` submissions),
-    /// batch-verifies fresh signatures across the worker pool, admits
-    /// them through `backend`, and writes responses back to clients.
-    pub fn pump(&mut self, backend: &mut dyn GatewayBackend) -> PumpReport {
-        let mut report = PumpReport::default();
+    /// Drains buffered client requests (at most [`MAX_BATCH`]
+    /// submissions), answers each through `backend`, and writes the
+    /// responses back to clients. The `gateway.*` counters record what
+    /// happened.
+    pub fn pump(&mut self, backend: &mut dyn GatewayBackend) {
         let mut responses: Vec<(u64, GatewayResponse)> = Vec::new();
-        // (conn, tx, priority-requested) for fresh submissions.
-        let mut fresh: Vec<(u64, SealedTx, bool)> = Vec::new();
-        while fresh.len() < self.config.max_batch {
+        let mut submissions = 0;
+        while submissions < MAX_BATCH {
             let Ok((conn, inbound)) = self.inbox.try_recv() else { break };
             self.metrics.counter("gateway.requests", 1);
-            let (tx, priority) = match inbound {
-                Inbound::Submit { tx, priority } => (tx, priority),
-                Inbound::Other(request) => {
-                    report.status_queries += 1;
-                    responses.push((conn, self.answer(backend, request)));
-                    continue;
+            let response = match inbound {
+                Inbound::Submit { tx, priority } => {
+                    submissions += 1;
+                    self.submit(backend, tx, priority)
                 }
+                Inbound::Other(request) => self.answer(backend, request),
             };
-            let tx_id = tx.id();
-            // Dedup BEFORE signature work: a retried submission
-            // gets its current status and costs no MAC check and no
-            // admission work (see `ChainApp::submit_in`).
-            if self.seen.contains(&tx_id) {
-                report.dedup_hits += 1;
-                self.metrics.counter("gateway.dedup_hits", 1);
-                responses.push((conn, Self::status_of(backend, &self.seen, tx_id)));
-            } else if let Some(cached) = self.verified.take(&tx_id) {
-                // Verified earlier but bounced off a full pool:
-                // retry admission on the cached copy — the
-                // signature is NOT re-verified, but the
-                // lane is re-derived from *this* request's
-                // priority flag (plus the gas-floor policy in
-                // `admit_verified_tx`), exactly as if fresh.
-                report.submitted += 1;
-                self.metrics.counter("gateway.cached_retries", 1);
-                self.admit_verified_tx(
-                    backend,
-                    conn,
-                    cached,
-                    priority,
-                    &mut report,
-                    &mut responses,
-                );
-            } else {
-                fresh.push((conn, tx, priority));
-            }
-        }
-
-        if !fresh.is_empty() {
-            report.submitted += fresh.len();
-            self.metrics.counter("gateway.submits", fresh.len() as u64);
-            self.metrics.observe("gateway.batch_size", fresh.len() as f64);
-            self.metrics.counter("gateway.sig_batches", 1);
-            // Batched verification: chunk the batch across the worker
-            // pool; each worker verifies its slice against the shared
-            // registry. The handles are shared, not copied, and a
-            // transaction that passes is marked so no replica checks
-            // that allocation again.
-            let registry = backend.registry();
-            let workers = self.config.verify_workers.max(1);
-            let chunk_size = fresh.len().div_ceil(workers);
-            let verdicts: Vec<bool> = scoped_map(fresh.chunks(chunk_size).collect(), |chunk| {
-                chunk.iter().map(|(_, tx, _)| tx.verify(registry)).collect::<Vec<bool>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-            self.metrics.counter("gateway.sig_checks", fresh.len() as u64);
-
-            for ((conn, tx, priority), verified) in fresh.into_iter().zip(verdicts) {
-                if !verified {
-                    report.rejected += 1;
-                    self.metrics.counter("gateway.sig_rejects", 1);
-                    responses.push((
-                        conn,
-                        GatewayResponse::Rejected { tx_id: tx.id(), reason: "bad signature".into() },
-                    ));
-                    continue;
-                }
-                self.admit_verified_tx(backend, conn, tx, priority, &mut report, &mut responses);
-            }
+            responses.push((conn, response));
         }
 
         if !responses.is_empty() {
@@ -700,13 +528,69 @@ impl GatewayServer {
                 }
             }
         }
-        report
+    }
+
+    /// One submission, one path. Dedup comes before signature work: a
+    /// transaction the chain already knows is answered with its status,
+    /// so a retry costs no HMAC check. Any other is verified here, on
+    /// the serve thread, then routed through the lane policy and
+    /// admitted. A transaction that is not admitted leaves no trace, so
+    /// its retry is checked again.
+    fn submit(
+        &self,
+        backend: &mut dyn GatewayBackend,
+        tx: SealedTx,
+        priority: bool,
+    ) -> GatewayResponse {
+        let tx_id = tx.id();
+        let known = Self::status_of(backend, tx_id);
+        if !matches!(known, GatewayResponse::Unknown { .. }) {
+            self.metrics.counter("gateway.dedup_hits", 1);
+            return known;
+        }
+        // `sig_batches` counts verification rounds; inline, a round is
+        // one check.
+        self.metrics.counter("gateway.sig_batches", 1);
+        self.metrics.counter("gateway.sig_checks", 1);
+        if !tx.verify(backend.registry()) {
+            self.metrics.counter("gateway.sig_rejects", 1);
+            return GatewayResponse::Rejected { tx_id, reason: "bad signature".into() };
+        }
+        // Fee-style lane policy: priority is granted only when
+        // requested AND the gas limit clears the floor.
+        let lane = if priority && tx.gas_limit >= PRIORITY_GAS_FLOOR {
+            Lane::Priority
+        } else {
+            Lane::Normal
+        };
+        let (shard, outcome) = backend.admit(tx, lane);
+        let (counter, response) = match outcome {
+            SubmitOutcome::Admitted { lane, .. } => {
+                if lane == Lane::Priority {
+                    self.metrics.counter("gateway.priority_admitted", 1);
+                }
+                ("gateway.accepted", GatewayResponse::Accepted { tx_id, shard, lane })
+            }
+            // The ledger's index holds an id whose block it no longer
+            // retains, so no receipt answered above.
+            SubmitOutcome::Duplicate => ("gateway.dedup_hits", GatewayResponse::Pending { tx_id }),
+            SubmitOutcome::Full => (
+                "gateway.full_rejects",
+                GatewayResponse::Rejected { tx_id, reason: "mempool full".into() },
+            ),
+            SubmitOutcome::Inadmissible => (
+                "gateway.inadmissible",
+                GatewayResponse::Rejected { tx_id, reason: "bad nonce".into() },
+            ),
+        };
+        self.metrics.counter(counter, 1);
+        response
     }
 
     /// Answers a request that is not a submission.
     fn answer(&self, backend: &mut dyn GatewayBackend, request: GatewayRequest) -> GatewayResponse {
         match request {
-            GatewayRequest::Status { tx_id } => Self::status_of(backend, &self.seen, tx_id),
+            GatewayRequest::Status { tx_id } => Self::status_of(backend, tx_id),
             GatewayRequest::XsStatus { xid } => match backend.xs_status(&xid) {
                 Some((commit, receipt)) => {
                     GatewayResponse::XsDecision { xid, decided: true, commit, receipt }
@@ -758,70 +642,6 @@ impl GatewayServer {
         }
     }
 
-    /// Routes one verified transaction through the lane policy and
-    /// backend admission, recording the outcome. Shared by the fresh
-    /// batch path and the verified-cache retry path; a `Full` outcome
-    /// parks the transaction in the cache so its signature is never
-    /// verified again.
-    fn admit_verified_tx(
-        &mut self,
-        backend: &mut dyn GatewayBackend,
-        conn: u64,
-        tx: SealedTx,
-        priority: bool,
-        report: &mut PumpReport,
-        responses: &mut Vec<(u64, GatewayResponse)>,
-    ) {
-        let tx_id = tx.id();
-        // Fee-style lane policy: priority is granted only when
-        // requested AND the gas limit clears the floor.
-        let lane = if priority && tx.gas_limit >= self.config.priority_gas_floor {
-            Lane::Priority
-        } else {
-            Lane::Normal
-        };
-        let (shard, outcome) = backend.admit(tx.clone(), lane);
-        match outcome {
-            SubmitOutcome::Admitted { lane, .. } => {
-                report.accepted += 1;
-                self.seen.insert(tx_id);
-                self.metrics.counter("gateway.accepted", 1);
-                if lane == Lane::Priority {
-                    self.metrics.counter("gateway.priority_admitted", 1);
-                }
-                responses.push((conn, GatewayResponse::Accepted { tx_id, shard, lane }));
-            }
-            SubmitOutcome::Duplicate => {
-                // Already pending on the backend (e.g. submitted
-                // through the in-process API): treat as seen.
-                report.dedup_hits += 1;
-                self.seen.insert(tx_id);
-                self.metrics.counter("gateway.dedup_hits", 1);
-                responses.push((conn, GatewayResponse::Pending { tx_id }));
-            }
-            SubmitOutcome::Full => {
-                report.rejected += 1;
-                self.metrics.counter("gateway.full_rejects", 1);
-                // The signature work is already spent: park the
-                // verified transaction so a resubmission retries
-                // admission without paying for a second MAC check.
-                self.verified.insert(tx_id, tx);
-                responses.push((
-                    conn,
-                    GatewayResponse::Rejected { tx_id, reason: "mempool full".into() },
-                ));
-            }
-            SubmitOutcome::Inadmissible => {
-                report.rejected += 1;
-                self.metrics.counter("gateway.inadmissible", 1);
-                responses.push((
-                    conn,
-                    GatewayResponse::Rejected { tx_id, reason: "bad nonce".into() },
-                ));
-            }
-        }
-    }
-
     /// Truncates a block page until the encoded response fits one
     /// gateway frame — the client sees fewer blocks than the tip and
     /// simply re-requests from the next height (a single block larger
@@ -839,20 +659,13 @@ impl GatewayServer {
         GatewayResponse::Blocks { tip_height, blocks }
     }
 
-    /// Status lookup order is a durability contract: the committed
-    /// receipt is consulted *first*, so a committed transaction keeps
-    /// answering `Committed` even after its id ages out of the bounded
-    /// seen-window — the window only widens `Pending`, it never gates
-    /// `Committed`. Regression-tested in `tests/gateway.rs`
-    /// (`committed_status_survives_seen_window_eviction`).
-    fn status_of(
-        backend: &dyn GatewayBackend,
-        seen: &SeenWindow,
-        tx_id: Hash256,
-    ) -> GatewayResponse {
+    /// What the chain knows of a transaction: the committed receipt
+    /// first, then the id pending in a pool. The gateway keeps no
+    /// memory of its own, so a restart forgets nothing the chain holds.
+    fn status_of(backend: &dyn GatewayBackend, tx_id: Hash256) -> GatewayResponse {
         if let Some(receipt) = backend.find_receipt(&tx_id) {
             GatewayResponse::Committed { receipt }
-        } else if backend.is_pending(&tx_id) || seen.contains(&tx_id) {
+        } else if backend.is_pending(&tx_id) {
             GatewayResponse::Pending { tx_id }
         } else {
             GatewayResponse::Unknown { tx_id }
@@ -903,7 +716,7 @@ mod tests {
 
     #[test]
     fn accepted_sockets_have_nodelay_set() {
-        let server = GatewayServer::start(GatewayConfig::default(), Metrics::noop()).unwrap();
+        let server = GatewayServer::start(Metrics::noop()).unwrap();
         let _client = TcpStream::connect(server.addr()).unwrap();
         // The acceptor polls its non-blocking listener; wait for it to
         // register the connection's write half.
@@ -984,42 +797,5 @@ mod tests {
         for response in responses {
             assert_eq!(GatewayResponse::decoded(&response.encoded()).unwrap(), response);
         }
-    }
-
-    #[test]
-    fn verified_cache_is_bounded_and_take_removes() {
-        let key = AuthorityKey::from_seed(7);
-        let mk = |n: u64| {
-            Transaction::new(
-                key.address(),
-                n,
-                TxPayload::Transfer { to: key.address(), amount: 1 },
-                100,
-            )
-            .signed(&key)
-        };
-        let mut cache = VerifiedCache::new(2);
-        let txs: Vec<SealedTx> = (0..3).map(|n| mk(n).into()).collect();
-        cache.insert(txs[0].id(), txs[0].clone());
-        cache.insert(txs[1].id(), txs[1].clone());
-        cache.insert(txs[2].id(), txs[2].clone()); // evicts txs[0]
-        assert!(cache.take(&txs[0].id()).is_none(), "FIFO-evicted");
-        let cached = cache.take(&txs[1].id()).expect("still cached");
-        assert_eq!(cached, txs[1]);
-        assert!(cache.take(&txs[1].id()).is_none(), "take removes");
-        assert!(cache.take(&txs[2].id()).is_some());
-    }
-
-    #[test]
-    fn seen_window_is_bounded_fifo() {
-        let mut seen = SeenWindow::new(2);
-        let ids: Vec<Hash256> = (0u8..3).map(|i| Hash256::digest(&[i])).collect();
-        seen.insert(ids[0]);
-        seen.insert(ids[1]);
-        assert!(seen.contains(&ids[0]));
-        seen.insert(ids[2]); // evicts ids[0]
-        assert!(!seen.contains(&ids[0]));
-        assert!(seen.contains(&ids[1]));
-        assert!(seen.contains(&ids[2]));
     }
 }

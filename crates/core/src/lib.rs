@@ -36,9 +36,7 @@ pub mod site;
 
 pub use bootstrap::{BootstrapError, BootstrapReport, BootstrapSource};
 pub use client::{Client, ClientError, PendingTx};
-pub use gateway::{
-    GatewayBackend, GatewayConfig, GatewayRequest, GatewayResponse, GatewayServer, PumpReport,
-};
+pub use gateway::{GatewayBackend, GatewayConfig, GatewayRequest, GatewayResponse, GatewayServer};
 pub use loadgen::{run_sessions, LoadConfig, LoadReport};
 pub use modes::{
     run_duplicated, run_duplicated_metered, run_sharded_consensus, run_transformed,

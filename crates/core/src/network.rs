@@ -17,7 +17,7 @@
 use crate::bootstrap::BootstrapSource;
 use crate::client::PendingTx;
 use crate::committee::{self, Committee, CommitteeSpec};
-use crate::gateway::{GatewayBackend, GatewayConfig, GatewayServer, PumpReport};
+use crate::gateway::{GatewayBackend, GatewayConfig, GatewayServer};
 use crate::site::Site;
 use medchain_chain::ledger::contract_address;
 use medchain_chain::node::SubmitOutcome;
@@ -254,12 +254,12 @@ impl NetworkBuilder {
     }
 
     /// Starts a client ingress gateway alongside the network
-    /// (DESIGN.md §10): a TCP front-end that batch-verifies signed
-    /// client transactions and admits them into fee/priority mempool
-    /// lanes. `cfg.clients` client keys (seeds `0x1000_0000..`) are
-    /// enrolled into the consortium registry at build time so their
-    /// transactions verify on every replica; fetch them with
-    /// `client_keys()` on the built network.
+    /// (DESIGN.md §10): a TCP front-end that verifies signed client
+    /// transactions the chain does not know yet and admits them into
+    /// fee/priority mempool lanes. `cfg.clients` client keys (seeds
+    /// `0x1000_0000..`) are enrolled into the consortium registry at
+    /// build time so their transactions verify on every replica; fetch
+    /// them with `client_keys()` on the built network.
     #[must_use]
     pub fn gateway(mut self, cfg: GatewayConfig) -> NetworkBuilder {
         self.gateway = Some(cfg);
@@ -516,7 +516,7 @@ impl NetworkBuilder {
         // `gateway.*` keys whether it fronts a flat chain or a sharded one.
         let gateway = self
             .gateway
-            .map(|cfg| GatewayServer::start(cfg, self.metrics.clone()))
+            .map(|_| GatewayServer::start(self.metrics.clone()))
             .transpose()
             .map_err(|e| NetworkError::Gateway(e.to_string()))?;
         let sites = self
@@ -816,13 +816,14 @@ impl Network {
     }
 
     /// Drains buffered gateway requests through admission — each
-    /// transaction routed to its chain — and answers status queries.
-    /// No-op without a gateway.
-    pub fn pump_gateway(&mut self) -> PumpReport {
-        let Some(mut gateway) = self.gateway.take() else { return PumpReport::default() };
-        let report = gateway.pump(self);
-        self.gateway = Some(gateway);
-        report
+    /// transaction routed to its chain — and answers status queries;
+    /// the `gateway.*` counters report what happened. No-op without a
+    /// gateway.
+    pub fn pump_gateway(&mut self) {
+        if let Some(mut gateway) = self.gateway.take() {
+            gateway.pump(self);
+            self.gateway = Some(gateway);
+        }
     }
 
     /// Serves gateway traffic until `stop` is raised: pump admissions,

@@ -611,7 +611,7 @@ mod tests {
     /// site's) would stay forever.
     #[test]
     fn gateway_clients_cannot_mint_decides_or_finalizes() {
-        let client = GatewayConfig { clients: 1, ..GatewayConfig::default() };
+        let client = GatewayConfig { clients: 1 };
         let flat = || {
             let builder = Network::builder().block_interval_ms(20).gateway(client);
             builder.site("hospital-0", Vec::new()).site("hospital-1", Vec::new()).build()
@@ -689,7 +689,7 @@ mod tests {
         for i in 0..4 {
             builder = builder.site(&format!("hospital-{i}"), Vec::new());
         }
-        let client = GatewayConfig { clients: 1, ..GatewayConfig::default() };
+        let client = GatewayConfig { clients: 1 };
         let mut net = builder.gateway(client).build_sharded().unwrap();
         let key = net.client_keys()[0].clone();
         let victim = net.site(1).address();

@@ -30,8 +30,6 @@ use std::sync::Arc;
 pub enum FsyncPolicy {
     /// Fsync after every append — maximum durability, one sync per block.
     Always,
-    /// Fsync after every `n` appends (and on [`BlockStore::flush`]).
-    EveryN(u32),
     /// Never fsync implicitly; only [`BlockStore::flush`] syncs. A crash
     /// can lose OS-buffered tail records (recovery still truncates
     /// cleanly).
@@ -51,6 +49,10 @@ pub enum StorageFault {
     },
 }
 
+/// Snapshot files kept on disk; older ones are pruned as each new one
+/// lands.
+const RETAIN_SNAPSHOTS: usize = 2;
+
 /// Configuration for a [`DiskStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct StorageConfig {
@@ -60,8 +62,6 @@ pub struct StorageConfig {
     pub fsync: FsyncPolicy,
     /// Write a world-state snapshot every this many blocks (0 = never).
     pub snapshot_every: u64,
-    /// Keep at most this many snapshot files (older ones are pruned).
-    pub retain_snapshots: usize,
     /// Optional fault injector.
     pub fault: Option<StorageFault>,
 }
@@ -72,7 +72,6 @@ impl Default for StorageConfig {
             segment_bytes: 8 * 1024 * 1024,
             fsync: FsyncPolicy::Always,
             snapshot_every: 64,
-            retain_snapshots: 2,
             fault: None,
         }
     }
@@ -101,7 +100,6 @@ pub struct DiskStore {
     snaps: SnapshotStore,
     config: StorageConfig,
     metrics: Metrics,
-    appends_since_sync: u32,
     truncated_records: u64,
     /// Blocks scanned from the log on open, held until `recover_into`
     /// consumes them (or the first append discards them).
@@ -146,7 +144,6 @@ impl DiskStore {
             snaps,
             config,
             metrics,
-            appends_since_sync: 0,
             truncated_records: scan.truncated_records,
             scanned: Some(scan.blocks),
             pages: None,
@@ -327,7 +324,7 @@ impl DiskStore {
         tree: &StateTree,
     ) -> Result<(), StoreError> {
         let bytes = self.snaps.write(tip, state, tree)?;
-        self.snaps.prune(self.config.retain_snapshots)?;
+        self.snaps.prune(RETAIN_SNAPSHOTS)?;
         // Snapshot boundaries are the page cache's write-back points:
         // the cold state this snapshot summarizes becomes durable in
         // the page file too (derived data, but keeping the two in step
@@ -357,17 +354,8 @@ impl BlockStore for DiskStore {
         let bytes = self.log.append(block.header.height, &payload)?;
         self.metrics.counter("storage.appends", 1);
         self.metrics.counter("storage.bytes", bytes);
-        let sync = match self.config.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => {
-                self.appends_since_sync += 1;
-                self.appends_since_sync >= n.max(1)
-            }
-            FsyncPolicy::Never => false,
-        };
-        if sync {
+        if self.config.fsync == FsyncPolicy::Always {
             self.log.sync()?;
-            self.appends_since_sync = 0;
             self.metrics.counter("storage.fsyncs", 1);
         }
         Ok(())
@@ -397,7 +385,6 @@ impl BlockStore for DiskStore {
 
     fn flush(&mut self) -> Result<(), StoreError> {
         self.log.sync()?;
-        self.appends_since_sync = 0;
         self.metrics.counter("storage.fsyncs", 1);
         Ok(())
     }

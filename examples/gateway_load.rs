@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder = Network::builder()
         .block_interval_ms(20)
         .shards(2)
-        .gateway(GatewayConfig { clients: sessions, ..GatewayConfig::default() });
+        .gateway(GatewayConfig { clients: sessions });
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }

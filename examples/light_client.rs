@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("▸ building a 3-hospital consortium with a TCP ingress gateway…");
     let mut builder = Network::builder()
         .block_interval_ms(20)
-        .gateway(GatewayConfig { clients: 1, ..GatewayConfig::default() });
+        .gateway(GatewayConfig { clients: 1 });
     for i in 0..3 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }

@@ -531,7 +531,9 @@ echo "ok: one Network, one gateway backend, one builder block, one serve loop"
 # the latest_state projection and the unused builder options went, when
 # every .rs file under crates/{chain,storage}/src went 7,063 → 6,937
 # with one pager for cold state, then → 6,903 with one quorum, then
-# → 6,988 with the CRC32 kernel beside SHA-NI and storage's crc.rs gone):
+# → 6,988 with the CRC32 kernel beside SHA-NI and storage's crc.rs gone;
+# then 3,240 → 3,099, 5,889 → 5,748 and 6,988 → 6,971 once the gateway
+# kept no memory of its own and the one-value storage settings went):
 # non-blank lines that are not // comments, above each file's first
 # #[cfg(test)].
 census() {
@@ -561,6 +563,20 @@ fi
 echo "ok: PoA and PBFT check signatures and thresholds through one Quorum"
 # Trend line (1,310 before PoA and PBFT shared one Quorum; 1,276 after).
 echo "census: $(census crates/chain/src/consensus/*.rs) in crates/chain/src/consensus"
+
+# The chain is the gateway's only memory (DESIGN.md §10): a submission
+# is answered from the pool's id set and the ledger's tx index before
+# any signature check, and an unknown one is verified inline on the
+# serve thread. The gateway once kept a seen-window and a verified cache
+# of ids beside them, and fanned one HMAC check out to a spawned thread.
+echo "== gateway: no memory of its own guard =="
+if grep -nE 'HashSet<Hash256>|HashMap<Hash256|VecDeque<Hash256>|scoped_map' crates/core/src/gateway.rs; then
+    echo "ERROR: gateway.rs keeps its own tx-id store or fans verification out — ask the backend (status_of) and verify inline." >&2
+    exit 1
+fi
+echo "ok: the gateway asks the chain before any signature check and verifies inline"
+# Trend line (579 before the gateway stopped remembering ids; 440 after).
+echo "census: $(census crates/core/src/gateway.rs) in crates/core/src/gateway.rs"
 
 # One way to run an off-chain job (DESIGN.md §4, Fig. 1): each site a
 # request names picks its shard up from its own replica, runs it on its

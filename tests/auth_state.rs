@@ -341,7 +341,7 @@ fn sharded_gateway_proves_presence_home_and_absence_away() {
     let mut builder = Network::builder()
         .block_interval_ms(20)
         .shards(shards)
-        .gateway(GatewayConfig { clients: 1, ..GatewayConfig::default() });
+        .gateway(GatewayConfig { clients: 1 });
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }

@@ -11,9 +11,9 @@
 //! `LeafKey` refines the coarser `StateKey` vocabulary used by the
 //! parallel-execution scheduler (`exec::StateKey`): the scheduler only
 //! needs contract-level conflict granularity, while proofs need one leaf
-//! per slot. [`LeafKey::scheduling_key`] gives the mapping.
+//! per slot.
 
-use crate::exec::{StateDelta, StateKey};
+use crate::exec::StateDelta;
 use crate::hash::{digest_tagged_pair, digest_tagged_pairs, digest_two, Hash256, Sha256};
 use crate::ledger::WorldState;
 use crate::shard::{shard_for_key, ShardId};
@@ -88,17 +88,6 @@ impl LeafKey {
         }
     }
 
-    /// The coarse conflict key the parallel-execution scheduler uses for
-    /// this leaf (`StateKey` has contract-level granularity only).
-    pub fn scheduling_key(&self) -> StateKey {
-        match self {
-            LeafKey::Account(addr) | LeafKey::Lock(addr) => StateKey::Account(*addr),
-            LeafKey::Storage(addr, _) | LeafKey::Code(addr) => StateKey::Contract(*addr),
-            LeafKey::Anchor(label) => StateKey::Anchor(label.clone()),
-            LeafKey::CrossLink(shard) => StateKey::CrossLink(*shard),
-            LeafKey::XsDecision(xid) => StateKey::XsDecision(*xid),
-        }
-    }
 }
 
 /// A [`LeafKey`] borrowed from the state or the delta that holds its

@@ -209,15 +209,10 @@ impl Block {
         self.header.digest()
     }
 
-    /// The transaction Merkle root the body actually hashes to.
-    pub fn computed_tx_root(&self) -> Hash256 {
-        self.transactions.tree().root()
-    }
-
     /// Checks internal consistency: the header's `tx_root` must commit to
     /// the body.
     pub fn is_body_consistent(&self) -> bool {
-        self.header.tx_root == self.computed_tx_root()
+        self.header.tx_root == self.transactions.tree().root()
     }
 
     /// Exact wire size for network accounting: the canonical encoded
@@ -307,7 +302,7 @@ mod tests {
         assert_eq!(block.transactions.tree(), &MerkleTree::from_leaves(ids));
         let decoded = Block::decoded(&block.encoded()).unwrap();
         assert_eq!(decoded, block);
-        assert_eq!(decoded.computed_tx_root(), block.header.tx_root);
+        assert!(decoded.is_body_consistent());
         assert_eq!(Block::genesis("med").wire_size(), Block::genesis("med").encoded().len());
     }
 

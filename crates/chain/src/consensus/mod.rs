@@ -111,11 +111,6 @@ impl<M> Outbox<M> {
         self.broadcasts.push(msg);
     }
 
-    /// Schedules a timer at absolute time `at_ms` with `token`.
-    pub fn set_timer_at(&mut self, at_ms: u64, token: u64) {
-        self.timers.push((at_ms, token));
-    }
-
     /// Schedules a timer `delay_ms` from now.
     pub fn set_timer_in(&mut self, delay_ms: u64, token: u64) {
         self.timers.push((self.now_ms + delay_ms, token));

@@ -6,10 +6,10 @@
 //! counted per node — the input to experiment E3's energy model, which
 //! reproduces the paper's Digiconomist-based waste argument (§I).
 //!
-//! Fork policy: first-seen per height; competing blocks are counted as
-//! stale. Deep reorganisations are out of scope for the simulation (the
+//! Fork policy: first-seen per height; competing blocks are dropped.
+//! Deep reorganisations are out of scope for the simulation (the
 //! experiments use LAN latencies and calibrated difficulty where forks
-//! are rare) and are surfaced via [`PowEngine::stale_blocks`].
+//! are rare).
 
 use crate::block::{Block, Seal};
 use crate::consensus::{Application, Engine, Outbox, WorkCounters};
@@ -50,7 +50,6 @@ pub struct PowEngine {
     candidate: Option<Block>,
     next_nonce: u64,
     buffered: HashMap<u64, Block>,
-    stale: u64,
     work: WorkCounters,
 }
 
@@ -76,7 +75,6 @@ impl PowEngine {
             candidate: None,
             next_nonce: 0,
             buffered: HashMap::new(),
-            stale: 0,
             work: WorkCounters::default(),
         }
     }
@@ -99,11 +97,6 @@ impl PowEngine {
                 )
             })
             .collect()
-    }
-
-    /// Competing blocks discarded by the first-seen rule.
-    pub fn stale_blocks(&self) -> u64 {
-        self.stale
     }
 
     /// Total hash evaluations performed by this miner.
@@ -156,7 +149,6 @@ impl PowEngine {
     fn try_accept(&mut self, block: Block, app: &mut dyn Application) {
         let height = block.header.height;
         if height <= app.height() {
-            self.stale += 1;
             return;
         }
         if height == app.height() + 1 && block.header.parent == app.tip_id() {
@@ -171,8 +163,6 @@ impl PowEngine {
                         break;
                     }
                 }
-            } else {
-                self.stale += 1;
             }
         } else {
             // Gap or competing branch: keep the first block seen per height.
@@ -293,9 +283,9 @@ mod fork_tests {
     use crate::sig::KeyRegistry;
 
     /// Two competing valid blocks at the same height: first-seen wins,
-    /// the loser is counted as stale, and the node never rolls back.
+    /// the loser is dropped, and the node never rolls back.
     #[test]
-    fn competing_blocks_are_counted_stale() {
+    fn competing_blocks_keep_the_first_seen() {
         let key_a = AuthorityKey::from_seed(1);
         let key_b = AuthorityKey::from_seed(2);
         let mut registry = KeyRegistry::new();
@@ -332,7 +322,6 @@ mod fork_tests {
         engine.on_message(NodeId(2), PowMsg::NewBlock(block_b), &mut app, &mut out);
         assert_eq!(app.height(), 1, "no double commit");
         assert_eq!(app.tip_id(), tip, "first-seen block retained");
-        assert_eq!(engine.stale_blocks(), 1, "competitor counted stale");
     }
 
     /// A block with an invalid proof is rejected outright.

@@ -109,7 +109,7 @@ impl EnergyReport {
     }
 
     /// Total joules.
-    pub fn total_joules(&self) -> f64 {
+    fn total_joules(&self) -> f64 {
         self.consensus_joules + self.execution_joules
     }
 

@@ -107,18 +107,6 @@ impl RwSet {
     pub fn declares_write(&self, key: &StateKey) -> bool {
         self.global || self.writes.contains(key)
     }
-
-    /// Whether two sets conflict: W∩W, W∩R, or R∩W overlap (R∩R is
-    /// fine), or either side is global.
-    pub fn conflicts_with(&self, other: &RwSet) -> bool {
-        if self.global || other.global {
-            return true;
-        }
-        let hits = |a: &BTreeSet<StateKey>, b: &BTreeSet<StateKey>| a.iter().any(|k| b.contains(k));
-        hits(&self.writes, &other.writes)
-            || hits(&self.writes, &other.reads)
-            || hits(&self.reads, &other.writes)
-    }
 }
 
 /// Infers the read/write set of `tx` as it would execute on a ledger
@@ -224,9 +212,10 @@ mod tests {
                 &NullRuntime,
             )
         };
-        assert!(!mk(1, 2).conflicts_with(&mk(3, 4)));
-        assert!(mk(1, 2).conflicts_with(&mk(2, 3)), "shared recipient/sender account");
-        assert!(mk(1, 2).conflicts_with(&mk(1, 4)), "shared sender account");
+        let waves = |a, b| crate::exec::scheduler::schedule(&[a, b]).waves.len();
+        assert_eq!(waves(mk(1, 2), mk(3, 4)), 1);
+        assert_eq!(waves(mk(1, 2), mk(2, 3)), 2, "shared recipient/sender account");
+        assert_eq!(waves(mk(1, 2), mk(1, 4)), 2, "shared sender account");
     }
 
     #[test]

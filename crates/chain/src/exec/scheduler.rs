@@ -43,11 +43,6 @@ impl Schedule {
             self.delayed as f64 / self.levels.len() as f64
         }
     }
-
-    /// Width of the widest wave.
-    pub fn max_width(&self) -> usize {
-        self.waves.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// Builds the wave schedule for one block's inferred sets (indexed by
@@ -183,7 +178,6 @@ mod tests {
     fn consecutive_globals_each_get_their_own_wave() {
         let sched = schedule(&[global(), global(), global()]);
         assert_eq!(sched.waves, vec![vec![0], vec![1], vec![2]]);
-        assert_eq!(sched.max_width(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! digest newtype used throughout the chain.
 //!
 //! The blockchain substrate needs a collision-resistant hash for block
-//! headers, Merkle trees, transaction ids, Lamport signatures and
+//! headers, Merkle trees, transaction ids, HMAC signatures and
 //! off-chain data anchoring. We implement SHA-256 in-repo rather than
 //! pulling a crypto dependency (see DESIGN.md §2).
 //!

@@ -74,7 +74,7 @@ pub struct Account {
 
 /// An event emitted during contract execution.
 ///
-/// The off-chain monitor node (paper Fig. 3) subscribes to these.
+/// The off-chain monitor node (paper Fig. 3) polls for these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Emitting contract.
@@ -473,17 +473,6 @@ impl WorldState {
         }
     }
 
-    /// Iterates over the storage slots of one contract.
-    pub fn storage_of<'a>(
-        &'a self,
-        contract: &'a Address,
-    ) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + 'a {
-        self.storage
-            .get(contract)
-            .into_iter()
-            .flat_map(|slots| slots.iter().map(|(k, v)| (k.as_slice(), v.as_slice())))
-    }
-
     /// Returns deployed code at `addr`.
     pub fn code(&self, addr: &Address) -> Option<&[u8]> {
         self.code.get(addr).map(Vec::as_slice)
@@ -648,22 +637,22 @@ impl WorldState {
     }
 
     /// Number of accounts with a materialized record, hot or cold.
-    pub fn account_count(&self) -> usize {
+    fn account_count(&self) -> usize {
         self.accounts.len() + self.paged_account_count()
     }
 
     /// Total storage slots across all contracts.
-    pub fn storage_slot_count(&self) -> usize {
+    fn storage_slot_count(&self) -> usize {
         self.storage.values().map(BTreeMap::len).sum()
     }
 
     /// Number of contracts with deployed code.
-    pub fn code_count(&self) -> usize {
+    fn code_count(&self) -> usize {
         self.code.len()
     }
 
     /// Number of currently held 2PC locks.
-    pub fn lock_count(&self) -> usize {
+    fn lock_count(&self) -> usize {
         self.locks.len()
     }
 
@@ -1040,11 +1029,6 @@ impl Ledger {
     /// byte-identical state roots and receipts.
     pub fn set_parallel_exec(&mut self, threads: usize) {
         self.exec_threads = threads.max(1);
-    }
-
-    /// Configured parallel-execution lanes (1 = sequential).
-    pub fn parallel_exec(&self) -> usize {
-        self.exec_threads
     }
 
     /// Installs a metrics handle; block application reports `exec.*`
@@ -2023,18 +2007,6 @@ mod tests {
         materialized.apply_delta(delta);
         assert_eq!(merged_root, materialized.state_root(), "merge-join root must match commit");
         assert_ne!(merged_root, base.state_root());
-    }
-
-    #[test]
-    fn storage_of_iterates_only_own_contract() {
-        let mut s = WorldState::new();
-        let a = Address::from_seed(1);
-        let b = Address::from_seed(2);
-        s.set_storage(a, b"x".to_vec(), b"1".to_vec());
-        s.set_storage(a, b"y".to_vec(), b"2".to_vec());
-        s.set_storage(b, b"z".to_vec(), b"3".to_vec());
-        let keys: Vec<&[u8]> = s.storage_of(&a).map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![b"x".as_slice(), b"y".as_slice()]);
     }
 
     #[test]

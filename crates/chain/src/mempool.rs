@@ -110,7 +110,8 @@ impl Mempool {
     /// back below `capacity - reserve`, and priority-lane inserts keep
     /// the full capacity. Property-tested in
     /// `reserve_resize_never_evicts_and_binds_at_admission`.
-    pub fn set_priority_reserve(&mut self, reserve: usize) {
+    #[cfg(test)]
+    fn set_priority_reserve(&mut self, reserve: usize) {
         self.priority_reserve = reserve.min(self.capacity);
     }
 
@@ -136,7 +137,8 @@ impl Mempool {
     }
 
     /// Pending transactions queued on `lane`.
-    pub fn lane_len(&self, lane: Lane) -> usize {
+    #[cfg(test)]
+    fn lane_len(&self, lane: Lane) -> usize {
         self.by_sender
             .iter()
             .filter(|(sender, _)| self.lane_of.get(sender).copied().unwrap_or_default() == lane)

@@ -11,9 +11,9 @@ use crate::sig::{Address, KeyRegistry};
 use crate::tx::SealedTx;
 
 /// Default mempool capacity.
-pub const DEFAULT_MEMPOOL_CAPACITY: usize = 4096;
+const DEFAULT_MEMPOOL_CAPACITY: usize = 4096;
 /// Default maximum transactions per block.
-pub const DEFAULT_MAX_BLOCK_TXS: usize = 256;
+const DEFAULT_MAX_BLOCK_TXS: usize = 256;
 
 /// Outcome of lane-aware admission ([`ChainApp::submit_in`]).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,16 +1,10 @@
-//! Signature schemes for the permissioned medical blockchain.
+//! Signatures for the permissioned medical blockchain.
 //!
-//! Two schemes are provided:
-//!
-//! * [`LamportKeypair`] — hash-based one-time signatures (Lamport 1979).
-//!   Used where a node signs a single high-value artifact, e.g. a dataset
-//!   registration anchor. Security reduces to preimage resistance of
-//!   SHA-256, so no external crypto dependency is needed.
-//! * [`AuthorityKey`] — HMAC-based signatures verified against a shared
-//!   consortium [`KeyRegistry`]. This models the membership-service model
-//!   of permissioned chains (Hyperledger Fabric MSP): every consortium
-//!   member is enrolled, and verification is a registry lookup plus a MAC
-//!   check. Cheap enough to sign every transaction and block.
+//! [`AuthorityKey`] signs with an HMAC verified against a shared
+//! consortium [`KeyRegistry`]. This models the membership-service model
+//! of permissioned chains (Hyperledger Fabric MSP): every consortium
+//! member is enrolled, and verification is a registry lookup plus a MAC
+//! check. Cheap enough to sign every transaction and block.
 
 use crate::hash::{Hash256, HmacKey};
 use medchain_runtime::DetRng;
@@ -56,128 +50,6 @@ impl fmt::Display for Address {
         f.write_str(&self.to_hex())
     }
 }
-
-/// A Lamport one-time signing key: 256 pairs of 32-byte secrets.
-pub struct LamportKeypair {
-    secret: Box<[[[u8; 32]; 2]; 256]>,
-    public: LamportPublicKey,
-    used: bool,
-}
-
-impl fmt::Debug for LamportKeypair {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LamportKeypair")
-            .field("address", &self.public.address())
-            .field("used", &self.used)
-            .finish()
-    }
-}
-
-/// The public half of a Lamport keypair: hashes of all 512 secrets.
-#[derive(Clone, PartialEq, Eq)]
-pub struct LamportPublicKey(Box<[[Hash256; 2]; 256]>);
-
-impl fmt::Debug for LamportPublicKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LamportPublicKey({:?})", self.address())
-    }
-}
-
-/// A Lamport signature: one revealed secret per message bit.
-#[derive(Clone, PartialEq, Eq)]
-pub struct LamportSignature(Box<[[u8; 32]; 256]>);
-
-impl fmt::Debug for LamportSignature {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("LamportSignature(..)")
-    }
-}
-
-impl LamportKeypair {
-    /// Generates a fresh one-time keypair from `rng`.
-    pub fn generate(rng: &mut DetRng) -> LamportKeypair {
-        let mut secret = Box::new([[[0u8; 32]; 2]; 256]);
-        let mut public = Box::new([[Hash256::ZERO; 2]; 256]);
-        for i in 0..256 {
-            for j in 0..2 {
-                rng.fill_bytes(&mut secret[i][j]);
-                public[i][j] = Hash256::digest(&secret[i][j]);
-            }
-        }
-        LamportKeypair { secret, public: LamportPublicKey(public), used: false }
-    }
-
-    /// Returns the public key.
-    pub fn public(&self) -> &LamportPublicKey {
-        &self.public
-    }
-
-    /// Whether [`LamportKeypair::sign`] has already been called.
-    pub fn is_used(&self) -> bool {
-        self.used
-    }
-
-    /// Signs the SHA-256 digest of `message`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SignError::KeyAlreadyUsed`] on a second signing attempt —
-    /// reusing a Lamport key leaks secret material.
-    pub fn sign(&mut self, message: &[u8]) -> Result<LamportSignature, SignError> {
-        if self.used {
-            return Err(SignError::KeyAlreadyUsed);
-        }
-        self.used = true;
-        let digest = Hash256::digest(message);
-        let mut sig = Box::new([[0u8; 32]; 256]);
-        for i in 0..256 {
-            let bit = (digest.0[i / 8] >> (7 - i % 8)) & 1;
-            sig[i] = self.secret[i][bit as usize];
-        }
-        Ok(LamportSignature(sig))
-    }
-}
-
-impl LamportPublicKey {
-    /// Verifies `sig` over `message`.
-    pub fn verify(&self, message: &[u8], sig: &LamportSignature) -> bool {
-        let digest = Hash256::digest(message);
-        for i in 0..256 {
-            let bit = (digest.0[i / 8] >> (7 - i % 8)) & 1;
-            if Hash256::digest(&sig.0[i]) != self.0[i][bit as usize] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The address bound to this key.
-    pub fn address(&self) -> Address {
-        let mut material = Vec::with_capacity(256 * 2 * 32);
-        for pair in self.0.iter() {
-            material.extend_from_slice(&pair[0].0);
-            material.extend_from_slice(&pair[1].0);
-        }
-        Address::from_key_material(&material)
-    }
-}
-
-/// Error returned by signing operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignError {
-    /// A one-time key was asked to sign twice.
-    KeyAlreadyUsed,
-}
-
-impl fmt::Display for SignError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SignError::KeyAlreadyUsed => f.write_str("one-time signing key already used"),
-        }
-    }
-}
-
-impl std::error::Error for SignError {}
 
 /// Enrolled authority key for consortium members.
 ///
@@ -291,34 +163,6 @@ impl KeyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lamport_sign_verify() {
-        let mut rng = DetRng::from_seed(7);
-        let mut kp = LamportKeypair::generate(&mut rng);
-        let public = kp.public().clone();
-        let sig = kp.sign(b"anchor: dataset v1").unwrap();
-        assert!(public.verify(b"anchor: dataset v1", &sig));
-        assert!(!public.verify(b"anchor: dataset v2", &sig));
-    }
-
-    #[test]
-    fn lamport_key_is_one_time() {
-        let mut rng = DetRng::from_seed(8);
-        let mut kp = LamportKeypair::generate(&mut rng);
-        kp.sign(b"first").unwrap();
-        assert_eq!(kp.sign(b"second"), Err(SignError::KeyAlreadyUsed));
-    }
-
-    #[test]
-    fn lamport_rejects_bit_flip() {
-        let mut rng = DetRng::from_seed(9);
-        let mut kp = LamportKeypair::generate(&mut rng);
-        let public = kp.public().clone();
-        let mut sig = kp.sign(b"msg").unwrap();
-        sig.0[17][3] ^= 0x40;
-        assert!(!public.verify(b"msg", &sig));
-    }
 
     #[test]
     fn authority_sign_verify_via_registry() {

@@ -1,6 +1,6 @@
 //! Canonical event topics emitted by the standard contracts.
 //!
-//! The off-chain monitor node (paper Fig. 3) subscribes to these topics
+//! The off-chain monitor node (paper Fig. 3) polls for these topics
 //! to bridge on-chain requests to off-chain data and computation.
 
 /// A dataset was registered with its Merkle root.

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Prefix marking a deploy blob as a native-contract manifest.
-pub const NATIVE_MAGIC: &[u8] = b"NATIVE:";
+const NATIVE_MAGIC: &[u8] = b"NATIVE:";
 
 /// Builds the deploy blob for native contract `name`.
 pub fn native_manifest(name: &str) -> Vec<u8> {

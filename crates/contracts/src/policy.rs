@@ -97,13 +97,6 @@ pub enum Decision {
     Deny(DenyReason),
 }
 
-impl Decision {
-    /// Whether the decision permits access.
-    pub fn is_permit(&self) -> bool {
-        matches!(self, Decision::Permit)
-    }
-}
-
 /// Why access was denied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenyReason {
@@ -137,8 +130,8 @@ impl fmt::Display for DenyReason {
 /// let researcher = Address::from_seed(2);
 /// let mut policy = AccessPolicy::new(owner);
 /// policy.grant(researcher, Purpose::Research, None);
-/// assert!(policy.evaluate(&researcher, Purpose::Research, 0).is_permit());
-/// assert!(!policy.evaluate(&researcher, Purpose::Treatment, 0).is_permit());
+/// assert_eq!(policy.evaluate(&researcher, Purpose::Research, 0), Decision::Permit);
+/// assert_ne!(policy.evaluate(&researcher, Purpose::Treatment, 0), Decision::Permit);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessPolicy {
@@ -306,7 +299,7 @@ mod tests {
     #[test]
     fn owner_is_always_permitted() {
         let policy = AccessPolicy::new(addr(1));
-        assert!(policy.evaluate(&addr(1), Purpose::Research, 0).is_permit());
+        assert_eq!(policy.evaluate(&addr(1), Purpose::Research, 0), Decision::Permit);
     }
 
     #[test]
@@ -322,7 +315,7 @@ mod tests {
     fn purpose_limitation_is_enforced() {
         let mut policy = AccessPolicy::new(addr(1));
         policy.grant(addr(2), Purpose::Research, None);
-        assert!(policy.evaluate(&addr(2), Purpose::Research, 0).is_permit());
+        assert_eq!(policy.evaluate(&addr(2), Purpose::Research, 0), Decision::Permit);
         assert_eq!(
             policy.evaluate(&addr(2), Purpose::Treatment, 0),
             Decision::Deny(DenyReason::NoGrant)
@@ -333,7 +326,7 @@ mod tests {
     fn expiry_is_enforced() {
         let mut policy = AccessPolicy::new(addr(1));
         policy.grant(addr(2), Purpose::Research, Some(1_000));
-        assert!(policy.evaluate(&addr(2), Purpose::Research, 999).is_permit());
+        assert_eq!(policy.evaluate(&addr(2), Purpose::Research, 999), Decision::Permit);
         assert_eq!(
             policy.evaluate(&addr(2), Purpose::Research, 1_000),
             Decision::Deny(DenyReason::Expired)
@@ -346,8 +339,8 @@ mod tests {
         policy.grant(addr(2), Purpose::Research, None);
         policy.grant(addr(2), Purpose::Treatment, None);
         policy.revoke(&addr(2));
-        assert!(!policy.evaluate(&addr(2), Purpose::Research, 0).is_permit());
-        assert!(!policy.evaluate(&addr(2), Purpose::Treatment, 0).is_permit());
+        assert_ne!(policy.evaluate(&addr(2), Purpose::Research, 0), Decision::Permit);
+        assert_ne!(policy.evaluate(&addr(2), Purpose::Treatment, 0), Decision::Permit);
     }
 
     #[test]
@@ -360,7 +353,7 @@ mod tests {
             Decision::Deny(DenyReason::NoConsent)
         );
         policy.consent(Purpose::Research);
-        assert!(policy.evaluate(&addr(2), Purpose::Research, 0).is_permit());
+        assert_eq!(policy.evaluate(&addr(2), Purpose::Research, 0), Decision::Permit);
         policy.withdraw_consent(Purpose::Research);
         assert_eq!(
             policy.evaluate(&addr(2), Purpose::Research, 0),

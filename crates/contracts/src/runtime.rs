@@ -12,7 +12,7 @@ use crate::vm::{execute, CallDispatcher, CallEnv, MAX_CALL_DEPTH};
 use medchain_chain::{Address, ContractRuntime, ExecError, ExecOutcome, ExecScope, StateAccess};
 
 /// Gas charged for a deploy before any constructor runs.
-pub const DEPLOY_BASE_GAS: u64 = 100;
+const DEPLOY_BASE_GAS: u64 = 100;
 
 /// The MedChain contract runtime: bytecode VM plus native registry.
 ///

@@ -13,7 +13,7 @@ use medchain_chain::{Address, Event, ExecError, ExecOutcome, Hash256, StateAcces
 use std::fmt;
 
 /// Default hard cap on interpreter steps, a second defence beyond gas.
-pub const DEFAULT_STEP_LIMIT: u64 = 10_000_000;
+const DEFAULT_STEP_LIMIT: u64 = 10_000_000;
 
 /// Maximum cross-contract call depth.
 pub const MAX_CALL_DEPTH: u32 = 8;

@@ -184,38 +184,6 @@ impl Client {
         }
     }
 
-    /// Polls until the coordinator decides cross-shard transaction
-    /// `xid`, returning the verdict (`true` = commit). When the decision
-    /// receipt is retrievable its Merkle proof is verified locally
-    /// before the verdict is trusted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Timeout`] if the deadline passes,
-    /// [`ClientError::BadProof`] if the decision receipt does not
-    /// verify.
-    pub fn wait_xs_decision(
-        &mut self,
-        xid: Hash256,
-        timeout: Duration,
-    ) -> Result<bool, ClientError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some((commit, receipt)) = self.xs_status(xid)? {
-                if let Some(receipt) = receipt {
-                    if !receipt.verify() {
-                        return Err(ClientError::BadProof(xid));
-                    }
-                }
-                return Ok(commit);
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout(xid));
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
     /// Light-client state read against the key's home shard: asks the
     /// gateway for the value at `key` plus its sparse-Merkle proof, and
     /// **verifies the proof locally** before returning (DESIGN.md §13).

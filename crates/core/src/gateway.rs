@@ -2,8 +2,8 @@
 //! (DESIGN.md §10).
 //!
 //! Clients connect over TCP and speak length-framed canonical-codec
-//! messages: `[u32 length LE][GatewayRequest bytes]` up to
-//! [`MAX_FRAME`]. The gateway owns the admission path the paper's
+//! messages: `[u32 length LE][GatewayRequest bytes]` up to 1 MiB
+//! (`MAX_FRAME`). The gateway owns the admission path the paper's
 //! million-user population needs:
 //!
 //! 1. **Dedup before signature work** — the gateway keeps no memory of
@@ -16,8 +16,8 @@
 //!    signature is checked inline, then the transaction is admitted.
 //! 3. **Lane routing** — a client may request priority; the gateway
 //!    grants it only when the transaction's gas limit clears
-//!    [`PRIORITY_GAS_FLOOR`] (the fee-style policy), and admission goes
-//!    through the mempool's lane-aware API.
+//!    `PRIORITY_GAS_FLOOR` (10,000; the fee-style policy), and
+//!    admission goes through the mempool's lane-aware API.
 //! 4. **Receipts as API** — a `Status` query for a committed
 //!    transaction returns a [`TxReceipt`] whose Merkle proof the client
 //!    verifies against the committed transaction root, so the gateway
@@ -44,14 +44,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Maximum gateway frame payload (1 MiB).
-pub const MAX_FRAME: usize = 1 << 20;
+const MAX_FRAME: usize = 1 << 20;
 
 /// Most submissions one [`GatewayServer::pump`] call takes in.
-pub const MAX_BATCH: usize = 256;
+const MAX_BATCH: usize = 256;
 
 /// Lowest gas limit at which a requested priority lane is granted (the
 /// fee-style lane policy).
-pub const PRIORITY_GAS_FLOOR: u64 = 10_000;
+const PRIORITY_GAS_FLOOR: u64 = 10_000;
 
 /// What the network builder sets up for a gateway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -499,7 +499,7 @@ impl GatewayServer {
         self.addr
     }
 
-    /// Drains buffered client requests (at most [`MAX_BATCH`]
+    /// Drains buffered client requests (at most `MAX_BATCH` = 256
     /// submissions), answers each through `backend`, and writes the
     /// responses back to clients. The `gateway.*` counters record what
     /// happened.
@@ -693,6 +693,8 @@ mod tests {
     use super::*;
     use medchain_chain::tx::TxPayload;
     use medchain_chain::AuthorityKey;
+    use medchain_runtime::check::{check, CheckConfig};
+    use medchain_runtime::ensure;
 
     #[test]
     fn frame_buffer_reassembles_split_frames() {
@@ -738,8 +740,8 @@ mod tests {
         assert!(frames.next_frame().is_err());
     }
 
-    #[test]
-    fn requests_and_responses_round_trip_through_codec() {
+    /// A signed anchor transaction and its signer.
+    fn sample_tx() -> (AuthorityKey, Transaction) {
         let key = AuthorityKey::from_seed(7);
         let tx = Transaction::new(
             key.address(),
@@ -748,7 +750,13 @@ mod tests {
             1_000,
         )
         .signed(&key);
-        let requests = [
+        (key, tx)
+    }
+
+    /// Requests the codec round-trips, around [`sample_tx`].
+    fn sample_requests() -> Vec<GatewayRequest> {
+        let (key, tx) = sample_tx();
+        vec![
             GatewayRequest::Submit { tx: tx.clone(), priority: true },
             GatewayRequest::Status { tx_id: tx.id() },
             GatewayRequest::XsStatus { xid: Hash256::digest(b"xid") },
@@ -757,11 +765,13 @@ mod tests {
                 key: LeafKey::Account(key.address()),
                 shard: Some(ShardId(1)),
             },
-        ];
-        for request in requests {
-            assert_eq!(GatewayRequest::decoded(&request.encoded()).unwrap(), request);
-        }
-        let responses = [
+        ]
+    }
+
+    /// Responses the codec round-trips, around [`sample_tx`].
+    fn sample_responses() -> Vec<GatewayResponse> {
+        let (_, tx) = sample_tx();
+        vec![
             GatewayResponse::Accepted {
                 tx_id: tx.id(),
                 shard: ShardId(3),
@@ -793,9 +803,84 @@ mod tests {
                     }
                 },
             },
-        ];
-        for response in responses {
+        ]
+    }
+
+    #[test]
+    fn requests_and_responses_round_trip_through_codec() {
+        for request in sample_requests() {
+            assert_eq!(GatewayRequest::decoded(&request.encoded()).unwrap(), request);
+        }
+        for response in sample_responses() {
             assert_eq!(GatewayResponse::decoded(&response.encoded()).unwrap(), response);
         }
+    }
+
+    /// Hostile input: arbitrary bytes, and truncations and single-byte
+    /// flips of valid encodings, framed under an honest, an arbitrary or
+    /// an oversized length and fed in random splits, never panic the
+    /// frame parser or either decoder; a declared length over
+    /// `MAX_FRAME` is always refused.
+    #[test]
+    fn hostile_gateway_frames_never_panic() {
+        let valid: Vec<Vec<u8>> = sample_requests()
+            .iter()
+            .map(Encode::encoded)
+            .chain(sample_responses().iter().map(Encode::encoded))
+            .collect();
+        check("hostile gateway frames never panic", CheckConfig::cases(256), |g| {
+            let payload = match g.usize_in(0, 3) {
+                0 => g.bytes(0, 300),
+                1 => {
+                    let v = &valid[g.usize_in(0, valid.len())];
+                    v[..g.usize_in(0, v.len())].to_vec()
+                }
+                _ => {
+                    let mut v = valid[g.usize_in(0, valid.len())].clone();
+                    let at = g.usize_in(0, v.len());
+                    v[at] ^= g.byte() | 1;
+                    v
+                }
+            };
+            let _ = GatewayRequest::decoded(&payload);
+            let _ = GatewayResponse::decoded(&payload);
+            let declared = match g.usize_in(0, 3) {
+                0 => payload.len(),
+                1 => g.u64() as u32 as usize,
+                _ => g.usize_in(MAX_FRAME + 1, u32::MAX as usize),
+            };
+            let mut wire = (declared as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&payload);
+            let mut frames = FrameBuffer::new();
+            let mut rest = &wire[..];
+            let mut popped = Vec::new();
+            let mut refused = false;
+            'feed: while !rest.is_empty() {
+                let take = g.usize_in(1, rest.len() + 1);
+                frames.extend(&rest[..take]);
+                rest = &rest[take..];
+                loop {
+                    match frames.next_frame() {
+                        Ok(Some(frame)) => {
+                            let _ = GatewayRequest::decoded(&frame);
+                            let _ = GatewayResponse::decoded(&frame);
+                            popped.push(frame);
+                        }
+                        Ok(None) => break,
+                        Err(_) => {
+                            refused = true;
+                            break 'feed;
+                        }
+                    }
+                }
+            }
+            if declared > MAX_FRAME {
+                ensure!(refused && popped.is_empty(), "declared length {declared} not refused");
+            } else if declared <= payload.len() {
+                let first = popped.first().map(Vec::as_slice);
+                ensure!(first == Some(&payload[..declared]), "first frame {first:?}");
+            }
+            Ok(())
+        });
     }
 }

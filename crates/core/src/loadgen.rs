@@ -110,7 +110,7 @@ fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
 }
 
 /// The label every hot submission anchors under.
-pub const HOT_LABEL: &str = "hot/registry";
+const HOT_LABEL: &str = "hot/registry";
 
 fn run_one_session(
     addr: SocketAddr,

@@ -438,14 +438,14 @@ pub fn run_sharded_consensus(
 
 /// The most units one site burns for one shard. A request naming more
 /// fails at that site instead of stalling every site's control cycle.
-pub const MAX_BURN_UNITS: u64 = 10_000_000;
+const MAX_BURN_UNITS: u64 = 10_000_000;
 
 /// The real-work kernel both modes execute: `units` iterated SHA-256
 /// evaluations, identical to the VM's `Burn` instruction. A site's
 /// control code calls it with `[dataset, shard params, local data…]`;
 /// the shard params are `units` (at most [`MAX_BURN_UNITS`]) as 8
 /// little-endian bytes.
-pub fn burn_tool() -> Tool {
+fn burn_tool() -> Tool {
     Tool::new("burn-kernel", "v1", |params| {
         let units = params
             .get(1)

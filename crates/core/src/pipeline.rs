@@ -5,6 +5,7 @@
 use crate::network::{Network, NetworkError};
 use medchain_chain::{Hash256, TxPayload};
 use medchain_contracts::decode_args;
+use medchain_contracts::policy::Purpose;
 use medchain_contracts::value::Value;
 use medchain_learning::linalg::weighted_average;
 use medchain_learning::metrics::auc;
@@ -55,28 +56,20 @@ impl From<NetworkError> for PipelineError {
     }
 }
 
-/// Runs a query through the full transformed pipeline:
-///
-/// 1. the requester's data-contract `request` is committed per site (the
-///    on-chain access-policy gate, audited permit or deny);
-/// 2. permitted sites execute the decomposed task against their local
-///    records;
-/// 3. outputs are composed into the global answer, whose hash is
-///    anchored on-chain.
+/// The on-chain policy gate: commits `requester_site`'s data-contract
+/// `request` for `purpose` at every site, then returns the sites whose
+/// contract permitted it and the number that denied.
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] on network failure, universal denial, or
-/// composition mismatch.
-pub fn run_query(
+/// Returns [`PipelineError`] on network failure, an undecodable
+/// receipt, or universal denial.
+fn policy_gate(
     net: &mut Network,
     requester_site: usize,
-    query: &QueryVector,
-) -> Result<(QueryAnswer, QueryPipelineReport), PipelineError> {
+    purpose: Purpose,
+) -> Result<(Vec<usize>, usize), PipelineError> {
     let data_contract = net.contracts().data;
-    let sim_before = net.ledger().tip().header.timestamp_ms;
-
-    // Phase 1: on-chain permission per site.
     let mut request_ids = Vec::new();
     for i in 0..net.site_count() {
         let label = net.site(i).hosted_label().to_string();
@@ -84,7 +77,7 @@ pub fn run_query(
             requester_site,
             data_contract,
             "request",
-            &[Value::str(&label), Value::Int(query.purpose.code())],
+            &[Value::str(&label), Value::Int(purpose.code())],
             50_000,
         )?.tx_id;
         request_ids.push((i, id));
@@ -108,6 +101,31 @@ pub fn run_query(
     if permitted.is_empty() {
         return Err(PipelineError::AllDenied);
     }
+    Ok((permitted, denied))
+}
+
+/// Runs a query through the full transformed pipeline:
+///
+/// 1. the requester's data-contract `request` is committed per site (the
+///    on-chain access-policy gate, audited permit or deny);
+/// 2. permitted sites execute the decomposed task against their local
+///    records;
+/// 3. outputs are composed into the global answer, whose hash is
+///    anchored on-chain.
+///
+/// # Errors
+///
+/// Returns [`PipelineError`] on network failure, universal denial, or
+/// composition mismatch.
+pub fn run_query(
+    net: &mut Network,
+    requester_site: usize,
+    query: &QueryVector,
+) -> Result<(QueryAnswer, QueryPipelineReport), PipelineError> {
+    let sim_before = net.ledger().tip().header.timestamp_ms;
+
+    // Phase 1: on-chain permission per site.
+    let (permitted, denied) = policy_gate(net, requester_site, query.purpose)?;
 
     // Phase 2: decomposed local execution at permitted sites.
     let site_names: Vec<String> =
@@ -256,7 +274,6 @@ pub fn train_federated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medchain_contracts::policy::Purpose;
     use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile, STROKE_CODE};
     use medchain_data::Dataset;
     use medchain_learning::Aggregate;
@@ -412,43 +429,12 @@ pub fn run_gwas(
     net: &mut Network,
     requester_site: usize,
     outcome_code: &str,
-    purpose: medchain_contracts::policy::Purpose,
+    purpose: Purpose,
 ) -> Result<(Vec<medchain_data::genomics::Association>, GwasPipelineReport), PipelineError> {
     use medchain_data::genomics::{compose as gwas_compose, map_site, GwasPartial};
 
-    let data_contract = net.contracts().data;
     // Phase 1: policy gate per site.
-    let mut request_ids = Vec::new();
-    for i in 0..net.site_count() {
-        let label = net.site(i).hosted_label().to_string();
-        let id = net.invoke(
-            requester_site,
-            data_contract,
-            "request",
-            &[Value::str(&label), Value::Int(purpose.code())],
-            50_000,
-        )?.tx_id;
-        request_ids.push((i, id));
-    }
-    net.advance(2).map_err(PipelineError::Network)?;
-
-    let mut permitted = Vec::new();
-    let mut denied = 0usize;
-    for (site, id) in request_ids {
-        let receipt = net
-            .receipt(&id)
-            .ok_or(PipelineError::Network(NetworkError::MissingReceipt(id)))?;
-        let values = decode_args(&receipt.output)
-            .map_err(|e| PipelineError::Compose(e.to_string()))?;
-        if values.first().and_then(|v| v.as_int().ok()) == Some(1) {
-            permitted.push(site);
-        } else {
-            denied += 1;
-        }
-    }
-    if permitted.is_empty() {
-        return Err(PipelineError::AllDenied);
-    }
+    let (permitted, denied) = policy_gate(net, requester_site, purpose)?;
 
     // Phase 2: local tabulation at permitted sites (genomes stay put).
     let partials: Vec<GwasPartial> = permitted

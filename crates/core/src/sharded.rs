@@ -100,7 +100,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn shard_tip(&self, shard: ShardId) -> CrossLink {
+    fn shard_tip(&self, shard: ShardId) -> CrossLink {
         let ledger = self.ledger_of_shard(shard);
         CrossLink { shard, height: ledger.height(), tip: ledger.tip().id() }
     }

@@ -16,7 +16,7 @@ pub struct LegacyCsvFormat;
 const NAME: &str = "csv";
 
 /// Column header for the legacy export.
-pub const HEADER: &str = "patient_id,age,sex,systolic_bp,cholesterol,bmi,smoker,diabetic,diagnoses";
+const HEADER: &str = "patient_id,age,sex,systolic_bp,cholesterol,bmi,smoker,diabetic,diagnoses";
 
 impl LegacyFormat for LegacyCsvFormat {
     fn name(&self) -> &'static str {
@@ -94,36 +94,6 @@ impl LegacyFormat for LegacyCsvFormat {
     }
 }
 
-/// Encodes a whole cohort as one CSV document (header + one row each).
-pub fn encode_batch(records: &[PatientRecord]) -> String {
-    let mut out = String::from(HEADER);
-    let codec = LegacyCsvFormat;
-    for r in records {
-        let doc = codec.encode(r);
-        let row = doc.lines().nth(1).expect("encode produces header+row");
-        out.push('\n');
-        out.push_str(row);
-    }
-    out
-}
-
-/// Decodes a batch document produced by [`encode_batch`].
-///
-/// # Errors
-///
-/// Returns [`FormatError`] on the first malformed row.
-pub fn decode_batch(text: &str) -> Result<Vec<PatientRecord>, FormatError> {
-    let codec = LegacyCsvFormat;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or(FormatError { format: NAME, message: "empty document".into() })?;
-    lines
-        .filter(|l| !l.trim().is_empty())
-        .map(|row| codec.decode(&format!("{header}\n{row}")))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,20 +116,6 @@ mod tests {
             assert_eq!(decoded.diagnoses, r.diagnoses);
             assert!((decoded.age - r.age).abs() < 0.06);
             assert!(decoded.medications.is_empty() || r.medications.is_empty());
-        }
-    }
-
-    #[test]
-    fn batch_round_trip() {
-        let records = CohortGenerator::new("s", SiteProfile::default(), 19).cohort(
-            0,
-            25,
-            &DiseaseModel::stroke(),
-        );
-        let decoded = decode_batch(&encode_batch(&records)).unwrap();
-        assert_eq!(decoded.len(), 25);
-        for (a, b) in decoded.iter().zip(&records) {
-            assert_eq!(a.patient_id, b.patient_id);
         }
     }
 

@@ -6,8 +6,8 @@
 //! generation with known logistic disease models ([`synth`]),
 //! heterogeneous legacy formats with a common-format integration engine
 //! ([`formats`]), tabular learning datasets ([`dataset`]), a virtual
-//! schema with distributed queries ([`schema`]), and a TCGA-like
-//! multi-modal cancer cohort ([`tcga`]).
+//! schema with distributed queries ([`schema`]), and the size of the
+//! TCGA reference cohort ([`tcga`]).
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -196,13 +196,6 @@ impl RecordQuery {
         self
     }
 
-    /// Sets the projection (builder style).
-    #[must_use]
-    pub fn select(mut self, columns: Vec<Field>) -> RecordQuery {
-        self.projection = columns;
-        self
-    }
-
     /// Sets a row cap (builder style).
     #[must_use]
     pub fn limit(mut self, n: usize) -> RecordQuery {
@@ -325,7 +318,7 @@ mod tests {
     #[test]
     fn projection_selects_columns() {
         let rs = records(50);
-        let q = RecordQuery::all().select(vec![Field::Age, Field::Smoker]);
+        let q = RecordQuery { projection: vec![Field::Age, Field::Smoker], ..RecordQuery::all() };
         let result = q.run(&rs);
         assert_eq!(result.schema.columns().len(), 2);
         assert_eq!(result.rows[0].len(), 2);
@@ -334,7 +327,8 @@ mod tests {
     #[test]
     fn missing_modalities_yield_none_and_fail_ranges() {
         let rs = records(400);
-        let projected = RecordQuery::all().select(vec![Field::DailySteps]).run(&rs);
+        let projected =
+            RecordQuery { projection: vec![Field::DailySteps], ..RecordQuery::all() }.run(&rs);
         let some_missing = projected.rows.iter().any(|row| row[0].is_none());
         assert!(some_missing, "expected patients without wearables");
         // A range predicate over the wearable field only matches those who have one.

@@ -20,7 +20,7 @@ pub const STROKE_CODE: &str = "I63";
 /// ICD-10-like code used for the synthetic cancer outcome.
 pub const CANCER_CODE: &str = "C80";
 /// Diabetes code attached when the diabetic flag is set.
-pub const DIABETES_CODE: &str = "E11";
+const DIABETES_CODE: &str = "E11";
 
 /// Demographic profile of one hospital's catchment population.
 ///

@@ -1,146 +1,11 @@
-//! A TCGA-like multi-modal cancer cohort (paper §III-A).
+//! TCGA, the paper's reference cancer cohort (paper §III-A).
 //!
 //! "TCGA collected and characterized high quality tumor and matched
 //! normal samples from over 11000 patients … (a) clinical information,
 //! (b) metadata about the samples, (c) histopathology slide images, and
 //! (d) molecular information." The paper's point is that 11k samples is
 //! *small* for deep learning despite the petabytes — hence the need to
-//! integrate hospital EMR silos into a larger core dataset.
-//!
-//! This module generates the synthetic stand-in: clinical records with
-//! the cancer outcome model plus per-patient expression and
-//! slide-feature vectors correlated with the outcome, so multi-modal
-//! learning has real signal.
-
-use crate::emr::PatientRecord;
-use crate::synth::{CohortGenerator, DiseaseModel, SiteProfile, CANCER_CODE};
-use medchain_runtime::DetRng;
+//! integrate hospital EMR silos into a larger core dataset (E5).
 
 /// TCGA's headline cohort size.
 pub const TCGA_PATIENT_COUNT: usize = 11_000;
-/// Genes on the synthetic expression panel.
-pub const EXPRESSION_PANEL: usize = 50;
-/// Summary features extracted per histopathology slide.
-pub const SLIDE_FEATURES: usize = 16;
-
-/// One multi-modal TCGA-like sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TcgaRecord {
-    /// Clinical record (the (a) modality).
-    pub clinical: PatientRecord,
-    /// Expression panel, log-normalized (the (d) modality).
-    pub expression: Vec<f64>,
-    /// Slide-image summary features (the (c) modality).
-    pub slide_features: Vec<f64>,
-    /// Whether the tumor sample is matched-normal paired (the (b) metadata).
-    pub matched_normal: bool,
-}
-
-impl TcgaRecord {
-    /// Whether the sample carries the cancer outcome.
-    pub fn has_cancer(&self) -> bool {
-        self.clinical.has_diagnosis(CANCER_CODE)
-    }
-}
-
-/// Generates a TCGA-like cohort of `count` samples.
-///
-/// Expression and slide features are drawn around outcome-shifted means,
-/// so models trained on them recover genuine signal.
-pub fn generate_cohort(count: usize, seed: u64) -> Vec<TcgaRecord> {
-    let mut generator = CohortGenerator::new(
-        "tcga-consortium",
-        SiteProfile { mean_age: 61.0, genomic_coverage: 1.0, ..SiteProfile::default() },
-        seed,
-    );
-    let clinical = generator.cohort(1_000_000, count, &DiseaseModel::cancer());
-    let mut rng = DetRng::from_seed(seed ^ 0x7c94);
-    clinical
-        .into_iter()
-        .map(|record| {
-            let has_cancer = record.has_diagnosis(CANCER_CODE);
-            let shift = if has_cancer { 0.8 } else { 0.0 };
-            let expression: Vec<f64> = (0..EXPRESSION_PANEL)
-                .map(|gene| {
-                    // First 10 genes are outcome-informative.
-                    let informative = if gene < 10 { shift } else { 0.0 };
-                    informative + rng.gen_range(-1.0..1.0)
-                })
-                .collect();
-            let slide_features: Vec<f64> = (0..SLIDE_FEATURES)
-                .map(|feat| {
-                    let informative = if feat < 4 { shift * 0.7 } else { 0.0 };
-                    informative + rng.gen_range(-1.0..1.0)
-                })
-                .collect();
-            TcgaRecord {
-                clinical: record,
-                expression,
-                slide_features,
-                matched_normal: rng.gen_bool(0.85),
-            }
-        })
-        .collect()
-}
-
-/// Flattens a TCGA record into one multi-modal feature row:
-/// clinical (10) ‖ expression (50) ‖ slide (16).
-pub fn multimodal_features(record: &TcgaRecord) -> Vec<f64> {
-    let mut row = crate::synth::features(&record.clinical).to_vec();
-    row.extend_from_slice(&record.expression);
-    row.extend_from_slice(&record.slide_features);
-    row
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cohort_is_deterministic() {
-        assert_eq!(generate_cohort(30, 5), generate_cohort(30, 5));
-        assert_ne!(generate_cohort(30, 5), generate_cohort(30, 6));
-    }
-
-    #[test]
-    fn modalities_have_expected_shapes() {
-        for r in generate_cohort(50, 1) {
-            assert_eq!(r.expression.len(), EXPRESSION_PANEL);
-            assert_eq!(r.slide_features.len(), SLIDE_FEATURES);
-            assert!(r.clinical.genomics.is_some(), "TCGA samples are all sequenced");
-        }
-    }
-
-    #[test]
-    fn expression_carries_outcome_signal() {
-        let cohort = generate_cohort(3_000, 2);
-        let mean_gene0 = |cancer: bool| {
-            let values: Vec<f64> = cohort
-                .iter()
-                .filter(|r| r.has_cancer() == cancer)
-                .map(|r| r.expression[0])
-                .collect();
-            values.iter().sum::<f64>() / values.len() as f64
-        };
-        assert!(
-            mean_gene0(true) > mean_gene0(false) + 0.3,
-            "informative gene should separate outcomes"
-        );
-    }
-
-    #[test]
-    fn multimodal_row_dimension() {
-        let cohort = generate_cohort(3, 3);
-        assert_eq!(
-            multimodal_features(&cohort[0]).len(),
-            10 + EXPRESSION_PANEL + SLIDE_FEATURES
-        );
-    }
-
-    #[test]
-    fn cancer_prevalence_reasonable() {
-        let cohort = generate_cohort(2_000, 4);
-        let rate = cohort.iter().filter(|r| r.has_cancer()).count() as f64 / 2_000.0;
-        assert!((0.02..0.5).contains(&rate), "prevalence {rate}");
-    }
-}

@@ -6,9 +6,8 @@
 //! another ownership silo the architecture must integrate. This module
 //! generates realistic daily series (weekly rhythm, seasonal drift,
 //! sick-day excursions), summarizes them into the canonical
-//! [`WearableSummary`](crate::emr::WearableSummary), and extracts
-//! lifestyle features (trend, rhythm regularity, sedentary fraction)
-//! beyond simple means.
+//! [`WearableSummary`](crate::emr::WearableSummary), and flags
+//! elevated-heart-rate days beyond simple means.
 
 use crate::emr::WearableSummary;
 use medchain_runtime::DetRng;
@@ -117,63 +116,6 @@ impl WearableSeries {
         })
     }
 
-    /// Least-squares slope of daily steps (activity trend per day).
-    pub fn activity_trend(&self) -> f64 {
-        let n = self.readings.len() as f64;
-        if n < 2.0 {
-            return 0.0;
-        }
-        let mean_x = self.readings.iter().map(|r| f64::from(r.day)).sum::<f64>() / n;
-        let mean_y = self.readings.iter().map(|r| r.steps).sum::<f64>() / n;
-        let mut cov = 0.0;
-        let mut var = 0.0;
-        for r in &self.readings {
-            let dx = f64::from(r.day) - mean_x;
-            cov += dx * (r.steps - mean_y);
-            var += dx * dx;
-        }
-        if var == 0.0 {
-            0.0
-        } else {
-            cov / var
-        }
-    }
-
-    /// Fraction of days under `threshold` steps (sedentary days).
-    pub fn sedentary_fraction(&self, threshold: f64) -> f64 {
-        if self.readings.is_empty() {
-            return 0.0;
-        }
-        self.readings.iter().filter(|r| r.steps < threshold).count() as f64
-            / self.readings.len() as f64
-    }
-
-    /// Weekly rhythm strength: mean weekend steps / mean weekday steps
-    /// (1.0 = no rhythm).
-    pub fn weekly_rhythm(&self) -> f64 {
-        let weekday: Vec<f64> = self
-            .readings
-            .iter()
-            .filter(|r| r.day % 7 < 5)
-            .map(|r| r.steps)
-            .collect();
-        let weekend: Vec<f64> = self
-            .readings
-            .iter()
-            .filter(|r| r.day % 7 >= 5)
-            .map(|r| r.steps)
-            .collect();
-        if weekday.is_empty() || weekend.is_empty() {
-            return 1.0;
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let wd = mean(&weekday);
-        if wd == 0.0 {
-            return 1.0;
-        }
-        mean(&weekend) / wd
-    }
-
     /// Days whose resting HR exceeds the series mean by `sigma` standard
     /// deviations — candidate illness episodes for RWE monitoring.
     pub fn elevated_hr_days(&self, sigma: f64) -> Vec<u32> {
@@ -223,46 +165,13 @@ mod tests {
     #[test]
     fn empty_series_summarizes_to_none() {
         assert_eq!(WearableSeries::default().summarize(), None);
-        assert_eq!(WearableSeries::default().activity_trend(), 0.0);
     }
 
     #[test]
-    fn weekly_rhythm_detects_weekend_boost() {
-        let profile = SeriesProfile { weekend_factor: 1.5, sick_day_rate: 0.0, ..Default::default() };
-        let s = WearableSeries::generate(&profile, 140, 4);
-        let rhythm = s.weekly_rhythm();
-        assert!(rhythm > 1.2, "rhythm {rhythm}");
-        let flat =
-            WearableSeries::generate(&SeriesProfile { weekend_factor: 1.0, sick_day_rate: 0.0, ..Default::default() }, 140, 4);
-        assert!((flat.weekly_rhythm() - 1.0).abs() < 0.15);
-    }
-
-    #[test]
-    fn declining_trend_is_recovered() {
-        let profile = SeriesProfile { daily_trend: -20.0, sick_day_rate: 0.0, ..Default::default() };
-        let s = WearableSeries::generate(&profile, 180, 5);
-        let trend = s.activity_trend();
-        assert!(trend < -10.0, "trend {trend}");
-        let stable = WearableSeries::generate(
-            &SeriesProfile { daily_trend: 0.0, sick_day_rate: 0.0, ..Default::default() },
-            180,
-            5,
-        );
-        assert!(stable.activity_trend().abs() < 10.0);
-    }
-
-    #[test]
-    fn sick_days_show_as_sedentary_and_elevated_hr() {
+    fn sick_days_show_as_elevated_hr() {
         let profile = SeriesProfile { sick_day_rate: 0.2, ..Default::default() };
         let s = WearableSeries::generate(&profile, 365, 6);
-        assert!(s.sedentary_fraction(2_000.0) > 0.1);
         assert!(!s.elevated_hr_days(2.0).is_empty());
-        let healthy = WearableSeries::generate(
-            &SeriesProfile { sick_day_rate: 0.0, ..Default::default() },
-            365,
-            6,
-        );
-        assert!(healthy.sedentary_fraction(2_000.0) < 0.02);
     }
 }
 

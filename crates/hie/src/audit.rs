@@ -149,7 +149,7 @@ impl AuditTrail {
     }
 
     /// Entries for one exchange.
-    pub fn for_exchange(&self, exchange_id: u64) -> Vec<&AuditEntry> {
+    fn for_exchange(&self, exchange_id: u64) -> Vec<&AuditEntry> {
         self.entries.iter().filter(|e| e.exchange_id == exchange_id).collect()
     }
 

@@ -23,22 +23,19 @@ pub enum EmailAuditOutcome {
 
 /// One sent email: all the baseline records is a subject line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SentEmail {
+struct SentEmail {
     /// Sender.
-    pub from: Address,
+    from: Address,
     /// Recipient.
-    pub to: Address,
+    to: Address,
     /// Subject (free text, not machine-readable).
-    pub subject: String,
+    subject: String,
 }
 
 /// The secure-email HIE baseline.
 #[derive(Debug, Default)]
 pub struct EmailExchange {
     outbox: Vec<SentEmail>,
-    /// Attachments are opaque blobs once sent; content is not retained
-    /// by the transport, so integration with analytics is impossible.
-    attachments_sent: u64,
     bytes_moved: u64,
 }
 
@@ -52,7 +49,6 @@ impl EmailExchange {
     /// exchange id, no receipt, and no phase tracking.
     pub fn send(&mut self, from: Address, to: Address, subject: &str, records: &[Vec<u8>]) {
         self.outbox.push(SentEmail { from, to, subject: subject.to_string() });
-        self.attachments_sent += 1;
         self.bytes_moved += records.iter().map(Vec::len).sum::<usize>() as u64;
     }
 
@@ -70,21 +66,9 @@ impl EmailExchange {
         }
     }
 
-    /// Machine-readable records available for integration/AI: none.
-    /// (The paper: data shared by email "cannot directly be used for AI
-    /// analysis".)
-    pub fn machine_readable_records(&self) -> usize {
-        0
-    }
-
     /// Bytes moved (for cost comparison with the HIE protocol).
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
-    }
-
-    /// Number of attachments sent.
-    pub fn attachments_sent(&self) -> u64 {
-        self.attachments_sent
     }
 }
 
@@ -104,7 +88,7 @@ mod tests {
     }
 
     #[test]
-    fn no_machine_readable_output() {
+    fn bytes_moved_counts_attachment_bytes() {
         let mut email = EmailExchange::new();
         email.send(
             Address::from_seed(1),
@@ -112,8 +96,6 @@ mod tests {
             "records",
             &[b"r1".to_vec(), b"r2".to_vec()],
         );
-        assert_eq!(email.machine_readable_records(), 0);
-        assert_eq!(email.attachments_sent(), 1);
         assert_eq!(email.bytes_moved(), 4);
     }
 }

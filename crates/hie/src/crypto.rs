@@ -99,9 +99,9 @@ fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
 }
 
 /// The Mersenne prime 2⁶¹ − 1 used as the simulation DH modulus.
-pub const DH_PRIME: u64 = (1 << 61) - 1;
+const DH_PRIME: u64 = (1 << 61) - 1;
 /// Generator of a large subgroup mod [`DH_PRIME`].
-pub const DH_GENERATOR: u64 = 5;
+const DH_GENERATOR: u64 = 5;
 
 fn mul_mod(a: u64, b: u64) -> u64 {
     ((a as u128 * b as u128) % DH_PRIME as u128) as u64

@@ -1,7 +1,7 @@
 //! # medchain-learning — distributed analytics and learning
 //!
-//! From-scratch machine learning for the paper's §III-C: logistic and
-//! linear regression, a small MLP with backpropagation, evaluation
+//! From-scratch machine learning for the paper's §III-C: logistic
+//! regression, a small MLP with backpropagation, evaluation
 //! metrics, synchronous FedAvg federated learning with communication
 //! accounting, transfer learning (including the paper's proposed
 //! *distributed* transfer learning), and exactly-decomposable aggregate
@@ -13,7 +13,6 @@
 pub mod decompose;
 pub mod federated;
 pub mod linalg;
-pub mod linear;
 pub mod logistic;
 pub mod metrics;
 pub mod nn;

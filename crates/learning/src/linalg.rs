@@ -12,7 +12,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// `y ← y + alpha · x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;

@@ -91,24 +91,14 @@ impl Mlp {
         Mlp { layers, frozen_below: 0 }
     }
 
-    /// Number of layers (hidden + output).
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total trainable + frozen parameter count.
-    pub fn param_count(&self) -> usize {
+    fn param_count(&self) -> usize {
         self.layers.iter().map(Layer::param_count).sum()
     }
 
     /// Freezes every layer except the output head (transfer learning).
     pub fn freeze_feature_layers(&mut self) {
         self.frozen_below = self.layers.len().saturating_sub(1);
-    }
-
-    /// Unfreezes all layers.
-    pub fn unfreeze(&mut self) {
-        self.frozen_below = 0;
     }
 
     /// Re-initializes the output head (start of fine-tuning on a new
@@ -248,7 +238,7 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics if the length does not match [`Mlp::param_count`].
+    /// Panics if the length does not match the network's parameter count.
     pub fn set_params(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.param_count(), "parameter length mismatch");
         let mut at = 0;

@@ -59,7 +59,7 @@ impl From<String> for ToolError {
 
 /// An analytics tool: pure function from parameters to results, in the
 /// standard value format.
-pub type ToolFn = dyn Fn(&[Value]) -> Result<Vec<Value>, ToolError> + Send + Sync;
+type ToolFn = dyn Fn(&[Value]) -> Result<Vec<Value>, ToolError> + Send + Sync;
 
 /// A registered tool with its integrity hash.
 #[derive(Clone)]

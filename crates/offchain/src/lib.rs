@@ -16,14 +16,12 @@ pub mod control;
 pub mod executor;
 pub mod monitor;
 pub mod oracle;
-pub mod pipeline;
 pub mod registry;
 
 pub use control::{ControlNode, ControlStats, ShardJob};
 pub use executor::{ExecutorError, TaskExecutor, TaskResult, Tool, ToolError};
 pub use monitor::{CapturedEvent, MonitorNode};
 pub use oracle::{DataOracle, OracleBackend, OracleError, OracleRequest};
-pub use pipeline::{DynamicPipeline, PipelineCtx, PipelineStep, Route};
 pub use registry::{
     anchor_label, verify_against_chain, verify_record, AnchoredArtifact, IntegrityVerdict,
 };

@@ -5,12 +5,10 @@
 //! sets. The monitor node is a mechanism for our system to securely
 //! bridge the smart contract and the external world" (§III-A).
 //!
-//! [`MonitorNode`] scans committed blocks for contract events, keeps a
-//! height cursor so every event is observed exactly once, and dispatches
-//! to topic-filtered subscribers.
+//! [`MonitorNode`] scans committed blocks for contract events and keeps
+//! a height cursor so every event is observed exactly once.
 
 use medchain_chain::{Event, Hash256, Ledger};
-use std::fmt;
 
 /// An event captured from a committed block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,45 +21,17 @@ pub struct CapturedEvent {
     pub event: Event,
 }
 
-/// A topic subscription.
-type Handler = Box<dyn FnMut(&CapturedEvent) + Send>;
-
-/// Scans the chain for contract events and dispatches them off-chain.
+/// Scans the chain for contract events and hands them off-chain.
+#[derive(Debug, Default)]
 pub struct MonitorNode {
     cursor: u64,
-    subscriptions: Vec<(Option<String>, Handler)>,
     observed: u64,
-}
-
-impl fmt::Debug for MonitorNode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MonitorNode")
-            .field("cursor", &self.cursor)
-            .field("subscriptions", &self.subscriptions.len())
-            .field("observed", &self.observed)
-            .finish()
-    }
-}
-
-impl Default for MonitorNode {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MonitorNode {
     /// Creates a monitor starting at genesis.
     pub fn new() -> MonitorNode {
-        MonitorNode { cursor: 0, subscriptions: Vec::new(), observed: 0 }
-    }
-
-    /// Subscribes `handler` to events with `topic` (`None` = all topics).
-    pub fn subscribe(
-        &mut self,
-        topic: Option<&str>,
-        handler: impl FnMut(&CapturedEvent) + Send + 'static,
-    ) {
-        self.subscriptions.push((topic.map(str::to_string), Box::new(handler)));
+        MonitorNode::default()
     }
 
     /// Height up to which events have been observed.
@@ -74,8 +44,8 @@ impl MonitorNode {
         self.observed
     }
 
-    /// Scans blocks `(cursor, tip]`, invoking subscribers and returning
-    /// all captured events in commit order.
+    /// Scans blocks `(cursor, tip]`, returning all captured events in
+    /// commit order.
     pub fn poll(&mut self, ledger: &Ledger) -> Vec<CapturedEvent> {
         let mut captured = Vec::new();
         let tip = ledger.height();
@@ -91,11 +61,6 @@ impl MonitorNode {
                         event: event.clone(),
                     };
                     self.observed += 1;
-                    for (topic, handler) in &mut self.subscriptions {
-                        if topic.as_deref().is_none_or(|t| t == item.event.topic) {
-                            handler(&item);
-                        }
-                    }
                     captured.push(item);
                 }
             }
@@ -116,8 +81,6 @@ mod tests {
     use medchain_contracts::native::native_manifest;
     use medchain_contracts::runtime::{call_data, Runtime};
     use medchain_contracts::value::Value;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     fn app_with_data_contract() -> (ChainApp, AuthorityKey, medchain_chain::Address) {
         let key = AuthorityKey::from_seed(1);
@@ -176,32 +139,6 @@ mod tests {
         register_dataset(&mut app, &key, 2, "emr-b");
         assert_eq!(monitor.poll(app.ledger()).len(), 1);
         assert_eq!(monitor.observed(), 2);
-    }
-
-    #[test]
-    fn topic_filters_select_subscribers() {
-        let (mut app, key, _) = app_with_data_contract();
-        register_dataset(&mut app, &key, 1, "emr-a");
-        let matched = Arc::new(AtomicUsize::new(0));
-        let unmatched = Arc::new(AtomicUsize::new(0));
-        let all = Arc::new(AtomicUsize::new(0));
-        let mut monitor = MonitorNode::new();
-        let m = matched.clone();
-        monitor.subscribe(Some("DatasetRegistered"), move |_| {
-            m.fetch_add(1, Ordering::SeqCst);
-        });
-        let u = unmatched.clone();
-        monitor.subscribe(Some("AnalyticsRequested"), move |_| {
-            u.fetch_add(1, Ordering::SeqCst);
-        });
-        let a = all.clone();
-        monitor.subscribe(None, move |_| {
-            a.fetch_add(1, Ordering::SeqCst);
-        });
-        monitor.poll(app.ledger());
-        assert_eq!(matched.load(Ordering::SeqCst), 1);
-        assert_eq!(unmatched.load(Ordering::SeqCst), 0);
-        assert_eq!(all.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! revealing the rest of the dataset.
 
 use medchain_chain::{
-    Address, AuthorityKey, Hash256, MerkleProof, MerkleTree, Transaction, TxPayload, WorldState,
+    AuthorityKey, Hash256, MerkleProof, MerkleTree, Transaction, TxPayload, WorldState,
 };
 use std::fmt;
 
@@ -83,13 +83,6 @@ pub enum IntegrityVerdict {
     NotAnchored,
 }
 
-impl IntegrityVerdict {
-    /// Whether the data passed verification.
-    pub fn is_intact(&self) -> bool {
-        matches!(self, IntegrityVerdict::Intact)
-    }
-}
-
 impl fmt::Display for IntegrityVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -133,12 +126,6 @@ pub fn verify_record(
     } else {
         IntegrityVerdict::Tampered { anchored, computed: Hash256::digest(record) }
     }
-}
-
-/// Identifies who may anchor under a site prefix: simple namespace rule
-/// `site-address-hex/artifact`.
-pub fn site_owns_label(site: &Address, label: &str) -> bool {
-    label.starts_with(&format!("{}/", site.to_hex()))
 }
 
 #[cfg(test)]
@@ -203,17 +190,15 @@ mod tests {
         ledger.apply(&block).unwrap();
 
         let proof = artifact.prove(4).unwrap();
-        assert!(verify_record(ledger.state(), "hospital-1/emr", &records()[4], &proof)
-            .is_intact());
+        assert_eq!(
+            verify_record(ledger.state(), "hospital-1/emr", &records()[4], &proof),
+            IntegrityVerdict::Intact
+        );
         // Wrong record with the same proof fails.
-        assert!(!verify_record(ledger.state(), "hospital-1/emr", b"forged", &proof).is_intact());
-    }
-
-    #[test]
-    fn label_namespace_rule() {
-        let site = Address::from_seed(3);
-        assert!(site_owns_label(&site, &anchor_label(&site.to_hex(), "emr")));
-        assert!(!site_owns_label(&site, "someone-else/emr"));
+        assert_ne!(
+            verify_record(ledger.state(), "hospital-1/emr", b"forged", &proof),
+            IntegrityVerdict::Intact
+        );
     }
 
     #[test]

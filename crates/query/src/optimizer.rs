@@ -20,7 +20,7 @@ use medchain_data::PatientRecord;
 /// more selective = evaluate earlier). Derived from the synthetic
 /// cohort model's population statistics; a production system would use
 /// per-site histograms.
-pub fn estimated_selectivity(predicate: &Predicate) -> f64 {
+fn estimated_selectivity(predicate: &Predicate) -> f64 {
     match predicate {
         Predicate::Range { field, min, max } => {
             // Approximate each field with a uniform band over its
@@ -62,7 +62,7 @@ pub fn estimated_selectivity(predicate: &Predicate) -> f64 {
 
 /// Relative CPU cost of evaluating a predicate once. Scalar reads are
 /// cheap; diagnosis predicates scan a list.
-pub fn evaluation_cost(predicate: &Predicate) -> f64 {
+fn evaluation_cost(predicate: &Predicate) -> f64 {
     match predicate {
         Predicate::HasDiagnosis(_) | Predicate::LacksDiagnosis(_) => 3.0,
         _ => 1.0,

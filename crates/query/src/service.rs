@@ -73,11 +73,6 @@ impl GlobalQueryService {
         &self.sites
     }
 
-    /// Adds a site.
-    pub fn register_site(&mut self, site: &str) {
-        self.sites.push(site.to_string());
-    }
-
     /// Maps a natural-language request to a query vector.
     ///
     /// # Errors
@@ -162,14 +157,6 @@ mod tests {
         let service = GlobalQueryService::default();
         let query = QueryVector::fetch_all();
         assert_eq!(service.plan(&query), Err(QueryServiceError::NoSites));
-    }
-
-    #[test]
-    fn register_site_extends_fanout() {
-        let mut service = service();
-        service.register_site("hospital-3");
-        let tasks = service.plan(&QueryVector::fetch_all()).unwrap();
-        assert_eq!(tasks.len(), 4);
     }
 
     #[test]

@@ -65,13 +65,6 @@ impl QueryVector {
         self
     }
 
-    /// Builder: set the purpose.
-    #[must_use]
-    pub fn with_purpose(mut self, purpose: Purpose) -> QueryVector {
-        self.purpose = purpose;
-        self
-    }
-
     /// Encodes the vector as contract call-data values (a compact tagged
     /// rendering; the data contract sees purpose + cohort fingerprint).
     pub fn to_values(&self) -> Vec<Value> {
@@ -123,13 +116,6 @@ pub mod cohorts {
     pub fn smokers() -> RecordQuery {
         RecordQuery::all().filter(Predicate::Flag { field: Field::Smoker, value: true })
     }
-
-    /// Diabetics with hypertension (SBP ≥ 140).
-    pub fn hypertensive_diabetics() -> RecordQuery {
-        RecordQuery::all()
-            .filter(Predicate::Flag { field: Field::Diabetic, value: true })
-            .filter(Predicate::Range { field: Field::SystolicBp, min: 140.0, max: 400.0 })
-    }
 }
 
 #[cfg(test)]
@@ -141,9 +127,7 @@ mod tests {
     fn builder_chain() {
         let q = QueryVector::fetch_all()
             .with_cohort(cohorts::smokers())
-            .with_computation(Computation::Aggregates(vec![Aggregate::Mean(Field::Age)]))
-            .with_purpose(Purpose::PublicHealth);
-        assert_eq!(q.purpose, Purpose::PublicHealth);
+            .with_computation(Computation::Aggregates(vec![Aggregate::Mean(Field::Age)]));
         assert_eq!(q.cohort.predicates.len(), 1);
         assert!(matches!(q.computation, Computation::Aggregates(_)));
     }
@@ -161,7 +145,9 @@ mod tests {
 
     #[test]
     fn describe_is_readable() {
-        let q = QueryVector::fetch_all().with_cohort(cohorts::hypertensive_diabetics());
+        let cohort =
+            cohorts::smokers().filter(Predicate::Flag { field: Field::Diabetic, value: true });
+        let q = QueryVector::fetch_all().with_cohort(cohort);
         let text = q.describe();
         assert!(text.contains("2 predicate(s)"));
         assert!(text.contains("research"));
@@ -180,7 +166,5 @@ mod tests {
             let age = row[0].unwrap();
             assert!((60.0..=70.0).contains(&age));
         }
-        let diabetics = cohorts::hypertensive_diabetics().run(&records);
-        assert!(diabetics.rows.len() < records.len());
     }
 }

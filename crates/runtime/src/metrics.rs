@@ -27,9 +27,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Upper bound on retained structured events; older events are dropped
-/// first and counted in [`Registry::events_dropped`].
-pub const MAX_EVENTS: usize = 4096;
+/// Upper bound on retained structured events; the oldest are dropped first.
+const MAX_EVENTS: usize = 4096;
 
 /// A sink for counters, gauges, histogram observations, and structured
 /// events, keyed by hierarchical `scope.name` strings.
@@ -203,7 +202,6 @@ struct RegistryState {
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, HistogramSummary>,
     events: Vec<EventRecord>,
-    events_dropped: u64,
 }
 
 /// The default in-memory sink: counters, gauges, histograms, and a
@@ -256,12 +254,6 @@ impl Registry {
         state.histograms.get(key).copied()
     }
 
-    /// All counter keys, sorted.
-    pub fn counter_keys(&self) -> Vec<String> {
-        let state = self.state.lock().expect("metrics registry poisoned");
-        state.counters.keys().cloned().collect()
-    }
-
     /// All gauges as sorted `(key, value)` pairs.
     pub fn gauges(&self) -> Vec<(String, i64)> {
         let state = self.state.lock().expect("metrics registry poisoned");
@@ -272,12 +264,6 @@ impl Registry {
     pub fn events(&self) -> Vec<EventRecord> {
         let state = self.state.lock().expect("metrics registry poisoned");
         state.events.clone()
-    }
-
-    /// Events discarded because the log exceeded [`MAX_EVENTS`].
-    pub fn events_dropped(&self) -> u64 {
-        let state = self.state.lock().expect("metrics registry poisoned");
-        state.events_dropped
     }
 
     /// Clears every metric and event.
@@ -358,7 +344,6 @@ impl MetricsSink for Registry {
         let mut state = self.state.lock().expect("metrics registry poisoned");
         if state.events.len() >= MAX_EVENTS {
             state.events.remove(0);
-            state.events_dropped += 1;
         }
         state.events.push(EventRecord {
             scope: scope.to_string(),
@@ -481,7 +466,6 @@ mod tests {
             m.event("scope", "tick", &[("i", i.to_string())]);
         }
         assert_eq!(registry.events().len(), MAX_EVENTS);
-        assert_eq!(registry.events_dropped(), 10);
         // Oldest dropped first: the first retained event is i=10.
         assert_eq!(registry.events()[0].fields[0].1, "10");
     }

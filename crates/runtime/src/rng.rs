@@ -74,7 +74,7 @@ impl DetRng {
     }
 
     /// Next raw 32-bit output (upper half of [`Self::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
@@ -139,15 +139,6 @@ impl DetRng {
         for i in (1..slice.len()).rev() {
             let j = self.bounded_u64(i as u64 + 1) as usize;
             slice.swap(i, j);
-        }
-    }
-
-    /// Uniformly chosen element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.bounded_u64(slice.len() as u64) as usize])
         }
     }
 
@@ -357,13 +348,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 10);
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = DetRng::from_seed(1);
-        assert_eq!(rng.choose::<u8>(&[]), None);
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 
     #[test]

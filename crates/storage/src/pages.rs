@@ -234,12 +234,6 @@ impl PageStore {
         self.inner.lock().expect("page store poisoned").extents.len()
     }
 
-    /// Slots currently held in the cache (≤ cap, except transiently for
-    /// a single extent larger than the whole cache).
-    pub fn cached_slots(&self) -> u64 {
-        self.inner.lock().expect("page store poisoned").cached_slots
-    }
-
     fn allocate(inner: &mut Inner, slots: u64) -> u64 {
         // First fit; an oversized hole is split, keeping the remainder.
         for i in 0..inner.free.len() {

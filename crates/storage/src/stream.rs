@@ -226,7 +226,7 @@ impl SnapshotAssembler {
     }
 
     /// Whether every chunk has arrived.
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.chunks.len() == self.manifest.chunk_count as usize
     }
 

@@ -170,11 +170,6 @@ impl SegmentedLog {
         Ok(())
     }
 
-    /// Height the next append must carry, if the log is non-empty.
-    pub fn next_height(&self) -> Option<u64> {
-        self.next_height
-    }
-
     /// Checks height contiguity and returns the segment file to append
     /// `record_len` more bytes to, rolling first if needed.
     fn tail_for(&mut self, height: u64, record_len: u64) -> Result<&mut File, StoreError> {
@@ -295,7 +290,7 @@ mod tests {
         assert_eq!(scan.truncated_records, 0);
         assert_eq!(scan.blocks.len(), 5);
         assert_eq!(scan.blocks.last().unwrap().header.height, 5);
-        assert_eq!(log.next_height(), Some(6));
+        assert_eq!(log.next_height, Some(6));
         let segs = fs::read_dir(&dir).unwrap().count();
         assert!(segs > 1, "expected multiple segments, got {segs}");
         fs::remove_dir_all(&dir).unwrap();
@@ -315,7 +310,7 @@ mod tests {
         let (log, scan) = SegmentedLog::open(&dir, 1 << 20).unwrap();
         assert_eq!(scan.truncated_records, 1);
         assert_eq!(scan.blocks.len(), 1);
-        assert_eq!(log.next_height(), Some(2));
+        assert_eq!(log.next_height, Some(2));
         fs::remove_dir_all(&dir).unwrap();
     }
 

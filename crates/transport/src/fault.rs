@@ -2,7 +2,7 @@
 //!
 //! [`FaultyTransport`] wraps an inner [`Transport`] and injects seeded
 //! faults — an optional [`LatencyModel`], an independent per-message drop
-//! rate, and node/link failures — so the paper's fault experiments run
+//! rate, and node failures — so the paper's fault experiments run
 //! unchanged whether the traffic rides the deterministic
 //! [`SimTransport`](crate::SimTransport) or real sockets. Neither inner
 //! transport models faults of its own; crash × partition × loss compose
@@ -44,11 +44,11 @@ impl<M> Ord for Delayed<M> {
     }
 }
 
-/// Injects seeded latency, loss, and node/link failures into any inner
+/// Injects seeded latency, loss, and node failures into any inner
 /// transport.
 ///
 /// Fault decisions are made at *send* time: a message is charged to the
-/// stats, then dropped if the seeded coin or a failed node/link says so,
+/// stats, then dropped if the seeded coin or a failed node says so,
 /// then — if a [`LatencyModel`] is configured — held back until its
 /// release time and only then handed to the inner transport. Timers
 /// owned by failed nodes are suppressed on delivery. When no latency
@@ -60,7 +60,6 @@ pub struct FaultyTransport<M, T> {
     latency: Option<LatencyModel>,
     drop_rate: f64,
     failed_nodes: HashSet<NodeId>,
-    failed_links: HashSet<(NodeId, NodeId)>,
     delayed: BinaryHeap<Reverse<Delayed<M>>>,
     seq: u64,
     sent: u64,
@@ -79,7 +78,6 @@ impl<M: Wire + Clone, T: Transport<M>> FaultyTransport<M, T> {
             latency: None,
             drop_rate: 0.0,
             failed_nodes: HashSet::new(),
-            failed_links: HashSet::new(),
             delayed: BinaryHeap::new(),
             seq: 0,
             sent: 0,
@@ -118,24 +116,9 @@ impl<M: Wire + Clone, T: Transport<M>> FaultyTransport<M, T> {
         self.failed_nodes.remove(&node);
     }
 
-    /// Fails the directed link `from → to`.
-    pub fn fail_link(&mut self, from: NodeId, to: NodeId) {
-        self.failed_links.insert((from, to));
-    }
-
-    /// Heals the directed link `from → to`.
-    pub fn heal_link(&mut self, from: NodeId, to: NodeId) {
-        self.failed_links.remove(&(from, to));
-    }
-
     /// The wrapped transport.
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// The wrapped transport, mutably.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 
     /// Hands every delayed message whose release time has come to the
@@ -185,7 +168,6 @@ impl<M: Wire + Clone, T: Transport<M>> Transport<M> for FaultyTransport<M, T> {
         if lossy
             || self.failed_nodes.contains(&from)
             || self.failed_nodes.contains(&to)
-            || self.failed_links.contains(&(from, to))
         {
             self.dropped += 1;
             self.metrics.counter("transport.fault_drops", 1);
@@ -320,17 +302,6 @@ mod tests {
         assert_eq!(stats.dropped, 10);
         assert_eq!(stats.delivered, 0);
         assert_eq!(stats.sent, 10);
-    }
-
-    #[test]
-    fn link_failure_is_directional() {
-        let mut t = FaultyTransport::new(quiet_inner(2), 1);
-        t.fail_link(NodeId(0), NodeId(1));
-        t.send(NodeId(0), NodeId(1), Msg(1, 10));
-        t.send(NodeId(1), NodeId(0), Msg(2, 10));
-        let (_, event) = t.next().unwrap();
-        assert!(matches!(event, Event::Message { to: NodeId(0), msg: Msg(2, _), .. }));
-        assert!(t.next().is_none());
     }
 
     #[test]

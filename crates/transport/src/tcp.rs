@@ -17,7 +17,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -229,7 +229,6 @@ fn writer_loop(
     addr: SocketAddr,
     frames: Arc<LinkQueue>,
     shutdown: Arc<AtomicBool>,
-    reconnects: Arc<AtomicU64>,
     metrics: Metrics,
 ) {
     let mut conn: Option<TcpStream> = None;
@@ -249,7 +248,6 @@ fn writer_loop(
                 Err(_) => {
                     // Reconnect and retry this frame.
                     conn = None;
-                    reconnects.fetch_add(1, Ordering::Relaxed);
                     metrics.counter("transport.reconnects", 1);
                 }
             }
@@ -277,6 +275,9 @@ pub struct TcpTransport<M> {
     start: Instant,
     /// Lazily created per directed link `(from, to)`.
     writers: HashMap<(usize, usize), Arc<LinkQueue>>,
+    /// Frame-queue bound of each newly created writer link. A full
+    /// queue discards its oldest frame, counted in
+    /// [`NetStats::backpressure`].
     writer_queue_cap: usize,
     inbox: Receiver<Inbound>,
     /// Kept so the inbox never disconnects while the transport lives
@@ -288,8 +289,9 @@ pub struct TcpTransport<M> {
     handles: Vec<JoinHandle<()>>,
     stats: NetStats,
     framed_bytes: u64,
-    reconnects: Arc<AtomicU64>,
     metrics: Metrics,
+    /// How long [`Transport::next`] waits with no timers outstanding
+    /// before concluding the network has quiesced.
     idle_timeout: Duration,
     down: bool,
     _msg: PhantomData<M>,
@@ -298,8 +300,8 @@ pub struct TcpTransport<M> {
 impl<M: Wire + Clone + Encode + Decode> TcpTransport<M> {
     /// Binds `node_count` loopback listeners on OS-assigned ports and
     /// starts their acceptor threads — the single-host convenience
-    /// constructor. See [`TcpTransport::bind_at`] for explicit addresses
-    /// and [`TcpTransport::bind_from_env`] for [`TCP_ADDRS_ENV`].
+    /// constructor. See [`TcpTransport::bind_from_env`] for explicit
+    /// addresses through [`TCP_ADDRS_ENV`].
     pub fn bind(node_count: usize) -> std::io::Result<TcpTransport<M>> {
         let loopback: SocketAddr = (IpAddr::V4(Ipv4Addr::LOCALHOST), 0).into();
         Self::bind_at(&vec![loopback; node_count])
@@ -312,7 +314,7 @@ impl<M: Wire + Clone + Encode + Decode> TcpTransport<M> {
     /// what peers dial. An unspecified bind IP (`0.0.0.0` / `::`)
     /// listens on every interface but is not dialable, so the advertised
     /// peer address falls back to loopback on the bound port.
-    pub fn bind_at(bind_addrs: &[SocketAddr]) -> std::io::Result<TcpTransport<M>> {
+    fn bind_at(bind_addrs: &[SocketAddr]) -> std::io::Result<TcpTransport<M>> {
         let node_count = bind_addrs.len();
         let shutdown = Arc::new(AtomicBool::new(false));
         let (inbox_tx, inbox) = mpsc::channel();
@@ -351,7 +353,6 @@ impl<M: Wire + Clone + Encode + Decode> TcpTransport<M> {
             handles,
             stats: NetStats::default(),
             framed_bytes: 0,
-            reconnects: Arc::new(AtomicU64::new(0)),
             metrics: Metrics::noop(),
             idle_timeout: Duration::from_millis(200),
             down: false,
@@ -389,30 +390,9 @@ impl<M: Wire + Clone + Encode + Decode> TcpTransport<M> {
         &self.addrs
     }
 
-    /// Overrides the address writers dial to reach `node`. Affects links
-    /// created after the call (writer links cache their address), so set
-    /// it before the first send to that peer. Useful to point a link at
-    /// another host — or, in tests, at a dead port to blackhole a peer.
-    pub fn redirect_peer(&mut self, node: NodeId, addr: SocketAddr) {
-        self.addrs[node.0] = addr;
-    }
-
-    /// Bounds each *newly created* writer link's frame queue at `cap`
-    /// (default [`DEFAULT_WRITER_QUEUE_CAP`]). When a queue is full the
-    /// oldest frame is discarded and counted in
-    /// [`NetStats::backpressure`].
-    pub fn set_writer_queue_cap(&mut self, cap: usize) {
-        self.writer_queue_cap = cap.max(1);
-    }
-
     /// Installs a metrics handle; `transport.*` counters report there.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
-    }
-
-    /// Writer reconnect attempts after a failed write, across all links.
-    pub fn reconnect_count(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
     }
 
     /// Total bytes actually framed onto sockets: payload bytes plus
@@ -421,16 +401,9 @@ impl<M: Wire + Clone + Encode + Decode> TcpTransport<M> {
         self.framed_bytes
     }
 
-    /// Sets how long [`Transport::next`] waits with no timers
-    /// outstanding before concluding the network has quiesced.
-    pub fn set_idle_timeout_ms(&mut self, ms: u64) {
-        self.idle_timeout = Duration::from_millis(ms.max(1));
-    }
-
     fn writer(&mut self, from: usize, to: usize) -> Arc<LinkQueue> {
         let addr = self.addrs[to];
         let shutdown = Arc::clone(&self.shutdown);
-        let reconnects = Arc::clone(&self.reconnects);
         let metrics = self.metrics.clone();
         let cap = self.writer_queue_cap;
         let handles = &mut self.handles;
@@ -438,7 +411,7 @@ impl<M: Wire + Clone + Encode + Decode> TcpTransport<M> {
             let queue = Arc::new(LinkQueue::new(cap));
             let writer_queue = Arc::clone(&queue);
             handles.push(std::thread::spawn(move || {
-                writer_loop(addr, writer_queue, shutdown, reconnects, metrics)
+                writer_loop(addr, writer_queue, shutdown, metrics)
             }));
             queue
         }))
@@ -664,7 +637,7 @@ mod tests {
     #[test]
     fn idle_transport_quiesces() {
         let mut t = TcpTransport::<Ping>::bind(2).unwrap();
-        t.set_idle_timeout_ms(30);
+        t.idle_timeout = Duration::from_millis(30);
         assert!(t.next().is_none());
         t.shutdown();
     }
@@ -698,8 +671,8 @@ mod tests {
         let registry = Registry::new();
         let mut t = TcpTransport::<Ping>::bind(2).unwrap();
         t.set_metrics(registry.handle());
-        t.set_writer_queue_cap(4);
-        t.redirect_peer(NodeId(1), dead);
+        t.writer_queue_cap = 4;
+        t.addrs[1] = dead;
         const SENDS: u64 = 20;
         for id in 0..SENDS {
             t.send(NodeId(0), NodeId(1), Ping { id, note: String::new() });

@@ -41,7 +41,7 @@ pub struct AuditFinding {
 
 impl AuditFinding {
     /// Whether the report matched its registration.
-    pub fn is_correct(&self) -> bool {
+    fn is_correct(&self) -> bool {
         self.discrepancies.is_empty()
     }
 }

@@ -41,20 +41,12 @@ impl Default for DrugModel {
 
 impl DrugModel {
     /// Ground truth: does this patient's biology respond to the drug?
-    pub fn is_responder(&self, record: &PatientRecord) -> bool {
+    fn is_responder(&self, record: &PatientRecord) -> bool {
         let genetic = record
             .genomics
             .as_ref()
             .is_some_and(|g| g.polygenic_risk >= self.prs_threshold);
         genetic || (self.diabetic_pathway && record.diabetic)
-    }
-
-    /// Fraction of a cohort that responds.
-    pub fn responder_rate(&self, records: &[PatientRecord]) -> f64 {
-        if records.is_empty() {
-            return 0.0;
-        }
-        records.iter().filter(|r| self.is_responder(r)).count() as f64 / records.len() as f64
     }
 
     /// Simulates an everyone-treated trial, producing a labelled dataset
@@ -95,7 +87,7 @@ impl PrecisionPolicy {
     }
 
     /// Whether the policy would prescribe to this patient.
-    pub fn would_treat(&self, record: &PatientRecord) -> bool {
+    fn would_treat(&self, record: &PatientRecord) -> bool {
         self.model.predict_one(&features(record)) >= self.threshold
     }
 }
@@ -222,7 +214,8 @@ mod tests {
         let pop = population(3_000, 5);
         let data = drug.run_trial(&pop, 6);
         let observed_rate = data.positive_rate();
-        let true_rate = drug.responder_rate(&pop);
+        let true_rate =
+            pop.iter().filter(|r| drug.is_responder(r)).count() as f64 / pop.len() as f64;
         assert!(observed_rate <= true_rate + 1e-9, "observation can only miss");
         assert!(observed_rate > true_rate * 0.7, "too much label noise");
     }

@@ -30,7 +30,7 @@ pub struct SiteTrialData {
 
 impl SiteTrialData {
     /// Whether the site tampered with anything.
-    pub fn is_falsified(&self) -> bool {
+    fn is_falsified(&self) -> bool {
         !self.falsified_indices.is_empty()
     }
 }

@@ -63,11 +63,6 @@ pub struct EffectEstimate {
 }
 
 impl EffectEstimate {
-    /// Whether the interval excludes zero (nominal significance).
-    pub fn is_significant(&self) -> bool {
-        self.ci_low > 0.0 || self.ci_high < 0.0
-    }
-
     /// Whether the interval covers a hypothesized true effect.
     pub fn covers(&self, effect: f64) -> bool {
         self.ci_low <= effect && effect <= self.ci_high
@@ -194,7 +189,7 @@ mod tests {
         let (rct, _) = simulate_rct_and_observational(&cohort(20_000, 1), -0.05, 2.0, 12);
         let estimate = intention_to_treat(&rct).unwrap();
         assert!(estimate.covers(-0.05), "CI {estimate:?} misses the true effect");
-        assert!(estimate.is_significant(), "20k participants should detect 5pp");
+        assert!(!estimate.covers(0.0), "20k participants should detect 5pp");
         assert!(estimate.risk_difference < 0.0);
     }
 
@@ -210,7 +205,7 @@ mod tests {
             obs_estimate.risk_difference > 0.02,
             "expected spurious harm, got {obs_estimate:?}"
         );
-        assert!(obs_estimate.is_significant());
+        assert!(!obs_estimate.covers(0.0));
     }
 
     #[test]

@@ -533,7 +533,8 @@ echo "ok: one Network, one gateway backend, one builder block, one serve loop"
 # with one pager for cold state, then → 6,903 with one quorum, then
 # → 6,988 with the CRC32 kernel beside SHA-NI and storage's crc.rs gone;
 # then 3,240 → 3,099, 5,889 → 5,748 and 6,988 → 6,971 once the gateway
-# kept no memory of its own and the one-value storage settings went):
+# kept no memory of its own and the one-value storage settings went;
+# then → 3,087, 5,574 and 6,829 once the unread public surface went):
 # non-blank lines that are not // comments, above each file's first
 # #[cfg(test)].
 census() {
@@ -561,7 +562,8 @@ if grep -n 'fn quorum' crates/chain/src/consensus/pbft.rs; then
     exit 1
 fi
 echo "ok: PoA and PBFT check signatures and thresholds through one Quorum"
-# Trend line (1,310 before PoA and PBFT shared one Quorum; 1,276 after).
+# Trend line (1,310 before PoA and PBFT shared one Quorum; 1,276 after;
+# 1,265 once the unread public surface went).
 echo "census: $(census crates/chain/src/consensus/*.rs) in crates/chain/src/consensus"
 
 # The chain is the gateway's only memory (DESIGN.md §10): a submission
@@ -709,6 +711,67 @@ if [ "$env_readers" != "$env_allowed" ]; then
     exit 1
 fi
 echo "ok: env::var is read in the 6 listed files only"
+
+# Dead public surface (ROADMAP aim 2): a `pub fn|struct|enum|trait|type|const`
+# declared at the start of a line in a .rs file under crates/ (except
+# crates/bench), src/, tests/ or examples/ whose name, as a whole word,
+# appears in no other .rs file under crates/, src/, tests/, examples/ or
+# benchmark/src. Such an item is public for no reader. Every name the
+# census finds must be listed below with the reason it stays public; a
+# new one gains a reader, becomes pub(crate) or private, or goes.
+# Trend line: 117 before the first sweep, 23 after.
+echo "== api: dead public surface census =="
+surface_ceiling=23
+surface_kept="certifies|read by ROADMAP Commit certificates (a block's certificate check)
+prune_below|read by ROADMAP Bounded history (drops blocks below a height)
+PosMsg|the PoS engine's Engine::Msg type
+PowMsg|the PoW engine's Engine::Msg type
+ParseHashError|error type of the public Hash256::from_hex
+ProofStep|element type of the public MerkleProof::path
+AsmError|error type of the public asm::assemble
+DecodeError|error type of the public opcode::decode_program
+DenyReason|payload of the public policy::Decision::Deny
+PolicyError|error type of the public Purpose::from_code and AccessPolicy::from_values
+FedRound|element type of the public FederatedPipelineReport::rounds
+PipelineError|error type of the public run_query, run_gwas and federated pipeline
+FormatTally|value type of the public IntegrationReport::by_format
+JsonError|error type of the public json::parse
+SnpCounts|element type of the public GwasPartial::snps
+RoundStats|element type of the public FedReport::history
+OracleStats|return type of the public DataOracle::stats
+take_byte|called by the exported codec macros wherever they expand
+EventRecord|return type of the public metrics Registry::events
+HistogramSummary|return type of the public metrics Registry::histogram
+SampleRange|trait bound of the public DetRng::gen_range
+SafetySignal|return type of the public RweMonitor::observe and signal
+SiteScreening|return type of the public screen_site, argument of recruit"
+surface_declarers="$(find crates src tests examples -name '*.rs' -not -path 'crates/bench/*' | LC_ALL=C sort)"
+surface_readers="$(find crates src tests examples benchmark/src -name '*.rs' | LC_ALL=C sort)"
+surface_unread=0
+surface_bad=0
+for file in $surface_declarers; do
+    names="$(grep -oE '^[[:space:]]*pub (fn|struct|enum|trait|type|const) [A-Za-z_][A-Za-z0-9_]*' "$file" \
+        | awk '{ print $NF }' | LC_ALL=C sort -u || true)"
+    for name in $names; do
+        # shellcheck disable=SC2086
+        others="$(grep -lwF -- "$name" $surface_readers | grep -vxF "$file" || true)"
+        [ -n "$others" ] && continue
+        surface_unread=$((surface_unread + 1))
+        reason="$(printf '%s\n' "$surface_kept" | awk -F'|' -v n="$name" '$1 == n { print $2 }')"
+        if [ -n "$reason" ]; then
+            echo "kept: $name ($file): $reason"
+        else
+            echo "ERROR: $file declares pub $name and no other file reads it" >&2
+            surface_bad=1
+        fi
+    done
+done
+echo "census: ${surface_unread} public items no other file reads (ceiling ${surface_ceiling})"
+if [ "$surface_bad" -ne 0 ] || [ "$surface_unread" -gt "$surface_ceiling" ]; then
+    echo "ERROR: unread public surface grew — give the item a reader, make it pub(crate) or private, or delete it." >&2
+    exit 1
+fi
+echo "ok: every unread public item is kept on purpose"
 
 # Light-client query path (DESIGN.md §13): anchor a record over the TCP
 # gateway, read it back with a sparse-Merkle proof, verify client-side,

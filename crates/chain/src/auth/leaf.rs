@@ -1,8 +1,8 @@
 //! Canonical leaf vocabulary and hashing of the authenticated state tree.
 //!
-//! Every entry of [`WorldState`](crate::ledger::WorldState) maps to exactly
+//! Every entry of [`WorldState`](crate::state::WorldState) maps to exactly
 //! one [`LeafKey`], and every leaf key has exactly one canonical value
-//! encoding (see [`WorldState::leaf_value`](crate::ledger::WorldState::leaf_value)).
+//! encoding (see [`WorldState::leaf_value`](crate::state::WorldState::leaf_value)).
 //! The sparse Merkle tree in [`super::smt`], the monolithic
 //! `state_root()` reference path, and the incremental per-block update in
 //! `Ledger::apply` all hash through the helpers in this module, so the
@@ -15,7 +15,7 @@
 
 use crate::exec::StateDelta;
 use crate::hash::{digest_tagged_pair, digest_tagged_pairs, digest_two, Hash256, Sha256};
-use crate::ledger::WorldState;
+use crate::state::WorldState;
 use crate::shard::{shard_for_key, ShardId};
 use crate::sig::Address;
 use medchain_runtime::codec::Encode;

@@ -59,7 +59,7 @@ use super::leaf::{self, LeafHasher, LeafKey, LeafUpdate, Preimage, EMPTY_SUBTREE
 use super::{ProofTerminal, SmtProof};
 use crate::exec::StateDelta;
 use crate::hash::Hash256;
-use crate::ledger::WorldState;
+use crate::state::WorldState;
 use crate::pager::Pager;
 use medchain_runtime::codec::{CodecError, Decode, Encode, Reader};
 

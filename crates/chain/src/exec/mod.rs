@@ -32,11 +32,10 @@ pub use overlay::{StateAccess, StateDelta, WorldStateOverlay};
 pub use read_write_set::{infer_rw_set, ExecScope, RwSet, StateKey};
 pub use scheduler::{schedule, Schedule};
 
-use crate::ledger::{
-    contract_address, ContractRuntime, ExecError, ExecOutcome, LedgerError, Receipt, WorldState,
-};
+use crate::ledger::{contract_address, ContractRuntime, ExecError, ExecOutcome, LedgerError, Receipt};
 use crate::shard::{sharded_contract_address, ShardId};
 use crate::sig::KeyRegistry;
+use crate::state::WorldState;
 use crate::tx::{SealedTx, TxPayload};
 use medchain_runtime::metrics::Metrics;
 use medchain_runtime::sync::scoped_map;
@@ -183,7 +182,7 @@ pub(crate) fn execute_tx(
                     _ => {
                         state.set_cross_link(
                             *shard,
-                            crate::ledger::CrossLinkRecord { height: *height, tip: *tip },
+                            crate::state::CrossLinkRecord { height: *height, tip: *tip },
                         );
                         Ok(ExecOutcome { gas_used: 40, ..ExecOutcome::default() })
                     }
@@ -243,7 +242,7 @@ pub(crate) fn execute_tx(
                     Ok(()) => {
                         state.set_lock(
                             leg.account,
-                            crate::ledger::XsLock {
+                            crate::state::XsLock {
                                 xid: *xid,
                                 amount: leg.amount,
                                 debit: leg.debit,
@@ -271,7 +270,7 @@ pub(crate) fn execute_tx(
             } else {
                 state.set_xs_decision(
                     *xid,
-                    crate::ledger::XsDecisionRecord { commit: *commit, tx_id: tx.id() },
+                    crate::state::XsDecisionRecord { commit: *commit, tx_id: tx.id() },
                 );
                 Ok(ExecOutcome {
                     gas_used: 45,
@@ -519,7 +518,8 @@ pub(crate) fn run_block_parallel(
 mod tests {
     use super::*;
     use crate::tx::Transaction;
-    use crate::ledger::{ExecError, ExecOutcome, WorldState};
+    use crate::ledger::{ExecError, ExecOutcome};
+    use crate::state::WorldState;
     use crate::sig::{Address, AuthorityKey};
 
     static NOOP_METRICS: Metrics = Metrics::noop();
@@ -720,7 +720,8 @@ mod inference_props {
     use super::*;
     use crate::tx::Transaction;
     use crate::hash::Hash256;
-    use crate::ledger::{ExecError, ExecOutcome, WorldState};
+    use crate::ledger::{ExecError, ExecOutcome};
+    use crate::state::WorldState;
     use crate::sig::{Address, AuthorityKey};
     use medchain_runtime::check::{check, CheckConfig, Gen};
     use medchain_runtime::ensure;
@@ -951,7 +952,7 @@ mod inference_props {
                 StateAccess::set_lock(
                     &mut state,
                     account,
-                    crate::ledger::XsLock {
+                    crate::state::XsLock {
                         xid: Hash256::digest(b"held"),
                         amount: 5,
                         debit: g.bool(),

@@ -23,7 +23,8 @@
 
 use super::read_write_set::StateKey;
 use crate::hash::Hash256;
-use crate::ledger::{Account, CrossLinkRecord, LedgerError, XsDecisionRecord, XsLock};
+use crate::ledger::LedgerError;
+use crate::state::{Account, CrossLinkRecord, XsDecisionRecord, XsLock};
 use crate::shard::ShardId;
 use crate::sig::Address;
 use std::collections::{BTreeMap, BTreeSet};
@@ -350,7 +351,7 @@ impl StateAccess for WorldStateOverlay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::WorldState;
+    use crate::state::WorldState;
 
     #[test]
     fn reads_fall_through_and_writes_buffer() {

@@ -29,7 +29,8 @@
 //!   contracts — or code not yet visible in committed state (it may be
 //!   deployed earlier in the same block) — is global.
 
-use crate::ledger::{contract_address, ContractRuntime, WorldState};
+use crate::ledger::{contract_address, ContractRuntime};
+use crate::state::WorldState;
 use crate::shard::{sharded_contract_address, ShardId};
 use crate::sig::Address;
 use crate::tx::{Transaction, TxPayload};

@@ -1,0 +1,375 @@
+//! Committed history: the blocks a ledger retains, the receipts of every
+//! block it applied, the tx-id index over them, and the work counters
+//! those commits add up to.
+//!
+//! [`History`] is the one owner of that bookkeeping: the ledger pushes
+//! each committed block here and forwards its history readers. The
+//! rules it keeps are pinned by a model-checked property below:
+//! - blocks are retained from `base_height` to the tip; pruning drops
+//!   older ones but always keeps the tip;
+//! - receipts and the tx-id index cover every block pushed since
+//!   genesis or the last restore, pruned or not;
+//! - a proof-carrying [`TxReceipt`] is cut only from a retained block.
+
+use crate::block::Block;
+use crate::hash::Hash256;
+use crate::ledger::{LedgerStats, Receipt};
+use crate::receipt::TxReceipt;
+use std::collections::HashMap;
+
+/// A ledger's committed history (see the module docs).
+pub(crate) struct History {
+    /// Retained blocks, oldest first; `blocks[0]` has height
+    /// `base_height`, and the tip is always retained.
+    blocks: Vec<Block>,
+    base_height: u64,
+    /// The receipts of every block pushed since genesis or the last
+    /// restore, one entry per block, oldest first, moved in by
+    /// [`History::push`] and kept through [`History::prune_below`]. Each
+    /// entry carries the commit-order position of its first receipt.
+    receipts: Vec<(u64, Vec<Receipt>)>,
+    /// `tx id → commit-order position` of every receipt in `receipts`,
+    /// 40 bytes an entry. Ids come from clients, so the map keeps std's
+    /// keyed hasher.
+    tx_index: HashMap<Hash256, u64>,
+    stats: LedgerStats,
+}
+
+impl History {
+    /// History of a chain that holds only its genesis block.
+    pub(crate) fn new(genesis: Block) -> History {
+        let (receipts, tx_index, stats) = Default::default();
+        History { blocks: vec![genesis], base_height: 0, receipts, tx_index, stats }
+    }
+
+    /// Records a committed block and moves its receipts in, counting
+    /// them into the stats; returns the receipts as kept.
+    pub(crate) fn push(&mut self, block: Block, receipts: Vec<Receipt>) -> &[Receipt] {
+        let first = self.receipts.last().map_or(0, |(first, kept)| first + kept.len() as u64);
+        self.tx_index.reserve(receipts.len());
+        for (position, receipt) in (first..).zip(&receipts) {
+            self.stats.transactions += 1;
+            self.stats.gas_used += receipt.gas_used;
+            self.stats.failed += u64::from(!receipt.ok);
+            self.tx_index.insert(receipt.tx_id, position);
+        }
+        self.receipts.push((first, receipts));
+        self.stats.blocks += 1;
+        self.blocks.push(block);
+        &self.receipts.last().expect("just pushed").1
+    }
+
+    /// Replaces all history with `tip` alone, as a snapshot restore
+    /// does. Receipts only cover blocks applied after the snapshot: a
+    /// restored node re-learns them as it replays.
+    pub(crate) fn reset_to(&mut self, tip: Block) {
+        self.base_height = tip.header.height;
+        self.blocks = vec![tip];
+        self.receipts.clear();
+        self.tx_index.clear();
+        self.stats = LedgerStats::default();
+    }
+
+    /// The tip block; its height is the chain's.
+    pub(crate) fn tip(&self) -> &Block {
+        self.blocks.last().expect("genesis always present")
+    }
+
+    /// Block at `height`, if retained.
+    pub(crate) fn block_at(&self, height: u64) -> Option<&Block> {
+        let index = height.checked_sub(self.base_height)?;
+        self.blocks.get(index as usize)
+    }
+
+    /// Retained blocks with height ≥ `height`, oldest first; the whole
+    /// retained suffix when `height` predates it.
+    pub(crate) fn blocks_from(&self, height: u64) -> &[Block] {
+        let from = height.saturating_sub(self.base_height).min(self.blocks.len() as u64);
+        &self.blocks[from as usize..]
+    }
+
+    /// Height of the oldest retained block.
+    pub(crate) fn base_height(&self) -> u64 {
+        self.base_height
+    }
+
+    /// Drops retained blocks below `height`, always keeping the tip, and
+    /// returns how many were dropped. Receipts and stats are untouched.
+    pub(crate) fn prune_below(&mut self, height: u64) -> usize {
+        let keep_from = height.min(self.tip().header.height);
+        let drop = keep_from.saturating_sub(self.base_height) as usize;
+        self.blocks.drain(..drop);
+        // A height at or below the base drops nothing and keeps it.
+        self.base_height = self.base_height.max(keep_from);
+        drop
+    }
+
+    /// Receipt for a transaction pushed since genesis or the last
+    /// restore.
+    pub(crate) fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
+        let (height, index) = self.locate_tx(tx_id)?;
+        self.block_receipts(height)?.get(index)
+    }
+
+    /// `(block height, index in body)` of a transaction pushed since
+    /// genesis or the last restore.
+    pub(crate) fn locate_tx(&self, tx_id: &Hash256) -> Option<(u64, usize)> {
+        let position = *self.tx_index.get(tx_id)?;
+        // The last block starting at or before the position holds it.
+        let block = self.receipts.partition_point(|(first, _)| *first <= position) - 1;
+        let index = position - self.receipts[block].0;
+        Some((self.first_receipt_height() + block as u64, index as usize))
+    }
+
+    /// The receipts of the block at `height`, if it was pushed since
+    /// genesis or the last restore.
+    fn block_receipts(&self, height: u64) -> Option<&[Receipt]> {
+        let block = height.checked_sub(self.first_receipt_height())?;
+        self.receipts.get(usize::try_from(block).ok()?).map(|(_, receipts)| receipts.as_slice())
+    }
+
+    /// Height of the block `receipts` starts with: one entry per block
+    /// pushed since genesis or the last restore, the newest at the tip.
+    fn first_receipt_height(&self) -> u64 {
+        self.tip().header.height + 1 - self.receipts.len() as u64
+    }
+
+    /// The proof-carrying receipt of a transaction whose block is still
+    /// retained.
+    pub(crate) fn tx_receipt(&self, tx_id: &Hash256) -> Option<TxReceipt> {
+        let (height, index) = self.locate_tx(tx_id)?;
+        let exec = self.block_receipts(height)?.get(index)?;
+        TxReceipt::for_block(self.block_at(height)?, index, exec)
+    }
+
+    /// Work counters of the blocks pushed since genesis or the last
+    /// restore.
+    pub(crate) fn stats(&self) -> LedgerStats {
+        self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::{Body, Header, Seal};
+    use crate::ledger::{funded_ledger, grow_by_transfers, transfer};
+    use crate::shard::ShardId;
+    use crate::sig::{Address, AuthorityKey};
+    use crate::tx::{SealedTx, Transaction, TxPayload};
+    use medchain_runtime::check::{check, CheckConfig, Gen};
+    use medchain_runtime::{ensure, ensure_eq};
+
+    #[test]
+    fn blocks_from_and_prune_below_respect_base_height() {
+        let alice = AuthorityKey::from_seed(1);
+        let bob = AuthorityKey::from_seed(2);
+        let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
+        grow_by_transfers(&mut ledger, &alice, bob.address(), 5);
+        assert_eq!(ledger.base_height(), 0);
+        assert_eq!(ledger.blocks_from(0).len(), 6); // genesis..=5
+        assert_eq!(ledger.blocks_from(3).len(), 3);
+        assert_eq!(ledger.blocks_from(3)[0].header.height, 3);
+        assert!(ledger.blocks_from(99).is_empty());
+
+        // Prune everything below height 4: 0..=3 dropped, 4..=5 kept.
+        assert_eq!(ledger.prune_below(4), 4);
+        assert_eq!(ledger.base_height(), 4);
+        assert!(ledger.block(3).is_none());
+        assert_eq!(ledger.block(4).unwrap().header.height, 4);
+        assert_eq!(ledger.blocks_from(0).len(), 2);
+        assert_eq!(ledger.tip().header.height, 5);
+
+        // Pruning past the tip always keeps the tip block.
+        assert_eq!(ledger.prune_below(100), 1);
+        assert_eq!(ledger.base_height(), 5);
+        assert_eq!(ledger.tip().header.height, 5);
+        assert_eq!(ledger.blocks_from(5).len(), 1);
+
+        // The pruned ledger still extends normally.
+        grow_by_transfers(&mut ledger, &alice, bob.address(), 1);
+        assert_eq!(ledger.height(), 6);
+        assert_eq!(ledger.block(6).unwrap().header.height, 6);
+    }
+
+    /// Receipts live with the ledger: pruning keeps them (their block's
+    /// proof goes), a restore starts them afresh.
+    #[test]
+    fn receipts_outlive_pruning_and_restart_at_a_restore() {
+        let alice = AuthorityKey::from_seed(1);
+        let bob = AuthorityKey::from_seed(2);
+        let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
+        let first = transfer(&alice, 0, bob.address(), 1);
+        let block = ledger.propose(alice.address(), 10, vec![first.clone()]);
+        ledger.apply(&block).unwrap();
+        let empty = ledger.propose(alice.address(), 20, Vec::<Transaction>::new());
+        ledger.apply(&empty).unwrap();
+        grow_by_transfers(&mut ledger, &alice, bob.address(), 2);
+        let id = first.id();
+        assert_eq!(ledger.locate_tx(&id), Some((1, 0)));
+        assert!(ledger.tx_receipt(&id).is_some());
+        let after_empty = ledger.block(3).unwrap().transactions[0].id();
+        assert_eq!(ledger.locate_tx(&after_empty), Some((3, 0)));
+        assert_eq!(ledger.receipt(&after_empty).map(|r| r.tx_id), Some(after_empty));
+
+        ledger.prune_below(3);
+        assert_eq!(ledger.locate_tx(&id), Some((1, 0)));
+        assert!(ledger.receipt(&id).is_some_and(|r| r.ok && r.tx_id == id));
+        assert!(ledger.tx_receipt(&id).is_none(), "the proof's block is pruned");
+
+        let (state, tip) = (ledger.state().clone(), ledger.tip().clone());
+        ledger.restore_with_tree(state, tip, ledger.state_tree()).unwrap();
+        assert_eq!(ledger.locate_tx(&id), None);
+        assert!(ledger.receipt(&id).is_none());
+        let next = transfer(&alice, 3, bob.address(), 1);
+        let block = ledger.propose(alice.address(), 60, vec![next.clone()]);
+        ledger.apply(&block).unwrap();
+        assert_eq!(ledger.locate_tx(&next.id()), Some((5, 0)));
+        assert!(ledger.tx_receipt(&next.id()).is_some());
+    }
+
+    /// A block of `txs` extending `parent`; history never executes or
+    /// checks what it is handed, so nothing here is signed.
+    fn child(parent: &Block, txs: Vec<SealedTx>) -> Block {
+        let transactions = Body::from(txs);
+        let header = Header {
+            height: parent.header.height + 1,
+            parent: parent.id(),
+            tx_root: transactions.tree().root(),
+            state_root: Hash256::ZERO,
+            timestamp_ms: parent.header.timestamp_ms + 10,
+            proposer: Address::from_seed(0),
+            shard: ShardId::default(),
+        };
+        Block { header: header.into(), transactions, seal: Seal::Genesis }
+    }
+
+    /// The plain model: every block ever pushed, with its receipts, and
+    /// the two heights the rules turn on.
+    struct Model {
+        chain: Vec<(Block, Vec<Receipt>)>,
+        /// Oldest retained height.
+        base: u64,
+        /// Height of the last restore (0 = none): receipts cover the
+        /// blocks above it.
+        restored: u64,
+    }
+
+    impl Model {
+        fn tip(&self) -> u64 {
+            self.chain.len() as u64 - 1
+        }
+    }
+
+    fn push_random(
+        g: &mut Gen,
+        history: &mut History,
+        model: &mut Model,
+        nonce: &mut u64,
+    ) -> Result<(), String> {
+        let parent = &model.chain.last().expect("genesis").0;
+        let mut txs = Vec::new();
+        for _ in 0..g.usize_in(0, 3) {
+            let payload = TxPayload::Transfer { to: Address::from_seed(2), amount: 1 };
+            txs.push(SealedTx::from(Transaction::new(Address::from_seed(1), *nonce, payload, 100)));
+            *nonce += 1;
+        }
+        let receipts: Vec<Receipt> = txs
+            .iter()
+            .map(|tx| {
+                let ok = g.bool();
+                Receipt {
+                    tx_id: tx.id(),
+                    ok,
+                    gas_used: g.u64() % 100,
+                    output: Vec::new(),
+                    events: Vec::new(),
+                    error: (!ok).then(|| "failed".to_string()),
+                }
+            })
+            .collect();
+        let block = child(parent, txs);
+        ensure_eq!(history.push(block.clone(), receipts.clone()), receipts.as_slice());
+        model.chain.push((block, receipts));
+        Ok(())
+    }
+
+    fn matches_model(history: &History, model: &Model) -> Result<(), String> {
+        let tip = model.tip();
+        ensure_eq!(history.tip(), &model.chain[tip as usize].0);
+        ensure_eq!(history.base_height(), model.base);
+        for height in 0..=tip + 1 {
+            let retained = (model.base..=tip).contains(&height);
+            let want = retained.then(|| &model.chain[height as usize].0);
+            ensure!(history.block_at(height) == want, "block_at({height})");
+        }
+        for from in 0..=tip + 2 {
+            let start = from.max(model.base).min(tip + 1) as usize;
+            let want: Vec<&Block> = model.chain[start..].iter().map(|(block, _)| block).collect();
+            let got: Vec<&Block> = history.blocks_from(from).iter().collect();
+            ensure!(got == want, "blocks_from({from})");
+        }
+        let mut stats = LedgerStats::default();
+        for (height, (block, receipts)) in model.chain.iter().enumerate().skip(1) {
+            let height = height as u64;
+            let remembered = height > model.restored;
+            if remembered {
+                stats.blocks += 1;
+            }
+            for (index, exec) in receipts.iter().enumerate() {
+                let id = exec.tx_id;
+                if !remembered {
+                    ensure!(history.locate_tx(&id).is_none(), "{id:?} outlived its restore");
+                    ensure!(history.receipt(&id).is_none());
+                    ensure!(history.tx_receipt(&id).is_none());
+                    continue;
+                }
+                stats.transactions += 1;
+                stats.gas_used += exec.gas_used;
+                stats.failed += u64::from(!exec.ok);
+                ensure_eq!(history.locate_tx(&id), Some((height, index)));
+                ensure_eq!(history.receipt(&id), Some(exec));
+                let want = (height >= model.base)
+                    .then(|| TxReceipt::for_block(block, index, exec))
+                    .flatten();
+                ensure!(history.tx_receipt(&id) == want, "tx_receipt at height {height}");
+            }
+        }
+        ensure_eq!(history.stats(), stats);
+        Ok(())
+    }
+
+    /// Random pushes, prunes (up to tip + 2) and restores at the tip
+    /// against a model that keeps everything: the retained range, the
+    /// receipts that outlive pruning but not a restore, and proofs only
+    /// from retained blocks.
+    #[test]
+    fn history_matches_a_model_that_keeps_everything() {
+        check("history matches the keep-everything model", CheckConfig::cases(64), |g| {
+            let genesis = Block::genesis("history-model");
+            let mut history = History::new(genesis.clone());
+            let mut model = Model { chain: vec![(genesis, Vec::new())], base: 0, restored: 0 };
+            let mut nonce = 0;
+            for _ in 0..g.usize_in(1, 30) {
+                match g.usize_in(0, 4) {
+                    0..=2 => push_random(g, &mut history, &mut model, &mut nonce)?,
+                    3 => {
+                        let tip = model.tip();
+                        let height = g.usize_in(0, tip as usize + 2) as u64;
+                        let keep_from = height.min(tip);
+                        let dropped = keep_from.saturating_sub(model.base);
+                        ensure_eq!(history.prune_below(height), dropped as usize);
+                        model.base = model.base.max(keep_from);
+                    }
+                    _ => {
+                        history.reset_to(history.tip().clone());
+                        model.base = model.tip();
+                        model.restored = model.tip();
+                    }
+                }
+                matches_model(&history, &model)?;
+            }
+            Ok(())
+        });
+    }
+}

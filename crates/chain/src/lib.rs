@@ -35,6 +35,7 @@ pub mod consensus;
 pub mod energy;
 pub mod exec;
 pub mod hash;
+mod history;
 pub mod ledger;
 pub mod mempool;
 pub mod merkle;
@@ -43,6 +44,7 @@ mod pager;
 pub mod receipt;
 pub mod shard;
 pub mod sig;
+mod state;
 pub mod store;
 pub mod tx;
 
@@ -50,10 +52,7 @@ pub use auth::{LeafKey, ProofTerminal, SmtProof, StateProof, StateTree};
 pub use block::{Block, Body, Header, KeptHeader, Seal};
 pub use exec::{ExecScope, RwSet, StateAccess, StateDelta, StateKey, WorldStateOverlay};
 pub use hash::{sha256_compressions, Hash256, Sha256};
-pub use ledger::{
-    Account, ContractRuntime, CrossLinkRecord, Event, ExecError, ExecOutcome, Ledger, Receipt,
-    StateCacheConfig, WorldState, XsDecisionRecord, XsLock,
-};
+pub use ledger::{ContractRuntime, Event, ExecError, ExecOutcome, Ledger, Receipt, StateCacheConfig};
 pub use mempool::Lane;
 pub use merkle::{MerkleProof, MerkleTree};
 pub use node::SubmitOutcome;
@@ -61,5 +60,6 @@ pub use pager::{Pager, ACCOUNTS_PER_PAGE};
 pub use receipt::TxReceipt;
 pub use shard::{shard_for_key, shard_for_tx, sharded_contract_address, CrossLink, ShardId};
 pub use sig::{registry_verifications, Address, AuthorityKey, AuthoritySignature, KeyRegistry};
+pub use state::{Account, CrossLinkRecord, WorldState, XsDecisionRecord, XsLock};
 pub use store::{BlockStore, StoreError};
 pub use tx::{SealedTx, Transaction, TxPayload, XsLeg};

@@ -31,7 +31,7 @@
 //! partly evacuated page are unreachable, since lookups go through the
 //! index).
 
-use crate::ledger::Account;
+use crate::state::Account;
 use crate::sig::Address;
 use medchain_runtime::codec::{Decode, Encode, Reader};
 use std::collections::BTreeMap;

@@ -41,7 +41,7 @@
 
 use crate::auth::StateTree;
 use crate::block::Block;
-use crate::ledger::WorldState;
+use crate::state::WorldState;
 use std::fmt;
 
 /// Errors from a block store.

@@ -130,8 +130,7 @@ impl BootstrapSource {
             }
             GatewayRequest::BlocksFrom { shard, height } if shard == self.shard => {
                 let skip = height.saturating_sub(self.manifest.height + 1) as usize;
-                let blocks: Vec<Block> = self.tail.iter().skip(skip).cloned().collect();
-                GatewayServer::bounded_blocks(self.tip_height, blocks)
+                GatewayServer::bounded_blocks(self.tip_height, self.tail.get(skip..).unwrap_or(&[]))
             }
             _ => GatewayResponse::Rejected {
                 tx_id: Hash256::ZERO,
@@ -400,7 +399,7 @@ mod tests {
             match *request {
                 GatewayRequest::BlocksFrom { height, .. } => GatewayServer::bounded_blocks(
                     self.net.height(),
-                    self.net.ledger().blocks_from(height).to_vec(),
+                    self.net.ledger().blocks_from(height),
                 ),
                 _ => self.early.answer(request),
             }

@@ -399,9 +399,10 @@ pub trait GatewayBackend {
 
     /// Committed blocks of `shard` at and above `height` (oldest
     /// first), plus the chain's tip height — the WAL-tail feed after a
-    /// snapshot install. The gateway truncates to the frame cap, so
-    /// backends return what they retain and let paging do the rest.
-    fn blocks_from(&mut self, shard: ShardId, height: u64) -> Option<(u64, Vec<Block>)> {
+    /// snapshot install. Backends lend the retained suffix as a borrowed
+    /// slice; the gateway clones only the page of it that fits one frame,
+    /// so a request costs the page, not the chain.
+    fn blocks_from(&mut self, shard: ShardId, height: u64) -> Option<(u64, &[Block])> {
         let _ = (shard, height);
         None
     }
@@ -642,21 +643,24 @@ impl GatewayServer {
         }
     }
 
-    /// Truncates a block page until the encoded response fits one
-    /// gateway frame — the client sees fewer blocks than the tip and
-    /// simply re-requests from the next height (a single block larger
-    /// than the frame cannot exist: block bodies are bounded well below
-    /// [`MAX_FRAME`] by consensus batch limits, but an empty page is
-    /// still returned rather than an oversized frame).
-    pub(crate) fn bounded_blocks(tip_height: u64, mut blocks: Vec<Block>) -> GatewayResponse {
+    /// Pages `blocks` to the longest prefix whose encoded response fits
+    /// one gateway frame, cloning only that prefix — the client sees
+    /// fewer blocks than the tip and simply re-requests from the next
+    /// height (a single block larger than the frame cannot exist: block
+    /// bodies are bounded well below [`MAX_FRAME`] by consensus batch
+    /// limits, but an empty page is still returned rather than an
+    /// oversized frame).
+    pub(crate) fn bounded_blocks(tip_height: u64, blocks: &[Block]) -> GatewayResponse {
         // Envelope: tag byte + tip_height u64 + vec length prefix.
-        let envelope = 1 + 8 + 4;
-        let mut size = envelope + blocks.iter().map(Block::wire_size).sum::<usize>();
-        while size > MAX_FRAME {
-            let dropped = blocks.pop().expect("envelope alone fits a frame");
-            size -= dropped.wire_size();
-        }
-        GatewayResponse::Blocks { tip_height, blocks }
+        let mut size = 1 + 8 + 4;
+        let fits = blocks
+            .iter()
+            .take_while(|block| {
+                size += block.wire_size();
+                size <= MAX_FRAME
+            })
+            .count();
+        GatewayResponse::Blocks { tip_height, blocks: blocks[..fits].to_vec() }
     }
 
     /// What the chain knows of a transaction: the committed receipt
@@ -731,6 +735,42 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "connection never accepted");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// A `BlocksFrom` answer is the longest prefix of the retained
+    /// suffix whose response fits one frame, under the chain's tip
+    /// height; an empty suffix answers an empty page.
+    #[test]
+    fn block_pages_are_the_longest_prefix_that_fits_a_frame() {
+        let key = AuthorityKey::from_seed(7);
+        // Blocks of 200, 240, … 640 KiB: ≈4.9 frames in all.
+        let blocks: Vec<Block> = (0..12u64)
+            .map(|k| {
+                let code = vec![k as u8; (200 + 40 * k as usize) << 10];
+                let payload = TxPayload::Deploy { code, init: Vec::new() };
+                let mut block = Block::genesis("paging");
+                block.transactions =
+                    vec![Transaction::new(key.address(), k, payload, 1_000)].into();
+                block
+            })
+            .collect();
+        assert!(blocks.iter().map(Block::wire_size).sum::<usize>() >= 3 * MAX_FRAME);
+        let encoded_page = |n: usize| {
+            GatewayResponse::Blocks { tip_height: 41, blocks: blocks[..n].to_vec() }.encoded().len()
+        };
+        let GatewayResponse::Blocks { tip_height, blocks: page } =
+            GatewayServer::bounded_blocks(41, &blocks)
+        else {
+            panic!("a block request answers a page");
+        };
+        assert_eq!(tip_height, 41);
+        assert_eq!(page.len(), 3);
+        assert_eq!(page[..], blocks[..3]);
+        assert!(encoded_page(3) <= MAX_FRAME && encoded_page(4) > MAX_FRAME);
+        assert_eq!(
+            GatewayServer::bounded_blocks(41, &[]),
+            GatewayResponse::Blocks { tip_height: 41, blocks: Vec::new() }
+        );
     }
 
     #[test]

@@ -1239,9 +1239,9 @@ impl GatewayBackend for Network {
         self.stream_cache.as_ref()?.chunk(shard, height, index)
     }
 
-    fn blocks_from(&mut self, shard: ShardId, height: u64) -> Option<(u64, Vec<Block>)> {
+    fn blocks_from(&mut self, shard: ShardId, height: u64) -> Option<(u64, &[Block])> {
         let ledger = self.committee(shard)?.ledger();
-        Some((ledger.height(), ledger.blocks_from(height).to_vec()))
+        Some((ledger.height(), ledger.blocks_from(height)))
     }
 }
 

@@ -394,7 +394,7 @@ pub fn fda_integrity_sweep(net: &Network) -> FdaSweepReport {
         }
     }
     // Walk the chain: every block's parent pointer must match.
-    let blocks = net.ledger().blocks();
+    let blocks = net.ledger().blocks_from(0);
     for pair in blocks.windows(2) {
         assert_eq!(pair[1].header.parent, pair[0].id(), "broken chain");
         report.blocks_verified += 1;

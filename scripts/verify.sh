@@ -7,6 +7,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Lines containing the literal text $1 outside comments and trailing
+# test modules, in the *.rs files under the remaining arguments.
+uses_outside_tests() {
+    local needle="$1"
+    shift
+    find "$@" -name "*.rs" -print0 | xargs -0 awk -v needle="$needle" '
+        FNR == 1 { in_test = 0; prev = "" }
+        prev ~ /^#\[cfg\(test\)\]/ && /^mod [a-z_]+ \{/ { in_test = 1 }
+        { prev = $0 }
+        !in_test && index($0, needle) && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
+    '
+}
+
+# Line census: non-blank lines that are not // comments, above each
+# file's first #[cfg(test)].
+census() {
+    awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next } { n++ } END { print n }' "$@"
+}
+
 echo "== hermetic guard: no registry dependencies =="
 fail=0
 for manifest in Cargo.toml crates/*/Cargo.toml; do
@@ -274,13 +293,15 @@ echo "ok: 2- and 4-lane wave schedules committed byte-identical state roots"
 # Overlay commit discipline: during block application, every state
 # mutation must flow through WorldStateOverlay and commit via its
 # StateDelta — only the ledger apply path and the exec subsystem itself
-# may materialize or apply deltas.
+# may materialize or apply deltas; state.rs does so only in its tests.
 echo "== exec: overlay commit-path guard =="
 # E22 builds one block's delta only to count the tree merge the ledger
 # runs on it; it never applies the delta to a state.
 if grep -rn "\.into_delta(\|\.apply_to(" crates/*/src --include="*.rs" \
-    | grep -v "^crates/chain/src/exec/\|^crates/chain/src/ledger.rs" \
-    | grep -v "^crates/bench/src/e22_light_client.rs:[0-9]*: *let delta = overlay.into_delta();$"; then
+    | grep -v "^crates/chain/src/exec/\|^crates/chain/src/ledger.rs\|^crates/chain/src/state.rs" \
+    | grep -v "^crates/bench/src/e22_light_client.rs:[0-9]*: *let delta = overlay.into_delta();$" \
+    || { uses_outside_tests ".into_delta(" crates/chain/src/state.rs
+         uses_outside_tests ".apply_to(" crates/chain/src/state.rs; } | grep .; then
     echo "ERROR: StateDelta materialized/applied outside the exec commit path." >&2
     exit 1
 fi
@@ -298,10 +319,12 @@ echo "ok: all block-application state flows through the overlay commit path"
 # thing allowed to move the world state's maps, because the sparse-
 # Merkle root is maintained incrementally from the same delta — a
 # mutation that bypasses WorldState::apply_delta (outside the ledger
-# commit path) would silently desynchronize state and root.
+# commit path, and state.rs's own tests) would silently desynchronize
+# state and root.
 echo "== auth: delta/tree commit-path guard =="
 if grep -rn "\.apply_delta(" crates/*/src src examples tests --include="*.rs" \
-    | grep -v "^crates/chain/src/ledger.rs"; then
+    | grep -v "^crates/chain/src/ledger.rs\|^crates/chain/src/state.rs" \
+    || uses_outside_tests ".apply_delta(" crates/chain/src/state.rs | grep .; then
     echo "ERROR: WorldState::apply_delta called outside the ledger commit path." >&2
     exit 1
 fi
@@ -344,10 +367,12 @@ echo "ok: Ledger::apply logs the block before it changes the state; no undo path
 # and installs it with Ledger::restore_with_tree, which rejects a tree
 # whose root does not match the payload's tip header. bootstrap.rs
 # adopts a streamed payload and calls recover_into; a second caller of
-# restore_with_tree would be a second install path.
+# restore_with_tree would be a second install path. (history.rs's tests
+# restore a ledger to check that receipts restart.)
 echo "== snapshot: one install-path guard =="
 if grep -rn "restore_with_tree(" crates/*/src src examples tests --include="*.rs" \
-    | grep -v "^crates/chain/src/ledger.rs\|^crates/storage/src/disk.rs"; then
+    | grep -v "^crates/chain/src/ledger.rs\|^crates/storage/src/disk.rs\|^crates/chain/src/history.rs" \
+    || uses_outside_tests "restore_with_tree(" crates/chain/src/history.rs | grep .; then
     echo "ERROR: snapshot state installed outside local recovery." >&2
     exit 1
 fi
@@ -380,28 +405,17 @@ echo "ok: one snapshot server, one fetch path"
 # are written from the tree the commit built (BlockStore::checkpoint),
 # so outside test modules nothing in the storage or core crates builds a
 # tree from a bare state, and the chain crate does so only where it
-# really starts from one: the builder itself (auth/smt.rs), the ledger's
-# state_root, and the lazy rebuild after state_mut (Ledger::built_tree).
+# really starts from one: the tree build itself (auth/smt.rs),
+# WorldState::state_root (state.rs), and the lazy rebuild after
+# state_mut (Ledger::built_tree).
 echo "== auth: no-full-rehash guard =="
-# Lines containing the literal text $1 outside comments and trailing
-# test modules, in the *.rs files under the remaining arguments.
-uses_outside_tests() {
-    local needle="$1"
-    shift
-    find "$@" -name "*.rs" -print0 | xargs -0 awk -v needle="$needle" '
-        FNR == 1 { in_test = 0; prev = "" }
-        prev ~ /^#\[cfg\(test\)\]/ && /^mod [a-z_]+ \{/ { in_test = 1 }
-        { prev = $0 }
-        !in_test && index($0, needle) && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
-    '
-}
 if uses_outside_tests "from_state(" crates/storage/src crates/core/src | grep .; then
     echo "ERROR: StateTree::from_state outside tests in crates/storage or crates/core — use the ledger's tree." >&2
     exit 1
 fi
 if uses_outside_tests "from_state(" crates/chain/src \
     | grep -v "^crates/chain/src/auth/smt.rs:" \
-    | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *StateTree::from_state(self).versioned_root()$" \
+    | grep -v "^crates/chain/src/state.rs:[0-9]*: *StateTree::from_state(self).versioned_root()$" \
     | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *let mut tree = StateTree::from_state(&self.state);$"; then
     echo "ERROR: a new full-state tree build in crates/chain — maintain the tree with with_delta." >&2
     exit 1
@@ -456,24 +470,51 @@ echo "ok: one Pager, implemented once by the page store"
 # merges every delta into its own tree in place — in propose and in
 # apply — and pulls a tree that ran ahead back with one re-merge, so the
 # copying merge (`with_delta(`) has no caller in ledger.rs outside its
-# tests. Ledger::apply moves each block's receipts into the ledger and
-# hands back a borrow, so no receipt is cloned inside it.
+# tests. Ledger::apply moves each block's receipts into its history
+# (History::push) and hands back a borrow, so neither clones a receipt.
 echo "== ledger: merge-once, store-once guard =="
 if uses_outside_tests "with_delta(" crates/chain/src/ledger.rs | grep .; then
     echo "ERROR: ledger.rs merges a delta into a copy of its tree — merge in place and pull back." >&2
     exit 1
 fi
 if ! awk '
-    /^    pub fn apply\(/ { in_apply = 1; next }
-    !in_apply || /^[[:space:]]*\/\// { next }
-    /^    }$/ { exit }
+    FNR == 1 { in_fn = 0 }
+    /^    pub fn apply\(/ && FILENAME ~ /ledger\.rs$/ { in_fn = 1; seen++; next }
+    /^    pub\(crate\) fn push\(/ && FILENAME ~ /history\.rs$/ { in_fn = 1; seen++; next }
+    !in_fn || /^[[:space:]]*\/\// { next }
+    /^    }$/ { in_fn = 0; next }
     /receipts?\.clone\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
-    END { exit bad }
-' crates/chain/src/ledger.rs; then
-    echo "ERROR: Ledger::apply clones receipts — move them into the ledger." >&2
+    END { if (seen != 2) { print "Ledger::apply or History::push not found"; bad = 1 }; exit bad }
+' crates/chain/src/ledger.rs crates/chain/src/history.rs; then
+    echo "ERROR: Ledger::apply or History::push clones receipts — move them into the history." >&2
     exit 1
 fi
-echo "ok: ledger.rs merges in place only; Ledger::apply clones no receipt"
+echo "ok: ledger.rs merges in place only; Ledger::apply and History::push clone no receipt"
+
+# One owner of history (DESIGN.md §3): the retained blocks, the base
+# height, the receipts and the tx-id index are History's private fields
+# in history.rs, and the ledger forwards its readers there. Outside
+# tests, no other file under crates/chain/src names those fields (a
+# metric key such as "exec.blocks" is not a field); the two allowed
+# lines are other types' fields of the same name.
+echo "== ledger: one owner of history guard =="
+if for field in blocks base_height receipts tx_index; do
+        uses_outside_tests ".$field" crates/chain/src
+    done | grep -v "^crates/chain/src/history.rs:" \
+    | grep -E '\.(blocks|base_height|receipts|tx_index)([^A-Za-z0-9_("]|$)' \
+    | grep -v "^crates/chain/src/ledger.rs:[0-9]*: *(run.receipts, run.delta, Some(run.stats))$" \
+    | grep -v "^crates/chain/src/receipt.rs:[0-9]*: *self.proof.leaf_index == self.tx_index && "; then
+    echo "ERROR: a History field is named outside history.rs — go through History's methods." >&2
+    exit 1
+fi
+echo "ok: only history.rs touches blocks, base_height, receipts and tx_index"
+# Trend line (ledger.rs 1,047 before WorldState moved to state.rs and
+# committed history to history.rs; 601 after, beside state.rs 409 and
+# history.rs 85, when crates/chain/src went 5,889 → 5,938).
+echo "census: $(census crates/chain/src/ledger.rs) in crates/chain/src/ledger.rs"
+echo "census: $(census crates/chain/src/state.rs) in crates/chain/src/state.rs"
+echo "census: $(census crates/chain/src/history.rs) in crates/chain/src/history.rs"
+echo "census: $(census $(find crates/chain/src -name "*.rs")) in crates/chain/src"
 
 # Hash once (DESIGN.md §10): a transaction's id is computed in one
 # function — `Transaction::id`, which `SealedTx` calls when it seals —
@@ -535,11 +576,6 @@ echo "ok: one Network, one gateway backend, one builder block, one serve loop"
 # then 3,240 → 3,099, 5,889 → 5,748 and 6,988 → 6,971 once the gateway
 # kept no memory of its own and the one-value storage settings went;
 # then → 3,087, 5,574 and 6,829 once the unread public surface went):
-# non-blank lines that are not // comments, above each file's first
-# #[cfg(test)].
-census() {
-    awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next } { n++ } END { print n }' "$@"
-}
 echo "census: $(census crates/core/src/*.rs) non-comment lines outside tests in crates/core/src"
 echo "census: $(census crates/{core,offchain,contracts}/src/*.rs) in crates/{core,offchain,contracts}/src"
 echo "census: $(census $(find crates/chain/src crates/storage/src -name "*.rs")) in crates/{chain,storage}/src"
@@ -719,11 +755,12 @@ echo "ok: env::var is read in the 6 listed files only"
 # benchmark/src. Such an item is public for no reader. Every name the
 # census finds must be listed below with the reason it stays public; a
 # new one gains a reader, becomes pub(crate) or private, or goes.
-# Trend line: 117 before the first sweep, 23 after.
+# Trend line: 117 before the first sweep, 23 after; 22 once
+# Ledger::prune_below forwarded to History::prune_below, whose name in
+# history.rs the census counts as a reader.
 echo "== api: dead public surface census =="
-surface_ceiling=23
+surface_ceiling=22
 surface_kept="certifies|read by ROADMAP Commit certificates (a block's certificate check)
-prune_below|read by ROADMAP Bounded history (drops blocks below a height)
 PosMsg|the PoS engine's Engine::Msg type
 PowMsg|the PoW engine's Engine::Msg type
 ParseHashError|error type of the public Hash256::from_hex

@@ -19,7 +19,7 @@
 //! walk that reads ahead) and its replaced version frees 2,673, while a
 //! commit's in-place merge makes 10 and frees 10: not one node.
 
-use medchain_chain::ledger::WorldState;
+use medchain_chain::WorldState;
 use medchain_chain::{Address, StateAccess, StateTree, WorldStateOverlay};
 use medchain_runtime::codec::{Decode, Encode};
 use medchain_runtime::DetRng;

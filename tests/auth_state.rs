@@ -20,7 +20,7 @@
 use medchain::{Client, GatewayConfig, Network};
 use medchain_chain::auth::leaf::key_bit;
 use medchain_chain::auth::{key_hash, EMPTY_SUBTREE};
-use medchain_chain::ledger::{CrossLinkRecord, WorldState, XsDecisionRecord, XsLock};
+use medchain_chain::{CrossLinkRecord, WorldState, XsDecisionRecord, XsLock};
 use medchain_chain::shard::{shard_for_key, ShardId};
 use medchain_chain::{
     sha256_compressions, Address, Hash256, LeafKey, SmtProof, StateAccess, StateDelta, StateTree,

@@ -66,7 +66,7 @@ fn poa_commits_transfer_workload_under_wan_latency() {
     let committed: usize = cluster.replicas[0]
         .app
         .ledger()
-        .blocks()
+        .blocks_from(0)
         .iter()
         .map(|b| b.transactions.len())
         .sum();

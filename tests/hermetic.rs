@@ -3,8 +3,8 @@
 //! equal seeds reproduce identical synthetic cohorts. These are the two
 //! properties the zero-dependency migration must preserve.
 
-use medchain_chain::ledger::{Account, Event, Ledger, NullRuntime, Receipt};
-use medchain_chain::{AuthorityKey, Block, Hash256, KeyRegistry, Transaction, TxPayload};
+use medchain_chain::ledger::{Event, Ledger, NullRuntime, Receipt};
+use medchain_chain::{Account, AuthorityKey, Block, Hash256, KeyRegistry, Transaction, TxPayload};
 use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 use medchain_runtime::{Decode, DetRng, Encode};
 

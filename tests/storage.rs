@@ -12,7 +12,7 @@ use medchain_chain::auth::leaf::{key_bit, key_hash};
 use medchain_chain::ledger::NullRuntime;
 use medchain_chain::sig::AuthorityKey;
 use medchain_chain::tx::{Transaction, TxPayload};
-use medchain_chain::ledger::WorldState;
+use medchain_chain::WorldState;
 use medchain_chain::{
     Hash256, KeyRegistry, LeafKey, Ledger, Pager, StateAccess, StateCacheConfig, StateDelta,
     StateTree, WorldStateOverlay, ACCOUNTS_PER_PAGE,

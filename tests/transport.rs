@@ -117,7 +117,7 @@ fn sim_and_tcp_reach_identical_tip_hash() {
     let committed: usize = sim.replicas[0]
         .app
         .ledger()
-        .blocks()
+        .blocks_from(0)
         .iter()
         .map(|b| b.transactions.len())
         .sum();

@@ -167,6 +167,21 @@ impl StateDelta {
         keys
     }
 
+    /// Folds `later`'s writes in, as if they ran after this delta's:
+    /// where both write a key, `later`'s value wins, tombstones included,
+    /// so the result replays onto a base exactly as the two in turn.
+    /// This is how a store sums the blocks since its last full snapshot
+    /// into one delta snapshot (DESIGN.md §8).
+    pub fn absorb(&mut self, later: &StateDelta) {
+        self.accounts.extend(later.accounts.iter().map(|(k, v)| (*k, *v)));
+        self.storage.extend(later.storage.iter().map(|(k, v)| (k.clone(), v.clone())));
+        self.code.extend(later.code.iter().map(|(k, v)| (*k, v.clone())));
+        self.anchors.extend(later.anchors.iter().map(|(k, v)| (k.clone(), *v)));
+        self.crosslinks.extend(later.crosslinks.iter().map(|(k, v)| (*k, *v)));
+        self.locks.extend(later.locks.iter().map(|(k, v)| (*k, *v)));
+        self.xs_decisions.extend(later.xs_decisions.iter().map(|(k, v)| (*k, *v)));
+    }
+
     /// Replays the buffered writes onto `target` — the single commit
     /// path by which speculative execution reaches real state.
     pub fn apply_to(self, target: &mut dyn StateAccess) {
@@ -197,6 +212,18 @@ impl StateDelta {
         }
     }
 }
+
+// The canonical bytes of a delta snapshot's writes: each map in
+// declaration order, as the codec encodes a `BTreeMap`.
+medchain_runtime::impl_codec_struct!(StateDelta {
+    accounts,
+    storage,
+    code,
+    anchors,
+    crosslinks,
+    locks,
+    xs_decisions,
+});
 
 /// A copy-on-write view over any [`StateAccess`] base: reads fall
 /// through, writes buffer in a [`StateDelta`]. Dropping the overlay

@@ -314,6 +314,10 @@ pub struct Ledger {
     registry: KeyRegistry,
     runtime: Box<dyn ContractRuntime>,
     store: Option<Box<dyn BlockStore>>,
+    /// The state changed outside a block (a [`Ledger::state_mut`] write
+    /// or a restore) since the store's last checkpoint: the next one
+    /// passes no writes, so the store builds no delta across it.
+    written_out_of_band: bool,
     shard: ShardId,
     shard_count: u16,
     /// Worker lanes for parallel block execution; 0 or 1 = sequential.
@@ -406,6 +410,7 @@ impl Ledger {
             registry,
             runtime,
             store: None,
+            written_out_of_band: false,
             shard,
             shard_count,
             exec_threads: 1,
@@ -548,6 +553,7 @@ impl Ledger {
         self.state = state;
         self.tree = OnceCell::from(tree);
         self.proposal = None;
+        self.written_out_of_band = true;
         // A restored state is fully resident and the old pager may hold
         // pages of the replaced state — drop the cache rather than let
         // stale pages shadow it. Wiring re-attaches a fresh cache.
@@ -569,6 +575,7 @@ impl Ledger {
     pub fn state_mut(&mut self) -> &mut WorldState {
         self.tree.take();
         self.proposal = None;
+        self.written_out_of_band = true;
         &mut self.state
     }
 
@@ -919,6 +926,9 @@ impl Ledger {
             .state_cache
             .as_ref()
             .map(|_| delta.accounts.keys().copied().collect());
+        // Kept for the store's checkpoint, which may snapshot only what
+        // changed; a ledger with no store clones nothing.
+        let writes = (self.store.is_some() && !self.written_out_of_band).then(|| delta.clone());
         // Commit. Pages only the replaced nodes named were freed by the
         // merge, before the spill below stores new ones; the new tree is
         // installed once spilled. The receipts move into the history.
@@ -930,7 +940,8 @@ impl Ledger {
         // is the store's to report and retry, never a reason to lose a
         // block that is already durable.
         if let Some(store) = self.store.as_mut() {
-            let _ = store.checkpoint(block, &self.state, &updated_tree);
+            let _ = store.checkpoint(block, &self.state, &updated_tree, writes.as_ref());
+            self.written_out_of_band = false;
         }
         // Paged state cache: after the commit is final, push cold
         // accounts and cold tree subtrees back under budget. Addresses

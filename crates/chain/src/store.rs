@@ -5,7 +5,8 @@
 //! either on disk and in memory, or in neither, and a failed append
 //! leaves the ledger nothing to undo. Once the commit is final it calls
 //! [`BlockStore::checkpoint`] with the state and authenticated tree that
-//! commit built, so a store that snapshots never rehashes the state.
+//! commit built, so a store that snapshots never rehashes the state,
+//! and with the block's writes, so it can snapshot only what changed.
 //! `medchain-storage`'s `DiskStore` is the implementation: a segmented
 //! CRC-framed write-ahead log with periodic world-state snapshots and
 //! crash recovery. A ledger with no store attached keeps its chain in
@@ -41,6 +42,7 @@
 
 use crate::auth::StateTree;
 use crate::block::Block;
+use crate::exec::StateDelta;
 use crate::state::WorldState;
 use std::fmt;
 
@@ -120,6 +122,13 @@ pub trait BlockStore: Send {
     /// and `tree` — the tree of exactly that state, as the commit built
     /// it — to snapshot from at whatever cadence it keeps.
     ///
+    /// `writes` is what `tip` wrote: `Some` when the state before it was
+    /// the state of the previous checkpoint, so a store may sum the
+    /// writes since its last full snapshot and write only those. `None`
+    /// says the state moved by more than this block (a direct
+    /// `Ledger::state_mut` write, a restore, or a caller that does not
+    /// track writes), and a store must not build a delta across it.
+    ///
     /// Called by [`crate::ledger::Ledger::apply`] once `tip` is appended
     /// and committed in memory. The default keeps no snapshots.
     ///
@@ -132,6 +141,7 @@ pub trait BlockStore: Send {
         _tip: &Block,
         _state: &WorldState,
         _tree: &StateTree,
+        _writes: Option<&StateDelta>,
     ) -> Result<(), StoreError> {
         Ok(())
     }

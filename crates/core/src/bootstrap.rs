@@ -304,7 +304,9 @@ pub fn stream_into(
             store.append(block, ledger.state()).map_err(storage)?;
             // Same seam as `Ledger::apply`: the block is durable, a
             // snapshot that fails is reported by the store and retried.
-            let _ = store.checkpoint(block, ledger.state(), &ledger.state_tree());
+            // The writes are not tracked here, so the store's first
+            // boundary writes a full snapshot.
+            let _ = store.checkpoint(block, ledger.state(), &ledger.state_tree(), None);
             tail_blocks += 1;
         }
         if ledger.height() >= tip_height {

@@ -339,13 +339,15 @@ impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
 impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = decode_len(r)?;
-        let mut map = BTreeMap::new();
+        let mut entries = Vec::with_capacity(len);
         for _ in 0..len {
-            let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            map.insert(k, v);
+            entries.push((K::decode(r)?, V::decode(r)?));
         }
-        Ok(map)
+        // Canonical input is sorted, so this is a bulk build: several
+        // times faster than one insert per entry on a snapshot's
+        // accounts. Unsorted or repeated keys give what inserting in
+        // order would (a stable sort, the last value of a key wins).
+        Ok(entries.into_iter().collect())
     }
 }
 
@@ -579,6 +581,22 @@ mod tests {
         b.insert(1u64, "one".to_string());
         b.insert(2u64, "two".to_string());
         assert_eq!(a.encoded(), b.encoded());
+    }
+
+    #[test]
+    fn a_map_decodes_unsorted_or_repeated_keys_as_inserting_in_order() {
+        // Entries (3, 30), (1, 10), (3, 31), (2, 20): not canonical bytes,
+        // but they decode to what inserting them in turn would build.
+        let mut bytes = Vec::new();
+        encode_len(4, &mut bytes);
+        for (k, v) in [(3u8, 30u8), (1, 10), (3, 31), (2, 20)] {
+            bytes.extend_from_slice(&[k, v]);
+        }
+        let mut inserted = BTreeMap::new();
+        for (k, v) in [(3u8, 30u8), (1, 10), (3, 31), (2, 20)] {
+            inserted.insert(k, v);
+        }
+        assert_eq!(BTreeMap::<u8, u8>::decoded(&bytes), Ok(inserted));
     }
 
     #[derive(Debug, PartialEq)]

@@ -12,14 +12,16 @@
 //!    not assumed.
 //! 3. `ledger.attach_store(Box::new(store))` — every later commit is
 //!    persisted write-ahead ([`BlockStore::append`]), then offered back
-//!    with its authenticated tree ([`BlockStore::checkpoint`]), which
-//!    is where the periodic snapshot is written.
+//!    with its authenticated tree and its writes
+//!    ([`BlockStore::checkpoint`]), which is where the periodic snapshot
+//!    is written: a full one, or a delta of the writes since the last
+//!    full one this store wrote.
 
 use crate::pages::PageStore;
-use crate::snapshot::SnapshotStore;
+use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::wal::SegmentedLog;
 use medchain_chain::store::{BlockStore, StoreError};
-use medchain_chain::{Block, Hash256, Ledger, StateTree, WorldState};
+use medchain_chain::{Block, Hash256, Ledger, StateDelta, StateTree, WorldState};
 use medchain_runtime::codec::Encode;
 use medchain_runtime::metrics::Metrics;
 use std::path::{Path, PathBuf};
@@ -49,9 +51,18 @@ pub enum StorageFault {
     },
 }
 
-/// Snapshot files kept on disk; older ones are pruned as each new one
-/// lands.
+/// Full snapshot files kept on disk; older ones are pruned as each new
+/// one lands.
 const RETAIN_SNAPSHOTS: usize = 2;
+
+/// Delta snapshot files kept on the newest full one.
+const RETAIN_DELTAS: usize = 2;
+
+/// A boundary writes a full snapshot, not a delta, once the writes since
+/// the last full one number more than the state's leaves divided by
+/// this: past half the state a delta saves little, and recovery's merge
+/// of it would cost more than decoding a full tree.
+const DELTA_LEAF_DIVISOR: usize = 2;
 
 /// Configuration for a [`DiskStore`].
 #[derive(Debug, Clone, Copy)]
@@ -88,7 +99,8 @@ pub struct RecoveryReport {
     pub replayed_blocks: u64,
     /// Corruption events cut from the log tail during open (0 or 1).
     pub truncated_records: u64,
-    /// Height of the snapshot recovery started from, if any.
+    /// Height of the snapshot recovery started from, full or delta, if
+    /// any.
     pub from_snapshot: Option<u64>,
 }
 
@@ -107,6 +119,20 @@ pub struct DiskStore {
     /// State page cache attached via [`DiskStore::attach_pages`]:
     /// dirty pages are written back at snapshot boundaries.
     pages: Option<Arc<PageStore>>,
+    /// The newest full snapshot this store wrote and every write since:
+    /// what the next boundary writes as a delta. `None` until a full
+    /// snapshot lands, and again after a checkpoint without writes or a
+    /// failed full one.
+    base: Option<DeltaBase>,
+}
+
+/// A full snapshot this store wrote, and the writes of every block
+/// checkpointed since, folded into one delta.
+#[derive(Debug)]
+struct DeltaBase {
+    height: u64,
+    tip_id: Hash256,
+    writes: StateDelta,
 }
 
 impl DiskStore {
@@ -147,6 +173,7 @@ impl DiskStore {
             truncated_records: scan.truncated_records,
             scanned: Some(scan.blocks),
             pages: None,
+            base: None,
         })
     }
 
@@ -216,79 +243,37 @@ impl DiskStore {
         ledger: &mut Ledger,
         blocks: Vec<Block>,
     ) -> Result<RecoveryReport, StoreError> {
-        let Some(last) = blocks.last() else {
-            // Empty log: either a fresh store, or everything up to a
-            // snapshot was pruned.
-            let snap = self.snaps.latest_valid(u64::MAX)?;
-            return match snap {
-                None => Ok(RecoveryReport {
-                    height: ledger.height(),
-                    tip_id: ledger.tip().id(),
-                    replayed_blocks: 0,
-                    truncated_records: self.truncated_records,
-                    from_snapshot: None,
-                }),
-                Some(snap) => {
-                    let height = snap.height;
-                    ledger
-                        .restore_with_tree(snap.state, snap.tip, snap.tree)
-                        .map_err(|e| StoreError::Recovery(e.to_string()))?;
-                    Ok(RecoveryReport {
-                        height,
-                        tip_id: ledger.tip().id(),
-                        replayed_blocks: 0,
-                        truncated_records: self.truncated_records,
-                        from_snapshot: Some(height),
-                    })
-                }
-            };
+        let first_height = blocks.first().map(|b| b.header.height);
+        let (tip_height, tip_id) = match blocks.last() {
+            Some(last) => (last.header.height, last.id()),
+            None => (ledger.height(), ledger.tip().id()),
         };
-        let (tip_height, tip_id) = (last.header.height, last.id());
-        let first_height = blocks[0].header.height;
-
-        // Pick the newest snapshot that agrees with the log: its height
-        // must fall where the log (or genesis) can extend it, and if the
-        // log still has the block at that height, the ids must match.
-        let mut from_snapshot = None;
-        let mut max = tip_height;
-        while from_snapshot.is_none() {
-            let Some(snap) = self.snaps.latest_valid(max)? else { break };
-            let logged = blocks
-                .iter()
-                .find(|b| b.header.height == snap.height)
-                .map(Block::id);
-            let agrees = match logged {
-                Some(logged_id) => logged_id == snap.tip.id(),
-                None => snap.height + 1 == first_height,
-            };
-            if agrees {
-                from_snapshot = Some(snap);
-            } else if snap.height == 0 {
-                break;
-            } else {
-                max = snap.height - 1;
-            }
-        }
-
-        let replay_above = match from_snapshot.as_ref() {
-            Some(snap) => {
-                let height = snap.height;
+        let from_snapshot = match self.restore_point(&blocks)? {
+            Some(Snapshot { height, tip, state, tree }) => {
                 ledger
-                    .restore_with_tree(snap.state.clone(), snap.tip.clone(), snap.tree.clone())
+                    .restore_with_tree(state, tip, tree)
                     .map_err(|e| StoreError::Recovery(e.to_string()))?;
-                height
+                Some(height)
             }
-            None => {
-                if first_height != ledger.height() + 1 {
-                    return Err(StoreError::Recovery(format!(
-                        "log starts at height {first_height} but ledger is at \
-                         {} and no usable snapshot bridges the gap",
-                        ledger.height()
-                    )));
-                }
-                ledger.height()
-            }
+            None => None,
         };
+        let Some(first_height) = first_height else {
+            // Empty log: a fresh store, or a lone adopted snapshot.
+            return Ok(RecoveryReport {
+                height: ledger.height(),
+                tip_id: ledger.tip().id(),
+                replayed_blocks: 0,
+                truncated_records: self.truncated_records,
+                from_snapshot,
+            });
+        };
+        let replay_above = ledger.height();
+        if from_snapshot.is_none() && first_height != replay_above + 1 {
+            return Err(StoreError::Recovery(format!(
+                "log starts at height {first_height} but ledger is at \
+                 {replay_above} and no usable snapshot bridges the gap"
+            )));
+        }
 
         let mut replayed = 0u64;
         for block in blocks.iter().filter(|b| b.header.height > replay_above) {
@@ -311,20 +296,89 @@ impl DiskStore {
             tip_id,
             replayed_blocks: replayed,
             truncated_records: self.truncated_records,
-            from_snapshot: from_snapshot.map(|s| s.height),
+            from_snapshot,
         })
     }
 
-    /// Writes the snapshot due at `tip`, prunes older ones, and writes
-    /// back the page cache.
+    /// The newest snapshot that agrees with the log `blocks`, full or
+    /// delta; at one height a delta is tried first. A snapshot agrees
+    /// when the log still holds its tip (same block id) or starts right
+    /// after it — or when the log is empty. A delta counts only once its
+    /// base full snapshot loads, names the delta's base tip, and takes
+    /// the delta to the delta tip's state root. Files that are torn,
+    /// corrupt, foreign or disagree are skipped, so an older snapshot,
+    /// or genesis, anchors the replay instead. Each full file read counts
+    /// in `storage.snapshot_reads`, each delta file in
+    /// `storage.delta_reads`.
+    fn restore_point(&self, blocks: &[Block]) -> Result<Option<Snapshot>, StoreError> {
+        let agrees = |tip: &Block| {
+            let Some(first) = blocks.first() else { return true };
+            let height = tip.header.height;
+            match height.checked_sub(first.header.height) {
+                Some(i) => blocks.get(i as usize).is_some_and(|b| b.id() == tip.id()),
+                None => height + 1 == first.header.height,
+            }
+        };
+        let newest = blocks.last().map_or(u64::MAX, |b| b.header.height);
+        let deltas = self.snaps.delta_heights()?.into_iter().map(|h| (h, true));
+        let fulls = self.snaps.heights()?.into_iter().map(|h| (h, false));
+        let mut candidates: Vec<(u64, bool)> =
+            deltas.chain(fulls).filter(|(height, _)| *height <= newest).collect();
+        // Newest first, and a delta before a full at the same height.
+        candidates.sort_unstable_by(|a, b| b.cmp(a));
+        let load = |height: u64| {
+            self.metrics.counter("storage.snapshot_reads", 1);
+            self.snaps.load(height)
+        };
+        for (height, is_delta) in candidates {
+            let snap = if is_delta {
+                self.metrics.counter("storage.delta_reads", 1);
+                let Some(delta) = self.snaps.read_delta(height)? else { continue };
+                if !agrees(&delta.tip) {
+                    continue;
+                }
+                load(delta.base_height)?.and_then(|base| delta.onto(base))
+            } else {
+                load(height)?.filter(|snap| agrees(&snap.tip))
+            };
+            if snap.is_some() {
+                return Ok(snap);
+            }
+        }
+        Ok(None)
+    }
+
+    /// Writes the snapshot due at `tip` — a delta of the writes since
+    /// the base full snapshot while they number at most the state's
+    /// leaves over [`DELTA_LEAF_DIVISOR`], else a full one that becomes
+    /// the new base — then prunes older files and writes back the page
+    /// cache. A failed full leaves no base; a failed delta keeps its
+    /// writes, so the next delta covers them.
     fn snapshot(
         &mut self,
         tip: &Block,
         state: &WorldState,
         tree: &StateTree,
     ) -> Result<(), StoreError> {
-        let bytes = self.snaps.write(tip, state, tree)?;
-        self.snaps.prune(RETAIN_SNAPSHOTS)?;
+        let delta_base = self
+            .base
+            .as_ref()
+            .filter(|base| base.writes.len() <= state.leaf_count() / DELTA_LEAF_DIVISOR);
+        let (bytes, base_height) = match delta_base {
+            Some(base) => {
+                let bytes = self.snaps.write_delta(tip, base.height, base.tip_id, &base.writes)?;
+                (bytes, base.height)
+            }
+            None => {
+                self.base = None;
+                let bytes = self.snaps.write(tip, state, tree)?;
+                let height = tip.header.height;
+                let writes = StateDelta::default();
+                self.base = Some(DeltaBase { height, tip_id: tip.id(), writes });
+                (bytes, height)
+            }
+        };
+        self.snaps.prune(RETAIN_SNAPSHOTS, RETAIN_DELTAS, base_height)?;
         // Snapshot boundaries are the page cache's write-back points:
         // the cold state this snapshot summarizes becomes durable in
         // the page file too (derived data, but keeping the two in step
@@ -334,7 +388,8 @@ impl DiskStore {
         }
         self.metrics.counter("storage.snapshots", 1);
         self.metrics.counter("storage.bytes", bytes);
-        self.metrics.counter("storage.fsyncs", 1);
+        // The file's data, then its directory entry.
+        self.metrics.counter("storage.fsyncs", 2);
         Ok(())
     }
 }
@@ -354,9 +409,13 @@ impl BlockStore for DiskStore {
         let bytes = self.log.append(block.header.height, &payload)?;
         self.metrics.counter("storage.appends", 1);
         self.metrics.counter("storage.bytes", bytes);
+        let mut fsyncs = self.log.take_dir_syncs();
         if self.config.fsync == FsyncPolicy::Always {
             self.log.sync()?;
-            self.metrics.counter("storage.fsyncs", 1);
+            fsyncs += 1;
+        }
+        if fsyncs > 0 {
+            self.metrics.counter("storage.fsyncs", fsyncs);
         }
         Ok(())
     }
@@ -366,9 +425,19 @@ impl BlockStore for DiskStore {
         tip: &Block,
         state: &WorldState,
         tree: &StateTree,
+        writes: Option<&StateDelta>,
     ) -> Result<(), StoreError> {
         let every = self.config.snapshot_every;
-        if every == 0 || tip.header.height % every != 0 {
+        if every == 0 {
+            return Ok(());
+        }
+        match (writes, &mut self.base) {
+            (Some(writes), Some(base)) => base.writes.absorb(writes),
+            // The state moved by more than a block: no delta spans it.
+            (None, base) => *base = None,
+            (Some(_), None) => {}
+        }
+        if !tip.header.height.is_multiple_of(every) {
             return Ok(());
         }
         let written = self.snapshot(tip, state, tree);

@@ -11,12 +11,15 @@
 //! - **State snapshots** ([`snapshot`]): periodic `snap-<height>.bin`
 //!   files carrying the tip block, the full canonical `WorldState` and
 //!   the authenticated tree the commit at that height built (written
-//!   as-is, never rehashed), atomically (tmp + rename), so recovery
+//!   as-is, never rehashed), and between them `delta-<height>.bin`
+//!   files carrying only the writes since the last full one, each
+//!   written atomically (tmp + rename, directory synced), so recovery
 //!   replays a bounded tail instead of the whole chain.
 //! - **Crash recovery** ([`DiskStore::recover_into`]): truncate a torn
 //!   tail record, restore from the newest snapshot that *agrees with
-//!   the log*, re-execute the tail through `Ledger::apply`, and verify
-//!   the replayed tip hash matches the stored one.
+//!   the log* (a delta applied onto its full base), re-execute the tail
+//!   through `Ledger::apply`, and verify the replayed tip hash matches
+//!   the stored one.
 //!
 //! [`DiskStore`] implements `medchain_chain::store::BlockStore`, so the
 //! ledger persists every block write-ahead: a block is on disk and in
@@ -40,6 +43,7 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod durable;
 pub mod disk;
 pub mod pages;
 pub mod snapshot;
@@ -48,7 +52,7 @@ pub mod wal;
 
 pub use disk::{DiskStore, FsyncPolicy, RecoveryReport, StorageConfig, StorageFault};
 pub use pages::{PageId, PageStore, PAGE_BYTES};
-pub use snapshot::{Snapshot, SnapshotStore};
+pub use snapshot::{Snapshot, SnapshotDelta, SnapshotStore};
 pub use stream::{SnapshotChunk, SnapshotManifest, CHUNK_BYTES};
 pub use wal::{ScanResult, SegmentedLog};
 

@@ -18,20 +18,31 @@
 //! trust the block log itself gets; the root-vs-header check then binds
 //! tree and block together.
 //!
-//! Writes go to a `.tmp` sibling first and rename into place, so a
-//! crash mid-snapshot leaves either the old set or the new set — never
-//! a half-written file that parses.
+//! A delta snapshot `delta-<height>.bin` is the same one-record frame
+//! over the tip [`Block`], the height and block id of the full snapshot
+//! it builds on (its *base*), and a [`StateDelta`] of every write
+//! since that base. It costs bytes in proportion to churn, not state
+//! size, and it cannot stand alone: [`SnapshotDelta::onto`] applies it
+//! to its decoded base, state and tree, and checks the merged tree's
+//! root against the delta's tip — O(entries × depth), never O(state).
+//!
+//! Writes go to a `.tmp` sibling first and rename into place, syncing
+//! the directory, so a crash mid-snapshot leaves either the old set or
+//! the new set — never a half-written file that parses, nor a renamed
+//! one that a crash forgets.
 
-use medchain_chain::hash::crc32;
+use crate::durable;
 use crate::wal::RECORD_HEADER_BYTES;
+use medchain_chain::hash::crc32;
 use medchain_chain::store::StoreError;
-use medchain_chain::{Block, StateTree, WorldState};
+use medchain_chain::{Block, Hash256, StateDelta, StateTree, WorldState};
 use medchain_runtime::codec::{Decode, Encode, Reader};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 const SNAP_PREFIX: &str = "snap-";
+const DELTA_PREFIX: &str = "delta-";
 const SNAP_SUFFIX: &str = ".bin";
 
 /// A decoded snapshot: the chain tip it was taken at plus the full
@@ -50,6 +61,41 @@ pub struct Snapshot {
     pub tree: StateTree,
 }
 
+/// A decoded delta snapshot, not yet applied: the tip it was taken at,
+/// the full snapshot it builds on, and every write since that one.
+#[derive(Debug, Clone)]
+pub struct SnapshotDelta {
+    /// The block this delta was taken after.
+    pub tip: Block,
+    /// Height of the full snapshot the delta builds on.
+    pub base_height: u64,
+    /// Block id of that full snapshot's tip.
+    pub base_tip: Hash256,
+    /// Every write from the base's tip to this tip, later ones winning.
+    pub writes: StateDelta,
+}
+
+impl SnapshotDelta {
+    /// The snapshot at this delta's tip: `base` with the writes applied
+    /// to its state and merged into its tree. `None` unless `base` is
+    /// the full snapshot this delta names (height and tip id) and the
+    /// merged tree's root is the tip's state root over as many leaves
+    /// as the state holds. The check costs what the merge does, O(writes
+    /// × depth): the base's tree is decoded, never rebuilt.
+    pub fn onto(self, base: Snapshot) -> Option<Snapshot> {
+        if base.height != self.base_height || base.tip.id() != self.base_tip {
+            return None;
+        }
+        let Snapshot { mut state, mut tree, .. } = base;
+        tree.merge_delta(&self.writes);
+        self.writes.apply_to(&mut state);
+        if tree.versioned_root() != self.tip.header.state_root || tree.len() != state.leaf_count() {
+            return None;
+        }
+        Some(Snapshot { height: self.tip.header.height, tip: self.tip, state, tree })
+    }
+}
+
 /// The snapshot directory manager.
 #[derive(Debug)]
 pub struct SnapshotStore {
@@ -60,13 +106,18 @@ fn snap_name(height: u64) -> String {
     format!("{SNAP_PREFIX}{height:020}{SNAP_SUFFIX}")
 }
 
-fn snap_height(name: &str) -> Option<u64> {
-    name.strip_prefix(SNAP_PREFIX)?.strip_suffix(SNAP_SUFFIX)?.parse().ok()
+fn delta_name(height: u64) -> String {
+    format!("{DELTA_PREFIX}{height:020}{SNAP_SUFFIX}")
+}
+
+fn height_in(name: &str, prefix: &str) -> Option<u64> {
+    name.strip_prefix(prefix)?.strip_suffix(SNAP_SUFFIX)?.parse().ok()
 }
 
 /// Writes `payload` to `path` as one CRC-framed record (the block log's
 /// framing: `u32` length, `u32` CRC, payload) through a `.tmp` sibling
-/// renamed into place. Returns the bytes written.
+/// synced, then renamed into place with its directory synced: two
+/// fsyncs. Returns the bytes written.
 fn write_record(path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
     let len = u32::try_from(payload.len())
         .map_err(|_| StoreError::Io("snapshot payload exceeds the record length field".into()))?;
@@ -78,7 +129,7 @@ fn write_record(path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
         file.write_all(payload)?;
         file.sync_data()?;
         drop(file);
-        fs::rename(&tmp_path, path)
+        durable::rename_into_place(&tmp_path, path)
     })();
     if let Err(e) = written {
         let _ = fs::remove_file(&tmp_path);
@@ -146,6 +197,28 @@ impl SnapshotStore {
         write_record(&self.dir.join(snap_name(tip.header.height)), &payload)
     }
 
+    /// Writes a delta snapshot at `tip`'s height: `writes`, every write
+    /// since the full snapshot at `base_height` whose tip id is
+    /// `base_tip`. Returns the bytes written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on write failure; no partial file is
+    /// left behind.
+    pub fn write_delta(
+        &self,
+        tip: &Block,
+        base_height: u64,
+        base_tip: Hash256,
+        writes: &StateDelta,
+    ) -> Result<u64, StoreError> {
+        let mut payload = tip.encoded();
+        base_height.encode(&mut payload);
+        base_tip.encode(&mut payload);
+        writes.encode(&mut payload);
+        write_record(&self.dir.join(delta_name(tip.header.height)), &payload)
+    }
+
     /// Adopts a snapshot payload assembled from a peer's stream
     /// (DESIGN.md §14) as the local `snap-<height>.bin`, framed exactly
     /// as [`SnapshotStore::write`] frames a locally-taken snapshot —
@@ -185,42 +258,38 @@ impl SnapshotStore {
         read_record(&self.dir.join(snap_name(height)))
     }
 
-    /// Heights of all snapshot files, ascending (validity unchecked).
+    /// Heights of all full snapshot files, ascending (validity
+    /// unchecked).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem failure.
     pub fn heights(&self) -> Result<Vec<u64>, StoreError> {
+        self.heights_of(SNAP_PREFIX)
+    }
+
+    /// Heights of all delta snapshot files, ascending (validity
+    /// unchecked).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on filesystem failure.
+    pub fn delta_heights(&self) -> Result<Vec<u64>, StoreError> {
+        self.heights_of(DELTA_PREFIX)
+    }
+
+    fn heights_of(&self, prefix: &str) -> Result<Vec<u64>, StoreError> {
         let mut heights = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some(h) = snap_height(name) {
+            if let Some(h) = height_in(name, prefix) {
                 heights.push(h);
             }
         }
         heights.sort_unstable();
         Ok(heights)
-    }
-
-    /// The newest snapshot with height ≤ `max_height` that passes CRC
-    /// and decode checks and whose state hashes to the tip's state root.
-    /// Unreadable candidates are skipped, not fatal — an older valid
-    /// snapshot still anchors recovery.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on filesystem failure.
-    pub fn latest_valid(&self, max_height: u64) -> Result<Option<Snapshot>, StoreError> {
-        let mut heights = self.heights()?;
-        heights.retain(|h| *h <= max_height);
-        for height in heights.into_iter().rev() {
-            if let Some(snap) = self.load(height)? {
-                return Ok(Some(snap));
-            }
-        }
-        Ok(None)
     }
 
     /// Loads and validates the snapshot at `height`; `None` if the file
@@ -255,18 +324,51 @@ impl SnapshotStore {
         Ok(Some(Snapshot { height, tip, state, tree }))
     }
 
-    /// Deletes all but the newest `retain` snapshot files.
+    /// Reads the delta snapshot at `height`, unapplied; `None` if the
+    /// file is missing, torn, corrupt, or names no earlier base.
+    /// [`SnapshotDelta::onto`] its base full snapshot is what validates
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on read failure (other than absence).
+    pub fn read_delta(&self, height: u64) -> Result<Option<SnapshotDelta>, StoreError> {
+        let Some(payload) = read_record(&self.dir.join(delta_name(height)))? else {
+            return Ok(None);
+        };
+        let mut reader = Reader::new(&payload);
+        let (Ok(tip), Ok(base_height), Ok(base_tip), Ok(writes)) = (
+            Block::decode(&mut reader),
+            u64::decode(&mut reader),
+            Hash256::decode(&mut reader),
+            StateDelta::decode(&mut reader),
+        ) else {
+            return Ok(None);
+        };
+        if reader.remaining() != 0 || tip.header.height != height || base_height >= height {
+            return Ok(None);
+        }
+        Ok(Some(SnapshotDelta { tip, base_height, base_tip, writes }))
+    }
+
+    /// Deletes all but the newest `fulls` full snapshots, and every
+    /// delta but the newest `deltas` above height `base` — the full
+    /// snapshot the writer's deltas build on. A delta at or below it
+    /// builds on an older full and adds nothing `base` does not.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem failure.
-    pub fn prune(&self, retain: usize) -> Result<(), StoreError> {
+    pub fn prune(&self, fulls: usize, deltas: usize, base: u64) -> Result<(), StoreError> {
         let heights = self.heights()?;
-        if heights.len() <= retain {
-            return Ok(());
-        }
-        for height in &heights[..heights.len() - retain] {
+        for height in &heights[..heights.len().saturating_sub(fulls)] {
             fs::remove_file(self.dir.join(snap_name(*height)))?;
+        }
+        let delta_heights = self.delta_heights()?;
+        let on_base = delta_heights.iter().filter(|h| **h > base).count();
+        let keep_from = delta_heights.len() - on_base.min(deltas);
+        for height in &delta_heights[..keep_from] {
+            fs::remove_file(self.dir.join(delta_name(*height)))?;
         }
         Ok(())
     }
@@ -295,16 +397,16 @@ mod tests {
             let (tip, state, tree) = tip_and_state(h);
             store.write(&tip, &state, &tree).unwrap();
         }
-        let snap = store.latest_valid(u64::MAX).unwrap().unwrap();
+        assert_eq!(store.heights().unwrap(), vec![4, 8, 12]);
+        let snap = store.load(12).unwrap().unwrap();
         assert_eq!(snap.height, 12);
         assert_eq!(snap.state.state_root(), snap.tip.header.state_root);
         // The persisted tree is the state's tree, hashes intact.
         assert_eq!(snap.tree.versioned_root(), snap.tip.header.state_root);
         assert_eq!(snap.tree.len(), snap.state.leaf_count());
         assert!(snap.tree.audit());
-        // Bounded lookup skips newer files.
-        assert_eq!(store.latest_valid(9).unwrap().unwrap().height, 8);
-        store.prune(1).unwrap();
+        assert_eq!(store.load(8).unwrap().unwrap().height, 8);
+        store.prune(1, 0, 12).unwrap();
         assert_eq!(store.heights().unwrap(), vec![12]);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -322,8 +424,8 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         bytes[12] ^= 0xFF;
         fs::write(&path, bytes).unwrap();
-        let snap = store.latest_valid(u64::MAX).unwrap().unwrap();
-        assert_eq!(snap.height, 4);
+        assert!(store.load(8).unwrap().is_none());
+        assert_eq!(store.load(4).unwrap().unwrap().height, 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -337,6 +439,30 @@ mod tests {
         tip.header.state_root = medchain_chain::Hash256::digest(b"someone else's root");
         store.write(&tip, &state, &tree).unwrap();
         assert!(store.load(4).unwrap().is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pruning keeps the newest two fulls and the newest two deltas on
+    /// the newest full; a delta on an older full goes.
+    #[test]
+    fn prune_keeps_the_newest_fulls_and_the_newest_deltas_on_the_base() {
+        let dir = test_dir("snap-prune");
+        let store = SnapshotStore::open(&dir).unwrap();
+        for h in [4u64, 8, 12] {
+            let (tip, state, tree) = tip_and_state(h);
+            store.write(&tip, &state, &tree).unwrap();
+        }
+        let writes = medchain_chain::StateDelta::default();
+        for h in [6u64, 10, 14, 16, 18] {
+            let (tip, _, _) = tip_and_state(h);
+            store.write_delta(&tip, 12, Hash256::ZERO, &writes).unwrap();
+        }
+        store.prune(2, 2, 12).unwrap();
+        assert_eq!(store.heights().unwrap(), vec![8, 12]);
+        assert_eq!(store.delta_heights().unwrap(), vec![16, 18]);
+        // A leftover temporary file is neither height list's.
+        fs::write(dir.join("delta-00000000000000000020.bin.tmp"), b"torn").unwrap();
+        assert_eq!(store.delta_heights().unwrap(), vec![16, 18]);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

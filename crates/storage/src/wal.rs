@@ -15,6 +15,7 @@
 //! contiguity) and truncates the file at the first invalid one — a torn
 //! tail from a crash mid-append recovers to the last durable block.
 
+use crate::durable;
 use medchain_chain::hash::crc32;
 use medchain_chain::store::StoreError;
 use medchain_chain::Block;
@@ -58,6 +59,9 @@ pub struct SegmentedLog {
     /// Height the next appended record must carry (`None` = empty log,
     /// first append pins it).
     next_height: Option<u64>,
+    /// Directory syncs made creating segments and not yet taken by
+    /// [`SegmentedLog::take_dir_syncs`].
+    dir_syncs: u64,
 }
 
 fn segment_name(first_height: u64) -> String {
@@ -116,7 +120,13 @@ impl SegmentedLog {
             }
             None => None,
         };
-        let log = SegmentedLog { dir: dir.to_path_buf(), segment_bytes, current, next_height };
+        let log = SegmentedLog {
+            dir: dir.to_path_buf(),
+            segment_bytes,
+            current,
+            next_height,
+            dir_syncs: 0,
+        };
         Ok((log, ScanResult { blocks, truncated_records }))
     }
 
@@ -170,8 +180,16 @@ impl SegmentedLog {
         Ok(())
     }
 
+    /// The directory syncs segment creation made since the last call —
+    /// fsyncs the log's owner counts beside its own.
+    pub(crate) fn take_dir_syncs(&mut self) -> u64 {
+        std::mem::take(&mut self.dir_syncs)
+    }
+
     /// Checks height contiguity and returns the segment file to append
-    /// `record_len` more bytes to, rolling first if needed.
+    /// `record_len` more bytes to, rolling first if needed. A new
+    /// segment's directory entry is synced before any record goes in,
+    /// so a synced append survives a crash with its file.
     fn tail_for(&mut self, height: u64, record_len: u64) -> Result<&mut File, StoreError> {
         if let Some(expected) = self.next_height {
             if height != expected {
@@ -187,7 +205,8 @@ impl SegmentedLog {
                 file.sync_data()?;
             }
             let path = self.dir.join(segment_name(height));
-            let file = OpenOptions::new().create(true).append(true).open(&path)?;
+            let file = durable::create_segment(&path)?;
+            self.dir_syncs += 1;
             self.current = Some((path, file, 0));
         }
         Ok(&mut self.current.as_mut().expect("tail segment just ensured").1)

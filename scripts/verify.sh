@@ -296,10 +296,14 @@ echo "ok: 2- and 4-lane wave schedules committed byte-identical state roots"
 # may materialize or apply deltas; state.rs does so only in its tests.
 echo "== exec: overlay commit-path guard =="
 # E22 builds one block's delta only to count the tree merge the ledger
-# runs on it; it never applies the delta to a state.
+# runs on it; it never applies the delta to a state. Recovery applies a
+# delta snapshot — writes blocks already committed — onto its decoded
+# base in SnapshotDelta::onto, checked against the delta tip's root
+# (DESIGN.md §8); that one line is the storage crate's only apply.
 if grep -rn "\.into_delta(\|\.apply_to(" crates/*/src --include="*.rs" \
     | grep -v "^crates/chain/src/exec/\|^crates/chain/src/ledger.rs\|^crates/chain/src/state.rs" \
     | grep -v "^crates/bench/src/e22_light_client.rs:[0-9]*: *let delta = overlay.into_delta();$" \
+    | grep -v "^crates/storage/src/snapshot.rs:[0-9]*: *self.writes.apply_to(&mut state);$" \
     || { uses_outside_tests ".into_delta(" crates/chain/src/state.rs
          uses_outside_tests ".apply_to(" crates/chain/src/state.rs; } | grep .; then
     echo "ERROR: StateDelta materialized/applied outside the exec commit path." >&2
@@ -497,6 +501,53 @@ echo "ok: ledger.rs merges in place only; Ledger::apply and History::push clone 
 # tests, no other file under crates/chain/src names those fields (a
 # metric key such as "exec.blocks" is not a field); the two allowed
 # lines are other types' fields of the same name.
+# One full-snapshot writer (DESIGN.md §8): outside tests a full
+# snapshot is written only by DiskStore's boundary policy, which decides
+# full or delta — `snaps.write(` once in disk.rs, inside fn snapshot. No
+# other code opens a SnapshotStore of its own, and none writes through
+# DiskStore::snapshots() (bootstrap adopts and discards there, never
+# writes). A second writer would bypass the delta base the policy keeps.
+echo "== snapshot: one full-snapshot writer guard =="
+if uses_outside_tests "SnapshotStore::open(" crates/*/src src examples \
+        | grep -v "^crates/storage/src/disk.rs:" \
+    || uses_outside_tests "snapshots().write" crates/*/src src examples | grep . \
+    || ! awk '
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        tests || /^[[:space:]]*\/\// { next }
+        /^[[:space:]]*(pub(\(crate\))? )?fn [a-z_]+/ { match($0, /fn [a-z_]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        index($0, ".write(") {
+            n++
+            if (fn != "snapshot" || $0 !~ /snaps\.write\(/) { print FILENAME ":" FNR ": in fn " fn ": " $0; bad = 1 }
+        }
+        END { if (n != 1) { print "disk.rs calls .write( " n + 0 " times outside tests"; bad = 1 } exit bad }
+    ' crates/storage/src/disk.rs; then
+    echo "ERROR: a full snapshot is written outside DiskStore's boundary policy (disk.rs fn snapshot)." >&2
+    exit 1
+fi
+echo "ok: DiskStore::snapshot is the one full-snapshot writer"
+
+# Durable renames (DESIGN.md §8): a rename is durable only once its
+# directory is synced, so in crates/storage/src `fs::rename(` appears
+# only inside durable.rs's rename_into_place, which syncs the directory.
+echo "== storage: durable-rename guard =="
+if ! find crates/storage/src -name "*.rs" -print0 | xargs -0 awk '
+        FNR == 1 { fn = "" }
+        /^[[:space:]]*(pub(\(crate\))? )?fn [a-z_]+/ { match($0, /fn [a-z_]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        index($0, "fs::rename(") && !/^[[:space:]]*\/\// \
+            && !(FILENAME ~ /\/durable\.rs$/ && fn == "rename_into_place") {
+            print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit bad }
+    '; then
+    echo "ERROR: fs::rename outside durable::rename_into_place — a rename must sync its directory." >&2
+    exit 1
+fi
+echo "ok: every rename in crates/storage/src syncs its directory"
+# Trend line (snapshot.rs 147 and disk.rs 268 before delta snapshots;
+# 203 and 308 with them, beside durable.rs 19).
+echo "census: $(census crates/storage/src/snapshot.rs) in crates/storage/src/snapshot.rs"
+echo "census: $(census crates/storage/src/disk.rs) in crates/storage/src/disk.rs"
+
 echo "== ledger: one owner of history guard =="
 if for field in blocks base_height receipts tx_index; do
         uses_outside_tests ".$field" crates/chain/src

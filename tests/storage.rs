@@ -1068,6 +1068,8 @@ fn torn_append_on_a_paged_ledger_leaves_cold_accounts_cold() {
 /// state resident or paged (spilled subtrees spliced from their pages),
 /// must be byte-identical to a snapshot of the same tip and state over a
 /// tree built from scratch, and must be what a restart recovers from.
+/// A boundary that writes a `delta-*.bin` instead must recover, full
+/// plus delta and no replay, to the live state and a from-scratch root.
 #[test]
 fn snapshots_from_the_commit_tree_match_a_from_scratch_build() {
     for paged in [false, true] {
@@ -1091,6 +1093,7 @@ fn snapshots_from_the_commit_tree_match_a_from_scratch_build() {
         ledger.attach_store(Box::new(store));
 
         let mut rng = DetRng::from_seed(0x5A47 + paged as u64);
+        let (mut fulls, mut deltas) = (0, 0);
         for _ in 0..14 {
             let block = random_block(&mut rng, &mut ledger, &key);
             ledger.apply(&block).unwrap();
@@ -1100,13 +1103,32 @@ fn snapshots_from_the_commit_tree_match_a_from_scratch_build() {
             }
             let name = format!("snap-{height:020}.bin");
             let state = ledger.state();
-            reference.write(ledger.tip(), state, &StateTree::from_state(state)).unwrap();
+            let scratch_tree = StateTree::from_state(state);
+            if !dir.join(&name).exists() {
+                assert!(dir.join(format!("delta-{height:020}.bin")).exists(), "no snapshot");
+                deltas += 1;
+                let copy = test_dir(&format!("snap-live-tree-{paged}-{height}"));
+                copy_dir(&dir, &copy);
+                let mut recovered = fresh_ledger(&key);
+                let report =
+                    DiskStore::open(&copy, config).unwrap().recover_into(&mut recovered).unwrap();
+                assert_eq!((report.from_snapshot, report.replayed_blocks), (Some(height), 0));
+                assert!(recovered.state() == state, "paged={paged}: delta {height} state");
+                let tree = recovered.state_tree();
+                assert_eq!(tree.versioned_root(), scratch_tree.versioned_root());
+                assert_eq!(tree.len(), scratch_tree.len());
+                std::fs::remove_dir_all(&copy).unwrap();
+                continue;
+            }
+            fulls += 1;
+            reference.write(ledger.tip(), state, &scratch_tree).unwrap();
             assert_eq!(
                 std::fs::read(dir.join(&name)).unwrap(),
                 std::fs::read(reference_dir.join(&name)).unwrap(),
                 "paged={paged}: {name} differs from a from-scratch build"
             );
         }
+        assert!(fulls >= 1 && deltas >= 1, "paged={paged}: {fulls} fulls, {deltas} deltas");
         assert_eq!(registry.counter_value("storage.page_writes") > 0, paged);
         let (tip_id, state_root) = (ledger.tip().id(), ledger.state().state_root());
         drop(ledger);
@@ -1165,6 +1187,244 @@ fn failed_snapshot_keeps_the_durable_block_and_retries_at_next_boundary() {
     assert_eq!(report.from_snapshot, Some(4));
     assert_eq!(report.tip_id, tip_id);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Delta snapshots (DESIGN.md §8): after every snapshot boundary, a
+/// fresh ledger recovered from the directory is the live one — same
+/// tip, equal state, same tree root over as many leaves — whether the
+/// boundary wrote a full snapshot or a delta of the writes since one.
+/// Random blocks run at a random cadence on resident and paged ledgers,
+/// with direct `state_mut` credits between them that no block carries,
+/// so a delta that spanned one would recover the wrong state. Recovery
+/// reads at most one full file and one delta file.
+#[test]
+fn recovery_from_full_plus_delta_is_the_live_ledger() {
+    let dir = test_dir("delta-recovery");
+    let (fulls, deltas) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    check("full plus delta recovers the live ledger", CheckConfig::cases(24), |g| {
+        let _ = std::fs::remove_dir_all(&dir);
+        let every = g.usize_in(1, 7) as u64;
+        let config = StorageConfig { snapshot_every: every, ..StorageConfig::default() };
+        let key = AuthorityKey::from_seed(41);
+        let mut ledger = fresh_ledger(&key);
+        let mut store = DiskStore::open(&dir, config).map_err(|e| e.to_string())?;
+        store.recover_into(&mut ledger).map_err(|e| e.to_string())?;
+        ledger.state_mut().credit(key.address(), 1_000_000);
+        if g.bool() {
+            let pages = PageStore::open(&dir.join("pages.bin"), 2, Registry::new().handle())
+                .map_err(|e| e.to_string())?;
+            let pages = Arc::new(pages);
+            store.attach_pages(Arc::clone(&pages));
+            ledger.attach_state_cache(tiny_state_cache(pages));
+        }
+        ledger.attach_store(Box::new(store));
+        for _ in 0..g.usize_in(6, 30) {
+            if g.usize_in(0, 5) == 0 {
+                let to = Address::from_seed(g.u64() % 8);
+                ledger.state_mut().credit(to, 1 + g.u64() % 9);
+            }
+            let block = random_block(g.rng(), &mut ledger, &key);
+            ledger.apply(&block).map_err(|e| format!("apply: {e}"))?;
+            let height = ledger.height();
+            if !height.is_multiple_of(every) {
+                continue;
+            }
+            if dir.join(format!("delta-{height:020}.bin")).exists() {
+                deltas.set(deltas.get() + 1);
+            } else {
+                fulls.set(fulls.get() + 1);
+            }
+            let registry = Registry::new();
+            let mut recovered = fresh_ledger(&key);
+            let report = DiskStore::open_with_metrics(&dir, config, registry.handle())
+                .and_then(|mut store| store.recover_into(&mut recovered))
+                .map_err(|e| format!("recover at {height}: {e}"))?;
+            ensure_eq!((report.from_snapshot, report.replayed_blocks), (Some(height), 0));
+            ensure_eq!(recovered.tip().id(), ledger.tip().id());
+            ensure!(recovered.state() == ledger.state(), "state at {height} (every {every})");
+            let (mine, live) = (recovered.state_tree(), ledger.state_tree());
+            ensure_eq!(mine.versioned_root(), live.versioned_root());
+            ensure_eq!(mine.len(), live.len());
+            ensure!(
+                registry.counter_value("storage.snapshot_reads") <= 1
+                    && registry.counter_value("storage.delta_reads") <= 1,
+                "recovery at {height} read more than one full and one delta"
+            );
+        }
+        Ok(())
+    });
+    let (fulls, deltas) = (fulls.get(), deltas.get());
+    assert!(fulls > 0 && deltas > 0, "{fulls} full and {deltas} delta boundaries");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two process lives on one directory, every boundary two blocks apart,
+/// over a funded 64-account universe so writes stay below half the
+/// state: the first life writes the full `snap-2` and `delta-4`; the
+/// second recovers from them, writes the full `snap-6` (its first
+/// boundary), `delta-8` and `delta-10` on it, and one tail block. The
+/// older delta is pruned with its base's turn. Returns the live tip id
+/// and state root.
+fn two_lives_of_deltas(dir: &std::path::Path, key: &AuthorityKey) -> (Hash256, Hash256) {
+    let config = StorageConfig { snapshot_every: 2, ..StorageConfig::default() };
+    let mut rng = DetRng::from_seed(0xDE17A);
+    let mut ledger = fresh_ledger(key);
+    let mut store = DiskStore::open(dir, config).unwrap();
+    store.recover_into(&mut ledger).unwrap();
+    ledger.state_mut().credit(key.address(), 1_000_000);
+    for n in 0..64u64 {
+        let mut to = [0u8; 20];
+        to[..8].copy_from_slice(&n.to_le_bytes());
+        ledger.state_mut().credit(Address(to), 1);
+    }
+    ledger.attach_store(Box::new(store));
+    for _ in 0..4 {
+        let block = transfer_block(&mut rng, &mut ledger, key);
+        ledger.apply(&block).unwrap();
+    }
+    drop(ledger);
+
+    let mut ledger = fresh_ledger(key);
+    let mut store = DiskStore::open(dir, config).unwrap();
+    let report = store.recover_into(&mut ledger).unwrap();
+    assert_eq!((report.from_snapshot, report.replayed_blocks), (Some(4), 0));
+    ledger.attach_store(Box::new(store));
+    for _ in 0..7 {
+        let block = transfer_block(&mut rng, &mut ledger, key);
+        ledger.apply(&block).unwrap();
+    }
+    let names = |prefix| -> Vec<String> {
+        files_named(dir, prefix)
+            .iter()
+            .map(|p| p.file_name().unwrap().to_str().unwrap()[prefix.len()..].to_string())
+            .collect()
+    };
+    let at = |h: u64| format!("{h:020}.bin");
+    assert_eq!(names("snap-"), [at(2), at(6)]);
+    assert_eq!(names("delta-"), [at(8), at(10)]);
+    (ledger.tip().id(), ledger.state().state_root())
+}
+
+/// A delta snapshot installs only onto its own base: read back and
+/// applied onto the full snapshot it names, it is the state at its tip;
+/// onto a full at the same height with another tip it is refused, and
+/// so are writes that miss the tip's state root.
+#[test]
+fn a_delta_installs_only_onto_its_own_base() {
+    let dir = test_dir("delta-onto-base");
+    let snaps = SnapshotStore::open(&dir).unwrap();
+    let key = AuthorityKey::from_seed(45);
+    let mut ledger = fresh_ledger(&key);
+    grow(&mut ledger, &key, 4);
+    snaps.write(ledger.tip(), ledger.state(), &ledger.state_tree()).unwrap();
+    let mut overlay = WorldStateOverlay::new(ledger.state());
+    overlay.credit(Address::from_seed(9), 5);
+    let writes: StateDelta = overlay.into_delta();
+    let mut after = ledger.state().clone();
+    writes.clone().apply_to(&mut after);
+    let mut tip = ledger.tip().clone();
+    tip.header.height = 8;
+    tip.header.state_root = after.state_root();
+    snaps.write_delta(&tip, 4, ledger.tip().id(), &writes).unwrap();
+    assert_eq!(snaps.delta_heights().unwrap(), vec![8]);
+    assert_eq!(snaps.heights().unwrap(), vec![4], "a delta is not a full snapshot");
+
+    let delta = snaps.read_delta(8).unwrap().unwrap();
+    assert_eq!(delta.writes, writes);
+    let snap = delta.clone().onto(snaps.load(4).unwrap().unwrap()).unwrap();
+    assert_eq!(snap.height, 8);
+    assert!(snap.state == after);
+    assert_eq!(snap.tree.versioned_root(), StateTree::from_state(&after).versioned_root());
+    // A full at the base height on another chain is not the base.
+    let other_key = AuthorityKey::from_seed(46);
+    let mut other = fresh_ledger(&other_key);
+    grow(&mut other, &other_key, 4);
+    let foreign_dir = test_dir("delta-onto-foreign");
+    let foreign = SnapshotStore::open(&foreign_dir).unwrap();
+    foreign.write(other.tip(), other.state(), &other.state_tree()).unwrap();
+    assert!(delta.clone().onto(foreign.load(4).unwrap().unwrap()).is_none());
+    std::fs::remove_dir_all(&foreign_dir).unwrap();
+    // Writes that miss the tip's root are refused.
+    let mut wrong = delta;
+    wrong.writes = StateDelta::default();
+    assert!(wrong.onto(snaps.load(4).unwrap().unwrap()).is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Crash points around delta snapshots: whatever a crash or a bad disk
+/// leaves among the snapshot files, recovery restores the newest usable
+/// one and replays the log to the live tip and state. A leftover
+/// `.tmp` is ignored; a corrupt newest delta falls back to the older
+/// delta, then to the full plus replay; a delta whose base is missing
+/// or foreign is refused, for the older full plus replay.
+#[test]
+fn recovery_survives_torn_corrupt_and_orphaned_deltas() {
+    let scenario = test_dir("delta-crash-points");
+    let key = AuthorityKey::from_seed(43);
+    let (tip_id, state_root) = two_lives_of_deltas(&scenario, &key);
+    let snap = |h: u64| format!("snap-{h:020}.bin");
+    let delta = |h: u64| format!("delta-{h:020}.bin");
+    let flip = |path: PathBuf| {
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x40;
+        std::fs::write(&path, bytes).unwrap();
+    };
+    let foreign_six = |dir: &std::path::Path| {
+        let other_key = AuthorityKey::from_seed(44);
+        let mut other = fresh_ledger(&other_key);
+        other.state_mut().credit(other_key.address(), 1_000_000);
+        let mut rng = DetRng::from_seed(0xF0E);
+        for _ in 0..6 {
+            let block = transfer_block(&mut rng, &mut other, &other_key);
+            other.apply(&block).unwrap();
+        }
+        let snaps = SnapshotStore::open(dir).unwrap();
+        snaps.write(other.tip(), other.state(), &other.state_tree()).unwrap();
+    };
+    type Edit<'a> = Box<dyn Fn(&std::path::Path) + 'a>;
+    let cases: Vec<(&str, Edit<'_>, Option<u64>)> = vec![
+        ("untouched", Box::new(|_| {}), Some(10)),
+        (
+            "leftover .tmp files",
+            Box::new(|dir| {
+                std::fs::write(dir.join(format!("{}.tmp", delta(10))), b"torn").unwrap();
+                std::fs::write(dir.join(format!("{}.tmp", delta(12))), b"torn").unwrap();
+            }),
+            Some(10),
+        ),
+        ("corrupt newest delta", Box::new(|dir| flip(dir.join(delta(10)))), Some(8)),
+        (
+            "both deltas corrupt",
+            Box::new(|dir| {
+                flip(dir.join(delta(10)));
+                flip(dir.join(delta(8)));
+            }),
+            Some(6),
+        ),
+        (
+            "base full missing",
+            Box::new(|dir| std::fs::remove_file(dir.join(snap(6))).unwrap()),
+            Some(2),
+        ),
+        ("base full foreign", Box::new(foreign_six), Some(2)),
+    ];
+    for (what, edit, from) in cases {
+        let dir = test_dir(&format!("delta-crash-{}", what.replace(' ', "-")));
+        copy_dir(&scenario, &dir);
+        edit(&dir);
+        let mut ledger = fresh_ledger(&key);
+        let report = DiskStore::open(&dir, StorageConfig::default())
+            .unwrap()
+            .recover_into(&mut ledger)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(report.from_snapshot, from, "{what}");
+        assert_eq!(report.replayed_blocks, 11 - from.unwrap(), "{what}");
+        assert_eq!(ledger.tip().id(), tip_id, "{what}");
+        assert_eq!(ledger.state().state_root(), state_root, "{what}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&scenario).unwrap();
 }
 
 /// A block store whose next append tears when armed — a crash
@@ -1433,10 +1693,11 @@ fn corrupt(
     }
 }
 
-/// Hostile bytes in the three CRC-framed files never panic the reader:
+/// Hostile bytes in the four CRC-framed files never panic the reader:
 /// a corrupted WAL segment is truncated back to a prefix of the blocks
 /// written (or refused with `Err`), a corrupted `snap-*.bin` loads as
-/// `None`, and a corrupted spilled extent in `pages.bin` reads as `Err`.
+/// `None`, a corrupted `delta-*.bin` never installs onto its base, and
+/// a corrupted spilled extent in `pages.bin` reads as `Err`.
 #[test]
 fn corrupt_wal_snapshot_and_page_files_never_panic_the_reader() {
     let dir = test_dir("hostile-frames");
@@ -1480,6 +1741,33 @@ fn corrupt_wal_snapshot_and_page_files_never_panic_the_reader() {
         std::fs::write(&snap_file, &bytes).unwrap();
         let loaded = snapshots.load(height);
         ensure!(matches!(loaded, Ok(None)), "{edit}: {loaded:?}");
+        Ok(())
+    });
+    std::fs::write(&snap_file, &clean).unwrap();
+
+    // A delta at height + 1 on the full snapshot above: one new anchor.
+    let mut overlay = WorldStateOverlay::new(ledger.state());
+    overlay.set_anchor("late-cohort", Hash256::digest(b"late"));
+    let writes: StateDelta = overlay.into_delta();
+    let mut after = ledger.state().clone();
+    writes.clone().apply_to(&mut after);
+    let mut delta_tip = ledger.tip().clone();
+    delta_tip.header.height = height + 1;
+    delta_tip.header.state_root = after.state_root();
+    snapshots.write_delta(&delta_tip, height, ledger.tip().id(), &writes).unwrap();
+    let delta_file = files_named(&dir.join("snap"), "delta-").remove(0);
+    let clean = std::fs::read(&delta_file).unwrap();
+    let installs = || -> Result<bool, String> {
+        let delta = snapshots.read_delta(height + 1).map_err(|e| e.to_string())?;
+        let base = snapshots.load(height).map_err(|e| e.to_string())?;
+        Ok(delta.zip(base).and_then(|(delta, base)| delta.onto(base)).is_some())
+    };
+    assert_eq!(installs(), Ok(true));
+    check("a corrupt delta never installs", CheckConfig::cases(64), |g| {
+        let mut bytes = clean.clone();
+        let edit = corrupt(g, &mut bytes, 0..clean.len());
+        std::fs::write(&delta_file, &bytes).unwrap();
+        ensure!(installs() == Ok(false), "{edit}: the corrupt delta installed");
         Ok(())
     });
 

@@ -1,8 +1,8 @@
 //! **E7** — the Figs. 5/6 query pipeline: NL request → query vector →
-//! per-site smart-contract gating → decomposed local execution →
-//! composition. Reports the simulated chain latency and result bytes
-//! against site count and verifies completeness (distributed answer =
-//! centralized answer).
+//! per-site smart-contract gating → the query run at every permitted
+//! site on the Fig. 1 control path → composition. Reports the simulated
+//! chain latency and the bytes the sites posted against site count, and
+//! verifies completeness (distributed answer = centralized answer).
 
 use crate::report::{bytes, f, Table};
 use medchain::pipeline::run_query;
@@ -83,8 +83,9 @@ pub fn run_e7(quick: bool, metrics: Metrics) -> Table {
             .to_string(),
     );
     table.finding(
-        "result bytes stay tiny and flat in site count — raw records never move, matching \
-         Fig. 5's 'users do not need to know where the data physically resides'"
+        "result bytes stay tiny — each site posts one fixed-size count outcome and raw records \
+         never move, matching Fig. 5's 'users do not need to know where the data physically \
+         resides'"
             .to_string(),
     );
     table

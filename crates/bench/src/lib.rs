@@ -109,7 +109,12 @@ mod tests {
     /// PoA and PBFT shared one quorum; its pbft row was re-recorded when
     /// PBFT's threshold became `n − f`: at E3's `n = 5` a commit waits
     /// for 4 of 5 replicas, not 3, so each replica verifies more votes
-    /// before a height closes (consensus J 3.680e-5 → 4.080e-5).
+    /// before a height closes (consensus J 3.680e-5 → 4.080e-5). E7's
+    /// latency and bytes cells were re-recorded when its query began
+    /// running on the Fig. 1 path: the latency now includes the request
+    /// and the posts (150 → 250 ms), and the bytes are the outcomes the
+    /// sites posted (32 → 50 B a site, from a modeled size); its
+    /// permitted, count and exact cells held.
     #[test]
     fn deterministic_tables_reproduce_their_recorded_rows() {
         assert_rows(
@@ -137,7 +142,7 @@ mod tests {
              pbft|0|44|4.080e-5|5.250e-4|0.186\n\
              pos (virtual mining)|77|8|1.570e-5|5.250e-4|0.194",
         );
-        assert_rows("e7", "2|2|150ms|64B|14.0|true\n4|4|150ms|128B|56.0|true");
+        assert_rows("e7", "2|2|250ms|100B|14.0|true\n4|4|250ms|200B|56.0|true");
         assert_rows(
             "e11",
             "hadoop-centralized|17ms|496ms|513ms|108.1KiB|2000\n\

@@ -225,24 +225,48 @@ impl NativeContract for DataContract {
 /// **Analytics contract** — registers analytics tools with code-integrity
 /// hashes and coordinates off-chain runs (paper Fig. 1): a request names
 /// the sites that run it, each named site runs its shard next to its own
-/// data, and only the per-site result hashes come back on-chain.
+/// data, and each posts back its outcome, the encoded local result.
 ///
-/// Methods: `register_tool(name, code_hash)`,
+/// Methods: `register_tool(name, code_hash)` (any name but the reserved
+/// [`QUERY_TOOL`]),
 /// `request_run(tool, dataset_label, site₁, params₁, …, siteₙ, paramsₙ)`,
-/// `post_result(task_id, result_hash)`, `result(task_id)`, `tool(name)`.
+/// `post_result(task_id, outcome)`, `result(task_id)`; a tool's hash
+/// reads without a transaction through [`AnalyticsContract::tool_hash`].
 ///
 /// A task record is `[tool, dataset, requester, status, composed hash,
-/// site₁, hash₁, …, siteₙ, hashₙ]`. Each named site may post once, under
-/// its own key; the caller's address picks its shard. When the last one
-/// posts, status turns 1 and the composed hash becomes the SHA-256 of the
-/// per-site hashes in shard order. The contract checks *who* posts, not
-/// whether a hash is right: a forged hash stands next to the site that
-/// posted it.
+/// site₁, outcome₁, …, siteₙ, outcomeₙ]`. Each named site may post once,
+/// under its own key, a non-empty outcome of at most
+/// [`MAX_OUTCOME_BYTES`]; the caller's address picks its shard. When the
+/// last one posts, status turns 1 and the composed hash becomes
+/// SHA-256(SHA-256(outcome₁) ‖ … ‖ SHA-256(outcomeₙ)) in shard order.
+/// The contract checks *who* posts, not whether an outcome is right: a
+/// forged outcome stands next to the site that posted it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AnalyticsContract;
 
-/// Index of the first `(site, hash)` pair in a task record.
+/// The largest outcome one site may post for one shard. Outcomes are
+/// local results (counts, sufficient statistics, model parameters), not
+/// records; the largest the pipelines post is a GWAS count table of
+/// about 0.55 kB.
+pub const MAX_OUTCOME_BYTES: usize = 4 * 1024;
+
+/// Index of the first `(site, outcome)` pair in a task record.
 const TASK_SHARDS: usize = 5;
+
+/// The tool every site installs to answer queries, GWAS and federated
+/// rounds. The contract knows it from deployment: `register_tool`
+/// refuses the name, so no caller can claim it with another hash, and
+/// `request_run` names the build [`QUERY_TOOL_BUILD`].
+pub const QUERY_TOOL: &str = "query";
+
+/// The one build of [`QUERY_TOOL`] sites run. A tool built as
+/// `Tool::new(QUERY_TOOL, QUERY_TOOL_BUILD, …)` hashes to
+/// SHA-256(name ‖ build), the code hash `request_run` names for it.
+pub const QUERY_TOOL_BUILD: &str = "v1";
+
+fn query_tool_hash() -> Hash256 {
+    Hash256::digest(format!("{QUERY_TOOL}{QUERY_TOOL_BUILD}").as_bytes())
+}
 
 impl AnalyticsContract {
     /// Task `id`'s record as committed in `state`, read without a
@@ -250,6 +274,17 @@ impl AnalyticsContract {
     /// posted.
     pub fn task(state: &WorldState, contract: &Address, id: i64) -> Option<Vec<Value>> {
         decode_args(state.storage(contract, format!("task/{id}").as_bytes())?).ok()
+    }
+
+    /// The code hash `request_run` names for tool `name` in `state`, read
+    /// without a transaction: [`QUERY_TOOL`]'s fixed build, or the hash
+    /// `register_tool` recorded.
+    pub fn tool_hash(state: &WorldState, contract: &Address, name: &str) -> Option<Hash256> {
+        if name == QUERY_TOOL {
+            return Some(query_tool_hash());
+        }
+        let record = decode_args(state.storage(contract, format!("tool/{name}").as_bytes())?).ok()?;
+        hash32(record.first()?.as_bytes().ok()?).ok()
     }
 }
 
@@ -274,6 +309,7 @@ impl NativeContract for AnalyticsContract {
             "register_tool" => {
                 let name = args.str(1)?;
                 let code_hash = hash32(args.bytes(2)?)?;
+                require(name != QUERY_TOOL, "tool name reserved")?;
                 let mut cell = Cell::at(state, ctx.contract, &["tool", name]);
                 require(!cell.exists(), "tool already registered")?;
                 cell.write(&[
@@ -312,9 +348,11 @@ impl NativeContract for AnalyticsContract {
                 }
                 // The registered code hash rides the event, so every site
                 // checks its installed build before running.
+                let known = (tool == QUERY_TOOL).then(|| Value::Bytes(query_tool_hash().0.to_vec()));
                 let code_hash = Cell::at(state, ctx.contract, &["tool", tool])
                     .read()
                     .and_then(|cell| cell.into_iter().next())
+                    .or(known)
                     .ok_or_else(|| NativeError::Refused("unknown analytics tool".into()))?;
                 let mut counter = Cell::at(state, ctx.contract, &["taskctr"]);
                 let id = counter
@@ -337,7 +375,11 @@ impl NativeContract for AnalyticsContract {
             }
             "post_result" => {
                 let id = args.int(1)?;
-                let result_hash = hash32(args.bytes(2)?)?;
+                let posted_outcome = args.bytes(2)?;
+                require(
+                    !posted_outcome.is_empty() && posted_outcome.len() <= MAX_OUTCOME_BYTES,
+                    "an outcome is 1 to MAX_OUTCOME_BYTES bytes",
+                )?;
                 let key = id.to_string();
                 let mut cell = Cell::at(state, ctx.contract, &["task", &key]);
                 let mut task = cell
@@ -350,14 +392,18 @@ impl NativeContract for AnalyticsContract {
                     .map(|i| i + 1)
                     .ok_or_else(|| NativeError::Refused("caller is not a named site".into()))?;
                 require(task[slot].as_bytes()?.is_empty(), "site already posted")?;
-                task[slot] = Value::Bytes(result_hash.0.to_vec());
+                task[slot] = Value::Bytes(posted_outcome.to_vec());
                 let mut posted = Vec::new();
-                for hash in task[TASK_SHARDS + 1..].iter().step_by(2) {
-                    posted.extend_from_slice(hash.as_bytes()?);
+                for value in task[TASK_SHARDS + 1..].iter().step_by(2) {
+                    posted.push(value.as_bytes()?);
                 }
-                if posted.len() == 32 * (task.len() - TASK_SHARDS) / 2 {
+                if posted.iter().all(|bytes| !bytes.is_empty()) {
                     // The last named site: compose and complete.
-                    let composed = Hash256::digest(&posted);
+                    let mut hashes = Vec::with_capacity(32 * posted.len());
+                    for bytes in posted {
+                        hashes.extend_from_slice(&Hash256::digest(bytes).0);
+                    }
+                    let composed = Hash256::digest(&hashes);
                     task[3] = Value::Int(1);
                     task[4] = Value::Bytes(composed.0.to_vec());
                     outcome.events.push(emit(
@@ -376,13 +422,6 @@ impl NativeContract for AnalyticsContract {
                     .read()
                     .ok_or_else(|| NativeError::Refused(format!("unknown task {id}")))?;
                 outcome.returned = task;
-            }
-            "tool" => {
-                let name = args.str(1)?;
-                let tool = Cell::at(state, ctx.contract, &["tool", name])
-                    .read()
-                    .ok_or_else(|| NativeError::Refused(format!("unknown tool {name:?}")))?;
-                outcome.returned = tool;
             }
             other => return Err(NativeError::UnknownMethod(other.to_string())),
         }
@@ -751,9 +790,9 @@ mod tests {
         state: &mut WorldState,
         site: u64,
         id: i64,
-        hash: Hash256,
+        outcome: &[u8],
     ) -> Result<NativeOutcome, NativeError> {
-        let args = vec![Value::str("post_result"), Value::Int(id), Value::Bytes(hash.0.to_vec())];
+        let args = vec![Value::str("post_result"), Value::Int(id), Value::Bytes(outcome.to_vec())];
         call(&AnalyticsContract, site, args, state)
     }
 
@@ -763,8 +802,9 @@ mod tests {
             .returned
     }
 
-    fn site_hash(site: u64) -> Hash256 {
-        Hash256::digest(&[site as u8])
+    /// Site `site`'s fixed outcome bytes.
+    fn site_outcome(site: u64) -> Vec<u8> {
+        format!("outcome of site {site}").into_bytes()
     }
 
     #[test]
@@ -774,34 +814,57 @@ mod tests {
         // Posts arrive out of shard order; the task stays pending until
         // the last named site posts.
         for site in [4, 2] {
-            let out = post(&mut state, site, id, site_hash(site)).unwrap();
+            let out = post(&mut state, site, id, &site_outcome(site)).unwrap();
             assert!(out.events.is_empty());
+            assert_eq!(out.gas_used, 90);
             assert_eq!(record(&mut state, id)[3], Value::Int(0), "pending after site {site}");
         }
-        let out = post(&mut state, 3, id, site_hash(3)).unwrap();
+        let out = post(&mut state, 3, id, &site_outcome(3)).unwrap();
         assert_eq!(out.events[0].topic, events::ANALYTICS_COMPLETED);
         let stored = record(&mut state, id);
         assert_eq!(stored[3], Value::Int(1)); // status done
-        // Composed = SHA-256 of the per-site hashes in shard order.
+        // Each slot holds the outcome its site posted.
+        for (slot, site) in [2, 3, 4].into_iter().enumerate() {
+            assert_eq!(stored[TASK_SHARDS + 2 * slot + 1], Value::Bytes(site_outcome(site)));
+        }
+    }
+
+    #[test]
+    fn the_composed_hash_is_sha256_over_the_per_site_sha256s() {
+        let mut state = WorldState::new();
+        let id = three_site_task(&mut state);
+        for site in [3, 4, 2] {
+            post(&mut state, site, id, &site_outcome(site)).unwrap();
+        }
+        // SHA-256(SHA-256(out₂) ‖ SHA-256(out₃) ‖ SHA-256(out₄)): shard
+        // order, whatever the posting order. It is the value the sites'
+        // hash posts composed to before posts carried outcomes.
         let mut material = Vec::new();
         for site in [2, 3, 4] {
-            material.extend_from_slice(&site_hash(site).0);
+            material.extend_from_slice(&Hash256::digest(&site_outcome(site)).0);
         }
-        assert_eq!(stored[4], Value::Bytes(Hash256::digest(&material).0.to_vec()));
+        let composed = Hash256::digest(&material);
+        assert_eq!(record(&mut state, id)[4], Value::Bytes(composed.0.to_vec()));
+        assert_eq!(
+            composed.to_hex(),
+            "92acfd0a818da7e9236623d971cd77389100f43ac0779f866f06c57f06520dbb"
+        );
     }
 
     #[test]
     fn double_result_posting_refused() {
         let mut state = WorldState::new();
         let id = three_site_task(&mut state);
-        post(&mut state, 2, id, site_hash(2)).unwrap();
-        for (site, task, why) in [
-            (2, id, "a second post from one site"),
-            (1, id, "the requester, not a named site"),
-            (7, id, "a key outside the named sites"),
-            (3, id + 1, "an unknown task"),
+        post(&mut state, 2, id, &site_outcome(2)).unwrap();
+        for (site, task, outcome, why) in [
+            (2, id, site_outcome(2), "a second post from one site"),
+            (1, id, site_outcome(1), "the requester, not a named site"),
+            (7, id, site_outcome(7), "a key outside the named sites"),
+            (3, id + 1, site_outcome(3), "an unknown task"),
+            (3, id, Vec::new(), "an empty outcome"),
+            (3, id, vec![7; MAX_OUTCOME_BYTES + 1], "an outcome over the cap"),
         ] {
-            let refused = post(&mut state, site, task, site_hash(site));
+            let refused = post(&mut state, site, task, &outcome);
             assert!(matches!(refused, Err(NativeError::Refused(_))), "{why} was accepted");
         }
         // A request must name at least one site, and each site once.
@@ -821,29 +884,63 @@ mod tests {
         // The refusals left the task record as the one good post made it.
         let stored = record(&mut state, id);
         assert_eq!(stored[3], Value::Int(0));
-        assert_eq!(stored[6], Value::Bytes(site_hash(2).0.to_vec()));
+        assert_eq!(stored[6], Value::Bytes(site_outcome(2)));
+        assert_eq!(stored[8], Value::Bytes(Vec::new()));
+        // An outcome of exactly the cap is accepted.
+        post(&mut state, 3, id, &[7; MAX_OUTCOME_BYTES]).unwrap();
     }
 
     #[test]
-    fn the_task_record_names_a_site_that_posts_a_forged_hash() {
+    fn the_task_record_names_a_site_that_posts_a_forged_outcome() {
         let mut state = WorldState::new();
         let id = three_site_task(&mut state);
-        post(&mut state, 2, id, site_hash(2)).unwrap();
-        post(&mut state, 3, id, Hash256::digest(b"forged")).unwrap();
-        post(&mut state, 4, id, site_hash(4)).unwrap();
-        // The requester recomputes each site's hash off-chain and reads
-        // who posted what from the record alone.
+        post(&mut state, 2, id, &site_outcome(2)).unwrap();
+        post(&mut state, 3, id, b"forged").unwrap();
+        post(&mut state, 4, id, &site_outcome(4)).unwrap();
+        // The requester recomputes each site's outcome off-chain and
+        // reads who posted what from the record alone.
         let stored = record(&mut state, id);
-        assert_eq!(stored[3], Value::Int(1), "the contract cannot tell a forged hash");
+        assert_eq!(stored[3], Value::Int(1), "the contract cannot tell a forged outcome");
         let forgers: Vec<u64> = [2, 3, 4]
             .into_iter()
             .filter(|&site| {
                 let named = Value::address(&Address::from_seed(site));
                 let pair = stored[TASK_SHARDS..].chunks(2).find(|p| p[0] == named).unwrap();
-                pair[1] != Value::Bytes(site_hash(site).0.to_vec())
+                pair[1] != Value::Bytes(site_outcome(site))
             })
             .collect();
         assert_eq!(forgers, vec![3]);
+    }
+
+    #[test]
+    fn a_registered_tool_hash_reads_back_without_a_transaction() {
+        let mut state = WorldState::new();
+        three_site_task(&mut state);
+        let contract = ctx(1).contract;
+        let registered = AnalyticsContract::tool_hash(&state, &contract, "t");
+        assert_eq!(registered, Some(Hash256::digest(b"t v1")));
+        assert_eq!(AnalyticsContract::tool_hash(&state, &contract, "ghost"), None);
+    }
+
+    #[test]
+    fn the_query_tool_name_cannot_be_registered() {
+        let mut state = WorldState::new();
+        let contract = ctx(1).contract;
+        let bogus = Value::Bytes(Hash256::digest(b"bogus").0.to_vec());
+        let squat = vec![Value::str("register_tool"), Value::str(QUERY_TOOL), bogus];
+        assert!(matches!(
+            call(&AnalyticsContract, 7, squat, &mut state),
+            Err(NativeError::Refused(why)) if why == "tool name reserved"
+        ));
+        // The contract names the sites' build without a registration.
+        let expected = Hash256::digest(b"queryv1");
+        assert_eq!(AnalyticsContract::tool_hash(&state, &contract, QUERY_TOOL), Some(expected));
+        let site = Value::address(&Address::from_seed(2));
+        let (tool, shard) = (Value::str(QUERY_TOOL), Value::Bytes(vec![1]));
+        let args = vec![Value::str("request_run"), tool, Value::str("d"), site, shard];
+        let out = call(&AnalyticsContract, 1, args, &mut state).unwrap();
+        let payload = crate::value::decode_args(&out.events[0].data).unwrap();
+        assert_eq!(payload[2], Value::Bytes(expected.0.to_vec()));
     }
 
     #[test]

@@ -20,8 +20,7 @@ use crate::network::{Network, NetworkError};
 use medchain_chain::{Hash256, TxPayload};
 use medchain_contracts::asm::assemble;
 use medchain_contracts::opcode::encode_program;
-use medchain_contracts::standard::AnalyticsContract;
-use medchain_contracts::value::{decode_args, Value};
+use medchain_contracts::value::Value;
 use medchain_offchain::Tool;
 use medchain_runtime::metrics::Metrics;
 use std::time::{Duration, Instant};
@@ -204,11 +203,11 @@ pub fn run_transformed(
 /// [`run_transformed`] with every layer reporting to `metrics`,
 /// including the sites' off-chain executors (`offchain.*`).
 ///
-/// A driver of the Fig. 1 path, [`Network::control_cycle`]: every site
+/// A driver of the Fig. 1 path, [`Network::run_job`]: every site
 /// installs the burn kernel, site 0 registers its hash and requests a
 /// run naming each site's shard of units, and each site picks its shard
-/// up from its own replica, runs it and posts its own result hash. The
-/// task record then holds the composed hash.
+/// up from its own replica, runs it and posts its own outcome. The task
+/// record then holds the composed hash.
 ///
 /// # Errors
 ///
@@ -222,57 +221,22 @@ pub fn run_transformed_metered(
     metrics: Metrics,
 ) -> Result<ModeReport, NetworkError> {
     let mut net = tiny_network(nodes, seed, metrics)?;
-    let analytics = net.contracts().analytics;
-    // Register the burn tool on-chain (integrity anchor); every site
-    // installs the same build.
-    let tool_hash = burn_tool().code_hash();
-    for site in 0..nodes {
-        net.site_mut(site).install_tool(burn_tool());
-    }
-    let register = net.invoke(
-        0,
-        analytics,
-        "register_tool",
-        &[Value::str("burn-kernel"), Value::Bytes(tool_hash.0.to_vec())],
-        50_000,
-    )?;
-    net.confirm(&register)?;
+    install_burn_tool(&mut net)?;
 
     let gas_before = net.total_ledger_stats().gas_used;
     let net_before = net.net_stats();
     let sim_before = net.ledger().tip().header.timestamp_ms;
 
     let start = Instant::now();
-    // 1. Thin on-chain request (the access-policy control point) naming
-    //    each site's shard of the job.
-    let shard = work_units / nodes as u64;
-    let remainder = work_units % nodes as u64;
-    let mut args = vec![Value::str("burn-kernel"), Value::str("consortium/union")];
-    for site in 0..nodes {
-        let units = shard + u64::from((site as u64) < remainder);
-        args.push(Value::address(&net.site(site).address()));
-        args.push(Value::Bytes(units.to_le_bytes().to_vec()));
-    }
-    let request = net.invoke(0, analytics, "request_run", &args, 50_000)?;
-    let receipt = net.confirm(&request)?;
-    // 2. Each site picks its shard up, burns it in parallel with the
-    //    others and posts its own result hash.
-    net.control_cycle()?;
+    // A thin on-chain request (the access-policy control point) naming
+    // each site's shard of the job; each site burns its shard in
+    // parallel with the others and posts its own outcome.
+    net.run_job(0, "burn-kernel", "consortium/union", &burn_shards(nodes, work_units))?;
     let wall = start.elapsed();
-
-    // 3. The task record: done once every named site posted. A request
-    //    whose output names no task fails here too.
-    let task = decode_args(&receipt.output).ok().and_then(|v| v.first()?.as_int().ok());
-    let record = task.and_then(|t| AnalyticsContract::task(net.ledger().state(), &analytics, t));
-    if record.and_then(|r| r.get(3).cloned()) != Some(Value::Int(1)) {
-        return Err(NetworkError::TxFailed {
-            tx_id: request.tx_id,
-            error: format!("task {task:?} not done after the control cycle"),
-        });
-    }
 
     let stats_after = net.net_stats();
     let chain_gas = net.total_ledger_stats().gas_used - gas_before;
+    let shard = work_units / nodes as u64;
     Ok(ModeReport {
         mode: ExecutionMode::TransformedParallel,
         nodes,
@@ -285,8 +249,38 @@ pub fn run_transformed_metered(
         sim_latency_ms: net.ledger().tip().header.timestamp_ms.saturating_sub(sim_before),
         // Sites run in parallel: the largest shard bounds the compute,
         // plus the serial on-chain request/result gate.
-        critical_path_gas: shard + u64::from(remainder > 0) + chain_gas,
+        critical_path_gas: shard + u64::from(!work_units.is_multiple_of(nodes as u64)) + chain_gas,
     })
+}
+
+/// Every site installs the burn kernel and site 0 registers its hash
+/// on-chain (the integrity anchor), outside any measured window.
+fn install_burn_tool(net: &mut Network) -> Result<(), NetworkError> {
+    for site in 0..net.site_count() {
+        net.site_mut(site).install_tool(burn_tool());
+    }
+    let tool_hash = burn_tool().code_hash();
+    let register = net.invoke(
+        0,
+        net.contracts().analytics,
+        "register_tool",
+        &[Value::str("burn-kernel"), Value::Bytes(tool_hash.0.to_vec())],
+        50_000,
+    )?;
+    net.confirm(&register)?;
+    Ok(())
+}
+
+/// Site `i`'s shard of `work_units`: an even split, the remainder going
+/// one unit each to the first sites, as 8 little-endian bytes.
+fn burn_shards(nodes: usize, work_units: u64) -> Vec<(usize, Vec<u8>)> {
+    let (shard, remainder) = (work_units / nodes as u64, work_units % nodes as u64);
+    (0..nodes)
+        .map(|site| {
+            let units = shard + u64::from((site as u64) < remainder);
+            (site, units.to_le_bytes().to_vec())
+        })
+        .collect()
 }
 
 /// Runs the job under **sharding** (paper §I's partial fix, DESIGN.md
@@ -518,6 +512,22 @@ mod tests {
     }
 
     #[test]
+    fn transformed_task_composes_to_the_recorded_hash() {
+        // `run_transformed(3, WORK, 6)`'s job, its task record read back.
+        use medchain_contracts::standard::AnalyticsContract;
+        let mut net = tiny_network(3, 6, Metrics::noop()).unwrap();
+        install_burn_tool(&mut net).unwrap();
+        let outcomes = net.run_job(0, "burn-kernel", "consortium/union", &burn_shards(3, WORK));
+        assert_eq!(outcomes.unwrap().len(), 3);
+        let analytics = net.contracts().analytics;
+        let record = AnalyticsContract::task(net.ledger().state(), &analytics, 0).unwrap();
+        // Recorded when sites posted SHA-256 hashes of their outcomes
+        // instead of the outcomes: the composed hash did not move.
+        let composed = "8b28d614af5990ff26e19ff5bf7008fcf625b329e0034e54323de1b7a9c6abc8";
+        assert_eq!(Hash256(record[4].as_bytes().unwrap().try_into().unwrap()).to_hex(), composed);
+    }
+
+    #[test]
     fn metered_transformed_reports_every_layer() {
         let registry = medchain_runtime::metrics::Registry::default();
         run_transformed_metered(3, 10_000, 5, registry.handle()).unwrap();
@@ -532,23 +542,14 @@ mod tests {
     #[test]
     fn a_shard_past_the_burn_bound_fails_at_its_site() {
         let mut net = tiny_network(2, 7, Metrics::noop()).unwrap();
-        let analytics = net.contracts().analytics;
-        for site in 0..2 {
-            net.site_mut(site).install_tool(burn_tool());
-        }
-        let hash = Value::Bytes(burn_tool().code_hash().0.to_vec());
-        let args = [Value::str("burn-kernel"), hash];
-        let register = net.invoke(0, analytics, "register_tool", &args, 50_000).unwrap();
-        net.confirm(&register).unwrap();
-        let mut args = vec![Value::str("burn-kernel"), Value::str("consortium/union")];
-        for (site, units) in [(0, 1), (1, MAX_BURN_UNITS + 1)] {
-            args.push(Value::address(&net.site(site).address()));
-            args.push(Value::Bytes(u64::to_le_bytes(units).to_vec()));
-        }
-        let request = net.invoke(0, analytics, "request_run", &args, 50_000).unwrap();
-        net.confirm(&request).unwrap();
-        // Site 1 refuses its shard at once and posts nothing.
-        assert_eq!(net.control_cycle().unwrap(), 1);
+        install_burn_tool(&mut net).unwrap();
+        let units = |n: u64| n.to_le_bytes().to_vec();
+        let shards = [(0, units(1)), (1, units(MAX_BURN_UNITS + 1))];
+        // Site 1 refuses its shard at once and posts nothing, so the
+        // task is not done.
+        let run = net.run_job(0, "burn-kernel", "consortium/union", &shards);
+        assert!(matches!(run, Err(NetworkError::TxFailed { .. })), "{run:?}");
+        assert_eq!(net.site(0).control().stats().tasks_run, 1);
         assert_eq!(net.site(1).control().stats().failures, 1);
     }
 }

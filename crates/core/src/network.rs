@@ -30,7 +30,8 @@ use medchain_chain::{
 use medchain_contracts::native::native_manifest;
 use medchain_contracts::policy::Purpose;
 use medchain_contracts::runtime::call_data;
-use medchain_contracts::value::Value;
+use medchain_contracts::standard::AnalyticsContract;
+use medchain_contracts::value::{decode_args, Value};
 use medchain_data::PatientRecord;
 use medchain_runtime::metrics::Metrics;
 use medchain_runtime::sync::scoped_map;
@@ -140,6 +141,10 @@ pub enum NetworkError {
         /// Transactions still pooled.
         pending: usize,
     },
+    /// A job's requester runs another build of the tool than the one
+    /// the analytics contract names, so every site running the named
+    /// build would answer something the requester cannot reproduce.
+    ToolBuild(String),
 }
 
 impl fmt::Display for NetworkError {
@@ -167,6 +172,7 @@ impl fmt::Display for NetworkError {
             NetworkError::DrainStalled { pending } => {
                 write!(f, "drain stalled: {pending} pooled transaction(s) no block can take")
             }
+            NetworkError::ToolBuild(e) => write!(f, "tool build: {e}"),
         }
     }
 }
@@ -616,11 +622,6 @@ impl Network {
     /// Mutable site accessor.
     pub fn site_mut(&mut self, index: usize) -> &mut Site {
         &mut self.sites[index]
-    }
-
-    /// All site names.
-    pub fn site_names(&self) -> Vec<String> {
-        self.sites.iter().map(|s| s.name().to_string()).collect()
     }
 
     /// Standard contract addresses.
@@ -1122,9 +1123,9 @@ impl Network {
     /// One control-plane cycle (Fig. 1), the one way an off-chain job
     /// runs: every site polls its own replica for analytics requests that
     /// name it, the sites then run their picked-up shards concurrently on
-    /// their own executors, and each posts `post_result(task, hash)` under
-    /// its own key. All posts settle in one round. Returns the number of
-    /// results posted.
+    /// their own executors, and each posts `post_result(task, outcome)`
+    /// under its own key. All posts settle in one round. Returns the
+    /// number of outcomes posted.
     ///
     /// # Errors
     ///
@@ -1142,13 +1143,13 @@ impl Network {
             }
         }
         let ran = scoped_map(picked, |(i, control, jobs)| {
-            let hashes = jobs.iter().filter_map(|job| Some((job.task_id, control.run(job)?)));
-            (i, hashes.collect::<Vec<_>>())
+            let outcomes = jobs.iter().filter_map(|job| Some((job.task_id, control.run(job)?)));
+            (i, outcomes.collect::<Vec<_>>())
         });
         let mut ids = Vec::new();
         for (site, outcomes) in ran {
-            for (task_id, result_hash) in outcomes {
-                let args = [Value::Int(task_id), Value::Bytes(result_hash.0.to_vec())];
+            for (task_id, outcome) in outcomes {
+                let args = [Value::Int(task_id), Value::Bytes(outcome)];
                 ids.push(self.invoke(site, analytics, "post_result", &args, 50_000)?.tx_id);
             }
         }
@@ -1157,6 +1158,65 @@ impl Network {
             self.chains[0].expect_ok(&ids)?;
         }
         Ok(ids.len())
+    }
+
+    /// Runs one off-chain job on the Fig. 1 path and returns each named
+    /// site's outcome in shard order: `requester` invokes
+    /// `request_run(tool, dataset, site₁, params₁, …)` naming `shards`,
+    /// [`Network::control_cycle`] runs and posts every shard, and the
+    /// outcomes are read back from the committed task record. The tool
+    /// must be known to the analytics contract: the sites' query tool
+    /// always is, and any other is registered beforehand with
+    /// `register_tool`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetworkError::Topology`] on a sharded network,
+    /// [`NetworkError::NoSuchSite`] for a bad site index,
+    /// [`NetworkError::ToolBuild`] when the contract names another build
+    /// of `tool` than the requester installed, and
+    /// [`NetworkError::TxFailed`] when the request fails (an unknown
+    /// tool) or the task is not done after the cycle (a named site posted
+    /// nothing).
+    pub fn run_job(
+        &mut self,
+        requester: usize,
+        tool: &str,
+        dataset: &str,
+        shards: &[(usize, Vec<u8>)],
+    ) -> Result<Vec<Vec<u8>>, NetworkError> {
+        let analytics = self.flat_setup()?.analytics;
+        let site = self.sites.get_mut(requester).ok_or(NetworkError::NoSuchSite(requester))?;
+        let installed = site.control_mut().executor_mut().tool(tool).map(|t| t.code_hash());
+        let known = AnalyticsContract::tool_hash(self.ledger().state(), &analytics, tool);
+        if let Some((registered, installed)) = known.zip(installed).filter(|(r, i)| r != i) {
+            let why = format!("the chain names {registered:?} for {tool:?}, the requester runs");
+            return Err(NetworkError::ToolBuild(format!("{why} {installed:?}")));
+        }
+        let mut args = vec![Value::str(tool), Value::str(dataset)];
+        for (site, params) in shards {
+            let address = self.sites.get(*site).ok_or(NetworkError::NoSuchSite(*site))?.address();
+            args.extend([Value::address(&address), Value::Bytes(params.clone())]);
+        }
+        let request = self.invoke(requester, analytics, "request_run", &args, 50_000)?;
+        let receipt = self.confirm(&request)?;
+        self.control_cycle()?;
+        // A request whose output names no task fails here too.
+        let task = decode_args(&receipt.output).ok().and_then(|v| v.first()?.as_int().ok());
+        let state = self.ledger().state();
+        let record = task.and_then(|t| AnalyticsContract::task(state, &analytics, t));
+        match record {
+            // Status 1: every named site posted. The (site, outcome)
+            // pairs start at index 5, so the outcomes sit at 6, 8, ….
+            Some(record) if record.get(3) == Some(&Value::Int(1)) => {
+                let slots = record.get(6..).unwrap_or_default().iter().step_by(2);
+                Ok(slots.filter_map(|slot| Some(slot.as_bytes().ok()?.to_vec())).collect())
+            }
+            _ => Err(NetworkError::TxFailed {
+                tx_id: request.tx_id,
+                error: format!("task {task:?} not done after the control cycle"),
+            }),
+        }
     }
 }
 
@@ -1249,7 +1309,7 @@ impl GatewayBackend for Network {
 mod tests {
     use super::*;
     use medchain_contracts::events;
-    use medchain_contracts::standard::AnalyticsContract;
+    use medchain_contracts::standard::QUERY_TOOL;
     use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile};
 
     fn records(i: usize, n: usize) -> Vec<PatientRecord> {
@@ -1421,6 +1481,128 @@ mod tests {
         }
         assert_eq!(net.control_cycle().unwrap(), SITES, "every shard ran side by side");
         assert_eq!(task_record(&net, 0)[3], Value::Int(1));
+    }
+
+    /// A two-site network persisted under `root`; building it again
+    /// with the same `root` resumes it.
+    fn persisted(root: &std::path::Path, config: StorageConfig) -> Network {
+        Network::builder()
+            .site("hospital-0", records(0, 40))
+            .site("hospital-1", records(1, 40))
+            .storage_with(root, config)
+            .build()
+            .unwrap()
+    }
+
+    fn fresh_dir(name: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("medchain-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
+    #[test]
+    fn control_cycle_runs_on_a_network_resumed_from_a_snapshot() {
+        let root = fresh_dir("cycle-snapshot");
+        let config = StorageConfig { snapshot_every: 2, ..StorageConfig::default() };
+        let mut net = persisted(&root, config);
+        let researcher = net.site(1).address();
+        net.grant_all(researcher, Purpose::Research).unwrap();
+        net.advance(6).unwrap();
+        drop(net);
+
+        // The resumed ledger keeps no block below its snapshot.
+        let mut net = persisted(&root, config);
+        assert!(net.resumed());
+        assert!(net.ledger().base_height() > 0, "no snapshot to resume from");
+        assert_eq!(net.control_cycle().unwrap(), 0);
+        // A restarted site still answers a query.
+        let count = medchain_query::QueryVector::fetch_all().with_computation(
+            medchain_query::Computation::Aggregates(vec![medchain_learning::Aggregate::Count]),
+        );
+        let (answer, report) = crate::pipeline::run_query(&mut net, 1, &count).unwrap();
+        assert_eq!(report.permitted, 2);
+        assert_eq!(answer.to_string(), "aggregates [80.000000]");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_resumed_site_does_not_post_a_shard_twice() {
+        let root = fresh_dir("cycle-replay");
+        let mut net = persisted(&root, StorageConfig::default());
+        request_echo(&mut net, &["v1", "v1"], &[0, 1]);
+        assert_eq!(net.control_cycle().unwrap(), 2);
+        drop(net);
+
+        // The request and both posts lie above the (genesis) base, so the
+        // resumed sites replay them; the task record says they posted.
+        let mut net = persisted(&root, StorageConfig::default());
+        assert!(net.resumed());
+        for i in 0..2 {
+            net.site_mut(i).install_tool(echo("v1"));
+        }
+        assert_eq!(net.control_cycle().unwrap(), 0);
+        assert_eq!(task_record(&net, 0)[3], Value::Int(1));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The known gap of a resume (DESIGN.md §4): a request committed at
+    /// or below the snapshot a site resumes from lies in no block the
+    /// site still holds, so a shard it had not answered is never picked
+    /// up, and with no deadline the task stays pending.
+    #[test]
+    fn a_request_below_the_resumed_base_stays_pending() {
+        let root = fresh_dir("cycle-below-base");
+        let config = StorageConfig { snapshot_every: 2, ..StorageConfig::default() };
+        let mut net = persisted(&root, config);
+        request_echo(&mut net, &["v1", "v1"], &[0, 1]);
+        let requested_at = net.height();
+        net.advance(6).unwrap();
+        drop(net);
+
+        let mut net = persisted(&root, config);
+        assert!(net.ledger().base_height() >= requested_at, "the request is above the snapshot");
+        for i in 0..2 {
+            net.site_mut(i).install_tool(echo("v1"));
+        }
+        assert_eq!(net.control_cycle().unwrap(), 0);
+        let record = task_record(&net, 0);
+        assert_eq!(record[3], Value::Int(0));
+        assert_eq!([&record[6], &record[8]], [&Value::Bytes(vec![]); 2], "nobody posted");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Another key registering the query tool's name first cannot block
+    /// the pipelines: the contract refuses the name, and a requester
+    /// running another build of a registered tool is told so before
+    /// anything is submitted.
+    #[test]
+    fn the_query_tool_name_cannot_be_squatted() {
+        let mut net = network(2);
+        let analytics = net.contracts().analytics;
+        let bogus = Value::Bytes(Hash256::digest(b"bogus").0.to_vec());
+        let squat = [Value::str(QUERY_TOOL), bogus];
+        let id = net.invoke(1, analytics, "register_tool", &squat, 50_000).unwrap();
+        let refused = net.confirm(&id).unwrap_err();
+        assert!(refused.to_string().contains("tool name reserved"), "{refused}");
+        let count = medchain_query::QueryVector::fetch_all().with_computation(
+            medchain_query::Computation::Aggregates(vec![medchain_learning::Aggregate::Count]),
+        );
+        let researcher = net.site(0).address();
+        net.grant_all(researcher, Purpose::Research).unwrap();
+        let (answer, _) = crate::pipeline::run_query(&mut net, 0, &count).unwrap();
+        assert_eq!(answer.to_string(), "aggregates [120.000000]");
+
+        // `echo` v1 is registered; a requester running v2 is refused.
+        request_echo(&mut net, &["v1", "v2"], &[0]);
+        let height = net.height();
+        let run = net.run_job(1, "echo", "hospital-0/emr", &[(0, vec![0])]);
+        let why = format!(
+            "the chain names {:?} for \"echo\", the requester runs {:?}",
+            echo("v1").code_hash(),
+            echo("v2").code_hash()
+        );
+        assert_eq!(run, Err(NetworkError::ToolBuild(why)));
+        assert_eq!(net.height(), height, "nothing was submitted");
     }
 
     #[test]

@@ -27,12 +27,13 @@ pub struct SnpCounts {
 }
 
 impl SnpCounts {
-    /// Merges another site's counts.
+    /// Merges another site's counts (saturating: a count table arrives
+    /// from another site and may claim anything).
     pub fn merge(&mut self, other: &SnpCounts) {
-        self.case_risk += other.case_risk;
-        self.case_ref += other.case_ref;
-        self.control_risk += other.control_risk;
-        self.control_ref += other.control_ref;
+        self.case_risk = self.case_risk.saturating_add(other.case_risk);
+        self.case_ref = self.case_ref.saturating_add(other.case_ref);
+        self.control_risk = self.control_risk.saturating_add(other.control_risk);
+        self.control_ref = self.control_ref.saturating_add(other.control_ref);
     }
 
     /// Allele-based χ² statistic (1 df) of the 2×2 table.
@@ -74,11 +75,6 @@ pub struct GwasPartial {
 }
 
 impl GwasPartial {
-    /// Serialized wire size (what leaves the site instead of genomes).
-    pub fn wire_size(&self) -> usize {
-        self.snps.len() * 32 + 16
-    }
-
     /// Merges another partial in place.
     ///
     /// # Panics
@@ -89,8 +85,8 @@ impl GwasPartial {
         for (mine, theirs) in self.snps.iter_mut().zip(&other.snps) {
             mine.merge(theirs);
         }
-        self.cases += other.cases;
-        self.controls += other.controls;
+        self.cases = self.cases.saturating_add(other.cases);
+        self.controls = self.controls.saturating_add(other.controls);
     }
 }
 
@@ -156,7 +152,7 @@ pub fn compose(partials: &[GwasPartial]) -> Vec<Association> {
             odds_ratio: counts.odds_ratio(),
         })
         .collect();
-    results.sort_by(|a, b| b.chi_square.partial_cmp(&a.chi_square).expect("finite"));
+    results.sort_by(|a, b| b.chi_square.total_cmp(&a.chi_square));
     results
 }
 
@@ -221,11 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn partial_wire_size_is_tiny() {
+    fn encoded_partial_is_tiny() {
+        use medchain_runtime::codec::Encode;
         let all = genotyped_cohort(5_000, 5);
         let partial = map_site(&all, STROKE_CODE);
         // Raw genomes: 16 genotypes/patient; counts: 16 small tables.
-        assert!(partial.wire_size() < 1_000);
+        assert!(partial.encoded().len() < 1_000);
         assert!(partial.cases > 0 && partial.controls > 0);
     }
 

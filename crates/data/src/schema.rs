@@ -263,7 +263,7 @@ impl QueryResult {
         for part in iter {
             assert_eq!(part.schema, merged.schema, "schema mismatch in merge");
             merged.rows.extend(part.rows);
-            merged.scanned += part.scanned;
+            merged.scanned = merged.scanned.saturating_add(part.scanned);
         }
         merged
     }
@@ -376,7 +376,7 @@ mod tests {
 }
 
 mod codec_impls {
-    use super::{Field, Predicate, RecordQuery};
+    use super::{Field, Predicate, QueryResult, RecordQuery, Schema};
     use medchain_runtime::{impl_codec_enum, impl_codec_struct, impl_codec_unit_enum};
 
     impl_codec_unit_enum!(Field {
@@ -399,4 +399,6 @@ mod codec_impls {
         5 => HasGenomics,
     });
     impl_codec_struct!(RecordQuery { predicates, projection, limit });
+    impl_codec_struct!(Schema { columns });
+    impl_codec_struct!(QueryResult { schema, rows, scanned });
 }

@@ -56,25 +56,26 @@ pub struct Partial {
 
 impl Partial {
     /// Merges another partial into this one.
+    ///
+    /// Counts saturate: a partial arrives from another site and may claim
+    /// anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both partials carry histogram bins of different counts.
     pub fn merge(&mut self, other: &Partial) {
-        self.n += other.n;
+        self.n = self.n.saturating_add(other.n);
         self.sum += other.sum;
         self.sum_sq += other.sum_sq;
-        self.scanned += other.scanned;
+        self.scanned = self.scanned.saturating_add(other.scanned);
         if self.bins.is_empty() {
             self.bins = other.bins.clone();
         } else if !other.bins.is_empty() {
             assert_eq!(self.bins.len(), other.bins.len(), "histogram bin mismatch");
             for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-                *a += b;
+                *a = a.saturating_add(*b);
             }
         }
-    }
-
-    /// Serialized size in bytes (what a site uploads instead of raw
-    /// records).
-    pub fn wire_size(&self) -> usize {
-        8 * 4 + self.bins.len() * 8
     }
 }
 
@@ -260,11 +261,12 @@ mod tests {
     }
 
     #[test]
-    fn partial_wire_size_is_tiny_compared_to_raw_records() {
+    fn encoded_partial_is_tiny_compared_to_raw_records() {
+        use medchain_runtime::codec::Encode;
         let all = records(5_000, 8);
         let partial = Aggregate::Variance(Field::Age).map_site(&all);
         let raw_bytes: usize = all.iter().map(|r| r.canonical_bytes().len()).sum();
-        assert!(partial.wire_size() * 1_000 < raw_bytes);
+        assert!(partial.encoded().len() * 1_000 < raw_bytes);
     }
 
     #[test]

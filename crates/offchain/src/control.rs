@@ -10,16 +10,17 @@
 //! analytics requests that name *this* site; [`ControlNode::run`] runs
 //! the site's shard on its own [`TaskExecutor`], next to its own data,
 //! after checking the installed tool against the code hash registered
-//! on-chain. Only the result hash leaves the site, for the surrounding
-//! node to post under its own key. The same
+//! on-chain. Only the encoded result — the site's outcome, at most
+//! [`MAX_OUTCOME_BYTES`] — leaves the site, for the surrounding node to
+//! post under its own key. The same
 //! on-chain contract code thus drives *different* computation at every
 //! site, which is exactly the transformation the paper proposes.
 
 use crate::executor::{TaskExecutor, Tool};
 use crate::monitor::{CapturedEvent, MonitorNode};
-use crate::oracle::{DataOracle, OracleRequest};
 use medchain_chain::{Address, Hash256, Ledger};
 use medchain_contracts::events;
+use medchain_contracts::standard::{AnalyticsContract, MAX_OUTCOME_BYTES};
 use medchain_contracts::value::{decode_args, encode_args, Value};
 use std::fmt;
 
@@ -46,7 +47,8 @@ pub struct ControlStats {
     /// Analytics requests that named other sites only.
     pub tasks_skipped: u64,
     /// Shards that failed: tool missing, built differently from the
-    /// registered code, or erroring.
+    /// registered code, erroring, or returning an outcome over
+    /// [`MAX_OUTCOME_BYTES`].
     pub failures: u64,
 }
 
@@ -56,7 +58,6 @@ pub struct ControlNode {
     address: Address,
     monitor: MonitorNode,
     executor: TaskExecutor,
-    oracle: DataOracle,
     stats: ControlStats,
 }
 
@@ -78,7 +79,6 @@ impl ControlNode {
             address,
             monitor: MonitorNode::new(),
             executor: TaskExecutor::new(),
-            oracle: DataOracle::new(),
             stats: ControlStats::default(),
         }
     }
@@ -93,11 +93,6 @@ impl ControlNode {
         self.executor.install(tool);
     }
 
-    /// The site's oracle bridge (register data backends here).
-    pub fn oracle_mut(&mut self) -> &mut DataOracle {
-        &mut self.oracle
-    }
-
     /// The site's executor.
     pub fn executor_mut(&mut self) -> &mut TaskExecutor {
         &mut self.executor
@@ -109,9 +104,12 @@ impl ControlNode {
     }
 
     /// Polls the site's own replica for new blocks and returns the shards
-    /// of the requests to the `analytics` contract that name this site.
-    /// Any contract can emit an event under the same topic; only the
-    /// analytics contract's count.
+    /// of the requests to the `analytics` contract that name this site
+    /// and that it has not answered yet. Any contract can emit an event
+    /// under the same topic; only the analytics contract's count. A site
+    /// resumed from disk replays the blocks above its snapshot, and the
+    /// committed task record says which of their shards it already
+    /// posted.
     pub fn pick_up(&mut self, ledger: &Ledger, analytics: &Address) -> Vec<ShardJob> {
         let mut jobs = Vec::new();
         for captured in self.monitor.poll(ledger) {
@@ -120,11 +118,22 @@ impl ControlNode {
                 continue;
             }
             match self.shard_of(&captured) {
-                Some(job) => jobs.push(job),
+                Some(job) if !self.posted(ledger, analytics, job.task_id) => jobs.push(job),
+                Some(_) => {}
                 None => self.stats.tasks_skipped += 1,
             }
         }
         jobs
+    }
+
+    /// Whether this site's slot in task `id`'s committed record is filled.
+    fn posted(&self, ledger: &Ledger, analytics: &Address, id: i64) -> bool {
+        let me = Value::address(&self.address);
+        // The record's (site, outcome) pairs start at index 5.
+        AnalyticsContract::task(ledger.state(), analytics, id).is_some_and(|record| {
+            let pairs = record.get(5..).unwrap_or_default().chunks_exact(2);
+            pairs.into_iter().any(|pair| pair[0] == me && pair[1] != Value::Bytes(Vec::new()))
+        })
     }
 
     /// Payload: `[task_id, tool, code_hash, dataset, requester,
@@ -143,21 +152,24 @@ impl ControlNode {
     }
 
     /// Runs one shard next to the site's data: the tool sees `[dataset,
-    /// shard params, local data…]`, and runs only if its build matches
-    /// the registered code hash. Returns the hash of the result, the
-    /// only part of it that leaves the site.
-    pub fn run(&mut self, job: &ShardJob) -> Option<Hash256> {
-        let mut params = vec![Value::str(&job.dataset), Value::Bytes(job.params.clone())];
-        let fetch = OracleRequest::new("local-data", "fetch", vec![Value::str(&job.dataset)]);
-        if let Ok(local) = self.oracle.call(&fetch) {
-            params.extend(local);
-        }
-        match self.executor.run(&job.tool, &params, Some(job.code_hash)) {
-            Ok(result) => {
+    /// shard params]` (a tool that reads the site's records closes over
+    /// them), and runs only if its build matches the registered code
+    /// hash. Returns the outcome, the encoded result (`encode_args` of
+    /// the tool's output), the only part of the run that leaves the
+    /// site. An outcome over [`MAX_OUTCOME_BYTES`] is a failure: the
+    /// contract would refuse to store it.
+    pub fn run(&mut self, job: &ShardJob) -> Option<Vec<u8>> {
+        let params = [Value::str(&job.dataset), Value::Bytes(job.params.clone())];
+        let outcome = self
+            .executor
+            .run(&job.tool, &params, Some(job.code_hash))
+            .map(|result| encode_args(&result.output));
+        match outcome {
+            Ok(outcome) if outcome.len() <= MAX_OUTCOME_BYTES => {
                 self.stats.tasks_run += 1;
-                Some(Hash256::digest(&encode_args(&result.output)))
+                Some(outcome)
             }
-            Err(_) => {
+            _ => {
                 self.stats.failures += 1;
                 None
             }
@@ -177,7 +189,6 @@ mod tests {
     use medchain_chain::{KeyRegistry, Transaction};
     use medchain_contracts::native::native_manifest;
     use medchain_contracts::runtime::{call_data, Runtime};
-    use std::sync::Arc;
 
     struct Setup {
         app: ChainApp,
@@ -229,29 +240,17 @@ mod tests {
     }
 
     fn mean_tool() -> Tool {
-        // params: [dataset_label, shard params, x1, x2, ...]
+        // params: [dataset_label, shard params]; the mean of the bytes.
         Tool::new("mean", "v1", |params| {
-            let values: Vec<i64> =
-                params.iter().skip(2).filter_map(|v| v.as_int().ok()).collect();
-            if values.is_empty() {
-                return Ok(vec![Value::Int(0)]);
-            }
-            Ok(vec![Value::Int(values.iter().sum::<i64>() / values.len() as i64)])
-        })
-    }
-
-    fn local_data_backend() -> Arc<dyn crate::oracle::OracleBackend> {
-        Arc::new(|_method: &str, params: &[Value]| -> Result<Vec<Value>, ToolError> {
-            match params.first().and_then(|v| v.as_str().ok()) {
-                Some("site-a/emr") => Ok(vec![Value::Int(10), Value::Int(20), Value::Int(30)]),
-                other => Err(ToolError::new(format!("not hosted: {other:?}"))),
-            }
+            let values = params[1].as_bytes().map_err(|e| ToolError::new(e.to_string()))?;
+            let sum: i64 = values.iter().map(|&v| i64::from(v)).sum();
+            Ok(vec![Value::Int(sum / values.len().max(1) as i64)])
         })
     }
 
     /// Registers `registered`, requests a run of it on `site-a/emr` naming
-    /// `site`, and returns site-a's control node with `installed` and the
-    /// local data backend.
+    /// `site` with shard params `[10, 20, 30]`, and returns site-a's
+    /// control node with `installed`.
     fn requested(
         setup: &mut Setup,
         registered: &Tool,
@@ -268,12 +267,11 @@ mod tests {
                 Value::str("mean"),
                 Value::str("site-a/emr"),
                 Value::address(&site),
-                Value::Bytes(vec![7]),
+                Value::Bytes(vec![10, 20, 30]),
             ],
         );
         let mut control = ControlNode::new("site-a", setup.key.address());
         control.install_tool(installed);
-        control.oracle_mut().register("local-data", local_data_backend());
         control
     }
 
@@ -284,9 +282,9 @@ mod tests {
         let mut control = requested(&mut setup, &mean_tool(), mean_tool(), me);
         let jobs = control.pick_up(setup.app.ledger(), &setup.analytics);
         assert_eq!(jobs.len(), 1);
-        assert_eq!((jobs[0].task_id, jobs[0].params.as_slice()), (0, &[7u8][..]));
-        let result_hash = control.run(&jobs[0]).expect("the shard runs");
-        assert_eq!(result_hash, Hash256::digest(&encode_args(&[Value::Int(20)])));
+        assert_eq!((jobs[0].task_id, jobs[0].params.as_slice()), (0, &[10u8, 20, 30][..]));
+        let outcome = control.run(&jobs[0]).expect("the shard runs");
+        assert_eq!(outcome, encode_args(&[Value::Int(20)]));
         assert_eq!(control.stats().tasks_run, 1);
         // Nothing new on a second poll.
         assert!(control.pick_up(setup.app.ledger(), &setup.analytics).is_empty());
@@ -313,11 +311,15 @@ mod tests {
 
     #[test]
     fn tool_failure_is_counted() {
-        // A tool that errors, and a build other than the registered one:
-        // neither yields an outcome to post.
+        // A tool that errors, a build other than the registered one and
+        // an outcome over the cap: none yields an outcome to post.
         let crash = Tool::new("mean", "broken", |_| Err(ToolError::new("crash")));
         let v2 = Tool::new("mean", "v2", |_| Ok(vec![Value::Int(1)]));
-        for (registered, installed) in [(crash.clone(), crash), (mean_tool(), v2)] {
+        let huge =
+            Tool::new("mean", "huge", |_| Ok(vec![Value::Bytes(vec![0; MAX_OUTCOME_BYTES])]));
+        for (registered, installed) in
+            [(crash.clone(), crash), (mean_tool(), v2), (huge.clone(), huge)]
+        {
             let mut setup = Setup::new();
             let me = setup.key.address();
             let mut control = requested(&mut setup, &registered, installed, me);

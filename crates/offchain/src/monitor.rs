@@ -45,10 +45,12 @@ impl MonitorNode {
     }
 
     /// Scans blocks `(cursor, tip]`, returning all captured events in
-    /// commit order.
+    /// commit order. A ledger restored from a snapshot keeps no block at
+    /// or below its base height, so the scan starts no lower than that.
     pub fn poll(&mut self, ledger: &Ledger) -> Vec<CapturedEvent> {
         let mut captured = Vec::new();
         let tip = ledger.height();
+        self.cursor = self.cursor.max(ledger.base_height());
         while self.cursor < tip {
             let height = self.cursor + 1;
             let block = ledger.block(height).expect("height below tip");

@@ -2,10 +2,11 @@
 //! optimally updated by global data services component before returning
 //! to users").
 
-use crate::planner::SiteOutput;
+use crate::local::SiteOutput;
 use crate::vector::{Computation, QueryVector};
+use medchain_data::genomics::{self, Association};
 use medchain_data::schema::QueryResult;
-use medchain_learning::decompose::{AggregateValue, Partial};
+use medchain_learning::decompose::{Aggregate, AggregateValue, Partial};
 use medchain_learning::linalg::weighted_average;
 use std::fmt;
 
@@ -23,6 +24,9 @@ pub enum QueryAnswer {
         /// Total training rows across sites.
         total_rows: usize,
     },
+    /// Per-SNP associations over the composed count tables, by
+    /// descending χ².
+    Associations(Vec<Association>),
 }
 
 impl fmt::Display for QueryAnswer {
@@ -38,6 +42,9 @@ impl fmt::Display for QueryAnswer {
             QueryAnswer::Model { params, total_rows } => {
                 write!(f, "model with {} parameters over {total_rows} rows", params.len())
             }
+            QueryAnswer::Associations(associations) => {
+                write!(f, "{} SNP associations", associations.len())
+            }
         }
     }
 }
@@ -49,6 +56,9 @@ pub enum ComposeError {
     MixedOutputKinds,
     /// No site outputs were provided.
     NoOutputs,
+    /// Outputs of the right kind disagree in shape: row schemas,
+    /// histogram bins, model parameter counts or SNP panels differ.
+    ShapeMismatch,
 }
 
 impl fmt::Display for ComposeError {
@@ -58,18 +68,20 @@ impl fmt::Display for ComposeError {
                 f.write_str("site outputs do not match the query's computation kind")
             }
             ComposeError::NoOutputs => f.write_str("no site outputs to compose"),
+            ComposeError::ShapeMismatch => f.write_str("site outputs disagree in shape"),
         }
     }
 }
 
 impl std::error::Error for ComposeError {}
 
-/// Composes per-site outputs into the global answer.
+/// Composes per-site outputs into the global answer. Outputs arrive from
+/// other sites, so their shapes are checked before anything merges them.
 ///
 /// # Errors
 ///
-/// Returns [`ComposeError`] when outputs are missing or of the wrong
-/// kind for the query.
+/// Returns [`ComposeError`] when outputs are missing, of the wrong kind
+/// for the query, or disagree in shape.
 pub fn compose(query: &QueryVector, outputs: Vec<SiteOutput>) -> Result<QueryAnswer, ComposeError> {
     if outputs.is_empty() {
         return Err(ComposeError::NoOutputs);
@@ -83,6 +95,7 @@ pub fn compose(query: &QueryVector, outputs: Vec<SiteOutput>) -> Result<QueryAns
                     _ => return Err(ComposeError::MixedOutputKinds),
                 }
             }
+            same_shape(results.iter().map(|r| r.schema.columns()))?;
             let mut merged = QueryResult::merge(results);
             if let Some(limit) = query.cohort.limit {
                 merged.rows.truncate(limit);
@@ -103,9 +116,16 @@ pub fn compose(query: &QueryVector, outputs: Vec<SiteOutput>) -> Result<QueryAns
                 .map(|(i, aggregate)| {
                     let partials: Vec<Partial> =
                         per_site.iter().map(|site| site[i].clone()).collect();
-                    aggregate.compose(&partials)
+                    let bins = match aggregate {
+                        Aggregate::Histogram { bins, .. } => *bins,
+                        _ => 0,
+                    };
+                    if partials.iter().any(|p| p.bins.len() != bins) {
+                        return Err(ComposeError::ShapeMismatch);
+                    }
+                    Ok(aggregate.compose(&partials))
                 })
-                .collect();
+                .collect::<Result<_, _>>()?;
             Ok(QueryAnswer::Aggregates(values))
         }
         Computation::TrainModel { .. } => {
@@ -115,7 +135,7 @@ pub fn compose(query: &QueryVector, outputs: Vec<SiteOutput>) -> Result<QueryAns
             for output in outputs {
                 match output {
                     SiteOutput::ModelParams { params: p, n } => {
-                        total_rows += n;
+                        total_rows = total_rows.saturating_add(n);
                         // Sites with no matching cohort contribute nothing.
                         if n > 0 {
                             params.push(p);
@@ -128,20 +148,41 @@ pub fn compose(query: &QueryVector, outputs: Vec<SiteOutput>) -> Result<QueryAns
             if params.is_empty() {
                 return Err(ComposeError::NoOutputs);
             }
+            same_shape(params.iter().map(Vec::len))?;
             Ok(QueryAnswer::Model { params: weighted_average(&params, &weights), total_rows })
         }
+        Computation::Gwas { .. } => {
+            let mut partials = Vec::with_capacity(outputs.len());
+            for output in outputs {
+                match output {
+                    SiteOutput::Gwas(partial) => partials.push(partial),
+                    _ => return Err(ComposeError::MixedOutputKinds),
+                }
+            }
+            same_shape(partials.iter().map(|p| p.snps.len()))?;
+            Ok(QueryAnswer::Associations(genomics::compose(&partials)))
+        }
+    }
+}
+
+/// Errors unless every site's output has the first one's shape.
+fn same_shape<T: PartialEq>(mut shapes: impl Iterator<Item = T>) -> Result<(), ComposeError> {
+    let first = shapes.next();
+    if shapes.all(|shape| Some(shape) == first) {
+        Ok(())
+    } else {
+        Err(ComposeError::ShapeMismatch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{execute_local, plan};
+    use crate::local::execute_local;
     use crate::vector::cohorts;
     use medchain_data::schema::Field;
     use medchain_data::synth::{CohortGenerator, DiseaseModel, SiteProfile, STROKE_CODE};
     use medchain_data::PatientRecord;
-    use medchain_learning::Aggregate;
 
     fn site_records(i: usize) -> Vec<PatientRecord> {
         CohortGenerator::new(&format!("h{i}"), SiteProfile::varied(i), 500 + i as u64).cohort(
@@ -152,12 +193,8 @@ mod tests {
     }
 
     fn run_distributed(query: &QueryVector, sites: usize) -> QueryAnswer {
-        let site_names: Vec<String> = (0..sites).map(|i| format!("h{i}")).collect();
-        let tasks = plan(query, &site_names);
-        let outputs: Vec<SiteOutput> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, task)| execute_local(task, &site_records(i), None))
+        let outputs: Vec<SiteOutput> = (0..sites)
+            .map(|i| execute_local(query, &site_records(i), None).unwrap())
             .collect();
         compose(query, outputs).unwrap()
     }
@@ -231,6 +268,49 @@ mod tests {
         let bad = vec![SiteOutput::Partials(vec![])];
         assert_eq!(compose(&query, bad), Err(ComposeError::MixedOutputKinds));
         assert_eq!(compose(&query, vec![]), Err(ComposeError::NoOutputs));
+    }
+
+    #[test]
+    fn outputs_that_disagree_in_shape_are_rejected() {
+        use medchain_data::schema::Schema;
+        let rows =
+            |schema: Schema| SiteOutput::Rows(QueryResult { schema, rows: vec![], scanned: 0 });
+        let fetch = QueryVector::fetch_all();
+        let narrow = rows(Schema::project(vec![Field::Age]));
+        let mismatched = vec![rows(Schema::canonical()), narrow];
+        assert_eq!(compose(&fetch, mismatched), Err(ComposeError::ShapeMismatch));
+
+        let histogram = Aggregate::Histogram { field: Field::Age, bins: 4, min: 0.0, max: 100.0 };
+        let query = fetch.clone().with_computation(Computation::Aggregates(vec![histogram]));
+        let partial = |bins: usize| {
+            SiteOutput::Partials(vec![Partial { bins: vec![1; bins], ..Partial::default() }])
+        };
+        for bad in [vec![partial(4), partial(5)], vec![partial(3)]] {
+            assert_eq!(compose(&query, bad), Err(ComposeError::ShapeMismatch));
+        }
+
+        let train = fetch.clone().with_computation(Computation::TrainModel {
+            outcome_code: STROKE_CODE.into(),
+            rounds: 1,
+        });
+        let model = |len: usize| SiteOutput::ModelParams { params: vec![0.5; len], n: 10 };
+        assert_eq!(compose(&train, vec![model(11), model(3)]), Err(ComposeError::ShapeMismatch));
+
+        let gwas = fetch.with_computation(Computation::Gwas { outcome_code: STROKE_CODE.into() });
+        let panel = |len: usize| {
+            let snps = vec![medchain_data::genomics::SnpCounts::default(); len];
+            SiteOutput::Gwas(medchain_data::genomics::GwasPartial { snps, cases: 1, controls: 1 })
+        };
+        assert_eq!(compose(&gwas, vec![panel(16), panel(15)]), Err(ComposeError::ShapeMismatch));
+    }
+
+    #[test]
+    fn distributed_gwas_equals_centralized() {
+        let query = QueryVector::fetch_all()
+            .with_computation(Computation::Gwas { outcome_code: STROKE_CODE.into() });
+        let all: Vec<PatientRecord> = (0..3).flat_map(site_records).collect();
+        let centralized = genomics::compose(&[genomics::map_site(&all, STROKE_CODE)]);
+        assert_eq!(run_distributed(&query, 3), QueryAnswer::Associations(centralized));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! "Users can also submit the requests in the form of query vector which
 //! consists of various parameters expressing the users' query interest."
 //! A [`QueryVector`] captures a researcher's request: the cohort
-//! (predicates), what to compute over it (rows, aggregates, or a trained
-//! model), the access purpose, and the schema projection. It converts to
-//! contract call-data, which is how "the query vector [maps] into smart
-//! contracts".
+//! (predicates), what to compute over it (rows, aggregates, a trained
+//! model or a GWAS count table), the access purpose, and the schema
+//! projection. Its canonical encoding is the shard params of the
+//! analytics request that runs it at every site, which is how "the
+//! query vector [maps] into smart contracts".
 
 use medchain_contracts::policy::Purpose;
-use medchain_contracts::value::Value;
 use medchain_data::schema::Field;
 use medchain_data::{Predicate, RecordQuery};
 use medchain_learning::Aggregate;
@@ -27,6 +27,12 @@ pub enum Computation {
         outcome_code: String,
         /// Federated rounds.
         rounds: usize,
+    },
+    /// Tabulate per-SNP allele×outcome counts for a genome-wide
+    /// association study.
+    Gwas {
+        /// Outcome diagnosis code, e.g. `"I63"`.
+        outcome_code: String,
     },
 }
 
@@ -65,23 +71,6 @@ impl QueryVector {
         self
     }
 
-    /// Encodes the vector as contract call-data values (a compact tagged
-    /// rendering; the data contract sees purpose + cohort fingerprint).
-    pub fn to_values(&self) -> Vec<Value> {
-        let computation_tag = match &self.computation {
-            Computation::FetchRows => Value::str("fetch"),
-            Computation::Aggregates(aggs) => Value::str(&format!("aggregate:{}", aggs.len())),
-            Computation::TrainModel { outcome_code, rounds } => {
-                Value::str(&format!("train:{outcome_code}:{rounds}"))
-            }
-        };
-        vec![
-            Value::Int(self.purpose.code()),
-            computation_tag,
-            Value::str(&format!("{:?}", self.cohort)),
-        ]
-    }
-
     /// A short human-readable description.
     pub fn describe(&self) -> String {
         let what = match &self.computation {
@@ -90,6 +79,7 @@ impl QueryVector {
             Computation::TrainModel { outcome_code, rounds } => {
                 format!("train {outcome_code} model ({rounds} rounds)")
             }
+            Computation::Gwas { outcome_code } => format!("{outcome_code} GWAS"),
         };
         format!(
             "{what} over cohort with {} predicate(s) for {}",
@@ -133,14 +123,20 @@ mod tests {
     }
 
     #[test]
-    fn to_values_encodes_purpose_and_tag() {
-        let q = QueryVector::fetch_all().with_computation(Computation::TrainModel {
-            outcome_code: "I63".into(),
-            rounds: 5,
-        });
-        let values = q.to_values();
-        assert_eq!(values[0], Value::Int(Purpose::Research.code()));
-        assert_eq!(values[1], Value::str("train:I63:5"));
+    fn the_canonical_encoding_round_trips_every_computation() {
+        use medchain_runtime::codec::{Decode, Encode};
+        let histogram = Aggregate::Histogram { field: Field::Age, bins: 4, min: 0.0, max: 1.0 };
+        for computation in [
+            Computation::FetchRows,
+            Computation::Aggregates(vec![Aggregate::Count, histogram]),
+            Computation::TrainModel { outcome_code: "I63".into(), rounds: 5 },
+            Computation::Gwas { outcome_code: "I63".into() },
+        ] {
+            let q = QueryVector::fetch_all()
+                .with_cohort(cohorts::smokers().limit(9))
+                .with_computation(computation);
+            assert_eq!(QueryVector::decoded(&q.encoded()), Ok(q));
+        }
     }
 
     #[test]
@@ -167,4 +163,17 @@ mod tests {
             assert!((60.0..=70.0).contains(&age));
         }
     }
+}
+
+mod codec_impls {
+    use super::{Computation, QueryVector};
+    use medchain_runtime::{impl_codec_enum, impl_codec_struct};
+
+    impl_codec_enum!(Computation {
+        0 => FetchRows,
+        1 => Aggregates(aggregates),
+        2 => TrainModel { outcome_code, rounds },
+        3 => Gwas { outcome_code },
+    });
+    impl_codec_struct!(QueryVector { cohort, computation, purpose });
 }

@@ -30,7 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eval = Dataset::from_records(&eval_records, STROKE_CODE);
 
     // 2. Federated training through the architecture, every round's
-    //    global parameters hash-anchored on-chain.
+    //    global parameters hash-anchored on-chain. Each hospital's data
+    //    contract must permit the research use before it trains.
+    let researcher = net.site(0).address();
+    net.grant_all(researcher, Purpose::Research)?;
     println!("▸ federated stroke-risk training across 6 hospitals (10 rounds)…");
     let report = train_federated(&mut net, 0, STROKE_CODE, 10, Some(&eval))?;
     for round in &report.rounds {

@@ -626,7 +626,10 @@ echo "ok: one Network, one gateway backend, one builder block, one serve loop"
 # → 6,988 with the CRC32 kernel beside SHA-NI and storage's crc.rs gone;
 # then 3,240 → 3,099, 5,889 → 5,748 and 6,988 → 6,971 once the gateway
 # kept no memory of its own and the one-value storage settings went;
-# then → 3,087, 5,574 and 6,829 once the unread public surface went):
+# then → 3,087, 5,574 and 6,829 once the unread public surface went;
+# then core and core+offchain+contracts grew to 3,122 and 5,630 when
+# Network::run_job and the pipelines' outcome decoding arrived, as the
+# six-crate census of the job-path guard below fell 8,748 → 8,746):
 echo "census: $(census crates/core/src/*.rs) non-comment lines outside tests in crates/core/src"
 echo "census: $(census crates/{core,offchain,contracts}/src/*.rs) in crates/{core,offchain,contracts}/src"
 echo "census: $(census $(find crates/chain/src crates/storage/src -name "*.rs")) in crates/{chain,storage}/src"
@@ -669,7 +672,7 @@ echo "census: $(census crates/core/src/gateway.rs) in crates/core/src/gateway.rs
 
 # One way to run an off-chain job (DESIGN.md §4, Fig. 1): each site a
 # request names picks its shard up from its own replica, runs it on its
-# own executor and posts its own hash, all inside
+# own executor and posts its own outcome, all inside
 # `Network::control_cycle`. A second `"post_result"` call site, or an
 # executor built by the mode harness, is a second path growing back.
 # (`standard.rs` defines the method and unit-tests it directly.)
@@ -691,6 +694,31 @@ if grep -nE '\b(TaskExecutor|run_parallel)\b' crates/core/src/modes.rs; then
     exit 1
 fi
 echo "ok: one off-chain job path (post_result only from Network::control_cycle)"
+
+# One job path for every figure (DESIGN.md §4): queries, GWAS and
+# federated rounds run as jobs of the sites' one query tool through
+# `Network::run_job`, so the only place core runs a query against a
+# site's records is that tool, `query_tool` in site.rs. The caller once
+# reached into each site (`Site::execute_task`, a caller-side
+# `map_site`), and the query crate kept a second, in-memory query
+# service beside the pipelines.
+echo "== core: one job path for every figure guard =="
+if ! find crates/core/src -name "*.rs" -print0 | xargs -0 awk '
+    FNR == 1 { tool = 0 }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ { tool = FILENAME ~ /\/site\.rs$/ && /fn query_tool\(/ }
+    /execute_task/ || ((/execute_local\(/ || /map_site\(/) && !tool) { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit bad }'; then
+    echo "ERROR: core runs a query against site records outside site.rs's query_tool — go through Network::run_job." >&2
+    exit 1
+fi
+if [ -e crates/query/src/service.rs ]; then
+    echo "ERROR: crates/query/src/service.rs is back — run_query is the global query service." >&2
+    exit 1
+fi
+echo "ok: every per-site computation runs as a job of the sites' query tool"
+# Trend line (8,748 before queries, GWAS and federated rounds moved
+# onto the job path; 8,746 after).
+echo "census: $(census $(find crates/{core,offchain,contracts,query,data,learning}/src -name "*.rs")) in crates/{core,offchain,contracts,query,data,learning}/src"
 
 # One committee life cycle (DESIGN.md §3, §14): recovering a store,
 # streaming into a lagging member, attaching a store and driving
@@ -808,9 +836,10 @@ echo "ok: env::var is read in the 6 listed files only"
 # new one gains a reader, becomes pub(crate) or private, or goes.
 # Trend line: 117 before the first sweep, 23 after; 22 once
 # Ledger::prune_below forwarded to History::prune_below, whose name in
-# history.rs the census counts as a reader.
+# history.rs the census counts as a reader; 21 once a core test built
+# GWAS count tables by hand and so read SnpCounts.
 echo "== api: dead public surface census =="
-surface_ceiling=22
+surface_ceiling=21
 surface_kept="certifies|read by ROADMAP Commit certificates (a block's certificate check)
 PosMsg|the PoS engine's Engine::Msg type
 PowMsg|the PoW engine's Engine::Msg type
@@ -824,7 +853,6 @@ FedRound|element type of the public FederatedPipelineReport::rounds
 PipelineError|error type of the public run_query, run_gwas and federated pipeline
 FormatTally|value type of the public IntegrationReport::by_format
 JsonError|error type of the public json::parse
-SnpCounts|element type of the public GwasPartial::snps
 RoundStats|element type of the public FedReport::history
 OracleStats|return type of the public DataOracle::stats
 take_byte|called by the exported codec macros wherever they expand

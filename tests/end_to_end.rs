@@ -124,6 +124,9 @@ fn dataset_anchors_detect_off_chain_tampering() {
 #[test]
 fn federated_training_improves_and_anchors_every_round() {
     let mut net = build_network(3, 300);
+    // Every round runs only where the data contract permits research use.
+    let researcher = net.site(0).address();
+    net.grant_all(researcher, Purpose::Research).unwrap();
     let eval_records = CohortGenerator::new("eval", SiteProfile::default(), 4_242).cohort(
         50_000_000,
         1_200,

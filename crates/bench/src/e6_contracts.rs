@@ -1,7 +1,8 @@
 //! **E6** — smart-contract management (paper Fig. 4): a mixed workload
 //! of the three contract-request categories (data / analytics /
-//! clinical-trial) flowing through validation, execution, event
-//! emission, and the oracle bridge.
+//! clinical-trial) flowing through validation, execution and event
+//! emission. Fig. 4's oracle role is each site's query tool reading its
+//! own records.
 
 use crate::report::Table;
 use medchain::Network;

@@ -567,4 +567,70 @@ mod tests {
         sorted.sort();
         assert_eq!(signers, sorted, "a certificate lists its signers in address order");
     }
+
+    /// Hostile input on the consensus sockets: arbitrary bytes, and
+    /// truncations and single-byte flips of valid PoA and PBFT messages,
+    /// sent as consensus frames under any sender (or none) and read back
+    /// under the consensus bound, never panic the sender split or either
+    /// decoder, and a sender outside the consortium is refused.
+    #[test]
+    fn hostile_consensus_frames_never_panic() {
+        use super::pbft::PbftMsg;
+        use super::poa::PoaMsg;
+        use medchain_runtime::check::{check, CheckConfig};
+        use medchain_runtime::codec::{Decode, Encode};
+        use medchain_runtime::ensure;
+        use medchain_transport::frame::{encode_frame, FrameReader};
+        use medchain_transport::tcp::{consensus_frame, split_sender, MAX_FRAME};
+        const NODES: usize = 4;
+        let (keys, _) = seeded_consortium(NODES);
+        let block = Block::genesis("hostile");
+        let digest = block.id();
+        let sig = keys[0].sign(&digest.0);
+        let valid: Vec<Vec<u8>> = vec![
+            PoaMsg::Proposal { block: block.clone(), sig }.encoded(),
+            PoaMsg::Vote { height: 1, block_id: digest, sig }.encoded(),
+            PoaMsg::SyncRequest { have: 3 }.encoded(),
+            PoaMsg::SyncResponse { blocks: vec![block.clone()] }.encoded(),
+            PbftMsg::PrePrepare { view: 0, block: block.clone(), sig }.encoded(),
+            PbftMsg::Prepare { view: 0, height: 1, digest, sig }.encoded(),
+            PbftMsg::Commit { view: 0, height: 1, digest, sig }.encoded(),
+            PbftMsg::ViewChange { new_view: 1, height: 1, sig }.encoded(),
+            PbftMsg::SyncRequest { have: 3 }.encoded(),
+            PbftMsg::SyncResponse { blocks: vec![block] }.encoded(),
+        ];
+        check("hostile consensus frames never panic", CheckConfig::cases(256), |g| {
+            let payload = match g.usize_in(0, 3) {
+                0 => g.bytes(0, 300),
+                1 => {
+                    let v = &valid[g.usize_in(0, valid.len())];
+                    v[..g.usize_in(0, v.len())].to_vec()
+                }
+                _ => {
+                    let mut v = valid[g.usize_in(0, valid.len())].clone();
+                    let at = g.usize_in(0, v.len());
+                    v[at] ^= g.byte() | 1;
+                    v
+                }
+            };
+            let from = if g.bool() { g.usize_in(0, NODES) } else { g.u64() as usize };
+            let with_sender = g.usize_in(0, 4) != 0;
+            let wire = if with_sender {
+                consensus_frame(NodeId(from), &payload)
+            } else {
+                encode_frame(&[&payload])
+            };
+            let mut frames = FrameReader::new(&wire[..], MAX_FRAME);
+            let body = frames.read_frame(|| false).map_err(|e| e.to_string())?;
+            match split_sender(body, NODES) {
+                Some((sender, body)) => {
+                    ensure!(!with_sender || (sender.0 == from && body == payload), "split");
+                    let _ = PoaMsg::decoded(&body);
+                    let _ = PbftMsg::decoded(&body);
+                }
+                None => ensure!(!with_sender || from >= NODES, "member {from} refused"),
+            }
+            Ok(())
+        });
+    }
 }

@@ -85,7 +85,7 @@ impl Value {
     }
 
     /// Serialized size in bytes.
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         match self {
             Value::Int(_) => 9,
             Value::Bytes(b) => 5 + b.len(),

@@ -6,13 +6,14 @@
 //! inclusion proof locally** before handing a receipt back — a
 //! misbehaving gateway can delay a receipt but cannot fake one.
 
-use crate::gateway::{write_frame, FrameBuffer, GatewayRequest, GatewayResponse};
+use crate::gateway::{GatewayRequest, GatewayResponse, MAX_FRAME};
 use medchain_chain::auth::key_hash;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::{Hash256, Lane, LeafKey, ShardId, StateProof, Transaction};
 use medchain_runtime::codec::{Decode, Encode};
+use medchain_transport::frame::{write_frame, FrameReader};
 use std::fmt;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -77,8 +78,7 @@ impl From<io::Error> for ClientError {
 /// ordered per connection, so each request's answer is simply the next
 /// frame.
 pub struct Client {
-    stream: TcpStream,
-    frames: FrameBuffer,
+    frames: FrameReader<TcpStream>,
 }
 
 impl fmt::Debug for Client {
@@ -96,8 +96,7 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_millis(25)))?;
-        Ok(Client { stream, frames: FrameBuffer::new() })
+        Ok(Client { frames: FrameReader::socket(stream, MAX_FRAME)? })
     }
 
     /// Sends one request and reads its response frame, waiting at most
@@ -111,25 +110,10 @@ impl Client {
     /// deadline, [`ClientError::Protocol`] on an undecodable frame.
     pub fn call(&mut self, request: &GatewayRequest) -> Result<GatewayResponse, ClientError> {
         let deadline = Instant::now() + Duration::from_secs(10);
-        write_frame(&mut self.stream, &request.encoded())?;
-        let mut chunk = [0u8; 8192];
-        loop {
-            if let Some(payload) = self.frames.next_frame()? {
-                return GatewayResponse::decoded(&payload)
-                    .map_err(|e| ClientError::Protocol(format!("bad response frame: {e:?}")));
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Io("response deadline exceeded".into()));
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(ClientError::Io("gateway closed the connection".into())),
-                Ok(n) => self.frames.extend(&chunk[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
+        write_frame(self.frames.get_ref(), &request.encoded())?;
+        let body = self.frames.read_frame(|| Instant::now() >= deadline)?;
+        GatewayResponse::decoded(&body)
+            .map_err(|e| ClientError::Protocol(format!("bad response frame: {e:?}")))
     }
 
     /// Submits a signed transaction, optionally requesting the priority

@@ -3,8 +3,10 @@
 //!
 //! Clients connect over TCP and speak length-framed canonical-codec
 //! messages: `[u32 length LE][GatewayRequest bytes]` up to 1 MiB
-//! (`MAX_FRAME`). The gateway owns the admission path the paper's
-//! million-user population needs:
+//! (`MAX_FRAME`), framed, read and accepted by
+//! [`medchain_transport::frame`], the socket layer consensus shares. A
+//! closed connection leaves nothing behind. The gateway owns the
+//! admission path the paper's million-user population needs:
 //!
 //! 1. **Dedup before signature work** — the gateway keeps no memory of
 //!    transactions: a submission whose id the chain already knows (a
@@ -35,16 +37,16 @@ use medchain_chain::{
 use medchain_storage::{SnapshotChunk, SnapshotManifest};
 use medchain_runtime::codec::{Decode, Encode};
 use medchain_runtime::metrics::Metrics;
+use medchain_transport::frame::{self, write_frame};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-/// Maximum gateway frame payload (1 MiB).
-const MAX_FRAME: usize = 1 << 20;
+/// Maximum gateway frame body (1 MiB).
+pub(crate) const MAX_FRAME: usize = 1 << 20;
 
 /// Most submissions one [`GatewayServer::pump`] call takes in.
 const MAX_BATCH: usize = 256;
@@ -237,99 +239,6 @@ mod codec_impls {
     });
 }
 
-/// Writes one `[u32 len LE][payload]` frame.
-pub(crate) fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    stream.write_all(&buf)
-}
-
-/// Incremental frame parser over a non-blocking / timeout-read stream.
-///
-/// Feed it raw reads; it hands back complete frames, tolerating frames
-/// split across arbitrary read boundaries.
-pub(crate) struct FrameBuffer {
-    buf: Vec<u8>,
-}
-
-impl FrameBuffer {
-    pub(crate) fn new() -> FrameBuffer {
-        FrameBuffer { buf: Vec::new() }
-    }
-
-    pub(crate) fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pops the next complete frame, if one is buffered.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the declared frame length exceeds
-    /// [`MAX_FRAME`] — the connection is unrecoverable at that point.
-    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds {MAX_FRAME}"),
-            ));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some(payload))
-    }
-}
-
-/// Reads request frames from `stream` until EOF, a read error, `stop`,
-/// or `handle` returning `false` (its consumer is gone). A frame over
-/// [`MAX_FRAME`] or a payload that does not decode ends the connection:
-/// the peer is not speaking the protocol.
-fn read_requests(
-    mut stream: TcpStream,
-    stop: &AtomicBool,
-    mut handle: impl FnMut(GatewayRequest) -> bool,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 8192];
-    while !stop.load(Ordering::Relaxed) {
-        match stream.read(&mut chunk) {
-            Ok(0) => break, // peer hung up
-            Ok(n) => {
-                frames.extend(&chunk[..n]);
-                loop {
-                    match frames.next_frame() {
-                        Ok(Some(payload)) => {
-                            let Ok(request) = GatewayRequest::decoded(&payload) else { return };
-                            if !handle(request) {
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => return, // oversized frame
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => break,
-        }
-    }
-}
-
 /// What a network must provide for the gateway to admit traffic and
 /// answer status queries. Implemented once, by [`crate::Network`], for
 /// both topologies: a flat network admits onto its one chain, a sharded
@@ -452,46 +361,31 @@ impl GatewayServer {
     ///
     /// Returns the bind error if the loopback listener cannot start.
     pub fn start(metrics: Metrics) -> io::Result<GatewayServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let (tx, rx) = channel();
-        let writers: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
+        let writers: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
         let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
+        let serve = {
             let writers = Arc::clone(&writers);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut next_conn = 0u64;
-                let mut readers = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let conn = next_conn;
-                            next_conn += 1;
-                            // Responses are single small frames: send
-                            // them now, not when Nagle's timer fires.
-                            let _ = stream.set_nodelay(true);
-                            if let Ok(write_half) = stream.try_clone() {
-                                writers.lock().expect("writer map").insert(conn, write_half);
-                            }
-                            let tx = tx.clone();
-                            let stop = Arc::clone(&stop);
-                            readers.push(std::thread::spawn(move || {
-                                read_requests(stream, &stop, |req| tx.send((conn, req.into())).is_ok())
-                            }));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+            let next_conn = AtomicU64::new(0);
+            move |stream: TcpStream| {
+                let conn = next_conn.fetch_add(1, Ordering::Relaxed);
+                let Ok(write_half) = stream.try_clone() else { return };
+                writers.lock().expect("writer map").insert(conn, write_half);
+                // A frame over `MAX_FRAME` or a body that does not decode
+                // ends the connection: the peer is not speaking the protocol.
+                frame::read_frames(stream, MAX_FRAME, &stop, |body| {
+                    match GatewayRequest::decoded(&body) {
+                        Ok(request) => tx.send((conn, request.into())).is_ok(),
+                        Err(_) => false,
                     }
-                }
-                for handle in readers {
-                    let _ = handle.join();
-                }
-            })
+                });
+                // However the connection ended, its write half goes with it.
+                writers.lock().expect("writer map").remove(&conn);
+            }
         };
+        let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
+        let (addr, acceptor) = frame::listen(loopback, Arc::clone(&stop), serve)?;
         Ok(GatewayServer { addr, inbox: rx, writers, stop, acceptor: Some(acceptor), metrics })
     }
 
@@ -676,13 +570,14 @@ impl GatewayServer {
         }
     }
 
-    /// Stops the acceptor and reader threads and closes the listener.
+    /// Stops the acceptor and connection threads and closes the listener.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        // The acceptor joins every connection thread, and each removes
+        // its own write half, so the writer map is empty once it returns.
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        self.writers.lock().expect("writer map").clear();
     }
 }
 
@@ -699,42 +594,38 @@ mod tests {
     use medchain_chain::AuthorityKey;
     use medchain_runtime::check::{check, CheckConfig};
     use medchain_runtime::ensure;
+    use medchain_transport::frame::FrameReader;
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn frame_buffer_reassembles_split_frames() {
-        let mut frames = FrameBuffer::new();
-        let payload = b"hello frame".to_vec();
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&payload);
-        // Feed one byte at a time: no frame until the last byte lands.
-        for (i, byte) in wire.iter().enumerate() {
-            frames.extend(&[*byte]);
-            let frame = frames.next_frame().unwrap();
-            if i + 1 < wire.len() {
-                assert!(frame.is_none(), "premature frame at byte {i}");
-            } else {
-                assert_eq!(frame.unwrap(), payload);
-            }
+    /// Polls until the server holds `open` connection write halves.
+    fn await_writers(server: &GatewayServer, open: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.writers.lock().unwrap().len() != open {
+            let held = server.writers.lock().unwrap().len();
+            assert!(Instant::now() < deadline, "{held} connections held, expected {open}");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(frames.next_frame().unwrap().is_none());
     }
 
     #[test]
     fn accepted_sockets_have_nodelay_set() {
         let server = GatewayServer::start(Metrics::noop()).unwrap();
         let _client = TcpStream::connect(server.addr()).unwrap();
-        // The acceptor polls its non-blocking listener; wait for it to
-        // register the connection's write half.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Some(write_half) = server.writers.lock().unwrap().get(&0) {
-                assert!(write_half.nodelay().unwrap());
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "connection never accepted");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        await_writers(&server, 1);
+        assert!(server.writers.lock().unwrap()[&0].nodelay().unwrap());
+    }
+
+    /// A closed connection releases its socket and its `writers` entry
+    /// (and its thread ends): 20 clients that connect and close leave
+    /// the server holding nothing.
+    #[test]
+    fn closed_connections_leave_nothing_behind() {
+        let server = GatewayServer::start(Metrics::noop()).unwrap();
+        let clients: Vec<TcpStream> =
+            (0..20).map(|_| TcpStream::connect(server.addr()).unwrap()).collect();
+        await_writers(&server, clients.len());
+        drop(clients);
+        await_writers(&server, 0);
     }
 
     /// A `BlocksFrom` answer is the longest prefix of the retained
@@ -771,13 +662,6 @@ mod tests {
             GatewayServer::bounded_blocks(41, &[]),
             GatewayResponse::Blocks { tip_height: 41, blocks: Vec::new() }
         );
-    }
-
-    #[test]
-    fn frame_buffer_rejects_oversized_frames() {
-        let mut frames = FrameBuffer::new();
-        frames.extend(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        assert!(frames.next_frame().is_err());
     }
 
     /// A signed anchor transaction and its signer.
@@ -857,10 +741,10 @@ mod tests {
     }
 
     /// Hostile input: arbitrary bytes, and truncations and single-byte
-    /// flips of valid encodings, framed under an honest, an arbitrary or
-    /// an oversized length and fed in random splits, never panic the
-    /// frame parser or either decoder; a declared length over
-    /// `MAX_FRAME` is always refused.
+    /// flips of valid encodings, never panic either decoder, whole or
+    /// read as gateway frames under `MAX_FRAME`. (The framing half,
+    /// under this bound and the consensus one, is
+    /// `medchain_transport::frame`'s `hostile_frames_never_panic_the_reader`.)
     #[test]
     fn hostile_gateway_frames_never_panic() {
         let valid: Vec<Vec<u8>> = sample_requests()
@@ -884,42 +768,19 @@ mod tests {
             };
             let _ = GatewayRequest::decoded(&payload);
             let _ = GatewayResponse::decoded(&payload);
-            let declared = match g.usize_in(0, 3) {
-                0 => payload.len(),
-                1 => g.u64() as u32 as usize,
-                _ => g.usize_in(MAX_FRAME + 1, u32::MAX as usize),
-            };
-            let mut wire = (declared as u32).to_le_bytes().to_vec();
-            wire.extend_from_slice(&payload);
-            let mut frames = FrameBuffer::new();
-            let mut rest = &wire[..];
-            let mut popped = Vec::new();
-            let mut refused = false;
-            'feed: while !rest.is_empty() {
-                let take = g.usize_in(1, rest.len() + 1);
-                frames.extend(&rest[..take]);
-                rest = &rest[take..];
-                loop {
-                    match frames.next_frame() {
-                        Ok(Some(frame)) => {
-                            let _ = GatewayRequest::decoded(&frame);
-                            let _ = GatewayResponse::decoded(&frame);
-                            popped.push(frame);
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            refused = true;
-                            break 'feed;
-                        }
-                    }
-                }
+            // The body split in two frames, then the whole of it.
+            let cut = g.usize_in(0, payload.len() + 1);
+            let wire = [&payload[..cut], &payload[cut..], &payload[..]]
+                .map(|body| frame::encode_frame(&[body]))
+                .concat();
+            let mut frames = FrameReader::new(&wire[..], MAX_FRAME);
+            let mut read = 0;
+            while let Ok(body) = frames.read_frame(|| false) {
+                let _ = GatewayRequest::decoded(&body);
+                let _ = GatewayResponse::decoded(&body);
+                read += 1;
             }
-            if declared > MAX_FRAME {
-                ensure!(refused && popped.is_empty(), "declared length {declared} not refused");
-            } else if declared <= payload.len() {
-                let first = popped.first().map(Vec::as_slice);
-                ensure!(first == Some(&payload[..declared]), "first frame {first:?}");
-            }
+            ensure!(read == 3, "{read} of 3 frames read");
             Ok(())
         });
     }

@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Failure raised by a tool or oracle backend implementation.
+/// Failure raised by a tool implementation.
 ///
 /// Tool bodies are arbitrary closures, so the error carries a message
 /// rather than a closed set of variants, but it still implements

@@ -10,7 +10,8 @@
 //! * [`SimTransport`] — the deterministic discrete-event simulator
 //!   (logical time, a seeded [`LatencyModel`]; bit-reproducible runs).
 //! * [`TcpTransport`] — real `std::net` sockets on loopback or a LAN:
-//!   length-prefixed frames of canonically encoded messages, one writer
+//!   [`frame`]'s length-prefixed frames of canonically encoded messages
+//!   (the one socket layer, shared with the ingress gateway), one writer
 //!   thread per directed peer link with reconnect-and-backoff, and
 //!   graceful shutdown. Wall-clock time, real bytes.
 //! * [`FaultyTransport`] — the one fault model: wraps *any* transport
@@ -26,6 +27,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod fault;
+pub mod frame;
 pub mod sim;
 pub mod tcp;
 

@@ -1,30 +1,37 @@
 //! Real-socket transport: `std::net` TCP on loopback or a LAN.
 //!
-//! Every node gets its own listener; messages travel as length-prefixed
-//! frames of canonically encoded bytes. One writer thread per *directed*
-//! peer link connects lazily with exponential backoff and reconnects on
-//! write failure; one detached reader thread per accepted connection
-//! reassembles frames and feeds a single shared inbox. Timers stay local
-//! (a wall-clock heap) so protocol code sees exactly the same
-//! [`Event`](crate::Event) stream the simulator produces — just in real
-//! time over real bytes.
+//! Every node gets its own listener; messages travel as the frames of
+//! [`crate::frame`], the one socket layer the ingress gateway shares. One
+//! writer thread per *directed* peer link connects lazily with
+//! exponential backoff and reconnects on write failure; one reader thread
+//! per accepted connection reassembles frames and feeds a single shared
+//! inbox. Timers stay local (a wall-clock heap) so protocol code sees
+//! exactly the same [`Event`](crate::Event) stream the simulator
+//! produces — just in real time over real bytes.
 
+use crate::frame;
 use crate::{Event, NetStats, NodeId, Transport, Wire};
 use medchain_runtime::codec::{Decode, Encode};
 use medchain_runtime::metrics::Metrics;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::marker::PhantomData;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Fixed per-frame header size: `[u32 payload_len LE][u64 from LE]`.
-pub const FRAME_OVERHEAD: usize = 12;
+/// Fixed per-message framing cost: the `[u32 len LE]` prefix of
+/// [`crate::frame`] plus the `[u64 from LE]` sender that opens a
+/// consensus body.
+pub const FRAME_OVERHEAD: usize = frame::LEN_BYTES + 8;
+
+/// Largest consensus frame body (sender plus payload) a reader accepts:
+/// a corrupt length prefix must not allocate unbounded memory.
+pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Default bound on each directed writer link's frame queue.
 pub const DEFAULT_WRITER_QUEUE_CAP: usize = 1024;
@@ -34,13 +41,6 @@ pub const DEFAULT_WRITER_QUEUE_CAP: usize = 1024;
 /// `MEDCHAIN_TCP_ADDRS=10.0.0.1:9701,10.0.0.2:9701,10.0.0.3:9701`.
 /// Read by [`TcpTransport::bind_from_env`].
 pub const TCP_ADDRS_ENV: &str = "MEDCHAIN_TCP_ADDRS";
-
-/// Largest payload a reader will accept (defends against a corrupt
-/// length prefix allocating unbounded memory).
-const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
-
-/// How often blocked threads re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Raw inbound record: `(from, to, payload)`.
 type Inbound = (NodeId, NodeId, Vec<u8>);
@@ -126,81 +126,20 @@ pub fn parse_addr_list(raw: &str) -> Result<Vec<SocketAddr>, String> {
         .collect()
 }
 
-fn frame(from: NodeId, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(from.0 as u64).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+/// Frames one consensus message: a body of `[u64 from LE][payload]`,
+/// [`FRAME_OVERHEAD`] bytes more than the payload on the wire.
+pub fn consensus_frame(from: NodeId, payload: &[u8]) -> Vec<u8> {
+    frame::encode_frame(&[&(from.0 as u64).to_le_bytes(), payload])
 }
 
-/// Reads frames off one accepted connection into the shared inbox.
-/// Exits on shutdown, peer close, or a malformed frame.
-fn reader_loop(
-    mut stream: TcpStream,
-    to: NodeId,
-    inbox: Sender<Inbound>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                while buf.len() >= FRAME_OVERHEAD {
-                    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-                    if len > MAX_FRAME_PAYLOAD {
-                        return; // corrupt stream: drop the connection
-                    }
-                    let total = FRAME_OVERHEAD + len as usize;
-                    if buf.len() < total {
-                        break;
-                    }
-                    let from = u64::from_le_bytes([
-                        buf[4], buf[5], buf[6], buf[7], buf[8], buf[9], buf[10], buf[11],
-                    ]);
-                    let payload = buf[FRAME_OVERHEAD..total].to_vec();
-                    buf.drain(..total);
-                    if inbox.send((NodeId(from as usize), to, payload)).is_err() {
-                        return;
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Accepts connections on one node's listener, spawning a detached
-/// reader per connection.
-fn acceptor_loop(
-    listener: TcpListener,
-    to: NodeId,
-    inbox: Sender<Inbound>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let _ = listener.set_nonblocking(true);
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let inbox = inbox.clone();
-                let shutdown = Arc::clone(&shutdown);
-                std::thread::spawn(move || reader_loop(stream, to, inbox, shutdown));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_INTERVAL),
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
+/// Splits a consensus frame body into its sender and payload. `None`
+/// when the body is shorter than a sender or names no node of a
+/// `node_count`-node consortium: the peer is not speaking the protocol.
+pub fn split_sender(mut body: Vec<u8>, node_count: usize) -> Option<(NodeId, Vec<u8>)> {
+    let from = u64::from_le_bytes(*body.first_chunk::<8>()?);
+    let from = usize::try_from(from).ok().filter(|&from| from < node_count)?;
+    body.drain(..8);
+    Some((NodeId(from), body))
 }
 
 /// Connects to `addr` with exponential backoff until it succeeds or
@@ -239,11 +178,11 @@ fn writer_loop(
             }
             if conn.is_none() {
                 conn = connect_backoff(addr, &shutdown);
-                if conn.is_none() {
-                    return; // shutdown while reconnecting
-                }
             }
-            match conn.as_mut().unwrap().write_all(&frame) {
+            let Some(stream) = conn.as_mut() else {
+                return; // shutdown while reconnecting
+            };
+            match stream.write_all(&frame) {
                 Ok(()) => continue 'frames,
                 Err(_) => {
                     // Reconnect and retry this frame.
@@ -261,10 +200,11 @@ fn writer_loop(
 /// Transport over real TCP sockets with wall-clock time.
 ///
 /// All `node_count` endpoints are hosted in one process; each binds a
-/// loopback listener. The frame format on the wire is
-/// `[u32 payload_len LE][u64 from LE][payload]` where `payload` is the
-/// message's canonical [`Encode`] bytes, so every frame costs exactly
-/// [`FRAME_OVERHEAD`]` + msg.wire_size()` bytes.
+/// loopback listener. A message travels as the frame
+/// `[u32 len LE][u64 from LE][payload]`, where `len` counts the sender
+/// and the payload and `payload` is the message's canonical [`Encode`]
+/// bytes, so every frame costs exactly [`FRAME_OVERHEAD`]` +
+/// msg.wire_size()` bytes.
 ///
 /// [`Transport::next`] returns `None` only after no event arrives within
 /// the idle window (default 200 ms) with no timers outstanding — the
@@ -316,13 +256,41 @@ impl<M: Wire + Clone + Encode + Decode> TcpTransport<M> {
     /// peer address falls back to loopback on the bound port.
     fn bind_at(bind_addrs: &[SocketAddr]) -> std::io::Result<TcpTransport<M>> {
         let node_count = bind_addrs.len();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let (inbox_tx, inbox) = mpsc::channel();
-        let mut addrs = Vec::with_capacity(node_count);
-        let mut handles = Vec::with_capacity(node_count);
+        // Built first, so a failed bind drops it and its `Drop` stops
+        // the acceptors already started.
+        let mut transport = TcpTransport {
+            node_count,
+            addrs: Vec::with_capacity(node_count),
+            start: Instant::now(),
+            writers: HashMap::new(),
+            writer_queue_cap: DEFAULT_WRITER_QUEUE_CAP,
+            inbox,
+            inbox_tx,
+            timers: BinaryHeap::new(),
+            timer_seq: 0,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            handles: Vec::with_capacity(node_count),
+            stats: NetStats::default(),
+            framed_bytes: 0,
+            metrics: Metrics::noop(),
+            idle_timeout: Duration::from_millis(200),
+            down: false,
+            _msg: PhantomData,
+        };
         for (i, bind_addr) in bind_addrs.iter().enumerate() {
-            let listener = TcpListener::bind(bind_addr)?;
-            let local = listener.local_addr()?;
+            let inbox = transport.inbox_tx.clone();
+            let stop = Arc::clone(&transport.shutdown);
+            let (local, acceptor) =
+                frame::listen(*bind_addr, Arc::clone(&transport.shutdown), move |stream| {
+                    frame::read_frames(stream, MAX_FRAME, &stop, |body| {
+                        match split_sender(body, node_count) {
+                            Some((from, payload)) => inbox.send((from, NodeId(i), payload)).is_ok(),
+                            None => false,
+                        }
+                    })
+                })?;
+            transport.handles.push(acceptor);
             let advertised = if local.ip().is_unspecified() {
                 let loopback = match local.ip() {
                     IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
@@ -332,32 +300,9 @@ impl<M: Wire + Clone + Encode + Decode> TcpTransport<M> {
             } else {
                 local
             };
-            addrs.push(advertised);
-            let inbox_tx = inbox_tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            handles.push(std::thread::spawn(move || {
-                acceptor_loop(listener, NodeId(i), inbox_tx, shutdown)
-            }));
+            transport.addrs.push(advertised);
         }
-        Ok(TcpTransport {
-            node_count,
-            addrs,
-            start: Instant::now(),
-            writers: HashMap::new(),
-            writer_queue_cap: DEFAULT_WRITER_QUEUE_CAP,
-            inbox,
-            inbox_tx,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
-            shutdown,
-            handles,
-            stats: NetStats::default(),
-            framed_bytes: 0,
-            metrics: Metrics::noop(),
-            idle_timeout: Duration::from_millis(200),
-            down: false,
-            _msg: PhantomData,
-        })
+        Ok(transport)
     }
 
     /// Binds per the [`TCP_ADDRS_ENV`] environment variable when set
@@ -454,7 +399,7 @@ impl<M: Wire + Clone + Encode + Decode> Transport<M> for TcpTransport<M> {
             return;
         }
         let queue = self.writer(from.0, to.0);
-        match queue.push(frame(from, &payload)) {
+        match queue.push(consensus_frame(from, &payload)) {
             Some(discarded) => {
                 if discarded > 0 {
                     self.stats.dropped += discarded;
@@ -522,6 +467,15 @@ impl<M: Wire + Clone + Encode + Decode> Transport<M> for TcpTransport<M> {
     }
 
     fn shutdown(&mut self) {
+        self.stop();
+    }
+}
+
+impl<M> TcpTransport<M> {
+    /// Stops every thread the transport started and waits for them;
+    /// later sends are dropped. [`Transport::shutdown`] and `Drop` both
+    /// land here.
+    fn stop(&mut self) {
         if self.down {
             return;
         }
@@ -539,14 +493,7 @@ impl<M: Wire + Clone + Encode + Decode> Transport<M> for TcpTransport<M> {
 
 impl<M> Drop for TcpTransport<M> {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for queue in self.writers.values() {
-            queue.close();
-        }
-        self.writers.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }
 
@@ -642,6 +589,24 @@ mod tests {
         t.shutdown();
     }
 
+    /// A frame whose sender names no node ends its connection before
+    /// anything reaches the inbox; an honest connection still delivers.
+    #[test]
+    fn a_frame_from_no_member_ends_its_connection() {
+        let mut t = TcpTransport::<Ping>::bind(2).unwrap();
+        t.idle_timeout = Duration::from_millis(100);
+        let ping = Ping { id: 4, note: "n".into() };
+        let mut hostile = TcpStream::connect(t.addrs()[0]).unwrap();
+        hostile.write_all(&consensus_frame(NodeId(9), &ping.encoded())).unwrap();
+        hostile.write_all(&consensus_frame(NodeId(1), &ping.encoded())).unwrap();
+        assert!(t.next().is_none());
+        assert_eq!(t.stats().delivered, 0);
+        let mut honest = TcpStream::connect(t.addrs()[0]).unwrap();
+        honest.write_all(&consensus_frame(NodeId(1), &ping.encoded())).unwrap();
+        assert_eq!(drain(&mut t, 1), vec![(NodeId(1), NodeId(0), ping)]);
+        t.shutdown();
+    }
+
     #[test]
     fn link_queue_drops_oldest_when_full() {
         let q = LinkQueue::new(3);
@@ -664,10 +629,7 @@ mod tests {
     fn backpressure_from_partitioned_peer_is_bounded_and_counted() {
         use medchain_runtime::metrics::Registry;
         // A dead port: bind, learn the address, drop the listener.
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
+        let dead = TcpTransport::<Ping>::bind(1).unwrap().addrs()[0];
         let registry = Registry::new();
         let mut t = TcpTransport::<Ping>::bind(2).unwrap();
         t.set_metrics(registry.handle());
@@ -715,9 +677,8 @@ mod tests {
     fn bind_at_explicit_ports_are_respected() {
         // Reserve two free ports, release them, then bind explicitly.
         let (a, b) = {
-            let la = TcpListener::bind("127.0.0.1:0").unwrap();
-            let lb = TcpListener::bind("127.0.0.1:0").unwrap();
-            (la.local_addr().unwrap(), lb.local_addr().unwrap())
+            let reserved = TcpTransport::<Ping>::bind(2).unwrap();
+            (reserved.addrs()[0], reserved.addrs()[1])
         };
         let mut t = TcpTransport::<Ping>::bind_at(&[a, b]).unwrap();
         assert_eq!(t.addrs(), &[a, b]);

@@ -667,8 +667,34 @@ if grep -nE 'HashSet<Hash256>|HashMap<Hash256|VecDeque<Hash256>|scoped_map' crat
     exit 1
 fi
 echo "ok: the gateway asks the chain before any signature check and verifies inline"
-# Trend line (579 before the gateway stopped remembering ids; 440 after).
+# Trend line (579 before the gateway stopped remembering ids; 440 after;
+# 353 once it framed, read and accepted through transport's frame.rs).
 echo "census: $(census crates/core/src/gateway.rs) in crates/core/src/gateway.rs"
+
+# One socket layer (DESIGN.md §6, §10): consensus sites and the ingress
+# gateway and its client frame, parse, read and accept through
+# crates/transport/src/frame.rs alone. The transport and the gateway
+# once kept a length-prefix framer, a frame parser, a polling read loop
+# and an acceptor thread each, and the gateway's copy kept every closed
+# connection's socket. A listener, a listener's `.accept()` or a
+# `u32::from_le_bytes` prefix parse in socket code (crates/transport/src,
+# crates/core/src, or any crates/ file naming TcpStream) outside
+# frame.rs is a second socket layer growing back.
+echo "== transport: one socket layer guard =="
+socket_code="$( { find crates/transport/src crates/core/src -name "*.rs"; grep -rlw --include='*.rs' TcpStream crates; } \
+    | grep -vx 'crates/transport/src/frame.rs' | LC_ALL=C sort -u)"
+# shellcheck disable=SC2086
+if grep -rnE --include='*.rs' 'TcpListener|\.accept\(\)|\.incoming\(\)' crates | grep -v '^crates/transport/src/frame.rs:' \
+    || grep -nw 'u32::from_le_bytes' $socket_code; then
+    echo "ERROR: socket code outside crates/transport/src/frame.rs listens, accepts or parses a length prefix — use frame::{listen, read_frames, FrameReader}." >&2
+    exit 1
+fi
+echo "ok: one frame codec, one frame reader and one acceptor, in crates/transport/src/frame.rs"
+# Trend line (tcp.rs + gateway.rs + client.rs: 1,050 before they shared
+# frame.rs; 885 after, 1,008 with frame.rs itself).
+echo "census: $(census crates/transport/src/*.rs) in crates/transport/src"
+echo "census: $(census crates/core/src/gateway.rs crates/core/src/client.rs) in crates/core/src/{gateway,client}.rs"
+echo "census: $(census crates/transport/src/tcp.rs crates/core/src/gateway.rs crates/core/src/client.rs) in tcp.rs + gateway.rs + client.rs"
 
 # One way to run an off-chain job (DESIGN.md §4, Fig. 1): each site a
 # request names picks its shard up from its own replica, runs it on its
@@ -694,6 +720,8 @@ if grep -nE '\b(TaskExecutor|run_parallel)\b' crates/core/src/modes.rs; then
     exit 1
 fi
 echo "ok: one off-chain job path (post_result only from Network::control_cycle)"
+# Trend line (539 before the unread offchain::oracle went; 417 after).
+echo "census: $(census crates/offchain/src/*.rs) in crates/offchain/src"
 
 # One job path for every figure (DESIGN.md §4): queries, GWAS and
 # federated rounds run as jobs of the sites' one query tool through
@@ -837,9 +865,11 @@ echo "ok: env::var is read in the 6 listed files only"
 # Trend line: 117 before the first sweep, 23 after; 22 once
 # Ledger::prune_below forwarded to History::prune_below, whose name in
 # history.rs the census counts as a reader; 21 once a core test built
-# GWAS count tables by hand and so read SnpCounts.
+# GWAS count tables by hand and so read SnpCounts; 20 once the unread
+# offchain::oracle went (OracleStats with it; Value::encoded_len, which
+# only the oracle read, became private).
 echo "== api: dead public surface census =="
-surface_ceiling=21
+surface_ceiling=20
 surface_kept="certifies|read by ROADMAP Commit certificates (a block's certificate check)
 PosMsg|the PoS engine's Engine::Msg type
 PowMsg|the PoW engine's Engine::Msg type
@@ -854,7 +884,6 @@ PipelineError|error type of the public run_query, run_gwas and federated pipelin
 FormatTally|value type of the public IntegrationReport::by_format
 JsonError|error type of the public json::parse
 RoundStats|element type of the public FedReport::history
-OracleStats|return type of the public DataOracle::stats
 take_byte|called by the exported codec macros wherever they expand
 EventRecord|return type of the public metrics Registry::events
 HistogramSummary|return type of the public metrics Registry::histogram

@@ -7,11 +7,6 @@
 //! `state_root()` reference path, and the incremental per-block update in
 //! `Ledger::apply` all hash through the helpers in this module, so the
 //! byte layout is written down once and cannot drift between them.
-//!
-//! `LeafKey` refines the coarser `StateKey` vocabulary used by the
-//! parallel-execution scheduler (`exec::StateKey`): the scheduler only
-//! needs contract-level conflict granularity, while proofs need one leaf
-//! per slot.
 
 use crate::exec::StateDelta;
 use crate::hash::{digest_tagged_pair, digest_tagged_pairs, digest_two, Hash256, Sha256};

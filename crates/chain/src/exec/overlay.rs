@@ -3,32 +3,25 @@
 //! [`StateAccess`] is the uniform read/write surface over
 //! [`WorldState`]: the ledger, the contract runtime, and the VM all
 //! mutate state through it, never through the maps directly. That
-//! indirection is what makes block execution cheap to speculate:
+//! indirection is what makes block execution cheap to undo:
 //! a [`WorldStateOverlay`] implements the same trait with reads falling
 //! through to a base and writes buffered in a [`StateDelta`], so
 //!
-//! - sequential apply runs a whole block against one overlay and
-//!   commits the delta only after the state-root check passes (no more
-//!   whole-state clone per block);
-//! - contract atomicity is a *child* overlay discarded on trap (no more
-//!   whole-state snapshot per `Deploy`/`Invoke`);
-//! - parallel apply gives every transaction its own recording overlay
-//!   over the shared block overlay, audits the recorded footprint
-//!   against the declared read/write set, and commits deltas in
-//!   deterministic tx order (DESIGN.md §11).
+//! - a block runs against one overlay and its delta commits only after
+//!   the state-root check passes (no whole-state clone per block);
+//! - contract atomicity is a *child* overlay discarded on trap (no
+//!   whole-state snapshot per `Deploy`/`Invoke`).
 //!
 //! Deletion semantics mirror [`WorldState::set_storage`]: an empty
 //! value is a delete, buffered here as a `None` tombstone so the delta
 //! replays identically onto any base.
 
-use super::read_write_set::StateKey;
 use crate::hash::Hash256;
 use crate::ledger::LedgerError;
 use crate::state::{Account, CrossLinkRecord, XsDecisionRecord, XsLock};
 use crate::shard::ShardId;
 use crate::sig::Address;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
 /// Uniform mutable access to world state.
 ///
@@ -136,37 +129,6 @@ impl StateDelta {
             + self.xs_decisions.len()
     }
 
-    /// The [`StateKey`]s this delta writes — what the parallel executor
-    /// audits against the declared write set.
-    pub fn write_keys(&self) -> BTreeSet<StateKey> {
-        let mut keys = BTreeSet::new();
-        for addr in self.accounts.keys() {
-            keys.insert(StateKey::Account(*addr));
-        }
-        for (addr, _) in self.storage.keys() {
-            keys.insert(StateKey::Contract(*addr));
-        }
-        for addr in self.code.keys() {
-            keys.insert(StateKey::Contract(*addr));
-        }
-        for label in self.anchors.keys() {
-            keys.insert(StateKey::Anchor(label.clone()));
-        }
-        for shard in self.crosslinks.keys() {
-            keys.insert(StateKey::CrossLink(*shard));
-        }
-        // A lock is account-scoped state: scheduling under the account
-        // key keeps 2PC writes ordered against transfers on the same
-        // account without a second conflict dimension.
-        for addr in self.locks.keys() {
-            keys.insert(StateKey::Account(*addr));
-        }
-        for xid in self.xs_decisions.keys() {
-            keys.insert(StateKey::XsDecision(*xid));
-        }
-        keys
-    }
-
     /// Folds `later`'s writes in, as if they ran after this delta's:
     /// where both write a key, `later`'s value wins, tombstones included,
     /// so the result replays onto a base exactly as the two in turn.
@@ -183,7 +145,7 @@ impl StateDelta {
     }
 
     /// Replays the buffered writes onto `target` — the single commit
-    /// path by which speculative execution reaches real state.
+    /// path by which buffered execution reaches real state.
     pub fn apply_to(self, target: &mut dyn StateAccess) {
         for (addr, account) in self.accounts {
             target.set_account(addr, account);
@@ -230,59 +192,27 @@ medchain_runtime::impl_codec_struct!(StateDelta {
 /// discards the speculation; [`WorldStateOverlay::into_delta`] extracts
 /// it for commit.
 ///
-/// Overlays chain: a per-transaction overlay sits on the shared block
-/// overlay, and contract execution gets a further child for trap
-/// atomicity. With [`WorldStateOverlay::recording`] enabled, every read
-/// is logged as a [`StateKey`] so the executor can audit the actual
-/// footprint against the declared one.
+/// Overlays chain: contract execution gets a child of the block
+/// overlay for trap atomicity.
 pub struct WorldStateOverlay<'a> {
     base: &'a dyn StateAccess,
     delta: StateDelta,
-    read_log: Option<Mutex<BTreeSet<StateKey>>>,
 }
 
 impl<'a> WorldStateOverlay<'a> {
-    /// Creates an overlay over `base` with read recording off.
+    /// Creates an empty overlay over `base`.
     pub fn new(base: &'a dyn StateAccess) -> WorldStateOverlay<'a> {
-        WorldStateOverlay { base, delta: StateDelta::default(), read_log: None }
-    }
-
-    /// Enables read recording (builder style).
-    pub fn recording(mut self) -> WorldStateOverlay<'a> {
-        self.read_log = Some(Mutex::new(BTreeSet::new()));
-        self
-    }
-
-    /// The buffered writes so far (borrowing inspection).
-    pub fn delta(&self) -> &StateDelta {
-        &self.delta
+        WorldStateOverlay { base, delta: StateDelta::default() }
     }
 
     /// Consumes the overlay, returning its buffered writes.
     pub fn into_delta(self) -> StateDelta {
         self.delta
     }
-
-    /// Consumes the overlay, returning buffered writes plus the
-    /// recorded read footprint (empty when recording was off).
-    pub fn into_parts(self) -> (StateDelta, BTreeSet<StateKey>) {
-        let reads = self
-            .read_log
-            .map(|log| log.into_inner().expect("read log poisoned"))
-            .unwrap_or_default();
-        (self.delta, reads)
-    }
-
-    fn record(&self, key: StateKey) {
-        if let Some(log) = &self.read_log {
-            log.lock().expect("read log poisoned").insert(key);
-        }
-    }
 }
 
 impl StateAccess for WorldStateOverlay<'_> {
     fn account(&self, addr: &Address) -> Account {
-        self.record(StateKey::Account(*addr));
         match self.delta.accounts.get(addr) {
             Some(account) => *account,
             None => self.base.account(addr),
@@ -294,7 +224,6 @@ impl StateAccess for WorldStateOverlay<'_> {
     }
 
     fn storage(&self, contract: &Address, key: &[u8]) -> Option<&[u8]> {
-        self.record(StateKey::Contract(*contract));
         match self.delta.storage.get(&(*contract, key.to_vec())) {
             Some(Some(value)) => Some(value.as_slice()),
             Some(None) => None, // deleted in this overlay
@@ -308,7 +237,6 @@ impl StateAccess for WorldStateOverlay<'_> {
     }
 
     fn code(&self, addr: &Address) -> Option<&[u8]> {
-        self.record(StateKey::Contract(*addr));
         match self.delta.code.get(addr) {
             Some(code) => Some(code.as_slice()),
             None => self.base.code(addr),
@@ -320,7 +248,6 @@ impl StateAccess for WorldStateOverlay<'_> {
     }
 
     fn anchor(&self, label: &str) -> Option<Hash256> {
-        self.record(StateKey::Anchor(label.to_string()));
         match self.delta.anchors.get(label) {
             Some(root) => Some(*root),
             None => self.base.anchor(label),
@@ -332,7 +259,6 @@ impl StateAccess for WorldStateOverlay<'_> {
     }
 
     fn cross_link(&self, shard: ShardId) -> Option<CrossLinkRecord> {
-        self.record(StateKey::CrossLink(shard.0));
         match self.delta.crosslinks.get(&shard.0) {
             Some(record) => Some(*record),
             None => self.base.cross_link(shard),
@@ -344,10 +270,6 @@ impl StateAccess for WorldStateOverlay<'_> {
     }
 
     fn lock(&self, addr: &Address) -> Option<XsLock> {
-        // Lock state is account-scoped: record under the account key so
-        // the declared sets (which already cover touched accounts) stay
-        // supersets of the actual footprint.
-        self.record(StateKey::Account(*addr));
         match self.delta.locks.get(addr) {
             Some(lock) => *lock,
             None => self.base.lock(addr),
@@ -363,7 +285,6 @@ impl StateAccess for WorldStateOverlay<'_> {
     }
 
     fn xs_decision(&self, xid: &Hash256) -> Option<XsDecisionRecord> {
-        self.record(StateKey::XsDecision(*xid));
         match self.delta.xs_decisions.get(xid) {
             Some(decision) => Some(*decision),
             None => self.base.xs_decision(xid),
@@ -432,20 +353,6 @@ mod tests {
         child_delta.apply_to(&mut block);
         assert_eq!(block.account(&a).balance, 16);
         assert_eq!(base.account(&a).balance, 10);
-    }
-
-    #[test]
-    fn recording_overlay_logs_read_keys() {
-        let base = WorldState::new();
-        let overlay = WorldStateOverlay::new(&base).recording();
-        let a = Address::from_seed(1);
-        let _ = overlay.account(&a);
-        let _ = overlay.storage(&a, b"k");
-        let _ = overlay.anchor("lbl");
-        let (_, reads) = overlay.into_parts();
-        assert!(reads.contains(&StateKey::Account(a)));
-        assert!(reads.contains(&StateKey::Contract(a)));
-        assert!(reads.contains(&StateKey::Anchor("lbl".into())));
     }
 
     #[test]

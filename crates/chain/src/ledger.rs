@@ -15,7 +15,7 @@
 
 use crate::auth::{LeafKey, StateProof, StateTree};
 use crate::block::{Block, Body, Header};
-use crate::exec::{self, ExecScope, StateAccess, StateDelta, WorldStateOverlay};
+use crate::exec::{self, StateAccess, StateDelta, WorldStateOverlay};
 use crate::hash::Hash256;
 use crate::history::History;
 use crate::pager::Pager;
@@ -129,16 +129,6 @@ pub trait ContractRuntime: Send + Sync {
         now_ms: u64,
         state: &mut dyn StateAccess,
     ) -> Result<ExecOutcome, ExecError>;
-
-    /// Statically classifies the state footprint of `code` for
-    /// read/write-set inference (`exec::read_write_set`). The default is
-    /// the conservative [`ExecScope::MayEscape`]; runtimes that can
-    /// prove code touches only its own contract return
-    /// [`ExecScope::SelfContained`] to unlock parallel scheduling.
-    fn code_scope(&self, code: &[u8]) -> ExecScope {
-        let _ = code;
-        ExecScope::MayEscape
-    }
 }
 
 /// Runtime that rejects all contract transactions; used by chain-only
@@ -171,11 +161,6 @@ impl ContractRuntime for NullRuntime {
         _state: &mut dyn StateAccess,
     ) -> Result<ExecOutcome, ExecError> {
         Err(ExecError { gas_used: 0, reason: "no contract runtime installed".into() })
-    }
-
-    fn code_scope(&self, _code: &[u8]) -> ExecScope {
-        // Rejecting an invoke touches no state at all.
-        ExecScope::SelfContained
     }
 }
 
@@ -320,8 +305,6 @@ pub struct Ledger {
     written_out_of_band: bool,
     shard: ShardId,
     shard_count: u16,
-    /// Worker lanes for parallel block execution; 0 or 1 = sequential.
-    exec_threads: usize,
     metrics: Metrics,
     /// Incrementally maintained authenticated state tree: the tree of
     /// `state` at the committed tip or, while `proposal` is set, that
@@ -413,7 +396,6 @@ impl Ledger {
             written_out_of_band: false,
             shard,
             shard_count,
-            exec_threads: 1,
             metrics: Metrics::noop(),
             tree: OnceCell::from(StateTree::new()),
             proposal: None,
@@ -439,17 +421,16 @@ impl Ledger {
         self.state_cache = Some(cache);
     }
 
-    /// Enables wave-parallel block execution over `threads` worker
-    /// lanes (DESIGN.md §11). `0` or `1` keeps the sequential path; the
-    /// parallel schedule is guaranteed — property-tested — to produce
-    /// byte-identical state roots and receipts.
+    /// Selects nothing: a block is always executed in order, on the
+    /// calling thread (DESIGN.md §11). Kept, with its signature, only
+    /// because medbench's `exec_probe` still calls it; the benchmark
+    /// change that drops that probe deletes this method too.
     pub fn set_parallel_exec(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
+        let _ = threads;
     }
 
-    /// Installs a metrics handle; block application reports `exec.*`
-    /// counters and histograms (waves per block, wave widths, conflict
-    /// rate, per-wave wall) through it.
+    /// Installs a metrics handle; block application reports `exec.txs`,
+    /// `exec.blocks` and `exec.block_apply_us` through it.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = metrics;
     }
@@ -854,7 +835,6 @@ impl Ledger {
             return Err(LedgerError::BodyMismatch);
         }
         let started = Instant::now();
-        let tx_count = block.transactions.len();
         // This ledger's own proposal is already executed and merged. A
         // different block at the same height (a view change, or an
         // equivocating leader) pulls the tree back before executing. So
@@ -867,33 +847,15 @@ impl Ledger {
         });
         self.drop_proposal();
         let merged = kept.is_some();
-        // Execute against an overlay — sequentially, or wave-parallel
-        // when enabled (exec::run_block_parallel guarantees identical
-        // receipts and delta, falling back to sequential on any audited
-        // footprint violation).
-        let (receipts, delta, parallel_stats) = match kept {
-            Some(Proposal { receipts, delta, .. }) => (receipts, delta, None),
-            None => {
-                let ctx = self.exec_ctx();
-                if self.exec_threads > 1 && tx_count > 1 {
-                    let run = exec::run_block_parallel(
-                        &ctx,
-                        &self.state,
-                        &block.transactions,
-                        block.header.timestamp_ms,
-                        self.exec_threads,
-                    )?;
-                    (run.receipts, run.delta, Some(run.stats))
-                } else {
-                    let (receipts, delta) = exec::run_block_sequential(
-                        &ctx,
-                        &self.state,
-                        &block.transactions,
-                        block.header.timestamp_ms,
-                    )?;
-                    (receipts, delta, None)
-                }
-            }
+        // Execute against an overlay, in block order.
+        let (receipts, delta) = match kept {
+            Some(Proposal { receipts, delta, .. }) => (receipts, delta),
+            None => exec::run_block_sequential(
+                &self.exec_ctx(),
+                &self.state,
+                &block.transactions,
+                block.header.timestamp_ms,
+            )?,
         };
         // Incremental root check before the state changes: the committed
         // delta merges into the authenticated tree at O(keys changed ·
@@ -968,23 +930,6 @@ impl Ledger {
             self.metrics.gauge("state.code_entries", self.state.code_count() as i64);
             self.metrics.gauge("state.anchors", self.state.anchor_count() as i64);
             self.metrics.gauge("state.locks", self.state.lock_count() as i64);
-            if let Some(stats) = parallel_stats {
-                self.metrics.counter("exec.parallel_blocks", 1);
-                self.metrics.observe("exec.waves_per_block", stats.waves as f64);
-                self.metrics.observe(
-                    "exec.conflict_rate",
-                    stats.delayed as f64 / tx_count.max(1) as f64,
-                );
-                for width in stats.wave_widths {
-                    self.metrics.observe("exec.wave_width", width as f64);
-                }
-                for wall in stats.wave_walls_us {
-                    self.metrics.observe("exec.wave_wall_us", wall);
-                }
-                if stats.fell_back {
-                    self.metrics.counter("exec.fallback_blocks", 1);
-                }
-            }
         }
         Ok(receipts)
     }

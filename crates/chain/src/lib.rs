@@ -50,7 +50,7 @@ pub mod tx;
 
 pub use auth::{LeafKey, ProofTerminal, SmtProof, StateProof, StateTree};
 pub use block::{Block, Body, Header, KeptHeader, Seal};
-pub use exec::{ExecScope, RwSet, StateAccess, StateDelta, StateKey, WorldStateOverlay};
+pub use exec::{StateAccess, StateDelta, WorldStateOverlay};
 pub use hash::{sha256_compressions, Hash256, Sha256};
 pub use ledger::{ContractRuntime, Event, ExecError, ExecOutcome, Ledger, Receipt, StateCacheConfig};
 pub use mempool::Lane;

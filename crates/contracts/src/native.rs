@@ -8,7 +8,7 @@
 //! native contracts in [`crate::standard`].
 
 use crate::value::{Args, Value, ValueError};
-use medchain_chain::{Address, Event, ExecScope, StateAccess};
+use medchain_chain::{Address, Event, StateAccess};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -104,17 +104,6 @@ pub trait NativeContract: Send + Sync {
         args: &Args,
         state: &mut dyn StateAccess,
     ) -> Result<NativeOutcome, NativeError>;
-
-    /// Static state-footprint classification for parallel scheduling.
-    ///
-    /// [`ExecScope::SelfContained`] promises the implementation only
-    /// touches storage under its own contract address (e.g. via
-    /// [`Cell`]); the scheduler then keys it by that address alone.
-    /// Anything that reaches accounts or other contracts must keep the
-    /// conservative [`ExecScope::MayEscape`] default.
-    fn scope(&self) -> ExecScope {
-        ExecScope::MayEscape
-    }
 }
 
 /// Registry of native contract implementations available on a node.

@@ -6,10 +6,10 @@
 //! machinery.
 
 use crate::native::{parse_manifest, NativeCtx, NativeError, NativeRegistry};
-use crate::opcode::{decode_program, Instr, BYTECODE_MAGIC};
+use crate::opcode::{decode_program, BYTECODE_MAGIC};
 use crate::value::{decode_args, encode_args, Args, Value};
 use crate::vm::{execute, CallDispatcher, CallEnv, MAX_CALL_DEPTH};
-use medchain_chain::{Address, ContractRuntime, ExecError, ExecOutcome, ExecScope, StateAccess};
+use medchain_chain::{Address, ContractRuntime, ExecError, ExecOutcome, StateAccess};
 
 /// Gas charged for a deploy before any constructor runs.
 const DEPLOY_BASE_GAS: u64 = 100;
@@ -211,32 +211,6 @@ impl ContractRuntime for Runtime {
     ) -> Result<ExecOutcome, ExecError> {
         self.invoke_at_depth(sender, contract, input, gas_limit, now_ms, 0, state)
     }
-
-    fn code_scope(&self, code: &[u8]) -> ExecScope {
-        if let Some(name) = parse_manifest(code) {
-            // Unknown natives can't run here; MayEscape is the safe
-            // answer either way.
-            return self
-                .natives
-                .get(name)
-                .map_or(ExecScope::MayEscape, |native| native.scope());
-        }
-        match decode_program(code) {
-            // A bytecode program with no `callc` can only touch its own
-            // contract's storage slice — every sload/sstore is keyed by
-            // the executing contract address.
-            Ok(program) => {
-                if program.iter().any(|i| matches!(i, Instr::CallContract)) {
-                    ExecScope::MayEscape
-                } else {
-                    ExecScope::SelfContained
-                }
-            }
-            // Undecodable code traps before touching any state, so a
-            // self-contained classification is still sound.
-            Err(_) => ExecScope::SelfContained,
-        }
-    }
 }
 
 /// Dispatcher handed to the VM for `callc`: re-enters the runtime with
@@ -363,26 +337,6 @@ mod tests {
         assert!(receipt.ok, "{:?}", receipt.error);
         assert_eq!(receipt.events.len(), 1);
         assert_eq!(receipt.events[0].topic, crate::events::DATASET_REGISTERED);
-    }
-
-    #[test]
-    fn code_scope_classifies_contract_footprints() {
-        let runtime = Runtime::standard();
-        let plain = encode_program(&assemble("arg 0\nhalt").unwrap());
-        assert_eq!(runtime.code_scope(&plain), ExecScope::SelfContained);
-        let calling = encode_program(
-            &assemble("pushb 0x0000000000000000000000000000000000000000\npushb 0x00\ncallc\nhalt")
-                .unwrap(),
-        );
-        assert_eq!(runtime.code_scope(&calling), ExecScope::MayEscape);
-        // Registered natives declare their own scope; unknown natives
-        // and empty code stay conservative / inert respectively.
-        assert_eq!(
-            runtime.code_scope(&native_manifest("data_contract")),
-            ExecScope::SelfContained
-        );
-        assert_eq!(runtime.code_scope(&native_manifest("ghost")), ExecScope::MayEscape);
-        assert_eq!(runtime.code_scope(b"junk"), ExecScope::SelfContained);
     }
 
     #[test]

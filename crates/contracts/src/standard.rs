@@ -11,7 +11,7 @@ use crate::events;
 use crate::native::{Cell, NativeContract, NativeCtx, NativeError, NativeOutcome};
 use crate::policy::{AccessPolicy, Decision, Purpose};
 use crate::value::{decode_args, encode_args, Args, Value};
-use medchain_chain::{Address, Event, ExecScope, Hash256, StateAccess, WorldState};
+use medchain_chain::{Address, Event, Hash256, StateAccess, WorldState};
 
 fn emit(ctx: &NativeCtx, topic: &str, payload: &[Value]) -> Event {
     Event { contract: ctx.contract, topic: topic.to_string(), data: encode_args(payload) }
@@ -77,12 +77,6 @@ impl DataContract {
 impl NativeContract for DataContract {
     fn name(&self) -> &'static str {
         "data_contract"
-    }
-
-    // Policy and metadata cells all live under the contract's own
-    // address, so parallel scheduling may key this contract by address.
-    fn scope(&self) -> ExecScope {
-        ExecScope::SelfContained
     }
 
     fn call(
@@ -293,10 +287,6 @@ impl NativeContract for AnalyticsContract {
         "analytics_contract"
     }
 
-    fn scope(&self) -> ExecScope {
-        ExecScope::SelfContained
-    }
-
     fn call(
         &self,
         ctx: &NativeCtx,
@@ -443,10 +433,6 @@ pub struct TrialContract;
 impl NativeContract for TrialContract {
     fn name(&self) -> &'static str {
         "trial_contract"
-    }
-
-    fn scope(&self) -> ExecScope {
-        ExecScope::SelfContained
     }
 
     fn call(

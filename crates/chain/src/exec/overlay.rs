@@ -5,7 +5,7 @@
 //! mutate state through it, never through the maps directly. That
 //! indirection is what makes block execution cheap to undo:
 //! a [`WorldStateOverlay`] implements the same trait with reads falling
-//! through to a base and writes buffered in a [`StateDelta`], so
+//! through to a base and writes buffered in front of it, so
 //!
 //! - a block runs against one overlay and its delta commits only after
 //!   the state-root check passes (no whole-state clone per block);
@@ -15,13 +15,19 @@
 //! Deletion semantics mirror [`WorldState::set_storage`]: an empty
 //! value is a delete, buffered here as a `None` tombstone so the delta
 //! replays identically onto any base.
+//!
+//! Account and storage writes, the ones a block makes by the hundred,
+//! buffer in hash maps (std's keyed hasher, as the state's own account
+//! map): a read or write is one hashed probe, and a storage read borrows
+//! its slot key. They reach address order once, when
+//! [`WorldStateOverlay::into_delta`] builds the canonical [`StateDelta`].
 
 use crate::hash::Hash256;
 use crate::ledger::LedgerError;
 use crate::state::{Account, CrossLinkRecord, XsDecisionRecord, XsLock};
 use crate::shard::ShardId;
 use crate::sig::Address;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Uniform mutable access to world state.
 ///
@@ -188,43 +194,65 @@ medchain_runtime::impl_codec_struct!(StateDelta {
 });
 
 /// A copy-on-write view over any [`StateAccess`] base: reads fall
-/// through, writes buffer in a [`StateDelta`]. Dropping the overlay
-/// discards the speculation; [`WorldStateOverlay::into_delta`] extracts
-/// it for commit.
+/// through, writes buffer in front of it. Dropping the overlay discards
+/// the speculation; [`WorldStateOverlay::into_delta`] extracts it for
+/// commit.
 ///
 /// Overlays chain: contract execution gets a child of the block
 /// overlay for trap atomicity.
 pub struct WorldStateOverlay<'a> {
     base: &'a dyn StateAccess,
+    /// Account writes, hash-indexed.
+    accounts: HashMap<Address, Account>,
+    /// Storage writes by contract, then by slot, so a read probes with
+    /// the caller's borrowed key. `None` is a deletion tombstone.
+    storage: HashMap<Address, HashMap<Vec<u8>, Option<Vec<u8>>>>,
+    /// Every other write, already in the delta's canonical maps (its
+    /// `accounts` and `storage` stay empty until `into_delta`).
     delta: StateDelta,
 }
 
 impl<'a> WorldStateOverlay<'a> {
     /// Creates an empty overlay over `base`.
     pub fn new(base: &'a dyn StateAccess) -> WorldStateOverlay<'a> {
-        WorldStateOverlay { base, delta: StateDelta::default() }
+        WorldStateOverlay {
+            base,
+            accounts: HashMap::new(),
+            storage: HashMap::new(),
+            delta: StateDelta::default(),
+        }
     }
 
-    /// Consumes the overlay, returning its buffered writes.
+    /// Consumes the overlay, returning its buffered writes as the
+    /// canonical delta: the hash-indexed buffers sorted into its maps.
     pub fn into_delta(self) -> StateDelta {
-        self.delta
+        let mut delta = self.delta;
+        delta.accounts = self.accounts.into_iter().collect();
+        delta.storage = self
+            .storage
+            .into_iter()
+            .flat_map(|(contract, slots)| {
+                slots.into_iter().map(move |(slot, value)| ((contract, slot), value))
+            })
+            .collect();
+        delta
     }
 }
 
 impl StateAccess for WorldStateOverlay<'_> {
     fn account(&self, addr: &Address) -> Account {
-        match self.delta.accounts.get(addr) {
+        match self.accounts.get(addr) {
             Some(account) => *account,
             None => self.base.account(addr),
         }
     }
 
     fn set_account(&mut self, addr: Address, account: Account) {
-        self.delta.accounts.insert(addr, account);
+        self.accounts.insert(addr, account);
     }
 
     fn storage(&self, contract: &Address, key: &[u8]) -> Option<&[u8]> {
-        match self.delta.storage.get(&(*contract, key.to_vec())) {
+        match self.storage.get(contract).and_then(|slots| slots.get(key)) {
             Some(Some(value)) => Some(value.as_slice()),
             Some(None) => None, // deleted in this overlay
             None => self.base.storage(contract, key),
@@ -233,7 +261,7 @@ impl StateAccess for WorldStateOverlay<'_> {
 
     fn set_storage(&mut self, contract: Address, key: Vec<u8>, value: Vec<u8>) {
         let buffered = if value.is_empty() { None } else { Some(value) };
-        self.delta.storage.insert((contract, key), buffered);
+        self.storage.entry(contract).or_default().insert(key, buffered);
     }
 
     fn code(&self, addr: &Address) -> Option<&[u8]> {

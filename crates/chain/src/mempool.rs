@@ -289,6 +289,22 @@ impl Mempool {
         batch
     }
 
+    /// The pooled transaction that holds a drain up, as `(sender,
+    /// nonce)`: the lowest one queued above its sender's next nonce
+    /// (blocks take gap-free runs only, so none can take it), lowest
+    /// sender address first; with no such gap, the lowest pooled
+    /// transaction. `None` only when the pool is empty.
+    pub(crate) fn stalled(&self, next_nonce: impl Fn(&Address) -> u64) -> Option<(Address, u64)> {
+        let lowest = |(sender, queue): (&Address, &BTreeMap<u64, SealedTx>)| {
+            queue.keys().next().map(|nonce| (*sender, *nonce))
+        };
+        self.by_sender
+            .iter()
+            .filter_map(lowest)
+            .find(|(sender, nonce)| *nonce > next_nonce(sender))
+            .or_else(|| self.by_sender.iter().find_map(lowest))
+    }
+
     /// Removes transactions already included in a committed block and
     /// stale nonces below each sender's account nonce, and forgets their
     /// ids: a committed id is answered from the ledger
@@ -400,6 +416,22 @@ mod tests {
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].nonce, 0);
         assert_eq!(pool.len(), 1); // nonce 2 still waiting
+    }
+
+    #[test]
+    fn stalled_names_the_lowest_transaction_above_a_gap() {
+        let (a, b) = (AuthorityKey::from_seed(1), AuthorityKey::from_seed(2));
+        let (low, high) = if a.address() < b.address() { (a, b) } else { (b, a) };
+        let mut pool = Mempool::new(10);
+        assert_eq!(pool.stalled(|_| 0), None);
+        pool.insert(tx(&low, 0));
+        pool.insert(tx(&high, 3));
+        pool.insert(tx(&high, 5));
+        // `low` can run from nonce 0; `high` waits on a gap below 3.
+        assert_eq!(pool.stalled(|_| 0), Some((high.address(), 3)));
+        // With no gap anywhere, the lowest pooled transaction.
+        let next = |s: &Address| if *s == high.address() { 3 } else { 0 };
+        assert_eq!(pool.stalled(next), Some((low.address(), 0)));
     }
 
     #[test]

@@ -222,6 +222,14 @@ impl ChainApp {
         self.mempool.len()
     }
 
+    /// The pooled transaction a drain is stuck on, as `(sender, nonce)`:
+    /// the lowest one above its sender's committed nonce, else the
+    /// lowest pooled (see `Mempool::stalled`).
+    pub fn stalled_tx(&self) -> Option<(Address, u64)> {
+        let state = self.ledger.state();
+        self.mempool.stalled(|sender| state.account(sender).nonce)
+    }
+
     /// Receipt lookup.
     pub fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
         self.ledger.receipt(tx_id)

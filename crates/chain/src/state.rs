@@ -16,7 +16,7 @@ use crate::pager::{ColdAccounts, Pager};
 use crate::shard::ShardId;
 use crate::sig::Address;
 use medchain_runtime::codec::Encode;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -74,6 +74,14 @@ pub struct Account {
 /// tuple per read. Invariant: no contract maps to an empty slot map
 /// (deletes prune it), keeping equality and the codec canonical.
 ///
+/// Accounts are hash-indexed with std's keyed hasher (a `Transfer`
+/// recipient is a client-chosen address, so a fixed hasher would let a
+/// client pick colliding keys). The map has no order: every walk that
+/// reaches bytes or a choice goes through one sort, in `hot_sorted`
+/// (the canonical encoding, the hot/cold merge, `Debug`) or in
+/// `demote_accounts` (lowest addresses first). verify.sh fails on any
+/// other walk of `accounts` in this file.
+///
 /// With a [`Pager`] attached, cold account records live on its pages
 /// and `accounts` holds only the hot set (see `crate::pager` for the
 /// disjointness invariant). Everything observable — reads, deltas,
@@ -81,7 +89,7 @@ pub struct Account {
 /// resident.
 #[derive(Default)]
 pub struct WorldState {
-    accounts: BTreeMap<Address, Account>,
+    accounts: HashMap<Address, Account>,
     storage: BTreeMap<Address, BTreeMap<Vec<u8>, Vec<u8>>>,
     code: BTreeMap<Address, Vec<u8>>,
     anchors: BTreeMap<String, Hash256>,
@@ -97,7 +105,7 @@ pub struct WorldState {
 impl fmt::Debug for WorldState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorldState")
-            .field("accounts", &self.accounts)
+            .field("accounts", &self.hot_sorted())
             .field("paged_accounts", &self.paged_account_count())
             .field("storage", &self.storage)
             .field("code", &self.code)
@@ -191,17 +199,35 @@ impl WorldState {
     /// `max_hot` stay resident; returns how many were demoted. Lowest
     /// addresses demote first — the ledger passes the block's written
     /// addresses as `keep`, so the write-hot set stays resident.
+    ///
+    /// The victims are a selection over the hot set: at most
+    /// `keep.len()` of the lowest `excess + keep.len()` hot addresses
+    /// are kept, so those hold every victim, and only they are sorted
+    /// and checked against `keep`. The cold set then stages the victims
+    /// in the order a walk in address order would. A hot map left at
+    /// under a quarter of its capacity (the attach that demotes a whole
+    /// genesis) is shrunk.
     pub(crate) fn demote_accounts(&mut self, max_hot: usize, keep: &BTreeSet<Address>) -> usize {
         let Some(cold) = self.cold.as_mut() else { return 0 };
         let excess = self.accounts.len().saturating_sub(max_hot);
         if excess == 0 {
             return 0;
         }
+        let mut lowest: Vec<Address> = self.accounts.keys().copied().collect();
+        let reach = excess + keep.len();
+        if reach < lowest.len() {
+            lowest.select_nth_unstable(reach);
+            lowest.truncate(reach);
+        }
+        lowest.sort_unstable();
         let victims: Vec<Address> =
-            self.accounts.keys().filter(|a| !keep.contains(a)).take(excess).copied().collect();
+            lowest.into_iter().filter(|a| !keep.contains(a)).take(excess).collect();
         for addr in &victims {
             let account = self.accounts.remove(addr).expect("victim is hot");
             cold.store(*addr, account);
+        }
+        if self.accounts.capacity() > 4 * self.accounts.len() {
+            self.accounts.shrink_to(2 * self.accounts.len());
         }
         victims.len()
     }
@@ -218,41 +244,44 @@ impl WorldState {
         }
     }
 
+    /// The resident records in ascending address order: the one sorted
+    /// walk of the hash-indexed hot map.
+    fn hot_sorted(&self) -> Vec<(&Address, &Account)> {
+        let mut hot: Vec<(&Address, &Account)> = self.accounts.iter().collect();
+        hot.sort_unstable_by_key(|(addr, _)| **addr);
+        hot
+    }
+
     /// Feeds every account to `emit` in ascending address order, merging
-    /// the resident map with the cold records (disjoint by invariant, so
-    /// the merge is a plain ordered zip).
+    /// the sorted resident records with the cold ones (disjoint by
+    /// invariant, so the merge is a plain ordered zip).
     fn for_each_account(&self, emit: &mut dyn FnMut(&Address, &Account)) {
+        let hot = self.hot_sorted();
         let Some(cold) = &self.cold else {
-            for (addr, account) in &self.accounts {
+            for (addr, account) in hot {
                 emit(addr, account);
             }
             return;
         };
         let cold = cold.entries();
-        let mut hot = self.accounts.iter().peekable();
-        let mut cold = cold.iter().peekable();
+        let mut hot = hot.into_iter().peekable();
+        let mut cold = cold.iter().map(|(addr, account)| (addr, account)).peekable();
         loop {
-            match (hot.peek(), cold.peek()) {
+            let next = match (hot.peek(), cold.peek()) {
                 (Some((ha, _)), Some((ca, _))) => {
-                    debug_assert_ne!(*ha, ca, "hot/cold disjointness violated");
-                    if *ha < ca {
-                        let (addr, account) = hot.next().expect("peeked");
-                        emit(addr, account);
+                    debug_assert_ne!(ha, ca, "hot/cold disjointness violated");
+                    if ha < ca {
+                        hot.next()
                     } else {
-                        let (addr, account) = cold.next().expect("peeked");
-                        emit(addr, account);
+                        cold.next()
                     }
                 }
-                (Some(_), None) => {
-                    let (addr, account) = hot.next().expect("peeked");
-                    emit(addr, account);
-                }
-                (None, Some(_)) => {
-                    let (addr, account) = cold.next().expect("peeked");
-                    emit(addr, account);
-                }
+                (Some(_), None) => hot.next(),
+                (None, Some(_)) => cold.next(),
                 (None, None) => return,
-            }
+            };
+            let (addr, account) = next.expect("peeked");
+            emit(addr, account);
         }
     }
 
@@ -675,10 +704,55 @@ mod tests {
         assert_eq!(decoded.cross_link(ShardId(0)), coord.state().cross_link(ShardId(0)));
         assert_eq!(decoded.state_root(), coord.state().state_root());
     }
+
+    /// The hash-indexed account map never leaks its order: one set of
+    /// account records, reached through different insertion orders and
+    /// histories — direct credits, an overlay's delta, a decode, a
+    /// clone — encodes byte-identically, hashes to one root, prints one
+    /// `Debug` and compares equal. The paged half of this property (the
+    /// grow/demote/promote histories and the victims demotion picks) is
+    /// `tests/storage.rs::hash_order_never_reaches_paged_bytes_or_victims`,
+    /// where the page store is.
+    #[test]
+    fn hash_order_never_reaches_bytes() {
+        use medchain_runtime::check::{check, CheckConfig};
+        use medchain_runtime::codec::{Decode, Encode};
+        use medchain_runtime::{ensure, ensure_eq};
+        check("hash order never reaches bytes", CheckConfig::cases(48), |g| {
+            let universe = g.usize_in(1, 300) as u64;
+            let mut credits: Vec<(Address, u64)> = (0..g.usize_in(1, 400))
+                .map(|_| (Address::from_seed(g.u64() % universe), g.u64() % 1_000))
+                .collect();
+            let mut direct = WorldState::new();
+            for (addr, amount) in &credits {
+                direct.credit(*addr, *amount);
+            }
+            g.rng().shuffle(&mut credits);
+            let base = WorldState::new();
+            let mut overlay = WorldStateOverlay::new(&base);
+            for (addr, amount) in &credits {
+                overlay.credit(*addr, *amount);
+            }
+            let mut via_delta = WorldState::new();
+            via_delta.apply_delta(overlay.into_delta());
+            let decoded = WorldState::decoded(&via_delta.encoded()).map_err(|e| e.to_string())?;
+            let bytes = direct.encoded();
+            let root = direct.state_root();
+            for (name, other) in
+                [("overlay delta", &via_delta), ("decode", &decoded), ("clone", &decoded.clone())]
+            {
+                ensure!(other.encoded() == bytes, "{name}: encoding differs");
+                ensure_eq!(other.state_root(), root);
+                ensure!(*other == direct, "{name}: not equal");
+                ensure_eq!(format!("{other:?}"), format!("{direct:?}"));
+            }
+            Ok(())
+        });
+    }
 }
 
 mod codec_impls {
-    use super::{Account, CrossLinkRecord, WorldState, XsDecisionRecord, XsLock};
+    use super::{Account, Address, CrossLinkRecord, WorldState, XsDecisionRecord, XsLock};
     use medchain_runtime::codec::{CodecError, Decode, Encode, Reader};
     use medchain_runtime::impl_codec_struct;
 
@@ -688,10 +762,11 @@ mod codec_impls {
     impl_codec_struct!(XsDecisionRecord { commit, tx_id });
 
     // Hand-rolled (not `impl_codec_struct!`) because the account
-    // component streams the *merged* hot+cold view: byte-identical to a
-    // fully resident `BTreeMap` encoding (u32 count, ascending pairs),
-    // regardless of which records are cold. The remaining fields
-    // follow declaration order exactly as the macro would emit them.
+    // component streams the *merged* hot+cold view in address order:
+    // byte-identical to a fully resident `BTreeMap` encoding (u32 count,
+    // ascending pairs), whatever the hash map's order and whichever
+    // records are cold. The remaining fields follow declaration order
+    // exactly as the macro would emit them.
     impl Encode for WorldState {
         fn encode(&self, out: &mut Vec<u8>) {
             let count = u32::try_from(self.account_count())
@@ -713,9 +788,12 @@ mod codec_impls {
     impl Decode for WorldState {
         fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
             // Decoded states start fully resident; recovery re-attaches
-            // a pager (and re-demotes) after install.
+            // a pager (and re-demotes) after install. The accounts are
+            // read as the pairs they are encoded as (a repeated address
+            // keeps its last value, as a `BTreeMap` decode would).
+            let pairs: Vec<(Address, Account)> = Decode::decode(r)?;
             Ok(WorldState {
-                accounts: Decode::decode(r)?,
+                accounts: pairs.into_iter().collect(),
                 storage: Decode::decode(r)?,
                 code: Decode::decode(r)?,
                 anchors: Decode::decode(r)?,

@@ -140,6 +140,10 @@ pub enum NetworkError {
     DrainStalled {
         /// Transactions still pooled.
         pending: usize,
+        /// Sender of the lowest pooled transaction above a nonce gap.
+        sender: Address,
+        /// That transaction's nonce.
+        nonce: u64,
     },
     /// A job's requester runs another build of the tool than the one
     /// the analytics contract names, so every site running the named
@@ -169,9 +173,11 @@ impl fmt::Display for NetworkError {
                 write!(f, "receipt proof for {id:?} fails against the committed root")
             }
             NetworkError::Gateway(e) => write!(f, "gateway: {e}"),
-            NetworkError::DrainStalled { pending } => {
-                write!(f, "drain stalled: {pending} pooled transaction(s) no block can take")
-            }
+            NetworkError::DrainStalled { pending, sender, nonce } => write!(
+                f,
+                "drain stalled: {pending} pooled transaction(s) no block can take, \
+                 first {sender:?} at nonce {nonce}"
+            ),
             NetworkError::ToolBuild(e) => write!(f, "tool build: {e}"),
         }
     }
@@ -866,7 +872,13 @@ impl Network {
             }
             fruitless = if pooled(self) == before { fruitless + 1 } else { 0 };
             if fruitless == 3 {
-                return Err(NetworkError::DrainStalled { pending: before });
+                // `advance_pending` just found a non-empty pool, and a
+                // non-empty pool always names one: the `else` never runs.
+                let Some((sender, nonce)) = self.committees().find_map(|c| c.app().stalled_tx())
+                else {
+                    break;
+                };
+                return Err(NetworkError::DrainStalled { pending: before, sender, nonce });
             }
             self.pump_gateway();
         }

@@ -7,14 +7,47 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Lines containing the literal text $1 outside comments and trailing
-# test modules, in the *.rs files under the remaining arguments.
+# A guard that scans a path which is not there passes without looking.
+# So every grep and find in this script, and every census, ends the
+# whole script with status 1 when a path it was given does not exist:
+# from inside a pipeline or a command substitution too, by signalling
+# this top-level shell.
+trap 'exit 1' USR1
+missing_path() {
+    echo "ERROR: $1; a guard scanning a missing path would pass without looking." >&2
+    kill -USR1 $$
+    exit 1
+}
+grep() {
+    local status=0
+    command grep "$@" || status=$?
+    # 1 is "no match"; 2 is an error, such as a path that does not exist.
+    if [ "$status" -eq 2 ]; then
+        missing_path "grep $* could not read what it scans"
+    fi
+    return "$status"
+}
+find() {
+    local status=0
+    command find "$@" || status=$?
+    # 1 is an error (a missing path); a reader closing the pipe early is 141.
+    if [ "$status" -eq 1 ]; then
+        missing_path "find $* could not read what it scans"
+    fi
+    return "$status"
+}
+
+# Lines containing the literal text $1 outside comments and test
+# modules, in the *.rs files under the remaining arguments. A test
+# module ends at its closing brace in column 0: many files keep their
+# codec impls after it.
 uses_outside_tests() {
     local needle="$1"
     shift
     find "$@" -name "*.rs" -print0 | xargs -0 awk -v needle="$needle" '
         FNR == 1 { in_test = 0; prev = "" }
         prev ~ /^#\[cfg\(test\)\]/ && /^mod [a-z_]+ \{/ { in_test = 1 }
+        in_test && /^\}/ { in_test = 0 }
         { prev = $0 }
         !in_test && index($0, needle) && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
     '
@@ -23,12 +56,18 @@ uses_outside_tests() {
 # Line census: non-blank lines that are not // comments, above each
 # file's first #[cfg(test)].
 census() {
+    local path
+    [ "$#" -gt 0 ] || missing_path "census was given no file"
+    for path in "$@"; do
+        [ -e "$path" ] || missing_path "census: $path does not exist"
+    done
     awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next } { n++ } END { print n }' "$@"
 }
 
 echo "== hermetic guard: no registry dependencies =="
 fail=0
 for manifest in Cargo.toml crates/*/Cargo.toml; do
+    [ -e "$manifest" ] || missing_path "$manifest does not exist"
     # A registry dep is a dependency line with a version requirement, i.e.
     # `foo = "1"` or `foo = { version = "1", ... }`, inside a deps table.
     # Workspace deps use `foo.workspace = true` / `{ workspace = true }`
@@ -302,6 +341,34 @@ if grep -rn "state_mut()\." crates/*/src --include="*.rs" \
     exit 1
 fi
 echo "ok: all block-application state flows through the overlay commit path"
+
+# Hash-indexed accounts (DESIGN.md §8, §13): WorldState's account map
+# has no order, so outside tests only its two sorted walks iterate it,
+# hot_sorted (the canonical encoding, the hot/cold merge, Debug) and
+# demote_accounts (lowest addresses first). Any other walk of
+# `accounts` in state.rs would let hash order reach bytes or a choice.
+# The awk skips the tests module only: codec_impls, which holds
+# `Encode for WorldState`, comes after it.
+echo "== state: sorted walks of the account map guard =="
+state_rs=crates/chain/src/state.rs
+[ -e "$state_rs" ] || missing_path "$state_rs does not exist"
+unsorted_walks="$(awk '
+    FNR == 1 { in_test = 0; prev = "" }
+    prev ~ /^#\[cfg\(test\)\]/ && /^mod [a-z_]+ \{/ { in_test = 1 }
+    in_test && /^\}/ { in_test = 0 }
+    { prev = $0 }
+    in_test || /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_]+/) { fname = substr($0, RSTART + 3, RLENGTH - 3) }
+    /accounts\)?\.(iter|iter_mut|keys|values|values_mut|into_iter|into_keys|into_values|drain|retain)\(|&(mut )?self\.accounts([^._a-z]|$)|in self\.accounts([^._a-z]|$)/ {
+        if (fname != "hot_sorted" && fname != "demote_accounts") print FILENAME ":" FNR ": " $0
+    }
+' "$state_rs")"
+if [ -n "$unsorted_walks" ]; then
+    echo "$unsorted_walks"
+    echo "ERROR: the account hash map is walked outside hot_sorted/demote_accounts; its order would reach bytes or a choice." >&2
+    exit 1
+fi
+echo "ok: the account hash map is walked only in address order"
 
 # Authenticated state (DESIGN.md §13): committed deltas are the ONLY
 # thing allowed to move the world state's maps, because the sparse-

@@ -18,6 +18,13 @@
 //! copied node, and ten for the batch, its hashing buffers and the
 //! walk that reads ahead) and its replaced version frees 2,673, while a
 //! commit's in-place merge makes 10 and frees 10: not one node.
+//!
+//! A third section pins execution's contract-storage reads: an
+//! overlay's buffered storage is indexed by contract, then by slot, so
+//! a read probes with the caller's borrowed key and allocates nothing,
+//! whether it hits a buffered value, a tombstone or falls through to
+//! the state. When the buffer was keyed by an owned `(Address, Vec<u8>)`
+//! pair, each read allocated a copy of its key.
 
 use medchain_chain::WorldState;
 use medchain_chain::{Address, StateAccess, StateTree, WorldStateOverlay};
@@ -100,4 +107,18 @@ fn one_bulk_block_update_allocates_a_pinned_count() {
         "allocations of with_delta, frees of the version it replaced, \
          allocations and frees of merge_delta in place"
     );
+
+    let contract = Address::from_seed(accounts);
+    state.set_storage(contract, b"committed".to_vec(), b"1".to_vec());
+    let mut overlay = WorldStateOverlay::new(&state);
+    overlay.set_storage(contract, b"buffered".to_vec(), b"2".to_vec());
+    overlay.set_storage(contract, b"committed".to_vec(), Vec::new());
+    overlay.set_storage(contract, b"also".to_vec(), b"3".to_vec());
+    let slots: [&[u8]; 4] = [b"committed", b"buffered", b"absent", b"also"];
+    let reads = 4_000;
+    let (found, read_allocs, _) = counted(|| {
+        (0..reads).filter(|i| overlay.storage(&contract, slots[i % 4]).is_some()).count()
+    });
+    assert_eq!(found, reads / 2, "buffered values found, tombstone and absent slot not");
+    assert_eq!(read_allocs, 0, "allocations of {reads} overlay storage reads");
 }

@@ -153,7 +153,10 @@ fn tail_drain_ends_on_a_nonce_gap() {
         served
     });
 
-    assert_eq!(served, Err(NetworkError::DrainStalled { pending: 1 }));
+    assert_eq!(
+        served,
+        Err(NetworkError::DrainStalled { pending: 1, sender: key.address(), nonce: 1 })
+    );
     // Given up on, not lost: the transaction is still pooled.
     assert!(net.is_pending(&tx.id()));
     assert!(net.find_receipt(&tx.id()).is_none());

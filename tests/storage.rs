@@ -793,6 +793,96 @@ fn cold_accounts_pack_by_the_page_and_free_it_with_its_last_member() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The paged half of `state.rs`'s `hash_order_never_reaches_bytes`:
+/// the hot account map is hash-indexed, so its order must reach neither
+/// bytes nor the choice of demotion victims. Two page-capped ledgers
+/// credit one multiset of amounts to one universe of accounts in
+/// different orders, attach the cache at different points and commit
+/// empty blocks (each one demotes) at different points, so records grow
+/// hot, demote and promote along different histories. Both must encode
+/// byte-identically to a resident ledger, hash to its root and compare
+/// equal to it; then, every record promoted back, one empty block must
+/// demote the same lowest addresses on both.
+#[test]
+fn hash_order_never_reaches_paged_bytes_or_victims() {
+    let dir = test_dir("hash-order");
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = AuthorityKey::from_seed(43);
+    let commit_empty = |ledger: &mut Ledger| -> PropResult {
+        let now = ledger.tip().header.timestamp_ms + 1;
+        let block = ledger.propose(key.address(), now, Vec::<Transaction>::new());
+        ledger.apply(&block).map(|_| ()).map_err(|e| format!("empty block: {e}"))
+    };
+    check("hash order never reaches paged bytes or victims", CheckConfig::cases(24), |g| {
+        let universe = g.usize_in(1, 200) as u64;
+        let credits: Vec<(Address, u64)> = (0..g.usize_in(1, 300))
+            .map(|_| (Address::from_seed(g.u64() % universe), 1 + g.u64() % 1_000))
+            .collect();
+        let max_hot = g.usize_in(0, 24);
+        let mut resident = fresh_ledger(&key);
+        for (addr, amount) in &credits {
+            resident.state_mut().credit(*addr, *amount);
+        }
+        let mut paged = Vec::new();
+        for side in ["a", "b"] {
+            let mut order = credits.clone();
+            g.rng().shuffle(&mut order);
+            let attach_at = g.usize_in(0, order.len() + 1);
+            let pages = PageStore::open(
+                &dir.join(format!("pages-{side}.bin")),
+                2,
+                Registry::new().handle(),
+            )
+            .map_err(|e| e.to_string())?;
+            let mut cache = Some(StateCacheConfig {
+                pager: Arc::new(pages),
+                max_hot_accounts: max_hot,
+                node_budget: 16,
+            });
+            let mut ledger = fresh_ledger(&key);
+            for (i, (addr, amount)) in order.iter().enumerate() {
+                if i == attach_at {
+                    ledger.attach_state_cache(cache.take().expect("attached once"));
+                }
+                ledger.state_mut().credit(*addr, *amount);
+                if g.usize_in(0, 8) == 0 {
+                    commit_empty(&mut ledger)?;
+                }
+            }
+            if let Some(cache) = cache {
+                ledger.attach_state_cache(cache);
+            }
+            paged.push(ledger);
+        }
+        let bytes = resident.state().encoded();
+        let root = resident.state().state_root();
+        for (side, ledger) in ["a", "b"].into_iter().zip(&paged) {
+            ensure!(ledger.state().encoded() == bytes, "{side}: encoding differs");
+            ensure_eq!(ledger.state().state_root(), root);
+            ensure!(ledger.state() == resident.state(), "{side}: not equal to the resident state");
+        }
+
+        let mut addrs: Vec<Address> = credits.iter().map(|(addr, _)| *addr).collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        for ledger in &mut paged {
+            for addr in &addrs {
+                ledger.state_mut().credit(*addr, 0);
+            }
+            commit_empty(ledger)?;
+        }
+        let cold = |ledger: &Ledger| -> Vec<bool> {
+            addrs.iter().map(|addr| ledger.state().account_is_cold(addr)).collect()
+        };
+        let lowest: Vec<bool> =
+            (0..addrs.len()).map(|i| i < addrs.len().saturating_sub(max_hot)).collect();
+        ensure_eq!(cold(&paged[0]), lowest);
+        ensure_eq!(cold(&paged[1]), lowest);
+        Ok(())
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The one-descent merge through spilled subtrees: a tree spilled to a
 /// 16-node budget takes a batch that deletes two slots in three (so
 /// subtrees collapse inside the stubs the merge resolves), rewrites

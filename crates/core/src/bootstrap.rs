@@ -40,9 +40,9 @@
 use crate::client::ClientError;
 use crate::gateway::{GatewayRequest, GatewayResponse, GatewayServer};
 use medchain_chain::{Block, Hash256, Ledger, ShardId};
+use medchain_storage::snapshot::snapshot_payload;
 use medchain_storage::stream::{
-    chunk_at, manifest_for, snapshot_payload, SnapshotAssembler, SnapshotChunk,
-    SnapshotManifest, StreamError,
+    chunk_at, manifest_for, SnapshotAssembler, SnapshotChunk, SnapshotManifest, StreamError,
 };
 use medchain_storage::{BlockStore, DiskStore};
 

@@ -233,21 +233,6 @@ impl DiskStore {
     /// rejection, or a tip mismatch after replay).
     pub fn recover_into(&mut self, ledger: &mut Ledger) -> Result<RecoveryReport, StoreError> {
         let blocks = self.scanned.take().unwrap_or_default();
-        let report = self.recover_blocks(ledger, blocks)?;
-        self.metrics.counter("storage.replayed_blocks", report.replayed_blocks);
-        Ok(report)
-    }
-
-    fn recover_blocks(
-        &mut self,
-        ledger: &mut Ledger,
-        blocks: Vec<Block>,
-    ) -> Result<RecoveryReport, StoreError> {
-        let first_height = blocks.first().map(|b| b.header.height);
-        let (tip_height, tip_id) = match blocks.last() {
-            Some(last) => (last.header.height, last.id()),
-            None => (ledger.height(), ledger.tip().id()),
-        };
         let from_snapshot = match self.restore_point(&blocks)? {
             Some(Snapshot { height, tip, state, tree }) => {
                 ledger
@@ -257,43 +242,35 @@ impl DiskStore {
             }
             None => None,
         };
-        let Some(first_height) = first_height else {
-            // Empty log: a fresh store, or a lone adopted snapshot.
-            return Ok(RecoveryReport {
-                height: ledger.height(),
-                tip_id: ledger.tip().id(),
-                replayed_blocks: 0,
-                truncated_records: self.truncated_records,
-                from_snapshot,
-            });
-        };
+        // An empty log leaves a fresh store, or a lone adopted snapshot.
         let replay_above = ledger.height();
-        if from_snapshot.is_none() && first_height != replay_above + 1 {
-            return Err(StoreError::Recovery(format!(
-                "log starts at height {first_height} but ledger is at \
-                 {replay_above} and no usable snapshot bridges the gap"
-            )));
+        if let Some(first) = blocks.first().map(|b| b.header.height) {
+            if from_snapshot.is_none() && first != replay_above + 1 {
+                return Err(StoreError::Recovery(format!(
+                    "log starts at height {first} but ledger is at \
+                     {replay_above} and no usable snapshot bridges the gap"
+                )));
+            }
         }
 
         let mut replayed = 0u64;
         for block in blocks.iter().filter(|b| b.header.height > replay_above) {
             ledger.apply(block).map_err(|e| {
-                StoreError::Recovery(format!(
-                    "replay rejected block {}: {e}",
-                    block.header.height
-                ))
+                StoreError::Recovery(format!("replay rejected block {}: {e}", block.header.height))
             })?;
             replayed += 1;
         }
-        if ledger.tip().id() != tip_id {
+        if let Some(stored) = blocks.last().filter(|b| b.id() != ledger.tip().id()) {
             return Err(StoreError::Recovery(format!(
-                "replayed tip {} does not match stored tip at height {tip_height}",
-                ledger.height()
+                "replayed tip {} does not match stored tip at height {}",
+                ledger.height(),
+                stored.header.height
             )));
         }
+        self.metrics.counter("storage.replayed_blocks", replayed);
         Ok(RecoveryReport {
-            height: tip_height,
-            tip_id,
+            height: ledger.height(),
+            tip_id: ledger.tip().id(),
             replayed_blocks: replayed,
             truncated_records: self.truncated_records,
             from_snapshot,

@@ -1,4 +1,4 @@
-//! Durable directory entries.
+//! Durable directory entries, and the height-named files they hold.
 //!
 //! A file's `fsync` makes its bytes durable, not its name: until the
 //! directory holding it is synced too, a crash may forget a file just
@@ -10,7 +10,34 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// `<prefix><height, zero-padded><suffix>`: a log segment or snapshot
+/// file name whose lexicographic order is its height order.
+pub(crate) fn height_name(prefix: &str, height: u64, suffix: &str) -> String {
+    format!("{prefix}{height:020}{suffix}")
+}
+
+/// The files in `dir` named `<prefix><height><suffix>`, as `(height,
+/// path)` in height order. Any other file, a `.tmp` sibling included,
+/// is not listed.
+pub(crate) fn height_files(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let height = name
+            .to_str()
+            .and_then(|name| name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok());
+        files.extend(height.map(|h| (h, entry.path())));
+    }
+    files.sort_unstable();
+    Ok(files)
+}
 
 /// Syncs the directory holding `path`.
 fn sync_parent(path: &Path) -> io::Result<()> {

@@ -3,10 +3,11 @@
 //! The paper's global medical blockchain (Fig. 2) assumes hospital and
 //! provider nodes that survive restarts: an audit trail is only an
 //! audit trail if it outlives the process. This crate gives a MedChain
-//! node that durability with three std-only pieces:
+//! node that durability with three std-only pieces, whose files are all
+//! made of one CRC32-checked record format (`record.rs`, DESIGN.md §8):
 //!
-//! - **Segmented block log** ([`wal`]): append-only CRC32-framed
-//!   records of canonical-codec `Block` bytes, rolled into
+//! - **Segmented block log** ([`wal`]): append-only records of
+//!   canonical-codec `Block` bytes, rolled into
 //!   `seg-<height>.wal` files, with a configurable fsync policy.
 //! - **State snapshots** ([`snapshot`]): periodic `snap-<height>.bin`
 //!   files carrying the tip block, the full canonical `WorldState` and
@@ -44,6 +45,7 @@
 #![warn(rust_2018_idioms)]
 
 mod durable;
+mod record;
 pub mod disk;
 pub mod pages;
 pub mod snapshot;
@@ -52,6 +54,7 @@ pub mod wal;
 
 pub use disk::{DiskStore, FsyncPolicy, RecoveryReport, StorageConfig, StorageFault};
 pub use pages::{PageId, PageStore, PAGE_BYTES};
+pub use record::{frame_record, split_record, RecordError, RECORD_HEADER_BYTES};
 pub use snapshot::{Snapshot, SnapshotDelta, SnapshotStore};
 pub use stream::{SnapshotChunk, SnapshotManifest, CHUNK_BYTES};
 pub use wal::{ScanResult, SegmentedLog};

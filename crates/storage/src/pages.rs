@@ -2,11 +2,11 @@
 //! world state (DESIGN.md §14).
 //!
 //! A [`PageStore`] is a single `pages.bin` file divided into
-//! [`PAGE_BYTES`] slots. One stored record occupies a contiguous run of
-//! slots (an *extent*) and carries the same `[len u32 LE][crc u32 LE]
-//! [payload]` header as a WAL record, so a page read is integrity-
-//! checked exactly like a log replay. Callers address a record by the
-//! [`PageId`] returned from [`PageStore::write`].
+//! [`PAGE_BYTES`] slots. One stored payload occupies a contiguous run of
+//! slots (an *extent*) as one record of the crate's one record format
+//! (`record.rs`), bounded by the extent's slots, so a page read is
+//! integrity-checked exactly like a log replay. Callers address a
+//! record by the [`PageId`] returned from [`PageStore::write`].
 //!
 //! ## Contract — one store = one sub-chain's spill file
 //!
@@ -40,21 +40,18 @@
 //! `storage.page_flushes`, `storage.page_writes`, `storage.page_frees`,
 //! and a `storage.page_file_slots` gauge for the file's high-water mark.
 
-use medchain_chain::hash::crc32;
+use crate::record::{frame_record, read_record, record_bytes, RecordError};
 use medchain_chain::Pager;
 use medchain_runtime::metrics::Metrics;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
 /// On-disk slot size. Records smaller than one slot still occupy a full
 /// slot; larger records span a contiguous extent of slots.
 pub const PAGE_BYTES: usize = 4096;
-
-/// Bytes of `[len][crc]` header at the start of every extent.
-const EXTENT_HEADER: usize = 8;
 
 /// Handle to one stored record: the index of its first slot.
 pub type PageId = u64;
@@ -100,8 +97,21 @@ impl std::fmt::Debug for PageStore {
     }
 }
 
-fn slots_for(payload_len: usize) -> u64 {
-    (((EXTENT_HEADER + payload_len) + PAGE_BYTES - 1) / PAGE_BYTES) as u64
+/// The slots a record of `payload_len` bytes spans.
+fn slots_for(payload_len: usize) -> io::Result<u64> {
+    let bytes = record_bytes(payload_len)
+        .map_err(|e| page_error(format!("a {payload_len}-byte payload"), e))?;
+    Ok(bytes.div_ceil(PAGE_BYTES as u64))
+}
+
+/// A record error as the page store's I/O error: a failed read or write
+/// is itself, a torn, overlong or corrupt record `InvalidData` naming
+/// `what` — spilled data lost, never skipped.
+fn page_error(what: String, e: RecordError) -> io::Error {
+    match e {
+        RecordError::Io(e) => e,
+        bad => io::Error::new(io::ErrorKind::InvalidData, format!("{what}: {bad}")),
+    }
 }
 
 impl PageStore {
@@ -140,10 +150,11 @@ impl PageStore {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if an eviction's write-back fails.
+    /// Returns `InvalidData` for a payload too long for one record, or
+    /// the I/O error if an eviction's write-back fails.
     pub fn write(&self, payload: &[u8]) -> io::Result<PageId> {
+        let slots = slots_for(payload.len())?;
         let mut inner = self.inner.lock().expect("page store poisoned");
-        let slots = slots_for(payload.len());
         let start = Self::allocate(&mut inner, slots);
         inner.extents.insert(start, slots);
         inner.clock += 1;
@@ -271,35 +282,16 @@ impl PageStore {
     }
 
     fn write_extent(file: &mut File, start: u64, payload: &[u8]) -> io::Result<()> {
-        let mut record = Vec::with_capacity(EXTENT_HEADER + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32(payload).to_le_bytes());
-        record.extend_from_slice(payload);
+        let record = frame_record(payload).map_err(|e| page_error(format!("page {start}"), e))?;
         file.seek(SeekFrom::Start(start * PAGE_BYTES as u64))?;
         file.write_all(&record)
     }
 
+    /// The record at extent `start`, bounded by its `slots`.
     fn read_extent(inner: &mut Inner, start: u64, slots: u64) -> io::Result<Vec<u8>> {
-        let mut header = [0u8; EXTENT_HEADER];
         inner.file.seek(SeekFrom::Start(start * PAGE_BYTES as u64))?;
-        inner.file.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if slots_for(len) > slots {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("page {start}: length {len} exceeds its {slots}-slot extent"),
-            ));
-        }
-        let mut payload = vec![0u8; len];
-        inner.file.read_exact(&mut payload)?;
-        if crc32(&payload) != crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("page {start}: CRC mismatch (spill data lost)"),
-            ));
-        }
-        Ok(payload)
+        read_record(&mut inner.file, slots * PAGE_BYTES as u64)
+            .map_err(|e| page_error(format!("page {start}"), e))
     }
 }
 
@@ -402,7 +394,7 @@ mod tests {
         drop(store);
         let path = dir.join("pages.bin");
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[EXTENT_HEADER] ^= 0xFF;
+        bytes[crate::RECORD_HEADER_BYTES] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         // Reopen truncates: derived data never survives a restart.
         let store = PageStore::open(&path, 64, Registry::new().handle()).unwrap();

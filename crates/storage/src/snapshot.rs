@@ -1,30 +1,30 @@
 //! World-state snapshots: the fast-sync anchor that bounds replay.
 //!
-//! A snapshot file `snap-<height, zero-padded>.bin` holds one CRC-framed
-//! record (same framing as the block log) whose payload is the canonical
-//! bytes of the tip [`Block`], the canonical bytes of the post-execution
-//! [`WorldState`], and the node pages of the authenticated [`StateTree`]
-//! (hashes included). Carrying the block — not just the state — gives
-//! recovery the parent-linkage anchor it needs to replay the log tail,
-//! and lets it cross-check the snapshot against the log
-//! (`snapshot tip id == logged block id at that height`) before
-//! trusting it. Carrying the tree lets recovery rebuild the
-//! authenticated root by *decoding* rather than rehashing: loading
-//! checks the decoded tree's cached root against the tip header — O(1)
-//! after decode — instead of the old O(total state) full rehash. The
-//! writer does not hash either: [`SnapshotStore::write`] is handed the
-//! tree the ledger's commit already built.
-//! Integrity against disk corruption rests on the record CRC, the same
-//! trust the block log itself gets; the root-vs-header check then binds
-//! tree and block together.
+//! A snapshot file `snap-<height, zero-padded>.bin` is one record (the
+//! crate's one record format, `record.rs`) whose payload,
+//! [`snapshot_payload`], is the canonical bytes of the tip [`Block`],
+//! the canonical bytes of the post-execution [`WorldState`], and the
+//! node pages of the authenticated [`StateTree`] (hashes included).
+//! Carrying the block — not just the state — gives recovery the
+//! parent-linkage anchor it needs to replay the log tail, and lets it
+//! cross-check the snapshot against the log (`snapshot tip id ==
+//! logged block id at that height`) before trusting it. Carrying the
+//! tree lets recovery rebuild the authenticated root by *decoding*
+//! rather than rehashing: loading checks the decoded tree's cached root
+//! against the tip header — O(1) after decode — instead of the old
+//! O(total state) full rehash. The writer does not hash either:
+//! [`SnapshotStore::write`] is handed the tree the ledger's commit
+//! already built. Integrity against disk corruption rests on the
+//! record CRC, the same trust the block log itself gets; the
+//! root-vs-header check then binds tree and block together.
 //!
-//! A delta snapshot `delta-<height>.bin` is the same one-record frame
-//! over the tip [`Block`], the height and block id of the full snapshot
-//! it builds on (its *base*), and a [`StateDelta`] of every write
-//! since that base. It costs bytes in proportion to churn, not state
-//! size, and it cannot stand alone: [`SnapshotDelta::onto`] applies it
-//! to its decoded base, state and tree, and checks the merged tree's
-//! root against the delta's tip — O(entries × depth), never O(state).
+//! A delta snapshot `delta-<height>.bin` is one record too, over the
+//! tip [`Block`], the height and block id of the full snapshot it
+//! builds on (its *base*), and a [`StateDelta`] of every write since
+//! that base. It costs bytes in proportion to churn, not state size,
+//! and it cannot stand alone: [`SnapshotDelta::onto`] applies it to its
+//! decoded base, state and tree, and checks the merged tree's root
+//! against the delta's tip — O(entries × depth), never O(state).
 //!
 //! Writes go to a `.tmp` sibling first and rename into place, syncing
 //! the directory, so a crash mid-snapshot leaves either the old set or
@@ -32,13 +32,11 @@
 //! one that a crash forgets.
 
 use crate::durable;
-use crate::wal::RECORD_HEADER_BYTES;
-use medchain_chain::hash::crc32;
+use crate::record::{read_record, write_record, RecordError};
 use medchain_chain::store::StoreError;
 use medchain_chain::{Block, Hash256, StateDelta, StateTree, WorldState};
 use medchain_runtime::codec::{Decode, Encode, Reader};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 const SNAP_PREFIX: &str = "snap-";
@@ -103,66 +101,88 @@ pub struct SnapshotStore {
 }
 
 fn snap_name(height: u64) -> String {
-    format!("{SNAP_PREFIX}{height:020}{SNAP_SUFFIX}")
+    durable::height_name(SNAP_PREFIX, height, SNAP_SUFFIX)
 }
 
 fn delta_name(height: u64) -> String {
-    format!("{DELTA_PREFIX}{height:020}{SNAP_SUFFIX}")
+    durable::height_name(DELTA_PREFIX, height, SNAP_SUFFIX)
 }
 
-fn height_in(name: &str, prefix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?.strip_suffix(SNAP_SUFFIX)?.parse().ok()
-}
-
-/// Writes `payload` to `path` as one CRC-framed record (the block log's
-/// framing: `u32` length, `u32` CRC, payload) through a `.tmp` sibling
+/// Writes `payload` to `path` as one record through a `.tmp` sibling
 /// synced, then renamed into place with its directory synced: two
 /// fsyncs. Returns the bytes written.
-fn write_record(path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| StoreError::Io("snapshot payload exceeds the record length field".into()))?;
+fn write_file(path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
     let tmp_path = path.with_extension("bin.tmp");
     let written = (|| {
         let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp_path)?;
-        file.write_all(&len.to_le_bytes())?;
-        file.write_all(&crc32(payload).to_le_bytes())?;
-        file.write_all(payload)?;
+        let bytes = write_record(&mut file, payload)?;
         file.sync_data()?;
         drop(file);
-        durable::rename_into_place(&tmp_path, path)
+        durable::rename_into_place(&tmp_path, path)?;
+        Ok::<_, RecordError>(bytes)
     })();
-    if let Err(e) = written {
+    written.map_err(|e| {
         let _ = fs::remove_file(&tmp_path);
-        return Err(e.into());
-    }
-    Ok(RECORD_HEADER_BYTES + u64::from(len))
+        e.into()
+    })
 }
 
-/// The CRC-verified payload of the record file at `path`; `None` if the
-/// file is missing, torn, or fails its CRC. The header is read on its
-/// own and the payload straight into its buffer, so a multi-megabyte
-/// snapshot is neither copied nor moved after the read.
-fn read_record(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+/// The payload of the record file at `path`; `None` if the file is
+/// missing, torn, overlong for its length, or fails its CRC.
+fn read_file(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
     let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
     let file_len = file.metadata()?.len();
-    if file_len < RECORD_HEADER_BYTES {
-        return Ok(None);
+    match read_record(&mut file, file_len) {
+        Ok(payload) => Ok(Some(payload)),
+        Err(RecordError::Io(e)) => Err(e.into()),
+        Err(_) => Ok(None),
     }
-    let mut header = [0u8; RECORD_HEADER_BYTES as usize];
-    file.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    // The length is bounded by the file before anything is allocated.
-    if file_len - RECORD_HEADER_BYTES < u64::from(len) {
-        return Ok(None);
-    }
-    let mut payload = vec![0u8; len as usize];
-    file.read_exact(&mut payload)?;
-    Ok((crc32(&payload) == crc).then_some(payload))
+}
+
+/// A full snapshot's payload: tip ‖ state ‖ tree, canonical bytes. The
+/// one encoder both a snapshot file and a streamed snapshot use, so a
+/// joiner adopts a peer's payload as a local file and loads it through
+/// [`SnapshotStore::load`], which [`decode_snapshot`]s it.
+pub fn snapshot_payload(tip: &Block, state: &WorldState, tree: &StateTree) -> Vec<u8> {
+    let mut payload = tip.encoded();
+    state.encode(&mut payload);
+    tree.encode(&mut payload);
+    payload
+}
+
+/// The snapshot at `height` a [`snapshot_payload`] holds; `None` unless
+/// it decodes exactly, its tip is at `height`, and its tree's root is
+/// the tip's state root over as many leaves as the state holds.
+fn decode_snapshot(payload: &[u8], height: u64) -> Option<Snapshot> {
+    let mut reader = Reader::new(payload);
+    let tip = Block::decode(&mut reader).ok()?;
+    let state = WorldState::decode(&mut reader).ok()?;
+    let tree = StateTree::decode(&mut reader).ok()?;
+    // The decoded tree carries its hashes, so the root check is O(1) —
+    // no full-state rehash on the recovery path. The leaf count ties the
+    // tree to the state it claims to authenticate; byte-level integrity
+    // is the record CRC's job.
+    let consistent = reader.remaining() == 0
+        && tip.header.height == height
+        && tree.versioned_root() == tip.header.state_root
+        && tree.len() == state.leaf_count();
+    consistent.then_some(Snapshot { height, tip, state, tree })
+}
+
+/// The delta at `height` a delta file's payload holds; `None` unless it
+/// decodes exactly, its tip is at `height` and its base is below it.
+fn decode_delta(payload: &[u8], height: u64) -> Option<SnapshotDelta> {
+    let mut reader = Reader::new(payload);
+    let tip = Block::decode(&mut reader).ok()?;
+    let base_height = u64::decode(&mut reader).ok()?;
+    let base_tip = Hash256::decode(&mut reader).ok()?;
+    let writes = StateDelta::decode(&mut reader).ok()?;
+    let consistent = reader.remaining() == 0 && tip.header.height == height && base_height < height;
+    consistent.then_some(SnapshotDelta { tip, base_height, base_tip, writes })
 }
 
 impl SnapshotStore {
@@ -191,10 +211,8 @@ impl SnapshotStore {
         state: &WorldState,
         tree: &StateTree,
     ) -> Result<u64, StoreError> {
-        let mut payload = tip.encoded();
-        state.encode(&mut payload);
-        tree.encode(&mut payload);
-        write_record(&self.dir.join(snap_name(tip.header.height)), &payload)
+        let payload = snapshot_payload(tip, state, tree);
+        write_file(&self.dir.join(snap_name(tip.header.height)), &payload)
     }
 
     /// Writes a delta snapshot at `tip`'s height: `writes`, every write
@@ -216,7 +234,7 @@ impl SnapshotStore {
         base_height.encode(&mut payload);
         base_tip.encode(&mut payload);
         writes.encode(&mut payload);
-        write_record(&self.dir.join(delta_name(tip.header.height)), &payload)
+        write_file(&self.dir.join(delta_name(tip.header.height)), &payload)
     }
 
     /// Adopts a snapshot payload assembled from a peer's stream
@@ -233,7 +251,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on write failure.
     pub fn adopt_payload(&self, height: u64, payload: &[u8]) -> Result<(), StoreError> {
-        write_record(&self.dir.join(snap_name(height)), payload).map(|_| ())
+        write_file(&self.dir.join(snap_name(height)), payload).map(|_| ())
     }
 
     /// Deletes the snapshot file at `height` — an adopted payload that
@@ -255,7 +273,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on read failure (other than absence).
     pub fn raw_payload(&self, height: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        read_record(&self.dir.join(snap_name(height)))
+        read_file(&self.dir.join(snap_name(height)))
     }
 
     /// Heights of all full snapshot files, ascending (validity
@@ -279,17 +297,8 @@ impl SnapshotStore {
     }
 
     fn heights_of(&self, prefix: &str) -> Result<Vec<u64>, StoreError> {
-        let mut heights = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(h) = height_in(name, prefix) {
-                heights.push(h);
-            }
-        }
-        heights.sort_unstable();
-        Ok(heights)
+        let files = durable::height_files(&self.dir, prefix, SNAP_SUFFIX)?;
+        Ok(files.into_iter().map(|(height, _)| height).collect())
     }
 
     /// Loads and validates the snapshot at `height`; `None` if the file
@@ -299,29 +308,8 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on read failure (other than absence).
     pub fn load(&self, height: u64) -> Result<Option<Snapshot>, StoreError> {
-        let Some(payload) = read_record(&self.dir.join(snap_name(height)))? else {
-            return Ok(None);
-        };
-        let mut reader = Reader::new(&payload);
-        let (Ok(tip), Ok(state), Ok(tree)) = (
-            Block::decode(&mut reader),
-            WorldState::decode(&mut reader),
-            StateTree::decode(&mut reader),
-        ) else {
-            return Ok(None);
-        };
-        // The decoded tree carries its hashes, so the root check is
-        // O(1) — no full-state rehash on the recovery path. The leaf
-        // count ties the tree to the state it claims to authenticate;
-        // byte-level integrity is the CRC's job (checked above).
-        if reader.remaining() != 0
-            || tip.header.height != height
-            || tree.versioned_root() != tip.header.state_root
-            || tree.len() != state.leaf_count()
-        {
-            return Ok(None);
-        }
-        Ok(Some(Snapshot { height, tip, state, tree }))
+        let payload = read_file(&self.dir.join(snap_name(height)))?;
+        Ok(payload.and_then(|payload| decode_snapshot(&payload, height)))
     }
 
     /// Reads the delta snapshot at `height`, unapplied; `None` if the
@@ -333,22 +321,8 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on read failure (other than absence).
     pub fn read_delta(&self, height: u64) -> Result<Option<SnapshotDelta>, StoreError> {
-        let Some(payload) = read_record(&self.dir.join(delta_name(height)))? else {
-            return Ok(None);
-        };
-        let mut reader = Reader::new(&payload);
-        let (Ok(tip), Ok(base_height), Ok(base_tip), Ok(writes)) = (
-            Block::decode(&mut reader),
-            u64::decode(&mut reader),
-            Hash256::decode(&mut reader),
-            StateDelta::decode(&mut reader),
-        ) else {
-            return Ok(None);
-        };
-        if reader.remaining() != 0 || tip.header.height != height || base_height >= height {
-            return Ok(None);
-        }
-        Ok(Some(SnapshotDelta { tip, base_height, base_tip, writes }))
+        let payload = read_file(&self.dir.join(delta_name(height)))?;
+        Ok(payload.and_then(|payload| decode_delta(&payload, height)))
     }
 
     /// Deletes all but the newest `fulls` full snapshots, and every

@@ -37,8 +37,7 @@
 
 use medchain_chain::hash::crc32;
 use medchain_chain::hash::Hash256;
-use medchain_chain::{Block, StateTree, WorldState};
-use medchain_runtime::codec::Encode;
+use medchain_chain::Block;
 use medchain_runtime::impl_codec_struct;
 use std::collections::BTreeMap;
 
@@ -94,20 +93,9 @@ pub struct SnapshotChunk {
 
 impl_codec_struct!(SnapshotChunk { height, index, bytes, crc });
 
-/// Builds the canonical snapshot payload a peer streams: tip block +
-/// world state + authenticated tree, byte-identical to what
-/// `SnapshotStore::write` frames to disk — so the receiving side can
-/// adopt it as a local snapshot file and reuse the whole disk-snapshot
-/// validation path.
-pub fn snapshot_payload(tip: &Block, state: &WorldState, tree: &StateTree) -> Vec<u8> {
-    let mut payload = tip.encoded();
-    state.encode(&mut payload);
-    tree.encode(&mut payload);
-    payload
-}
-
-/// The manifest describing `payload` (as built by [`snapshot_payload`]
-/// or read back from a snapshot file).
+/// The manifest describing `payload` (as built by
+/// [`snapshot_payload`](crate::snapshot::snapshot_payload) or read back
+/// from a snapshot file).
 pub fn manifest_for(tip: &Block, payload: &[u8]) -> SnapshotManifest {
     let chunk_count = payload.len().div_ceil(CHUNK_BYTES).max(1);
     SnapshotManifest {

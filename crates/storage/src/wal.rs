@@ -1,22 +1,15 @@
 //! The append-only segmented block log.
 //!
-//! Records are CRC-framed canonical-codec [`Block`] bytes:
-//!
-//! ```text
-//! ┌───────────┬───────────┬──────────────────┐
-//! │ len: u32  │ crc: u32  │ payload (len B)  │
-//! │ LE        │ LE, CRC32 │ canonical Block  │
-//! └───────────┴───────────┴──────────────────┘
-//! ```
-//!
-//! Segments are named `seg-<first-height, zero-padded>.wal` so a
-//! lexicographic directory listing is also the height order. A scan on
-//! open validates every record (frame complete, CRC, decode, height
-//! contiguity) and truncates the file at the first invalid one — a torn
-//! tail from a crash mid-append recovers to the last durable block.
+//! Each record (the crate's one record format, `record.rs`) carries
+//! one block's canonical-codec [`Block`] bytes. Segments are named
+//! `seg-<first-height, zero-padded>.wal` so a lexicographic directory
+//! listing is also the height order. A scan on open validates every
+//! record (complete, CRC, decode, height contiguity) and truncates the
+//! file at the first invalid one — a torn tail from a crash mid-append
+//! recovers to the last durable block.
 
 use crate::durable;
-use medchain_chain::hash::crc32;
+use crate::record::{frame_record, split_record};
 use medchain_chain::store::StoreError;
 use medchain_chain::Block;
 use medchain_runtime::codec::{Decode, Reader};
@@ -24,20 +17,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Bytes of framing before each payload: `u32` length + `u32` CRC.
-pub const RECORD_HEADER_BYTES: u64 = 8;
-
 const SEG_PREFIX: &str = "seg-";
 const SEG_SUFFIX: &str = ".wal";
-
-/// Frames `payload` as one log record.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER_BYTES as usize + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
 
 /// Outcome of scanning the log on open.
 #[derive(Debug)]
@@ -64,14 +45,6 @@ pub struct SegmentedLog {
     dir_syncs: u64,
 }
 
-fn segment_name(first_height: u64) -> String {
-    format!("{SEG_PREFIX}{first_height:020}{SEG_SUFFIX}")
-}
-
-fn segment_height(name: &str) -> Option<u64> {
-    name.strip_prefix(SEG_PREFIX)?.strip_suffix(SEG_SUFFIX)?.parse().ok()
-}
-
 impl SegmentedLog {
     /// Opens the log in `dir` (created if absent), scanning and
     /// repairing existing segments.
@@ -81,23 +54,14 @@ impl SegmentedLog {
     /// Returns [`StoreError::Io`] on filesystem failure.
     pub fn open(dir: &Path, segment_bytes: u64) -> Result<(SegmentedLog, ScanResult), StoreError> {
         fs::create_dir_all(dir)?;
-        let mut segments: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(h) = segment_height(name) {
-                segments.push((h, entry.path()));
-            }
-        }
-        segments.sort();
+        let segments = durable::height_files(dir, SEG_PREFIX, SEG_SUFFIX)?;
 
         let mut blocks: Vec<Block> = Vec::new();
         let mut truncated_records = 0u64;
         let mut tail: Option<(PathBuf, u64)> = None;
         for (i, (_, path)) in segments.iter().enumerate() {
             let bytes = fs::read(path)?;
-            let (seg_blocks, valid_end, bad) = scan_segment(&bytes, blocks.last())?;
+            let (seg_blocks, valid_end, bad) = scan_segment(&bytes, blocks.last());
             blocks.extend(seg_blocks);
             if bad {
                 truncated_records += 1;
@@ -136,14 +100,11 @@ impl SegmentedLog {
     /// # Errors
     ///
     /// Returns [`StoreError::HeightGap`] if `height` does not extend the
-    /// log, or [`StoreError::Io`] on write failure.
+    /// log, or [`StoreError::Io`] on write failure or a payload too long
+    /// for one record.
     pub fn append(&mut self, height: u64, payload: &[u8]) -> Result<u64, StoreError> {
-        let record = frame(payload);
-        let file = self.tail_for(height, record.len() as u64)?;
-        file.write_all(&record)?;
-        if let Some((_, _, size)) = self.current.as_mut() {
-            *size += record.len() as u64;
-        }
+        let record = frame_record(payload)?;
+        self.write_tail(height, &record, record.len())?;
         self.next_height = Some(height + 1);
         Ok(record.len() as u64)
     }
@@ -157,15 +118,9 @@ impl SegmentedLog {
     /// Returns [`StoreError::HeightGap`] or [`StoreError::Io`] as
     /// [`SegmentedLog::append`] would.
     pub fn append_torn(&mut self, height: u64, payload: &[u8]) -> Result<(), StoreError> {
-        let record = frame(payload);
-        let half = record.len() / 2;
-        let file = self.tail_for(height, record.len() as u64)?;
-        file.write_all(&record[..half])?;
-        file.sync_data()?;
-        if let Some((_, _, size)) = self.current.as_mut() {
-            *size += half as u64;
-        }
-        Ok(())
+        let record = frame_record(payload)?;
+        self.write_tail(height, &record[..record.len() / 2], record.len())?;
+        self.sync()
     }
 
     /// Fsyncs the tail segment.
@@ -186,77 +141,64 @@ impl SegmentedLog {
         std::mem::take(&mut self.dir_syncs)
     }
 
-    /// Checks height contiguity and returns the segment file to append
-    /// `record_len` more bytes to, rolling first if needed. A new
-    /// segment's directory entry is synced before any record goes in,
-    /// so a synced append survives a crash with its file.
-    fn tail_for(&mut self, height: u64, record_len: u64) -> Result<&mut File, StoreError> {
+    /// Checks height contiguity and writes `bytes` of a `whole`-byte
+    /// record to the tail segment, rolling first if the whole record
+    /// would not fit. A new segment's directory entry is synced before
+    /// any record goes in, so a synced append survives a crash with its
+    /// file.
+    fn write_tail(&mut self, height: u64, bytes: &[u8], whole: usize) -> Result<(), StoreError> {
         if let Some(expected) = self.next_height {
             if height != expected {
                 return Err(StoreError::HeightGap { expected, got: height });
             }
         }
         let roll = match &self.current {
-            Some((_, _, size)) => *size > 0 && *size + record_len > self.segment_bytes,
+            Some((_, _, size)) => *size > 0 && *size + whole as u64 > self.segment_bytes,
             None => true,
         };
         if roll {
             if let Some((_, file, _)) = self.current.as_mut() {
                 file.sync_data()?;
             }
-            let path = self.dir.join(segment_name(height));
+            let path = self.dir.join(durable::height_name(SEG_PREFIX, height, SEG_SUFFIX));
             let file = durable::create_segment(&path)?;
             self.dir_syncs += 1;
             self.current = Some((path, file, 0));
         }
-        Ok(&mut self.current.as_mut().expect("tail segment just ensured").1)
+        let (_, file, size) = self.current.as_mut().expect("tail segment just ensured");
+        file.write_all(bytes)?;
+        *size += bytes.len() as u64;
+        Ok(())
     }
 }
 
 /// Scans one segment's bytes. Returns the decoded blocks, the byte
-/// offset after the last valid record, and whether an invalid record
-/// stopped the scan.
-fn scan_segment(
-    bytes: &[u8],
-    prev: Option<&Block>,
-) -> Result<(Vec<Block>, u64, bool), StoreError> {
+/// offset after the last valid record, and whether an invalid record —
+/// torn, overlong, corrupt, undecodable or out of height order —
+/// stopped the scan. Each block decodes from the borrowed segment.
+fn scan_segment(bytes: &[u8], prev: Option<&Block>) -> (Vec<Block>, u64, bool) {
     let mut blocks: Vec<Block> = Vec::new();
-    let mut offset = 0usize;
-    let header = RECORD_HEADER_BYTES as usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < header {
-            return Ok((blocks, offset as u64, true)); // torn frame header
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if rest.len() < header + len {
-            return Ok((blocks, offset as u64, true)); // torn payload
-        }
-        let payload = &rest[header..header + len];
-        if crc32(payload) != crc {
-            return Ok((blocks, offset as u64, true)); // corrupt payload
-        }
-        let mut reader = Reader::new(payload);
-        let Ok(block) = Block::decode(&mut reader) else {
-            return Ok((blocks, offset as u64, true));
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let expected = blocks.last().or(prev).map(|b: &Block| b.header.height + 1);
+        let Some((block, after)) = next_block(rest, expected) else {
+            return (blocks, (bytes.len() - rest.len()) as u64, true);
         };
-        if reader.remaining() != 0 {
-            return Ok((blocks, offset as u64, true));
-        }
-        let expected = blocks
-            .last()
-            .or(prev)
-            .map(|b: &Block| b.header.height + 1);
-        if let Some(expected) = expected {
-            if block.header.height != expected {
-                return Ok((blocks, offset as u64, true)); // discontinuity
-            }
-        }
         blocks.push(block);
-        offset += header + len;
+        rest = after;
     }
-    Ok((blocks, offset as u64, false))
+    (blocks, bytes.len() as u64, false)
+}
+
+/// The block in the record at the front of `bytes` and the bytes after
+/// it; `None` unless the record holds, its payload is exactly one block,
+/// and that block is at `expected` height (when one is expected).
+fn next_block(bytes: &[u8], expected: Option<u64>) -> Option<(Block, &[u8])> {
+    let (payload, after) = split_record(bytes).ok()?;
+    let mut reader = Reader::new(payload);
+    let block = Block::decode(&mut reader).ok()?;
+    let contiguous = expected.is_none_or(|h| block.header.height == h);
+    (reader.remaining() == 0 && contiguous).then_some((block, after))
 }
 
 /// Truncates `path` to `valid_end` (removing it entirely if empty) and

@@ -1,7 +1,8 @@
 //! Kernel ≡ sliced ≡ bytewise CRC32, under tier-1.
 //!
-//! Every record the block log, snapshot files, page extents and snapshot
-//! stream frame is checksummed by `crc32`, which runs the carry-less-
+//! Every durable record (block log, snapshot files and page extents,
+//! all checked in `crates/storage/src/record.rs`) and every snapshot
+//! stream chunk is checksummed by `crc32`, which runs the carry-less-
 //! multiply kernel when the CPU has `pclmulqdq` and the slicing-by-8
 //! loop otherwise, so on any one box the rest of the suite sees one
 //! path. These properties hold both paths to the definition (one byte

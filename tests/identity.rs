@@ -76,7 +76,7 @@ fn vectors() -> Vec<(&'static str, String)> {
         ("block_id", block.id().to_hex()),
         ("tx_root", block.header.tx_root.to_hex()),
         ("receipt", hex(&receipt.encoded())),
-        ("wal_record", hex(&medchain_storage::wal::frame(&block.encoded()))),
+        ("wal_record", hex(&medchain_storage::frame_record(&block.encoded()).unwrap())),
         ("proposal", hex(&proposal.encoded())),
     ]
 }

@@ -21,8 +21,9 @@ use medchain::gateway::GatewayBackend;
 use medchain::NetworkError;
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
-use medchain_storage::wal::RECORD_HEADER_BYTES;
-use medchain_storage::{SegmentedLog, SnapshotStore, PAGE_BYTES};
+use medchain_storage::{
+    split_record, SegmentedLog, SnapshotStore, PAGE_BYTES, RECORD_HEADER_BYTES,
+};
 use medchain_chain::ledger::LedgerError;
 use medchain_chain::{Block, BlockStore, StoreError};
 use medchain_runtime::check::{check, CheckConfig, PropResult};
@@ -164,13 +165,12 @@ fn flipped_byte_in_log_record_stops_recovery_at_prior_record() {
         .find(|p| p.extension().is_some_and(|e| e == "wal"))
         .expect("one segment file");
     let mut bytes = std::fs::read(&seg).unwrap();
-    let mut offset = 0usize;
+    let mut rest = &bytes[..];
     for _ in 0..4 {
-        let len =
-            u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        offset += RECORD_HEADER_BYTES as usize + len;
+        rest = split_record(rest).unwrap().1;
     }
-    bytes[offset + RECORD_HEADER_BYTES as usize + 10] ^= 0x40;
+    let offset = bytes.len() - rest.len();
+    bytes[offset + RECORD_HEADER_BYTES + 10] ^= 0x40;
     std::fs::write(&seg, bytes).unwrap();
 
     let registry = Registry::new();
@@ -1729,7 +1729,7 @@ fn durable_bytes_are_pinned() {
     assert_eq!(snapshots.len(), 1, "{snapshots:?}");
     let snapshot = std::fs::read(&snapshots[0]).unwrap();
     // The served manifest describes the snapshot file's own record.
-    assert_eq!(manifest.total_len + RECORD_HEADER_BYTES, snapshot.len() as u64);
+    assert_eq!(manifest.total_len + RECORD_HEADER_BYTES as u64, snapshot.len() as u64);
     assert_eq!(manifest.crc.to_le_bytes(), snapshot[4..8]);
     let digests = [
         Hash256::digest(&std::fs::read(&segments[0]).unwrap()).to_hex(),
@@ -1871,7 +1871,7 @@ fn corrupt_wal_snapshot_and_page_files_never_panic_the_reader() {
         pages.write(b"evictor").unwrap();
         let start = page as usize * PAGE_BYTES;
         let mut bytes = std::fs::read(&path).unwrap();
-        let record = start..start + RECORD_HEADER_BYTES as usize + payload.len();
+        let record = start..start + RECORD_HEADER_BYTES + payload.len();
         let edit = corrupt(g, &mut bytes, record);
         std::fs::write(&path, &bytes).unwrap();
         ensure!(pages.read(page).is_err(), "{edit}: the extent still read");

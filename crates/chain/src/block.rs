@@ -87,45 +87,46 @@ impl Header {
     }
 }
 
-/// A block's header with its digest kept once computed. Reads go
-/// through `Deref`; taking the header mutably forgets the kept digest,
-/// so [`Block::id`] is memoised and can still never be stale.
+/// A block's header with its digest kept once computed, shared: every
+/// copy of a block in the process — the proposal, votes in flight, each
+/// in-process replica's history — points at one allocation, as [`Body`]
+/// does. Reads go through `Deref`; taking the header mutably copies it
+/// if it is shared and forgets the kept digest, so [`Block::id`] is
+/// memoised and can still never be stale.
 #[derive(Debug, Clone)]
-pub struct KeptHeader {
-    header: Header,
-    digest: OnceLock<Hash256>,
-}
+pub struct KeptHeader(Arc<(Header, OnceLock<Hash256>)>);
 
 impl KeptHeader {
     /// [`Header::digest`], computed on first use.
     pub fn digest(&self) -> Hash256 {
-        *self.digest.get_or_init(|| self.header.digest())
+        *self.0 .1.get_or_init(|| self.0 .0.digest())
     }
 }
 
 impl From<Header> for KeptHeader {
     fn from(header: Header) -> KeptHeader {
-        KeptHeader { header, digest: OnceLock::new() }
+        KeptHeader(Arc::new((header, OnceLock::new())))
     }
 }
 
 impl std::ops::Deref for KeptHeader {
     type Target = Header;
     fn deref(&self) -> &Header {
-        &self.header
+        &self.0 .0
     }
 }
 
 impl std::ops::DerefMut for KeptHeader {
     fn deref_mut(&mut self) -> &mut Header {
-        self.digest = OnceLock::new();
-        &mut self.header
+        let (header, digest) = Arc::make_mut(&mut self.0);
+        *digest = OnceLock::new();
+        header
     }
 }
 
 impl PartialEq for KeptHeader {
     fn eq(&self, other: &KeptHeader) -> bool {
-        self.header == other.header
+        Arc::ptr_eq(&self.0, &other.0) || self.0 .0 == other.0 .0
     }
 }
 
@@ -287,10 +288,24 @@ mod tests {
     fn id_is_kept_but_follows_a_header_mutation() {
         let mut block = sample_block();
         let id = block.id();
-        assert_eq!(block.clone().id(), id);
+        let copy = block.clone();
+        assert_eq!(copy.id(), id);
         block.header.timestamp_ms += 1;
         assert_ne!(block.id(), id, "a mutable borrow of the header forgets the kept digest");
         assert_eq!(block.id(), block.header.clone().digest());
+        let untouched = (copy.id(), copy.header.timestamp_ms);
+        assert_eq!(untouched, (id, 1_000), "a shared header is copied before it changes");
+    }
+
+    /// A block is three handles: the shared header, the shared body and
+    /// the seal, which each replica keeps its own of.
+    #[test]
+    fn a_block_shares_its_header_and_body() {
+        let block = sample_block();
+        let copy = block.clone();
+        assert!(std::ptr::eq(&*block.header, &*copy.header));
+        assert!(std::ptr::eq(&block.transactions[..], &copy.transactions[..]));
+        assert_eq!(std::mem::size_of::<Block>(), 16 + std::mem::size_of::<Seal>());
     }
 
     #[test]

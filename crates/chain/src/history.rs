@@ -1,6 +1,6 @@
-//! Committed history: the blocks a ledger retains, the receipts of every
-//! block it applied, the tx-id index over them, and the work counters
-//! those commits add up to.
+//! Committed history: the blocks a ledger retains, the outcome of every
+//! transaction in the blocks it applied, the tx-id index over them, and
+//! the work counters those commits add up to.
 //!
 //! [`History`] is the one owner of that bookkeeping: the ledger pushes
 //! each committed block here and forwards its history readers. The
@@ -10,10 +10,16 @@
 //! - receipts and the tx-id index cover every block pushed since
 //!   genesis or the last restore, pruned or not;
 //! - a proof-carrying [`TxReceipt`] is cut only from a retained block.
+//!
+//! It keeps only what this replica alone knows. A retained block's
+//! header and body are shared with every other copy of the block in the
+//! process; its seal is this replica's own. A receipt is kept as a
+//! 24-byte `Outcome` whose tx id is the index's key, and is rebuilt
+//! when it is read.
 
 use crate::block::Block;
 use crate::hash::Hash256;
-use crate::ledger::{LedgerStats, Receipt};
+use crate::ledger::{Event, LedgerStats, Receipt};
 use crate::receipt::TxReceipt;
 use std::collections::HashMap;
 
@@ -23,40 +29,89 @@ pub(crate) struct History {
     /// `base_height`, and the tip is always retained.
     blocks: Vec<Block>,
     base_height: u64,
-    /// The receipts of every block pushed since genesis or the last
-    /// restore, one entry per block, oldest first, moved in by
-    /// [`History::push`] and kept through [`History::prune_below`]. Each
-    /// entry carries the commit-order position of its first receipt.
-    receipts: Vec<(u64, Vec<Receipt>)>,
-    /// `tx id → commit-order position` of every receipt in `receipts`,
+    /// The outcome of every transaction pushed since genesis or the last
+    /// restore, in commit order, moved in by [`History::push`] and kept
+    /// through [`History::prune_below`]. They are stored
+    /// [`OUTCOME_CHUNK`] to an allocation, each chunk allocated whole
+    /// when the one before it fills: no block pays an allocation of its
+    /// own, and growth never copies what is kept nor leaves more than one
+    /// chunk of slack, as doubling one flat list would.
+    outcomes: Vec<Vec<Outcome>>,
+    /// The commit-order position of each pushed block's first outcome,
+    /// one entry per block, oldest first.
+    starts: Vec<u64>,
+    /// `tx id → commit-order position` of every outcome in `outcomes`,
     /// 40 bytes an entry. Ids come from clients, so the map keeps std's
     /// keyed hasher.
     tx_index: HashMap<Hash256, u64>,
     stats: LedgerStats,
 }
 
+/// Outcomes per allocation of [`History`]'s outcome list: 1,536 bytes.
+const OUTCOME_CHUNK: usize = 64;
+
+/// A kept [`Receipt`] without its tx id, which is the index's key:
+/// 24 bytes. Output, events and error are boxed together, and only when
+/// one of them is non-empty, which few receipts have.
+struct Outcome {
+    gas_used: u64,
+    ok: bool,
+    rare: Option<Box<Rare>>,
+}
+
+/// The parts of a receipt most transactions leave empty.
+struct Rare {
+    output: Vec<u8>,
+    events: Vec<Event>,
+    error: Option<String>,
+}
+
+impl Outcome {
+    /// Splits a receipt into its id and its outcome, moving the rare
+    /// parts in.
+    fn kept(receipt: Receipt) -> (Hash256, Outcome) {
+        let Receipt { tx_id, ok, gas_used, output, events, error } = receipt;
+        let rare = (!output.is_empty() || !events.is_empty() || error.is_some())
+            .then(|| Box::new(Rare { output, events, error }));
+        (tx_id, Outcome { gas_used, ok, rare })
+    }
+
+    /// The receipt of `tx_id` this outcome was kept from.
+    fn receipt(&self, tx_id: Hash256) -> Receipt {
+        let (output, events, error) = match self.rare.as_deref() {
+            Some(Rare { output, events, error }) => (output.clone(), events.clone(), error.clone()),
+            None => Default::default(),
+        };
+        Receipt { tx_id, ok: self.ok, gas_used: self.gas_used, output, events, error }
+    }
+}
+
 impl History {
     /// History of a chain that holds only its genesis block.
     pub(crate) fn new(genesis: Block) -> History {
-        let (receipts, tx_index, stats) = Default::default();
-        History { blocks: vec![genesis], base_height: 0, receipts, tx_index, stats }
+        let (outcomes, starts, tx_index, stats) = Default::default();
+        History { blocks: vec![genesis], base_height: 0, outcomes, starts, tx_index, stats }
     }
 
     /// Records a committed block and moves its receipts in, counting
-    /// them into the stats; returns the receipts as kept.
-    pub(crate) fn push(&mut self, block: Block, receipts: Vec<Receipt>) -> &[Receipt] {
-        let first = self.receipts.last().map_or(0, |(first, kept)| first + kept.len() as u64);
+    /// them into the stats.
+    pub(crate) fn push(&mut self, block: Block, receipts: Vec<Receipt>) {
+        let first = self.outcome_count();
         self.tx_index.reserve(receipts.len());
-        for (position, receipt) in (first..).zip(&receipts) {
+        for (receipt, position) in receipts.into_iter().zip(first..) {
+            let (tx_id, outcome) = Outcome::kept(receipt);
             self.stats.transactions += 1;
-            self.stats.gas_used += receipt.gas_used;
-            self.stats.failed += u64::from(!receipt.ok);
-            self.tx_index.insert(receipt.tx_id, position);
+            self.stats.gas_used += outcome.gas_used;
+            self.stats.failed += u64::from(!outcome.ok);
+            self.tx_index.insert(tx_id, position);
+            if self.outcomes.last().is_none_or(|chunk| chunk.len() == OUTCOME_CHUNK) {
+                self.outcomes.push(Vec::with_capacity(OUTCOME_CHUNK));
+            }
+            self.outcomes.last_mut().expect("a chunk with room").push(outcome);
         }
-        self.receipts.push((first, receipts));
+        self.starts.push(first);
         self.stats.blocks += 1;
         self.blocks.push(block);
-        &self.receipts.last().expect("just pushed").1
     }
 
     /// Replaces all history with `tip` alone, as a snapshot restore
@@ -65,7 +120,8 @@ impl History {
     pub(crate) fn reset_to(&mut self, tip: Block) {
         self.base_height = tip.header.height;
         self.blocks = vec![tip];
-        self.receipts.clear();
+        self.outcomes.clear();
+        self.starts.clear();
         self.tx_index.clear();
         self.stats = LedgerStats::default();
     }
@@ -106,9 +162,9 @@ impl History {
 
     /// Receipt for a transaction pushed since genesis or the last
     /// restore.
-    pub(crate) fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
-        let (height, index) = self.locate_tx(tx_id)?;
-        self.block_receipts(height)?.get(index)
+    pub(crate) fn receipt(&self, tx_id: &Hash256) -> Option<Receipt> {
+        let position = *self.tx_index.get(tx_id)?;
+        Some(self.outcome_at(position).receipt(*tx_id))
     }
 
     /// `(block height, index in body)` of a transaction pushed since
@@ -116,30 +172,34 @@ impl History {
     pub(crate) fn locate_tx(&self, tx_id: &Hash256) -> Option<(u64, usize)> {
         let position = *self.tx_index.get(tx_id)?;
         // The last block starting at or before the position holds it.
-        let block = self.receipts.partition_point(|(first, _)| *first <= position) - 1;
-        let index = position - self.receipts[block].0;
+        let block = self.starts.partition_point(|first| *first <= position) - 1;
+        let index = position - self.starts[block];
         Some((self.first_receipt_height() + block as u64, index as usize))
     }
 
-    /// The receipts of the block at `height`, if it was pushed since
-    /// genesis or the last restore.
-    fn block_receipts(&self, height: u64) -> Option<&[Receipt]> {
-        let block = height.checked_sub(self.first_receipt_height())?;
-        self.receipts.get(usize::try_from(block).ok()?).map(|(_, receipts)| receipts.as_slice())
-    }
-
-    /// Height of the block `receipts` starts with: one entry per block
+    /// Height of the block `starts` begins with: one entry per block
     /// pushed since genesis or the last restore, the newest at the tip.
     fn first_receipt_height(&self) -> u64 {
-        self.tip().header.height + 1 - self.receipts.len() as u64
+        self.tip().header.height + 1 - self.starts.len() as u64
+    }
+
+    /// How many outcomes are kept.
+    fn outcome_count(&self) -> u64 {
+        let full = self.outcomes.len().saturating_sub(1) * OUTCOME_CHUNK;
+        (full + self.outcomes.last().map_or(0, Vec::len)) as u64
+    }
+
+    /// The outcome at commit-order `position`.
+    fn outcome_at(&self, position: u64) -> &Outcome {
+        let position = position as usize;
+        &self.outcomes[position / OUTCOME_CHUNK][position % OUTCOME_CHUNK]
     }
 
     /// The proof-carrying receipt of a transaction whose block is still
     /// retained.
     pub(crate) fn tx_receipt(&self, tx_id: &Hash256) -> Option<TxReceipt> {
         let (height, index) = self.locate_tx(tx_id)?;
-        let exec = self.block_receipts(height)?.get(index)?;
-        TxReceipt::for_block(self.block_at(height)?, index, exec)
+        TxReceipt::for_block(self.block_at(height)?, index, self.receipt(tx_id)?)
     }
 
     /// Work counters of the blocks pushed since genesis or the last
@@ -228,6 +288,12 @@ mod tests {
         assert!(ledger.tx_receipt(&next.id()).is_some());
     }
 
+    /// What history keeps of a receipt besides its index entry.
+    #[test]
+    fn an_outcome_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Outcome>(), 24);
+    }
+
     /// A block of `txs` extending `parent`; history never executes or
     /// checks what it is handed, so nothing here is signed.
     fn child(parent: &Block, txs: Vec<SealedTx>) -> Block {
@@ -261,6 +327,23 @@ mod tests {
         }
     }
 
+    /// A receipt whose output, events and error are each empty about half
+    /// the time, so outcomes with and without their boxed part both occur;
+    /// an empty error string is not a missing one.
+    fn random_receipt(g: &mut Gen, tx_id: Hash256) -> Receipt {
+        let ok = g.bool();
+        let output = if g.bool() { Vec::new() } else { g.bytes(0, 24) };
+        let events = (0..if g.bool() { 0 } else { g.usize_in(1, 3) })
+            .map(|_| Event {
+                contract: Address::from_seed(g.u64() % 4),
+                topic: format!("topic-{}", g.u64() % 3),
+                data: g.bytes(0, 8),
+            })
+            .collect();
+        let error = (!ok).then(|| if g.bool() { String::new() } else { "failed".to_string() });
+        Receipt { tx_id, ok, gas_used: g.u64() % 100, output, events, error }
+    }
+
     fn push_random(
         g: &mut Gen,
         history: &mut History,
@@ -274,22 +357,9 @@ mod tests {
             txs.push(SealedTx::from(Transaction::new(Address::from_seed(1), *nonce, payload, 100)));
             *nonce += 1;
         }
-        let receipts: Vec<Receipt> = txs
-            .iter()
-            .map(|tx| {
-                let ok = g.bool();
-                Receipt {
-                    tx_id: tx.id(),
-                    ok,
-                    gas_used: g.u64() % 100,
-                    output: Vec::new(),
-                    events: Vec::new(),
-                    error: (!ok).then(|| "failed".to_string()),
-                }
-            })
-            .collect();
+        let receipts: Vec<Receipt> = txs.iter().map(|tx| random_receipt(g, tx.id())).collect();
         let block = child(parent, txs);
-        ensure_eq!(history.push(block.clone(), receipts.clone()), receipts.as_slice());
+        history.push(block.clone(), receipts.clone());
         model.chain.push((block, receipts));
         Ok(())
     }
@@ -328,9 +398,9 @@ mod tests {
                 stats.gas_used += exec.gas_used;
                 stats.failed += u64::from(!exec.ok);
                 ensure_eq!(history.locate_tx(&id), Some((height, index)));
-                ensure_eq!(history.receipt(&id), Some(exec));
+                ensure_eq!(history.receipt(&id), Some(exec.clone()));
                 let want = (height >= model.base)
-                    .then(|| TxReceipt::for_block(block, index, exec))
+                    .then(|| TxReceipt::for_block(block, index, exec.clone()))
                     .flatten();
                 ensure!(history.tx_receipt(&id) == want, "tx_receipt at height {height}");
             }
@@ -351,7 +421,7 @@ mod tests {
             let mut model = Model { chain: vec![(genesis, Vec::new())], base: 0, restored: 0 };
             let mut nonce = 0;
             for _ in 0..g.usize_in(1, 30) {
-                match g.usize_in(0, 4) {
+                match g.usize_in(0, 5) {
                     0..=2 => push_random(g, &mut history, &mut model, &mut nonce)?,
                     3 => {
                         let tip = model.tip();

@@ -474,9 +474,9 @@ impl Ledger {
         self.history.tip()
     }
 
-    /// Block at `height`, if applied **and still retained in memory**
-    /// (pruned heights return `None`; a storage-backed node serves them
-    /// from its block log).
+    /// Block at `height`, if applied **and still retained in memory**.
+    /// Pruned heights return `None`: nothing reads a block back from a
+    /// store.
     pub fn block(&self, height: u64) -> Option<&Block> {
         self.history.block_at(height)
     }
@@ -487,8 +487,8 @@ impl Ledger {
     }
 
     /// Retained blocks with height ≥ `height`, oldest first. Returns the
-    /// whole retained suffix when `height` predates it — callers that
-    /// need truly older blocks must go to the block store.
+    /// whole retained suffix when `height` predates it; older blocks are
+    /// not served at all.
     pub fn blocks_from(&self, height: u64) -> &[Block] {
         self.history.blocks_from(height)
     }
@@ -496,7 +496,8 @@ impl Ledger {
     /// Drops retained blocks below `height` (the tip is always kept), so
     /// a storage-backed node can bound in-memory history. Returns the
     /// number of blocks dropped. State, receipts, and stats are
-    /// untouched; pruned heights remain readable from the block store.
+    /// untouched. Nothing reads a pruned block back from a store, so
+    /// [`Ledger::tx_receipt`] has no proof for its transactions.
     pub fn prune_below(&mut self, height: u64) -> usize {
         self.history.prune_below(height)
     }
@@ -649,8 +650,9 @@ impl Ledger {
     }
 
     /// Receipt for a transaction applied since genesis or the last
-    /// restore (pruning keeps it).
-    pub fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
+    /// restore (pruning keeps it), rebuilt from the outcome that history
+    /// keeps.
+    pub fn receipt(&self, tx_id: &Hash256) -> Option<Receipt> {
         self.history.receipt(tx_id)
     }
 
@@ -663,9 +665,8 @@ impl Ledger {
     /// transaction (DESIGN.md §10).
     ///
     /// Returns `None` if the transaction never committed here or its
-    /// block has been pruned from in-memory history — storage-backed
-    /// nodes can still serve old blocks from the block log, but this
-    /// fast path only proves against retained blocks.
+    /// block has been pruned from in-memory history: a proof is cut only
+    /// from a retained block.
     pub fn tx_receipt(&self, tx_id: &Hash256) -> Option<crate::receipt::TxReceipt> {
         self.history.tx_receipt(tx_id)
     }
@@ -805,17 +806,17 @@ impl Ledger {
         block
     }
 
-    /// Validates and applies a sealed block and returns its receipts,
-    /// which the ledger keeps. Every transaction is executed, except in
-    /// the block this ledger proposed itself: that one commits the
-    /// receipts and delta [`Ledger::propose`] kept, once the same
-    /// structural checks pass.
+    /// Validates and applies a sealed block; its receipts move into the
+    /// history, where [`Ledger::receipt`] reads them. Every transaction
+    /// is executed, except in the block this ledger proposed itself: that
+    /// one commits the receipts and delta [`Ledger::propose`] kept, once
+    /// the same structural checks pass.
     ///
     /// # Errors
     ///
     /// Returns a [`LedgerError`] and leaves the ledger unchanged if any
     /// structural or execution-commitment check fails.
-    pub fn apply(&mut self, block: &Block) -> Result<&[Receipt], LedgerError> {
+    pub fn apply(&mut self, block: &Block) -> Result<(), LedgerError> {
         if block.header.shard != self.shard {
             return Err(LedgerError::WrongShard {
                 expected: self.shard,
@@ -895,7 +896,7 @@ impl Ledger {
         // merge, before the spill below stores new ones; the new tree is
         // installed once spilled. The receipts move into the history.
         self.state.apply_delta(delta);
-        let receipts = self.history.push(block.clone(), receipts);
+        self.history.push(block.clone(), receipts);
         // The commit is final: offer the store this block's tree to
         // snapshot from, before demotion pages any of the state out. A
         // snapshot is an optimisation (store contract 3) — a failed one
@@ -931,7 +932,7 @@ impl Ledger {
             self.metrics.gauge("state.anchors", self.state.anchor_count() as i64);
             self.metrics.gauge("state.locks", self.state.lock_count() as i64);
         }
-        Ok(receipts)
+        Ok(())
     }
 }
 
@@ -980,6 +981,12 @@ mod tests {
         Transaction::new(key.address(), nonce, TxPayload::Transfer { to, amount }, 100).signed(key)
     }
 
+    /// Applies `block` and reads its receipts back, in body order.
+    fn commit(ledger: &mut Ledger, block: &Block) -> Vec<Receipt> {
+        ledger.apply(block).unwrap();
+        block.transactions.iter().map(|tx| ledger.receipt(&tx.id()).expect("kept")).collect()
+    }
+
     pub(crate) fn grow_by_transfers(ledger: &mut Ledger, key: &AuthorityKey, to: Address, n: u64) {
         for _ in 0..n {
             let nonce = ledger.state().account(&key.address()).nonce;
@@ -1014,9 +1021,9 @@ mod tests {
         let block = proposer.propose(keys[0].address(), 10, txs);
         assert_eq!(block.transactions.len(), 256);
         assert_eq!(at_proposer.counter_value("exec.txs"), 256);
-        assert_eq!(proposer.apply(&block).unwrap().len(), 256);
+        assert_eq!(commit(&mut proposer, &block).len(), 256);
         assert_eq!(at_proposer.counter_value("exec.txs"), 256, "the proposer ran its block twice");
-        assert_eq!(replica.apply(&block).unwrap().len(), 256);
+        assert_eq!(commit(&mut replica, &block).len(), 256);
         assert_eq!(at_replica.counter_value("exec.txs"), 256);
         assert_eq!(proposer.state(), replica.state());
         assert_eq!(at_proposer.counter_value("auth.tree_pullbacks"), 0);
@@ -1066,7 +1073,7 @@ mod tests {
         let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
         let block =
             ledger.propose(alice.address(), 10, vec![transfer(&alice, 0, bob.address(), 250)]);
-        let receipts = ledger.apply(&block).unwrap();
+        let receipts = commit(&mut ledger, &block);
         assert!(receipts[0].ok);
         assert_eq!(ledger.state().account(&alice.address()).balance, 750);
         assert_eq!(ledger.state().account(&bob.address()).balance, 1_250);
@@ -1080,7 +1087,7 @@ mod tests {
         let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
         let block =
             ledger.propose(alice.address(), 10, vec![transfer(&alice, 0, bob.address(), 5_000)]);
-        let receipts = ledger.apply(&block).unwrap();
+        let receipts = commit(&mut ledger, &block);
         assert!(!receipts[0].ok);
         assert_eq!(ledger.state().account(&alice.address()).balance, 1_000);
         assert_eq!(ledger.stats().failed, 1);
@@ -1184,7 +1191,7 @@ mod tests {
         let conflicting =
             anchor(1, Hash256::digest(b"dataset-v2-tampered"), "hospital-1/emr");
         let block2 = ledger.propose(alice.address(), 2, vec![conflicting]);
-        let receipts = ledger.apply(&block2).unwrap();
+        let receipts = commit(&mut ledger, &block2);
         assert!(!receipts[0].ok);
         assert_eq!(ledger.state().anchor("hospital-1/emr"), Some(root));
     }
@@ -1260,7 +1267,7 @@ mod tests {
                 cross_link_tx(&alice, 1, ShardId(1), 3),
             ],
         );
-        let receipts = coord.apply(&block).unwrap();
+        let receipts = commit(&mut coord, &block);
         assert!(receipts.iter().all(|r| r.ok));
         assert_eq!(coord.state().cross_link(ShardId(0)).unwrap().height, 4);
         assert_eq!(coord.state().cross_link(ShardId(1)).unwrap().height, 3);
@@ -1274,7 +1281,7 @@ mod tests {
                 cross_link_tx(&alice, 3, ShardId(0), 5),
             ],
         );
-        let receipts = coord.apply(&block).unwrap();
+        let receipts = commit(&mut coord, &block);
         assert!(receipts[0].ok);
         assert!(!receipts[1].ok, "height regression must fail");
         assert!(receipts[1].error.as_deref().unwrap().contains("regression"));
@@ -1288,7 +1295,7 @@ mod tests {
         let mut data = sharded_ledger(ShardId(0), 2, std::slice::from_ref(&alice));
         let block =
             data.propose(alice.address(), 10, vec![cross_link_tx(&alice, 0, ShardId(1), 2)]);
-        let receipts = data.apply(&block).unwrap();
+        let receipts = commit(&mut data, &block);
         assert!(!receipts[0].ok);
         assert!(receipts[0].error.as_deref().unwrap().contains("non-coordinator"));
 
@@ -1299,7 +1306,7 @@ mod tests {
             10,
             vec![cross_link_tx(&alice, 0, ShardId::COORDINATOR, 2)],
         );
-        let receipts = coord.apply(&block).unwrap();
+        let receipts = commit(&mut coord, &block);
         assert!(!receipts[0].ok, "a cross-link cannot reference the coordinator");
     }
 
@@ -1372,7 +1379,7 @@ mod tests {
         )
         .signed(&alice);
         let block = ledger.propose(alice.address(), 10, vec![deploy]);
-        let receipts = ledger.apply(&block).unwrap();
+        let receipts = commit(&mut ledger, &block);
         assert!(receipts[0].ok);
         let addr = Address(receipts[0].output.clone().try_into().unwrap());
         assert_eq!(
@@ -1381,6 +1388,34 @@ mod tests {
             "invoke routing must map the deployed address back to its shard"
         );
         assert_eq!(addr, sharded_contract_address(&alice.address(), 0, home, shard_count));
+    }
+
+    /// The rare parts of a receipt, a deploy's output and a failure's
+    /// error, come back whole from what history keeps: by id, and with
+    /// an inclusion proof.
+    #[test]
+    fn a_deploys_output_and_a_failures_error_come_back_from_history() {
+        let alice = AuthorityKey::from_seed(1);
+        let mut registry = KeyRegistry::new();
+        registry.enroll(&alice);
+        let mut ledger = Ledger::new("test-chain", registry, Box::new(StoreCodeRuntime));
+        ledger.state_mut().credit(alice.address(), 1_000);
+        let code = TxPayload::Deploy { code: vec![1, 2, 3], init: Vec::new() };
+        let deploy = Transaction::new(alice.address(), 0, code, 1_000).signed(&alice);
+        let overdraft = transfer(&alice, 1, Address::from_seed(2), 5_000);
+        let block = ledger.propose(alice.address(), 10, vec![deploy.clone(), overdraft.clone()]);
+        let [deployed, failed]: [Receipt; 2] = commit(&mut ledger, &block).try_into().unwrap();
+        assert!(deployed.ok && deployed.output.len() == 20 && deployed.error.is_none());
+        assert!(ledger.state().code(&Address(deployed.output.clone().try_into().unwrap())).is_some());
+        assert!(!failed.ok && failed.output.is_empty());
+        assert!(failed.error.as_deref().is_some_and(|error| !error.is_empty()));
+        for (tx, receipt) in [(&deploy, &deployed), (&overdraft, &failed)] {
+            assert_eq!(ledger.receipt(&tx.id()).as_ref(), Some(receipt));
+            let proven = ledger.tx_receipt(&tx.id()).expect("block retained");
+            assert_eq!((proven.ok, proven.gas_used), (receipt.ok, receipt.gas_used));
+            assert_eq!((&proven.output, &proven.error), (&receipt.output, &receipt.error));
+            assert!(proven.verify_against(&block.header.tx_root));
+        }
     }
 
     #[test]
@@ -1411,7 +1446,7 @@ mod tests {
         // …and a proposer including it anyway only produces a failed
         // receipt: no lock, no escrow, the victim's balance untouched.
         let block = ledger.propose(mallory.address(), 10, vec![forged]);
-        let receipts = ledger.apply(&block).unwrap();
+        let receipts = commit(&mut ledger, &block);
         assert_eq!(receipts.len(), 1);
         assert!(!receipts[0].ok);
         assert!(

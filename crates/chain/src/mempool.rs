@@ -98,23 +98,6 @@ impl Mempool {
         self.metrics = metrics;
     }
 
-    /// Sets the capacity slice reserved for priority-lane admissions
-    /// (clamped to the pool capacity).
-    ///
-    /// Resizing never evicts queued transactions: if the reserve grows
-    /// while the pool already holds more than `capacity - reserve`
-    /// transactions, the existing occupancy stays queued and drains
-    /// through [`Mempool::take_batch`]/[`Mempool::prune`] as usual. The
-    /// new limit binds at *admission* time only — normal-lane inserts
-    /// are rejected with [`InsertOutcome::Full`] until the pool shrinks
-    /// back below `capacity - reserve`, and priority-lane inserts keep
-    /// the full capacity. Property-tested in
-    /// `reserve_resize_never_evicts_and_binds_at_admission`.
-    #[cfg(test)]
-    fn set_priority_reserve(&mut self, reserve: usize) {
-        self.priority_reserve = reserve.min(self.capacity);
-    }
-
     /// Number of pending transactions.
     pub fn len(&self) -> usize {
         self.size
@@ -134,46 +117,6 @@ impl Mempool {
     /// The sticky lane a sender's queued transactions occupy, if any.
     pub fn lane_of(&self, sender: &Address) -> Option<Lane> {
         self.lane_of.get(sender).copied()
-    }
-
-    /// Pending transactions queued on `lane`.
-    #[cfg(test)]
-    fn lane_len(&self, lane: Lane) -> usize {
-        self.by_sender
-            .iter()
-            .filter(|(sender, _)| self.lane_of.get(sender).copied().unwrap_or_default() == lane)
-            .map(|(_, queue)| queue.len())
-            .sum()
-    }
-
-    /// Sum of per-sender queue lengths. Always equals [`Mempool::len`];
-    /// exposed so tests can check the invariant from outside.
-    pub fn queued(&self) -> usize {
-        self.by_sender.values().map(|queue| queue.len()).sum()
-    }
-
-    /// Ids the pool currently remembers (test observability).
-    #[cfg(test)]
-    pub(crate) fn seen_len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Inserts a transaction on the normal lane (test convenience).
-    /// Returns `false` if it was a duplicate or the pool is full; a
-    /// replacement of an existing `(sender, nonce)` slot counts as
-    /// success.
-    #[cfg(test)]
-    pub(crate) fn insert(&mut self, tx: impl Into<SealedTx>) -> bool {
-        matches!(
-            self.try_insert(tx),
-            InsertOutcome::Inserted(_) | InsertOutcome::Replaced(_)
-        )
-    }
-
-    /// Normal-lane [`Mempool::try_insert_in`] (test convenience).
-    #[cfg(test)]
-    pub(crate) fn try_insert(&mut self, tx: impl Into<SealedTx>) -> InsertOutcome {
-        self.try_insert_in(tx, Lane::Normal)
     }
 
     /// Inserts a transaction on `lane`, reporting exactly what happened.
@@ -343,6 +286,61 @@ impl Mempool {
             self.metrics.counter("mempool.pruned", (before - self.size) as u64);
             self.metrics.gauge("mempool.len", self.size as i64);
         }
+    }
+}
+
+/// Test-only views and conveniences.
+#[cfg(test)]
+impl Mempool {
+    /// Sets the capacity slice reserved for priority-lane admissions
+    /// (clamped to the pool capacity).
+    ///
+    /// Resizing never evicts queued transactions: if the reserve grows
+    /// while the pool already holds more than `capacity - reserve`
+    /// transactions, the existing occupancy stays queued and drains
+    /// through [`Mempool::take_batch`]/[`Mempool::prune`] as usual. The
+    /// new limit binds at *admission* time only — normal-lane inserts
+    /// are rejected with [`InsertOutcome::Full`] until the pool shrinks
+    /// back below `capacity - reserve`, and priority-lane inserts keep
+    /// the full capacity. Property-tested in
+    /// `reserve_resize_never_evicts_and_binds_at_admission`.
+    fn set_priority_reserve(&mut self, reserve: usize) {
+        self.priority_reserve = reserve.min(self.capacity);
+    }
+
+    /// Pending transactions queued on `lane`.
+    fn lane_len(&self, lane: Lane) -> usize {
+        self.by_sender
+            .iter()
+            .filter(|(sender, _)| self.lane_of.get(sender).copied().unwrap_or_default() == lane)
+            .map(|(_, queue)| queue.len())
+            .sum()
+    }
+
+    /// Sum of per-sender queue lengths; always equals [`Mempool::len`].
+    fn queued(&self) -> usize {
+        self.by_sender.values().map(|queue| queue.len()).sum()
+    }
+
+    /// Ids the pool currently remembers (test observability).
+    pub(crate) fn seen_len(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Inserts a transaction on the normal lane (test convenience).
+    /// Returns `false` if it was a duplicate or the pool is full; a
+    /// replacement of an existing `(sender, nonce)` slot counts as
+    /// success.
+    pub(crate) fn insert(&mut self, tx: impl Into<SealedTx>) -> bool {
+        matches!(
+            self.try_insert(tx),
+            InsertOutcome::Inserted(_) | InsertOutcome::Replaced(_)
+        )
+    }
+
+    /// Normal-lane [`Mempool::try_insert_in`] (test convenience).
+    pub(crate) fn try_insert(&mut self, tx: impl Into<SealedTx>) -> InsertOutcome {
+        self.try_insert_in(tx, Lane::Normal)
     }
 }
 

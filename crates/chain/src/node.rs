@@ -230,8 +230,8 @@ impl ChainApp {
         self.mempool.stalled(|sender| state.account(sender).nonce)
     }
 
-    /// Receipt lookup.
-    pub fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
+    /// Receipt lookup (see [`Ledger::receipt`]).
+    pub fn receipt(&self, tx_id: &Hash256) -> Option<Receipt> {
         self.ledger.receipt(tx_id)
     }
 

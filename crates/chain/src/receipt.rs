@@ -43,11 +43,12 @@ pub struct TxReceipt {
 
 impl TxReceipt {
     /// Builds the receipt of the transaction at `tx_index` of a
-    /// committed `block`, pairing its execution outcome `exec` with an
-    /// inclusion proof cut from the tree the block body already holds.
+    /// committed `block`, pairing its execution outcome `exec` (moved in)
+    /// with an inclusion proof cut from the tree the block body already
+    /// holds.
     ///
     /// Returns `None` if the body has no transaction at that index.
-    pub fn for_block(block: &Block, tx_index: usize, exec: &Receipt) -> Option<TxReceipt> {
+    pub fn for_block(block: &Block, tx_index: usize, exec: Receipt) -> Option<TxReceipt> {
         let tx_id = block.transactions.get(tx_index)?.id();
         let proof = block.transactions.tree().prove(tx_index)?;
         Some(TxReceipt {
@@ -60,8 +61,8 @@ impl TxReceipt {
             proof,
             ok: exec.ok,
             gas_used: exec.gas_used,
-            output: exec.output.clone(),
-            error: exec.error.clone(),
+            output: exec.output,
+            error: exec.error,
         })
     }
 
@@ -137,8 +138,8 @@ mod tests {
     fn receipt_verifies_against_committed_root() {
         let (ledger, block) = committed_block(5);
         for (index, tx) in block.transactions.iter().enumerate() {
-            let exec = ledger.receipt(&tx.id()).expect("executed").clone();
-            let receipt = TxReceipt::for_block(&block, index, &exec).expect("included");
+            let exec = ledger.receipt(&tx.id()).expect("executed");
+            let receipt = TxReceipt::for_block(&block, index, exec).expect("included");
             assert_eq!(receipt.tx_id, tx.id());
             assert!(receipt.verify());
             assert!(receipt.verify_against(&block.header.tx_root));
@@ -151,8 +152,8 @@ mod tests {
     #[test]
     fn missing_tx_yields_no_receipt() {
         let (ledger, block) = committed_block(3);
-        let exec = ledger.receipt(&block.transactions[0].id()).unwrap().clone();
-        assert!(TxReceipt::for_block(&block, 3, &exec).is_none());
+        let exec = ledger.receipt(&block.transactions[0].id()).unwrap();
+        assert!(TxReceipt::for_block(&block, 3, exec).is_none());
         assert!(ledger.tx_receipt(&Hash256::digest(b"absent")).is_none());
     }
 
@@ -161,8 +162,8 @@ mod tests {
         use medchain_runtime::codec::{Decode, Encode};
         let (ledger, block) = committed_block(4);
         let tx = &block.transactions[2];
-        let exec = ledger.receipt(&tx.id()).unwrap().clone();
-        let receipt = TxReceipt::for_block(&block, 2, &exec).unwrap();
+        let exec = ledger.receipt(&tx.id()).unwrap();
+        let receipt = TxReceipt::for_block(&block, 2, exec).unwrap();
         let bytes = receipt.encoded();
         let decoded = TxReceipt::decoded(&bytes).expect("decodes");
         assert_eq!(decoded, receipt);
@@ -173,8 +174,8 @@ mod tests {
     fn mismatched_root_fails() {
         let (ledger, block) = committed_block(4);
         let tx = &block.transactions[0];
-        let exec = ledger.receipt(&tx.id()).unwrap().clone();
-        let receipt = TxReceipt::for_block(&block, 0, &exec).unwrap();
+        let exec = ledger.receipt(&tx.id()).unwrap();
+        let receipt = TxReceipt::for_block(&block, 0, exec).unwrap();
         assert!(!receipt.verify_against(&Hash256::digest(b"other root")));
     }
 }

@@ -270,7 +270,7 @@ mod tests {
         assert!(app.submit(tx), "tx not admitted");
         let block = app.make_block(AuthorityKey::from_seed(1).address(), 10);
         assert!(app.commit_block(&block), "block rejected");
-        app.receipt(&id).expect("receipt").clone()
+        app.receipt(&id).expect("receipt")
     }
 
     #[test]
@@ -492,7 +492,7 @@ mod call_tests {
         assert!(app.submit(tx));
         let block = app.make_block(key.address(), 10);
         assert!(app.commit_block(&block));
-        app.receipt(&id).expect("receipt").clone()
+        app.receipt(&id).expect("receipt")
     }
 
     fn deploy(app: &mut ChainApp, key: &AuthorityKey, nonce: u64, src: &str) -> Address {

@@ -258,7 +258,7 @@ impl Committee {
     /// when one raced the proposer and lands a block later.
     pub(crate) fn settle(&mut self, ids: &[Hash256]) -> Result<(), NetworkError> {
         self.advance(1)?;
-        if ids.iter().any(|id| self.app().receipt(id).is_none()) {
+        if ids.iter().any(|id| self.app().ledger().locate_tx(id).is_none()) {
             self.advance(1)?;
         }
         Ok(())
@@ -269,7 +269,7 @@ impl Committee {
         for id in ids {
             let receipt = self.app().receipt(id).ok_or(NetworkError::MissingReceipt(*id))?;
             if !receipt.ok {
-                let error = receipt.error.clone().unwrap_or_else(|| "execution failed".into());
+                let error = receipt.error.unwrap_or_else(|| "execution failed".into());
                 return Err(NetworkError::TxFailed { tx_id: *id, error });
             }
         }

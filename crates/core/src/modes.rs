@@ -339,7 +339,7 @@ pub fn run_sharded_consensus(
         if !receipt.ok {
             return Err(NetworkError::TxFailed {
                 tx_id: *id,
-                error: receipt.error.clone().unwrap_or_default(),
+                error: receipt.error.unwrap_or_default(),
             });
         }
         let mut raw = [0u8; 20];

@@ -1049,7 +1049,7 @@ impl Network {
     /// Account nonces are per chain, so one signed transaction can
     /// commit on two chains — read a specific chain's receipt through
     /// [`Network::ledger_of_shard`].
-    pub fn receipt(&self, tx_id: &Hash256) -> Option<&Receipt> {
+    pub fn receipt(&self, tx_id: &Hash256) -> Option<Receipt> {
         self.committees().find_map(|c| c.app().receipt(tx_id))
     }
 
@@ -1066,7 +1066,7 @@ impl Network {
         let chain = &mut self.chains[0];
         chain.settle(&[tx_id])?;
         chain.expect_ok(&[tx_id])?;
-        chain.app().receipt(&tx_id).cloned().ok_or(NetworkError::MissingReceipt(tx_id))
+        chain.app().receipt(&tx_id).ok_or(NetworkError::MissingReceipt(tx_id))
     }
 
     /// The standard contracts, or [`NetworkError::Topology`] on a

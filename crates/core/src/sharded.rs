@@ -515,8 +515,7 @@ mod tests {
             net.advance(2).unwrap();
             // Site 0 signs both deploys at nonce 0 of a fresh sub-chain,
             // so the id repeats across shards: read this shard's receipt.
-            let receipt =
-                net.ledger_of_shard(ShardId(s)).receipt(&id).expect("deploy committed").clone();
+            let receipt = net.ledger_of_shard(ShardId(s)).receipt(&id).expect("deploy committed");
             assert!(receipt.ok, "deploy failed: {:?}", receipt.error);
             let mut raw = [0u8; 20];
             raw.copy_from_slice(&receipt.output);

@@ -56,12 +56,8 @@ impl MonitorNode {
             let block = ledger.block(height).expect("height below tip");
             for tx in block.transactions.iter() {
                 let Some(receipt) = ledger.receipt(&tx.id()) else { continue };
-                for event in &receipt.events {
-                    let item = CapturedEvent {
-                        block_height: height,
-                        tx_id: receipt.tx_id,
-                        event: event.clone(),
-                    };
+                for event in receipt.events {
+                    let item = CapturedEvent { block_height: height, tx_id: receipt.tx_id, event };
                     self.observed += 1;
                     captured.push(item);
                 }

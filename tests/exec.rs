@@ -1,10 +1,10 @@
 //! Block execution, end to end (DESIGN.md §11): a replica that executes
 //! a block must commit exactly what its proposer committed on realistic
-//! mixed blocks, and the overlay commit path must not regress to the old
-//! clone-the-world cost at 10k-tx block sizes.
+//! mixed blocks, and a 10k-write overlay commit must reach the root a
+//! full state clone reaches. That it never clones the state is pinned as
+//! an allocation count in `tests/alloc_count.rs`.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use medchain_chain::exec::StateAccess;
 use medchain_chain::ledger::{contract_address, Ledger};
@@ -154,12 +154,16 @@ fn a_replica_commits_the_proposers_receipts_on_random_mixed_blocks() {
             .collect();
         let block = proposer.propose(keys()[0].address(), 10, txs);
         ensure!(!block.transactions.is_empty(), "block empty");
-        let committed: Vec<Receipt> =
-            proposer.apply(&block).map_err(|e| format!("proposer commit: {e:?}"))?.to_vec();
+        let receipts = |ledger: &Ledger| -> Vec<Option<Receipt>> {
+            block.transactions.iter().map(|tx| ledger.receipt(&tx.id())).collect()
+        };
+        proposer.apply(&block).map_err(|e| format!("proposer commit: {e:?}"))?;
+        let committed = receipts(&proposer);
+        ensure!(committed.iter().all(Option::is_some), "the proposer kept no receipt");
 
         let (mut replica, _, _) = fresh_ledger();
-        let receipts = replica.apply(&block).map_err(|e| format!("replica apply: {e:?}"))?;
-        ensure!(receipts == committed.as_slice(), "receipts diverged from the proposer's");
+        replica.apply(&block).map_err(|e| format!("replica apply: {e:?}"))?;
+        ensure!(receipts(&replica) == committed, "receipts diverged from the proposer's");
         // `apply` itself enforces root equality against the header, but
         // re-check explicitly against both ledgers.
         ensure!(
@@ -175,12 +179,11 @@ fn a_replica_commits_the_proposers_receipts_on_random_mixed_blocks() {
     });
 }
 
-/// Pin: committing a 10k-write block through the overlay
-/// (`StateDelta` + `state_root_with`) must stay within 1.5× of the old
-/// clone-the-world baseline on a 20k-account state — i.e. `Ledger::apply`
-/// never regresses to re-cloning the full `WorldState` per block.
+/// Committing a 10k-write block through the overlay (`StateDelta` +
+/// `state_root_with`) on a 20k-account state reaches the root that
+/// cloning the whole `WorldState` and writing into the copy reaches.
 #[test]
-fn overlay_commit_beats_full_state_clone_at_10k_tx() {
+fn overlay_commit_equals_a_full_state_clone_at_10k_tx() {
     let mut state = WorldState::new();
     for i in 0..20_000u64 {
         state.credit(Address::from_seed(i), 10);
@@ -191,30 +194,15 @@ fn overlay_commit_beats_full_state_clone_at_10k_tx() {
         .map(|i| (i.to_le_bytes().to_vec(), vec![i as u8; 8]))
         .collect();
 
-    let mut incremental = Duration::MAX;
-    let mut baseline = Duration::MAX;
-    for _ in 0..3 {
-        let started = Instant::now();
-        let mut overlay = WorldStateOverlay::new(&state);
-        for (key, value) in &ops {
-            overlay.set_storage(contract, key.clone(), value.clone());
-        }
-        let delta = overlay.into_delta();
-        let incremental_root = state.state_root_with(&delta);
-        incremental = incremental.min(started.elapsed());
-
-        let started = Instant::now();
-        let mut cloned = state.clone();
-        for (key, value) in &ops {
-            cloned.set_storage(contract, key.clone(), value.clone());
-        }
-        let baseline_root = cloned.state_root();
-        baseline = baseline.min(started.elapsed());
-
-        assert_eq!(incremental_root, baseline_root, "overlay commit diverged");
+    let mut overlay = WorldStateOverlay::new(&state);
+    for (key, value) in &ops {
+        overlay.set_storage(contract, key.clone(), value.clone());
     }
-    assert!(
-        incremental <= baseline.mul_f64(1.5),
-        "overlay commit regressed: incremental {incremental:?} vs clone baseline {baseline:?}"
-    );
+    let incremental_root = state.state_root_with(&overlay.into_delta());
+
+    let mut cloned = state.clone();
+    for (key, value) in ops {
+        cloned.set_storage(contract, key, value);
+    }
+    assert_eq!(incremental_root, cloned.state_root(), "overlay commit diverged");
 }

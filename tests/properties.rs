@@ -592,8 +592,8 @@ fn tx_receipt_proof_verifies_and_rejects_every_single_byte_tamper() {
 
         let index = g.usize_in(0, n);
         let tx_id = block.transactions[index].id();
-        let exec = ledger.receipt(&tx_id).expect("executed").clone();
-        let receipt = TxReceipt::for_block(&block, index, &exec).expect("included");
+        let exec = ledger.receipt(&tx_id).expect("executed");
+        let receipt = TxReceipt::for_block(&block, index, exec).expect("included");
         ensure!(receipt.verify(), "untampered proof rejected");
         ensure!(
             receipt.verify_against(&block.header.tx_root),

@@ -1643,7 +1643,7 @@ fn a_proposing_ledger_stays_the_twin_of_one_that_only_applies() {
                 let mut forged = block.clone();
                 forged.transactions = txs.into();
                 ensure!(forged.id() == block.id(), "the signature moved the block id");
-                let refused = |r: Result<&[_], LedgerError>| {
+                let refused = |r: Result<(), LedgerError>| {
                     matches!(r, Err(LedgerError::BadSignature(_)))
                 };
                 ensure!(refused(ledger.apply(&forged)), "a stripped signature committed");

@@ -69,8 +69,6 @@ pub enum StoreError {
     },
     /// Recovery could not reconstruct a consistent ledger.
     Recovery(String),
-    /// The configured fault injector simulated a crash mid-append.
-    InjectedCrash,
 }
 
 impl fmt::Display for StoreError {
@@ -84,7 +82,6 @@ impl fmt::Display for StoreError {
                 write!(f, "append height gap: expected {expected}, got {got}")
             }
             StoreError::Recovery(e) => write!(f, "recovery failed: {e}"),
-            StoreError::InjectedCrash => f.write_str("simulated crash mid-append"),
         }
     }
 }

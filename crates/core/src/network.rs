@@ -304,7 +304,7 @@ impl NetworkBuilder {
     }
 
     /// [`NetworkBuilder::storage`] with an explicit [`StorageConfig`]
-    /// (segment size, fsync policy, snapshot cadence, fault injection).
+    /// (segment size, fsync policy, snapshot cadence).
     #[must_use]
     pub fn storage_with(
         mut self,

@@ -1,6 +1,6 @@
 //! [`DiskStore`] — the durable [`BlockStore`] a node attaches to its
 //! ledger, combining the segmented block log and the snapshot store
-//! with a recovery path and fault injection.
+//! with a recovery path.
 //!
 //! Lifecycle:
 //!
@@ -17,6 +17,7 @@
 //!    is written: a full one, or a delta of the writes since the last
 //!    full one this store wrote.
 
+use crate::durable::Disk;
 use crate::pages::PageStore;
 use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::wal::SegmentedLog;
@@ -36,19 +37,6 @@ pub enum FsyncPolicy {
     /// can lose OS-buffered tail records (recovery still truncates
     /// cleanly).
     Never,
-}
-
-/// Fault injection for crash testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageFault {
-    /// When the block at height `at` is appended, write only half its
-    /// record and fail with [`StoreError::InjectedCrash`] — simulating a
-    /// process death mid-`write`. One-shot: the fault disarms after
-    /// firing.
-    TornAppend {
-        /// Height whose append is torn.
-        at: u64,
-    },
 }
 
 /// Full snapshot files kept on disk; older ones are pruned as each new
@@ -73,8 +61,6 @@ pub struct StorageConfig {
     pub fsync: FsyncPolicy,
     /// Write a world-state snapshot every this many blocks (0 = never).
     pub snapshot_every: u64,
-    /// Optional fault injector.
-    pub fault: Option<StorageFault>,
 }
 
 impl Default for StorageConfig {
@@ -83,7 +69,6 @@ impl Default for StorageConfig {
             segment_bytes: 8 * 1024 * 1024,
             fsync: FsyncPolicy::Always,
             snapshot_every: 64,
-            fault: None,
         }
     }
 }
@@ -158,14 +143,23 @@ impl DiskStore {
         config: StorageConfig,
         metrics: Metrics,
     ) -> Result<DiskStore, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        let (log, scan) = SegmentedLog::open(&dir, config.segment_bytes)?;
-        let snaps = SnapshotStore::open(&dir)?;
+        DiskStore::open_in(Disk::os(metrics), dir.as_ref(), config)
+    }
+
+    /// [`DiskStore::open_with_metrics`] on `disk`, counting on its metrics.
+    pub(crate) fn open_in(
+        disk: Disk,
+        dir: &Path,
+        config: StorageConfig,
+    ) -> Result<DiskStore, StoreError> {
+        let (log, scan) = SegmentedLog::open_in(disk.clone(), dir, config.segment_bytes)?;
+        let metrics = disk.metrics().clone();
+        let snaps = SnapshotStore::open_in(disk, dir)?;
         if scan.truncated_records > 0 {
             metrics.counter("storage.truncated_records", scan.truncated_records);
         }
         Ok(DiskStore {
-            dir,
+            dir: dir.to_path_buf(),
             log,
             snaps,
             config,
@@ -365,8 +359,6 @@ impl DiskStore {
         }
         self.metrics.counter("storage.snapshots", 1);
         self.metrics.counter("storage.bytes", bytes);
-        // The file's data, then its directory entry.
-        self.metrics.counter("storage.fsyncs", 2);
         Ok(())
     }
 }
@@ -375,24 +367,11 @@ impl BlockStore for DiskStore {
     fn append(&mut self, block: &Block, _state: &WorldState) -> Result<(), StoreError> {
         // Stale scan results are meaningless once new blocks land.
         self.scanned = None;
-        let payload = block.encoded();
-        if let Some(StorageFault::TornAppend { at }) = self.config.fault {
-            if block.header.height == at {
-                self.config.fault = None;
-                self.log.append_torn(block.header.height, &payload)?;
-                return Err(StoreError::InjectedCrash);
-            }
-        }
-        let bytes = self.log.append(block.header.height, &payload)?;
+        let bytes = self.log.append(block.header.height, &block.encoded())?;
         self.metrics.counter("storage.appends", 1);
         self.metrics.counter("storage.bytes", bytes);
-        let mut fsyncs = self.log.take_dir_syncs();
         if self.config.fsync == FsyncPolicy::Always {
             self.log.sync()?;
-            fsyncs += 1;
-        }
-        if fsyncs > 0 {
-            self.metrics.counter("storage.fsyncs", fsyncs);
         }
         Ok(())
     }
@@ -430,9 +409,7 @@ impl BlockStore for DiskStore {
     }
 
     fn flush(&mut self) -> Result<(), StoreError> {
-        self.log.sync()?;
-        self.metrics.counter("storage.fsyncs", 1);
-        Ok(())
+        self.log.sync()
     }
 }
 
@@ -516,49 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_append_recovers_to_pre_crash_tip() {
-        let dir = test_dir("disk-torn");
-        let key = AuthorityKey::from_seed(1);
-        let config = StorageConfig {
-            snapshot_every: 2,
-            fault: Some(StorageFault::TornAppend { at: 5 }),
-            ..StorageConfig::default()
-        };
-
-        let mut ledger = fresh_ledger(&key);
-        let mut store = DiskStore::open(&dir, config).unwrap();
-        store.recover_into(&mut ledger).unwrap();
-        ledger.attach_store(Box::new(store));
-        grow(&mut ledger, &key, 4);
-        let (tip_id, state_root) = (ledger.tip().id(), ledger.state().state_root());
-
-        // Block 5 is torn mid-append: the write-ahead hook fails, so the
-        // in-memory ledger never commits it either.
-        let tx = Transaction::new(
-            key.address(),
-            ledger.state().account(&key.address()).nonce,
-            TxPayload::Anchor { root: Hash256::ZERO, label: "crash".into() },
-            100,
-        )
-        .signed(&key);
-        let block = ledger.propose(key.address(), 250, vec![tx]);
-        let err = ledger.apply(&block).unwrap_err();
-        assert!(err.to_string().contains("simulated crash"));
-        assert_eq!(ledger.height(), 4);
-        drop(ledger);
-
-        let mut ledger = fresh_ledger(&key);
-        let mut store = DiskStore::open(&dir, StorageConfig::default()).unwrap();
-        assert_eq!(store.truncated_records(), 1);
-        let report = store.recover_into(&mut ledger).unwrap();
-        assert_eq!(report.height, 4);
-        assert_eq!(report.tip_id, tip_id);
-        assert_eq!(report.truncated_records, 1);
-        assert_eq!(ledger.state().state_root(), state_root);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn snapshot_disagreeing_with_log_falls_back_to_replay() {
         let dir = test_dir("disk-bad-snap");
         let key = AuthorityKey::from_seed(1);
@@ -587,5 +521,278 @@ mod tests {
         // The forged height-4 snapshot was rejected; height 2 still agrees.
         assert_eq!(report.from_snapshot, Some(2));
         fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod crash_points {
+    //! Every crash point of one scripted run, checked offline (DESIGN.md
+    //! §8). A site adopts a peer's snapshot, pages its state under a tiny
+    //! cache and commits blocks under `FsyncPolicy::Always`, across
+    //! segment rolls, full and delta snapshots, prunes and page spills,
+    //! on the crash model of `durable.rs`. For every prefix of the
+    //! operations it made and every allowed set of unsynced effects (all
+    //! of them when few, a seeded sample when many), recovery into a
+    //! fresh ledger must reach a tip at or above the last acknowledged
+    //! height with the run's own tip id and state root there, or refuse
+    //! with a named error; it must never panic.
+
+    use super::*;
+    use crate::durable::model::{Effect, Image, Model, Op};
+    use crate::record::frame_record;
+    use crate::snapshot::snapshot_payload;
+    use medchain_chain::ledger::NullRuntime;
+    use medchain_chain::sig::{Address, AuthorityKey};
+    use medchain_chain::tx::{Transaction, TxPayload};
+    use medchain_chain::{KeyRegistry, StateCacheConfig};
+    use medchain_runtime::check::{check, CheckConfig};
+    use medchain_runtime::metrics::Registry;
+    use medchain_runtime::rng::DetRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const DIR: &str = "/data/site-0";
+    const SEED: u64 = 41;
+    /// Height of the peer snapshot the site adopts.
+    const ADOPTED: u64 = 4;
+    /// Height the site commits to after it.
+    const TIP: u64 = 20;
+    const CONFIG: StorageConfig =
+        StorageConfig { segment_bytes: 4096, fsync: FsyncPolicy::Always, snapshot_every: 4 };
+    /// Most ways a crash point's unsynced effects may land for all of
+    /// them to be tried; past it the point is left to the sample.
+    const EXHAUSTIVE: usize = 64;
+
+    fn fresh_ledger() -> Ledger {
+        let key = AuthorityKey::from_seed(SEED);
+        let mut registry = KeyRegistry::new();
+        registry.enroll(&key);
+        let mut ledger = Ledger::new("crash-points", registry, Box::new(NullRuntime));
+        ledger.state_mut().credit(key.address(), 1_000_000);
+        ledger
+    }
+
+    /// Four transfers across a 64-account universe, or anchors.
+    fn next_block(rng: &mut DetRng, ledger: &mut Ledger) -> Block {
+        let key = AuthorityKey::from_seed(SEED);
+        let height = ledger.height() + 1;
+        let nonce = ledger.state().account(&key.address()).nonce;
+        let txs: Vec<Transaction> = (0..4)
+            .map(|k| {
+                let payload = if !rng.next_u64().is_multiple_of(3) {
+                    let mut to = [0u8; 20];
+                    to[..8].copy_from_slice(&(rng.next_u64() % 64).to_le_bytes());
+                    TxPayload::Transfer { to: Address(to), amount: 1 + rng.next_u64() % 50 }
+                } else {
+                    let label = format!("scan-{height}-{k}");
+                    TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }
+                };
+                Transaction::new(key.address(), nonce + k, payload, 100).signed(&key)
+            })
+            .collect();
+        ledger.propose(key.address(), height * 50, txs)
+    }
+
+    type Recovered = Result<RecoveryReport, StoreError>;
+
+    /// The scripted run: its operations, when each height was
+    /// acknowledged, and each height's block id and state root.
+    struct Run {
+        ops: Vec<Op>,
+        /// `(operations made, height)`: `height` was acknowledged once
+        /// that many operations were made.
+        acks: Vec<(usize, u64)>,
+        tips: Vec<(Hash256, Hash256)>,
+        /// The site's own blocks, by height.
+        blocks: Vec<Block>,
+        /// `storage.fsyncs` over the run, and the syncs the model logged.
+        fsyncs: (u64, usize),
+    }
+
+    fn scripted_run() -> Run {
+        let mut rng = DetRng::from_seed(SEED);
+        // A peer's chain to the adopted height: the site adopts its
+        // snapshot as streamed bootstrap does (DESIGN.md §14).
+        let mut peer = fresh_ledger();
+        let mut tips = vec![(peer.tip().id(), peer.state().state_root())];
+        while peer.height() < ADOPTED {
+            let block = next_block(&mut rng, &mut peer);
+            peer.apply(&block).expect("peer block commits");
+            tips.push((block.id(), block.header.state_root));
+        }
+        let payload = snapshot_payload(peer.tip(), peer.state(), &peer.state_tree());
+
+        let (model, registry) = (Model::default(), Registry::new());
+        let disk = Disk::new(Arc::new(model.clone()), registry.handle());
+        let mut store = DiskStore::open_in(disk.clone(), Path::new(DIR), CONFIG).expect("opens");
+        store.snapshots().adopt_payload(ADOPTED, &payload).expect("snapshot adopted");
+        let mut ledger = fresh_ledger();
+        store.recover_into(&mut ledger).expect("adopted snapshot installs");
+        let mut acks = vec![(model.len(), ADOPTED)];
+        let path = Path::new(DIR).join("pages.bin");
+        let pages = Arc::new(PageStore::open_in(disk, &path, 2).expect("page store opens"));
+        store.attach_pages(Arc::clone(&pages));
+        ledger.attach_state_cache(StateCacheConfig {
+            pager: pages,
+            max_hot_accounts: 8,
+            node_budget: 16,
+        });
+        ledger.attach_store(Box::new(store));
+        let mut blocks = vec![peer.tip().clone(); ADOPTED as usize + 1];
+        while ledger.height() < TIP {
+            let block = next_block(&mut rng, &mut ledger);
+            ledger.apply(&block).expect("block commits");
+            acks.push((model.len(), block.header.height));
+            tips.push((block.id(), block.header.state_root));
+            blocks.push(block);
+        }
+        let fsyncs = (registry.counter_value("storage.fsyncs"), model.syncs());
+        Run { ops: model.ops(), acks, tips, blocks, fsyncs }
+    }
+
+    impl Run {
+        /// The image a crash after `k` operations finds, before it lands
+        /// any unsynced effect.
+        fn image_at(&self, k: usize) -> Image {
+            let mut image = Image::default();
+            self.ops[..k].iter().for_each(|op| image.apply(op));
+            image
+        }
+
+        /// The highest height acknowledged after `k` operations (0 when
+        /// none was).
+        fn acked_at(&self, k: usize) -> u64 {
+            self.acks.iter().filter(|(made, _)| *made <= k).map(|(_, h)| *h).max().unwrap_or(0)
+        }
+
+        /// Recovers a fresh ledger from `image`; `Err` if recovery panics.
+        fn restart(&self, image: Image) -> Result<(Recovered, Ledger), String> {
+            catch_unwind(AssertUnwindSafe(|| {
+                let disk = Disk::new(Arc::new(Model::holding(image)), Metrics::noop());
+                let mut ledger = fresh_ledger();
+                let store = DiskStore::open_in(disk, Path::new(DIR), CONFIG);
+                (store.and_then(|mut store| store.recover_into(&mut ledger)), ledger)
+            }))
+            .map_err(|panic| {
+                let said = panic.downcast_ref::<String>().cloned();
+                let said = said.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
+                format!("recovery panicked: {}", said.unwrap_or_default())
+            })
+        }
+
+        /// The oracle, for a crash after `k` operations whose unsynced
+        /// `effects` land as `picks`: `Ok(true)` if recovery reaches a tip
+        /// at or above the acknowledged height that is the run's own, tip
+        /// id and state root, `Ok(false)` if it refuses with a named error.
+        fn recovers(
+            &self,
+            k: usize,
+            image: &Image,
+            effects: &[Effect],
+            picks: &[u64],
+        ) -> Result<bool, String> {
+            let acked = self.acked_at(k);
+            let (report, ledger) = self.restart(image.crash(effects, picks))?;
+            if report.is_err() {
+                return Ok(false);
+            }
+            let height = ledger.height();
+            let got = (ledger.tip().id(), ledger.state().state_root());
+            let wrong = match self.tips.get(height as usize) {
+                _ if height < acked => format!("recovered to {height}, below acknowledged {acked}"),
+                Some(want) if got == *want => return Ok(true),
+                _ => format!("the state recovered at {height} is not the run's"),
+            };
+            let ops = self.ops.len();
+            Err(format!("crash after {k} of {ops} operations, {effects:?} as {picks:?}: {wrong}"))
+        }
+
+        /// The crash right after the write of block `height`'s record,
+        /// which keeps half of it and no other unsynced effect.
+        fn torn_append(&self, height: u64) -> Image {
+            let record = frame_record(&self.blocks[height as usize].encoded()).expect("frames");
+            let written = self.ops.iter().position(|op| {
+                matches!(op, Op::Write { bytes, .. } if *bytes == record)
+            });
+            let image = self.image_at(written.expect("the record was written") + 1);
+            let effects = image.unsynced();
+            let picks: Vec<u64> = effects
+                .iter()
+                .map(|effect| match *effect {
+                    Effect::Tail { synced, live, .. } if live - synced == record.len() as u64 => {
+                        synced + (live - synced) / 2
+                    }
+                    Effect::Tail { synced, .. } => synced,
+                    _ => 0,
+                })
+                .collect();
+            image.crash(&effects, &picks)
+        }
+    }
+
+    /// Every crash point passes the oracle, and their number is pinned:
+    /// a change to what the store writes or syncs moves it.
+    #[test]
+    fn every_crash_point_recovers_to_its_acknowledged_tip() {
+        let run = scripted_run();
+        assert_eq!(run.fsyncs.0, run.fsyncs.1 as u64, "storage.fsyncs is not the sync log");
+        let (mut states, mut refused, mut wide) = (0usize, 0usize, Vec::new());
+        let mut image = Image::default();
+        for k in 0..=run.ops.len() {
+            if k > 0 {
+                image.apply(&run.ops[k - 1]);
+            }
+            let effects = image.unsynced();
+            let picks: Vec<Vec<u64>> = effects.iter().map(Effect::picks).collect();
+            let ways: usize = picks.iter().map(Vec::len).product();
+            if ways > EXHAUSTIVE {
+                wide.push(k);
+                continue;
+            }
+            for way in 0..ways {
+                let (mut rest, mut chosen) = (way, Vec::with_capacity(picks.len()));
+                for options in &picks {
+                    chosen.push(options[rest % options.len()]);
+                    rest /= options.len();
+                }
+                let recovered = run.recovers(k, &image, &effects, &chosen);
+                let recovered = recovered.unwrap_or_else(|e| panic!("{e}"));
+                states += 1;
+                refused += usize::from(!recovered);
+            }
+        }
+        let tally = (run.ops.len() + 1, states, refused, wide.len());
+        assert_eq!(tally, (138, 625, 0, 0), "(crash points, states, refused, left to the sample)");
+
+        // Points with too many ways to try them all, and any point with
+        // an unsynced tail cut at any byte, are drawn by seed.
+        let points = if wide.is_empty() { (0..=run.ops.len()).collect() } else { wide.clone() };
+        check("crash points with drawn unsynced effects", CheckConfig::cases(32), |g| {
+            let k = points[g.usize_in(0, points.len())];
+            let image = run.image_at(k);
+            let effects = image.unsynced();
+            let chosen: Vec<u64> = effects.iter().map(|e| e.draw(g)).collect();
+            run.recovers(k, &image, &effects, &chosen).map(|_| ())
+        });
+    }
+
+    /// The torn-append crash points: a crash that keeps half of a block's
+    /// record loses that block and nothing before it, mid-segment or as
+    /// the first record of a fresh one.
+    #[test]
+    fn a_torn_append_recovers_to_the_block_before_it() {
+        let run = scripted_run();
+        let torn = [
+            ("torn append three blocks past a full snapshot", 19, 2),
+            ("torn first record of a fresh segment", 17, 0),
+        ];
+        for (name, height, replayed) in torn {
+            let (report, ledger) = run.restart(run.torn_append(height)).expect(name);
+            let report = report.unwrap_or_else(|e| panic!("{name}: {e}"));
+            let got = (report.height, report.truncated_records, report.from_snapshot);
+            assert_eq!(got, (height - 1, 1, Some(16)), "{name}");
+            assert_eq!(report.replayed_blocks, replayed, "{name}");
+            let tip = (ledger.tip().id(), ledger.state().state_root());
+            assert_eq!(tip, run.tips[height as usize - 1], "{name}");
+        }
     }
 }

@@ -26,8 +26,9 @@
 //! ledger persists every block write-ahead: a block is on disk and in
 //! memory, or in neither; snapshots follow the commit
 //! (`BlockStore::checkpoint`), so one that fails is counted and retried,
-//! never a lost block. A [`StorageFault`] knob tears an append
-//! mid-record so the recovery path is tested, not assumed.
+//! never a lost block. Every file operation goes through one handle
+//! (`durable.rs`), so the crate's tests replay every crash point of a
+//! recorded run offline and hold recovery to the chain it acknowledged.
 //!
 //! ```no_run
 //! use medchain_chain::{KeyRegistry, Ledger};
@@ -52,7 +53,7 @@ pub mod snapshot;
 pub mod stream;
 pub mod wal;
 
-pub use disk::{DiskStore, FsyncPolicy, RecoveryReport, StorageConfig, StorageFault};
+pub use disk::{DiskStore, FsyncPolicy, RecoveryReport, StorageConfig};
 pub use pages::{PageId, PageStore, PAGE_BYTES};
 pub use record::{frame_record, split_record, RecordError, RECORD_HEADER_BYTES};
 pub use snapshot::{Snapshot, SnapshotDelta, SnapshotStore};

@@ -40,12 +40,12 @@
 //! `storage.page_flushes`, `storage.page_writes`, `storage.page_frees`,
 //! and a `storage.page_file_slots` gauge for the file's high-water mark.
 
+use crate::durable::{Disk, DurableFile, Mode};
 use crate::record::{frame_record, read_record, record_bytes, RecordError};
 use medchain_chain::Pager;
 use medchain_runtime::metrics::Metrics;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
@@ -64,7 +64,7 @@ struct CacheEntry {
 }
 
 struct Inner {
-    file: File,
+    file: DurableFile,
     /// High-water mark: slots ever allocated, including freed ones.
     slots: u64,
     /// Freed extents `(start, slots)`, reused first-fit.
@@ -123,11 +123,15 @@ impl PageStore {
     ///
     /// Returns the I/O error if the file cannot be created.
     pub fn open(path: &Path, cache_pages: usize, metrics: Metrics) -> io::Result<PageStore> {
+        PageStore::open_in(Disk::os(metrics), path, cache_pages)
+    }
+
+    /// [`PageStore::open`] on `disk`, counting on its metrics.
+    pub(crate) fn open_in(disk: Disk, path: &Path, cache_pages: usize) -> io::Result<PageStore> {
         if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
+            disk.create_dir(parent)?;
         }
-        let file = OpenOptions::new().create(true).read(true).write(true).open(path)?;
-        file.set_len(0)?;
+        let file = disk.open(path, Mode::Create)?;
         Ok(PageStore {
             inner: Mutex::new(Inner {
                 file,
@@ -139,7 +143,7 @@ impl PageStore {
                 clock: 0,
             }),
             cache_slots: cache_pages.max(1) as u64,
-            metrics,
+            metrics: disk.metrics().clone(),
         })
     }
 
@@ -217,9 +221,10 @@ impl PageStore {
         self.metrics.counter("storage.page_frees", 1);
     }
 
-    /// Writes every dirty cached record to disk and syncs the file.
-    /// The ledger calls this at snapshot boundaries so a snapshot's
-    /// spill file is consistent with the state it was taken against.
+    /// Writes every dirty cached record to disk, in file order, and
+    /// syncs the file. The ledger calls this at snapshot boundaries so a
+    /// snapshot's spill file is consistent with the state it was taken
+    /// against.
     ///
     /// # Errors
     ///
@@ -227,14 +232,16 @@ impl PageStore {
     pub fn flush(&self) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("page store poisoned");
         let Inner { file, cache, .. } = &mut *inner;
-        let mut flushed = 0;
-        for (&start, entry) in cache.iter_mut().filter(|(_, e)| e.dirty) {
+        let mut dirty: Vec<(u64, &mut CacheEntry)> =
+            cache.iter_mut().filter(|(_, e)| e.dirty).map(|(start, e)| (*start, e)).collect();
+        dirty.sort_unstable_by_key(|(start, _)| *start);
+        let flushed = dirty.len() as u64;
+        for (start, entry) in dirty {
             Self::write_extent(file, start, &entry.bytes)?;
             entry.dirty = false;
-            flushed += 1;
         }
         if flushed > 0 {
-            file.sync_data()?;
+            file.sync()?;
             self.metrics.counter("storage.page_flushes", flushed);
         }
         Ok(())
@@ -281,16 +288,14 @@ impl PageStore {
         Ok(())
     }
 
-    fn write_extent(file: &mut File, start: u64, payload: &[u8]) -> io::Result<()> {
+    fn write_extent(file: &mut DurableFile, start: u64, payload: &[u8]) -> io::Result<()> {
         let record = frame_record(payload).map_err(|e| page_error(format!("page {start}"), e))?;
-        file.seek(SeekFrom::Start(start * PAGE_BYTES as u64))?;
-        file.write_all(&record)
+        file.write_at(start * PAGE_BYTES as u64, &record)
     }
 
     /// The record at extent `start`, bounded by its `slots`.
     fn read_extent(inner: &mut Inner, start: u64, slots: u64) -> io::Result<Vec<u8>> {
-        inner.file.seek(SeekFrom::Start(start * PAGE_BYTES as u64))?;
-        read_record(&mut inner.file, slots * PAGE_BYTES as u64)
+        read_record(&mut inner.file.reader_at(start * PAGE_BYTES as u64), slots * PAGE_BYTES as u64)
             .map_err(|e| page_error(format!("page {start}"), e))
     }
 }

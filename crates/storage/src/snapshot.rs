@@ -31,12 +31,12 @@
 //! the new set — never a half-written file that parses, nor a renamed
 //! one that a crash forgets.
 
-use crate::durable;
+use crate::durable::{self, Disk, Mode};
 use crate::record::{read_record, write_record, RecordError};
 use medchain_chain::store::StoreError;
 use medchain_chain::{Block, Hash256, StateDelta, StateTree, WorldState};
 use medchain_runtime::codec::{Decode, Encode, Reader};
-use std::fs::{self, File, OpenOptions};
+use medchain_runtime::metrics::Metrics;
 use std::path::{Path, PathBuf};
 
 const SNAP_PREFIX: &str = "snap-";
@@ -97,6 +97,7 @@ impl SnapshotDelta {
 /// The snapshot directory manager.
 #[derive(Debug)]
 pub struct SnapshotStore {
+    disk: Disk,
     dir: PathBuf,
 }
 
@@ -106,41 +107,6 @@ fn snap_name(height: u64) -> String {
 
 fn delta_name(height: u64) -> String {
     durable::height_name(DELTA_PREFIX, height, SNAP_SUFFIX)
-}
-
-/// Writes `payload` to `path` as one record through a `.tmp` sibling
-/// synced, then renamed into place with its directory synced: two
-/// fsyncs. Returns the bytes written.
-fn write_file(path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
-    let tmp_path = path.with_extension("bin.tmp");
-    let written = (|| {
-        let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp_path)?;
-        let bytes = write_record(&mut file, payload)?;
-        file.sync_data()?;
-        drop(file);
-        durable::rename_into_place(&tmp_path, path)?;
-        Ok::<_, RecordError>(bytes)
-    })();
-    written.map_err(|e| {
-        let _ = fs::remove_file(&tmp_path);
-        e.into()
-    })
-}
-
-/// The payload of the record file at `path`; `None` if the file is
-/// missing, torn, overlong for its length, or fails its CRC.
-fn read_file(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let file_len = file.metadata()?.len();
-    match read_record(&mut file, file_len) {
-        Ok(payload) => Ok(Some(payload)),
-        Err(RecordError::Io(e)) => Err(e.into()),
-        Err(_) => Ok(None),
-    }
 }
 
 /// A full snapshot's payload: tip ‖ state ‖ tree, canonical bytes. The
@@ -192,8 +158,48 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on filesystem failure.
     pub fn open(dir: &Path) -> Result<SnapshotStore, StoreError> {
-        fs::create_dir_all(dir)?;
-        Ok(SnapshotStore { dir: dir.to_path_buf() })
+        SnapshotStore::open_in(Disk::os(Metrics::noop()), dir)
+    }
+
+    /// [`SnapshotStore::open`] on `disk`.
+    pub(crate) fn open_in(disk: Disk, dir: &Path) -> Result<SnapshotStore, StoreError> {
+        disk.create_dir(dir)?;
+        Ok(SnapshotStore { disk, dir: dir.to_path_buf() })
+    }
+
+    /// Writes `payload` to `path` as one record through a `.tmp` sibling
+    /// synced, then renamed into place with its directory synced: two
+    /// fsyncs. Returns the bytes written.
+    fn write_file(&self, path: &Path, payload: &[u8]) -> Result<u64, StoreError> {
+        let tmp_path = path.with_extension("bin.tmp");
+        let written = (|| {
+            let mut file = self.disk.open(&tmp_path, Mode::Create)?;
+            let bytes = write_record(&mut file, payload)?;
+            file.sync()?;
+            drop(file);
+            self.disk.rename_into_place(&tmp_path, path)?;
+            Ok::<_, RecordError>(bytes)
+        })();
+        written.map_err(|e| {
+            let _ = self.disk.remove(&tmp_path);
+            e.into()
+        })
+    }
+
+    /// The payload of the record file at `path`; `None` if the file is
+    /// missing, torn, overlong for its length, or fails its CRC.
+    fn read_file(&self, path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+        let mut file = match self.disk.open(path, Mode::Read) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let file_len = file.len()?;
+        match read_record(&mut file.reader_at(0), file_len) {
+            Ok(payload) => Ok(Some(payload)),
+            Err(RecordError::Io(e)) => Err(e.into()),
+            Err(_) => Ok(None),
+        }
     }
 
     /// Writes a snapshot at `tip`'s height: `tip`, `state` and `tree` —
@@ -212,7 +218,7 @@ impl SnapshotStore {
         tree: &StateTree,
     ) -> Result<u64, StoreError> {
         let payload = snapshot_payload(tip, state, tree);
-        write_file(&self.dir.join(snap_name(tip.header.height)), &payload)
+        self.write_file(&self.dir.join(snap_name(tip.header.height)), &payload)
     }
 
     /// Writes a delta snapshot at `tip`'s height: `writes`, every write
@@ -234,7 +240,7 @@ impl SnapshotStore {
         base_height.encode(&mut payload);
         base_tip.encode(&mut payload);
         writes.encode(&mut payload);
-        write_file(&self.dir.join(delta_name(tip.header.height)), &payload)
+        self.write_file(&self.dir.join(delta_name(tip.header.height)), &payload)
     }
 
     /// Adopts a snapshot payload assembled from a peer's stream
@@ -251,7 +257,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on write failure.
     pub fn adopt_payload(&self, height: u64, payload: &[u8]) -> Result<(), StoreError> {
-        write_file(&self.dir.join(snap_name(height)), payload).map(|_| ())
+        self.write_file(&self.dir.join(snap_name(height)), payload).map(|_| ())
     }
 
     /// Deletes the snapshot file at `height` — an adopted payload that
@@ -261,7 +267,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on filesystem failure.
     pub fn discard(&self, height: u64) -> Result<(), StoreError> {
-        Ok(fs::remove_file(self.dir.join(snap_name(height)))?)
+        Ok(self.disk.remove(&self.dir.join(snap_name(height)))?)
     }
 
     /// The CRC-verified raw payload of the snapshot at `height` — the
@@ -273,7 +279,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on read failure (other than absence).
     pub fn raw_payload(&self, height: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        read_file(&self.dir.join(snap_name(height)))
+        self.read_file(&self.dir.join(snap_name(height)))
     }
 
     /// Heights of all full snapshot files, ascending (validity
@@ -297,7 +303,7 @@ impl SnapshotStore {
     }
 
     fn heights_of(&self, prefix: &str) -> Result<Vec<u64>, StoreError> {
-        let files = durable::height_files(&self.dir, prefix, SNAP_SUFFIX)?;
+        let files = self.disk.height_files(&self.dir, prefix, SNAP_SUFFIX)?;
         Ok(files.into_iter().map(|(height, _)| height).collect())
     }
 
@@ -308,7 +314,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on read failure (other than absence).
     pub fn load(&self, height: u64) -> Result<Option<Snapshot>, StoreError> {
-        let payload = read_file(&self.dir.join(snap_name(height)))?;
+        let payload = self.read_file(&self.dir.join(snap_name(height)))?;
         Ok(payload.and_then(|payload| decode_snapshot(&payload, height)))
     }
 
@@ -321,7 +327,7 @@ impl SnapshotStore {
     ///
     /// Returns [`StoreError::Io`] on read failure (other than absence).
     pub fn read_delta(&self, height: u64) -> Result<Option<SnapshotDelta>, StoreError> {
-        let payload = read_file(&self.dir.join(delta_name(height)))?;
+        let payload = self.read_file(&self.dir.join(delta_name(height)))?;
         Ok(payload.and_then(|payload| decode_delta(&payload, height)))
     }
 
@@ -336,13 +342,13 @@ impl SnapshotStore {
     pub fn prune(&self, fulls: usize, deltas: usize, base: u64) -> Result<(), StoreError> {
         let heights = self.heights()?;
         for height in &heights[..heights.len().saturating_sub(fulls)] {
-            fs::remove_file(self.dir.join(snap_name(*height)))?;
+            self.disk.remove(&self.dir.join(snap_name(*height)))?;
         }
         let delta_heights = self.delta_heights()?;
         let on_base = delta_heights.iter().filter(|h| **h > base).count();
         let keep_from = delta_heights.len() - on_base.min(deltas);
         for height in &delta_heights[..keep_from] {
-            fs::remove_file(self.dir.join(delta_name(*height)))?;
+            self.disk.remove(&self.dir.join(delta_name(*height)))?;
         }
         Ok(())
     }
@@ -352,6 +358,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use crate::testutil::test_dir;
+    use std::fs;
 
     fn tip_and_state(height: u64) -> (Block, WorldState, StateTree) {
         let mut state = WorldState::new();

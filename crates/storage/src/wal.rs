@@ -8,13 +8,12 @@
 //! file at the first invalid one — a torn tail from a crash mid-append
 //! recovers to the last durable block.
 
-use crate::durable;
+use crate::durable::{self, Disk, DurableFile, Mode};
 use crate::record::{frame_record, split_record};
 use medchain_chain::store::StoreError;
 use medchain_chain::Block;
 use medchain_runtime::codec::{Decode, Reader};
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use medchain_runtime::metrics::Metrics;
 use std::path::{Path, PathBuf};
 
 const SEG_PREFIX: &str = "seg-";
@@ -33,16 +32,14 @@ pub struct ScanResult {
 /// The segmented append-only log.
 #[derive(Debug)]
 pub struct SegmentedLog {
+    disk: Disk,
     dir: PathBuf,
     segment_bytes: u64,
-    /// Open tail segment: (path, handle, current byte size).
-    current: Option<(PathBuf, File, u64)>,
+    /// Open tail segment and its current byte size.
+    current: Option<(DurableFile, u64)>,
     /// Height the next appended record must carry (`None` = empty log,
     /// first append pins it).
     next_height: Option<u64>,
-    /// Directory syncs made creating segments and not yet taken by
-    /// [`SegmentedLog::take_dir_syncs`].
-    dir_syncs: u64,
 }
 
 impl SegmentedLog {
@@ -53,49 +50,52 @@ impl SegmentedLog {
     ///
     /// Returns [`StoreError::Io`] on filesystem failure.
     pub fn open(dir: &Path, segment_bytes: u64) -> Result<(SegmentedLog, ScanResult), StoreError> {
-        fs::create_dir_all(dir)?;
-        let segments = durable::height_files(dir, SEG_PREFIX, SEG_SUFFIX)?;
+        SegmentedLog::open_in(Disk::os(Metrics::noop()), dir, segment_bytes)
+    }
+
+    /// [`SegmentedLog::open`] on `disk`.
+    pub(crate) fn open_in(
+        disk: Disk,
+        dir: &Path,
+        segment_bytes: u64,
+    ) -> Result<(SegmentedLog, ScanResult), StoreError> {
+        disk.create_dir(dir)?;
+        let segments = disk.height_files(dir, SEG_PREFIX, SEG_SUFFIX)?;
 
         let mut blocks: Vec<Block> = Vec::new();
         let mut truncated_records = 0u64;
-        let mut tail: Option<(PathBuf, u64)> = None;
+        let mut tail: Option<(&Path, u64)> = None;
         for (i, (_, path)) in segments.iter().enumerate() {
-            let bytes = fs::read(path)?;
+            let bytes = disk.read(path)?;
             let (seg_blocks, valid_end, bad) = scan_segment(&bytes, blocks.last());
             blocks.extend(seg_blocks);
             if bad {
                 truncated_records += 1;
-                repair(path, valid_end, &segments[i + 1..])?;
+                repair(&disk, path, valid_end, &segments[i + 1..])?;
                 if valid_end > 0 {
-                    tail = Some((path.clone(), valid_end));
+                    tail = Some((path, valid_end));
                 }
                 // else: the whole segment was cut — keep the previous
                 // segment (if any) as the append tail.
                 break;
             }
-            tail = Some((path.clone(), valid_end));
+            tail = Some((path, valid_end));
         }
 
         let next_height = blocks.last().map(|b| b.header.height + 1);
         let current = match tail {
-            Some((path, size)) => {
-                let file = OpenOptions::new().append(true).open(&path)?;
-                Some((path, file, size))
-            }
+            Some((path, size)) => Some((disk.open(path, Mode::Append)?, size)),
             None => None,
         };
-        let log = SegmentedLog {
-            dir: dir.to_path_buf(),
-            segment_bytes,
-            current,
-            next_height,
-            dir_syncs: 0,
-        };
+        let dir = dir.to_path_buf();
+        let log = SegmentedLog { disk, dir, segment_bytes, current, next_height };
         Ok((log, ScanResult { blocks, truncated_records }))
     }
 
-    /// Appends one block record, rolling to a new segment when the
-    /// current one is full. Returns the bytes written.
+    /// Appends one block record in one write, rolling to a new segment
+    /// when the current one is full. Returns the bytes written. A new
+    /// segment's directory entry is synced before any record goes in,
+    /// so a synced append survives a crash with its file.
     ///
     /// # Errors
     ///
@@ -104,70 +104,36 @@ impl SegmentedLog {
     /// for one record.
     pub fn append(&mut self, height: u64, payload: &[u8]) -> Result<u64, StoreError> {
         let record = frame_record(payload)?;
-        self.write_tail(height, &record, record.len())?;
-        self.next_height = Some(height + 1);
-        Ok(record.len() as u64)
-    }
-
-    /// Fault injection: writes only the first half of the record — a
-    /// torn append, as if the process died mid-`write`. The log's
-    /// expected height is *not* advanced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::HeightGap`] or [`StoreError::Io`] as
-    /// [`SegmentedLog::append`] would.
-    pub fn append_torn(&mut self, height: u64, payload: &[u8]) -> Result<(), StoreError> {
-        let record = frame_record(payload)?;
-        self.write_tail(height, &record[..record.len() / 2], record.len())?;
-        self.sync()
-    }
-
-    /// Fsyncs the tail segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on failure.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        if let Some((_, file, _)) = self.current.as_mut() {
-            file.sync_data()?;
-        }
-        Ok(())
-    }
-
-    /// The directory syncs segment creation made since the last call —
-    /// fsyncs the log's owner counts beside its own.
-    pub(crate) fn take_dir_syncs(&mut self) -> u64 {
-        std::mem::take(&mut self.dir_syncs)
-    }
-
-    /// Checks height contiguity and writes `bytes` of a `whole`-byte
-    /// record to the tail segment, rolling first if the whole record
-    /// would not fit. A new segment's directory entry is synced before
-    /// any record goes in, so a synced append survives a crash with its
-    /// file.
-    fn write_tail(&mut self, height: u64, bytes: &[u8], whole: usize) -> Result<(), StoreError> {
         if let Some(expected) = self.next_height {
             if height != expected {
                 return Err(StoreError::HeightGap { expected, got: height });
             }
         }
         let roll = match &self.current {
-            Some((_, _, size)) => *size > 0 && *size + whole as u64 > self.segment_bytes,
+            Some((_, size)) => *size > 0 && *size + record.len() as u64 > self.segment_bytes,
             None => true,
         };
         if roll {
-            if let Some((_, file, _)) = self.current.as_mut() {
-                file.sync_data()?;
-            }
+            self.sync()?;
             let path = self.dir.join(durable::height_name(SEG_PREFIX, height, SEG_SUFFIX));
-            let file = durable::create_segment(&path)?;
-            self.dir_syncs += 1;
-            self.current = Some((path, file, 0));
+            self.current = Some((self.disk.create_segment(&path)?, 0));
         }
-        let (_, file, size) = self.current.as_mut().expect("tail segment just ensured");
-        file.write_all(bytes)?;
-        *size += bytes.len() as u64;
+        let (file, size) = self.current.as_mut().expect("tail segment just ensured");
+        file.append(&record)?;
+        *size += record.len() as u64;
+        self.next_height = Some(height + 1);
+        Ok(record.len() as u64)
+    }
+
+    /// Fsyncs the tail segment, if one is open.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on failure.
+    pub fn sync(&mut self) -> Result<(), StoreError> {
+        if let Some((file, _)) = self.current.as_mut() {
+            file.sync()?;
+        }
         Ok(())
     }
 }
@@ -204,16 +170,21 @@ fn next_block(bytes: &[u8], expected: Option<u64>) -> Option<(Block, &[u8])> {
 /// Truncates `path` to `valid_end` (removing it entirely if empty) and
 /// deletes every later segment — nothing after a corrupt record can be
 /// trusted to be contiguous.
-fn repair(path: &Path, valid_end: u64, later: &[(u64, PathBuf)]) -> Result<(), StoreError> {
+fn repair(
+    disk: &Disk,
+    path: &Path,
+    valid_end: u64,
+    later: &[(u64, PathBuf)],
+) -> Result<(), StoreError> {
     if valid_end == 0 {
-        fs::remove_file(path)?;
+        disk.remove(path)?;
     } else {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_end)?;
-        file.sync_data()?;
+        let mut file = disk.open(path, Mode::Append)?;
+        file.resize(valid_end)?;
+        file.sync()?;
     }
     for (_, later_path) in later {
-        fs::remove_file(later_path)?;
+        disk.remove(later_path)?;
     }
     Ok(())
 }
@@ -223,6 +194,7 @@ mod tests {
     use super::*;
     use crate::testutil::test_dir;
     use medchain_runtime::codec::Encode;
+    use std::fs;
 
     fn block_at(height: u64, parent: &Block) -> Block {
         let mut b = Block::genesis("wal-test");
@@ -254,24 +226,6 @@ mod tests {
         assert_eq!(log.next_height, Some(6));
         let segs = fs::read_dir(&dir).unwrap().count();
         assert!(segs > 1, "expected multiple segments, got {segs}");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_to_last_valid_record() {
-        let dir = test_dir("wal-torn");
-        let genesis = Block::genesis("wal-test");
-        let (mut log, _) = SegmentedLog::open(&dir, 1 << 20).unwrap();
-        let b1 = block_at(1, &genesis);
-        let b2 = block_at(2, &b1);
-        log.append(1, &b1.encoded()).unwrap();
-        log.append_torn(2, &b2.encoded()).unwrap();
-        drop(log);
-
-        let (log, scan) = SegmentedLog::open(&dir, 1 << 20).unwrap();
-        assert_eq!(scan.truncated_records, 1);
-        assert_eq!(scan.blocks.len(), 1);
-        assert_eq!(log.next_height, Some(2));
         fs::remove_dir_all(&dir).unwrap();
     }
 

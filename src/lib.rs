@@ -59,7 +59,7 @@ pub mod prelude {
     pub use medchain_chain::store::{BlockStore, StoreError};
     pub use medchain_storage::{
         DiskStore, FsyncPolicy, PageStore, RecoveryReport, SnapshotChunk, SnapshotManifest,
-        StorageConfig, StorageFault,
+        StorageConfig,
     };
 
     // Contracts: assembler, bytecode, values, access policy.

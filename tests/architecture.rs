@@ -107,8 +107,9 @@ const RULES: &[Row] = &[
         paths: &["crates/chain/src/history.rs"], why: "history.rs's tests restore a ledger; its code does not (DESIGN.md §14)",
         mutants: &[m("crates/chain/src/history.rs", "pub(crate) fn reset_to(", "ledger.restore_with_tree(tip, state, tree);")], ..ROW },
     Row { name: "payloads adopted by bootstrap", needles: &[Sub("adopt_payload(")], paths: SRC,
-        allow: &[File("crates/storage/src/snapshot.rs"), File(BOOTSTRAP)],
-        why: "a raw snapshot payload adopted outside the streamed-bootstrap path (DESIGN.md §14)",
+        allow: &[File("crates/storage/src/snapshot.rs"), File(BOOTSTRAP),
+            Line(DISK, "store.snapshots().adopt_payload(ADOPTED, &payload).expect(\"snapshot adopted\");")],
+        why: "a raw snapshot payload adopted outside the streamed-bootstrap path and the crash points (DESIGN.md §8, §14)",
         mutants: &[m(COMMITTEE, "", "fn take(s: &mut SnapshotStore, p: &[u8]) { s.adopt_payload(p); }")], ..ROW },
     Row { name: "bootstrap only streams in", paths: &[BOOTSTRAP],
         needles: &[Sub("SnapshotPeer"), Sub("TcpListener"), Sub("attach_store("), Sub("run_until_height(")],
@@ -155,8 +156,10 @@ const RULES: &[Row] = &[
         why: "a History field is named outside history.rs; go through History's methods (DESIGN.md §3)",
         mutants: &[swap(LEDGER, "self.history.tip().header.height", "self.history.blocks.len() as u64"),
             m(LEDGER, APPLY, "let kept = self.history.outcomes.len();")], ..ROW },
-    Row { name: "one snapshot store", needles: &[Sub("SnapshotStore::open("), Sub("snapshots().write")], scan: Code,
-        paths: &["crates/*/src/", "src/", "examples/"], allow: &[Line(DISK, "let snaps = SnapshotStore::open(&dir)?;")],
+    Row { name: "one snapshot store", scan: Code,
+        needles: &[Sub("SnapshotStore::open("), Sub("SnapshotStore::open_in("), Sub("snapshots().write")],
+        paths: &["crates/*/src/", "src/", "examples/"], allow: &[Line(DISK, "let snaps = SnapshotStore::open_in(disk, dir)?;"),
+            Line("crates/storage/src/snapshot.rs", "SnapshotStore::open_in(Disk::os(Metrics::noop()), dir)")],
         why: "DiskStore owns the one snapshot store; bootstrap adopts and discards there, never writes (DESIGN.md §8)",
         mutants: &[m(BOOTSTRAP, "", "fn side(d: &Path) { let _ = SnapshotStore::open(d); }"),
             m(BOOTSTRAP, "", "fn side(s: &mut DiskStore) { s.snapshots().write(tip, state, tree); }")], ..ROW },
@@ -169,7 +172,15 @@ const RULES: &[Row] = &[
     Row { name: "durable renames", needles: &[Sub("fs::rename(")], paths: &["crates/storage/src/"], scan: NoComments,
         allow: &[Body("crates/storage/src/durable.rs", "rename_into_place")],
         why: "fs::rename outside durable::rename_into_place; a rename must sync its directory (DESIGN.md §8)",
-        mutants: &[m("crates/storage/src/snapshot.rs", "", "fn swap(a: &Path, b: &Path) { std::fs::rename(a, b).unwrap(); }")], ..ROW },
+        mutants: &[m("crates/storage/src/snapshot.rs", "mod tests {", "fn swap(a: &Path, b: &Path) { std::fs::rename(a, b).unwrap(); }")],
+        ..ROW },
+    Row { name: "one filesystem seam", paths: &["crates/storage/src/"], scan: Code,
+        needles: &[Word("fs"), Word("File"), Sub("OpenOptions"), Sub("sync_data"), Sub("sync_all"), Word("set_len"), Word("seek")],
+        allow: &[File("crates/storage/src/durable.rs")],
+        why: "a file operation in crates/storage/src outside durable.rs; go through its Disk handle, which syncs what a crash \
+            could lose and counts every sync (DESIGN.md §8)",
+        mutants: &[m("crates/storage/src/snapshot.rs", "", "fn drop_file(p: &Path) { std::fs::remove_file(p).unwrap(); }"),
+            m(PAGES, "fn write_extent(", "file.sync_data()?;")], ..ROW },
     Row { name: "one record format", needles: &[Sub("from_le_bytes("), Sub("crc32(")], paths: &["crates/storage/src/"], scan: Code,
         allow: &[File("crates/storage/src/record.rs"), Line(STREAM, "crc: crc32(payload),"),
             Line(STREAM, "let crc = crc32(&bytes);"),
@@ -951,6 +962,7 @@ const CENSUS: &[(&str, &[&str])] = &[
     ("in crates/chain/src/exec", &["crates/chain/src/exec/*.rs"]),
     ("in crates/storage/src/snapshot.rs", &["crates/storage/src/snapshot.rs"]),
     ("in crates/storage/src/disk.rs", &["crates/storage/src/disk.rs"]), ("in crates/storage/src", &["crates/storage/src/*.rs"]),
+    ("in crates/storage/src/durable.rs", &["crates/storage/src/durable.rs"]),
     ("in crates/chain/src/ledger.rs", &["crates/chain/src/ledger.rs"]),
     ("in crates/chain/src/state.rs", &["crates/chain/src/state.rs"]),
     ("in crates/chain/src/history.rs", &["crates/chain/src/history.rs"]), ("in crates/chain/src", &["crates/chain/src/"]),

@@ -68,9 +68,13 @@ fn grow(ledger: &mut Ledger, key: &AuthorityKey, n: u64) {
 }
 
 /// The headline acceptance test: commit N blocks with snapshots
-/// enabled, tear the append of block N+1 mid-record (simulated crash),
-/// reopen, and verify the replayed chain equals the pre-crash chain
-/// with `storage.truncated_records == 1` on the sink.
+/// enabled, crash mid-append of block N+1 — half its record on disk, as a
+/// crash between the write and its fsync may leave it — reopen, and
+/// verify the replayed chain equals the pre-crash chain with
+/// `storage.truncated_records == 1` on the sink. The storage crate's
+/// crash model checks every crash point of a scripted run this way
+/// (DESIGN.md §8); that a failed append leaves memory untouched is
+/// `torn_append_on_a_paged_ledger_leaves_cold_accounts_cold`.
 #[test]
 fn torn_tail_crash_recovers_pre_crash_tip_and_state_root() {
     let dir = test_dir("torn-tail");
@@ -78,11 +82,10 @@ fn torn_tail_crash_recovers_pre_crash_tip_and_state_root() {
     let config = StorageConfig {
         snapshot_every: 4,
         segment_bytes: 2048, // small segments: the log rolls several times
-        fault: Some(StorageFault::TornAppend { at: 11 }),
         ..StorageConfig::default()
     };
 
-    // First life: 10 committed blocks, crash tearing block 11's record.
+    // First life: 10 committed blocks, then block 11 torn on disk.
     let mut ledger = fresh_ledger(&key);
     let mut store = DiskStore::open(&dir, config).unwrap();
     store.recover_into(&mut ledger).unwrap();
@@ -90,24 +93,22 @@ fn torn_tail_crash_recovers_pre_crash_tip_and_state_root() {
     grow(&mut ledger, &key, 10);
     let tip_id = ledger.tip().id();
     let state_root = ledger.state().state_root();
-
-    let tx = Transaction::new(
-        key.address(),
-        ledger.state().account(&key.address()).nonce,
-        TxPayload::Anchor { root: Hash256::ZERO, label: "doomed".into() },
-        100,
-    )
-    .signed(&key);
-    let block = ledger.propose(key.address(), 550, vec![tx]);
-    let err = ledger.apply(&block).expect_err("append is torn");
-    assert!(err.to_string().contains("simulated crash"), "got: {err}");
-    // Write-ahead ordering: the failed block never reached memory either.
-    assert_eq!(ledger.height(), 10);
-    assert_eq!(ledger.tip().id(), tip_id);
-    let tip_root = ledger.tip().header.state_root;
-    assert_eq!(ledger.state().state_root(), tip_root, "state moved past the tip");
-    assert_eq!(ledger.state_tree().versioned_root(), tip_root, "tree moved past the tip");
+    grow(&mut ledger, &key, 1);
     drop(ledger);
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "wal"))
+        .collect();
+    segments.sort();
+    let newest = segments.last().expect("a segment file");
+    let bytes = std::fs::read(newest).unwrap();
+    let (mut rest, mut last) = (&bytes[..], 0);
+    while !rest.is_empty() {
+        last = bytes.len() - rest.len();
+        rest = split_record(rest).unwrap().1;
+    }
+    std::fs::write(newest, &bytes[..last + (bytes.len() - last) / 2]).unwrap();
 
     // Second life: recovery truncates the torn record and replays.
     let registry = Registry::new();
@@ -1105,19 +1106,16 @@ fn torn_append_on_a_paged_ledger_leaves_cold_accounts_cold() {
     std::fs::create_dir_all(&dir).unwrap();
     let key = AuthorityKey::from_seed(31);
     let torn_at = 11;
-    let fault = Some(StorageFault::TornAppend { at: torn_at });
-    let config = StorageConfig { fault, ..StorageConfig::default() };
 
     let mut resident = fresh_ledger(&key);
     let mut paged = fresh_ledger(&key);
-    let mut store = DiskStore::open(&dir, config).unwrap();
-    store.recover_into(&mut paged).unwrap();
     resident.state_mut().credit(key.address(), 1_000_000);
     paged.state_mut().credit(key.address(), 1_000_000);
     let pages =
         Arc::new(PageStore::open(&dir.join("pages.bin"), 2, Registry::new().handle()).unwrap());
     paged.attach_state_cache(tiny_state_cache(pages));
-    paged.attach_store(Box::new(store));
+    let tear = Arc::new(AtomicBool::new(false));
+    paged.attach_store(Box::new(TearableStore(Arc::clone(&tear))));
 
     let mut rng = DetRng::from_seed(0x7042);
     while paged.height() + 1 < torn_at {
@@ -1141,8 +1139,9 @@ fn torn_append_on_a_paged_ledger_leaves_cold_accounts_cold() {
         Transaction::new(key.address(), nonce, TxPayload::Transfer { to: target, amount: 7 }, 100)
             .signed(&key);
     let block = paged.propose(key.address(), torn_at * 50, vec![transfer]);
+    tear.store(true, Ordering::SeqCst);
     let err = paged.apply(&block).expect_err("append is torn");
-    assert!(err.to_string().contains("simulated crash"), "got: {err}");
+    assert!(matches!(err, LedgerError::Storage(_)), "got: {err}");
 
     assert!(paged.state().account_is_cold(&target), "the torn block promoted a cold record");
     assert_eq!(paged.state().account(&target), record, "the torn block moved a cold record");
@@ -1517,14 +1516,14 @@ fn recovery_survives_torn_corrupt_and_orphaned_deltas() {
     std::fs::remove_dir_all(&scenario).unwrap();
 }
 
-/// A block store whose next append tears when armed — a crash
+/// A block store whose next append fails when armed — a crash
 /// mid-append, without a disk.
 struct TearableStore(Arc<AtomicBool>);
 
 impl BlockStore for TearableStore {
     fn append(&mut self, _block: &Block, _state: &WorldState) -> Result<(), StoreError> {
         if self.0.swap(false, Ordering::SeqCst) {
-            return Err(StoreError::InjectedCrash);
+            return Err(StoreError::Io("append torn".into()));
         }
         Ok(())
     }

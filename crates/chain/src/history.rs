@@ -1,32 +1,50 @@
-//! Committed history: the blocks a ledger retains, the outcome of every
-//! transaction in the blocks it applied, the tx-id index over them, and
-//! the work counters those commits add up to.
+//! Committed history: the blocks a ledger can serve, the outcome of
+//! every transaction in the blocks it applied, the tx-id index over
+//! them, and the work counters those commits add up to.
 //!
 //! [`History`] is the one owner of that bookkeeping: the ledger pushes
 //! each committed block here and forwards its history readers. The
 //! rules it keeps are pinned by a model-checked property below:
-//! - blocks are retained from `base_height` to the tip; pruning drops
-//!   older ones but always keeps the tip;
+//! - every block from `base_height` to the tip is readable; pruning
+//!   drops older ones but always keeps the tip;
 //! - receipts and the tx-id index cover every block pushed since
 //!   genesis or the last restore, pruned or not;
-//! - a proof-carrying [`TxReceipt`] is cut only from a retained block.
+//! - a proof-carrying [`TxReceipt`] is cut only from a readable block.
 //!
-//! It keeps only what this replica alone knows. A retained block's
-//! header and body are shared with every other copy of the block in the
-//! process; its seal is this replica's own. A receipt is kept as a
-//! 24-byte `Outcome` whose tx id is the index's key, and is rebuilt
+//! A block is readable from memory or from the ledger's store. Without
+//! a store every block stays decoded. With one, the blocks the store
+//! reads back below its newest snapshot ([`BlockStore::below_snapshot`])
+//! leave memory at the commit that finds them there, each for an 8-byte
+//! slot: a read fills the slot from [`BlockStore::read_block`] and the
+//! next push empties it again, so a store-backed ledger keeps at most
+//! one snapshot interval of blocks decoded, plus the base block (genesis
+//! or the restore point, which the store need not hold), between reads.
+//!
+//! It keeps only what this replica alone knows. A block kept from its
+//! commit shares its header and body with every other copy of the block
+//! in the process; its seal is this replica's own. A receipt is kept as
+//! a 24-byte `Outcome` whose tx id is the index's key, and is rebuilt
 //! when it is read.
 
 use crate::block::Block;
 use crate::hash::Hash256;
 use crate::ledger::{Event, LedgerStats, Receipt};
 use crate::receipt::TxReceipt;
+use crate::store::BlockStore;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A ledger's committed history (see the module docs).
 pub(crate) struct History {
-    /// Retained blocks, oldest first; `blocks[0]` has height
-    /// `base_height`, and the tip is always retained.
+    /// One slot per height from `base_height` below the resident window:
+    /// the base block's is filled for good, any other only while a read
+    /// has filled it since the last push.
+    older: Vec<OnceCell<Box<Block>>>,
+    /// Heights of the `older` slots a read filled since the last push.
+    filled: RefCell<Vec<u64>>,
+    /// Decoded blocks from `base_height + older.len()` to the tip, oldest
+    /// first; the tip is always among them.
     blocks: Vec<Block>,
     base_height: u64,
     /// The outcome of every transaction pushed since genesis or the last
@@ -89,13 +107,19 @@ impl Outcome {
 impl History {
     /// History of a chain that holds only its genesis block.
     pub(crate) fn new(genesis: Block) -> History {
-        let (outcomes, starts, tx_index, stats) = Default::default();
-        History { blocks: vec![genesis], base_height: 0, outcomes, starts, tx_index, stats }
+        let (older, filled, outcomes, starts, tx_index, stats) = Default::default();
+        let blocks = vec![genesis];
+        History { older, filled, blocks, base_height: 0, outcomes, starts, tx_index, stats }
     }
 
     /// Records a committed block and moves its receipts in, counting
-    /// them into the stats.
+    /// them into the stats, and empties every slot a read filled.
     pub(crate) fn push(&mut self, block: Block, receipts: Vec<Receipt>) {
+        for height in self.filled.get_mut().drain(..) {
+            if let Some(slot) = self.older.get_mut((height - self.base_height) as usize) {
+                slot.take();
+            }
+        }
         let first = self.outcome_count();
         self.tx_index.reserve(receipts.len());
         for (receipt, position) in receipts.into_iter().zip(first..) {
@@ -119,6 +143,8 @@ impl History {
     /// restored node re-learns them as it replays.
     pub(crate) fn reset_to(&mut self, tip: Block) {
         self.base_height = tip.header.height;
+        self.older.clear();
+        self.filled.get_mut().clear();
         self.blocks = vec![tip];
         self.outcomes.clear();
         self.starts.clear();
@@ -131,32 +157,70 @@ impl History {
         self.blocks.last().expect("genesis always present")
     }
 
-    /// Block at `height`, if retained.
-    pub(crate) fn block_at(&self, height: u64) -> Option<&Block> {
-        let index = height.checked_sub(self.base_height)?;
-        self.blocks.get(index as usize)
+    /// Height of the oldest decoded block of the resident window.
+    fn window_start(&self) -> u64 {
+        self.base_height + self.older.len() as u64
     }
 
-    /// Retained blocks with height ≥ `height`, oldest first; the whole
-    /// retained suffix when `height` predates it.
-    pub(crate) fn blocks_from(&self, height: u64) -> &[Block] {
-        let from = height.saturating_sub(self.base_height).min(self.blocks.len() as u64);
-        &self.blocks[from as usize..]
+    /// Block at `height`, if readable: from memory, or read back from
+    /// `store` into its slot. A store that cannot read it gives `None`.
+    pub(crate) fn block_at(&self, height: u64, store: Option<&dyn BlockStore>) -> Option<&Block> {
+        let index = height.checked_sub(self.base_height)? as usize;
+        let Some(slot) = self.older.get(index) else {
+            return self.blocks.get(index - self.older.len());
+        };
+        if let Some(block) = slot.get() {
+            return Some(block);
+        }
+        let block = store?.read_block(height).ok()??;
+        if block.header.height != height {
+            return None;
+        }
+        self.filled.borrow_mut().push(height);
+        Some(slot.get_or_init(|| Box::new(block)))
     }
 
-    /// Height of the oldest retained block.
+    /// Height of the oldest readable block.
     pub(crate) fn base_height(&self) -> u64 {
         self.base_height
     }
 
-    /// Drops retained blocks below `height`, always keeping the tip, and
-    /// returns how many were dropped. Receipts and stats are untouched.
+    /// Lets the decoded blocks whose heights `readable` covers leave
+    /// memory, oldest first and never the tip, for slots a read fills
+    /// again. The base block keeps its slot filled, since a store need
+    /// not hold it; a block `readable` does not cover stops the move.
+    pub(crate) fn release_below(&mut self, readable: Range<u64>) {
+        let end = readable.end.min(self.tip().header.height);
+        let mut moved = 0;
+        for height in self.window_start()..end {
+            if height != self.base_height && !readable.contains(&height) {
+                break;
+            }
+            moved += 1;
+        }
+        for block in self.blocks.drain(..moved) {
+            let slot = if block.header.height == self.base_height {
+                OnceCell::from(Box::new(block))
+            } else {
+                OnceCell::new()
+            };
+            self.older.push(slot);
+        }
+    }
+
+    /// Makes heights below `height` unreadable, always keeping the tip,
+    /// and returns how many were dropped. Receipts and stats are
+    /// untouched.
     pub(crate) fn prune_below(&mut self, height: u64) -> usize {
         let keep_from = height.min(self.tip().header.height);
         let drop = keep_from.saturating_sub(self.base_height) as usize;
-        self.blocks.drain(..drop);
+        let from_older = drop.min(self.older.len());
+        self.older.drain(..from_older);
+        self.blocks.drain(..drop - from_older);
         // A height at or below the base drops nothing and keeps it.
         self.base_height = self.base_height.max(keep_from);
+        let base = self.base_height;
+        self.filled.get_mut().retain(|filled| *filled >= base);
         drop
     }
 
@@ -196,10 +260,14 @@ impl History {
     }
 
     /// The proof-carrying receipt of a transaction whose block is still
-    /// retained.
-    pub(crate) fn tx_receipt(&self, tx_id: &Hash256) -> Option<TxReceipt> {
+    /// readable, from memory or from `store`.
+    pub(crate) fn tx_receipt(
+        &self,
+        tx_id: &Hash256,
+        store: Option<&dyn BlockStore>,
+    ) -> Option<TxReceipt> {
         let (height, index) = self.locate_tx(tx_id)?;
-        TxReceipt::for_block(self.block_at(height)?, index, self.receipt(tx_id)?)
+        TxReceipt::for_block(self.block_at(height, store)?, index, self.receipt(tx_id)?)
     }
 
     /// Work counters of the blocks pushed since genesis or the last
@@ -210,12 +278,23 @@ impl History {
 }
 
 #[cfg(test)]
+impl History {
+    /// How many blocks are decoded in memory: the resident window and
+    /// every filled slot.
+    fn decoded_blocks(&self) -> usize {
+        self.blocks.len() + self.older.iter().filter(|slot| slot.get().is_some()).count()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::{Body, Header, Seal};
     use crate::ledger::{funded_ledger, grow_by_transfers, transfer};
     use crate::shard::ShardId;
     use crate::sig::{Address, AuthorityKey};
+    use crate::state::WorldState;
+    use crate::store::StoreError;
     use crate::tx::{SealedTx, Transaction, TxPayload};
     use medchain_runtime::check::{check, CheckConfig, Gen};
     use medchain_runtime::{ensure, ensure_eq};
@@ -227,24 +306,24 @@ mod tests {
         let mut ledger = funded_ledger(&[alice.clone(), bob.clone()]);
         grow_by_transfers(&mut ledger, &alice, bob.address(), 5);
         assert_eq!(ledger.base_height(), 0);
-        assert_eq!(ledger.blocks_from(0).len(), 6); // genesis..=5
-        assert_eq!(ledger.blocks_from(3).len(), 3);
-        assert_eq!(ledger.blocks_from(3)[0].header.height, 3);
-        assert!(ledger.blocks_from(99).is_empty());
+        assert_eq!(ledger.blocks_from(0).count(), 6); // genesis..=5
+        assert_eq!(ledger.blocks_from(3).count(), 3);
+        assert_eq!(ledger.blocks_from(3).next().unwrap().header.height, 3);
+        assert_eq!(ledger.blocks_from(99).count(), 0);
 
         // Prune everything below height 4: 0..=3 dropped, 4..=5 kept.
         assert_eq!(ledger.prune_below(4), 4);
         assert_eq!(ledger.base_height(), 4);
         assert!(ledger.block(3).is_none());
         assert_eq!(ledger.block(4).unwrap().header.height, 4);
-        assert_eq!(ledger.blocks_from(0).len(), 2);
+        assert_eq!(ledger.blocks_from(0).count(), 2);
         assert_eq!(ledger.tip().header.height, 5);
 
         // Pruning past the tip always keeps the tip block.
         assert_eq!(ledger.prune_below(100), 1);
         assert_eq!(ledger.base_height(), 5);
         assert_eq!(ledger.tip().header.height, 5);
-        assert_eq!(ledger.blocks_from(5).len(), 1);
+        assert_eq!(ledger.blocks_from(5).count(), 1);
 
         // The pruned ledger still extends normally.
         grow_by_transfers(&mut ledger, &alice, bob.address(), 1);
@@ -310,6 +389,33 @@ mod tests {
         Block { header: header.into(), transactions, seal: Seal::Genesis }
     }
 
+    /// A store that logs every block pushed after genesis and reads it
+    /// back, with a snapshot floor the property moves.
+    #[derive(Default)]
+    struct LogStore {
+        log: Vec<Block>,
+        floor: u64,
+    }
+
+    impl BlockStore for LogStore {
+        fn append(&mut self, block: &Block, _state: &WorldState) -> Result<(), StoreError> {
+            self.log.push(block.clone());
+            Ok(())
+        }
+
+        fn flush(&mut self) -> Result<(), StoreError> {
+            Ok(())
+        }
+
+        fn read_block(&self, height: u64) -> Result<Option<Block>, StoreError> {
+            Ok(height.checked_sub(1).and_then(|i| self.log.get(i as usize)).cloned())
+        }
+
+        fn below_snapshot(&self) -> Range<u64> {
+            1..self.floor.clamp(1, self.log.len() as u64 + 1)
+        }
+    }
+
     /// The plain model: every block ever pushed, with its receipts, and
     /// the two heights the rules turn on.
     struct Model {
@@ -347,6 +453,7 @@ mod tests {
     fn push_random(
         g: &mut Gen,
         history: &mut History,
+        store: Option<&mut LogStore>,
         model: &mut Model,
         nonce: &mut u64,
     ) -> Result<(), String> {
@@ -360,24 +467,42 @@ mod tests {
         let receipts: Vec<Receipt> = txs.iter().map(|tx| random_receipt(g, tx.id())).collect();
         let block = child(parent, txs);
         history.push(block.clone(), receipts.clone());
+        if let Some(store) = store {
+            store.append(&block, &WorldState::new()).map_err(|e| e.to_string())?;
+            history.release_below(store.below_snapshot());
+        }
         model.chain.push((block, receipts));
         Ok(())
     }
 
-    fn matches_model(history: &History, model: &Model) -> Result<(), String> {
+    /// With a store, a commit leaves decoded only the blocks from the
+    /// store's floor (or the base, when higher) to the tip, and the base
+    /// block.
+    fn decoded_within_the_window(
+        history: &History,
+        store: Option<&LogStore>,
+        model: &Model,
+    ) -> Result<(), String> {
+        let Some(store) = store else { return Ok(()) };
+        let from = store.floor.max(model.base).min(model.tip());
+        let most = (model.tip() - from) as usize + 2;
+        let decoded = history.decoded_blocks();
+        ensure!(decoded <= most, "{decoded} blocks decoded above floor {}", store.floor);
+        Ok(())
+    }
+
+    fn matches_model(
+        history: &History,
+        store: Option<&dyn BlockStore>,
+        model: &Model,
+    ) -> Result<(), String> {
         let tip = model.tip();
         ensure_eq!(history.tip(), &model.chain[tip as usize].0);
         ensure_eq!(history.base_height(), model.base);
         for height in 0..=tip + 1 {
             let retained = (model.base..=tip).contains(&height);
             let want = retained.then(|| &model.chain[height as usize].0);
-            ensure!(history.block_at(height) == want, "block_at({height})");
-        }
-        for from in 0..=tip + 2 {
-            let start = from.max(model.base).min(tip + 1) as usize;
-            let want: Vec<&Block> = model.chain[start..].iter().map(|(block, _)| block).collect();
-            let got: Vec<&Block> = history.blocks_from(from).iter().collect();
-            ensure!(got == want, "blocks_from({from})");
+            ensure!(history.block_at(height, store) == want, "block_at({height})");
         }
         let mut stats = LedgerStats::default();
         for (height, (block, receipts)) in model.chain.iter().enumerate().skip(1) {
@@ -391,7 +516,7 @@ mod tests {
                 if !remembered {
                     ensure!(history.locate_tx(&id).is_none(), "{id:?} outlived its restore");
                     ensure!(history.receipt(&id).is_none());
-                    ensure!(history.tx_receipt(&id).is_none());
+                    ensure!(history.tx_receipt(&id, store).is_none());
                     continue;
                 }
                 stats.transactions += 1;
@@ -402,27 +527,33 @@ mod tests {
                 let want = (height >= model.base)
                     .then(|| TxReceipt::for_block(block, index, exec.clone()))
                     .flatten();
-                ensure!(history.tx_receipt(&id) == want, "tx_receipt at height {height}");
+                ensure!(history.tx_receipt(&id, store) == want, "tx_receipt at height {height}");
             }
         }
         ensure_eq!(history.stats(), stats);
         Ok(())
     }
 
-    /// Random pushes, prunes (up to tip + 2) and restores at the tip
-    /// against a model that keeps everything: the retained range, the
-    /// receipts that outlive pruning but not a restore, and proofs only
-    /// from retained blocks.
+    /// Random pushes, prunes (up to tip + 2), restores at the tip and,
+    /// in half the cases, snapshots of a store that reads blocks back,
+    /// against a model that keeps everything: the readable range, the
+    /// receipts that outlive pruning but not a restore, proofs only from
+    /// readable blocks, and with a store no more decoded blocks after a
+    /// commit than its snapshot window and the base block.
     #[test]
     fn history_matches_a_model_that_keeps_everything() {
         check("history matches the keep-everything model", CheckConfig::cases(64), |g| {
             let genesis = Block::genesis("history-model");
             let mut history = History::new(genesis.clone());
+            let mut store = g.bool().then(LogStore::default);
             let mut model = Model { chain: vec![(genesis, Vec::new())], base: 0, restored: 0 };
             let mut nonce = 0;
-            for _ in 0..g.usize_in(1, 30) {
-                match g.usize_in(0, 5) {
-                    0..=2 => push_random(g, &mut history, &mut model, &mut nonce)?,
+            for _ in 0..g.usize_in(1, 40) {
+                match g.usize_in(0, 6) {
+                    0..=2 => {
+                        push_random(g, &mut history, store.as_mut(), &mut model, &mut nonce)?;
+                        decoded_within_the_window(&history, store.as_ref(), &model)?;
+                    }
                     3 => {
                         let tip = model.tip();
                         let height = g.usize_in(0, tip as usize + 2) as u64;
@@ -431,13 +562,19 @@ mod tests {
                         ensure_eq!(history.prune_below(height), dropped as usize);
                         model.base = model.base.max(keep_from);
                     }
-                    _ => {
+                    4 => {
                         history.reset_to(history.tip().clone());
                         model.base = model.tip();
                         model.restored = model.tip();
                     }
+                    _ => {
+                        if let Some(store) = store.as_mut() {
+                            store.floor = model.tip();
+                        }
+                    }
                 }
-                matches_model(&history, &model)?;
+                let store = store.as_ref().map(|store| store as &dyn BlockStore);
+                matches_model(&history, store, &model)?;
             }
             Ok(())
         });

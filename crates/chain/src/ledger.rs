@@ -287,13 +287,14 @@ pub struct LedgerStats {
 
 /// A node's replicated ledger: block store + world state + receipts.
 ///
-/// The ledger retains a suffix of the chain in memory (`base_height` is
-/// the height of the oldest retained block — 0 until
-/// [`Ledger::prune_below`] or [`Ledger::restore_with_tree`] is used)
-/// and, when a [`BlockStore`] is attached, persists every block
-/// write-ahead before the in-memory commit.
+/// Every block from `base_height` (0 until [`Ledger::prune_below`] or
+/// [`Ledger::restore_with_tree`] is used) to the tip is readable. When
+/// a [`BlockStore`] is attached, the ledger persists every block
+/// write-ahead before the in-memory commit, keeps decoded only the
+/// blocks from the store's newest snapshot up, and reads older ones
+/// back from the store.
 pub struct Ledger {
-    /// Retained blocks, receipts, the tx-id index and the work counters.
+    /// Readable blocks, receipts, the tx-id index and the work counters.
     history: History,
     state: WorldState,
     registry: KeyRegistry,
@@ -474,30 +475,39 @@ impl Ledger {
         self.history.tip()
     }
 
-    /// Block at `height`, if applied **and still retained in memory**.
-    /// Pruned heights return `None`: nothing reads a block back from a
-    /// store.
+    /// Block at `height`, for every height from [`Ledger::base_height`]
+    /// to the tip. A ledger with a store keeps decoded only the blocks
+    /// from the store's newest snapshot up; an older one is read back
+    /// from the store into a slot of its height, which the next commit
+    /// empties, so the reference stays valid while `&self` is borrowed.
+    /// `None` above the tip, below the base height, or when the store
+    /// cannot read the block back.
     pub fn block(&self, height: u64) -> Option<&Block> {
-        self.history.block_at(height)
+        self.history.block_at(height, self.store.as_deref())
     }
 
-    /// Height of the oldest retained block (0 until pruned/restored).
+    /// Height of the oldest readable block: genesis, the restore point,
+    /// or the height [`Ledger::prune_below`] last kept from.
     pub fn base_height(&self) -> u64 {
         self.history.base_height()
     }
 
-    /// Retained blocks with height ≥ `height`, oldest first. Returns the
-    /// whole retained suffix when `height` predates it; older blocks are
-    /// not served at all.
-    pub fn blocks_from(&self, height: u64) -> &[Block] {
-        self.history.blocks_from(height)
+    /// The readable blocks with height ≥ `height`, oldest first, each
+    /// read as [`Ledger::block`] reads it: from the base height when
+    /// `height` predates it, ending at the tip or at the first block the
+    /// store cannot read back. Lazy: a caller that stops early reads no
+    /// further.
+    pub fn blocks_from(&self, height: u64) -> impl Iterator<Item = &Block> + '_ {
+        (height.max(self.base_height())..=self.height()).map_while(|h| self.block(h))
     }
 
-    /// Drops retained blocks below `height` (the tip is always kept), so
-    /// a storage-backed node can bound in-memory history. Returns the
-    /// number of blocks dropped. State, receipts, and stats are
-    /// untouched. Nothing reads a pruned block back from a store, so
-    /// [`Ledger::tx_receipt`] has no proof for its transactions.
+    /// Makes the heights below `height` unreadable (the tip is always
+    /// kept), from memory and from any store alike. Returns the number
+    /// of heights dropped. State, receipts, and stats are untouched;
+    /// [`Ledger::tx_receipt`] has no proof for a dropped block's
+    /// transactions. A ledger with a store needs no pruning to bound its
+    /// memory: it keeps decoded only the blocks from the store's newest
+    /// snapshot up.
     pub fn prune_below(&mut self, height: u64) -> usize {
         self.history.prune_below(height)
     }
@@ -662,13 +672,13 @@ impl Ledger {
     }
 
     /// Builds the proof-carrying client receipt for a committed
-    /// transaction (DESIGN.md §10).
+    /// transaction (DESIGN.md §10), from its block as [`Ledger::block`]
+    /// reads it.
     ///
     /// Returns `None` if the transaction never committed here or its
-    /// block has been pruned from in-memory history: a proof is cut only
-    /// from a retained block.
+    /// block is no longer readable: a proof is cut only from the block.
     pub fn tx_receipt(&self, tx_id: &Hash256) -> Option<crate::receipt::TxReceipt> {
-        self.history.tx_receipt(tx_id)
+        self.history.tx_receipt(tx_id, self.store.as_deref())
     }
 
     /// Work counters of the blocks applied since genesis or the last
@@ -901,10 +911,12 @@ impl Ledger {
         // snapshot from, before demotion pages any of the state out. A
         // snapshot is an optimisation (store contract 3) — a failed one
         // is the store's to report and retry, never a reason to lose a
-        // block that is already durable.
+        // block that is already durable. Then the blocks the store reads
+        // back below its newest snapshot leave memory.
         if let Some(store) = self.store.as_mut() {
             let _ = store.checkpoint(block, &self.state, &updated_tree, writes.as_ref());
             self.written_out_of_band = false;
+            self.history.release_below(store.below_snapshot());
         }
         // Paged state cache: after the commit is final, push cold
         // accounts and cold tree subtrees back under budget. Addresses

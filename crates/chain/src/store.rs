@@ -10,7 +10,9 @@
 //! `medchain-storage`'s `DiskStore` is the implementation: a segmented
 //! CRC-framed write-ahead log with periodic world-state snapshots and
 //! crash recovery. A ledger with no store attached keeps its chain in
-//! memory only, at no cost.
+//! memory only, at no cost; one with a store keeps decoded only the
+//! blocks from the store's newest snapshot up, and reads older ones
+//! back through [`BlockStore::read_block`].
 //!
 //! One store persists *one* sub-chain: the trait knows nothing about
 //! sharding. A sharded consortium (DESIGN.md §9) simply opens one store
@@ -45,6 +47,7 @@ use crate::block::Block;
 use crate::exec::StateDelta;
 use crate::state::WorldState;
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from a block store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,6 +152,27 @@ pub trait BlockStore: Send {
     ///
     /// Returns [`StoreError`] on I/O failure.
     fn flush(&mut self) -> Result<(), StoreError>;
+
+    /// The block at `height` as this store holds it, read back from
+    /// durable storage: how a ledger serves a block it no longer keeps
+    /// decoded in memory. `Ok(None)` when the store holds no such
+    /// height; the default holds none.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] if the block could not be read back.
+    fn read_block(&self, height: u64) -> Result<Option<Block>, StoreError> {
+        let _ = height;
+        Ok(None)
+    }
+
+    /// The heights below the newest snapshot this store wrote or
+    /// recovered from, full or delta, that [`BlockStore::read_block`]
+    /// reads back: blocks a ledger need not keep decoded in memory. The
+    /// default is empty, so a ledger keeps every block.
+    fn below_snapshot(&self) -> Range<u64> {
+        0..0
+    }
 }
 
 #[cfg(test)]

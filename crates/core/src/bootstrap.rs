@@ -60,13 +60,14 @@ pub struct BootstrapSource {
 
 impl BootstrapSource {
     /// Captures a streamable source from a healthy replica: its
-    /// newest on-disk snapshot (bounding the tail to the retained
-    /// blocks) when a store is given, else a snapshot of the current
-    /// tip built from memory (empty tail).
+    /// newest on-disk full snapshot and the blocks above it when a store
+    /// is given, else a snapshot of the current tip built from memory
+    /// (empty tail). A tail block below the ledger's resident window is
+    /// read back from the store attached to the ledger.
     ///
-    /// Returns `None` when the usable snapshot height has already been
-    /// pruned out of the ledger's retained blocks — the peer cannot
-    /// serve a tail it no longer holds.
+    /// Returns `None` when a block of the tail is no longer readable —
+    /// pruned out of the ledger, or its store fails the read — since the
+    /// peer cannot serve a tail it no longer holds.
     pub fn capture(ledger: &Ledger, store: Option<&DiskStore>) -> Option<BootstrapSource> {
         let on_disk = store.and_then(|s| s.latest_snapshot_payload().ok().flatten());
         let (height, payload) = match on_disk {
@@ -87,7 +88,12 @@ impl BootstrapSource {
             ledger.block(height)?.clone()
         };
         let manifest = manifest_for(&snap_tip, &payload);
-        let tail = ledger.blocks_from(height + 1).to_vec();
+        // Blocks below the resident window are read back from the
+        // ledger's store; a tail that cannot reach the tip is not served.
+        let tail: Vec<Block> = ledger.blocks_from(height + 1).cloned().collect();
+        if height + tail.len() as u64 != ledger.height() {
+            return None;
+        }
         Some(BootstrapSource {
             shard: ledger.shard(),
             manifest,

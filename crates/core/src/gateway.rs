@@ -308,10 +308,16 @@ pub trait GatewayBackend {
 
     /// Committed blocks of `shard` at and above `height` (oldest
     /// first), plus the chain's tip height — the WAL-tail feed after a
-    /// snapshot install. Backends lend the retained suffix as a borrowed
-    /// slice; the gateway clones only the page of it that fits one frame,
-    /// so a request costs the page, not the chain.
-    fn blocks_from(&mut self, shard: ShardId, height: u64) -> Option<(u64, &[Block])> {
+    /// snapshot install. Backends lend the blocks as a lazy iterator
+    /// (`Ledger::blocks_from`, which reads a block below the resident
+    /// window back from the store); the gateway takes and clones only
+    /// the page that fits one frame, so a request costs the page, not
+    /// the chain.
+    fn blocks_from(
+        &mut self,
+        shard: ShardId,
+        height: u64,
+    ) -> Option<(u64, Box<dyn Iterator<Item = &Block> + '_>)> {
         let _ = (shard, height);
         None
     }
@@ -544,17 +550,21 @@ impl GatewayServer {
     /// bodies are bounded well below [`MAX_FRAME`] by consensus batch
     /// limits, but an empty page is still returned rather than an
     /// oversized frame).
-    pub(crate) fn bounded_blocks(tip_height: u64, blocks: &[Block]) -> GatewayResponse {
+    pub(crate) fn bounded_blocks<'a>(
+        tip_height: u64,
+        blocks: impl IntoIterator<Item = &'a Block>,
+    ) -> GatewayResponse {
         // Envelope: tag byte + tip_height u64 + vec length prefix.
         let mut size = 1 + 8 + 4;
-        let fits = blocks
-            .iter()
+        let blocks = blocks
+            .into_iter()
             .take_while(|block| {
                 size += block.wire_size();
                 size <= MAX_FRAME
             })
-            .count();
-        GatewayResponse::Blocks { tip_height, blocks: blocks[..fits].to_vec() }
+            .cloned()
+            .collect();
+        GatewayResponse::Blocks { tip_height, blocks }
     }
 
     /// What the chain knows of a transaction: the committed receipt
@@ -659,7 +669,7 @@ mod tests {
         assert_eq!(page[..], blocks[..3]);
         assert!(encoded_page(3) <= MAX_FRAME && encoded_page(4) > MAX_FRAME);
         assert_eq!(
-            GatewayServer::bounded_blocks(41, &[]),
+            GatewayServer::bounded_blocks(41, &[] as &[Block]),
             GatewayResponse::Blocks { tip_height: 41, blocks: Vec::new() }
         );
     }

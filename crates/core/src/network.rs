@@ -1311,9 +1311,13 @@ impl GatewayBackend for Network {
         self.stream_cache.as_ref()?.chunk(shard, height, index)
     }
 
-    fn blocks_from(&mut self, shard: ShardId, height: u64) -> Option<(u64, &[Block])> {
+    fn blocks_from(
+        &mut self,
+        shard: ShardId,
+        height: u64,
+    ) -> Option<(u64, Box<dyn Iterator<Item = &Block> + '_>)> {
         let ledger = self.committee(shard)?.ledger();
-        Some((ledger.height(), ledger.blocks_from(height)))
+        Some((ledger.height(), Box::new(ledger.blocks_from(height))))
     }
 }
 

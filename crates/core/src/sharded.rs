@@ -107,7 +107,7 @@ impl Network {
 
     /// Verifies a cross-link claim against the shard's actual sub-chain:
     /// the claimed height must not exceed the tip, and — when the block
-    /// at that height is still retained — its id must equal the claimed
+    /// at that height is still readable — its id must equal the claimed
     /// tip hash. A tampered or forked claim is rejected here, before it
     /// can reach the coordinator chain; a resumed sharded network runs
     /// every recorded cross-link through it too, so a sub-chain that

@@ -47,13 +47,15 @@ impl MonitorNode {
     /// Scans blocks `(cursor, tip]`, returning all captured events in
     /// commit order. A ledger restored from a snapshot keeps no block at
     /// or below its base height, so the scan starts no lower than that.
+    /// A block the ledger's store cannot read back ends the scan there;
+    /// the next poll resumes from it.
     pub fn poll(&mut self, ledger: &Ledger) -> Vec<CapturedEvent> {
         let mut captured = Vec::new();
         let tip = ledger.height();
         self.cursor = self.cursor.max(ledger.base_height());
         while self.cursor < tip {
             let height = self.cursor + 1;
-            let block = ledger.block(height).expect("height below tip");
+            let Some(block) = ledger.block(height) else { break };
             for tx in block.transactions.iter() {
                 let Some(receipt) = ledger.receipt(&tx.id()) else { continue };
                 for event in receipt.events {
@@ -79,13 +81,28 @@ mod tests {
     use medchain_contracts::native::native_manifest;
     use medchain_contracts::runtime::{call_data, Runtime};
     use medchain_contracts::value::Value;
+    use medchain_chain::store::{BlockStore, StoreError};
+    use medchain_chain::{Block, WorldState};
+    use std::ops::Range;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn app_with_data_contract() -> (ChainApp, AuthorityKey, medchain_chain::Address) {
+        app_with_data_contract_on(None)
+    }
+
+    /// [`app_with_data_contract`], persisting every block to `store`.
+    fn app_with_data_contract_on(
+        store: Option<Box<dyn BlockStore>>,
+    ) -> (ChainApp, AuthorityKey, medchain_chain::Address) {
         let key = AuthorityKey::from_seed(1);
         let mut registry = KeyRegistry::new();
         registry.enroll(&key);
         let mut app =
             ChainApp::with_runtime("monitor-test", registry, Box::new(Runtime::standard()));
+        if let Some(store) = store {
+            app.attach_store(store);
+        }
         let deploy = Transaction::new(
             key.address(),
             0,
@@ -137,6 +154,68 @@ mod tests {
         register_dataset(&mut app, &key, 2, "emr-b");
         assert_eq!(monitor.poll(app.ledger()).len(), 1);
         assert_eq!(monitor.observed(), 2);
+    }
+
+    /// A store that holds every appended block, reads them back unless
+    /// `failing` is set, and reports a snapshot at every block, so the
+    /// ledger keeps only its tip decoded.
+    struct FlakyStore {
+        blocks: Arc<Mutex<Vec<Block>>>,
+        failing: Arc<AtomicBool>,
+    }
+
+    impl BlockStore for FlakyStore {
+        fn append(&mut self, block: &Block, _state: &WorldState) -> Result<(), StoreError> {
+            self.blocks.lock().unwrap().push(block.clone());
+            Ok(())
+        }
+
+        fn flush(&mut self) -> Result<(), StoreError> {
+            Ok(())
+        }
+
+        fn read_block(&self, height: u64) -> Result<Option<Block>, StoreError> {
+            if self.failing.load(Ordering::SeqCst) {
+                return Err(StoreError::Io("read failed".into()));
+            }
+            let blocks = self.blocks.lock().unwrap();
+            Ok(blocks.iter().find(|block| block.header.height == height).cloned())
+        }
+
+        fn below_snapshot(&self) -> Range<u64> {
+            let blocks = self.blocks.lock().unwrap();
+            blocks.first().zip(blocks.last()).map_or(0..0, |(first, last)| {
+                first.header.height..last.header.height + 1
+            })
+        }
+    }
+
+    #[test]
+    fn a_block_that_cannot_be_read_back_stops_the_poll_until_it_can() {
+        let failing = Arc::new(AtomicBool::new(false));
+        let blocks = Arc::new(Mutex::new(Vec::new()));
+        let store = FlakyStore { blocks: Arc::clone(&blocks), failing: Arc::clone(&failing) };
+        let (mut app, key, _) = app_with_data_contract_on(Some(Box::new(store)));
+        let mut monitor = MonitorNode::new();
+        register_dataset(&mut app, &key, 1, "emr-a");
+        assert_eq!(monitor.poll(app.ledger()).len(), 1);
+        assert_eq!(monitor.cursor(), 2);
+        register_dataset(&mut app, &key, 2, "emr-b");
+        register_dataset(&mut app, &key, 3, "emr-c");
+        // Only the tip stays decoded: the poll stops at height 3, which
+        // only the store holds, and reports nothing from it.
+        failing.store(true, Ordering::SeqCst);
+        assert!(monitor.poll(app.ledger()).is_empty());
+        assert_eq!(monitor.cursor(), 2);
+        // Reads succeed again: the next poll resumes at height 3 and
+        // sees each event once.
+        failing.store(false, Ordering::SeqCst);
+        let events = monitor.poll(app.ledger());
+        let heights: Vec<u64> = events.iter().map(|e| e.block_height).collect();
+        assert_eq!(heights, vec![3, 4]);
+        assert_eq!(monitor.cursor(), app.height());
+        assert_eq!(monitor.observed(), 3);
+        assert_eq!(blocks.lock().unwrap().len(), 4);
     }
 
     #[test]

@@ -4,18 +4,22 @@
 //!
 //! Lifecycle:
 //!
-//! 1. [`DiskStore::open`] scans the log, truncating a torn tail.
+//! 1. [`DiskStore::open`] scans the log, truncating a torn tail and
+//!    indexing where each record starts; it keeps no block.
 //! 2. [`DiskStore::recover_into`] restores the ledger from the newest
 //!    usable snapshot and replays the log tail through
-//!    [`Ledger::apply`] — deterministic re-execution, so the replayed
-//!    tip hash and state root are *verified* against what was stored,
-//!    not assumed.
+//!    [`Ledger::apply`], reading each block back as it goes —
+//!    deterministic re-execution, so the replayed tip hash and state
+//!    root are *verified* against what was stored, not assumed.
 //! 3. `ledger.attach_store(Box::new(store))` — every later commit is
 //!    persisted write-ahead ([`BlockStore::append`]), then offered back
 //!    with its authenticated tree and its writes
 //!    ([`BlockStore::checkpoint`]), which is where the periodic snapshot
 //!    is written: a full one, or a delta of the writes since the last
-//!    full one this store wrote.
+//!    full one this store wrote. The ledger then keeps decoded only the
+//!    blocks from the newest snapshot up
+//!    ([`BlockStore::below_snapshot`]) and reads older ones back from
+//!    the log ([`BlockStore::read_block`]).
 
 use crate::durable::Disk;
 use crate::pages::PageStore;
@@ -25,6 +29,7 @@ use medchain_chain::store::{BlockStore, StoreError};
 use medchain_chain::{Block, Hash256, Ledger, StateDelta, StateTree, WorldState};
 use medchain_runtime::codec::Encode;
 use medchain_runtime::metrics::Metrics;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -98,9 +103,9 @@ pub struct DiskStore {
     config: StorageConfig,
     metrics: Metrics,
     truncated_records: u64,
-    /// Blocks scanned from the log on open, held until `recover_into`
-    /// consumes them (or the first append discards them).
-    scanned: Option<Vec<Block>>,
+    /// Height of the newest snapshot this store wrote or recovered from,
+    /// full or delta.
+    floor: Option<u64>,
     /// State page cache attached via [`DiskStore::attach_pages`]:
     /// dirty pages are written back at snapshot boundaries.
     pages: Option<Arc<PageStore>>,
@@ -165,7 +170,7 @@ impl DiskStore {
             config,
             metrics,
             truncated_records: scan.truncated_records,
-            scanned: Some(scan.blocks),
+            floor: None,
             pages: None,
             base: None,
         })
@@ -226,8 +231,8 @@ impl DiskStore {
     /// reconstructed (missing snapshot for a pruned log, replay
     /// rejection, or a tip mismatch after replay).
     pub fn recover_into(&mut self, ledger: &mut Ledger) -> Result<RecoveryReport, StoreError> {
-        let blocks = self.scanned.take().unwrap_or_default();
-        let from_snapshot = match self.restore_point(&blocks)? {
+        let logged = self.log.heights();
+        let from_snapshot = match self.restore_point()? {
             Some(Snapshot { height, tip, state, tree }) => {
                 ledger
                     .restore_with_tree(state, tip, tree)
@@ -238,29 +243,31 @@ impl DiskStore {
         };
         // An empty log leaves a fresh store, or a lone adopted snapshot.
         let replay_above = ledger.height();
-        if let Some(first) = blocks.first().map(|b| b.header.height) {
-            if from_snapshot.is_none() && first != replay_above + 1 {
-                return Err(StoreError::Recovery(format!(
-                    "log starts at height {first} but ledger is at \
-                     {replay_above} and no usable snapshot bridges the gap"
-                )));
-            }
+        if !logged.is_empty() && from_snapshot.is_none() && logged.start != replay_above + 1 {
+            return Err(StoreError::Recovery(format!(
+                "log starts at height {} but ledger is at {replay_above} and no usable \
+                 snapshot bridges the gap",
+                logged.start
+            )));
         }
 
         let mut replayed = 0u64;
-        for block in blocks.iter().filter(|b| b.header.height > replay_above) {
-            ledger.apply(block).map_err(|e| {
-                StoreError::Recovery(format!("replay rejected block {}: {e}", block.header.height))
+        for height in logged.start.max(replay_above + 1)..logged.end {
+            let block = self.logged_block(height)?;
+            ledger.apply(&block).map_err(|e| {
+                StoreError::Recovery(format!("replay rejected block {height}: {e}"))
             })?;
             replayed += 1;
         }
-        if let Some(stored) = blocks.last().filter(|b| b.id() != ledger.tip().id()) {
-            return Err(StoreError::Recovery(format!(
-                "replayed tip {} does not match stored tip at height {}",
-                ledger.height(),
-                stored.header.height
-            )));
+        if let Some(newest) = logged.clone().last() {
+            if self.logged_block(newest)?.id() != ledger.tip().id() {
+                return Err(StoreError::Recovery(format!(
+                    "replayed tip {} does not match stored tip at height {newest}",
+                    ledger.height()
+                )));
+            }
         }
+        self.floor = from_snapshot;
         self.metrics.counter("storage.replayed_blocks", replayed);
         Ok(RecoveryReport {
             height: ledger.height(),
@@ -271,9 +278,16 @@ impl DiskStore {
         })
     }
 
-    /// The newest snapshot that agrees with the log `blocks`, full or
-    /// delta; at one height a delta is tried first. A snapshot agrees
-    /// when the log still holds its tip (same block id) or starts right
+    /// The block the open scan indexed at `height`, read back.
+    fn logged_block(&self, height: u64) -> Result<Block, StoreError> {
+        self.log.read_block(height)?.ok_or_else(|| {
+            StoreError::Recovery(format!("the log lost the block at height {height}"))
+        })
+    }
+
+    /// The newest snapshot that agrees with the log, full or delta; at
+    /// one height a delta is tried first. A snapshot agrees when the log
+    /// still holds its tip (same block id, read back) or starts right
     /// after it — or when the log is empty. A delta counts only once its
     /// base full snapshot loads, names the delta's base tip, and takes
     /// the delta to the delta tip's state root. Files that are torn,
@@ -281,16 +295,19 @@ impl DiskStore {
     /// or genesis, anchors the replay instead. Each full file read counts
     /// in `storage.snapshot_reads`, each delta file in
     /// `storage.delta_reads`.
-    fn restore_point(&self, blocks: &[Block]) -> Result<Option<Snapshot>, StoreError> {
-        let agrees = |tip: &Block| {
-            let Some(first) = blocks.first() else { return true };
+    fn restore_point(&self) -> Result<Option<Snapshot>, StoreError> {
+        let logged = self.log.heights();
+        let agrees = |tip: &Block| -> Result<bool, StoreError> {
             let height = tip.header.height;
-            match height.checked_sub(first.header.height) {
-                Some(i) => blocks.get(i as usize).is_some_and(|b| b.id() == tip.id()),
-                None => height + 1 == first.header.height,
-            }
+            Ok(if logged.is_empty() {
+                true
+            } else if height < logged.start {
+                height + 1 == logged.start
+            } else {
+                self.logged_block(height)?.id() == tip.id()
+            })
         };
-        let newest = blocks.last().map_or(u64::MAX, |b| b.header.height);
+        let newest = logged.clone().last().unwrap_or(u64::MAX);
         let deltas = self.snaps.delta_heights()?.into_iter().map(|h| (h, true));
         let fulls = self.snaps.heights()?.into_iter().map(|h| (h, false));
         let mut candidates: Vec<(u64, bool)> =
@@ -305,12 +322,15 @@ impl DiskStore {
             let snap = if is_delta {
                 self.metrics.counter("storage.delta_reads", 1);
                 let Some(delta) = self.snaps.read_delta(height)? else { continue };
-                if !agrees(&delta.tip) {
+                if !agrees(&delta.tip)? {
                     continue;
                 }
                 load(delta.base_height)?.and_then(|base| delta.onto(base))
             } else {
-                load(height)?.filter(|snap| agrees(&snap.tip))
+                match load(height)? {
+                    Some(snap) if agrees(&snap.tip)? => Some(snap),
+                    _ => None,
+                }
             };
             if snap.is_some() {
                 return Ok(snap);
@@ -349,6 +369,7 @@ impl DiskStore {
                 (bytes, height)
             }
         };
+        self.floor = Some(tip.header.height);
         self.snaps.prune(RETAIN_SNAPSHOTS, RETAIN_DELTAS, base_height)?;
         // Snapshot boundaries are the page cache's write-back points:
         // the cold state this snapshot summarizes becomes durable in
@@ -365,8 +386,6 @@ impl DiskStore {
 
 impl BlockStore for DiskStore {
     fn append(&mut self, block: &Block, _state: &WorldState) -> Result<(), StoreError> {
-        // Stale scan results are meaningless once new blocks land.
-        self.scanned = None;
         let bytes = self.log.append(block.header.height, &block.encoded())?;
         self.metrics.counter("storage.appends", 1);
         self.metrics.counter("storage.bytes", bytes);
@@ -410,6 +429,16 @@ impl BlockStore for DiskStore {
 
     fn flush(&mut self) -> Result<(), StoreError> {
         self.log.sync()
+    }
+
+    fn read_block(&self, height: u64) -> Result<Option<Block>, StoreError> {
+        self.log.read_block(height)
+    }
+
+    fn below_snapshot(&self) -> Range<u64> {
+        let logged = self.log.heights();
+        let floor = self.floor.unwrap_or(0).clamp(logged.start, logged.end);
+        logged.start..floor
     }
 }
 
@@ -527,15 +556,17 @@ mod tests {
 #[cfg(test)]
 mod crash_points {
     //! Every crash point of one scripted run, checked offline (DESIGN.md
-    //! §8). A site adopts a peer's snapshot, pages its state under a tiny
-    //! cache and commits blocks under `FsyncPolicy::Always`, across
-    //! segment rolls, full and delta snapshots, prunes and page spills,
-    //! on the crash model of `durable.rs`. For every prefix of the
-    //! operations it made and every allowed set of unsynced effects (all
-    //! of them when few, a seeded sample when many), recovery into a
-    //! fresh ledger must reach a tip at or above the last acknowledged
-    //! height with the run's own tip id and state root there, or refuse
-    //! with a named error; it must never panic.
+    //! §8). A site adopts a payload that recovery refuses and discards
+    //! it, adopts a peer's snapshot, pages its state under a tiny cache
+    //! and commits blocks under `FsyncPolicy::Always`, across segment
+    //! rolls, full and delta snapshots, prunes and page spills, on the
+    //! crash model of `durable.rs`. For every prefix of the operations it
+    //! made and every allowed set of unsynced effects (all of them when
+    //! few, a seeded sample when many), recovery into a fresh ledger must
+    //! reach a tip at or above the last acknowledged height with the
+    //! run's own tip id and state root there, or refuse with a named
+    //! error; it must never panic. Once the discard returned, the refused
+    //! payload must never come back.
 
     use super::*;
     use crate::durable::model::{Effect, Image, Model, Op};
@@ -554,6 +585,10 @@ mod crash_points {
     const SEED: u64 = 41;
     /// Height of the peer snapshot the site adopts.
     const ADOPTED: u64 = 4;
+    /// Height of the payload the site adopts first, which recovery
+    /// refuses: CRC-framed like any snapshot, but no snapshot inside.
+    const REFUSED: u64 = 2;
+    const REFUSED_PAYLOAD: &[u8] = b"a payload that decodes as no snapshot";
     /// Height the site commits to after it.
     const TIP: u64 = 20;
     const CONFIG: StorageConfig =
@@ -606,6 +641,8 @@ mod crash_points {
         blocks: Vec<Block>,
         /// `storage.fsyncs` over the run, and the syncs the model logged.
         fsyncs: (u64, usize),
+        /// Operations made when the refused payload's discard returned.
+        discarded: usize,
     }
 
     fn scripted_run() -> Run {
@@ -624,6 +661,13 @@ mod crash_points {
         let (model, registry) = (Model::default(), Registry::new());
         let disk = Disk::new(Arc::new(model.clone()), registry.handle());
         let mut store = DiskStore::open_in(disk.clone(), Path::new(DIR), CONFIG).expect("opens");
+        // A streamed payload that fails to install is discarded, as
+        // `stream_into` does.
+        store.snapshots().adopt_payload(REFUSED, REFUSED_PAYLOAD).expect("payload adopted");
+        let refused = store.recover_into(&mut fresh_ledger()).expect("recovers to genesis");
+        assert_eq!(refused.from_snapshot, None, "the payload installed");
+        store.snapshots().discard(REFUSED).expect("refused payload discarded");
+        let discarded = model.len();
         store.snapshots().adopt_payload(ADOPTED, &payload).expect("snapshot adopted");
         let mut ledger = fresh_ledger();
         store.recover_into(&mut ledger).expect("adopted snapshot installs");
@@ -646,7 +690,7 @@ mod crash_points {
             blocks.push(block);
         }
         let fsyncs = (registry.counter_value("storage.fsyncs"), model.syncs());
-        Run { ops: model.ops(), acks, tips, blocks, fsyncs }
+        Run { ops: model.ops(), acks, tips, blocks, fsyncs, discarded }
     }
 
     impl Run {
@@ -664,13 +708,19 @@ mod crash_points {
             self.acks.iter().filter(|(made, _)| *made <= k).map(|(_, h)| *h).max().unwrap_or(0)
         }
 
-        /// Recovers a fresh ledger from `image`; `Err` if recovery panics.
-        fn restart(&self, image: Image) -> Result<(Recovered, Ledger), String> {
+        /// Recovers a fresh ledger from `image`, and says whether the
+        /// store holds the refused payload; `Err` if recovery panics.
+        fn restart(&self, image: Image) -> Result<(Recovered, Ledger, bool), String> {
             catch_unwind(AssertUnwindSafe(|| {
                 let disk = Disk::new(Arc::new(Model::holding(image)), Metrics::noop());
                 let mut ledger = fresh_ledger();
-                let store = DiskStore::open_in(disk, Path::new(DIR), CONFIG);
-                (store.and_then(|mut store| store.recover_into(&mut ledger)), ledger)
+                let mut store = DiskStore::open_in(disk, Path::new(DIR), CONFIG);
+                let refused = store.as_ref().is_ok_and(|store| {
+                    let served = store.snapshots().raw_payload(REFUSED);
+                    served.is_ok_and(|payload| payload.as_deref() == Some(REFUSED_PAYLOAD))
+                });
+                let report = store.as_mut().map_err(|e| e.clone());
+                (report.and_then(|store| store.recover_into(&mut ledger)), ledger, refused)
             }))
             .map_err(|panic| {
                 let said = panic.downcast_ref::<String>().cloned();
@@ -691,7 +741,12 @@ mod crash_points {
             picks: &[u64],
         ) -> Result<bool, String> {
             let acked = self.acked_at(k);
-            let (report, ledger) = self.restart(image.crash(effects, picks))?;
+            let (report, ledger, refused) = self.restart(image.crash(effects, picks))?;
+            let ops = self.ops.len();
+            if refused && k >= self.discarded {
+                let came_back = "the discarded payload came back";
+                return Err(format!("crash after {k} of {ops} operations, {effects:?} as {picks:?}: {came_back}"));
+            }
             if report.is_err() {
                 return Ok(false);
             }
@@ -702,7 +757,6 @@ mod crash_points {
                 Some(want) if got == *want => return Ok(true),
                 _ => format!("the state recovered at {height} is not the run's"),
             };
-            let ops = self.ops.len();
             Err(format!("crash after {k} of {ops} operations, {effects:?} as {picks:?}: {wrong}"))
         }
 
@@ -761,7 +815,7 @@ mod crash_points {
             }
         }
         let tally = (run.ops.len() + 1, states, refused, wide.len());
-        assert_eq!(tally, (138, 625, 0, 0), "(crash points, states, refused, left to the sample)");
+        assert_eq!(tally, (146, 647, 0, 0), "(crash points, states, refused, left to the sample)");
 
         // Points with too many ways to try them all, and any point with
         // an unsynced tail cut at any byte, are drawn by seed.
@@ -786,7 +840,7 @@ mod crash_points {
             ("torn first record of a fresh segment", 17, 0),
         ];
         for (name, height, replayed) in torn {
-            let (report, ledger) = run.restart(run.torn_append(height)).expect(name);
+            let (report, ledger, _) = run.restart(run.torn_append(height)).expect(name);
             let report = report.unwrap_or_else(|e| panic!("{name}: {e}"));
             let got = (report.height, report.truncated_records, report.from_snapshot);
             assert_eq!(got, (height - 1, 1, Some(16)), "{name}");

@@ -261,13 +261,15 @@ impl SnapshotStore {
     }
 
     /// Deletes the snapshot file at `height` — an adopted payload that
-    /// failed to install.
+    /// failed to install — and syncs the directory, so a crash cannot
+    /// bring back a refused payload that still passes its CRC.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem failure.
     pub fn discard(&self, height: u64) -> Result<(), StoreError> {
-        Ok(self.disk.remove(&self.dir.join(snap_name(height)))?)
+        self.disk.remove(&self.dir.join(snap_name(height)))?;
+        Ok(self.disk.sync_dir(&self.dir)?)
     }
 
     /// The CRC-verified raw payload of the snapshot at `height` — the

@@ -64,7 +64,10 @@ done
 example 120 restart_node "$scratch/restart"
 ! grep -q "resumed at height" "$scratch/example.log" \
     || { echo "ERROR: first life of restart_node claims to have resumed" >&2; cat "$scratch/example.log" >&2; exit 1; }
-example 120 restart_node "$scratch/restart" "resumed at height"
+# The second life also reads a block and a receipt proof below its
+# resident window back from the log.
+example 120 restart_node "$scratch/restart" "resumed at height" \
+    "its receipt read back from the log; the proof verifies"
 # Both sharded lives commit cross-links; the second recovers every sub-chain.
 MEDCHAIN_SHARDS=2 example 120 restart_node "$scratch/sharded" "committed cross-link: shard-"
 MEDCHAIN_SHARDS=2 example 120 restart_node "$scratch/sharded" "resumed 2 sub-chains" "committed cross-link: shard-"

@@ -108,7 +108,8 @@ const RULES: &[Row] = &[
         mutants: &[m("crates/chain/src/history.rs", "pub(crate) fn reset_to(", "ledger.restore_with_tree(tip, state, tree);")], ..ROW },
     Row { name: "payloads adopted by bootstrap", needles: &[Sub("adopt_payload(")], paths: SRC,
         allow: &[File("crates/storage/src/snapshot.rs"), File(BOOTSTRAP),
-            Line(DISK, "store.snapshots().adopt_payload(ADOPTED, &payload).expect(\"snapshot adopted\");")],
+            Line(DISK, "store.snapshots().adopt_payload(ADOPTED, &payload).expect(\"snapshot adopted\");"),
+            Line(DISK, "store.snapshots().adopt_payload(REFUSED, REFUSED_PAYLOAD).expect(\"payload adopted\");")],
         why: "a raw snapshot payload adopted outside the streamed-bootstrap path and the crash points (DESIGN.md §8, §14)",
         mutants: &[m(COMMITTEE, "", "fn take(s: &mut SnapshotStore, p: &[u8]) { s.adopt_payload(p); }")], ..ROW },
     Row { name: "bootstrap only streams in", paths: &[BOOTSTRAP],

@@ -67,7 +67,6 @@ fn poa_commits_transfer_workload_under_wan_latency() {
         .app
         .ledger()
         .blocks_from(0)
-        .iter()
         .map(|b| b.transactions.len())
         .sum();
     assert!(committed >= 60, "only {committed} txs committed");

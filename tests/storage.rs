@@ -18,7 +18,7 @@ use medchain_chain::{
     StateTree, WorldStateOverlay, ACCOUNTS_PER_PAGE,
 };
 use medchain::gateway::GatewayBackend;
-use medchain::NetworkError;
+use medchain::{BootstrapSource, GatewayRequest, GatewayResponse, NetworkError};
 use medchain_repro::prelude::*;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::{
@@ -524,6 +524,147 @@ fn wiped_site_rejoins_via_streamed_snapshot() {
     let tips: Vec<Hash256> = (0..3).map(|i| net.ledger_of(i).tip().id()).collect();
     assert!(tips.windows(2).all(|w| w[0] == w[1]));
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A 4-site flat consortium of empty sites, funded, whose sites keep
+/// their chains under `root` (fsync off, a snapshot every `every`
+/// blocks) when one is given.
+fn read_back_net(root: Option<&std::path::Path>, seed: u64, every: u64) -> Network {
+    let mut builder = Network::builder().block_interval_ms(20).seed(seed);
+    if let Some(root) = root {
+        let config =
+            StorageConfig { fsync: FsyncPolicy::Never, snapshot_every: every, ..StorageConfig::default() };
+        builder = builder.storage_with(root, config);
+    }
+    for i in 0..4 {
+        builder = builder.site(&format!("hospital-{i}"), Vec::new());
+    }
+    let mut net = builder.build().expect("network builds");
+    if !net.resumed() {
+        for i in 0..4 {
+            let site = net.site(i).address();
+            net.fund(site, 1_000_000_000);
+        }
+    }
+    net
+}
+
+/// Commits one block per entry of `plan`, each holding a transfer from
+/// every site the entry names; returns the transactions' ids.
+fn drive(net: &mut Network, plan: &[Vec<usize>]) -> Result<Vec<Hash256>, String> {
+    let sites: Vec<Address> = (0..4).map(|i| net.site(i).address()).collect();
+    let mut ids = Vec::new();
+    for senders in plan {
+        for &from in senders {
+            let payload = TxPayload::Transfer { to: sites[(from + 1) % 4], amount: 1 };
+            ids.push(net.submit(from, payload, 1_000).map_err(|e| e.to_string())?.tx_id);
+        }
+        net.advance(1).map_err(|e| e.to_string())?;
+    }
+    Ok(ids)
+}
+
+/// `net` serves what its storeless `twin` serves above `above`: every
+/// readable height on every site is the twin's block (id and seal), every
+/// transaction committed there has the twin's receipt proof and it
+/// verifies against the header `net` reads, and a `BlocksFrom` feed from
+/// the lowest such height is the twin's.
+fn ensure_serves_the_twins_blocks(
+    net: &mut Network,
+    twin: &mut Network,
+    txs: &[Hash256],
+    above: u64,
+) -> PropResult {
+    let tip = net.height();
+    for site in 0..4 {
+        let (ledger, twin_ledger) = (net.ledger_of(site), twin.ledger_of(site));
+        let from = ledger.base_height().max(above);
+        for height in from..=tip {
+            let got = ledger.block(height).ok_or(format!("site {site}: {height} unreadable"))?;
+            ensure!(Some(got) == twin_ledger.block(height), "site {site}: block {height} differs");
+        }
+    }
+    let from = net.ledger().base_height().max(above);
+    for id in txs {
+        let Some((height, _)) = twin.ledger().locate_tx(id) else { continue };
+        if height <= from || height > tip {
+            continue;
+        }
+        let proof = net.ledger().tx_receipt(id).ok_or(format!("no receipt at {height}"))?;
+        ensure!(Some(&proof) == twin.ledger().tx_receipt(id).as_ref(), "proof at {height}");
+        let root = net.ledger().block(height).ok_or("receipt block unreadable")?.header.tx_root;
+        ensure!(proof.verify_against(&root), "receipt proof at {height} failed");
+    }
+    let feed = |net: &mut Network| {
+        let (tip, blocks) = net.blocks_from(ShardId(0), from).expect("shard 0 serves blocks");
+        (tip, blocks.take_while(|block| block.header.height <= tip).cloned().collect::<Vec<_>>())
+    };
+    let (got, want) = (feed(net), feed(twin));
+    ensure_eq!(got.0, tip);
+    ensure!(got.1[..] == want.1[..got.1.len()], "a BlocksFrom feed from {from} differs");
+    ensure_eq!(got.1.len() as u64, tip + 1 - from);
+    Ok(())
+}
+
+/// Bounded history (DESIGN.md §8): a site that keeps its chain on disk
+/// keeps decoded only the blocks from its newest snapshot up, and reads
+/// older ones back from its log. Every readable height, receipt proof,
+/// `BlocksFrom` feed and bootstrap-capture tail must be the storeless
+/// twin's, before a restart and, above the restored base, after one —
+/// and again once later commits have moved those heights out of memory.
+#[test]
+fn a_store_backed_network_reads_back_what_its_storeless_twin_keeps() {
+    check("store-backed reads equal the storeless twin", CheckConfig::cases(4), |g| {
+        let root = test_dir("read-back");
+        let (seed, every) = (g.u64() % 1_000, g.usize_in(2, 6) as u64);
+        let blocks = g.usize_in(3 * every as usize, 6 * every as usize);
+        let plan: Vec<Vec<usize>> =
+            (0..blocks).map(|_| (0..g.usize_in(0, 4)).map(|_| g.usize_in(0, 4)).collect()).collect();
+        let mut net = read_back_net(Some(&root), seed, every);
+        let mut twin = read_back_net(None, seed, every);
+        let txs = drive(&mut net, &plan)?;
+        ensure_eq!(drive(&mut twin, &plan)?, txs);
+        ensure_eq!(net.height(), twin.height());
+        ensure_serves_the_twins_blocks(&mut net, &mut twin, &txs, 0)?;
+
+        // A capture tail from the newest full snapshot, which deltas
+        // have left below the resident window.
+        let store = DiskStore::open(root.join("site-0"), StorageConfig::default())
+            .map_err(|e| e.to_string())?;
+        let source = BootstrapSource::capture(net.ledger(), Some(&store)).ok_or("no capture")?;
+        let snapshot = source.manifest().height;
+        ensure!(snapshot + every <= net.height(), "the tail starts in the window");
+        let request = GatewayRequest::BlocksFrom { shard: ShardId(0), height: snapshot + 1 };
+        let GatewayResponse::Blocks { tip_height, blocks: tail } = source.answer(&request) else {
+            return Err("a capture answers a block request with blocks".into());
+        };
+        ensure_eq!(tip_height, net.height());
+        let want: Vec<Block> = twin.ledger().blocks_from(snapshot + 1).cloned().collect();
+        ensure!(!tail.is_empty() && tail[..] == want[..tail.len()], "the capture tail differs");
+        drop(store);
+
+        // A restart: the heights above the restored base read the same,
+        // from memory and, once more blocks commit, from the log.
+        let tip = net.height();
+        net.shutdown();
+        drop(net);
+        let mut net = read_back_net(Some(&root), seed, every);
+        ensure!(net.resumed(), "the network did not resume");
+        ensure_eq!(net.height(), tip);
+        let base = net.ledger().base_height();
+        ensure!(base > 0, "no snapshot to restore from");
+        ensure_serves_the_twins_blocks(&mut net, &mut twin, &txs, base)?;
+        let later: Vec<Vec<usize>> = (0..2 * every).map(|i| vec![i as usize % 4]).collect();
+        drive(&mut net, &later)?;
+        for height in base..=tip {
+            let got = net.ledger().block(height).ok_or(format!("{height} unreadable"))?;
+            ensure!(Some(got) == twin.ledger().block(height), "block {height} differs");
+        }
+        net.shutdown();
+        twin.shutdown();
+        std::fs::remove_dir_all(&root).map_err(|e| e.to_string())?;
+        Ok(())
+    });
 }
 
 fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
@@ -1782,6 +1923,13 @@ fn corrupt(
     }
 }
 
+/// Every block `log` holds, read back through its index.
+fn read_back(log: &SegmentedLog) -> Result<Vec<Block>, String> {
+    log.heights()
+        .map(|h| log.read_block(h).map_err(|e| e.to_string())?.ok_or(format!("{h} unread")))
+        .collect()
+}
+
 /// Hostile bytes in the four CRC-framed files never panic the reader:
 /// a corrupted WAL segment is truncated back to a prefix of the blocks
 /// written (or refused with `Err`), a corrupted `snap-*.bin` loads as
@@ -1793,7 +1941,7 @@ fn corrupt_wal_snapshot_and_page_files_never_panic_the_reader() {
     let key = AuthorityKey::from_seed(7);
     let mut ledger = fresh_ledger(&key);
     grow(&mut ledger, &key, 12);
-    let blocks = ledger.blocks_from(1).to_vec();
+    let blocks: Vec<Block> = ledger.blocks_from(1).cloned().collect();
     let height = ledger.height();
 
     check("a corrupt WAL segment truncates or errs", CheckConfig::cases(64), |g| {
@@ -1810,12 +1958,14 @@ fn corrupt_wal_snapshot_and_page_files_never_panic_the_reader() {
         let len = bytes.len();
         let edit = corrupt(g, &mut bytes, 0..len);
         std::fs::write(segment, &bytes).unwrap();
-        let Ok((_, scan)) = SegmentedLog::open(&wal, 2048) else { return Ok(()) };
-        ensure!(scan.blocks.len() < blocks.len(), "{edit}: every block survived");
-        ensure!(scan.blocks[..] == blocks[..scan.blocks.len()], "{edit}: not a prefix");
-        let (_, again) = SegmentedLog::open(&wal, 2048).map_err(|e| e.to_string())?;
+        let Ok((log, _)) = SegmentedLog::open(&wal, 2048) else { return Ok(()) };
+        let kept = read_back(&log)?;
+        ensure!(kept.len() < blocks.len(), "{edit}: every block survived");
+        ensure!(kept[..] == blocks[..kept.len()], "{edit}: not a prefix");
+        drop(log);
+        let (log, again) = SegmentedLog::open(&wal, 2048).map_err(|e| e.to_string())?;
         ensure_eq!(again.truncated_records, 0);
-        ensure!(again.blocks == scan.blocks, "{edit}: the repair did not hold");
+        ensure!(read_back(&log)? == kept, "{edit}: the repair did not hold");
         Ok(())
     });
 

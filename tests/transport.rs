@@ -118,7 +118,6 @@ fn sim_and_tcp_reach_identical_tip_hash() {
         .app
         .ledger()
         .blocks_from(0)
-        .iter()
         .map(|b| b.transactions.len())
         .sum();
     assert!(committed >= 9, "only {committed} txs committed");

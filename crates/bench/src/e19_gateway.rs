@@ -92,7 +92,7 @@ fn drive_sharded(quick: bool, metrics: Metrics) -> TopologyOutcome {
     let cfg = load_config(quick, 2, 0x51e19);
     let mut net = builder(&cfg, metrics)
         .shards(cfg.shards)
-        .build_sharded()
+        .build()
         .expect("sharded gateway network builds");
     let addr = net.gateway_addr().expect("gateway listening");
     let keys = net.client_keys().to_vec();

@@ -24,7 +24,7 @@ fn build(metrics: Metrics) -> Network {
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    builder.build_sharded().expect("sharded network builds")
+    builder.build().expect("sharded network builds")
 }
 
 /// A fresh receiver homed on the other shard than `from`.
@@ -81,7 +81,7 @@ pub fn run_e21(quick: bool, metrics: Metrics) -> Table {
     let mut sweeps = 0;
     while crashed_xids
         .iter()
-        .any(|x| net.coordinator_ledger().state().xs_decision(x).is_none())
+        .any(|x| net.home_ledger().state().xs_decision(x).is_none())
     {
         net.advance_coordinator(1).expect("coordinator advances");
         net.resolve_cross_shard().expect("resolver runs");
@@ -92,7 +92,7 @@ pub fn run_e21(quick: bool, metrics: Metrics) -> Table {
 
     let aborted = crashed_xids
         .iter()
-        .filter(|x| !net.coordinator_ledger().state().xs_decision(x).unwrap().commit)
+        .filter(|x| !net.home_ledger().state().xs_decision(x).unwrap().commit)
         .count();
     // Atomicity audit: aborted escrows refunded, committed debits gone.
     let end_balance: u64 = senders.iter().map(|s| net.balance_of(s)).sum();

@@ -37,8 +37,8 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
             &[Value::str("cox"), Value::Bytes(tool_hash.0.to_vec())],
             50_000,
         )
-        .unwrap().tx_id;
-    net.commit_and_check(id).unwrap();
+        .unwrap();
+    net.confirm(&id).unwrap();
     let id = net
         .invoke(
             0,
@@ -51,8 +51,8 @@ pub fn run_e6(quick: bool, metrics: Metrics) -> Table {
             ],
             50_000,
         )
-        .unwrap().tx_id;
-    net.commit_and_check(id).unwrap();
+        .unwrap();
+    net.confirm(&id).unwrap();
 
     let mut counts = [0u64; 3]; // data, analytics, trial
     let mut ids = Vec::new();

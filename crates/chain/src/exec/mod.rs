@@ -74,10 +74,12 @@ pub(crate) fn execute_tx(
             })
             .map_err(|e| ExecError { gas_used: 21, reason: e.to_string() }),
         TxPayload::Deploy { code, init } => {
-            // On a sharded ledger the address is ground so that the
-            // invoke routing rule (shard_for_key on the address) lands
-            // back on this shard (DESIGN.md §9).
-            let contract_addr = if ctx.shard_count > 1 {
+            // On a data shard of a sharded topology the address is ground
+            // so that the invoke routing rule (shard_for_key on the
+            // address) lands back on this shard; the coordinator, home of
+            // the standard contracts, derives it as a flat chain does
+            // (DESIGN.md §9).
+            let contract_addr = if ctx.shard_count > 1 && !ctx.shard.is_coordinator() {
                 sharded_contract_address(&tx.sender, tx.nonce, ctx.shard, ctx.shard_count)
             } else {
                 contract_address(&tx.sender, tx.nonce)

@@ -374,9 +374,10 @@ impl Ledger {
     }
 
     /// Creates the ledger of sub-chain `shard` in a `shard_count`-shard
-    /// topology (DESIGN.md §9). Contract addresses deployed here are
-    /// derived with [`sharded_contract_address`] when `shard_count > 1`,
-    /// so the invoke routing rule maps them back to this shard; blocks
+    /// topology (DESIGN.md §9). Contract addresses deployed on a data
+    /// shard are derived with [`sharded_contract_address`] when
+    /// `shard_count > 1`, so the invoke routing rule maps them back to
+    /// this shard; the coordinator derives them as a flat chain does. Blocks
     /// from any other shard are rejected with
     /// [`LedgerError::WrongShard`]. Pass [`ShardId::COORDINATOR`] for
     /// the cross-link chain.
@@ -1400,6 +1401,32 @@ mod tests {
             "invoke routing must map the deployed address back to its shard"
         );
         assert_eq!(addr, sharded_contract_address(&alice.address(), 0, home, shard_count));
+    }
+
+    /// The coordinator is the home chain of the standard contracts: a
+    /// deploy there derives the flat address, both on the proposer and
+    /// on a peer that applies the proposer's block. There is no shard to
+    /// grind the address onto, so a grind would panic every replica.
+    #[test]
+    fn a_coordinator_deploy_commits_on_proposer_and_peer() {
+        let alice = AuthorityKey::from_seed(1);
+        let coordinator = || {
+            let mut registry = KeyRegistry::new();
+            registry.enroll(&alice);
+            let runtime = Box::new(StoreCodeRuntime);
+            let mut ledger = Ledger::new_sharded("c", ShardId::COORDINATOR, 2, registry, runtime);
+            ledger.state_mut().credit(alice.address(), 1_000);
+            ledger
+        };
+        let (mut proposer, mut peer) = (coordinator(), coordinator());
+        let code = TxPayload::Deploy { code: vec![1, 2, 3], init: Vec::new() };
+        let deploy = Transaction::new(alice.address(), 0, code, 1_000).signed(&alice);
+        let block = proposer.propose(alice.address(), 10, vec![deploy]);
+        let receipts = commit(&mut proposer, &block);
+        assert!(receipts[0].ok, "{:?}", receipts[0].error);
+        assert_eq!(receipts[0].output, contract_address(&alice.address(), 0).0.to_vec());
+        assert_eq!(commit(&mut peer, &block), receipts);
+        assert_eq!(peer.tip().id(), proposer.tip().id());
     }
 
     /// The rare parts of a receipt, a deploy's output and a failure's

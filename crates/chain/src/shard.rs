@@ -22,11 +22,13 @@
 //!   account's home shard; `XsDecide` → the coordinator chain, like
 //!   `CrossLink` (two-phase commit, DESIGN.md §12).
 //!
-//! Contract addresses on a sharded ledger are derived by
+//! Contract addresses on a data shard are derived by
 //! [`sharded_contract_address`], which grinds a salt until the address
 //! maps back (under [`shard_for_key`]) to the shard the deploy executed
 //! on — the Elrond-style trick that keeps the invoke routing rule a pure
-//! function of the address.
+//! function of the address. The coordinator derives them as a flat chain
+//! does: it hosts the standard contracts, and the network routes their
+//! invokes to it by address.
 
 use crate::hash::Hash256;
 use crate::sig::Address;
@@ -114,15 +116,15 @@ pub fn shard_for_tx(tx: &Transaction, shard_count: u16) -> ShardId {
 ///
 /// # Panics
 ///
-/// Panics if `shard` is the coordinator (which hosts no contracts) or
-/// out of range.
+/// Panics if `shard` is the coordinator (which derives flat addresses)
+/// or out of range.
 pub fn sharded_contract_address(
     sender: &Address,
     nonce: u64,
     shard: ShardId,
     shard_count: u16,
 ) -> Address {
-    assert!(!shard.is_coordinator(), "the coordinator chain hosts no contracts");
+    assert!(!shard.is_coordinator(), "the coordinator derives flat contract addresses");
     assert!(shard.0 < shard_count, "shard {} out of range (k = {shard_count})", shard.0);
     let mut material = sender.0.to_vec();
     material.extend_from_slice(&nonce.to_le_bytes());

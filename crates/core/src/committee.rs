@@ -14,11 +14,11 @@ use crate::client::PendingTx;
 use crate::network::{NetworkBuilder, NetworkError, TransportKind};
 use medchain_chain::consensus::poa::{PoaEngine, PoaMsg};
 use medchain_chain::consensus::{Application, Cluster, Quorum};
-use medchain_chain::ledger::{LedgerStats, NullRuntime};
+use medchain_chain::ledger::LedgerStats;
 use medchain_chain::node::{ChainApp, SubmitOutcome};
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::{
-    Address, AuthorityKey, ContractRuntime, Hash256, KeyRegistry, Lane, Ledger, ShardId,
+    Address, AuthorityKey, Hash256, KeyRegistry, Lane, Ledger, ShardId,
     SealedTx, StateCacheConfig, Transaction, TxPayload, ACCOUNTS_PER_PAGE,
 };
 use medchain_contracts::runtime::Runtime;
@@ -52,8 +52,8 @@ pub(crate) struct CommitteeSpec {
 }
 
 /// One committee and the chain it drives: the flat consortium, a data
-/// shard (subset of sites, contract runtime installed) or the
-/// coordinator (every site, cross-links and 2PC decisions only).
+/// shard (a subset of sites) or the coordinator (every site: the
+/// standard contracts, cross-links and 2PC decisions).
 pub(crate) struct Committee {
     sites: Vec<usize>,
     cluster: Cluster<PoaEngine, ChainApp, Box<dyn Transport<PoaMsg>>>,
@@ -106,12 +106,9 @@ impl Committee {
         let metrics_of =
             |local: usize| if local == 0 { metrics.clone() } else { Metrics::noop() };
         let make_app = |local: usize| {
-            // The coordinator holds cross-links and decisions; no contracts.
-            let runtime: Box<dyn ContractRuntime> = if shard.is_coordinator() {
-                Box::new(NullRuntime)
-            } else {
-                Box::new(Runtime::standard())
-            };
+            // Every chain runs contracts: the coordinator is the home of
+            // the standard ones on a sharded network.
+            let runtime = Box::new(Runtime::standard());
             let mut app =
                 ChainApp::sharded(&chain_id, shard, shard_count, registry.clone(), runtime);
             // Quantize block timestamps to the tick grid so the committed

@@ -294,6 +294,8 @@ fn burn_shards(nodes: usize, work_units: u64) -> Vec<(usize, Vec<u8>)> {
 /// duplication, still far from 1×, and (as the paper notes) it only
 /// parallelizes *validation*. Every committee reports to `metrics`
 /// under scoped keys (`shard-0.consensus.*`, `coordinator.chain.*`, …).
+/// One shard is the flat network: one committee of every site, with no
+/// coordinator and so no cross-link round.
 ///
 /// # Errors
 ///
@@ -322,7 +324,8 @@ pub fn run_sharded_consensus(
     for i in 0..nodes {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    let mut net = builder.build_sharded()?;
+    let mut net = builder.build()?;
+    let coordinated = net.shard_count() > 1;
 
     // The burn kernel on every sub-chain, each at a shard-ground address.
     let program = assemble("arg 0\nburn\npush 1\nhalt").expect("static program assembles");
@@ -349,12 +352,15 @@ pub fn run_sharded_consensus(
 
     let gas_before = net.total_ledger_stats().gas_used;
     let shard_gas_before = net.shard_gas();
-    let coordinator_gas_before = net.coordinator_ledger().stats().gas_used;
     let net_before = net.net_stats();
     let shard_sim_before: Vec<u64> = (0..k)
         .map(|s| net.ledger_of_shard(ShardId(s)).tip().header.timestamp_ms)
         .collect();
-    let coordinator_sim_before = net.coordinator_ledger().tip().header.timestamp_ms;
+    let home_gas_and_clock = |net: &Network| {
+        let home = net.home_ledger();
+        (home.stats().gas_used, home.tip().header.timestamp_ms)
+    };
+    let home_before = home_gas_and_clock(&net);
 
     let start = Instant::now();
     // Each sub-chain executes its slice of the job; an invoke routes to
@@ -380,8 +386,10 @@ pub fn run_sharded_consensus(
     }
     // Cross-link round: every advanced shard tip committed on the
     // coordinator chain.
-    let links = net.cross_link()?;
-    debug_assert_eq!(links.len(), shard_count);
+    if coordinated {
+        let links = net.cross_link()?;
+        debug_assert_eq!(links.len(), shard_count);
+    }
     let wall = start.elapsed();
 
     let stats_after = net.net_stats();
@@ -398,8 +406,6 @@ pub fn run_sharded_consensus(
         })
         .max()
         .unwrap_or(0);
-    let coordinator_gas =
-        (net.coordinator_ledger().stats().gas_used - coordinator_gas_before) * nodes as u64;
     let shard_latency = (0..k)
         .map(|s| {
             net.ledger_of_shard(ShardId(s))
@@ -410,12 +416,14 @@ pub fn run_sharded_consensus(
         })
         .max()
         .unwrap_or(0);
-    let coordinator_latency = net
-        .coordinator_ledger()
-        .tip()
-        .header
-        .timestamp_ms
-        .saturating_sub(coordinator_sim_before);
+    // The coordinator's cross-link round, on every site. A flat network
+    // has none: its home chain is the one data chain, counted above.
+    let (coordinator_gas, coordinator_latency) = if coordinated {
+        let (gas, ms) = home_gas_and_clock(&net);
+        ((gas - home_before.0) * nodes as u64, ms.saturating_sub(home_before.1))
+    } else {
+        (0, 0)
+    };
     net.shutdown();
     Ok(ModeReport {
         mode: ExecutionMode::ShardedConsensus,

@@ -7,12 +7,15 @@
 //!
 //! There is one network type, [`Network`]: data chains, indexed by
 //! shard, plus an optional coordinator chain, each a `Committee` (the
-//! consensus cluster with its nonce tracking). A flat consortium
-//! ([`NetworkBuilder::build`]) is one data chain and no coordinator; a
-//! sharded one ([`NetworkBuilder::build_sharded`], DESIGN.md §9) is `k`
-//! data chains plus the coordinator. Submit and route, confirm, advance,
-//! fund, the stats, the gateway backend and the serve loop exist once,
-//! here; cross-links and two-phase commit live in [`crate::sharded`].
+//! consensus cluster with its nonce tracking). [`NetworkBuilder::build`]
+//! makes both shapes: one shard is one data chain and no coordinator;
+//! `k ≥ 2` shards (DESIGN.md §9) are `k` data chains plus the
+//! coordinator. The standard contracts live on the *home chain*: the one
+//! chain of a flat network, the coordinator of a sharded one, which every
+//! site runs. Submit and route, confirm, advance, fund, the one-time
+//! setup, the job path, the stats, the gateway backend and the serve loop
+//! exist once, here; cross-links and two-phase commit live in
+//! [`crate::sharded`].
 
 use crate::bootstrap::BootstrapSource;
 use crate::client::PendingTx;
@@ -36,6 +39,7 @@ use medchain_data::PatientRecord;
 use medchain_runtime::metrics::Metrics;
 use medchain_runtime::sync::scoped_map;
 use medchain_storage::{SnapshotChunk, SnapshotManifest, StorageConfig};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,9 +120,8 @@ pub enum NetworkError {
     /// sub-chain, or a sharding invariant was violated (DESIGN.md §9).
     CrossLink(String),
     /// The operation needs a chain this network does not run: a
-    /// coordinator (cross-links, two-phase commit) on a flat network,
-    /// the flat setup (standard contracts, datasets) on a sharded one,
-    /// or a shard out of range.
+    /// coordinator (cross-links, two-phase commit) on a flat network, or
+    /// a shard out of range.
     Topology(String),
     /// Admission refused a transaction (full pool, bad nonce, bad
     /// signature).
@@ -185,14 +188,13 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
-/// The one builder of a [`Network`], flat ([`NetworkBuilder::build`]) or
-/// sharded ([`NetworkBuilder::build_sharded`]).
+/// The one builder of a [`Network`], flat or sharded
+/// ([`NetworkBuilder::build`]).
 ///
 /// Every option composes with every other, in any order:
 ///
 /// - [`NetworkBuilder::site`] — add a hospital site (required, ≥ 1)
 /// - [`NetworkBuilder::shards`] — split consensus into `k` committees
-///   (only `build_sharded` honors it)
 /// - [`NetworkBuilder::storage`] / [`NetworkBuilder::storage_with`] —
 ///   durable per-site chains, resumed when the directory already holds
 ///   one
@@ -210,7 +212,7 @@ impl std::error::Error for NetworkError {}
 ///     .site("hospital-1", Vec::new())
 ///     .shards(2)
 ///     .gateway(GatewayConfig::default())
-///     .build_sharded()
+///     .build()
 ///     .unwrap();
 /// ```
 #[derive(Default)]
@@ -281,10 +283,9 @@ impl NetworkBuilder {
     /// Splits the consortium into `k` consensus shards (DESIGN.md §9):
     /// site *i* joins the committee of shard `i % k`, each committee
     /// drives its own sub-chain, and a coordinator chain run by every
-    /// site commits periodic cross-links. Only
-    /// [`NetworkBuilder::build_sharded`] honors this setting;
-    /// [`NetworkBuilder::build`] ignores it and produces the single
-    /// monolithic chain.
+    /// site holds the standard contracts and commits periodic
+    /// cross-links. The default, one shard, is the flat network: one
+    /// chain and no coordinator.
     #[must_use]
     pub fn shards(mut self, k: u16) -> NetworkBuilder {
         assert!(k > 0, "a sharded consortium needs at least one shard");
@@ -358,152 +359,104 @@ impl NetworkBuilder {
     /// Adds the regulator's special node (paper Fig. 2): a compute-only
     /// consortium member named `"fda"` hosting no patient data, enrolled
     /// as a validator, and granted [`Purpose::RegulatoryAudit`] on every
-    /// hospital dataset at build time. Only [`NetworkBuilder::build`]
-    /// honors it.
+    /// hospital dataset at build time.
     #[must_use]
     pub fn with_fda(mut self) -> NetworkBuilder {
         self.with_fda = true;
         self
     }
 
-    /// Builds the flat network — one chain, every site a validator, no
-    /// coordinator: starts the consortium, deploys the three standard
-    /// contracts, registers and Merkle-anchors every site's dataset.
+    /// Builds the network: with one shard, one chain run by every site;
+    /// with `k` ([`NetworkBuilder::shards`]), one PoA committee and
+    /// sub-chain per shard (site *i* serves shard `i % k`) plus the
+    /// coordinator chain run by all sites. Then the one-time setup runs
+    /// ([`Network::setup`]): the standard contracts deployed on the home
+    /// chain, every site's dataset registered there and anchored on its
+    /// label's chain, and the FDA grants.
+    ///
+    /// With storage configured, building against a directory that holds
+    /// a persisted consortium *resumes* it instead: the setup is checked,
+    /// not run again, and every recovered sub-chain must agree with the
+    /// newest cross-link on the recovered coordinator.
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if consensus or deployment fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no sites were added.
-    pub fn build(mut self) -> Result<Network, NetworkError> {
-        assert!(!self.sites.is_empty(), "a network needs at least one site");
-        if self.with_fda {
-            self.sites.push(("fda".to_string(), Vec::new()));
-        }
-        let with_fda = self.with_fda;
-        let spec = CommitteeSpec {
-            chain_id: "medchain".into(),
-            shard: ShardId(0),
-            shard_count: 1,
-            sites: (0..self.sites.len()).collect(),
-            dir: self.storage.as_ref().map(|(root, _)| root.clone()),
-            seed: self.seed,
-            metrics: self.metrics.clone(),
-            bind_from_env: true,
-        };
-        let mut network = self.start(vec![spec], None)?;
-        // Site 0 deploys the standard contracts with its first three
-        // nonces, so their addresses are known before (and after) the
-        // chain holds them.
-        let deployer = network.sites[0].address();
-        let contracts = ContractAddresses {
-            data: contract_address(&deployer, 0),
-            analytics: contract_address(&deployer, 1),
-            trial: contract_address(&deployer, 2),
-        };
-        network.contracts = Some(contracts);
-        if network.resumed {
-            // The persisted chain already holds the one-time setup;
-            // verify the code is where site 0's deploys put it.
-            let state = network.ledger().state();
-            for (name, addr) in [
-                ("data", contracts.data),
-                ("analytics", contracts.analytics),
-                ("trial", contracts.trial),
-            ] {
-                if state.code(&addr).is_none() {
-                    return Err(NetworkError::Storage(format!(
-                        "resumed chain at height {} has no {name} contract at {addr:?}",
-                        network.height()
-                    )));
-                }
-            }
-        } else {
-            network.deploy_standard_contracts()?;
-            network.register_all_datasets()?;
-            if with_fda {
-                let fda = network.fda_index().expect("fda site appended above");
-                let fda_address = network.site(fda).address();
-                network.grant_all(fda_address, Purpose::RegulatoryAudit)?;
-            }
-        }
-        Ok(network)
-    }
-
-    /// Builds the sharded network configured with
-    /// [`NetworkBuilder::shards`]: one PoA committee and sub-chain per
-    /// shard (site *i* serves shard `i % k`) plus the coordinator chain
-    /// run by all sites. Unlike [`NetworkBuilder::build`] this performs
-    /// no contract deployment or dataset registration — the sub-chains
-    /// start empty and the caller routes work with [`Network::submit`].
-    ///
-    /// With storage configured, building against a directory holding a
-    /// persisted sharded topology *resumes* it, re-checking that every
-    /// recovered sub-chain agrees with the newest cross-link on the
-    /// recovered coordinator chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError`] on transport or storage failure, or when
-    /// recovery contradicts a cross-link.
+    /// Returns [`NetworkError`] on transport or storage failure, when
+    /// deployment or registration fails, or when recovery contradicts a
+    /// cross-link or lacks the standard contracts.
     ///
     /// # Panics
     ///
     /// Panics if no sites were added or there are fewer sites than
     /// shards.
-    pub fn build_sharded(self) -> Result<Network, NetworkError> {
+    pub fn build(mut self) -> Result<Network, NetworkError> {
         assert!(!self.sites.is_empty(), "a network needs at least one site");
-        let (n, k) = (self.sites.len(), self.shards);
-        assert!(n >= k as usize, "{n} sites cannot fill {k} shard committees");
-        // Each committee keeps its own chain id, `<root>/<shard>/site-<local>`
-        // directories, sim seed and metrics scope (`shard-0.*`,
-        // `coordinator.*`).
-        let spec = |shard: ShardId, sites: Vec<usize>, seed: u64| CommitteeSpec {
-            chain_id: format!("medchain/{shard}"),
-            shard,
-            shard_count: k,
-            sites,
-            dir: self.storage.as_ref().map(|(root, _)| root.join(shard.to_string())),
-            seed,
-            metrics: self.metrics.scoped(&shard.to_string()),
-            bind_from_env: false,
-        };
-        let data = (0..k)
-            .map(|s| {
-                let members = (0..n).filter(|i| i % k as usize == s as usize).collect();
-                spec(ShardId(s), members, self.seed.wrapping_add(1 + u64::from(s)))
-            })
-            .collect();
-        let coordinator = spec(ShardId::COORDINATOR, (0..n).collect(), self.seed);
-        let network = self.start(data, Some(coordinator))?;
-        if network.resumed {
-            // Recovery invariant (DESIGN.md §9): every recovered
-            // sub-chain agrees with the newest cross-link the recovered
-            // coordinator holds.
-            for (shard, record) in network.coordinator_ledger().state().cross_links() {
-                network.verify_link(&CrossLink { shard, height: record.height, tip: record.tip })?;
-            }
+        let with_fda = self.with_fda;
+        if with_fda {
+            self.sites.push(("fda".to_string(), Vec::new()));
         }
+        let mut network = self.start()?;
+        network.setup(with_fda)?;
         Ok(network)
     }
 
-    /// Enrolls the consortium's identities, starts the committees the
-    /// specs describe (data chains in shard order, then the
+    /// [`NetworkBuilder::build`] under its old name for a sharded network.
+    ///
+    /// # Errors
+    ///
+    /// As [`NetworkBuilder::build`].
+    pub fn build_sharded(self) -> Result<Network, NetworkError> {
+        self.build()
+    }
+
+    /// Enrolls the consortium's identities, starts the committees of the
+    /// configured shape (data chains in shard order, then the
     /// coordinator) and the gateway, and assembles the network around
-    /// them. A page budget without storage is refused: its page file
-    /// would have no directory to live in.
+    /// them — everything but the one-time setup. A page budget without
+    /// storage is refused: its page file would have no directory to
+    /// live in.
     ///
     /// Identities: one validator key per site (seed = site index) and
     /// the gateway's client keys (seeds `0x1000_0000..`, disjoint from
     /// the validators'). Clients enroll before any replica clones the
     /// registry, so their signatures verify on every chain.
-    fn start(
-        self,
-        data: Vec<CommitteeSpec>,
-        coordinator: Option<CommitteeSpec>,
-    ) -> Result<Network, NetworkError> {
+    fn start(self) -> Result<Network, NetworkError> {
+        let (n, k) = (self.sites.len(), self.shards);
+        assert!(n >= k as usize, "{n} sites cannot fill {k} shard committees");
+        let (data, coordinator) = if k == 1 {
+            let flat = CommitteeSpec {
+                chain_id: "medchain".into(),
+                shard: ShardId(0),
+                shard_count: 1,
+                sites: (0..n).collect(),
+                dir: self.storage.as_ref().map(|(root, _)| root.clone()),
+                seed: self.seed,
+                metrics: self.metrics.clone(),
+                bind_from_env: true,
+            };
+            (vec![flat], None)
+        } else {
+            // Each committee keeps its own chain id, `<root>/<shard>/site-<local>`
+            // directories, sim seed and metrics scope (`shard-0.*`,
+            // `coordinator.*`).
+            let spec = |shard: ShardId, sites: Vec<usize>, seed: u64| CommitteeSpec {
+                chain_id: format!("medchain/{shard}"),
+                shard,
+                shard_count: k,
+                sites,
+                dir: self.storage.as_ref().map(|(root, _)| root.join(shard.to_string())),
+                seed,
+                metrics: self.metrics.scoped(&shard.to_string()),
+                bind_from_env: false,
+            };
+            let data = (0..k)
+                .map(|s| {
+                    let members = (0..n).filter(|i| i % k as usize == s as usize).collect();
+                    spec(ShardId(s), members, self.seed.wrapping_add(1 + u64::from(s)))
+                })
+                .collect();
+            (data, Some(spec(ShardId::COORDINATOR, (0..n).collect(), self.seed)))
+        };
         if self.state_cache_pages.is_some() && self.storage.is_none() {
             return Err(NetworkError::Storage(
                 "state_cache(pages) needs storage(..): the page file lives in each site's data \
@@ -520,6 +473,15 @@ impl NetworkBuilder {
         for key in keys.iter().chain(&client_keys) {
             registry.enroll(key);
         }
+        // Site 0 deploys the standard contracts with its first three
+        // nonces on the home chain, so their addresses are known before
+        // (and after) the chain holds them.
+        let deployer = keys[0].address();
+        let contracts = ContractAddresses {
+            data: contract_address(&deployer, 0),
+            analytics: contract_address(&deployer, 1),
+            trial: contract_address(&deployer, 2),
+        };
         let build = |spec| Committee::build(&self, &keys, &registry, spec);
         let chains = data.into_iter().map(build).collect::<Result<Vec<_>, _>>()?;
         let coordinator = coordinator.map(build).transpose()?;
@@ -545,7 +507,7 @@ impl NetworkBuilder {
             chains,
             coordinator,
             sites,
-            contracts: None,
+            contracts,
             registry,
             transport: self.transport,
             metrics: self.metrics,
@@ -560,24 +522,22 @@ impl NetworkBuilder {
 
 /// The running consortium: one data chain for a flat network, `k` plus
 /// the coordinator chain for a sharded one. Built with
-/// [`NetworkBuilder::build`] or [`NetworkBuilder::build_sharded`].
+/// [`NetworkBuilder::build`].
 ///
-/// Chain 0 is the flat chain: [`Network::ledger`] and
-/// [`Network::height`] read it on either topology. Operations that need
-/// a chain the topology lacks — cross-links and two-phase commit on a
-/// flat network, the standard contracts on a sharded one — return
-/// [`NetworkError::Topology`]; accessors that hand out a reference panic
-/// instead, as documented on each.
+/// The home chain — the flat chain, or the coordinator — holds the
+/// standard contracts, and the job path runs on it on either shape
+/// ([`Network::home_ledger`]). Chain 0 is the first data chain:
+/// [`Network::ledger`] and [`Network::height`] read it. Cross-links and
+/// two-phase commit on a flat network return [`NetworkError::Topology`].
 pub struct Network {
     /// Data chains, indexed by shard.
     pub(crate) chains: Vec<Committee>,
-    /// Every site's coordinator chain (cross-links, 2PC decisions);
-    /// `None` on a flat network.
+    /// Every site's coordinator chain (standard contracts, cross-links,
+    /// 2PC decisions); `None` on a flat network.
     pub(crate) coordinator: Option<Committee>,
     pub(crate) sites: Vec<Site>,
-    /// The standard contracts — `None` on a sharded network, which runs
-    /// no flat setup.
-    contracts: Option<ContractAddresses>,
+    /// The standard contracts, on the home chain.
+    contracts: ContractAddresses,
     registry: KeyRegistry,
     transport: TransportKind,
     metrics: Metrics,
@@ -593,8 +553,7 @@ pub struct Network {
     pub(crate) xs_seq: u64,
 }
 
-/// The flat network's historical name: a [`Network`] built with
-/// [`NetworkBuilder::build`].
+/// The flat network's historical name.
 pub type MedicalNetwork = Network;
 
 impl fmt::Debug for Network {
@@ -630,13 +589,9 @@ impl Network {
         &mut self.sites[index]
     }
 
-    /// Standard contract addresses.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded network, which deploys no standard contracts.
+    /// Standard contract addresses, on the home chain.
     pub fn contracts(&self) -> ContractAddresses {
-        self.contracts.expect("a sharded network deploys no standard contracts")
+        self.contracts
     }
 
     /// Index of the regulator's special node, when the network was built
@@ -660,8 +615,22 @@ impl Network {
         self.chains[0].ledger()
     }
 
-    /// Site `site`'s replica of its data chain (for control-plane
-    /// polling): chain `site % k`, member `site / k`.
+    /// The home chain's ledger, replica 0: the flat chain, or the
+    /// coordinator of a sharded network. It holds the standard
+    /// contracts, so every access request, tool and task record is
+    /// here; on a sharded network so are the cross-links and 2PC
+    /// decisions.
+    pub fn home_ledger(&self) -> &Ledger {
+        self.home_chain().ledger()
+    }
+
+    /// The home chain's committee: every site, in site order.
+    pub(crate) fn home_chain(&self) -> &Committee {
+        self.coordinator.as_ref().unwrap_or(&self.chains[0])
+    }
+
+    /// Site `site`'s replica of its data chain: chain `site % k`,
+    /// member `site / k`.
     ///
     /// # Panics
     ///
@@ -700,21 +669,37 @@ impl Network {
         self.chains.iter().map(|c| c.ledger().stats().gas_used).collect()
     }
 
-    /// The data chain `addr` lives on: chain 0 on a flat network, its
-    /// [`shard_for_key`] shard otherwise.
-    fn home(&self, addr: &Address) -> usize {
+    /// The data chain `key` (an address or an anchor label) lives on:
+    /// chain 0 on a flat network, its [`shard_for_key`] shard otherwise.
+    fn chain_of_key(&self, key: &[u8]) -> usize {
         match self.coordinator {
             None => 0,
-            Some(_) => shard_for_key(&addr.0, self.shard_count()).0 as usize,
+            Some(_) => shard_for_key(key, self.shard_count()).0 as usize,
         }
     }
 
-    /// The chain `tx` goes to — the rule every honest node applies
-    /// ([`shard_for_tx`]); chain 0, without hashing, on a flat network.
+    /// The ledger of the data chain that holds anchor `label`.
+    pub(crate) fn anchor_ledger(&self, label: &str) -> &Ledger {
+        self.chains[self.chain_of_key(label.as_bytes())].ledger()
+    }
+
+    /// Whether `addr` is one of the standard contracts.
+    fn is_standard(&self, addr: &Address) -> bool {
+        let c = self.contracts;
+        [c.data, c.analytics, c.trial].contains(addr)
+    }
+
+    /// The chain `tx` goes to — the one routing rule: an invoke of a
+    /// standard contract goes to the home chain, everything else where
+    /// every honest node sends it ([`shard_for_tx`]); chain 0, without
+    /// hashing, on a flat network.
     fn route_tx(&self, tx: &Transaction) -> ShardId {
-        match self.coordinator {
-            None => ShardId(0),
-            Some(_) => shard_for_tx(tx, self.shard_count()),
+        match (&self.coordinator, &tx.payload) {
+            (None, _) => ShardId(0),
+            (Some(_), TxPayload::Invoke { contract, .. }) if self.is_standard(contract) => {
+                ShardId::COORDINATOR
+            }
+            (Some(_), _) => shard_for_tx(tx, self.shard_count()),
         }
     }
 
@@ -727,22 +712,27 @@ impl Network {
     }
 
     /// The committee driving `shard`'s chain, data or coordinator.
-    fn committee(&self, shard: ShardId) -> Option<&Committee> {
-        if shard.is_coordinator() { self.coordinator.as_ref() } else { self.chains.get(shard.0 as usize) }
+    pub(crate) fn committee(&self, shard: ShardId) -> Result<&Committee, NetworkError> {
+        let chain = if shard.is_coordinator() {
+            self.coordinator.as_ref()
+        } else {
+            self.chains.get(shard.0 as usize)
+        };
+        chain.ok_or_else(|| no_chain(shard))
     }
 
-    /// [`Network::committee`], mutable, or [`NetworkError::Topology`].
+    /// [`Network::committee`], mutable.
     pub(crate) fn committee_mut(&mut self, shard: ShardId) -> Result<&mut Committee, NetworkError> {
         let chain = if shard.is_coordinator() {
             self.coordinator.as_mut()
         } else {
             self.chains.get_mut(shard.0 as usize)
         };
-        chain.ok_or_else(|| NetworkError::Topology(format!("this network runs no {shard} chain")))
+        chain.ok_or_else(|| no_chain(shard))
     }
 
     /// Every committee: data chains in shard order, then the coordinator.
-    fn committees(&self) -> impl Iterator<Item = &Committee> {
+    pub(crate) fn committees(&self) -> impl Iterator<Item = &Committee> {
         self.chains.iter().chain(&self.coordinator)
     }
 
@@ -753,18 +743,18 @@ impl Network {
     /// survives restart through a snapshot taken *after* it (commit a
     /// block with `snapshot_every: 1`, or fund again on resume).
     pub fn fund(&mut self, addr: Address, amount: u64) {
-        let home = self.home(&addr);
+        let home = self.chain_of_key(&addr.0);
         self.chains[home].fund(addr, amount);
     }
 
     /// Spendable balance of `addr` on its home data chain.
     pub fn balance_of(&self, addr: &Address) -> u64 {
-        self.chains[self.home(addr)].ledger().state().account(addr).balance
+        self.chains[self.chain_of_key(&addr.0)].ledger().state().account(addr).balance
     }
 
     /// The 2PC lock held on `addr`'s home data chain, if any.
     pub fn lock_of(&self, addr: &Address) -> Option<XsLock> {
-        self.chains[self.home(addr)].ledger().state().lock(addr)
+        self.chains[self.chain_of_key(&addr.0)].ledger().state().lock(addr)
     }
 
     /// The consortium membership registry.
@@ -1053,43 +1043,61 @@ impl Network {
         self.committees().find_map(|c| c.app().receipt(tx_id))
     }
 
-    /// Commits pending transactions on chain 0 — the flat chain — and
-    /// returns the receipt of `tx_id`, erroring if it failed. A routed
-    /// transaction on a sharded network is confirmed with
-    /// [`Network::confirm`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError`] on stall, missing receipt, or failed
-    /// execution.
-    pub fn commit_and_check(&mut self, tx_id: Hash256) -> Result<Receipt, NetworkError> {
-        let chain = &mut self.chains[0];
-        chain.settle(&[tx_id])?;
-        chain.expect_ok(&[tx_id])?;
-        chain.app().receipt(&tx_id).ok_or(NetworkError::MissingReceipt(tx_id))
-    }
-
-    /// The standard contracts, or [`NetworkError::Topology`] on a
-    /// sharded network.
-    fn flat_setup(&self) -> Result<ContractAddresses, NetworkError> {
-        self.contracts.ok_or_else(|| {
-            NetworkError::Topology("a sharded network runs no standard contracts".into())
-        })
-    }
-
-    fn deploy_standard_contracts(&mut self) -> Result<(), NetworkError> {
-        let mut ids = Vec::new();
-        for name in ["data_contract", "analytics_contract", "trial_contract"] {
-            let code = native_manifest(name);
-            ids.push(self.submit(0, TxPayload::Deploy { code, init: Vec::new() }, 100_000)?.tx_id);
+    /// Commits each of `pending` on the chain it went to — `blocks` more
+    /// blocks there, or with `None` until each has a receipt — and checks
+    /// that every one executed cleanly.
+    pub(crate) fn commit_all(
+        &mut self,
+        pending: &[PendingTx],
+        blocks: Option<u64>,
+    ) -> Result<(), NetworkError> {
+        let mut by_chain: BTreeMap<ShardId, Vec<Hash256>> = BTreeMap::new();
+        for p in pending {
+            by_chain.entry(p.shard).or_default().push(p.tx_id);
         }
-        self.advance(2)?;
-        self.chains[0].expect_ok(&ids)
+        for (shard, ids) in by_chain {
+            let chain = self.committee_mut(shard)?;
+            match blocks {
+                Some(blocks) => chain.advance(blocks)?,
+                None => chain.settle(&ids)?,
+            }
+            chain.expect_ok(&ids)?;
+        }
+        Ok(())
     }
 
-    fn register_all_datasets(&mut self) -> Result<(), NetworkError> {
-        let data_contract = self.flat_setup()?.data;
-        let mut ids = Vec::new();
+    /// The one-time setup, the same on either shape: site 0 deploys the
+    /// three standard contracts on the home chain, every site registers
+    /// its dataset with the data contract and Merkle-anchors it on its
+    /// label's chain, and the FDA node, when built with one, is granted
+    /// regulatory audit on every dataset. A resumed network instead
+    /// checks that the contracts are where site 0's deploys put them and
+    /// that every recovered sub-chain agrees with the newest cross-link
+    /// the home chain records (DESIGN.md §9; none on a flat chain).
+    fn setup(&mut self, with_fda: bool) -> Result<(), NetworkError> {
+        let c = self.contracts;
+        let named = [("data", c.data), ("analytics", c.analytics), ("trial", c.trial)];
+        if self.resumed {
+            let home = self.home_ledger();
+            if let Some((name, addr)) = named.iter().find(|(_, a)| home.state().code(a).is_none()) {
+                return Err(NetworkError::Storage(format!(
+                    "the resumed home chain at height {} has no {name} contract at {addr:?}",
+                    home.height()
+                )));
+            }
+            for (shard, record) in home.state().cross_links() {
+                self.verify_link(&CrossLink { shard, height: record.height, tip: record.tip })?;
+            }
+            return Ok(());
+        }
+        let home = self.home_chain().ledger().shard();
+        let mut deploys = Vec::new();
+        for name in ["data_contract", "analytics_contract", "trial_contract"] {
+            let deploy = TxPayload::Deploy { code: native_manifest(name), init: Vec::new() };
+            deploys.push(self.submit_on(home, 0, deploy, 100_000, Lane::Normal)?);
+        }
+        self.commit_all(&deploys, Some(2))?;
+        let mut registrations = Vec::new();
         for i in 0..self.sites.len() {
             let artifact = self.sites[i].anchor_artifact();
             let label = artifact.label().to_string();
@@ -1100,12 +1108,16 @@ impl Network {
                 Value::Bytes(root.0.to_vec()),
                 Value::str("medchain-canonical-v1"),
             ];
-            ids.push(self.invoke(i, data_contract, "register", &args, 50_000)?.tx_id);
+            registrations.push(self.invoke(i, c.data, "register", &args, 50_000)?);
             // …plus the Merkle anchor for record-level integrity.
-            ids.push(self.submit(i, TxPayload::Anchor { root, label }, 1_000)?.tx_id);
+            registrations.push(self.submit(i, TxPayload::Anchor { root, label }, 1_000)?);
         }
-        self.advance(2 + self.sites.len() as u64 / 32)?;
-        self.chains[0].expect_ok(&ids)
+        self.commit_all(&registrations, Some(2 + self.sites.len() as u64 / 32))?;
+        if with_fda {
+            let fda = self.fda_index().expect("fda site appended at build");
+            self.grant_all(self.site(fda).address(), Purpose::RegulatoryAudit)?;
+        }
+        Ok(())
     }
 
     /// Grants `purpose` access on every site's dataset to `grantee` —
@@ -1113,11 +1125,9 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::Topology`] on a sharded network, and
-    /// [`NetworkError`] if any grant transaction fails.
+    /// Returns [`NetworkError`] if any grant transaction fails.
     pub fn grant_all(&mut self, grantee: Address, purpose: Purpose) -> Result<(), NetworkError> {
-        let data_contract = self.flat_setup()?.data;
-        let mut ids = Vec::new();
+        let mut grants = Vec::new();
         for i in 0..self.sites.len() {
             let label = self.sites[i].hosted_label().to_string();
             let args = [
@@ -1126,30 +1136,31 @@ impl Network {
                 Value::Int(purpose.code()),
                 Value::Int(-1),
             ];
-            ids.push(self.invoke(i, data_contract, "grant", &args, 50_000)?.tx_id);
+            grants.push(self.invoke(i, self.contracts.data, "grant", &args, 50_000)?);
         }
-        self.advance(2)?;
-        self.chains[0].expect_ok(&ids)
+        self.commit_all(&grants, Some(2))
     }
 
     /// One control-plane cycle (Fig. 1), the one way an off-chain job
-    /// runs: every site polls its own replica for analytics requests that
-    /// name it, the sites then run their picked-up shards concurrently on
-    /// their own executors, and each posts `post_result(task, outcome)`
-    /// under its own key. All posts settle in one round. Returns the
-    /// number of outcomes posted.
+    /// runs: every site polls its own replica of the home chain for
+    /// analytics requests that name it, the sites then run their
+    /// picked-up shards concurrently on their own executors, and each
+    /// posts `post_result(task, outcome)` under its own key. All posts
+    /// settle in one round. Returns the number of outcomes posted.
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::Topology`] on a sharded network, and
-    /// [`NetworkError`] if a post fails to commit.
+    /// Returns [`NetworkError`] if a post fails to commit.
     pub fn control_cycle(&mut self) -> Result<usize, NetworkError> {
-        let analytics = self.flat_setup()?.analytics;
-        // A `Ledger` is not `Sync`, so the sites poll one after another.
+        let analytics = self.contracts.analytics;
+        // Every site is a member of the home chain, in site order (named
+        // field by field: the sites are borrowed mutably below). A
+        // `Ledger` is not `Sync`, so the sites poll one after another.
+        let home = self.coordinator.as_ref().unwrap_or(&self.chains[0]);
         let mut picked = Vec::new();
         for (i, site) in self.sites.iter_mut().enumerate() {
             let control = site.control_mut();
-            let jobs = control.pick_up(self.chains[0].ledger_of(i), &analytics);
+            let jobs = control.pick_up(home.ledger_of(i), &analytics);
             if !jobs.is_empty() {
                 picked.push((i, control, jobs));
             }
@@ -1158,33 +1169,29 @@ impl Network {
             let outcomes = jobs.iter().filter_map(|job| Some((job.task_id, control.run(job)?)));
             (i, outcomes.collect::<Vec<_>>())
         });
-        let mut ids = Vec::new();
+        let mut posts = Vec::new();
         for (site, outcomes) in ran {
             for (task_id, outcome) in outcomes {
                 let args = [Value::Int(task_id), Value::Bytes(outcome)];
-                ids.push(self.invoke(site, analytics, "post_result", &args, 50_000)?.tx_id);
+                posts.push(self.invoke(site, analytics, "post_result", &args, 50_000)?);
             }
         }
-        if !ids.is_empty() {
-            self.chains[0].settle(&ids)?;
-            self.chains[0].expect_ok(&ids)?;
-        }
-        Ok(ids.len())
+        self.commit_all(&posts, None)?;
+        Ok(posts.len())
     }
 
     /// Runs one off-chain job on the Fig. 1 path and returns each named
     /// site's outcome in shard order: `requester` invokes
     /// `request_run(tool, dataset, site₁, params₁, …)` naming `shards`,
     /// [`Network::control_cycle`] runs and posts every shard, and the
-    /// outcomes are read back from the committed task record. The tool
-    /// must be known to the analytics contract: the sites' query tool
-    /// always is, and any other is registered beforehand with
-    /// `register_tool`.
+    /// outcomes are read back from the committed task record on the home
+    /// chain. The tool must be known to the analytics contract: the
+    /// sites' query tool always is, and any other is registered
+    /// beforehand with `register_tool`.
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::Topology`] on a sharded network,
-    /// [`NetworkError::NoSuchSite`] for a bad site index,
+    /// Returns [`NetworkError::NoSuchSite`] for a bad site index,
     /// [`NetworkError::ToolBuild`] when the contract names another build
     /// of `tool` than the requester installed, and
     /// [`NetworkError::TxFailed`] when the request fails (an unknown
@@ -1197,10 +1204,10 @@ impl Network {
         dataset: &str,
         shards: &[(usize, Vec<u8>)],
     ) -> Result<Vec<Vec<u8>>, NetworkError> {
-        let analytics = self.flat_setup()?.analytics;
+        let analytics = self.contracts.analytics;
         let site = self.sites.get_mut(requester).ok_or(NetworkError::NoSuchSite(requester))?;
         let installed = site.control_mut().executor_mut().tool(tool).map(|t| t.code_hash());
-        let known = AnalyticsContract::tool_hash(self.ledger().state(), &analytics, tool);
+        let known = AnalyticsContract::tool_hash(self.home_ledger().state(), &analytics, tool);
         if let Some((registered, installed)) = known.zip(installed).filter(|(r, i)| r != i) {
             let why = format!("the chain names {registered:?} for {tool:?}, the requester runs");
             return Err(NetworkError::ToolBuild(format!("{why} {installed:?}")));
@@ -1215,7 +1222,7 @@ impl Network {
         self.control_cycle()?;
         // A request whose output names no task fails here too.
         let task = decode_args(&receipt.output).ok().and_then(|v| v.first()?.as_int().ok());
-        let state = self.ledger().state();
+        let state = self.home_ledger().state();
         let record = task.and_then(|t| AnalyticsContract::task(state, &analytics, t));
         match record {
             // Status 1: every named site posted. The (site, outcome)
@@ -1230,6 +1237,11 @@ impl Network {
             }),
         }
     }
+}
+
+/// The error for an operation on a chain this network does not run.
+fn no_chain(shard: ShardId) -> NetworkError {
+    NetworkError::Topology(format!("this network runs no {shard} chain"))
 }
 
 impl GatewayBackend for Network {
@@ -1284,19 +1296,24 @@ impl GatewayBackend for Network {
     }
 
     fn query_state(&self, key: &LeafKey, shard: Option<ShardId>) -> Option<StateProof> {
-        // Route like transactions: the key's home shard unless the client
-        // pins one (e.g. for a cross-shard absence proof). A flat chain
-        // answers every unpinned key, coordinator-homed ones included.
-        let target = match (shard, &self.coordinator) {
-            (Some(shard), _) => shard,
-            (None, None) => ShardId(0),
-            (None, Some(_)) => key.home_shard(self.shard_count()),
+        // Route like transactions: the standard contracts' code and
+        // storage on the home chain, any other key on its home shard,
+        // unless the client pins one (e.g. for a cross-shard absence
+        // proof). A flat chain answers every unpinned key, coordinator-homed
+        // ones included.
+        let target = match (shard, &self.coordinator, key) {
+            (Some(shard), _, _) => shard,
+            (None, None, _) => ShardId(0),
+            (None, Some(_), LeafKey::Storage(addr, _) | LeafKey::Code(addr)) if self.is_standard(addr) => {
+                ShardId::COORDINATOR
+            }
+            (None, Some(_), _) => key.home_shard(self.shard_count()),
         };
-        Some(self.committee(target)?.ledger().prove_state(key))
+        Some(self.committee(target).ok()?.ledger().prove_state(key))
     }
 
     fn snapshot_manifest(&mut self, shard: ShardId) -> Option<SnapshotManifest> {
-        let ledger = self.committee(shard)?.ledger();
+        let ledger = self.committee(shard).ok()?.ledger();
         if !self.stream_cache.as_ref().is_some_and(|source| source.is_tip_of(ledger)) {
             // The payload is byte-identical to a local `snap-<height>.bin`
             // record, so the receiver adopts it and recovers natively.
@@ -1316,7 +1333,7 @@ impl GatewayBackend for Network {
         shard: ShardId,
         height: u64,
     ) -> Option<(u64, Box<dyn Iterator<Item = &Block> + '_>)> {
-        let ledger = self.committee(shard)?.ledger();
+        let ledger = self.committee(shard).ok()?.ledger();
         Some((ledger.height(), Box::new(ledger.blocks_from(height))))
     }
 }
@@ -1342,6 +1359,13 @@ mod tests {
             builder = builder.site(&format!("hospital-{i}"), records(i, 60));
         }
         builder.build().expect("network builds")
+    }
+
+    /// Confirms `pending` on the chain it went to and returns its
+    /// receipt, events included.
+    fn committed(net: &mut Network, pending: &PendingTx) -> Receipt {
+        net.confirm(pending).unwrap();
+        net.receipt(&pending.tx_id).unwrap()
     }
 
     #[test]
@@ -1383,8 +1407,8 @@ mod tests {
                 ],
                 50_000,
             )
-            .unwrap().tx_id;
-        let receipt = net.commit_and_check(id).unwrap();
+            .unwrap();
+        let receipt = committed(&mut net, &id);
         assert_eq!(receipt.events[0].topic, events::DATA_REQUESTED);
     }
 
@@ -1403,8 +1427,8 @@ mod tests {
                 ],
                 50_000,
             )
-            .unwrap().tx_id;
-        let receipt = net.commit_and_check(id).unwrap();
+            .unwrap();
+        let receipt = committed(&mut net, &id);
         assert_eq!(receipt.events[0].topic, events::DATA_DENIED);
     }
 
@@ -1423,14 +1447,14 @@ mod tests {
         let analytics = net.contracts().analytics;
         let hash = Value::Bytes(echo("v1").code_hash().0.to_vec());
         let id = net.invoke(0, analytics, "register_tool", &[Value::str("echo"), hash], 50_000);
-        net.commit_and_check(id.unwrap().tx_id).unwrap();
+        net.confirm(&id.unwrap()).unwrap();
         let mut args = vec![Value::str("echo"), Value::str("hospital-0/emr")];
         for &i in named {
             args.extend([Value::address(&net.site(i).address()), Value::Bytes(vec![i as u8])]);
         }
         let requester = net.site_count() - 1;
-        let id = net.invoke(requester, analytics, "request_run", &args, 50_000).unwrap().tx_id;
-        net.commit_and_check(id).unwrap();
+        let id = net.invoke(requester, analytics, "request_run", &args, 50_000).unwrap();
+        net.confirm(&id).unwrap();
     }
 
     fn task_record(net: &Network, id: i64) -> Vec<Value> {
@@ -1621,6 +1645,28 @@ mod tests {
         assert_eq!(net.height(), height, "nothing was submitted");
     }
 
+    /// A sharded directory written before the standard contracts moved
+    /// to the coordinator holds none there: resuming it is refused by
+    /// name, not with a panic.
+    #[test]
+    fn a_coordinator_without_the_standard_contracts_is_refused_on_resume() {
+        let root = fresh_dir("coordinator-without-contracts");
+        let builder = || {
+            let builder = Network::builder().shards(2).block_interval_ms(20).storage(&root);
+            builder.site("hospital-0", Vec::new()).site("hospital-1", Vec::new())
+        };
+        // The committees alone, as a sharded build started them before.
+        let mut old = builder().start().unwrap();
+        old.advance_coordinator(1).unwrap();
+        drop(old);
+        let refused = builder().build().unwrap_err();
+        assert!(
+            matches!(&refused, NetworkError::Storage(e) if e.contains("has no data contract")),
+            "{refused}"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     #[test]
     fn storage_backed_network_resumes_from_disk() {
         let root = std::env::temp_dir()
@@ -1666,8 +1712,8 @@ mod tests {
                 &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
                 50_000,
             )
-            .unwrap().tx_id;
-        let receipt = net.commit_and_check(id).unwrap();
+            .unwrap();
+        let receipt = committed(&mut net, &id);
         assert_eq!(receipt.events[0].topic, events::DATA_REQUESTED);
         assert!(net.height() > height);
         std::fs::remove_dir_all(&root).unwrap();

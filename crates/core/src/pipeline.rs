@@ -5,7 +5,10 @@
 //!
 //! Every per-site computation here is one job of the sites' query tool
 //! ([`QUERY_TOOL`]) through [`Network::run_job`]: the caller
-//! never reaches into a site's records.
+//! never reaches into a site's records. Each runs on a flat or a sharded
+//! network alike: requests, tools and task records live on the home
+//! chain ([`Network::home_ledger`]), and each anchor on its label's
+//! chain.
 
 use crate::network::{Network, NetworkError};
 use medchain_chain::{Hash256, TxPayload};
@@ -85,26 +88,19 @@ fn policy_gate(
     purpose: Purpose,
 ) -> Result<(Vec<usize>, usize), PipelineError> {
     let data_contract = net.contracts().data;
-    let mut request_ids = Vec::new();
+    let mut requests = Vec::new();
     for i in 0..net.site_count() {
         let label = net.site(i).hosted_label().to_string();
-        let id = net.invoke(
-            requester_site,
-            data_contract,
-            "request",
-            &[Value::str(&label), Value::Int(purpose.code())],
-            50_000,
-        )?.tx_id;
-        request_ids.push((i, id));
+        let args = [Value::str(&label), Value::Int(purpose.code())];
+        requests.push(net.invoke(requester_site, data_contract, "request", &args, 50_000)?);
     }
-    net.advance(2).map_err(PipelineError::Network)?;
+    net.commit_all(&requests, Some(2))?;
 
     let mut permitted = Vec::new();
     let mut denied = 0usize;
-    for (site, id) in request_ids {
-        let receipt = net
-            .receipt(&id)
-            .ok_or(PipelineError::Network(NetworkError::MissingReceipt(id)))?;
+    for (site, request) in requests.iter().enumerate() {
+        let id = request.tx_id;
+        let receipt = net.receipt(&id).ok_or(NetworkError::MissingReceipt(id))?;
         let values = decode_args(&receipt.output)
             .map_err(|e| PipelineError::Compose(e.to_string()))?;
         if values.first().and_then(|v| v.as_int().ok()) == Some(1) {
@@ -179,7 +175,7 @@ pub fn run_query(
     if query.computation == Computation::FetchRows {
         return Err(PipelineError::RowFetch);
     }
-    let sim_before = net.ledger().tip().header.timestamp_ms;
+    let sim_before = net.home_ledger().tip().header.timestamp_ms;
 
     // Phase 1: on-chain permission per site.
     let (permitted, denied) = policy_gate(net, requester_site, query.purpose)?;
@@ -191,21 +187,15 @@ pub fn run_query(
     // Phase 3: compose and anchor the answer.
     let answer = compose_outcomes(query, &outcomes)?;
     let answer_hash = Hash256::digest(format!("{answer:?}").as_bytes());
-    let anchor = net.submit(
-        requester_site,
-        TxPayload::Anchor {
-            root: answer_hash,
-            label: format!("answers/{}", net.ledger().tip().header.height),
-        },
-        1_000,
-    )?.tx_id;
-    net.commit_and_check(anchor)?;
+    let label = format!("answers/{}", net.home_ledger().height());
+    let anchor = net.submit(requester_site, TxPayload::Anchor { root: answer_hash, label }, 1_000)?;
+    net.confirm(&anchor)?;
 
     let report = QueryPipelineReport {
         permitted: permitted.len(),
         denied,
         bytes_returned,
-        chain_latency_ms: net.ledger().tip().header.timestamp_ms.saturating_sub(sim_before),
+        chain_latency_ms: net.home_ledger().tip().header.timestamp_ms.saturating_sub(sim_before),
     };
     let metrics = net.metrics();
     metrics.counter("query.pipeline_runs", 1);
@@ -285,15 +275,9 @@ pub fn train_federated(
         let params_hash = Hash256::digest(
             &global.iter().flat_map(|f| f.to_le_bytes()).collect::<Vec<u8>>(),
         );
-        let anchor = net.submit(
-            requester_site,
-            TxPayload::Anchor {
-                root: params_hash,
-                label: format!("fedavg/{outcome_code}/round-{round}"),
-            },
-            1_000,
-        )?.tx_id;
-        net.commit_and_check(anchor)?;
+        let label = format!("fedavg/{outcome_code}/round-{round}");
+        let anchor = net.submit(requester_site, TxPayload::Anchor { root: params_hash, label }, 1_000)?;
+        net.confirm(&anchor)?;
         let eval_auc = eval.map(|test| {
             let mut model = LogisticRegression::new(dim);
             model.set_params(&global);
@@ -381,8 +365,8 @@ mod tests {
         for i in 0..2 {
             args.extend([Value::address(&net.site(i).address()), job.clone()]);
         }
-        let id = net.invoke(1, analytics, "request_run", &args, 50_000).unwrap().tx_id;
-        net.commit_and_check(id).unwrap();
+        let request = net.invoke(1, analytics, "request_run", &args, 50_000).unwrap();
+        net.confirm(&request).unwrap();
         assert_eq!(net.control_cycle().unwrap(), 0);
         let state = net.ledger().state();
         let record = medchain_contracts::standard::AnalyticsContract::task(state, &analytics, 0);
@@ -534,11 +518,11 @@ pub struct FdaSweepReport {
 }
 
 /// The FDA node's periodic sweep: re-verifies every hospital dataset
-/// against its Merkle anchor and walks the block hash chain. Read-only —
-/// the regulator needs no cooperation from the sites beyond the data
-/// they already present for audit.
+/// against its Merkle anchor, read from the anchor's chain, and walks the
+/// block hash chain of every chain. Read-only — the regulator needs no
+/// cooperation from the sites beyond the data they already present for
+/// audit.
 pub fn fda_integrity_sweep(net: &Network) -> FdaSweepReport {
-    let state = net.ledger().state();
     let mut report = FdaSweepReport {
         datasets_intact: 0,
         datasets_tampered: 0,
@@ -548,7 +532,7 @@ pub fn fda_integrity_sweep(net: &Network) -> FdaSweepReport {
     for i in 0..net.site_count() {
         let site = net.site(i);
         let verdict = medchain_offchain::verify_against_chain(
-            state,
+            net.anchor_ledger(site.hosted_label()).state(),
             site.hosted_label(),
             site.records().iter().map(medchain_data::PatientRecord::canonical_bytes),
         );
@@ -562,15 +546,18 @@ pub fn fda_integrity_sweep(net: &Network) -> FdaSweepReport {
             }
         }
     }
-    // Walk the chain by height: every block's parent pointer must match.
-    // A block below the resident window is read back from the store.
-    let mut parent = None;
-    for block in net.ledger().blocks_from(0) {
-        if let Some(parent) = parent {
-            assert_eq!(block.header.parent, parent, "broken chain");
-            report.blocks_verified += 1;
+    // Walk each chain by height: every block's parent pointer must
+    // match. A block below the resident window is read back from the
+    // store.
+    for chain in net.committees() {
+        let mut parent = None;
+        for block in chain.ledger().blocks_from(0) {
+            if let Some(parent) = parent {
+                assert_eq!(block.header.parent, parent, "broken chain");
+                report.blocks_verified += 1;
+            }
+            parent = Some(block.id());
         }
-        parent = Some(block.id());
     }
     report
 }
@@ -637,15 +624,10 @@ pub fn run_gwas(
         digest_material.extend_from_slice(&(a.snp as u64).to_le_bytes());
         digest_material.extend_from_slice(&a.chi_square.to_le_bytes());
     }
-    let anchor = net.submit(
-        requester_site,
-        TxPayload::Anchor {
-            root: Hash256::digest(&digest_material),
-            label: format!("gwas/{outcome_code}/{}", net.ledger().tip().header.height),
-        },
-        1_000,
-    )?.tx_id;
-    net.commit_and_check(anchor)?;
+    let root = Hash256::digest(&digest_material);
+    let label = format!("gwas/{outcome_code}/{}", net.home_ledger().height());
+    let anchor = net.submit(requester_site, TxPayload::Anchor { root, label }, 1_000)?;
+    net.confirm(&anchor)?;
 
     let report = GwasPipelineReport {
         permitted: permitted.len(),

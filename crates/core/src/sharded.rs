@@ -18,15 +18,17 @@
 //!
 //! Transactions route deterministically via
 //! [`medchain_chain::shard_for_tx`]: invokes by contract key, everything
-//! else by site key or anchor label. Contract addresses are ground with
-//! [`medchain_chain::sharded_contract_address`] so an address always
-//! routes invokes back to the sub-chain that holds the code.
+//! else by site key or anchor label. Contract addresses on a data shard
+//! are ground with [`medchain_chain::sharded_contract_address`] so an
+//! address always routes invokes back to the sub-chain that holds the
+//! code. The coordinator is the home chain: it also holds the standard
+//! contracts, whose invokes the network routes to it.
 //!
 //! Everything here needs the coordinator, so on a flat network each
-//! fallible method returns [`NetworkError::Topology`].
+//! fallible method returns [`NetworkError::Topology`], called the
+//! topology error below.
 
 use crate::client::PendingTx;
-use crate::committee::Committee;
 use crate::network::{Network, NetworkError};
 use medchain_chain::shard::{shard_for_key, CrossLink, ShardId};
 use medchain_chain::{Address, Hash256, Lane, Ledger, TxPayload, XsLeg, XsLock};
@@ -56,41 +58,29 @@ pub struct XsResolution {
     pub finalized: usize,
 }
 
-/// The sharded network's historical name: a [`Network`] built with
-/// [`crate::NetworkBuilder::build_sharded`].
+/// The sharded network's historical name.
 pub type ShardedNetwork = Network;
 
 impl Network {
-    /// The coordinator committee, or [`NetworkError::Topology`] on a
-    /// flat network.
-    fn coordinator(&self) -> Result<&Committee, NetworkError> {
-        self.coordinator
-            .as_ref()
-            .ok_or_else(|| NetworkError::Topology("a flat network has no coordinator chain".into()))
-    }
-
-    /// The coordinator chain's ledger (its world state holds the newest
-    /// [`medchain_chain::CrossLinkRecord`] per shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a flat network, which has no coordinator.
+    /// [`Network::home_ledger`] under its old name: on a sharded network
+    /// the coordinator's ledger, whose world state holds the newest
+    /// [`medchain_chain::CrossLinkRecord`] per shard.
     pub fn coordinator_ledger(&self) -> &Ledger {
-        self.coordinator.as_ref().expect("a flat network has no coordinator chain").ledger()
+        self.home_ledger()
     }
 
-    /// Wall/sim clock of the coordinator committee, the reference clock
-    /// for 2PC prepare deadlines (chain 0's on a flat network).
+    /// Wall/sim clock of the home chain's committee, the reference clock
+    /// for 2PC prepare deadlines.
     pub fn now_ms(&self) -> u64 {
-        self.coordinator.as_ref().unwrap_or(&self.chains[0]).now_ms()
+        self.home_chain().now_ms()
     }
 
     /// Runs the coordinator committee until `blocks` more blocks commit.
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::ConsensusStalled`] on timeout and
-    /// [`NetworkError::Topology`] on a flat network.
+    /// Returns [`NetworkError::ConsensusStalled`] on timeout and the
+    /// topology error on a flat network.
     pub fn advance_coordinator(&mut self, blocks: u64) -> Result<(), NetworkError> {
         self.committee_mut(ShardId::COORDINATOR)?.advance(blocks)
     }
@@ -152,8 +142,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::CrossLink`] if verification fails and
-    /// [`NetworkError::Topology`] on a flat network.
+    /// Returns [`NetworkError::CrossLink`] if verification fails and the
+    /// topology error on a flat network.
     pub fn submit_cross_link(&mut self, link: CrossLink) -> Result<Hash256, NetworkError> {
         self.verify_link(&link)?;
         let payload =
@@ -174,7 +164,7 @@ impl Network {
     /// fails.
     pub fn cross_link(&mut self) -> Result<Vec<CrossLink>, NetworkError> {
         let recorded: HashMap<u16, u64> = self
-            .coordinator()?
+            .committee(ShardId::COORDINATOR)?
             .ledger()
             .state()
             .cross_links()
@@ -192,7 +182,7 @@ impl Network {
             ids.push(self.submit_cross_link(*link)?);
         }
         self.advance_coordinator(2)?;
-        self.coordinator()?.expect_ok(&ids)?;
+        self.committee(ShardId::COORDINATOR)?.expect_ok(&ids)?;
         Ok(links)
     }
 
@@ -204,9 +194,8 @@ impl Network {
     ///
     /// Returns [`NetworkError::NoSuchSite`] / [`NetworkError::Rejected`]
     /// as [`Network::submit_lane`] does (admission refuses a prepare
-    /// while the account is already locked), and
-    /// [`NetworkError::Topology`] on a flat network, where nothing would
-    /// ever resolve the lock.
+    /// while the account is already locked), and the topology error on a
+    /// flat network, where nothing would ever resolve the lock.
     pub fn submit_prepare(
         &mut self,
         site: usize,
@@ -216,7 +205,7 @@ impl Network {
         debit: bool,
         deadline_ms: u64,
     ) -> Result<PendingTx, NetworkError> {
-        self.coordinator()?;
+        self.committee(ShardId::COORDINATOR)?;
         let shard = shard_for_key(&account.0, self.shard_count());
         let leg = XsLeg { shard, account, amount, debit };
         self.submit_lane(site, TxPayload::XsPrepare { xid, leg, deadline_ms }, 1_000, Lane::Normal)
@@ -232,7 +221,7 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::Topology`] on a flat network, and
+    /// Returns the topology error on a flat network, and
     /// [`NetworkError::Rejected`] when `to` is the sender's own
     /// account (a self-transfer can never lock both legs: the second
     /// prepare always bounces off the first leg's lock, stranding the
@@ -246,7 +235,7 @@ impl Network {
         amount: u64,
         deadline_ms: u64,
     ) -> Result<XsTransfer, NetworkError> {
-        self.coordinator()?;
+        self.committee(ShardId::COORDINATOR)?;
         let from = self.sites.get(site).ok_or(NetworkError::NoSuchSite(site))?.address();
         if to == from {
             return Err(NetworkError::Rejected {
@@ -307,16 +296,16 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NetworkError`] on consensus stalls or refused
-    /// control-plane submissions, and [`NetworkError::Topology`] on a
-    /// flat network.
+    /// control-plane submissions, and the topology error on a flat
+    /// network.
     pub fn resolve_cross_shard(&mut self) -> Result<XsResolution, NetworkError> {
-        let now_ms = self.coordinator()?.now_ms();
+        let now_ms = self.committee(ShardId::COORDINATOR)?.now_ms();
         let mut resolution = XsResolution::default();
         // Phase 1: decide undecided transactions on the coordinator.
         let groups = self.collect_locks();
         let mut decides: Vec<(Hash256, bool)> = Vec::new();
         for (xid, legs) in &groups {
-            if self.coordinator_ledger().state().xs_decision(xid).is_some() {
+            if self.home_ledger().state().xs_decision(xid).is_some() {
                 continue;
             }
             // Conservation gate: a commit pays out every credit lock and
@@ -365,7 +354,7 @@ impl Network {
         // Phase 2: finalize every lock the coordinator has decided.
         let mut finalizes: BTreeMap<ShardId, Vec<Hash256>> = BTreeMap::new();
         for (xid, legs) in self.collect_locks() {
-            let Some(decision) = self.coordinator_ledger().state().xs_decision(&xid) else {
+            let Some(decision) = self.home_ledger().state().xs_decision(&xid) else {
                 continue;
             };
             for (_, account, _) in legs {
@@ -406,7 +395,7 @@ impl Network {
         self.confirm(&transfer.credit)?;
         self.resolve_cross_shard()?;
         let committed = self
-            .coordinator_ledger()
+            .home_ledger()
             .state()
             .xs_decision(&transfer.xid)
             .map(|d| d.commit)
@@ -429,7 +418,7 @@ mod tests {
         for i in 0..sites {
             builder = builder.site(&format!("hospital-{i}"), Vec::new());
         }
-        builder.build_sharded().expect("sharded network builds")
+        builder.build().expect("sharded network builds")
     }
 
     #[test]
@@ -441,7 +430,7 @@ mod tests {
         // Distinct genesis per sub-chain, distinct from the coordinator.
         let g0 = net.ledger_of_shard(ShardId(0)).block(0).unwrap().id();
         let g1 = net.ledger_of_shard(ShardId(1)).block(0).unwrap().id();
-        let gc = net.coordinator_ledger().block(0).unwrap().id();
+        let gc = net.home_ledger().block(0).unwrap().id();
         assert_ne!(g0, g1);
         assert_ne!(g0, gc);
     }
@@ -451,7 +440,8 @@ mod tests {
         let mut net = sharded(8, 2);
         let mut ids = Vec::new();
         for i in 0..8 {
-            let label = format!("hospital-{i}/emr");
+            // The build anchored each site's `/emr` dataset already.
+            let label = format!("hospital-{i}/scan");
             let expected = shard_for_key(label.as_bytes(), 2);
             let pending = net
                 .submit(i, TxPayload::Anchor { root: Hash256::digest(label.as_bytes()), label }, 1_000)
@@ -460,26 +450,27 @@ mod tests {
             ids.push(pending);
         }
         net.advance(2).unwrap();
+        // Work landed on both sub-chains.
+        let shards: std::collections::BTreeSet<ShardId> = ids.iter().map(|p| p.shard).collect();
+        assert_eq!(shards.len(), 2);
         for pending in ids {
             let ledger = net.ledger_of_shard(pending.shard);
             let receipt = ledger.receipt(&pending.tx_id).expect("committed on its shard");
             assert!(receipt.ok);
         }
-        // Work landed on both sub-chains.
-        assert!(net.shard_heights().iter().all(|&h| h >= 1));
     }
 
     #[test]
     fn cross_link_round_commits_every_tip() {
         let mut net = sharded(8, 2);
         for i in 0..8 {
-            let label = format!("hospital-{i}/emr");
+            let label = format!("hospital-{i}/scan");
             net.submit(i, TxPayload::Anchor { root: Hash256::ZERO, label }, 1_000).unwrap();
         }
         net.advance(2).unwrap();
         let links = net.cross_link().unwrap();
         assert_eq!(links.len(), 2, "both shards advanced, both get linked");
-        let state = net.coordinator_ledger().state();
+        let state = net.home_ledger().state();
         for link in &links {
             let record = state.cross_link(link.shard).expect("recorded");
             assert_eq!(record.height, link.height);
@@ -513,8 +504,8 @@ mod tests {
         for s in 0..2u16 {
             let id = net.deploy_to(ShardId(s), 0, code.clone(), Vec::new(), 100_000).unwrap();
             net.advance(2).unwrap();
-            // Site 0 signs both deploys at nonce 0 of a fresh sub-chain,
-            // so the id repeats across shards: read this shard's receipt.
+            // Nonces are per chain, so one id could commit on both
+            // shards: read this shard's receipt.
             let receipt = net.ledger_of_shard(ShardId(s)).receipt(&id).expect("deploy committed");
             assert!(receipt.ok, "deploy failed: {:?}", receipt.error);
             let mut raw = [0u8; 20];
@@ -552,7 +543,7 @@ mod tests {
         // Both locks released, decision durable on the coordinator.
         assert!(net.lock_of(&from).is_none());
         assert!(net.lock_of(&to).is_none());
-        let decision = net.coordinator_ledger().state().xs_decision(&xid).expect("recorded");
+        let decision = net.home_ledger().state().xs_decision(&xid).expect("recorded");
         assert!(decision.commit);
         // A second resolver pass finds nothing left to do.
         let again = net.resolve_cross_shard().unwrap();
@@ -583,7 +574,7 @@ mod tests {
         assert_eq!(net.balance_of(&from), 100);
         assert_eq!(net.balance_of(&to), 0);
         assert!(net.lock_of(&from).is_none());
-        let decision = net.coordinator_ledger().state().xs_decision(&xid).expect("recorded");
+        let decision = net.home_ledger().state().xs_decision(&xid).expect("recorded");
         assert!(!decision.commit);
     }
 
@@ -599,7 +590,7 @@ mod tests {
         let resolution = net.resolve_cross_shard().unwrap();
         assert_eq!(resolution, XsResolution::default(), "deadline not passed, no decision");
         assert!(net.lock_of(&from).is_some(), "lock stays until decided");
-        assert!(net.coordinator_ledger().state().xs_decision(&xid).is_none());
+        assert!(net.home_ledger().state().xs_decision(&xid).is_none());
     }
 
     /// Gateway clients cannot mint control-plane records on either
@@ -620,7 +611,7 @@ mod tests {
             for i in 0..4 {
                 builder = builder.site(&format!("hospital-{i}"), Vec::new());
             }
-            builder.gateway(client).build_sharded()
+            builder.gateway(client).build()
         };
         for (mut net, flat) in [(flat().unwrap(), true), (sharded().unwrap(), false)] {
             let key = net.client_keys()[0].clone();
@@ -689,7 +680,7 @@ mod tests {
             builder = builder.site(&format!("hospital-{i}"), Vec::new());
         }
         let client = GatewayConfig { clients: 1 };
-        let mut net = builder.gateway(client).build_sharded().unwrap();
+        let mut net = builder.gateway(client).build().unwrap();
         let key = net.client_keys()[0].clone();
         let victim = net.site(1).address();
         let shard = shard_for_key(&victim.0, net.shard_count());
@@ -743,7 +734,7 @@ mod tests {
         assert_eq!(resolution.committed, 0, "unbalanced legs must never commit");
         assert_eq!(resolution.aborted, 1, "malformed group aborts without waiting");
         assert_eq!(resolution.finalized, 2);
-        let decision = net.coordinator_ledger().state().xs_decision(&xid).expect("recorded");
+        let decision = net.home_ledger().state().xs_decision(&xid).expect("recorded");
         assert!(!decision.commit);
         // Escrow refunded, nothing minted, locks gone.
         assert_eq!(net.balance_of(&attacker), 100);
@@ -794,7 +785,7 @@ mod tests {
         for i in 0..4 {
             builder = builder.site(&format!("h{i}"), Vec::new());
         }
-        let mut net = builder.build_sharded().unwrap();
+        let mut net = builder.build().unwrap();
         net.advance(2).unwrap();
         net.cross_link().unwrap();
         assert!(registry.counter_value("shard-0.consensus.rounds") >= 2);

@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Value::str(&protocol.primary_outcome),
         ],
         50_000,
-    )?.tx_id;
-    net.commit_and_check(id)?;
+    )?;
+    net.confirm(&id)?;
     println!(
         "▸ trial {} registered on-chain, protocol hash {}",
         protocol.trial_id,
@@ -82,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Value::Bytes(p.patient_id.to_le_bytes().to_vec()),
             ],
             50_000,
-        )?.tx_id;
-        net.commit_and_check(id)?;
+        )?;
+        net.confirm(&id)?;
     }
     println!("▸ first 10 participants enrolled on-chain");
 
@@ -103,8 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Value::Bytes(Hash256::digest(outcome.as_bytes()).0.to_vec()),
             ],
             50_000,
-        )?.tx_id;
-        let receipt = net.commit_and_check(id)?;
+        )?;
+        let receipt = net.confirm(&id)?;
         let switched = medchain_contracts::decode_args(&receipt.output)?[0]
             .as_int()
             .unwrap_or(0);
@@ -116,8 +116,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "audit",
         &[Value::str(&protocol.trial_id)],
         50_000,
-    )?.tx_id;
-    let receipt = net.commit_and_check(id)?;
+    )?;
+    let receipt = net.confirm(&id)?;
     let audit = medchain_contracts::decode_args(&receipt.output)?;
     println!(
         "▸ on-chain audit: {} reports, {} switched (COMPare found 58/67 trials misreporting)",

@@ -31,7 +31,7 @@ fn build(data_dir: &std::path::Path) -> Result<Network, Box<dyn std::error::Erro
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    Ok(builder.build_sharded()?)
+    Ok(builder.build()?)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!((resolution.aborted, resolution.finalized), (1, 1));
     assert!(net.lock_of(&from).is_none());
     assert_eq!(net.balance_of(&from), 60, "escrow refunded in full");
-    assert!(!net.coordinator_ledger().state().xs_decision(&xid).unwrap().commit);
+    assert!(!net.home_ledger().state().xs_decision(&xid).unwrap().commit);
     println!("▸ {xid:?}: timeout-abort released all locks");
     println!("  balances: sender {} / receiver {}", net.balance_of(&from), net.balance_of(&to));
 

@@ -100,8 +100,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         TxPayload::Deploy { code: encode_program(&program), init: Vec::new() },
         100_000,
-    )?.tx_id;
-    let receipt = net.commit_and_check(deploy)?;
+    )?;
+    let receipt = net.confirm(&deploy)?;
     let mut addr = [0u8; 20];
     addr.copy_from_slice(&receipt.output);
     let contract = medchain_chain::Address(addr);
@@ -117,8 +117,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 input: encode_args(&[Value::Int(0), Value::str(patient)]),
             },
             10_000,
-        )?.tx_id;
-        let receipt = net.commit_and_check(invoke)?;
+        )?;
+        net.confirm(&invoke)?;
+        let receipt = net.receipt(&invoke.tx_id).ok_or("confirmed receipt")?;
         println!(
             "consent from {patient} via hospital-{site}: event {:?}, gas {}",
             receipt.events[0].topic, receipt.gas_used
@@ -130,8 +131,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1,
         TxPayload::Invoke { contract, input: encode_args(&[Value::Int(1)]) },
         10_000,
-    )?.tx_id;
-    let receipt = net.commit_and_check(query)?;
+    )?;
+    let receipt = net.confirm(&query)?;
     let tally = decode_args(&receipt.output)?[0].as_int()?;
     println!("\nglobal consent tally on-chain: {tally} (expected 3)");
 

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    let mut net = builder.build_sharded()?;
+    let mut net = builder.build()?;
     let addr = net.gateway_addr().expect("gateway listening");
     let keys = net.client_keys().to_vec();
     println!("  gateway at {addr}, {} client keys enrolled", keys.len());
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "▸ sub-chain heights {:?}, coordinator height {}",
         net.shard_heights(),
-        net.coordinator_ledger().height()
+        net.home_ledger().height()
     );
     println!("gateway round-trip OK: {} receipts verified client-side", report.committed);
 

@@ -46,8 +46,8 @@ fn do_work(net: &mut Network, rounds: usize) -> Result<(), Box<dyn std::error::E
             "request",
             &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
             50_000,
-        )?.tx_id;
-        net.commit_and_check(id)?;
+        )?;
+        net.confirm(&id)?;
     }
     Ok(())
 }

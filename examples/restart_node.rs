@@ -60,7 +60,7 @@ fn run_sharded_flow(
     for i in 0..sites {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    let mut net = with_page_budget(builder)?.build_sharded()?;
+    let mut net = with_page_budget(builder)?.build()?;
 
     if net.resumed() {
         println!(
@@ -99,7 +99,7 @@ fn run_sharded_flow(
     println!(
         "▸ coordinator chain at height {}; kill this process and run again — every sub-chain \
          must come back agreeing with these cross-links",
-        net.coordinator_ledger().height()
+        net.home_ledger().height()
     );
     Ok(())
 }
@@ -152,15 +152,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "request",
         &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
         50_000,
-    )?.tx_id;
-    let receipt = net.commit_and_check(id)?;
+    )?;
+    net.confirm(&id)?;
+    let receipt = net.receipt(&id.tx_id).ok_or("confirmed receipt")?;
     println!(
         "▸ access request committed (event {:?}); chain now at height {}",
         receipt.events[0].topic,
         net.height()
     );
     if net.resumed() {
-        read_back_below_the_window(&mut net, id)?;
+        read_back_below_the_window(&mut net, id.tx_id)?;
     }
     println!("▸ kill this process and run again — the chain picks up where it left off");
     Ok(())

@@ -252,6 +252,13 @@ const RULES: &[Row] = &[
         needles: &[Sub("recover_into("), Sub("stream_into("), Sub("attach_store("), Sub("run_until_height(")],
         allow: &[File(COMMITTEE), File(BOOTSTRAP)], why: "a committee life-cycle call outside committee.rs (DESIGN.md §3, §14)",
         mutants: &[m(NETWORK, "", "fn drive(c: &mut Cluster) { c.run_until_height(3, 1_000); }")], ..ROW },
+    Row { name: "committees start in one place", needles: &[Sub("self.start(")], count: 1, paths: &[NETWORK],
+        why: "NetworkBuilder::build starts every shape's committees; a second build path is back (DESIGN.md §3, §9)",
+        mutants: &[m(NETWORK, "pub fn build_sharded(self)", "let network = self.start(shards, Some(coordinator))?;")], ..ROW },
+    Row { name: "no Network accessor expects a shape", needles: &[Sub("\"a flat network has no"), Sub("\"a sharded network")],
+        paths: &["crates/core/src/"], why: "both shapes have a home chain with the standard contracts (DESIGN.md §9)",
+        mutants: &[m("crates/core/src/sharded.rs", "", "fn c(n: &Network) -> &Committee { n.coordinator.as_ref().expect(\"a flat network has no coordinator chain\") }"),
+            m(NETWORK, "", "fn contracts(&self) -> ContractAddresses { self.contracts.expect(\"a sharded network deploys no standard contracts\") }")], ..ROW },
     // One clock, one harness: medbench.
     Row { name: "no twins",
         needles: &[Numbered("fn run_e", "_metered"), Sub("run_experiment_metered"), Sub("run_sharded_metered"),

@@ -345,7 +345,7 @@ fn sharded_gateway_proves_presence_home_and_absence_away() {
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    let mut net = builder.build_sharded().expect("sharded gateway network builds");
+    let mut net = builder.build().expect("sharded gateway network builds");
     let addr = net.gateway_addr().expect("gateway listening");
     let keys = net.client_keys().to_vec();
 

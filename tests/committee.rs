@@ -16,21 +16,25 @@ const FLAT_TIP: &str = "3647d149ffb525975241cbbfbd10188b483f27911b5924551445f2af
 // The sharded tips were re-recorded when the 2PC resolver stopped
 // committing an empty second block per decide and per finalize (heights
 // 5/5/4 → 4/4/3); the state each committee ends in did not move, so its
-// root is pinned beside the tip.
+// root is pinned beside the tip. They were re-recorded again, roots
+// included, when a sharded build began running the one-time setup:
+// the coordinator now holds the standard contracts and the dataset
+// registrations (3 → 7 blocks), and each shard the anchors of the
+// datasets whose labels route to it (4 → 6 blocks).
 const SHARD_0: (u64, &str, &str) = (
-    4,
-    "95a1fb69dcd196b37f0f4610c0ea8ce66a6b544daeba8a6195190603a52e17ad",
-    "c572458bcfcde8d81f3f418eef78f860e975a0c36d9d52c3f2fbd748cfd0d3bb",
+    6,
+    "ab3175fd51fad4581d383be5c8daae4c38d824663aed1a103f30b503bc4c2506",
+    "3011e646846c40c845a424531af5571834d919458012a943e5d28380e256cb48",
 );
 const SHARD_1: (u64, &str, &str) = (
-    4,
-    "cdeff02e2fec6dfff9c524cf7b214a31a8a39fa3c4331cffb655f879d85a330f",
-    "d168cb25361f4feca1adda3c571fd900b685123e6068e2e4e446ed915084d2e0",
+    6,
+    "ea06b213ddc4fe3f049e4935e45d74fdc62eb3d01df9cfe8c2aa1291ca0b9f9c",
+    "b0e430ae1ba0bd2d07d9fee2e480ba27d7826503ad55119b607e62473f9b44cb",
 );
 const COORDINATOR: (u64, &str, &str) = (
-    3,
-    "d9d936e426abde85a6cbac0b0fc4a5f3695389d4a944ab07299d43f95f6b873a",
-    "29633502eb44dea24bfe8d3fb692348dfdaa633988875a9301503b67ff037a82",
+    7,
+    "5b685f865eacab020772025a2a89a092af4dcc197f2fbd4b5627b06355c7c0f5",
+    "564aeb55d706411e140145f4093abf42934a39de2a818c0242c9ad11b540afc1",
 );
 
 fn anchor(label: &str) -> TxPayload {
@@ -77,7 +81,7 @@ fn flat_network_reproduces_the_recorded_tip() {
 /// the coordinator) has advanced, signed under its own nonces.
 #[test]
 fn sharded_network_reproduces_the_recorded_tips() {
-    let mut net = builder(11).shards(2).build_sharded().expect("sharded network builds");
+    let mut net = builder(11).shards(2).build().expect("sharded network builds");
     for k in 0..6 {
         net.submit(k % 4, anchor(&format!("golden/sharded-{k}")), 1_000).expect("admitted");
     }
@@ -97,7 +101,7 @@ fn sharded_network_reproduces_the_recorded_tips() {
     for (ledger, (height, tip, root)) in [
         (net.ledger_of_shard(ShardId(0)), SHARD_0),
         (net.ledger_of_shard(ShardId(1)), SHARD_1),
-        (net.coordinator_ledger(), COORDINATOR),
+        (net.home_ledger(), COORDINATOR),
     ] {
         assert_eq!(recorded(ledger), (height, tip.to_string(), root.to_string()));
     }

@@ -66,8 +66,8 @@ fn policy_revocation_takes_effect_on_chain() {
             &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
             50_000,
         )
-        .unwrap().tx_id;
-    let receipt = net.commit_and_check(id).unwrap();
+        .unwrap();
+    let receipt = net.confirm(&id).unwrap();
     let permit = medchain_contracts::decode_args(&receipt.output).unwrap()[0]
         .as_int()
         .unwrap();
@@ -82,8 +82,8 @@ fn policy_revocation_takes_effect_on_chain() {
             &[Value::str("hospital-0/emr"), Value::address(&researcher)],
             50_000,
         )
-        .unwrap().tx_id;
-    net.commit_and_check(id).unwrap();
+        .unwrap();
+    net.confirm(&id).unwrap();
     let id = net
         .invoke(
             1,
@@ -92,13 +92,13 @@ fn policy_revocation_takes_effect_on_chain() {
             &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
             50_000,
         )
-        .unwrap().tx_id;
-    let receipt = net.commit_and_check(id).unwrap();
+        .unwrap();
+    let receipt = net.confirm(&id).unwrap();
     let permit = medchain_contracts::decode_args(&receipt.output).unwrap()[0]
         .as_int()
         .unwrap();
     assert_eq!(permit, 0);
-    assert_eq!(receipt.events[0].topic, "DataDenied");
+    assert_eq!(net.receipt(&id.tx_id).unwrap().events[0].topic, "DataDenied");
 }
 
 #[test]
@@ -160,8 +160,8 @@ fn trial_lifecycle_on_chain() {
             ],
             50_000,
         )
-        .unwrap().tx_id;
-    net.commit_and_check(id).unwrap();
+        .unwrap();
+    net.confirm(&id).unwrap();
 
     for k in 0..4u8 {
         let id = net
@@ -172,8 +172,8 @@ fn trial_lifecycle_on_chain() {
                 &[Value::str("NCT-INT-1"), Value::Bytes(vec![k])],
                 50_000,
             )
-            .unwrap().tx_id;
-        net.commit_and_check(id).unwrap();
+            .unwrap();
+        net.confirm(&id).unwrap();
     }
     // Honest + switched outcome.
     for outcome in ["mortality", "surrogate-endpoint"] {
@@ -189,21 +189,21 @@ fn trial_lifecycle_on_chain() {
                 ],
                 50_000,
             )
-            .unwrap().tx_id;
-        net.commit_and_check(id).unwrap();
+            .unwrap();
+        net.confirm(&id).unwrap();
     }
     let id = net
         .invoke(0, trial, "audit", &[Value::str("NCT-INT-1")], 50_000)
-        .unwrap().tx_id;
-    let receipt = net.commit_and_check(id).unwrap();
+        .unwrap();
+    let receipt = net.confirm(&id).unwrap();
     let audit = medchain_contracts::decode_args(&receipt.output).unwrap();
     assert_eq!(audit[0], Value::Int(2));
     assert_eq!(audit[1], Value::Int(1));
 
     let id = net
         .invoke(0, trial, "enrollment", &[Value::str("NCT-INT-1")], 50_000)
-        .unwrap().tx_id;
-    let receipt = net.commit_and_check(id).unwrap();
+        .unwrap();
+    let receipt = net.confirm(&id).unwrap();
     assert_eq!(
         medchain_contracts::decode_args(&receipt.output).unwrap()[0],
         Value::Int(4)
@@ -255,8 +255,8 @@ fn time_limited_grants_expire_on_chain() {
             ],
             50_000,
         )
-        .unwrap().tx_id;
-    net.commit_and_check(id).unwrap();
+        .unwrap();
+    net.confirm(&id).unwrap();
 
     let request = |net: &mut Network| {
         let id = net
@@ -267,8 +267,8 @@ fn time_limited_grants_expire_on_chain() {
                 &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
                 50_000,
             )
-            .unwrap().tx_id;
-        let receipt = net.commit_and_check(id).unwrap();
+            .unwrap();
+        let receipt = net.confirm(&id).unwrap();
         medchain_contracts::decode_args(&receipt.output).unwrap()[0]
             .as_int()
             .unwrap()
@@ -289,61 +289,109 @@ fn time_limited_grants_expire_on_chain() {
 #[test]
 fn fda_special_node_audits_the_consortium() {
     use medchain::pipeline::fda_integrity_sweep;
-    let mut builder = Network::builder().seed(99).with_fda();
-    for i in 0..3 {
-        builder = builder.site(&format!("hospital-{i}"), site_records(i, 60));
-    }
-    let mut net = builder.build().unwrap();
+    // On either shape the grants live on the home chain: the flat chain,
+    // or the coordinator every site runs.
+    for shards in [1, 2] {
+        let mut builder = Network::builder().seed(99).shards(shards).with_fda();
+        for i in 0..3 {
+            builder = builder.site(&format!("hospital-{i}"), site_records(i, 60));
+        }
+        let mut net = builder.build().unwrap();
 
-    // The FDA node exists, hosts nothing, and is a consortium validator.
-    let fda = net.fda_index().expect("fda node present");
-    assert_eq!(net.site(fda).name(), "fda");
-    assert!(net.site(fda).records().is_empty());
-    assert_eq!(net.site_count(), 4);
+        // The FDA node exists, hosts nothing, and is a consortium validator.
+        let fda = net.fda_index().expect("fda node present");
+        assert_eq!(net.site(fda).name(), "fda");
+        assert!(net.site(fda).records().is_empty());
+        assert_eq!(net.site_count(), 4);
 
-    // Its regulatory-audit grant is live on every hospital dataset.
-    let data = net.contracts().data;
-    for i in 0..3 {
+        // Its regulatory-audit grant is live on every hospital dataset.
+        let data = net.contracts().data;
+        for i in 0..3 {
+            let id = net
+                .invoke(
+                    fda,
+                    data,
+                    "request",
+                    &[
+                        Value::str(&format!("hospital-{i}/emr")),
+                        Value::Int(Purpose::RegulatoryAudit.code()),
+                    ],
+                    50_000,
+                )
+                .unwrap();
+            let receipt = net.confirm(&id).unwrap();
+            assert_eq!(receipt.shard, net.home_ledger().shard());
+            let permit = medchain_contracts::decode_args(&receipt.output).unwrap()[0]
+                .as_int()
+                .unwrap();
+            assert_eq!(permit, 1, "FDA audit access denied at hospital-{i} ({shards} shards)");
+        }
+        // But research purpose was never granted to the FDA.
         let id = net
             .invoke(
                 fda,
                 data,
                 "request",
-                &[
-                    Value::str(&format!("hospital-{i}/emr")),
-                    Value::Int(Purpose::RegulatoryAudit.code()),
-                ],
+                &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
                 50_000,
             )
-            .unwrap().tx_id;
-        let receipt = net.commit_and_check(id).unwrap();
-        let permit = medchain_contracts::decode_args(&receipt.output).unwrap()[0]
-            .as_int()
             .unwrap();
-        assert_eq!(permit, 1, "FDA audit access denied at hospital-{i}");
-    }
-    // But research purpose was never granted to the FDA.
-    let id = net
-        .invoke(
-            fda,
-            data,
-            "request",
-            &[Value::str("hospital-0/emr"), Value::Int(Purpose::Research.code())],
-            50_000,
-        )
-        .unwrap().tx_id;
-    let receipt = net.commit_and_check(id).unwrap();
-    assert_eq!(
-        medchain_contracts::decode_args(&receipt.output).unwrap()[0].as_int().unwrap(),
-        0,
-        "purpose limitation must hold for the regulator too"
-    );
+        let receipt = net.confirm(&id).unwrap();
+        assert_eq!(
+            medchain_contracts::decode_args(&receipt.output).unwrap()[0].as_int().unwrap(),
+            0,
+            "purpose limitation must hold for the regulator too"
+        );
 
-    // The integrity sweep finds everything intact.
-    let report = fda_integrity_sweep(&net);
-    assert_eq!(report.datasets_intact, 4); // 3 hospitals + fda's empty set
-    assert_eq!(report.datasets_tampered, 0);
-    assert!(report.blocks_verified > 0);
+        // The integrity sweep finds everything intact.
+        let report = fda_integrity_sweep(&net);
+        assert_eq!(report.datasets_intact, 4); // 3 hospitals + fda's empty set
+        assert_eq!(report.datasets_tampered, 0);
+        assert!(report.blocks_verified > 0);
+    }
+}
+
+/// The Fig. 1 job path runs on the Fig. 2 consortium once it shards:
+/// with the standard contracts on the coordinator, a query, a GWAS and
+/// two federated rounds on `.shards(2)` compose the answers the flat
+/// network composes from the same sites and records, and each round's
+/// parameters are anchored on the shard its label routes to.
+#[test]
+fn a_sharded_consortium_composes_the_flat_answers() {
+    use medchain::pipeline::run_gwas;
+    use medchain_chain::shard::shard_for_key;
+    let records = |i: usize| {
+        let profile = SiteProfile { genomic_coverage: 1.0, ..SiteProfile::varied(i) };
+        CohortGenerator::new(&format!("hospital-{i}"), profile, 3_000 + i as u64).cohort(
+            (i * 1_000_000) as u64,
+            150,
+            &DiseaseModel::stroke(),
+        )
+    };
+    let run = |shards: u16| {
+        let mut builder = Network::builder().seed(2026).shards(shards);
+        for i in 0..4 {
+            builder = builder.site(&format!("hospital-{i}"), records(i));
+        }
+        let mut net = builder.build().expect("network builds");
+        assert_eq!(net.shard_count(), shards);
+        let researcher = net.site(0).address();
+        net.grant_all(researcher, Purpose::Research).unwrap();
+        let query = parse_request("count diabetic patients over 50").unwrap();
+        let (answer, report) = run_query(&mut net, 0, &query).unwrap();
+        assert_eq!(report.permitted, 4);
+        let (associations, _) = run_gwas(&mut net, 0, STROKE_CODE, Purpose::Research).unwrap();
+        let federated = train_federated(&mut net, 0, STROKE_CODE, 2, None).unwrap();
+        for round in &federated.rounds {
+            let label = format!("fedavg/{STROKE_CODE}/round-{}", round.round);
+            let chain = net.ledger_of_shard(shard_for_key(label.as_bytes(), shards));
+            assert_eq!(chain.state().anchor(&label), Some(round.params_hash));
+        }
+        (answer, associations, federated.params)
+    };
+    let flat = run(1);
+    assert!(!flat.1.is_empty(), "the GWAS found SNPs");
+    assert_eq!(run(2), flat);
 }
 
 #[test]

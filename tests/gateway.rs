@@ -17,9 +17,10 @@ use medchain_chain::node::SubmitOutcome;
 use medchain_chain::receipt::TxReceipt;
 use medchain_chain::shard::{shard_for_key, ShardId};
 use medchain_chain::{
-    AuthorityKey, Hash256, KeyRegistry, Lane, Ledger, SealedTx, Transaction, TxPayload,
+    AuthorityKey, Hash256, KeyRegistry, Lane, Ledger, LeafKey, SealedTx, Transaction, TxPayload,
 };
-use medchain_contracts::runtime::Runtime;
+use medchain_contracts::runtime::{call_data, Runtime};
+use medchain_contracts::value::Value;
 use medchain_runtime::metrics::Registry;
 use medchain_storage::{DiskStore, StorageConfig};
 use std::collections::HashMap;
@@ -456,7 +457,7 @@ fn sharded_gateway_routes_and_proves_on_the_right_sub_chain() {
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    let mut net = builder.build_sharded().expect("sharded gateway network builds");
+    let mut net = builder.build().expect("sharded gateway network builds");
     let addr = net.gateway_addr().expect("gateway listening");
     let keys = net.client_keys().to_vec();
 
@@ -504,6 +505,52 @@ fn sharded_gateway_routes_and_proves_on_the_right_sub_chain() {
     net.shutdown();
 }
 
+/// On a sharded network the standard contracts live on the coordinator,
+/// the home chain: a client's invoke of the data contract is routed
+/// there, commits there, and its receipt verifies against the
+/// coordinator's block; an unpinned proof of the contract's code comes
+/// from there too.
+#[test]
+fn a_client_invoke_of_the_data_contract_commits_on_the_home_chain() {
+    let mut builder = MedicalNetwork::builder()
+        .block_interval_ms(20)
+        .shards(2)
+        .gateway(GatewayConfig { clients: 1 });
+    for i in 0..4 {
+        builder = builder.site(&format!("hospital-{i}"), Vec::new());
+    }
+    let mut net = builder.build().expect("sharded gateway network builds");
+    let addr = net.gateway_addr().expect("gateway listening");
+    let key = net.client_keys()[0].clone();
+    let data = net.contracts().data;
+
+    let stop = AtomicBool::new(false);
+    let (receipt, code) = std::thread::scope(|scope| {
+        let client_side = scope.spawn(|| {
+            let mut client = Client::connect(addr).expect("connects");
+            let input = call_data("meta", &[Value::str("hospital-0/emr")]);
+            let invoke = TxPayload::Invoke { contract: data, input };
+            let tx = Transaction::new(key.address(), 0, invoke, 50_000).signed(&key);
+            let pending = client.submit(&tx, false).expect("accepted");
+            assert_eq!(pending.shard, ShardId::COORDINATOR);
+            let receipt = client.wait_receipt(&pending, COMMIT_TIMEOUT).expect("commits");
+            let code = client.query_proven(&LeafKey::Code(data)).expect("proven");
+            stop.store(true, Ordering::Relaxed);
+            (receipt, code)
+        });
+        net.serve_until(&stop).expect("serving succeeds");
+        client_side.join().expect("client thread")
+    });
+
+    assert_eq!(receipt.shard, ShardId::COORDINATOR);
+    assert!(receipt.ok, "{:?}", receipt.error);
+    let root = net.home_ledger().block(receipt.height).expect("block retained").header.tx_root;
+    assert!(receipt.verify_against(&root), "proof fails on the coordinator");
+    assert_eq!(code.shard, ShardId::COORDINATOR);
+    assert!(code.value.is_some(), "the coordinator holds the data contract's code");
+    net.shutdown();
+}
+
 /// The gateway's one-slot snapshot cache remembers which chain it holds:
 /// after serving shard 1's manifest, a chunk request for shard 0 at the
 /// same height is refused instead of being answered from shard 1's
@@ -514,7 +561,7 @@ fn snapshot_stream_cache_is_keyed_by_chain() {
     for i in 0..2 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    let mut net = builder.build_sharded().expect("sharded network builds");
+    let mut net = builder.build().expect("sharded network builds");
     net.advance(1).expect("both shards commit");
     let manifest = net.snapshot_manifest(ShardId(1)).expect("shard 1 offers a snapshot");
     assert_eq!(net.ledger_of_shard(ShardId(0)).height(), manifest.height);

@@ -198,7 +198,7 @@ fn sharded_net(root: &std::path::Path, sites: usize, shards: u16) -> Network {
     for i in 0..sites {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    builder.build_sharded().expect("sharded network builds")
+    builder.build().expect("sharded network builds")
 }
 
 /// Kill-and-restart for the sharded topology (DESIGN.md §9): every
@@ -224,7 +224,7 @@ fn sharded_network_restart_recovers_subchains_agreeing_with_cross_links() {
     let heights = net.shard_heights();
     let tips: Vec<Hash256> =
         (0..2).map(|s| net.ledger_of_shard(ShardId(s)).tip().id()).collect();
-    let coordinator_tip = net.coordinator_ledger().tip().id();
+    let coordinator_tip = net.home_ledger().tip().id();
     drop(net);
 
     // Second life: all sub-chains resume and pass the cross-link audit.
@@ -234,11 +234,11 @@ fn sharded_network_restart_recovers_subchains_agreeing_with_cross_links() {
     for s in 0..2u16 {
         assert_eq!(net.ledger_of_shard(ShardId(s)).tip().id(), tips[s as usize]);
     }
-    assert_eq!(net.coordinator_ledger().tip().id(), coordinator_tip);
+    assert_eq!(net.home_ledger().tip().id(), coordinator_tip);
     // The recovered coordinator still holds the pre-crash cross-links.
     for link in &links {
         let record =
-            net.coordinator_ledger().state().cross_link(link.shard).expect("recorded");
+            net.home_ledger().state().cross_link(link.shard).expect("recorded");
         assert_eq!(record.tip, link.tip);
     }
     // The resumed consortium keeps growing and cross-links past the old
@@ -278,7 +278,7 @@ fn sharded_restart_rejects_subchain_rolled_back_behind_cross_link() {
     for i in 0..4 {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    let err = builder.build_sharded().expect_err("rolled-back shard must not resume");
+    let err = builder.build().expect_err("rolled-back shard must not resume");
     let text = err.to_string();
     assert!(
         text.contains("cross-link") && text.contains("shard-0"),
@@ -299,7 +299,7 @@ fn sharded_net_2pc(root: &std::path::Path, sites: usize, shards: u16) -> Network
     for i in 0..sites {
         builder = builder.site(&format!("hospital-{i}"), Vec::new());
     }
-    builder.build_sharded().expect("sharded network builds")
+    builder.build().expect("sharded network builds")
 }
 
 /// An address homed on a different shard than `other`.
@@ -332,7 +332,7 @@ fn restart_mid_2pc_resolves_via_coordinator_record() {
     net.submit_lane(0, TxPayload::XsDecide { xid: transfer.xid, commit: true }, 1_000, Lane::Priority)
         .unwrap();
     net.advance_coordinator(2).unwrap();
-    assert!(net.coordinator_ledger().state().xs_decision(&transfer.xid).is_some());
+    assert!(net.home_ledger().state().xs_decision(&transfer.xid).is_some());
     assert!(net.lock_of(&from).is_some(), "crash strikes before finalize");
     assert!(net.lock_of(&to).is_some());
     assert_eq!(net.balance_of(&from), 60, "escrow taken at prepare");
@@ -345,7 +345,7 @@ fn restart_mid_2pc_resolves_via_coordinator_record() {
     assert_eq!(net.lock_of(&from).map(|l| l.xid), Some(transfer.xid));
     assert_eq!(net.lock_of(&to).map(|l| l.xid), Some(transfer.xid));
     let decision =
-        net.coordinator_ledger().state().xs_decision(&transfer.xid).expect("decision durable");
+        net.home_ledger().state().xs_decision(&transfer.xid).expect("decision durable");
     assert!(decision.commit);
     // One resolver pass finishes what the coordinator already decided.
     let resolution = net.resolve_cross_shard().unwrap();
@@ -392,7 +392,7 @@ fn kill_mid_prepare_timeout_aborts_after_restart_and_refunds() {
     assert_eq!(net.balance_of(&from), 100, "escrow refunded");
     assert_eq!(net.balance_of(&to), 0, "the receiver never saw a credit");
     assert!(net.lock_of(&from).is_none(), "all locks released");
-    assert!(!net.coordinator_ledger().state().xs_decision(&xid).unwrap().commit);
+    assert!(!net.home_ledger().state().xs_decision(&xid).unwrap().commit);
     drop(net);
 
     // Third life: the abort is durable — nothing left to resolve.
@@ -400,7 +400,7 @@ fn kill_mid_prepare_timeout_aborts_after_restart_and_refunds() {
     assert!(net.resumed());
     assert!(net.lock_of(&from).is_none());
     assert_eq!(net.balance_of(&from), 100);
-    assert!(!net.coordinator_ledger().state().xs_decision(&xid).unwrap().commit);
+    assert!(!net.home_ledger().state().xs_decision(&xid).unwrap().commit);
     assert_eq!(net.resolve_cross_shard().unwrap(), XsResolution::default());
     std::fs::remove_dir_all(&root).unwrap();
 }
@@ -819,7 +819,7 @@ fn a_page_budget_without_storage_is_refused() {
             .site("hospital-0", Vec::new())
             .site("hospital-1", Vec::new())
     };
-    for built in [builder().build(), builder().shards(2).build_sharded()] {
+    for built in [builder().build(), builder().shards(2).build()] {
         match built {
             Err(NetworkError::Storage(reason)) => {
                 assert!(reason.contains("storage"), "unclear refusal: {reason}")
